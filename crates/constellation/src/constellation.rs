@@ -10,8 +10,8 @@ use crate::ground::GroundStation;
 use crate::gsl::GslConfig;
 use crate::isl::{build_isls, IslLayout};
 use crate::shell::ShellSpec;
-use hypatia_orbit::frames::eci_to_ecef;
-use hypatia_orbit::propagate::{PerturbationModel, Propagator};
+use hypatia_orbit::frames::EarthRotation;
+use hypatia_orbit::propagate::{PerturbationModel, PositionKernel, Propagator};
 use hypatia_orbit::tle::Tle;
 use hypatia_util::{SimTime, Vec3};
 use serde::{Deserialize, Serialize};
@@ -66,6 +66,15 @@ pub struct Constellation {
     /// constellations whose long-haul connectivity goes up and down
     /// through ground relays (paper Appendix A).
     pub gs_relay: bool,
+    /// Each shell's time-invariant propagation terms — its satellites
+    /// share `(a, e, i)` and the model, and differ only in the epoch angles
+    /// their own elements carry. Derived from `shells` at build (which is
+    /// why `shells` and `satellites` are not edited afterwards):
+    /// positioning a node is the simulator's per-packet cost.
+    kernels: Vec<PositionKernel>,
+    /// Each ground station's fixed ECEF position, derived from
+    /// `ground_stations` at build.
+    gs_ecef: Vec<Vec3>,
 }
 
 impl Constellation {
@@ -117,6 +126,13 @@ impl Constellation {
         // ground stations; +Grid constellations terminate at them.
         let gs_relay = matches!(isl_layout, IslLayout::None);
         let isls = build_isls(&shells, isl_layout);
+        let kernels = shells
+            .iter()
+            .map(|shell| {
+                Propagator { elements: shell.satellite_elements(0, 0), model }.position_kernel()
+            })
+            .collect();
+        let gs_ecef = ground_stations.iter().map(GroundStation::position_ecef).collect();
         Constellation {
             name: name.into(),
             shells,
@@ -125,6 +141,8 @@ impl Constellation {
             ground_stations,
             gsl,
             gs_relay,
+            kernels,
+            gs_ecef,
         }
     }
 
@@ -168,7 +186,12 @@ impl Constellation {
 
     /// ECEF position of satellite `sat_idx` at time `t`, km.
     pub fn sat_position_ecef(&self, sat_idx: usize, t: SimTime) -> Vec3 {
-        eci_to_ecef(self.satellites[sat_idx].propagator.position_at(t), t)
+        EarthRotation::at(t).eci_to_ecef(self.sat_position_eci(sat_idx, t))
+    }
+
+    fn sat_position_eci(&self, sat_idx: usize, t: SimTime) -> Vec3 {
+        let sat = &self.satellites[sat_idx];
+        self.kernels[sat.shell].position_at(&sat.propagator.elements, t)
     }
 
     /// ECEF position of any node at time `t`, km (GS positions are fixed).
@@ -176,7 +199,17 @@ impl Constellation {
         if self.is_satellite(node) {
             self.sat_position_ecef(node.index(), t)
         } else {
-            self.ground_stations[self.gs_index(node)].position_ecef()
+            self.gs_ecef[self.gs_index(node)]
+        }
+    }
+
+    /// [`Self::node_position_ecef`] with the instant's Earth rotation
+    /// supplied, so several nodes at one `t` share it.
+    fn node_position_under(&self, node: NodeId, t: SimTime, rotation: &EarthRotation) -> Vec3 {
+        if self.is_satellite(node) {
+            rotation.eci_to_ecef(self.sat_position_eci(node.index(), t))
+        } else {
+            self.gs_ecef[self.gs_index(node)]
         }
     }
 
@@ -194,13 +227,18 @@ impl Constellation {
     pub fn positions_at_into(&self, t: SimTime, out: &mut Vec<Vec3>) {
         out.clear();
         out.reserve(self.num_nodes());
-        out.extend((0..self.num_satellites()).map(|s| self.sat_position_ecef(s, t)));
-        out.extend(self.ground_stations.iter().map(|g| g.position_ecef()));
+        let rotation = EarthRotation::at(t);
+        out.extend(
+            (0..self.num_satellites()).map(|s| rotation.eci_to_ecef(self.sat_position_eci(s, t))),
+        );
+        out.extend_from_slice(&self.gs_ecef);
     }
 
     /// Distance between two nodes at time `t`, km.
     pub fn distance_km(&self, a: NodeId, b: NodeId, t: SimTime) -> f64 {
-        self.node_position_ecef(a, t).distance(self.node_position_ecef(b, t))
+        let rotation = EarthRotation::at(t);
+        self.node_position_under(a, t, &rotation)
+            .distance(self.node_position_under(b, t, &rotation))
     }
 
     /// Generate the TLE set for the whole constellation (paper §3.1's
@@ -268,6 +306,56 @@ mod tests {
         assert_eq!(snap.len(), 22);
         for (i, p) in snap.iter().enumerate() {
             assert!(p.distance(c.node_position_ecef(NodeId(i as u32), t)) < 1e-12);
+        }
+    }
+
+    /// The precomputed kernels and ground positions are the reference
+    /// formulas with their constants hoisted: every position query returns
+    /// the bits `Propagator::position_at` + `eci_to_ecef` (and
+    /// `GroundStation::position_ecef`) would, under both perturbation
+    /// models.
+    #[test]
+    fn positions_match_the_reference_formulas_bit_for_bit() {
+        use hypatia_orbit::frames::eci_to_ecef;
+        let bits = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        let mut rng = hypatia_util::rng::DetRng::new(0x636f_6e73);
+        for model in [PerturbationModel::TwoBody, PerturbationModel::J2Secular] {
+            let shells = vec![
+                ShellSpec::new("lo", 550.0, 6, 7, 53.0),
+                ShellSpec::new("polar", 1015.0, 3, 5, 98.98),
+            ];
+            let gses = vec![GroundStation::new("A", 0.0, 0.0), GroundStation::new("B", 59.9, 30.3)];
+            let c = Constellation::build_with_model(
+                "ref",
+                shells,
+                IslLayout::PlusGrid,
+                gses,
+                GslConfig::new(25.0),
+                model,
+            );
+            let reference = |node: NodeId, t: SimTime| {
+                if c.is_satellite(node) {
+                    eci_to_ecef(c.satellites[node.index()].propagator.position_at(t), t)
+                } else {
+                    c.ground_stations[c.gs_index(node)].position_ecef()
+                }
+            };
+            for _ in 0..40 {
+                let t = SimTime::from_nanos(rng.next_below(7_200_000_000_000));
+                let snap = c.positions_at(t);
+                for (i, p) in snap.iter().enumerate() {
+                    let node = NodeId(i as u32);
+                    assert_eq!(bits(*p), bits(reference(node, t)), "{model:?} {node} at {t:?}");
+                    assert_eq!(bits(c.node_position_ecef(node, t)), bits(*p));
+                }
+                let n = c.num_nodes() as u64;
+                for _ in 0..20 {
+                    let a = NodeId(rng.next_below(n) as u32);
+                    let b = NodeId(rng.next_below(n) as u32);
+                    let want = reference(a, t).distance(reference(b, t));
+                    assert_eq!(c.distance_km(a, b, t).to_bits(), want.to_bits(), "{a}-{b}");
+                }
+            }
         }
     }
 

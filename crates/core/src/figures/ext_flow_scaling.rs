@@ -67,8 +67,9 @@ impl Experiment for ExtFlowScaling {
             ParamValue::Text(FlowTable::Arena.name().to_string()),
         );
         // `--set perf_series=false` drops the wall-clock artifacts
-        // (events/sec, peak RSS), leaving only deterministic outputs —
-        // the determinism gate in scripts/check.sh relies on this.
+        // (events/sec, peak RSS) and the manifest's `perf.engine.queue`
+        // block, leaving only outputs that are identical under every
+        // engine — the determinism gate in scripts/check.sh relies on this.
         spec.params.insert("perf_series".to_string(), ParamValue::Flag(true));
         spec
     }
@@ -132,6 +133,9 @@ impl Experiment for ExtFlowScaling {
             );
             ctx.sink.record_sim(p.events, p.wall_s);
             ctx.sink.record_engine(&p.engine);
+            if with_perf_series {
+                ctx.sink.record_queue(&p.engine.queue);
+            }
             let x = p.flows as f64;
             events_per_sec.push((x, p.events_per_sec));
             goodput.push((x, p.goodput_gbps));

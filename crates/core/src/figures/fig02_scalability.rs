@@ -47,8 +47,10 @@ impl Experiment for Fig02 {
         // Event-scheduler escape hatch (`--set queue=heap` to compare).
         spec.params
             .insert("queue".to_string(), ParamValue::Text(QueueKind::default().name().to_string()));
-        // `--set slowdown=false` drops the wall-clock slowdown artifacts,
-        // leaving only deterministic outputs (for golden-manifest tests).
+        // `--set slowdown=false` drops the wall-clock slowdown artifacts
+        // and the manifest's queue-kind-dependent `perf.engine.queue`
+        // block, leaving only outputs that are identical under every
+        // engine (for golden-manifest tests).
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(true));
         // `--set flow_table=arena` switches per-flow apps to arena tables;
         // artifacts are byte-identical either way.
@@ -124,6 +126,9 @@ impl Experiment for Fig02 {
                 );
                 ctx.sink.record_sim(p.events, p.wall_s);
                 ctx.sink.record_engine(&p.engine);
+                if with_slowdown {
+                    ctx.sink.record_queue(&p.engine.queue);
+                }
                 if let Some(last) = &outcome.last_checkpoint {
                     ctx.sink.record_checkpoints(outcome.checkpoints, last);
                 }

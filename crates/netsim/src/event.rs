@@ -10,26 +10,47 @@
 //! same per-node order. Either way, integer timestamps plus a total event
 //! order make runs bit-reproducible.
 //!
-//! Two scheduler implementations preserve that exact total order:
+//! # What a pending event costs
 //!
-//! * [`QueueKind::Heap`] — a `BinaryHeap`, O(log n) per operation. The
-//!   original implementation, kept as a differential-testing oracle and a
-//!   `--queue heap` escape hatch.
-//! * [`QueueKind::Calendar`] (default) — a hierarchical calendar queue: a
-//!   timing wheel of [`NUM_SLOTS`] buckets, each [`SLOT_NS`] ns wide, with
-//!   a `BinaryHeap` holding events beyond the wheel's horizon. Scheduling
-//!   is O(1) (a push into an unsorted bucket); popping heapifies each
-//!   bucket once as the wheel reaches it, which amortizes to
-//!   O(log bucket-population) per event — and the bucket heap is tiny and
-//!   cache-hot where a global heap spans every pending event. An occupancy
-//!   bitmap lets the wheel jump straight to the next populated bucket, so
-//!   sparse workloads never step through empty slots. This is ns-3's
-//!   calendar-scheduler idea applied to integer-ns time, where bucket
-//!   indexing is a shift and a mask.
+//! An entry in the ordered structures is 32 bytes: `(at, key)`, a tag and
+//! two payload words. The one fat variant, [`Event::Arrival`], parks its
+//! 96-byte [`Packet`] in a slab the queue owns (a `Vec<Packet>` plus a
+//! free list) and the entry keeps the slot index; `pop*` hands the same
+//! [`Event`] back by value, so callers never see the split. Sorting,
+//! sifting and cascading therefore move a quarter of the bytes an inline
+//! packet would cost, and a timer costs no more than it needs.
+//!
+//! # Two schedulers, one order
+//!
+//! * [`QueueKind::Heap`] — one `BinaryHeap`, O(log n) per operation. Kept
+//!   as the differential-testing oracle and a `--queue heap` escape hatch.
+//! * [`QueueKind::Calendar`] (default) — a two-level timing wheel over
+//!   integer-ns time, where bucket indexing is a shift and a mask.
+//!   Parking an event is O(1) however far ahead it is due:
+//!   1. **Level 1**: [`NUM_SLOTS`] unsorted buckets, each [`SLOT_NS`] wide
+//!      (a ~16.8 ms window sliding with the wheel). Packet-timescale
+//!      events — serialization, propagation — land here directly.
+//!   2. **Level 2**: [`NUM_SLOTS`] unsorted buckets, each one level-1
+//!      rotation ([`SPAN_NS`], ~16.8 ms) wide and aligned to it, reaching
+//!      ~69 s ahead. Pacing timers, RTO and delayed-ACK timers, forwarding
+//!      swaps land here; when the wheel reaches a bucket's first slot the
+//!      bucket is *cascaded*: each entry moves to its level-1 slot and the
+//!      bucket's buffer is released.
+//!   3. **Far heap**: a `BinaryHeap` for the few events beyond level 2.
+//!
+//!   Popping heapifies one level-1 bucket at a time as the wheel reaches
+//!   it (its buffer is swapped, not copied, into the cursor heap), which
+//!   amortizes to O(log bucket-population) per event on a heap that is
+//!   small and cache-hot where a global heap spans every pending event.
+//!   Each level has an occupancy bitmap, so the wheel jumps straight to
+//!   the next populated bucket and sparse workloads never step through
+//!   empty ones.
+//!
+//! [`QueueStats`] counts where inserts landed, how many entries were
+//! cascaded, and the peak pending count.
 
 use crate::packet::Packet;
 use hypatia_util::SimTime;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::mem;
 
@@ -80,18 +101,43 @@ pub enum Event {
     },
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    event: Event,
+/// Which [`Event`] variant a [`Scheduled`] entry stands for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    TxComplete,
+    Arrival,
+    ForwardingUpdate,
+    AppTimer,
+    FaultUpdate,
+    FluidUpdate,
 }
 
-// Order by (time, seq) — BinaryHeap is a max-heap so we wrap in Reverse at
-// the call sites; implement Ord accordingly.
+/// A pending event as the ordered structures hold it: the `(at, key)` sort
+/// key plus the variant's fields packed into `a`/`b` (an [`Tag::Arrival`]'s
+/// `b` is its packet's slab slot).
+#[derive(Debug, Clone, Copy)]
+struct Scheduled {
+    at: SimTime,
+    key: u64,
+    b: u64,
+    a: u32,
+    tag: Tag,
+}
+
+const _: () = assert!(mem::size_of::<Scheduled>() <= 32);
+
+impl Scheduled {
+    /// Absolute level-1 slot index of this entry.
+    fn slot(&self) -> u64 {
+        self.at.nanos() >> SLOT_NS_SHIFT
+    }
+}
+
+// Ordered by (time, key), *reversed*: `BinaryHeap` is a max-heap and the
+// earliest entry must surface first.
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.at == other.at && self.key == other.key
     }
 }
 impl Eq for Scheduled {}
@@ -102,16 +148,50 @@ impl PartialOrd for Scheduled {
 }
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        (other.at, other.key).cmp(&(self.at, self.key))
+    }
+}
+
+/// Out-of-line storage for the packets of pending [`Event::Arrival`]s.
+/// Freed slots are reused last-freed-first, so a steady-state run touches
+/// the same few cache lines.
+#[derive(Debug, Default)]
+struct PacketSlab {
+    slots: Vec<Packet>,
+    free: Vec<u32>,
+}
+
+impl PacketSlab {
+    fn park(&mut self, packet: Packet) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = packet;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("packet slab index space");
+                self.slots.push(packet);
+                slot
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> Packet {
+        self.free.push(slot);
+        self.slots[slot as usize]
+    }
+
+    fn occupied(&self) -> usize {
+        self.slots.len() - self.free.len()
     }
 }
 
 /// Which scheduler implementation backs an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// Binary min-heap over `(time, seq)`.
+    /// Binary min-heap over `(time, key)`.
     Heap,
-    /// Timing-wheel calendar queue with an overflow heap (the default).
+    /// Two-level timing-wheel calendar queue (the default).
     #[default]
     Calendar,
 }
@@ -135,157 +215,258 @@ impl QueueKind {
     }
 }
 
-/// log2 of the calendar bucket width: 2^12 ns = 4.096 µs per slot. Narrow
+/// Where an [`EventQueue`]'s inserts landed, for the manifest's `perf`
+/// block. The split depends on the queue kind (a heap queue counts every
+/// insert as `far_inserts`) and on how nodes are sharded, so it is run
+/// telemetry, never a simulation observable.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueueStats {
+    /// Inserts within the level-1 window (including the slot being drained).
+    pub level1_inserts: u64,
+    /// Inserts into a level-2 bucket.
+    pub level2_inserts: u64,
+    /// Inserts into a binary heap: beyond level 2, or any insert at all
+    /// under [`QueueKind::Heap`].
+    pub far_inserts: u64,
+    /// Entries moved from a level-2 bucket into level 1.
+    pub cascaded: u64,
+    /// Largest number of events pending at once.
+    pub peak_pending: u64,
+}
+
+impl QueueStats {
+    /// Fold in another queue's counts: inserts add up, the peak is the
+    /// larger of the two (queues of different shards peak independently).
+    pub fn merge(&mut self, other: &QueueStats) {
+        self.level1_inserts += other.level1_inserts;
+        self.level2_inserts += other.level2_inserts;
+        self.far_inserts += other.far_inserts;
+        self.cascaded += other.cascaded;
+        self.peak_pending = self.peak_pending.max(other.peak_pending);
+    }
+}
+
+/// log2 of the level-1 bucket width: 2^12 ns = 4.096 µs per slot. Narrow
 /// slots keep each bucket's population — and therefore the cursor heap the
 /// wheel pops from — small and cache-hot even when tens of thousands of
 /// packet events are in flight (the high-goodput end of Fig. 2, where a
 /// global heap's sift path is all cache misses).
 const SLOT_NS_SHIFT: u32 = 12;
-/// Calendar bucket width in nanoseconds.
+/// Level-1 bucket width in nanoseconds.
 pub const SLOT_NS: u64 = 1 << SLOT_NS_SHIFT;
-/// Number of wheel slots (must be a power of two): with 4.096 µs slots,
-/// 4096 slots give a ~16.8 ms horizon — past one serialization plus one
-/// typical propagation delay, so the packet events that dominate the hot
-/// loop land in the wheel. Slower timescales (forwarding updates, RTO
-/// timers, ping intervals) go to the overflow heap, whose population is
-/// per-flow/per-step — thousands of times smaller than the packet churn.
-pub const NUM_SLOTS: usize = 1 << 12;
+/// log2 of the bucket count of either wheel level.
+const WHEEL_BITS: u32 = 12;
+/// Buckets per wheel level. At level 1, 4096 slots of 4.096 µs give a
+/// ~16.8 ms window — past one serialization plus one typical propagation
+/// delay, so the packet events that dominate the hot loop never leave
+/// level 1. At level 2, 4096 buckets of one such window reach ~69 s: every
+/// pacing, RTO and delayed-ACK timer and every forwarding swap.
+pub const NUM_SLOTS: usize = 1 << WHEEL_BITS;
 const SLOT_MASK: u64 = NUM_SLOTS as u64 - 1;
+/// Level-2 bucket width in nanoseconds: one level-1 rotation.
+pub const SPAN_NS: u64 = SLOT_NS << WHEEL_BITS;
 
-/// Occupancy-bitmap words (one bit per wheel slot).
+/// Occupancy-bitmap words (one bit per bucket).
 const BITMAP_WORDS: usize = NUM_SLOTS / 64;
 
-/// The calendar queue: a timing wheel plus an overflow heap.
-///
-/// Invariants (checked in debug builds):
-/// * `cursor` is a min-heap (by `(at, seq)`) holding the events of every
-///   absolute slot `<= cur_slot`, including late sub-slot-delay inserts —
-///   a heap, not a sorted vector, so a late insert into a populated slot
-///   is O(log slot-population) instead of an O(population) memmove;
-/// * `slots[s & SLOT_MASK]` holds exactly the events whose absolute slot
-///   `s` lies in `(cur_slot, cur_slot + NUM_SLOTS)` — a slot's vector is
-///   drained when the wheel reaches it, before the same index can be
-///   reused one rotation later — and `occupied` has bit `s & SLOT_MASK`
-///   set iff that vector is non-empty, so advancing the wheel skips empty
-///   slots with word-sized bitmap scans instead of touching their (cold)
-///   `Vec` headers;
-/// * `overflow` holds events at or beyond the horizon
-///   (`(cur_slot + NUM_SLOTS) << SLOT_NS_SHIFT`), pulled into `cursor`
-///   once their slot becomes current.
+/// One wheel level: [`NUM_SLOTS`] unsorted buckets addressed by an
+/// absolute index (a slot number at level 1, a span number at level 2)
+/// modulo the wheel size. The caller guarantees that live indices span
+/// less than one rotation, so a position holds entries of one index only.
+/// `occupied` has a bit set iff that bucket is non-empty, so finding the
+/// next populated bucket is a word-sized bitmap scan instead of touching
+/// 4096 (cold) `Vec` headers.
 #[derive(Debug)]
-struct CalendarQueue {
-    slots: Vec<Vec<Reverse<Scheduled>>>,
+struct Wheel {
+    buckets: Vec<Vec<Scheduled>>,
     occupied: [u64; BITMAP_WORDS],
-    cursor: BinaryHeap<Reverse<Scheduled>>,
-    /// Absolute index (time >> SLOT_NS_SHIFT) of the current slot.
-    cur_slot: u64,
-    /// Events currently held in `slots` (not `cursor`/`overflow`).
-    in_slots: usize,
-    overflow: BinaryHeap<Reverse<Scheduled>>,
+    /// Entries held across all buckets.
     len: usize,
 }
 
-impl CalendarQueue {
+impl Wheel {
     fn new() -> Self {
-        CalendarQueue {
-            slots: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
+        Wheel {
+            buckets: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; BITMAP_WORDS],
-            cursor: BinaryHeap::new(),
-            cur_slot: 0,
-            in_slots: 0,
-            overflow: BinaryHeap::new(),
             len: 0,
         }
     }
 
-    fn schedule(&mut self, s: Scheduled) {
-        let abs_slot = s.at.nanos() >> SLOT_NS_SHIFT;
-        if abs_slot <= self.cur_slot {
-            // At (or before) the slot being drained: joins the cursor heap.
-            self.cursor.push(Reverse(s));
-        } else if abs_slot < self.cur_slot + NUM_SLOTS as u64 {
-            let pos = (abs_slot & SLOT_MASK) as usize;
-            self.slots[pos].push(Reverse(s));
-            self.occupied[pos / 64] |= 1 << (pos % 64);
-            self.in_slots += 1;
-        } else {
-            self.overflow.push(Reverse(s));
-        }
+    fn push(&mut self, index: u64, s: Scheduled) {
+        let pos = (index & SLOT_MASK) as usize;
+        self.buckets[pos].push(s);
+        self.occupied[pos / 64] |= 1 << (pos % 64);
         self.len += 1;
     }
 
-    /// Distance (in slots, `1..NUM_SLOTS`) from `cur_slot` to the nearest
-    /// occupied wheel slot. Requires `in_slots > 0`. A circular
-    /// find-first-set over the occupancy bitmap: at most `BITMAP_WORDS + 1`
-    /// word reads, all within one 512-byte array.
-    fn next_occupied_distance(&self) -> u64 {
-        let cur_pos = (self.cur_slot & SLOT_MASK) as usize;
+    /// Absolute index of the nearest occupied bucket after `cur` (whose
+    /// own bucket must be empty), or `None` when the level holds nothing.
+    /// A circular find-first-set: at most `BITMAP_WORDS + 1` word reads,
+    /// all within one 512-byte array.
+    fn next_occupied(&self, cur: u64) -> Option<u64> {
+        if self.len == 0 {
+            return None;
+        }
+        let cur_pos = (cur & SLOT_MASK) as usize;
         let start = (cur_pos + 1) % NUM_SLOTS;
         let mut word_idx = start / 64;
         let mut word = self.occupied[word_idx] & (!0u64 << (start % 64));
         for _ in 0..=BITMAP_WORDS {
             if word != 0 {
                 let pos = word_idx * 64 + word.trailing_zeros() as usize;
-                return (((pos + NUM_SLOTS - cur_pos - 1) % NUM_SLOTS) + 1) as u64;
+                let distance = ((pos + NUM_SLOTS - cur_pos - 1) % NUM_SLOTS) + 1;
+                debug_assert!(distance < NUM_SLOTS, "bucket of the current index is occupied");
+                return Some(cur + distance as u64);
             }
             word_idx = (word_idx + 1) % BITMAP_WORDS;
             word = self.occupied[word_idx];
         }
-        unreachable!("in_slots > 0 but occupancy bitmap is empty")
+        unreachable!("wheel level holds entries but its occupancy bitmap is empty")
     }
 
-    /// Make `cursor` non-empty (requires `len > 0`): jump the wheel
-    /// straight to the earliest populated slot — wheel or overflow,
-    /// whichever is due first — and heapify that bucket.
+    /// Swap the bucket of `index` with the *empty* buffer `into`: the
+    /// entries change hands without being copied, and the bucket inherits
+    /// whatever capacity `into` had.
+    fn take(&mut self, index: u64, into: &mut Vec<Scheduled>) {
+        debug_assert!(into.is_empty());
+        let pos = (index & SLOT_MASK) as usize;
+        mem::swap(&mut self.buckets[pos], into);
+        self.occupied[pos / 64] &= !(1 << (pos % 64));
+        self.len -= into.len();
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Scheduled> {
+        self.buckets.iter().flatten()
+    }
+}
+
+/// Where [`CalendarQueue::schedule`] parked an entry.
+enum Tier {
+    Level1,
+    Level2,
+    Far,
+}
+
+/// The calendar queue: two wheel levels plus a far heap.
+///
+/// Invariants (slot = `at >> 12`, span = `slot >> 12`):
+/// * `cursor` is a min-heap (by `(at, key)`) holding the events of every
+///   slot `<= cur_slot`, including late sub-slot-delay inserts — a heap,
+///   not a sorted vector, so a late insert into a populated slot is
+///   O(log slot-population) instead of an O(population) memmove;
+/// * `level1` holds exactly the wheel-resident events of slots in
+///   `(cur_slot, cur_slot + NUM_SLOTS)`: a bucket is drained when the
+///   wheel reaches it, before its position can be reused one rotation
+///   later;
+/// * `level2` holds events that were at least one level-1 window ahead
+///   when scheduled, by span, for spans in
+///   `(cur_span, cur_span + NUM_SLOTS)`. A bucket is cascaded into
+///   `level1` when the wheel reaches the first slot of its span — never
+///   later, so every span `<= cur_span` is empty;
+/// * `far` holds events at least one level-2 rotation ahead when
+///   scheduled, pulled into `cursor` once their slot becomes current.
+#[derive(Debug)]
+struct CalendarQueue {
+    cursor: BinaryHeap<Scheduled>,
+    /// Absolute index of the slot being drained.
+    cur_slot: u64,
+    level1: Wheel,
+    level2: Wheel,
+    far: BinaryHeap<Scheduled>,
+    len: usize,
+}
+
+impl CalendarQueue {
+    fn new() -> Self {
+        CalendarQueue {
+            cursor: BinaryHeap::new(),
+            cur_slot: 0,
+            level1: Wheel::new(),
+            level2: Wheel::new(),
+            far: BinaryHeap::new(),
+            len: 0,
+        }
+    }
+
+    fn schedule(&mut self, s: Scheduled) -> Tier {
+        self.len += 1;
+        let slot = s.slot();
+        if slot <= self.cur_slot {
+            // At (or before) the slot being drained: joins the cursor heap.
+            self.cursor.push(s);
+            Tier::Level1
+        } else if slot - self.cur_slot < NUM_SLOTS as u64 {
+            self.level1.push(slot, s);
+            Tier::Level1
+        } else {
+            // At least a level-1 window ahead, so in a later span.
+            let span = slot >> WHEEL_BITS;
+            if span - (self.cur_slot >> WHEEL_BITS) < NUM_SLOTS as u64 {
+                self.level2.push(span, s);
+                Tier::Level2
+            } else {
+                self.far.push(s);
+                Tier::Far
+            }
+        }
+    }
+
+    /// Advance the wheel (requires an empty cursor and `len > 0`): jump
+    /// straight to the earliest populated slot — a level-1 bucket, the
+    /// first slot of a level-2 bucket, or the far heap's front, whichever
+    /// is due first — and move what is due there into the cursor. A
+    /// level-2 bucket reached this way is cascaded; when none of its
+    /// entries sits in that first slot the cursor stays empty and the
+    /// caller refills again, now from level 1.
     fn refill(&mut self) {
         debug_assert!(self.cursor.is_empty() && self.len > 0);
-        let overflow_next =
-            self.overflow.peek().map_or(u64::MAX, |Reverse(s)| s.at.nanos() >> SLOT_NS_SHIFT);
-        let wheel_next = if self.in_slots == 0 {
-            u64::MAX
-        } else {
-            self.cur_slot + self.next_occupied_distance()
-        };
-        let target = wheel_next.min(overflow_next);
-        debug_assert!(target > self.cur_slot && target < u64::MAX);
+        let level1_next = self.level1.next_occupied(self.cur_slot);
+        let level2_next = self.level2.next_occupied(self.cur_slot >> WHEEL_BITS);
+        let level2_slot = level2_next.map(|span| span << WHEEL_BITS);
+        let far_slot = self.far.peek().map(Scheduled::slot);
+        let target = [level1_next, level2_slot, far_slot]
+            .into_iter()
+            .flatten()
+            .min()
+            .expect("pending events but every tier is empty");
+        debug_assert!(target > self.cur_slot);
         self.cur_slot = target;
 
-        // Recycle the cursor's buffer: drain wheel + due-overflow events
-        // into it, then heapify once — O(bucket) — instead of pushing one
-        // at a time.
+        // The cursor's (empty) buffer takes the level-1 bucket's place and
+        // vice versa: no entry is copied, and buffers keep circulating.
         let mut staging = mem::take(&mut self.cursor).into_vec();
-        let pos = (self.cur_slot & SLOT_MASK) as usize;
-        let slot = &mut self.slots[pos];
-        if !slot.is_empty() {
-            self.in_slots -= slot.len();
-            staging.append(slot);
-            self.occupied[pos / 64] &= !(1 << (pos % 64));
+        if level1_next == Some(target) {
+            self.level1.take(target, &mut staging);
         }
-        while let Some(Reverse(top)) = self.overflow.peek() {
-            if top.at.nanos() >> SLOT_NS_SHIFT > self.cur_slot {
-                break;
+        if level2_slot == Some(target) {
+            // Dropped after the loop: a level-2 position is not revisited
+            // for ~69 s, so keeping its buffer would only pin memory.
+            let mut bucket = Vec::new();
+            self.level2.take(target >> WHEEL_BITS, &mut bucket);
+            for s in bucket {
+                if s.slot() == target {
+                    staging.push(s);
+                } else {
+                    self.level1.push(s.slot(), s);
+                }
             }
-            staging.push(self.overflow.pop().expect("peeked entry vanished"));
         }
-        debug_assert!(!staging.is_empty());
+        while self.far.peek().is_some_and(|top| top.slot() <= target) {
+            staging.push(self.far.pop().expect("peeked entry vanished"));
+        }
         self.cursor = BinaryHeap::from(staging);
     }
 
-    /// Borrow the next event in `(time, seq)` order without removing it.
+    /// Borrow the next event in `(time, key)` order without removing it.
     fn front(&mut self) -> Option<&Scheduled> {
         if self.len == 0 {
             return None;
         }
-        if self.cursor.is_empty() {
+        while self.cursor.is_empty() {
             self.refill();
         }
-        self.cursor.peek().map(|Reverse(s)| s)
-    }
-
-    fn pop(&mut self) -> Option<Scheduled> {
-        self.front()?;
-        self.len -= 1;
-        self.cursor.pop().map(|Reverse(s)| s)
+        self.cursor.peek()
     }
 
     fn pop_before(&mut self, t_end: SimTime) -> Option<Scheduled> {
@@ -293,14 +474,22 @@ impl CalendarQueue {
             return None;
         }
         self.len -= 1;
-        self.cursor.pop().map(|Reverse(s)| s)
+        self.cursor.pop()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Scheduled> {
+        self.cursor
+            .iter()
+            .chain(self.level1.iter())
+            .chain(self.level2.iter())
+            .chain(self.far.iter())
     }
 }
 
 #[derive(Debug)]
 enum QueueImpl {
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-    // Boxed: the occupancy bitmap makes CalendarQueue ~600 B inline.
+    Heap(BinaryHeap<Scheduled>),
+    // Boxed: two occupancy bitmaps make CalendarQueue >1 KB inline.
     Calendar(Box<CalendarQueue>),
 }
 
@@ -308,7 +497,9 @@ enum QueueImpl {
 #[derive(Debug)]
 pub struct EventQueue {
     imp: QueueImpl,
+    packets: PacketSlab,
     seq: u64,
+    stats: QueueStats,
 }
 
 impl Default for EventQueue {
@@ -330,7 +521,7 @@ impl EventQueue {
             QueueKind::Heap => QueueImpl::Heap(BinaryHeap::new()),
             QueueKind::Calendar => QueueImpl::Calendar(Box::new(CalendarQueue::new())),
         };
-        EventQueue { imp, seq: 0 }
+        EventQueue { imp, packets: PacketSlab::default(), seq: 0, stats: QueueStats::default() }
     }
 
     /// The backing scheduler kind.
@@ -354,55 +545,65 @@ impl EventQueue {
     /// Callers must not mix auto-sequenced and keyed scheduling on one
     /// queue unless they can rule out `(at, key)` collisions.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: Event) {
-        let s = Scheduled { at, seq: key, event };
-        match &mut self.imp {
-            QueueImpl::Heap(heap) => heap.push(Reverse(s)),
+        let (tag, a, b) = match event {
+            Event::TxComplete { node, device } => (Tag::TxComplete, node, device as u64),
+            Event::Arrival { node, packet } => {
+                (Tag::Arrival, node, self.packets.park(packet) as u64)
+            }
+            Event::ForwardingUpdate { step } => (Tag::ForwardingUpdate, 0, step),
+            Event::AppTimer { app, timer_id } => (Tag::AppTimer, app, timer_id),
+            Event::FaultUpdate { index } => (Tag::FaultUpdate, 0, index),
+            Event::FluidUpdate { index } => (Tag::FluidUpdate, 0, index),
+        };
+        let s = Scheduled { at, key, b, a, tag };
+        let tier = match &mut self.imp {
+            QueueImpl::Heap(heap) => {
+                heap.push(s);
+                Tier::Far
+            }
             QueueImpl::Calendar(cal) => cal.schedule(s),
+        };
+        match tier {
+            Tier::Level1 => self.stats.level1_inserts += 1,
+            Tier::Level2 => self.stats.level2_inserts += 1,
+            Tier::Far => self.stats.far_inserts += 1,
         }
+        self.stats.peak_pending = self.stats.peak_pending.max(self.len() as u64);
     }
 
     /// Pop the next event if any, returning `(time, event)`.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match &mut self.imp {
-            QueueImpl::Heap(heap) => heap.pop().map(|Reverse(s)| (s.at, s.event)),
-            QueueImpl::Calendar(cal) => cal.pop().map(|s| (s.at, s.event)),
-        }
+        self.pop_before(SimTime::MAX)
     }
 
     /// Pop the next event only if it is due at or before `t_end` — the
     /// main loop's peek-then-pop collapsed into one queue operation.
     pub fn pop_before(&mut self, t_end: SimTime) -> Option<(SimTime, Event)> {
-        match &mut self.imp {
-            QueueImpl::Heap(heap) => {
-                if heap.peek().is_none_or(|Reverse(s)| s.at > t_end) {
-                    return None;
-                }
-                heap.pop().map(|Reverse(s)| (s.at, s.event))
-            }
-            QueueImpl::Calendar(cal) => cal.pop_before(t_end).map(|s| (s.at, s.event)),
-        }
+        self.pop_entry_before(t_end).map(|(t, _, event)| (t, event))
     }
 
     /// [`Self::pop_before`], but also returning the event's tie-break key.
     /// The sharded engine tags trace records with this key so traces from
     /// different shards merge into one canonical `(time, key)` order.
     pub fn pop_entry_before(&mut self, t_end: SimTime) -> Option<(SimTime, u64, Event)> {
-        match &mut self.imp {
+        let s = match &mut self.imp {
             QueueImpl::Heap(heap) => {
-                if heap.peek().is_none_or(|Reverse(s)| s.at > t_end) {
+                if heap.peek()?.at > t_end {
                     return None;
                 }
-                heap.pop().map(|Reverse(s)| (s.at, s.seq, s.event))
+                heap.pop()?
             }
-            QueueImpl::Calendar(cal) => cal.pop_before(t_end).map(|s| (s.at, s.seq, s.event)),
-        }
+            QueueImpl::Calendar(cal) => cal.pop_before(t_end)?,
+        };
+        let packets = &mut self.packets;
+        Some((s.at, s.key, unpack(&s, |slot| packets.take(slot))))
     }
 
     /// Time of the next event without removing it. (The calendar backend
     /// may advance its wheel to locate the front, hence `&mut`.)
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match &mut self.imp {
-            QueueImpl::Heap(heap) => heap.peek().map(|Reverse(s)| s.at),
+            QueueImpl::Heap(heap) => heap.peek().map(|s| s.at),
             QueueImpl::Calendar(cal) => cal.front().map(|s| s.at),
         }
     }
@@ -419,15 +620,110 @@ impl EventQueue {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Packets parked in the slab — exactly the pending
+    /// [`Event::Arrival`]s, i.e. the packets propagating on a wire.
+    pub fn parked_packets(&self) -> usize {
+        self.packets.occupied()
+    }
+
+    /// Every pending `(time, key, event)` in pop order, leaving the queue
+    /// untouched (checkpoints serialize this).
+    pub fn pending_in_order(&self) -> Vec<(SimTime, u64, Event)> {
+        let mut entries: Vec<Scheduled> = match &self.imp {
+            QueueImpl::Heap(heap) => heap.iter().copied().collect(),
+            QueueImpl::Calendar(cal) => cal.iter().copied().collect(),
+        };
+        entries.sort_unstable_by_key(|s| (s.at, s.key));
+        entries
+            .iter()
+            .map(|s| (s.at, s.key, unpack(s, |slot| self.packets.slots[slot as usize])))
+            .collect()
+    }
+
+    /// Insert and cascade counts so far, and the peak pending count.
+    pub fn stats(&self) -> QueueStats {
+        let mut stats = self.stats;
+        if let QueueImpl::Calendar(cal) = &self.imp {
+            // Whatever entered level 2 and is no longer there was cascaded.
+            stats.cascaded = stats.level2_inserts - cal.level2.len as u64;
+        }
+        stats
+    }
+}
+
+/// Rebuild the [`Event`] an entry stands for; `packet` resolves an
+/// arrival's slab slot (taking it, or merely reading it).
+fn unpack(s: &Scheduled, packet: impl FnOnce(u32) -> Packet) -> Event {
+    match s.tag {
+        Tag::TxComplete => Event::TxComplete { node: s.a, device: s.b as u32 },
+        Tag::Arrival => Event::Arrival { node: s.a, packet: packet(s.b as u32) },
+        Tag::ForwardingUpdate => Event::ForwardingUpdate { step: s.b },
+        Tag::AppTimer => Event::AppTimer { app: s.a, timer_id: s.b },
+        Tag::FaultUpdate => Event::FaultUpdate { index: s.b },
+        Tag::FluidUpdate => Event::FluidUpdate { index: s.b },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{SnapReader, SnapWriter};
+    use crate::packet::{Payload, Segment};
+    use hypatia_constellation::NodeId;
     use hypatia_util::rng::DetRng;
+
+    /// One level-2 rotation: the far heap starts this far ahead.
+    const LEVEL2_NS: u64 = SPAN_NS * NUM_SLOTS as u64;
 
     fn both_kinds() -> [EventQueue; 2] {
         [EventQueue::with_kind(QueueKind::Heap), EventQueue::with_kind(QueueKind::Calendar)]
+    }
+
+    /// A packet whose every field is a function of `id`, so a popped
+    /// packet can be checked field for field without remembering it.
+    fn packet_of(id: u64) -> Packet {
+        let payload = match id % 4 {
+            0 => Payload::Ping { seq: id ^ 0x55 },
+            1 => Payload::Pong { seq: id, ping_injected_at: SimTime::from_nanos(id * 3) },
+            2 => Payload::Udp { flow: id as u32, seq: id + 9, payload_bytes: (id % 1441) as u32 },
+            _ => Payload::Seg(Segment {
+                seq: id * 1380,
+                payload_bytes: 1380,
+                ack: id / 2,
+                ts: SimTime::from_nanos(id * 5),
+                ts_echo: SimTime::from_nanos(id * 7),
+                fin: id % 8 == 3,
+            }),
+        };
+        Packet {
+            id,
+            src: NodeId(id as u32),
+            dst: NodeId(!id as u32),
+            src_port: (id % 65_521) as u16,
+            dst_port: (id % 251) as u16,
+            size_bytes: 60 + (id % 1441) as u32,
+            payload,
+            injected_at: SimTime::from_nanos(id * 11),
+            hops: (id % 40) as u16,
+            flow_hash: id.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        }
+    }
+
+    /// Every third event is an `Arrival` carrying `packet_of(id)`.
+    fn event_of(id: u64) -> Event {
+        if id.is_multiple_of(3) {
+            Event::Arrival { node: id as u32, packet: packet_of(id) }
+        } else {
+            Event::AppTimer { app: 0, timer_id: id }
+        }
+    }
+
+    fn assert_intact(event: &Event) {
+        if let Event::Arrival { node, packet } = event {
+            assert_eq!(*packet, packet_of(packet.id), "packet {} came back altered", packet.id);
+            assert_eq!(*node, packet.id as u32);
+        }
     }
 
     #[test]
@@ -583,70 +879,95 @@ mod tests {
         assert_eq!(order, vec![1, 2, 3, 4, 5]);
     }
 
-    /// Regression for the slot-wraparound edge: events landing exactly at
-    /// the wheel's bucket horizon (`cur_slot + NUM_SLOTS`) must go to the
-    /// overflow heap — one nanosecond earlier is the last wheel slot — and
-    /// both sides of the boundary must pop in exactly heap order, including
-    /// after the wheel has advanced and slot indices have wrapped.
+    /// Tier-boundary edges: events landing exactly on, one nanosecond
+    /// before and just after the level-1 window's end, a level-2 span's
+    /// first slot, and the level-2 horizon must pop in exactly heap order —
+    /// on a fresh wheel, after level 1 has wrapped, after level 2 has
+    /// wrapped, and hours in, where every index has wrapped many times.
     #[test]
-    fn boundary_at_the_bucket_horizon_pops_identically_on_both_queues() {
-        let horizon_ns = SLOT_NS * NUM_SLOTS as u64;
+    fn tier_boundaries_pop_identically_before_and_after_wrap() {
         let mut heap = EventQueue::with_kind(QueueKind::Heap);
         let mut cal = EventQueue::with_kind(QueueKind::Calendar);
         let mut id = 0u64;
-        let mut schedule_both = |q1: &mut EventQueue, q2: &mut EventQueue, at_ns: u64| {
-            q1.schedule(SimTime::from_nanos(at_ns), Event::AppTimer { app: 0, timer_id: id });
-            q2.schedule(SimTime::from_nanos(at_ns), Event::AppTimer { app: 0, timer_id: id });
-            id += 1;
-        };
-
-        // Around the horizon of a fresh wheel (cur_slot = 0): the start and
-        // the last nanosecond of the final wheel slot, the first overflow
-        // nanosecond (== the horizon), one slot beyond, and a same-instant
-        // tie straddling the boundary.
-        for at in [
-            horizon_ns - SLOT_NS, // first ns of the last wheel slot
-            horizon_ns - 1,       // last ns inside the wheel
-            horizon_ns,           // exactly the bucket horizon: overflow
-            horizon_ns,           // tie at the horizon: FIFO must hold
-            horizon_ns + SLOT_NS, // one slot past the horizon
-            horizon_ns - 1,       // late tie just inside the wheel
-        ] {
-            schedule_both(&mut heap, &mut cal, at);
+        let mut now = 0u64;
+        for jump in
+            [0, SPAN_NS + 5 * SLOT_NS + 17, LEVEL2_NS + 3 * SPAN_NS + 1, 3 * 3600 * 1_000_000_000]
+        {
+            // Run both queues forward to `now + jump`, ending on a popped
+            // event (a peek would move the wheel on to the next one).
+            let target = now + jump;
+            while now < target {
+                if heap.is_empty() {
+                    for q in [&mut heap, &mut cal] {
+                        let step = target;
+                        q.schedule(SimTime::from_nanos(target), Event::ForwardingUpdate { step });
+                    }
+                }
+                let (a, b) = (heap.pop(), cal.pop());
+                assert_eq!(a, b, "diverged on the way to {target}");
+                now = a.expect("queue drained early").0.nanos();
+            }
+            let slot_start = now >> SLOT_NS_SHIFT << SLOT_NS_SHIFT;
+            let span_start = now / SPAN_NS * SPAN_NS;
+            let mut ats = vec![now, now + 1, slot_start + SLOT_NS - 1, slot_start + SLOT_NS];
+            for edge in [
+                slot_start + SPAN_NS,       // first slot past the level-1 window
+                span_start + SPAN_NS,       // first slot of the next level-2 span
+                span_start + 2 * SPAN_NS,   // ... and of the one after
+                span_start + LEVEL2_NS,     // first span past level 2
+                slot_start + LEVEL2_NS,     // one level-2 rotation from the cursor
+                span_start + 2 * LEVEL2_NS, // deep in the far heap
+            ] {
+                ats.extend([
+                    edge - SLOT_NS,
+                    edge - 1,
+                    edge,
+                    edge,
+                    edge + 1,
+                    edge + SLOT_NS,
+                    edge + 7,
+                ]);
+            }
+            // Reversed, so insertion order disagrees with time order.
+            for &at in ats.iter().rev() {
+                for q in [&mut heap, &mut cal] {
+                    q.schedule(SimTime::from_nanos(at), event_of(id));
+                }
+                id += 1;
+            }
+            // Drain half, so the next round starts from a wheel mid-flight
+            // with entries still parked in every tier.
+            for step in 0..ats.len() / 2 {
+                let (a, b) = (heap.pop(), cal.pop());
+                assert_eq!(a, b, "pop {step} diverged after jumping to {now}");
+                let (t, event) = a.expect("queue drained early");
+                assert_intact(&event);
+                assert!(t.nanos() >= now);
+                now = t.nanos();
+            }
         }
-        let mut last_pop_ns = 0;
-        for step in 0..6 {
-            let a = heap.pop();
-            let b = cal.pop();
-            assert_eq!(a, b, "pop {step} diverged at the bucket horizon");
-            let (t, _) = a.expect("queue drained early");
-            assert!(t.nanos() >= last_pop_ns);
-            last_pop_ns = t.nanos();
+        let stats = cal.stats();
+        assert!(stats.level2_inserts > 0 && stats.far_inserts > 0 && stats.cascaded > 0);
+        loop {
+            let (a, b) = (heap.pop(), cal.pop());
+            assert_eq!(a, b, "tail diverged");
+            let Some((_, event)) = a else { break };
+            assert_intact(&event);
         }
-        assert!(heap.is_empty() && cal.is_empty());
-
-        // After the wheel has advanced past one full rotation, the same
-        // boundary arithmetic applies relative to the new cur_slot, with
-        // slot indices wrapped. Repeat the edge cases there.
-        let base = last_pop_ns; // cursor now sits at this slot
-        let new_horizon =
-            (base >> SLOT_NS.trailing_zeros() << SLOT_NS.trailing_zeros()) + horizon_ns;
-        for at in [new_horizon, new_horizon - 1, new_horizon + 7, base, new_horizon] {
-            schedule_both(&mut heap, &mut cal, at);
-        }
-        for step in 0..5 {
-            let a = heap.pop();
-            let b = cal.pop();
-            assert_eq!(a, b, "wrapped pop {step} diverged");
-        }
-        assert!(heap.is_empty() && cal.is_empty());
+        assert_eq!((cal.len(), cal.parked_packets()), (0, 0));
+        assert_eq!(cal.stats().cascaded, stats.level2_inserts, "level 2 fully cascaded");
     }
 
     /// The differential property test the calendar queue's correctness
     /// argument rests on: both backends, driven by the same random mix of
-    /// schedule/pop/pop_before operations (including same-instant ties,
-    /// sub-slot deltas, and far-overflow times), must agree on every
-    /// popped `(time, event)` and on `len()` at every step.
+    /// schedule/pop/pop_before/peek operations — same-instant ties,
+    /// sub-slot deltas, level-1, level-2 and far-heap distances, exact
+    /// span boundaries, timers and packet-carrying arrivals — must agree on
+    /// every popped `(time, event)` and on `len()` at every step, every
+    /// arrival's packet must come back field for field however often its
+    /// slab slot was recycled, and a full drain must leave nothing behind.
+    /// Simulated time crosses several level-2 rotations, so every index
+    /// wraps.
     #[test]
     fn differential_calendar_equals_heap_on_random_schedules() {
         let mut rng = DetRng::new(0xC0FFEE);
@@ -654,25 +975,28 @@ mod tests {
         let mut cal = EventQueue::with_kind(QueueKind::Calendar);
         // `now` mirrors the simulator contract: never schedule in the past.
         let mut now = SimTime::ZERO;
-        let mut last_at = SimTime::ZERO;
         let mut scheduled = 0u64;
         let mut popped = 0u64;
-        for op in 0..10_000u64 {
+        for op in 0..60_000u64 {
             match rng.next_below(10) {
                 // 0..5: schedule (keeps the queues populated).
                 0..=4 => {
-                    // Mix of deltas: exact ties (0), sub-slot, a few slots,
-                    // within-horizon milliseconds, and overflow seconds.
-                    let delta = match rng.next_below(5) {
-                        0 => 0,
-                        1 => rng.next_below(SLOT_NS),
-                        2 => rng.next_below(16 * SLOT_NS),
-                        3 => rng.next_below(200_000_000),
-                        _ => rng.next_below(20_000_000_000),
+                    let at_ns = match rng.next_below(9) {
+                        0 => now.nanos(),
+                        1 => now.nanos() + rng.next_below(SLOT_NS),
+                        2 => now.nanos() + rng.next_below(16 * SLOT_NS),
+                        3 => now.nanos() + rng.next_below(SPAN_NS),
+                        4 => now.nanos() + rng.next_below(200_000_000),
+                        5 => now.nanos() + rng.next_below(20_000_000_000),
+                        6 => now.nanos() + rng.next_below(3 * LEVEL2_NS),
+                        // Exactly the first nanosecond of a span, a few
+                        // spans (or a level-2 rotation and a few) ahead.
+                        7 => (now.nanos() / SPAN_NS + 1 + rng.next_below(4)) * SPAN_NS,
+                        _ => (now.nanos() / SPAN_NS + 1 + rng.next_below(4)) * SPAN_NS + LEVEL2_NS,
                     };
-                    let at = SimTime::from_nanos(now.nanos() + delta);
-                    heap.schedule(at, Event::AppTimer { app: 0, timer_id: op });
-                    cal.schedule(at, Event::AppTimer { app: 0, timer_id: op });
+                    let at = SimTime::from_nanos(at_ns);
+                    heap.schedule(at, event_of(op));
+                    cal.schedule(at, event_of(op));
                     scheduled += 1;
                 }
                 // 5..8: pop.
@@ -680,9 +1004,9 @@ mod tests {
                     let a = heap.pop();
                     let b = cal.pop();
                     assert_eq!(a, b, "pop diverged at op {op}");
-                    if let Some((t, _)) = a {
-                        assert!(t >= last_at, "heap order itself regressed");
-                        last_at = t;
+                    if let Some((t, event)) = a {
+                        assert!(t >= now, "heap order itself regressed");
+                        assert_intact(&event);
                         now = t;
                         popped += 1;
                     }
@@ -693,10 +1017,10 @@ mod tests {
                     let a = heap.pop_before(t_end);
                     let b = cal.pop_before(t_end);
                     assert_eq!(a, b, "pop_before diverged at op {op}");
-                    if let Some((t, _)) = a {
+                    if let Some((t, event)) = a {
                         assert!(t <= t_end);
+                        assert_intact(&event);
                         now = t;
-                        last_at = t;
                         popped += 1;
                     }
                 }
@@ -706,15 +1030,163 @@ mod tests {
                 }
             }
             assert_eq!(heap.len(), cal.len(), "len diverged at op {op}");
+            assert_eq!(heap.parked_packets(), cal.parked_packets());
         }
-        assert!(scheduled > 4000 && popped > 1000, "exercise both paths: {scheduled}/{popped}");
+        assert!(scheduled > 25_000 && popped > 15_000, "exercise both paths: {scheduled}/{popped}");
+        assert!(now.nanos() > 2 * LEVEL2_NS, "level 2 never wrapped: now = {now:?}");
+        let stats = cal.stats();
+        for (tier, n) in [
+            ("level 1", stats.level1_inserts),
+            ("level 2", stats.level2_inserts),
+            ("far heap", stats.far_inserts),
+            ("cascade", stats.cascaded),
+        ] {
+            assert!(n > 1000, "{tier} barely exercised: {stats:?}");
+        }
+        assert_eq!(stats.level1_inserts + stats.level2_inserts + stats.far_inserts, scheduled);
+        assert_eq!(heap.stats().far_inserts, scheduled, "a heap queue counts every insert as far");
+        assert_eq!(heap.stats().peak_pending, stats.peak_pending);
+        // Slots were recycled: far fewer were ever allocated than arrivals parked.
+        assert!(cal.packets.slots.len() < scheduled as usize / 6, "slab never reused its slots");
         // Drain both completely: the tails must agree too.
         loop {
             let a = heap.pop();
             let b = cal.pop();
             assert_eq!(a, b, "drain diverged");
-            if a.is_none() {
-                break;
+            let Some((_, event)) = a else { break };
+            assert_intact(&event);
+        }
+        for q in [&heap, &cal] {
+            assert_eq!(
+                (q.len(), q.parked_packets()),
+                (0, 0),
+                "drained queue still holds something"
+            );
+            assert_eq!(q.packets.free.len(), q.packets.slots.len(), "leaked slab slots");
+        }
+    }
+
+    /// A burst of same-instant events (what a million in-phase pacing
+    /// timers look like) parked a level-2 distance ahead: keys inserted in
+    /// shuffled order must pop in key order, arrivals intact.
+    #[test]
+    fn hundred_thousand_same_instant_ties_pop_in_key_order() {
+        const N: u64 = 120_000;
+        let mut rng = DetRng::new(0x7715);
+        let mut keys: Vec<u64> = (0..N).collect();
+        for i in (1..keys.len()).rev() {
+            keys.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let at = SimTime::from_millis(750);
+        for mut q in both_kinds() {
+            // A little earlier traffic, so the wheel is mid-flight.
+            q.schedule_keyed(SimTime::from_millis(3), 1, Event::ForwardingUpdate { step: 0 });
+            for &key in &keys {
+                q.schedule_keyed(at, key, event_of(key));
+            }
+            assert_eq!(q.len() as u64, N + 1);
+            assert!(q.pop().is_some());
+            for want in 0..N {
+                let (t, key, event) = q.pop_entry_before(at).expect("tie popped early");
+                assert_eq!((t, key), (at, want));
+                assert_eq!(event, event_of(want));
+            }
+            assert!(q.is_empty() && q.parked_packets() == 0);
+            let stats = q.stats();
+            assert_eq!(stats.peak_pending, N + 1);
+            if q.kind() == QueueKind::Calendar {
+                assert_eq!((stats.level2_inserts, stats.cascaded), (N, N));
+            }
+        }
+    }
+
+    /// What `Shard::save` / `Shard::restore` do with a queue: list the
+    /// pending entries in order without disturbing it, write them through
+    /// the snapshot container, re-schedule them into a fresh queue. With
+    /// entries in the cursor, level 1, level 2 and the far heap, the
+    /// restored queue and the (untouched) original drain identically.
+    #[test]
+    fn checkpoint_restore_drain_with_entries_in_every_tier() {
+        const FP: u64 = 0x51AB;
+        for kind in [QueueKind::Heap, QueueKind::Calendar] {
+            let mut q = EventQueue::with_kind(kind);
+            let mut rng = DetRng::new(0x5A7E);
+            // Advance the wheel off zero, then park entries at every distance.
+            q.schedule(SimTime::from_millis(40), Event::FaultUpdate { index: 0 });
+            let now = q.pop().expect("clock event").0.nanos();
+            let mut id = 0;
+            for reach in [SLOT_NS / 4, SPAN_NS / 2, 20 * SPAN_NS, LEVEL2_NS / 2, 3 * LEVEL2_NS] {
+                for _ in 0..40 {
+                    let at = SimTime::from_nanos(now + rng.next_below(reach));
+                    q.schedule_keyed(at, 1000 - id, event_of(id));
+                    id += 1;
+                }
+            }
+            q.schedule_keyed(SimTime::from_secs(500), 7, Event::ForwardingUpdate { step: 9 });
+            q.schedule_keyed(SimTime::from_secs(500), 3, Event::FluidUpdate { index: 4 });
+            q.schedule_keyed(SimTime::from_millis(41), 0, Event::TxComplete { node: 5, device: 2 });
+            if kind == QueueKind::Calendar {
+                let stats = q.stats();
+                assert!(
+                    stats.level1_inserts > 20
+                        && stats.level2_inserts > 20
+                        && stats.far_inserts > 20,
+                    "a tier is missing: {stats:?}"
+                );
+            }
+
+            let (len, parked) = (q.len(), q.parked_packets());
+            let entries = q.pending_in_order();
+            assert_eq!((q.len(), q.parked_packets()), (len, parked), "listing disturbed the queue");
+            assert_eq!(entries.len(), len);
+            assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+            let mut w = SnapWriter::new(FP);
+            for (t, key, event) in &entries {
+                w.put_time(*t);
+                w.put_u64(*key);
+                w.put_event(event);
+            }
+            let mut r = SnapReader::from_bytes(w.finish(), FP).expect("valid image");
+            let mut restored = EventQueue::with_kind(kind);
+            for _ in 0..len {
+                let (t, key) = (r.get_time().unwrap(), r.get_u64().unwrap());
+                restored.schedule_keyed(t, key, r.get_event().unwrap());
+            }
+            r.expect_end().unwrap();
+            assert_eq!(restored.parked_packets(), parked);
+
+            for (i, entry) in entries.iter().enumerate() {
+                let a = q.pop_entry_before(SimTime::MAX).expect("original drained early");
+                let b = restored.pop_entry_before(SimTime::MAX).expect("restored drained early");
+                assert_eq!(&a, entry, "original diverged from its own listing at {i}");
+                assert_eq!(a, b, "restored queue diverged at entry {i}");
+                assert_intact(&a.2);
+            }
+            for q in [&q, &restored] {
+                assert_eq!((q.len(), q.parked_packets()), (0, 0));
+            }
+        }
+    }
+
+    /// A drained queue holds nothing — no entry, no slab slot — and the
+    /// next burst reuses the freed slots instead of growing the slab.
+    #[test]
+    fn drained_queue_leaks_no_slab_slots() {
+        for mut q in both_kinds() {
+            for round in 0..3u64 {
+                for i in 0..500u64 {
+                    let id = 3 * (round * 500 + i); // multiples of 3: all arrivals
+                    q.schedule(
+                        SimTime::from_nanos(round * LEVEL2_NS + i * 40_000_000),
+                        event_of(id),
+                    );
+                }
+                assert_eq!((q.len(), q.parked_packets()), (500, 500));
+                while let Some((_, event)) = q.pop() {
+                    assert_intact(&event);
+                }
+                assert_eq!((q.len(), q.parked_packets()), (0, 0), "round {round} leaked");
+                assert_eq!(q.packets.slots.len(), 500, "round {round} grew the slab");
             }
         }
     }

@@ -65,7 +65,7 @@ pub use app::{AppCtx, Application};
 pub use audit::AuditViolation;
 pub use checkpoint::CheckpointError;
 pub use config::SimConfig;
-pub use event::QueueKind;
+pub use event::{QueueKind, QueueStats};
 pub use flow::{BulkUdpSink, BulkUdpSource, FlowId};
 pub use fluid::SimMode;
 pub use packet::{Packet, Payload, Segment};

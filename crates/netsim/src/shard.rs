@@ -202,6 +202,9 @@ pub(crate) struct Shard {
     loss_rngs: Vec<DetRng>,
     /// Cross-shard arrivals produced this window, by destination shard.
     pub(crate) outbox: Vec<Vec<Outbound>>,
+    /// The action buffer lent to each application callback's context, so
+    /// a callback costs no allocation.
+    action_buf: Vec<AppAction>,
     pub(crate) trace: Trace,
     pub(crate) stats: SimStats,
 }
@@ -270,6 +273,7 @@ impl Shard {
             node_packet_seq: vec![0; num_nodes],
             loss_rngs,
             outbox: Vec::new(),
+            action_buf: Vec::new(),
             trace: Trace::with_sampling(config.trace_limit, config.trace_sample_every),
             stats: SimStats::default(),
         }
@@ -645,6 +649,9 @@ impl Shard {
     }
 
     /// Run `f` on app `idx` with a fresh context, then apply its actions.
+    /// The context borrows the shard's action buffer; a callback nested
+    /// inside `apply_actions` (a packet delivered on its own source node)
+    /// finds the buffer taken and starts an empty one.
     pub(crate) fn with_app(&mut self, idx: u32, f: impl FnOnce(&mut dyn Application, &mut AppCtx)) {
         let (node, port) = {
             let entry = self.apps[idx as usize].as_ref().expect("app on wrong shard");
@@ -657,23 +664,20 @@ impl Shard {
             .take()
             .expect("re-entrant app dispatch");
         let mut ctx = AppCtx::new(self.now, node, port);
+        ctx.actions = std::mem::take(&mut self.action_buf);
         f(app.as_mut(), &mut ctx);
-        let actions = ctx.take_actions();
+        let mut actions = ctx.take_actions();
         self.apps[idx as usize].as_mut().expect("app slot vanished").app = Some(app);
-        self.apply_actions(idx, node, port, actions);
+        self.apply_actions(idx, node, port, &mut actions);
+        self.action_buf = actions;
     }
 
     /// Serialize this shard's mutable state into a checkpoint body.
     ///
-    /// Takes `&mut self` because the event queue can only be walked in
-    /// canonical order by draining it; every entry is re-inserted with its
-    /// original `(time, key)`, which reproduces the identical total order,
-    /// so the live run is unaffected.
-    ///
     /// Only called at a barrier, where the outbox is empty by the engine's
     /// window invariant — a populated outbox is a logic error and is
     /// rejected rather than silently dropped.
-    pub(crate) fn save(&mut self, w: &mut SnapWriter) -> Result<(), CheckpointError> {
+    pub(crate) fn save(&self, w: &mut SnapWriter) -> Result<(), CheckpointError> {
         if self.outbox.iter().any(|ob| !ob.is_empty()) {
             return Err(CheckpointError::Malformed(format!(
                 "shard {} has undelivered cross-shard packets at a checkpoint barrier",
@@ -685,18 +689,12 @@ impl Shard {
         w.put_time(self.now);
 
         w.put_tag(b"EVTQ");
-        let mut entries = Vec::with_capacity(self.queue.len());
-        while let Some(entry) = self.queue.pop_entry_before(SimTime::MAX) {
-            entries.push(entry);
-        }
+        let entries = self.queue.pending_in_order();
         w.put_usize(entries.len());
         for (t, key, event) in &entries {
             w.put_time(*t);
             w.put_u64(*key);
             w.put_event(event);
-        }
-        for (t, key, event) in entries {
-            self.queue.schedule_keyed(t, key, event);
         }
 
         w.put_tag(b"NODS");
@@ -766,7 +764,7 @@ impl Shard {
         r.expect_tag(b"EVTQ")?;
         // Discard the rebuild's bootstrap events (app on_start timers and
         // sends): the snapshot's queue is the complete pending set.
-        while self.queue.pop_entry_before(SimTime::MAX).is_some() {}
+        self.queue = EventQueue::with_kind(self.config.queue);
         let n_events = r.get_usize()?;
         for _ in 0..n_events {
             let t = r.get_time()?;
@@ -900,24 +898,19 @@ impl Shard {
     }
 
     /// Packets sitting in this shard's pending `Arrival` events (in-flight
-    /// on the wire). Drains and re-inserts the queue, like [`Shard::save`].
-    pub(crate) fn in_flight_arrivals(&mut self) -> u64 {
-        let mut entries = Vec::with_capacity(self.queue.len());
-        let mut arrivals = 0u64;
-        while let Some(entry) = self.queue.pop_entry_before(SimTime::MAX) {
-            if matches!(entry.2, Event::Arrival { .. }) {
-                arrivals += 1;
-            }
-            entries.push(entry);
-        }
-        for (t, key, event) in entries {
-            self.queue.schedule_keyed(t, key, event);
-        }
-        arrivals
+    /// on the wire): exactly the packets its queue has parked.
+    pub(crate) fn in_flight_arrivals(&self) -> u64 {
+        self.queue.parked_packets() as u64
     }
 
-    fn apply_actions(&mut self, app_idx: u32, node: NodeId, port: u16, actions: Vec<AppAction>) {
-        for action in actions {
+    fn apply_actions(
+        &mut self,
+        app_idx: u32,
+        node: NodeId,
+        port: u16,
+        actions: &mut Vec<AppAction>,
+    ) {
+        for action in actions.drain(..) {
             match action {
                 AppAction::Send { dst, dst_port, size_bytes, payload } => {
                     let packet = Packet {

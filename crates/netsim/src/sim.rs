@@ -23,7 +23,7 @@ use crate::app::Application;
 use crate::audit::AuditViolation;
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::config::SimConfig;
-use crate::event::Event;
+use crate::event::{Event, QueueStats};
 use crate::fluid::{FluidNet, SimMode};
 use crate::node::Node;
 use crate::shard::{fault_key, fluid_key, Outbound, Partition, Shard, FORWARDING_KEY};
@@ -54,6 +54,10 @@ pub struct EngineReport {
     /// Smallest conservative lookahead window used, nanoseconds. `None`
     /// when no window was ever bounded by cross-shard geometry.
     pub min_lookahead_ns: Option<u64>,
+    /// Event-queue telemetry over all shards' queues: inserts per tier and
+    /// cascades summed, peak pending of the busiest queue. Not part of a
+    /// checkpoint — after a resume it counts from the restore point.
+    pub queue: QueueStats,
 }
 
 /// The packet-level simulator.
@@ -258,11 +262,16 @@ impl Simulator {
     /// How the engine has executed so far (shard count, epochs, barriers,
     /// smallest lookahead window).
     pub fn engine_report(&self) -> EngineReport {
+        let mut queue = QueueStats::default();
+        for shard in &self.shards {
+            queue.merge(&shard.queue.stats());
+        }
         EngineReport {
             sim_shards: self.shards.len(),
             epochs: self.epochs,
             barriers: self.barriers,
             min_lookahead_ns: self.min_lookahead_ns,
+            queue,
         }
     }
 
@@ -830,7 +839,7 @@ impl Simulator {
         if let Some(f) = &self.fluid {
             f.save(w);
         }
-        for shard in &mut self.shards {
+        for shard in &self.shards {
             shard.save(w)?;
         }
         Ok(())
@@ -965,11 +974,9 @@ impl Simulator {
         // in serialization at a device + cross-shard packets awaiting a
         // barrier exchange.
         let mut in_flight: u64 = 0;
-        for shard in &mut self.shards {
+        for shard in &self.shards {
             in_flight += shard.in_flight_arrivals();
             in_flight += shard.outbox.iter().map(|b| b.len() as u64).sum::<u64>();
-        }
-        for shard in &self.shards {
             for node in &shard.nodes {
                 for device in &node.devices {
                     in_flight += device.occupancy();
@@ -1157,6 +1164,14 @@ mod tests {
         assert_eq!(serial.sim_shards, 1);
         assert_eq!(serial.epochs, 0, "the serial engine has no epochs");
         assert_eq!(serial.min_lookahead_ns, None);
+        let q = serial.queue;
+        assert!(q.level1_inserts > 0, "packet events stay in level 1");
+        assert!(q.level2_inserts > 0, "20 ms ping timers and 100 ms swaps park in level 2");
+        assert!(q.cascaded > 0 && q.cascaded <= q.level2_inserts);
+        assert_eq!(q.far_inserts, 0, "nothing is due more than 69 s ahead");
+        assert!(q.peak_pending > 0);
+        let heap = run(SimConfig::default().with_queue(crate::event::QueueKind::Heap)).queue;
+        assert_eq!(heap.far_inserts, q.level1_inserts + q.level2_inserts, "same schedule");
 
         let sharded = run(SimConfig::default().with_sim_shards(4));
         assert_eq!(sharded.sim_shards, 4);

@@ -45,7 +45,29 @@ pub fn gmst_rad(t: SimTime) -> f64 {
 
 /// Rotate an ECI position into the ECEF frame at time `t`.
 pub fn eci_to_ecef(pos_eci: Vec3, t: SimTime) -> Vec3 {
-    pos_eci.rotate_z(-gmst_rad(t))
+    EarthRotation::at(t).eci_to_ecef(pos_eci)
+}
+
+/// The ECI→ECEF rotation of one instant — `rotate_z(-gmst)` with the
+/// sidereal angle and its sine and cosine derived once, for rotating many
+/// positions at that instant (bit-identical to rotating each afresh).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EarthRotation {
+    sin: f64,
+    cos: f64,
+}
+
+impl EarthRotation {
+    /// The rotation in force at simulation time `t`.
+    pub fn at(t: SimTime) -> Self {
+        let (sin, cos) = (-gmst_rad(t)).sin_cos();
+        EarthRotation { sin, cos }
+    }
+
+    /// Rotate an ECI position into the ECEF frame.
+    pub fn eci_to_ecef(&self, p: Vec3) -> Vec3 {
+        Vec3::new(self.cos * p.x - self.sin * p.y, self.sin * p.x + self.cos * p.y, p.z)
+    }
 }
 
 /// Rotate an ECEF position into the ECI frame at time `t`.
@@ -106,6 +128,25 @@ mod tests {
         let t = SimTime::from_secs(12345);
         let back = ecef_to_eci(eci_to_ecef(p, t), t);
         assert!(p.distance(back) < 1e-9);
+    }
+
+    #[test]
+    fn earth_rotation_is_rotate_z_by_minus_gmst_bit_for_bit() {
+        let mut rng = hypatia_util::rng::DetRng::new(0x726f_7461);
+        for _ in 0..1000 {
+            let p = Vec3::new(
+                14_000.0 * rng.next_f64() - 7_000.0,
+                14_000.0 * rng.next_f64() - 7_000.0,
+                14_000.0 * rng.next_f64() - 7_000.0,
+            );
+            let t = SimTime::from_nanos(rng.next_below(200_000_000_000_000));
+            let (want, got) = (p.rotate_z(-gmst_rad(t)), EarthRotation::at(t).eci_to_ecef(p));
+            assert_eq!(eci_to_ecef(p, t), got);
+            assert_eq!(
+                [want.x.to_bits(), want.y.to_bits(), want.z.to_bits()],
+                [got.x.to_bits(), got.y.to_bits(), got.z.to_bits()]
+            );
+        }
     }
 
     #[test]

@@ -116,6 +116,87 @@ impl Propagator {
     pub fn position_at(&self, t: SimTime) -> Vec3 {
         self.state_at(t).position_km
     }
+
+    /// Everything [`Propagator::position_at`] derives from `(a, e, i)` and
+    /// the model alone, computed once (see [`PositionKernel`]).
+    pub fn position_kernel(&self) -> PositionKernel {
+        let el = &self.elements;
+        let (raan_dot, argp_dot, m_dot_corr) = match self.model {
+            PerturbationModel::TwoBody => (0.0, 0.0, 0.0),
+            PerturbationModel::J2Secular => self.j2_rates(),
+        };
+        let (sin_i, cos_i) = el.inclination_rad.sin_cos();
+        PositionKernel {
+            semi_major_axis_km: el.semi_major_axis_km,
+            eccentricity: el.eccentricity,
+            inclination_rad: el.inclination_rad,
+            raan_dot,
+            argp_dot,
+            mean_anomaly_dot: el.mean_motion_rad_per_s() + m_dot_corr,
+            semi_latus_rectum_km: el.semi_latus_rectum_km(),
+            sin_i,
+            cos_i,
+        }
+    }
+}
+
+/// The time-invariant terms of propagation, which depend only on the
+/// orbit's shape `(a, e, i)` and the perturbation model: secular rates,
+/// mean motion, semi-latus rectum, `sin i` / `cos i`. Every satellite of a
+/// shell shares one, so a constellation builds a handful of these instead
+/// of paying `powi`/`sqrt`/`sin`/`cos` of constants on every position
+/// query (the packet simulator makes one per transmitted packet).
+///
+/// [`PositionKernel::position_at`] evaluates the same floating-point
+/// expressions in the same order as [`Propagator::state_at`] — the
+/// reference it is tested against — so the two agree to the last bit.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct PositionKernel {
+    semi_major_axis_km: f64,
+    eccentricity: f64,
+    inclination_rad: f64,
+    raan_dot: f64,
+    argp_dot: f64,
+    /// Mean motion plus its J2 correction, rad/s.
+    mean_anomaly_dot: f64,
+    semi_latus_rectum_km: f64,
+    sin_i: f64,
+    cos_i: f64,
+}
+
+impl PositionKernel {
+    /// Do `elements` have the orbit shape this kernel was built from?
+    pub fn fits(&self, elements: &KeplerianElements) -> bool {
+        self.semi_major_axis_km == elements.semi_major_axis_km
+            && self.eccentricity == elements.eccentricity
+            && self.inclination_rad == elements.inclination_rad
+    }
+
+    /// ECI position at simulation time `t`, km, of the satellite whose
+    /// epoch angles (Ω, ω, M₀) are `elements`' — which must
+    /// [fit](Self::fits) this kernel. Bit-identical to
+    /// [`Propagator::position_at`] on those elements under the kernel's
+    /// model.
+    pub fn position_at(&self, elements: &KeplerianElements, t: SimTime) -> Vec3 {
+        use hypatia_util::angle::wrap_two_pi;
+        debug_assert!(self.fits(elements), "kernel built for a different orbit shape");
+        let dt = t.secs_f64();
+        let raan = wrap_two_pi(elements.raan_rad + self.raan_dot * dt);
+        let argp = wrap_two_pi(elements.arg_perigee_rad + self.argp_dot * dt);
+        let mean_anomaly = wrap_two_pi(elements.mean_anomaly_rad + self.mean_anomaly_dot * dt);
+        let e = self.eccentricity;
+        let nu = true_anomaly(solve_kepler(mean_anomaly, e), e);
+        let r = self.semi_latus_rectum_km / (1.0 + e * nu.cos());
+        // Perifocal → ECI, Rz(Ω) Rx(i) Rz(ω), with Rx written out so it can
+        // use the stored sin i / cos i.
+        let v = Vec3::new(r * nu.cos(), r * nu.sin(), 0.0).rotate_z(argp);
+        let v = Vec3::new(
+            v.x,
+            self.cos_i * v.y - self.sin_i * v.z,
+            self.sin_i * v.y + self.cos_i * v.z,
+        );
+        v.rotate_z(raan)
+    }
 }
 
 #[cfg(test)]
@@ -207,6 +288,49 @@ mod tests {
             let z = prop.position_at(t).z.abs();
             assert!(z <= max_z + 1e-6);
             t += SimDuration::from_secs(10);
+        }
+    }
+
+    /// The kernel is the reference with its constants hoisted, not an
+    /// approximation of it: identical bits over random elements and times,
+    /// under both perturbation models, circular and eccentric — and one
+    /// kernel serves every satellite of its orbit shape, whatever its
+    /// plane and phase.
+    #[test]
+    fn position_kernel_matches_state_at_bit_for_bit() {
+        let mut rng = hypatia_util::rng::DetRng::new(0x6b65_726e);
+        for case in 0..400 {
+            let mut el = KeplerianElements::circular(
+                400.0 + 1200.0 * rng.next_f64(),
+                110.0 * rng.next_f64(),
+                360.0 * rng.next_f64(),
+                360.0 * rng.next_f64(),
+            );
+            if case % 2 == 1 {
+                el.eccentricity = 0.3 * rng.next_f64();
+                el.arg_perigee_rad = std::f64::consts::TAU * rng.next_f64();
+            }
+            let sibling = KeplerianElements {
+                raan_rad: std::f64::consts::TAU * rng.next_f64(),
+                mean_anomaly_rad: std::f64::consts::TAU * rng.next_f64(),
+                ..el
+            };
+            for model in [PerturbationModel::TwoBody, PerturbationModel::J2Secular] {
+                let kernel = Propagator { elements: el, model }.position_kernel();
+                assert!(kernel.fits(&sibling));
+                for elements in [el, sibling] {
+                    let prop = Propagator { elements, model };
+                    for _ in 0..8 {
+                        let t = SimTime::from_nanos(rng.next_below(20_000_000_000_000));
+                        let (want, got) = (prop.position_at(t), kernel.position_at(&elements, t));
+                        assert_eq!(
+                            [want.x.to_bits(), want.y.to_bits(), want.z.to_bits()],
+                            [got.x.to_bits(), got.y.to_bits(), got.z.to_bits()],
+                            "case {case} at {t:?}: {want:?} vs {got:?} ({prop:?})"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -16,7 +16,7 @@
 use crate::{csv, czml};
 use hypatia_netsim::audit::AuditViolation;
 use hypatia_netsim::trace::Trace;
-use hypatia_netsim::EngineReport;
+use hypatia_netsim::{EngineReport, QueueStats};
 use serde_json::{json, Value};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -39,6 +39,8 @@ struct EngineAggregate {
     epochs: u64,
     barriers: u64,
     min_lookahead_ns: Option<u64>,
+    /// Present once [`ArtifactSink::record_queue`] was called.
+    queue: Option<QueueStats>,
 }
 
 /// Records and writes experiment artifacts under one output directory.
@@ -114,6 +116,17 @@ impl ArtifactSink {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
+    }
+
+    /// Account a simulation's event-queue telemetry (`report.queue`):
+    /// inserts per tier and cascades sum across calls, the peak pending
+    /// count is the largest seen. Reported as `perf.engine.queue`. The
+    /// counts depend on the queue kind and the shard count, so an
+    /// experiment whose manifest must be identical across engines calls
+    /// this only under the flag that also gates its wall-clock series.
+    pub fn record_queue(&mut self, stats: &QueueStats) {
+        let e = self.engine.get_or_insert_with(EngineAggregate::default);
+        e.queue.get_or_insert_with(QueueStats::default).merge(stats);
     }
 
     /// Mark the run aborted with a one-line reason; the manifest gains
@@ -287,6 +300,16 @@ impl ArtifactSink {
                 if let (Some(ns), Some(obj)) = (e.min_lookahead_ns, engine.as_object_mut()) {
                     obj.insert("min_lookahead_ns".to_string(), Value::from(ns));
                 }
+                if let (Some(q), Some(obj)) = (&e.queue, engine.as_object_mut()) {
+                    let queue = json!({
+                        "level1_inserts": q.level1_inserts,
+                        "level2_inserts": q.level2_inserts,
+                        "far_inserts": q.far_inserts,
+                        "cascaded": q.cascaded,
+                        "peak_pending": q.peak_pending,
+                    });
+                    obj.insert("queue".to_string(), queue);
+                }
                 if let Some(obj) = perf.as_object_mut() {
                     obj.insert("engine".to_string(), engine);
                 }
@@ -422,12 +445,14 @@ mod tests {
             epochs: 10,
             barriers: 7,
             min_lookahead_ns: Some(1_500_000),
+            queue: QueueStats::default(),
         });
         sink.record_engine(&EngineReport {
             sim_shards: 4,
             epochs: 5,
             barriers: 2,
             min_lookahead_ns: Some(1_200_000),
+            queue: QueueStats::default(),
         });
         let doc = sink.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");
@@ -435,6 +460,25 @@ mod tests {
         assert_eq!(engine.get("epochs").and_then(Value::as_u64), Some(15));
         assert_eq!(engine.get("barriers").and_then(Value::as_u64), Some(9));
         assert_eq!(engine.get("min_lookahead_ns").and_then(Value::as_u64), Some(1_200_000));
+        assert!(engine.get("queue").is_none(), "no queue block without record_queue");
+
+        // Queue telemetry is opt-in: inserts and cascades sum, the peak is a max.
+        let stats = QueueStats {
+            level1_inserts: 100,
+            level2_inserts: 10,
+            far_inserts: 1,
+            cascaded: 8,
+            peak_pending: 40,
+        };
+        sink.record_queue(&stats);
+        sink.record_queue(&QueueStats { peak_pending: 25, ..stats });
+        let doc = sink.manifest("e");
+        let queue = doc.get("perf").unwrap().get("engine").unwrap().get("queue").expect("queue");
+        assert_eq!(queue.get("level1_inserts").and_then(Value::as_u64), Some(200));
+        assert_eq!(queue.get("level2_inserts").and_then(Value::as_u64), Some(20));
+        assert_eq!(queue.get("far_inserts").and_then(Value::as_u64), Some(2));
+        assert_eq!(queue.get("cascaded").and_then(Value::as_u64), Some(16));
+        assert_eq!(queue.get("peak_pending").and_then(Value::as_u64), Some(40));
 
         // Serial reports carry no lookahead; the key is omitted.
         let mut serial = temp_sink("engine-serial");
@@ -444,6 +488,7 @@ mod tests {
             epochs: 0,
             barriers: 0,
             min_lookahead_ns: None,
+            queue: QueueStats::default(),
         });
         let doc = serial.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");

@@ -19,6 +19,16 @@ cargo test -q --workspace
 echo "== cargo bench --no-run"
 cargo bench --workspace --no-run
 
+echo "== benchmark harness: self-tests + pinned-output smoke (seeds 2020 and 7)"
+# benchmark/ is its own package (vendored API stubs, always --offline). The
+# smoke run drives all six workloads at toy sizes and fails unless every
+# repetition reproduces the outputs pinned in benchmark/expected/smoke/, so
+# an engine change that moves one simulated bit stops here.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke > /dev/null
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke --seed 7 \
+  > /dev/null
+
 echo "== bench_routing compile + smoke (incremental repair engine)"
 cargo build --release -q -p hypatia-bench --bin bench_routing
 target/release/bench_routing --constellation telesat_t1 --cities 8 \
