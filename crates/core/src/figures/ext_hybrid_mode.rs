@@ -55,9 +55,9 @@ impl Experiment for ExtHybridMode {
         // slow enough that the reduced-scale run stays unbottlenecked.
         spec.params.insert("flow_rate_kbps".to_string(), ParamValue::Num(256.0));
         // `--set perf_series=false` drops the wall-clock artifacts and the
-        // manifest's `perf.engine.queue` block, leaving only outputs that
-        // are identical under every engine — the determinism gate in
-        // scripts/check.sh relies on this.
+        // manifest's `perf.engine.queue` and `perf.engine.fluid` blocks,
+        // leaving only outputs that are identical under every engine —
+        // the determinism gate in scripts/check.sh relies on this.
         spec.params.insert("perf_series".to_string(), ParamValue::Flag(true));
         spec
     }
@@ -125,6 +125,7 @@ impl Experiment for ExtHybridMode {
                 ctx.sink.record_engine(&p.engine);
                 if with_perf_series {
                     ctx.sink.record_queue(&p.engine.queue);
+                    ctx.sink.record_fluid(&p.engine.fluid);
                 }
                 let x = p.flows as f64;
                 events_per_sec.push((x, p.events_per_sec));

@@ -19,6 +19,30 @@
 //! Between those instants the rate vector is constant and integration is
 //! exact — bulk traffic costs O(re-solves), not O(packets).
 //!
+//! # Layout: dense link ids, two CSR buffers, one scratch
+//!
+//! A re-solve runs once per forwarding step, so its constant factor is the
+//! hybrid engine's per-step cost. Every directed link device has a dense
+//! id from a link table built once from the constellation: per node,
+//! its ISL peers in `Constellation::isls` order, then its shared GSL
+//! device — the order the packet engine attaches devices in, so a link id
+//! is also `(node, device index)`. A re-solve then
+//!
+//! 1. walks each live bundle's path hop by hop straight off the
+//!    destination tree ([`ForwardingState::hops`]) — fault check and
+//!    link-id lookup (a scan of the node's ≤ 5 slots) in the same walk —
+//!    appending link ids to one CSR buffer (`hops`, `hop_start`);
+//! 2. renumbers the links that carry anything into a compact *loaded*
+//!    range in first-touch order, and inverts the hop lists into a second
+//!    CSR buffer of per-link member bundles (`members`, `member_start`);
+//! 3. water-fills over flat `weight` / `residual` arrays of the loaded
+//!    links and sums per-link load into `link_load`, a flat array over
+//!    all link ids that (with `pushed`) persists between solves.
+//!
+//! Cost: O(Σ path length + rounds × loaded links). Every buffer lives in
+//! a scratch struct owned by the [`FluidNet`] and is cleared, never
+//! reallocated, so a steady-state re-solve allocates nothing.
+//!
 //! # Hybrid coupling
 //!
 //! In [`SimMode::Hybrid`] the aggregate fluid load of each directed link
@@ -36,8 +60,10 @@
 //! `(time, key)` points both engines already serialize coordinator work
 //! through — and the allocation is a pure function of (forwarding state,
 //! fault state, flow table), evaluated in a deterministic order
-//! (`BTreeMap` links, install-order bundles). Observables are therefore
-//! bit-identical at any `sim_shards` and for either queue kind.
+//! (install-order bundles, first-touch links, ascending member bundles
+//! per link; reports and checkpoints list links in ascending
+//! `(node, peer)` order). Observables are therefore bit-identical at any
+//! `sim_shards` and for either queue kind.
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::packet::HEADER_BYTES;
@@ -95,6 +121,156 @@ pub(crate) type LinkKey = (u32, u32);
 /// Relative tolerance for freeze decisions in the water-filling loop.
 const EPS: f64 = 1e-12;
 
+/// "Not loaded" in the link-id → loaded-index map.
+const UNLOADED: u32 = u32::MAX;
+
+/// Dense ids for every directed link device of one constellation.
+///
+/// Node `n` owns the ids `first[n]..first[n + 1]`: one per ISL peer in
+/// `Constellation::isls` order, then its shared GSL device. `Shard::new`
+/// attaches devices in exactly that order, so `id − first[n]` is the
+/// device's index on its node.
+#[derive(Debug, Default)]
+pub(crate) struct LinkTable {
+    /// Prefix offsets over nodes, `num_nodes + 1` long.
+    first: Vec<u32>,
+    /// Owning node of each link.
+    node: Vec<u32>,
+    /// The ISL peer of each link, or [`GSL_PEER`].
+    peer: Vec<u32>,
+    /// Every link id, in ascending [`LinkKey`] order.
+    by_key: Vec<u32>,
+    num_satellites: u32,
+}
+
+impl LinkTable {
+    pub(crate) fn build(constellation: &Constellation) -> LinkTable {
+        let n = constellation.num_nodes();
+        let mut first = vec![0u32; n + 1];
+        for &(a, b) in &constellation.isls {
+            first[a as usize + 1] += 1;
+            first[b as usize + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i] + 1;
+        }
+        let total = first[n] as usize;
+        let mut peer = vec![GSL_PEER; total];
+        let mut next = first.clone();
+        for &(a, b) in &constellation.isls {
+            for (from, to) in [(a, b), (b, a)] {
+                peer[next[from as usize] as usize] = to;
+                next[from as usize] += 1;
+            }
+        }
+        let mut node = vec![0u32; total];
+        for i in 0..n {
+            node[first[i] as usize..first[i + 1] as usize].fill(i as u32);
+        }
+        let mut by_key: Vec<u32> = (0..total as u32).collect();
+        by_key.sort_unstable_by_key(|&l| (node[l as usize], peer[l as usize]));
+        LinkTable {
+            first,
+            node,
+            peer,
+            by_key,
+            num_satellites: constellation.num_satellites() as u32,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.peer.len()
+    }
+
+    pub(crate) fn key(&self, link: u32) -> LinkKey {
+        (self.node[link as usize], self.peer[link as usize])
+    }
+
+    /// `(node, device index on that node)` of a link.
+    pub(crate) fn device(&self, link: u32) -> (u32, u32) {
+        let node = self.node[link as usize];
+        (node, link - self.first[node as usize])
+    }
+
+    /// The link a hop `a → b` serializes through: `a`'s ISL device
+    /// towards `b` when both are satellites, else `a`'s GSL device.
+    #[inline]
+    fn of_hop(&self, a: NodeId, b: NodeId) -> u32 {
+        let gsl = self.first[a.index() + 1] - 1;
+        if a.0 >= self.num_satellites || b.0 >= self.num_satellites {
+            return gsl;
+        }
+        (self.first[a.index()]..gsl)
+            .find(|&l| self.peer[l as usize] == b.0)
+            .expect("satellite-to-satellite hop over no ISL")
+    }
+
+    /// The link named by a checkpointed key, if this constellation has it.
+    fn of_key(&self, (node, peer): LinkKey) -> Option<u32> {
+        let end = *self.first.get(node as usize + 1)?;
+        (self.first[node as usize]..end).find(|&l| self.peer[l as usize] == peer)
+    }
+}
+
+/// A residual device rate for the packet engine to apply (hybrid mode).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LinkRate {
+    pub(crate) node: u32,
+    /// Index into the node's device list.
+    pub(crate) device: u32,
+    pub(crate) rate: DataRate,
+}
+
+/// Work counts of one re-solve (or sums of them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FluidSolve {
+    /// Water-filling rounds (each freezes at least one bundle).
+    pub rounds: u64,
+    /// Bundles that were live, routable and unmasked.
+    pub active_bundles: u64,
+    /// Distinct links on their paths.
+    pub links_loaded: u64,
+    /// Σ path length over those bundles.
+    pub hops_walked: u64,
+    /// Residual device rates pushed to the packet engine (hybrid mode).
+    pub residual_pushes: u64,
+}
+
+impl FluidSolve {
+    fn add(&mut self, other: &FluidSolve) {
+        self.rounds += other.rounds;
+        self.active_bundles += other.active_bundles;
+        self.links_loaded += other.links_loaded;
+        self.hops_walked += other.hops_walked;
+        self.residual_pushes += other.residual_pushes;
+    }
+}
+
+/// Solver telemetry for the manifest's `perf.engine.fluid` block. Run
+/// telemetry, never a simulation observable: it is not checkpointed, so
+/// after a resume it counts from the restore point.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FluidStats {
+    /// Re-solves performed.
+    pub resolves: u64,
+    /// Work summed over every re-solve.
+    pub total: FluidSolve,
+    /// Work of the most recent re-solve.
+    pub last: FluidSolve,
+}
+
+impl FluidStats {
+    /// Fold in a later simulation's counts: totals add up, and `last` is
+    /// the other's if it solved at all.
+    pub fn merge(&mut self, other: &FluidStats) {
+        self.resolves += other.resolves;
+        self.total.add(&other.total);
+        if other.resolves > 0 {
+            self.last = other.last;
+        }
+    }
+}
+
 /// Flows sharing `(src, dst, demand, payload, stop)` — they are
 /// symmetric under max-min fairness, so the solver allocates per bundle
 /// and multiplies, keeping the fill O(bundles), not O(flows).
@@ -123,6 +299,213 @@ impl Bundle {
     }
 }
 
+/// Per-resolve working memory: cleared at every solve, never reallocated
+/// once warm. "Active" indexes the bundles a solve allocates to, in
+/// install order; "loaded" indexes the links on their paths, in
+/// first-touch order.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Bundle index of each active bundle.
+    active: Vec<u32>,
+    /// Flow multiplicity and per-flow demand (bits/s) of each.
+    mult: Vec<f64>,
+    demand: Vec<f64>,
+    /// CSR of hop lists: active bundle `ai` crosses the loaded links
+    /// `hops[hop_start[ai]..hop_start[ai + 1]]`.
+    hop_start: Vec<u32>,
+    hops: Vec<u32>,
+    /// Link id of each loaded link, and the inverse map over all link
+    /// ids ([`UNLOADED`] elsewhere).
+    loaded: Vec<u32>,
+    loaded_of: Vec<u32>,
+    /// CSR of member lists: loaded link `l` carries the active bundles
+    /// `members[member_start[l]..member_start[l + 1]]`, ascending.
+    member_start: Vec<u32>,
+    members: Vec<u32>,
+    /// Per loaded link: capacity, unallocated capacity, and unfrozen flow
+    /// multiplicity. Multiplicities are integers, so the incremental
+    /// subtraction in the fill is exact: a fully frozen link reaches
+    /// weight 0.0, not rounding dust.
+    cap: Vec<f64>,
+    residual: Vec<f64>,
+    weight: Vec<f64>,
+    /// Per active bundle: allocated rate and whether it is final.
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Active bundles by ascending demand (ties in install order).
+    by_demand: Vec<u32>,
+    /// Output buffer of [`FluidNet::residual_changes`].
+    changes: Vec<LinkRate>,
+}
+
+impl Scratch {
+    fn hops_of(&self, ai: usize) -> &[u32] {
+        &self.hops[self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize]
+    }
+
+    /// Renumber the links the hop lists name into the loaded range, and
+    /// build per-link capacities, weights and member lists from them.
+    fn index_loaded_links(&mut self, link_cap: &[f64]) {
+        self.loaded_of.fill(UNLOADED);
+        self.loaded.clear();
+        self.cap.clear();
+        self.weight.clear();
+        self.member_start.clear();
+        for ai in 0..self.active.len() {
+            let m = self.mult[ai];
+            for h in self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize {
+                let link = self.hops[h] as usize;
+                if self.loaded_of[link] == UNLOADED {
+                    self.loaded_of[link] = self.loaded.len() as u32;
+                    self.loaded.push(link as u32);
+                    self.cap.push(link_cap[link]);
+                    self.weight.push(0.0);
+                    self.member_start.push(0);
+                }
+                let l = self.loaded_of[link];
+                self.hops[h] = l;
+                self.weight[l as usize] += m;
+                self.member_start[l as usize] += 1;
+            }
+        }
+        // Counts → end offsets; filling in descending bundle order walks
+        // each offset back down to its start and leaves members ascending.
+        let mut end = 0;
+        for count in &mut self.member_start {
+            end += *count;
+            *count = end;
+        }
+        self.member_start.push(end);
+        self.members.clear();
+        self.members.resize(end as usize, 0);
+        for ai in (0..self.active.len()).rev() {
+            for h in self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize {
+                let slot = &mut self.member_start[self.hops[h] as usize];
+                *slot -= 1;
+                self.members[*slot as usize] = ai as u32;
+            }
+        }
+    }
+
+    /// Mark `ai` final at its current rate and take its flows off the
+    /// unfrozen weight of every link it crosses.
+    fn freeze(&mut self, ai: usize) {
+        self.frozen[ai] = true;
+        let m = self.mult[ai];
+        for h in self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize {
+            self.weight[self.hops[h] as usize] -= m;
+        }
+    }
+
+    /// Progressive filling in incremental form. Every unfrozen flow's
+    /// rate rises uniformly from zero, so a single scalar water level
+    /// describes all of them; a bundle freezes when the level reaches its
+    /// demand (sorted-demand pointer) or a link on its path saturates
+    /// (per-link member lists). Link weights are updated only when a
+    /// bundle freezes, so the fill costs O(rounds × links + Σ path
+    /// length) instead of the naive O(rounds × Σ path length). Returns
+    /// `(final level, rounds)`; bundles still unfrozen (numerical
+    /// backstop exit only) are settled by [`Self::close_fill`].
+    fn fill(&mut self) -> (f64, u64) {
+        let n = self.active.len();
+        self.residual.clone_from(&self.cap);
+        self.rate.clear();
+        self.rate.resize(n, 0.0);
+        self.frozen.clear();
+        self.frozen.resize(n, false);
+        self.by_demand.clear();
+        self.by_demand.extend(0..n as u32);
+        let demand = &self.demand;
+        // Keyed on (demand, index): the stable order, without the
+        // allocation of a stable sort.
+        self.by_demand.sort_unstable_by(|&a, &b| {
+            demand[a as usize].total_cmp(&demand[b as usize]).then(a.cmp(&b))
+        });
+        let mut dptr = 0;
+        let mut level = 0.0f64;
+        let mut unfrozen = n;
+        let mut rounds = 0;
+        while unfrozen > 0 {
+            rounds += 1;
+            while dptr < n && self.frozen[self.by_demand[dptr] as usize] {
+                dptr += 1;
+            }
+            // Next freeze: whichever comes first — a link saturating or
+            // the lowest unfrozen demand. Unfrozen rates all equal
+            // `level`, so the demand gap needs only the sorted head.
+            let mut inc = f64::INFINITY;
+            for (&w, &r) in self.weight.iter().zip(&self.residual) {
+                if w > 0.0 {
+                    inc = inc.min((r / w).max(0.0));
+                }
+            }
+            if let Some(&ai) = self.by_demand.get(dptr) {
+                inc = inc.min(self.demand[ai as usize] - level);
+            }
+            let inc = if inc.is_finite() { inc.max(0.0) } else { 0.0 };
+            level += inc;
+            for (r, &w) in self.residual.iter_mut().zip(&self.weight) {
+                *r -= w * inc;
+            }
+            let mut newly = 0;
+            while let Some(&ai) = self.by_demand.get(dptr) {
+                let ai = ai as usize;
+                if self.frozen[ai] {
+                    dptr += 1;
+                    continue;
+                }
+                if level < self.demand[ai] * (1.0 - EPS) {
+                    break;
+                }
+                self.rate[ai] = level;
+                self.freeze(ai);
+                newly += 1;
+                dptr += 1;
+            }
+            for l in 0..self.loaded.len() {
+                if self.weight[l] > 0.0 && self.residual[l] <= self.cap[l] * EPS {
+                    for k in self.member_start[l] as usize..self.member_start[l + 1] as usize {
+                        let ai = self.members[k] as usize;
+                        if !self.frozen[ai] {
+                            self.rate[ai] = level;
+                            self.freeze(ai);
+                            newly += 1;
+                        }
+                    }
+                }
+            }
+            if newly == 0 {
+                // Numerical backstop: a zero increment with nothing newly
+                // frozen would loop forever; the remainder keeps its
+                // current (already max-min) rate.
+                break;
+            }
+            unfrozen -= newly;
+        }
+        (level, rounds)
+    }
+
+    /// End a fill at water level `level`: bundles the loop left unfrozen
+    /// are allocated the level they reached, and only then is every
+    /// bundle's load summed onto its links (ascending bundle order per
+    /// link), so the loads cover exactly the rates handed out.
+    fn close_fill(&mut self, level: f64, link_load: &mut [f64]) {
+        for (rate, &frozen) in self.rate.iter_mut().zip(&self.frozen) {
+            if !frozen {
+                *rate = level;
+            }
+        }
+        for ai in 0..self.rate.len() {
+            let load = self.rate[ai] * self.mult[ai];
+            if load > 0.0 {
+                for &l in self.hops_of(ai) {
+                    link_load[self.loaded[l as usize] as usize] += load;
+                }
+            }
+        }
+    }
+}
+
 /// The coordinator-owned fluid network: flow table, link loads, and the
 /// max-min solver. See the module docs for the invariants.
 #[derive(Debug)]
@@ -136,13 +519,22 @@ pub struct FluidNet {
     /// events re-solve with the finished demand removed.
     boundaries: Vec<SimTime>,
     next_boundary: usize,
-    /// Aggregate fluid load per directed link, bits/s (last solve).
-    link_load: BTreeMap<LinkKey, f64>,
-    /// Residual rates already pushed to packet devices (hybrid mode), so
-    /// unchanged links cost nothing at the next solve.
-    pushed: BTreeMap<LinkKey, u64>,
+    /// Link ids of the constellation being solved over; empty until the
+    /// first solve (or restore) names it.
+    links: LinkTable,
+    /// Capacity by link id, bits/s.
+    link_cap: Vec<f64>,
+    /// Aggregate fluid load by link id, bits/s (last solve); a link is
+    /// loaded iff its entry is positive.
+    link_load: Vec<f64>,
+    /// Residual rate already pushed to each link's packet device (hybrid
+    /// mode), so unchanged links cost nothing at the next solve; 0 while
+    /// the device runs at full capacity.
+    pushed: Vec<u64>,
     last_advanced: SimTime,
     resolves: u64,
+    scratch: Scratch,
+    stats: FluidStats,
 }
 
 impl FluidNet {
@@ -155,10 +547,14 @@ impl FluidNet {
             index: BTreeMap::new(),
             boundaries: Vec::new(),
             next_boundary: 0,
-            link_load: BTreeMap::new(),
-            pushed: BTreeMap::new(),
+            links: LinkTable::default(),
+            link_cap: Vec::new(),
+            link_load: Vec::new(),
+            pushed: Vec::new(),
             last_advanced: SimTime::ZERO,
             resolves: 0,
+            scratch: Scratch::default(),
+            stats: FluidStats::default(),
         }
     }
 
@@ -230,6 +626,22 @@ impl FluidNet {
         self.last_advanced = t;
     }
 
+    /// Build the link table for `constellation` unless it is already the
+    /// one in use.
+    fn ensure_links(&mut self, constellation: &Constellation) {
+        if self.links.first.len() == constellation.num_nodes() + 1 {
+            return;
+        }
+        self.links = LinkTable::build(constellation);
+        let n = self.links.len();
+        let (isl, gsl) = (self.isl_cap_bps, self.gsl_cap_bps);
+        self.link_cap =
+            self.links.peer.iter().map(|&p| if p == GSL_PEER { gsl } else { isl }).collect();
+        self.link_load = vec![0.0; n];
+        self.pushed = vec![0; n];
+        self.scratch.loaded_of = vec![UNLOADED; n];
+    }
+
     /// Recompute the max-min fair rate vector over the current forwarding
     /// and fault state. Flows whose `stop_at <= t`, whose destination is
     /// unreachable, or whose path crosses a failed component get rate 0
@@ -247,177 +659,78 @@ impl FluidNet {
         {
             self.next_boundary += 1;
         }
+        self.ensure_links(constellation);
 
         // Trace each active bundle's path onto directed link devices.
-        let mut link_of: BTreeMap<LinkKey, usize> = BTreeMap::new();
-        let mut link_keys: Vec<LinkKey> = Vec::new();
-        let mut active: Vec<usize> = Vec::new();
-        let mut links_of: Vec<Vec<usize>> = Vec::new();
+        let s = &mut self.scratch;
+        s.active.clear();
+        s.mult.clear();
+        s.demand.clear();
+        s.hops.clear();
+        s.hop_start.clear();
+        s.hop_start.push(0);
         for (bi, b) in self.bundles.iter_mut().enumerate() {
             b.rate_bps = 0.0;
             if t >= b.stop_at {
                 continue;
             }
-            let Some(path) = fwd.path(b.src, b.dst) else { continue };
-            if let Some(f) = faults {
-                if !path.windows(2).all(|w| hop_up(f, constellation, w[0], w[1])) {
-                    continue;
-                }
+            let Some(mut walk) = fwd.hops(b.src, b.dst) else { continue };
+            let start = s.hops.len();
+            let up = walk.all(|(from, to)| {
+                s.hops.push(self.links.of_hop(from, to));
+                faults.iter().all(|f| hop_up(f, constellation, from, to))
+            });
+            if !up {
+                s.hops.truncate(start);
+                continue;
             }
-            let mut ids = Vec::with_capacity(path.len() - 1);
-            for w in path.windows(2) {
-                let key = link_key(constellation, w[0], w[1]);
-                let next = link_keys.len();
-                let id = *link_of.entry(key).or_insert_with(|| {
-                    link_keys.push(key);
-                    next
-                });
-                ids.push(id);
-            }
-            active.push(bi);
-            links_of.push(ids);
+            s.active.push(bi as u32);
+            s.mult.push(b.flow_ids.len() as f64);
+            s.demand.push(b.demand_bps as f64);
+            s.hop_start.push(s.hops.len() as u32);
         }
 
-        // Progressive filling in incremental form. Every unfrozen flow's
-        // rate rises uniformly from zero, so a single scalar water level
-        // describes all of them; a bundle freezes when the level reaches
-        // its demand (sorted-demand pointer) or a link on its path
-        // saturates (per-link member lists). Link weights are updated
-        // only when a bundle freezes, so the fill costs
-        // O(rounds × links + Σ path length) instead of the naive
-        // O(rounds × Σ path length) — the difference between millisecond
-        // and second re-solves at 10⁵ flows over 10⁴ bundles.
-        let caps: Vec<f64> = link_keys.iter().map(|&k| self.cap_for(k)).collect();
-        let mut residual = caps.clone();
-        let mut rate = vec![0.0f64; active.len()];
-        let mut frozen = vec![false; active.len()];
-        // Unfrozen flow multiplicity per link, and the active bundles
-        // crossing it. Multiplicities are integers, so the incremental
-        // subtraction below is exact: a fully frozen link reaches
-        // weight 0.0, not rounding dust.
-        let mut weight = vec![0.0f64; link_keys.len()];
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); link_keys.len()];
-        for (ai, ids) in links_of.iter().enumerate() {
-            let m = self.bundles[active[ai]].flow_ids.len() as f64;
-            for &l in ids {
-                weight[l] += m;
-                members[l].push(ai);
-            }
-        }
-        let mut by_demand: Vec<usize> = (0..active.len()).collect();
-        by_demand.sort_by_key(|&ai| self.bundles[active[ai]].demand_bps);
-        let mut dptr = 0;
-        let mut level = 0.0f64;
-        let mut unfrozen = active.len();
-        while unfrozen > 0 {
-            while dptr < by_demand.len() && frozen[by_demand[dptr]] {
-                dptr += 1;
-            }
-            // Next freeze: whichever comes first — a link saturating or
-            // the lowest unfrozen demand. Unfrozen rates all equal
-            // `level`, so the demand gap needs only the sorted head.
-            let mut inc = f64::INFINITY;
-            for (&w, &r) in weight.iter().zip(&residual) {
-                if w > 0.0 {
-                    inc = inc.min((r / w).max(0.0));
-                }
-            }
-            if let Some(&ai) = by_demand.get(dptr) {
-                inc = inc.min(self.bundles[active[ai]].demand_bps as f64 - level);
-            }
-            let inc = if inc.is_finite() { inc.max(0.0) } else { 0.0 };
-            level += inc;
-            for (r, &w) in residual.iter_mut().zip(&weight) {
-                *r -= w * inc;
-            }
-            let mut newly = 0;
-            let freeze =
-                |ai: usize, frozen: &mut Vec<bool>, weight: &mut Vec<f64>, newly: &mut usize| {
-                    frozen[ai] = true;
-                    *newly += 1;
-                    let m = self.bundles[active[ai]].flow_ids.len() as f64;
-                    for &l in &links_of[ai] {
-                        weight[l] -= m;
-                    }
-                };
-            while let Some(&ai) = by_demand.get(dptr) {
-                if frozen[ai] {
-                    dptr += 1;
-                    continue;
-                }
-                if level < self.bundles[active[ai]].demand_bps as f64 * (1.0 - EPS) {
-                    break;
-                }
-                rate[ai] = level;
-                freeze(ai, &mut frozen, &mut weight, &mut newly);
-                dptr += 1;
-            }
-            for l in 0..link_keys.len() {
-                if weight[l] > 0.0 && residual[l] <= caps[l] * EPS {
-                    for &ai in &members[l] {
-                        if !frozen[ai] {
-                            rate[ai] = level;
-                            freeze(ai, &mut frozen, &mut weight, &mut newly);
-                        }
-                    }
-                }
-            }
-            if newly == 0 {
-                // Numerical backstop: a zero increment with nothing newly
-                // frozen would loop forever; freeze the remainder at their
-                // current (already max-min) rates.
-                break;
-            }
-            unfrozen -= newly;
+        s.index_loaded_links(&self.link_cap);
+        let (level, rounds) = s.fill();
+        self.link_load.fill(0.0);
+        s.close_fill(level, &mut self.link_load);
+        for (&bi, &rate) in s.active.iter().zip(&s.rate) {
+            self.bundles[bi as usize].rate_bps = rate;
         }
 
-        for (ai, &bi) in active.iter().enumerate() {
-            self.bundles[bi].rate_bps = if frozen[ai] { rate[ai] } else { level };
-        }
-        self.link_load.clear();
-        for (ai, ids) in links_of.iter().enumerate() {
-            let load = rate[ai] * self.bundles[active[ai]].flow_ids.len() as f64;
-            if load > 0.0 {
-                for &l in ids {
-                    *self.link_load.entry(link_keys[l]).or_insert(0.0) += load;
-                }
-            }
-        }
+        let solve = FluidSolve {
+            rounds,
+            active_bundles: s.active.len() as u64,
+            links_loaded: s.loaded.len() as u64,
+            hops_walked: s.hops.len() as u64,
+            residual_pushes: 0,
+        };
+        self.stats.resolves += 1;
+        self.stats.total.add(&solve);
+        self.stats.last = solve;
     }
 
     /// Residual device rates that changed since the last push (hybrid
     /// coupling): loaded links get `capacity − fluid load`, floored at 1%
     /// of capacity; links whose load vanished are restored to capacity.
-    /// Deterministic order (`BTreeMap` iteration).
-    pub(crate) fn residual_changes(&mut self) -> Vec<(LinkKey, DataRate)> {
-        let mut desired: BTreeMap<LinkKey, u64> = BTreeMap::new();
-        for (&key, &load) in &self.link_load {
-            let cap = self.cap_for(key);
-            let resid = (cap - load).max(cap * 0.01);
-            desired.insert(key, (resid.round() as u64).max(1));
-        }
-        let mut changes = Vec::new();
-        for &key in self.pushed.keys() {
-            if !desired.contains_key(&key) {
-                changes.push((key, DataRate::from_bps(self.cap_for(key).round() as u64)));
+    /// In ascending link-id order, each link at most once.
+    pub(crate) fn residual_changes(&mut self) -> &[LinkRate] {
+        let changes = &mut self.scratch.changes;
+        changes.clear();
+        for (link, pushed) in self.pushed.iter_mut().enumerate() {
+            let (load, cap) = (self.link_load[link], self.link_cap[link]);
+            let want =
+                if load > 0.0 { (((cap - load).max(cap * 0.01)).round() as u64).max(1) } else { 0 };
+            if want != *pushed {
+                *pushed = want;
+                let (node, device) = self.links.device(link as u32);
+                let bps = if want == 0 { cap.round() as u64 } else { want };
+                changes.push(LinkRate { node, device, rate: DataRate::from_bps(bps) });
             }
         }
-        self.pushed.retain(|k, _| desired.contains_key(k));
-        for (&key, &bps) in &desired {
-            if self.pushed.get(&key) != Some(&bps) {
-                self.pushed.insert(key, bps);
-                changes.push((key, DataRate::from_bps(bps)));
-            }
-        }
+        self.stats.last.residual_pushes = changes.len() as u64;
+        self.stats.total.residual_pushes += changes.len() as u64;
         changes
-    }
-
-    fn cap_for(&self, key: LinkKey) -> f64 {
-        if key.1 == GSL_PEER {
-            self.gsl_cap_bps
-        } else {
-            self.isl_cap_bps
-        }
     }
 
     /// Fluid flows installed (active or finished).
@@ -428,6 +741,11 @@ impl FluidNet {
     /// Re-solves performed.
     pub fn resolves(&self) -> u64 {
         self.resolves
+    }
+
+    /// Solver work counts since construction (or restore).
+    pub fn stats(&self) -> FluidStats {
+        self.stats
     }
 
     /// Total goodput-countable bytes delivered by fluid flows so far
@@ -462,9 +780,14 @@ impl FluidNet {
         out
     }
 
-    /// Aggregate fluid load of every directed link, bits/s (last solve).
+    /// Aggregate fluid load of every loaded directed link, bits/s (last
+    /// solve), in ascending link-key order.
     pub fn link_loads(&self) -> impl Iterator<Item = ((u32, u32), f64)> + '_ {
-        self.link_load.iter().map(|(&k, &v)| (k, v))
+        self.links
+            .by_key
+            .iter()
+            .map(|&l| (self.links.key(l), self.link_load[l as usize]))
+            .filter(|&(_, load)| load > 0.0)
     }
 
     /// Links whose allocated fluid load exceeds their capacity beyond the
@@ -473,10 +796,11 @@ impl FluidNet {
     /// non-empty result is a solver bug — exactly what audit mode exists
     /// to catch.
     pub fn overloaded_links(&self, tol: f64) -> Vec<(LinkKey, f64, f64)> {
-        self.link_load
+        self.links
+            .by_key
             .iter()
-            .filter(|&(&key, &load)| load > self.cap_for(key) * (1.0 + tol))
-            .map(|(&key, &load)| (key, load, self.cap_for(key)))
+            .map(|&l| (self.links.key(l), self.link_load[l as usize], self.link_cap[l as usize]))
+            .filter(|&(_, load, cap)| load > cap * (1.0 + tol))
             .collect()
     }
 
@@ -485,6 +809,7 @@ impl FluidNet {
     /// re-running the experiment's deterministic install sequence, so only
     /// the integration state rides in the snapshot — plus the bundle and
     /// flow counts, which restore cross-checks against the rebuilt table.
+    /// Loaded and pushed links are listed by key, ascending.
     pub fn save(&self, w: &mut SnapWriter) {
         w.put_tag(b"FLUD");
         w.put_usize(self.bundles.len());
@@ -498,25 +823,32 @@ impl FluidNet {
             w.put_time(t);
         }
         w.put_usize(self.next_boundary);
-        w.put_usize(self.link_load.len());
-        for (&(a, b), &load) in &self.link_load {
+        w.put_usize(self.link_loads().count());
+        for ((a, b), load) in self.link_loads() {
             w.put_u32(a);
             w.put_u32(b);
             w.put_f64(load);
         }
-        w.put_usize(self.pushed.len());
-        for (&(a, b), &bps) in &self.pushed {
+        let pushed = || self.links.by_key.iter().filter(|&&l| self.pushed[l as usize] != 0);
+        w.put_usize(pushed().count());
+        for &l in pushed() {
+            let (a, b) = self.links.key(l);
             w.put_u32(a);
             w.put_u32(b);
-            w.put_u64(bps);
+            w.put_u64(self.pushed[l as usize]);
         }
         w.put_time(self.last_advanced);
         w.put_u64(self.resolves);
     }
 
     /// Restore the state captured by [`FluidNet::save`] into a fluid net
-    /// whose flow table was rebuilt by the same install sequence.
-    pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
+    /// over `constellation` whose flow table was rebuilt by the same
+    /// install sequence.
+    pub fn restore(
+        &mut self,
+        r: &mut SnapReader,
+        constellation: &Constellation,
+    ) -> Result<(), CheckpointError> {
         r.expect_tag(b"FLUD")?;
         let n = r.get_usize()?;
         if n != self.bundles.len() {
@@ -545,34 +877,37 @@ impl FluidNet {
         if self.next_boundary > self.boundaries.len() {
             return Err(CheckpointError::Malformed("fluid boundary cursor out of range".into()));
         }
-        let nl = r.get_usize()?;
-        self.link_load.clear();
-        for _ in 0..nl {
-            let a = r.get_u32()?;
-            let b = r.get_u32()?;
-            self.link_load.insert((a, b), r.get_f64()?);
+        self.ensure_links(constellation);
+        let links = &self.links;
+        let link = |r: &mut SnapReader| {
+            let key = (r.get_u32()?, r.get_u32()?);
+            links.of_key(key).ok_or_else(|| {
+                CheckpointError::Malformed(format!(
+                    "fluid link {key:?} is not in the constellation"
+                ))
+            })
+        };
+        self.link_load.fill(0.0);
+        for _ in 0..r.get_usize()? {
+            let l = link(r)?;
+            let load = r.get_f64()?;
+            if load.is_nan() || load <= 0.0 {
+                return Err(CheckpointError::Malformed(format!("fluid link load {load}")));
+            }
+            self.link_load[l as usize] = load;
         }
-        let np = r.get_usize()?;
-        self.pushed.clear();
-        for _ in 0..np {
-            let a = r.get_u32()?;
-            let b = r.get_u32()?;
-            self.pushed.insert((a, b), r.get_u64()?);
+        self.pushed.fill(0);
+        for _ in 0..r.get_usize()? {
+            let l = link(r)?;
+            let bps = r.get_u64()?;
+            if bps == 0 {
+                return Err(CheckpointError::Malformed("zero residual rate pushed".into()));
+            }
+            self.pushed[l as usize] = bps;
         }
         self.last_advanced = r.get_time()?;
         self.resolves = r.get_u64()?;
         Ok(())
-    }
-}
-
-/// The directed link device a hop `a → b` serializes through: the ISL
-/// device towards the peer when both are satellites, else `a`'s shared
-/// GSL device.
-fn link_key(constellation: &Constellation, a: NodeId, b: NodeId) -> LinkKey {
-    if constellation.is_satellite(a) && constellation.is_satellite(b) {
-        (a.0, b.0)
-    } else {
-        (a.0, GSL_PEER)
     }
 }
 
@@ -599,8 +934,12 @@ mod tests {
     use hypatia_constellation::gsl::GslConfig;
     use hypatia_constellation::isl::IslLayout;
     use hypatia_constellation::shell::ShellSpec;
+    use hypatia_fault::{FaultSchedule, FaultSpec, LinkCut, OutageWindow};
     use hypatia_routing::graph::SnapshotBuffers;
     use hypatia_routing::incremental::{IncrementalRouter, RoutingConfig};
+    use hypatia_util::rng::DetRng;
+    use hypatia_util::SimDuration;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn constellation() -> Arc<Constellation> {
@@ -617,13 +956,17 @@ mod tests {
         ))
     }
 
-    fn forwarding(c: &Constellation, dests: &[NodeId]) -> ForwardingState {
+    fn forwarding_at(c: &Constellation, t: SimTime, dests: &[NodeId]) -> ForwardingState {
         let mut buffers = SnapshotBuffers::new();
         let mut router = IncrementalRouter::new(RoutingConfig::default());
-        let graph = buffers.snapshot_masked(c, SimTime::ZERO, None);
+        let graph = buffers.snapshot_masked(c, t, None);
         let mut fwd = ForwardingState::empty();
-        router.compute_into(graph, SimTime::ZERO, dests, &mut fwd);
+        router.compute_into(graph, t, dests, &mut fwd);
         fwd
+    }
+
+    fn forwarding(c: &Constellation, dests: &[NodeId]) -> ForwardingState {
+        forwarding_at(c, SimTime::ZERO, dests)
     }
 
     #[test]
@@ -740,7 +1083,6 @@ mod tests {
 
     #[test]
     fn faulted_paths_are_masked_to_zero() {
-        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
         let c = constellation();
         let (a, b) = (c.gs_node(0), c.gs_node(1));
         let fwd = forwarding(&c, &[a, b]);
@@ -751,7 +1093,7 @@ mod tests {
             sat_outages: vec![OutageWindow { target: victim.0, from_s: 0.0, until_s: 9.0 }],
             ..FaultSpec::default()
         };
-        let schedule = FaultSchedule::compile(&spec, &c, hypatia_util::SimDuration::from_secs(10));
+        let schedule = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(10));
         let state = FaultState::at(&schedule, SimTime::from_secs(1));
         let mut net = FluidNet::new(DataRate::from_mbps(10), DataRate::from_mbps(10));
         net.add_flow(0, a, b, DataRate::from_kbps(64), 1440, SimTime::MAX);
@@ -774,7 +1116,8 @@ mod tests {
         net.resolve(SimTime::ZERO, &fwd, None, &c);
         assert!(net.overloaded_links(1e-9).is_empty());
         // Force an inconsistent load to prove the detector fires.
-        net.link_load.insert((0, 1), 20e6);
+        let link = net.links.of_key((0, 1)).expect("satellites 0 and 1 share an ISL");
+        net.link_load[link as usize] = 20e6;
         let over = net.overloaded_links(1e-9);
         assert_eq!(over.len(), 1);
         assert_eq!(over[0].0, (0, 1));
@@ -783,7 +1126,6 @@ mod tests {
 
     #[test]
     fn save_restore_round_trips_solver_state() {
-        use crate::checkpoint::{SnapReader, SnapWriter};
         let c = constellation();
         let (a, b) = (c.gs_node(0), c.gs_node(1));
         let fwd = forwarding(&c, &[a, b]);
@@ -802,7 +1144,7 @@ mod tests {
         net.save(&mut w);
         let mut back = build(6);
         let mut r = SnapReader::from_bytes(w.finish(), 1).unwrap();
-        back.restore(&mut r).unwrap();
+        back.restore(&mut r, &c).unwrap();
         r.expect_end().unwrap();
         assert_eq!(back.resolves(), net.resolves());
         assert_eq!(back.delivered_payload_bytes(), net.delivered_payload_bytes());
@@ -821,7 +1163,7 @@ mod tests {
         let mut wrong = FluidNet::new(DataRate::from_mbps(10), DataRate::from_mbps(10));
         wrong.add_flow(0, a, b, DataRate::from_mbps(6), 1440, SimTime::from_secs(1));
         let mut r = SnapReader::from_bytes(w.finish(), 1).unwrap();
-        assert!(wrong.restore(&mut r).is_err());
+        assert!(wrong.restore(&mut r, &c).is_err());
     }
 
     #[test]
@@ -836,23 +1178,562 @@ mod tests {
             net.add_flow(i, a, b, DataRate::from_mbps(10), 1440, SimTime::from_secs(1));
         }
         net.resolve(SimTime::ZERO, &fwd, None, &c);
-        let changes = net.residual_changes();
+        let changes = net.residual_changes().to_vec();
         assert!(!changes.is_empty());
-        for &((_, _), rate) in &changes {
-            assert!(rate.bps() >= 100_000, "residual below the 1% floor: {rate}");
-            assert!(rate.bps() <= 10_000_000);
+        for ch in &changes {
+            assert!(ch.rate.bps() >= 100_000, "residual below the 1% floor: {}", ch.rate);
+            assert!(ch.rate.bps() <= 10_000_000);
         }
-        let saturated = changes.iter().filter(|&&(_, r)| r.bps() == 100_000).count();
+        let saturated = changes.iter().filter(|ch| ch.rate.bps() == 100_000).count();
         assert!(saturated >= 1, "no link hit the floor: {changes:?}");
         // Unchanged solve → no pushes; expired flows → full restore.
         net.resolve(SimTime::ZERO, &fwd, None, &c);
         assert!(net.residual_changes().is_empty(), "unchanged load re-pushed");
         net.resolve(SimTime::from_secs(1), &fwd, None, &c);
-        let restored = net.residual_changes();
+        let restored = net.residual_changes().to_vec();
         assert_eq!(restored.len(), changes.len());
-        for &(_, rate) in &restored {
-            assert_eq!(rate.bps(), 10_000_000, "link not restored to capacity");
+        for ch in &restored {
+            assert_eq!(ch.rate.bps(), 10_000_000, "link not restored to capacity");
         }
         assert!(net.residual_changes().is_empty());
+    }
+
+    #[test]
+    fn link_table_numbers_devices_in_attach_order() {
+        let c = constellation();
+        let table = LinkTable::build(&c);
+        assert_eq!(table.len(), 2 * c.isls.len() + c.num_nodes());
+        let keys: Vec<LinkKey> = table.by_key.iter().map(|&l| table.key(l)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "by_key is not strictly ascending");
+        for link in 0..table.len() as u32 {
+            assert_eq!(table.of_key(table.key(link)), Some(link));
+            let (node, device) = table.device(link);
+            assert_eq!(table.first[node as usize] + device, link);
+        }
+        // Per node: ISL peers in `isls` order, the GSL device last.
+        let sat = 11u32;
+        let peers: Vec<u32> = c
+            .isls
+            .iter()
+            .filter_map(|&(a, b)| if a == sat { Some(b) } else { (b == sat).then_some(a) })
+            .collect();
+        let slots = table.first[sat as usize]..table.first[sat as usize + 1];
+        let listed: Vec<u32> = slots.map(|l| table.peer[l as usize]).collect();
+        assert_eq!(listed, [&peers[..], &[GSL_PEER]].concat());
+        // Hops land on the sender's device: ISL between satellites,
+        // the shared GSL device as soon as a ground station is involved.
+        let (a, b) = c.isls[7];
+        assert_eq!(table.key(table.of_hop(NodeId(a), NodeId(b))), (a, b));
+        assert_eq!(table.key(table.of_hop(NodeId(b), NodeId(a))), (b, a));
+        let gs = c.gs_node(0);
+        assert_eq!(table.key(table.of_hop(gs, NodeId(a))), (gs.0, GSL_PEER));
+        assert_eq!(table.key(table.of_hop(NodeId(a), gs)), (a, GSL_PEER));
+        // Keys a snapshot could carry but this constellation lacks.
+        assert_eq!(table.of_key((a, a)), None);
+        assert_eq!(table.of_key((1_000_000, GSL_PEER)), None);
+    }
+
+    /// The fill loop's numerical-backstop exit leaves bundles unfrozen;
+    /// they are allocated the water level, so their load must be on
+    /// their links too (it used to be dropped: residual rates and the
+    /// over-capacity audit ignored exactly those flows).
+    #[test]
+    fn backstop_exit_loads_the_links_of_unfrozen_bundles() {
+        // Bundle 0 (2 flows, frozen at 2 Mbit/s) crosses link 3; bundle 1
+        // (4 flows, never frozen) crosses links 3 and 5.
+        let mut s = Scratch {
+            active: vec![0, 1],
+            mult: vec![2.0, 4.0],
+            hop_start: vec![0, 1, 3],
+            hops: vec![0, 0, 1],
+            loaded: vec![3, 5],
+            rate: vec![2e6, 0.0],
+            frozen: vec![true, false],
+            ..Scratch::default()
+        };
+        let mut link_load = vec![0.0; 8];
+        s.close_fill(3e6, &mut link_load);
+        assert_eq!(s.rate, [2e6, 3e6]);
+        assert_eq!(link_load[3], 2e6 * 2.0 + 3e6 * 4.0);
+        assert_eq!(link_load[5], 3e6 * 4.0);
+        assert_eq!(link_load.iter().filter(|&&x| x != 0.0).count(), 2);
+    }
+
+    #[test]
+    fn stats_count_the_work_of_each_solve() {
+        let c = constellation();
+        let (a, b) = (c.gs_node(0), c.gs_node(1));
+        let fwd = forwarding(&c, &[a, b]);
+        let hops = fwd.path(a, b).unwrap().len() as u64 - 1;
+        let mut net = FluidNet::new(DataRate::from_mbps(10), DataRate::from_mbps(10));
+        net.add_flow(0, a, b, DataRate::from_mbps(1), 1440, SimTime::from_secs(1));
+        net.add_flow(1, a, b, DataRate::from_mbps(20), 1440, SimTime::from_secs(1));
+        assert_eq!(net.stats(), FluidStats::default());
+        net.resolve(SimTime::ZERO, &fwd, None, &c);
+        let pushes = net.residual_changes().len() as u64;
+        let first = net.stats();
+        assert_eq!(first.resolves, 1);
+        // One round freezes the small demand, the next saturates the path.
+        let want = FluidSolve {
+            rounds: 2,
+            active_bundles: 2,
+            links_loaded: hops,
+            hops_walked: 2 * hops,
+            residual_pushes: hops,
+        };
+        assert_eq!((first.last, pushes), (want, hops));
+        assert_eq!(first.total, first.last);
+        // Past the stop time nothing is active; totals keep the history.
+        net.resolve(SimTime::from_secs(1), &fwd, None, &c);
+        let _ = net.residual_changes();
+        let second = net.stats();
+        assert_eq!(second.resolves, 2);
+        assert_eq!(second.last, FluidSolve { residual_pushes: hops, ..FluidSolve::default() });
+        assert_eq!(second.total.rounds, 2);
+        assert_eq!(second.total.residual_pushes, 2 * hops);
+    }
+
+    /// The solver as it was before link ids — `BTreeMap`-keyed links, one
+    /// `Vec` per path, the tree's own allocating walk — kept as the
+    /// differential oracle for [`FluidNet::resolve`],
+    /// [`FluidNet::residual_changes`] and [`FluidNet::save`]. The flow
+    /// table and the integration are the product's (`net`); its link
+    /// arrays are never touched.
+    struct Oracle {
+        net: FluidNet,
+        link_load: BTreeMap<LinkKey, f64>,
+        pushed: BTreeMap<LinkKey, u64>,
+    }
+
+    impl Oracle {
+        fn new(isl_rate: DataRate, gsl_rate: DataRate) -> Oracle {
+            Oracle {
+                net: FluidNet::new(isl_rate, gsl_rate),
+                link_load: BTreeMap::new(),
+                pushed: BTreeMap::new(),
+            }
+        }
+
+        fn cap_for(&self, key: LinkKey) -> f64 {
+            if key.1 == GSL_PEER {
+                self.net.gsl_cap_bps
+            } else {
+                self.net.isl_cap_bps
+            }
+        }
+
+        fn resolve(
+            &mut self,
+            t: SimTime,
+            fwd: &ForwardingState,
+            faults: Option<&FaultState>,
+            constellation: &Constellation,
+        ) {
+            let net = &mut self.net;
+            net.resolves += 1;
+            while net.next_boundary < net.boundaries.len() && net.boundaries[net.next_boundary] <= t
+            {
+                net.next_boundary += 1;
+            }
+
+            let link_key = |a: NodeId, b: NodeId| {
+                if constellation.is_satellite(a) && constellation.is_satellite(b) {
+                    (a.0, b.0)
+                } else {
+                    (a.0, GSL_PEER)
+                }
+            };
+            let mut link_of: BTreeMap<LinkKey, usize> = BTreeMap::new();
+            let mut link_keys: Vec<LinkKey> = Vec::new();
+            let mut active: Vec<usize> = Vec::new();
+            let mut links_of: Vec<Vec<usize>> = Vec::new();
+            for (bi, b) in net.bundles.iter_mut().enumerate() {
+                b.rate_bps = 0.0;
+                if t >= b.stop_at {
+                    continue;
+                }
+                let Some(path) = fwd.tree(b.dst).and_then(|tree| tree.path_from(b.src.0)) else {
+                    continue;
+                };
+                let path: Vec<NodeId> = path.into_iter().map(NodeId).collect();
+                if let Some(f) = faults {
+                    if !path.windows(2).all(|w| hop_up(f, constellation, w[0], w[1])) {
+                        continue;
+                    }
+                }
+                let mut ids = Vec::with_capacity(path.len() - 1);
+                for w in path.windows(2) {
+                    let key = link_key(w[0], w[1]);
+                    let next = link_keys.len();
+                    let id = *link_of.entry(key).or_insert_with(|| {
+                        link_keys.push(key);
+                        next
+                    });
+                    ids.push(id);
+                }
+                active.push(bi);
+                links_of.push(ids);
+            }
+
+            let (isl, gsl) = (net.isl_cap_bps, net.gsl_cap_bps);
+            let caps: Vec<f64> =
+                link_keys.iter().map(|&k| if k.1 == GSL_PEER { gsl } else { isl }).collect();
+            let mut residual = caps.clone();
+            let mut rate = vec![0.0f64; active.len()];
+            let mut frozen = vec![false; active.len()];
+            let mut weight = vec![0.0f64; link_keys.len()];
+            let mut members: Vec<Vec<usize>> = vec![Vec::new(); link_keys.len()];
+            for (ai, ids) in links_of.iter().enumerate() {
+                let m = net.bundles[active[ai]].flow_ids.len() as f64;
+                for &l in ids {
+                    weight[l] += m;
+                    members[l].push(ai);
+                }
+            }
+            let mut by_demand: Vec<usize> = (0..active.len()).collect();
+            by_demand.sort_by_key(|&ai| net.bundles[active[ai]].demand_bps);
+            let mut dptr = 0;
+            let mut level = 0.0f64;
+            let mut unfrozen = active.len();
+            while unfrozen > 0 {
+                while dptr < by_demand.len() && frozen[by_demand[dptr]] {
+                    dptr += 1;
+                }
+                let mut inc = f64::INFINITY;
+                for (&w, &r) in weight.iter().zip(&residual) {
+                    if w > 0.0 {
+                        inc = inc.min((r / w).max(0.0));
+                    }
+                }
+                if let Some(&ai) = by_demand.get(dptr) {
+                    inc = inc.min(net.bundles[active[ai]].demand_bps as f64 - level);
+                }
+                let inc = if inc.is_finite() { inc.max(0.0) } else { 0.0 };
+                level += inc;
+                for (r, &w) in residual.iter_mut().zip(&weight) {
+                    *r -= w * inc;
+                }
+                let mut newly = 0;
+                let freeze = |ai: usize,
+                              frozen: &mut Vec<bool>,
+                              weight: &mut Vec<f64>,
+                              newly: &mut usize| {
+                    frozen[ai] = true;
+                    *newly += 1;
+                    let m = net.bundles[active[ai]].flow_ids.len() as f64;
+                    for &l in &links_of[ai] {
+                        weight[l] -= m;
+                    }
+                };
+                while let Some(&ai) = by_demand.get(dptr) {
+                    if frozen[ai] {
+                        dptr += 1;
+                        continue;
+                    }
+                    if level < net.bundles[active[ai]].demand_bps as f64 * (1.0 - EPS) {
+                        break;
+                    }
+                    rate[ai] = level;
+                    freeze(ai, &mut frozen, &mut weight, &mut newly);
+                    dptr += 1;
+                }
+                for l in 0..link_keys.len() {
+                    if weight[l] > 0.0 && residual[l] <= caps[l] * EPS {
+                        for &ai in &members[l] {
+                            if !frozen[ai] {
+                                rate[ai] = level;
+                                freeze(ai, &mut frozen, &mut weight, &mut newly);
+                            }
+                        }
+                    }
+                }
+                if newly == 0 {
+                    break;
+                }
+                unfrozen -= newly;
+            }
+
+            // The one deliberate difference from the historical code: the
+            // backstop exit's unfrozen bundles carry load (the bug fixed
+            // alongside the rewrite).
+            for (ai, &bi) in active.iter().enumerate() {
+                if !frozen[ai] {
+                    rate[ai] = level;
+                }
+                net.bundles[bi].rate_bps = rate[ai];
+            }
+            self.link_load.clear();
+            for (ai, ids) in links_of.iter().enumerate() {
+                let load = rate[ai] * net.bundles[active[ai]].flow_ids.len() as f64;
+                if load > 0.0 {
+                    for &l in ids {
+                        *self.link_load.entry(link_keys[l]).or_insert(0.0) += load;
+                    }
+                }
+            }
+        }
+
+        fn residual_changes(&mut self) -> Vec<(LinkKey, DataRate)> {
+            let mut desired: BTreeMap<LinkKey, u64> = BTreeMap::new();
+            for (&key, &load) in &self.link_load {
+                let cap = self.cap_for(key);
+                let resid = (cap - load).max(cap * 0.01);
+                desired.insert(key, (resid.round() as u64).max(1));
+            }
+            let mut changes = Vec::new();
+            for &key in self.pushed.keys() {
+                if !desired.contains_key(&key) {
+                    changes.push((key, DataRate::from_bps(self.cap_for(key).round() as u64)));
+                }
+            }
+            self.pushed.retain(|k, _| desired.contains_key(k));
+            for (&key, &bps) in &desired {
+                if self.pushed.get(&key) != Some(&bps) {
+                    self.pushed.insert(key, bps);
+                    changes.push((key, DataRate::from_bps(bps)));
+                }
+            }
+            changes
+        }
+
+        /// The `FLUD` section as the map-based solver wrote it.
+        fn save(&self, w: &mut SnapWriter) {
+            let net = &self.net;
+            w.put_tag(b"FLUD");
+            w.put_usize(net.bundles.len());
+            for b in &net.bundles {
+                w.put_usize(b.flow_ids.len());
+                w.put_f64(b.rate_bps);
+                w.put_f64(b.wire_bytes);
+            }
+            w.put_usize(net.boundaries.len());
+            for &t in &net.boundaries {
+                w.put_time(t);
+            }
+            w.put_usize(net.next_boundary);
+            w.put_usize(self.link_load.len());
+            for (&(a, b), &load) in &self.link_load {
+                w.put_u32(a);
+                w.put_u32(b);
+                w.put_f64(load);
+            }
+            w.put_usize(self.pushed.len());
+            for (&(a, b), &bps) in &self.pushed {
+                w.put_u32(a);
+                w.put_u32(b);
+                w.put_u64(bps);
+            }
+            w.put_time(net.last_advanced);
+            w.put_u64(net.resolves);
+        }
+    }
+
+    fn saved(save: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
+        let mut w = SnapWriter::new(1);
+        save(&mut w);
+        w.finish()
+    }
+
+    /// Every observable of the two solvers, bit for bit.
+    fn assert_same_state(net: &FluidNet, oracle: &Oracle, what: &str) {
+        let bits = |v: Vec<(u32, f64)>| -> Vec<(u32, u64)> {
+            v.into_iter().map(|(id, x)| (id, x.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(net.per_flow_rate_bps()),
+            bits(oracle.net.per_flow_rate_bps()),
+            "{what}: per-flow rates"
+        );
+        let loads: Vec<(LinkKey, u64)> = net.link_loads().map(|(k, x)| (k, x.to_bits())).collect();
+        let want: Vec<(LinkKey, u64)> =
+            oracle.link_load.iter().map(|(&k, &x)| (k, x.to_bits())).collect();
+        assert_eq!(loads, want, "{what}: link loads");
+        assert_eq!(net.next_boundary(), oracle.net.next_boundary(), "{what}: boundary cursor");
+        assert_eq!(saved(|w| net.save(w)), saved(|w| oracle.save(w)), "{what}: FLUD section");
+    }
+
+    /// One residual push on both sides: the same set of (link, rate).
+    /// Returns the product's.
+    fn assert_same_pushes(net: &mut FluidNet, oracle: &mut Oracle, what: &str) -> Vec<LinkRate> {
+        let got: Vec<LinkRate> = net.residual_changes().to_vec();
+        let key_of = |ch: &LinkRate| {
+            let link = net.links.first[ch.node as usize] + ch.device;
+            assert_eq!(net.links.device(link), (ch.node, ch.device));
+            (net.links.key(link), ch.rate.bps())
+        };
+        let got_set: BTreeSet<(LinkKey, u64)> = got.iter().map(key_of).collect();
+        assert_eq!(got_set.len(), got.len(), "{what}: a link pushed twice");
+        let want: BTreeSet<(LinkKey, u64)> =
+            oracle.residual_changes().into_iter().map(|(k, r)| (k, r.bps())).collect();
+        assert_eq!(got_set, want, "{what}: residual pushes");
+        got
+    }
+
+    /// Differential fuzz: random shells, ground segments, flow multisets
+    /// and fault masks; after every step the link-id solver and the
+    /// map-based oracle must agree to the bit — rates, loads, pushes and
+    /// the checkpoint bytes — including across a save/restore into a
+    /// freshly built net.
+    #[test]
+    fn differential_fuzz_against_the_map_based_oracle() {
+        const DEMANDS_KBPS: [u64; 6] = [64, 256, 1_000, 3_000, 10_000, 20_000];
+        const STOPS_MS: [u64; 4] = [400, 900, 2_000, 5_000];
+        let mut live_cases = 0;
+        let mut masked_cases = 0;
+        let mut unroutable_cases = 0;
+        for case in 0..240u64 {
+            let mut rng = DetRng::new(0xF1D0 + case);
+            let (planes, per_plane, alt_km) =
+                if rng.next_below(2) == 0 { (10, 10, 550.0) } else { (6, 6, 1200.0) };
+            let n_gs = 3 + rng.next_below(10) as usize;
+            let stations: Vec<GroundStation> = (0..n_gs)
+                .map(|i| {
+                    // Now and then a polar station no 53° shell can see.
+                    let lat =
+                        if rng.next_below(8) == 0 { 89.0 } else { rng.next_f64() * 100.0 - 50.0 };
+                    GroundStation::new(format!("g{i}"), lat, rng.next_f64() * 360.0 - 180.0)
+                })
+                .collect();
+            let c = Constellation::build(
+                "fuzz",
+                vec![ShellSpec::new("A", alt_km, planes, per_plane, 53.0)],
+                IslLayout::PlusGrid,
+                stations,
+                GslConfig::new(10.0),
+            );
+            // Sometimes the last station is no destination of the
+            // forwarding state at all.
+            let n_dests = if rng.next_below(3) == 0 { n_gs - 1 } else { n_gs };
+            let dests: Vec<NodeId> = (0..n_dests).map(|i| c.gs_node(i)).collect();
+            let t1 = SimTime::from_millis(500);
+            let fwd = [
+                forwarding_at(&c, SimTime::ZERO, &dests),
+                forwarding_at(&c, SimTime::from_secs(20), &dests),
+            ];
+
+            let (isl, gsl) =
+                (DataRate::from_mbps(10), DataRate::from_mbps(10 + 15 * rng.next_below(2)));
+            let build = |rng: &mut DetRng| {
+                let mut net = FluidNet::new(isl, gsl);
+                let mut oracle = Oracle::new(isl, gsl);
+                let with_open_ended = rng.next_below(2) == 0;
+                let n_flows = 20 + rng.next_below(180);
+                let mut last = None;
+                for id in 0..n_flows as u32 {
+                    // A third of the flows repeat the previous 5-tuple.
+                    let flow = match last {
+                        Some(prev) if rng.next_below(3) == 0 => prev,
+                        _ => {
+                            let src = rng.next_below(n_gs as u64) as usize;
+                            let dst = (src + 1 + rng.next_below(n_gs as u64 - 1) as usize) % n_gs;
+                            let demand = DEMANDS_KBPS[rng.next_below(6) as usize];
+                            let payload = if rng.next_below(4) == 0 { 500 } else { 1440 };
+                            let stop = match rng.next_below(5) {
+                                4 if with_open_ended => SimTime::MAX,
+                                k => SimTime::from_millis(STOPS_MS[k as usize % 4]),
+                            };
+                            (src, dst, demand, payload, stop)
+                        }
+                    };
+                    last = Some(flow);
+                    let (src, dst, demand, payload, stop) = flow;
+                    for n in [&mut net, &mut oracle.net] {
+                        n.add_flow(
+                            id,
+                            c.gs_node(src),
+                            c.gs_node(dst),
+                            DataRate::from_kbps(demand),
+                            payload,
+                            stop,
+                        );
+                    }
+                }
+                net.rebuild_boundaries(SimTime::ZERO);
+                oracle.net.rebuild_boundaries(SimTime::ZERO);
+                (net, oracle)
+            };
+            let flows_state = rng.state();
+            let (mut net, mut oracle) = build(&mut rng);
+
+            // Fault masks the forwarding states know nothing about, so
+            // live paths cross dead components: random satellites, one
+            // ISL, one station's weather, and a satellite off a real path.
+            let masks: Vec<Option<FaultState>> = (0..2)
+                .map(|_| {
+                    if rng.next_below(2) == 0 {
+                        return None;
+                    }
+                    let window = |target: u32| OutageWindow { target, from_s: 0.0, until_s: 60.0 };
+                    let n_sats = c.num_satellites() as u64;
+                    let mut spec = FaultSpec::default();
+                    for _ in 0..rng.next_below(6) {
+                        spec.sat_outages.push(window(rng.next_below(n_sats) as u32));
+                    }
+                    if let Some(path) = fwd[0].path(c.gs_node(0), c.gs_node(1)) {
+                        if rng.next_below(2) == 0 {
+                            spec.sat_outages.push(window(path[path.len() / 2].0));
+                        }
+                    }
+                    let (a, b) = c.isls[rng.next_below(c.isls.len() as u64) as usize];
+                    spec.isl_cuts.push(LinkCut { a, b, from_s: 0.0, until_s: 60.0 });
+                    if rng.next_below(3) == 0 {
+                        spec.gsl_weather.push(window(rng.next_below(n_gs as u64) as u32));
+                    }
+                    let schedule = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(60));
+                    Some(FaultState::at(&schedule, SimTime::from_secs(1)))
+                })
+                .collect();
+
+            let step =
+                |net: &mut FluidNet, oracle: &mut Oracle, t: SimTime, k: usize, what: &str| {
+                    let what = format!("case {case}, {what}");
+                    net.advance_to(t);
+                    oracle.net.advance_to(t);
+                    net.resolve(t, &fwd[k], masks[k].as_ref(), &c);
+                    oracle.resolve(t, &fwd[k], masks[k].as_ref(), &c);
+                    assert_same_state(net, oracle, &what);
+                    let pushes = assert_same_pushes(net, oracle, &what);
+                    assert_same_state(net, oracle, &what);
+                    pushes
+                };
+            step(&mut net, &mut oracle, SimTime::ZERO, 0, "first solve");
+            let starved = net.per_flow_rate_bps().iter().filter(|&&(_, r)| r == 0.0).count();
+            live_cases += usize::from(starved < net.flow_count() as usize);
+            // The same rates with the mask lifted tell masked from unroutable.
+            if masks[0].is_some() {
+                let (mut clear, _) = build(&mut DetRng::from_state(flows_state));
+                clear.resolve(SimTime::ZERO, &fwd[0], None, &c);
+                let open = clear.per_flow_rate_bps().iter().filter(|&&(_, r)| r == 0.0).count();
+                masked_cases += usize::from(open < starved);
+                unroutable_cases += usize::from(open > 0);
+            } else {
+                unroutable_cases += usize::from(starved > 0);
+            }
+            // A new forwarding state and mask: last solve's loads and
+            // pushes are stale entries the next one must retire.
+            step(&mut net, &mut oracle, t1, 1, "second solve");
+
+            // Checkpoint here; a freshly built net restored from it must
+            // carry on exactly as the original does.
+            let snapshot = saved(|w| net.save(w));
+            let (mut resumed, _) = build(&mut DetRng::from_state(flows_state));
+            let mut r = SnapReader::from_bytes(snapshot.clone(), 1).unwrap();
+            resumed.restore(&mut r, &c).unwrap();
+            r.expect_end().unwrap();
+            assert_eq!(saved(|w| resumed.save(w)), snapshot, "case {case}: restore round trip");
+            let t2 = SimTime::from_millis(1_200);
+            let pushes = step(&mut net, &mut oracle, t2, 0, "third solve");
+            resumed.advance_to(t2);
+            resumed.resolve(t2, &fwd[0], masks[0].as_ref(), &c);
+            assert_eq!(resumed.residual_changes(), &pushes[..], "case {case}: resumed pushes");
+            assert_eq!(saved(|w| resumed.save(w)), saved(|w| net.save(w)), "case {case}: resumed");
+
+            // Past every finite stop: only open-ended flows keep a rate.
+            step(&mut net, &mut oracle, SimTime::from_secs(6), 1, "final solve");
+            assert!(net.next_boundary().iter().all(|&(t, _)| t == SimTime::MAX));
+        }
+        assert!(live_cases >= 200, "only {live_cases} cases allocated any rate at all");
+        assert!(masked_cases >= 20, "only {masked_cases} cases had a path masked by faults");
+        assert!(unroutable_cases >= 20, "only {unroutable_cases} cases had an unroutable flow");
     }
 }

@@ -67,7 +67,7 @@ pub use checkpoint::CheckpointError;
 pub use config::SimConfig;
 pub use event::{QueueKind, QueueStats};
 pub use flow::{BulkUdpSink, BulkUdpSource, FlowId};
-pub use fluid::SimMode;
+pub use fluid::{FluidSolve, FluidStats, SimMode};
 pub use packet::{Packet, Payload, Segment};
 pub use sim::{EngineReport, Simulator};
 pub use stats::SimStats;

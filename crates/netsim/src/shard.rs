@@ -28,6 +28,7 @@ use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::config::SimConfig;
 use crate::device::{Device, DeviceKind};
 use crate::event::{Event, EventQueue};
+use crate::fluid::LinkRate;
 use crate::node::Node;
 use crate::packet::{flow_hash, packet_id, Packet, Payload};
 use crate::stats::SimStats;
@@ -38,7 +39,7 @@ use hypatia_orbit::geodesy::propagation_delay_km;
 use hypatia_routing::forwarding::{ForwardingState, MultipathState};
 use hypatia_util::hash::Fnv1a64;
 use hypatia_util::rng::DetRng;
-use hypatia_util::{DataRate, SimDuration, SimTime};
+use hypatia_util::{SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Canonical key of a forwarding-state swap: sorts before every other
@@ -300,26 +301,18 @@ impl Shard {
     }
 
     /// Set residual device rates pushed by the coordinator's fluid solver
-    /// (hybrid mode): each change names a directed link — `(node, peer)`
-    /// for an ISL, `(node, GSL_PEER)` for the node's shared GSL device —
-    /// and the rate its device serializes at from now on. Non-owned nodes
-    /// are skipped, so broadcasting the full change set to every shard is
-    /// correct. A transmission already in flight keeps the rate it
-    /// started with (rates are sampled at `start_tx`), which is the same
-    /// on every engine because changes apply at canonical instants.
-    pub(crate) fn apply_link_rates(&mut self, changes: &[((u32, u32), DataRate)]) {
-        for &((node, peer), rate) in changes {
-            if self.partition.owner(NodeId(node)) != self.id {
-                continue;
-            }
-            let n = &mut self.nodes[node as usize];
-            let idx = if peer == crate::fluid::GSL_PEER {
-                n.gsl_device()
-            } else {
-                n.device_for(NodeId(peer))
-            };
-            if let Some(idx) = idx {
-                n.devices[idx].rate = rate;
+    /// (hybrid mode): each change names a device by `(node, index)` — the
+    /// fluid link table numbers devices in the order [`Shard::new`]
+    /// attaches them — and the rate it serializes at from now on.
+    /// Non-owned nodes are skipped, so broadcasting the full change set
+    /// to every shard is correct. A transmission already in flight keeps
+    /// the rate it started with (rates are sampled at `start_tx`), which
+    /// is the same on every engine because changes apply at canonical
+    /// instants.
+    pub(crate) fn apply_link_rates(&mut self, changes: &[LinkRate]) {
+        for change in changes {
+            if self.partition.owner(NodeId(change.node)) == self.id {
+                self.nodes[change.node as usize].devices[change.device as usize].rate = change.rate;
             }
         }
     }

@@ -24,7 +24,7 @@ use crate::audit::AuditViolation;
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::config::SimConfig;
 use crate::event::{Event, QueueStats};
-use crate::fluid::{FluidNet, SimMode};
+use crate::fluid::{FluidNet, FluidStats, SimMode};
 use crate::node::Node;
 use crate::shard::{fault_key, fluid_key, Outbound, Partition, Shard, FORWARDING_KEY};
 use crate::stats::SimStats;
@@ -58,6 +58,9 @@ pub struct EngineReport {
     /// cascades summed, peak pending of the busiest queue. Not part of a
     /// checkpoint — after a resume it counts from the restore point.
     pub queue: QueueStats,
+    /// Fluid-solver telemetry (all zero in packet mode). Coordinator-owned,
+    /// so identical at any shard count; not part of a checkpoint either.
+    pub fluid: FluidStats,
 }
 
 /// The packet-level simulator.
@@ -272,6 +275,7 @@ impl Simulator {
             barriers: self.barriers,
             min_lookahead_ns: self.min_lookahead_ns,
             queue,
+            fluid: self.fluid.as_ref().map(FluidNet::stats).unwrap_or_default(),
         }
     }
 
@@ -631,7 +635,7 @@ impl Simulator {
             let changes = fluid.residual_changes();
             if !changes.is_empty() {
                 for shard in &mut self.shards {
-                    shard.apply_link_rates(&changes);
+                    shard.apply_link_rates(changes);
                 }
             }
         }
@@ -888,7 +892,7 @@ impl Simulator {
             )));
         }
         if let Some(f) = self.fluid.as_mut() {
-            f.restore(r)?;
+            f.restore(r, &self.constellation)?;
         }
         self.fluid_dirty = false;
         for shard in &mut self.shards {
@@ -1585,6 +1589,31 @@ mod tests {
             DataRate::from_mbps(10),
             "pure fluid mode must not throttle packet devices"
         );
+    }
+
+    /// Residual pushes address devices by `(node, index)`: the fluid link
+    /// table must number every node's devices exactly as the shards
+    /// attach them, at any shard count.
+    #[test]
+    fn fluid_link_ids_address_the_shards_devices() {
+        use crate::device::DeviceKind;
+        use crate::fluid::{LinkTable, GSL_PEER};
+        let c = constellation();
+        let table = LinkTable::build(&c);
+        for shards in [1, 3] {
+            let cfg = SimConfig::default().with_sim_shards(shards);
+            let sim = Simulator::new(c.clone(), cfg, vec![c.gs_node(0)]);
+            let devices: usize = sim.nodes().map(|n| n.devices.len()).sum();
+            assert_eq!(table.len(), devices);
+            for link in 0..table.len() as u32 {
+                let (node, device) = table.device(link);
+                let peer = match sim.node(NodeId(node)).devices[device as usize].kind {
+                    DeviceKind::Isl { peer } => peer.0,
+                    DeviceKind::Gsl => GSL_PEER,
+                };
+                assert_eq!(table.key(link), (node, peer), "{shards} shards");
+            }
+        }
     }
 
     #[test]

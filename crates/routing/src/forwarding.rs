@@ -6,7 +6,7 @@
 //! shape (paper §3.1); the default is shortest-delay via per-destination
 //! Dijkstra trees.
 
-use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree};
+use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree, UNREACHABLE};
 use crate::graph::{DelayGraph, SnapshotBuffers};
 use crate::multipath::{multipath_tree_with, MultipathTree};
 use hypatia_constellation::{Constellation, NodeId};
@@ -50,6 +50,36 @@ fn build_dest_lookup(dests: &[NodeId], num_nodes: usize) -> Vec<u32> {
     lookup
 }
 
+/// The links of one path, walked lazily off a destination tree (see
+/// [`ForwardingState::hops`]): yields `(from, to)` per hop and allocates
+/// nothing.
+#[derive(Debug, Clone)]
+pub struct Hops<'a> {
+    next_hop: &'a [Option<u32>],
+    cur: u32,
+    dst: u32,
+    /// Hops left before the walk can only be a cycle.
+    budget: usize,
+}
+
+impl Iterator for Hops<'_> {
+    type Item = (NodeId, NodeId);
+
+    #[inline]
+    fn next(&mut self) -> Option<(NodeId, NodeId)> {
+        if self.cur == self.dst {
+            return None;
+        }
+        let from = self.cur;
+        // A node at finite distance always has a parent in its tree.
+        let to = self.next_hop[from as usize].expect("reachable node without a next hop");
+        assert!(self.budget > 0, "next-hop cycle detected");
+        self.budget -= 1;
+        self.cur = to;
+        Some((NodeId(from), NodeId(to)))
+    }
+}
+
 /// The forwarding state of the whole network towards a set of destinations,
 /// valid for one time-step.
 #[derive(Debug, Clone)]
@@ -88,10 +118,27 @@ impl ForwardingState {
         self.trees[idx].distance_ns(node.0).map(SimDuration::from_nanos)
     }
 
+    /// The hops of the path from `node` to `dst`, in order, or `None`
+    /// when `dst` is unreachable (or not a destination). Walks the tree
+    /// as it is consumed — no allocation — so per-hop work (fault checks,
+    /// link lookups, counting) rides along in the caller's loop. Empty
+    /// when `node == dst`.
+    pub fn hops(&self, node: NodeId, dst: NodeId) -> Option<Hops<'_>> {
+        let tree = &self.trees[self.dest_index(dst)?];
+        (tree.dist_ns[node.index()] != UNREACHABLE).then(|| Hops {
+            next_hop: &tree.next_hop,
+            cur: node.0,
+            dst: tree.dst,
+            budget: tree.next_hop.len(),
+        })
+    }
+
     /// Full path from `node` to `dst` (inclusive), if reachable.
     pub fn path(&self, node: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        let idx = self.dest_index(dst)?;
-        Some(self.trees[idx].path_from(node.0)?.into_iter().map(NodeId).collect())
+        let hops = self.hops(node, dst)?;
+        let mut path = vec![node];
+        path.extend(hops.map(|(_, to)| to));
+        Some(path)
     }
 
     /// The shortest-path tree towards `dst`, if it is a known destination.
@@ -389,6 +436,25 @@ mod tests {
     }
 
     #[test]
+    fn hops_walk_the_same_links_as_path() {
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let st = compute_forwarding_state(&c, SimTime::from_secs(7), &[dst]);
+        let path = st.path(src, dst).unwrap();
+        let hops: Vec<(NodeId, NodeId)> = st.hops(src, dst).unwrap().collect();
+        let links: Vec<(NodeId, NodeId)> = path.windows(2).map(|w| (w[0], w[1])).collect();
+        assert_eq!(hops, links);
+        // The tree's own walk (what `path` collected before `hops` existed).
+        let tree_path = st.tree(dst).unwrap().path_from(src.0).unwrap();
+        assert_eq!(path.iter().map(|n| n.0).collect::<Vec<_>>(), tree_path);
+        // A destination reaches itself in zero hops; unknown destinations
+        // and unreachable sources have no walk at all.
+        assert_eq!(st.hops(dst, dst).unwrap().count(), 0);
+        assert_eq!(st.path(dst, dst), Some(vec![dst]));
+        assert!(st.hops(dst, src).is_none(), "src is not a destination of this state");
+    }
+
+    #[test]
     fn unknown_destination_returns_none() {
         let c = constellation();
         let st = compute_forwarding_state(&c, SimTime::ZERO, &[c.gs_node(0)]);
@@ -428,6 +494,7 @@ mod tests {
         let dark = FaultState::at(&sched, SimTime::from_secs(10));
         let st = compute_forwarding_state_masked(&c, SimTime::from_secs(10), &[dst], Some(&dark));
         assert_eq!(st.try_next_hop(src, dst), Err(Unreachable { src, dst }));
+        assert!(st.hops(src, dst).is_none(), "no walk towards a partitioned destination");
         // Once the sky clears, the same pair routes again.
         let clear = FaultState::at(&sched, SimTime::from_secs(90));
         let st = compute_forwarding_state_masked(&c, SimTime::from_secs(90), &[dst], Some(&clear));

@@ -43,7 +43,7 @@ pub mod path;
 pub use churn::{churn_between, SnapshotChurn};
 pub use dijkstra::DijkstraScratch;
 pub use forwarding::{
-    compute_forwarding_state, compute_forwarding_state_masked, ForwardingState, Unreachable,
+    compute_forwarding_state, compute_forwarding_state_masked, ForwardingState, Hops, Unreachable,
 };
 pub use graph::{DelayGraph, SnapshotBuffers};
 pub use incremental::{

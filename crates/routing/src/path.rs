@@ -17,6 +17,29 @@ pub fn extract_path(state: &ForwardingState, src: NodeId, dst: NodeId) -> Option
     state.path(src, dst)
 }
 
+/// Overwrite `last` with `sats` in place; did the sequence differ?
+fn replace_sequence(last: &mut Vec<NodeId>, sats: impl Iterator<Item = NodeId>) -> bool {
+    let mut len = 0;
+    let mut changed = false;
+    for sat in sats {
+        match last.get_mut(len) {
+            Some(slot) if *slot == sat => {}
+            Some(slot) => {
+                *slot = sat;
+                changed = true;
+            }
+            None => {
+                last.push(sat);
+                changed = true;
+            }
+        }
+        len += 1;
+    }
+    changed |= len != last.len();
+    last.truncate(len);
+    changed
+}
+
 /// RTT of a held `path` evaluated against live geometry at time `t`:
 /// twice the sum of the one-way propagation delays of its links. This is
 /// how latencies stay continuous between forwarding-state updates.
@@ -67,8 +90,11 @@ pub struct PairTracker {
     pub min_hops: Option<usize>,
     /// Maximum hop count seen.
     pub max_hops: Option<usize>,
-    /// Satellite sequence of the last connected observation.
-    last_sats: Option<Vec<NodeId>>,
+    /// Satellite sequence of the last connected observation (meaningful
+    /// once `was_connected`; the buffer is reused across observations).
+    last_sats: Vec<NodeId>,
+    /// Has any observation been connected yet?
+    was_connected: bool,
     /// Full series (kept only when `record_series` was requested).
     series: Option<Vec<PairObservation>>,
 }
@@ -88,7 +114,8 @@ impl PairTracker {
             max_rtt: None,
             min_hops: None,
             max_hops: None,
-            last_sats: None,
+            last_sats: Vec::new(),
+            was_connected: false,
             series: record_series.then(Vec::new),
         }
     }
@@ -96,22 +123,28 @@ impl PairTracker {
     /// Observe the pair under the forwarding state of one time-step.
     pub fn observe(&mut self, constellation: &Constellation, state: &ForwardingState) {
         let t = state.computed_at;
-        let path = extract_path(state, self.src, self.dst);
         let rtt = state.distance(self.src, self.dst).map(|d| d * 2);
         self.steps += 1;
 
-        match &path {
-            Some(p) => {
-                let hops = p.len() - 1;
+        // One walk: count the hops while the satellite subsequence is
+        // compared against — and written over — the previous one.
+        match state.hops(self.src, self.dst) {
+            Some(walk) => {
+                let mut hops = 0;
+                let nodes = std::iter::once(self.src).chain(walk.map(|(_, to)| {
+                    hops += 1;
+                    to
+                }));
+                let changed = replace_sequence(
+                    &mut self.last_sats,
+                    nodes.filter(|&n| constellation.is_satellite(n)),
+                );
+                if self.was_connected && changed {
+                    self.path_changes += 1;
+                }
+                self.was_connected = true;
                 self.min_hops = Some(self.min_hops.map_or(hops, |m| m.min(hops)));
                 self.max_hops = Some(self.max_hops.map_or(hops, |m| m.max(hops)));
-                let sats = satellites_of(constellation, p);
-                if let Some(prev) = &self.last_sats {
-                    if *prev != sats {
-                        self.path_changes += 1;
-                    }
-                }
-                self.last_sats = Some(sats);
             }
             None => self.disconnected_steps += 1,
         }
@@ -120,7 +153,7 @@ impl PairTracker {
             self.max_rtt = Some(self.max_rtt.map_or(r, |m| m.max(r)));
         }
         if let Some(series) = &mut self.series {
-            series.push(PairObservation { t, path, rtt });
+            series.push(PairObservation { t, path: extract_path(state, self.src, self.dst), rtt });
         }
     }
 
@@ -229,6 +262,57 @@ mod tests {
         assert!(tracker.path_changes >= 1, "no path change in 200 s");
         assert!(tracker.path_changes < 40, "implausible churn {}", tracker.path_changes);
         assert_eq!(tracker.disconnected_steps, 0, "Istanbul–Nairobi should stay connected");
+    }
+
+    /// The in-place walk must count exactly what the allocating
+    /// definition counts: compare satellite vectors of consecutive
+    /// connected snapshots, hop extremes from the collected paths.
+    #[test]
+    fn tracker_matches_the_collecting_definition() {
+        let c = presets::kuiper_k1(vec![
+            GroundStation::new("Istanbul", 41.0082, 28.9784),
+            GroundStation::new("Nairobi", -1.2921, 36.8219),
+            GroundStation::new("pole", 89.0, 0.0),
+        ]);
+        for (s, d) in [(0, 1), (1, 0), (0, 2)] {
+            let (src, dst) = (c.gs_node(s), c.gs_node(d));
+            let mut tracker = PairTracker::new(src, dst, false);
+            let mut last: Option<Vec<NodeId>> = None;
+            let (mut changes, mut disconnected) = (0, 0);
+            let mut hop_counts = Vec::new();
+            let steps =
+                TimeSteps::new(SimTime::ZERO, SimTime::from_secs(120), SimDuration::from_secs(4));
+            for t in steps {
+                let st = compute_forwarding_state(&c, t, &[dst]);
+                tracker.observe(&c, &st);
+                match st.path(src, dst) {
+                    Some(p) => {
+                        hop_counts.push(p.len() - 1);
+                        let sats = satellites_of(&c, &p);
+                        changes += usize::from(last.as_ref().is_some_and(|prev| *prev != sats));
+                        last = Some(sats);
+                    }
+                    None => disconnected += 1,
+                }
+            }
+            assert_eq!(tracker.path_changes, changes, "pair {s}->{d}");
+            assert_eq!(tracker.disconnected_steps, disconnected, "pair {s}->{d}");
+            assert_eq!(tracker.min_hops, hop_counts.iter().copied().min());
+            assert_eq!(tracker.max_hops, hop_counts.iter().copied().max());
+        }
+    }
+
+    #[test]
+    fn replace_sequence_reports_every_kind_of_difference() {
+        let ids = |v: &[u32]| v.iter().map(|&n| NodeId(n)).collect::<Vec<_>>();
+        let mut last = Vec::new();
+        assert!(replace_sequence(&mut last, ids(&[1, 2, 3]).into_iter()), "grew from empty");
+        assert!(!replace_sequence(&mut last, ids(&[1, 2, 3]).into_iter()), "identical");
+        assert!(replace_sequence(&mut last, ids(&[1, 9, 3]).into_iter()), "one element");
+        assert!(replace_sequence(&mut last, ids(&[1, 9]).into_iter()), "shorter prefix");
+        assert_eq!(last, ids(&[1, 9]));
+        assert!(replace_sequence(&mut last, ids(&[1, 9, 4]).into_iter()), "longer");
+        assert_eq!(last, ids(&[1, 9, 4]));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::{csv, czml};
 use hypatia_netsim::audit::AuditViolation;
 use hypatia_netsim::trace::Trace;
-use hypatia_netsim::{EngineReport, QueueStats};
+use hypatia_netsim::{EngineReport, FluidSolve, FluidStats, QueueStats};
 use serde_json::{json, Value};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,6 +41,8 @@ struct EngineAggregate {
     min_lookahead_ns: Option<u64>,
     /// Present once [`ArtifactSink::record_queue`] was called.
     queue: Option<QueueStats>,
+    /// Present once [`ArtifactSink::record_fluid`] was called.
+    fluid: Option<FluidStats>,
 }
 
 /// Records and writes experiment artifacts under one output directory.
@@ -127,6 +129,17 @@ impl ArtifactSink {
     pub fn record_queue(&mut self, stats: &QueueStats) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
         e.queue.get_or_insert_with(QueueStats::default).merge(stats);
+    }
+
+    /// Account a simulation's fluid-solver telemetry (`report.fluid`):
+    /// re-solve and work counts sum across calls, the last-solve block is
+    /// the most recent simulation's that solved at all. Reported as
+    /// `perf.engine.fluid`; like the queue block it restarts at a resume,
+    /// so experiments record it under the flag that gates their
+    /// wall-clock series.
+    pub fn record_fluid(&mut self, stats: &FluidStats) {
+        let e = self.engine.get_or_insert_with(EngineAggregate::default);
+        e.fluid.get_or_insert_with(FluidStats::default).merge(stats);
     }
 
     /// Mark the run aborted with a one-line reason; the manifest gains
@@ -310,6 +323,12 @@ impl ArtifactSink {
                     });
                     obj.insert("queue".to_string(), queue);
                 }
+                if let (Some(f), Some(obj)) = (&e.fluid, engine.as_object_mut()) {
+                    let mut fluid = fluid_solve_json(&f.total);
+                    insert(&mut fluid, "resolves", Value::from(f.resolves));
+                    insert(&mut fluid, "last", fluid_solve_json(&f.last));
+                    obj.insert("fluid".to_string(), fluid);
+                }
                 if let Some(obj) = perf.as_object_mut() {
                     obj.insert("engine".to_string(), engine);
                 }
@@ -359,6 +378,17 @@ fn insert(doc: &mut Value, key: &str, value: Value) {
     if let Some(obj) = doc.as_object_mut() {
         obj.insert(key.to_string(), value);
     }
+}
+
+/// The work counts of one fluid re-solve (or a sum of them).
+fn fluid_solve_json(s: &FluidSolve) -> Value {
+    json!({
+        "rounds": s.rounds,
+        "active_bundles": s.active_bundles,
+        "links_loaded": s.links_loaded,
+        "hops_walked": s.hops_walked,
+        "residual_pushes": s.residual_pushes,
+    })
 }
 
 // Checksum function, re-exported from `hypatia_util` where the simulator's
@@ -446,6 +476,7 @@ mod tests {
             barriers: 7,
             min_lookahead_ns: Some(1_500_000),
             queue: QueueStats::default(),
+            fluid: FluidStats::default(),
         });
         sink.record_engine(&EngineReport {
             sim_shards: 4,
@@ -453,6 +484,7 @@ mod tests {
             barriers: 2,
             min_lookahead_ns: Some(1_200_000),
             queue: QueueStats::default(),
+            fluid: FluidStats::default(),
         });
         let doc = sink.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");
@@ -480,6 +512,31 @@ mod tests {
         assert_eq!(queue.get("cascaded").and_then(Value::as_u64), Some(16));
         assert_eq!(queue.get("peak_pending").and_then(Value::as_u64), Some(40));
 
+        // So is fluid-solver telemetry: totals sum, `last` is the most
+        // recent simulation's that solved at all.
+        assert!(doc.get("perf").unwrap().get("engine").unwrap().get("fluid").is_none());
+        let solve = FluidSolve {
+            rounds: 3,
+            active_bundles: 20,
+            links_loaded: 9,
+            hops_walked: 120,
+            residual_pushes: 4,
+        };
+        let first = FluidStats { resolves: 2, total: solve, last: solve };
+        let later = FluidSolve { rounds: 1, ..solve };
+        sink.record_fluid(&first);
+        sink.record_fluid(&FluidStats { resolves: 1, total: later, last: later });
+        sink.record_fluid(&FluidStats::default());
+        let doc = sink.manifest("e");
+        let fluid = doc.get("perf").unwrap().get("engine").unwrap().get("fluid").expect("fluid");
+        assert_eq!(fluid.get("resolves").and_then(Value::as_u64), Some(3));
+        assert_eq!(fluid.get("rounds").and_then(Value::as_u64), Some(4));
+        assert_eq!(fluid.get("hops_walked").and_then(Value::as_u64), Some(240));
+        assert_eq!(fluid.get("residual_pushes").and_then(Value::as_u64), Some(8));
+        let last = fluid.get("last").expect("last-solve block");
+        assert_eq!(last.get("rounds").and_then(Value::as_u64), Some(1));
+        assert_eq!(last.get("links_loaded").and_then(Value::as_u64), Some(9));
+
         // Serial reports carry no lookahead; the key is omitted.
         let mut serial = temp_sink("engine-serial");
         serial.record_sim(10, 0.1);
@@ -489,6 +546,7 @@ mod tests {
             barriers: 0,
             min_lookahead_ns: None,
             queue: QueueStats::default(),
+            fluid: FluidStats::default(),
         });
         let doc = serial.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");

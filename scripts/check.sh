@@ -29,6 +29,12 @@ cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke --seed 7 \
   > /dev/null
 
+echo "== fluid solver under release arithmetic: differential fuzz + hybrid shard tests"
+# The link-id solver must match the map-based oracle bit for bit with
+# optimizations on too (the debug run is part of `cargo test` above).
+cargo test -q --release -p hypatia-netsim --lib fluid::tests
+cargo test -q --release -p hypatia --lib experiments::hybrid
+
 echo "== bench_routing compile + smoke (incremental repair engine)"
 cargo build --release -q -p hypatia-bench --bin bench_routing
 target/release/bench_routing --constellation telesat_t1 --cities 8 \
