@@ -15,8 +15,7 @@
 //! motion only); a positive fraction compiles a seeded satellite-flap
 //! schedule at that steady-state unavailability, so snapshots also carry
 //! edge insert/delete churn. Timing uses `std::time::Instant` around the
-//! whole sweep — no harness overhead, the same convention as
-//! `bench_netsim`.
+//! whole sweep — no harness overhead.
 
 use hypatia::scenario::{ConstellationChoice, ScenarioBuilder};
 use hypatia_constellation::{Constellation, NodeId};

@@ -236,9 +236,33 @@ impl Constellation {
 
     /// Distance between two nodes at time `t`, km.
     pub fn distance_km(&self, a: NodeId, b: NodeId, t: SimTime) -> f64 {
+        self.distance_under(a, b, t, &EarthRotation::at(t))
+    }
+
+    /// Smallest [`Self::distance_km`] over `pairs` at time `t` (`+inf` for
+    /// no pairs), with the instant's Earth rotation derived once for the
+    /// whole scan.
+    pub fn min_distance_km(&self, pairs: &[(NodeId, NodeId)], t: SimTime) -> f64 {
         let rotation = EarthRotation::at(t);
-        self.node_position_under(a, t, &rotation)
-            .distance(self.node_position_under(b, t, &rotation))
+        pairs
+            .iter()
+            .map(|&(a, b)| self.distance_under(a, b, t, &rotation))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    fn distance_under(&self, a: NodeId, b: NodeId, t: SimTime, rotation: &EarthRotation) -> f64 {
+        self.node_position_under(a, t, rotation).distance(self.node_position_under(b, t, rotation))
+    }
+
+    /// Give every satellite of `shell` an eccentric orbit (the builders
+    /// only produce circular shells), keeping the shell's kernel in step.
+    #[cfg(test)]
+    pub(crate) fn set_shell_eccentricity(&mut self, shell: usize, e: f64, arg_perigee_rad: f64) {
+        for sat in self.satellites.iter_mut().filter(|sat| sat.shell == shell) {
+            sat.propagator.elements.eccentricity = e;
+            sat.propagator.elements.arg_perigee_rad = arg_perigee_rad;
+            self.kernels[shell] = sat.propagator.position_kernel();
+        }
     }
 
     /// Generate the TLE set for the whole constellation (paper §3.1's
@@ -349,12 +373,16 @@ mod tests {
                     assert_eq!(bits(c.node_position_ecef(node, t)), bits(*p));
                 }
                 let n = c.num_nodes() as u64;
+                let (mut pairs, mut closest) = (Vec::new(), f64::INFINITY);
                 for _ in 0..20 {
                     let a = NodeId(rng.next_below(n) as u32);
                     let b = NodeId(rng.next_below(n) as u32);
                     let want = reference(a, t).distance(reference(b, t));
                     assert_eq!(c.distance_km(a, b, t).to_bits(), want.to_bits(), "{a}-{b}");
+                    pairs.push((a, b));
+                    closest = closest.min(want);
                 }
+                assert_eq!(c.min_distance_km(&pairs, t).to_bits(), closest.to_bits());
             }
         }
     }

@@ -9,6 +9,9 @@
 //!   operators' minimum elevation angles;
 //! * [`constellation`] — the assembled constellation: satellites, node-id
 //!   scheme, ECEF positions over time;
+//! * [`ephemeris`] — a per-satellite windowed position cache that serves
+//!   the packet simulator's per-hop propagation delays, bit-identical to
+//!   the exact geometry;
 //! * [`isl`] — inter-satellite link layouts (+Grid default, ISL-less for
 //!   bent-pipe constellations);
 //! * [`ground`] — ground stations and the embedded 100-most-populous-cities
@@ -17,6 +20,7 @@
 //! * [`gsl`] — ground-to-satellite visibility queries.
 
 pub mod constellation;
+pub mod ephemeris;
 pub mod ground;
 pub mod gsl;
 pub mod isl;
@@ -25,6 +29,7 @@ pub mod relays;
 pub mod shell;
 
 pub use constellation::{Constellation, NodeId, Satellite};
+pub use ephemeris::{Ephemeris, EphemerisStats};
 pub use ground::{GroundStation, CITIES};
 pub use isl::IslLayout;
 pub use shell::ShellSpec;

@@ -33,7 +33,7 @@ use crate::node::Node;
 use crate::packet::{flow_hash, packet_id, Packet, Payload};
 use crate::stats::SimStats;
 use crate::trace::{Trace, TraceKind};
-use hypatia_constellation::{Constellation, NodeId};
+use hypatia_constellation::{Constellation, Ephemeris, NodeId};
 use hypatia_fault::{FaultEvent, FaultState};
 use hypatia_orbit::geodesy::propagation_delay_km;
 use hypatia_routing::forwarding::{ForwardingState, MultipathState};
@@ -145,10 +145,7 @@ impl Partition {
         constellation: &Constellation,
         geom_t: SimTime,
     ) -> Option<SimDuration> {
-        let mut d_min = self.gsl_bound_km;
-        for &(a, b) in &self.cross_isls {
-            d_min = d_min.min(constellation.distance_km(a, b, geom_t));
-        }
+        let d_min = self.gsl_bound_km.min(constellation.min_distance_km(&self.cross_isls, geom_t));
         if !d_min.is_finite() {
             return None;
         }
@@ -206,6 +203,10 @@ pub(crate) struct Shard {
     /// The action buffer lent to each application callback's context, so
     /// a callback costs no allocation.
     action_buf: Vec<AppAction>,
+    /// Satellite position cache behind every hop's propagation delay.
+    /// Invisible to results (it returns the exact delay whatever it
+    /// holds), so it is neither checkpointed nor shared between shards.
+    pub(crate) ephemeris: Ephemeris,
     pub(crate) trace: Trace,
     pub(crate) stats: SimStats,
 }
@@ -258,6 +259,7 @@ impl Shard {
             })
             .collect();
         let fault_state = config.faults.as_ref().map(|s| FaultState::at(s, SimTime::ZERO));
+        let ephemeris = Ephemeris::new(&constellation);
         Shard {
             id,
             constellation,
@@ -275,6 +277,7 @@ impl Shard {
             loss_rngs,
             outbox: Vec::new(),
             action_buf: Vec::new(),
+            ephemeris,
             trace: Trace::with_sampling(config.trace_limit, config.trace_sample_every),
             stats: SimStats::default(),
         }
@@ -612,8 +615,7 @@ impl Shard {
         }
         // Propagation from live geometry — frozen runs pin geometry to t=0.
         let geom_t = if self.config.freeze_at_epoch { SimTime::ZERO } else { self.now };
-        let distance = self.constellation.distance_km(NodeId(node), done.next_hop, geom_t);
-        let prop = propagation_delay_km(distance);
+        let prop = self.ephemeris.delay(&self.constellation, NodeId(node), done.next_hop, geom_t);
         let mut packet = done.packet;
         packet.hops += 1;
         let at = self.now + prop;

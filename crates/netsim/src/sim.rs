@@ -29,7 +29,7 @@ use crate::node::Node;
 use crate::shard::{fault_key, fluid_key, Outbound, Partition, Shard, FORWARDING_KEY};
 use crate::stats::SimStats;
 use crate::trace::{Trace, TraceKind};
-use hypatia_constellation::{Constellation, NodeId};
+use hypatia_constellation::{Constellation, EphemerisStats, NodeId};
 use hypatia_fault::FaultState;
 use hypatia_routing::forwarding::{compute_multipath_state_on, ForwardingState, MultipathState};
 use hypatia_routing::graph::SnapshotBuffers;
@@ -61,6 +61,10 @@ pub struct EngineReport {
     /// Fluid-solver telemetry (all zero in packet mode). Coordinator-owned,
     /// so identical at any shard count; not part of a checkpoint either.
     pub fluid: FluidStats,
+    /// How the shards' ephemeris caches served propagation delays, summed
+    /// over shards (each fits its own tracks, so `fits` grows with the
+    /// shard count). Not part of a checkpoint either.
+    pub ephemeris: EphemerisStats,
 }
 
 /// The packet-level simulator.
@@ -266,8 +270,10 @@ impl Simulator {
     /// smallest lookahead window).
     pub fn engine_report(&self) -> EngineReport {
         let mut queue = QueueStats::default();
+        let mut ephemeris = EphemerisStats::default();
         for shard in &self.shards {
             queue.merge(&shard.queue.stats());
+            ephemeris.merge(&shard.ephemeris.stats());
         }
         EngineReport {
             sim_shards: self.shards.len(),
@@ -276,6 +282,7 @@ impl Simulator {
             min_lookahead_ns: self.min_lookahead_ns,
             queue,
             fluid: self.fluid.as_ref().map(FluidNet::stats).unwrap_or_default(),
+            ephemeris,
         }
     }
 

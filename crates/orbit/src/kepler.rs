@@ -95,9 +95,23 @@ pub fn solve_kepler(mean_anomaly_rad: f64, eccentricity: f64) -> f64 {
 
 /// True anomaly ν from eccentric anomaly `E` and eccentricity.
 pub fn true_anomaly(eccentric_anomaly_rad: f64, eccentricity: f64) -> f64 {
+    true_anomaly_from_roots(
+        eccentric_anomaly_rad,
+        (1.0 + eccentricity).sqrt(),
+        (1.0 - eccentricity).sqrt(),
+    )
+}
+
+/// [`true_anomaly`] with `√(1+e)` and `√(1−e)` supplied, for callers that
+/// hold them per orbit shape instead of taking two roots per query.
+pub(crate) fn true_anomaly_from_roots(
+    eccentric_anomaly_rad: f64,
+    sqrt_one_plus_e: f64,
+    sqrt_one_minus_e: f64,
+) -> f64 {
     let half = eccentric_anomaly_rad / 2.0;
-    let num = (1.0 + eccentricity).sqrt() * half.sin();
-    let den = (1.0 - eccentricity).sqrt() * half.cos();
+    let num = sqrt_one_plus_e * half.sin();
+    let den = sqrt_one_minus_e * half.cos();
     wrap_two_pi(2.0 * num.atan2(den))
 }
 

@@ -12,7 +12,7 @@
 //!   ignorable for runs under a few hours; our J2 model is well inside
 //!   that envelope relative to full SGP4.
 
-use crate::kepler::{solve_kepler, true_anomaly, KeplerianElements};
+use crate::kepler::{solve_kepler, true_anomaly, true_anomaly_from_roots, KeplerianElements};
 use hypatia_util::constants::{EARTH_J2, EARTH_RADIUS_KM};
 use hypatia_util::{SimTime, Vec3};
 use serde::{Deserialize, Serialize};
@@ -134,6 +134,8 @@ impl Propagator {
             argp_dot,
             mean_anomaly_dot: el.mean_motion_rad_per_s() + m_dot_corr,
             semi_latus_rectum_km: el.semi_latus_rectum_km(),
+            sqrt_one_plus_e: (1.0 + el.eccentricity).sqrt(),
+            sqrt_one_minus_e: (1.0 - el.eccentricity).sqrt(),
             sin_i,
             cos_i,
         }
@@ -142,10 +144,11 @@ impl Propagator {
 
 /// The time-invariant terms of propagation, which depend only on the
 /// orbit's shape `(a, e, i)` and the perturbation model: secular rates,
-/// mean motion, semi-latus rectum, `sin i` / `cos i`. Every satellite of a
-/// shell shares one, so a constellation builds a handful of these instead
-/// of paying `powi`/`sqrt`/`sin`/`cos` of constants on every position
-/// query (the packet simulator makes one per transmitted packet).
+/// mean motion, semi-latus rectum, `√(1±e)`, `sin i` / `cos i`. Every
+/// satellite of a shell shares one, so a constellation builds a handful of
+/// these instead of paying `powi`/`sqrt`/`sin`/`cos` of constants on every
+/// position query (routing snapshots make one per satellite per step, the
+/// packet simulator's ephemeris five per satellite per window).
 ///
 /// [`PositionKernel::position_at`] evaluates the same floating-point
 /// expressions in the same order as [`Propagator::state_at`] — the
@@ -160,6 +163,8 @@ pub struct PositionKernel {
     /// Mean motion plus its J2 correction, rad/s.
     mean_anomaly_dot: f64,
     semi_latus_rectum_km: f64,
+    sqrt_one_plus_e: f64,
+    sqrt_one_minus_e: f64,
     sin_i: f64,
     cos_i: f64,
 }
@@ -185,7 +190,11 @@ impl PositionKernel {
         let argp = wrap_two_pi(elements.arg_perigee_rad + self.argp_dot * dt);
         let mean_anomaly = wrap_two_pi(elements.mean_anomaly_rad + self.mean_anomaly_dot * dt);
         let e = self.eccentricity;
-        let nu = true_anomaly(solve_kepler(mean_anomaly, e), e);
+        let nu = true_anomaly_from_roots(
+            solve_kepler(mean_anomaly, e),
+            self.sqrt_one_plus_e,
+            self.sqrt_one_minus_e,
+        );
         let r = self.semi_latus_rectum_km / (1.0 + e * nu.cos());
         // Perifocal → ECI, Rz(Ω) Rx(i) Rz(ω), with Rx written out so it can
         // use the stored sin i / cos i.

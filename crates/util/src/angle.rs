@@ -18,6 +18,12 @@ pub fn rad_to_deg(rad: f64) -> f64 {
 
 /// Normalize an angle to `[0, 2π)`.
 pub fn wrap_two_pi(rad: f64) -> f64 {
+    // Already in range: `rem_euclid` would return it unchanged, after an
+    // `fmod`. Orbit propagation wraps five angles per position, most of
+    // them already wrapped.
+    if (0.0..TAU).contains(&rad) {
+        return rad;
+    }
     let r = rad.rem_euclid(TAU);
     // rem_euclid can return TAU itself for tiny negative inputs due to rounding.
     if r >= TAU {
@@ -63,6 +69,18 @@ mod tests {
         assert!((wrap_two_pi(TAU + 0.5) - 0.5).abs() < 1e-12);
         assert!((wrap_two_pi(-0.5) - (TAU - 0.5)).abs() < 1e-12);
         assert_eq!(wrap_two_pi(0.0), 0.0);
+    }
+
+    /// The in-range early return is `rem_euclid` without the `fmod`, not a
+    /// different function: same bits, including at the range's ends.
+    #[test]
+    fn wrap_two_pi_fast_path_matches_rem_euclid_bit_for_bit() {
+        let below_tau = f64::from_bits(TAU.to_bits() - 1);
+        for x in [0.0, -0.0, f64::MIN_POSITIVE, 1e-300, 0.5, PI, 6.0, below_tau] {
+            assert_eq!(wrap_two_pi(x).to_bits(), x.rem_euclid(TAU).to_bits(), "{x:e}");
+        }
+        assert_eq!(wrap_two_pi(TAU), 0.0);
+        assert_eq!(wrap_two_pi(-1e-300), 0.0, "rem_euclid rounds up to TAU; wrapped to 0");
     }
 
     #[test]

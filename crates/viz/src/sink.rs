@@ -14,6 +14,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::{csv, czml};
+use hypatia_constellation::EphemerisStats;
 use hypatia_netsim::audit::AuditViolation;
 use hypatia_netsim::trace::Trace;
 use hypatia_netsim::{EngineReport, FluidSolve, FluidStats, QueueStats};
@@ -43,6 +44,8 @@ struct EngineAggregate {
     queue: Option<QueueStats>,
     /// Present once [`ArtifactSink::record_fluid`] was called.
     fluid: Option<FluidStats>,
+    /// Summed over every recorded report.
+    ephemeris: EphemerisStats,
 }
 
 /// Records and writes experiment artifacts under one output directory.
@@ -108,7 +111,11 @@ impl ArtifactSink {
     /// epoch/barrier counts, and the smallest conservative lookahead
     /// window. Counts sum across calls (a run may simulate several
     /// workloads); the shard count is the last recorded and the lookahead
-    /// the smallest seen. Reported in the manifest's `perf.engine` block.
+    /// the smallest seen. Reported in the manifest's `perf.engine` block,
+    /// with the summed ephemeris counts (`report.ephemeris`: fits, rejected
+    /// fits, interpolated and guard-band delays) as `perf.engine.ephemeris`
+    /// — unlike the queue block they do not depend on the queue kind, so
+    /// they need no opt-in.
     pub fn record_engine(&mut self, report: &EngineReport) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
         e.sim_shards = report.sim_shards;
@@ -118,6 +125,7 @@ impl ArtifactSink {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
+        e.ephemeris.merge(&report.ephemeris);
     }
 
     /// Account a simulation's event-queue telemetry (`report.queue`):
@@ -309,6 +317,12 @@ impl ArtifactSink {
                     "sim_shards": e.sim_shards as u64,
                     "epochs": e.epochs,
                     "barriers": e.barriers,
+                    "ephemeris": {
+                        "fits": e.ephemeris.fits,
+                        "rejected_fits": e.ephemeris.rejected_fits,
+                        "interpolated": e.ephemeris.interpolated,
+                        "exact_guard": e.ephemeris.exact_guard,
+                    },
                 });
                 if let (Some(ns), Some(obj)) = (e.min_lookahead_ns, engine.as_object_mut()) {
                     obj.insert("min_lookahead_ns".to_string(), Value::from(ns));
@@ -470,6 +484,8 @@ mod tests {
             sink.manifest("e").get("perf").unwrap().get("engine").is_none(),
             "no engine block without record_engine"
         );
+        let ephemeris =
+            EphemerisStats { fits: 90, rejected_fits: 1, interpolated: 4000, exact_guard: 9 };
         sink.record_engine(&EngineReport {
             sim_shards: 4,
             epochs: 10,
@@ -477,6 +493,7 @@ mod tests {
             min_lookahead_ns: Some(1_500_000),
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
+            ephemeris,
         });
         sink.record_engine(&EngineReport {
             sim_shards: 4,
@@ -485,6 +502,7 @@ mod tests {
             min_lookahead_ns: Some(1_200_000),
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
+            ephemeris,
         });
         let doc = sink.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");
@@ -493,6 +511,12 @@ mod tests {
         assert_eq!(engine.get("barriers").and_then(Value::as_u64), Some(9));
         assert_eq!(engine.get("min_lookahead_ns").and_then(Value::as_u64), Some(1_200_000));
         assert!(engine.get("queue").is_none(), "no queue block without record_queue");
+        // Ephemeris counts ride along with every report and sum.
+        let eph = engine.get("ephemeris").expect("ephemeris block");
+        assert_eq!(eph.get("fits").and_then(Value::as_u64), Some(180));
+        assert_eq!(eph.get("rejected_fits").and_then(Value::as_u64), Some(2));
+        assert_eq!(eph.get("interpolated").and_then(Value::as_u64), Some(8000));
+        assert_eq!(eph.get("exact_guard").and_then(Value::as_u64), Some(18));
 
         // Queue telemetry is opt-in: inserts and cascades sum, the peak is a max.
         let stats = QueueStats {
@@ -547,6 +571,7 @@ mod tests {
             min_lookahead_ns: None,
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
+            ephemeris: EphemerisStats::default(),
         });
         let doc = serial.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");

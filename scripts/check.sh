@@ -29,6 +29,12 @@ cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke --seed 7 \
   > /dev/null
 
+echo "== ephemeris vs exact propagation delay: 10^7 seeded samples, release arithmetic"
+# The packet engine's per-hop delay must equal the exact geometry's to the
+# nanosecond whatever the cache holds; the 10^6-sample debug run is part of
+# `cargo test` above.
+cargo test -q --release -p hypatia-constellation --lib ephemeris::tests -- --include-ignored
+
 echo "== fluid solver under release arithmetic: differential fuzz + hybrid shard tests"
 # The link-id solver must match the map-based oracle bit for bit with
 # optimizations on too (the debug run is part of `cargo test` above).
