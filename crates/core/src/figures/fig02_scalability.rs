@@ -9,7 +9,6 @@ use crate::experiments::scalability::{sweep_with, FlowTable, Workload};
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
-use hypatia_netsim::QueueKind;
 use hypatia_util::{DataRate, SimDuration};
 
 /// Fig. 2 as a registered experiment.
@@ -44,13 +43,10 @@ impl Experiment for Fig02 {
             vec![1.0, 10.0, 25.0]
         };
         spec.params.insert("line_rates_mbps".to_string(), ParamValue::List(rates));
-        // Event-scheduler escape hatch (`--set queue=heap` to compare).
-        spec.params
-            .insert("queue".to_string(), ParamValue::Text(QueueKind::default().name().to_string()));
         // `--set slowdown=false` drops the wall-clock slowdown artifacts
-        // and the manifest's queue-kind-dependent `perf.engine.queue`
-        // block, leaving only outputs that are identical under every
-        // engine (for golden-manifest tests).
+        // and the manifest's shard-count-dependent `perf.engine.queue`
+        // block, leaving only outputs that are identical at every shard
+        // and thread count (for golden-manifest tests).
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(true));
         // `--set flow_table=arena` switches per-flow apps to arena tables;
         // artifacts are byte-identical either way.
@@ -76,30 +72,19 @@ impl Experiment for Fig02 {
             rates_mbps.iter().map(|&m| DataRate::from_bps((m * 1e6).round() as u64)).collect();
         let duration = ctx.spec.duration;
         let seed = ctx.spec.seed;
-        let queue = match ctx.spec.text("queue") {
-            None => QueueKind::default(),
-            Some(s) => QueueKind::parse(s)
-                .ok_or_else(|| RunError::BadSpec(format!("unknown queue kind {s:?}")))?,
-        };
         let with_slowdown = ctx.spec.flag("slowdown").unwrap_or(true);
         let flow_table = match ctx.spec.text("flow_table") {
             None => FlowTable::Apps,
             Some(s) => FlowTable::parse(s)
                 .ok_or_else(|| RunError::BadSpec(format!("unknown flow table {s:?}")))?,
         };
-        let mut scenario = ctx.scenario();
-        scenario.sim_config.queue = queue;
+        let scenario = ctx.scenario();
         let drive_opts = ctx.drive_options();
         let watchdog = ctx.watchdog.clone();
 
         println!(
-            "{:<9} {:>12} {:>16} {:>14} {:>14}   queue={}",
-            "workload",
-            "line rate",
-            "goodput (Gbps)",
-            "slowdown (x)",
-            "events",
-            queue.name()
+            "{:<9} {:>12} {:>16} {:>14} {:>14}",
+            "workload", "line rate", "goodput (Gbps)", "slowdown (x)", "events"
         );
         for workload in [Workload::Udp, Workload::Tcp] {
             let outcomes = sweep_with(

@@ -146,7 +146,7 @@ pub struct ExperimentSpec {
     /// repair falls back to a full recompute.
     pub repair_churn_threshold: f64,
     /// Shard count for the simulator's conservative parallel engine
-    /// (1 = the serial reference engine). Results are bit-identical for
+    /// (1 = one shard on the calling thread). Results are bit-identical for
     /// any value; the default is omitted from the emitted JSON, so
     /// existing spec files and their artifacts stay byte-identical.
     pub sim_shards: usize,

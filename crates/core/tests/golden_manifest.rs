@@ -101,12 +101,12 @@ fn routing_run_is_thread_invariant() {
     assert_identical(spec, "fig09");
 }
 
-/// The event engine is a pure performance knob: Fig. 2 with the wall-clock
+/// Worker threads are a pure performance knob: Fig. 2 with the wall-clock
 /// slowdown artifacts disabled must produce byte-identical artifacts and a
-/// byte-identical manifest (modulo the events/sec line) whether it runs on
-/// the binary heap or the calendar queue, serially or with worker threads.
+/// byte-identical manifest (modulo the events/sec line) whether it runs
+/// serially or with worker threads.
 #[test]
-fn fig02_manifest_is_queue_and_thread_invariant() {
+fn fig02_manifest_is_thread_invariant() {
     let base = {
         let mut spec = ExperimentSpec {
             experiment: "fig02_scalability".to_string(),
@@ -121,51 +121,39 @@ fn fig02_manifest_is_queue_and_thread_invariant() {
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(false));
         spec
     };
-    let with_queue = |queue: &str, threads: usize| {
-        let mut spec = ExperimentSpec { threads, ..base.clone() };
-        spec.params.insert("queue".to_string(), ParamValue::Text(queue.to_string()));
-        spec
-    };
+    let with_threads = |threads: usize| ExperimentSpec { threads, ..base.clone() };
 
-    let dir_heap = temp_dir("fig02_heap");
-    let dir_cal = temp_dir("fig02_calendar");
-    let dir_cal_mt = temp_dir("fig02_calendar_mt");
-    let (heap, heap_manifest) = run_quiet(with_queue("heap", 0), &dir_heap);
-    let (cal, cal_manifest) = run_quiet(with_queue("calendar", 0), &dir_cal);
-    let (cal_mt, cal_mt_manifest) = run_quiet(with_queue("calendar", 4), &dir_cal_mt);
+    let dir_serial = temp_dir("fig02_serial");
+    let dir_mt = temp_dir("fig02_mt");
+    let (serial, serial_manifest) = run_quiet(with_threads(0), &dir_serial);
+    let (mt, mt_manifest) = run_quiet(with_threads(4), &dir_mt);
 
-    assert!(!heap.is_empty(), "fig02: expected artifacts, got none");
+    assert!(!serial.is_empty(), "fig02: expected artifacts, got none");
     assert!(
-        heap.iter().any(|(name, _, _)| name == "fig02_events_tcp.dat"),
-        "fig02: events series missing: {heap:?}"
+        serial.iter().any(|(name, _, _)| name == "fig02_events_tcp.dat"),
+        "fig02: events series missing: {serial:?}"
     );
-    assert_eq!(heap, cal, "fig02: artifacts diverge between heap and calendar queues");
-    assert_eq!(cal, cal_mt, "fig02: artifacts diverge between serial and threaded runs");
-    let stripped = strip_wall_clock(&heap_manifest);
-    assert!(stripped.contains("\"events\""), "fig02 manifest lacks perf events: {heap_manifest}");
+    assert_eq!(serial, mt, "fig02: artifacts diverge between serial and threaded runs");
+    let stripped = strip_wall_clock(&serial_manifest);
+    assert!(stripped.contains("\"events\""), "fig02 manifest lacks perf events: {serial_manifest}");
     assert_eq!(
         stripped,
-        strip_wall_clock(&cal_manifest),
-        "fig02: manifest diverges between heap and calendar queues"
-    );
-    assert_eq!(
-        stripped,
-        strip_wall_clock(&cal_mt_manifest),
+        strip_wall_clock(&mt_manifest),
         "fig02: manifest diverges between serial and threaded runs"
     );
 
-    for dir in [dir_heap, dir_cal, dir_cal_mt] {
+    for dir in [dir_serial, dir_mt] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
 
 /// Fault injection preserves the determinism contract: the same fault spec
 /// (explicit weather window + seeded satellite flaps) produces
-/// byte-identical artifacts and manifest across queue kinds and thread
-/// counts. The flap process lands failures between forwarding updates, so
-/// this covers the mid-flight fault path end to end.
+/// byte-identical artifacts and manifest across thread counts. The flap
+/// process lands failures between forwarding updates, so this covers the
+/// mid-flight fault path end to end.
 #[test]
-fn faulted_fig02_manifest_is_queue_and_thread_invariant() {
+fn faulted_fig02_manifest_is_thread_invariant() {
     let base = {
         let mut spec = ExperimentSpec {
             experiment: "fig02_scalability".to_string(),
@@ -186,45 +174,32 @@ fn faulted_fig02_manifest_is_queue_and_thread_invariant() {
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(false));
         spec
     };
-    let with_queue = |queue: &str, threads: usize| {
-        let mut spec = ExperimentSpec { threads, ..base.clone() };
-        spec.params.insert("queue".to_string(), ParamValue::Text(queue.to_string()));
-        spec
-    };
+    let with_threads = |threads: usize| ExperimentSpec { threads, ..base.clone() };
 
-    let dir_heap = temp_dir("faulted_heap");
-    let dir_cal = temp_dir("faulted_calendar");
-    let dir_cal_mt = temp_dir("faulted_calendar_mt");
-    let (heap, heap_manifest) = run_quiet(with_queue("heap", 0), &dir_heap);
-    let (cal, cal_manifest) = run_quiet(with_queue("calendar", 0), &dir_cal);
-    let (cal_mt, cal_mt_manifest) = run_quiet(with_queue("calendar", 4), &dir_cal_mt);
+    let dir_serial = temp_dir("faulted_serial");
+    let dir_mt = temp_dir("faulted_mt");
+    let (serial, serial_manifest) = run_quiet(with_threads(0), &dir_serial);
+    let (mt, mt_manifest) = run_quiet(with_threads(4), &dir_mt);
 
-    assert!(!heap.is_empty(), "faulted fig02: expected artifacts, got none");
-    assert_eq!(heap, cal, "faulted fig02: artifacts diverge between heap and calendar queues");
-    assert_eq!(cal, cal_mt, "faulted fig02: artifacts diverge between serial and threaded runs");
-    let stripped = strip_wall_clock(&heap_manifest);
+    assert!(!serial.is_empty(), "faulted fig02: expected artifacts, got none");
+    assert_eq!(serial, mt, "faulted fig02: artifacts diverge between serial and threaded runs");
     assert_eq!(
-        stripped,
-        strip_wall_clock(&cal_manifest),
-        "faulted fig02: manifest diverges between heap and calendar queues"
-    );
-    assert_eq!(
-        stripped,
-        strip_wall_clock(&cal_mt_manifest),
+        strip_wall_clock(&serial_manifest),
+        strip_wall_clock(&mt_manifest),
         "faulted fig02: manifest diverges between serial and threaded runs"
     );
 
-    for dir in [dir_heap, dir_cal, dir_cal_mt] {
+    for dir in [dir_serial, dir_mt] {
         let _ = std::fs::remove_dir_all(dir);
     }
 }
 
 /// The arena flow table is a pure memory-layout knob: the faulted Fig. 2
 /// workload must produce byte-identical artifacts with bulk per-node flow
-/// tables as with one app per flow, across engine shard counts and queue
-/// kinds. Manifests are compared between runs with the same engine shape
-/// (the `perf.engine` block reports shard telemetry); artifact bytes must
-/// match across every combination.
+/// tables as with one app per flow, across engine shard counts. Manifests
+/// are compared between runs with the same shard count (the `perf.engine`
+/// block reports shard telemetry); artifact bytes must match across every
+/// combination.
 #[test]
 fn arena_flow_table_reproduces_apps_artifacts_across_engines() {
     let base = {
@@ -247,32 +222,28 @@ fn arena_flow_table_reproduces_apps_artifacts_across_engines() {
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(false));
         spec
     };
-    let variant = |flow_table: &str, queue: &str, shards: usize| {
+    let variant = |flow_table: &str, shards: usize| {
         let mut spec = ExperimentSpec { sim_shards: shards, ..base.clone() };
         spec.params.insert("flow_table".to_string(), ParamValue::Text(flow_table.to_string()));
-        spec.params.insert("queue".to_string(), ParamValue::Text(queue.to_string()));
         spec
     };
 
     let dir_serial = temp_dir("arena_ref_serial");
     let dir_sharded = temp_dir("arena_ref_sharded");
-    let (apps, serial_manifest) = run_quiet(variant("apps", "calendar", 1), &dir_serial);
-    let (apps_sharded, sharded_manifest) = run_quiet(variant("apps", "calendar", 4), &dir_sharded);
+    let (apps, serial_manifest) = run_quiet(variant("apps", 1), &dir_serial);
+    let (apps_sharded, sharded_manifest) = run_quiet(variant("apps", 4), &dir_sharded);
     assert!(!apps.is_empty(), "arena golden: expected artifacts, got none");
     assert_eq!(apps, apps_sharded, "apps layout must itself be shard-invariant");
 
-    for (queue, shards) in [("calendar", 1), ("heap", 1), ("calendar", 4), ("heap", 4)] {
-        let dir = temp_dir(&format!("arena_{queue}_{shards}"));
-        let (arena, arena_manifest) = run_quiet(variant("arena", queue, shards), &dir);
-        assert_eq!(
-            apps, arena,
-            "arena artifacts diverge from apps at queue={queue}, sim_shards={shards}"
-        );
+    for shards in [1, 4] {
+        let dir = temp_dir(&format!("arena_{shards}"));
+        let (arena, arena_manifest) = run_quiet(variant("arena", shards), &dir);
+        assert_eq!(apps, arena, "arena artifacts diverge from apps at sim_shards={shards}");
         let reference = if shards == 1 { &serial_manifest } else { &sharded_manifest };
         assert_eq!(
             strip_wall_clock(reference),
             strip_wall_clock(&arena_manifest),
-            "arena manifest diverges from apps at queue={queue}, sim_shards={shards}"
+            "arena manifest diverges from apps at sim_shards={shards}"
         );
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -365,13 +336,13 @@ fn audit_violations(manifest: &str) -> Option<usize> {
 /// Byte-identical resume: the faulted Fig. 2 workload driven with periodic
 /// checkpoints, then resumed from the snapshots it left on disk, must
 /// reproduce the uninterrupted run's artifacts byte for byte — across
-/// engine shard counts, both queue kinds, and packet/hybrid simulation
-/// modes — with conservation audits green everywhere.
+/// engine shard counts and packet/hybrid simulation modes — with
+/// conservation audits green everywhere.
 #[test]
 fn resumed_faulted_fig02_is_byte_identical_across_engines() {
     for mode in ["packet", "hybrid"] {
         // Per-mode plain reference (no resilience knobs at all). Artifact
-        // bytes are queue- and shard-invariant (proven above), so one
+        // bytes are shard-invariant (proven above), so one
         // uninterrupted run anchors every engine variant of this mode.
         let dir_ref = temp_dir(&format!("resume_ref_{mode}"));
         let mut plain = faulted_fig02_base();
@@ -380,53 +351,50 @@ fn resumed_faulted_fig02_is_byte_identical_across_engines() {
         assert!(!reference.is_empty(), "{mode}: expected artifacts, got none");
 
         for shards in [1usize, 4] {
-            for queue in ["heap", "calendar"] {
-                let tag = format!("resume_{mode}_{queue}_{shards}");
-                let variant = || {
-                    let mut spec = ExperimentSpec { sim_shards: shards, ..faulted_fig02_base() };
-                    spec.params.insert("queue".to_string(), ParamValue::Text(queue.to_string()));
-                    spec.set("sim_mode", mode).expect("sim_mode knob");
-                    spec.set("audit", "true").expect("audit knob");
-                    spec.set("checkpoint_every_s", "0.3").expect("checkpoint knob");
-                    spec
-                };
+            let tag = format!("resume_{mode}_{shards}");
+            let variant = || {
+                let mut spec = ExperimentSpec { sim_shards: shards, ..faulted_fig02_base() };
+                spec.set("sim_mode", mode).expect("sim_mode knob");
+                spec.set("audit", "true").expect("audit knob");
+                spec.set("checkpoint_every_s", "0.3").expect("checkpoint knob");
+                spec
+            };
 
-                // Leg 1: uninterrupted, snapshotting at 0.3/0.6/0.9 s.
-                let dir1 = temp_dir(&format!("{tag}_leg1"));
-                let (arts1, manifest1) = run_quiet(variant(), &dir1);
-                let snaps = dir1.join("checkpoints");
-                assert!(
-                    snaps.join("udp_apps_10000000bps.snap").exists()
-                        && snaps.join("tcp_apps_10000000bps.snap").exists(),
-                    "{tag}: expected per-point snapshots in {}",
-                    snaps.display()
-                );
+            // Leg 1: uninterrupted, snapshotting at 0.3/0.6/0.9 s.
+            let dir1 = temp_dir(&format!("{tag}_leg1"));
+            let (arts1, manifest1) = run_quiet(variant(), &dir1);
+            let snaps = dir1.join("checkpoints");
+            assert!(
+                snaps.join("udp_apps_10000000bps.snap").exists()
+                    && snaps.join("tcp_apps_10000000bps.snap").exists(),
+                "{tag}: expected per-point snapshots in {}",
+                snaps.display()
+            );
 
-                // Leg 2: resume from leg 1's snapshots — each point
-                // restores at t = 0.9 s and replays only the tail.
-                let dir2 = temp_dir(&format!("{tag}_leg2"));
-                let mut leg2 = variant();
-                leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
-                let (arts2, manifest2) = run_quiet(leg2, &dir2);
+            // Leg 2: resume from leg 1's snapshots — each point
+            // restores at t = 0.9 s and replays only the tail.
+            let dir2 = temp_dir(&format!("{tag}_leg2"));
+            let mut leg2 = variant();
+            leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
+            let (arts2, manifest2) = run_quiet(leg2, &dir2);
 
-                assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
-                assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
+            assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
+            assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
+            assert_eq!(
+                manifest_core(&manifest1),
+                manifest_core(&manifest2),
+                "{tag}: manifests diverge beyond the run-shape sections"
+            );
+            for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
                 assert_eq!(
-                    manifest_core(&manifest1),
-                    manifest_core(&manifest2),
-                    "{tag}: manifests diverge beyond the run-shape sections"
+                    audit_violations(manifest),
+                    Some(0),
+                    "{tag} {leg}: conservation audit violations: {manifest}"
                 );
-                for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
-                    assert_eq!(
-                        audit_violations(manifest),
-                        Some(0),
-                        "{tag} {leg}: conservation audit violations: {manifest}"
-                    );
-                }
-
-                let _ = std::fs::remove_dir_all(dir1);
-                let _ = std::fs::remove_dir_all(dir2);
             }
+
+            let _ = std::fs::remove_dir_all(dir1);
+            let _ = std::fs::remove_dir_all(dir2);
         }
         let _ = std::fs::remove_dir_all(dir_ref);
     }

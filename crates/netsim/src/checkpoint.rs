@@ -6,7 +6,7 @@
 //! raw IEEE-754 bits, no platform-dependent hashing or pointer order —
 //! preserves the total event order, so a restored run replays the same
 //! event sequence and produces byte-identical artifacts (the property the
-//! engine's determinism tests already pin for serial-vs-sharded runs).
+//! engine's determinism tests already pin across shard counts).
 //!
 //! The container is deliberately boring:
 //!
@@ -18,7 +18,7 @@
 //! * the **version** rejects snapshots written by an incompatible layout
 //!   (bumped whenever the body encoding changes);
 //! * the **config fingerprint** rejects resuming into a simulator built
-//!   from a different spec (shard count, queue kind, mode, rates, ...) —
+//!   from a different spec (shard count, mode, rates, ...) —
 //!   a restore only overwrites *mutable* state, so the immutable skeleton
 //!   must match;
 //! * the **checksum** covers everything before it and rejects torn or
@@ -39,8 +39,11 @@ use std::path::Path;
 
 /// First 8 bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"HYPSNAP\0";
-/// Current body-layout version. Bump on any encoding change.
-pub const VERSION: u32 = 1;
+/// Current body-layout version. Bump on any encoding change. Version 1
+/// queue images could hold coordinator events (tags 2, 4 and 5) and the
+/// header carried the engine's window counts; since version 2 a queue
+/// holds node events only and engine telemetry stays out of the image.
+pub const VERSION: u32 = 2;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +64,7 @@ pub enum CheckpointError {
     /// torn write or bit rot.
     ChecksumMismatch,
     /// The snapshot was taken from a simulator built with a different
-    /// configuration (shards, queue kind, mode, rates, node count, ...).
+    /// configuration (shards, mode, rates, node count, ...).
     ConfigMismatch {
         /// Fingerprint found in the file header.
         found: u64,
@@ -237,7 +240,7 @@ impl SnapWriter {
         }
     }
 
-    /// An event, tag + fields.
+    /// An event, tag + fields (tags 2, 4 and 5 are retired, see [`VERSION`]).
     pub fn put_event(&mut self, e: &Event) {
         match e {
             Event::TxComplete { node, device } => {
@@ -250,22 +253,10 @@ impl SnapWriter {
                 self.put_u32(*node);
                 self.put_packet(packet);
             }
-            Event::ForwardingUpdate { step } => {
-                self.put_u8(2);
-                self.put_u64(*step);
-            }
             Event::AppTimer { app, timer_id } => {
                 self.put_u8(3);
                 self.put_u32(*app);
                 self.put_u64(*timer_id);
-            }
-            Event::FaultUpdate { index } => {
-                self.put_u8(4);
-                self.put_u64(*index);
-            }
-            Event::FluidUpdate { index } => {
-                self.put_u8(5);
-                self.put_u64(*index);
             }
         }
     }
@@ -471,10 +462,7 @@ impl SnapReader {
         match self.get_u8()? {
             0 => Ok(Event::TxComplete { node: self.get_u32()?, device: self.get_u32()? }),
             1 => Ok(Event::Arrival { node: self.get_u32()?, packet: self.get_packet()? }),
-            2 => Ok(Event::ForwardingUpdate { step: self.get_u64()? }),
             3 => Ok(Event::AppTimer { app: self.get_u32()?, timer_id: self.get_u64()? }),
-            4 => Ok(Event::FaultUpdate { index: self.get_u64()? }),
-            5 => Ok(Event::FluidUpdate { index: self.get_u64()? }),
             t => Err(CheckpointError::Malformed(format!("bad event tag {t}"))),
         }
     }
@@ -496,6 +484,15 @@ impl SnapReader {
             )))
         }
     }
+}
+
+/// Re-checksum a patched image, so only the patch is wrong with it.
+#[cfg(test)]
+pub(crate) fn reseal(bytes: &mut [u8]) {
+    let end = bytes.len() - 8;
+    let mut h = Fnv1a64::new();
+    h.write(&bytes[..end]);
+    bytes[end..].copy_from_slice(&h.finish().to_le_bytes());
 }
 
 #[cfg(test)]
@@ -570,10 +567,7 @@ mod tests {
         let events = vec![
             Event::TxComplete { node: 3, device: 1 },
             Event::Arrival { node: 99, packet: sample_packet() },
-            Event::ForwardingUpdate { step: 17 },
             Event::AppTimer { app: 4, timer_id: u64::MAX },
-            Event::FaultUpdate { index: 2 },
-            Event::FluidUpdate { index: 5 },
         ];
         let mut w = SnapWriter::new(FP);
         w.put_usize(events.len());
@@ -602,28 +596,25 @@ mod tests {
     fn rejects_bad_magic() {
         let mut bytes = SnapWriter::new(FP).finish();
         bytes[0] ^= 0xFF;
-        // Re-checksum so only the magic is wrong.
-        let end = bytes.len() - 8;
-        let mut h = Fnv1a64::new();
-        h.write(&bytes[..end]);
-        let sum = h.finish().to_le_bytes();
-        bytes[end..].copy_from_slice(&sum);
+        reseal(&mut bytes);
         assert_eq!(SnapReader::from_bytes(bytes, FP).unwrap_err(), CheckpointError::BadMagic);
     }
 
+    /// Both neighbours of the current layout are refused by number: the
+    /// future one, and version 1, whose queue images held coordinator
+    /// events this build has no variants for.
     #[test]
     fn rejects_unsupported_version() {
-        let mut bytes = SnapWriter::new(FP).finish();
-        bytes[8..12].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        let end = bytes.len() - 8;
-        let mut h = Fnv1a64::new();
-        h.write(&bytes[..end]);
-        let sum = h.finish().to_le_bytes();
-        bytes[end..].copy_from_slice(&sum);
-        assert_eq!(
-            SnapReader::from_bytes(bytes, FP).unwrap_err(),
-            CheckpointError::UnsupportedVersion { found: VERSION + 1, expected: VERSION }
-        );
+        assert_eq!(VERSION, 2);
+        for found in [VERSION + 1, 1] {
+            let mut bytes = SnapWriter::new(FP).finish();
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            reseal(&mut bytes);
+            assert_eq!(
+                SnapReader::from_bytes(bytes, FP).unwrap_err(),
+                CheckpointError::UnsupportedVersion { found, expected: VERSION }
+            );
+        }
     }
 
     #[test]

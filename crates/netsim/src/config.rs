@@ -1,6 +1,5 @@
 //! Simulation configuration.
 
-use crate::event::QueueKind;
 use crate::fluid::SimMode;
 use hypatia_fault::FaultSchedule;
 use hypatia_routing::incremental::{RoutingConfig, RoutingMode};
@@ -61,10 +60,6 @@ pub struct SimConfig {
     /// How many forwarding-state steps may be computed ahead when
     /// `fstate_threads > 0` (bounds prefetch memory).
     pub fstate_prefetch: usize,
-    /// Event-scheduler implementation. Pop order — and therefore every
-    /// simulation result — is identical for every kind; this is purely a
-    /// performance knob (and a differential-testing escape hatch).
-    pub queue: QueueKind,
     /// Fault-injection scenario: a compiled, time-sorted schedule of
     /// satellite/ISL/GSL failures and repairs (see `hypatia-fault`).
     /// Fault events are applied mid-flight as simulator events,
@@ -79,9 +74,10 @@ pub struct SimConfig {
     /// is purely a wall-clock knob, with `full` as the escape hatch.
     pub routing: RoutingConfig,
     /// Number of spatial shards the event engine partitions the node set
-    /// into. `1` (the default) runs the serial reference engine; `N > 1`
-    /// executes shards in parallel up to a conservative lookahead horizon
-    /// derived from the minimum cross-shard propagation delay. Every
+    /// into. With `1` (the default) one shard owns every node and the
+    /// event loop runs on the calling thread; `N > 1` executes shards in
+    /// parallel up to a conservative lookahead horizon derived from the
+    /// minimum cross-shard propagation delay. Every
     /// simulation observable is bit-identical for any value — this is
     /// purely a wall-clock knob. Clamped to the satellite count.
     pub sim_shards: usize,
@@ -110,7 +106,6 @@ impl Default for SimConfig {
             multipath_stretch: None,
             fstate_threads: 0,
             fstate_prefetch: 4,
-            queue: QueueKind::default(),
             faults: None,
             routing: RoutingConfig::default(),
             sim_shards: 1,
@@ -203,12 +198,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: pick the event-scheduler implementation.
-    pub fn with_queue(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
-        self
-    }
-
     /// Builder-style: inject the given fault scenario.
     pub fn with_faults(mut self, schedule: Arc<FaultSchedule>) -> Self {
         self.faults = Some(schedule);
@@ -233,7 +222,7 @@ impl SimConfig {
     }
 
     /// Builder-style: partition the event engine into `shards` spatial
-    /// shards executed in parallel (1 = the serial reference engine).
+    /// shards executed in parallel (1 = one shard, no worker threads).
     /// Results are bit-identical for every value.
     pub fn with_sim_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "at least one shard is required");
@@ -275,10 +264,9 @@ mod tests {
         assert_eq!(c.gsl_loss_rate, 0.0);
         assert_eq!(c.effective_isl_rate(), c.link_rate);
         assert_eq!(c.effective_gsl_rate(), c.link_rate);
-        assert_eq!(c.queue, QueueKind::Calendar, "calendar queue is the default");
         assert!(c.faults.is_none(), "fault injection is off by default");
         assert_eq!(c.routing.mode, RoutingMode::Incremental, "incremental repair is the default");
-        assert_eq!(c.sim_shards, 1, "the serial engine is the default");
+        assert_eq!(c.sim_shards, 1, "one shard is the default");
         assert_eq!(c.trace_sample_every, 1, "every flow is traced by default");
         assert_eq!(c.sim_mode, SimMode::Packet, "packet-level simulation is the default");
     }
@@ -326,12 +314,6 @@ mod tests {
     fn sim_mode_builder() {
         let c = SimConfig::default().with_sim_mode(SimMode::Hybrid);
         assert_eq!(c.sim_mode, SimMode::Hybrid);
-    }
-
-    #[test]
-    fn queue_builder() {
-        let c = SimConfig::default().with_queue(QueueKind::Heap);
-        assert_eq!(c.queue, QueueKind::Heap);
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! canonical key supplied by the caller ([`EventQueue::schedule_keyed`]).
 //! The simulator uses canonical keys derived from the *originating* node,
 //! which makes the total order independent of how the node set is sharded:
-//! the sharded engine and the serial engine pop the same events in the
-//! same per-node order. Either way, integer timestamps plus a total event
-//! order make runs bit-reproducible.
+//! every node sees its events in the same order at any shard count. Either
+//! way, integer timestamps plus a total event order make runs
+//! bit-reproducible.
+//!
+//! A queue holds node events only. Global events — forwarding swaps, fault
+//! updates, fluid boundaries — live in the coordinator's cursors (see
+//! `crate::sim`) and never enter one.
 //!
 //! # What a pending event costs
 //!
@@ -22,9 +26,11 @@
 //!
 //! # Two schedulers, one order
 //!
-//! * [`QueueKind::Heap`] — one `BinaryHeap`, O(log n) per operation. Kept
-//!   as the differential-testing oracle and a `--queue heap` escape hatch.
-//! * [`QueueKind::Calendar`] (default) — a two-level timing wheel over
+//! * [`QueueKind::Heap`] — one `BinaryHeap`, O(log n) per operation. Never
+//!   built by the simulator: it is the differential-testing oracle (and the
+//!   baseline the benchmark's queue probes time the calendar against).
+//! * [`QueueKind::Calendar`] (what [`EventQueue::new`] builds and every
+//!   shard runs on) — a two-level timing wheel over
 //!   integer-ns time, where bucket indexing is a shift and a mask.
 //!   Parking an event is O(1) however far ahead it is due:
 //!   1. **Level 1**: [`NUM_SLOTS`] unsorted buckets, each [`SLOT_NS`] wide
@@ -32,8 +38,8 @@
 //!      events — serialization, propagation — land here directly.
 //!   2. **Level 2**: [`NUM_SLOTS`] unsorted buckets, each one level-1
 //!      rotation ([`SPAN_NS`], ~16.8 ms) wide and aligned to it, reaching
-//!      ~69 s ahead. Pacing timers, RTO and delayed-ACK timers, forwarding
-//!      swaps land here; when the wheel reaches a bucket's first slot the
+//!      ~69 s ahead. Pacing timers, RTO and delayed-ACK timers land
+//!      here; when the wheel reaches a bucket's first slot the
 //!      bucket is *cascaded*: each entry moves to its level-1 slot and the
 //!      bucket's buffer is released.
 //!   3. **Far heap**: a `BinaryHeap` for the few events beyond level 2.
@@ -71,33 +77,12 @@ pub enum Event {
         /// The packet.
         packet: Packet,
     },
-    /// Swap in the forwarding state of time-step `step`.
-    ForwardingUpdate {
-        /// Step index (t = step × granularity).
-        step: u64,
-    },
     /// An application timer fires.
     AppTimer {
         /// Application index.
         app: u32,
         /// Application-chosen timer id.
         timer_id: u64,
-    },
-    /// Apply fault-schedule entry `index` (a component fails or
-    /// recovers) and chain-schedule the next entry. Packets already in
-    /// flight are judged against the updated state when their
-    /// transmission or arrival completes.
-    FaultUpdate {
-        /// Index into the run's compiled `FaultSchedule`.
-        index: u64,
-    },
-    /// A fluid-flow finish boundary: re-solve the coordinator's fluid
-    /// rate allocation with the finished demand removed, and
-    /// chain-schedule the next boundary. Serial engine only — the
-    /// sharded engine consumes boundaries at epoch starts.
-    FluidUpdate {
-        /// Index into the fluid network's sorted boundary schedule.
-        index: u64,
     },
 }
 
@@ -106,10 +91,7 @@ pub enum Event {
 enum Tag {
     TxComplete,
     Arrival,
-    ForwardingUpdate,
     AppTimer,
-    FaultUpdate,
-    FluidUpdate,
 }
 
 /// A pending event as the ordered structures hold it: the `(at, key)` sort
@@ -196,27 +178,8 @@ pub enum QueueKind {
     Calendar,
 }
 
-impl QueueKind {
-    /// Parse a CLI name (`heap` / `calendar`).
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s {
-            "heap" => Some(QueueKind::Heap),
-            "calendar" => Some(QueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// The CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-        }
-    }
-}
-
 /// Where an [`EventQueue`]'s inserts landed, for the manifest's `perf`
-/// block. The split depends on the queue kind (a heap queue counts every
+/// block. The split depends on the scheduler (a heap queue counts every
 /// insert as `far_inserts`) and on how nodes are sharded, so it is run
 /// telemetry, never a simulation observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -260,7 +223,7 @@ const WHEEL_BITS: u32 = 12;
 /// ~16.8 ms window — past one serialization plus one typical propagation
 /// delay, so the packet events that dominate the hot loop never leave
 /// level 1. At level 2, 4096 buckets of one such window reach ~69 s: every
-/// pacing, RTO and delayed-ACK timer and every forwarding swap.
+/// pacing, RTO and delayed-ACK timer.
 pub const NUM_SLOTS: usize = 1 << WHEEL_BITS;
 const SLOT_MASK: u64 = NUM_SLOTS as u64 - 1;
 /// Level-2 bucket width in nanoseconds: one level-1 rotation.
@@ -515,7 +478,7 @@ impl EventQueue {
     }
 
     /// An empty queue backed by the given scheduler. Pop order is
-    /// identical for every kind; this is a performance knob only.
+    /// identical for every kind; the heap exists to be compared against.
     pub fn with_kind(kind: QueueKind) -> Self {
         let imp = match kind {
             QueueKind::Heap => QueueImpl::Heap(BinaryHeap::new()),
@@ -550,10 +513,7 @@ impl EventQueue {
             Event::Arrival { node, packet } => {
                 (Tag::Arrival, node, self.packets.park(packet) as u64)
             }
-            Event::ForwardingUpdate { step } => (Tag::ForwardingUpdate, 0, step),
             Event::AppTimer { app, timer_id } => (Tag::AppTimer, app, timer_id),
-            Event::FaultUpdate { index } => (Tag::FaultUpdate, 0, index),
-            Event::FluidUpdate { index } => (Tag::FluidUpdate, 0, index),
         };
         let s = Scheduled { at, key, b, a, tag };
         let tier = match &mut self.imp {
@@ -583,8 +543,8 @@ impl EventQueue {
     }
 
     /// [`Self::pop_before`], but also returning the event's tie-break key.
-    /// The sharded engine tags trace records with this key so traces from
-    /// different shards merge into one canonical `(time, key)` order.
+    /// Shards tag trace records with this key so traces from different
+    /// shards merge into one canonical `(time, key)` order.
     pub fn pop_entry_before(&mut self, t_end: SimTime) -> Option<(SimTime, u64, Event)> {
         let s = match &mut self.imp {
             QueueImpl::Heap(heap) => {
@@ -658,10 +618,7 @@ fn unpack(s: &Scheduled, packet: impl FnOnce(u32) -> Packet) -> Event {
     match s.tag {
         Tag::TxComplete => Event::TxComplete { node: s.a, device: s.b as u32 },
         Tag::Arrival => Event::Arrival { node: s.a, packet: packet(s.b as u32) },
-        Tag::ForwardingUpdate => Event::ForwardingUpdate { step: s.b },
         Tag::AppTimer => Event::AppTimer { app: s.a, timer_id: s.b },
-        Tag::FaultUpdate => Event::FaultUpdate { index: s.b },
-        Tag::FluidUpdate => Event::FluidUpdate { index: s.b },
     }
 }
 
@@ -729,22 +686,17 @@ mod tests {
     #[test]
     fn default_is_calendar() {
         assert_eq!(EventQueue::new().kind(), QueueKind::Calendar);
-        assert_eq!(QueueKind::parse("heap"), Some(QueueKind::Heap));
-        assert_eq!(QueueKind::parse("calendar"), Some(QueueKind::Calendar));
-        assert_eq!(QueueKind::parse("wheel"), None);
-        assert_eq!(QueueKind::Heap.name(), "heap");
-        assert_eq!(QueueKind::Calendar.name(), "calendar");
     }
 
     #[test]
     fn pops_in_time_order() {
         for mut q in both_kinds() {
-            q.schedule(SimTime::from_millis(30), Event::ForwardingUpdate { step: 3 });
-            q.schedule(SimTime::from_millis(10), Event::ForwardingUpdate { step: 1 });
-            q.schedule(SimTime::from_millis(20), Event::ForwardingUpdate { step: 2 });
+            q.schedule(SimTime::from_millis(30), Event::AppTimer { app: 0, timer_id: 3 });
+            q.schedule(SimTime::from_millis(10), Event::AppTimer { app: 0, timer_id: 1 });
+            q.schedule(SimTime::from_millis(20), Event::AppTimer { app: 0, timer_id: 2 });
             let order: Vec<u64> = std::iter::from_fn(|| q.pop())
                 .map(|(_, e)| match e {
-                    Event::ForwardingUpdate { step } => step,
+                    Event::AppTimer { timer_id, .. } => timer_id,
                     _ => unreachable!(),
                 })
                 .collect();
@@ -756,12 +708,12 @@ mod tests {
     fn fifo_within_same_instant() {
         for mut q in both_kinds() {
             let t = SimTime::from_secs(1);
-            for step in 0..10 {
-                q.schedule(t, Event::ForwardingUpdate { step });
+            for timer_id in 0..10 {
+                q.schedule(t, Event::AppTimer { app: 0, timer_id });
             }
             let order: Vec<u64> = std::iter::from_fn(|| q.pop())
                 .map(|(_, e)| match e {
-                    Event::ForwardingUpdate { step } => step,
+                    Event::AppTimer { timer_id, .. } => timer_id,
                     _ => unreachable!(),
                 })
                 .collect();
@@ -798,8 +750,8 @@ mod tests {
     #[test]
     fn pop_before_is_inclusive_and_leaves_later_events() {
         for mut q in both_kinds() {
-            q.schedule(SimTime::from_millis(10), Event::ForwardingUpdate { step: 1 });
-            q.schedule(SimTime::from_millis(20), Event::ForwardingUpdate { step: 2 });
+            q.schedule(SimTime::from_millis(10), Event::AppTimer { app: 0, timer_id: 1 });
+            q.schedule(SimTime::from_millis(20), Event::AppTimer { app: 0, timer_id: 2 });
             assert!(q.pop_before(SimTime::from_millis(5)).is_none());
             assert_eq!(q.len(), 2, "pop_before must not remove a later event");
             // Inclusive at exactly t_end.
@@ -817,13 +769,13 @@ mod tests {
         for mut q in both_kinds() {
             let t = SimTime::from_millis(5);
             // Insertion order deliberately disagrees with key order.
-            q.schedule_keyed(t, 30, Event::ForwardingUpdate { step: 3 });
-            q.schedule_keyed(t, 10, Event::ForwardingUpdate { step: 1 });
-            q.schedule_keyed(SimTime::from_millis(1), 99, Event::ForwardingUpdate { step: 0 });
-            q.schedule_keyed(t, 20, Event::ForwardingUpdate { step: 2 });
+            q.schedule_keyed(t, 30, Event::AppTimer { app: 0, timer_id: 3 });
+            q.schedule_keyed(t, 10, Event::AppTimer { app: 0, timer_id: 1 });
+            q.schedule_keyed(SimTime::from_millis(1), 99, Event::AppTimer { app: 0, timer_id: 0 });
+            q.schedule_keyed(t, 20, Event::AppTimer { app: 0, timer_id: 2 });
             let order: Vec<(u64, u64)> = std::iter::from_fn(|| q.pop_entry_before(SimTime::MAX))
                 .map(|(_, key, e)| match e {
-                    Event::ForwardingUpdate { step } => (key, step),
+                    Event::AppTimer { timer_id, .. } => (key, timer_id),
                     _ => unreachable!(),
                 })
                 .collect();
@@ -834,7 +786,7 @@ mod tests {
     #[test]
     fn pop_entry_before_matches_pop_before() {
         for mut q in both_kinds() {
-            q.schedule_keyed(SimTime::from_millis(10), 7, Event::ForwardingUpdate { step: 1 });
+            q.schedule_keyed(SimTime::from_millis(10), 7, Event::AppTimer { app: 0, timer_id: 1 });
             assert!(q.pop_entry_before(SimTime::from_millis(9)).is_none());
             let (t, key, _) = q.pop_entry_before(SimTime::from_millis(10)).unwrap();
             assert_eq!((t, key), (SimTime::from_millis(10), 7));
@@ -868,11 +820,11 @@ mod tests {
         let mut q = EventQueue::with_kind(QueueKind::Calendar);
         // Hours apart: forces the wheel-empty jump path repeatedly.
         for h in (1..=5u64).rev() {
-            q.schedule(SimTime::from_secs(h * 3600), Event::ForwardingUpdate { step: h });
+            q.schedule(SimTime::from_secs(h * 3600), Event::AppTimer { app: 0, timer_id: h });
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop())
             .map(|(_, e)| match e {
-                Event::ForwardingUpdate { step } => step,
+                Event::AppTimer { timer_id, .. } => timer_id,
                 _ => unreachable!(),
             })
             .collect();
@@ -899,8 +851,11 @@ mod tests {
             while now < target {
                 if heap.is_empty() {
                     for q in [&mut heap, &mut cal] {
-                        let step = target;
-                        q.schedule(SimTime::from_nanos(target), Event::ForwardingUpdate { step });
+                        let timer_id = target;
+                        q.schedule(
+                            SimTime::from_nanos(target),
+                            Event::AppTimer { app: 0, timer_id },
+                        );
                     }
                 }
                 let (a, b) = (heap.pop(), cal.pop());
@@ -1080,7 +1035,7 @@ mod tests {
         let at = SimTime::from_millis(750);
         for mut q in both_kinds() {
             // A little earlier traffic, so the wheel is mid-flight.
-            q.schedule_keyed(SimTime::from_millis(3), 1, Event::ForwardingUpdate { step: 0 });
+            q.schedule_keyed(SimTime::from_millis(3), 1, Event::AppTimer { app: 0, timer_id: 0 });
             for &key in &keys {
                 q.schedule_keyed(at, key, event_of(key));
             }
@@ -1112,7 +1067,7 @@ mod tests {
             let mut q = EventQueue::with_kind(kind);
             let mut rng = DetRng::new(0x5A7E);
             // Advance the wheel off zero, then park entries at every distance.
-            q.schedule(SimTime::from_millis(40), Event::FaultUpdate { index: 0 });
+            q.schedule(SimTime::from_millis(40), Event::AppTimer { app: 0, timer_id: 0 });
             let now = q.pop().expect("clock event").0.nanos();
             let mut id = 0;
             for reach in [SLOT_NS / 4, SPAN_NS / 2, 20 * SPAN_NS, LEVEL2_NS / 2, 3 * LEVEL2_NS] {
@@ -1122,8 +1077,8 @@ mod tests {
                     id += 1;
                 }
             }
-            q.schedule_keyed(SimTime::from_secs(500), 7, Event::ForwardingUpdate { step: 9 });
-            q.schedule_keyed(SimTime::from_secs(500), 3, Event::FluidUpdate { index: 4 });
+            q.schedule_keyed(SimTime::from_secs(500), 7, Event::AppTimer { app: 0, timer_id: 9 });
+            q.schedule_keyed(SimTime::from_secs(500), 3, Event::AppTimer { app: 0, timer_id: 4 });
             q.schedule_keyed(SimTime::from_millis(41), 0, Event::TxComplete { node: 5, device: 2 });
             if kind == QueueKind::Calendar {
                 let stats = q.stats();

@@ -56,14 +56,14 @@
 //! # Determinism
 //!
 //! Solver state lives in the simulation coordinator, never in a shard.
-//! Re-solves happen at canonical global-event instants — the same
-//! `(time, key)` points both engines already serialize coordinator work
-//! through — and the allocation is a pure function of (forwarding state,
+//! Re-solves happen at canonical global-event instants — the
+//! `(time, key)` points the event loop applies coordinator work at —
+//! and the allocation is a pure function of (forwarding state,
 //! fault state, flow table), evaluated in a deterministic order
 //! (install-order bundles, first-touch links, ascending member bundles
 //! per link; reports and checkpoints list links in ascending
 //! `(node, peer)` order). Observables are therefore bit-identical at any
-//! `sim_shards` and for either queue kind.
+//! `sim_shards`.
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::packet::HEADER_BYTES;

@@ -21,13 +21,12 @@
 //!
 //! Determinism: integer-nanosecond timestamps and a canonical total event
 //! order `(time, key)` — where a key encodes the originating node and its
-//! scheduling sequence — make every run bit-reproducible. The same order
-//! governs both engines of the [`sim`] module: the serial reference loop
-//! and the sharded conservative-parallel engine
-//! ([`SimConfig::with_sim_shards`]), which partitions nodes into spatial
-//! [`shard`]s executed concurrently up to the minimum cross-shard
-//! propagation delay. Parallelism is a pure wall-clock knob: observables
-//! are bit-identical at any shard count.
+//! scheduling sequence — make every run bit-reproducible. One loop in the
+//! [`sim`] module runs it: nodes are partitioned into spatial [`shard`]s
+//! ([`SimConfig::with_sim_shards`]; one by default, which is the classic
+//! sequential simulator) executed concurrently up to the minimum
+//! cross-shard propagation delay. Parallelism is a pure wall-clock knob:
+//! observables are bit-identical at any shard count.
 //!
 //! Applications (ping, UDP CBR, bursty on/off here; TCP in
 //! `hypatia-transport`) attach to nodes via the [`app::Application`] trait

@@ -1,6 +1,7 @@
-//! The shard executor of the sharded conservative event engine.
+//! The shard executor of the conservative event engine.
 //!
-//! The node set is partitioned into spatial `Partition` shards. Each
+//! The node set is partitioned into spatial `Partition` shards (one, by
+//! default, owning every node). Each
 //! `Shard` owns the devices, applications, per-node counters, event
 //! queue, trace, and stats of its nodes, and executes windows of events
 //! independently of every other shard. The only cross-shard interaction is
@@ -16,12 +17,12 @@
 //! Every event carries a canonical key (see `Shard::alloc_key`) of the form
 //! `((origin + 1) << 32) | per-origin counter`, where `origin` is the node
 //! whose handler scheduled it; coordinator-level events (forwarding swaps,
-//! fault updates) use keys below `1 << 32` so they sort before node events
-//! at the same instant. Queues order by `(time, key)`, so each node's
-//! handlers run in an order independent of how nodes are grouped into
-//! shards — which makes the per-origin counters, packet ids, loss-RNG
-//! draws, and trace tags of a sharded run bit-identical to the serial
-//! reference engine at `sim_shards = 1`.
+//! fault updates, fluid boundaries) are applied before the node events of
+//! their instant and tag their trace records with keys below `1 << 32`.
+//! Queues order by `(time, key)`, so each node's handlers run in an order
+//! independent of how nodes are grouped into shards — which makes the
+//! per-origin counters, packet ids, loss-RNG draws, and trace tags of a
+//! run bit-identical at every `sim_shards`.
 
 use crate::app::{AppAction, AppCtx, Application};
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
@@ -266,7 +267,7 @@ impl Shard {
             config: config.clone(),
             partition,
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(config.queue),
+            queue: EventQueue::new(),
             nodes,
             apps: Vec::new(),
             fwd,
@@ -310,8 +311,8 @@ impl Shard {
     /// Non-owned nodes are skipped, so broadcasting the full change set
     /// to every shard is correct. A transmission already in flight keeps
     /// the rate it started with (rates are sampled at `start_tx`), which
-    /// is the same on every engine because changes apply at canonical
-    /// instants.
+    /// is the same at every shard count because changes apply at
+    /// canonical instants.
     pub(crate) fn apply_link_rates(&mut self, changes: &[LinkRate]) {
         for change in changes {
             if self.partition.owner(NodeId(change.node)) == self.id {
@@ -372,8 +373,7 @@ impl Shard {
         }
         self.apps[idx as usize] = Some(AppEntry { app: Some(app), node, port: ports[0] });
         self.now = self.now.max(now);
-        // Setup records sort under a fresh key of the app's node, exactly
-        // as the serial engine assigns it.
+        // Setup records sort under a fresh key of the app's node.
         let key = self.alloc_key(node.0);
         self.trace.set_key(key);
         self.with_app(idx, |app, ctx| app.on_start(ctx));
@@ -397,20 +397,13 @@ impl Shard {
         }
     }
 
-    /// Dispatch one node-level event. Coordinator events (forwarding
-    /// swaps, fault updates) never reach a shard's handler in sharded
-    /// mode; in serial mode the facade intercepts them before dispatch.
-    pub(crate) fn handle(&mut self, event: Event) {
+    /// Dispatch one node-level event.
+    fn handle(&mut self, event: Event) {
         match event {
             Event::Arrival { node, packet } => self.arrival(node, packet),
             Event::TxComplete { node, device } => self.tx_complete(node, device),
             Event::AppTimer { app, timer_id } => {
                 self.with_app(app, |a, ctx| a.on_timer(ctx, timer_id));
-            }
-            Event::ForwardingUpdate { .. }
-            | Event::FaultUpdate { .. }
-            | Event::FluidUpdate { .. } => {
-                unreachable!("coordinator event dispatched to a shard")
             }
         }
     }
@@ -759,7 +752,7 @@ impl Shard {
         r.expect_tag(b"EVTQ")?;
         // Discard the rebuild's bootstrap events (app on_start timers and
         // sends): the snapshot's queue is the complete pending set.
-        self.queue = EventQueue::with_kind(self.config.queue);
+        self.queue = EventQueue::new();
         let n_events = r.get_usize()?;
         for _ in 0..n_events {
             let t = r.get_time()?;

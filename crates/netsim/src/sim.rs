@@ -1,23 +1,24 @@
-//! The simulator facade: engine selection, coordinator state, merged views.
+//! The simulator facade: the event loop, coordinator state, merged views.
 //!
 //! Node-level event handling lives in [`crate::shard`]; this module owns
 //! what is global to a run — forwarding recomputation, the fault-schedule
-//! cursor, and the engine driving the shards:
+//! cursor, the fluid solver — and the one loop driving the shards.
 //!
-//! * **Serial reference engine** (`sim_shards = 1`, the default): one
-//!   shard owns every node, and coordinator events (forwarding swaps,
-//!   fault updates) live in its queue exactly as classic sequential
-//!   simulation would have them, chained one step ahead.
-//! * **Sharded conservative engine** (`sim_shards > 1`): coordinator
-//!   events never enter a queue; the epoch loop applies them at barriers
-//!   and runs every shard's window in parallel up to the conservative
-//!   lookahead (minimum cross-shard propagation delay), exchanging
-//!   cross-shard arrivals through per-shard outboxes at each barrier.
+//! Global events (forwarding swaps, fault updates, fluid finish
+//! boundaries) never enter a queue: they live in coordinator cursors and
+//! [`Simulator::run_until`]'s epoch loop applies them at window starts,
+//! then runs every shard's window up to the next global instant or the
+//! conservative lookahead (minimum cross-shard propagation delay),
+//! whichever comes first, and exchanges cross-shard arrivals through
+//! per-shard outboxes at the barrier. With one shard (the default) there
+//! are no cross-shard links, so windows end only at global instants, the
+//! window runs inline on the calling thread, and the loop *is* the classic
+//! sequential simulator.
 //!
-//! Both engines process events in the same canonical `(time, key)` order
-//! (see `crate::shard` for the key construction), so every observable of a
-//! run — stats, traces, application state, RTT samples — is bit-identical
-//! at any shard count.
+//! Events are processed in canonical `(time, key)` order (see
+//! `crate::shard` for the key construction) however nodes are grouped, so
+//! every observable of a run — stats, traces, application state, RTT
+//! samples — is bit-identical at any shard count.
 
 use crate::app::Application;
 use crate::audit::AuditViolation;
@@ -26,7 +27,7 @@ use crate::config::SimConfig;
 use crate::event::{Event, QueueStats};
 use crate::fluid::{FluidNet, FluidStats, SimMode};
 use crate::node::Node;
-use crate::shard::{fault_key, fluid_key, Outbound, Partition, Shard, FORWARDING_KEY};
+use crate::shard::{fault_key, fluid_key, Partition, Shard, FORWARDING_KEY};
 use crate::stats::SimStats;
 use crate::trace::{Trace, TraceKind};
 use hypatia_constellation::{Constellation, EphemerisStats, NodeId};
@@ -40,38 +41,40 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// How the engine executed a run — recorded into experiment manifests so
-/// sharded runs are auditable (and comparable) after the fact.
+/// sharded runs are auditable (and comparable) after the fact. Telemetry,
+/// not state: where `run_until` cuts fall moves the window counts, so none
+/// of it is part of a checkpoint — after a resume it counts from the
+/// restore point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineReport {
-    /// Number of shards the node set was partitioned into (1 = the serial
-    /// reference engine).
+    /// Number of shards the node set was partitioned into.
     pub sim_shards: usize,
-    /// Parallel window executions (0 under the serial engine, which has no
-    /// epochs at all).
+    /// Windows executed. With one shard a window ends only at the next
+    /// coordinator instant or the `run_until` horizon.
     pub epochs: u64,
     /// Barriers at which at least one cross-shard packet was exchanged.
     pub barriers: u64,
     /// Smallest conservative lookahead window used, nanoseconds. `None`
-    /// when no window was ever bounded by cross-shard geometry.
+    /// when no window was ever bounded by cross-shard geometry (always,
+    /// with one shard).
     pub min_lookahead_ns: Option<u64>,
     /// Event-queue telemetry over all shards' queues: inserts per tier and
-    /// cascades summed, peak pending of the busiest queue. Not part of a
-    /// checkpoint — after a resume it counts from the restore point.
+    /// cascades summed, peak pending of the busiest queue.
     pub queue: QueueStats,
     /// Fluid-solver telemetry (all zero in packet mode). Coordinator-owned,
-    /// so identical at any shard count; not part of a checkpoint either.
+    /// so identical at any shard count.
     pub fluid: FluidStats,
     /// How the shards' ephemeris caches served propagation delays, summed
     /// over shards (each fits its own tracks, so `fits` grows with the
-    /// shard count). Not part of a checkpoint either.
+    /// shard count).
     pub ephemeris: EphemerisStats,
 }
 
 /// The packet-level simulator.
 ///
-/// Owns the shard set, the coordinator state (forwarding and fault
+/// Owns the shard set, the coordinator state (forwarding, fault and fluid
 /// cursors), and merged result views; recomputes forwarding at the
-/// configured granularity while the engine runs.
+/// configured granularity while the event loop runs.
 pub struct Simulator {
     constellation: Arc<Constellation>,
     config: SimConfig,
@@ -96,16 +99,13 @@ pub struct Simulator {
     /// `config.routing`). Prefetch workers own their own routers; either
     /// way the states are byte-identical to a full recompute.
     router: IncrementalRouter,
-    /// Next forwarding step the sharded coordinator will apply (the serial
-    /// engine chains `ForwardingUpdate` queue events instead).
+    /// Next forwarding step to apply, at `next_fwd_step × fstate_step`.
     next_fwd_step: u64,
-    /// Cursor into the fault schedule for the sharded coordinator
-    /// (schedule entries at t = 0 are folded into the initial state and
-    /// skipped, exactly as the serial engine skips them).
+    /// Cursor into the fault schedule (entries at t = 0 are folded into
+    /// the initial state and skipped).
     next_fault_index: usize,
-    /// Events the coordinator applied outside any shard (sharded-mode
-    /// forwarding swaps and fault updates), plus the swap counter both
-    /// engines share.
+    /// Events the coordinator applied outside any shard (forwarding swaps,
+    /// fault updates, fluid boundaries) and the counters it owns.
     coord_stats: SimStats,
     /// The fluid-flow network (fluid/hybrid modes; `None` under packet
     /// mode). Coordinator-owned: rates re-solve only at canonical global
@@ -114,9 +114,7 @@ pub struct Simulator {
     /// Fluid flows installed since the last boundary rebuild.
     fluid_dirty: bool,
     /// Has `run_until` been called? Fluid installs are rejected after
-    /// that: the serial engine chains boundary events through its queue,
-    /// and late installs would leave stale chains the sharded engine
-    /// (which rebuilds its schedule) would not replay.
+    /// that: the boundary schedule is built once, at run start.
     started: bool,
     /// Trace records made by the coordinator itself (fluid re-solves);
     /// merged ahead of the shard traces in `refresh_views`.
@@ -173,32 +171,10 @@ impl Simulator {
 
         // Fault injection: events at t = 0 are already folded into the
         // initial live state (and the initial forwarding computation); the
-        // chain starts at the first strictly-future event.
+        // cursor starts at the first strictly-future event.
         let next_fault_index = config.faults.as_ref().map_or(0, |s| {
             s.events().iter().position(|e| e.t > SimTime::ZERO).unwrap_or(s.events().len())
         });
-
-        if nshards == 1 {
-            // Serial reference engine: coordinator events are ordinary
-            // queue events with keys that sort before any node event at
-            // the same instant; each one chains its successor.
-            if !config.freeze_at_epoch {
-                shards[0].queue.schedule_keyed(
-                    SimTime::ZERO + config.fstate_step,
-                    FORWARDING_KEY,
-                    Event::ForwardingUpdate { step: 1 },
-                );
-            }
-            if let Some(schedule) = &config.faults {
-                if let Some(e) = schedule.events().get(next_fault_index) {
-                    shards[0].queue.schedule_keyed(
-                        e.t,
-                        fault_key(next_fault_index as u64),
-                        Event::FaultUpdate { index: next_fault_index as u64 },
-                    );
-                }
-            }
-        }
 
         // Background prefetch of upcoming forwarding steps (off for frozen
         // networks, which never update forwarding at all).
@@ -354,45 +330,13 @@ impl Simulator {
         self.fluid.as_ref()
     }
 
-    /// Run the event loop until simulated time `t_end` (inclusive).
+    /// Run the event loop until simulated time `t_end` (inclusive): apply
+    /// the coordinator events due at the window start, run every shard up
+    /// to the barrier (in parallel when more than one has work), exchange
+    /// cross-shard arrivals, repeat.
     pub fn run_until(&mut self, t_end: SimTime) {
         self.flush_fluid_installs();
         self.started = true;
-        if self.shards.len() == 1 {
-            self.run_serial(t_end);
-        } else {
-            self.run_sharded(t_end);
-        }
-        self.now = t_end;
-        for shard in &mut self.shards {
-            shard.now = t_end;
-        }
-        self.refresh_views();
-    }
-
-    /// The serial reference engine: one queue holds every event, including
-    /// the coordinator's, and they pop in canonical `(time, key)` order.
-    fn run_serial(&mut self, t_end: SimTime) {
-        while let Some((t, key, event)) = self.shards[0].queue.pop_entry_before(t_end) {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            let shard = &mut self.shards[0];
-            shard.now = t;
-            shard.stats.events += 1;
-            shard.trace.set_key(key);
-            match event {
-                Event::ForwardingUpdate { step } => self.forwarding_update_serial(step),
-                Event::FaultUpdate { index } => self.fault_update_serial(index),
-                Event::FluidUpdate { index } => self.fluid_update_serial(index),
-                other => self.shards[0].handle(other),
-            }
-        }
-    }
-
-    /// The sharded conservative engine: apply coordinator events at epoch
-    /// starts, run every shard in parallel up to the barrier, exchange
-    /// cross-shard arrivals, repeat.
-    fn run_sharded(&mut self, t_end: SimTime) {
         loop {
             let next_node = self.shards.iter_mut().filter_map(|s| s.queue.peek_time()).min();
             let start = match (self.next_global_time(), next_node) {
@@ -430,10 +374,10 @@ impl Simulator {
                 .filter(|&t| t <= end_incl)
                 .count();
             if active <= 1 {
-                for shard in self.shards.iter_mut() {
-                    if shard.queue.peek_time().is_some_and(|t| t <= end_incl) {
-                        shard.run_window(end_incl);
-                    }
+                // Nothing to overlap: run inline (a shard with nothing due
+                // returns at once). One shard always lands here.
+                for shard in &mut self.shards {
+                    shard.run_window(end_incl);
                 }
             } else {
                 std::thread::scope(|scope| {
@@ -449,24 +393,34 @@ impl Simulator {
                 self.barriers += 1;
             }
         }
+        self.now = t_end;
+        for shard in &mut self.shards {
+            shard.now = t_end;
+        }
+        self.refresh_views();
     }
 
     /// Move every cross-shard arrival produced in the last windows into
-    /// its destination shard's queue. Returns the number of packets moved.
+    /// its destination shard's queue; each emptied outbox keeps its
+    /// buffer. Returns the number of packets moved.
     fn exchange_outboxes(&mut self) -> u64 {
+        let n = self.shards.len();
+        if n == 1 {
+            return 0;
+        }
         let mut moved = 0;
-        for src in 0..self.shards.len() {
-            let boxes: Vec<Vec<Outbound>> =
-                self.shards[src].outbox.iter_mut().map(std::mem::take).collect();
-            for (dst, entries) in boxes.into_iter().enumerate() {
-                moved += entries.len() as u64;
-                for o in entries {
+        for src in 0..n {
+            for dst in 0..n {
+                let mut outbox = std::mem::take(&mut self.shards[src].outbox[dst]);
+                moved += outbox.len() as u64;
+                for o in outbox.drain(..) {
                     self.shards[dst].queue.schedule_keyed(
                         o.at,
                         o.key,
                         Event::Arrival { node: o.node, packet: o.packet },
                     );
                 }
+                self.shards[src].outbox[dst] = outbox;
             }
         }
         moved
@@ -490,16 +444,14 @@ impl Simulator {
         next
     }
 
-    /// Apply every coordinator event due exactly at `t`, in canonical
+    /// Apply every coordinator event due exactly at `t`, in canonical key
     /// order: the forwarding swap (key 0) first, then fault-schedule
-    /// entries in index order, then the fluid finish boundary — the same
-    /// order the serial engine pops them. Each trigger re-solves the
-    /// fluid allocation under its own key, exactly as the serial engine's
-    /// per-event handlers do, so re-solve counts and trace records match
-    /// bit for bit.
+    /// entries in index order, then the fluid finish boundary. Each
+    /// counts one event and re-solves the fluid allocation under its own
+    /// key, which is also what orders its trace record.
     fn apply_globals_at(&mut self, t: SimTime) {
         // Captured before any same-instant re-solve advances the cursor:
-        // the serial engine still pops the boundary event afterwards.
+        // a boundary due at `t` is its own event even then.
         let due_boundary =
             self.fluid.as_ref().and_then(|f| f.next_boundary()).filter(|&(bt, _)| bt == t);
         if !self.config.freeze_at_epoch
@@ -537,70 +489,9 @@ impl Simulator {
         }
     }
 
-    /// Serial-engine forwarding swap: identical effect to the sharded
-    /// coordinator's, plus chaining the next step as a queue event.
-    fn forwarding_update_serial(&mut self, step: u64) {
-        let t = SimTime::ZERO + self.config.fstate_step * step;
-        debug_assert_eq!(t, self.now, "forwarding update fired at the wrong time");
-        let (fwd, mp) = self.take_forwarding_state(step, t);
-        self.fwd = fwd.clone();
-        self.mp = mp.clone();
-        self.coord_stats.forwarding_updates += 1;
-        // Bookkeeping only under the serial engine (the chain drives the
-        // schedule), but it keeps the cursor meaningful for checkpoints.
-        self.next_fwd_step = step + 1;
-        let shard = &mut self.shards[0];
-        shard.set_forwarding(fwd, mp);
-        shard.queue.schedule_keyed(
-            t + self.config.fstate_step,
-            FORWARDING_KEY,
-            Event::ForwardingUpdate { step: step + 1 },
-        );
-        self.resolve_fluid(t, FORWARDING_KEY);
-    }
-
-    /// Serial-engine fault update: apply schedule entry `index` to the
-    /// live state and chain the next entry. Chaining (instead of
-    /// scheduling the whole schedule up front) keeps the queue small on
-    /// long flap-heavy runs.
-    fn fault_update_serial(&mut self, index: u64) {
-        let schedule = self.config.faults.clone().expect("fault event without a schedule");
-        let event = &schedule.events()[index as usize];
-        debug_assert_eq!(event.t, self.now, "fault event fired at the wrong time");
-        self.shards[0].apply_fault(event);
-        // Cursor bookkeeping for checkpoints, as in the forwarding swap.
-        self.next_fault_index = index as usize + 1;
-        if let Some(next) = schedule.events().get(index as usize + 1) {
-            self.shards[0].queue.schedule_keyed(
-                next.t,
-                fault_key(index + 1),
-                Event::FaultUpdate { index: index + 1 },
-            );
-        }
-        let t = self.now;
-        self.resolve_fluid(t, fault_key(index));
-    }
-
-    /// Serial-engine fluid boundary: re-solve with the finished demand
-    /// removed and chain the next boundary. The sharded coordinator
-    /// consumes boundaries in `apply_globals_at` instead; both count one
-    /// event and one re-solve per boundary, under the same key.
-    fn fluid_update_serial(&mut self, index: u64) {
-        let t = self.now;
-        self.resolve_fluid(t, fluid_key(index));
-        if let Some((bt, bi)) = self.fluid.as_ref().and_then(|f| f.next_boundary()) {
-            self.shards[0].queue.schedule_keyed(
-                bt,
-                fluid_key(bi),
-                Event::FluidUpdate { index: bi },
-            );
-        }
-    }
-
     /// One-time lazy setup at run start: build the finish-boundary
-    /// schedule for freshly installed fluid flows, solve the initial rate
-    /// allocation, and (serial engine) chain the first boundary event.
-    /// Counts no event on either engine — installs happen outside the
+    /// schedule for freshly installed fluid flows and solve the initial
+    /// rate allocation. Counts no event — installs happen outside the
     /// event loop, like `add_app`'s `on_start`.
     fn flush_fluid_installs(&mut self) {
         if !self.fluid_dirty {
@@ -612,22 +503,13 @@ impl Simulator {
             f.rebuild_boundaries(now);
         }
         self.resolve_fluid(now, fluid_key(0));
-        if self.shards.len() == 1 {
-            if let Some((bt, bi)) = self.fluid.as_ref().and_then(|f| f.next_boundary()) {
-                self.shards[0].queue.schedule_keyed(
-                    bt,
-                    fluid_key(bi),
-                    Event::FluidUpdate { index: bi },
-                );
-            }
-        }
     }
 
     /// Recompute the fluid rate allocation at `t` (after integrating
     /// delivered bytes up to `t` under the outgoing rates) and, in hybrid
     /// mode, push changed residual rates to the packet devices. `key` is
     /// the canonical key of the triggering coordinator event — stamped on
-    /// the trace record so merged traces land in serial order. No-op in
+    /// the trace record so it merges into `(time, key)` order. No-op in
     /// packet mode.
     fn resolve_fluid(&mut self, t: SimTime, key: u64) {
         let Some(fluid) = self.fluid.as_mut() else { return };
@@ -730,8 +612,7 @@ impl Simulator {
 
     /// Rebuild the merged `stats` / `trace` views from the coordinator and
     /// every shard. Cheap when tracing is off; with tracing on, the merge
-    /// re-sorts into canonical `(time, key)` order, which is exactly the
-    /// order the serial engine would have recorded.
+    /// re-sorts into canonical `(time, key)` order.
     fn refresh_views(&mut self) {
         if let Some(f) = self.fluid.as_mut() {
             f.advance_to(self.now);
@@ -769,7 +650,7 @@ impl Simulator {
     // ---- Crash resilience: checkpoint, restore, conservation audits ----
 
     /// FNV-1a-64 over everything the snapshot layout depends on: topology
-    /// size, destination set, shard count, queue kind, mode, timing, rates,
+    /// size, destination set, shard count, mode, timing, rates,
     /// loss model, trace bounds, fault-schedule length, and app count. A
     /// snapshot restores only into a simulator with the same fingerprint,
     /// so a resumed run cannot silently diverge because a knob changed.
@@ -788,9 +669,6 @@ impl Simulator {
             mix(&mut h, d.0 as u64);
         }
         mix(&mut h, self.partition.shards() as u64);
-        for b in c.queue.name().bytes() {
-            mix(&mut h, b as u64);
-        }
         for b in c.sim_mode.name().bytes() {
             mix(&mut h, b as u64);
         }
@@ -839,9 +717,6 @@ impl Simulator {
         w.put_bool(self.started);
         w.put_u64(self.next_fwd_step);
         w.put_usize(self.next_fault_index);
-        w.put_u64(self.epochs);
-        w.put_u64(self.barriers);
-        w.put_opt_u64(self.min_lookahead_ns);
         w.put_tag(b"CSTA");
         self.coord_stats.save(w);
         w.put_tag(b"CTRC");
@@ -864,7 +739,7 @@ impl Simulator {
     /// overwrites every piece of mutable state (queues, device contents,
     /// application state, RNG streams, counters, cursors, fluid rates), and
     /// the continuation is bit-identical to the uninterrupted run at any
-    /// shard count, queue kind, and mode. Structural mismatches are
+    /// shard count and mode. Structural mismatches are
     /// reported as typed errors, never panics.
     pub fn restore(&mut self, bytes: Vec<u8>) -> Result<(), CheckpointError> {
         let mut r = SnapReader::from_bytes(bytes, self.config_fingerprint())?;
@@ -883,9 +758,6 @@ impl Simulator {
         self.started = r.get_bool()?;
         self.next_fwd_step = r.get_u64()?;
         self.next_fault_index = r.get_usize()?;
-        self.epochs = r.get_u64()?;
-        self.barriers = r.get_u64()?;
-        self.min_lookahead_ns = r.get_opt_u64()?;
         r.expect_tag(b"CSTA")?;
         self.coord_stats.restore(r)?;
         r.expect_tag(b"CTRC")?;
@@ -1115,10 +987,9 @@ mod tests {
         assert_eq!(mp_inline, mp_prefetched);
     }
 
-    /// The tentpole invariant: the sharded conservative engine is a pure
-    /// wall-clock knob. Stats, traces, and application observables must be
-    /// bit-identical to the serial reference engine at any shard count —
-    /// plain, and under faults + GSL loss.
+    /// The shard count is a pure wall-clock knob. Stats, traces, and
+    /// application observables must be bit-identical to the one-shard run
+    /// at any shard count — plain, and under faults + GSL loss.
     #[test]
     fn sharded_engine_is_bit_identical_to_serial() {
         use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
@@ -1152,7 +1023,144 @@ mod tests {
         }
     }
 
-    /// The engine report reflects the engine that ran.
+    /// The serial engine's last word. The second loop — coordinator events
+    /// in the queue, handlers chaining their successors — produced this
+    /// hash at the last commit that had it (`cc24080`); the one loop that
+    /// is left must reproduce it at every shard count. The scenario
+    /// crosses every coordinator path: hybrid mode, fluid flows with three
+    /// finite stops (one on a forwarding instant), a fault exactly on a
+    /// forwarding instant and one between instants, multipath, GSL loss, a
+    /// ping and a UDP flow, tracing on — and `run_until` cuts on a
+    /// forwarding instant, on a fluid boundary and mid-window, each issued
+    /// twice (a global coinciding with `t_end` must apply exactly once).
+    #[test]
+    fn frozen_serial_reference_reproduces_at_every_shard_count() {
+        use crate::apps::udp::{UdpSink, UdpSource};
+        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
+        use hypatia_util::hash::Fnv1a64;
+        const FROZEN: u64 = 0x7fcc_c85c_5044_6f01;
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let probe = Simulator::new(c.clone(), SimConfig::default(), vec![src, dst]);
+        let path = probe.forwarding().path(src, dst).expect("nominal path exists");
+        let victim = path[path.len() / 2];
+        assert!(c.is_satellite(victim));
+        let spec = FaultSpec {
+            sat_outages: vec![OutageWindow { target: victim.0, from_s: 0.3, until_s: 0.75 }],
+            ..FaultSpec::default()
+        };
+        let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(2)));
+        let fault_times: Vec<SimTime> = schedule.events().iter().map(|e| e.t).collect();
+        assert_eq!(fault_times, [SimTime::from_millis(300), SimTime::from_millis(750)]);
+        let base = SimConfig::default()
+            .with_sim_mode(SimMode::Hybrid)
+            .with_multipath(1.3)
+            .with_faults(schedule)
+            .with_gsl_loss(0.05)
+            .with_trace_limit(200_000);
+        for shards in [1, 2, 4] {
+            let mut sim =
+                Simulator::new(c.clone(), base.clone().with_sim_shards(shards), vec![src, dst]);
+            sim.add_app(
+                src,
+                100,
+                Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
+            );
+            sim.add_app(dst, 50, Box::new(UdpSink::new()));
+            sim.add_app(
+                src,
+                50,
+                Box::new(UdpSource::new(
+                    dst,
+                    1,
+                    DataRate::from_mbps(4),
+                    1200,
+                    SimTime::from_millis(900),
+                )),
+            );
+            for (flow, (a, b, stop_ms)) in
+                [(src, dst, 450), (src, dst, 600), (dst, src, 600), (src, dst, 1000)]
+                    .into_iter()
+                    .enumerate()
+            {
+                sim.add_fluid_flow(
+                    flow as u32,
+                    a,
+                    b,
+                    DataRate::from_mbps(3),
+                    1440,
+                    SimTime::from_millis(stop_ms),
+                );
+            }
+            // A forwarding instant, a fluid boundary, mid-window, the end.
+            for cut_ns in [200_000_000, 450_000_000, 777_777_777, 1_200_000_000] {
+                sim.run_until(SimTime::from_nanos(cut_ns));
+                sim.run_until(SimTime::from_nanos(cut_ns));
+            }
+
+            let mut h = Fnv1a64::new();
+            assert_eq!(sim.trace.truncated(), 0, "the hash must cover the whole run");
+            for (e, &key) in sim.trace.entries().iter().zip(sim.trace.keys()) {
+                h.write_u64(e.t.nanos());
+                h.write_u64(key);
+                h.write_u32(e.node.0);
+                h.write_u64(e.packet_id);
+                h.write(&[e.kind as u8]);
+            }
+            let SimStats {
+                injected,
+                delivered,
+                payload_bytes_delivered,
+                hop_deliveries,
+                routing_drops,
+                queue_drops,
+                channel_drops,
+                fault_drops,
+                unclaimed,
+                pings_echoed,
+                forwarding_updates,
+                events,
+                flow_count,
+                flow_state_bytes,
+                fluid_flows,
+                fluid_resolves,
+                fluid_bytes_delivered,
+            } = sim.stats.clone();
+            for field in [
+                injected,
+                delivered,
+                payload_bytes_delivered,
+                hop_deliveries,
+                routing_drops,
+                queue_drops,
+                channel_drops,
+                fault_drops,
+                unclaimed,
+                pings_echoed,
+                forwarding_updates,
+                events,
+                flow_count,
+                flow_state_bytes,
+                fluid_flows,
+                fluid_resolves,
+                fluid_bytes_delivered,
+            ] {
+                h.write_u64(field);
+            }
+            for (flow, bytes) in sim.fluid().expect("hybrid mode").per_flow_payload_bytes() {
+                h.write_u32(flow);
+                h.write_u64(bytes.to_bits());
+            }
+            // Every coordinator path and drop kind actually ran.
+            assert_eq!(forwarding_updates, 12);
+            assert!(fluid_resolves > 12 + 2 + 3, "{fluid_resolves} re-solves");
+            assert!(fault_drops > 0 && channel_drops > 0 && queue_drops > 0, "{:?}", sim.stats);
+            assert!(delivered > 0 && pings_echoed > 0);
+            assert_eq!(h.finish(), FROZEN, "sim_shards={shards}: {:?}", sim.stats);
+        }
+    }
+
+    /// The engine report reflects how the loop ran.
     #[test]
     fn engine_report_describes_the_run() {
         let c = constellation();
@@ -1173,16 +1181,16 @@ mod tests {
         };
         let serial = run(SimConfig::default());
         assert_eq!(serial.sim_shards, 1);
-        assert_eq!(serial.epochs, 0, "the serial engine has no epochs");
-        assert_eq!(serial.min_lookahead_ns, None);
+        // The window from t = 0 plus one per forwarding instant, 0.1..=1.0 s.
+        assert_eq!(serial.epochs, 11);
+        assert_eq!(serial.barriers, 0, "one shard exchanges nothing");
+        assert_eq!(serial.min_lookahead_ns, None, "no cross-shard geometry to bound a window");
         let q = serial.queue;
         assert!(q.level1_inserts > 0, "packet events stay in level 1");
-        assert!(q.level2_inserts > 0, "20 ms ping timers and 100 ms swaps park in level 2");
+        assert!(q.level2_inserts > 0, "20 ms ping timers park in level 2");
         assert!(q.cascaded > 0 && q.cascaded <= q.level2_inserts);
         assert_eq!(q.far_inserts, 0, "nothing is due more than 69 s ahead");
         assert!(q.peak_pending > 0);
-        let heap = run(SimConfig::default().with_queue(crate::event::QueueKind::Heap)).queue;
-        assert_eq!(heap.far_inserts, q.level1_inserts + q.level2_inserts, "same schedule");
 
         let sharded = run(SimConfig::default().with_sim_shards(4));
         assert_eq!(sharded.sim_shards, 4);
@@ -1427,8 +1435,7 @@ mod tests {
     }
 
     #[test]
-    fn satellite_outage_is_bit_identical_across_prefetch_and_queue_kind() {
-        use crate::event::QueueKind;
+    fn satellite_outage_is_bit_identical_across_prefetch_and_shards() {
         use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
@@ -1467,15 +1474,10 @@ mod tests {
             let prefetched = run(base.clone().with_fstate_prefetch(threads, 4));
             assert_eq!(inline, prefetched, "threads={threads} diverged under faults");
         }
-        let heap = run(base.clone().with_queue(QueueKind::Heap));
-        assert_eq!(inline, heap, "queue kinds diverged under faults");
-        // And the sharded engine agrees, per queue kind, with prefetch.
+        // And sharded runs agree, with prefetch.
         for shards in [2, 4] {
             let sharded = run(base.clone().with_sim_shards(shards).with_fstate_prefetch(2, 4));
             assert_eq!(inline, sharded, "sim_shards={shards} diverged under faults");
-            let sharded_heap =
-                run(base.clone().with_sim_shards(shards).with_queue(QueueKind::Heap));
-            assert_eq!(inline, sharded_heap, "sharded heap diverged under faults");
         }
     }
 
@@ -1517,12 +1519,11 @@ mod tests {
     }
 
     /// Fluid flows deliver `rate × time` bytes analytically, cost no
-    /// packet events, and — the tentpole invariant — every observable is
-    /// bit-identical across engines and queue kinds, because the solver
-    /// re-runs only at canonical coordinator instants.
+    /// packet events, and every observable is bit-identical across shard
+    /// counts, because the solver re-runs only at canonical coordinator
+    /// instants.
     #[test]
     fn fluid_flows_deliver_analytically_and_bit_identically() {
-        use crate::event::QueueKind;
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
         let run = |cfg: SimConfig| {
@@ -1557,10 +1558,8 @@ mod tests {
         assert!(serial.1.delivered > 0, "packet-level pings still flow in hybrid mode");
         assert!(serial.2.iter().any(|e| e.kind == TraceKind::FluidResolve), "re-solves are traced");
         for shards in [2, 4] {
-            for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                let got = run(base.clone().with_sim_shards(shards).with_queue(queue));
-                assert_eq!(serial, got, "shards={shards} queue={queue:?} diverged");
-            }
+            let got = run(base.clone().with_sim_shards(shards));
+            assert_eq!(serial, got, "shards={shards} diverged");
         }
     }
 
@@ -1704,41 +1703,31 @@ mod tests {
 
     /// The checkpoint/restore contract: restore into a freshly rebuilt
     /// simulator and the continuation is bit-identical to never having
-    /// stopped — at every shard count × queue kind × mode, through fault
-    /// events and forwarding swaps on both sides of the snapshot.
+    /// stopped — at every shard count × mode, through fault events and
+    /// forwarding swaps on both sides of the snapshot.
     #[test]
     fn checkpoint_resume_is_bit_identical() {
-        use crate::event::QueueKind;
         let c = constellation();
         let (base, build) = resilience_fixture(&c);
         for mode in [SimMode::Packet, SimMode::Hybrid] {
             for shards in [1, 4] {
-                for queue in [QueueKind::Heap, QueueKind::Calendar] {
-                    let cfg =
-                        base.clone().with_sim_mode(mode).with_sim_shards(shards).with_queue(queue);
-                    let (mut whole, app_w) = build(&cfg);
-                    whole.run_until(SimTime::from_secs(2));
-                    let want = observe(&whole, app_w);
-                    assert!(want.1.delivered > 0, "workload delivered nothing");
+                let cfg = base.clone().with_sim_mode(mode).with_sim_shards(shards);
+                let (mut whole, app_w) = build(&cfg);
+                whole.run_until(SimTime::from_secs(2));
+                let want = observe(&whole, app_w);
+                assert!(want.1.delivered > 0, "workload delivered nothing");
 
-                    let (mut first, _) = build(&cfg);
-                    first.run_until(SimTime::from_millis(900));
-                    let image = first.checkpoint().expect("checkpoint");
-                    drop(first);
+                let (mut first, _) = build(&cfg);
+                first.run_until(SimTime::from_millis(900));
+                let image = first.checkpoint().expect("checkpoint");
+                drop(first);
 
-                    let (mut resumed, app_r) = build(&cfg);
-                    resumed.restore(image).expect("restore");
-                    assert_eq!(resumed.now(), SimTime::from_millis(900));
-                    resumed.run_until(SimTime::from_secs(2));
-                    let got = observe(&resumed, app_r);
-                    assert_eq!(
-                        want,
-                        got,
-                        "resume diverged: mode={} shards={shards} queue={}",
-                        mode.name(),
-                        queue.name()
-                    );
-                }
+                let (mut resumed, app_r) = build(&cfg);
+                resumed.restore(image).expect("restore");
+                assert_eq!(resumed.now(), SimTime::from_millis(900));
+                resumed.run_until(SimTime::from_secs(2));
+                let got = observe(&resumed, app_r);
+                assert_eq!(want, got, "resume diverged: mode={} shards={shards}", mode.name());
             }
         }
     }
@@ -1801,6 +1790,36 @@ mod tests {
         match other.restore(image) {
             Err(CheckpointError::ConfigMismatch { .. }) => {}
             other => panic!("expected ConfigMismatch, got {other:?}"),
+        }
+    }
+
+    /// No queue image holds a coordinator event any more: a current-version
+    /// image whose queue carries one of the retired event tags is
+    /// malformed — a typed error, never a panic.
+    #[test]
+    fn restore_rejects_retired_coordinator_event_tags() {
+        let c = constellation();
+        let (base, build) = resilience_fixture(&c);
+        let (mut first, _) = build(&base);
+        first.run_until(SimTime::from_millis(500));
+        let image = first.checkpoint().unwrap();
+        // First queue entry: section tag, count, then time | key | event tag.
+        let evtq = image.windows(4).position(|w| w == b"EVTQ").expect("queue section");
+        let pending = u64::from_le_bytes(image[evtq + 4..evtq + 12].try_into().unwrap());
+        assert!(pending > 0, "the ping timer is pending");
+        let tag_at = evtq + 4 + 8 + 8 + 8;
+        assert!(matches!(image[tag_at], 0 | 1 | 3), "event tag {}", image[tag_at]);
+        for retired in [2, 4, 5] {
+            let mut bytes = image.clone();
+            bytes[tag_at] = retired;
+            crate::checkpoint::reseal(&mut bytes);
+            let (mut other, _) = build(&base);
+            match other.restore(bytes) {
+                Err(CheckpointError::Malformed(what)) => {
+                    assert!(what.contains(&format!("bad event tag {retired}")), "{what}");
+                }
+                other => panic!("expected Malformed, got {other:?}"),
+            }
         }
     }
 

@@ -187,6 +187,13 @@ impl Trace {
         &self.entries
     }
 
+    /// The canonical key each entry was recorded under (parallel to
+    /// [`Trace::entries`]).
+    #[cfg(test)]
+    pub(crate) fn keys(&self) -> &[u64] {
+        &self.keys
+    }
+
     /// Events not recorded because the buffer was full. Artifact sinks
     /// consult this to warn that an emitted trace is partial rather than
     /// silently presenting a truncated journey as complete.

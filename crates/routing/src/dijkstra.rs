@@ -3,8 +3,8 @@
 //! The paper computes all-pairs shortest paths with Floyd–Warshall; only
 //! the paths *towards ground stations* ever matter for forwarding, so we
 //! run one Dijkstra per destination instead — identical results (verified
-//! against [`crate::floyd_warshall`] by property test) at a fraction of the
-//! cost on constellation-scale graphs.
+//! against the test-only `floyd_warshall` module by property test) at a
+//! fraction of the cost on constellation-scale graphs.
 //!
 //! Determinism: the heap orders by `(distance, node)`, and relaxation is
 //! strict, so equal-cost ties always resolve towards the smaller node id

@@ -1,9 +1,9 @@
 //! Floyd–Warshall all-pairs shortest paths — the paper's algorithm.
 //!
 //! Hypatia's networkx module computes forwarding state with Floyd–Warshall.
-//! We keep it (a) as a validation oracle for the Dijkstra trees used at
-//! scale, and (b) for small topologies where its simplicity wins. O(n³)
-//! time and O(n²) memory: fine for hundreds of nodes, not for thousands.
+//! We keep it as a validation oracle for the Dijkstra trees used at scale
+//! (the module is compiled for tests only). O(n³) time and O(n²) memory:
+//! fine for hundreds of nodes, not for thousands.
 
 use crate::dijkstra::UNREACHABLE;
 use crate::graph::DelayGraph;

@@ -10,8 +10,8 @@
 //! * [`graph`] — the delay-weighted snapshot graph (ISLs + visible GSLs);
 //! * [`dijkstra`] — per-destination shortest-path trees (the scalable
 //!   default, exactly equivalent to the paper's Floyd–Warshall);
-//! * [`floyd_warshall`] — the paper's all-pairs algorithm, used for
-//!   validation and small topologies;
+//! * `floyd_warshall` — the paper's all-pairs algorithm, compiled for
+//!   tests only: the oracle [`dijkstra`] is validated against;
 //! * [`forwarding`] — forwarding state per time-step and lazy schedules;
 //! * [`path`] — path extraction, RTT evaluation, change tracking;
 //! * [`incremental`] — dynamic SSSP repair between consecutive snapshots:
@@ -31,6 +31,7 @@
 
 pub mod churn;
 pub mod dijkstra;
+#[cfg(test)]
 pub mod floyd_warshall;
 pub mod forwarding;
 pub mod graph;

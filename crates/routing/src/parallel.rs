@@ -3,13 +3,13 @@
 //! Per-time-step routing snapshots are embarrassingly parallel: each step's
 //! `DelayGraph` + per-destination Dijkstra trees depend only on the
 //! constellation geometry at that instant. This module fans steps out
-//! across a crossbeam scoped-thread worker pool and hands the results back
+//! across a scoped-thread worker pool and hands the results back
 //! **in step order**, so every consumer observes exactly the sequence the
 //! serial loop would produce — bit-for-bit, for any worker-thread count.
 //!
-//! Parallelism is only ever *across* independent snapshots (or scenario
-//! instances), never inside one simulation's event loop, per the DESIGN §5
-//! dependency policy: determinism stays a feature.
+//! Parallelism here is only ever *across* independent snapshots (or
+//! scenario instances), built on `std::thread` and `std::sync::mpsc` alone
+//! (DESIGN §5 dependency policy): determinism stays a feature.
 //!
 //! Two shapes are provided:
 //!
@@ -28,6 +28,7 @@ use hypatia_fault::FaultState;
 use hypatia_util::SimTime;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver};
 use std::sync::Arc;
 
 /// Resolve a requested worker count: `0` means "all available cores".
@@ -74,14 +75,15 @@ pub fn for_each_step_ordered<T, S, MS, F, C>(
     }
 
     let next_step = AtomicU64::new(0);
-    let (tx, rx) = crossbeam::channel::bounded::<(u64, T)>(prefetch.max(1));
-    crossbeam::thread::scope(|scope| {
+    let (tx, rx) = sync_channel::<(u64, T)>(prefetch.max(1));
+    // A worker that panics takes the scope (and so the caller) with it.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
             let next_step = &next_step;
             let make_scratch = &make_scratch;
             let compute = &compute;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut scratch = make_scratch();
                 loop {
                     let k = next_step.fetch_add(1, Ordering::Relaxed);
@@ -113,8 +115,7 @@ pub fn for_each_step_ordered<T, S, MS, F, C>(
             next += 1;
         }
         assert_eq!(next, n_steps, "parallel pipeline lost a step");
-    })
-    .expect("snapshot worker panicked");
+    });
 }
 
 /// As [`for_each_step_ordered`], collecting the results into a `Vec`
@@ -263,7 +264,7 @@ pub fn sweep_forwarding_states_with<C>(
 /// overlaps with packet processing. Dropping the `Prefetcher` stops the
 /// workers.
 pub struct Prefetcher<T: Send + 'static> {
-    rx: Option<crossbeam::channel::Receiver<(u64, T)>>,
+    rx: Option<Receiver<(u64, T)>>,
     pending: BTreeMap<u64, T>,
     next: u64,
     stop: Arc<AtomicBool>,
@@ -286,7 +287,7 @@ impl<T: Send + 'static> Prefetcher<T> {
         F: Fn(&mut S, u64) -> T + Send + Sync + 'static,
     {
         let threads = worker_threads(threads);
-        let (tx, rx) = crossbeam::channel::bounded::<(u64, T)>(prefetch.max(1));
+        let (tx, rx) = sync_channel::<(u64, T)>(prefetch.max(1));
         let stop = Arc::new(AtomicBool::new(false));
         let counter = Arc::new(AtomicU64::new(0));
         let shared = Arc::new((make_scratch, f));

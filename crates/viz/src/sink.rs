@@ -114,8 +114,7 @@ impl ArtifactSink {
     /// the smallest seen. Reported in the manifest's `perf.engine` block,
     /// with the summed ephemeris counts (`report.ephemeris`: fits, rejected
     /// fits, interpolated and guard-band delays) as `perf.engine.ephemeris`
-    /// — unlike the queue block they do not depend on the queue kind, so
-    /// they need no opt-in.
+    /// (no opt-in, unlike the queue block).
     pub fn record_engine(&mut self, report: &EngineReport) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
         e.sim_shards = report.sim_shards;
@@ -131,9 +130,9 @@ impl ArtifactSink {
     /// Account a simulation's event-queue telemetry (`report.queue`):
     /// inserts per tier and cascades sum across calls, the peak pending
     /// count is the largest seen. Reported as `perf.engine.queue`. The
-    /// counts depend on the queue kind and the shard count, so an
-    /// experiment whose manifest must be identical across engines calls
-    /// this only under the flag that also gates its wall-clock series.
+    /// counts depend on the shard count, so an experiment whose manifest
+    /// must be identical across shard counts calls this only under the
+    /// flag that also gates its wall-clock series.
     pub fn record_queue(&mut self, stats: &QueueStats) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
         e.queue.get_or_insert_with(QueueStats::default).merge(stats);

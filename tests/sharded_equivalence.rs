@@ -1,13 +1,13 @@
 //! Full-stack equivalence of the sharded conservative engine: the same
 //! scenario must produce bit-identical observables at any `sim_shards`
-//! count, for both event-queue kinds, with faults in flight — cross-shard
-//! packet exchange through barrier mailboxes preserves the serial engine's
-//! canonical `(time, key)` event order exactly.
+//! count, with faults in flight — cross-shard packet exchange through
+//! barrier mailboxes preserves the one-shard run's canonical `(time, key)`
+//! event order exactly.
 
 use hypatia::prelude::*;
 use hypatia_constellation::ground::top_cities;
 use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
-use hypatia_netsim::{QueueKind, SimStats};
+use hypatia_netsim::SimStats;
 use hypatia_viz::sink::ArtifactSink;
 use std::sync::Arc;
 
@@ -16,7 +16,6 @@ use std::sync::Arc;
 /// engine's own execution report.
 fn run_mixed_workload(
     shards: usize,
-    queue: QueueKind,
 ) -> (SimStats, Vec<(SimTime, SimDuration)>, hypatia_netsim::EngineReport) {
     let c = Arc::new(hypatia::constellation::presets::kuiper_k1(top_cities(12)));
     let spec = FaultSpec {
@@ -26,7 +25,6 @@ fn run_mixed_workload(
     let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(5)));
     let config = SimConfig::default()
         .with_sim_shards(shards)
-        .with_queue(queue)
         .with_faults(schedule)
         .with_gsl_loss(0.05)
         .with_trace_limit(200_000);
@@ -57,19 +55,17 @@ fn run_mixed_workload(
 
 #[test]
 fn sharded_runs_match_serial_at_every_shard_count() {
-    for queue in [QueueKind::Calendar, QueueKind::Heap] {
-        let (serial_stats, serial_rtts, serial_report) = run_mixed_workload(1, queue);
-        assert_eq!(serial_report.sim_shards, 1);
-        assert!(!serial_rtts.is_empty(), "workload produced no pings");
-        assert!(serial_stats.delivered > 0, "workload delivered nothing");
+    let (serial_stats, serial_rtts, serial_report) = run_mixed_workload(1);
+    assert_eq!(serial_report.sim_shards, 1);
+    assert!(!serial_rtts.is_empty(), "workload produced no pings");
+    assert!(serial_stats.delivered > 0, "workload delivered nothing");
 
-        for shards in [2, 4, 8] {
-            let (stats, rtts, report) = run_mixed_workload(shards, queue);
-            assert_eq!(report.sim_shards, shards, "queue={queue:?}");
-            assert!(report.epochs > 0, "sharded engine ran no epochs");
-            assert_eq!(stats, serial_stats, "stats diverged: shards={shards} queue={queue:?}");
-            assert_eq!(rtts, serial_rtts, "RTTs diverged: shards={shards} queue={queue:?}");
-        }
+    for shards in [2, 4, 8] {
+        let (stats, rtts, report) = run_mixed_workload(shards);
+        assert_eq!(report.sim_shards, shards);
+        assert!(report.epochs > 0, "sharded engine ran no epochs");
+        assert_eq!(stats, serial_stats, "stats diverged: shards={shards}");
+        assert_eq!(rtts, serial_rtts, "RTTs diverged: shards={shards}");
     }
 }
 
@@ -131,25 +127,22 @@ fn strip_wallclock_and_engine(text: &str) -> String {
 
 #[test]
 fn faulted_fig02_manifest_is_byte_identical_across_engines() {
-    for (queue, routing) in
-        [("calendar", "incremental"), ("calendar", "full"), ("heap", "incremental")]
-    {
+    for routing in ["incremental", "full"] {
         let mut base: Vec<(&str, &str)> = SHRINK.to_vec();
-        base.push(("queue", queue));
         base.push(("routing_mode", routing));
 
         let mut serial = base.clone();
         serial.push(("sim_shards", "1"));
-        let reference = fig02_manifest(&serial, &format!("{queue}-{routing}-s1"));
+        let reference = fig02_manifest(&serial, &format!("{routing}-s1"));
         assert!(reference.contains("fnv64"), "manifest lists artifact checksums:\n{reference}");
 
         for shards in ["2", "4"] {
             let mut sharded = base.clone();
             sharded.push(("sim_shards", shards));
-            let manifest = fig02_manifest(&sharded, &format!("{queue}-{routing}-s{shards}"));
+            let manifest = fig02_manifest(&sharded, &format!("{routing}-s{shards}"));
             assert_eq!(
                 reference, manifest,
-                "artifacts diverged at sim_shards={shards} (queue={queue}, routing={routing})"
+                "artifacts diverged at sim_shards={shards} (routing={routing})"
             );
         }
     }
