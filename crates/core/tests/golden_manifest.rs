@@ -31,11 +31,25 @@ fn run_quiet(spec: ExperimentSpec, dir: &Path) -> (Vec<(String, u64, u64)>, Stri
     (records, manifest)
 }
 
-/// Drop the one wall-clock line (`"events_per_sec"`) from a manifest so the
-/// rest can be compared byte-for-byte. The event *count* stays: it is a pure
-/// simulation observable and must match across queue impls and thread counts.
+/// Drop from a pretty-printed manifest what two equivalent runs need not
+/// agree on: the wall-clock `"events_per_sec"` line, and the
+/// `perf.engine.routing` object (brace-depth tracked) — which snapshots a
+/// router repaired depends on which ones its prefetch worker happened to
+/// compute. The rest is compared byte-for-byte. The event *count* stays: it
+/// is a pure simulation observable and must match across thread counts.
 fn strip_wall_clock(manifest: &str) -> String {
-    manifest.lines().filter(|l| !l.contains("\"events_per_sec\"")).collect::<Vec<_>>().join("\n")
+    let mut out = Vec::new();
+    let mut depth = 0usize;
+    for line in manifest.lines() {
+        if depth > 0 {
+            depth = depth + line.matches('{').count() - line.matches('}').count();
+        } else if line.trim_start().starts_with("\"routing\": {") {
+            depth = 1;
+        } else if !line.contains("\"events_per_sec\"") {
+            out.push(line);
+        }
+    }
+    out.join("\n")
 }
 
 fn assert_identical(spec: ExperimentSpec, tag: &str) {

@@ -34,7 +34,7 @@ use hypatia_constellation::{Constellation, EphemerisStats, NodeId};
 use hypatia_fault::FaultState;
 use hypatia_routing::forwarding::{compute_multipath_state_on, ForwardingState, MultipathState};
 use hypatia_routing::graph::SnapshotBuffers;
-use hypatia_routing::incremental::IncrementalRouter;
+use hypatia_routing::incremental::{IncrementalRouter, RepairStats, RouterStats};
 use hypatia_routing::parallel::{Prefetcher, SnapshotWorker};
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use std::path::Path;
@@ -68,7 +68,19 @@ pub struct EngineReport {
     /// over shards (each fits its own tracks, so `fits` grows with the
     /// shard count).
     pub ephemeris: EphemerisStats,
+    /// How forwarding states were produced — full vs. repaired snapshots
+    /// and why, and what the repairs did — for every step the event loop
+    /// consumed: the inline router's counters plus, when a prefetch pool
+    /// runs, those of the worker computations it took (steps computed
+    /// ahead and never consumed are not counted). Each worker repairs from
+    /// whatever snapshot it computed last, so with a pool the split
+    /// depends on thread scheduling; the states never do.
+    pub routing: (RouterStats, RepairStats),
 }
+
+/// What a prefetch worker hands over per forwarding step: the states and
+/// what its router counted while computing them.
+type PrefetchedStep = (ForwardingState, Option<MultipathState>, (RouterStats, RepairStats));
 
 /// The packet-level simulator.
 ///
@@ -92,7 +104,9 @@ pub struct Simulator {
     /// `config.fstate_threads > 0`): computes steps `k+1..k+P` while the
     /// event loop consumes step `k`. Deterministic — states are identical
     /// to inline computation and consumed strictly in step order.
-    fstate_prefetch: Option<Prefetcher<(ForwardingState, Option<MultipathState>)>>,
+    fstate_prefetch: Option<Prefetcher<PrefetchedStep>>,
+    /// Routing counters of the prefetched steps consumed so far.
+    prefetched_routing: (RouterStats, RepairStats),
     /// Snapshot-graph staging buffers for the inline recomputation path.
     snapshot_buffers: SnapshotBuffers,
     /// Inline routing engine (full Dijkstra or incremental repair, per
@@ -195,6 +209,7 @@ impl Simulator {
             fwd,
             mp,
             fstate_prefetch,
+            prefetched_routing: Default::default(),
             snapshot_buffers,
             router,
             next_fwd_step: 1,
@@ -251,6 +266,9 @@ impl Simulator {
             queue.merge(&shard.queue.stats());
             ephemeris.merge(&shard.ephemeris.stats());
         }
+        let mut routing = (self.router.stats, self.router.repair_stats);
+        routing.0.merge(&self.prefetched_routing.0);
+        routing.1.merge(&self.prefetched_routing.1);
         EngineReport {
             sim_shards: self.shards.len(),
             epochs: self.epochs,
@@ -259,6 +277,7 @@ impl Simulator {
             queue,
             fluid: self.fluid.as_ref().map(FluidNet::stats).unwrap_or_default(),
             ephemeris,
+            routing,
         }
     }
 
@@ -538,7 +557,10 @@ impl Simulator {
         t: SimTime,
     ) -> (Arc<ForwardingState>, Option<Arc<MultipathState>>) {
         let (fwd, mp) = if let Some(prefetch) = &mut self.fstate_prefetch {
-            prefetch.take(step)
+            let (fwd, mp, (router, repair)) = prefetch.take(step);
+            self.prefetched_routing.0.merge(&router);
+            self.prefetched_routing.1.merge(&repair);
+            (fwd, mp)
         } else {
             Self::compute_states(
                 &self.constellation,
@@ -582,7 +604,7 @@ impl Simulator {
         config: &SimConfig,
         dests: &[NodeId],
         start_step: u64,
-    ) -> Option<Prefetcher<(ForwardingState, Option<MultipathState>)>> {
+    ) -> Option<Prefetcher<PrefetchedStep>> {
         (config.fstate_threads > 0 && !config.freeze_at_epoch).then(|| {
             let constellation = constellation.clone();
             let dests = dests.to_vec();
@@ -604,7 +626,12 @@ impl Simulator {
                         worker.forwarding_state_masked(&constellation, t, &dests, mask.as_ref());
                     let mp = stretch
                         .map(|s| compute_multipath_state_on(worker.buffers.graph(), t, &dests, s));
-                    (fwd, mp)
+                    let router = &mut worker.router;
+                    let counted = (
+                        std::mem::take(&mut router.stats),
+                        std::mem::take(&mut router.repair_stats),
+                    );
+                    (fwd, mp, counted)
                 },
             )
         })
@@ -974,6 +1001,13 @@ mod tests {
             );
             sim.run_until(SimTime::from_secs(2));
             let ping: &PingApp = sim.app_as(app).unwrap();
+            // Routing telemetry counts the steps consumed — step 0 plus
+            // every update — wherever they were computed; how many of them
+            // were repairs depends on the workers' caches and is not compared.
+            let (router, repair) = sim.engine_report().routing;
+            assert_eq!(router.snapshots, sim.stats.forwarding_updates + 1);
+            assert_eq!(router.repaired + router.fallback_first, router.snapshots);
+            assert_eq!(repair.trees, 2 * router.repaired);
             (ping.rtts().to_vec(), sim.stats.events, sim.stats.forwarding_updates)
         };
         let inline = run(SimConfig::default());

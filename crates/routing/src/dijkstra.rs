@@ -107,7 +107,7 @@ pub fn shortest_path_tree_into(
             if settled[v] {
                 continue;
             }
-            let nd = d + e.delay_ns;
+            let nd = d + u64::from(e.delay_ns);
             // Strict improvement, or equal-cost tie resolved towards the
             // smaller parent id for determinism.
             let better = nd < dist[v] || (nd == dist[v] && next_hop[v].is_some_and(|old| u < old));
@@ -227,7 +227,7 @@ mod tests {
                 let dv = tree.dist_ns[e.to as usize];
                 if dv != UNREACHABLE {
                     assert!(
-                        du <= dv + e.delay_ns,
+                        du <= dv + u64::from(e.delay_ns),
                         "violated at edge {u}->{}: {du} > {dv}+{}",
                         e.to,
                         e.delay_ns

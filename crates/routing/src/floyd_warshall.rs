@@ -31,8 +31,8 @@ pub fn floyd_warshall(graph: &DelayGraph) -> AllPairs {
         for e in graph.edges(u) {
             let v = e.to as usize;
             // Parallel edges: keep the cheaper one.
-            if e.delay_ns < dist[u * n + v] {
-                dist[u * n + v] = e.delay_ns;
+            if u64::from(e.delay_ns) < dist[u * n + v] {
+                dist[u * n + v] = u64::from(e.delay_ns);
                 next[u * n + v] = e.to;
             }
         }

@@ -5,6 +5,13 @@
 //! currently above the minimum elevation angle. Edge weights are one-way
 //! propagation delays in integer nanoseconds (distance / c), which makes
 //! shortest-delay routing identical to the paper's networkx computation.
+//!
+//! An [`Edge`] is 8 bytes: a `u32` target and a `u32` delay. Every ISL and
+//! GSL delay is under 20 ms, so nanoseconds fit with two orders of
+//! magnitude to spare, and halving the edge halves what the routing step's
+//! one pass over the adjacency ([`crate::incremental`]) pulls through the
+//! cache. The narrowing happens once, checked, where a snapshot is built;
+//! distances stay `u64`.
 
 use hypatia_constellation::gsl::usable_satellites;
 use hypatia_constellation::{Constellation, NodeId};
@@ -17,8 +24,15 @@ use hypatia_util::{SimDuration, SimTime, Vec3};
 pub struct Edge {
     /// Target node index.
     pub to: u32,
-    /// One-way propagation delay, ns.
-    pub delay_ns: u64,
+    /// One-way propagation delay, ns (narrowed, checked, at snapshot build).
+    pub delay_ns: u32,
+}
+
+/// A link's propagation delay as an [`Edge`] weight. A delay that does
+/// not fit (over 4.29 s: no link of an Earth-orbit constellation) is a
+/// broken geometry computation, not an input to route on.
+fn edge_delay_ns(delay: SimDuration) -> u32 {
+    u32::try_from(delay.nanos()).expect("link propagation delay exceeds u32 nanoseconds (4.29 s)")
 }
 
 /// A snapshot graph in compressed-sparse-row form: one flat edge array
@@ -94,11 +108,10 @@ impl SnapshotBuffers {
     /// Rebuild `self.graph`'s edges from `self.graph.positions` (already
     /// filled for time `t`), skipping edges masked by `faults`.
     fn rebuild(&mut self, constellation: &Constellation, t: SimTime, faults: Option<&FaultState>) {
-        let g = &mut self.graph;
         let n = constellation.num_nodes();
-        assert_eq!(g.positions.len(), n, "position snapshot size");
+        let positions = &self.graph.positions;
+        assert_eq!(positions.len(), n, "position snapshot size");
         let n_sats = constellation.num_satellites();
-        let positions = &g.positions;
 
         // Stage every directed edge, then counting-sort by source node.
         // The staging order (ISLs first, then GSLs in ground-station
@@ -112,7 +125,7 @@ impl SnapshotBuffers {
                 }
             }
             let d = positions[a as usize].distance(positions[b as usize]);
-            let delay = propagation_delay_km(d).nanos();
+            let delay = edge_delay_ns(propagation_delay_km(d));
             self.pairs.push((a, Edge { to: b, delay_ns: delay }));
             self.pairs.push((b, Edge { to: a, delay_ns: delay }));
         }
@@ -130,12 +143,24 @@ impl SnapshotBuffers {
                         continue;
                     }
                 }
-                let delay = propagation_delay_km(vis.range_km).nanos();
+                let delay = edge_delay_ns(propagation_delay_km(vis.range_km));
                 self.pairs.push((gs_node, Edge { to: vis.sat_idx as u32, delay_ns: delay }));
                 self.pairs.push((vis.sat_idx as u32, Edge { to: gs_node, delay_ns: delay }));
             }
         }
 
+        self.fill_csr(n);
+        let g = &mut self.graph;
+        g.transit.clear();
+        g.transit.extend(
+            (0..n).map(|i| constellation.may_transit(hypatia_constellation::NodeId(i as u32))),
+        );
+    }
+
+    /// Counting-sort the staged `pairs` by source node into the graph's
+    /// CSR arrays (stable: staging order is adjacency order).
+    fn fill_csr(&mut self, n: usize) {
+        let g = &mut self.graph;
         g.offsets.clear();
         g.offsets.resize(n + 1, 0);
         for &(src, _) in &self.pairs {
@@ -153,11 +178,6 @@ impl SnapshotBuffers {
             g.edges[at as usize] = edge;
             self.cursor[src as usize] = at + 1;
         }
-
-        g.transit.clear();
-        g.transit.extend(
-            (0..n).map(|i| constellation.may_transit(hypatia_constellation::NodeId(i as u32))),
-        );
     }
 }
 
@@ -205,6 +225,29 @@ impl DelayGraph {
         buffers.into_graph()
     }
 
+    /// A graph over `transit.len()` vertices from an explicit list of
+    /// undirected `(a, b, delay_ns)` links; adjacency order is list order.
+    #[cfg(test)]
+    pub(crate) fn from_links(transit: Vec<bool>, links: &[(u32, u32, u32)]) -> DelayGraph {
+        let mut buffers = SnapshotBuffers::new();
+        for &(a, b, delay_ns) in links {
+            buffers.pairs.push((a, Edge { to: b, delay_ns }));
+            buffers.pairs.push((b, Edge { to: a, delay_ns }));
+        }
+        buffers.fill_csr(transit.len());
+        buffers.graph.transit = transit;
+        buffers.into_graph()
+    }
+
+    /// Make this graph's adjacency (offsets and edges) a copy of
+    /// `other`'s, reusing buffers. Positions and transit flags are left
+    /// alone: this is what [`crate::incremental::GraphDiff`] reads of a
+    /// previous snapshot, and all the incremental router keeps of one.
+    pub(crate) fn copy_adjacency_from(&mut self, other: &DelayGraph) {
+        self.offsets.clone_from(&other.offsets);
+        self.edges.clone_from(&other.edges);
+    }
+
     /// Number of vertices.
     pub fn num_nodes(&self) -> usize {
         self.offsets.len() - 1
@@ -227,12 +270,18 @@ impl DelayGraph {
         self.transit[node]
     }
 
+    /// [`Self::may_transit`] of every node, in node order.
+    #[inline]
+    pub(crate) fn transit(&self) -> &[bool] {
+        &self.transit
+    }
+
     /// The delay of the direct edge `a → b`, if one exists.
     pub fn edge_delay(&self, a: usize, b: usize) -> Option<SimDuration> {
         self.edges(a)
             .iter()
             .find(|e| e.to as usize == b)
-            .map(|e| SimDuration::from_nanos(e.delay_ns))
+            .map(|e| SimDuration::from_nanos(u64::from(e.delay_ns)))
     }
 
     /// True if nodes `a` and `b` are directly linked.
@@ -316,6 +365,19 @@ mod tests {
             let ms = e.delay_ns as f64 / 1e6;
             assert!((2.0..5.0).contains(&ms), "GSL delay {ms} ms");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "link propagation delay exceeds u32 nanoseconds")]
+    fn a_delay_that_does_not_fit_an_edge_is_rejected_not_truncated() {
+        edge_delay_ns(SimDuration::from_nanos(u64::from(u32::MAX) + 1));
+    }
+
+    #[test]
+    fn edge_delays_narrow_losslessly() {
+        assert_eq!(std::mem::size_of::<Edge>(), 8);
+        assert_eq!(edge_delay_ns(SimDuration::from_nanos(u64::from(u32::MAX))), u32::MAX);
+        assert_eq!(edge_delay_ns(SimDuration::from_millis(20)), 20_000_000);
     }
 
     #[test]

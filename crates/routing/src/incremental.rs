@@ -1,14 +1,30 @@
-//! Incremental snapshot routing: dynamic SSSP repair seeded from the
-//! previous snapshot's shortest-path trees.
+//! Incremental snapshot routing: each destination's shortest-path tree is
+//! repaired from the previous snapshot's instead of recomputed.
 //!
-//! Between consecutive forwarding-state snapshots only the edge *weights*
-//! drift (satellites move) and a handful of GSL/visibility (or fault)
-//! edges flip, yet the baseline pipeline reruns full Dijkstra from every
-//! destination each step. This module diffs consecutive [`DelayGraph`]
-//! snapshots ([`GraphDiff`]), classifies affected vertices in the spirit
-//! of Ramalingam–Reps, and repairs each destination's [`SpTree`] in place
-//! ([`repair_shortest_path_tree`]); [`IncrementalRouter`] wraps the policy
-//! (full vs. repair, churn-threshold fallback) plus the per-worker caches.
+//! Between consecutive forwarding-state snapshots every edge *weight*
+//! drifts (satellites move) and a handful of GSL/visibility (or fault)
+//! edges flip, yet under the workloads' own fault process only 1–17 of a
+//! tree's 451–1684 vertices end up closer to the destination than the old
+//! tree's path makes them. This module diffs consecutive [`DelayGraph`]
+//! snapshots ([`GraphDiff`]) to decide whether repair is worth it, and
+//! repairs each destination's [`SpTree`] in place; [`IncrementalRouter`]
+//! wraps the policy (full vs. repair, churn-threshold fallback) plus the
+//! per-worker caches.
+//!
+//! # What a repair costs
+//!
+//! Because every weight moves, no vertex can be skipped: the floor is one
+//! look at every vertex and every edge. The kernel (`repair_shortest_path_tree`)
+//! stays at that floor — one parents-first pass over the vertices, one
+//! scan over the edges — and makes both passes cheap: the tree remembers a
+//! parents-first order and the adjacency slot of every parent (five bytes
+//! a vertex), so the first pass is a walk with O(1) weight lookups; and
+//! vertices that may not transit (ground stations, outside bent-pipe
+//! constellations) are *leaves* that hold [`UNREACHABLE`] while the others
+//! are scanned and are filled last, so the scan needs no per-edge test and
+//! reduces to a branch-free minimum. The heap phase and the re-scan after
+//! it touch only what actually changed. Full Dijkstra
+//! ([`shortest_path_tree_into`]) remains the fallback and the only oracle.
 //!
 //! # Determinism and byte-identity
 //!
@@ -19,8 +35,10 @@
 //! every optimal parent settles strictly before `v`, so each one gets to
 //! relax `v`, and the `u < old` tie-break keeps the smallest id. The
 //! repair therefore recomputes exact distances (warm-start Dijkstra from
-//! the previous tree, run to a tense-edge-free fixed point) and then
-//! rebuilds `next_hop` canonically from the distances alone. The result is
+//! the previous tree, run to a tense-edge-free fixed point) and derives
+//! `next_hop` from the distances alone, as the smallest `(dist[u] + w, u)`
+//! over `v`'s edges — an explicit id comparison, since adjacency lists are
+//! in construction order, not id order. The result is
 //! byte-identical to a from-scratch computation regardless of which
 //! previous snapshot seeded the repair — which is what lets per-worker
 //! caches process snapshots at any thread count and in any order. A
@@ -118,7 +136,7 @@ pub struct GraphDiff {
     pub cur_edges: usize,
 }
 
-fn find_delay(edges: &[Edge], to: u32) -> Option<u64> {
+fn find_delay(edges: &[Edge], to: u32) -> Option<u32> {
     edges.iter().find(|e| e.to == to).map(|e| e.delay_ns)
 }
 
@@ -145,7 +163,7 @@ impl GraphDiff {
             let pe = prev.edges(u);
             let ce = cur.edges(u);
             for e in ce {
-                self.min_delay_ns = self.min_delay_ns.min(e.delay_ns);
+                self.min_delay_ns = self.min_delay_ns.min(u64::from(e.delay_ns));
             }
             // Snapshot adjacency order is construction-stable, so when the
             // neighbour sets match, the lists are positionally identical.
@@ -188,152 +206,306 @@ impl GraphDiff {
     }
 }
 
-/// Reusable working memory for [`repair_shortest_path_tree`]: the
-/// previous tree's children lists (CSR), the BFS order, and the repair
-/// heap all persist across calls.
-#[derive(Debug, Default)]
-pub struct RepairScratch {
-    /// `child_offsets[u]..child_offsets[u+1]` indexes `children` for `u`.
-    child_offsets: Vec<u32>,
-    /// Children of each vertex in the previous tree (`next_hop[v] == u`).
-    children: Vec<u32>,
-    /// Counting-sort cursors, then reused as the BFS queue.
-    cursor: Vec<u32>,
-    /// BFS visitation order over the old tree.
-    order: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+/// What the repair kernel did, summed over every tree a router repaired.
+/// Telemetry: the counts depend on which snapshot a router's cache held,
+/// so under a prefetch pool they vary with thread scheduling; the repaired
+/// trees never do.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RepairStats {
+    /// Trees repaired (repaired snapshots × destinations).
+    pub trees: u64,
+    /// Label drops: times a vertex turned out closer to the destination
+    /// than the previous tree's path makes it under the new weights (found
+    /// tense by the edge scan, or relaxed in the heap phase).
+    pub retensed: u64,
+    /// Vertices whose parent was re-derived after the heap phase (the
+    /// dropped vertices and their neighbours, each once per tree).
+    pub rescanned: u64,
+    /// Remembered parent slots that no longer held the parent (a fault or
+    /// visibility flip shifted the adjacency), resolved by linear search.
+    pub slot_misses: u64,
 }
 
-impl RepairScratch {
-    /// Fresh, empty scratch.
-    pub fn new() -> Self {
-        Self::default()
+impl RepairStats {
+    /// Add `other`'s counts to this one's.
+    pub fn merge(&mut self, other: &RepairStats) {
+        self.trees += other.trees;
+        self.retensed += other.retensed;
+        self.rescanned += other.rescanned;
+        self.slot_misses += other.slot_misses;
     }
+}
+
+/// "No remembered slot" in a tree's parent-slot cache: the parent is
+/// looked up by linear search (also what a slot ≥ 255 is stored as).
+const NO_SLOT: u8 = u8::MAX;
+
+/// Label of a transit vertex the parents-first pass has not reached yet.
+/// Never a distance: real ones are sums of at most `n` `u32` delays.
+const PENDING: u64 = UNREACHABLE - 1;
+
+/// [`RepairScratch::mark`] values; all `CLEAN` between repairs.
+const CLEAN: u8 = 0;
+/// The vertex's label dropped and it is listed in `dropped`.
+const DROPPED: u8 = 1;
+/// The vertex's parent was re-derived after the heap phase.
+const RESCANNED: u8 = 2;
+
+/// What one repair of a tree remembers for the next: five bytes a vertex
+/// (0.84 MB for Starlink S1 × 100 destinations). Hints only — both are
+/// validated as they are read, so a stale memo costs time, never bytes.
+#[derive(Debug, Default)]
+struct TreeMemo {
+    /// `slots[v]`: where `v`'s parent sat in `v`'s adjacency ([`NO_SLOT`]:
+    /// not known). Any length but the node count: nothing remembered.
+    slots: Vec<u8>,
+    /// The transit vertices in a parents-first order of the tree.
+    order: Vec<u32>,
+}
+
+impl TreeMemo {
+    /// The tree was recomputed from scratch: nothing is remembered.
+    fn forget(&mut self) {
+        self.slots.clear();
+    }
+}
+
+/// Reusable working memory for [`repair_shortest_path_tree`].
+#[derive(Debug, Default)]
+struct RepairScratch {
+    /// Vertices climbed through, not yet labelled (parents-first pass).
+    stack: Vec<u32>,
+    /// Transit vertices in the order that pass labelled them.
+    sequence: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Vertices whose label dropped, each once.
+    dropped: Vec<u32>,
+    /// Per-vertex `CLEAN` / `DROPPED` / `RESCANNED`.
+    mark: Vec<u8>,
+    /// Leaf results `(vertex, (distance, parent, slot))`, written back
+    /// only after every leaf was scanned.
+    leaves: Vec<(u32, (u64, u32, usize))>,
+}
+
+/// `dist[parent] ⊕ w(v, parent)` for the vertex `v` whose adjacency is
+/// `edges`, reading `w` at the remembered `slot` when that still holds
+/// the edge to `parent`; [`UNREACHABLE`] when the edge is gone.
+#[inline]
+fn via_parent(edges: &[Edge], slot: u8, parent: u32, dist: &[u64], misses: &mut u64) -> u64 {
+    let delay = match edges.get(usize::from(slot)) {
+        Some(e) if e.to == parent => Some(e.delay_ns),
+        _ => {
+            *misses += u64::from(slot != NO_SLOT);
+            find_delay(edges, parent)
+        }
+    };
+    delay.map_or(UNREACHABLE, |w| dist[parent as usize].saturating_add(u64::from(w)))
+}
+
+/// `min(dist[u] ⊕ w)` over the edges `(u, w)` of one vertex, with the
+/// minimum-id tie-break: `(distance, parent, slot)`. `⊕` saturates, so an
+/// [`UNREACHABLE`] neighbour never wins; whether a neighbour may be a
+/// parent at all is encoded in its label (leaves hold `UNREACHABLE` while
+/// transit vertices are scanned). That leaves one comparison per edge:
+/// distance, id and slot are packed, most significant first, into a
+/// `u128` whose minimum is all three answers — a compare-and-select the
+/// compiler has no reason to turn back into a branch on data.
+#[inline(always)]
+fn best_parent(edges: &[Edge], dist: &[u64]) -> (u64, u32, usize) {
+    let mut best = u128::MAX;
+    for (slot, e) in edges.iter().enumerate() {
+        let via = dist[e.to as usize].saturating_add(u64::from(e.delay_ns));
+        let key = (u128::from(via) << 64) | (u128::from(e.to) << 32) | slot as u32 as u128;
+        best = best.min(key);
+    }
+    ((best >> 64) as u64, (best >> 32) as u32, best as u32 as usize)
+}
+
+/// Record a scan's verdict on `v`.
+#[inline(always)]
+fn set_parent(
+    v: usize,
+    (best, parent, slot): (u64, u32, usize),
+    dist: &mut [u64],
+    next_hop: &mut [Option<u32>],
+    slots: &mut [u8],
+) {
+    dist[v] = best;
+    next_hop[v] = (best != UNREACHABLE).then_some(parent);
+    slots[v] = u8::try_from(slot).unwrap_or(NO_SLOT);
 }
 
 /// Repair `tree` — an exact shortest-path tree of a *previous* snapshot
 /// with the same node set and transit flags — into the exact tree for
 /// `graph`, byte-identical to [`shortest_path_tree_into`] on `graph`.
 ///
-/// Three passes: (1) re-derive distances along the old tree under the new
-/// weights (vertices whose old path broke become unreachable for now);
-/// (2) seed a heap with every vertex a single relaxation improves (the
-/// "affected" set) and run Dijkstra repair to a fixed point, which yields
-/// exact distances; (3) rebuild every `next_hop` as the minimum-id optimal
-/// parent, the canonical form full Dijkstra produces.
+/// `memo` is what the previous repair of this tree left for this one; it
+/// belongs to the tree and must be [`TreeMemo::forget`]-ed whenever the
+/// tree is recomputed from scratch.
+///
+/// A vertex that may not transit can never be a parent, so apart from the
+/// destination such vertices are *leaves*: they hold [`UNREACHABLE`] until
+/// step 5, which is what lets steps 2 and 4 run without a per-edge transit
+/// test.
+///
+/// 1. Parents first, re-derive every transit vertex's distance along the
+///    old tree under the new weights (in `order`, O(1) weight lookups
+///    through `slots`). A vertex whose parent edge is gone, or whose
+///    parent is cut off, becomes unreachable for now.
+/// 2. One scan over the transit vertices' edges: `v`'s label becomes
+///    `min(dist[u] ⊕ w)`, the lowest-id minimiser and its slot become its
+///    parent, and if the label dropped, `v` seeds the heap.
+/// 3. Dijkstra repair from the seeds to a fixed point. Labels only
+///    decrease, each is the length of a real transit-valid path, and at
+///    termination no edge is tense: the labels are exact.
+/// 4. Step 2's parent is final for every vertex whose own label and whose
+///    neighbours' labels never dropped; the others are scanned once more.
+/// 5. Scan the leaves.
 ///
 /// `graph` must not contain zero-weight edges (callers check via
 /// [`GraphDiff::has_zero_delay`] and fall back to full Dijkstra).
-pub fn repair_shortest_path_tree(
+fn repair_shortest_path_tree(
     graph: &DelayGraph,
     tree: &mut SpTree,
+    memo: &mut TreeMemo,
     scratch: &mut RepairScratch,
+    stats: &mut RepairStats,
 ) {
     let n = graph.num_nodes();
-    let dst = tree.dst;
+    let dst = tree.dst as usize;
     assert_eq!(tree.dist_ns.len(), n, "tree/snapshot node count mismatch");
+    let TreeMemo { slots, order } = memo;
+    if slots.len() != n {
+        slots.clear();
+        slots.resize(n, NO_SLOT);
+        order.clear();
+    }
+    scratch.mark.resize(n, CLEAN);
+    stats.trees += 1;
+    let RepairScratch { stack, sequence, heap, dropped, mark, leaves } = scratch;
+    let dist = &mut tree.dist_ns[..n];
+    let next_hop = &mut tree.next_hop[..n];
+    let slots = &mut slots[..n];
 
-    // Pass 1a: children lists of the old tree, by counting sort.
-    scratch.child_offsets.clear();
-    scratch.child_offsets.resize(n + 1, 0);
-    for hop in tree.next_hop.iter().flatten() {
-        scratch.child_offsets[*hop as usize + 1] += 1;
+    // Step 1. `order` is a parents-first order of the tree as the previous
+    // repair found it, so nearly every vertex finds its parent labelled;
+    // one that does not (its parent changed since) climbs to the first
+    // labelled ancestor and labels the chain on the way back down. The
+    // labelling sequence is the next repair's order. With nothing
+    // remembered, ascending ids do the same job, all by climbing.
+    let transit = graph.transit();
+    let mut todo = 0;
+    for (d, &t) in dist.iter_mut().zip(transit) {
+        *d = if t { PENDING } else { UNREACHABLE };
+        todo += usize::from(t);
     }
-    for v in 0..n {
-        scratch.child_offsets[v + 1] += scratch.child_offsets[v];
-    }
-    scratch.cursor.clear();
-    scratch.cursor.extend_from_slice(&scratch.child_offsets[..n]);
-    scratch.children.clear();
-    scratch.children.resize(tree.next_hop.iter().flatten().count(), 0);
-    for (v, hop) in tree.next_hop.iter().enumerate() {
-        if let Some(u) = hop {
-            let at = scratch.cursor[*u as usize];
-            scratch.children[at as usize] = v as u32;
-            scratch.cursor[*u as usize] = at + 1;
+    todo -= usize::from(transit[dst]);
+    dist[dst] = 0;
+    sequence.clear();
+    for v in order.iter().copied().chain(0..n as u32) {
+        if sequence.len() == todo {
+            break;
         }
-    }
-
-    // Pass 1b: BFS from dst over the old tree, re-deriving distances with
-    // the new weights. A vertex whose parent edge disappeared (or whose
-    // parent is itself cut off) keeps UNREACHABLE; pass 2 re-discovers it
-    // if any live path remains.
-    let dist = &mut tree.dist_ns;
-    dist.iter_mut().for_each(|d| *d = UNREACHABLE);
-    dist[dst as usize] = 0;
-    scratch.order.clear();
-    scratch.order.push(dst);
-    let mut head = 0;
-    while head < scratch.order.len() {
-        let u = scratch.order[head];
-        head += 1;
-        let du = dist[u as usize];
-        let (lo, hi) = (scratch.child_offsets[u as usize], scratch.child_offsets[u as usize + 1]);
-        for i in lo..hi {
-            let v = scratch.children[i as usize];
-            if let Some(w) = find_delay(graph.edges(v as usize), u) {
-                dist[v as usize] = du + w;
-                scratch.order.push(v);
-            }
-        }
-    }
-
-    // Pass 2: seed every vertex a single relaxation improves, then repair
-    // to a fixed point. Labels only decrease, each label is the length of
-    // a real transit-valid path, and at termination no edge is tense, so
-    // the labels are the exact constrained shortest distances.
-    let heap = &mut scratch.heap;
-    heap.clear();
-    for u in 0..n {
-        let du = dist[u];
-        if du == UNREACHABLE || (u as u32 != dst && !graph.may_transit(u)) {
+        if dist[v as usize] != PENDING {
             continue;
         }
-        for e in graph.edges(u) {
-            let nd = du + e.delay_ns;
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
-                heap.push(Reverse((nd, e.to)));
+        let mut x = v as usize;
+        dist[x] = loop {
+            match next_hop[x] {
+                None => break UNREACHABLE,
+                Some(p) if dist[p as usize] != PENDING => {
+                    break via_parent(graph.edges(x), slots[x], p, dist, &mut stats.slot_misses);
+                }
+                Some(p) => {
+                    stack.push(x as u32);
+                    x = p as usize;
+                }
             }
+        };
+        sequence.push(x as u32);
+        while let Some(child) = stack.pop() {
+            let c = child as usize;
+            dist[c] = via_parent(graph.edges(c), slots[c], x as u32, dist, &mut stats.slot_misses);
+            sequence.push(child);
+            x = c;
         }
     }
+    std::mem::swap(order, sequence);
+
+    // Step 2. In place: a later vertex already sees an earlier one's drop.
+    heap.clear();
+    dropped.clear();
+    let mut note_drop = |v: usize| {
+        stats.retensed += 1;
+        if mark[v] == CLEAN {
+            mark[v] = DROPPED;
+            dropped.push(v as u32);
+        }
+    };
+    for (v, &t) in transit.iter().enumerate() {
+        if v == dst || !t {
+            continue;
+        }
+        let found = best_parent(graph.edges(v), dist);
+        if found.0 < dist[v] {
+            heap.push(Reverse((found.0, v as u32)));
+            note_drop(v);
+        }
+        // `found.0 <= dist[v]` always: v's old parent is among its edges.
+        set_parent(v, found, dist, next_hop, slots);
+    }
+
+    // Step 3.
     while let Some(Reverse((d, u))) = heap.pop() {
         if d > dist[u as usize] {
             continue; // stale entry
         }
-        if u != dst && !graph.may_transit(u as usize) {
-            continue; // endpoints terminate paths, as in full Dijkstra
-        }
         for e in graph.edges(u as usize) {
-            let nd = d + e.delay_ns;
-            if nd < dist[e.to as usize] {
-                dist[e.to as usize] = nd;
+            let x = e.to as usize;
+            let nd = d + u64::from(e.delay_ns);
+            // Leaves wait for step 5 (and the destination stays at 0).
+            if graph.may_transit(x) && nd < dist[x] {
+                dist[x] = nd;
                 heap.push(Reverse((nd, e.to)));
+                note_drop(x);
             }
         }
     }
 
-    // Pass 3: canonical next hops — the minimum-id optimal parent. Edges
-    // are symmetric, so v's in-edges are read off its own adjacency list.
-    for v in 0..n {
-        if v as u32 == dst || dist[v] == UNREACHABLE {
-            tree.next_hop[v] = None;
-            continue;
+    // Step 4.
+    let mut rescan = |v: usize, dist: &mut [u64]| {
+        if v != dst && graph.may_transit(v) && mark[v] != RESCANNED {
+            mark[v] = RESCANNED;
+            stats.rescanned += 1;
+            let found = best_parent(graph.edges(v), dist);
+            debug_assert_eq!(found.0, dist[v], "label of {v} is not a fixed point");
+            set_parent(v, found, dist, next_hop, slots);
         }
-        let dv = dist[v];
-        let mut best = u32::MAX;
-        for e in graph.edges(v) {
-            let u = e.to;
-            if (u == dst || graph.may_transit(u as usize))
-                && dist[u as usize] != UNREACHABLE
-                && dist[u as usize] + e.delay_ns == dv
-                && u < best
-            {
-                best = u;
-            }
+    };
+    for &x in dropped.iter() {
+        rescan(x as usize, dist);
+        for e in graph.edges(x as usize) {
+            rescan(e.to as usize, dist);
         }
-        debug_assert!(best != u32::MAX, "reachable vertex {v} has no optimal parent");
-        tree.next_hop[v] = (best != u32::MAX).then_some(best);
+    }
+    for &x in dropped.iter() {
+        mark[x as usize] = CLEAN;
+        for e in graph.edges(x as usize) {
+            mark[e.to as usize] = CLEAN;
+        }
+    }
+
+    // Step 5. A leaf's neighbour may itself be a leaf (never in a
+    // constellation, but a `DelayGraph` allows it), so no leaf's label is
+    // written while another is still to be scanned.
+    leaves.clear();
+    for (v, &t) in transit.iter().enumerate() {
+        if v != dst && !t {
+            leaves.push((v as u32, best_parent(graph.edges(v), dist)));
+        }
+    }
+    for &(v, found) in leaves.iter() {
+        set_parent(v as usize, found, dist, next_hop, slots);
     }
 }
 
@@ -355,8 +527,21 @@ pub struct RouterStats {
     pub fallback_zero_delay: u64,
 }
 
-/// Per-worker incremental routing engine: previous snapshot + exact trees
-/// + scratch buffers, and the full-vs-repair policy.
+impl RouterStats {
+    /// Add `other`'s counts to this one's.
+    pub fn merge(&mut self, other: &RouterStats) {
+        self.snapshots += other.snapshots;
+        self.repaired += other.repaired;
+        self.full_mode += other.full_mode;
+        self.fallback_first += other.fallback_first;
+        self.fallback_churn += other.fallback_churn;
+        self.fallback_zero_delay += other.fallback_zero_delay;
+    }
+}
+
+/// Per-worker incremental routing engine: the previous snapshot's
+/// adjacency + exact trees with their parent-slot caches + scratch
+/// buffers, and the full-vs-repair policy.
 ///
 /// Every worker of a parallel sweep owns one router. Because repair output
 /// is byte-identical to full recompute from *any* valid cache state, the
@@ -368,14 +553,20 @@ pub struct IncrementalRouter {
     config: RoutingConfig,
     /// Is (`prev_graph`, `trees`, `dests`) a coherent cache?
     valid: bool,
+    /// Offsets and edges of the snapshot `trees` describe — all the diff
+    /// reads; positions and transit flags are not kept.
     prev_graph: DelayGraph,
     dests: Vec<NodeId>,
     trees: Vec<SpTree>,
+    /// `memos[i]`: what `trees[i]`'s last repair left for its next one.
+    memos: Vec<TreeMemo>,
     scratch: DijkstraScratch,
     repair: RepairScratch,
     diff: GraphDiff,
     /// Decision counters (exposed for benches and tests).
     pub stats: RouterStats,
+    /// What the repairs counted in `stats.repaired` did.
+    pub repair_stats: RepairStats,
 }
 
 impl Default for IncrementalRouter {
@@ -393,10 +584,12 @@ impl IncrementalRouter {
             prev_graph: DelayGraph::default(),
             dests: Vec::new(),
             trees: Vec::new(),
+            memos: Vec::new(),
             scratch: DijkstraScratch::new(),
-            repair: RepairScratch::new(),
+            repair: RepairScratch::default(),
             diff: GraphDiff::default(),
             stats: RouterStats::default(),
+            repair_stats: RepairStats::default(),
         }
     }
 
@@ -451,8 +644,14 @@ impl IncrementalRouter {
 
         if repairable {
             self.stats.repaired += 1;
-            for tree in &mut self.trees {
-                repair_shortest_path_tree(graph, tree, &mut self.repair);
+            for (tree, memo) in self.trees.iter_mut().zip(&mut self.memos) {
+                repair_shortest_path_tree(
+                    graph,
+                    tree,
+                    memo,
+                    &mut self.repair,
+                    &mut self.repair_stats,
+                );
             }
         } else {
             self.dests.clear();
@@ -461,12 +660,15 @@ impl IncrementalRouter {
             for (tree, d) in self.trees.iter_mut().zip(dests) {
                 shortest_path_tree_into(graph, d.0, &mut self.scratch, tree);
             }
+            // Fresh trees: nothing remembered.
+            self.memos.resize_with(dests.len(), TreeMemo::default);
+            self.memos.iter_mut().for_each(TreeMemo::forget);
         }
 
         // Cache the snapshot the trees now describe (except in full mode,
         // where the cache is dead weight).
         if self.config.mode == RoutingMode::Incremental {
-            self.prev_graph.clone_from(graph);
+            self.prev_graph.copy_adjacency_from(graph);
             self.valid = true;
         }
 
@@ -478,12 +680,15 @@ impl IncrementalRouter {
 mod tests {
     use super::*;
     use crate::forwarding::compute_forwarding_state_on;
+    use crate::graph::SnapshotBuffers;
     use hypatia_constellation::ground::GroundStation;
     use hypatia_constellation::gsl::GslConfig;
     use hypatia_constellation::isl::IslLayout;
+    use hypatia_constellation::presets;
     use hypatia_constellation::shell::ShellSpec;
     use hypatia_constellation::Constellation;
-    use hypatia_fault::{FaultSchedule, FaultSpec, FaultState, OutageWindow};
+    use hypatia_fault::{FaultSchedule, FaultSpec, FaultState, FlapProcess, LinkCut, OutageWindow};
+    use hypatia_util::rng::DetRng;
     use hypatia_util::{SimDuration, SimTime};
 
     fn constellation() -> Constellation {
@@ -512,12 +717,12 @@ mod tests {
         let dst = c.gs_node(0).0;
         let mut tree =
             crate::dijkstra::shortest_path_tree(&DelayGraph::snapshot(&c, SimTime::ZERO), dst);
-        let mut scratch = RepairScratch::new();
+        let (mut memo, mut scratch, mut stats) = Default::default();
         // Walk forward in time: every ISL weight drifts, GSLs flip as
         // satellites rise and set.
         for secs in [5u64, 10, 30, 90, 180] {
             let g = DelayGraph::snapshot(&c, SimTime::from_secs(secs));
-            repair_shortest_path_tree(&g, &mut tree, &mut scratch);
+            repair_shortest_path_tree(&g, &mut tree, &mut memo, &mut scratch, &mut stats);
             let full = crate::dijkstra::shortest_path_tree(&g, dst);
             assert_trees_identical(&tree, &full, &format!("t={secs}s"));
         }
@@ -539,23 +744,221 @@ mod tests {
         let dark = FaultState::at(&sched, t);
         let nominal = DelayGraph::snapshot(&c, t);
         let masked = DelayGraph::snapshot_masked(&c, t, Some(&dark));
-        let mut scratch = RepairScratch::new();
+        let (mut scratch, mut stats) = Default::default();
         for dst in [c.gs_node(0).0, c.gs_node(2).0] {
             // Fault appears: repair nominal tree onto the masked graph.
             let mut tree = crate::dijkstra::shortest_path_tree(&nominal, dst);
-            repair_shortest_path_tree(&masked, &mut tree, &mut scratch);
+            let mut memo = TreeMemo::default();
+            repair_shortest_path_tree(&masked, &mut tree, &mut memo, &mut scratch, &mut stats);
             assert_trees_identical(
                 &tree,
                 &crate::dijkstra::shortest_path_tree(&masked, dst),
                 "fault onset",
             );
             // Fault clears: repair the masked tree back onto nominal.
-            repair_shortest_path_tree(&nominal, &mut tree, &mut scratch);
+            repair_shortest_path_tree(&nominal, &mut tree, &mut memo, &mut scratch, &mut stats);
             assert_trees_identical(
                 &tree,
                 &crate::dijkstra::shortest_path_tree(&nominal, dst),
                 "fault recovery",
             );
+        }
+    }
+
+    /// One fuzz case: a random small shell, ground segment, destination
+    /// set and fault schedule; the router visits a random walk of instants
+    /// and every tree it hands out is compared with full Dijkstra.
+    fn random_snapshot_chain(seed: u64, totals: &mut (RouterStats, RepairStats)) {
+        let rng = &mut DetRng::new(seed);
+        let bent_pipe = rng.next_below(8) == 0;
+        let altitude_km = [550.0, 1100.0][rng.next_below(2) as usize];
+        let (orbits, per_orbit) = (4 + rng.next_below(4) as u32, 4 + rng.next_below(5) as u32);
+        let n_sats = orbits * per_orbit;
+        let mut stations: Vec<GroundStation> = (0..2 + rng.next_below(10))
+            .map(|i| {
+                let (lat, lon) =
+                    (rng.next_below(1200) as f64 / 10.0 - 60.0, rng.next_below(3600) as f64 / 10.0);
+                GroundStation::new(format!("gs{i}"), lat, lon - 180.0)
+            })
+            .collect();
+        // 53° shells never rise above the pole's horizon mask.
+        stations.push(GroundStation::new("pole", 89.9, 0.0));
+        let n_gs = stations.len() as u32;
+        let c = Constellation::build(
+            "fuzz",
+            vec![ShellSpec::new("A", altitude_km, orbits, per_orbit, 53.0)],
+            if bent_pipe { IslLayout::None } else { IslLayout::PlusGrid },
+            stations,
+            GslConfig::new([10.0, 25.0][rng.next_below(2) as usize]),
+        );
+        assert_eq!(c.gs_relay, bent_pipe);
+
+        let mut dests: Vec<NodeId> = (0..n_gs as usize).map(|i| c.gs_node(i)).collect();
+        if rng.next_below(2) == 0 {
+            dests.push(NodeId(rng.next_below(n_sats as u64) as u32)); // a satellite destination
+        }
+        let horizon_s = 200.0;
+        let window = |rng: &mut DetRng, target: u32| {
+            let from_s = rng.next_below(1800) as f64 / 10.0;
+            let until_s = from_s + 1.0 + rng.next_below(600) as f64 / 10.0;
+            OutageWindow { target, from_s, until_s }
+        };
+        let mut spec = FaultSpec::default();
+        for _ in 0..rng.next_below(5) {
+            let sat = rng.next_below(n_sats as u64) as u32;
+            spec.sat_outages.push(window(rng, sat));
+        }
+        // The first destination's own station goes dark and comes back:
+        // its whole tree turns unreachable, then reachable on stale slots.
+        spec.gsl_weather.push(window(rng, 0));
+        for _ in 0..rng.next_below(3) {
+            let gs = rng.next_below(n_gs as u64) as u32;
+            spec.gsl_weather.push(window(rng, gs));
+        }
+        for _ in 0..rng.next_below(5) {
+            if !c.isls.is_empty() {
+                let (a, b) = c.isls[rng.next_below(c.isls.len() as u64) as usize];
+                let w = window(rng, 0);
+                spec.isl_cuts.push(LinkCut { a, b, from_s: w.from_s, until_s: w.until_s });
+            }
+        }
+        let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs_f64(horizon_s));
+
+        // A threshold of 1 never falls back on churn, so repair also meets
+        // the snapshots the product would hand to full Dijkstra.
+        let threshold = [0.1, 1.0][rng.next_below(2) as usize];
+        let mut router = IncrementalRouter::new(RoutingConfig {
+            mode: RoutingMode::Incremental,
+            repair_churn_threshold: threshold,
+        });
+        let mut buffers = SnapshotBuffers::new();
+        let mut out = ForwardingState::empty();
+        let mut scratch = DijkstraScratch::new();
+        let mut oracle = SpTree::empty();
+        let mut t_ms = rng.next_below(120_000);
+        for step in 0..20 + rng.next_below(10) {
+            // Forwards, backwards or again, 1 ms … 60 s away.
+            let jump = 1 + (rng.next_below(60_000) >> rng.next_below(16));
+            t_ms = match rng.next_below(5) {
+                0 => t_ms,
+                1 | 2 => t_ms.saturating_sub(jump),
+                _ => (t_ms + jump).min((horizon_s * 1e3) as u64),
+            };
+            let t = SimTime::from_millis(t_ms);
+            let mask = FaultState::at(&sched, t);
+            let graph = buffers.snapshot_masked(&c, t, Some(&mask));
+            router.compute_into(graph, t, &dests, &mut out);
+
+            let ctx = format!("seed {seed} step {step} t={t_ms}ms");
+            assert!(graph.edges(c.gs_node(n_gs as usize - 1).index()).is_empty(), "{ctx}: pole");
+            assert_eq!(out.computed_at, t, "{ctx}");
+            assert_eq!(out.dests, dests, "{ctx}");
+            for (tree, d) in out.trees.iter().zip(&dests) {
+                shortest_path_tree_into(graph, d.0, &mut scratch, &mut oracle);
+                assert_trees_identical(tree, &oracle, &format!("{ctx} dst {}", d.0));
+                assert_eq!(out.tree(*d).map(|t| t.dst), Some(d.0), "{ctx}: lookup");
+            }
+        }
+        totals.0.merge(&router.stats);
+        totals.1.merge(&router.repair_stats);
+    }
+
+    #[test]
+    fn repair_equals_full_dijkstra_on_random_snapshot_chains() {
+        let mut totals = Default::default();
+        for case in 0..240 {
+            random_snapshot_chain(0x5eed_0000 + case, &mut totals);
+        }
+        // The suite is only worth its name if it reached every path.
+        let (router, repair) = totals;
+        assert!(router.repaired > 3000 && router.fallback_churn > 0, "{router:?}");
+        assert!(
+            repair.retensed > 0 && repair.rescanned > 0 && repair.slot_misses > 0,
+            "{repair:?}"
+        );
+    }
+
+    /// Small integer weights on a grid with chords: most vertices have
+    /// several equal-cost parents, so the minimum-id rule decides nearly
+    /// every next hop. Some vertices may not transit, two of them adjacent.
+    #[test]
+    fn repair_picks_the_minimum_id_parent_among_ties() {
+        let (side, n) = (6u32, 36usize);
+        for seed in 0..60u64 {
+            let mut rng = DetRng::new(0x7135 + seed);
+            let mut transit = vec![true; n];
+            for _ in 0..rng.next_below(6) {
+                transit[rng.next_below(n as u64) as usize] = false;
+            }
+            (transit[7], transit[8]) = (false, false);
+            let mut all_links = Vec::new();
+            for v in 0..n as u32 {
+                let (row, col) = (v / side, v % side);
+                if col + 1 < side {
+                    all_links.push((v, v + 1));
+                }
+                if row + 1 < side {
+                    all_links.push((v, v + side));
+                }
+                if col + 1 < side && row + 1 < side && v % 3 == 0 {
+                    all_links.push((v, v + side + 1));
+                }
+            }
+            let draw = |rng: &mut DetRng| {
+                let mut links = Vec::new();
+                for &(a, b) in &all_links {
+                    if rng.next_below(8) != 0 {
+                        links.push((a, b, 1 + rng.next_below(3) as u32)); // else: link down
+                    }
+                }
+                DelayGraph::from_links(transit.clone(), &links)
+            };
+            let first = draw(&mut rng);
+            let mut trees: Vec<SpTree> =
+                (0..n as u32).map(|d| crate::dijkstra::shortest_path_tree(&first, d)).collect();
+            let mut memos: Vec<TreeMemo> = (0..n).map(|_| TreeMemo::default()).collect();
+            let (mut scratch, mut stats) = Default::default();
+            for step in 0..12 {
+                let g = draw(&mut rng);
+                for (tree, memo) in trees.iter_mut().zip(&mut memos) {
+                    repair_shortest_path_tree(&g, tree, memo, &mut scratch, &mut stats);
+                    let full = crate::dijkstra::shortest_path_tree(&g, tree.dst);
+                    assert_trees_identical(tree, &full, &format!("seed {seed} step {step}"));
+                }
+            }
+        }
+    }
+
+    /// The release-mode gate of `scripts/check.sh`: the benchmark's shells
+    /// and flap process at full size, the oracle every tenth step.
+    #[test]
+    #[ignore = "long: K1 and S1 x 100 destinations x 200 snapshots; run by scripts/check.sh in release"]
+    fn repair_equals_full_dijkstra_on_full_shells_under_flapping() {
+        let cities = hypatia_constellation::ground::top_cities(100);
+        for c in [presets::kuiper_k1(cities.clone()), presets::starlink_s1(cities)] {
+            let spec = FaultSpec {
+                seed: 16,
+                sat_flap: Some(FlapProcess { mttf_s: 190.0, mttr_s: 10.0 }),
+                ..FaultSpec::default()
+            };
+            let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(20));
+            let dests: Vec<NodeId> = (0..c.num_ground_stations()).map(|i| c.gs_node(i)).collect();
+            let mut router = IncrementalRouter::new(RoutingConfig::incremental());
+            let mut buffers = SnapshotBuffers::new();
+            let mut out = ForwardingState::empty();
+            for step in 0..200u64 {
+                let t = SimTime::from_millis(100 * step);
+                let mask = FaultState::at(&sched, t);
+                let graph = buffers.snapshot_masked(&c, t, Some(&mask));
+                router.compute_into(graph, t, &dests, &mut out);
+                if step % 10 == 9 {
+                    let reference = compute_forwarding_state_on(graph, t, &dests);
+                    for (a, b) in out.trees.iter().zip(&reference.trees) {
+                        assert_trees_identical(a, b, &format!("{} step {step}", c.name));
+                    }
+                }
+            }
+            assert_eq!(router.stats.repaired, 199, "{}: {:?}", c.name, router.stats);
         }
     }
 

@@ -95,7 +95,7 @@ impl MaskedGraph<'_> {
             }
             for e in self.edges(u) {
                 let v = e.to as usize;
-                let nd = d + e.delay_ns;
+                let nd = d + u64::from(e.delay_ns);
                 if nd < s.dist[v] || (nd == s.dist[v] && s.prev[v].is_some_and(|p| u < p)) {
                     s.dist[v] = nd;
                     s.prev[v] = Some(u);

@@ -48,7 +48,7 @@ pub use forwarding::{
 };
 pub use graph::{DelayGraph, SnapshotBuffers};
 pub use incremental::{
-    GraphDiff, IncrementalRouter, RepairScratch, RouterStats, RoutingConfig, RoutingMode,
+    GraphDiff, IncrementalRouter, RepairStats, RouterStats, RoutingConfig, RoutingMode,
 };
 pub use parallel::{Prefetcher, SnapshotWorker};
 pub use path::{extract_path, path_rtt_at, PairTracker};

@@ -61,11 +61,11 @@ pub fn multipath_tree_with(
             }
             // Downhill: the neighbour must be strictly closer (loop
             // freedom); the path through it must respect the stretch.
-            if dn < dv && e.delay_ns + dn <= budget {
+            if dn < dv && u64::from(e.delay_ns) + dn <= budget {
                 // A non-transit neighbour (GS endpoint) can only be the
                 // destination itself, which the dn < dv check admits.
                 if e.to == dst || graph.may_transit(e.to as usize) {
-                    cands.push((e.delay_ns + dn, e.to));
+                    cands.push((u64::from(e.delay_ns) + dn, e.to));
                 }
             }
         }

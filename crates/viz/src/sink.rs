@@ -18,6 +18,7 @@ use hypatia_constellation::EphemerisStats;
 use hypatia_netsim::audit::AuditViolation;
 use hypatia_netsim::trace::Trace;
 use hypatia_netsim::{EngineReport, FluidSolve, FluidStats, QueueStats};
+use hypatia_routing::incremental::{RepairStats, RouterStats};
 use serde_json::{json, Value};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,6 +47,8 @@ struct EngineAggregate {
     fluid: Option<FluidStats>,
     /// Summed over every recorded report.
     ephemeris: EphemerisStats,
+    /// Summed over every recorded report.
+    routing: (RouterStats, RepairStats),
 }
 
 /// Records and writes experiment artifacts under one output directory.
@@ -114,7 +117,12 @@ impl ArtifactSink {
     /// the smallest seen. Reported in the manifest's `perf.engine` block,
     /// with the summed ephemeris counts (`report.ephemeris`: fits, rejected
     /// fits, interpolated and guard-band delays) as `perf.engine.ephemeris`
-    /// (no opt-in, unlike the queue block).
+    /// (no opt-in, unlike the queue block), and the summed forwarding-step
+    /// counts (`report.routing`: snapshots full vs. repaired and why, and
+    /// what the repairs did) as `perf.engine.routing`. The routing counts
+    /// depend on which snapshot each router last saw, hence on the routing
+    /// mode and, under a prefetch pool, on thread scheduling: like
+    /// `events_per_sec` they are not part of what two runs must agree on.
     pub fn record_engine(&mut self, report: &EngineReport) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
         e.sim_shards = report.sim_shards;
@@ -125,6 +133,8 @@ impl ArtifactSink {
             (a, b) => a.or(b),
         };
         e.ephemeris.merge(&report.ephemeris);
+        e.routing.0.merge(&report.routing.0);
+        e.routing.1.merge(&report.routing.1);
     }
 
     /// Account a simulation's event-queue telemetry (`report.queue`):
@@ -322,6 +332,7 @@ impl ArtifactSink {
                         "interpolated": e.ephemeris.interpolated,
                         "exact_guard": e.ephemeris.exact_guard,
                     },
+                    "routing": routing_json(&e.routing),
                 });
                 if let (Some(ns), Some(obj)) = (e.min_lookahead_ns, engine.as_object_mut()) {
                     obj.insert("min_lookahead_ns".to_string(), Value::from(ns));
@@ -401,6 +412,24 @@ fn fluid_solve_json(s: &FluidSolve) -> Value {
         "links_loaded": s.links_loaded,
         "hops_walked": s.hops_walked,
         "residual_pushes": s.residual_pushes,
+    })
+}
+
+/// How forwarding states were produced, and what the repairs did.
+fn routing_json((router, repair): &(RouterStats, RepairStats)) -> Value {
+    json!({
+        "snapshots": router.snapshots,
+        "repaired": router.repaired,
+        "full_mode": router.full_mode,
+        "fallback_first": router.fallback_first,
+        "fallback_churn": router.fallback_churn,
+        "fallback_zero_delay": router.fallback_zero_delay,
+        "repair": {
+            "trees": repair.trees,
+            "retensed": repair.retensed,
+            "rescanned": repair.rescanned,
+            "slot_misses": repair.slot_misses,
+        },
     })
 }
 
@@ -485,6 +514,10 @@ mod tests {
         );
         let ephemeris =
             EphemerisStats { fits: 90, rejected_fits: 1, interpolated: 4000, exact_guard: 9 };
+        let routing = (
+            RouterStats { snapshots: 8, repaired: 7, fallback_first: 1, ..Default::default() },
+            RepairStats { trees: 70, retensed: 12, rescanned: 50, slot_misses: 3 },
+        );
         sink.record_engine(&EngineReport {
             sim_shards: 4,
             epochs: 10,
@@ -493,6 +526,7 @@ mod tests {
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
             ephemeris,
+            routing,
         });
         sink.record_engine(&EngineReport {
             sim_shards: 4,
@@ -502,6 +536,7 @@ mod tests {
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
             ephemeris,
+            routing,
         });
         let doc = sink.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");
@@ -516,6 +551,16 @@ mod tests {
         assert_eq!(eph.get("rejected_fits").and_then(Value::as_u64), Some(2));
         assert_eq!(eph.get("interpolated").and_then(Value::as_u64), Some(8000));
         assert_eq!(eph.get("exact_guard").and_then(Value::as_u64), Some(18));
+        // So do the routing counts, the repair kernel's nested under them.
+        let routing = engine.get("routing").expect("routing block");
+        assert_eq!(routing.get("snapshots").and_then(Value::as_u64), Some(16));
+        assert_eq!(routing.get("repaired").and_then(Value::as_u64), Some(14));
+        assert_eq!(routing.get("fallback_first").and_then(Value::as_u64), Some(2));
+        let repair = routing.get("repair").expect("repair block");
+        assert_eq!(repair.get("trees").and_then(Value::as_u64), Some(140));
+        assert_eq!(repair.get("retensed").and_then(Value::as_u64), Some(24));
+        assert_eq!(repair.get("rescanned").and_then(Value::as_u64), Some(100));
+        assert_eq!(repair.get("slot_misses").and_then(Value::as_u64), Some(6));
 
         // Queue telemetry is opt-in: inserts and cascades sum, the peak is a max.
         let stats = QueueStats {
@@ -571,6 +616,7 @@ mod tests {
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
             ephemeris: EphemerisStats::default(),
+            routing: Default::default(),
         });
         let doc = serial.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");

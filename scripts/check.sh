@@ -37,6 +37,12 @@ echo "== ephemeris vs exact propagation delay: 10^7 seeded samples, release arit
 # `cargo test` above.
 cargo test -q --release -p hypatia-constellation --lib ephemeris::tests -- --include-ignored
 
+echo "== SSSP repair vs full Dijkstra: K1 and S1 x 100 destinations x 200 snapshots, release arithmetic"
+# Every repaired tree must equal a from-scratch one whatever the router's
+# cache holds; the 240-chain debug-mode fuzz is part of `cargo test` above,
+# this adds the benchmark's shells under its flap process at full size.
+cargo test -q --release -p hypatia-routing --lib incremental::tests -- --include-ignored
+
 echo "== fluid solver under release arithmetic: differential fuzz + hybrid shard tests"
 # The link-id solver must match the map-based oracle bit for bit with
 # optimizations on too (the debug run is part of `cargo test` above).

@@ -3,8 +3,10 @@
 //! `routing_mode=incremental` and `routing_mode=full`.
 //!
 //! The manifest records every artifact's size and FNV-64 checksum, so
-//! comparing manifests (modulo the wall-clock `events_per_sec` line)
-//! compares the artifact bytes. `ext_failure_resilience` is the probe:
+//! comparing manifests (modulo the wall-clock `events_per_sec` line and
+//! the `perf.engine.routing` telemetry, which counts the very thing the
+//! two modes do differently) compares the artifact bytes.
+//! `ext_failure_resilience` is the probe:
 //! it drives the packet simulator (inline and prefetched forwarding
 //! states), compiles fault schedules, and samples masked forwarding
 //! states — every pipeline the incremental router sits in.
@@ -26,7 +28,8 @@ const SHRINK: &[(&str, &str)] = &[
 ];
 
 /// Run `ext_failure_resilience` with the given `--set` overrides and
-/// return its manifest with the wall-clock line stripped.
+/// return its manifest with the wall-clock line and routing telemetry
+/// stripped.
 fn manifest_modulo_wallclock(sets: &[(&str, &str)], tag: &str) -> String {
     let runner = ExperimentRunner::new();
     let mut spec = runner.spec("ext_failure_resilience", false).expect("registered");
@@ -40,7 +43,25 @@ fn manifest_modulo_wallclock(sets: &[(&str, &str)], tag: &str) -> String {
     let (path, _sink) = runner.run_with_sink(spec, sink).expect("run succeeds");
     let text = std::fs::read_to_string(&path).expect("manifest readable");
     std::fs::remove_dir_all(&dir).ok();
-    text.lines().filter(|l| !l.contains("events_per_sec")).collect::<Vec<_>>().join("\n")
+    strip_wallclock_and_routing(&text)
+}
+
+/// Drop `events_per_sec` lines and the `perf.engine.routing` object
+/// (brace-depth tracked): how many snapshots were repaired is exactly what
+/// differs between the two routing modes; the artifacts must not.
+fn strip_wallclock_and_routing(text: &str) -> String {
+    let mut out = Vec::new();
+    let mut depth = 0usize;
+    for line in text.lines() {
+        if depth > 0 {
+            depth = depth + line.matches('{').count() - line.matches('}').count();
+        } else if line.trim_start().starts_with("\"routing\": {") {
+            depth = 1;
+        } else if !line.contains("events_per_sec") {
+            out.push(line);
+        }
+    }
+    out.join("\n")
 }
 
 #[test]
