@@ -14,10 +14,9 @@ use hypatia_orbit::frames::EarthRotation;
 use hypatia_orbit::propagate::{PerturbationModel, PositionKernel, Propagator};
 use hypatia_orbit::tle::Tle;
 use hypatia_util::{SimTime, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a node (satellite or ground station) in a constellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -34,7 +33,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// One satellite: its place in the constellation plus its propagator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Satellite {
     /// Index of the shell this satellite belongs to.
     pub shell: usize,
@@ -47,7 +46,7 @@ pub struct Satellite {
 }
 
 /// A complete constellation plus the ground segment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Constellation {
     /// Human-readable name ("Starlink", "Kuiper K1", ...).
     pub name: String,

@@ -10,10 +10,9 @@ use hypatia_orbit::frames::{geodetic_to_ecef_ellipsoidal, GeodeticPos};
 use hypatia_orbit::geodesy::{geodesic_rtt, great_circle_distance_km};
 use hypatia_util::rng::DetRng;
 use hypatia_util::{SimDuration, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A fixed ground station (paper §3.1: static GSes with parabolic antennas).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroundStation {
     /// Station name (city name for the standard dataset).
     pub name: String,

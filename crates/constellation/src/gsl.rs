@@ -8,10 +8,9 @@
 use crate::constellation::Constellation;
 use hypatia_orbit::visibility::{conservative_max_gsl_range_km, elevation_deg, is_visible};
 use hypatia_util::{SimTime, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// How many satellites a ground station may use simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GslSelection {
     /// The GS may connect to every visible satellite (gateway-class GS with
     /// multiple parabolic antennas — the paper's default).
@@ -23,7 +22,7 @@ pub enum GslSelection {
 }
 
 /// GSL parameters for a constellation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GslConfig {
     /// Minimum angle of elevation `l`, degrees (Table: Starlink 25°,
     /// Kuiper 30°, Telesat 10°).

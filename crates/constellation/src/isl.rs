@@ -9,10 +9,9 @@
 //! avoided).
 
 use crate::shell::ShellSpec;
-use serde::{Deserialize, Serialize};
 
 /// Which ISL interconnect to build.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum IslLayout {
     /// +Grid: ring within each orbit plus links to adjacent planes
     /// (per shell; shells are not cross-connected, as in the paper).

@@ -7,10 +7,9 @@
 //! the paper derives from the filings' symmetries.
 
 use hypatia_orbit::kepler::KeplerianElements;
-use serde::{Deserialize, Serialize};
 
 /// Description of one orbital shell (a row of the paper's Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShellSpec {
     /// Shell name, e.g. "S1" or "K1".
     pub name: String,

@@ -13,7 +13,7 @@ use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
 
 /// Which congestion controller to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CcKind {
     /// Loss-based (paper's default).
     NewReno,

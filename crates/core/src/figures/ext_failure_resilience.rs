@@ -208,7 +208,7 @@ impl Experiment for ExtFailureResilience {
                 }
             }
             let packets = outage_czml(&scenario.constellation, &sat_windows, &gs_windows);
-            ctx.sink.write_czml("ext_failure_outages.czml", &packets)?;
+            ctx.sink.write_czml("ext_failure_outages.czml", packets)?;
         }
 
         println!();

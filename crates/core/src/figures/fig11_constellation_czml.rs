@@ -60,7 +60,7 @@ impl Experiment for Fig11 {
             let c = choice.build(vec![]);
             let czml = constellation_czml(&c, &opts);
             let slug = choice.name().to_lowercase().replace(' ', "_");
-            ctx.sink.write_czml(&format!("fig11_{slug}.czml"), &czml)?;
+            ctx.sink.write_czml(&format!("fig11_{slug}.czml"), czml)?;
 
             // Latitude histogram at t = 0 — the figure's visual takeaway.
             let mut polar = 0usize; // |lat| > 60°

@@ -12,7 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Which preset constellation to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConstellationChoice {
     /// Starlink's first shell S1 (72 × 22 at 550 km, 53°, l = 25°).
     StarlinkS1,

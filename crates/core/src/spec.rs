@@ -8,13 +8,9 @@
 //! [`runner`](crate::runner) executes any spec by name through one shared
 //! driver.
 //!
-//! Two JSON paths are provided:
-//!
-//! * [`ExperimentSpec::to_json_string`] / [`ExperimentSpec::from_json`] —
-//!   a hand-rolled, schema-stable mapping with precise error messages
-//!   (the canonical path, used by the CLI);
-//! * plain `serde` derives on every spec type, for embedding specs inside
-//!   larger serde documents.
+//! The JSON path is [`ExperimentSpec::to_json_string`] /
+//! [`ExperimentSpec::from_json`]: a hand-rolled, schema-stable mapping
+//! with precise error messages, over [`hypatia_util::json`].
 
 // Spec I/O is a crash-resilience surface: a malformed file must come back
 // as a typed SpecError, never a panic.
@@ -27,15 +23,14 @@ use hypatia_constellation::GroundStation;
 use hypatia_fault::{FaultSchedule, FaultSpec, FlapProcess, LinkCut, OutageWindow};
 use hypatia_netsim::{SimConfig, SimMode};
 use hypatia_routing::incremental::{RoutingConfig, RoutingMode};
+use hypatia_util::json::{self, Value};
 use hypatia_util::{DataRate, SimDuration};
-use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// Which ground stations the scenario uses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GroundSegment {
     /// The `n` most populous cities of the embedded dataset.
     TopCities(usize),
@@ -54,7 +49,7 @@ impl GroundSegment {
 }
 
 /// Which source→destination pairs the experiment studies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PairSelection {
     /// Explicit `(src city, dst city)` pairs.
     Named(Vec<(String, String)>),
@@ -79,7 +74,7 @@ impl PairSelection {
 }
 
 /// An experiment-specific parameter value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// A number (integers are stored as f64).
     Num(f64),
@@ -109,7 +104,7 @@ fn err<T>(msg: impl Into<String>) -> Result<T, SpecError> {
 }
 
 /// A complete, serializable description of one experiment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// Registry name (e.g. `fig03_rtt_fluctuations`).
     pub experiment: String,
@@ -688,11 +683,10 @@ impl ExperimentSpec {
     /// Parse a spec from the JSON produced by [`Self::to_json_string`]
     /// (unknown top-level keys are rejected to catch typos).
     pub fn from_json(text: &str) -> Result<ExperimentSpec, SpecError> {
-        let v: Value = match serde_json::from_str(text) {
-            Ok(v) => v,
-            Err(e) => return err(format!("not valid JSON: {e}")),
-        };
-        Self::from_value(&v)
+        match json::from_str(text) {
+            Ok(v) => Self::from_value(&v),
+            Err(e) => err(format!("not valid JSON: {e}")),
+        }
     }
 
     /// Parse a spec from an already-parsed JSON value.
@@ -853,12 +847,9 @@ impl ExperimentSpec {
             None => None,
         };
 
-        if let Some(params) = v.get("params") {
-            if let Some(obj) = params.as_object_keys() {
-                for key in obj {
-                    let Some(pv) = params.get(&key) else { continue };
-                    spec.params.insert(key.clone(), value_to_param(&key, pv)?);
-                }
+        if let Some(params) = v.get("params").and_then(Value::as_object) {
+            for (key, pv) in params.iter() {
+                spec.params.insert(key.clone(), value_to_param(key, pv)?);
             }
         }
         Ok(spec)
@@ -1038,23 +1029,10 @@ fn req_u64(v: &Value, key: &str) -> Result<u64, SpecError> {
         .ok_or_else(|| SpecError(format!("missing or non-integer {key:?}")))
 }
 
-/// JSON string literal with the escapes city names could need.
+/// JSON string literal.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    json::write_str(&mut out, s);
     out
 }
 
@@ -1066,18 +1044,6 @@ fn json_num(x: f64) -> String {
     } else {
         // Spec fields are never NaN/inf; guard against it anyway.
         "0".to_string()
-    }
-}
-
-/// Enumerating object keys differs between serde_json and the offline
-/// test stub; go through a tiny shim trait so `from_value` stays portable.
-trait ObjectKeys {
-    fn as_object_keys(&self) -> Option<Vec<String>>;
-}
-
-impl ObjectKeys for Value {
-    fn as_object_keys(&self) -> Option<Vec<String>> {
-        self.as_object().map(|m| m.keys().cloned().collect())
     }
 }
 

@@ -8,6 +8,7 @@ use hypatia::scenario::ConstellationChoice;
 use hypatia::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_constellation::GroundStation;
 use hypatia_fault::{FaultSpec, FlapProcess, OutageWindow};
+use hypatia_util::json;
 use hypatia_util::SimDuration;
 use hypatia_viz::sink::ArtifactSink;
 use std::path::{Path, PathBuf};
@@ -31,25 +32,23 @@ fn run_quiet(spec: ExperimentSpec, dir: &Path) -> (Vec<(String, u64, u64)>, Stri
     (records, manifest)
 }
 
-/// Drop from a pretty-printed manifest what two equivalent runs need not
-/// agree on: the wall-clock `"events_per_sec"` line, and the
-/// `perf.engine.routing` object (brace-depth tracked) — which snapshots a
-/// router repaired depends on which ones its prefetch worker happened to
-/// compute. The rest is compared byte-for-byte. The event *count* stays: it
-/// is a pure simulation observable and must match across thread counts.
-fn strip_wall_clock(manifest: &str) -> String {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    for line in manifest.lines() {
-        if depth > 0 {
-            depth = depth + line.matches('{').count() - line.matches('}').count();
-        } else if line.trim_start().starts_with("\"routing\": {") {
-            depth = 1;
-        } else if !line.contains("\"events_per_sec\"") {
-            out.push(line);
-        }
+/// The manifest minus the dot-separated `paths`, reprinted: what two
+/// equivalent runs must agree on byte for byte.
+fn manifest_without(manifest: &str, paths: &[&str]) -> String {
+    let mut doc = json::from_str(manifest).expect("manifest parses");
+    for path in paths {
+        doc.remove_path(path);
     }
-    out.join("\n")
+    json::to_string_pretty(&doc)
+}
+
+/// Drop what two equivalent runs need not agree on: the wall-clock
+/// `events_per_sec`, and the `perf.engine.routing` object — which snapshots
+/// a router repaired depends on which ones its prefetch worker happened to
+/// compute. The event *count* stays: it is a pure simulation observable and
+/// must match across thread counts.
+fn strip_wall_clock(manifest: &str) -> String {
+    manifest_without(manifest, &["perf.events_per_sec", "perf.engine.routing"])
 }
 
 fn assert_identical(spec: ExperimentSpec, tag: &str) {
@@ -332,18 +331,12 @@ fn faulted_fig02_base() -> ExperimentSpec {
 /// What remains — experiment, artifact checksums, warnings, status — must
 /// be byte-identical between an uninterrupted and a resumed run.
 fn manifest_core(manifest: &str) -> String {
-    let mut doc: serde_json::Value = serde_json::from_str(manifest).expect("manifest parses");
-    if let Some(obj) = doc.as_object_mut() {
-        obj.remove("perf");
-        obj.remove("checkpoints");
-        obj.remove("audit");
-    }
-    serde_json::to_string_pretty(&doc).expect("manifest reserializes")
+    manifest_without(manifest, &["perf", "checkpoints", "audit"])
 }
 
 /// The audit section's violation list, when the manifest has one.
 fn audit_violations(manifest: &str) -> Option<usize> {
-    let doc: serde_json::Value = serde_json::from_str(manifest).expect("manifest parses");
+    let doc = json::from_str(manifest).expect("manifest parses");
     Some(doc.get("audit")?.get("violations")?.as_array().expect("violations array").len())
 }
 

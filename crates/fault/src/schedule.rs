@@ -5,11 +5,10 @@ use hypatia_constellation::Constellation;
 use hypatia_util::hash::Fnv1a64;
 use hypatia_util::rng::DetRng;
 use hypatia_util::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What a fault event does to its target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultKind {
     /// The target goes down.
     Fail,
@@ -18,7 +17,7 @@ pub enum FaultKind {
 }
 
 /// The component a fault event acts on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultTarget {
     /// A whole satellite: all its ISLs and GSLs go with it, and packets
     /// arriving at it while down are dropped.
@@ -36,7 +35,7 @@ pub enum FaultTarget {
 ///
 /// The derived ordering is time-major, which is exactly the order the
 /// schedule stores and the simulator consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FaultEvent {
     /// When the change takes effect.
     pub t: SimTime,
@@ -51,7 +50,7 @@ pub struct FaultEvent {
 /// Built once per run by [`FaultSchedule::compile`]; afterwards it is
 /// only read — the simulator walks it front to back, and
 /// [`FaultState::at`](crate::FaultState::at) replays prefixes of it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     events: Vec<FaultEvent>,
     num_satellites: u32,

@@ -1,7 +1,5 @@
 //! The declarative fault specification.
 
-use serde::{Deserialize, Serialize};
-
 /// An explicit outage window for one component (a satellite or a
 /// ground station's GSLs), in fractional seconds of simulation time.
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// until_s`. Windows that are empty, inverted, or reference a target
 /// outside the constellation are ignored at compile time, so a spec
 /// written for one constellation can be replayed against a smaller one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutageWindow {
     /// Component index: satellite index for satellite outages, ground
     /// station index for weather windows.
@@ -25,7 +23,7 @@ pub struct OutageWindow {
 /// The endpoint order does not matter; `3-7` and `7-3` cut the same
 /// undirected link. Cuts of pairs that are not ISLs in the target
 /// constellation are ignored at compile time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkCut {
     /// One endpoint (satellite index).
     pub a: u32,
@@ -43,7 +41,7 @@ pub struct LinkCut {
 /// drawn from exponential distributions with means `mttf_s` (mean time
 /// to failure) and `mttr_s` (mean time to repair). The steady-state
 /// unavailability is `mttr / (mttf + mttr)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlapProcess {
     /// Mean up-time before a failure, seconds. Must be positive.
     pub mttf_s: f64,
@@ -72,7 +70,7 @@ impl FlapProcess {
 /// The default spec is fault-free (no windows, no flaps): compiling it
 /// yields an empty schedule, and a simulation run with that schedule is
 /// bit-identical to one with no fault engine at all.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Master seed for all stochastic draws. Per-component streams are
     /// derived from it, so compilation order never affects sampling.

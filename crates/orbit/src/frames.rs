@@ -13,10 +13,9 @@
 use hypatia_util::angle::{deg_to_rad, rad_to_deg, wrap_pi};
 use hypatia_util::constants::{EARTH_INV_FLATTENING, EARTH_RADIUS_KM, EARTH_ROTATION_RAD_PER_S};
 use hypatia_util::{SimTime, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A geodetic position: degrees and kilometres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeodeticPos {
     /// Latitude in degrees, positive north.
     pub latitude_deg: f64,
@@ -113,7 +112,7 @@ pub fn geodetic_to_ecef_ellipsoidal(pos: GeodeticPos) -> Vec3 {
 mod tests {
     use super::*;
     use hypatia_util::constants::SIDEREAL_DAY_S;
-    use proptest::prelude::*;
+    use hypatia_util::rng::DetRng;
 
     #[test]
     fn gmst_is_zero_at_epoch_and_after_a_sidereal_day() {
@@ -192,22 +191,36 @@ mod tests {
         assert!((250.0..400.0).contains(&moved), "moved {moved} km");
     }
 
-    proptest! {
-        #[test]
-        fn geodetic_round_trip(lat in -89.9f64..89.9, lon in -179.9f64..179.9,
-                               alt in 0.0f64..2000.0) {
-            let g = GeodeticPos { latitude_deg: lat, longitude_deg: lon, altitude_km: alt };
+    #[test]
+    fn geodetic_round_trip() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let g = GeodeticPos {
+                latitude_deg: rng.next_in(-89.9, 89.9),
+                longitude_deg: rng.next_in(-179.9, 179.9),
+                altitude_km: rng.next_in(0.0, 2000.0),
+            };
             let back = ecef_to_geodetic(geodetic_to_ecef(g));
-            prop_assert!((back.latitude_deg - lat).abs() < 1e-9);
-            prop_assert!((back.longitude_deg - lon).abs() < 1e-9);
-            prop_assert!((back.altitude_km - alt).abs() < 1e-9);
+            assert!((back.latitude_deg - g.latitude_deg).abs() < 1e-9, "seed {seed}: {g:?}");
+            assert!((back.longitude_deg - g.longitude_deg).abs() < 1e-9, "seed {seed}: {g:?}");
+            assert!((back.altitude_km - g.altitude_km).abs() < 1e-9, "seed {seed}: {g:?}");
         }
+    }
 
-        #[test]
-        fn ecef_norm_is_radius_plus_altitude(lat in -90.0f64..90.0, lon in -180.0f64..180.0,
-                                             alt in 0.0f64..2000.0) {
-            let g = GeodeticPos { latitude_deg: lat, longitude_deg: lon, altitude_km: alt };
-            prop_assert!((geodetic_to_ecef(g).norm() - (EARTH_RADIUS_KM + alt)).abs() < 1e-9);
+    #[test]
+    fn ecef_norm_is_radius_plus_altitude() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let g = GeodeticPos {
+                latitude_deg: rng.next_in(-90.0, 90.0),
+                longitude_deg: rng.next_in(-180.0, 180.0),
+                altitude_km: rng.next_in(0.0, 2000.0),
+            };
+            let radius = geodetic_to_ecef(g).norm();
+            assert!(
+                (radius - (EARTH_RADIUS_KM + g.altitude_km)).abs() < 1e-9,
+                "seed {seed}: {g:?}"
+            );
         }
     }
 }

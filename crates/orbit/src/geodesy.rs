@@ -42,7 +42,7 @@ pub fn propagation_delay_km(distance_km: f64) -> SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use hypatia_util::rng::DetRng;
 
     fn city(lat: f64, lon: f64) -> GeodeticPos {
         GeodeticPos::surface(lat, lon)
@@ -97,22 +97,29 @@ mod tests {
         assert!((d.secs_f64() * 1e3 - 3.3356).abs() < 1e-3);
     }
 
-    proptest! {
-        #[test]
-        fn distance_symmetric(lat1 in -89.0f64..89.0, lon1 in -180.0f64..180.0,
-                              lat2 in -89.0f64..89.0, lon2 in -180.0f64..180.0) {
-            let a = city(lat1, lon1);
-            let b = city(lat2, lon2);
-            prop_assert!((great_circle_distance_km(a, b)
-                        - great_circle_distance_km(b, a)).abs() < 1e-9);
-        }
+    /// Two surface points, latitudes in [-89, 89), longitudes in [-180, 180).
+    fn random_pair(seed: u64) -> (GeodeticPos, GeodeticPos) {
+        let mut rng = DetRng::new(seed);
+        let mut point = || city(rng.next_in(-89.0, 89.0), rng.next_in(-180.0, 180.0));
+        (point(), point())
+    }
 
-        #[test]
-        fn distance_bounded_by_half_circumference(lat1 in -89.0f64..89.0, lon1 in -180.0f64..180.0,
-                                                  lat2 in -89.0f64..89.0, lon2 in -180.0f64..180.0) {
-            let d = great_circle_distance_km(city(lat1, lon1), city(lat2, lon2));
-            prop_assert!(d >= 0.0);
-            prop_assert!(d <= std::f64::consts::PI * EARTH_RADIUS_KM + 1e-9);
+    #[test]
+    fn distance_symmetric() {
+        for seed in 0..256 {
+            let (a, b) = random_pair(seed);
+            let (ab, ba) = (great_circle_distance_km(a, b), great_circle_distance_km(b, a));
+            assert!((ab - ba).abs() < 1e-9, "seed {seed}: {ab} vs {ba}");
+        }
+    }
+
+    #[test]
+    fn distance_bounded_by_half_circumference() {
+        for seed in 0..256 {
+            let (a, b) = random_pair(seed);
+            let d = great_circle_distance_km(a, b);
+            assert!(d >= 0.0, "seed {seed}: {d}");
+            assert!(d <= std::f64::consts::PI * EARTH_RADIUS_KM + 1e-9, "seed {seed}: {d}");
         }
     }
 }

@@ -8,10 +8,9 @@
 
 use hypatia_util::angle::{deg_to_rad, wrap_two_pi};
 use hypatia_util::constants::{EARTH_MU_KM3_PER_S2, EARTH_RADIUS_KM};
-use serde::{Deserialize, Serialize};
 
 /// Classical orbital elements, angles in **radians**, lengths in **km**.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeplerianElements {
     /// Semi-major axis `a`, km (from Earth's center).
     pub semi_major_axis_km: f64,
@@ -118,7 +117,7 @@ pub(crate) fn true_anomaly_from_roots(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use hypatia_util::rng::DetRng;
 
     #[test]
     fn circular_constructor_sets_altitude() {
@@ -155,24 +154,30 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// Kepler solver actually satisfies M = E - e sin E.
-        #[test]
-        fn kepler_residual_is_tiny(m in 0.0f64..std::f64::consts::TAU, e in 0.0f64..0.95) {
+    /// Kepler solver actually satisfies M = E - e sin E.
+    #[test]
+    fn kepler_residual_is_tiny() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let (m, e) = (rng.next_in(0.0, std::f64::consts::TAU), rng.next_in(0.0, 0.95));
             let ea = solve_kepler(m, e);
             let residual = wrap_two_pi(ea - e * ea.sin()) - wrap_two_pi(m);
             // Compare modulo 2π.
             let r = residual.abs().min((residual.abs() - std::f64::consts::TAU).abs());
-            prop_assert!(r < 1e-9, "residual {r}");
+            assert!(r < 1e-9, "seed {seed}: residual {r} for m {m} e {e}");
         }
+    }
 
-        /// True anomaly and eccentric anomaly are in the same half-plane.
-        #[test]
-        fn true_anomaly_same_half(m in 0.0f64..std::f64::consts::TAU, e in 0.0f64..0.9) {
+    /// True anomaly and eccentric anomaly are in the same half-plane.
+    #[test]
+    fn true_anomaly_same_half() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let (m, e) = (rng.next_in(0.0, std::f64::consts::TAU), rng.next_in(0.0, 0.9));
             let ea = solve_kepler(m, e);
             let nu = true_anomaly(ea, e);
             // sin(E) and sin(ν) share a sign for e < 1.
-            prop_assert!(ea.sin() * nu.sin() >= -1e-9);
+            assert!(ea.sin() * nu.sin() >= -1e-9, "seed {seed}: m {m} e {e}");
         }
     }
 }

@@ -10,7 +10,6 @@
 use crate::kepler::KeplerianElements;
 use hypatia_util::angle::{deg_to_rad, rad_to_deg};
 use hypatia_util::constants::EARTH_MU_KM3_PER_S2;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors raised while parsing a TLE.
@@ -49,7 +48,7 @@ impl fmt::Display for TleError {
 impl std::error::Error for TleError {}
 
 /// A parsed (or to-be-formatted) two-line element set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tle {
     /// Satellite name (line 0 of a 3LE; free text, ≤ 24 chars meaningful).
     pub name: String,
@@ -273,7 +272,7 @@ fn field<T: std::str::FromStr>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use hypatia_util::rng::DetRng;
 
     fn sample_elements() -> KeplerianElements {
         KeplerianElements::circular(550.0, 53.0, 125.5, 210.25)
@@ -369,33 +368,39 @@ mod tests {
         assert_eq!(s.lines().count(), 3);
     }
 
-    proptest! {
-        /// Any circular-shell element set survives the TLE round trip.
-        #[test]
-        fn round_trip_any_shell(h in 400.0f64..1500.0, i in 0.1f64..99.9,
-                                raan in 0.0f64..359.9, ma in 0.0f64..359.9,
-                                cat in 1u32..99_999) {
+    /// Any circular-shell element set survives the TLE round trip.
+    #[test]
+    fn round_trip_any_shell() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let (h, i) = (rng.next_in(400.0, 1500.0), rng.next_in(0.1, 99.9));
+            let (raan, ma) = (rng.next_in(0.0, 359.9), rng.next_in(0.0, 359.9));
+            let cat = 1 + rng.next_below(99_998) as u32;
             let el = KeplerianElements::circular(h, i, raan, ma);
             let tle = Tle::from_elements("P", cat, &el, 24, 32.5);
             let parsed = Tle::parse("P", &tle.format_line1(), &tle.format_line2()).unwrap();
             let back = parsed.to_elements();
-            prop_assert!((back.perigee_altitude_km() - h).abs() < 0.1);
-            prop_assert!((rad_to_deg(back.inclination_rad) - i).abs() < 1e-3);
-            prop_assert!((rad_to_deg(back.raan_rad) - raan).abs() < 1e-3);
-            prop_assert!((rad_to_deg(back.mean_anomaly_rad) - ma).abs() < 1e-3);
+            assert!((back.perigee_altitude_km() - h).abs() < 0.1, "seed {seed}: {back:?}");
+            assert!((rad_to_deg(back.inclination_rad) - i).abs() < 1e-3, "seed {seed}: {back:?}");
+            assert!((rad_to_deg(back.raan_rad) - raan).abs() < 1e-3, "seed {seed}: {back:?}");
+            assert!((rad_to_deg(back.mean_anomaly_rad) - ma).abs() < 1e-3, "seed {seed}: {back:?}");
         }
+    }
 
-        /// Formatting is always exactly 69 columns with a valid checksum.
-        #[test]
-        fn format_always_valid(h in 400.0f64..1999.0, i in 0.0f64..180.0,
-                               raan in -720.0f64..720.0, ma in -720.0f64..720.0) {
+    /// Formatting is always exactly 69 columns with a valid checksum.
+    #[test]
+    fn format_always_valid() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let (h, i) = (rng.next_in(400.0, 1999.0), rng.next_in(0.0, 180.0));
+            let (raan, ma) = (rng.next_in(-720.0, 720.0), rng.next_in(-720.0, 720.0));
             let el = KeplerianElements::circular(h, i, raan, ma);
             let tle = Tle::from_elements("X", 55, &el, 24, 200.0);
             for line in [tle.format_line1(), tle.format_line2()] {
-                prop_assert_eq!(line.len(), 69);
+                assert_eq!(line.len(), 69, "seed {seed}: {line:?}");
                 let expected = checksum(&line[..68]);
                 let found = line.chars().nth(68).unwrap().to_digit(10).unwrap();
-                prop_assert_eq!(expected, found);
+                assert_eq!(expected, found, "seed {seed}: {line:?}");
             }
         }
     }

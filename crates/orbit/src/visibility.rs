@@ -97,7 +97,7 @@ pub fn conservative_max_gsl_range_km(h_km: f64, min_elevation_deg: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::frames::{geodetic_to_ecef, GeodeticPos};
-    use proptest::prelude::*;
+    use hypatia_util::rng::DetRng;
 
     fn gs_at(lat: f64, lon: f64) -> Vec3 {
         geodetic_to_ecef(GeodeticPos::surface(lat, lon))
@@ -186,20 +186,31 @@ mod tests {
         assert!((w - 270.0).abs() < 1.0, "west az {w}");
     }
 
-    proptest! {
-        #[test]
-        fn elevation_in_valid_range(lat in -80.0f64..80.0, lon in -180.0f64..180.0,
-                                    slat in -80.0f64..80.0, slon in -180.0f64..180.0,
-                                    h in 300.0f64..2000.0) {
-            let e = elevation_deg(gs_at(lat, lon), sat_above(slat, slon, h));
-            prop_assert!((-90.0..=90.0).contains(&e));
-        }
+    /// A ground station and a satellite, latitudes in [-80, 80), longitudes
+    /// in [-180, 180), the satellite at `altitude_km`.
+    fn random_geometry(rng: &mut DetRng, altitude_km: f64) -> (Vec3, Vec3) {
+        let gs = gs_at(rng.next_in(-80.0, 80.0), rng.next_in(-180.0, 180.0));
+        let sat = sat_above(rng.next_in(-80.0, 80.0), rng.next_in(-180.0, 180.0), altitude_km);
+        (gs, sat)
+    }
 
-        #[test]
-        fn azimuth_in_valid_range(lat in -80.0f64..80.0, lon in -180.0f64..180.0,
-                                  slat in -80.0f64..80.0, slon in -180.0f64..180.0) {
-            let a = azimuth_deg(gs_at(lat, lon), sat_above(slat, slon, 550.0));
-            prop_assert!((0.0..360.0).contains(&a));
+    #[test]
+    fn elevation_in_valid_range() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let h = rng.next_in(300.0, 2000.0);
+            let (gs, sat) = random_geometry(&mut rng, h);
+            let e = elevation_deg(gs, sat);
+            assert!((-90.0..=90.0).contains(&e), "seed {seed}: elevation {e}");
+        }
+    }
+
+    #[test]
+    fn azimuth_in_valid_range() {
+        for seed in 0..256 {
+            let (gs, sat) = random_geometry(&mut DetRng::new(seed), 550.0);
+            let a = azimuth_deg(gs, sat);
+            assert!((0.0..360.0).contains(&a), "seed {seed}: azimuth {a}");
         }
     }
 }

@@ -50,12 +50,11 @@ use crate::forwarding::ForwardingState;
 use crate::graph::{DelayGraph, Edge};
 use hypatia_constellation::NodeId;
 use hypatia_util::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// How forwarding states are computed across consecutive snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
     /// Full per-destination Dijkstra every snapshot (the escape hatch).
     Full,
@@ -85,7 +84,7 @@ impl RoutingMode {
 
 /// Routing-pipeline configuration shared by the parallel sweep, the
 /// simulator prefetcher, and the bench harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Full recompute vs. incremental repair.
     pub mode: RoutingMode,

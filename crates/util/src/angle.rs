@@ -56,7 +56,7 @@ pub fn wrap_360(deg: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::DetRng;
 
     #[test]
     fn deg_rad_round_trip() {
@@ -96,25 +96,32 @@ mod tests {
         assert_eq!(wrap_360(-90.0), 270.0);
     }
 
-    proptest! {
-        #[test]
-        fn wrap_two_pi_in_range(x in -1e6f64..1e6) {
+    #[test]
+    fn wrap_two_pi_in_range() {
+        for seed in 0..256 {
+            let x = DetRng::new(seed).next_in(-1e6, 1e6);
             let w = wrap_two_pi(x);
-            prop_assert!((0.0..TAU).contains(&w));
+            assert!((0.0..TAU).contains(&w), "seed {seed}: {x} wrapped to {w}");
         }
+    }
 
-        #[test]
-        fn wrap_pi_in_range(x in -1e6f64..1e6) {
+    #[test]
+    fn wrap_pi_in_range() {
+        for seed in 0..256 {
+            let x = DetRng::new(seed).next_in(-1e6, 1e6);
             let w = wrap_pi(x);
-            prop_assert!(w > -PI - 1e-9 && w <= PI + 1e-9);
+            assert!(w > -PI - 1e-9 && w <= PI + 1e-9, "seed {seed}: {x} wrapped to {w}");
         }
+    }
 
-        #[test]
-        fn wrap_preserves_angle_mod_tau(x in -1e4f64..1e4) {
+    #[test]
+    fn wrap_preserves_angle_mod_tau() {
+        for seed in 0..256 {
+            let x = DetRng::new(seed).next_in(-1e4, 1e4);
             let w = wrap_two_pi(x);
             // sin/cos must agree with the original angle.
-            prop_assert!((w.sin() - x.sin()).abs() < 1e-7);
-            prop_assert!((w.cos() - x.cos()).abs() < 1e-7);
+            assert!((w.sin() - x.sin()).abs() < 1e-7, "seed {seed}: {x} wrapped to {w}");
+            assert!((w.cos() - x.cos()).abs() < 1e-7, "seed {seed}: {x} wrapped to {w}");
         }
     }
 }

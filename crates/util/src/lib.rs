@@ -11,12 +11,15 @@
 //! * [`DataRate`] / [`DataSize`] — bit-exact link-rate arithmetic;
 //! * [`rng`] — a small deterministic PRNG for reproducible workloads;
 //! * [`hash`] — FNV-1a 64 hashing for manifests and per-flow spreading;
+//! * [`json`] — the JSON tree, parser and printers behind specs, manifests
+//!   and CZML (the workspace has no crates.io dependencies);
 //! * [`mem`] — peak-RSS introspection for the scaling benchmarks;
 //! * [`angle`] — degree/radian helpers and angle wrapping.
 
 pub mod angle;
 pub mod constants;
 pub mod hash;
+pub mod json;
 pub mod mem;
 pub mod rng;
 pub mod time;

@@ -4,8 +4,8 @@
 //! the traffic matrix. Reproducibility across runs and platforms matters
 //! more than statistical sophistication here, so we ship a self-contained
 //! splitmix64/xoshiro256** implementation rather than depending on a
-//! particular `rand` backend remaining stable. (`rand` is still used in
-//! tests and examples where reproducibility across versions is not needed.)
+//! particular `rand` backend remaining stable. Tests and examples draw
+//! from it too: the workspace has no other source of randomness.
 
 /// xoshiro256** seeded via splitmix64. Deterministic across platforms.
 #[derive(Debug, Clone)]
@@ -72,6 +72,12 @@ impl DetRng {
     /// Uniform f64 in `[0, 1)`.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform f64 in `[lo, hi)`: how the seeded property tests draw a
+    /// case.
+    pub fn next_in(&mut self, lo: f64, hi: f64) -> f64 {
+        lo + (hi - lo) * self.next_f64()
     }
 
     /// Exponentially distributed draw with the given mean, via the

@@ -5,13 +5,10 @@
 //! devices with the same rate always agree on transmit durations.
 
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A data size in bytes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DataSize(u64);
 
 impl DataSize {
@@ -51,7 +48,7 @@ impl fmt::Display for DataSize {
 }
 
 /// A link data rate in bits per second.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DataRate(u64);
 
 impl DataRate {

@@ -3,11 +3,10 @@
 //! All Hypatia geometry works in kilometres; distances between LEO nodes are
 //! O(10^2..10^4) km, comfortably inside f64's exact range.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 3-component f64 vector (kilometres unless stated otherwise).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     pub x: f64,
     pub y: f64,
@@ -135,7 +134,7 @@ impl Neg for Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::DetRng;
     use std::f64::consts::{FRAC_PI_2, PI};
 
     fn approx(a: f64, b: f64) -> bool {
@@ -187,33 +186,45 @@ mod tests {
         Vec3::ZERO.normalized();
     }
 
-    proptest! {
-        #[test]
-        fn rotation_preserves_norm(x in -1e4f64..1e4, y in -1e4f64..1e4,
-                                   z in -1e4f64..1e4, theta in -10.0f64..10.0) {
-            let v = Vec3::new(x, y, z);
-            prop_assert!((v.rotate_z(theta).norm() - v.norm()).abs() < 1e-6);
-            prop_assert!((v.rotate_x(theta).norm() - v.norm()).abs() < 1e-6);
-        }
+    /// A vector with each component uniform in `[-bound, bound)`.
+    fn random_vec(rng: &mut DetRng, bound: f64) -> Vec3 {
+        Vec3::new(
+            rng.next_in(-bound, bound),
+            rng.next_in(-bound, bound),
+            rng.next_in(-bound, bound),
+        )
+    }
 
-        #[test]
-        fn cross_is_orthogonal(ax in -1e3f64..1e3, ay in -1e3f64..1e3, az in -1e3f64..1e3,
-                               bx in -1e3f64..1e3, by in -1e3f64..1e3, bz in -1e3f64..1e3) {
-            let a = Vec3::new(ax, ay, az);
-            let b = Vec3::new(bx, by, bz);
+    #[test]
+    fn rotation_preserves_norm() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let v = random_vec(&mut rng, 1e4);
+            let theta = rng.next_in(-10.0, 10.0);
+            assert!((v.rotate_z(theta).norm() - v.norm()).abs() < 1e-6, "seed {seed}: {v:?}");
+            assert!((v.rotate_x(theta).norm() - v.norm()).abs() < 1e-6, "seed {seed}: {v:?}");
+        }
+    }
+
+    #[test]
+    fn cross_is_orthogonal() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let (a, b) = (random_vec(&mut rng, 1e3), random_vec(&mut rng, 1e3));
             let c = a.cross(b);
             // |a.c| and |b.c| should be ~0 relative to the magnitudes involved.
             let scale = (a.norm() * b.norm() * c.norm()).max(1.0);
-            prop_assert!(a.dot(c).abs() / scale < 1e-9);
-            prop_assert!(b.dot(c).abs() / scale < 1e-9);
+            assert!(a.dot(c).abs() / scale < 1e-9, "seed {seed}: {a:?} x {b:?}");
+            assert!(b.dot(c).abs() / scale < 1e-9, "seed {seed}: {a:?} x {b:?}");
         }
+    }
 
-        #[test]
-        fn triangle_inequality(ax in -1e3f64..1e3, ay in -1e3f64..1e3, az in -1e3f64..1e3,
-                               bx in -1e3f64..1e3, by in -1e3f64..1e3, bz in -1e3f64..1e3) {
-            let a = Vec3::new(ax, ay, az);
-            let b = Vec3::new(bx, by, bz);
-            prop_assert!((a + b).norm() <= a.norm() + b.norm() + 1e-9);
+    #[test]
+    fn triangle_inequality() {
+        for seed in 0..256 {
+            let mut rng = DetRng::new(seed);
+            let (a, b) = (random_vec(&mut rng, 1e3), random_vec(&mut rng, 1e3));
+            assert!((a + b).norm() <= a.norm() + b.norm() + 1e-9, "seed {seed}: {a:?} + {b:?}");
         }
     }
 }

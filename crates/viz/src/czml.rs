@@ -6,8 +6,8 @@
 
 use hypatia_constellation::Constellation;
 use hypatia_orbit::frames::ecef_to_geodetic;
+use hypatia_util::json::{json, Value};
 use hypatia_util::{SimDuration, SimTime};
-use serde_json::{json, Value};
 
 /// Options for trajectory export.
 #[derive(Debug, Clone)]
@@ -103,11 +103,6 @@ pub fn ground_stations_czml(constellation: &Constellation) -> Vec<Value> {
             })
         })
         .collect()
-}
-
-/// Serialize a CZML packet list to a pretty JSON string.
-pub fn to_json_string(packets: &[Value]) -> String {
-    serde_json::to_string_pretty(packets).expect("CZML serialization cannot fail")
 }
 
 /// CZML packets animating an end-end path over time (the paper's "changes
@@ -230,6 +225,7 @@ mod tests {
     use hypatia_constellation::gsl::GslConfig;
     use hypatia_constellation::isl::IslLayout;
     use hypatia_constellation::shell::ShellSpec;
+    use hypatia_util::json;
 
     fn tiny() -> Constellation {
         Constellation::build(
@@ -343,9 +339,9 @@ mod tests {
     #[test]
     fn serializes_to_valid_json() {
         let czml = constellation_czml(&tiny(), &CzmlOptions::default());
-        let s = to_json_string(&czml);
-        let parsed: Vec<Value> = serde_json::from_str(&s).unwrap();
-        assert_eq!(parsed.len(), czml.len());
+        let doc = Value::Array(czml);
+        let parsed = json::from_str(&json::to_string_pretty(&doc)).unwrap();
+        assert_eq!(parsed, doc);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use hypatia_constellation::{Constellation, GroundStation};
 use hypatia_orbit::visibility::{azimuth_deg, elevation_deg};
+use hypatia_util::json::{json, Value};
 use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
-use serde_json::{json, Value};
 
 /// One satellite as seen in the sky.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -7,8 +7,8 @@
 use hypatia_constellation::{Constellation, NodeId};
 use hypatia_orbit::frames::ecef_to_geodetic;
 use hypatia_orbit::geodesy::propagation_delay_km;
+use hypatia_util::json::{json, Value};
 use hypatia_util::{SimDuration, SimTime};
-use serde_json::{json, Value};
 
 /// One node on a path snapshot.
 #[derive(Debug, Clone)]

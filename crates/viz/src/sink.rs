@@ -13,13 +13,13 @@
 // loses the run. Errors must flow out as typed values, never unwraps.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use crate::{csv, czml};
+use crate::csv;
 use hypatia_constellation::EphemerisStats;
 use hypatia_netsim::audit::AuditViolation;
 use hypatia_netsim::trace::Trace;
 use hypatia_netsim::{EngineReport, FluidSolve, FluidStats, QueueStats};
 use hypatia_routing::incremental::{RepairStats, RouterStats};
-use serde_json::{json, Value};
+use hypatia_util::json::{self, json, Value};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -231,14 +231,12 @@ impl ArtifactSink {
 
     /// Write a JSON document, pretty-printed.
     pub fn write_json(&mut self, name: &str, value: &Value) -> io::Result<()> {
-        let text = serde_json::to_string_pretty(value)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.write_bytes(name, text.as_bytes())
+        self.write_bytes(name, json::to_string_pretty(value).as_bytes())
     }
 
     /// Write a CZML document (a packet array).
-    pub fn write_czml(&mut self, name: &str, packets: &[Value]) -> io::Result<()> {
-        self.write_bytes(name, czml::to_json_string(packets).as_bytes())
+    pub fn write_czml(&mut self, name: &str, packets: Vec<Value>) -> io::Result<()> {
+        self.write_json(name, &Value::Array(packets))
     }
 
     /// Write a packet trace as text, one `t_s node packet_id kind` line per
@@ -383,9 +381,7 @@ impl ArtifactSink {
     /// Write `manifest.json` describing everything produced so far.
     /// Returns the manifest path.
     pub fn write_manifest(&mut self, experiment: &str) -> io::Result<PathBuf> {
-        let doc = self.manifest(experiment);
-        let text = serde_json::to_string_pretty(&doc)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let text = json::to_string_pretty(&self.manifest(experiment));
         std::fs::create_dir_all(&self.out_dir)?;
         let path = self.out_dir.join("manifest.json");
         std::fs::write(&path, text)?;
@@ -481,7 +477,7 @@ mod tests {
         assert!(text.contains("my_experiment"), "{text}");
         assert!(text.contains("a.txt"), "{text}");
         assert!(text.contains("something partial"), "{text}");
-        let doc: Value = serde_json::from_str(&text).unwrap();
+        let doc = json::from_str(&text).unwrap();
         assert_eq!(doc.get("experiment").and_then(Value::as_str), Some("my_experiment"));
         let arts = doc.get("artifacts").and_then(Value::as_array).unwrap();
         assert_eq!(arts.len(), 1);
@@ -710,8 +706,8 @@ mod tests {
             sink.write_text("y.txt", "same").unwrap();
         }
         assert_eq!(
-            serde_json::to_string_pretty(&a.manifest("e")).unwrap(),
-            serde_json::to_string_pretty(&b.manifest("e")).unwrap()
+            json::to_string_pretty(&a.manifest("e")),
+            json::to_string_pretty(&b.manifest("e"))
         );
         std::fs::remove_dir_all(a.out_dir()).ok();
         std::fs::remove_dir_all(b.out_dir()).ok();

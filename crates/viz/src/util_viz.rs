@@ -9,8 +9,8 @@
 use hypatia_netsim::device::DeviceKind;
 use hypatia_netsim::Simulator;
 use hypatia_orbit::frames::ecef_to_geodetic;
+use hypatia_util::json::{json, Value};
 use hypatia_util::SimTime;
-use serde_json::{json, Value};
 
 /// One directed ISL with its utilization over a bucket.
 #[derive(Debug, Clone)]

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide checks: formatting, lints (warnings are errors), tests.
+# Repo-wide checks: formatting, lints (warnings are errors), tests. Runs in
+# place: the workspace has no crates.io dependencies, so there is nothing
+# to fetch and nothing to mirror.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -7,18 +9,24 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "== cargo clippy -- -D warnings"
+cargo clippy --all-targets -- -D warnings
 
 echo "== cargo doc --no-deps (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 
-echo "== cargo test -q"
-cargo test -q --workspace
+echo "== cargo test -q --locked"
+cargo test -q --locked
 
 echo "== one event loop, one thread primitive (deleted paths stay deleted)"
 if grep -rnE 'run_serial|ForwardingUpdate|FaultUpdate \{|FluidUpdate|crossbeam' crates/*/src; then
   echo "a deleted engine path or dependency is back" >&2 && exit 1
+fi
+
+echo "== std-only workspace (deleted dependencies stay deleted)"
+if grep -nE 'serde|proptest|\[patch' Cargo.toml crates/*/Cargo.toml \
+  || grep -rn 'serde' crates/*/src; then
+  echo "a crates.io dependency (or a [patch] for one) is back" >&2 && exit 1
 fi
 
 echo "== benchmark harness: self-tests + pinned-output smoke (seeds 2020 and 7)"

@@ -12,6 +12,7 @@
 //! states — every pipeline the incremental router sits in.
 
 use hypatia::runner::ExperimentRunner;
+use hypatia_util::json;
 use hypatia_viz::sink::ArtifactSink;
 
 /// Spec shrink: a small constellation and a short horizon keep the eight
@@ -43,25 +44,12 @@ fn manifest_modulo_wallclock(sets: &[(&str, &str)], tag: &str) -> String {
     let (path, _sink) = runner.run_with_sink(spec, sink).expect("run succeeds");
     let text = std::fs::read_to_string(&path).expect("manifest readable");
     std::fs::remove_dir_all(&dir).ok();
-    strip_wallclock_and_routing(&text)
-}
-
-/// Drop `events_per_sec` lines and the `perf.engine.routing` object
-/// (brace-depth tracked): how many snapshots were repaired is exactly what
-/// differs between the two routing modes; the artifacts must not.
-fn strip_wallclock_and_routing(text: &str) -> String {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    for line in text.lines() {
-        if depth > 0 {
-            depth = depth + line.matches('{').count() - line.matches('}').count();
-        } else if line.trim_start().starts_with("\"routing\": {") {
-            depth = 1;
-        } else if !line.contains("events_per_sec") {
-            out.push(line);
-        }
-    }
-    out.join("\n")
+    // How many snapshots were repaired is exactly what differs between the
+    // two routing modes; the artifacts must not.
+    let mut doc = json::from_str(&text).expect("manifest parses");
+    doc.remove_path("perf.events_per_sec");
+    doc.remove_path("perf.engine.routing");
+    json::to_string_pretty(&doc)
 }
 
 #[test]

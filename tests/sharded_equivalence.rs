@@ -8,6 +8,7 @@ use hypatia::prelude::*;
 use hypatia_constellation::ground::top_cities;
 use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
 use hypatia_netsim::SimStats;
+use hypatia_util::json;
 use hypatia_viz::sink::ArtifactSink;
 use std::sync::Arc;
 
@@ -98,31 +99,12 @@ fn fig02_manifest(sets: &[(&str, &str)], tag: &str) -> String {
     let (path, _sink) = runner.run_with_sink(spec, sink).expect("run succeeds");
     let text = std::fs::read_to_string(&path).expect("manifest readable");
     std::fs::remove_dir_all(&dir).ok();
-    strip_wallclock_and_engine(&text)
-}
-
-/// Drop `events_per_sec` lines and the whole `"engine"` object (brace-depth
-/// tracked) from a pretty-printed manifest, keeping everything else —
-/// including the shard-invariant simulated `"events"` count.
-fn strip_wallclock_and_engine(text: &str) -> String {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    for line in text.lines() {
-        if depth > 0 {
-            depth += line.matches('{').count();
-            depth -= line.matches('}').count();
-            continue;
-        }
-        if line.trim_start().starts_with("\"engine\": {") {
-            depth = 1;
-            continue;
-        }
-        if line.contains("events_per_sec") {
-            continue;
-        }
-        out.push(line);
-    }
-    out.join("\n")
+    // Everything else stays, including the shard-invariant simulated
+    // `perf.events` count.
+    let mut doc = json::from_str(&text).expect("manifest parses");
+    doc.remove_path("perf.events_per_sec");
+    doc.remove_path("perf.engine");
+    json::to_string_pretty(&doc)
 }
 
 #[test]
