@@ -18,6 +18,8 @@
 //! * `--set key=value` — override any spec field (repeatable), e.g.
 //!   `--set duration_s=30 --set "pairs=Paris:Moscow"`.
 
+#![forbid(unsafe_code)]
+
 use hypatia::runner::{ExperimentRunner, RunError, RunPolicy};
 use hypatia::spec::ExperimentSpec;
 use std::path::PathBuf;

@@ -19,6 +19,8 @@
 //! * [`relays`] — ground-relay grids for Appendix A's bent-pipe experiments;
 //! * [`gsl`] — ground-to-satellite visibility queries.
 
+#![forbid(unsafe_code)]
+
 pub mod constellation;
 pub mod ephemeris;
 pub mod ground;

@@ -53,6 +53,8 @@
 //! assert!(app.received() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod experiments;
 pub mod figures;

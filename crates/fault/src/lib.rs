@@ -26,6 +26,8 @@
 //! Everything is integer-nanosecond timestamped and deterministic: the
 //! same spec and constellation always compile to the same schedule.
 
+#![forbid(unsafe_code)]
+
 mod schedule;
 mod spec;
 mod state;

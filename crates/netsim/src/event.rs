@@ -18,7 +18,7 @@
 //!
 //! An entry in the ordered structures is 32 bytes: `(at, key)`, a tag and
 //! two payload words. The one fat variant, [`Event::Arrival`], parks its
-//! 96-byte [`Packet`] in a slab the queue owns (a `Vec<Packet>` plus a
+//! 88-byte [`Packet`] in a slab the queue owns (a `Vec<Packet>` plus a
 //! free list) and the entry keeps the slot index; `pop*` hands the same
 //! [`Event`] back by value, so callers never see the split. Sorting,
 //! sifting and cascading therefore move a quarter of the bytes an inline
@@ -44,20 +44,40 @@
 //!      bucket's buffer is released.
 //!   3. **Far heap**: a `BinaryHeap` for the few events beyond level 2.
 //!
-//!   Popping heapifies one level-1 bucket at a time as the wheel reaches
-//!   it (its buffer is swapped, not copied, into the cursor heap), which
-//!   amortizes to O(log bucket-population) per event on a heap that is
-//!   small and cache-hot where a global heap spans every pending event.
+//!   Popping drains one level-1 bucket at a time as the wheel reaches it:
+//!   its buffer is swapped, not copied, into the *run* and sorted once,
+//!   latest first, so the next event is `Vec::pop` — O(1), nothing moves —
+//!   where a heap would sift 32-byte entries down seven unpredictable
+//!   levels per pop (and a million in-phase timers in one slot would make
+//!   that heap 32 MB). Only what is scheduled into the slot *while* it
+//!   drains (sub-slot delays) goes to a small side heap, `late`; the front
+//!   of the queue is the earlier of the two fronts.
 //!   Each level has an occupancy bitmap, so the wheel jumps straight to
 //!   the next populated bucket and sparse workloads never step through
 //!   empty ones.
 //!
+//! # The warm pass
+//!
+//! An arrival's packet was parked one propagation delay before it pops —
+//! milliseconds, i.e. tens of thousands of events, earlier — so by then its
+//! cache lines (two or three) are cold, and a hop that starts by loading them stalls
+//! for a full memory round trip, one hop after another. The sorted run
+//! *is* the pop order, so when a slot is handed to the run the queue reads
+//! every arrival's slab slot once, in that order: those loads are
+//! independent and overlap in the memory system, and the pops that follow
+//! hit. The reads are plain loads summed into a [`std::hint::black_box`],
+//! not a prefetch intrinsic: `_mm_prefetch` measured only ≈ 4 % better and
+//! would be the workspace's first `unsafe` block and first
+//! `cfg(target_arch)`.
+//!
 //! [`QueueStats`] counts where inserts landed, how many entries were
-//! cascaded, and the peak pending count.
+//! cascaded, how many slots were drained and how full the fullest was, and
+//! the peak pending count.
 
 use crate::packet::Packet;
 use hypatia_util::SimTime;
 use std::collections::BinaryHeap;
+use std::hint::black_box;
 use std::mem;
 
 /// Something that happens at an instant.
@@ -116,7 +136,7 @@ impl Scheduled {
 }
 
 // Ordered by (time, key), *reversed*: `BinaryHeap` is a max-heap and the
-// earliest entry must surface first.
+// earliest entry must surface first (and a sorted `Vec` ends with it).
 impl PartialEq for Scheduled {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.key == other.key
@@ -163,6 +183,14 @@ impl PacketSlab {
         self.slots[slot as usize]
     }
 
+    /// Load every cache line a parked packet occupies — its first word, its
+    /// last and one between, see `warm_pass_fields_cover_every_line_of_a_packet`
+    /// — without taking it; the caller folds the value into a `black_box`.
+    fn touch(&self, slot: u32) -> u64 {
+        let p = &self.slots[slot as usize];
+        p.id ^ p.flow_hash ^ p.hops as u64
+    }
+
     fn occupied(&self) -> usize {
         self.slots.len() - self.free.len()
     }
@@ -195,23 +223,36 @@ pub struct QueueStats {
     pub cascaded: u64,
     /// Largest number of events pending at once.
     pub peak_pending: u64,
+    /// Times the wheel advanced to a new slot (zero under
+    /// [`QueueKind::Heap`], like the two counts below).
+    pub refills: u64,
+    /// Largest slot population sorted into the run at once: ~100 at line
+    /// rate, 10⁶ when a million in-phase timers share one slot.
+    pub peak_run: u64,
+    /// Inserts into the slot being drained (a subset of `level1_inserts`):
+    /// the only ones that pay a heap push.
+    pub late_inserts: u64,
 }
 
 impl QueueStats {
-    /// Fold in another queue's counts: inserts add up, the peak is the
-    /// larger of the two (queues of different shards peak independently).
+    /// Fold in another queue's counts: inserts and refills add up, a peak
+    /// is the larger of the two (queues of different shards peak
+    /// independently).
     pub fn merge(&mut self, other: &QueueStats) {
         self.level1_inserts += other.level1_inserts;
         self.level2_inserts += other.level2_inserts;
         self.far_inserts += other.far_inserts;
         self.cascaded += other.cascaded;
         self.peak_pending = self.peak_pending.max(other.peak_pending);
+        self.refills += other.refills;
+        self.peak_run = self.peak_run.max(other.peak_run);
+        self.late_inserts += other.late_inserts;
     }
 }
 
 /// log2 of the level-1 bucket width: 2^12 ns = 4.096 µs per slot. Narrow
-/// slots keep each bucket's population — and therefore the cursor heap the
-/// wheel pops from — small and cache-hot even when tens of thousands of
+/// slots keep each bucket's population — and therefore the run the wheel
+/// sorts and pops from — small and cache-hot even when tens of thousands of
 /// packet events are in flight (the high-goodput end of Fig. 2, where a
 /// global heap's sift path is all cache misses).
 const SLOT_NS_SHIFT: u32 = 12;
@@ -314,10 +355,13 @@ enum Tier {
 /// The calendar queue: two wheel levels plus a far heap.
 ///
 /// Invariants (slot = `at >> 12`, span = `slot >> 12`):
-/// * `cursor` is a min-heap (by `(at, key)`) holding the events of every
-///   slot `<= cur_slot`, including late sub-slot-delay inserts — a heap,
-///   not a sorted vector, so a late insert into a populated slot is
-///   O(log slot-population) instead of an O(population) memmove;
+/// * `run` and `late` together hold the events of every slot
+///   `<= cur_slot`: `run` is what the slot held when the wheel reached it,
+///   sorted latest-first so the next one is `run.pop()`; `late` is a
+///   min-heap (by `(at, key)`) of what was scheduled into the slot since —
+///   a side heap, not an insertion into `run`, so a late insert into a
+///   populated slot is O(log late-population) instead of an O(population)
+///   memmove;
 /// * `level1` holds exactly the wheel-resident events of slots in
 ///   `(cur_slot, cur_slot + NUM_SLOTS)`: a bucket is drained when the
 ///   wheel reaches it, before its position can be reused one rotation
@@ -328,27 +372,36 @@ enum Tier {
 ///   `level1` when the wheel reaches the first slot of its span — never
 ///   later, so every span `<= cur_span` is empty;
 /// * `far` holds events at least one level-2 rotation ahead when
-///   scheduled, pulled into `cursor` once their slot becomes current.
+///   scheduled, pulled into `run` once their slot becomes current.
 #[derive(Debug)]
 struct CalendarQueue {
-    cursor: BinaryHeap<Scheduled>,
+    run: Vec<Scheduled>,
+    late: BinaryHeap<Scheduled>,
     /// Absolute index of the slot being drained.
     cur_slot: u64,
     level1: Wheel,
     level2: Wheel,
     far: BinaryHeap<Scheduled>,
     len: usize,
+    /// The [`QueueStats`] fields of the same names, so far.
+    refills: u64,
+    peak_run: usize,
+    late_inserts: u64,
 }
 
 impl CalendarQueue {
     fn new() -> Self {
         CalendarQueue {
-            cursor: BinaryHeap::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
             cur_slot: 0,
             level1: Wheel::new(),
             level2: Wheel::new(),
             far: BinaryHeap::new(),
             len: 0,
+            refills: 0,
+            peak_run: 0,
+            late_inserts: 0,
         }
     }
 
@@ -356,8 +409,10 @@ impl CalendarQueue {
         self.len += 1;
         let slot = s.slot();
         if slot <= self.cur_slot {
-            // At (or before) the slot being drained: joins the cursor heap.
-            self.cursor.push(s);
+            // At (or before) the slot being drained: the run is sorted
+            // already, so it waits beside it.
+            self.late.push(s);
+            self.late_inserts += 1;
             Tier::Level1
         } else if slot - self.cur_slot < NUM_SLOTS as u64 {
             self.level1.push(slot, s);
@@ -375,15 +430,15 @@ impl CalendarQueue {
         }
     }
 
-    /// Advance the wheel (requires an empty cursor and `len > 0`): jump
-    /// straight to the earliest populated slot — a level-1 bucket, the
-    /// first slot of a level-2 bucket, or the far heap's front, whichever
-    /// is due first — and move what is due there into the cursor. A
-    /// level-2 bucket reached this way is cascaded; when none of its
-    /// entries sits in that first slot the cursor stays empty and the
-    /// caller refills again, now from level 1.
-    fn refill(&mut self) {
-        debug_assert!(self.cursor.is_empty() && self.len > 0);
+    /// Advance the wheel (requires an empty run, an empty late heap and
+    /// `len > 0`): jump straight to the earliest populated slot — a level-1
+    /// bucket, the first slot of a level-2 bucket, or the far heap's front,
+    /// whichever is due first — and move what is due there into the run,
+    /// sorted, its parked packets warmed. A level-2 bucket reached this way
+    /// is cascaded; when none of its entries sits in that first slot the
+    /// run stays empty and the caller refills again, now from level 1.
+    fn refill(&mut self, packets: &PacketSlab) {
+        debug_assert!(self.run.is_empty() && self.late.is_empty() && self.len > 0);
         let level1_next = self.level1.next_occupied(self.cur_slot);
         let level2_next = self.level2.next_occupied(self.cur_slot >> WHEEL_BITS);
         let level2_slot = level2_next.map(|span| span << WHEEL_BITS);
@@ -396,11 +451,10 @@ impl CalendarQueue {
         debug_assert!(target > self.cur_slot);
         self.cur_slot = target;
 
-        // The cursor's (empty) buffer takes the level-1 bucket's place and
+        // The run's (empty) buffer takes the level-1 bucket's place and
         // vice versa: no entry is copied, and buffers keep circulating.
-        let mut staging = mem::take(&mut self.cursor).into_vec();
         if level1_next == Some(target) {
-            self.level1.take(target, &mut staging);
+            self.level1.take(target, &mut self.run);
         }
         if level2_slot == Some(target) {
             // Dropped after the loop: a level-2 position is not revisited
@@ -409,40 +463,63 @@ impl CalendarQueue {
             self.level2.take(target >> WHEEL_BITS, &mut bucket);
             for s in bucket {
                 if s.slot() == target {
-                    staging.push(s);
+                    self.run.push(s);
                 } else {
                     self.level1.push(s.slot(), s);
                 }
             }
         }
         while self.far.peek().is_some_and(|top| top.slot() <= target) {
-            staging.push(self.far.pop().expect("peeked entry vanished"));
+            self.run.push(self.far.pop().expect("peeked entry vanished"));
         }
-        self.cursor = BinaryHeap::from(staging);
+        // `Ord` is reversed, so this sorts latest-first: pops come off the end.
+        self.run.sort_unstable();
+        self.refills += 1;
+        self.peak_run = self.peak_run.max(self.run.len());
+
+        // The warm pass (module doc): one read per arrival, in pop order.
+        let arrivals = self.run.iter().rev().filter(|s| s.tag == Tag::Arrival);
+        black_box(arrivals.fold(0, |sum: u64, s| sum.wrapping_add(packets.touch(s.b as u32))));
+    }
+
+    /// Whether the next event sits in `late` rather than at the end of
+    /// `run`. (`None < Some(_)`, and the reversed `Ord` makes the earlier
+    /// entry the greater one.)
+    fn front_is_late(&self) -> bool {
+        self.late.peek() > self.run.last()
     }
 
     /// Borrow the next event in `(time, key)` order without removing it.
-    fn front(&mut self) -> Option<&Scheduled> {
+    fn front(&mut self, packets: &PacketSlab) -> Option<&Scheduled> {
         if self.len == 0 {
             return None;
         }
-        while self.cursor.is_empty() {
-            self.refill();
+        while self.run.is_empty() && self.late.is_empty() {
+            self.refill(packets);
         }
-        self.cursor.peek()
+        if self.front_is_late() {
+            self.late.peek()
+        } else {
+            self.run.last()
+        }
     }
 
-    fn pop_before(&mut self, t_end: SimTime) -> Option<Scheduled> {
-        if self.front()?.at > t_end {
+    fn pop_before(&mut self, t_end: SimTime, packets: &PacketSlab) -> Option<Scheduled> {
+        if self.front(packets)?.at > t_end {
             return None;
         }
         self.len -= 1;
-        self.cursor.pop()
+        if self.front_is_late() {
+            self.late.pop()
+        } else {
+            self.run.pop()
+        }
     }
 
     fn iter(&self) -> impl Iterator<Item = &Scheduled> {
-        self.cursor
+        self.run
             .iter()
+            .chain(self.late.iter())
             .chain(self.level1.iter())
             .chain(self.level2.iter())
             .chain(self.far.iter())
@@ -553,7 +630,7 @@ impl EventQueue {
                 }
                 heap.pop()?
             }
-            QueueImpl::Calendar(cal) => cal.pop_before(t_end)?,
+            QueueImpl::Calendar(cal) => cal.pop_before(t_end, &self.packets)?,
         };
         let packets = &mut self.packets;
         Some((s.at, s.key, unpack(&s, |slot| packets.take(slot))))
@@ -564,7 +641,7 @@ impl EventQueue {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match &mut self.imp {
             QueueImpl::Heap(heap) => heap.peek().map(|s| s.at),
-            QueueImpl::Calendar(cal) => cal.front().map(|s| s.at),
+            QueueImpl::Calendar(cal) => cal.front(&self.packets).map(|s| s.at),
         }
     }
 
@@ -601,12 +678,15 @@ impl EventQueue {
             .collect()
     }
 
-    /// Insert and cascade counts so far, and the peak pending count.
+    /// Insert, cascade and refill counts so far, and the peaks.
     pub fn stats(&self) -> QueueStats {
         let mut stats = self.stats;
         if let QueueImpl::Calendar(cal) = &self.imp {
             // Whatever entered level 2 and is no longer there was cascaded.
             stats.cascaded = stats.level2_inserts - cal.level2.len as u64;
+            stats.refills = cal.refills;
+            stats.peak_run = cal.peak_run as u64;
+            stats.late_inserts = cal.late_inserts;
         }
         stats
     }
@@ -681,6 +761,54 @@ mod tests {
             assert_eq!(*packet, packet_of(packet.id), "packet {} came back altered", packet.id);
             assert_eq!(*node, packet.id as u32);
         }
+    }
+
+    /// What `Shard::save` / `Shard::restore` do with a queue: list the
+    /// pending entries in order without disturbing it, write them through
+    /// the snapshot container, re-schedule them into a fresh queue of the
+    /// same kind. Returns the listing and the restored queue.
+    fn snapshot_round_trip(q: &EventQueue) -> (Vec<(SimTime, u64, Event)>, EventQueue) {
+        const FP: u64 = 0x51AB;
+        let (len, parked) = (q.len(), q.parked_packets());
+        let entries = q.pending_in_order();
+        assert_eq!((q.len(), q.parked_packets()), (len, parked), "listing disturbed the queue");
+        assert_eq!(entries.len(), len);
+        assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        let mut w = SnapWriter::new(FP);
+        for (t, key, event) in &entries {
+            w.put_time(*t);
+            w.put_u64(*key);
+            w.put_event(event);
+        }
+        let mut r = SnapReader::from_bytes(w.finish(), FP).expect("valid image");
+        let mut restored = EventQueue::with_kind(q.kind());
+        for _ in 0..len {
+            let (t, key) = (r.get_time().unwrap(), r.get_u64().unwrap());
+            restored.schedule_keyed(t, key, r.get_event().unwrap());
+        }
+        r.expect_end().unwrap();
+        assert_eq!(restored.parked_packets(), parked);
+        (entries, restored)
+    }
+
+    /// Schedule `event_of(*id)` at `(at_ns, key)` on every queue.
+    fn put(queues: &mut [EventQueue], id: &mut u64, at_ns: u64, key: u64) {
+        for q in queues {
+            q.schedule_keyed(SimTime::from_nanos(at_ns), key, event_of(*id));
+        }
+        *id += 1;
+    }
+
+    /// Pop once from every queue (the first is the oracle); all must agree.
+    fn pop_all(queues: &mut [EventQueue], what: &str) -> Option<(SimTime, u64, Event)> {
+        let want = queues[0].pop_entry_before(SimTime::MAX);
+        for q in &mut queues[1..] {
+            assert_eq!(q.pop_entry_before(SimTime::MAX), want, "{what}");
+        }
+        if let Some((_, _, event)) = &want {
+            assert_intact(event);
+        }
+        want
     }
 
     #[test]
@@ -1001,6 +1129,10 @@ mod tests {
         assert_eq!(stats.level1_inserts + stats.level2_inserts + stats.far_inserts, scheduled);
         assert_eq!(heap.stats().far_inserts, scheduled, "a heap queue counts every insert as far");
         assert_eq!(heap.stats().peak_pending, stats.peak_pending);
+        assert!(stats.late_inserts >= 1000, "late inserts barely exercised: {stats:?}");
+        assert!(stats.refills > 1000 && stats.peak_run > 1, "{stats:?}");
+        let h = heap.stats();
+        assert_eq!((h.refills, h.peak_run, h.late_inserts), (0, 0, 0), "a heap has no run");
         // Slots were recycled: far fewer were ever allocated than arrivals parked.
         assert!(cal.packets.slots.len() < scheduled as usize / 6, "slab never reused its slots");
         // Drain both completely: the tails must agree too.
@@ -1055,14 +1187,11 @@ mod tests {
         }
     }
 
-    /// What `Shard::save` / `Shard::restore` do with a queue: list the
-    /// pending entries in order without disturbing it, write them through
-    /// the snapshot container, re-schedule them into a fresh queue. With
-    /// entries in the cursor, level 1, level 2 and the far heap, the
-    /// restored queue and the (untouched) original drain identically.
+    /// A snapshot round trip with entries in the run, level 1, level 2 and
+    /// the far heap: the restored queue and the (untouched) original drain
+    /// identically, in the listed order.
     #[test]
     fn checkpoint_restore_drain_with_entries_in_every_tier() {
-        const FP: u64 = 0x51AB;
         for kind in [QueueKind::Heap, QueueKind::Calendar] {
             let mut q = EventQueue::with_kind(kind);
             let mut rng = DetRng::new(0x5A7E);
@@ -1090,35 +1219,177 @@ mod tests {
                 );
             }
 
-            let (len, parked) = (q.len(), q.parked_packets());
-            let entries = q.pending_in_order();
-            assert_eq!((q.len(), q.parked_packets()), (len, parked), "listing disturbed the queue");
-            assert_eq!(entries.len(), len);
-            assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
-            let mut w = SnapWriter::new(FP);
-            for (t, key, event) in &entries {
-                w.put_time(*t);
-                w.put_u64(*key);
-                w.put_event(event);
-            }
-            let mut r = SnapReader::from_bytes(w.finish(), FP).expect("valid image");
-            let mut restored = EventQueue::with_kind(kind);
-            for _ in 0..len {
-                let (t, key) = (r.get_time().unwrap(), r.get_u64().unwrap());
-                restored.schedule_keyed(t, key, r.get_event().unwrap());
-            }
-            r.expect_end().unwrap();
-            assert_eq!(restored.parked_packets(), parked);
-
+            let (entries, restored) = snapshot_round_trip(&q);
+            let mut queues = [q, restored];
             for (i, entry) in entries.iter().enumerate() {
-                let a = q.pop_entry_before(SimTime::MAX).expect("original drained early");
-                let b = restored.pop_entry_before(SimTime::MAX).expect("restored drained early");
-                assert_eq!(&a, entry, "original diverged from its own listing at {i}");
-                assert_eq!(a, b, "restored queue diverged at entry {i}");
-                assert_intact(&a.2);
+                let popped = pop_all(&mut queues, "restored queue diverged");
+                assert_eq!(popped.as_ref(), Some(entry), "diverged from the listing at {i}");
             }
-            for q in [&q, &restored] {
+            for q in &queues {
                 assert_eq!((q.len(), q.parked_packets()), (0, 0));
+            }
+        }
+    }
+
+    /// The drain path's other half: events scheduled into the slot being
+    /// drained wait in `late` and must interleave with the sorted run
+    /// exactly as one heap would — earlier than the run's front, tied with
+    /// it on `at` (smaller and larger key), between and tied with later
+    /// run entries, at `now` itself, and into a slot the wheel has already
+    /// passed. A snapshot taken mid-slot sees run, late heap and every
+    /// tier at once.
+    #[test]
+    fn late_inserts_merge_with_the_run_in_heap_order() {
+        let mut queues =
+            [EventQueue::with_kind(QueueKind::Heap), EventQueue::with_kind(QueueKind::Calendar)];
+        let mut id = 0u64;
+        let base = 100 * SLOT_NS;
+        // Forty events in slot 100, 100 ns apart, and one in every tier beyond.
+        for i in 0..40 {
+            put(&mut queues, &mut id, base + 100 * i, 1000 + i);
+        }
+        for ahead in [10 * SLOT_NS, 3 * SPAN_NS, 2 * LEVEL2_NS] {
+            put(&mut queues, &mut id, base + ahead, 0);
+        }
+        for _ in 0..10 {
+            pop_all(&mut queues, "sorted run");
+        }
+        // now = base + 900; the run's front is (base + 1000, key 1010).
+        assert_eq!(queues[1].peek_time(), Some(SimTime::from_nanos(base + 1000)));
+        let late = [
+            (base + 950, 5),     // earlier than the front
+            (base + 1000, 7),    // same instant, smaller key
+            (base + 1000, 2000), // same instant, larger key
+            (base + 1250, 1),    // between two run entries
+            (base + 1500, 3),    // tied with a later run entry, either side
+            (base + 1500, 3000),
+            (base + 4000, 0), // after the whole run, still in the slot
+        ];
+        for (at_ns, key) in late {
+            put(&mut queues, &mut id, at_ns, key);
+        }
+        assert_eq!(queues[1].stats().late_inserts, late.len() as u64);
+        let QueueImpl::Calendar(cal) = &queues[1].imp else { unreachable!() };
+        let held = [cal.run.len(), cal.late.len(), cal.level1.len, cal.level2.len, cal.far.len()];
+        assert_eq!(held, [30, late.len(), 1, 1, 1], "run, late, level 1, level 2, far");
+
+        // Mid-slot snapshot: both kinds list the same sequence, and a queue
+        // restored from the listing drains in exactly that order.
+        let (entries, mut restored) = snapshot_round_trip(&queues[1]);
+        assert_eq!(entries, queues[0].pending_in_order(), "calendar listing != heap listing");
+        for entry in &entries {
+            assert_eq!(restored.pop_entry_before(SimTime::MAX).as_ref(), Some(entry));
+        }
+        assert_eq!((restored.len(), restored.parked_packets()), (0, 0));
+
+        // Drain the slot, scheduling at `now` itself on the way.
+        for step in 0..30 + late.len() {
+            let (now, key, _) = pop_all(&mut queues, "run + late").expect("slot drained early");
+            assert!(now.nanos() < base + SLOT_NS);
+            if step % 8 == 0 {
+                put(&mut queues, &mut id, now.nanos(), key + 1);
+                let next = pop_all(&mut queues, "insert at now").expect("just scheduled");
+                assert_eq!((next.0, next.1), (now, key + 1), "an insert at now pops next");
+            }
+        }
+        // A peek moves the wheel on to slot 110; slots 101..110 are now
+        // behind it, yet an event scheduled there must still pop first.
+        assert_eq!(queues[1].peek_time(), Some(SimTime::from_nanos(base + 10 * SLOT_NS)));
+        put(&mut queues, &mut id, base + 2 * SLOT_NS + 5, 9);
+        put(&mut queues, &mut id, base + 10 * SLOT_NS, u64::MAX);
+        let mut tail = Vec::new();
+        while let Some((t, key, _)) = pop_all(&mut queues, "tail") {
+            tail.push((t.nanos() - base, key));
+        }
+        let want = [
+            (2 * SLOT_NS + 5, 9),
+            (10 * SLOT_NS, 0),
+            (10 * SLOT_NS, u64::MAX),
+            (3 * SPAN_NS, 0),
+            (2 * LEVEL2_NS, 0),
+        ];
+        assert_eq!(tail, want);
+        for q in &queues {
+            assert_eq!((q.len(), q.parked_packets()), (0, 0));
+            assert_eq!(q.packets.free.len(), q.packets.slots.len(), "leaked slab slots");
+        }
+    }
+
+    /// A million events in one 4 µs slot (what `flows_1m`'s in-phase flow
+    /// timers are), inserted shuffled with distinct `(at, key)`, a tenth of
+    /// them arrivals: the whole slot is one sorted run, late inserts on the
+    /// way interleave with it, and every packet comes back field for field.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "10^6-entry sort: release only (scripts/check.sh)")]
+    fn million_entry_slot_drains_as_one_run() {
+        const N: u64 = 1_000_000;
+        let mut rng = DetRng::new(0x1E_5107);
+        let mut ids: Vec<u64> = (0..N).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let event = |i: u64| match i % 10 {
+            0 => Event::Arrival { node: i as u32, packet: packet_of(i) },
+            _ => Event::AppTimer { app: 1, timer_id: i },
+        };
+        let mut queues =
+            [EventQueue::with_kind(QueueKind::Heap), EventQueue::with_kind(QueueKind::Calendar)];
+        let base = 50 * SLOT_NS;
+        for &i in &ids {
+            for q in &mut queues {
+                q.schedule_keyed(SimTime::from_nanos(base + i % SLOT_NS), i, event(i));
+            }
+        }
+        let (mut late, mut popped) = (0u64, 0u64);
+        let mut last = (SimTime::ZERO, 0);
+        while let Some((t, key, _)) = pop_all(&mut queues, "pile-up") {
+            assert!((t, key) > last, "order regressed at pop {popped}");
+            last = (t, key);
+            popped += 1;
+            if popped % 997 == 0 && t.nanos() + 1 < base + SLOT_NS {
+                // Into the slot being drained: at `now` and just after it.
+                for (at_ns, key) in [(t.nanos(), N + late), (t.nanos() + 1, N + late)] {
+                    for q in &mut queues {
+                        q.schedule_keyed(SimTime::from_nanos(at_ns), key, event(10 * late));
+                    }
+                }
+                late += 1;
+            }
+        }
+        assert_eq!(popped, N + 2 * late);
+        let stats = queues[1].stats();
+        assert_eq!((stats.peak_run, stats.refills), (N, 1), "the slot was not one run");
+        assert_eq!(stats.late_inserts, 2 * late);
+        assert!(late > 900, "late inserts barely exercised: {late}");
+        for q in &queues {
+            assert_eq!((q.len(), q.parked_packets()), (0, 0));
+            assert_eq!(q.packets.free.len(), q.packets.slots.len(), "leaked slab slots");
+        }
+    }
+
+    /// `PacketSlab::touch` is only a warm-up if the fields it reads cover
+    /// every cache line a parked packet occupies (two or three of them:
+    /// the packet is longer than a line and slab entries start wherever
+    /// `size_of` puts them). Field order is the compiler's to choose, so
+    /// pin what the warm pass assumes.
+    #[test]
+    fn warm_pass_fields_cover_every_line_of_a_packet() {
+        const LINE: usize = 64;
+        let p = packet_of(1);
+        let offset = |field: usize| field - &p as *const Packet as usize;
+        let touched = [
+            offset(&p.id as *const u64 as usize),
+            offset(&p.flow_hash as *const u64 as usize),
+            offset(&p.hops as *const u16 as usize),
+        ];
+        let size = mem::size_of::<Packet>();
+        assert!(size > LINE, "a packet within one line needs one read, not three");
+        for start in (0..LINE).step_by(mem::align_of::<Packet>()) {
+            for line in start / LINE..=(start + size - 1) / LINE {
+                assert!(
+                    touched.iter().any(|&o| (start + o) / LINE == line),
+                    "a packet at {start} mod 64 keeps line {line} cold: fields at {touched:?}"
+                );
             }
         }
     }
@@ -1136,6 +1407,11 @@ mod tests {
                         event_of(id),
                     );
                 }
+                // Locating the front sorts a slot and warms its packets;
+                // neither may take, free or move a slab slot.
+                let free = q.packets.free.clone();
+                assert!(q.peek_time().is_some());
+                assert_eq!(q.packets.free, free);
                 assert_eq!((q.len(), q.parked_packets()), (500, 500));
                 while let Some((_, event)) = q.pop() {
                     assert_intact(&event);

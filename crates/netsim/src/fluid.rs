@@ -129,7 +129,8 @@ const UNLOADED: u32 = u32::MAX;
 /// Node `n` owns the ids `first[n]..first[n + 1]`: one per ISL peer in
 /// `Constellation::isls` order, then its shared GSL device. `Shard::new`
 /// attaches devices in exactly that order, so `id − first[n]` is the
-/// device's index on its node.
+/// device's index on its node — and `Node::device_for` scans its ISL
+/// devices in the same order `of_hop` scans a node's links here.
 #[derive(Debug, Default)]
 pub(crate) struct LinkTable {
     /// Prefix offsets over nodes, `num_nodes + 1` long.

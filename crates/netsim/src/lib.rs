@@ -44,6 +44,8 @@
 //! recomputation routes around whatever is down, and packets caught on a
 //! failing component are dropped and traced.
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod apps;
 pub mod audit;

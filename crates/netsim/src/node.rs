@@ -15,7 +15,11 @@ pub struct Node {
     pub id: NodeId,
     /// All devices owned by the node.
     pub devices: Vec<Device>,
-    isl_device_of: HashMap<NodeId, usize>,
+    /// `(peer, device index)` per ISL device, in attach order — the order
+    /// the fluid engine's `LinkTable` numbers a node's links in. A
+    /// satellite has a handful (4 in a +Grid), so a linear scan beats
+    /// hashing the peer on every hop.
+    isl_device_of: Vec<(NodeId, usize)>,
     gsl_device: Option<usize>,
     port_apps: HashMap<u16, u32>,
 }
@@ -26,7 +30,7 @@ impl Node {
         Node {
             id,
             devices: Vec::new(),
-            isl_device_of: HashMap::new(),
+            isl_device_of: Vec::new(),
             gsl_device: None,
             port_apps: HashMap::new(),
         }
@@ -37,8 +41,9 @@ impl Node {
         let idx = self.devices.len();
         match device.kind {
             DeviceKind::Isl { peer } => {
-                let prev = self.isl_device_of.insert(peer, idx);
-                assert!(prev.is_none(), "duplicate ISL device towards {peer}");
+                let dup = self.isl_device_of.iter().any(|&(p, _)| p == peer);
+                assert!(!dup, "duplicate ISL device towards {peer}");
+                self.isl_device_of.push((peer, idx));
             }
             DeviceKind::Gsl => {
                 assert!(self.gsl_device.is_none(), "node already has a GSL device");
@@ -52,17 +57,13 @@ impl Node {
     /// The device used to reach `next_hop`: the matching ISL device when one
     /// exists, else the GSL device.
     pub fn device_for(&self, next_hop: NodeId) -> Option<usize> {
-        self.isl_device_of.get(&next_hop).copied().or(self.gsl_device)
+        let isl = self.isl_device_of.iter().find(|&&(peer, _)| peer == next_hop);
+        isl.map(|&(_, idx)| idx).or(self.gsl_device)
     }
 
     /// The GSL device index, if the node has one.
     pub fn gsl_device(&self) -> Option<usize> {
         self.gsl_device
-    }
-
-    /// ISL peers of this node.
-    pub fn isl_peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.isl_device_of.keys().copied()
     }
 
     /// Bind application `app` to `port`. Panics on double-bind.

@@ -718,7 +718,7 @@ impl Simulator {
     /// snapshot image (see [`crate::checkpoint`] for the container). Must
     /// be taken at a barrier — between `run_until` calls — so there are no
     /// undelivered cross-shard packets and no half-dispatched application.
-    pub fn checkpoint(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    pub fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut w = SnapWriter::new(self.config_fingerprint());
         self.save_into(&mut w)?;
         Ok(w.finish())
@@ -727,13 +727,13 @@ impl Simulator {
     /// [`Simulator::checkpoint`] straight to a file, written atomically
     /// (temp file + rename) so a crash mid-write never leaves a truncated
     /// snapshot in place of a good one.
-    pub fn checkpoint_to(&mut self, path: &Path) -> Result<(), CheckpointError> {
+    pub fn checkpoint_to(&self, path: &Path) -> Result<(), CheckpointError> {
         let mut w = SnapWriter::new(self.config_fingerprint());
         self.save_into(&mut w)?;
         w.write_file(path)
     }
 
-    fn save_into(&mut self, w: &mut SnapWriter) -> Result<(), CheckpointError> {
+    fn save_into(&self, w: &mut SnapWriter) -> Result<(), CheckpointError> {
         if self.fluid_dirty {
             return Err(CheckpointError::Unsupported(
                 "fluid flows installed but not yet started; checkpoint after run_until".into(),
@@ -873,7 +873,7 @@ impl Simulator {
     /// every violated invariant (empty = all conserved). See
     /// [`crate::audit`] for the invariants. Read-only; safe to call at any
     /// barrier (between `run_until` calls).
-    pub fn audit(&mut self) -> Vec<AuditViolation> {
+    pub fn audit(&self) -> Vec<AuditViolation> {
         let mut out = Vec::new();
         let t_ns = self.now.nanos();
         let mut stats = self.coord_stats.clone();
@@ -1225,6 +1225,7 @@ mod tests {
         assert!(q.cascaded > 0 && q.cascaded <= q.level2_inserts);
         assert_eq!(q.far_inserts, 0, "nothing is due more than 69 s ahead");
         assert!(q.peak_pending > 0);
+        assert!(q.refills > 0 && q.peak_run > 0 && q.peak_run <= q.peak_pending);
 
         let sharded = run(SimConfig::default().with_sim_shards(4));
         assert_eq!(sharded.sim_shards, 4);
@@ -1863,7 +1864,7 @@ mod tests {
     fn checkpoint_rejects_unflushed_fluid_installs() {
         let c = constellation();
         let (base, build) = resilience_fixture(&c);
-        let (mut sim, _) = build(&base.with_sim_mode(SimMode::Hybrid));
+        let (sim, _) = build(&base.with_sim_mode(SimMode::Hybrid));
         match sim.checkpoint() {
             Err(CheckpointError::Unsupported(_)) => {}
             other => panic!("expected Unsupported, got {other:?}"),

@@ -15,6 +15,8 @@
 //! * [`tle`] — NORAD two-line element generation and parsing with
 //!   checksums, mirroring the paper's Keplerian→TLE utility.
 
+#![forbid(unsafe_code)]
+
 pub mod frames;
 pub mod geodesy;
 pub mod kepler;

@@ -29,6 +29,8 @@
 //!   (`hypatia-fault`): masked snapshots simply omit failed components,
 //!   so forwarding states reconverge around them.
 
+#![forbid(unsafe_code)]
+
 pub mod churn;
 pub mod dijkstra;
 #[cfg(test)]

@@ -20,6 +20,8 @@
 //! behaviour, which is what makes reordering masquerade as loss), an
 //! unbounded receive window, and byte-stream data generated on demand.
 
+#![forbid(unsafe_code)]
+
 pub mod tcp;
 
 pub use tcp::bulk::{BulkTcpSender, BulkTcpSink};

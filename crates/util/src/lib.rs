@@ -16,6 +16,8 @@
 //! * [`mem`] — peak-RSS introspection for the scaling benchmarks;
 //! * [`angle`] — degree/radian helpers and angle wrapping.
 
+#![forbid(unsafe_code)]
+
 pub mod angle;
 pub mod constants;
 pub mod hash;

@@ -17,6 +17,8 @@
 //!   experiment output (series, JSON, CZML, text, traces) is written, with
 //!   a `manifest.json` of names, sizes, and checksums per run.
 
+#![forbid(unsafe_code)]
+
 pub mod csv;
 pub mod czml;
 pub mod ground_view;

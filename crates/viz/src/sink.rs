@@ -138,8 +138,9 @@ impl ArtifactSink {
     }
 
     /// Account a simulation's event-queue telemetry (`report.queue`):
-    /// inserts per tier and cascades sum across calls, the peak pending
-    /// count is the largest seen. Reported as `perf.engine.queue`. The
+    /// inserts per tier, cascades and refills sum across calls, the peak
+    /// pending count and the peak run are the largest seen. Reported as
+    /// `perf.engine.queue`. The
     /// counts depend on the shard count, so an experiment whose manifest
     /// must be identical across shard counts calls this only under the
     /// flag that also gates its wall-clock series.
@@ -342,6 +343,9 @@ impl ArtifactSink {
                         "far_inserts": q.far_inserts,
                         "cascaded": q.cascaded,
                         "peak_pending": q.peak_pending,
+                        "refills": q.refills,
+                        "peak_run": q.peak_run,
+                        "late_inserts": q.late_inserts,
                     });
                     obj.insert("queue".to_string(), queue);
                 }
@@ -558,16 +562,19 @@ mod tests {
         assert_eq!(repair.get("rescanned").and_then(Value::as_u64), Some(100));
         assert_eq!(repair.get("slot_misses").and_then(Value::as_u64), Some(6));
 
-        // Queue telemetry is opt-in: inserts and cascades sum, the peak is a max.
+        // Queue telemetry is opt-in: counts sum, the two peaks are maxima.
         let stats = QueueStats {
             level1_inserts: 100,
             level2_inserts: 10,
             far_inserts: 1,
             cascaded: 8,
             peak_pending: 40,
+            refills: 30,
+            peak_run: 12,
+            late_inserts: 5,
         };
         sink.record_queue(&stats);
-        sink.record_queue(&QueueStats { peak_pending: 25, ..stats });
+        sink.record_queue(&QueueStats { peak_pending: 25, peak_run: 17, ..stats });
         let doc = sink.manifest("e");
         let queue = doc.get("perf").unwrap().get("engine").unwrap().get("queue").expect("queue");
         assert_eq!(queue.get("level1_inserts").and_then(Value::as_u64), Some(200));
@@ -575,6 +582,9 @@ mod tests {
         assert_eq!(queue.get("far_inserts").and_then(Value::as_u64), Some(2));
         assert_eq!(queue.get("cascaded").and_then(Value::as_u64), Some(16));
         assert_eq!(queue.get("peak_pending").and_then(Value::as_u64), Some(40));
+        assert_eq!(queue.get("refills").and_then(Value::as_u64), Some(60));
+        assert_eq!(queue.get("peak_run").and_then(Value::as_u64), Some(17));
+        assert_eq!(queue.get("late_inserts").and_then(Value::as_u64), Some(10));
 
         // So is fluid-solver telemetry: totals sum, `last` is the most
         // recent simulation's that solved at all.

@@ -51,6 +51,11 @@ echo "== SSSP repair vs full Dijkstra: K1 and S1 x 100 destinations x 200 snapsh
 # this adds the benchmark's shells under its flap process at full size.
 cargo test -q --release -p hypatia-routing --lib incremental::tests -- --include-ignored
 
+echo "== event queue drain path with debug_asserts off: sorted run + late heap, 10^6-entry slot"
+# The run/late merge must equal the heap oracle with optimizations on too,
+# and the million-entry one-slot pile-up is too slow for the debug run.
+cargo test -q --release -p hypatia-netsim --lib event::tests -- --include-ignored
+
 echo "== fluid solver under release arithmetic: differential fuzz + hybrid shard tests"
 # The link-id solver must match the map-based oracle bit for bit with
 # optimizations on too (the debug run is part of `cargo test` above).

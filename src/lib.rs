@@ -1,1 +1,3 @@
 //! Workspace-level test/example umbrella for Hypatia.
+
+#![forbid(unsafe_code)]
