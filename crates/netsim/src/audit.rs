@@ -14,6 +14,9 @@
 //!   transmitted + dropped + still queued + in service;
 //! * **queue occupancy** — no device queue exceeds its configured
 //!   capacity;
+//! * **slab conservation** — per shard, the packets alive in its slab are
+//!   exactly those its devices hold plus those its pending arrivals carry:
+//!   a leaked or twice-freed slot shows here even when the counters agree;
 //! * **fluid capacity** — in hybrid mode, the max–min solver's aggregate
 //!   bundle rate on every link stays within that link's capacity.
 //!
@@ -67,6 +70,18 @@ pub enum AuditViolation {
         /// Configured queue capacity.
         capacity: u64,
     },
+    /// A shard's packet slab disagrees with its holders: a slot was leaked
+    /// (alive, held by nothing) or freed while still held.
+    SlabConservation {
+        /// Simulation time of the audit.
+        t_ns: u64,
+        /// The shard.
+        shard: u32,
+        /// Packets alive in the shard's slab.
+        alive: u64,
+        /// Packets its devices hold plus its pending arrival events.
+        held: u64,
+    },
     /// The fluid solver allocated more aggregate rate to a link than the
     /// link's capacity (beyond floating-point tolerance).
     FluidOverCapacity {
@@ -88,6 +103,7 @@ impl AuditViolation {
             AuditViolation::PacketConservation { .. } => "packet_conservation",
             AuditViolation::DeviceConservation { .. } => "device_conservation",
             AuditViolation::QueueOverCapacity { .. } => "queue_over_capacity",
+            AuditViolation::SlabConservation { .. } => "slab_conservation",
             AuditViolation::FluidOverCapacity { .. } => "fluid_over_capacity",
         }
     }
@@ -98,6 +114,7 @@ impl AuditViolation {
             AuditViolation::PacketConservation { t_ns, .. }
             | AuditViolation::DeviceConservation { t_ns, .. }
             | AuditViolation::QueueOverCapacity { t_ns, .. }
+            | AuditViolation::SlabConservation { t_ns, .. }
             | AuditViolation::FluidOverCapacity { t_ns, .. } => *t_ns,
         }
     }
@@ -133,6 +150,13 @@ impl fmt::Display for AuditViolation {
                     f,
                     "queue over capacity at t={t_ns}ns on n{node}/d{device}: \
                      {queue_len} queued > capacity {capacity}"
+                )
+            }
+            AuditViolation::SlabConservation { t_ns, shard, alive, held } => {
+                write!(
+                    f,
+                    "slab conservation violated at t={t_ns}ns on shard {shard}: \
+                     {alive} packets alive != {held} held by devices and arrivals"
                 )
             }
             AuditViolation::FluidOverCapacity { t_ns, link, load_bps, capacity_bps } => {
@@ -178,6 +202,9 @@ mod tests {
             capacity: 100,
         };
         assert_eq!(q.kind(), "queue_over_capacity");
+        let sl = AuditViolation::SlabConservation { t_ns: 10, shard: 1, alive: 4, held: 3 };
+        assert_eq!((sl.kind(), sl.t_ns()), ("slab_conservation", 10));
+        assert!(sl.to_string().contains("shard 1: 4 packets alive != 3 held"), "{sl}");
         let fl = AuditViolation::FluidOverCapacity {
             t_ns: 11,
             link: (3, u32::MAX),

@@ -6,11 +6,16 @@
 //! GSL network device per node). Every queued packet records the next hop
 //! chosen when it was enqueued, so forwarding-state changes never reroute
 //! queued packets (lossless handoff semantics).
+//!
+//! A device never holds or reads a packet: it stays in its shard's
+//! `PacketSlab` and the queue holds a 12-byte [`Queued`] — the slot plus
+//! the two things the device path needs from it. Only `save`/`restore`
+//! look the packet up, to write the bytes a by-value queue wrote.
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
-use crate::packet::Packet;
+use crate::event::PacketSlab;
 use hypatia_constellation::NodeId;
-use hypatia_util::{DataRate, SimDuration, SimTime};
+use hypatia_util::{DataRate, DataSize, SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// What the device is attached to.
@@ -25,14 +30,20 @@ pub enum DeviceKind {
     Gsl,
 }
 
-/// A packet sitting in a device queue with its resolved next hop.
-#[derive(Debug, Clone, Copy)]
-pub struct QueuedPacket {
-    /// The packet.
-    pub packet: Packet,
-    /// The next hop assigned at enqueue time.
+/// A packet sitting in a device queue: where it is, and what the device
+/// path needs to know about it without going there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Queued {
+    /// The packet's slot in its shard's slab.
+    pub slot: u32,
+    /// The next hop assigned at enqueue time (the fault check, the
+    /// propagation delay and the receiving shard all hang off it).
     pub next_hop: NodeId,
+    /// The packet's wire size: what serialization takes.
+    pub size_bytes: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Queued>() <= 16);
 
 /// Per-device counters.
 #[derive(Debug, Clone, Default)]
@@ -64,9 +75,9 @@ pub struct Device {
     pub rate: DataRate,
     /// Max queued packets (excluding the one in transmission).
     pub queue_capacity: usize,
-    queue: VecDeque<QueuedPacket>,
+    queue: VecDeque<Queued>,
     /// The packet currently being serialized, if any.
-    in_flight: Option<QueuedPacket>,
+    in_flight: Option<Queued>,
     /// Counters.
     pub stats: DeviceStats,
     /// Utilization bucket width (None = no tracking).
@@ -106,46 +117,40 @@ impl Device {
     /// * `Ok(Some(duration))` — transmitter was idle, transmission started;
     ///   `TxComplete` must be scheduled after `duration`;
     /// * `Ok(None)` — queued behind others;
-    /// * `Err(packet)` — dropped, queue full.
+    /// * `Err(slot)` — dropped, queue full: the caller frees the slot.
     #[inline]
-    pub fn enqueue(
-        &mut self,
-        packet: Packet,
-        next_hop: NodeId,
-        now: SimTime,
-    ) -> Result<Option<SimDuration>, Packet> {
+    pub fn enqueue(&mut self, q: Queued, now: SimTime) -> Result<Option<SimDuration>, u32> {
         self.stats.packets_in += 1;
-        self.stats.bytes_in += packet.size_bytes as u64;
-        let qp = QueuedPacket { packet, next_hop };
+        self.stats.bytes_in += q.size_bytes as u64;
         if self.in_flight.is_none() {
             debug_assert!(self.queue.is_empty(), "idle transmitter with queued packets");
-            Ok(Some(self.start_tx(qp, now)))
+            Ok(Some(self.start_tx(q, now)))
         } else if self.queue.len() < self.queue_capacity {
-            self.queue.push_back(qp);
+            self.queue.push_back(q);
             Ok(None)
         } else {
             self.stats.drops += 1;
-            Err(packet)
+            Err(q.slot)
         }
     }
 
-    /// Complete the in-flight transmission. Returns the transmitted packet
-    /// (with its next hop) and, if more packets wait, the serialization
-    /// delay of the next one (whose `TxComplete` the caller must schedule).
+    /// Complete the in-flight transmission. Returns the transmitted packet's
+    /// entry and, if more packets wait, the serialization delay of the next
+    /// one (whose `TxComplete` the caller must schedule).
     #[inline]
-    pub fn tx_complete(&mut self, now: SimTime) -> (QueuedPacket, Option<SimDuration>) {
+    pub fn tx_complete(&mut self, now: SimTime) -> (Queued, Option<SimDuration>) {
         let done = self.in_flight.take().expect("tx_complete on idle device");
         self.stats.packets_tx += 1;
-        self.stats.bytes_tx += done.packet.size_bytes as u64;
-        let next = self.queue.pop_front().map(|qp| self.start_tx(qp, now));
+        self.stats.bytes_tx += done.size_bytes as u64;
+        let next = self.queue.pop_front().map(|q| self.start_tx(q, now));
         (done, next)
     }
 
     #[inline]
-    fn start_tx(&mut self, qp: QueuedPacket, now: SimTime) -> SimDuration {
-        let d = self.rate.serialization_delay(qp.packet.size());
+    fn start_tx(&mut self, q: Queued, now: SimTime) -> SimDuration {
+        let d = self.rate.serialization_delay(DataSize::from_bytes(q.size_bytes as u64));
         self.record_busy(now, d);
-        self.in_flight = Some(qp);
+        self.in_flight = Some(q);
         d
     }
 
@@ -185,21 +190,20 @@ impl Device {
     }
 
     /// Serialize the device's mutable state: the (possibly fluid-adjusted)
-    /// rate, the queue, the in-service packet, and the counters. The
+    /// rate, the queue, the in-service packet (both by value, looked up in
+    /// `packets`: slots are not part of an image), and the counters. The
     /// immutable skeleton (kind, capacity, bucket width) is rebuilt from
     /// config at restore time and is not stored.
-    pub fn save(&self, w: &mut SnapWriter) {
+    pub(crate) fn save(&self, w: &mut SnapWriter, packets: &PacketSlab) {
+        let put = |w: &mut SnapWriter, q: &Queued| {
+            w.put_packet(&packets[q.slot]);
+            w.put_u32(q.next_hop.0);
+        };
         w.put_u64(self.rate.bps());
         w.put_usize(self.queue.len());
-        for qp in &self.queue {
-            w.put_packet(&qp.packet);
-            w.put_u32(qp.next_hop.0);
-        }
+        self.queue.iter().for_each(|q| put(w, q));
         w.put_bool(self.in_flight.is_some());
-        if let Some(qp) = &self.in_flight {
-            w.put_packet(&qp.packet);
-            w.put_u32(qp.next_hop.0);
-        }
+        self.in_flight.iter().for_each(|q| put(w, q));
         w.put_u64(self.stats.packets_in);
         w.put_u64(self.stats.bytes_in);
         w.put_u64(self.stats.packets_tx);
@@ -212,8 +216,19 @@ impl Device {
         }
     }
 
-    /// Restore the state captured by [`Device::save`].
-    pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
+    /// Restore the state captured by [`Device::save`], parking the image's
+    /// packets in `packets`. Whatever the device held before is forgotten,
+    /// not freed: the caller restores into an emptied slab.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut SnapReader,
+        packets: &mut PacketSlab,
+    ) -> Result<(), CheckpointError> {
+        let mut get = |r: &mut SnapReader| -> Result<Queued, CheckpointError> {
+            let packet = r.get_packet()?;
+            let next_hop = NodeId(r.get_u32()?);
+            Ok(Queued { slot: packets.park(packet), next_hop, size_bytes: packet.size_bytes })
+        };
         self.rate = DataRate::from_bps(r.get_u64()?);
         let qlen = r.get_usize()?;
         if qlen > self.queue_capacity {
@@ -224,17 +239,9 @@ impl Device {
         }
         self.queue.clear();
         for _ in 0..qlen {
-            let packet = r.get_packet()?;
-            let next_hop = NodeId(r.get_u32()?);
-            self.queue.push_back(QueuedPacket { packet, next_hop });
+            self.queue.push_back(get(r)?);
         }
-        self.in_flight = if r.get_bool()? {
-            let packet = r.get_packet()?;
-            let next_hop = NodeId(r.get_u32()?);
-            Some(QueuedPacket { packet, next_hop })
-        } else {
-            None
-        };
+        self.in_flight = if r.get_bool()? { Some(get(r)?) } else { None };
         self.stats.packets_in = r.get_u64()?;
         self.stats.bytes_in = r.get_u64()?;
         self.stats.packets_tx = r.get_u64()?;
@@ -267,6 +274,11 @@ mod tests {
         }
     }
 
+    /// A queue entry for a packet of `size` bytes in `slot`, towards node 9.
+    fn q(slot: u32, size: u32) -> Queued {
+        Queued { slot, next_hop: NodeId(9), size_bytes: size }
+    }
+
     fn dev(cap: usize) -> Device {
         Device::new(DeviceKind::Gsl, DataRate::from_mbps(10), cap, None)
     }
@@ -274,7 +286,7 @@ mod tests {
     #[test]
     fn idle_device_transmits_immediately() {
         let mut d = dev(4);
-        let dur = d.enqueue(pkt(1, 1500), NodeId(9), SimTime::ZERO).unwrap();
+        let dur = d.enqueue(q(1, 1500), SimTime::ZERO).unwrap();
         // 1500 B at 10 Mbps = 1.2 ms.
         assert_eq!(dur, Some(SimDuration::from_micros(1200)));
         assert!(d.is_busy());
@@ -285,13 +297,13 @@ mod tests {
     fn busy_device_queues_then_chains() {
         let mut d = dev(4);
         let t0 = SimTime::ZERO;
-        assert!(d.enqueue(pkt(1, 1500), NodeId(9), t0).unwrap().is_some());
-        assert_eq!(d.enqueue(pkt(2, 750), NodeId(9), t0).unwrap(), None);
+        assert!(d.enqueue(q(1, 1500), t0).unwrap().is_some());
+        assert_eq!(d.enqueue(q(2, 750), t0).unwrap(), None);
         assert_eq!(d.queue_len(), 1);
 
         let t1 = SimTime::from_micros(1200);
         let (done, next) = d.tx_complete(t1);
-        assert_eq!(done.packet.id, 1);
+        assert_eq!(done, q(1, 1500), "the entry comes back as it went in");
         // Next packet (750 B) starts immediately: 0.6 ms.
         assert_eq!(next, Some(SimDuration::from_micros(600)));
         assert_eq!(d.queue_len(), 0);
@@ -299,21 +311,21 @@ mod tests {
     }
 
     #[test]
-    fn queue_overflow_drops() {
+    fn queue_overflow_drops_and_hands_the_slot_back() {
         let mut d = dev(2);
         let t = SimTime::ZERO;
-        assert!(d.enqueue(pkt(1, 100), NodeId(9), t).is_ok()); // in flight
-        assert!(d.enqueue(pkt(2, 100), NodeId(9), t).is_ok()); // queued
-        assert!(d.enqueue(pkt(3, 100), NodeId(9), t).is_ok()); // queued
-        let dropped = d.enqueue(pkt(4, 100), NodeId(9), t).unwrap_err();
-        assert_eq!(dropped.id, 4);
+        assert!(d.enqueue(q(1, 100), t).is_ok()); // in flight
+        assert!(d.enqueue(q(2, 100), t).is_ok()); // queued
+        assert!(d.enqueue(q(3, 100), t).is_ok()); // queued
+        assert_eq!(d.enqueue(q(4, 100), t), Err(4), "the caller frees the dropped slot");
         assert_eq!(d.stats.drops, 1);
+        assert_eq!(d.occupancy(), 3, "a dropped packet is not held");
     }
 
     #[test]
     fn stats_count_transmissions() {
         let mut d = dev(4);
-        d.enqueue(pkt(1, 1000), NodeId(9), SimTime::ZERO).unwrap();
+        d.enqueue(q(1, 1000), SimTime::ZERO).unwrap();
         let (_, next) = d.tx_complete(SimTime::from_micros(800));
         assert!(next.is_none());
         assert_eq!(d.stats.packets_tx, 1);
@@ -322,14 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn next_hop_preserved_through_queue() {
+    fn next_hop_and_slot_preserved_through_queue() {
         let mut d = dev(4);
-        d.enqueue(pkt(1, 100), NodeId(7), SimTime::ZERO).unwrap();
-        d.enqueue(pkt(2, 100), NodeId(8), SimTime::ZERO).unwrap();
-        let (first, _) = d.tx_complete(SimTime::from_micros(80));
-        assert_eq!(first.next_hop, NodeId(7));
-        let (second, _) = d.tx_complete(SimTime::from_micros(160));
-        assert_eq!(second.next_hop, NodeId(8));
+        let (first, second) = (Queued { next_hop: NodeId(7), ..q(5, 100) }, q(3, 100));
+        d.enqueue(first, SimTime::ZERO).unwrap();
+        d.enqueue(second, SimTime::ZERO).unwrap();
+        assert_eq!(d.tx_complete(SimTime::from_micros(80)).0, first);
+        assert_eq!(d.tx_complete(SimTime::from_micros(160)).0, second);
     }
 
     #[test]
@@ -342,7 +353,7 @@ mod tests {
         );
         // 15 B at 8 kbps = 15 ms, starting at t = 5 ms: 5 ms in bucket 0,
         // 10 ms in bucket 1.
-        d.enqueue(pkt(1, 15), NodeId(9), SimTime::from_millis(5)).unwrap();
+        d.enqueue(q(1, 15), SimTime::from_millis(5)).unwrap();
         assert!((d.utilization(0).unwrap() - 0.5).abs() < 1e-9);
         assert!((d.utilization(1).unwrap() - 1.0).abs() < 1e-9);
         assert_eq!(d.utilization(2).unwrap(), 0.0);
@@ -358,9 +369,9 @@ mod tests {
     fn counts_offered_packets_even_when_dropped() {
         let mut d = dev(1);
         let t = SimTime::ZERO;
-        assert!(d.enqueue(pkt(1, 100), NodeId(9), t).is_ok()); // in flight
-        assert!(d.enqueue(pkt(2, 200), NodeId(9), t).is_ok()); // queued
-        assert!(d.enqueue(pkt(3, 300), NodeId(9), t).is_err()); // dropped
+        assert!(d.enqueue(q(1, 100), t).is_ok()); // in flight
+        assert!(d.enqueue(q(2, 200), t).is_ok()); // queued
+        assert!(d.enqueue(q(3, 300), t).is_err()); // dropped
         assert_eq!(d.stats.packets_in, 3);
         assert_eq!(d.stats.bytes_in, 600);
         assert_eq!(d.occupancy(), 2);
@@ -368,51 +379,77 @@ mod tests {
         assert_eq!(d.stats.packets_in, d.stats.packets_tx + d.stats.drops + d.occupancy());
     }
 
+    /// Park `packets` (after `skew` throw-away slots, so the numbering
+    /// differs from slab to slab) and offer each to `d` towards `next_hop`.
+    fn offer(d: &mut Device, slab: &mut PacketSlab, skew: u32, packets: &[(Packet, u32)]) {
+        let spare: Vec<u32> = (0..skew).map(|i| slab.park(pkt(900 + i as u64, 1))).collect();
+        for &(packet, next_hop) in packets {
+            let slot = slab.park(packet);
+            let entry = Queued { slot, next_hop: NodeId(next_hop), size_bytes: packet.size_bytes };
+            d.enqueue(entry, SimTime::from_millis(5)).unwrap();
+        }
+        spare.into_iter().for_each(|slot| slab.free(slot));
+    }
+
+    fn image(d: &Device, slab: &PacketSlab) -> Vec<u8> {
+        let mut w = SnapWriter::new(1);
+        d.save(&mut w, slab);
+        w.finish()
+    }
+
+    fn isl_dev() -> Device {
+        let kind = DeviceKind::Isl { peer: NodeId(5) };
+        Device::new(kind, DataRate::from_mbps(10), 4, Some(SimDuration::from_millis(10)))
+    }
+
     #[test]
     fn save_restore_round_trips_mutable_state() {
-        let mut d = Device::new(
-            DeviceKind::Isl { peer: NodeId(5) },
-            DataRate::from_mbps(10),
-            4,
-            Some(SimDuration::from_millis(10)),
-        );
-        d.enqueue(pkt(1, 1500), NodeId(9), SimTime::from_millis(5)).unwrap();
-        d.enqueue(pkt(2, 750), NodeId(8), SimTime::from_millis(5)).unwrap();
+        let held = [(pkt(1, 1500), 9), (pkt(2, 750), 8)];
+        let (mut d, mut slab) = (isl_dev(), PacketSlab::default());
+        offer(&mut d, &mut slab, 0, &held);
         d.rate = DataRate::from_mbps(7); // a fluid residual adjustment
-        let mut w = crate::checkpoint::SnapWriter::new(1);
-        d.save(&mut w);
-        let mut fresh = Device::new(
-            DeviceKind::Isl { peer: NodeId(5) },
-            DataRate::from_mbps(10),
-            4,
-            Some(SimDuration::from_millis(10)),
-        );
-        let mut r = crate::checkpoint::SnapReader::from_bytes(w.finish(), 1).unwrap();
-        fresh.restore(&mut r).unwrap();
+        let saved = image(&d, &slab);
+
+        // Slot numbers are not part of the image: the same packets at other
+        // slots write the same bytes.
+        let (mut skewed, mut skewed_slab) = (isl_dev(), PacketSlab::default());
+        offer(&mut skewed, &mut skewed_slab, 3, &held);
+        skewed.rate = d.rate;
+        assert_ne!(skewed.in_flight.map(|q| q.slot), d.in_flight.map(|q| q.slot));
+        assert_eq!(image(&skewed, &skewed_slab), saved);
+
+        // Restore lands the packets in whatever slab it is given; what the
+        // device held before is forgotten.
+        let mut fresh = isl_dev();
+        fresh.enqueue(q(0, 60), SimTime::ZERO).unwrap();
+        let mut r = SnapReader::from_bytes(saved.clone(), 1).unwrap();
+        let mut restored_slab = PacketSlab::default();
+        fresh.restore(&mut r, &mut restored_slab).unwrap();
         r.expect_end().unwrap();
+        assert_eq!(restored_slab.occupied(), 2);
         assert_eq!(fresh.rate, DataRate::from_mbps(7));
         assert_eq!(fresh.queue_len(), 1);
         assert!(fresh.is_busy());
         assert_eq!(fresh.stats.packets_in, 2);
         assert_eq!(fresh.stats.busy, d.stats.busy);
         assert_eq!(fresh.stats.busy_per_bucket, d.stats.busy_per_bucket);
+        assert_eq!(image(&fresh, &restored_slab), saved, "restore -> save round-trips the bytes");
         // The restored device continues exactly like the original.
-        let (done, next) = fresh.tx_complete(SimTime::from_micros(6200));
-        assert_eq!(done.packet.id, 1);
-        assert_eq!(done.next_hop, NodeId(9));
-        assert!(next.is_some());
+        for (packet, next_hop) in held {
+            let (done, _) = fresh.tx_complete(SimTime::from_micros(6200));
+            assert_eq!(restored_slab[done.slot], packet);
+            assert_eq!((done.next_hop, done.size_bytes), (NodeId(next_hop), packet.size_bytes));
+        }
+        assert!(!fresh.is_busy());
     }
 
     #[test]
     fn restore_rejects_overlong_queue() {
-        let mut big = dev(4);
-        for id in 0..4 {
-            big.enqueue(pkt(id, 100), NodeId(9), SimTime::ZERO).unwrap();
-        }
-        let mut w = crate::checkpoint::SnapWriter::new(1);
-        big.save(&mut w);
+        let (mut big, mut slab) = (dev(4), PacketSlab::default());
+        let held: Vec<(Packet, u32)> = (0..4).map(|id| (pkt(id, 100), 9)).collect();
+        offer(&mut big, &mut slab, 0, &held);
         let mut small = dev(1); // capacity 1 cannot hold the 3 queued packets
-        let mut r = crate::checkpoint::SnapReader::from_bytes(w.finish(), 1).unwrap();
-        assert!(small.restore(&mut r).is_err());
+        let mut r = SnapReader::from_bytes(image(&big, &slab), 1).unwrap();
+        assert!(small.restore(&mut r, &mut PacketSlab::default()).is_err());
     }
 }

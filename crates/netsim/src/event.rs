@@ -14,15 +14,23 @@
 //! updates, fluid boundaries — live in the coordinator's cursors (see
 //! `crate::sim`) and never enter one.
 //!
-//! # What a pending event costs
+//! # Where a packet lives, and who frees it
 //!
 //! An entry in the ordered structures is 32 bytes: `(at, key)`, a tag and
-//! two payload words. The one fat variant, [`Event::Arrival`], parks its
-//! 88-byte [`Packet`] in a slab the queue owns (a `Vec<Packet>` plus a
-//! free list) and the entry keeps the slot index; `pop*` hands the same
-//! [`Event`] back by value, so callers never see the split. Sorting,
-//! sifting and cascading therefore move a quarter of the bytes an inline
-//! packet would cost, and a timer costs no more than it needs.
+//! two payload words. An 88-byte [`Packet`] never travels in one: it lives
+//! in a `PacketSlab` (a `Vec<Packet>` plus a free list), one per shard,
+//! and whatever holds it — an `Arrival` entry, a device queue —
+//! holds its `u32` slot. A packet is parked once, when it is injected (or
+//! lands from another shard at a barrier), and whoever ends its life on the
+//! shard frees the slot: delivery, a drop, the hand-off to another shard.
+//! In between nothing copies it; shards drive the queue through
+//! `EventQueue::schedule_slot` / `EventQueue::pop_slot`, which
+//! move 32-byte entries only. The by-value [`Event`] API
+//! ([`EventQueue::schedule`], [`EventQueue::pop`], ...) wraps those for
+//! callers without a slab — the heap oracle, the benchmark's queue probes —
+//! parking an arrival's packet in a slab the queue owns and taking it out
+//! at the pop. One queue is driven through one API or the other, never
+//! both: their slots index different slabs.
 //!
 //! # Two schedulers, one order
 //!
@@ -60,25 +68,28 @@
 //!
 //! An arrival's packet was parked one propagation delay before it pops —
 //! milliseconds, i.e. tens of thousands of events, earlier — so by then its
-//! cache lines (two or three) are cold, and a hop that starts by loading them stalls
+//! cache lines are cold, and a hop that starts by loading them stalls
 //! for a full memory round trip, one hop after another. The sorted run
 //! *is* the pop order, so when a slot is handed to the run the queue reads
-//! every arrival's slab slot once, in that order: those loads are
-//! independent and overlap in the memory system, and the pops that follow
-//! hit. The reads are plain loads summed into a [`std::hint::black_box`],
+//! every arrival's slab slot once, in that order — the fields a hop uses
+//! (`dst`, `size_bytes`, `hops`: 14 adjacent bytes), not the whole packet:
+//! those loads are independent and overlap in the memory system, and the
+//! pops that follow hit. Only the hop that delivers reads the rest.
+//! The reads are plain loads summed into a [`std::hint::black_box`],
 //! not a prefetch intrinsic: `_mm_prefetch` measured only ≈ 4 % better and
 //! would be the workspace's first `unsafe` block and first
 //! `cfg(target_arch)`.
 //!
 //! [`QueueStats`] counts where inserts landed, how many entries were
-//! cascaded, how many slots were drained and how full the fullest was, and
-//! the peak pending count.
+//! cascaded, how many slots were drained and how full the fullest was, the
+//! peak pending count and the most packets alive at once.
 
 use crate::packet::Packet;
 use hypatia_util::SimTime;
 use std::collections::BinaryHeap;
 use std::hint::black_box;
 use std::mem;
+use std::ops::{Index, IndexMut};
 
 /// Something that happens at an instant.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,22 +119,22 @@ pub enum Event {
 
 /// Which [`Event`] variant a [`Scheduled`] entry stands for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
+pub(crate) enum Tag {
     TxComplete,
     Arrival,
     AppTimer,
 }
 
-/// A pending event as the ordered structures hold it: the `(at, key)` sort
-/// key plus the variant's fields packed into `a`/`b` (an [`Tag::Arrival`]'s
-/// `b` is its packet's slab slot).
+/// A pending event as the ordered structures hold it, and as the slot-level
+/// calls hand it over: the `(at, key)` sort key plus the variant's fields
+/// packed into `a`/`b` (an [`Tag::Arrival`]'s `b` is its packet's slab slot).
 #[derive(Debug, Clone, Copy)]
-struct Scheduled {
-    at: SimTime,
-    key: u64,
-    b: u64,
-    a: u32,
-    tag: Tag,
+pub(crate) struct Scheduled {
+    pub(crate) at: SimTime,
+    pub(crate) key: u64,
+    pub(crate) b: u64,
+    pub(crate) a: u32,
+    pub(crate) tag: Tag,
 }
 
 const _: () = assert!(mem::size_of::<Scheduled>() <= 32);
@@ -154,17 +165,17 @@ impl Ord for Scheduled {
     }
 }
 
-/// Out-of-line storage for the packets of pending [`Event::Arrival`]s.
-/// Freed slots are reused last-freed-first, so a steady-state run touches
-/// the same few cache lines.
+/// The packets alive on one shard (module doc). Freed slots are reused
+/// last-freed-first, so a steady-state run touches the same few cache lines.
+/// Slot numbers are never serialized and never observable.
 #[derive(Debug, Default)]
-struct PacketSlab {
+pub(crate) struct PacketSlab {
     slots: Vec<Packet>,
     free: Vec<u32>,
 }
 
 impl PacketSlab {
-    fn park(&mut self, packet: Packet) -> u32 {
+    pub(crate) fn park(&mut self, packet: Packet) -> u32 {
         match self.free.pop() {
             Some(slot) => {
                 self.slots[slot as usize] = packet;
@@ -178,21 +189,46 @@ impl PacketSlab {
         }
     }
 
-    fn take(&mut self, slot: u32) -> Packet {
+    /// End the life of the packet in `slot`.
+    pub(crate) fn free(&mut self, slot: u32) {
         self.free.push(slot);
+    }
+
+    /// [`Self::free`], handing the packet out.
+    pub(crate) fn take(&mut self, slot: u32) -> Packet {
+        self.free(slot);
         self.slots[slot as usize]
     }
 
-    /// Load every cache line a parked packet occupies — its first word, its
-    /// last and one between, see `warm_pass_fields_cover_every_line_of_a_packet`
-    /// — without taking it; the caller folds the value into a `black_box`.
+    /// Load the line(s) a hop reads and writes — `dst` and `hops` are the
+    /// ends of that span, see `warm_pass_covers_the_fields_a_hop_uses` —
+    /// without taking the packet; the caller `black_box`es the value.
     fn touch(&self, slot: u32) -> u64 {
         let p = &self.slots[slot as usize];
-        p.id ^ p.flow_hash ^ p.hops as u64
+        p.dst.0 as u64 ^ p.hops as u64
     }
 
-    fn occupied(&self) -> usize {
+    /// Packets alive now.
+    pub(crate) fn occupied(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+
+    /// Most packets ever alive at once (a slot is added only when all are).
+    pub(crate) fn peak(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+impl Index<u32> for PacketSlab {
+    type Output = Packet;
+    fn index(&self, slot: u32) -> &Packet {
+        &self.slots[slot as usize]
+    }
+}
+
+impl IndexMut<u32> for PacketSlab {
+    fn index_mut(&mut self, slot: u32) -> &mut Packet {
+        &mut self.slots[slot as usize]
     }
 }
 
@@ -232,6 +268,9 @@ pub struct QueueStats {
     /// Inserts into the slot being drained (a subset of `level1_inserts`):
     /// the only ones that pay a heap push.
     pub late_inserts: u64,
+    /// Most packets alive at once — on a wire, queued or in service at a
+    /// device — in the shard's slab; filled in by the shard, not the queue.
+    pub slab_peak: u64,
 }
 
 impl QueueStats {
@@ -247,6 +286,7 @@ impl QueueStats {
         self.refills += other.refills;
         self.peak_run = self.peak_run.max(other.peak_run);
         self.late_inserts += other.late_inserts;
+        self.slab_peak = self.slab_peak.max(other.slab_peak);
     }
 }
 
@@ -533,11 +573,36 @@ enum QueueImpl {
     Calendar(Box<CalendarQueue>),
 }
 
+impl QueueImpl {
+    /// `packets` is the slab the arrivals' slots index (for the warm pass).
+    fn pop_before(&mut self, t_end: SimTime, packets: &PacketSlab) -> Option<Scheduled> {
+        match self {
+            QueueImpl::Heap(heap) => {
+                if heap.peek()?.at > t_end {
+                    return None;
+                }
+                heap.pop()
+            }
+            QueueImpl::Calendar(cal) => cal.pop_before(t_end, packets),
+        }
+    }
+
+    fn peek_time(&mut self, packets: &PacketSlab) -> Option<SimTime> {
+        match self {
+            QueueImpl::Heap(heap) => heap.peek().map(|s| s.at),
+            QueueImpl::Calendar(cal) => cal.front(packets).map(|s| s.at),
+        }
+    }
+}
+
 /// The event queue.
 #[derive(Debug)]
 pub struct EventQueue {
     imp: QueueImpl,
-    packets: PacketSlab,
+    /// The by-value API's packets; empty on a queue driven by slot.
+    own: PacketSlab,
+    /// Pending [`Tag::Arrival`] entries.
+    arrivals: usize,
     seq: u64,
     stats: QueueStats,
 }
@@ -561,7 +626,7 @@ impl EventQueue {
             QueueKind::Heap => QueueImpl::Heap(BinaryHeap::new()),
             QueueKind::Calendar => QueueImpl::Calendar(Box::new(CalendarQueue::new())),
         };
-        EventQueue { imp, packets: PacketSlab::default(), seq: 0, stats: QueueStats::default() }
+        EventQueue { imp, own: Default::default(), arrivals: 0, seq: 0, stats: Default::default() }
     }
 
     /// The backing scheduler kind.
@@ -585,14 +650,16 @@ impl EventQueue {
     /// Callers must not mix auto-sequenced and keyed scheduling on one
     /// queue unless they can rule out `(at, key)` collisions.
     pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: Event) {
-        let (tag, a, b) = match event {
-            Event::TxComplete { node, device } => (Tag::TxComplete, node, device as u64),
-            Event::Arrival { node, packet } => {
-                (Tag::Arrival, node, self.packets.park(packet) as u64)
-            }
-            Event::AppTimer { app, timer_id } => (Tag::AppTimer, app, timer_id),
-        };
+        let own = &mut self.own;
+        let (tag, a, b) = pack(event, |packet| own.park(packet));
+        self.schedule_slot(at, key, tag, a, b);
+    }
+
+    /// [`Self::schedule_keyed`] at slot level: the entry's fields as they
+    /// are stored, an arrival's `b` being a slot of the caller's slab.
+    pub(crate) fn schedule_slot(&mut self, at: SimTime, key: u64, tag: Tag, a: u32, b: u64) {
         let s = Scheduled { at, key, b, a, tag };
+        self.arrivals += (tag == Tag::Arrival) as usize;
         let tier = match &mut self.imp {
             QueueImpl::Heap(heap) => {
                 heap.push(s);
@@ -620,29 +687,31 @@ impl EventQueue {
     }
 
     /// [`Self::pop_before`], but also returning the event's tie-break key.
-    /// Shards tag trace records with this key so traces from different
-    /// shards merge into one canonical `(time, key)` order.
     pub fn pop_entry_before(&mut self, t_end: SimTime) -> Option<(SimTime, u64, Event)> {
-        let s = match &mut self.imp {
-            QueueImpl::Heap(heap) => {
-                if heap.peek()?.at > t_end {
-                    return None;
-                }
-                heap.pop()?
-            }
-            QueueImpl::Calendar(cal) => cal.pop_before(t_end, &self.packets)?,
-        };
-        let packets = &mut self.packets;
-        Some((s.at, s.key, unpack(&s, |slot| packets.take(slot))))
+        let s = self.imp.pop_before(t_end, &self.own)?;
+        self.arrivals -= (s.tag == Tag::Arrival) as usize;
+        let own = &mut self.own;
+        Some((s.at, s.key, unpack(&s, |slot| own.take(slot))))
+    }
+
+    /// [`Self::pop_entry_before`] at slot level: the entry as stored, an
+    /// arrival's packet left where it is in `packets`. Shards tag trace
+    /// records with its key, so their traces merge in `(time, key)` order.
+    pub(crate) fn pop_slot(&mut self, t_end: SimTime, packets: &PacketSlab) -> Option<Scheduled> {
+        let s = self.imp.pop_before(t_end, packets)?;
+        self.arrivals -= (s.tag == Tag::Arrival) as usize;
+        Some(s)
     }
 
     /// Time of the next event without removing it. (The calendar backend
     /// may advance its wheel to locate the front, hence `&mut`.)
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.imp {
-            QueueImpl::Heap(heap) => heap.peek().map(|s| s.at),
-            QueueImpl::Calendar(cal) => cal.front(&self.packets).map(|s| s.at),
-        }
+        self.imp.peek_time(&self.own)
+    }
+
+    /// [`Self::peek_time`] on a queue driven by slot.
+    pub(crate) fn next_time(&mut self, packets: &PacketSlab) -> Option<SimTime> {
+        self.imp.peek_time(packets)
     }
 
     /// Number of pending events.
@@ -658,27 +727,36 @@ impl EventQueue {
         self.len() == 0
     }
 
-    /// Packets parked in the slab — exactly the pending
-    /// [`Event::Arrival`]s, i.e. the packets propagating on a wire.
+    /// Packets parked by the by-value API — exactly its pending
+    /// [`Event::Arrival`]s.
     pub fn parked_packets(&self) -> usize {
-        self.packets.occupied()
+        self.own.occupied()
+    }
+
+    /// Pending arrival entries: the packets on a wire, in whichever slab.
+    pub(crate) fn pending_arrivals(&self) -> usize {
+        self.arrivals
     }
 
     /// Every pending `(time, key, event)` in pop order, leaving the queue
-    /// untouched (checkpoints serialize this).
+    /// untouched.
     pub fn pending_in_order(&self) -> Vec<(SimTime, u64, Event)> {
+        let entries = self.pending_slots();
+        entries.iter().map(|s| (s.at, s.key, unpack(s, |slot| self.own[slot]))).collect()
+    }
+
+    /// Every pending entry in pop order, leaving the queue untouched
+    /// (checkpoints serialize this).
+    pub(crate) fn pending_slots(&self) -> Vec<Scheduled> {
         let mut entries: Vec<Scheduled> = match &self.imp {
             QueueImpl::Heap(heap) => heap.iter().copied().collect(),
             QueueImpl::Calendar(cal) => cal.iter().copied().collect(),
         };
         entries.sort_unstable_by_key(|s| (s.at, s.key));
         entries
-            .iter()
-            .map(|s| (s.at, s.key, unpack(s, |slot| self.packets.slots[slot as usize])))
-            .collect()
     }
 
-    /// Insert, cascade and refill counts so far, and the peaks.
+    /// Insert, cascade and refill counts so far, and the queue's peaks.
     pub fn stats(&self) -> QueueStats {
         let mut stats = self.stats;
         if let QueueImpl::Calendar(cal) = &self.imp {
@@ -692,9 +770,19 @@ impl EventQueue {
     }
 }
 
+/// The `(tag, a, b)` an [`Event`] is stored as; `park` gives an arrival's
+/// packet its slab slot.
+pub(crate) fn pack(event: Event, park: impl FnOnce(Packet) -> u32) -> (Tag, u32, u64) {
+    match event {
+        Event::TxComplete { node, device } => (Tag::TxComplete, node, device as u64),
+        Event::Arrival { node, packet } => (Tag::Arrival, node, park(packet) as u64),
+        Event::AppTimer { app, timer_id } => (Tag::AppTimer, app, timer_id),
+    }
+}
+
 /// Rebuild the [`Event`] an entry stands for; `packet` resolves an
 /// arrival's slab slot (taking it, or merely reading it).
-fn unpack(s: &Scheduled, packet: impl FnOnce(u32) -> Packet) -> Event {
+pub(crate) fn unpack(s: &Scheduled, packet: impl FnOnce(u32) -> Packet) -> Event {
     match s.tag {
         Tag::TxComplete => Event::TxComplete { node: s.a, device: s.b as u32 },
         Tag::Arrival => Event::Arrival { node: s.a, packet: packet(s.b as u32) },
@@ -774,6 +862,9 @@ mod tests {
         assert_eq!((q.len(), q.parked_packets()), (len, parked), "listing disturbed the queue");
         assert_eq!(entries.len(), len);
         assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        // The O(1) arrival count is a recount of the entries, not of the slab.
+        let arrivals = q.pending_slots().iter().filter(|s| s.tag == Tag::Arrival).count();
+        assert_eq!((q.pending_arrivals(), parked), (arrivals, arrivals));
         let mut w = SnapWriter::new(FP);
         for (t, key, event) in &entries {
             w.put_time(*t);
@@ -1114,6 +1205,7 @@ mod tests {
             }
             assert_eq!(heap.len(), cal.len(), "len diverged at op {op}");
             assert_eq!(heap.parked_packets(), cal.parked_packets());
+            assert_eq!(cal.pending_arrivals(), cal.parked_packets(), "arrival count drifted");
         }
         assert!(scheduled > 25_000 && popped > 15_000, "exercise both paths: {scheduled}/{popped}");
         assert!(now.nanos() > 2 * LEVEL2_NS, "level 2 never wrapped: now = {now:?}");
@@ -1134,7 +1226,7 @@ mod tests {
         let h = heap.stats();
         assert_eq!((h.refills, h.peak_run, h.late_inserts), (0, 0, 0), "a heap has no run");
         // Slots were recycled: far fewer were ever allocated than arrivals parked.
-        assert!(cal.packets.slots.len() < scheduled as usize / 6, "slab never reused its slots");
+        assert!(cal.own.slots.len() < scheduled as usize / 6, "slab never reused its slots");
         // Drain both completely: the tails must agree too.
         loop {
             let a = heap.pop();
@@ -1149,7 +1241,7 @@ mod tests {
                 (0, 0),
                 "drained queue still holds something"
             );
-            assert_eq!(q.packets.free.len(), q.packets.slots.len(), "leaked slab slots");
+            assert_eq!(q.own.free.len(), q.own.slots.len(), "leaked slab slots");
         }
     }
 
@@ -1311,7 +1403,7 @@ mod tests {
         assert_eq!(tail, want);
         for q in &queues {
             assert_eq!((q.len(), q.parked_packets()), (0, 0));
-            assert_eq!(q.packets.free.len(), q.packets.slots.len(), "leaked slab slots");
+            assert_eq!(q.own.free.len(), q.own.slots.len(), "leaked slab slots");
         }
     }
 
@@ -1363,34 +1455,68 @@ mod tests {
         assert!(late > 900, "late inserts barely exercised: {late}");
         for q in &queues {
             assert_eq!((q.len(), q.parked_packets()), (0, 0));
-            assert_eq!(q.packets.free.len(), q.packets.slots.len(), "leaked slab slots");
+            assert_eq!(q.own.free.len(), q.own.slots.len(), "leaked slab slots");
         }
     }
 
-    /// `PacketSlab::touch` is only a warm-up if the fields it reads cover
-    /// every cache line a parked packet occupies (two or three of them:
-    /// the packet is longer than a line and slab entries start wherever
-    /// `size_of` puts them). Field order is the compiler's to choose, so
-    /// pin what the warm pass assumes.
+    /// `PacketSlab::touch` is only a warm-up if the two fields it reads
+    /// cover every cache line the fields a hop uses lie on: `dst` and
+    /// `size_bytes` (read at the arrival) and `hops` (written at
+    /// `tx_complete`). Field order is the compiler's to choose and slab
+    /// entries start wherever `size_of` puts them, so pin what the warm pass
+    /// assumes — the three are adjacent, `dst` first, `hops` last, so they
+    /// span at most two lines and each line holds one of the two.
     #[test]
-    fn warm_pass_fields_cover_every_line_of_a_packet() {
+    fn warm_pass_covers_the_fields_a_hop_uses() {
         const LINE: usize = 64;
         let p = packet_of(1);
         let offset = |field: usize| field - &p as *const Packet as usize;
-        let touched = [
-            offset(&p.id as *const u64 as usize),
-            offset(&p.flow_hash as *const u64 as usize),
-            offset(&p.hops as *const u16 as usize),
-        ];
-        let size = mem::size_of::<Packet>();
-        assert!(size > LINE, "a packet within one line needs one read, not three");
+        let touched =
+            [offset(&p.dst as *const NodeId as usize), offset(&p.hops as *const u16 as usize)];
+        let used = [touched[0], offset(&p.size_bytes as *const u32 as usize), touched[1] + 1];
         for start in (0..LINE).step_by(mem::align_of::<Packet>()) {
-            for line in start / LINE..=(start + size - 1) / LINE {
+            for byte in used {
+                let line = (start + byte) / LINE;
                 assert!(
                     touched.iter().any(|&o| (start + o) / LINE == line),
-                    "a packet at {start} mod 64 keeps line {line} cold: fields at {touched:?}"
+                    "a packet at {start} mod 64 keeps byte {byte} cold: touched {touched:?}"
                 );
             }
+        }
+        // And the warm pass is cheap because they are close: two fills at most.
+        assert!(touched[1] + 2 - touched[0] <= LINE, "per-hop fields span {touched:?}");
+    }
+
+    /// The shard's way in: entries go in and come out by slot, the packets
+    /// stay in a slab of the caller's (which the warm pass reads), and the
+    /// queue's own slab is never touched.
+    #[test]
+    fn slot_level_calls_leave_the_packets_where_they_are() {
+        for mut q in both_kinds() {
+            let mut slab = PacketSlab::default();
+            let mut want = Vec::new();
+            for id in 0..300u64 {
+                let at = SimTime::from_nanos(id * 7919 * SLOT_NS % (3 * SPAN_NS));
+                if id % 3 == 0 {
+                    let slot = slab.park(packet_of(id));
+                    q.schedule_slot(at, id, Tag::Arrival, id as u32, slot as u64);
+                } else {
+                    q.schedule_slot(at, id, Tag::AppTimer, 0, id);
+                }
+                want.push((at, id));
+            }
+            want.sort_unstable();
+            assert_eq!((q.pending_arrivals(), q.parked_packets(), slab.occupied()), (100, 0, 100));
+            assert_eq!(q.next_time(&slab), Some(want[0].0));
+            for &(at, key) in &want {
+                let s = q.pop_slot(SimTime::MAX, &slab).expect("queue drained early");
+                assert_eq!((s.at, s.key), (at, key));
+                if s.tag == Tag::Arrival {
+                    assert_eq!((s.a, slab.take(s.b as u32)), (key as u32, packet_of(key)));
+                }
+            }
+            assert_eq!((q.len(), q.pending_arrivals(), slab.occupied()), (0, 0, 0));
+            assert_eq!((slab.peak(), q.stats().slab_peak), (100, 0), "the shard reports its peak");
         }
     }
 
@@ -1409,15 +1535,15 @@ mod tests {
                 }
                 // Locating the front sorts a slot and warms its packets;
                 // neither may take, free or move a slab slot.
-                let free = q.packets.free.clone();
+                let free = q.own.free.clone();
                 assert!(q.peek_time().is_some());
-                assert_eq!(q.packets.free, free);
+                assert_eq!(q.own.free, free);
                 assert_eq!((q.len(), q.parked_packets()), (500, 500));
                 while let Some((_, event)) = q.pop() {
                     assert_intact(&event);
                 }
                 assert_eq!((q.len(), q.parked_packets()), (0, 0), "round {round} leaked");
-                assert_eq!(q.packets.slots.len(), 500, "round {round} grew the slab");
+                assert_eq!(q.own.slots.len(), 500, "round {round} grew the slab");
             }
         }
     }

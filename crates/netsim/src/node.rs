@@ -6,7 +6,11 @@
 
 use crate::device::{Device, DeviceKind};
 use hypatia_constellation::NodeId;
-use std::collections::HashMap;
+
+/// "No application" in [`Node`]'s port table.
+const UNBOUND: u32 = u32::MAX;
+/// Ports per page of the port table.
+const PAGE: usize = 256;
 
 /// A node in the packet simulator.
 #[derive(Debug)]
@@ -21,7 +25,10 @@ pub struct Node {
     /// hashing the peer on every hop.
     isl_device_of: Vec<(NodeId, usize)>,
     gsl_device: Option<usize>,
-    port_apps: HashMap<u16, u32>,
+    /// Application index by port ([`UNBOUND`] where none), in pages of
+    /// [`PAGE`] ports allocated when their first port is bound: no
+    /// applications, no allocation; a demux is two indexed loads, no hashing.
+    port_apps: Vec<Option<Box<[u32; PAGE]>>>,
 }
 
 impl Node {
@@ -32,7 +39,7 @@ impl Node {
             devices: Vec::new(),
             isl_device_of: Vec::new(),
             gsl_device: None,
-            port_apps: HashMap::new(),
+            port_apps: Vec::new(),
         }
     }
 
@@ -68,13 +75,20 @@ impl Node {
 
     /// Bind application `app` to `port`. Panics on double-bind.
     pub fn bind_port(&mut self, port: u16, app: u32) {
-        let prev = self.port_apps.insert(port, app);
-        assert!(prev.is_none(), "port {port} already bound on {}", self.id);
+        assert!(app != UNBOUND, "application index space exhausted");
+        let page = port as usize / PAGE;
+        if self.port_apps.len() <= page {
+            self.port_apps.resize_with(page + 1, || None);
+        }
+        let page = self.port_apps[page].get_or_insert_with(|| Box::new([UNBOUND; PAGE]));
+        let bound = std::mem::replace(&mut page[port as usize % PAGE], app);
+        assert!(bound == UNBOUND, "port {port} already bound on {}", self.id);
     }
 
     /// The application bound to `port`.
     pub fn app_on_port(&self, port: u16) -> Option<u32> {
-        self.port_apps.get(&port).copied()
+        let page = self.port_apps.get(port as usize / PAGE)?.as_ref()?;
+        Some(page[port as usize % PAGE]).filter(|&app| app != UNBOUND)
     }
 }
 
@@ -113,9 +127,18 @@ mod tests {
     #[test]
     fn port_binding() {
         let mut n = Node::new(NodeId(3));
+        assert_eq!(n.port_apps.capacity(), 0, "a node without applications allocates nothing");
+        assert_eq!(n.app_on_port(80), None);
         n.bind_port(80, 7);
+        n.bind_port(u16::MAX, 0);
+        n.bind_port(0, 9);
         assert_eq!(n.app_on_port(80), Some(7));
-        assert_eq!(n.app_on_port(81), None);
+        assert_eq!(n.app_on_port(79), None, "below a bound port");
+        assert_eq!(n.app_on_port(81), None, "between bound ports, on a bound page");
+        assert_eq!(n.app_on_port(20_000), None, "on a page nothing is bound on");
+        assert_eq!((n.app_on_port(0), n.app_on_port(u16::MAX)), (Some(9), Some(0)));
+        let pages = n.port_apps.iter().flatten().count();
+        assert_eq!(pages, 2, "ports 0 and 80 share a page, 65535 has its own");
     }
 
     #[test]

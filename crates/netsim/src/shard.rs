@@ -27,8 +27,8 @@
 use crate::app::{AppAction, AppCtx, Application};
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::config::SimConfig;
-use crate::device::{Device, DeviceKind};
-use crate::event::{Event, EventQueue};
+use crate::device::{Device, DeviceKind, Queued};
+use crate::event::{pack, unpack, EventQueue, PacketSlab, QueueStats, Tag};
 use crate::fluid::LinkRate;
 use crate::node::Node;
 use crate::packet::{flow_hash, packet_id, Packet, Payload};
@@ -180,7 +180,10 @@ pub(crate) struct Shard {
     config: SimConfig,
     partition: Arc<Partition>,
     pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue,
+    queue: EventQueue,
+    /// Every packet alive on this shard, from `inject` (or [`Shard::accept`])
+    /// to delivery, drop or hand-off; arrivals and device queues hold slots.
+    packets: PacketSlab,
     /// Full-size node vector; devices and port bindings exist only on
     /// owned nodes (events are only ever dispatched at owned nodes).
     pub(crate) nodes: Vec<Node>,
@@ -268,6 +271,7 @@ impl Shard {
             partition,
             now: SimTime::ZERO,
             queue: EventQueue::new(),
+            packets: PacketSlab::default(),
             nodes,
             apps: Vec::new(),
             fwd,
@@ -384,31 +388,55 @@ impl Shard {
         self.apps.get(idx as usize)?.as_ref()?.app.as_ref()?.as_any().downcast_ref::<T>()
     }
 
+    /// Time of this shard's next event, if any.
+    pub(crate) fn next_event_time(&mut self) -> Option<SimTime> {
+        self.queue.next_time(&self.packets)
+    }
+
+    /// Queue telemetry, with the slab's high-water mark.
+    pub(crate) fn queue_stats(&self) -> QueueStats {
+        QueueStats { slab_peak: self.packets.peak() as u64, ..self.queue.stats() }
+    }
+
+    /// Land a cross-shard arrival handed over at a barrier.
+    pub(crate) fn accept(&mut self, o: Outbound) {
+        let slot = self.packets.park(o.packet);
+        self.queue.schedule_slot(o.at, o.key, Tag::Arrival, o.node, slot as u64);
+    }
+
     /// Pop and handle every event due at or before `end_inclusive`.
     /// Cross-shard arrivals land in [`Shard::outbox`]; everything else is
     /// shard-local.
     pub(crate) fn run_window(&mut self, end_inclusive: SimTime) {
-        while let Some((t, key, event)) = self.queue.pop_entry_before(end_inclusive) {
-            debug_assert!(t >= self.now, "time went backwards on shard {}", self.id);
-            self.now = t;
+        while let Some(s) = self.queue.pop_slot(end_inclusive, &self.packets) {
+            debug_assert!(s.at >= self.now, "time went backwards on shard {}", self.id);
+            self.now = s.at;
             self.stats.events += 1;
-            self.trace.set_key(key);
-            self.handle(event);
-        }
-    }
-
-    /// Dispatch one node-level event.
-    fn handle(&mut self, event: Event) {
-        match event {
-            Event::Arrival { node, packet } => self.arrival(node, packet),
-            Event::TxComplete { node, device } => self.tx_complete(node, device),
-            Event::AppTimer { app, timer_id } => {
-                self.with_app(app, |a, ctx| a.on_timer(ctx, timer_id));
+            self.trace.set_key(s.key);
+            match s.tag {
+                Tag::Arrival => self.arrival(s.a, s.b as u32),
+                Tag::TxComplete => self.tx_complete(s.a, s.b as u32),
+                Tag::AppTimer => self.with_app(s.a, |a, ctx| a.on_timer(ctx, s.b)),
             }
         }
     }
 
-    fn arrival(&mut self, node: u32, packet: Packet) {
+    /// Trace `kind` for the packet in `slot` (read only when tracing is on).
+    #[inline]
+    fn trace_packet(&mut self, node: u32, slot: u32, kind: TraceKind) {
+        if self.trace.enabled() {
+            let p = &self.packets[slot];
+            self.trace.record_flow(self.now, NodeId(node), p.id, p.flow_hash, kind);
+        }
+    }
+
+    /// The packet in `slot` is lost at `node` (the caller counted why).
+    fn drop_packet(&mut self, node: u32, slot: u32, kind: TraceKind) {
+        self.trace_packet(node, slot, kind);
+        self.packets.free(slot);
+    }
+
+    fn arrival(&mut self, node: u32, slot: u32) {
         debug_assert_eq!(self.partition.owner(NodeId(node)), self.id, "arrival on wrong shard");
         // A packet propagating towards a satellite that failed mid-flight
         // is lost with it. Ground-station nodes never fail (weather only
@@ -416,25 +444,12 @@ impl Shard {
         if let Some(f) = &self.fault_state {
             if self.constellation.is_satellite(NodeId(node)) && f.satellite_down(node as usize) {
                 self.stats.fault_drops += 1;
-                self.trace.record_flow(
-                    self.now,
-                    NodeId(node),
-                    packet.id,
-                    packet.flow_hash,
-                    TraceKind::FaultDrop,
-                );
-                return;
+                return self.drop_packet(node, slot, TraceKind::FaultDrop);
             }
         }
         self.stats.hop_deliveries += 1;
-        self.trace.record_flow(
-            self.now,
-            NodeId(node),
-            packet.id,
-            packet.flow_hash,
-            TraceKind::Arrive,
-        );
-        self.process_at_node(node, packet);
+        self.trace_packet(node, slot, TraceKind::Arrive);
+        self.process_at_node(node, slot);
     }
 
     /// Is the directed hop `a -> b` usable under the live fault state?
@@ -454,23 +469,18 @@ impl Shard {
     }
 
     /// A packet is at `node`: deliver locally or forward.
-    fn process_at_node(&mut self, node: u32, packet: Packet) {
-        if packet.dst.0 == node {
-            self.deliver(node, packet);
+    fn process_at_node(&mut self, node: u32, slot: u32) {
+        if self.packets[slot].dst.0 == node {
+            self.deliver(node, slot);
         } else {
-            self.forward(node, packet);
+            self.forward(node, slot);
         }
     }
 
-    fn deliver(&mut self, node: u32, packet: Packet) {
+    fn deliver(&mut self, node: u32, slot: u32) {
         self.stats.delivered += 1;
-        self.trace.record_flow(
-            self.now,
-            NodeId(node),
-            packet.id,
-            packet.flow_hash,
-            TraceKind::Deliver,
-        );
+        self.trace_packet(node, slot, TraceKind::Deliver);
+        let packet = self.packets.take(slot);
         self.stats.payload_bytes_delivered += packet.payload_bytes() as u64;
         match packet.payload {
             // Kernel-style echo: answer pings without an application.
@@ -497,23 +507,18 @@ impl Shard {
         }
     }
 
-    fn forward(&mut self, node: u32, packet: Packet) {
-        // `packet.flow_hash` was computed once at injection; forwarding a
-        // packet costs no hashing at all.
+    fn forward(&mut self, node: u32, slot: u32) {
+        let p = &self.packets[slot];
+        let (dst, size_bytes) = (p.dst, p.size_bytes);
+        // `flow_hash` was computed once at injection; forwarding a packet
+        // costs no hashing at all.
         let chosen = match &self.mp {
-            Some(mp) => mp.next_hop(NodeId(node), packet.dst, packet.flow_hash),
-            None => self.fwd.next_hop(NodeId(node), packet.dst),
+            Some(mp) => mp.next_hop(NodeId(node), dst, p.flow_hash),
+            None => self.fwd.next_hop(NodeId(node), dst),
         };
         let Some(next_hop) = chosen else {
             self.stats.routing_drops += 1;
-            self.trace.record_flow(
-                self.now,
-                NodeId(node),
-                packet.id,
-                packet.flow_hash,
-                TraceKind::RoutingDrop,
-            );
-            return;
+            return self.drop_packet(node, slot, TraceKind::RoutingDrop);
         };
         // Between a fault event and the next forwarding recomputation the
         // state may still point into a failed component: those packets are
@@ -521,74 +526,41 @@ impl Shard {
         // destruction of the link).
         if !self.link_up(NodeId(node), next_hop) {
             self.stats.fault_drops += 1;
-            self.trace.record_flow(
-                self.now,
-                NodeId(node),
-                packet.id,
-                packet.flow_hash,
-                TraceKind::FaultDrop,
-            );
-            return;
+            return self.drop_packet(node, slot, TraceKind::FaultDrop);
         }
         let Some(dev_idx) = self.nodes[node as usize].device_for(next_hop) else {
             self.stats.routing_drops += 1;
-            self.trace.record_flow(
-                self.now,
-                NodeId(node),
-                packet.id,
-                packet.flow_hash,
-                TraceKind::RoutingDrop,
-            );
-            return;
+            return self.drop_packet(node, slot, TraceKind::RoutingDrop);
         };
-        let packet_id = packet.id;
-        let packet_flow = packet.flow_hash;
-        match self.nodes[node as usize].devices[dev_idx].enqueue(packet, next_hop, self.now) {
+        let queued = Queued { slot, next_hop, size_bytes };
+        match self.nodes[node as usize].devices[dev_idx].enqueue(queued, self.now) {
             Ok(Some(ser)) => {
                 let key = self.alloc_key(node);
-                self.queue.schedule_keyed(
-                    self.now + ser,
-                    key,
-                    Event::TxComplete { node, device: dev_idx as u32 },
-                );
+                let device = dev_idx as u64;
+                self.queue.schedule_slot(self.now + ser, key, Tag::TxComplete, node, device);
             }
             Ok(None) => {}
-            Err(_) => {
+            Err(slot) => {
                 self.stats.queue_drops += 1;
-                self.trace.record_flow(
-                    self.now,
-                    NodeId(node),
-                    packet_id,
-                    packet_flow,
-                    TraceKind::QueueDrop,
-                );
+                self.drop_packet(node, slot, TraceKind::QueueDrop);
             }
         }
     }
 
     fn tx_complete(&mut self, node: u32, device: u32) {
-        let is_gsl = matches!(
-            self.nodes[node as usize].devices[device as usize].kind,
-            crate::device::DeviceKind::Gsl
-        );
-        let (done, next) = self.nodes[node as usize].devices[device as usize].tx_complete(self.now);
+        let dev = &mut self.nodes[node as usize].devices[device as usize];
+        let is_gsl = matches!(dev.kind, DeviceKind::Gsl);
+        let (done, next) = dev.tx_complete(self.now);
         if let Some(ser) = next {
             let key = self.alloc_key(node);
-            self.queue.schedule_keyed(self.now + ser, key, Event::TxComplete { node, device });
+            self.queue.schedule_slot(self.now + ser, key, Tag::TxComplete, node, device as u64);
         }
         // The link may have been cut while the packet serialized: it never
         // makes it onto the channel. The device keeps draining — each
         // queued packet is judged at its own transmission instant.
         if !self.link_up(NodeId(node), done.next_hop) {
             self.stats.fault_drops += 1;
-            self.trace.record_flow(
-                self.now,
-                NodeId(node),
-                done.packet.id,
-                done.packet.flow_hash,
-                TraceKind::FaultDrop,
-            );
-            return;
+            return self.drop_packet(node, done.slot, TraceKind::FaultDrop);
         }
         // Channel impairment: GSL transmissions may be lost (weather model
         // stand-in; disabled by default).
@@ -597,43 +569,31 @@ impl Shard {
             && self.loss_rngs[node as usize].next_f64() < self.config.gsl_loss_rate
         {
             self.stats.channel_drops += 1;
-            self.trace.record_flow(
-                self.now,
-                NodeId(node),
-                done.packet.id,
-                done.packet.flow_hash,
-                TraceKind::ChannelDrop,
-            );
-            return;
+            return self.drop_packet(node, done.slot, TraceKind::ChannelDrop);
         }
         // Propagation from live geometry — frozen runs pin geometry to t=0.
         let geom_t = if self.config.freeze_at_epoch { SimTime::ZERO } else { self.now };
         let prop = self.ephemeris.delay(&self.constellation, NodeId(node), done.next_hop, geom_t);
-        let mut packet = done.packet;
-        packet.hops += 1;
+        self.packets[done.slot].hops += 1;
         let at = self.now + prop;
         let key = self.alloc_key(node);
         let dst_shard = self.partition.owner(done.next_hop);
         if dst_shard == self.id {
-            self.queue.schedule_keyed(at, key, Event::Arrival { node: done.next_hop.0, packet });
+            self.queue.schedule_slot(at, key, Tag::Arrival, done.next_hop.0, done.slot as u64);
         } else {
+            let packet = self.packets.take(done.slot);
             self.outbox[dst_shard].push(Outbound { at, key, node: done.next_hop.0, packet });
         }
     }
 
-    /// Put a freshly-created packet into the network at its source node.
-    /// The flow hash is stamped here — once per packet, never per hop.
+    /// Put a freshly-created packet into the network at its source node:
+    /// the one time it is written, flow hash included — never per hop.
     fn inject(&mut self, mut packet: Packet) {
         packet.flow_hash = flow_hash(packet.src, packet.dst, packet.src_port, packet.dst_port);
         self.stats.injected += 1;
-        self.trace.record_flow(
-            self.now,
-            packet.src,
-            packet.id,
-            packet.flow_hash,
-            TraceKind::Inject,
-        );
-        self.process_at_node(packet.src.0, packet);
+        let (src, slot) = (packet.src.0, self.packets.park(packet));
+        self.trace_packet(src, slot, TraceKind::Inject);
+        self.process_at_node(src, slot);
     }
 
     /// Run `f` on app `idx` with a fresh context, then apply its actions.
@@ -677,12 +637,12 @@ impl Shard {
         w.put_time(self.now);
 
         w.put_tag(b"EVTQ");
-        let entries = self.queue.pending_in_order();
+        let entries = self.queue.pending_slots();
         w.put_usize(entries.len());
-        for (t, key, event) in &entries {
-            w.put_time(*t);
-            w.put_u64(*key);
-            w.put_event(event);
+        for s in &entries {
+            w.put_time(s.at);
+            w.put_u64(s.key);
+            w.put_event(&unpack(s, |slot| self.packets[slot]));
         }
 
         w.put_tag(b"NODS");
@@ -690,7 +650,7 @@ impl Shard {
         for node in &self.nodes {
             w.put_usize(node.devices.len());
             for device in &node.devices {
-                device.save(w);
+                device.save(w, &self.packets);
             }
         }
 
@@ -751,14 +711,16 @@ impl Shard {
 
         r.expect_tag(b"EVTQ")?;
         // Discard the rebuild's bootstrap events (app on_start timers and
-        // sends): the snapshot's queue is the complete pending set.
+        // sends) and packets: the snapshot's queue and devices are the
+        // complete pending set, re-parked in image order.
         self.queue = EventQueue::new();
+        self.packets = PacketSlab::default();
         let n_events = r.get_usize()?;
         for _ in 0..n_events {
             let t = r.get_time()?;
             let key = r.get_u64()?;
-            let event = r.get_event()?;
-            self.queue.schedule_keyed(t, key, event);
+            let (tag, a, b) = pack(r.get_event()?, |packet| self.packets.park(packet));
+            self.queue.schedule_slot(t, key, tag, a, b);
         }
 
         r.expect_tag(b"NODS")?;
@@ -779,7 +741,7 @@ impl Shard {
                 )));
             }
             for device in &mut node.devices {
-                device.restore(r)?;
+                device.restore(r, &mut self.packets)?;
             }
         }
 
@@ -852,13 +814,15 @@ impl Shard {
 
     /// Check this shard's conservation invariants (audit mode): every
     /// packet a device was offered is transmitted, dropped, queued, or
-    /// in flight, and no queue exceeds its configured capacity. Arrivals
-    /// pending in the event queue are counted by the caller, which owns
-    /// the cross-shard view.
-    pub(crate) fn audit_devices(&self, out: &mut Vec<crate::audit::AuditViolation>) {
+    /// in flight, no queue exceeds its configured capacity, and the slab
+    /// holds exactly the packets the devices and pending arrivals hold.
+    /// Returns that count: the shard's share of the packets in flight.
+    pub(crate) fn audit(&self, out: &mut Vec<crate::audit::AuditViolation>) -> u64 {
         let t_ns = self.now.nanos();
+        let mut held = self.in_flight_arrivals();
         for node in &self.nodes {
             for (d, device) in node.devices.iter().enumerate() {
+                held += device.occupancy();
                 let s = &device.stats;
                 let accounted = s.packets_tx + s.drops + device.occupancy();
                 if s.packets_in != accounted {
@@ -883,12 +847,19 @@ impl Shard {
                 }
             }
         }
+        let alive = self.packets.occupied() as u64;
+        if alive != held {
+            let shard = self.id as u32;
+            out.push(crate::audit::AuditViolation::SlabConservation { t_ns, shard, alive, held });
+        }
+        held
     }
 
-    /// Packets sitting in this shard's pending `Arrival` events (in-flight
-    /// on the wire): exactly the packets its queue has parked.
+    /// This shard's pending `Arrival` events: the packets in flight on a
+    /// wire towards its nodes. The queue's count of entries, not the
+    /// slab's occupancy — devices hold slots too.
     pub(crate) fn in_flight_arrivals(&self) -> u64 {
-        self.queue.parked_packets() as u64
+        self.queue.pending_arrivals() as u64
     }
 
     fn apply_actions(
@@ -931,12 +902,8 @@ impl Shard {
                     self.inject(packet);
                 }
                 AppAction::Timer { delay, timer_id } => {
-                    let key = self.alloc_key(node.0);
-                    self.queue.schedule_keyed(
-                        self.now + delay,
-                        key,
-                        Event::AppTimer { app: app_idx, timer_id },
-                    );
+                    let (at, key) = (self.now + delay, self.alloc_key(node.0));
+                    self.queue.schedule_slot(at, key, Tag::AppTimer, app_idx, timer_id);
                 }
             }
         }

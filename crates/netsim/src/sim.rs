@@ -24,7 +24,7 @@ use crate::app::Application;
 use crate::audit::AuditViolation;
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::config::SimConfig;
-use crate::event::{Event, QueueStats};
+use crate::event::QueueStats;
 use crate::fluid::{FluidNet, FluidStats, SimMode};
 use crate::node::Node;
 use crate::shard::{fault_key, fluid_key, Partition, Shard, FORWARDING_KEY};
@@ -263,7 +263,7 @@ impl Simulator {
         let mut queue = QueueStats::default();
         let mut ephemeris = EphemerisStats::default();
         for shard in &self.shards {
-            queue.merge(&shard.queue.stats());
+            queue.merge(&shard.queue_stats());
             ephemeris.merge(&shard.ephemeris.stats());
         }
         let mut routing = (self.router.stats, self.router.repair_stats);
@@ -357,7 +357,7 @@ impl Simulator {
         self.flush_fluid_installs();
         self.started = true;
         loop {
-            let next_node = self.shards.iter_mut().filter_map(|s| s.queue.peek_time()).min();
+            let next_node = self.shards.iter_mut().filter_map(Shard::next_event_time).min();
             let start = match (self.next_global_time(), next_node) {
                 (Some(g), Some(n)) => g.min(n),
                 (Some(g), None) => g,
@@ -389,7 +389,7 @@ impl Simulator {
             let active = self
                 .shards
                 .iter_mut()
-                .filter_map(|s| s.queue.peek_time())
+                .filter_map(Shard::next_event_time)
                 .filter(|&t| t <= end_incl)
                 .count();
             if active <= 1 {
@@ -401,7 +401,7 @@ impl Simulator {
             } else {
                 std::thread::scope(|scope| {
                     for shard in self.shards.iter_mut() {
-                        if shard.queue.peek_time().is_some_and(|t| t <= end_incl) {
+                        if shard.next_event_time().is_some_and(|t| t <= end_incl) {
                             scope.spawn(move || shard.run_window(end_incl));
                         }
                     }
@@ -420,8 +420,8 @@ impl Simulator {
     }
 
     /// Move every cross-shard arrival produced in the last windows into
-    /// its destination shard's queue; each emptied outbox keeps its
-    /// buffer. Returns the number of packets moved.
+    /// its destination shard's slab and queue; each emptied outbox keeps
+    /// its buffer. Returns the number of packets moved.
     fn exchange_outboxes(&mut self) -> u64 {
         let n = self.shards.len();
         if n == 1 {
@@ -433,11 +433,7 @@ impl Simulator {
                 let mut outbox = std::mem::take(&mut self.shards[src].outbox[dst]);
                 moved += outbox.len() as u64;
                 for o in outbox.drain(..) {
-                    self.shards[dst].queue.schedule_keyed(
-                        o.at,
-                        o.key,
-                        Event::Arrival { node: o.node, packet: o.packet },
-                    );
+                    self.shards[dst].accept(o);
                 }
                 self.shards[src].outbox[dst] = outbox;
             }
@@ -880,18 +876,13 @@ impl Simulator {
         for shard in &self.shards {
             stats.merge(&shard.stats);
         }
-        // In flight = scheduled arrivals (propagating) + packets queued or
-        // in serialization at a device + cross-shard packets awaiting a
-        // barrier exchange.
+        // In flight = what each shard holds (scheduled arrivals, i.e.
+        // propagating, + packets queued or in serialization at a device)
+        // + cross-shard packets awaiting a barrier exchange.
         let mut in_flight: u64 = 0;
         for shard in &self.shards {
-            in_flight += shard.in_flight_arrivals();
+            in_flight += shard.audit(&mut out);
             in_flight += shard.outbox.iter().map(|b| b.len() as u64).sum::<u64>();
-            for node in &shard.nodes {
-                for device in &node.devices {
-                    in_flight += device.occupancy();
-                }
-            }
         }
         let dropped = stats.total_drops();
         if stats.injected != stats.delivered + dropped + in_flight {
@@ -902,9 +893,6 @@ impl Simulator {
                 dropped,
                 in_flight,
             });
-        }
-        for shard in &self.shards {
-            shard.audit_devices(&mut out);
         }
         if let Some(f) = &self.fluid {
             for (link, load_bps, capacity_bps) in f.overloaded_links(1e-6) {
@@ -1868,6 +1856,167 @@ mod tests {
         match sim.checkpoint() {
             Err(CheckpointError::Unsupported(_)) => {}
             other => panic!("expected Unsupported, got {other:?}"),
+        }
+    }
+
+    /// Records the hop count of every packet delivered to it.
+    #[derive(Default)]
+    struct HopProbe {
+        hops: Vec<u16>,
+    }
+
+    impl Application for HopProbe {
+        fn on_start(&mut self, _ctx: &mut crate::app::AppCtx) {}
+        fn on_packet(&mut self, _ctx: &mut crate::app::AppCtx, packet: &crate::Packet) {
+            self.hops.push(packet.hops);
+        }
+        fn on_timer(&mut self, _ctx: &mut crate::app::AppCtx, _timer_id: u64) {}
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+        fn save_state(&self, w: &mut SnapWriter) -> crate::app::SaveResult {
+            w.put_usize(self.hops.len());
+            self.hops.iter().for_each(|&h| w.put_u16(h));
+            Ok(())
+        }
+        fn restore_state(&mut self, r: &mut SnapReader) -> crate::app::SaveResult {
+            self.hops = (0..r.get_usize()?).map(|_| r.get_u16()).collect::<Result<_, _>>()?;
+            Ok(())
+        }
+    }
+
+    /// A frozen network carrying a UDP flow at twice the line rate over a
+    /// lossy GSL into a [`HopProbe`], with the satellite in the middle of
+    /// its path down from 333 ms to 750 ms, and a ping towards a node that
+    /// is not a routing destination. Every way a packet's life can end
+    /// occurs: delivery, queue drop, routing drop, fault drop (at the
+    /// forwarding decision, at `tx_complete`, at the arrival), channel drop
+    /// — and with more than one shard, the cross-shard hand-off. Returns
+    /// the simulator, the probe's app index, the failed satellite and the
+    /// flow's hop count.
+    fn every_exit_fixture(shards: usize) -> (Simulator, u32, NodeId, u16) {
+        use crate::apps::udp::UdpSource;
+        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let path = Simulator::new(c.clone(), SimConfig::default(), vec![src, dst])
+            .forwarding()
+            .path(src, dst)
+            .expect("nominal path exists");
+        let victim = path[path.len() / 2];
+        assert!(c.is_satellite(victim));
+        let spec = FaultSpec {
+            sat_outages: vec![OutageWindow { target: victim.0, from_s: 0.333, until_s: 0.75 }],
+            ..FaultSpec::default()
+        };
+        let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(2)));
+        let cfg = SimConfig::default()
+            .frozen()
+            .with_faults(schedule)
+            .with_gsl_loss(0.05)
+            .with_trace_limit(400_000)
+            .with_sim_shards(shards);
+        let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
+        let probe = sim.add_app(dst, 50, Box::<HopProbe>::default());
+        let stop = SimTime::from_secs(1);
+        sim.add_app(src, 50, Box::new(UdpSource::new(dst, 1, DataRate::from_mbps(20), 1140, stop)));
+        let lost = c.sat_node(0);
+        sim.add_app(src, 100, Box::new(PingApp::new(lost, SimDuration::from_millis(50), stop)));
+        (sim, probe, victim, path.len() as u16 - 1)
+    }
+
+    /// The tentpole's invariant: a packet is parked once and freed once.
+    /// Mid-run the audit's slab conservation holds with packets queued, in
+    /// service and on the wire (and the wire count is the queue's arrival
+    /// entries, not the slab's occupancy); after every exit path has been
+    /// taken and the network has drained, no shard's slab holds a slot.
+    #[test]
+    fn every_exit_frees_its_slot_and_a_drained_run_leaks_none() {
+        for shards in [1, 4] {
+            let (mut sim, probe, victim, hops) = every_exit_fixture(shards);
+            for cut_ms in [200, 334, 900] {
+                sim.run_until(SimTime::from_millis(cut_ms));
+                assert_eq!(sim.audit(), [], "shards={shards} t={cut_ms}ms");
+                let on_wire: u64 = sim.shards.iter().map(Shard::in_flight_arrivals).sum();
+                let at_devices: u64 =
+                    sim.nodes().flat_map(|n| &n.devices).map(|d| d.occupancy()).sum();
+                let held: u64 = sim.shards.iter().map(|s| s.audit(&mut Vec::new())).sum();
+                assert!(on_wire > 0 && at_devices > 0, "t={cut_ms}ms: idle network");
+                assert_eq!(on_wire + at_devices, held, "shards={shards} t={cut_ms}ms");
+            }
+            sim.run_until(SimTime::from_secs(5));
+            assert_eq!(sim.audit(), [], "shards={shards}, drained");
+            for shard in &sim.shards {
+                assert_eq!(shard.audit(&mut Vec::new()), 0, "shard {} leaked a slot", shard.id);
+            }
+            let s = &sim.stats;
+            assert_eq!(s.injected, s.delivered + s.total_drops());
+            for (exit, n) in [
+                ("deliver", s.delivered),
+                ("queue drop", s.queue_drops),
+                ("routing drop", s.routing_drops),
+                ("fault drop", s.fault_drops),
+                ("channel drop", s.channel_drops),
+            ] {
+                assert!(n > 0, "shards={shards}: no {exit}");
+            }
+            if shards > 1 {
+                assert!(sim.engine_report().barriers > 0, "nothing crossed a shard boundary");
+            }
+            // Fault drops by site: at the failed satellite itself (the
+            // arrival), and upstream of it either at once (the forwarding
+            // decision) or some time after the packet got there (it was
+            // queued or in service: `tx_complete`).
+            assert_eq!(sim.trace.truncated(), 0);
+            let drops = sim.trace.entries().iter().filter(|e| e.kind == TraceKind::FaultDrop);
+            let (mut at_arrival, mut at_forward, mut at_tx_complete) = (0, 0, 0);
+            for drop in drops {
+                let journey = sim.trace.journey(drop.packet_id);
+                let got_there = journey.iter().rev().find(|e| e.kind == TraceKind::Arrive);
+                match got_there {
+                    _ if drop.node == victim => at_arrival += 1,
+                    Some(arrive) if arrive.node == drop.node && arrive.t < drop.t => {
+                        at_tx_complete += 1
+                    }
+                    _ => at_forward += 1,
+                }
+            }
+            assert!(
+                at_arrival > 0 && at_forward > 0 && at_tx_complete > 0,
+                "shards={shards}: {at_arrival} / {at_forward} / {at_tx_complete}"
+            );
+            // `hops` is bumped in place, once per transmission.
+            let probe: &HopProbe = sim.app_as(probe).unwrap();
+            assert_eq!(probe.hops.len() as u64 + s.pings_echoed, s.delivered);
+            assert!(probe.hops.iter().all(|&h| h == hops), "want {hops} hops: {:?}", probe.hops);
+            let report = sim.engine_report();
+            assert!(report.queue.slab_peak > 0 && report.queue.slab_peak <= s.injected);
+        }
+    }
+
+    /// A mid-run image — queues non-empty, a packet in service, packets on
+    /// the wire — is byte for byte what the by-value layout wrote: the
+    /// hashes were taken from this fixture at the last commit whose device
+    /// queues and arrival events held packets by value (`9153164`). Slot
+    /// numbers are not in an image, so restore → save reproduces it too.
+    #[test]
+    fn mid_run_image_matches_the_by_value_layout_and_round_trips() {
+        use hypatia_util::hash::Fnv1a64;
+        for (shards, by_value) in [(1, 0x2fcd_22ca_da82_7830u64), (2, 0x0888_27bd_efd0_6dc3)] {
+            let (mut sim, ..) = every_exit_fixture(shards);
+            sim.run_until(SimTime::from_millis(200));
+            assert!(sim.nodes().flat_map(|n| &n.devices).any(|d| d.queue_len() > 0));
+            let image = sim.checkpoint().expect("checkpoint");
+            let mut h = Fnv1a64::new();
+            h.write(&image);
+            assert_eq!(h.finish(), by_value, "shards={shards}: {} bytes", image.len());
+            let (mut resumed, ..) = every_exit_fixture(shards);
+            resumed.restore(image.clone()).expect("restore");
+            assert_eq!(resumed.audit(), [], "shards={shards}: restored slab out of balance");
+            assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image, "shards={shards}");
         }
     }
 

@@ -139,8 +139,8 @@ impl ArtifactSink {
 
     /// Account a simulation's event-queue telemetry (`report.queue`):
     /// inserts per tier, cascades and refills sum across calls, the peak
-    /// pending count and the peak run are the largest seen. Reported as
-    /// `perf.engine.queue`. The
+    /// pending count, the peak run and the slab peak are the largest seen.
+    /// Reported as `perf.engine.queue`. The
     /// counts depend on the shard count, so an experiment whose manifest
     /// must be identical across shard counts calls this only under the
     /// flag that also gates its wall-clock series.
@@ -346,6 +346,7 @@ impl ArtifactSink {
                         "refills": q.refills,
                         "peak_run": q.peak_run,
                         "late_inserts": q.late_inserts,
+                        "slab_peak": q.slab_peak,
                     });
                     obj.insert("queue".to_string(), queue);
                 }
@@ -572,9 +573,10 @@ mod tests {
             refills: 30,
             peak_run: 12,
             late_inserts: 5,
+            slab_peak: 9,
         };
         sink.record_queue(&stats);
-        sink.record_queue(&QueueStats { peak_pending: 25, peak_run: 17, ..stats });
+        sink.record_queue(&QueueStats { peak_pending: 25, peak_run: 17, slab_peak: 7, ..stats });
         let doc = sink.manifest("e");
         let queue = doc.get("perf").unwrap().get("engine").unwrap().get("queue").expect("queue");
         assert_eq!(queue.get("level1_inserts").and_then(Value::as_u64), Some(200));
@@ -585,6 +587,7 @@ mod tests {
         assert_eq!(queue.get("refills").and_then(Value::as_u64), Some(60));
         assert_eq!(queue.get("peak_run").and_then(Value::as_u64), Some(17));
         assert_eq!(queue.get("late_inserts").and_then(Value::as_u64), Some(10));
+        assert_eq!(queue.get("slab_peak").and_then(Value::as_u64), Some(9));
 
         // So is fluid-solver telemetry: totals sum, `last` is the most
         // recent simulation's that solved at all.

@@ -23,6 +23,11 @@ if grep -rnE 'run_serial|ForwardingUpdate|FaultUpdate \{|FluidUpdate|crossbeam' 
   echo "a deleted engine path or dependency is back" >&2 && exit 1
 fi
 
+echo "== packets stay put (by-value device queues and the hashed port map stay deleted)"
+if grep -rnE 'VecDeque<QueuedPacket>|HashMap<u16' crates/netsim/src; then
+  echo "a device queue holding packets by value, or a hashed port demux, is back" >&2 && exit 1
+fi
+
 echo "== std-only workspace (deleted dependencies stay deleted)"
 if grep -nE 'serde|proptest|\[patch' Cargo.toml crates/*/Cargo.toml \
   || grep -rn 'serde' crates/*/src; then
@@ -55,6 +60,11 @@ echo "== event queue drain path with debug_asserts off: sorted run + late heap, 
 # The run/late merge must equal the heap oracle with optimizations on too,
 # and the million-entry one-slot pile-up is too slow for the debug run.
 cargo test -q --release -p hypatia-netsim --lib event::tests -- --include-ignored
+# Slot-carrying device queues, the slab-conservation audit on every exit
+# path, and the image's byte-compatibility, without debug's overflow checks.
+cargo test -q --release -p hypatia-netsim --lib -- --include-ignored \
+  device::tests audit::tests node::tests sim::tests::every_exit sim::tests::mid_run_image \
+  sim::tests::audit_is_clean
 
 echo "== fluid solver under release arithmetic: differential fuzz + hybrid shard tests"
 # The link-id solver must match the map-based oracle bit for bit with
