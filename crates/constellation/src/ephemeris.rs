@@ -81,19 +81,6 @@ pub const FIT_TOLERANCE_KM: f64 = 1e-8;
 /// inside which an interpolated delay is recomputed exactly.
 pub const GUARD_NS: f64 = 1e-3;
 
-/// `ns` rounded to the nearest integer, or `None` when it lies within
-/// [`GUARD_NS`] of a `.5` boundary. A delay is non-negative and far below
-/// 2⁵³ ns, where `floor` is the truncating cast (and `ns − floor` is exact)
-/// and, a tie being inside the band, `round` is that plus a compare —
-/// `f64::floor`/`round` are libm calls on the baseline x86-64 target.
-#[inline]
-fn round_outside_guard(ns: f64) -> Option<u64> {
-    debug_assert!((0.0..9.0e15).contains(&ns), "delay of {ns} ns outside the exact-cast domain");
-    let whole = ns as u64;
-    let frac = ns - whole as f64;
-    ((frac - 0.5).abs() >= GUARD_NS).then_some(whole + u64::from(frac > 0.5))
-}
-
 /// No window ending after this instant (2⁵⁰ ns ≈ 13 days) is fitted.
 pub const HORIZON_NS: u64 = 1 << 50;
 
@@ -219,9 +206,9 @@ impl Ephemeris {
         {
             // The expression `propagation_delay_km` rounds, unrounded.
             let ns = pa.distance(pb) / C_VACUUM_KM_PER_S * 1e9;
-            if let Some(rounded) = round_outside_guard(ns) {
+            if (ns - ns.floor() - 0.5).abs() >= GUARD_NS {
                 self.stats.interpolated += 1;
-                return SimDuration::from_nanos(rounded);
+                return SimDuration::from_nanos(ns.round() as u64);
             }
             self.stats.exact_guard += 1;
         }
@@ -478,39 +465,6 @@ mod tests {
             assert_eq!(eph.stats().interpolated, 1);
         }
         assert!(hits >= 10, "only {hits} constructed guard cases");
-    }
-
-    /// The cast-based filter decides and rounds exactly as the
-    /// `floor`/`round` form it replaced: on the band's edges, one ulp
-    /// either side of them, at the tie, at integers, and on random values
-    /// across the range of real delays.
-    #[test]
-    fn guard_band_edges_round_like_floor_and_round() {
-        let libm = |ns: f64| ((ns - ns.floor() - 0.5).abs() >= GUARD_NS).then(|| ns.round() as u64);
-        let mut rng = DetRng::new(0x6775_6172);
-        let mut decided = [0u32; 2];
-        for i in 0..200_000u64 {
-            // 0 ns (a == b) up to ~0.3 s (90 000 km), dense at ISL scale.
-            let whole =
-                if i % 2 == 0 { rng.next_below(12_000_000) } else { rng.next_below(1 << 28) };
-            let frac = match i % 8 {
-                0 => 0.0,
-                1 => 0.5,
-                2 => 0.5 - GUARD_NS,
-                3 => 0.5 + GUARD_NS,
-                4 => 1.0 - f64::EPSILON,
-                _ => rng.next_f64(),
-            };
-            let ns = whole as f64 + frac;
-            for ns in
-                [ns, f64::from_bits(ns.to_bits() + 1), f64::from_bits(ns.to_bits().max(1) - 1)]
-            {
-                let got = round_outside_guard(ns);
-                assert_eq!(got, libm(ns), "{ns:?}");
-                decided[got.is_some() as usize] += 1;
-            }
-        }
-        assert!(decided[0] > 50_000 && decided[1] > 50_000, "{decided:?}");
     }
 
     /// The property resume and sharding rely on: a cold track, a warm one,

@@ -29,8 +29,8 @@
 //! ([`EventQueue::schedule`], [`EventQueue::pop`], ...) wraps those for
 //! callers without a slab — the heap oracle, the benchmark's queue probes —
 //! parking an arrival's packet in a slab the queue owns and taking it out
-//! at the pop. One queue is driven through one API or the other, never
-//! both: their slots index different slabs.
+//! at the pop. One queue is driven through one API or the other, never both
+//! (`debug_assert`ed at the pops): their slots index different slabs.
 //!
 //! # Two schedulers, one order
 //!
@@ -72,9 +72,9 @@
 //! for a full memory round trip, one hop after another. The sorted run
 //! *is* the pop order, so when a slot is handed to the run the queue reads
 //! every arrival's slab slot once, in that order — the fields a hop uses
-//! (`dst`, `size_bytes`, `hops`: 14 adjacent bytes), not the whole packet:
-//! those loads are independent and overlap in the memory system, and the
-//! pops that follow hit. Only the hop that delivers reads the rest.
+//! (`dst`, `size_bytes`, `hops`: 14 adjacent bytes) and `id`, on the line a
+//! trace record and the delivery read, not the whole packet: those loads
+//! are independent and overlap in memory, and the pops that follow hit.
 //! The reads are plain loads summed into a [`std::hint::black_box`],
 //! not a prefetch intrinsic: `_mm_prefetch` measured only ≈ 4 % better and
 //! would be the workspace's first `unsafe` block and first
@@ -201,11 +201,12 @@ impl PacketSlab {
     }
 
     /// Load the line(s) a hop reads and writes — `dst` and `hops` are the
-    /// ends of that span, see `warm_pass_covers_the_fields_a_hop_uses` —
-    /// without taking the packet; the caller `black_box`es the value.
+    /// ends of that span, `id` covers what a trace record and the delivery
+    /// read, see `warm_pass_covers_the_fields_a_hop_uses` — without taking
+    /// the packet; the caller `black_box`es the value.
     fn touch(&self, slot: u32) -> u64 {
         let p = &self.slots[slot as usize];
-        p.dst.0 as u64 ^ p.hops as u64
+        p.id ^ p.dst.0 as u64 ^ p.hops as u64
     }
 
     /// Packets alive now.
@@ -268,8 +269,8 @@ pub struct QueueStats {
     /// Inserts into the slot being drained (a subset of `level1_inserts`):
     /// the only ones that pay a heap push.
     pub late_inserts: u64,
-    /// Most packets alive at once — on a wire, queued or in service at a
-    /// device — in the shard's slab; filled in by the shard, not the queue.
+    /// Most packets alive at once in the slab the arrivals index: the
+    /// shard's (on a wire or at a device), the queue's own when driven by value.
     pub slab_peak: u64,
 }
 
@@ -688,6 +689,7 @@ impl EventQueue {
 
     /// [`Self::pop_before`], but also returning the event's tie-break key.
     pub fn pop_entry_before(&mut self, t_end: SimTime) -> Option<(SimTime, u64, Event)> {
+        debug_assert_eq!(self.arrivals, self.own.occupied(), "queue is driven by slot");
         let s = self.imp.pop_before(t_end, &self.own)?;
         self.arrivals -= (s.tag == Tag::Arrival) as usize;
         let own = &mut self.own;
@@ -698,6 +700,7 @@ impl EventQueue {
     /// arrival's packet left where it is in `packets`. Shards tag trace
     /// records with its key, so their traces merge in `(time, key)` order.
     pub(crate) fn pop_slot(&mut self, t_end: SimTime, packets: &PacketSlab) -> Option<Scheduled> {
+        debug_assert_eq!(self.own.occupied(), 0, "queue is driven by value");
         let s = self.imp.pop_before(t_end, packets)?;
         self.arrivals -= (s.tag == Tag::Arrival) as usize;
         Some(s)
@@ -711,6 +714,7 @@ impl EventQueue {
 
     /// [`Self::peek_time`] on a queue driven by slot.
     pub(crate) fn next_time(&mut self, packets: &PacketSlab) -> Option<SimTime> {
+        debug_assert_eq!(self.own.occupied(), 0, "queue is driven by value");
         self.imp.peek_time(packets)
     }
 
@@ -758,7 +762,7 @@ impl EventQueue {
 
     /// Insert, cascade and refill counts so far, and the queue's peaks.
     pub fn stats(&self) -> QueueStats {
-        let mut stats = self.stats;
+        let mut stats = QueueStats { slab_peak: self.own.peak() as u64, ..self.stats };
         if let QueueImpl::Calendar(cal) = &self.imp {
             // Whatever entered level 2 and is no longer there was cascaded.
             stats.cascaded = stats.level2_inserts - cal.level2.len as u64;
@@ -1227,6 +1231,8 @@ mod tests {
         assert_eq!((h.refills, h.peak_run, h.late_inserts), (0, 0, 0), "a heap has no run");
         // Slots were recycled: far fewer were ever allocated than arrivals parked.
         assert!(cal.own.slots.len() < scheduled as usize / 6, "slab never reused its slots");
+        assert_eq!(stats.slab_peak, cal.own.slots.len() as u64, "a by-value queue reports its own");
+        assert_eq!(h.slab_peak, stats.slab_peak, "same schedule, same packets alive");
         // Drain both completely: the tails must agree too.
         loop {
             let a = heap.pop();
@@ -1459,21 +1465,34 @@ mod tests {
         }
     }
 
-    /// `PacketSlab::touch` is only a warm-up if the two fields it reads
+    /// `PacketSlab::touch` is only a warm-up if the three fields it reads
     /// cover every cache line the fields a hop uses lie on: `dst` and
-    /// `size_bytes` (read at the arrival) and `hops` (written at
-    /// `tx_complete`). Field order is the compiler's to choose and slab
-    /// entries start wherever `size_of` puts them, so pin what the warm pass
-    /// assumes — the three are adjacent, `dst` first, `hops` last, so they
-    /// span at most two lines and each line holds one of the two.
+    /// `size_bytes` (read at the arrival), `hops` (written at
+    /// `tx_complete`), and `id` and `flow_hash` (read by every trace record
+    /// of a traced run, and by multipath forwarding). Field order is the
+    /// compiler's to choose and slab entries start wherever `size_of` puts
+    /// them, so pin what the warm pass assumes — `dst`, `size_bytes`, `hops`
+    /// are adjacent, `dst` first, `hops` last, so they span at most two
+    /// lines and each line holds one of the two; `flow_hash` shares a line
+    /// with `id` or with `dst`.
     #[test]
     fn warm_pass_covers_the_fields_a_hop_uses() {
         const LINE: usize = 64;
         let p = packet_of(1);
         let offset = |field: usize| field - &p as *const Packet as usize;
+        let (id, flow_hash) =
+            (offset(&p.id as *const u64 as usize), offset(&p.flow_hash as *const u64 as usize));
         let touched =
-            [offset(&p.dst as *const NodeId as usize), offset(&p.hops as *const u16 as usize)];
-        let used = [touched[0], offset(&p.size_bytes as *const u32 as usize), touched[1] + 1];
+            [offset(&p.dst as *const NodeId as usize), offset(&p.hops as *const u16 as usize), id];
+        let used = [
+            touched[0],
+            offset(&p.size_bytes as *const u32 as usize),
+            touched[1] + 1,
+            id,
+            id + 7,
+            flow_hash,
+            flow_hash + 7,
+        ];
         for start in (0..LINE).step_by(mem::align_of::<Packet>()) {
             for byte in used {
                 let line = (start + byte) / LINE;
@@ -1516,8 +1535,29 @@ mod tests {
                 }
             }
             assert_eq!((q.len(), q.pending_arrivals(), slab.occupied()), (0, 0, 0));
-            assert_eq!((slab.peak(), q.stats().slab_peak), (100, 0), "the shard reports its peak");
+            assert_eq!((slab.peak(), q.stats().slab_peak), (100, 0), "the shard reports its slab");
         }
+    }
+
+    /// Slots of the two APIs index different slabs, so a debug build
+    /// refuses to pop by slot what was scheduled by value.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "driven by value")]
+    fn mixing_the_two_apis_is_refused() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(1), event_of(0));
+        q.pop_slot(SimTime::MAX, &PacketSlab::default());
+    }
+
+    /// And the other way round.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "driven by slot")]
+    fn popping_by_value_what_was_scheduled_by_slot_is_refused() {
+        let mut q = EventQueue::new();
+        q.schedule_slot(SimTime::from_nanos(1), 0, Tag::Arrival, 0, 0);
+        q.pop();
     }
 
     /// A drained queue holds nothing — no entry, no slab slot — and the

@@ -76,16 +76,11 @@ impl DataRate {
     /// Exact integer arithmetic: `ceil` is *not* used — ns resolution is fine
     /// enough that rounding to nearest keeps cumulative error below one
     /// nanosecond per packet, and matching ns-3 we round down the fractional
-    /// remainder. Every packet's `bits × 10⁹` fits a `u64` (up to ~2.3 GB),
-    /// where the divide is one instruction; only a multi-gigabyte burst
-    /// pays for the `u128` form (a libcall).
+    /// remainder (u128 avoids overflow for multi-gigabyte bursts).
     pub fn serialization_delay(self, size: DataSize) -> SimDuration {
         assert!(self.0 > 0, "zero-rate link cannot transmit");
-        let ns = match size.bits().checked_mul(1_000_000_000) {
-            Some(bit_ns) => bit_ns / self.0,
-            None => ((size.bits() as u128 * 1_000_000_000u128) / self.0 as u128) as u64,
-        };
-        SimDuration::from_nanos(ns)
+        let ns = (size.bits() as u128 * 1_000_000_000u128) / self.0 as u128;
+        SimDuration::from_nanos(ns as u64)
     }
 
     /// The bandwidth-delay product in bytes for a given round-trip time.
@@ -137,35 +132,6 @@ mod tests {
         let d = DataRate::from_kbps(1)
             .serialization_delay(DataSize::from_bytes(4 * 1024 * 1024 * 1024));
         assert!(d.secs_f64() > 3e7);
-    }
-
-    /// The `u64` fast path and the `u128` fallback are one function: equal
-    /// to the all-`u128` form on random (rate, size) draws, packet-sized and
-    /// on both sides of the `bits × 10⁹ = 2⁶⁴` boundary.
-    #[test]
-    fn serialization_delay_matches_the_u128_form_across_the_overflow_boundary() {
-        let wide =
-            |rate: u64, bytes: u64| ((bytes as u128 * 8 * 1_000_000_000u128) / rate as u128) as u64;
-        // Largest size whose bits × 10⁹ still fits a u64.
-        let edge_bytes = u64::MAX / 1_000_000_000 / 8;
-        let mut rng = crate::rng::DetRng::new(0x5E71A1);
-        let mut sides = [0u32; 2];
-        for i in 0..20_000 {
-            let rate = 1 + rng.next_below(if i % 2 == 0 { 100_000_000_000 } else { 10_000 });
-            let bytes = match i % 4 {
-                0 => rng.next_below(9001),
-                1 => edge_bytes - rng.next_below(1000),
-                2 => edge_bytes + 1 + rng.next_below(1000),
-                _ => rng.next_below(1 << 40),
-            };
-            sides[(bytes * 8).checked_mul(1_000_000_000).is_none() as usize] += 1;
-            let got = DataRate::from_bps(rate).serialization_delay(DataSize::from_bytes(bytes));
-            assert_eq!(got.nanos(), wide(rate, bytes), "rate {rate} bps, {bytes} B");
-        }
-        assert!(sides[0] > 5000 && sides[1] > 5000, "one side barely drawn: {sides:?}");
-        let four_gb = 4 * 1024 * 1024 * 1024;
-        let d = DataRate::from_kbps(1).serialization_delay(DataSize::from_bytes(four_gb));
-        assert_eq!(d.nanos(), wide(1000, four_gb));
     }
 
     #[test]
