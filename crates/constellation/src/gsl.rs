@@ -62,47 +62,69 @@ pub fn visible_satellites(
     constellation: &Constellation,
     gs_pos: Vec3,
     sat_positions: &[Vec3],
-    _t: SimTime,
+    t: SimTime,
 ) -> Vec<VisibleSat> {
-    let min_el = constellation.gsl.min_elevation_deg;
-    // Pre-compute the per-shell range bound for cheap pruning. The bound
-    // must hold for ground stations anywhere on the ellipsoid (it grows as
-    // the station sits closer to the geocenter), hence the conservative
-    // (polar-radius) form — the exact elevation test makes the decision.
-    let shell_max_range: Vec<f64> = constellation
-        .shells
-        .iter()
-        .map(|s| conservative_max_gsl_range_km(s.altitude_km, min_el))
-        .collect();
-
     let mut out = Vec::new();
-    for (idx, (sat, &pos)) in constellation.satellites.iter().zip(sat_positions.iter()).enumerate()
-    {
-        let range = gs_pos.distance(pos);
-        if range > shell_max_range[sat.shell] + 1e-9 {
-            continue;
-        }
-        let el = elevation_deg(gs_pos, pos);
-        if el >= min_el {
-            out.push(VisibleSat { sat_idx: idx, range_km: range, elevation_deg: el });
-        }
-    }
-    out.sort_by(|a, b| a.range_km.total_cmp(&b.range_km));
+    visible_satellites_into(constellation, gs_pos, sat_positions, t, &mut out);
     out
 }
 
-/// The satellites a GS may *use* under the configured selection policy.
+/// As [`visible_satellites`], into `out` (cleared first), so that a
+/// snapshot's hundred ground stations share one buffer.
+pub fn visible_satellites_into(
+    constellation: &Constellation,
+    gs_pos: Vec3,
+    sat_positions: &[Vec3],
+    _t: SimTime,
+    out: &mut Vec<VisibleSat>,
+) {
+    let min_el = constellation.gsl.min_elevation_deg;
+    out.clear();
+    // Satellites are shell-major, so each shell's are one run of positions.
+    let mut first = 0;
+    for shell in &constellation.shells {
+        let count = (shell.num_orbits * shell.sats_per_orbit) as usize;
+        // The range bound must hold for ground stations anywhere on the
+        // ellipsoid (it grows as the station sits closer to the
+        // geocenter), hence the conservative (polar-radius) form — the
+        // exact elevation test makes the decision. A squared test looser
+        // by a relative 10⁻⁶ (far beyond what rounding in the squares can
+        // move) goes first, so `sqrt` and `asin` run only for satellites
+        // the range test might keep; the range test itself is unchanged.
+        let bound = conservative_max_gsl_range_km(shell.altitude_km, min_el) + 1e-9;
+        let prune_sq = (bound * (1.0 + 1e-6)).powi(2);
+        for (idx, &pos) in sat_positions.iter().enumerate().skip(first).take(count) {
+            let range_sq = (gs_pos - pos).norm_sq();
+            if range_sq > prune_sq {
+                continue;
+            }
+            let range = range_sq.sqrt();
+            if range > bound {
+                continue;
+            }
+            let el = elevation_deg(gs_pos, pos);
+            if el >= min_el {
+                out.push(VisibleSat { sat_idx: idx, range_km: range, elevation_deg: el });
+            }
+        }
+        first += count;
+    }
+    out.sort_by(|a, b| a.range_km.total_cmp(&b.range_km));
+}
+
+/// The satellites a GS may *use* under the configured selection policy,
+/// into `out` (cleared first).
 pub fn usable_satellites(
     constellation: &Constellation,
     gs_pos: Vec3,
     sat_positions: &[Vec3],
     t: SimTime,
-) -> Vec<VisibleSat> {
-    let mut vis = visible_satellites(constellation, gs_pos, sat_positions, t);
+    out: &mut Vec<VisibleSat>,
+) {
+    visible_satellites_into(constellation, gs_pos, sat_positions, t, out);
     if constellation.gsl.selection == GslSelection::NearestOnly {
-        vis.truncate(1);
+        out.truncate(1);
     }
-    vis
 }
 
 /// Check visibility of one specific satellite from one GS (for handoff and
@@ -196,7 +218,8 @@ mod tests {
         );
         let t = SimTime::ZERO;
         let sats = c.positions_at(t);
-        let usable = usable_satellites(&c, gs.position_ecef(), &sats[..c.num_satellites()], t);
+        let mut usable = Vec::new();
+        usable_satellites(&c, gs.position_ecef(), &sats[..c.num_satellites()], t, &mut usable);
         assert!(usable.len() <= 1);
         let all = visible_satellites(&c, gs.position_ecef(), &sats[..c.num_satellites()], t);
         if let Some(first) = usable.first() {
@@ -227,6 +250,73 @@ mod tests {
             .collect();
         assert!(counts[0] >= counts[1] && counts[1] >= counts[2], "{counts:?}");
         assert!(counts[0] > counts[2], "visibility should strictly grow by l: {counts:?}");
+    }
+
+    /// `visible_satellites` before the squared-distance pre-prune: the
+    /// oracle the pruned version must reproduce bit for bit.
+    fn visible_satellites_oracle(
+        constellation: &Constellation,
+        gs_pos: Vec3,
+        sat_positions: &[Vec3],
+    ) -> Vec<VisibleSat> {
+        let min_el = constellation.gsl.min_elevation_deg;
+        let shell_max_range: Vec<f64> = constellation
+            .shells
+            .iter()
+            .map(|s| conservative_max_gsl_range_km(s.altitude_km, min_el))
+            .collect();
+        let mut out = Vec::new();
+        for (idx, (sat, &pos)) in
+            constellation.satellites.iter().zip(sat_positions.iter()).enumerate()
+        {
+            let range = gs_pos.distance(pos);
+            if range > shell_max_range[sat.shell] + 1e-9 {
+                continue;
+            }
+            let el = elevation_deg(gs_pos, pos);
+            if el >= min_el {
+                out.push(VisibleSat { sat_idx: idx, range_km: range, elevation_deg: el });
+            }
+        }
+        out.sort_by(|a, b| a.range_km.total_cmp(&b.range_km));
+        out
+    }
+
+    /// Every GSL a snapshot builds comes from `visible_satellites`, so
+    /// bit-equal lists mean bit-equal `DelayGraph`s: T1, K1 and S1, the
+    /// 100 cities plus a knife-edge and a polar station, 200 instants.
+    #[test]
+    fn pre_pruned_visibility_is_bit_identical_to_the_oracle() {
+        let mut cities = crate::ground::top_cities(100);
+        cities.push(GroundStation::new("Saint Petersburg", 59.9311, 30.3609));
+        cities.push(GroundStation::new("NorthPole", 89.9, 0.0));
+        let mut rng = hypatia_util::rng::DetRng::new(0x9151);
+        let instants: Vec<SimTime> =
+            (0..200).map(|_| SimTime::from_millis(rng.next_below(6_000_000))).collect();
+        for c in [
+            presets::telesat_t1(cities.clone()),
+            presets::kuiper_k1(cities.clone()),
+            presets::starlink_s1(cities.clone()),
+        ] {
+            let n_sats = c.num_satellites();
+            let (mut links, mut positions) = (0, Vec::new());
+            for &t in &instants {
+                c.positions_at_into(t, &mut positions);
+                for gs in 0..c.num_ground_stations() {
+                    let gs_pos = positions[n_sats + gs];
+                    let fast = visible_satellites(&c, gs_pos, &positions[..n_sats], t);
+                    let slow = visible_satellites_oracle(&c, gs_pos, &positions[..n_sats]);
+                    let bits = |v: &[VisibleSat]| -> Vec<(usize, u64, u64)> {
+                        v.iter()
+                            .map(|s| (s.sat_idx, s.range_km.to_bits(), s.elevation_deg.to_bits()))
+                            .collect()
+                    };
+                    assert_eq!(bits(&fast), bits(&slow), "{} gs {gs} t {t:?}", c.name);
+                    links += fast.len();
+                }
+            }
+            assert!(links > 200 * 100, "{}: only {links} GSLs", c.name);
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! Determinism: the heap orders by `(distance, node)`, and relaxation is
 //! strict, so equal-cost ties always resolve towards the smaller node id
-//! regardless of iteration order.
+//! regardless of iteration order. The pair is packed into one `u64`
+//! (`heap_key`) whose integer order is the pair's lexicographic order,
+//! so a heap entry is one word and a sift compares one word.
 
 use crate::graph::DelayGraph;
 use std::cmp::Reverse;
@@ -16,6 +18,30 @@ use std::collections::BinaryHeap;
 
 /// Distance sentinel for unreachable nodes.
 pub const UNREACHABLE: u64 = u64::MAX;
+
+/// Bits of a packed heap key that hold the node id: `2^24` ids, four
+/// orders of magnitude above the largest constellation.
+const KEY_ID_BITS: u32 = 24;
+
+/// `(dist, id)` as one `u64`, `dist` in the high 40 bits: the integers
+/// order exactly as the pairs do. A path delay of `2^40` ns (18 minutes)
+/// or more is a broken snapshot, not an input to route on.
+#[inline]
+pub(crate) fn heap_key(dist: u64, id: u32) -> u64 {
+    assert!(dist >> (64 - KEY_ID_BITS) == 0, "path delay {dist} ns exceeds a heap key's 2^40 ns");
+    dist << KEY_ID_BITS | u64::from(id)
+}
+
+/// The `(dist, id)` a [`heap_key`] packed.
+#[inline]
+pub(crate) fn key_parts(key: u64) -> (u64, u32) {
+    (key >> KEY_ID_BITS, (key & ((1 << KEY_ID_BITS) - 1)) as u32)
+}
+
+/// Panics unless every vertex id of an `n`-vertex graph fits a heap key.
+pub(crate) fn check_key_ids(n: usize) {
+    assert!(n <= 1 << KEY_ID_BITS, "graph of {n} vertices exceeds a heap key's 2^24 ids");
+}
 
 /// Result of a single-destination shortest-path computation.
 #[derive(Debug, Clone)]
@@ -36,7 +62,8 @@ pub struct SpTree {
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     settled: Vec<bool>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// [`heap_key`]s.
+    heap: BinaryHeap<Reverse<u64>>,
 }
 
 impl DijkstraScratch {
@@ -75,6 +102,7 @@ pub fn shortest_path_tree_into(
 ) {
     let n = graph.num_nodes();
     assert!((dst as usize) < n, "destination {dst} out of range");
+    check_key_ids(n);
     out.dst = dst;
     out.dist_ns.clear();
     out.dist_ns.resize(n, UNREACHABLE);
@@ -89,9 +117,10 @@ pub fn shortest_path_tree_into(
     let settled = &mut scratch.settled;
     let heap = &mut scratch.heap;
     dist[dst as usize] = 0;
-    heap.push(Reverse((0, dst)));
+    heap.push(Reverse(heap_key(0, dst)));
 
-    while let Some(Reverse((d, u))) = heap.pop() {
+    while let Some(Reverse(key)) = heap.pop() {
+        let (d, u) = key_parts(key);
         if settled[u as usize] {
             continue;
         }
@@ -109,13 +138,15 @@ pub fn shortest_path_tree_into(
             }
             let nd = d + u64::from(e.delay_ns);
             // Strict improvement, or equal-cost tie resolved towards the
-            // smaller parent id for determinism.
-            let better = nd < dist[v] || (nd == dist[v] && next_hop[v].is_some_and(|old| u < old));
-            if better {
+            // smaller parent id for determinism (`v` is queued at `nd`
+            // already: the next hop is all that changes).
+            if nd < dist[v] {
                 dist[v] = nd;
                 // v's next hop towards dst is the node we relaxed from.
                 next_hop[v] = Some(u);
-                heap.push(Reverse((nd, v as u32)));
+                heap.push(Reverse(heap_key(nd, v as u32)));
+            } else if nd == dist[v] && next_hop[v].is_some_and(|old| u < old) {
+                next_hop[v] = Some(u);
             }
         }
     }
@@ -245,6 +276,34 @@ mod tests {
         let b = shortest_path_tree(&g, c.gs_node(1).0);
         assert_eq!(a.dist_ns, b.dist_ns);
         assert_eq!(a.next_hop, b.next_hop);
+    }
+
+    #[test]
+    fn heap_keys_order_exactly_as_the_pairs_they_pack() {
+        let mut rng = hypatia_util::rng::DetRng::new(0x4ea9);
+        let draw = |rng: &mut hypatia_util::rng::DetRng| {
+            let dist = [0, 1, (1 << 40) - 1, rng.next_below(1 << 40)][rng.next_below(4) as usize];
+            let id = [0, 1, (1 << 24) - 1, rng.next_below(1 << 24)][rng.next_below(4) as usize];
+            (dist, id as u32)
+        };
+        for case in 0..4096 {
+            let (a, b) = (draw(&mut rng), draw(&mut rng));
+            let (ka, kb) = (heap_key(a.0, a.1), heap_key(b.0, b.1));
+            assert_eq!(key_parts(ka), a, "case {case}");
+            assert_eq!(ka.cmp(&kb), a.cmp(&b), "case {case}: {a:?} vs {b:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds a heap key's 2^40 ns")]
+    fn a_path_delay_beyond_the_heap_key_is_rejected_not_truncated() {
+        heap_key(1 << 40, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds a heap key's 2^24 ids")]
+    fn a_graph_beyond_the_heap_key_ids_is_rejected() {
+        check_key_ids((1 << 24) + 1);
     }
 
     #[test]

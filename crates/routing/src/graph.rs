@@ -13,7 +13,7 @@
 //! cache. The narrowing happens once, checked, where a snapshot is built;
 //! distances stay `u64`.
 
-use hypatia_constellation::gsl::usable_satellites;
+use hypatia_constellation::gsl::{usable_satellites, VisibleSat};
 use hypatia_constellation::{Constellation, NodeId};
 use hypatia_fault::FaultState;
 use hypatia_orbit::geodesy::propagation_delay_km;
@@ -62,6 +62,8 @@ pub struct SnapshotBuffers {
     pairs: Vec<(u32, Edge)>,
     /// Per-node write cursor during the counting sort.
     cursor: Vec<u32>,
+    /// One ground station's usable satellites at a time.
+    visible: Vec<VisibleSat>,
     graph: DelayGraph,
 }
 
@@ -137,7 +139,8 @@ impl SnapshotBuffers {
             }
             let gs_node = constellation.gs_node(gs_idx).0;
             let gs_pos = positions[n_sats + gs_idx];
-            for vis in usable_satellites(constellation, gs_pos, &positions[..n_sats], t) {
+            usable_satellites(constellation, gs_pos, &positions[..n_sats], t, &mut self.visible);
+            for vis in &self.visible {
                 if let Some(f) = faults {
                     if f.satellite_down(vis.sat_idx) {
                         continue;

@@ -13,18 +13,44 @@
 //!
 //! # What a repair costs
 //!
-//! Because every weight moves, no vertex can be skipped: the floor is one
-//! look at every vertex and every edge. The kernel (`repair_shortest_path_tree`)
-//! stays at that floor — one parents-first pass over the vertices, one
-//! scan over the edges — and makes both passes cheap: the tree remembers a
-//! parents-first order and the adjacency slot of every parent (five bytes
-//! a vertex), so the first pass is a walk with O(1) weight lookups; and
-//! vertices that may not transit (ground stations, outside bent-pipe
-//! constellations) are *leaves* that hold [`UNREACHABLE`] while the others
-//! are scanned and are filled last, so the scan needs no per-edge test and
-//! reduces to a branch-free minimum. The heap phase and the re-scan after
-//! it touch only what actually changed. Full Dijkstra
-//! ([`shortest_path_tree_into`]) remains the fallback and the only oracle.
+//! Every weight moves, so any vertex *may* have a new parent; the kernel
+//! (`repair_shortest_path_tree`) proves that nearly all have not. Its
+//! floor is every vertex, plus the edges of uncertified vertices: one
+//! parents-first pass over the vertices, then one scan over the edges of
+//! the vertices it cannot certify (about 2 % of them per 100 ms step on
+//! K1 and S1 under the benchmark's flap process). The tree remembers a parents-first order, the adjacency slot of
+//! every parent and every vertex's *runner-up gap* (nine bytes a vertex),
+//! so the first pass is a walk with O(1) weight lookups and a certificate
+//! is an O(1) test. Vertices that may not transit (ground stations,
+//! outside bent-pipe constellations) are *leaves* that hold
+//! [`UNREACHABLE`] while the others are scanned and are filled last, so a
+//! scan needs no per-edge test and reduces to a branch-free minimum. The
+//! heap phase and the re-scan after it touch only what actually changed.
+//! Full Dijkstra ([`shortest_path_tree_into`]) remains the fallback and
+//! the only oracle.
+//!
+//! # Why skipping a scan is exact
+//!
+//! Let `ℓ` be the previous exact labels, `ℓ'` the labels along the old
+//! tree under the new weights (step 1), `δ[v] = ℓ'[v] − ℓ[v]`, `δmin` the
+//! smallest `δ` over the vertices finite on both sides (the destination's
+//! is 0), and `B` the largest `|Δw|` over the edges both snapshots have.
+//! `v`'s remembered gap `g` bounds every non-parent edge `(u, v)` of the
+//! previous snapshot: `ℓ[u] + w ≥ ℓ[v] + g`. Under the new weights that
+//! edge offers `ℓ'[u] + w' ≥ ℓ[u] + δmin + w − B ≥ ℓ'[v] + g − (B + δ[v]
+//! − δmin)`. So when `g > B + δ[v] − δmin` every non-parent edge is
+//! strictly worse than the old parent's, whose path is `ℓ'[v]` by
+//! construction: a scan would re-find the old parent, label and slot, and
+//! skipping it writes the same bytes. The gap is then lowered by that
+//! amount, which keeps it a lower bound. What the bound does not cover is
+//! always scanned: a vertex that gained or lost an edge, one reachable on
+//! one side only, and — through steps 3–4 — any vertex next to one whose
+//! label dropped below `ℓ'` (the heap relaxes it, step 4 rescans every
+//! dropped vertex's neighbours, and a leaf next to one is scanned in step
+//! 5). An untouched vertex unreachable on both sides keeps its verdict
+//! too: none of its edges led anywhere, `ℓ'` is finite only where `ℓ` was,
+//! and a neighbour that now leads somewhere has dropped its label. A scan
+//! records the exact gap, from a second running minimum.
 //!
 //! # Determinism and byte-identity
 //!
@@ -45,7 +71,10 @@
 //! zero-weight edge would break the strictly-before argument, so such
 //! snapshots (never produced by real geometry) fall back to full Dijkstra.
 
-use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree, UNREACHABLE};
+use crate::dijkstra::{
+    check_key_ids, heap_key, key_parts, shortest_path_tree_into, DijkstraScratch, SpTree,
+    UNREACHABLE,
+};
 use crate::forwarding::ForwardingState;
 use crate::graph::{DelayGraph, Edge};
 use hypatia_constellation::NodeId;
@@ -127,6 +156,8 @@ pub struct GraphDiff {
     pub weight_changed: usize,
     /// Directed edges present in both with the same weight.
     pub unchanged: usize,
+    /// Largest `|Δw|` over the edges present in both, ns (0 when none).
+    pub max_weight_change_ns: u64,
     /// Smallest edge weight in `cur` (ns); [`u64::MAX`] when edgeless.
     pub min_delay_ns: u64,
     /// Directed edge count of `prev`.
@@ -155,9 +186,16 @@ impl GraphDiff {
         self.deleted.clear();
         self.weight_changed = 0;
         self.unchanged = 0;
+        self.max_weight_change_ns = 0;
         self.min_delay_ns = u64::MAX;
         self.prev_edges = prev.num_edges();
         self.cur_edges = cur.num_edges();
+        let mut kept = |was: u32, now: u32| {
+            let moved = was.abs_diff(now);
+            self.max_weight_change_ns = self.max_weight_change_ns.max(u64::from(moved));
+            self.unchanged += usize::from(moved == 0);
+            self.weight_changed += usize::from(moved != 0);
+        };
         for u in 0..cur.num_nodes() {
             let pe = prev.edges(u);
             let ce = cur.edges(u);
@@ -168,19 +206,14 @@ impl GraphDiff {
             // neighbour sets match, the lists are positionally identical.
             if pe.len() == ce.len() && pe.iter().zip(ce).all(|(a, b)| a.to == b.to) {
                 for (a, b) in pe.iter().zip(ce) {
-                    if a.delay_ns == b.delay_ns {
-                        self.unchanged += 1;
-                    } else {
-                        self.weight_changed += 1;
-                    }
+                    kept(a.delay_ns, b.delay_ns);
                 }
                 continue;
             }
             for e in ce {
                 match find_delay(pe, e.to) {
                     None => self.inserted.push((u as u32, e.to)),
-                    Some(w) if w == e.delay_ns => self.unchanged += 1,
-                    Some(_) => self.weight_changed += 1,
+                    Some(w) => kept(w, e.delay_ns),
                 }
             }
             for e in pe {
@@ -223,6 +256,10 @@ pub struct RepairStats {
     /// Remembered parent slots that no longer held the parent (a fault or
     /// visibility flip shifted the adjacency), resolved by linear search.
     pub slot_misses: u64,
+    /// Edge scans skipped because the vertex's runner-up gap proved its
+    /// parent unchanged (out of one per vertex but the destination, per
+    /// tree).
+    pub certified: u64,
 }
 
 impl RepairStats {
@@ -232,6 +269,35 @@ impl RepairStats {
         self.retensed += other.retensed;
         self.rescanned += other.rescanned;
         self.slot_misses += other.slot_misses;
+        self.certified += other.certified;
+    }
+}
+
+/// What one snapshot tells each tree's repair: the same for every tree
+/// of the snapshot, so it is built once.
+#[derive(Debug, Default)]
+struct Drift {
+    /// `touched[v]`: `v` gained or lost an edge, so its gap bounds nothing.
+    touched: Vec<bool>,
+    /// `B`: the largest `|Δw|` over the edges both snapshots have, ns.
+    bound_ns: u64,
+    /// The vertices that may not transit, in id order.
+    leaves: Vec<u32>,
+}
+
+impl Drift {
+    /// From `diff`, the [`GraphDiff`] that ends at `graph`.
+    fn fill_from(&mut self, diff: &GraphDiff, graph: &DelayGraph) {
+        let n = graph.num_nodes();
+        self.leaves.clear();
+        self.leaves.extend((0..n as u32).filter(|&v| !graph.may_transit(v as usize)));
+        self.touched.clear();
+        self.touched.resize(n, false);
+        for &(a, b) in diff.inserted.iter().chain(&diff.deleted) {
+            self.touched[a as usize] = true;
+            self.touched[b as usize] = true;
+        }
+        self.bound_ns = diff.max_weight_change_ns;
     }
 }
 
@@ -250,9 +316,11 @@ const DROPPED: u8 = 1;
 /// The vertex's parent was re-derived after the heap phase.
 const RESCANNED: u8 = 2;
 
-/// What one repair of a tree remembers for the next: five bytes a vertex
-/// (0.84 MB for Starlink S1 × 100 destinations). Hints only — both are
-/// validated as they are read, so a stale memo costs time, never bytes.
+/// What one repair of a tree remembers for the next: nine bytes a vertex
+/// (1.5 MB for Starlink S1 × 100 destinations). `slots` and `order` are
+/// hints, validated as they are read, so a stale one costs time, never
+/// bytes; `gaps` are certificates, valid for the snapshot the tree
+/// describes and nothing else.
 #[derive(Debug, Default)]
 struct TreeMemo {
     /// `slots[v]`: where `v`'s parent sat in `v`'s adjacency ([`NO_SLOT`]:
@@ -260,6 +328,9 @@ struct TreeMemo {
     slots: Vec<u8>,
     /// The transit vertices in a parents-first order of the tree.
     order: Vec<u32>,
+    /// `gaps[v]`: a lower bound on `(dist[u] ⊕ w) − dist[v]` over `v`'s
+    /// non-parent edges, ns, saturating (0: no certificate).
+    gaps: Vec<u32>,
 }
 
 impl TreeMemo {
@@ -276,62 +347,123 @@ struct RepairScratch {
     stack: Vec<u32>,
     /// Transit vertices in the order that pass labelled them.
     sequence: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Packed `(distance, vertex)` keys, as full Dijkstra's.
+    heap: BinaryHeap<Reverse<u64>>,
     /// Vertices whose label dropped, each once.
     dropped: Vec<u32>,
     /// Per-vertex `CLEAN` / `DROPPED` / `RESCANNED`.
     mark: Vec<u8>,
-    /// Leaf results `(vertex, (distance, parent, slot))`, written back
-    /// only after every leaf was scanned.
-    leaves: Vec<(u32, (u64, u32, usize))>,
+    /// Leaf results, written back only after every leaf was scanned.
+    leaves: Vec<(u32, Scan)>,
+    /// `ℓ`: the tree's labels as the repair found them.
+    was: Vec<u64>,
+}
+
+/// A vertex's verdict: its label, the lowest-id parent that achieves it
+/// and that parent's adjacency slot, and the runner-up gap.
+#[derive(Debug, Clone, Copy)]
+struct Scan {
+    label: u64,
+    parent: u32,
+    slot: usize,
+    gap: u32,
+}
+
+/// Where the edge to `parent` sits in `edges`, a vertex's adjacency, and
+/// its delay: at the remembered `slot` when that still holds it, else by
+/// linear search; `None` when the edge is gone.
+#[inline]
+fn parent_edge(edges: &[Edge], slot: u8, parent: u32, misses: &mut u64) -> Option<(u8, u32)> {
+    match edges.get(usize::from(slot)) {
+        Some(e) if e.to == parent => Some((slot, e.delay_ns)),
+        _ => {
+            *misses += u64::from(slot != NO_SLOT);
+            let at = edges.iter().position(|e| e.to == parent)?;
+            Some((u8::try_from(at).unwrap_or(NO_SLOT), edges[at].delay_ns))
+        }
+    }
 }
 
 /// `dist[parent] ⊕ w(v, parent)` for the vertex `v` whose adjacency is
-/// `edges`, reading `w` at the remembered `slot` when that still holds
-/// the edge to `parent`; [`UNREACHABLE`] when the edge is gone.
+/// `edges` (see [`parent_edge`]); [`UNREACHABLE`] when the edge is gone.
 #[inline]
 fn via_parent(edges: &[Edge], slot: u8, parent: u32, dist: &[u64], misses: &mut u64) -> u64 {
-    let delay = match edges.get(usize::from(slot)) {
-        Some(e) if e.to == parent => Some(e.delay_ns),
-        _ => {
-            *misses += u64::from(slot != NO_SLOT);
-            find_delay(edges, parent)
-        }
-    };
-    delay.map_or(UNREACHABLE, |w| dist[parent as usize].saturating_add(u64::from(w)))
+    parent_edge(edges, slot, parent, misses)
+        .map_or(UNREACHABLE, |(_, w)| dist[parent as usize].saturating_add(u64::from(w)))
+}
+
+/// `δ = ℓ' − ℓ` of one vertex; `i64::MAX`, which bounds nothing, unless
+/// both labels are finite.
+#[inline(always)]
+fn label_drift(now: u64, was: u64) -> i64 {
+    if now == UNREACHABLE || was == UNREACHABLE {
+        i64::MAX
+    } else {
+        now as i64 - was as i64
+    }
 }
 
 /// `min(dist[u] ⊕ w)` over the edges `(u, w)` of one vertex, with the
-/// minimum-id tie-break: `(distance, parent, slot)`. `⊕` saturates, so an
+/// minimum-id tie-break, and the runner-up gap. `⊕` saturates, so an
 /// [`UNREACHABLE`] neighbour never wins; whether a neighbour may be a
 /// parent at all is encoded in its label (leaves hold `UNREACHABLE` while
 /// transit vertices are scanned). That leaves one comparison per edge:
 /// distance, id and slot are packed, most significant first, into a
 /// `u128` whose minimum is all three answers — a compare-and-select the
-/// compiler has no reason to turn back into a branch on data.
+/// compiler has no reason to turn back into a branch on data. The
+/// runner-up is a second running minimum of the same kind: the smallest
+/// distance but the winner's is the minimum, over the edges, of the larger
+/// of the edge's distance and the best one before it.
 #[inline(always)]
-fn best_parent(edges: &[Edge], dist: &[u64]) -> (u64, u32, usize) {
-    let mut best = u128::MAX;
+fn best_parent(edges: &[Edge], dist: &[u64]) -> Scan {
+    let (mut best, mut runner_up) = (u128::MAX, u64::MAX);
     for (slot, e) in edges.iter().enumerate() {
         let via = dist[e.to as usize].saturating_add(u64::from(e.delay_ns));
         let key = (u128::from(via) << 64) | (u128::from(e.to) << 32) | slot as u32 as u128;
+        runner_up = runner_up.min(via.max((best >> 64) as u64));
         best = best.min(key);
     }
-    ((best >> 64) as u64, (best >> 32) as u32, best as u32 as usize)
+    let label = (best >> 64) as u64;
+    Scan {
+        label,
+        parent: (best >> 32) as u32,
+        slot: best as u32 as usize,
+        gap: u32::try_from(runner_up - label).unwrap_or(u32::MAX),
+    }
 }
 
 /// Record a scan's verdict on `v`.
 #[inline(always)]
 fn set_parent(
     v: usize,
-    (best, parent, slot): (u64, u32, usize),
+    scan: Scan,
     dist: &mut [u64],
     next_hop: &mut [Option<u32>],
     slots: &mut [u8],
+    gaps: &mut [u32],
 ) {
-    dist[v] = best;
-    next_hop[v] = (best != UNREACHABLE).then_some(parent);
-    slots[v] = u8::try_from(slot).unwrap_or(NO_SLOT);
+    dist[v] = scan.label;
+    next_hop[v] = (scan.label != UNREACHABLE).then_some(scan.parent);
+    slots[v] = u8::try_from(scan.slot).unwrap_or(NO_SLOT);
+    gaps[v] = scan.gap;
+}
+
+/// The certificate test: `Some(lowered gap)` when a vertex whose step-1
+/// label is `now`, whose previous exact label was `was` and whose gap is
+/// `gap` provably keeps its parent; `slack` is `B − δmin`.
+#[inline(always)]
+fn certified_gap(gap: u32, now: u64, was: u64, slack: i64) -> Option<u32> {
+    match (now == UNREACHABLE, was == UNREACHABLE) {
+        // Still cut off (module doc).
+        (true, true) => Some(gap),
+        (false, false) => {
+            // `B + δ[v] − δmin`, at least 0: `δ[v] ≥ δmin` for a transit
+            // vertex, and a leaf's `δ` is its parent's plus one `Δw ≥ −B`.
+            let shrink = slack + (now as i64 - was as i64);
+            (i64::from(gap) > shrink).then(|| (i64::from(gap) - shrink) as u32)
+        }
+        _ => None,
+    }
 }
 
 /// Repair `tree` — an exact shortest-path tree of a *previous* snapshot
@@ -340,7 +472,9 @@ fn set_parent(
 ///
 /// `memo` is what the previous repair of this tree left for this one; it
 /// belongs to the tree and must be [`TreeMemo::forget`]-ed whenever the
-/// tree is recomputed from scratch.
+/// tree is recomputed from scratch (no certificates: every vertex is
+/// scanned). `drift` is what the [`GraphDiff`] from the tree's snapshot to
+/// `graph` says.
 ///
 /// A vertex that may not transit can never be a parent, so apart from the
 /// destination such vertices are *leaves*: they hold [`UNREACHABLE`] until
@@ -351,20 +485,23 @@ fn set_parent(
 ///    old tree under the new weights (in `order`, O(1) weight lookups
 ///    through `slots`). A vertex whose parent edge is gone, or whose
 ///    parent is cut off, becomes unreachable for now.
-/// 2. One scan over the transit vertices' edges: `v`'s label becomes
-///    `min(dist[u] ⊕ w)`, the lowest-id minimiser and its slot become its
-///    parent, and if the label dropped, `v` seeds the heap.
+/// 2. Every transit vertex whose gap does not certify its parent (module
+///    doc) has its edges scanned: `v`'s label becomes `min(dist[u] ⊕ w)`,
+///    the lowest-id minimiser and its slot become its parent, and if the
+///    label dropped, `v` seeds the heap.
 /// 3. Dijkstra repair from the seeds to a fixed point. Labels only
 ///    decrease, each is the length of a real transit-valid path, and at
 ///    termination no edge is tense: the labels are exact.
 /// 4. Step 2's parent is final for every vertex whose own label and whose
 ///    neighbours' labels never dropped; the others are scanned once more.
-/// 5. Scan the leaves.
+/// 5. The leaves: certified by their gaps unless next to a dropped label,
+///    scanned otherwise.
 ///
 /// `graph` must not contain zero-weight edges (callers check via
 /// [`GraphDiff::has_zero_delay`] and fall back to full Dijkstra).
 fn repair_shortest_path_tree(
     graph: &DelayGraph,
+    drift: &Drift,
     tree: &mut SpTree,
     memo: &mut TreeMemo,
     scratch: &mut RepairScratch,
@@ -373,33 +510,45 @@ fn repair_shortest_path_tree(
     let n = graph.num_nodes();
     let dst = tree.dst as usize;
     assert_eq!(tree.dist_ns.len(), n, "tree/snapshot node count mismatch");
-    let TreeMemo { slots, order } = memo;
+    assert_eq!(drift.touched.len(), n, "drift/snapshot node count mismatch");
+    debug_assert!(drift.leaves.iter().all(|&v| !graph.may_transit(v as usize)));
+    check_key_ids(n);
+    let TreeMemo { slots, order, gaps } = memo;
     if slots.len() != n {
         slots.clear();
         slots.resize(n, NO_SLOT);
+        gaps.clear();
+        gaps.resize(n, 0);
         order.clear();
     }
     scratch.mark.resize(n, CLEAN);
     stats.trees += 1;
-    let RepairScratch { stack, sequence, heap, dropped, mark, leaves } = scratch;
+    let RepairScratch { stack, sequence, heap, dropped, mark, leaves, was } = scratch;
+    was.resize(n, 0);
+    let was = &mut was[..n];
     let dist = &mut tree.dist_ns[..n];
     let next_hop = &mut tree.next_hop[..n];
     let slots = &mut slots[..n];
+    let gaps = &mut gaps[..n];
 
     // Step 1. `order` is a parents-first order of the tree as the previous
     // repair found it, so nearly every vertex finds its parent labelled;
     // one that does not (its parent changed since) climbs to the first
     // labelled ancestor and labels the chain on the way back down. The
     // labelling sequence is the next repair's order. With nothing
-    // remembered, ascending ids do the same job, all by climbing.
+    // remembered, ascending ids do the same job, all by climbing. `δmin`
+    // is taken as labels are written: over the destination (0) and the
+    // transit vertices (leaves hold UNREACHABLE), finite on both sides.
     let transit = graph.transit();
     let mut todo = 0;
-    for (d, &t) in dist.iter_mut().zip(transit) {
+    for ((d, w), &t) in dist.iter_mut().zip(was.iter_mut()).zip(transit) {
+        *w = *d;
         *d = if t { PENDING } else { UNREACHABLE };
         todo += usize::from(t);
     }
     todo -= usize::from(transit[dst]);
     dist[dst] = 0;
+    let mut delta_min = 0;
     sequence.clear();
     for v in order.iter().copied().chain(0..n as u32) {
         if sequence.len() == todo {
@@ -421,15 +570,19 @@ fn repair_shortest_path_tree(
                 }
             }
         };
+        delta_min = delta_min.min(label_drift(dist[x], was[x]));
         sequence.push(x as u32);
         while let Some(child) = stack.pop() {
             let c = child as usize;
-            dist[c] = via_parent(graph.edges(c), slots[c], x as u32, dist, &mut stats.slot_misses);
+            let slot = slots[c];
+            dist[c] = via_parent(graph.edges(c), slot, x as u32, dist, &mut stats.slot_misses);
+            delta_min = delta_min.min(label_drift(dist[c], was[c]));
             sequence.push(child);
             x = c;
         }
     }
     std::mem::swap(order, sequence);
+    let slack = drift.bound_ns as i64 - delta_min;
 
     // Step 2. In place: a later vertex already sees an earlier one's drop.
     heap.clear();
@@ -441,21 +594,30 @@ fn repair_shortest_path_tree(
             dropped.push(v as u32);
         }
     };
+    let mut certified = 0;
     for (v, &t) in transit.iter().enumerate() {
         if v == dst || !t {
             continue;
         }
+        if !drift.touched[v] {
+            if let Some(gap) = certified_gap(gaps[v], dist[v], was[v], slack) {
+                gaps[v] = gap;
+                certified += 1;
+                continue;
+            }
+        }
         let found = best_parent(graph.edges(v), dist);
-        if found.0 < dist[v] {
-            heap.push(Reverse((found.0, v as u32)));
+        if found.label < dist[v] {
+            heap.push(Reverse(heap_key(found.label, v as u32)));
             note_drop(v);
         }
-        // `found.0 <= dist[v]` always: v's old parent is among its edges.
-        set_parent(v, found, dist, next_hop, slots);
+        // `found.label <= dist[v]` always: v's old parent is among its edges.
+        set_parent(v, found, dist, next_hop, slots, gaps);
     }
 
     // Step 3.
-    while let Some(Reverse((d, u))) = heap.pop() {
+    while let Some(Reverse(key)) = heap.pop() {
+        let (d, u) = key_parts(key);
         if d > dist[u as usize] {
             continue; // stale entry
         }
@@ -465,20 +627,23 @@ fn repair_shortest_path_tree(
             // Leaves wait for step 5 (and the destination stays at 0).
             if graph.may_transit(x) && nd < dist[x] {
                 dist[x] = nd;
-                heap.push(Reverse((nd, e.to)));
+                heap.push(Reverse(heap_key(nd, e.to)));
                 note_drop(x);
             }
         }
     }
 
-    // Step 4.
+    // Step 4. A leaf is only marked here: step 5 scans it.
     let mut rescan = |v: usize, dist: &mut [u64]| {
-        if v != dst && graph.may_transit(v) && mark[v] != RESCANNED {
-            mark[v] = RESCANNED;
+        if v == dst || mark[v] == RESCANNED {
+            return;
+        }
+        mark[v] = RESCANNED;
+        if graph.may_transit(v) {
             stats.rescanned += 1;
             let found = best_parent(graph.edges(v), dist);
-            debug_assert_eq!(found.0, dist[v], "label of {v} is not a fixed point");
-            set_parent(v, found, dist, next_hop, slots);
+            debug_assert_eq!(found.label, dist[v], "label of {v} is not a fixed point");
+            set_parent(v, found, dist, next_hop, slots, gaps);
         }
     };
     for &x in dropped.iter() {
@@ -487,24 +652,42 @@ fn repair_shortest_path_tree(
             rescan(e.to as usize, dist);
         }
     }
+
+    // Step 5. A leaf's neighbour may itself be a leaf (never in a
+    // constellation, but a `DelayGraph` allows it), so no leaf's label is
+    // written while another is still to be scanned. A certified leaf
+    // keeps its parent and slot; its label follows the parent's.
+    leaves.clear();
+    for &v in drift.leaves.iter() {
+        let v = v as usize;
+        if v == dst {
+            continue;
+        }
+        if mark[v] == CLEAN && !drift.touched[v] {
+            let edge = next_hop[v].and_then(|p| {
+                Some((p, parent_edge(graph.edges(v), slots[v], p, &mut stats.slot_misses)?))
+            });
+            let (label, parent, slot) = match edge {
+                Some((p, (slot, w))) => (dist[p as usize].saturating_add(u64::from(w)), p, slot),
+                None => (UNREACHABLE, u32::MAX, NO_SLOT),
+            };
+            if let Some(gap) = certified_gap(gaps[v], label, was[v], slack) {
+                certified += 1;
+                leaves.push((v as u32, Scan { label, parent, slot: usize::from(slot), gap }));
+                continue;
+            }
+        }
+        leaves.push((v as u32, best_parent(graph.edges(v), dist)));
+    }
+    for &(v, found) in leaves.iter() {
+        set_parent(v as usize, found, dist, next_hop, slots, gaps);
+    }
+    stats.certified += certified;
     for &x in dropped.iter() {
         mark[x as usize] = CLEAN;
         for e in graph.edges(x as usize) {
             mark[e.to as usize] = CLEAN;
         }
-    }
-
-    // Step 5. A leaf's neighbour may itself be a leaf (never in a
-    // constellation, but a `DelayGraph` allows it), so no leaf's label is
-    // written while another is still to be scanned.
-    leaves.clear();
-    for (v, &t) in transit.iter().enumerate() {
-        if v != dst && !t {
-            leaves.push((v as u32, best_parent(graph.edges(v), dist)));
-        }
-    }
-    for &(v, found) in leaves.iter() {
-        set_parent(v as usize, found, dist, next_hop, slots);
     }
 }
 
@@ -562,6 +745,7 @@ pub struct IncrementalRouter {
     scratch: DijkstraScratch,
     repair: RepairScratch,
     diff: GraphDiff,
+    drift: Drift,
     /// Decision counters (exposed for benches and tests).
     pub stats: RouterStats,
     /// What the repairs counted in `stats.repaired` did.
@@ -587,6 +771,7 @@ impl IncrementalRouter {
             scratch: DijkstraScratch::new(),
             repair: RepairScratch::default(),
             diff: GraphDiff::default(),
+            drift: Drift::default(),
             stats: RouterStats::default(),
             repair_stats: RepairStats::default(),
         }
@@ -643,9 +828,11 @@ impl IncrementalRouter {
 
         if repairable {
             self.stats.repaired += 1;
+            self.drift.fill_from(&self.diff, graph);
             for (tree, memo) in self.trees.iter_mut().zip(&mut self.memos) {
                 repair_shortest_path_tree(
                     graph,
+                    &self.drift,
                     tree,
                     memo,
                     &mut self.repair,
@@ -659,7 +846,7 @@ impl IncrementalRouter {
             for (tree, d) in self.trees.iter_mut().zip(dests) {
                 shortest_path_tree_into(graph, d.0, &mut self.scratch, tree);
             }
-            // Fresh trees: nothing remembered.
+            // Fresh trees: nothing remembered, no certificates.
             self.memos.resize_with(dests.len(), TreeMemo::default);
             self.memos.iter_mut().for_each(TreeMemo::forget);
         }
@@ -704,6 +891,13 @@ mod tests {
         )
     }
 
+    /// What the router would hand each repair of `cur` after `prev`.
+    fn drift(prev: &DelayGraph, cur: &DelayGraph) -> Drift {
+        let mut drift = Drift::default();
+        drift.fill_from(&GraphDiff::between(prev, cur), cur);
+        drift
+    }
+
     fn assert_trees_identical(a: &SpTree, b: &SpTree, ctx: &str) {
         assert_eq!(a.dst, b.dst, "{ctx}: dst");
         assert_eq!(a.dist_ns, b.dist_ns, "{ctx}: distances");
@@ -714,16 +908,18 @@ mod tests {
     fn repair_matches_full_under_weight_drift() {
         let c = constellation();
         let dst = c.gs_node(0).0;
-        let mut tree =
-            crate::dijkstra::shortest_path_tree(&DelayGraph::snapshot(&c, SimTime::ZERO), dst);
+        let mut prev = DelayGraph::snapshot(&c, SimTime::ZERO);
+        let mut tree = crate::dijkstra::shortest_path_tree(&prev, dst);
         let (mut memo, mut scratch, mut stats) = Default::default();
         // Walk forward in time: every ISL weight drifts, GSLs flip as
         // satellites rise and set.
         for secs in [5u64, 10, 30, 90, 180] {
             let g = DelayGraph::snapshot(&c, SimTime::from_secs(secs));
-            repair_shortest_path_tree(&g, &mut tree, &mut memo, &mut scratch, &mut stats);
+            let drift = drift(&prev, &g);
+            repair_shortest_path_tree(&g, &drift, &mut tree, &mut memo, &mut scratch, &mut stats);
             let full = crate::dijkstra::shortest_path_tree(&g, dst);
             assert_trees_identical(&tree, &full, &format!("t={secs}s"));
+            prev = g;
         }
     }
 
@@ -744,18 +940,33 @@ mod tests {
         let nominal = DelayGraph::snapshot(&c, t);
         let masked = DelayGraph::snapshot_masked(&c, t, Some(&dark));
         let (mut scratch, mut stats) = Default::default();
+        let (onset, recovery) = (drift(&nominal, &masked), drift(&masked, &nominal));
         for dst in [c.gs_node(0).0, c.gs_node(2).0] {
             // Fault appears: repair nominal tree onto the masked graph.
             let mut tree = crate::dijkstra::shortest_path_tree(&nominal, dst);
             let mut memo = TreeMemo::default();
-            repair_shortest_path_tree(&masked, &mut tree, &mut memo, &mut scratch, &mut stats);
+            repair_shortest_path_tree(
+                &masked,
+                &onset,
+                &mut tree,
+                &mut memo,
+                &mut scratch,
+                &mut stats,
+            );
             assert_trees_identical(
                 &tree,
                 &crate::dijkstra::shortest_path_tree(&masked, dst),
                 "fault onset",
             );
             // Fault clears: repair the masked tree back onto nominal.
-            repair_shortest_path_tree(&nominal, &mut tree, &mut memo, &mut scratch, &mut stats);
+            repair_shortest_path_tree(
+                &nominal,
+                &recovery,
+                &mut tree,
+                &mut memo,
+                &mut scratch,
+                &mut stats,
+            );
             assert_trees_identical(
                 &tree,
                 &crate::dijkstra::shortest_path_tree(&nominal, dst),
@@ -764,10 +975,21 @@ mod tests {
         }
     }
 
+    /// What a run of fuzz cases did, summed.
+    #[derive(Debug, Default)]
+    struct ChainTotals {
+        router: RouterStats,
+        repair: RepairStats,
+        /// Possible scans in repaired steps that flipped no edge.
+        drift_only_scans: u64,
+        /// How many of those a certificate skipped.
+        drift_only_certified: u64,
+    }
+
     /// One fuzz case: a random small shell, ground segment, destination
     /// set and fault schedule; the router visits a random walk of instants
     /// and every tree it hands out is compared with full Dijkstra.
-    fn random_snapshot_chain(seed: u64, totals: &mut (RouterStats, RepairStats)) {
+    fn random_snapshot_chain(seed: u64, totals: &mut ChainTotals) {
         let rng = &mut DetRng::new(seed);
         let bent_pipe = rng.next_below(8) == 0;
         let altitude_km = [550.0, 1100.0][rng.next_below(2) as usize];
@@ -846,7 +1068,16 @@ mod tests {
             let t = SimTime::from_millis(t_ms);
             let mask = FaultState::at(&sched, t);
             let graph = buffers.snapshot_masked(&c, t, Some(&mask));
+            let (repaired, before) = (router.stats.repaired, router.repair_stats);
             router.compute_into(graph, t, &dests, &mut out);
+            if router.stats.repaired > repaired
+                && router.diff.inserted.is_empty()
+                && router.diff.deleted.is_empty()
+            {
+                let trees = router.repair_stats.trees - before.trees;
+                totals.drift_only_scans += trees * (graph.num_nodes() as u64 - 1);
+                totals.drift_only_certified += router.repair_stats.certified - before.certified;
+            }
 
             let ctx = format!("seed {seed} step {step} t={t_ms}ms");
             assert!(graph.edges(c.gs_node(n_gs as usize - 1).index()).is_empty(), "{ctx}: pole");
@@ -858,22 +1089,29 @@ mod tests {
                 assert_eq!(out.tree(*d).map(|t| t.dst), Some(d.0), "{ctx}: lookup");
             }
         }
-        totals.0.merge(&router.stats);
-        totals.1.merge(&router.repair_stats);
+        totals.router.merge(&router.stats);
+        totals.repair.merge(&router.repair_stats);
     }
 
     #[test]
     fn repair_equals_full_dijkstra_on_random_snapshot_chains() {
-        let mut totals = Default::default();
+        let mut totals = ChainTotals::default();
         for case in 0..240 {
             random_snapshot_chain(0x5eed_0000 + case, &mut totals);
         }
         // The suite is only worth its name if it reached every path.
-        let (router, repair) = totals;
+        let ChainTotals { router, repair, drift_only_scans, drift_only_certified } = totals;
         assert!(router.repaired > 3000 && router.fallback_churn > 0, "{router:?}");
         assert!(
             repair.retensed > 0 && repair.rescanned > 0 && repair.slot_misses > 0,
             "{repair:?}"
+        );
+        // Certificates skip scans, and most of them where only weights moved.
+        let drift_share = drift_only_certified as f64 / drift_only_scans.max(1) as f64;
+        assert!(repair.certified > 0, "{repair:?}");
+        assert!(
+            drift_share >= 0.5,
+            "{drift_only_certified} of {drift_only_scans} drift-only scans"
         );
     }
 
@@ -912,19 +1150,77 @@ mod tests {
                 }
                 DelayGraph::from_links(transit.clone(), &links)
             };
-            let first = draw(&mut rng);
+            let mut prev = draw(&mut rng);
             let mut trees: Vec<SpTree> =
-                (0..n as u32).map(|d| crate::dijkstra::shortest_path_tree(&first, d)).collect();
+                (0..n as u32).map(|d| crate::dijkstra::shortest_path_tree(&prev, d)).collect();
             let mut memos: Vec<TreeMemo> = (0..n).map(|_| TreeMemo::default()).collect();
             let (mut scratch, mut stats) = Default::default();
             for step in 0..12 {
                 let g = draw(&mut rng);
+                let drift = drift(&prev, &g);
                 for (tree, memo) in trees.iter_mut().zip(&mut memos) {
-                    repair_shortest_path_tree(&g, tree, memo, &mut scratch, &mut stats);
+                    repair_shortest_path_tree(&g, &drift, tree, memo, &mut scratch, &mut stats);
                     let full = crate::dijkstra::shortest_path_tree(&g, tree.dst);
                     assert_trees_identical(tree, &full, &format!("seed {seed} step {step}"));
                 }
+                prev = g;
             }
+        }
+    }
+
+    /// A runner-up within `B` of the parent voids the certificate: the
+    /// vertex is scanned and lands on the lowest-id parent of the new tie.
+    /// Vertex 3 reaches the destination 0 through 2 (10 + 5) or 1 (10 + 6),
+    /// a gap of 1; edge 1–3 then shortens by 1, so `B` equals the gap
+    /// (the test is strict) or, with a far edge 0–4 lengthening by 3,
+    /// exceeds it. Every other vertex keeps its certificate.
+    #[test]
+    fn a_runner_up_within_the_drift_bound_is_rescanned_onto_the_min_id_parent() {
+        for far_edge in [None, Some((10, 13))] {
+            let links = |w13: u32, w04: Option<u32>| {
+                let mut links = vec![(0, 1, 10), (0, 2, 10), (1, 3, w13), (2, 3, 5)];
+                links.extend(w04.map(|w| (0, 4, w)));
+                DelayGraph::from_links(vec![true; 4 + usize::from(w04.is_some())], &links)
+            };
+            let before = links(6, far_edge.map(|(w, _)| w));
+            let after = links(5, far_edge.map(|(_, w)| w));
+            let n = before.num_nodes();
+            let mut tree = crate::dijkstra::shortest_path_tree(&before, 0);
+            assert_eq!(tree.next_hop[3], Some(2));
+            let (mut memo, mut scratch) = (TreeMemo::default(), RepairScratch::default());
+            let mut stats = RepairStats::default();
+            // A fresh tree has no certificates: repairing it onto the same
+            // snapshot records every gap.
+            let same = drift(&before, &before);
+            repair_shortest_path_tree(
+                &before,
+                &same,
+                &mut tree,
+                &mut memo,
+                &mut scratch,
+                &mut stats,
+            );
+            assert_eq!((stats.certified, memo.gaps[3]), (0, 1), "{far_edge:?}");
+
+            let moved = drift(&before, &after);
+            assert_eq!(
+                moved.bound_ns,
+                far_edge.map_or(1, |(a, b)| u64::from(b - a)),
+                "{far_edge:?}"
+            );
+            repair_shortest_path_tree(
+                &after,
+                &moved,
+                &mut tree,
+                &mut memo,
+                &mut scratch,
+                &mut stats,
+            );
+            assert_eq!(tree.next_hop[3], Some(1), "{far_edge:?}: the tie goes to the lower id");
+            let full = crate::dijkstra::shortest_path_tree(&after, 0);
+            assert_trees_identical(&tree, &full, &format!("{far_edge:?}"));
+            assert_eq!(stats.certified, n as u64 - 2, "{far_edge:?}: all but 3 certified");
+            assert_eq!(memo.gaps[3], 0, "{far_edge:?}: the rescan recorded the tie");
         }
     }
 
@@ -958,6 +1254,12 @@ mod tests {
                 }
             }
             assert_eq!(router.stats.repaired, 199, "{}: {:?}", c.name, router.stats);
+            // A certificate that silently stops certifying is a slowdown
+            // nothing else would notice. Out of one scan per vertex but the
+            // destination, per repaired tree:
+            let RepairStats { certified, trees, .. } = router.repair_stats;
+            let share = certified as f64 / (trees * (c.num_nodes() as u64 - 1)) as f64;
+            assert!(share >= 0.8, "{}: certified share {share:.3}", c.name);
         }
     }
 

@@ -430,6 +430,7 @@ fn routing_json((router, repair): &(RouterStats, RepairStats)) -> Value {
             "retensed": repair.retensed,
             "rescanned": repair.rescanned,
             "slot_misses": repair.slot_misses,
+            "certified": repair.certified,
         },
     })
 }
@@ -517,7 +518,7 @@ mod tests {
             EphemerisStats { fits: 90, rejected_fits: 1, interpolated: 4000, exact_guard: 9 };
         let routing = (
             RouterStats { snapshots: 8, repaired: 7, fallback_first: 1, ..Default::default() },
-            RepairStats { trees: 70, retensed: 12, rescanned: 50, slot_misses: 3 },
+            RepairStats { trees: 70, retensed: 12, rescanned: 50, slot_misses: 3, certified: 900 },
         );
         sink.record_engine(&EngineReport {
             sim_shards: 4,
@@ -562,6 +563,7 @@ mod tests {
         assert_eq!(repair.get("retensed").and_then(Value::as_u64), Some(24));
         assert_eq!(repair.get("rescanned").and_then(Value::as_u64), Some(100));
         assert_eq!(repair.get("slot_misses").and_then(Value::as_u64), Some(6));
+        assert_eq!(repair.get("certified").and_then(Value::as_u64), Some(1800));
 
         // Queue telemetry is opt-in: counts sum, the two peaks are maxima.
         let stats = QueueStats {
