@@ -28,21 +28,102 @@
 //! device — the order the packet engine attaches devices in, so a link id
 //! is also `(node, device index)`. A re-solve then
 //!
-//! 1. walks each live bundle's path hop by hop straight off the
-//!    destination tree ([`ForwardingState::hops`]) — fault check and
-//!    link-id lookup (a scan of the node's ≤ 5 slots) in the same walk —
-//!    appending link ids to one CSR buffer (`hops`, `hop_start`);
-//! 2. renumbers the links that carry anything into a compact *loaded*
-//!    range in first-touch order, and inverts the hop lists into a second
-//!    CSR buffer of per-link member bundles (`members`, `member_start`);
-//! 3. water-fills over flat `weight` / `residual` arrays of the loaded
-//!    links and sums per-link load into `link_load`, a flat array over
-//!    all link ids that (with `pushed`) persists between solves.
+//! 1. lays each live bundle's path out as link ids in one CSR buffer
+//!    (`links`, `hop_start`): copied from the previous solve where the
+//!    destination tree kept its next hops (*Path reuse* below), else
+//!    walked hop by hop straight off the tree
+//!    ([`ForwardingState::hops`]) — fault check and link-id lookup (a
+//!    scan of the node's ≤ 5 slots) in the same walk;
+//! 2. inverts the hop lists into a second CSR buffer of per-link member
+//!    bundles (`members`, `member_start`), indexed by link id;
+//! 3. water-fills, bringing a link's residual up to date only in the
+//!    rounds where it could decide the round (*Lazy residuals* below),
+//!    and sums per-link load into `link_load`, a flat array over all link
+//!    ids that (with `pushed`) persists between solves.
 //!
-//! Cost: O(Σ path length + rounds × loaded links). Every buffer lives in
-//! a scratch struct owned by the [`FluidNet`] and is cleared, never
-//! reallocated, so a steady-state re-solve allocates nothing.
+//! Cost: O(Σ path length) to lay out, index and load the paths, plus the
+//! walk of the bundles whose tree moved, plus O((loaded links +
+//! candidates) · log links + residual updates) for the fill — where
+//! *candidates* are the links a round has to look at exactly and
+//! *residual updates* the rounds replayed for them. Measured on K1 / 100
+//! cities / 10⁵ flows in 9 758 bundles over 31 solves 100 ms apart: 81 %
+//! of the paths copied, ≈ 1.1 candidates per round, and 0.63 M residual
+//! updates where updating every loaded link every round made 17 M. Every
+//! buffer lives in a scratch struct owned by the [`FluidNet`] and is
+//! cleared, never reallocated, so a steady-state re-solve allocates
+//! nothing.
 //!
+//! # Path reuse
+//!
+//! Between two forwarding steps most destination trees keep every next
+//! hop (≈ 83 % of them 100 ms apart on K1), so most paths are the
+//! previous solve's. The solver keeps every bundle's link-id row from the
+//! last solve, and a packed copy of each destination tree's next hops
+//! that the new trees are compared with, entry by entry (`None`
+//! included). A bundle whose tree is unchanged copies its row — or its
+//! "unroutable" — and skips the walk, the link lookups and the fault
+//! check; every other bundle is walked. Nothing is reused on the first
+//! solve, after [`FluidNet::restore`] or a link-table rebuild, when
+//! `fwd.dests` changed, or when a fault is active now or was at the
+//! previous solve. The copy is exact: with no fault masking it, a
+//! bundle's path, and whether it has one, depends on nothing but its
+//! tree's next hops, its source and its destination, and a link id on
+//! nothing but the link table. The cache is derived state; it never
+//! enters a checkpoint.
+//!
+//! # Lazy residuals
+//!
+//! The fill keeps the eager loop's rounds and arithmetic — the same
+//! `inc` sequence, `level += inc`, demand freezes and saturation test —
+//! but a link matters to a round only if it could set the increment (the
+//! smallest `r / w`) or saturate (`r ≤ cap · EPS`), so it does not update
+//! every live link's residual every round:
+//!
+//! * Every live link has an approximate saturation level
+//!   `A = (cap − F) / w`, where `w` is its unfrozen weight and `F` the
+//!   load its frozen members froze at: its unfrozen flows all rise with
+//!   the level, so in exact arithmetic it saturates exactly there, and
+//!   `A` moves only when a member freezes. Around `A` sits the bracket
+//!   `A ± m · cap / w`.
+//! * Links wait in a min-queue keyed on the bottom of their bracket as
+//!   queued. A member freezing at level `L` scales both `A − L` and the
+//!   bracket's half-width by `w_old / w_new > 1`, so a bracket that lies
+//!   above the level only rises: a stale key is a lower bound, re-keyed
+//!   when it reaches the head.
+//! * A round's *candidates* are the links whose bracket bottom is at or
+//!   below the top of the head's bracket. Each is *replayed*: the eager
+//!   `r −= w · inc_j` for every round since its last replay, each with the
+//!   weight that round started with (the present weight plus every
+//!   member that froze since, up to the round it froze in) — the very
+//!   floats the eager loop computes. `inc` and the saturation set come
+//!   from those exact values, and a link whose weight reaches 0 leaves the
+//!   queue without ever needing its residual.
+//!
+//! *Why this is exact.* Let `s = level + r / w` be the saturation level
+//! the eager residual `r` implies, and suppose `|A − s| ≤ e < m · cap / w`
+//! for every live link. The link with the smallest `r / w` then has
+//! `A − m · cap / w < s ≤ s_head < top`, so it is a candidate, and the
+//! minimum over the candidates' exact `r / w` is the eager `inc`. A link
+//! that saturates this round has `s ≤ level + inc + cap · EPS / w ≤ top +
+//! cap · EPS / w`, so it is a candidate too once `m · cap / w ≥ e + cap ·
+//! EPS / w`. Every bundle a saturating link freezes gets the round's
+//! level whichever link freezes it first, and weights are integer flow
+//! counts, so the frozen set, the rates and the weights are the eager
+//! loop's, bit for bit.
+//!
+//! *The margin.* With `u = 2⁻⁵³`, `n` active bundles (so at most `n + 1`
+//! rounds and `n` freezes per link) and `w · level ≤ cap` on a live link,
+//! the errors in units of `cap` are: the eager residual's rounding,
+//! ≤ `(n + 2) u` (one subtraction per round; the products sum to at most
+//! `cap`); the level's, ≤ `(n + 1) u` (a sum of non-negative increments);
+//! `F`'s, ≤ `(3n + 1) u` (per freeze: the level's error, the product, the
+//! sum); and a few `u` forming `A` and `s`. So `e ≤ (5n + 9) u · cap / w ≤
+//! 7n · 2⁻⁵² · cap / w`. The margin `m = max(1e-9, n · 2⁻⁴⁵)` is at least
+//! `128n · 2⁻⁵²`, over 18 times that bound, and it is at least 1e-9, a
+//! thousand times `EPS` — so both conditions above hold with room to
+//! spare for the few `u` of rounding in the brackets and keys themselves.
+//! A wider margin only adds candidates; it never changes a result.
+
 //! # Hybrid coupling
 //!
 //! In [`SimMode::Hybrid`] the aggregate fluid load of each directed link
@@ -59,11 +140,12 @@
 //! Re-solves happen at canonical global-event instants — the
 //! `(time, key)` points the event loop applies coordinator work at —
 //! and the allocation is a pure function of (forwarding state,
-//! fault state, flow table), evaluated in a deterministic order
-//! (install-order bundles, first-touch links, ascending member bundles
-//! per link; reports and checkpoints list links in ascending
-//! `(node, peer)` order). Observables are therefore bit-identical at any
-//! `sim_shards`.
+//! fault state, flow table) — the path cache and the fill's candidate
+//! order change which floats are computed, never their values —
+//! evaluated in a deterministic order (install-order bundles, link ids,
+//! ascending member bundles per link; reports and checkpoints list links
+//! in ascending `(node, peer)` order). Observables are therefore
+//! bit-identical at any `sim_shards`.
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::packet::HEADER_BYTES;
@@ -71,7 +153,9 @@ use hypatia_constellation::{Constellation, NodeId};
 use hypatia_fault::FaultState;
 use hypatia_routing::forwarding::ForwardingState;
 use hypatia_util::{DataRate, SimTime};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// How the simulator treats bulk flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,8 +205,23 @@ pub(crate) type LinkKey = (u32, u32);
 /// Relative tolerance for freeze decisions in the water-filling loop.
 const EPS: f64 = 1e-12;
 
-/// "Not loaded" in the link-id → loaded-index map.
-const UNLOADED: u32 = u32::MAX;
+/// The lazy fill's bracket around a link's saturation level is
+/// `± margin · cap / w`, with `margin = max(MARGIN, n · MARGIN_PER_BUNDLE)`
+/// over `n` active bundles: more than ten times the rounding the bracket
+/// can accumulate (module doc, *Lazy residuals*).
+const MARGIN: f64 = 1e-9;
+const MARGIN_PER_BUNDLE: f64 = 128.0 * f64::EPSILON;
+
+/// "Not frozen yet" in [`Scratch::frozen_at`].
+const UNFROZEN: u32 = u32::MAX;
+
+/// "No next hop" in a packed next-hop table.
+const NO_HOP: u32 = u32::MAX;
+
+/// [`PathCache::row`] marks: the bundle had no route at the last solve;
+/// nothing is known about it (it was stopped, masked, or not yet solved).
+const ROW_UNROUTABLE: u32 = u32::MAX;
+const ROW_UNKNOWN: u32 = u32::MAX - 1;
 
 /// Dense ids for every directed link device of one constellation.
 ///
@@ -231,8 +330,14 @@ pub struct FluidSolve {
     pub active_bundles: u64,
     /// Distinct links on their paths.
     pub links_loaded: u64,
-    /// Σ path length over those bundles.
+    /// Hops walked off a destination tree (bundles whose path was not
+    /// reused).
     pub hops_walked: u64,
+    /// Bundles whose path was copied from the previous solve because their
+    /// destination tree's next hops had not changed.
+    pub paths_reused: u64,
+    /// Per-link residual updates (`r -= w · inc`) the fill performed.
+    pub residual_updates: u64,
     /// Residual device rates pushed to the packet engine (hybrid mode).
     pub residual_pushes: u64,
 }
@@ -243,6 +348,8 @@ impl FluidSolve {
         self.active_bundles += other.active_bundles;
         self.links_loaded += other.links_loaded;
         self.hops_walked += other.hops_walked;
+        self.paths_reused += other.paths_reused;
+        self.residual_updates += other.residual_updates;
         self.residual_pushes += other.residual_pushes;
     }
 }
@@ -302,37 +409,47 @@ impl Bundle {
 
 /// Per-resolve working memory: cleared at every solve, never reallocated
 /// once warm. "Active" indexes the bundles a solve allocates to, in
-/// install order; "loaded" indexes the links on their paths, in
-/// first-touch order.
-#[derive(Debug, Default)]
+/// install order; links are indexed by link id.
+#[derive(Debug, Default, Clone)]
 struct Scratch {
     /// Bundle index of each active bundle.
     active: Vec<u32>,
     /// Flow multiplicity and per-flow demand (bits/s) of each.
     mult: Vec<f64>,
     demand: Vec<f64>,
-    /// CSR of hop lists: active bundle `ai` crosses the loaded links
-    /// `hops[hop_start[ai]..hop_start[ai + 1]]`.
+    /// CSR of hop lists: active bundle `ai` crosses the links
+    /// `links[hop_start[ai]..hop_start[ai + 1]]`.
     hop_start: Vec<u32>,
-    hops: Vec<u32>,
-    /// Link id of each loaded link, and the inverse map over all link
-    /// ids ([`UNLOADED`] elsewhere).
-    loaded: Vec<u32>,
-    loaded_of: Vec<u32>,
-    /// CSR of member lists: loaded link `l` carries the active bundles
+    links: Vec<u32>,
+    /// [`PathCache::row`] as this solve finds it, per bundle.
+    row: Vec<u32>,
+    /// CSR of member lists: link `l` carries the active bundles
     /// `members[member_start[l]..member_start[l + 1]]`, ascending.
     member_start: Vec<u32>,
     members: Vec<u32>,
-    /// Per loaded link: capacity, unallocated capacity, and unfrozen flow
-    /// multiplicity. Multiplicities are integers, so the incremental
-    /// subtraction in the fill is exact: a fully frozen link reaches
-    /// weight 0.0, not rounding dust.
-    cap: Vec<f64>,
-    residual: Vec<f64>,
+    /// Per link: unfrozen flow multiplicity. Multiplicities are integers,
+    /// so the incremental subtraction in the fill is exact: a fully
+    /// frozen link reaches weight 0.0, not rounding dust.
     weight: Vec<f64>,
-    /// Per active bundle: allocated rate and whether it is final.
+    /// Per link: Σ multiplicity × rate over its frozen member bundles.
+    frozen_load: Vec<f64>,
+    /// Per link: the exact residual as of the end of round `since`.
+    resid: Vec<f64>,
+    since: Vec<u32>,
+    /// The water-level increment of each round (index 0: before the
+    /// first), and a zeroed scratch row over rounds for [`Self::replay`].
+    incs: Vec<f64>,
+    thawed: Vec<f64>,
+    /// Every live link not under consideration this round, keyed on the
+    /// [`order_key`] of the bottom of its bracket when it was queued: a
+    /// lower bound on the bottom of its current bracket.
+    queue: BinaryHeap<Reverse<(u64, u32)>>,
+    /// This round's candidate links.
+    cand: Vec<u32>,
+    /// Per active bundle: allocated rate and the round it froze in
+    /// ([`UNFROZEN`] while it has not).
     rate: Vec<f64>,
-    frozen: Vec<bool>,
+    frozen_at: Vec<u32>,
     /// Active bundles by ascending demand (ties in install order).
     by_demand: Vec<u32>,
     /// Output buffer of [`FluidNet::residual_changes`].
@@ -340,80 +457,52 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn hops_of(&self, ai: usize) -> &[u32] {
-        &self.hops[self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize]
+    fn links_of(&self, ai: usize) -> &[u32] {
+        &self.links[self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize]
     }
 
-    /// Renumber the links the hop lists name into the loaded range, and
-    /// build per-link capacities, weights and member lists from them.
-    fn index_loaded_links(&mut self, link_cap: &[f64]) {
-        self.loaded_of.fill(UNLOADED);
-        self.loaded.clear();
-        self.cap.clear();
+    /// Build per-link weights and member lists over `num_links` link ids
+    /// from the hop lists. Returns how many links carry a bundle.
+    fn index_members(&mut self, num_links: usize) -> u64 {
         self.weight.clear();
+        self.weight.resize(num_links, 0.0);
         self.member_start.clear();
-        for ai in 0..self.active.len() {
-            let m = self.mult[ai];
-            for h in self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize {
-                let link = self.hops[h] as usize;
-                if self.loaded_of[link] == UNLOADED {
-                    self.loaded_of[link] = self.loaded.len() as u32;
-                    self.loaded.push(link as u32);
-                    self.cap.push(link_cap[link]);
-                    self.weight.push(0.0);
-                    self.member_start.push(0);
-                }
-                let l = self.loaded_of[link];
-                self.hops[h] = l;
+        self.member_start.resize(num_links + 1, 0);
+        for (ai, &m) in self.mult.iter().enumerate() {
+            let hops = self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize;
+            for &l in &self.links[hops] {
                 self.weight[l as usize] += m;
                 self.member_start[l as usize] += 1;
             }
         }
         // Counts → end offsets; filling in descending bundle order walks
         // each offset back down to its start and leaves members ascending.
-        let mut end = 0;
+        let (mut end, mut loaded) = (0, 0);
         for count in &mut self.member_start {
+            loaded += u64::from(*count > 0);
             end += *count;
             *count = end;
         }
-        self.member_start.push(end);
         self.members.clear();
         self.members.resize(end as usize, 0);
         for ai in (0..self.active.len()).rev() {
-            for h in self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize {
-                let slot = &mut self.member_start[self.hops[h] as usize];
+            let hops = self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize;
+            for &l in &self.links[hops] {
+                let slot = &mut self.member_start[l as usize];
                 *slot -= 1;
                 self.members[*slot as usize] = ai as u32;
             }
         }
+        loaded
     }
 
-    /// Mark `ai` final at its current rate and take its flows off the
-    /// unfrozen weight of every link it crosses.
-    fn freeze(&mut self, ai: usize) {
-        self.frozen[ai] = true;
-        let m = self.mult[ai];
-        for h in self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize {
-            self.weight[self.hops[h] as usize] -= m;
-        }
-    }
-
-    /// Progressive filling in incremental form. Every unfrozen flow's
-    /// rate rises uniformly from zero, so a single scalar water level
-    /// describes all of them; a bundle freezes when the level reaches its
-    /// demand (sorted-demand pointer) or a link on its path saturates
-    /// (per-link member lists). Link weights are updated only when a
-    /// bundle freezes, so the fill costs O(rounds × links + Σ path
-    /// length) instead of the naive O(rounds × Σ path length). Returns
-    /// `(final level, rounds)`; bundles still unfrozen (numerical
-    /// backstop exit only) are settled by [`Self::close_fill`].
-    fn fill(&mut self) -> (f64, u64) {
+    /// Reset rates and freeze marks and sort the active bundles by demand.
+    fn start_fill(&mut self) {
         let n = self.active.len();
-        self.residual.clone_from(&self.cap);
         self.rate.clear();
         self.rate.resize(n, 0.0);
-        self.frozen.clear();
-        self.frozen.resize(n, false);
+        self.frozen_at.clear();
+        self.frozen_at.resize(n, UNFROZEN);
         self.by_demand.clear();
         self.by_demand.extend(0..n as u32);
         let demand = &self.demand;
@@ -422,57 +511,193 @@ impl Scratch {
         self.by_demand.sort_unstable_by(|&a, &b| {
             demand[a as usize].total_cmp(&demand[b as usize]).then(a.cmp(&b))
         });
+    }
+
+    /// Allocate `ai` the water level `level` and take its flows off the
+    /// unfrozen weight of every link it crosses, in round `round`.
+    fn freeze(&mut self, ai: usize, round: u32, level: f64) {
+        self.rate[ai] = level;
+        self.frozen_at[ai] = round;
+        let (m, load) = (self.mult[ai], self.mult[ai] * level);
+        for &l in &self.links[self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize] {
+            self.weight[l as usize] -= m;
+            self.frozen_load[l as usize] += load;
+        }
+    }
+
+    /// Bring link `l`'s residual up to date through round `to`: the eager
+    /// fill's `r -= w * inc` for every round since the last replay, each
+    /// with the weight that round started with — the present weight plus
+    /// every member that froze since, up to the round it froze in.
+    /// Returns the number of updates made.
+    fn replay(&mut self, l: usize, to: u32) -> u64 {
+        let from = self.since[l];
+        if from == to {
+            return 0;
+        }
+        // `thawed[round]`: the multiplicity that left the weight after
+        // `round`.
+        let mut w = self.weight[l];
+        for &ai in &self.members[self.member_start[l] as usize..self.member_start[l + 1] as usize] {
+            let round = self.frozen_at[ai as usize];
+            if round > from && round != UNFROZEN {
+                let m = self.mult[ai as usize];
+                self.thawed[round as usize] += m;
+                w += m;
+            }
+        }
+        let mut r = self.resid[l];
+        let rounds = from as usize + 1..=to as usize;
+        for (&inc, thawed) in self.incs[rounds.clone()].iter().zip(&mut self.thawed[rounds]) {
+            r -= w * inc;
+            w -= *thawed;
+            *thawed = 0.0;
+        }
+        self.resid[l] = r;
+        self.since[l] = to;
+        u64::from(to - from)
+    }
+
+    /// Take this round's candidates off the queue into `cand`: every live
+    /// link whose bracket reaches below the top of the bracket of the
+    /// queue's first current entry. The link with the smallest exact
+    /// `r / w` is one, and so is every link this round saturates. An entry
+    /// whose link changed weight since it was queued is re-keyed before it
+    /// is judged; dead links are dropped.
+    fn take_candidates(&mut self, cand: &mut Vec<u32>, cap: &[f64], margin: f64) {
+        let top = loop {
+            let Some(mut head) = self.queue.peek_mut() else { break f64::INFINITY };
+            let Reverse((key, l)) = *head;
+            let l = l as usize;
+            if self.weight[l] == 0.0 {
+                PeekMut::pop(head);
+                continue;
+            }
+            let (lo, hi) = bracket(self.weight[l], self.frozen_load[l], cap[l], margin);
+            if order_key(lo) == key {
+                break hi;
+            }
+            *head = Reverse((order_key(lo), l as u32));
+        };
+        let limit = order_key(top);
+        cand.clear();
+        while let Some(&Reverse((key, l))) = self.queue.peek() {
+            if key > limit {
+                break;
+            }
+            self.queue.pop();
+            let l = l as usize;
+            if self.weight[l] == 0.0 {
+                continue;
+            }
+            let lo = order_key(bracket(self.weight[l], self.frozen_load[l], cap[l], margin).0);
+            if lo > limit {
+                self.queue.push(Reverse((lo, l as u32)));
+            } else {
+                cand.push(l as u32);
+            }
+        }
+    }
+
+    /// Progressive filling in incremental form over links of capacity
+    /// `cap`. Every unfrozen flow's rate rises uniformly from zero, so a
+    /// single scalar water level describes all of them; a bundle freezes
+    /// when the level reaches its demand (sorted-demand pointer) or a link
+    /// on its path saturates (per-link member lists). Link weights change
+    /// only when a bundle freezes, and a link's residual is brought up to
+    /// date only in the rounds where it is a *candidate* — where its
+    /// bracket says it could set the increment or saturate (module doc,
+    /// *Lazy residuals*) — so every decision is the eager loop's, made on
+    /// the same floats. Returns `(final level, rounds, residual updates)`;
+    /// bundles still unfrozen (numerical backstop exit only) are settled
+    /// by [`Self::close_fill`].
+    fn fill(&mut self, cap: &[f64]) -> (f64, u64, u64) {
+        let n = self.active.len();
+        self.start_fill();
+        let margin = MARGIN.max(n as f64 * MARGIN_PER_BUNDLE);
+        let links = self.weight.len();
+        self.resid.clear();
+        self.resid.extend_from_slice(cap);
+        self.since.clear();
+        self.since.resize(links, 0);
+        self.frozen_load.clear();
+        self.frozen_load.resize(links, 0.0);
+        let mut queue = std::mem::take(&mut self.queue);
+        queue.clear();
+        queue.extend((0..links).filter(|&l| self.weight[l] > 0.0).map(|l| {
+            Reverse((order_key(bracket(self.weight[l], 0.0, cap[l], margin).0), l as u32))
+        }));
+        self.queue = queue;
+        self.incs.clear();
+        self.incs.push(0.0);
+        self.thawed.clear();
+        self.thawed.push(0.0);
+        let mut cand = std::mem::take(&mut self.cand);
         let mut dptr = 0;
         let mut level = 0.0f64;
         let mut unfrozen = n;
-        let mut rounds = 0;
+        let mut round = 0u32;
+        let mut updates = 0;
         while unfrozen > 0 {
-            rounds += 1;
-            while dptr < n && self.frozen[self.by_demand[dptr] as usize] {
+            round += 1;
+            while dptr < n && self.frozen_at[self.by_demand[dptr] as usize] != UNFROZEN {
                 dptr += 1;
             }
+            self.take_candidates(&mut cand, cap, margin);
             // Next freeze: whichever comes first — a link saturating or
             // the lowest unfrozen demand. Unfrozen rates all equal
             // `level`, so the demand gap needs only the sorted head.
             let mut inc = f64::INFINITY;
-            for (&w, &r) in self.weight.iter().zip(&self.residual) {
-                if w > 0.0 {
-                    inc = inc.min((r / w).max(0.0));
-                }
+            for &l in &cand {
+                let l = l as usize;
+                updates += self.replay(l, round - 1);
+                inc = inc.min((self.resid[l] / self.weight[l]).max(0.0));
             }
             if let Some(&ai) = self.by_demand.get(dptr) {
                 inc = inc.min(self.demand[ai as usize] - level);
             }
             let inc = if inc.is_finite() { inc.max(0.0) } else { 0.0 };
             level += inc;
-            for (r, &w) in self.residual.iter_mut().zip(&self.weight) {
-                *r -= w * inc;
+            self.incs.push(inc);
+            self.thawed.push(0.0);
+            for &l in &cand {
+                let l = l as usize;
+                self.resid[l] -= self.weight[l] * inc;
+                self.since[l] = round;
             }
+            updates += cand.len() as u64;
             let mut newly = 0;
             while let Some(&ai) = self.by_demand.get(dptr) {
                 let ai = ai as usize;
-                if self.frozen[ai] {
+                if self.frozen_at[ai] != UNFROZEN {
                     dptr += 1;
                     continue;
                 }
                 if level < self.demand[ai] * (1.0 - EPS) {
                     break;
                 }
-                self.rate[ai] = level;
-                self.freeze(ai);
+                self.freeze(ai, round, level);
                 newly += 1;
                 dptr += 1;
             }
-            for l in 0..self.loaded.len() {
-                if self.weight[l] > 0.0 && self.residual[l] <= self.cap[l] * EPS {
+            for &l in &cand {
+                let l = l as usize;
+                if self.weight[l] > 0.0 && self.resid[l] <= cap[l] * EPS {
                     for k in self.member_start[l] as usize..self.member_start[l + 1] as usize {
                         let ai = self.members[k] as usize;
-                        if !self.frozen[ai] {
-                            self.rate[ai] = level;
-                            self.freeze(ai);
+                        if self.frozen_at[ai] == UNFROZEN {
+                            self.freeze(ai, round, level);
                             newly += 1;
                         }
                     }
+                }
+            }
+            for &l in &cand {
+                let l = l as usize;
+                if self.weight[l] > 0.0 {
+                    let (lo, _) = bracket(self.weight[l], self.frozen_load[l], cap[l], margin);
+                    let key = order_key(lo);
+                    self.queue.push(Reverse((key, l as u32)));
                 }
             }
             if newly == 0 {
@@ -483,7 +708,8 @@ impl Scratch {
             }
             unfrozen -= newly;
         }
-        (level, rounds)
+        self.cand = cand;
+        (level, u64::from(round), updates)
     }
 
     /// End a fill at water level `level`: bundles the loop left unfrozen
@@ -491,17 +717,106 @@ impl Scratch {
     /// bundle's load summed onto its links (ascending bundle order per
     /// link), so the loads cover exactly the rates handed out.
     fn close_fill(&mut self, level: f64, link_load: &mut [f64]) {
-        for (rate, &frozen) in self.rate.iter_mut().zip(&self.frozen) {
-            if !frozen {
+        for (rate, &round) in self.rate.iter_mut().zip(&self.frozen_at) {
+            if round == UNFROZEN {
                 *rate = level;
             }
         }
         for ai in 0..self.rate.len() {
             let load = self.rate[ai] * self.mult[ai];
             if load > 0.0 {
-                for &l in self.hops_of(ai) {
-                    link_load[self.loaded[l as usize] as usize] += load;
+                for &l in self.links_of(ai) {
+                    link_load[l as usize] += load;
                 }
+            }
+        }
+    }
+}
+
+/// The bracket `(bottom, top)` around the water level at which a live
+/// link of capacity `cap` saturates, given its unfrozen weight and frozen
+/// load: every flow on it that is not frozen rises with the level, so it
+/// saturates at `(cap − frozen load) / weight`, give or take the rounding
+/// the module doc bounds, which the `± margin · cap / weight` covers.
+fn bracket(weight: f64, frozen_load: f64, cap: f64, margin: f64) -> (f64, f64) {
+    let sat = (cap - frozen_load) / weight;
+    let span = margin * cap / weight;
+    (sat - span, sat + span)
+}
+
+/// A `u64` whose order is `x`'s numeric order (for finite `x` and `+∞`).
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// What the previous solve walked, so the next can copy the rows of
+/// bundles whose destination tree kept its next hops. Derived state: it
+/// is never checkpointed, and [`FluidNet::restore`] drops it.
+#[derive(Debug, Default)]
+struct PathCache {
+    /// The rows may be reused: a solve with no fault active ran since
+    /// construction, the last restore, or the last link-table build.
+    valid: bool,
+    /// `fwd.dests` of the last solve.
+    dests: Vec<NodeId>,
+    /// Their trees' next hops ([`NO_HOP`] for none), `dests.len()` rows
+    /// of one entry per node.
+    next_hop: Vec<u32>,
+    /// By node index: the tree towards that node has the next hops it
+    /// had at the last solve.
+    same_tree: Vec<bool>,
+    /// Per bundle, what the last solve found: the active index of its row
+    /// in (`start`, `links`), [`ROW_UNROUTABLE`] or [`ROW_UNKNOWN`].
+    row: Vec<u32>,
+    start: Vec<u32>,
+    links: Vec<u32>,
+}
+
+impl PathCache {
+    /// Compare `fwd`'s trees with the last solve's and remember `fwd`'s.
+    /// Returns whether rows may be reused this solve at all: the cache is
+    /// valid, the destinations are the same, and no fault is active now.
+    fn compare(&mut self, fwd: &ForwardingState, nodes: usize, faulted: bool) -> bool {
+        let same_dests = self.dests == fwd.dests && self.next_hop.len() == self.dests.len() * nodes;
+        if !same_dests {
+            self.dests.clone_from(&fwd.dests);
+            self.next_hop.clear();
+            self.next_hop.resize(self.dests.len() * nodes, NO_HOP);
+        }
+        self.same_tree.clear();
+        self.same_tree.resize(nodes, false);
+        for (d, packed) in self.dests.iter().zip(self.next_hop.chunks_exact_mut(nodes)) {
+            let tree = fwd.tree(*d).expect("every destination of a forwarding state has a tree");
+            let same =
+                packed.iter().zip(&tree.next_hop).all(|(&p, hop)| p == hop.unwrap_or(NO_HOP));
+            if !same {
+                for (p, hop) in packed.iter_mut().zip(&tree.next_hop) {
+                    *p = hop.unwrap_or(NO_HOP);
+                }
+            }
+            self.same_tree[d.index()] = same_dests && same;
+        }
+        self.valid && same_dests && !faulted
+    }
+
+    /// The last solve's row of bundle `bi` towards `dst`, if it may stand
+    /// in for a walk: `Some(None)` for "unroutable", `Some(Some(links))`
+    /// for a route.
+    fn reusable(&self, bi: usize, dst: NodeId) -> Option<Option<&[u32]>> {
+        if !self.same_tree[dst.index()] {
+            return None;
+        }
+        match self.row.get(bi).copied().unwrap_or(ROW_UNKNOWN) {
+            ROW_UNKNOWN => None,
+            ROW_UNROUTABLE => Some(None),
+            ai => {
+                let ai = ai as usize;
+                Some(Some(&self.links[self.start[ai] as usize..self.start[ai + 1] as usize]))
             }
         }
     }
@@ -535,6 +850,7 @@ pub struct FluidNet {
     last_advanced: SimTime,
     resolves: u64,
     scratch: Scratch,
+    paths: PathCache,
     stats: FluidStats,
 }
 
@@ -555,6 +871,7 @@ impl FluidNet {
             last_advanced: SimTime::ZERO,
             resolves: 0,
             scratch: Scratch::default(),
+            paths: PathCache::default(),
             stats: FluidStats::default(),
         }
     }
@@ -640,7 +957,7 @@ impl FluidNet {
             self.links.peer.iter().map(|&p| if p == GSL_PEER { gsl } else { isl }).collect();
         self.link_load = vec![0.0; n];
         self.pushed = vec![0; n];
-        self.scratch.loaded_of = vec![UNLOADED; n];
+        self.paths.valid = false;
     }
 
     /// Recompute the max-min fair rate vector over the current forwarding
@@ -661,38 +978,64 @@ impl FluidNet {
             self.next_boundary += 1;
         }
         self.ensure_links(constellation);
+        let faulted = faults.is_some_and(|f| !f.all_up());
+        let reuse = self.paths.compare(fwd, constellation.num_nodes(), faulted);
 
-        // Trace each active bundle's path onto directed link devices.
+        // Trace each active bundle's path onto directed link devices:
+        // copied from the last solve where its tree kept its next hops,
+        // walked off the tree otherwise.
         let s = &mut self.scratch;
         s.active.clear();
         s.mult.clear();
         s.demand.clear();
-        s.hops.clear();
+        s.links.clear();
         s.hop_start.clear();
         s.hop_start.push(0);
+        s.row.clear();
+        let (mut walked, mut reused) = (0, 0);
         for (bi, b) in self.bundles.iter_mut().enumerate() {
             b.rate_bps = 0.0;
             if t >= b.stop_at {
+                s.row.push(ROW_UNKNOWN);
                 continue;
             }
-            let Some(mut walk) = fwd.hops(b.src, b.dst) else { continue };
-            let start = s.hops.len();
-            let up = walk.all(|(from, to)| {
-                s.hops.push(self.links.of_hop(from, to));
-                faults.iter().all(|f| hop_up(f, constellation, from, to))
-            });
-            if !up {
-                s.hops.truncate(start);
-                continue;
+            let cached = if reuse { self.paths.reusable(bi, b.dst) } else { None };
+            match cached {
+                Some(Some(row)) => {
+                    s.links.extend_from_slice(row);
+                    reused += 1;
+                }
+                Some(None) => {
+                    s.row.push(ROW_UNROUTABLE);
+                    continue;
+                }
+                None => {
+                    let Some(mut walk) = fwd.hops(b.src, b.dst) else {
+                        s.row.push(ROW_UNROUTABLE);
+                        continue;
+                    };
+                    let start = s.links.len();
+                    let up = walk.all(|(from, to)| {
+                        s.links.push(self.links.of_hop(from, to));
+                        faults.iter().all(|f| hop_up(f, constellation, from, to))
+                    });
+                    walked += s.links.len() - start;
+                    if !up {
+                        s.links.truncate(start);
+                        s.row.push(ROW_UNKNOWN);
+                        continue;
+                    }
+                }
             }
+            s.row.push(s.active.len() as u32);
             s.active.push(bi as u32);
             s.mult.push(b.flow_ids.len() as f64);
             s.demand.push(b.demand_bps as f64);
-            s.hop_start.push(s.hops.len() as u32);
+            s.hop_start.push(s.links.len() as u32);
         }
 
-        s.index_loaded_links(&self.link_cap);
-        let (level, rounds) = s.fill();
+        let links_loaded = s.index_members(self.link_cap.len());
+        let (level, rounds, residual_updates) = s.fill(&self.link_cap);
         self.link_load.fill(0.0);
         s.close_fill(level, &mut self.link_load);
         for (&bi, &rate) in s.active.iter().zip(&s.rate) {
@@ -702,13 +1045,22 @@ impl FluidNet {
         let solve = FluidSolve {
             rounds,
             active_bundles: s.active.len() as u64,
-            links_loaded: s.loaded.len() as u64,
-            hops_walked: s.hops.len() as u64,
+            links_loaded,
+            hops_walked: walked as u64,
+            paths_reused: reused,
+            residual_updates,
             residual_pushes: 0,
         };
         self.stats.resolves += 1;
         self.stats.total.add(&solve);
         self.stats.last = solve;
+
+        // This solve's rows are the next one's cache.
+        let paths = &mut self.paths;
+        std::mem::swap(&mut paths.row, &mut s.row);
+        std::mem::swap(&mut paths.start, &mut s.hop_start);
+        std::mem::swap(&mut paths.links, &mut s.links);
+        paths.valid = !faulted;
     }
 
     /// Residual device rates that changed since the last push (hybrid
@@ -908,6 +1260,7 @@ impl FluidNet {
         }
         self.last_advanced = r.get_time()?;
         self.resolves = r.get_u64()?;
+        self.paths.valid = false;
         Ok(())
     }
 }
@@ -968,6 +1321,108 @@ mod tests {
 
     fn forwarding(c: &Constellation, dests: &[NodeId]) -> ForwardingState {
         forwarding_at(c, SimTime::ZERO, dests)
+    }
+
+    impl Scratch {
+        /// The fill as it was before lazy residuals, kept as the oracle of
+        /// [`Scratch::fill`]: every live link's residual updated every
+        /// round, three passes over the links per round. Returns
+        /// `(final level, rounds, near-tie rounds)`, the last counting the
+        /// rounds in which two live links' `r / w` differ but lie within
+        /// 1e-12 of each other at the bottom.
+        fn fill_eager(&mut self, cap: &[f64]) -> (f64, u64, u64) {
+            let n = self.active.len();
+            self.start_fill();
+            let mut residual = cap.to_vec();
+            let mut dptr = 0;
+            let mut level = 0.0f64;
+            let mut unfrozen = n;
+            let mut rounds = 0;
+            let mut near_ties = 0;
+            while unfrozen > 0 {
+                rounds += 1;
+                while dptr < n && self.frozen_at[self.by_demand[dptr] as usize] != UNFROZEN {
+                    dptr += 1;
+                }
+                let mut inc = f64::INFINITY;
+                for (&w, &r) in self.weight.iter().zip(&residual) {
+                    if w > 0.0 {
+                        inc = inc.min((r / w).max(0.0));
+                    }
+                }
+                let near = self
+                    .weight
+                    .iter()
+                    .zip(&residual)
+                    .any(|(&w, &r)| w > 0.0 && r / w != inc && r / w <= inc * (1.0 + 1e-12));
+                near_ties += u64::from(near);
+                if let Some(&ai) = self.by_demand.get(dptr) {
+                    inc = inc.min(self.demand[ai as usize] - level);
+                }
+                let inc = if inc.is_finite() { inc.max(0.0) } else { 0.0 };
+                level += inc;
+                for (r, &w) in residual.iter_mut().zip(&self.weight) {
+                    *r -= w * inc;
+                }
+                let mut newly = 0;
+                while let Some(&ai) = self.by_demand.get(dptr) {
+                    let ai = ai as usize;
+                    if self.frozen_at[ai] != UNFROZEN {
+                        dptr += 1;
+                        continue;
+                    }
+                    if level < self.demand[ai] * (1.0 - EPS) {
+                        break;
+                    }
+                    self.freeze_eager(ai, rounds, level);
+                    newly += 1;
+                    dptr += 1;
+                }
+                for l in 0..self.weight.len() {
+                    if self.weight[l] > 0.0 && residual[l] <= cap[l] * EPS {
+                        for k in self.member_start[l] as usize..self.member_start[l + 1] as usize {
+                            let ai = self.members[k] as usize;
+                            if self.frozen_at[ai] == UNFROZEN {
+                                self.freeze_eager(ai, rounds, level);
+                                newly += 1;
+                            }
+                        }
+                    }
+                }
+                if newly == 0 {
+                    break;
+                }
+                unfrozen -= newly;
+            }
+            (level, u64::from(rounds), near_ties)
+        }
+
+        fn freeze_eager(&mut self, ai: usize, round: u32, level: f64) {
+            self.rate[ai] = level;
+            self.frozen_at[ai] = round;
+            let m = self.mult[ai];
+            for h in self.hop_start[ai] as usize..self.hop_start[ai + 1] as usize {
+                self.weight[self.links[h] as usize] -= m;
+            }
+        }
+    }
+
+    /// Both fills over copies of `s`: the same level, round count, rates,
+    /// freeze rounds and final weights, to the bit. Returns the lazy
+    /// fill's residual updates, the eager fill's (`rounds × loaded
+    /// links`) and the eager fill's near-tie rounds.
+    fn assert_fills_agree(s: &Scratch, cap: &[f64], what: &str) -> (u64, u64, u64) {
+        let (mut lazy, mut eager) = (s.clone(), s.clone());
+        let (level, rounds, updates) = lazy.fill(cap);
+        let (eager_level, eager_rounds, near_ties) = eager.fill_eager(cap);
+        assert_eq!(level.to_bits(), eager_level.to_bits(), "{what}: level");
+        assert_eq!(rounds, eager_rounds, "{what}: rounds");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lazy.rate), bits(&eager.rate), "{what}: rates");
+        assert_eq!(lazy.frozen_at, eager.frozen_at, "{what}: freeze rounds");
+        assert_eq!(bits(&lazy.weight), bits(&eager.weight), "{what}: final weights");
+        let loaded = s.weight.iter().filter(|&&w| w > 0.0).count() as u64;
+        (updates, rounds * loaded, near_ties)
     }
 
     #[test]
@@ -1246,10 +1701,9 @@ mod tests {
             active: vec![0, 1],
             mult: vec![2.0, 4.0],
             hop_start: vec![0, 1, 3],
-            hops: vec![0, 0, 1],
-            loaded: vec![3, 5],
+            links: vec![3, 3, 5],
             rate: vec![2e6, 0.0],
-            frozen: vec![true, false],
+            frozen_at: vec![1, UNFROZEN],
             ..Scratch::default()
         };
         let mut link_load = vec![0.0; 8];
@@ -1258,6 +1712,94 @@ mod tests {
         assert_eq!(link_load[3], 2e6 * 2.0 + 3e6 * 4.0);
         assert_eq!(link_load[5], 3e6 * 4.0);
         assert_eq!(link_load.iter().filter(|&&x| x != 0.0).count(), 2);
+    }
+
+    /// A scratch over `links` link ids holding `(multiplicity, demand,
+    /// path)` bundles, indexed for a fill.
+    fn scratch_of(bundles: &[(f64, f64, Vec<u32>)], links: usize) -> Scratch {
+        let mut s = Scratch { hop_start: vec![0], ..Scratch::default() };
+        for (ai, (mult, demand, path)) in bundles.iter().enumerate() {
+            s.active.push(ai as u32);
+            s.mult.push(*mult);
+            s.demand.push(*demand);
+            s.links.extend_from_slice(path);
+            s.hop_start.push(s.links.len() as u32);
+        }
+        s.index_members(links);
+        s
+    }
+
+    /// The lazy fill against the eager one where their floats are most
+    /// likely to part: links that saturate at the same level in exact
+    /// arithmetic through different capacities, multiplicities and
+    /// frozen loads, so their rounded residuals tie or miss by an ulp,
+    /// and links one ulp of capacity apart. Level, round count, rates,
+    /// freeze rounds and final weights must agree to the bit.
+    #[test]
+    fn lazy_fill_matches_the_eager_fill_on_ties_and_near_ties() {
+        let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+        // Round 1 freezes bundle 0 at its demand `d`; after it, links 0
+        // (2 flows left), 1 (3 flows) and 2 (1 flow) all saturate at
+        // level `sat` exactly, and link 3 one ulp of capacity later.
+        let (sat, d) = (1e7 / 3.0, 1e6 / 7.0);
+        let cap = [2.0 * sat + d, 3.0 * sat + d, sat, next_up(sat)];
+        let huge = 1e12;
+        let s = scratch_of(
+            &[
+                (1.0, d, vec![0, 1]),
+                (2.0, huge, vec![0]),
+                (3.0, huge, vec![1]),
+                (1.0, huge, vec![2]),
+                (1.0, huge, vec![3]),
+            ],
+            cap.len(),
+        );
+        let (_, _, near_ties) = assert_fills_agree(&s, &cap, "exact ties");
+        assert!(near_ties > 0, "the exact ties round to the same residual ratio");
+
+        // The same shapes at random: each link's capacity is what its
+        // members would take if it saturated at one of two shared levels
+        // (members below it at their demand), now and then one ulp more.
+        const MULTS: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 6.0];
+        let unit = 1e7 / 3.0;
+        let levels = [unit, 1.5 * unit];
+        let demands = [unit / 7.0, unit / 3.0, unit / 2.0, huge];
+        let (mut skipped, mut near) = (0, 0);
+        for seed in 0..2_000u64 {
+            let mut rng = DetRng::new(0x71E5 + seed);
+            let links = 2 + rng.next_below(6) as usize;
+            let bundles: Vec<(f64, f64, Vec<u32>)> = (0..2 + rng.next_below(12))
+                .map(|_| {
+                    let mut path: Vec<u32> = (0..links as u32).collect();
+                    rng.shuffle(&mut path);
+                    path.truncate(1 + rng.next_below(3.min(links as u64)) as usize);
+                    let mult = MULTS[rng.next_below(5) as usize];
+                    (mult, demands[rng.next_below(4) as usize], path)
+                })
+                .collect();
+            let cap: Vec<f64> = (0..links as u32)
+                .map(|l| {
+                    let level = levels[rng.next_below(2) as usize];
+                    let cap = bundles
+                        .iter()
+                        .filter(|(_, _, path)| path.contains(&l))
+                        .map(|&(mult, demand, _)| mult * demand.min(level))
+                        .sum::<f64>()
+                        .max(unit);
+                    if rng.next_below(4) == 0 {
+                        next_up(cap)
+                    } else {
+                        cap
+                    }
+                })
+                .collect();
+            let s = scratch_of(&bundles, links);
+            let (updates, eager, near_ties) = assert_fills_agree(&s, &cap, &format!("seed {seed}"));
+            skipped += u64::from(updates < eager);
+            near += u64::from(near_ties > 0);
+        }
+        assert!(skipped >= 1_000, "only {skipped} instances skipped a residual update");
+        assert!(near >= 1_000, "only {near} instances had a near tie");
     }
 
     #[test]
@@ -1275,22 +1817,36 @@ mod tests {
         let first = net.stats();
         assert_eq!(first.resolves, 1);
         // One round freezes the small demand, the next saturates the path.
+        // Every link of the path ties in both rounds, so each is a
+        // candidate and updates its residual twice.
         let want = FluidSolve {
             rounds: 2,
             active_bundles: 2,
             links_loaded: hops,
             hops_walked: 2 * hops,
+            paths_reused: 0,
+            residual_updates: 2 * hops,
             residual_pushes: hops,
         };
         assert_eq!((first.last, pushes), (want, hops));
         assert_eq!(first.total, first.last);
+        // The same tree again: both paths are copied, nothing is walked,
+        // and the allocation (so the push set) is unchanged.
+        net.resolve(SimTime::from_millis(500), &fwd, None, &c);
+        assert!(net.residual_changes().is_empty());
+        let again = net.stats();
+        let want = FluidSolve { hops_walked: 0, paths_reused: 2, residual_pushes: 0, ..want };
+        assert_eq!(again.last, want);
         // Past the stop time nothing is active; totals keep the history.
         net.resolve(SimTime::from_secs(1), &fwd, None, &c);
         let _ = net.residual_changes();
         let second = net.stats();
-        assert_eq!(second.resolves, 2);
+        assert_eq!(second.resolves, 3);
         assert_eq!(second.last, FluidSolve { residual_pushes: hops, ..FluidSolve::default() });
-        assert_eq!(second.total.rounds, 2);
+        assert_eq!(second.total.rounds, 4);
+        assert_eq!(second.total.hops_walked, 2 * hops);
+        assert_eq!(second.total.paths_reused, 2);
+        assert_eq!(second.total.residual_updates, 4 * hops);
         assert_eq!(second.total.residual_pushes, 2 * hops);
     }
 
@@ -1574,7 +2130,10 @@ mod tests {
     /// and fault masks; after every step the link-id solver and the
     /// map-based oracle must agree to the bit — rates, loads, pushes and
     /// the checkpoint bytes — including across a save/restore into a
-    /// freshly built net.
+    /// freshly built net. A forwarding state 100 ms after another makes
+    /// the solver reuse part of its paths, a mask toggled on → off → on
+    /// over one forwarding state must not let it reuse a path it has not
+    /// fault-checked, and a restore must drop what it reuses.
     #[test]
     fn differential_fuzz_against_the_map_based_oracle() {
         const DEMANDS_KBPS: [u64; 6] = [64, 256, 1_000, 3_000, 10_000, 20_000];
@@ -1582,6 +2141,8 @@ mod tests {
         let mut live_cases = 0;
         let mut masked_cases = 0;
         let mut unroutable_cases = 0;
+        let mut reuse_cases = 0;
+        let mut lazy_cases = 0;
         for case in 0..240u64 {
             let mut rng = DetRng::new(0xF1D0 + case);
             let (planes, per_plane, alt_km) =
@@ -1610,6 +2171,7 @@ mod tests {
             let fwd = [
                 forwarding_at(&c, SimTime::ZERO, &dests),
                 forwarding_at(&c, SimTime::from_secs(20), &dests),
+                forwarding_at(&c, SimTime::from_millis(20_100), &dests),
             ];
 
             let (isl, gsl) =
@@ -1685,19 +2247,41 @@ mod tests {
                 })
                 .collect();
 
-            let step =
-                |net: &mut FluidNet, oracle: &mut Oracle, t: SimTime, k: usize, what: &str| {
-                    let what = format!("case {case}, {what}");
-                    net.advance_to(t);
-                    oracle.net.advance_to(t);
-                    net.resolve(t, &fwd[k], masks[k].as_ref(), &c);
-                    oracle.resolve(t, &fwd[k], masks[k].as_ref(), &c);
-                    assert_same_state(net, oracle, &what);
-                    let pushes = assert_same_pushes(net, oracle, &what);
-                    assert_same_state(net, oracle, &what);
-                    pushes
+            // A mask that is sure to be active, for the toggle.
+            let toggle = {
+                let target = match fwd[0].path(c.gs_node(0), c.gs_node(1)) {
+                    Some(path) => path[path.len() / 2].0,
+                    None => rng.next_below(c.num_satellites() as u64) as u32,
                 };
-            step(&mut net, &mut oracle, SimTime::ZERO, 0, "first solve");
+                let spec = FaultSpec {
+                    sat_outages: vec![OutageWindow { target, from_s: 0.0, until_s: 60.0 }],
+                    ..FaultSpec::default()
+                };
+                let schedule = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(60));
+                FaultState::at(&schedule, SimTime::from_secs(1))
+            };
+
+            let (mut reused, mut lazy) = (false, false);
+            let mut step = |net: &mut FluidNet,
+                            oracle: &mut Oracle,
+                            t: SimTime,
+                            fwd: &ForwardingState,
+                            mask: Option<&FaultState>,
+                            what: &str| {
+                let what = format!("case {case}, {what}");
+                net.advance_to(t);
+                oracle.net.advance_to(t);
+                net.resolve(t, fwd, mask, &c);
+                oracle.resolve(t, fwd, mask, &c);
+                assert_same_state(net, oracle, &what);
+                let pushes = assert_same_pushes(net, oracle, &what);
+                assert_same_state(net, oracle, &what);
+                let last = net.stats().last;
+                reused |= last.paths_reused > 0;
+                lazy |= last.residual_updates < last.rounds * last.links_loaded;
+                pushes
+            };
+            step(&mut net, &mut oracle, SimTime::ZERO, &fwd[0], masks[0].as_ref(), "first solve");
             let starved = net.per_flow_rate_bps().iter().filter(|&&(_, r)| r == 0.0).count();
             live_cases += usize::from(starved < net.flow_count() as usize);
             // The same rates with the mask lifted tell masked from unroutable.
@@ -1712,29 +2296,111 @@ mod tests {
             }
             // A new forwarding state and mask: last solve's loads and
             // pushes are stale entries the next one must retire.
-            step(&mut net, &mut oracle, t1, 1, "second solve");
+            step(&mut net, &mut oracle, t1, &fwd[1], masks[1].as_ref(), "second solve");
+            // 100 ms on, most trees kept their next hops.
+            let t = t1 + SimDuration::from_millis(100);
+            step(&mut net, &mut oracle, t, &fwd[2], masks[1].as_ref(), "nearby solve");
 
             // Checkpoint here; a freshly built net restored from it must
             // carry on exactly as the original does.
             let snapshot = saved(|w| net.save(w));
             let (mut resumed, _) = build(&mut DetRng::from_state(flows_state));
+            // Something to forget: paths the restore must not reuse.
+            resumed.resolve(SimTime::ZERO, &fwd[0], None, &c);
             let mut r = SnapReader::from_bytes(snapshot.clone(), 1).unwrap();
             resumed.restore(&mut r, &c).unwrap();
             r.expect_end().unwrap();
             assert_eq!(saved(|w| resumed.save(w)), snapshot, "case {case}: restore round trip");
             let t2 = SimTime::from_millis(1_200);
-            let pushes = step(&mut net, &mut oracle, t2, 0, "third solve");
+            let pushes = step(&mut net, &mut oracle, t2, &fwd[0], masks[0].as_ref(), "third solve");
             resumed.advance_to(t2);
             resumed.resolve(t2, &fwd[0], masks[0].as_ref(), &c);
+            assert_eq!(
+                resumed.stats().last.paths_reused,
+                0,
+                "case {case}: reused across a restore"
+            );
             assert_eq!(resumed.residual_changes(), &pushes[..], "case {case}: resumed pushes");
             assert_eq!(saved(|w| resumed.save(w)), saved(|w| net.save(w)), "case {case}: resumed");
 
+            // One forwarding state, the mask on → off → on: a solve with a
+            // fault active, or right after one, walks every path.
+            for (ms, mask) in [(1_300, Some(&toggle)), (1_400, None), (1_500, Some(&toggle))] {
+                let t = SimTime::from_millis(ms);
+                step(&mut net, &mut oracle, t, &fwd[0], mask, &format!("toggle at {ms} ms"));
+                assert_eq!(net.stats().last.paths_reused, 0, "case {case}: reused at {ms} ms");
+            }
+
             // Past every finite stop: only open-ended flows keep a rate.
-            step(&mut net, &mut oracle, SimTime::from_secs(6), 1, "final solve");
+            let t = SimTime::from_secs(6);
+            step(&mut net, &mut oracle, t, &fwd[1], masks[1].as_ref(), "final solve");
             assert!(net.next_boundary().iter().all(|&(t, _)| t == SimTime::MAX));
+            reuse_cases += usize::from(reused);
+            lazy_cases += usize::from(lazy);
         }
         assert!(live_cases >= 200, "only {live_cases} cases allocated any rate at all");
         assert!(masked_cases >= 20, "only {masked_cases} cases had a path masked by faults");
         assert!(unroutable_cases >= 20, "only {unroutable_cases} cases had an unroutable flow");
+        assert!(reuse_cases >= 50, "only {reuse_cases} cases reused a path");
+        assert!(lazy_cases >= 50, "only {lazy_cases} cases skipped a residual update");
+    }
+
+    /// The release gate at the benchmark's hybrid scale: Kuiper K1, 100
+    /// cities, 10⁵ gravity flows at 256 kbit/s over 10 Mbit/s links, a
+    /// forwarding state every 100 ms for 3 s, without faults and under
+    /// satellite flapping. Every solve must match the map-based oracle to
+    /// the bit. Without faults most paths are reused; under flapping some
+    /// satellite is always down, so none are; either way the fill skips
+    /// most residual updates.
+    #[test]
+    #[ignore = "K1 scale: run with --release -- --include-ignored (scripts/check.sh does)"]
+    fn k1_gravity_solves_match_the_oracle_with_and_without_flapping() {
+        use hypatia_constellation::ground::{gravity_pairs, top_cities};
+        use hypatia_constellation::presets::kuiper_k1;
+        use hypatia_fault::FlapProcess;
+        let c = kuiper_k1(top_cities(100));
+        let dests: Vec<NodeId> = (0..100).map(|i| c.gs_node(i)).collect();
+        let pairs = gravity_pairs(100, 100_000, 2020);
+        let link = DataRate::from_mbps(10);
+        let stop = SimTime::from_secs(3);
+        for flapping in [false, true] {
+            let flap = FlapProcess { mttf_s: 190.0, mttr_s: 10.0 };
+            let spec = FaultSpec { seed: 2020, sat_flap: Some(flap), ..FaultSpec::default() };
+            let schedule =
+                flapping.then(|| FaultSchedule::compile(&spec, &c, SimDuration::from_secs(4)));
+            let mut net = FluidNet::new(link, link);
+            let mut oracle = Oracle::new(link, link);
+            for n in [&mut net, &mut oracle.net] {
+                for (i, &(a, b)) in pairs.iter().enumerate() {
+                    let rate = DataRate::from_kbps(256);
+                    n.add_flow(i as u32, c.gs_node(a), c.gs_node(b), rate, 1440, stop);
+                }
+                n.rebuild_boundaries(SimTime::ZERO);
+            }
+            let mut buffers = SnapshotBuffers::new();
+            let mut router = IncrementalRouter::new(RoutingConfig::default());
+            let mut fwd = ForwardingState::empty();
+            let mut eager = 0;
+            for k in 0..31 {
+                let t = SimTime::from_millis(100 * k);
+                let what = format!("flapping {flapping}, t = {t}");
+                let mask = schedule.as_ref().map(|s| FaultState::at(s, t));
+                let graph = buffers.snapshot_masked(&c, t, mask.as_ref());
+                router.compute_into(graph, t, &dests, &mut fwd);
+                net.advance_to(t);
+                oracle.net.advance_to(t);
+                net.resolve(t, &fwd, mask.as_ref(), &c);
+                oracle.resolve(t, &fwd, mask.as_ref(), &c);
+                assert_same_state(&net, &oracle, &what);
+                assert_same_pushes(&mut net, &mut oracle, &what);
+                let last = net.stats().last;
+                eager += last.rounds * last.links_loaded;
+            }
+            let total = net.stats().total;
+            assert!(total.active_bundles > 250_000, "flapping {flapping}: {total:?}");
+            assert!(flapping || 2 * total.paths_reused > total.active_bundles, "{total:?}");
+            assert!(!flapping || total.paths_reused == 0, "{total:?}");
+            assert!(4 * total.residual_updates < eager, "flapping {flapping}: {total:?}");
+        }
     }
 }

@@ -412,6 +412,8 @@ fn fluid_solve_json(s: &FluidSolve) -> Value {
         "active_bundles": s.active_bundles,
         "links_loaded": s.links_loaded,
         "hops_walked": s.hops_walked,
+        "paths_reused": s.paths_reused,
+        "residual_updates": s.residual_updates,
         "residual_pushes": s.residual_pushes,
     })
 }
@@ -599,6 +601,8 @@ mod tests {
             active_bundles: 20,
             links_loaded: 9,
             hops_walked: 120,
+            paths_reused: 5,
+            residual_updates: 40,
             residual_pushes: 4,
         };
         let first = FluidStats { resolves: 2, total: solve, last: solve };
@@ -611,10 +615,13 @@ mod tests {
         assert_eq!(fluid.get("resolves").and_then(Value::as_u64), Some(3));
         assert_eq!(fluid.get("rounds").and_then(Value::as_u64), Some(4));
         assert_eq!(fluid.get("hops_walked").and_then(Value::as_u64), Some(240));
+        assert_eq!(fluid.get("paths_reused").and_then(Value::as_u64), Some(10));
+        assert_eq!(fluid.get("residual_updates").and_then(Value::as_u64), Some(80));
         assert_eq!(fluid.get("residual_pushes").and_then(Value::as_u64), Some(8));
         let last = fluid.get("last").expect("last-solve block");
         assert_eq!(last.get("rounds").and_then(Value::as_u64), Some(1));
         assert_eq!(last.get("links_loaded").and_then(Value::as_u64), Some(9));
+        assert_eq!(last.get("paths_reused").and_then(Value::as_u64), Some(5));
 
         // Serial reports carry no lookahead; the key is omitted.
         let mut serial = temp_sink("engine-serial");

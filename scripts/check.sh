@@ -69,10 +69,13 @@ cargo test -q --release -p hypatia-netsim --lib -- --include-ignored \
   device::tests audit::tests node::tests sim::tests::every_exit sim::tests::mid_run_image \
   sim::tests::audit_is_clean
 
-echo "== fluid solver under release arithmetic: differential fuzz + hybrid shard tests"
-# The link-id solver must match the map-based oracle bit for bit with
-# optimizations on too (the debug run is part of `cargo test` above).
-cargo test -q --release -p hypatia-netsim --lib fluid::tests
+echo "== fluid solver under release arithmetic: differential fuzz, K1 gate + hybrid shard tests"
+# The link-id solver — reused paths, lazy residuals — must match the
+# map-based oracle bit for bit with optimizations on too (the debug run is
+# part of `cargo test` above); the ignored gate adds the benchmark's scale:
+# K1, 100 cities, 10^5 gravity flows, 31 snapshots, with and without
+# satellite flapping.
+cargo test -q --release -p hypatia-netsim --lib fluid::tests -- --include-ignored
 cargo test -q --release -p hypatia --lib experiments::hybrid
 
 echo "== ext_failure_resilience smoke run (spec round-trip + faulted sim)"
