@@ -8,11 +8,13 @@
 //! run_experiment <name> [--full] [--set ...] --print-spec
 //! ```
 //!
-//! `--list` prints every registered experiment. `--print-spec` prints the
-//! resolved spec as JSON (after `--full` and `--set`) without running it —
-//! the output is loadable again via `--spec`. `--resume <dir>` restores
-//! per-simulation snapshots a previous `--set checkpoint_every_s=F` run
-//! left behind (shorthand for `--set resume_from=<dir>`).
+//! `--list` prints every registered experiment, `--help` the usage and
+//! every spec knob `--set` takes. `--print-spec` prints the resolved spec
+//! as JSON (after `--full` and `--set`) without running it — the output is
+//! loadable again via `--spec`. `--resume <dir>` restores per-simulation
+//! snapshots a previous `--set checkpoint_every_s=F` run left behind
+//! (shorthand for `--set resume_from=<dir>`). A run by name starts with
+//! the figure's banner.
 //!
 //! Runs execute under supervision: panics, wall-clock deadlines
 //! (`--set deadline_s=F`), and memory budgets (`--set max_rss_mb=F`)
@@ -24,7 +26,7 @@
 
 use hypatia::runner::{ExperimentRunner, RunError, RunPolicy};
 use hypatia::spec::ExperimentSpec;
-use hypatia_bench::apply_sets;
+use hypatia_bench::{apply_sets, banner};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -81,7 +83,10 @@ fn parse_cli() -> Result<Cli, String> {
                 cli.sets.push((k.to_string(), v.to_string()));
             }
             "--help" | "-h" => {
-                println!("{USAGE}");
+                println!("{USAGE}\n\nspec knobs (--set key=value):");
+                for (key, doc) in ExperimentSpec::knobs() {
+                    println!("  {key:<24} {doc}");
+                }
                 exit(0);
             }
             other if !other.starts_with('-') && cli.name.is_none() => {
@@ -149,6 +154,11 @@ fn main() {
     if cli.print_spec {
         println!("{}", spec.to_json_string());
         return;
+    }
+    if let (None, Ok(exp)) = (&cli.spec_file, runner.get(&spec.experiment)) {
+        if let Some(label) = exp.label() {
+            banner(label, exp.title(), cli.full);
+        }
     }
 
     let policy = RunPolicy::from_spec(&spec);

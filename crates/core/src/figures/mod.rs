@@ -5,8 +5,8 @@
 //! at reduced and paper ("full") scale, and executes against a
 //! [`crate::runner::RunContext`] — writing every artifact
 //! through the context's sink so the run ends with a complete manifest.
-//! The bench binaries are thin shims over this registry; a spec file plus
-//! `run_experiment` reproduces any of them.
+//! `run_experiment <name>` runs any of them; a spec file plus
+//! `run_experiment --spec` reproduces a run.
 
 pub mod ext_bbr_study;
 pub mod ext_failure_resilience;

@@ -2,7 +2,7 @@
 
 use crate::fluid::SimMode;
 use hypatia_fault::FaultSchedule;
-use hypatia_routing::incremental::{RoutingConfig, RoutingMode};
+use hypatia_routing::incremental::RoutingConfig;
 use hypatia_util::{DataRate, SimDuration};
 use std::sync::Arc;
 
@@ -68,10 +68,11 @@ pub struct SimConfig {
     /// `None` (the default) — and an empty schedule — leave every
     /// simulation result bit-identical to the fault-free simulator.
     pub faults: Option<Arc<FaultSchedule>>,
-    /// How forwarding states are recomputed across steps: full Dijkstra
-    /// every snapshot, or incremental repair of the previous snapshot's
-    /// trees (the default). Output is byte-identical either way — this
-    /// is purely a wall-clock knob, with `full` as the escape hatch.
+    /// How forwarding states are recomputed across steps: incremental
+    /// repair of the previous snapshot's trees (the default), falling back
+    /// to full Dijkstra above the churn threshold. `RoutingConfig::full()`
+    /// recomputes every snapshot — the test oracle; output is
+    /// byte-identical either way.
     pub routing: RoutingConfig,
     /// Number of spatial shards the event engine partitions the node set
     /// into. With `1` (the default) one shard owns every node and the
@@ -204,14 +205,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: pick the forwarding-state recomputation strategy
-    /// (full Dijkstra vs. incremental repair). Results are byte-identical
-    /// for every choice.
-    pub fn with_routing_mode(mut self, mode: RoutingMode) -> Self {
-        self.routing.mode = mode;
-        self
-    }
-
     /// Builder-style: set the incremental-repair churn threshold — the
     /// fraction of flipped edges between snapshots above which a full
     /// recompute is cheaper than a repair.
@@ -252,6 +245,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypatia_routing::incremental::RoutingMode;
 
     #[test]
     fn defaults_match_paper() {
@@ -297,10 +291,8 @@ mod tests {
 
     #[test]
     fn routing_builders() {
-        let c = SimConfig::default()
-            .with_routing_mode(RoutingMode::Full)
-            .with_repair_churn_threshold(0.3);
-        assert_eq!(c.routing.mode, RoutingMode::Full);
+        let c = SimConfig::default().with_repair_churn_threshold(0.3);
+        assert_eq!(c.routing.mode, RoutingMode::Incremental);
         assert_eq!(c.routing.repair_churn_threshold, 0.3);
     }
 

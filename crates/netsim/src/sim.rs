@@ -1504,13 +1504,13 @@ mod tests {
         }
     }
 
-    /// `routing_mode` is a pure wall-clock knob: full recompute and
-    /// incremental repair must produce bit-identical simulations — with
-    /// and without faults, inline and prefetched.
+    /// Full recompute every snapshot — the router's test oracle — and
+    /// incremental repair must produce bit-identical simulations, with and
+    /// without faults, inline and prefetched.
     #[test]
     fn routing_modes_are_bit_identical() {
         use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
-        use hypatia_routing::incremental::RoutingMode;
+        use hypatia_routing::incremental::RoutingConfig;
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
         let spec = FaultSpec {
@@ -1530,13 +1530,10 @@ mod tests {
             (ping.rtts().to_vec(), sim.stats.clone())
         };
         for base in [SimConfig::default(), SimConfig::default().with_faults(schedule)] {
-            let full = run(base.clone().with_routing_mode(RoutingMode::Full));
-            let incremental = run(base.clone().with_routing_mode(RoutingMode::Incremental));
+            let full = run(SimConfig { routing: RoutingConfig::full(), ..base.clone() });
+            let incremental = run(base.clone());
             assert_eq!(full, incremental, "inline routing modes diverged");
-            let prefetched = run(base
-                .clone()
-                .with_routing_mode(RoutingMode::Incremental)
-                .with_fstate_prefetch(2, 4));
+            let prefetched = run(base.clone().with_fstate_prefetch(2, 4));
             assert_eq!(full, prefetched, "prefetched incremental diverged");
         }
     }

@@ -85,7 +85,7 @@ use std::collections::BinaryHeap;
 /// How forwarding states are computed across consecutive snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RoutingMode {
-    /// Full per-destination Dijkstra every snapshot (the escape hatch).
+    /// Full per-destination Dijkstra every snapshot (the test oracle).
     Full,
     /// Repair the previous snapshot's trees; identical output.
     #[default]

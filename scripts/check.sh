@@ -84,9 +84,12 @@ trap 'rm -rf "$smoke_dir"' EXIT
 cargo run --release -q -p hypatia-bench --bin run_experiment -- \
   ext_failure_resilience --print-spec \
   --set duration_s=5 --set cities=10 --set pairs="Tokyo:Cairo" \
-  --set fail_fracs=0.1 --set mttr_s=5 \
-  --set routing_mode=incremental --set repair_churn_threshold=0.2 \
+  --set fail_fracs=0.1 --set mttr_s=5 --set repair_churn_threshold=0.2 \
   > "$smoke_dir/spec.json"
+# A printed spec reads back and prints the same bytes.
+cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+  --spec "$smoke_dir/spec.json" --print-spec > "$smoke_dir/spec_again.json"
+cmp "$smoke_dir/spec.json" "$smoke_dir/spec_again.json"
 cargo run --release -q -p hypatia-bench --bin run_experiment -- \
   --spec "$smoke_dir/spec.json" --out "$smoke_dir/out" > /dev/null
 test -f "$smoke_dir/out/manifest.json"
