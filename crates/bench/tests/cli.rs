@@ -48,3 +48,18 @@ fn out_of_range_knobs_are_bad_specs_not_panics() {
     let stderr = assert_bad_spec(&run("churn", Some(&bad), &[]));
     assert!(stderr.contains("repair_churn_threshold"), "stderr: {stderr}");
 }
+
+#[test]
+fn non_positive_flap_means_are_bad_specs_not_panics() {
+    let stderr = assert_bad_spec(&run("mttf", None, &["fig09_timestep", "--set", "sat_mttf_s=0"]));
+    assert!(stderr.contains("sat_mttf_s"), "stderr: {stderr}");
+
+    let printed = run("print_flap", None, &["fig09_timestep", "--print-spec"]);
+    assert!(printed.status.success());
+    let text = String::from_utf8(printed.stdout).unwrap();
+    let flap = "\n  \"faults\": { \"sat_flap\": { \"mttf_s\": 570, \"mttr_s\": -1 } },\n  \"cc\"";
+    let bad = text.replacen("\n  \"cc\"", flap, 1);
+    assert_ne!(bad, text);
+    let stderr = assert_bad_spec(&run("mttr", Some(&bad), &[]));
+    assert!(stderr.contains("mttr_s"), "stderr: {stderr}");
+}

@@ -333,7 +333,7 @@ impl ExperimentSpec {
             "min_distance_km" => self.pairs = PairSelection::MinDistance { km: real(value)? },
             "fault_seed" => self.faults_mut().seed = whole(value)?,
             "sat_mttf_s" | "sat_mttr_s" | "isl_mttf_s" | "isl_mttr_s" => {
-                let x = real(value)?;
+                let x = num(&literal(value), Check::Positive).map_err(bad)?;
                 let f = self.faults_mut();
                 let flap = if key.starts_with("sat") { &mut f.sat_flap } else { &mut f.isl_flap };
                 let flap = flap.get_or_insert(DEFAULT_FLAP);
@@ -850,9 +850,10 @@ fn parse_faults(v: &Value) -> Result<FaultSpec, SpecError> {
     fn flap(v: &Value, key: &str) -> Result<Option<FlapProcess>, SpecError> {
         let Some(p) = v.get(key) else { return Ok(None) };
         let ctx = format!("faults.{key}");
+        let mean: Read<f64> = |x, _| num(x, Check::Positive);
         Ok(Some(FlapProcess {
-            mttf_s: field(p, &ctx, "mttf_s", num)?,
-            mttr_s: field(p, &ctx, "mttr_s", num)?,
+            mttf_s: field(p, &ctx, "mttf_s", mean)?,
+            mttr_s: field(p, &ctx, "mttr_s", mean)?,
         }))
     }
 
@@ -1092,6 +1093,9 @@ mod tests {
         assert!(spec.set("sat_outage", "12:1.5").is_err());
         assert!(spec.set("isl_cut", "37:0:2").is_err());
         assert!(spec.set("gsl_weather", "zero:10:30").is_err());
+        // A flap process needs positive means (the sampler divides by them).
+        assert!(spec.set("sat_mttf_s", "0").is_err());
+        assert!(spec.set("isl_mttr_s", "-1").is_err());
     }
 
     #[test]

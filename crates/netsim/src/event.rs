@@ -48,28 +48,32 @@
 //!      rotation ([`SPAN_NS`], ~16.8 ms) wide and aligned to it, reaching
 //!      ~69 s ahead. Pacing timers, RTO and delayed-ACK timers land
 //!      here; when the wheel reaches a bucket's first slot the
-//!      bucket is *cascaded*: each entry moves to its level-1 slot and the
-//!      bucket's buffer is released.
+//!      bucket is *cascaded*: each entry moves to its level-1 slot (or
+//!      straight into the run, when due in that first slot).
 //!   3. **Far heap**: a `BinaryHeap` for the few events beyond level 2.
 //!
+//!   The buckets of both levels are chains of fixed-size blocks from one
+//!   pool per queue with a LIFO free list: the wheel stores what is
+//!   pending plus at most one partly filled block per occupied bucket, and
+//!   a push reuses the block a drain just handed back, still in cache.
+//!
 //!   Popping drains one level-1 bucket at a time as the wheel reaches it:
-//!   its buffer is swapped, not copied, into the *run* and sorted once,
-//!   latest first, so the next event is `Vec::pop` — O(1), nothing moves —
-//!   where a heap would sift 32-byte entries down seven unpredictable
-//!   levels per pop (and a million in-phase timers in one slot would make
-//!   that heap 32 MB). Only what is scheduled into the slot *while* it
-//!   drains (sub-slot delays) goes to a small side heap, `late`; the front
-//!   of the queue is the earlier of the two fronts.
-//!   Each level has an occupancy bitmap, so the wheel jumps straight to
-//!   the next populated bucket and sparse workloads never step through
-//!   empty ones.
+//!   its entries are gathered into the *run* and ordered latest first, so
+//!   the next event is `Vec::pop` — O(1), nothing moves — where a heap
+//!   would sift 32-byte entries down seven unpredictable levels per pop.
+//!   Ordering is a count of the slot's 64-ns bins, a scatter into bin
+//!   order and a sort of each bin's handful (a slot in one bin is sorted
+//!   whole). Only what is scheduled into the slot *while* it drains
+//!   (sub-slot delays) goes to a small side heap, `late`; the front of the
+//!   queue is the earlier of the two fronts. Each level has an occupancy
+//!   bitmap, so the wheel jumps straight to the next populated bucket.
 //!
 //! # The warm pass
 //!
 //! An arrival's packet was parked one propagation delay before it pops —
 //! milliseconds, i.e. tens of thousands of events, earlier — so by then its
 //! cache lines are cold, and a hop that starts by loading them stalls
-//! for a full memory round trip, one hop after another. The sorted run
+//! for a full memory round trip, one hop after another. The ordered run
 //! *is* the pop order, so when a slot is handed to the run the queue reads
 //! every arrival's slab slot once, in that order — the fields a hop uses
 //! (`dst`, `size_bytes`, `hops`: 14 adjacent bytes) and `id`, on the line a
@@ -82,7 +86,8 @@
 //!
 //! [`QueueStats`] counts where inserts landed, how many entries were
 //! cascaded, how many slots were drained and how full the fullest was, the
-//! peak pending count and the most packets alive at once.
+//! peak pending count, the pool's high-water mark and the most packets
+//! alive at once.
 
 use crate::packet::Packet;
 use hypatia_util::SimTime;
@@ -263,7 +268,7 @@ pub struct QueueStats {
     /// Times the wheel advanced to a new slot (zero under
     /// [`QueueKind::Heap`], like the two counts below).
     pub refills: u64,
-    /// Largest slot population sorted into the run at once: ~100 at line
+    /// Largest slot population ordered into the run at once: ~100 at line
     /// rate, 10⁶ when a million in-phase timers share one slot.
     pub peak_run: u64,
     /// Inserts into the slot being drained (a subset of `level1_inserts`):
@@ -272,6 +277,9 @@ pub struct QueueStats {
     /// Most packets alive at once in the slab the arrivals index: the
     /// shard's (on a wire or at a device), the queue's own when driven by value.
     pub slab_peak: u64,
+    /// Most entries the wheel's block pool had room for, to read against
+    /// `peak_pending` (zero under [`QueueKind::Heap`]).
+    pub pool_peak: u64,
 }
 
 impl QueueStats {
@@ -288,6 +296,7 @@ impl QueueStats {
         self.peak_run = self.peak_run.max(other.peak_run);
         self.late_inserts += other.late_inserts;
         self.slab_peak = self.slab_peak.max(other.slab_peak);
+        self.pool_peak = self.pool_peak.max(other.pool_peak);
     }
 }
 
@@ -314,16 +323,87 @@ pub const SPAN_NS: u64 = SLOT_NS << WHEEL_BITS;
 /// Occupancy-bitmap words (one bit per bucket).
 const BITMAP_WORDS: usize = NUM_SLOTS / 64;
 
+/// Entries per pool block: 16 × 32 B = 512 B. With every level-1 bucket
+/// occupied the partly filled blocks waste ≤ 2 MB, and a line-rate slot of
+/// ~100 entries is a chain of seven blocks, so the drain follows few links.
+const BLOCK: usize = 16;
+/// Blocks per pool chunk (128 KB): the pool grows a chunk at a time and
+/// never moves an entry, so it holds ≤ one chunk more than it hands out.
+const CHUNK: usize = 256;
+/// End of a chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// log2 of the drain's bin width: a slot's 12 in-slot time bits make 64
+/// bins (one `u64` of occupancy), one or two entries each at line rate.
+const BIN_SHIFT: u32 = 6;
+const BINS: usize = 1 << (SLOT_NS_SHIFT - BIN_SHIFT);
+const _: () = assert!(BINS == 64, "a slot's bins are the bits of one u64");
+
+/// What fills a pool slot that holds no entry.
+const VACANT: Scheduled = Scheduled { at: SimTime::ZERO, key: 0, b: 0, a: 0, tag: Tag::AppTimer };
+
+/// The blocks both wheel levels store their buckets in: block `i` is
+/// `chunks[i / CHUNK][i % CHUNK]`, and `next[i]` links it on in its chain
+/// or, once released, in the LIFO free list (grown only when that is empty).
+#[derive(Debug)]
+struct Pool {
+    chunks: Vec<Box<[[Scheduled; BLOCK]]>>,
+    next: Vec<u32>,
+    /// Head of the free list, or [`NIL`].
+    free: u32,
+}
+
+impl Pool {
+    fn alloc(&mut self) -> u32 {
+        if self.free != NIL {
+            let block = self.free;
+            self.free = self.next[block as usize];
+            return block;
+        }
+        if self.next.len() == self.chunks.len() * CHUNK {
+            self.chunks.push(vec![[VACANT; BLOCK]; CHUNK].into_boxed_slice());
+        }
+        let block = u32::try_from(self.next.len()).expect("event pool index space");
+        self.next.push(NIL);
+        block
+    }
+
+    /// Hand the blocks `head..=tail` of one chain back, in one link.
+    fn release(&mut self, head: u32, tail: u32) {
+        self.next[tail as usize] = self.free;
+        self.free = head;
+    }
+
+    /// The entries of `chain`, block by block, in insertion order.
+    fn blocks(&self, chain: Chain) -> impl Iterator<Item = &[Scheduled]> + '_ {
+        let (mut block, mut left) = (chain.head as usize, chain.len as usize);
+        std::iter::from_fn(move || {
+            let n = left.min(BLOCK);
+            let entries = (n > 0).then(|| &self.chunks[block / CHUNK][block % CHUNK][..n])?;
+            (left, block) = (left - n, self.next[block] as usize);
+            Some(entries)
+        })
+    }
+}
+
+/// One bucket: a chain of pool blocks, all full but the last.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chain {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
 /// One wheel level: [`NUM_SLOTS`] unsorted buckets addressed by an
 /// absolute index (a slot number at level 1, a span number at level 2)
-/// modulo the wheel size. The caller guarantees that live indices span
-/// less than one rotation, so a position holds entries of one index only.
-/// `occupied` has a bit set iff that bucket is non-empty, so finding the
-/// next populated bucket is a word-sized bitmap scan instead of touching
-/// 4096 (cold) `Vec` headers.
+/// modulo the wheel size, each a chain of blocks in the queue's [`Pool`].
+/// The caller guarantees that live indices span less than one rotation,
+/// so a position holds entries of one index only. `occupied` has a bit
+/// set iff that bucket is non-empty, so finding the next populated bucket
+/// is a word-sized bitmap scan instead of touching 4096 chain headers.
 #[derive(Debug)]
 struct Wheel {
-    buckets: Vec<Vec<Scheduled>>,
+    chains: Vec<Chain>,
     occupied: [u64; BITMAP_WORDS],
     /// Entries held across all buckets.
     len: usize,
@@ -331,17 +411,25 @@ struct Wheel {
 
 impl Wheel {
     fn new() -> Self {
-        Wheel {
-            buckets: (0..NUM_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; BITMAP_WORDS],
-            len: 0,
-        }
+        Wheel { chains: vec![Chain::default(); NUM_SLOTS], occupied: [0; BITMAP_WORDS], len: 0 }
     }
 
-    fn push(&mut self, index: u64, s: Scheduled) {
+    fn push(&mut self, pool: &mut Pool, index: u64, s: Scheduled) {
         let pos = (index & SLOT_MASK) as usize;
-        self.buckets[pos].push(s);
-        self.occupied[pos / 64] |= 1 << (pos % 64);
+        let chain = &mut self.chains[pos];
+        let fill = chain.len as usize % BLOCK;
+        if fill == 0 {
+            let block = pool.alloc();
+            if chain.len == 0 {
+                chain.head = block;
+                self.occupied[pos / 64] |= 1 << (pos % 64);
+            } else {
+                pool.next[chain.tail as usize] = block;
+            }
+            chain.tail = block;
+        }
+        pool.chunks[chain.tail as usize / CHUNK][chain.tail as usize % CHUNK][fill] = s;
+        chain.len += 1;
         self.len += 1;
     }
 
@@ -370,19 +458,17 @@ impl Wheel {
         unreachable!("wheel level holds entries but its occupancy bitmap is empty")
     }
 
-    /// Swap the bucket of `index` with the *empty* buffer `into`: the
-    /// entries change hands without being copied, and the bucket inherits
-    /// whatever capacity `into` had.
-    fn take(&mut self, index: u64, into: &mut Vec<Scheduled>) {
-        debug_assert!(into.is_empty());
+    /// Empty the bucket of `index`, handing its chain to the caller to release.
+    fn take(&mut self, index: u64) -> Chain {
         let pos = (index & SLOT_MASK) as usize;
-        mem::swap(&mut self.buckets[pos], into);
         self.occupied[pos / 64] &= !(1 << (pos % 64));
-        self.len -= into.len();
+        let chain = mem::take(&mut self.chains[pos]);
+        self.len -= chain.len as usize;
+        chain
     }
 
-    fn iter(&self) -> impl Iterator<Item = &Scheduled> {
-        self.buckets.iter().flatten()
+    fn iter<'a>(&'a self, pool: &'a Pool) -> impl Iterator<Item = &'a Scheduled> {
+        self.chains.iter().flat_map(|&chain| pool.blocks(chain)).flatten()
     }
 }
 
@@ -398,7 +484,7 @@ enum Tier {
 /// Invariants (slot = `at >> 12`, span = `slot >> 12`):
 /// * `run` and `late` together hold the events of every slot
 ///   `<= cur_slot`: `run` is what the slot held when the wheel reached it,
-///   sorted latest-first so the next one is `run.pop()`; `late` is a
+///   ordered latest-first so the next one is `run.pop()`; `late` is a
 ///   min-heap (by `(at, key)`) of what was scheduled into the slot since —
 ///   a side heap, not an insertion into `run`, so a late insert into a
 ///   populated slot is O(log late-population) instead of an O(population)
@@ -417,11 +503,15 @@ enum Tier {
 #[derive(Debug)]
 struct CalendarQueue {
     run: Vec<Scheduled>,
+    /// Where a bucketed drain scatters the run to (then the two swap).
+    spare: Vec<Scheduled>,
     late: BinaryHeap<Scheduled>,
     /// Absolute index of the slot being drained.
     cur_slot: u64,
     level1: Wheel,
     level2: Wheel,
+    /// Where both levels' buckets keep their entries.
+    pool: Pool,
     far: BinaryHeap<Scheduled>,
     len: usize,
     /// The [`QueueStats`] fields of the same names, so far.
@@ -434,10 +524,12 @@ impl CalendarQueue {
     fn new() -> Self {
         CalendarQueue {
             run: Vec::new(),
+            spare: Vec::new(),
             late: BinaryHeap::new(),
             cur_slot: 0,
             level1: Wheel::new(),
             level2: Wheel::new(),
+            pool: Pool { chunks: Vec::new(), next: Vec::new(), free: NIL },
             far: BinaryHeap::new(),
             len: 0,
             refills: 0,
@@ -450,19 +542,19 @@ impl CalendarQueue {
         self.len += 1;
         let slot = s.slot();
         if slot <= self.cur_slot {
-            // At (or before) the slot being drained: the run is sorted
+            // At (or before) the slot being drained: the run is ordered
             // already, so it waits beside it.
             self.late.push(s);
             self.late_inserts += 1;
             Tier::Level1
         } else if slot - self.cur_slot < NUM_SLOTS as u64 {
-            self.level1.push(slot, s);
+            self.level1.push(&mut self.pool, slot, s);
             Tier::Level1
         } else {
             // At least a level-1 window ahead, so in a later span.
             let span = slot >> WHEEL_BITS;
             if span - (self.cur_slot >> WHEEL_BITS) < NUM_SLOTS as u64 {
-                self.level2.push(span, s);
+                self.level2.push(&mut self.pool, span, s);
                 Tier::Level2
             } else {
                 self.far.push(s);
@@ -475,7 +567,7 @@ impl CalendarQueue {
     /// `len > 0`): jump straight to the earliest populated slot — a level-1
     /// bucket, the first slot of a level-2 bucket, or the far heap's front,
     /// whichever is due first — and move what is due there into the run,
-    /// sorted, its parked packets warmed. A level-2 bucket reached this way
+    /// ordered, its parked packets warmed. A level-2 bucket reached this way
     /// is cascaded; when none of its entries sits in that first slot the
     /// run stays empty and the caller refills again, now from level 1.
     fn refill(&mut self, packets: &PacketSlab) {
@@ -492,29 +584,40 @@ impl CalendarQueue {
         debug_assert!(target > self.cur_slot);
         self.cur_slot = target;
 
-        // The run's (empty) buffer takes the level-1 bucket's place and
-        // vice versa: no entry is copied, and buffers keep circulating.
-        if level1_next == Some(target) {
-            self.level1.take(target, &mut self.run);
+        // Gather the slot from all three tiers, noting the bins it fills.
+        let (run, mut bins) = (&mut self.run, 0u64);
+        let mut gather = |entries: &[Scheduled]| {
+            run.extend_from_slice(entries);
+            bins = entries.iter().fold(bins, |bins, s| bins | 1 << bin(s));
+        };
+        let chain = self.level1.take(target);
+        self.pool.blocks(chain).for_each(&mut gather);
+        if chain.len > 0 {
+            self.pool.release(chain.head, chain.tail);
         }
         if level2_slot == Some(target) {
-            // Dropped after the loop: a level-2 position is not revisited
-            // for ~69 s, so keeping its buffer would only pin memory.
-            let mut bucket = Vec::new();
-            self.level2.take(target >> WHEEL_BITS, &mut bucket);
-            for s in bucket {
-                if s.slot() == target {
-                    self.run.push(s);
-                } else {
-                    self.level1.push(s.slot(), s);
+            // The rest cascades to level 1, into each block as it frees it.
+            let chain = self.level2.take(target >> WHEEL_BITS);
+            let (mut block, mut left) = (chain.head as usize, chain.len as usize);
+            while left > 0 {
+                let n = left.min(BLOCK);
+                let entries = self.pool.chunks[block / CHUNK][block % CHUNK];
+                let next = self.pool.next[block] as usize;
+                self.pool.release(block as u32, block as u32);
+                for &s in &entries[..n] {
+                    if s.slot() == target {
+                        gather(&[s]);
+                    } else {
+                        self.level1.push(&mut self.pool, s.slot(), s);
+                    }
                 }
+                (block, left) = (next, left - n);
             }
         }
         while self.far.peek().is_some_and(|top| top.slot() <= target) {
-            self.run.push(self.far.pop().expect("peeked entry vanished"));
+            gather(&[self.far.pop().expect("peeked entry vanished")]);
         }
-        // `Ord` is reversed, so this sorts latest-first: pops come off the end.
-        self.run.sort_unstable();
+        order(&mut self.run, &mut self.spare, bins);
         self.refills += 1;
         self.peak_run = self.peak_run.max(self.run.len());
 
@@ -561,9 +664,55 @@ impl CalendarQueue {
         self.run
             .iter()
             .chain(self.late.iter())
-            .chain(self.level1.iter())
-            .chain(self.level2.iter())
+            .chain(self.level1.iter(&self.pool))
+            .chain(self.level2.iter(&self.pool))
             .chain(self.far.iter())
+    }
+}
+
+/// The 64-ns bin of an entry's slot it falls in.
+fn bin(s: &Scheduled) -> usize {
+    (s.at.nanos() >> BIN_SHIFT) as usize & (BINS - 1)
+}
+
+/// Order a slot's gathered `run`, whose entries fill the bins set in
+/// `bins`, latest first (`Ord` is reversed, so an ascending sort does
+/// that): count each 64-ns bin, scatter every entry to its bin's range of
+/// `spare` (latest bin first), swap the two and sort each bin on its own.
+/// A run in one bin — `flows_1m`'s million in-phase timers — is sorted
+/// whole, where pdqsort's run detection finds it ordered already.
+fn order(run: &mut Vec<Scheduled>, spare: &mut Vec<Scheduled>, bins: u64) {
+    if bins.count_ones() <= 1 {
+        run.sort_unstable();
+        return;
+    }
+    let mut counts = [0u32; BINS];
+    for s in run.iter() {
+        counts[bin(s)] += 1;
+    }
+    // Bin `b` ends where the earlier bins' ranges begin. The passes over
+    // bins visit only the occupied ones: a sparse slot costs no more.
+    let (mut fill, mut end, mut left) = ([0u32; BINS], run.len() as u32, bins);
+    while left != 0 {
+        let b = left.trailing_zeros() as usize;
+        left &= left - 1;
+        fill[b] = end;
+        end -= counts[b];
+    }
+    // Each bin fills back to front, so entries gathered in order stay so.
+    spare.clear();
+    spare.resize(run.len(), VACANT);
+    for s in run.iter() {
+        let at = &mut fill[bin(s)];
+        *at -= 1;
+        spare[*at as usize] = *s;
+    }
+    mem::swap(run, spare);
+    let mut left = bins;
+    while left != 0 {
+        let b = left.trailing_zeros() as usize;
+        left &= left - 1;
+        run[fill[b] as usize..][..counts[b] as usize].sort_unstable();
     }
 }
 
@@ -769,6 +918,7 @@ impl EventQueue {
             stats.refills = cal.refills;
             stats.peak_run = cal.peak_run as u64;
             stats.late_inserts = cal.late_inserts;
+            stats.pool_peak = (cal.pool.chunks.len() * CHUNK * BLOCK) as u64;
         }
         stats
     }
@@ -1463,6 +1613,128 @@ mod tests {
             assert_eq!((q.len(), q.parked_packets()), (0, 0));
             assert_eq!(q.own.free.len(), q.own.slots.len(), "leaked slab slots");
         }
+    }
+
+    /// The drain's every shape against the heap: one slot filled with
+    /// entries on bin edges (`at & 63` = 0 and 63), in one bin, anywhere
+    /// in the slot, or at one instant with keys ascending, descending or shuffled
+    /// up to `u64::MAX`; in populations of one, two (two bins or one) and
+    /// around the block size, and line-rate ones; arriving from the
+    /// far heap, from a level-2 bucket (cascaded through level 1, or
+    /// straight into the run when the slot opens its span) and from the
+    /// first level. Half-way through, a listing must equal the heap's, and
+    /// late inserts land in the slot being drained.
+    #[test]
+    fn bucketed_drain_shapes_pop_in_heap_order() {
+        let mut rng = DetRng::new(0xB1_25);
+        let pops = [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 100, 200];
+        for (case, (shape, n, keys, skew)) in (0..4)
+            .flat_map(|shape| pops.map(move |n| (shape, n)))
+            .flat_map(|(shape, n)| (0..3).map(move |keys| (shape, n, keys)))
+            .flat_map(|(shape, n, keys)| [0, 7].map(|skew| (shape, n, keys, skew)))
+            .enumerate()
+        {
+            let what = format!("case {case}: shape {shape}, {n} entries, keys {keys}, skew {skew}");
+            let slot_ns = LEVEL2_NS + 5 * SPAN_NS + skew * SLOT_NS;
+            let offset = |i: u64, rng: &mut DetRng| match shape {
+                0 => i % 64 * 64 + if i % 128 < 64 { 0 } else { 63 },
+                1 => 37 * 64 + rng.next_below(64),
+                2 => rng.next_below(SLOT_NS),
+                _ => 100,
+            };
+            let mut key_of: Vec<u64> = match keys {
+                0 => (0..n as u64).collect(),
+                1 => (0..n as u64).map(|i| u64::MAX - i).collect(),
+                _ => (0..n as u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).collect(),
+            };
+            if keys == 2 {
+                key_of[n / 2] = u64::MAX;
+                for i in (1..n).rev() {
+                    key_of.swap(i, rng.next_below(i as u64 + 1) as usize);
+                }
+            }
+            let mut queues = both_kinds();
+            let mut id = 0;
+            // Clock events: the far entries go in at time 0, the level-2
+            // ones at `t1`, the level-1 ones at `t2`.
+            let (t1, t2) = (slot_ns - 3 * SPAN_NS, slot_ns - SPAN_NS / 2);
+            put(&mut queues, &mut id, t1, 0);
+            put(&mut queues, &mut id, t2, 0);
+            let ats: Vec<u64> = (0..n as u64).map(|i| slot_ns + offset(i, &mut rng)).collect();
+            for phase in 0..3 {
+                for i in (phase..n).step_by(3) {
+                    put(&mut queues, &mut id, ats[i], key_of[i]);
+                }
+                if phase < 2 {
+                    let (t, _, _) = pop_all(&mut queues, &what).expect("clock event");
+                    assert_eq!(t.nanos(), [t1, t2][phase], "{what}");
+                }
+            }
+            let stats = queues[1].stats();
+            assert_eq!(stats.far_inserts as usize, n.div_ceil(3) + 2, "{what}");
+            assert_eq!(stats.level2_inserts as usize, (n + 1) / 3, "{what}");
+            let mut now = 0;
+            for _ in 0..n.div_ceil(2) {
+                now = pop_all(&mut queues, &what).expect("slot drained early").0.nanos();
+            }
+            let (entries, _) = snapshot_round_trip(&queues[1]);
+            assert_eq!(entries, queues[0].pending_in_order(), "{what}: mid-drain listing");
+            for j in 0..5 {
+                let at = (now + j * 301).min(slot_ns + SLOT_NS - 1);
+                put(&mut queues, &mut id, at, (1 << 62) + j);
+            }
+            while pop_all(&mut queues, &what).is_some() {}
+            let stats = queues[1].stats();
+            assert_eq!((stats.peak_run, stats.late_inserts), (n as u64, 5), "{what}");
+        }
+    }
+
+    /// Storage follows what is pending: a line-rate-shaped load — 2 000
+    /// chains of events, each begetting the next a serialization or a
+    /// propagation delay later, a tenth of them also arming a level-2
+    /// timer — runs 150 000 events across many wheel rotations, and the
+    /// pool never holds more than twice the peak pending count plus one
+    /// partly filled block per occupied bucket.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "1.5 * 10^5 events: release only (scripts/check.sh)")]
+    fn pool_storage_stays_within_pending_plus_a_block_per_bucket() {
+        const TIMER: u64 = 1;
+        let mut rng = DetRng::new(0x5709);
+        let mut q = EventQueue::new();
+        let mut key = 0u64;
+        let mut schedule = |q: &mut EventQueue, at: u64, timer_id: u64| {
+            q.schedule_keyed(SimTime::from_nanos(at), key, Event::AppTimer { app: 0, timer_id });
+            key += 1;
+        };
+        for _ in 0..2_000 {
+            schedule(&mut q, rng.next_below(SPAN_NS / 4), 0);
+        }
+        let mut most_occupied = 0;
+        for _ in 0..150_000 {
+            let (t, event) = q.pop().expect("a held population never drains");
+            if event == (Event::AppTimer { app: 0, timer_id: TIMER }) {
+                continue;
+            }
+            let now = t.nanos();
+            let delay = match rng.next_below(10) {
+                0..=4 => 12_000 + rng.next_below(1_000),
+                5..=8 => 2_000_000 + rng.next_below(13_000_000),
+                _ => {
+                    schedule(&mut q, now + 50_000_000 + rng.next_below(SPAN_NS), TIMER);
+                    20_000 + rng.next_below(20_000)
+                }
+            };
+            schedule(&mut q, now + delay, 0);
+            let QueueImpl::Calendar(cal) = &q.imp else { unreachable!() };
+            let occupied = |w: &Wheel| w.occupied.iter().map(|b| b.count_ones()).sum::<u32>();
+            most_occupied = most_occupied.max(occupied(&cal.level1) + occupied(&cal.level2));
+        }
+        let stats = q.stats();
+        assert!(q.peek_time().unwrap().nanos() > 4 * SPAN_NS, "too few rotations");
+        assert!(stats.level2_inserts > 10_000 && stats.cascaded > 5_000, "{stats:?}");
+        let bound = 2 * stats.peak_pending + (BLOCK as u64) * most_occupied as u64;
+        assert!(stats.pool_peak <= bound, "pool {} > {bound}: {stats:?}", stats.pool_peak);
+        assert!(stats.pool_peak >= stats.peak_pending / 2, "{stats:?}");
     }
 
     /// `PacketSlab::touch` is only a warm-up if the three fields it reads

@@ -870,42 +870,32 @@ impl Shard {
         actions: &mut Vec<AppAction>,
     ) {
         for action in actions.drain(..) {
-            match action {
+            let (src_port, dst, dst_port, size_bytes, payload) = match action {
                 AppAction::Send { dst, dst_port, size_bytes, payload } => {
-                    let packet = Packet {
-                        id: self.alloc_packet_id(node.0),
-                        src: node,
-                        dst,
-                        src_port: port,
-                        dst_port,
-                        size_bytes,
-                        payload,
-                        injected_at: self.now,
-                        hops: 0,
-                        flow_hash: 0, // stamped by inject
-                    };
-                    self.inject(packet);
+                    (port, dst, dst_port, size_bytes, payload)
                 }
                 AppAction::SendFrom { src_port, dst, dst_port, size_bytes, payload } => {
-                    let packet = Packet {
-                        id: self.alloc_packet_id(node.0),
-                        src: node,
-                        dst,
-                        src_port,
-                        dst_port,
-                        size_bytes,
-                        payload,
-                        injected_at: self.now,
-                        hops: 0,
-                        flow_hash: 0, // stamped by inject
-                    };
-                    self.inject(packet);
+                    (src_port, dst, dst_port, size_bytes, payload)
                 }
                 AppAction::Timer { delay, timer_id } => {
                     let (at, key) = (self.now + delay, self.alloc_key(node.0));
                     self.queue.schedule_slot(at, key, Tag::AppTimer, app_idx, timer_id);
+                    continue;
                 }
-            }
+            };
+            let packet = Packet {
+                id: self.alloc_packet_id(node.0),
+                src: node,
+                dst,
+                src_port,
+                dst_port,
+                size_bytes,
+                payload,
+                injected_at: self.now,
+                hops: 0,
+                flow_hash: 0, // stamped by inject
+            };
+            self.inject(packet);
         }
     }
 }

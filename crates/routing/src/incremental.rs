@@ -92,25 +92,6 @@ pub enum RoutingMode {
     Incremental,
 }
 
-impl RoutingMode {
-    /// Canonical spelling, as accepted by [`RoutingMode::parse`].
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            RoutingMode::Full => "full",
-            RoutingMode::Incremental => "incremental",
-        }
-    }
-
-    /// Parse `"full"` / `"incremental"`.
-    pub fn parse(s: &str) -> Option<RoutingMode> {
-        match s {
-            "full" => Some(RoutingMode::Full),
-            "incremental" => Some(RoutingMode::Incremental),
-            _ => None,
-        }
-    }
-}
-
 /// Routing-pipeline configuration shared by the parallel sweep, the
 /// simulator prefetcher, and the bench harness.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1397,14 +1378,5 @@ mod tests {
             diff.inserted.len(),
             diff.deleted.len()
         );
-    }
-
-    #[test]
-    fn mode_parsing_round_trips() {
-        for mode in [RoutingMode::Full, RoutingMode::Incremental] {
-            assert_eq!(RoutingMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(RoutingMode::parse("bogus"), None);
-        assert_eq!(RoutingMode::default(), RoutingMode::Incremental);
     }
 }

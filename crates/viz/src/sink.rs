@@ -139,7 +139,7 @@ impl ArtifactSink {
 
     /// Account a simulation's event-queue telemetry (`report.queue`):
     /// inserts per tier, cascades and refills sum across calls, the peak
-    /// pending count, the peak run and the slab peak are the largest seen.
+    /// pending count, the pool, run and slab peaks are the largest seen.
     /// Reported as `perf.engine.queue`. The
     /// counts depend on the shard count, so an experiment whose manifest
     /// must be identical across shard counts calls this only under the
@@ -343,6 +343,7 @@ impl ArtifactSink {
                         "far_inserts": q.far_inserts,
                         "cascaded": q.cascaded,
                         "peak_pending": q.peak_pending,
+                        "pool_peak": q.pool_peak,
                         "refills": q.refills,
                         "peak_run": q.peak_run,
                         "late_inserts": q.late_inserts,
@@ -567,7 +568,7 @@ mod tests {
         assert_eq!(repair.get("slot_misses").and_then(Value::as_u64), Some(6));
         assert_eq!(repair.get("certified").and_then(Value::as_u64), Some(1800));
 
-        // Queue telemetry is opt-in: counts sum, the two peaks are maxima.
+        // Queue telemetry is opt-in: counts sum, the peaks are maxima.
         let stats = QueueStats {
             level1_inserts: 100,
             level2_inserts: 10,
@@ -578,9 +579,12 @@ mod tests {
             peak_run: 12,
             late_inserts: 5,
             slab_peak: 9,
+            pool_peak: 48,
         };
         sink.record_queue(&stats);
-        sink.record_queue(&QueueStats { peak_pending: 25, peak_run: 17, slab_peak: 7, ..stats });
+        let later =
+            QueueStats { peak_pending: 25, peak_run: 17, slab_peak: 7, pool_peak: 64, ..stats };
+        sink.record_queue(&later);
         let doc = sink.manifest("e");
         let queue = doc.get("perf").unwrap().get("engine").unwrap().get("queue").expect("queue");
         assert_eq!(queue.get("level1_inserts").and_then(Value::as_u64), Some(200));
@@ -588,6 +592,7 @@ mod tests {
         assert_eq!(queue.get("far_inserts").and_then(Value::as_u64), Some(2));
         assert_eq!(queue.get("cascaded").and_then(Value::as_u64), Some(16));
         assert_eq!(queue.get("peak_pending").and_then(Value::as_u64), Some(40));
+        assert_eq!(queue.get("pool_peak").and_then(Value::as_u64), Some(64));
         assert_eq!(queue.get("refills").and_then(Value::as_u64), Some(60));
         assert_eq!(queue.get("peak_run").and_then(Value::as_u64), Some(17));
         assert_eq!(queue.get("late_inserts").and_then(Value::as_u64), Some(10));

@@ -59,9 +59,12 @@ echo "== SSSP repair vs full Dijkstra: K1 and S1 x 100 destinations x 200 snapsh
 # silently stops certifying shows up here rather than as a slow benchmark.
 cargo test -q --release -p hypatia-routing --lib incremental::tests -- --include-ignored
 
-echo "== event queue drain path with debug_asserts off: sorted run + late heap, 10^6-entry slot"
-# The run/late merge must equal the heap oracle with optimizations on too,
-# and the million-entry one-slot pile-up is too slow for the debug run.
+echo "== event queue with debug_asserts off: bucketed drain + late heap, 10^6-entry slot, pool storage bound"
+# The bucketed drain (bin count, scatter, per-bin sort) and the run/late
+# merge must equal the heap oracle with optimizations on too; the
+# million-entry one-slot pile-up and the pool-storage bound under a
+# line-rate load (pool <= 2 x peak pending + a block per occupied bucket)
+# are too slow for the debug run.
 cargo test -q --release -p hypatia-netsim --lib event::tests -- --include-ignored
 # Slot-carrying device queues, the slab-conservation audit on every exit
 # path, and the image's byte-compatibility, without debug's overflow checks.
