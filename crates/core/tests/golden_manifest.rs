@@ -43,12 +43,15 @@ fn manifest_without(manifest: &str, paths: &[&str]) -> String {
 }
 
 /// Drop what two equivalent runs need not agree on: the wall-clock
-/// `events_per_sec`, and the `perf.engine.routing` object — which snapshots
-/// a router repaired depends on which ones its prefetch worker happened to
-/// compute. The event *count* stays: it is a pure simulation observable and
-/// must match across thread counts.
+/// `events_per_sec` and `perf.engine.phases`, and the `perf.engine.routing`
+/// object — which snapshots a router repaired depends on which ones its
+/// prefetch worker happened to compute. The event *count* stays: it is a
+/// pure simulation observable and must match across thread counts.
 fn strip_wall_clock(manifest: &str) -> String {
-    manifest_without(manifest, &["perf.events_per_sec", "perf.engine.routing"])
+    manifest_without(
+        manifest,
+        &["perf.events_per_sec", "perf.engine.phases", "perf.engine.routing"],
+    )
 }
 
 fn assert_identical(spec: ExperimentSpec, tag: &str) {

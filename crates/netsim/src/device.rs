@@ -14,7 +14,7 @@
 
 use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use crate::event::PacketSlab;
-use hypatia_constellation::NodeId;
+use hypatia_constellation::{LinkFit, NodeId};
 use hypatia_util::{DataRate, DataSize, SimDuration, SimTime};
 use std::collections::VecDeque;
 
@@ -82,6 +82,9 @@ pub struct Device {
     pub stats: DeviceStats,
     /// Utilization bucket width (None = no tracking).
     bucket: Option<SimDuration>,
+    /// The propagation-delay memo of the last link transmitted on. Not
+    /// state: any content yields the same delays, so it is never saved.
+    pub(crate) fit: LinkFit,
 }
 
 impl Device {
@@ -100,6 +103,7 @@ impl Device {
             in_flight: None,
             stats: DeviceStats::default(),
             bucket,
+            fit: LinkFit::default(),
         }
     }
 

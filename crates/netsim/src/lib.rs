@@ -70,5 +70,5 @@ pub use event::{QueueKind, QueueStats};
 pub use flow::{BulkUdpSink, BulkUdpSource, FlowId};
 pub use fluid::{FluidSolve, FluidStats, SimMode};
 pub use packet::{Packet, Payload, Segment};
-pub use sim::{EngineReport, Simulator};
+pub use sim::{EngineReport, PhaseTimes, Simulator};
 pub use stats::SimStats;

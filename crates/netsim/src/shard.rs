@@ -207,9 +207,9 @@ pub(crate) struct Shard {
     /// The action buffer lent to each application callback's context, so
     /// a callback costs no allocation.
     action_buf: Vec<AppAction>,
-    /// Satellite position cache behind every hop's propagation delay.
-    /// Invisible to results (it returns the exact delay whatever it
-    /// holds), so it is neither checkpointed nor shared between shards.
+    /// Satellite samples behind every device's link memo. Invisible to
+    /// results (delays are exact whatever either holds), so it is neither
+    /// checkpointed nor shared between shards.
     pub(crate) ephemeris: Ephemeris,
     pub(crate) trace: Trace,
     pub(crate) stats: SimStats,
@@ -573,7 +573,9 @@ impl Shard {
         }
         // Propagation from live geometry — frozen runs pin geometry to t=0.
         let geom_t = if self.config.freeze_at_epoch { SimTime::ZERO } else { self.now };
-        let prop = self.ephemeris.delay(&self.constellation, NodeId(node), done.next_hop, geom_t);
+        let fit = &mut self.nodes[node as usize].devices[device as usize].fit;
+        let prop =
+            self.ephemeris.delay(fit, &self.constellation, NodeId(node), done.next_hop, geom_t);
         self.packets[done.slot].hops += 1;
         let at = self.now + prop;
         let key = self.alloc_key(node);

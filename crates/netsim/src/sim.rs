@@ -39,6 +39,7 @@ use hypatia_routing::parallel::{Prefetcher, SnapshotWorker};
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// How the engine executed a run — recorded into experiment manifests so
 /// sharded runs are auditable (and comparable) after the fact. Telemetry,
@@ -65,9 +66,11 @@ pub struct EngineReport {
     /// so identical at any shard count.
     pub fluid: FluidStats,
     /// How the shards' ephemeris caches served propagation delays, summed
-    /// over shards (each fits its own tracks, so `fits` grows with the
+    /// over shards (each samples its own tracks, so `fits` grows with the
     /// shard count).
     pub ephemeris: EphemerisStats,
+    /// Where the event loop's wall time went, phase by phase.
+    pub phases: PhaseTimes,
     /// How forwarding states were produced — full vs. repaired snapshots
     /// and why, and what the repairs did — for every step the event loop
     /// consumed: the inline router's counters plus, when a prefetch pool
@@ -76,6 +79,23 @@ pub struct EngineReport {
     /// whatever snapshot it computed last, so with a pool the split
     /// depends on thread scheduling; the states never do.
     pub routing: (RouterStats, RepairStats),
+}
+
+/// Wall-clock nanoseconds the event loop spent in each phase of its
+/// windows, from `Instant` pairs taken per window, never per event. Differs
+/// from run to run, like every wall-clock figure.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseTimes {
+    /// Coordinator events: forwarding swaps, fault updates, fluid
+    /// boundaries.
+    pub globals_ns: u64,
+    /// The window steps: every shard's run, thread spawn and join included.
+    pub window_ns: u64,
+    /// The shards' runs summed: above `window_ns` only when shards ran in
+    /// parallel.
+    pub busy_ns: u64,
+    /// Moving cross-shard arrivals between windows.
+    pub exchange_ns: u64,
 }
 
 /// What a prefetch worker hands over per forwarding step: the states and
@@ -136,6 +156,7 @@ pub struct Simulator {
     epochs: u64,
     barriers: u64,
     min_lookahead_ns: Option<u64>,
+    phases: PhaseTimes,
     /// Bounded per-packet trace: the merged view over all shards,
     /// refreshed after every `run_until` / `add_app` (off unless
     /// configured).
@@ -222,6 +243,7 @@ impl Simulator {
             epochs: 0,
             barriers: 0,
             min_lookahead_ns: None,
+            phases: PhaseTimes::default(),
             trace,
             stats: SimStats::default(),
         }
@@ -277,6 +299,7 @@ impl Simulator {
             queue,
             fluid: self.fluid.as_ref().map(FluidNet::stats).unwrap_or_default(),
             ephemeris,
+            phases: self.phases,
             routing,
         }
     }
@@ -368,7 +391,9 @@ impl Simulator {
                 break;
             }
             self.now = start;
+            let t0 = Instant::now();
             self.apply_globals_at(start);
+            self.phases.globals_ns += ns_since(t0);
 
             // The window is bounded by the next coordinator event (its
             // swap must happen before any later node event), by the
@@ -392,25 +417,32 @@ impl Simulator {
                 .filter_map(Shard::next_event_time)
                 .filter(|&t| t <= end_incl)
                 .count();
-            if active <= 1 {
+            let t0 = Instant::now();
+            self.phases.busy_ns += if active <= 1 {
                 // Nothing to overlap: run inline (a shard with nothing due
                 // returns at once). One shard always lands here.
-                for shard in &mut self.shards {
-                    shard.run_window(end_incl);
-                }
+                self.shards.iter_mut().map(|shard| run_timed(shard, end_incl)).sum::<u64>()
             } else {
                 std::thread::scope(|scope| {
+                    let mut running = Vec::new();
                     for shard in self.shards.iter_mut() {
                         if shard.next_event_time().is_some_and(|t| t <= end_incl) {
-                            scope.spawn(move || shard.run_window(end_incl));
+                            running.push(scope.spawn(move || run_timed(shard, end_incl)));
                         }
                     }
-                });
-            }
+                    let join = |h: std::thread::ScopedJoinHandle<u64>| {
+                        h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                    };
+                    running.into_iter().map(join).sum::<u64>()
+                })
+            };
+            self.phases.window_ns += ns_since(t0);
             self.epochs += 1;
+            let t0 = Instant::now();
             if self.exchange_outboxes() > 0 {
                 self.barriers += 1;
             }
+            self.phases.exchange_ns += ns_since(t0);
         }
         self.now = t_end;
         for shard in &mut self.shards {
@@ -903,6 +935,18 @@ impl Simulator {
     }
 }
 
+/// Nanoseconds of wall time since `t0`.
+fn ns_since(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos() as u64
+}
+
+/// Run `shard` up to `end_incl`; its wall time in nanoseconds.
+fn run_timed(shard: &mut Shard, end_incl: SimTime) -> u64 {
+    let t0 = Instant::now();
+    shard.run_window(end_incl);
+    ns_since(t0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1223,6 +1267,25 @@ mod tests {
         let w = sharded.min_lookahead_ns.expect("cross-shard geometry bounds the window");
         // GSL bound 520 km ≈ 1.73 ms; window must be positive and below it.
         assert!(w > 0 && w < 2_000_000, "implausible lookahead {w} ns");
+    }
+
+    /// The phase timers account the window loop: two shards' summed runs
+    /// fit twice into the window steps that hold them, and a run with
+    /// cross-shard traffic spends time in every phase.
+    #[test]
+    fn phase_timers_account_the_window_loop() {
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let cfg = SimConfig::default().with_sim_shards(2);
+        let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
+        let ping = PingApp::new(dst, SimDuration::from_millis(20), SimTime::from_millis(500));
+        sim.add_app(src, 100, Box::new(ping));
+        sim.run_until(SimTime::from_secs(1));
+        let report = sim.engine_report();
+        assert!(report.barriers > 0, "GS traffic must cross shards");
+        let p = report.phases;
+        assert!(p.globals_ns > 0 && p.window_ns > 0 && p.exchange_ns > 0, "{p:?}");
+        assert!(p.busy_ns > 0 && p.busy_ns <= 2 * p.window_ns, "{p:?}");
     }
 
     #[test]

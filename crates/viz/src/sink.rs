@@ -17,7 +17,7 @@ use crate::csv;
 use hypatia_constellation::EphemerisStats;
 use hypatia_netsim::audit::AuditViolation;
 use hypatia_netsim::trace::Trace;
-use hypatia_netsim::{EngineReport, FluidSolve, FluidStats, QueueStats};
+use hypatia_netsim::{EngineReport, FluidSolve, FluidStats, PhaseTimes, QueueStats};
 use hypatia_routing::incremental::{RepairStats, RouterStats};
 use hypatia_util::json::{self, json, Value};
 use std::io;
@@ -47,6 +47,8 @@ struct EngineAggregate {
     fluid: Option<FluidStats>,
     /// Summed over every recorded report.
     ephemeris: EphemerisStats,
+    /// Summed over every recorded report.
+    phases: PhaseTimes,
     /// Summed over every recorded report.
     routing: (RouterStats, RepairStats),
 }
@@ -115,14 +117,17 @@ impl ArtifactSink {
     /// window. Counts sum across calls (a run may simulate several
     /// workloads); the shard count is the last recorded and the lookahead
     /// the smallest seen. Reported in the manifest's `perf.engine` block,
-    /// with the summed ephemeris counts (`report.ephemeris`: fits, rejected
-    /// fits, interpolated and guard-band delays) as `perf.engine.ephemeris`
-    /// (no opt-in, unlike the queue block), and the summed forwarding-step
+    /// with the summed ephemeris counts (`report.ephemeris`: satellite
+    /// windows sampled, link fits and rejected ones, interpolated and
+    /// guard-band delays) as `perf.engine.ephemeris` (no opt-in, unlike the
+    /// queue block), the summed wall-clock phase timers (`report.phases`)
+    /// as `perf.engine.phases`, and the summed forwarding-step
     /// counts (`report.routing`: snapshots full vs. repaired and why, and
     /// what the repairs did) as `perf.engine.routing`. The routing counts
     /// depend on which snapshot each router last saw, hence on the routing
     /// mode and, under a prefetch pool, on thread scheduling: like
-    /// `events_per_sec` they are not part of what two runs must agree on.
+    /// `events_per_sec` and the phase timers they are not part of what two
+    /// runs must agree on.
     pub fn record_engine(&mut self, report: &EngineReport) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
         e.sim_shards = report.sim_shards;
@@ -133,6 +138,10 @@ impl ArtifactSink {
             (a, b) => a.or(b),
         };
         e.ephemeris.merge(&report.ephemeris);
+        e.phases.globals_ns += report.phases.globals_ns;
+        e.phases.window_ns += report.phases.window_ns;
+        e.phases.busy_ns += report.phases.busy_ns;
+        e.phases.exchange_ns += report.phases.exchange_ns;
         e.routing.0.merge(&report.routing.0);
         e.routing.1.merge(&report.routing.1);
     }
@@ -327,9 +336,16 @@ impl ArtifactSink {
                     "barriers": e.barriers,
                     "ephemeris": {
                         "fits": e.ephemeris.fits,
+                        "link_fits": e.ephemeris.link_fits,
                         "rejected_fits": e.ephemeris.rejected_fits,
                         "interpolated": e.ephemeris.interpolated,
                         "exact_guard": e.ephemeris.exact_guard,
+                    },
+                    "phases": {
+                        "globals_ns": e.phases.globals_ns,
+                        "window_ns": e.phases.window_ns,
+                        "busy_ns": e.phases.busy_ns,
+                        "exchange_ns": e.phases.exchange_ns,
                     },
                     "routing": routing_json(&e.routing),
                 });
@@ -517,8 +533,14 @@ mod tests {
             sink.manifest("e").get("perf").unwrap().get("engine").is_none(),
             "no engine block without record_engine"
         );
-        let ephemeris =
-            EphemerisStats { fits: 90, rejected_fits: 1, interpolated: 4000, exact_guard: 9 };
+        let ephemeris = EphemerisStats {
+            fits: 90,
+            link_fits: 120,
+            rejected_fits: 1,
+            interpolated: 4000,
+            exact_guard: 9,
+        };
+        let phases = PhaseTimes { globals_ns: 10, window_ns: 300, busy_ns: 500, exchange_ns: 7 };
         let routing = (
             RouterStats { snapshots: 8, repaired: 7, fallback_first: 1, ..Default::default() },
             RepairStats { trees: 70, retensed: 12, rescanned: 50, slot_misses: 3, certified: 900 },
@@ -531,6 +553,7 @@ mod tests {
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
             ephemeris,
+            phases,
             routing,
         });
         sink.record_engine(&EngineReport {
@@ -541,6 +564,7 @@ mod tests {
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
             ephemeris,
+            phases,
             routing,
         });
         let doc = sink.manifest("e");
@@ -553,9 +577,16 @@ mod tests {
         // Ephemeris counts ride along with every report and sum.
         let eph = engine.get("ephemeris").expect("ephemeris block");
         assert_eq!(eph.get("fits").and_then(Value::as_u64), Some(180));
+        assert_eq!(eph.get("link_fits").and_then(Value::as_u64), Some(240));
         assert_eq!(eph.get("rejected_fits").and_then(Value::as_u64), Some(2));
         assert_eq!(eph.get("interpolated").and_then(Value::as_u64), Some(8000));
         assert_eq!(eph.get("exact_guard").and_then(Value::as_u64), Some(18));
+        // As do the phase timers.
+        let phases = engine.get("phases").expect("phases block");
+        assert_eq!(phases.get("globals_ns").and_then(Value::as_u64), Some(20));
+        assert_eq!(phases.get("window_ns").and_then(Value::as_u64), Some(600));
+        assert_eq!(phases.get("busy_ns").and_then(Value::as_u64), Some(1000));
+        assert_eq!(phases.get("exchange_ns").and_then(Value::as_u64), Some(14));
         // So do the routing counts, the repair kernel's nested under them.
         let routing = engine.get("routing").expect("routing block");
         assert_eq!(routing.get("snapshots").and_then(Value::as_u64), Some(16));
@@ -639,6 +670,7 @@ mod tests {
             queue: QueueStats::default(),
             fluid: FluidStats::default(),
             ephemeris: EphemerisStats::default(),
+            phases: PhaseTimes::default(),
             routing: Default::default(),
         });
         let doc = serial.manifest("e");

@@ -44,10 +44,11 @@ cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke --seed 7 \
   > /dev/null
 
-echo "== ephemeris vs exact propagation delay: 10^7 seeded samples, release arithmetic"
-# The packet engine's per-hop delay must equal the exact geometry's to the
-# nanosecond whatever the cache holds; the 10^6-sample debug run is part of
-# `cargo test` above.
+echo "== link-delay cubics vs exact propagation delay: 10^7 seeded samples, release arithmetic"
+# The packet engine's per-hop delay, a per-device link memo's cubic, must
+# equal the exact geometry's to the nanosecond whatever the memos and the
+# satellite samples hold; the 10^6-sample debug run is part of `cargo test`
+# above.
 cargo test -q --release -p hypatia-constellation --lib ephemeris::tests -- --include-ignored
 
 echo "== SSSP repair vs full Dijkstra: K1 and S1 x 100 destinations x 200 snapshots, release arithmetic"
