@@ -284,3 +284,66 @@ fn per_packet_rtts_are_physically_plausible() {
         assert!(rtt.secs_f64() < 5.0, "absurd RTT {rtt}");
     }
 }
+
+/// FNV-1a-64 of a snapshot image.
+fn image_hash(image: &[u8]) -> u64 {
+    let mut h = hypatia_util::hash::Fnv1a64::new();
+    h.write(image);
+    h.finish()
+}
+
+/// Mid-run images of one lossy TCP flow under each congestion controller,
+/// and of bulk TCP tables mixing all four, are byte for byte the images
+/// the hand-written per-field codec wrote (hashes taken from it); restore
+/// → re-checkpoint reproduces each image exactly.
+#[test]
+fn mid_run_tcp_images_are_pinned_and_round_trip() {
+    use hypatia_transport::{Bbr, BulkTcpSender, BulkTcpSink, CongestionControl};
+    fn cc(i: usize) -> Box<dyn CongestionControl> {
+        match i % 4 {
+            0 => Box::new(NewReno::new()),
+            1 => Box::new(Cubic::new()),
+            2 => Box::new(Vegas::new()),
+            _ => Box::new(Bbr::new()),
+        }
+    }
+    // Cases 0..4 are one flow under controller `case`; case 4 is a bulk
+    // table of four flows, one per controller.
+    let build = |case: usize| {
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let cfg = SimConfig::default().with_link_rate(DataRate::from_mbps(10)).with_gsl_loss(0.02);
+        let mut sim = Simulator::new(c, cfg, vec![src, dst]);
+        let tcp_cfg = TcpConfig::default();
+        if case < 4 {
+            sim.add_app(dst, 80, Box::new(TcpSink::new(tcp_cfg.clone())));
+            sim.add_app(src, 70, Box::new(TcpSender::new(dst, 80, tcp_cfg, cc(case))));
+        } else {
+            let (mut senders, mut sinks) = (BulkTcpSender::new(), BulkTcpSink::new());
+            for i in 0..4u16 {
+                sinks.push(80 + i, tcp_cfg.clone());
+                senders.push(70 + i, dst, 80 + i, tcp_cfg.clone(), cc(i as usize));
+            }
+            let (sink_ports, sender_ports) = (sinks.ports(), senders.ports());
+            sim.add_app_multi(dst, &sink_ports, Box::new(sinks));
+            sim.add_app_multi(src, &sender_ports, Box::new(senders));
+        }
+        sim
+    };
+    let pinned = [
+        0x1f30_bc24_f52e_ba07u64,
+        0xcf7c_fdd4_b889_ac87,
+        0xa864_17d4_9da9_6781,
+        0xc036_c21a_8d35_52ca,
+        0x73ca_5f02_f5d8_aea8,
+    ];
+    for (case, &want) in pinned.iter().enumerate() {
+        let mut sim = build(case);
+        sim.run_until(SimTime::from_millis(2500));
+        let image = sim.checkpoint().expect("checkpoint");
+        assert_eq!(image_hash(&image), want, "case {case}: {} bytes", image.len());
+        let mut resumed = build(case);
+        resumed.restore(image.clone()).expect("restore");
+        assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image, "case {case}");
+    }
+}
