@@ -16,7 +16,7 @@ use hypatia_orbit::tle::Tle;
 use hypatia_util::{SimTime, Vec3};
 
 /// Identifier of a node (satellite or ground station) in a constellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {

@@ -149,8 +149,11 @@ pub trait Application: Send + 'static {
     /// Serialize this application's mutable state for a checkpoint.
     ///
     /// The default refuses: an application that opts into checkpointed
-    /// runs must implement the pair, and a run over one that has not is a
-    /// typed error at checkpoint time rather than a silently wrong resume.
+    /// runs must implement the pair — usually by declaring its state with
+    /// [`snap_fields!`](crate::snap_fields) and invoking
+    /// [`snap_app_state!`](crate::snap_app_state) here — and a run over one
+    /// that has not is a typed error at checkpoint time rather than a
+    /// silently wrong resume.
     /// Pending timers and in-flight packets are *not* the application's
     /// concern — they live in the event queue, which the simulator
     /// serializes itself.
@@ -172,6 +175,26 @@ pub trait Application: Send + 'static {
 
 /// Result of an application state save/restore.
 pub type SaveResult = Result<(), crate::checkpoint::CheckpointError>;
+
+/// Implement [`Application::save_state`] and [`Application::restore_state`]
+/// through the application's [`Snap`](crate::checkpoint::Snap) impl.
+/// Invoke inside the `impl Application` block.
+#[macro_export]
+macro_rules! snap_app_state {
+    () => {
+        fn save_state(&self, w: &mut $crate::checkpoint::SnapWriter) -> $crate::app::SaveResult {
+            $crate::checkpoint::Snap::put(self, w);
+            Ok(())
+        }
+
+        fn restore_state(
+            &mut self,
+            r: &mut $crate::checkpoint::SnapReader,
+        ) -> $crate::app::SaveResult {
+            $crate::checkpoint::Snap::restore(self, r)
+        }
+    };
+}
 
 #[cfg(test)]
 mod tests {

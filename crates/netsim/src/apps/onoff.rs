@@ -6,8 +6,7 @@
 //! driven by the deterministic PRNG so runs are reproducible. Useful for
 //! studying queue dynamics and TE under realistic load.
 
-use crate::app::{AppCtx, Application, SaveResult};
-use crate::checkpoint::{SnapReader, SnapWriter};
+use crate::app::{AppCtx, Application};
 use crate::packet::{Packet, Payload, HEADER_BYTES};
 use hypatia_constellation::NodeId;
 use hypatia_util::rng::DetRng;
@@ -144,30 +143,11 @@ impl Application for OnOffSource {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        for word in self.rng.state() {
-            w.put_u64(word);
-        }
-        w.put_bool(self.on);
-        w.put_time(self.period_end);
-        w.put_u64(self.next_seq);
-        w.put_u64(self.bursts);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.get_u64()?;
-        }
-        self.rng = DetRng::from_state(s);
-        self.on = r.get_bool()?;
-        self.period_end = r.get_time()?;
-        self.next_seq = r.get_u64()?;
-        self.bursts = r.get_u64()?;
-        Ok(())
-    }
+    crate::snap_app_state!();
 }
+
+crate::snap_fields!(OnOffSource { rng, on, period_end, next_seq, bursts }
+    rebuilt { dst, flow, payload_bytes, gap, mean_on, mean_off, stop_at });
 
 #[cfg(test)]
 mod tests {

@@ -5,8 +5,7 @@
 //! only the source runs an application. Replies carry the original
 //! injection timestamp, making RTT computation stateless.
 
-use crate::app::{AppCtx, Application, SaveResult};
-use crate::checkpoint::{SnapReader, SnapWriter};
+use crate::app::{AppCtx, Application};
 use crate::packet::{Packet, Payload};
 use hypatia_constellation::NodeId;
 use hypatia_util::{SimDuration, SimTime};
@@ -92,30 +91,10 @@ impl Application for PingApp {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        w.put_u64(self.next_seq);
-        w.put_u64(self.received);
-        w.put_usize(self.rtts.len());
-        for &(t, d) in &self.rtts {
-            w.put_time(t);
-            w.put_dur(d);
-        }
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        self.next_seq = r.get_u64()?;
-        self.received = r.get_u64()?;
-        let n = r.get_usize()?;
-        self.rtts.clear();
-        for _ in 0..n {
-            let t = r.get_time()?;
-            let d = r.get_dur()?;
-            self.rtts.push((t, d));
-        }
-        Ok(())
-    }
+    crate::snap_app_state!();
 }
+
+crate::snap_fields!(PingApp { next_seq, received, rtts } rebuilt { dst, interval, stop_at });
 
 #[cfg(test)]
 mod tests {

@@ -3,8 +3,7 @@
 //! rate, and goodput is calculated as the total rate of network-wide
 //! payload arrivals").
 
-use crate::app::{AppCtx, Application, SaveResult};
-use crate::checkpoint::{SnapReader, SnapWriter};
+use crate::app::{AppCtx, Application};
 use crate::packet::{Packet, Payload, HEADER_BYTES};
 use hypatia_constellation::NodeId;
 use hypatia_util::{DataRate, DataSize, SimDuration, SimTime};
@@ -81,16 +80,10 @@ impl Application for UdpSource {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        w.put_u64(self.next_seq);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        self.next_seq = r.get_u64()?;
-        Ok(())
-    }
+    crate::snap_app_state!();
 }
+
+crate::snap_fields!(UdpSource { next_seq } rebuilt { dst, flow, payload_bytes, gap, stop_at });
 
 /// Counting UDP sink: tracks received packets/bytes and loss (via sequence
 /// gaps).
@@ -160,24 +153,10 @@ impl Application for UdpSink {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        w.put_u64(self.received);
-        w.put_u64(self.payload_bytes);
-        w.put_opt_u64(self.max_seq_seen);
-        w.put_opt_time(self.first_arrival);
-        w.put_opt_time(self.last_arrival);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        self.received = r.get_u64()?;
-        self.payload_bytes = r.get_u64()?;
-        self.max_seq_seen = r.get_opt_u64()?;
-        self.first_arrival = r.get_opt_time()?;
-        self.last_arrival = r.get_opt_time()?;
-        Ok(())
-    }
+    crate::snap_app_state!();
 }
+
+crate::snap_fields!(UdpSink { received, payload_bytes, max_seq_seen, first_arrival, last_arrival });
 
 #[cfg(test)]
 mod tests {

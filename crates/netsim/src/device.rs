@@ -12,8 +12,9 @@
 //! the two things the device path needs from it. Only `save`/`restore`
 //! look the packet up, to write the bytes a by-value queue wrote.
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use crate::event::PacketSlab;
+use crate::packet::Packet;
 use hypatia_constellation::{LinkFit, NodeId};
 use hypatia_util::{DataRate, DataSize, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -199,25 +200,14 @@ impl Device {
     /// immutable skeleton (kind, capacity, bucket width) is rebuilt from
     /// config at restore time and is not stored.
     pub(crate) fn save(&self, w: &mut SnapWriter, packets: &PacketSlab) {
-        let put = |w: &mut SnapWriter, q: &Queued| {
-            w.put_packet(&packets[q.slot]);
-            w.put_u32(q.next_hop.0);
-        };
-        w.put_u64(self.rate.bps());
-        w.put_usize(self.queue.len());
-        self.queue.iter().for_each(|q| put(w, q));
-        w.put_bool(self.in_flight.is_some());
-        self.in_flight.iter().for_each(|q| put(w, q));
-        w.put_u64(self.stats.packets_in);
-        w.put_u64(self.stats.bytes_in);
-        w.put_u64(self.stats.packets_tx);
-        w.put_u64(self.stats.bytes_tx);
-        w.put_u64(self.stats.drops);
-        w.put_dur(self.stats.busy);
-        w.put_usize(self.stats.busy_per_bucket.len());
-        for d in &self.stats.busy_per_bucket {
-            w.put_dur(*d);
-        }
+        let Device { rate, queue, in_flight, stats, kind: _, queue_capacity: _, bucket: _, fit: _ } =
+            self;
+        let image = |q: &Queued| (packets[q.slot], q.next_hop);
+        rate.put(w);
+        queue.len().put(w);
+        queue.iter().for_each(|q| image(q).put(w));
+        in_flight.as_ref().map(image).put(w);
+        stats.put(w);
     }
 
     /// Restore the state captured by [`Device::save`], parking the image's
@@ -228,13 +218,13 @@ impl Device {
         r: &mut SnapReader,
         packets: &mut PacketSlab,
     ) -> Result<(), CheckpointError> {
-        let mut get = |r: &mut SnapReader| -> Result<Queued, CheckpointError> {
-            let packet = r.get_packet()?;
-            let next_hop = NodeId(r.get_u32()?);
-            Ok(Queued { slot: packets.park(packet), next_hop, size_bytes: packet.size_bytes })
+        let mut park = |(packet, next_hop): (Packet, NodeId)| Queued {
+            slot: packets.park(packet),
+            next_hop,
+            size_bytes: packet.size_bytes,
         };
-        self.rate = DataRate::from_bps(r.get_u64()?);
-        let qlen = r.get_usize()?;
+        self.rate.restore(r)?;
+        let qlen: usize = r.get()?;
         if qlen > self.queue_capacity {
             return Err(CheckpointError::Malformed(format!(
                 "device queue of {qlen} exceeds capacity {}",
@@ -243,20 +233,22 @@ impl Device {
         }
         self.queue.clear();
         for _ in 0..qlen {
-            self.queue.push_back(get(r)?);
+            self.queue.push_back(park(r.get()?));
         }
-        self.in_flight = if r.get_bool()? { Some(get(r)?) } else { None };
-        self.stats.packets_in = r.get_u64()?;
-        self.stats.bytes_in = r.get_u64()?;
-        self.stats.packets_tx = r.get_u64()?;
-        self.stats.bytes_tx = r.get_u64()?;
-        self.stats.drops = r.get_u64()?;
-        self.stats.busy = r.get_dur()?;
-        let buckets = r.get_usize()?;
-        self.stats.busy_per_bucket = (0..buckets).map(|_| r.get_dur()).collect::<Result<_, _>>()?;
-        Ok(())
+        self.in_flight = r.get::<Option<_>>()?.map(park);
+        self.stats.restore(r)
     }
 }
+
+crate::snap_fields!(DeviceStats {
+    packets_in,
+    bytes_in,
+    packets_tx,
+    bytes_tx,
+    drops,
+    busy,
+    busy_per_bucket,
+});
 
 #[cfg(test)]
 mod tests {

@@ -947,7 +947,7 @@ pub(crate) fn unpack(s: &Scheduled, packet: impl FnOnce(u32) -> Packet) -> Event
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::{SnapReader, SnapWriter};
+    use crate::checkpoint::{Snap, SnapReader, SnapWriter};
     use crate::packet::{Payload, Segment};
     use hypatia_constellation::NodeId;
     use hypatia_util::rng::DetRng;
@@ -1021,15 +1021,16 @@ mod tests {
         assert_eq!((q.pending_arrivals(), parked), (arrivals, arrivals));
         let mut w = SnapWriter::new(FP);
         for (t, key, event) in &entries {
-            w.put_time(*t);
-            w.put_u64(*key);
-            w.put_event(event);
+            (*t, *key).put(&mut w);
+            event.put(&mut w);
         }
         let mut r = SnapReader::from_bytes(w.finish(), FP).expect("valid image");
         let mut restored = EventQueue::with_kind(q.kind());
         for _ in 0..len {
-            let (t, key) = (r.get_time().unwrap(), r.get_u64().unwrap());
-            restored.schedule_keyed(t, key, r.get_event().unwrap());
+            let (t, key) = r.get().unwrap();
+            let mut event = Event::AppTimer { app: 0, timer_id: 0 };
+            event.restore(&mut r).unwrap();
+            restored.schedule_keyed(t, key, event);
         }
         r.expect_end().unwrap();
         assert_eq!(restored.parked_packets(), parked);

@@ -15,8 +15,7 @@
 //! identical to one driven by per-flow apps (the golden-manifest tests in
 //! `hypatia` core pin this byte-for-byte).
 
-use crate::app::{AppCtx, Application, SaveResult};
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::app::{AppCtx, Application};
 use crate::packet::{Packet, Payload, HEADER_BYTES};
 use hypatia_constellation::NodeId;
 use hypatia_util::{DataRate, DataSize, SimDuration, SimTime};
@@ -161,30 +160,13 @@ impl Application for BulkUdpSource {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        // Only the hot column mutates; the addressing columns are rebuilt
-        // by the experiment's deterministic install sequence.
-        w.put_usize(self.next_seq.len());
-        for &seq in &self.next_seq {
-            w.put_u64(seq);
-        }
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        let n = r.get_usize()?;
-        if n != self.next_seq.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "bulk source has {n} flows in the snapshot, {} rebuilt",
-                self.next_seq.len()
-            )));
-        }
-        for seq in &mut self.next_seq {
-            *seq = r.get_u64()?;
-        }
-        Ok(())
-    }
+    crate::snap_app_state!();
 }
+
+// Only the hot column mutates; the addressing columns are rebuilt by the
+// experiment's deterministic install sequence.
+crate::snap_fields!(BulkUdpSource { next_seq[..] }
+    rebuilt { dsts, src_ports, dst_ports, flows, payload_bytes, gap, stop_at });
 
 /// Counting UDP sink for many flows on one node.
 ///
@@ -264,30 +246,10 @@ impl Application for BulkUdpSink {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        w.put_usize(self.bytes.len());
-        for &b in &self.bytes {
-            w.put_u64(b);
-        }
-        w.put_u64(self.received);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        let n = r.get_usize()?;
-        if n != self.bytes.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "bulk sink has {n} flows in the snapshot, {} rebuilt",
-                self.bytes.len()
-            )));
-        }
-        for b in &mut self.bytes {
-            *b = r.get_u64()?;
-        }
-        self.received = r.get_u64()?;
-        Ok(())
-    }
+    crate::snap_app_state!();
 }
+
+crate::snap_fields!(BulkUdpSink { bytes[..], received } rebuilt { flows });
 
 #[cfg(test)]
 mod tests {

@@ -147,7 +147,7 @@
 //! in ascending `(node, peer)` order). Observables are therefore
 //! bit-identical at any `sim_shards`.
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use crate::packet::HEADER_BYTES;
 use hypatia_constellation::{Constellation, NodeId};
 use hypatia_fault::FaultState;
@@ -1165,33 +1165,14 @@ impl FluidNet {
     /// Loaded and pushed links are listed by key, ascending.
     pub fn save(&self, w: &mut SnapWriter) {
         w.put_tag(b"FLUD");
-        w.put_usize(self.bundles.len());
-        for b in &self.bundles {
-            w.put_usize(b.flow_ids.len());
-            w.put_f64(b.rate_bps);
-            w.put_f64(b.wire_bytes);
-        }
-        w.put_usize(self.boundaries.len());
-        for &t in &self.boundaries {
-            w.put_time(t);
-        }
-        w.put_usize(self.next_boundary);
-        w.put_usize(self.link_loads().count());
-        for ((a, b), load) in self.link_loads() {
-            w.put_u32(a);
-            w.put_u32(b);
-            w.put_f64(load);
-        }
-        let pushed = || self.links.by_key.iter().filter(|&&l| self.pushed[l as usize] != 0);
-        w.put_usize(pushed().count());
-        for &l in pushed() {
-            let (a, b) = self.links.key(l);
-            w.put_u32(a);
-            w.put_u32(b);
-            w.put_u64(self.pushed[l as usize]);
-        }
-        w.put_time(self.last_advanced);
-        w.put_u64(self.resolves);
+        self.bundles[..].put(w);
+        self.boundaries.put(w);
+        self.next_boundary.put(w);
+        self.link_loads().collect::<Vec<_>>().put(w);
+        let pushed =
+            self.links.by_key.iter().map(|&l| (self.links.key(l), self.pushed[l as usize]));
+        pushed.filter(|&(_, bps)| bps != 0).collect::<Vec<_>>().put(w);
+        (self.last_advanced, self.resolves).put(w);
     }
 
     /// Restore the state captured by [`FluidNet::save`] into a fluid net
@@ -1203,64 +1184,60 @@ impl FluidNet {
         constellation: &Constellation,
     ) -> Result<(), CheckpointError> {
         r.expect_tag(b"FLUD")?;
-        let n = r.get_usize()?;
-        if n != self.bundles.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "snapshot has {n} fluid bundles, rebuilt net has {}",
-                self.bundles.len()
-            )));
-        }
-        for b in &mut self.bundles {
-            let flows = r.get_usize()?;
-            if flows != b.flow_ids.len() {
-                return Err(CheckpointError::Malformed(format!(
-                    "fluid bundle {}→{} has {} flows in the snapshot, {} rebuilt",
-                    b.src,
-                    b.dst,
-                    flows,
-                    b.flow_ids.len()
-                )));
-            }
-            b.rate_bps = r.get_f64()?;
-            b.wire_bytes = r.get_f64()?;
-        }
-        let nb = r.get_usize()?;
-        self.boundaries = (0..nb).map(|_| r.get_time()).collect::<Result<_, _>>()?;
-        self.next_boundary = r.get_usize()?;
+        self.bundles[..].restore(r)?;
+        (self.boundaries, self.next_boundary) = r.get()?;
         if self.next_boundary > self.boundaries.len() {
             return Err(CheckpointError::Malformed("fluid boundary cursor out of range".into()));
         }
+        let loads: Vec<((u32, u32), f64)> = r.get()?;
+        let pushed: Vec<((u32, u32), u64)> = r.get()?;
         self.ensure_links(constellation);
         let links = &self.links;
-        let link = |r: &mut SnapReader| {
-            let key = (r.get_u32()?, r.get_u32()?);
-            links.of_key(key).ok_or_else(|| {
+        let link = |key| {
+            links.of_key(key).map(|l| l as usize).ok_or_else(|| {
                 CheckpointError::Malformed(format!(
                     "fluid link {key:?} is not in the constellation"
                 ))
             })
         };
         self.link_load.fill(0.0);
-        for _ in 0..r.get_usize()? {
-            let l = link(r)?;
-            let load = r.get_f64()?;
+        for (key, load) in loads {
             if load.is_nan() || load <= 0.0 {
                 return Err(CheckpointError::Malformed(format!("fluid link load {load}")));
             }
-            self.link_load[l as usize] = load;
+            self.link_load[link(key)?] = load;
         }
         self.pushed.fill(0);
-        for _ in 0..r.get_usize()? {
-            let l = link(r)?;
-            let bps = r.get_u64()?;
+        for (key, bps) in pushed {
             if bps == 0 {
                 return Err(CheckpointError::Malformed("zero residual rate pushed".into()));
             }
-            self.pushed[l as usize] = bps;
+            self.pushed[link(key)?] = bps;
         }
-        self.last_advanced = r.get_time()?;
-        self.resolves = r.get_u64()?;
+        (self.last_advanced, self.resolves) = r.get()?;
         self.paths.valid = false;
+        Ok(())
+    }
+}
+
+/// The member count (cross-checked against the rebuilt bundle), then the
+/// integration state.
+impl Snap for Bundle {
+    fn put(&self, w: &mut SnapWriter) {
+        (self.flow_ids.len(), self.rate_bps, self.wire_bytes).put(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
+        let flows: usize = r.get()?;
+        if flows != self.flow_ids.len() {
+            return Err(CheckpointError::Malformed(format!(
+                "fluid bundle {}→{} has {flows} flows in the snapshot, {} rebuilt",
+                self.src,
+                self.dst,
+                self.flow_ids.len()
+            )));
+        }
+        (self.rate_bps, self.wire_bytes) = r.get()?;
         Ok(())
     }
 }
@@ -2057,31 +2034,22 @@ mod tests {
         fn save(&self, w: &mut SnapWriter) {
             let net = &self.net;
             w.put_tag(b"FLUD");
-            w.put_usize(net.bundles.len());
+            net.bundles.len().put(w);
             for b in &net.bundles {
-                w.put_usize(b.flow_ids.len());
-                w.put_f64(b.rate_bps);
-                w.put_f64(b.wire_bytes);
+                (b.flow_ids.len(), b.rate_bps, b.wire_bytes).put(w);
             }
-            w.put_usize(net.boundaries.len());
-            for &t in &net.boundaries {
-                w.put_time(t);
-            }
-            w.put_usize(net.next_boundary);
-            w.put_usize(self.link_load.len());
+            net.boundaries.len().put(w);
+            net.boundaries.iter().for_each(|t| t.put(w));
+            net.next_boundary.put(w);
+            self.link_load.len().put(w);
             for (&(a, b), &load) in &self.link_load {
-                w.put_u32(a);
-                w.put_u32(b);
-                w.put_f64(load);
+                (a, b, load).put(w);
             }
-            w.put_usize(self.pushed.len());
+            self.pushed.len().put(w);
             for (&(a, b), &bps) in &self.pushed {
-                w.put_u32(a);
-                w.put_u32(b);
-                w.put_u64(bps);
+                (a, b, bps).put(w);
             }
-            w.put_time(net.last_advanced);
-            w.put_u64(net.resolves);
+            (net.last_advanced, net.resolves).put(w);
         }
     }
 

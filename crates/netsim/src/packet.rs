@@ -19,7 +19,7 @@ pub const HEADER_BYTES: u32 = 60;
 /// Sequence/ack numbers are byte offsets, 64-bit so wraparound handling is
 /// unnecessary at simulation scale. `ts`/`ts_echo` implement an RFC1323-
 /// style timestamp option used for RTT estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Segment {
     /// First payload byte carried (meaningless when `payload_bytes == 0`).
     pub seq: u64,
@@ -65,8 +65,15 @@ pub enum Payload {
     Seg(Segment),
 }
 
+/// A zero ping: the blank a snapshot decoder overwrites.
+impl Default for Payload {
+    fn default() -> Self {
+        Payload::Ping { seq: 0 }
+    }
+}
+
 /// A packet in flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Packet {
     /// Globally unique packet id (assigned at injection).
     pub id: u64,

@@ -1,6 +1,5 @@
 //! Global simulation counters.
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use hypatia_util::SimDuration;
 
 /// Network-wide counters maintained by the simulator.
@@ -87,68 +86,27 @@ impl SimStats {
     pub fn bytes_per_flow(&self) -> Option<f64> {
         (self.flow_count > 0).then(|| self.flow_state_bytes as f64 / self.flow_count as f64)
     }
-
-    /// Serialize every counter, in declaration order.
-    pub fn save(&self, w: &mut SnapWriter) {
-        for v in self.as_array() {
-            w.put_u64(v);
-        }
-    }
-
-    /// Restore the counters captured by [`SimStats::save`].
-    pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        let mut vals = [0u64; 17];
-        for v in &mut vals {
-            *v = r.get_u64()?;
-        }
-        *self = Self::from_array(vals);
-        Ok(())
-    }
-
-    fn as_array(&self) -> [u64; 17] {
-        [
-            self.injected,
-            self.delivered,
-            self.payload_bytes_delivered,
-            self.hop_deliveries,
-            self.routing_drops,
-            self.queue_drops,
-            self.channel_drops,
-            self.fault_drops,
-            self.unclaimed,
-            self.pings_echoed,
-            self.forwarding_updates,
-            self.events,
-            self.flow_count,
-            self.flow_state_bytes,
-            self.fluid_flows,
-            self.fluid_resolves,
-            self.fluid_bytes_delivered,
-        ]
-    }
-
-    fn from_array(v: [u64; 17]) -> SimStats {
-        SimStats {
-            injected: v[0],
-            delivered: v[1],
-            payload_bytes_delivered: v[2],
-            hop_deliveries: v[3],
-            routing_drops: v[4],
-            queue_drops: v[5],
-            channel_drops: v[6],
-            fault_drops: v[7],
-            unclaimed: v[8],
-            pings_echoed: v[9],
-            forwarding_updates: v[10],
-            events: v[11],
-            flow_count: v[12],
-            flow_state_bytes: v[13],
-            fluid_flows: v[14],
-            fluid_resolves: v[15],
-            fluid_bytes_delivered: v[16],
-        }
-    }
 }
+
+crate::snap_fields!(SimStats {
+    injected,
+    delivered,
+    payload_bytes_delivered,
+    hop_deliveries,
+    routing_drops,
+    queue_drops,
+    channel_drops,
+    fault_drops,
+    unclaimed,
+    pings_echoed,
+    forwarding_updates,
+    events,
+    flow_count,
+    flow_state_bytes,
+    fluid_flows,
+    fluid_resolves,
+    fluid_bytes_delivered,
+});
 
 #[cfg(test)]
 mod tests {
@@ -227,14 +185,19 @@ mod tests {
 
     #[test]
     fn save_restore_round_trips_every_field() {
+        use crate::checkpoint::{Snap, SnapReader, SnapWriter};
         // Distinct values per field so a swapped pair cannot cancel out.
-        let stats = SimStats::from_array(std::array::from_fn(|i| (i as u64 + 1) * 1000 + 7));
         let mut w = SnapWriter::new(0);
-        stats.save(&mut w);
-        let mut r = SnapReader::from_bytes(w.finish(), 0).expect("valid image");
+        (1..=17u64).for_each(|i| (i * 1000 + 7).put(&mut w));
+        let image = w.finish();
+        let mut r = SnapReader::from_bytes(image.clone(), 0).expect("valid image");
         let mut back = SimStats::default();
         back.restore(&mut r).expect("restore");
-        assert_eq!(back, stats);
         r.expect_end().unwrap();
+        // Declaration order is image order.
+        assert_eq!((back.injected, back.events, back.fluid_bytes_delivered), (1007, 12007, 17007));
+        let mut w = SnapWriter::new(0);
+        back.put(&mut w);
+        assert_eq!(w.finish(), image);
     }
 }

@@ -6,36 +6,52 @@
 //! animation, or to debug a forwarding anomaly) without unbounded memory
 //! growth on long runs.
 
-use crate::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use hypatia_constellation::NodeId;
 use hypatia_util::SimTime;
 
-/// What happened to the packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What happened to the packet. The discriminant is the kind's tag in a
+/// checkpoint image.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceKind {
     /// Application (or echo) injected the packet at its source node.
-    Inject,
+    #[default]
+    Inject = 0,
     /// The packet arrived at an intermediate or final node.
-    Arrive,
+    Arrive = 1,
     /// Delivered to the destination node.
-    Deliver,
+    Deliver = 2,
     /// Dropped: no route to the destination.
-    RoutingDrop,
+    RoutingDrop = 3,
     /// Dropped: device queue full.
-    QueueDrop,
+    QueueDrop = 4,
     /// Dropped: lost on the GSL channel.
-    ChannelDrop,
+    ChannelDrop = 5,
     /// Dropped by fault injection: the packet was in flight on (or
     /// forwarded into) a link or node that a scheduled fault took down.
-    FaultDrop,
+    FaultDrop = 6,
     /// The coordinator's fluid solver recomputed the max-min rate
     /// allocation (fluid/hybrid modes). Not a packet event: `node` is
     /// always 0 and `packet_id` carries the running re-solve count.
-    FluidResolve,
+    FluidResolve = 7,
+}
+
+impl TraceKind {
+    /// Every kind, in tag order.
+    pub(crate) const ALL: [TraceKind; 8] = [
+        TraceKind::Inject,
+        TraceKind::Arrive,
+        TraceKind::Deliver,
+        TraceKind::RoutingDrop,
+        TraceKind::QueueDrop,
+        TraceKind::ChannelDrop,
+        TraceKind::FaultDrop,
+        TraceKind::FluidResolve,
+    ];
 }
 
 /// One trace record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceEntry {
     /// Event time.
     pub t: SimTime,
@@ -212,32 +228,24 @@ impl Trace {
     pub fn journey(&self, packet_id: u64) -> Vec<TraceEntry> {
         self.entries.iter().filter(|e| e.packet_id == packet_id).copied().collect()
     }
+}
 
-    /// Serialize the full trace state (entries, keys, counters, and the
-    /// configured limits — stored so restore can cross-check the rebuilt
-    /// configuration).
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.put_usize(self.limit);
-        w.put_u64(self.sample_every);
-        w.put_u64(self.current_key);
-        w.put_u64(self.truncated);
-        w.put_u64(self.sampled_out);
-        w.put_usize(self.entries.len());
-        for (e, &key) in self.entries.iter().zip(self.keys.iter()) {
-            w.put_time(e.t);
-            w.put_u32(e.node.0);
-            w.put_u64(e.packet_id);
-            w.put_u8(kind_tag(e.kind));
-            w.put_u64(key);
+/// The configured limits (stored so restore can cross-check the rebuilt
+/// configuration), the counters, then each entry followed by its key.
+impl Snap for Trace {
+    fn put(&self, w: &mut SnapWriter) {
+        (self.limit, self.sample_every).put(w);
+        (self.current_key, self.truncated, self.sampled_out).put(w);
+        self.entries.len().put(w);
+        for (entry, key) in self.entries.iter().zip(&self.keys) {
+            (*entry, *key).put(w);
         }
     }
 
-    /// Restore the state captured by [`Trace::save`]. Fails if the saved
-    /// limits disagree with this trace's configuration (the snapshot came
-    /// from a differently configured run).
-    pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        let limit = r.get_usize()?;
-        let sample_every = r.get_u64()?;
+    /// Fails if the saved limits disagree with this trace's configuration
+    /// (the snapshot came from a differently configured run).
+    fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
+        let (limit, sample_every): (usize, u64) = r.get()?;
         if limit != self.limit || sample_every != self.sample_every {
             return Err(CheckpointError::Malformed(format!(
                 "trace config mismatch: snapshot limit={limit}/sample={sample_every}, \
@@ -245,10 +253,8 @@ impl Trace {
                 self.limit, self.sample_every
             )));
         }
-        self.current_key = r.get_u64()?;
-        self.truncated = r.get_u64()?;
-        self.sampled_out = r.get_u64()?;
-        let n = r.get_usize()?;
+        (self.current_key, self.truncated, self.sampled_out) = r.get()?;
+        let n: usize = r.get()?;
         if n > limit {
             return Err(CheckpointError::Malformed(format!(
                 "trace holds {n} entries over its limit {limit}"
@@ -257,43 +263,12 @@ impl Trace {
         self.entries.clear();
         self.keys.clear();
         for _ in 0..n {
-            let t = r.get_time()?;
-            let node = NodeId(r.get_u32()?);
-            let packet_id = r.get_u64()?;
-            let kind = kind_from_tag(r.get_u8()?)?;
-            self.entries.push(TraceEntry { t, node, packet_id, kind });
-            self.keys.push(r.get_u64()?);
+            let (entry, key) = r.get()?;
+            self.entries.push(entry);
+            self.keys.push(key);
         }
         Ok(())
     }
-}
-
-/// Stable on-disk tag for a [`TraceKind`].
-fn kind_tag(kind: TraceKind) -> u8 {
-    match kind {
-        TraceKind::Inject => 0,
-        TraceKind::Arrive => 1,
-        TraceKind::Deliver => 2,
-        TraceKind::RoutingDrop => 3,
-        TraceKind::QueueDrop => 4,
-        TraceKind::ChannelDrop => 5,
-        TraceKind::FaultDrop => 6,
-        TraceKind::FluidResolve => 7,
-    }
-}
-
-fn kind_from_tag(tag: u8) -> Result<TraceKind, CheckpointError> {
-    Ok(match tag {
-        0 => TraceKind::Inject,
-        1 => TraceKind::Arrive,
-        2 => TraceKind::Deliver,
-        3 => TraceKind::RoutingDrop,
-        4 => TraceKind::QueueDrop,
-        5 => TraceKind::ChannelDrop,
-        6 => TraceKind::FaultDrop,
-        7 => TraceKind::FluidResolve,
-        t => return Err(CheckpointError::Malformed(format!("bad trace kind tag {t}"))),
-    })
 }
 
 #[cfg(test)]
@@ -430,7 +405,7 @@ mod tests {
 
     #[test]
     fn save_restore_round_trips_entries_keys_and_counters() {
-        use crate::checkpoint::{SnapReader, SnapWriter};
+        use crate::checkpoint::{Snap, SnapReader, SnapWriter};
         let mut tr = Trace::with_sampling(2, 2);
         tr.set_key(11);
         tr.record_flow(SimTime::from_nanos(1), NodeId(3), 1, 4, TraceKind::Inject);
@@ -439,7 +414,7 @@ mod tests {
         tr.record(SimTime::from_nanos(3), NodeId(5), 1, TraceKind::Deliver);
         tr.record(SimTime::from_nanos(4), NodeId(6), 1, TraceKind::Arrive); // truncated
         let mut w = SnapWriter::new(1);
-        tr.save(&mut w);
+        tr.put(&mut w);
         let mut back = Trace::with_sampling(2, 2);
         let mut r = SnapReader::from_bytes(w.finish(), 1).unwrap();
         back.restore(&mut r).unwrap();
@@ -452,7 +427,7 @@ mod tests {
 
         // A differently configured trace rejects the snapshot.
         let mut w = SnapWriter::new(1);
-        tr.save(&mut w);
+        tr.put(&mut w);
         let mut wrong = Trace::with_sampling(5, 2);
         let mut r = SnapReader::from_bytes(w.finish(), 1).unwrap();
         assert!(wrong.restore(&mut r).is_err());

@@ -25,8 +25,7 @@ use crate::tcp::config::TcpConfig;
 use crate::tcp::sender::TcpSender;
 use crate::tcp::sink::TcpSink;
 use hypatia_constellation::NodeId;
-use hypatia_netsim::app::{AppCtx, Application, SaveResult};
-use hypatia_netsim::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use hypatia_netsim::app::{AppCtx, Application};
 use hypatia_netsim::packet::Packet;
 
 /// Sorted `(port, index)` demux table shared by both wrappers.
@@ -140,30 +139,12 @@ impl Application for BulkTcpSender {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        // The port demux table is rebuilt by the push() sequence at
-        // construction time; only the per-flow protocol state travels.
-        w.put_usize(self.flows.len());
-        for flow in &self.flows {
-            flow.save_to(w);
-        }
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        let n = r.get_usize()?;
-        if n != self.flows.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "bulk sender table has {} flows, snapshot has {n}",
-                self.flows.len()
-            )));
-        }
-        for flow in &mut self.flows {
-            flow.restore_from(r)?;
-        }
-        Ok(())
-    }
+    hypatia_netsim::snap_app_state!();
 }
+
+// The port demux table is rebuilt by the push() sequence at construction
+// time; only the per-flow protocol state travels.
+hypatia_netsim::snap_fields!(BulkTcpSender { flows[..] } rebuilt { ports });
 
 /// Many [`TcpSink`]s in one application slot, demuxed by the port each
 /// flow's data arrives on.
@@ -251,28 +232,10 @@ impl Application for BulkTcpSink {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        w.put_usize(self.flows.len());
-        for flow in &self.flows {
-            flow.save_to(w);
-        }
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        let n = r.get_usize()?;
-        if n != self.flows.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "bulk sink table has {} flows, snapshot has {n}",
-                self.flows.len()
-            )));
-        }
-        for flow in &mut self.flows {
-            flow.restore_from(r)?;
-        }
-        Ok(())
-    }
+    hypatia_netsim::snap_app_state!();
 }
+
+hypatia_netsim::snap_fields!(BulkTcpSink { flows[..] } rebuilt { ports });
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,7 @@
 //! phase), and loss is ignored except for RTO (as in BBRv1).
 
 use super::{CcState, CongestionControl};
-use hypatia_netsim::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use hypatia_netsim::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use hypatia_util::{SimDuration, SimTime};
 
 /// ProbeBW gain cycle (BBRv1).
@@ -203,67 +203,36 @@ impl CongestionControl for Bbr {
         state.cwnd = 4 * state.mss;
         self.epoch_bytes = 0;
     }
+}
 
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u8(match self.mode {
-            Mode::Startup => 0,
-            Mode::Drain => 1,
-            Mode::ProbeBw => 2,
-        });
-        w.put_usize(self.bw_samples.len());
-        for &(t, rate) in &self.bw_samples {
-            w.put_time(t);
-            w.put_f64(rate);
-        }
-        match self.rt_prop {
-            Some((at, rtt)) => {
-                w.put_bool(true);
-                w.put_time(at);
-                w.put_dur(rtt);
-            }
-            None => w.put_bool(false),
-        }
-        w.put_u64(self.epoch_bytes);
-        w.put_time(self.epoch_start);
-        w.put_f64(self.full_bw);
-        w.put_u32(self.full_bw_count);
-        w.put_usize(self.cycle_idx);
-        w.put_time(self.cycle_stamp);
+hypatia_netsim::snap_fields!(Bbr {
+    mode,
+    bw_samples,
+    rt_prop,
+    epoch_bytes,
+    epoch_start,
+    full_bw,
+    full_bw_count,
+    cycle_idx,
+    cycle_stamp,
+} check |bbr: &Bbr| match bbr.cycle_idx {
+    i if i < CYCLE.len() => Ok(()),
+    i => Err(CheckpointError::Malformed(format!("BBR cycle index {i} out of range"))),
+});
+
+/// The mode's tag byte (its discriminant).
+impl Snap for Mode {
+    fn put(&self, w: &mut SnapWriter) {
+        (*self as u8).put(w);
     }
 
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        self.mode = match r.get_u8()? {
+    fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
+        *self = match r.get::<u8>()? {
             0 => Mode::Startup,
             1 => Mode::Drain,
             2 => Mode::ProbeBw,
             m => return Err(CheckpointError::Malformed(format!("unknown BBR mode {m}"))),
         };
-        let n = r.get_usize()?;
-        self.bw_samples.clear();
-        for _ in 0..n {
-            let t = r.get_time()?;
-            let rate = r.get_f64()?;
-            self.bw_samples.push((t, rate));
-        }
-        self.rt_prop = if r.get_bool()? {
-            let at = r.get_time()?;
-            let rtt = r.get_dur()?;
-            Some((at, rtt))
-        } else {
-            None
-        };
-        self.epoch_bytes = r.get_u64()?;
-        self.epoch_start = r.get_time()?;
-        self.full_bw = r.get_f64()?;
-        self.full_bw_count = r.get_u32()?;
-        self.cycle_idx = r.get_usize()?;
-        if self.cycle_idx >= CYCLE.len() {
-            return Err(CheckpointError::Malformed(format!(
-                "BBR cycle index {} out of range",
-                self.cycle_idx
-            )));
-        }
-        self.cycle_stamp = r.get_time()?;
         Ok(())
     }
 }
@@ -375,5 +344,19 @@ mod tests {
         let idx1 = cc.cycle_idx;
         drive(&mut cc, &mut st, SimTime::from_secs(10), 3, 1.25e6, 100);
         assert_ne!(cc.cycle_idx, idx1, "gain cycle should advance per epoch");
+    }
+
+    /// A snapshot's cycle index must name a gain of [`CYCLE`]: out of
+    /// range it is malformed input, not an index panic later.
+    #[test]
+    fn restore_rejects_an_out_of_range_cycle_index() {
+        use hypatia_netsim::checkpoint::SnapReader;
+        for (idx, ok) in [(CYCLE.len() - 1, true), (CYCLE.len(), false)] {
+            let mut w = SnapWriter::new(0);
+            Bbr { cycle_idx: idx, ..Bbr::new() }.put(&mut w);
+            let mut r = SnapReader::from_bytes(w.finish(), 0).unwrap();
+            let result = Bbr::new().restore(&mut r);
+            assert_eq!(result.is_ok(), ok, "cycle index {idx}: {result:?}");
+        }
     }
 }

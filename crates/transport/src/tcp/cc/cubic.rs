@@ -6,7 +6,6 @@
 //! window-growth function on LEO paths.
 
 use super::{CcState, CongestionControl};
-use hypatia_netsim::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use hypatia_util::{SimDuration, SimTime};
 
 /// CUBIC constants per RFC 8312.
@@ -104,22 +103,9 @@ impl CongestionControl for Cubic {
         self.reduce(state, now);
         state.cwnd = state.mss;
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put_f64(self.w_max);
-        w.put_opt_time(self.epoch_start);
-        w.put_f64(self.k);
-        w.put_f64(self.w_cubic_origin);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        self.w_max = r.get_f64()?;
-        self.epoch_start = r.get_opt_time()?;
-        self.k = r.get_f64()?;
-        self.w_cubic_origin = r.get_f64()?;
-        Ok(())
-    }
 }
+
+hypatia_netsim::snap_fields!(Cubic { w_max, epoch_start, k, w_cubic_origin });
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,7 @@ pub mod cubic;
 pub mod newreno;
 pub mod vegas;
 
-use hypatia_netsim::checkpoint::{CheckpointError, SnapReader, SnapWriter};
+use hypatia_netsim::checkpoint::Snap;
 use hypatia_util::{SimDuration, SimTime};
 
 /// Window state shared by all algorithms (bytes).
@@ -47,36 +47,18 @@ impl CcState {
     pub fn cwnd_segments(&self) -> u64 {
         (self.cwnd / self.mss).max(1)
     }
-
-    /// Serialize the window state (checkpointing).
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.put_u64(self.cwnd);
-        w.put_u64(self.ssthresh);
-        w.put_u64(self.mss);
-    }
-
-    /// Restore the state captured by [`CcState::save`]. The MSS is derived
-    /// from configuration, so a mismatch means the snapshot belongs to a
-    /// differently-configured sender.
-    pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        self.cwnd = r.get_u64()?;
-        self.ssthresh = r.get_u64()?;
-        let mss = r.get_u64()?;
-        if mss != self.mss {
-            return Err(CheckpointError::Malformed(format!(
-                "snapshot MSS {mss} != configured MSS {}",
-                self.mss
-            )));
-        }
-        Ok(())
-    }
 }
+
+hypatia_netsim::snap_fields!(CcState { cwnd, ssthresh, mss });
 
 /// A pluggable congestion-control algorithm.
 ///
 /// `Send` so TCP endpoints (which box one of these) satisfy the
-/// `Application: Send` bound of the sharded engine.
-pub trait CongestionControl: Send + 'static {
+/// `Application: Send` bound of the sharded engine. Its [`Snap`] image is
+/// the algorithm-private state only (accumulators, model windows): the
+/// window itself lives in [`CcState`] and is saved by the sender, and a
+/// restore lands in a freshly-constructed instance of the same algorithm.
+pub trait CongestionControl: Snap + Send + 'static {
     /// Algorithm name (for logs and plots).
     fn name(&self) -> &'static str;
 
@@ -99,15 +81,6 @@ pub trait CongestionControl: Send + 'static {
 
     /// Retransmission timeout.
     fn on_timeout(&mut self, state: &mut CcState, inflight: u64, now: SimTime);
-
-    /// Serialize the algorithm's internal state for a checkpoint. The
-    /// window itself lives in [`CcState`] and is saved by the sender; this
-    /// covers only algorithm-private state (accumulators, model windows).
-    fn save_state(&self, w: &mut SnapWriter);
-
-    /// Restore the state captured by [`CongestionControl::save_state`]
-    /// into a freshly-constructed instance of the same algorithm.
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError>;
 }
 
 #[cfg(test)]

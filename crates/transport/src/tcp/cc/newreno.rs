@@ -1,7 +1,6 @@
 //! TCP NewReno (RFC 5681 + RFC 6582): the paper's loss-based baseline.
 
 use super::{CcState, CongestionControl};
-use hypatia_netsim::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use hypatia_util::{SimDuration, SimTime};
 
 /// Loss-based AIMD with slow start and fast recovery.
@@ -68,16 +67,9 @@ impl CongestionControl for NewReno {
         state.cwnd = state.mss;
         self.ca_acc = 0;
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put_u64(self.ca_acc);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        self.ca_acc = r.get_u64()?;
-        Ok(())
-    }
 }
+
+hypatia_netsim::snap_fields!(NewReno { ca_acc });
 
 #[cfg(test)]
 mod tests {

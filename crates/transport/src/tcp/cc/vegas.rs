@@ -11,7 +11,6 @@
 //! throughput after this point".
 
 use super::{CcState, CongestionControl};
-use hypatia_netsim::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use hypatia_util::{SimDuration, SimTime};
 
 /// Delay-based congestion control (Brakmo & Peterson parameters:
@@ -137,23 +136,10 @@ impl CongestionControl for Vegas {
         self.epoch_samples = 0;
         self.epoch_acked = 0;
     }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.put_opt_dur(self.base_rtt);
-        w.put_opt_dur(self.epoch_min_rtt);
-        w.put_u32(self.epoch_samples);
-        w.put_u64(self.epoch_acked);
-        self.reno.save_state(w);
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        self.base_rtt = r.get_opt_dur()?;
-        self.epoch_min_rtt = r.get_opt_dur()?;
-        self.epoch_samples = r.get_u32()?;
-        self.epoch_acked = r.get_u64()?;
-        self.reno.restore_state(r)
-    }
 }
+
+hypatia_netsim::snap_fields!(Vegas { base_rtt, epoch_min_rtt, epoch_samples, epoch_acked, reno }
+    rebuilt { alpha, beta, gamma });
 
 #[cfg(test)]
 mod tests {

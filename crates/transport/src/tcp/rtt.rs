@@ -3,7 +3,6 @@
 //! Samples come from the timestamp echo on ACKs, so retransmission
 //! ambiguity (Karn's problem) does not arise.
 
-use hypatia_netsim::checkpoint::{CheckpointError, SnapReader, SnapWriter};
 use hypatia_util::SimDuration;
 
 /// Smoothed RTT estimator with exponential backoff.
@@ -74,30 +73,17 @@ impl RttEstimator {
     pub fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
-
-    /// Serialize the estimator (checkpointing).
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.put_opt_dur(self.srtt);
-        w.put_dur(self.rttvar);
-        w.put_dur(self.rto);
-        w.put_dur(self.min_rto);
-        w.put_u32(self.backoff_factor);
-        w.put_opt_dur(self.last_sample);
-        w.put_opt_dur(self.min_sample);
-    }
-
-    /// Restore the state captured by [`RttEstimator::save`].
-    pub fn restore(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
-        self.srtt = r.get_opt_dur()?;
-        self.rttvar = r.get_dur()?;
-        self.rto = r.get_dur()?;
-        self.min_rto = r.get_dur()?;
-        self.backoff_factor = r.get_u32()?;
-        self.last_sample = r.get_opt_dur()?;
-        self.min_sample = r.get_opt_dur()?;
-        Ok(())
-    }
 }
+
+hypatia_netsim::snap_fields!(RttEstimator {
+    srtt,
+    rttvar,
+    rto,
+    min_rto,
+    backoff_factor,
+    last_sample,
+    min_sample,
+});
 
 #[cfg(test)]
 mod tests {

@@ -4,8 +4,8 @@ use crate::tcp::cc::{CcState, CongestionControl};
 use crate::tcp::config::TcpConfig;
 use crate::tcp::rtt::RttEstimator;
 use hypatia_constellation::NodeId;
-use hypatia_netsim::app::{AppCtx, Application, SaveResult};
-use hypatia_netsim::checkpoint::{SnapReader, SnapWriter};
+use hypatia_netsim::app::{AppCtx, Application};
+use hypatia_netsim::checkpoint::CheckpointError;
 use hypatia_netsim::packet::{Packet, Payload, Segment, HEADER_BYTES};
 use hypatia_util::{SimDuration, SimTime};
 
@@ -270,75 +270,44 @@ impl TcpSender {
         self.try_send(ctx);
         self.log_cwnd(ctx.now);
     }
-
-    /// Serialize the full sender state — window, sequence space, recovery
-    /// machine, RTT estimator, CC internals, and the event log — so a
-    /// resumed run continues (and plots) bit-identically. Exposed as an
-    /// inherent method so [`crate::BulkTcpSender`] can reuse it per flow.
-    pub(crate) fn save_to(&self, w: &mut SnapWriter) {
-        self.st.save(w);
-        self.cc.save_state(w);
-        w.put_u64(self.snd_una);
-        w.put_u64(self.snd_nxt);
-        w.put_bool(self.in_recovery);
-        w.put_u64(self.recover);
-        w.put_u32(self.dup_acks);
-        w.put_u64(self.inflation);
-        w.put_u64(self.recovery_flight);
-        w.put_bool(self.rearmed_on_partial);
-        self.rtt.save(w);
-        w.put_u64(self.rto_gen);
-        w.put_bool(self.rto_armed);
-        w.put_usize(self.log.cwnd.len());
-        for &(t, cw) in &self.log.cwnd {
-            w.put_time(t);
-            w.put_u64(cw);
-        }
-        w.put_usize(self.log.rtt_samples.len());
-        for &(t, s) in &self.log.rtt_samples {
-            w.put_time(t);
-            w.put_dur(s);
-        }
-        w.put_u64(self.log.fast_retransmits);
-        w.put_u64(self.log.timeouts);
-        w.put_u64(self.log.retransmits);
-    }
-
-    /// Restore the state captured by [`TcpSender::save_to`].
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader) -> SaveResult {
-        self.st.restore(r)?;
-        self.cc.restore_state(r)?;
-        self.snd_una = r.get_u64()?;
-        self.snd_nxt = r.get_u64()?;
-        self.in_recovery = r.get_bool()?;
-        self.recover = r.get_u64()?;
-        self.dup_acks = r.get_u32()?;
-        self.inflation = r.get_u64()?;
-        self.recovery_flight = r.get_u64()?;
-        self.rearmed_on_partial = r.get_bool()?;
-        self.rtt.restore(r)?;
-        self.rto_gen = r.get_u64()?;
-        self.rto_armed = r.get_bool()?;
-        let n = r.get_usize()?;
-        self.log.cwnd.clear();
-        for _ in 0..n {
-            let t = r.get_time()?;
-            let cw = r.get_u64()?;
-            self.log.cwnd.push((t, cw));
-        }
-        let n = r.get_usize()?;
-        self.log.rtt_samples.clear();
-        for _ in 0..n {
-            let t = r.get_time()?;
-            let s = r.get_dur()?;
-            self.log.rtt_samples.push((t, s));
-        }
-        self.log.fast_retransmits = r.get_u64()?;
-        self.log.timeouts = r.get_u64()?;
-        self.log.retransmits = r.get_u64()?;
-        Ok(())
-    }
 }
+
+// The full sender state — window, CC internals, sequence space, recovery
+// machine, RTT estimator, and the event log — so a resumed run continues
+// (and plots) bit-identically. The MSS travels in the window state; one
+// that disagrees with the configuration means the snapshot belongs to a
+// differently-configured sender.
+hypatia_netsim::snap_fields!(TcpSender {
+    st,
+    cc,
+    snd_una,
+    snd_nxt,
+    in_recovery,
+    recover,
+    dup_acks,
+    inflation,
+    recovery_flight,
+    rearmed_on_partial,
+    rtt,
+    rto_gen,
+    rto_armed,
+    log,
+} rebuilt { cfg, dst, dst_port, src_port }
+  check |s: &TcpSender| match s.st.mss {
+    mss if mss == s.cfg.mss as u64 => Ok(()),
+    mss => Err(CheckpointError::Malformed(format!(
+        "snapshot MSS {mss} != configured MSS {}",
+        s.cfg.mss
+    ))),
+});
+
+hypatia_netsim::snap_fields!(SenderLog {
+    cwnd,
+    rtt_samples,
+    fast_retransmits,
+    timeouts,
+    retransmits
+});
 
 impl Application for TcpSender {
     fn on_start(&mut self, ctx: &mut AppCtx) {
@@ -385,14 +354,7 @@ impl Application for TcpSender {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        self.save_to(w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        self.restore_from(r)
-    }
+    hypatia_netsim::snap_app_state!();
 }
 
 #[cfg(test)]
@@ -543,5 +505,25 @@ mod tests {
         let mut c = AppCtx::new(SimTime::from_millis(100), NodeId(0), 70);
         s.handle_ack(&mut c, ack(1000, 1));
         assert!(s.log.cwnd.len() > n0, "cwnd growth must be logged");
+    }
+
+    /// The window state carries the MSS; restoring it into a sender
+    /// configured with another MSS is malformed input.
+    #[test]
+    fn restore_rejects_a_different_mss() {
+        use hypatia_netsim::checkpoint::{Snap, SnapReader, SnapWriter};
+        let image = || {
+            let mut w = SnapWriter::new(0);
+            sender().put(&mut w);
+            SnapReader::from_bytes(w.finish(), 0).unwrap()
+        };
+        assert!(sender().restore(&mut image()).is_ok());
+        let cfg = TcpConfig::default().with_mss(1200);
+        let mut other = TcpSender::new(NodeId(9), 80, cfg, Box::new(NewReno::new()));
+        let err = other.restore(&mut image()).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Malformed(ref m) if m.contains("MSS 1000")),
+            "{err}"
+        );
     }
 }

@@ -2,8 +2,7 @@
 
 use crate::tcp::config::TcpConfig;
 use hypatia_constellation::NodeId;
-use hypatia_netsim::app::{AppCtx, Application, SaveResult};
-use hypatia_netsim::checkpoint::{SnapReader, SnapWriter};
+use hypatia_netsim::app::{AppCtx, Application};
 use hypatia_netsim::packet::{Packet, Payload, Segment, HEADER_BYTES};
 use hypatia_util::SimTime;
 use std::collections::BTreeMap;
@@ -168,62 +167,19 @@ impl TcpSink {
             ctx.set_timer(self.cfg.delack_timeout, self.delack_gen);
         }
     }
-
-    /// Serialize reassembly and ACK state (checkpointing). Inherent so
-    /// [`crate::BulkTcpSink`] can reuse it per flow.
-    pub(crate) fn save_to(&self, w: &mut SnapWriter) {
-        w.put_u64(self.rcv_nxt);
-        w.put_usize(self.ooo.len());
-        for (&seq, &len) in &self.ooo {
-            w.put_u64(seq);
-            w.put_u32(len);
-        }
-        w.put_u32(self.pending_acks);
-        w.put_time(self.pending_ts);
-        w.put_u64(self.delack_gen);
-        w.put_usize(self.bins_100ms.len());
-        for &b in &self.bins_100ms {
-            w.put_u64(b);
-        }
-        w.put_u64(self.ooo_arrivals);
-        w.put_u64(self.dup_arrivals);
-        w.put_bool(self.peer.is_some());
-        if let Some((node, port)) = self.peer {
-            w.put_u32(node.0);
-            w.put_u16(port);
-        }
-    }
-
-    /// Restore the state captured by [`TcpSink::save_to`].
-    pub(crate) fn restore_from(&mut self, r: &mut SnapReader) -> SaveResult {
-        self.rcv_nxt = r.get_u64()?;
-        let n = r.get_usize()?;
-        self.ooo.clear();
-        for _ in 0..n {
-            let seq = r.get_u64()?;
-            let len = r.get_u32()?;
-            self.ooo.insert(seq, len);
-        }
-        self.pending_acks = r.get_u32()?;
-        self.pending_ts = r.get_time()?;
-        self.delack_gen = r.get_u64()?;
-        let n = r.get_usize()?;
-        self.bins_100ms.clear();
-        for _ in 0..n {
-            self.bins_100ms.push(r.get_u64()?);
-        }
-        self.ooo_arrivals = r.get_u64()?;
-        self.dup_arrivals = r.get_u64()?;
-        self.peer = if r.get_bool()? {
-            let node = NodeId(r.get_u32()?);
-            let port = r.get_u16()?;
-            Some((node, port))
-        } else {
-            None
-        };
-        Ok(())
-    }
 }
+
+hypatia_netsim::snap_fields!(TcpSink {
+    rcv_nxt,
+    ooo,
+    pending_acks,
+    pending_ts,
+    delack_gen,
+    bins_100ms,
+    ooo_arrivals,
+    dup_arrivals,
+    peer,
+} rebuilt { cfg, src_port });
 
 impl Application for TcpSink {
     fn on_start(&mut self, _ctx: &mut AppCtx) {}
@@ -253,14 +209,7 @@ impl Application for TcpSink {
         self
     }
 
-    fn save_state(&self, w: &mut SnapWriter) -> SaveResult {
-        self.save_to(w);
-        Ok(())
-    }
-
-    fn restore_state(&mut self, r: &mut SnapReader) -> SaveResult {
-        self.restore_from(r)
-    }
+    hypatia_netsim::snap_app_state!();
 }
 
 #[cfg(test)]

@@ -68,10 +68,14 @@ echo "== event queue with debug_asserts off: bucketed drain + late heap, 10^6-en
 # are too slow for the debug run.
 cargo test -q --release -p hypatia-netsim --lib event::tests -- --include-ignored
 # Slot-carrying device queues, the slab-conservation audit on every exit
-# path, and the image's byte-compatibility, without debug's overflow checks.
+# path, and the image's byte-compatibility (the pinned mid-run images of
+# UDP, ping, on/off, bulk UDP, hybrid fluid and TCP under every congestion
+# controller; malformed queue entries rejected), without debug's overflow
+# checks.
 cargo test -q --release -p hypatia-netsim --lib -- --include-ignored \
   device::tests audit::tests node::tests sim::tests::every_exit sim::tests::mid_run_image \
-  sim::tests::audit_is_clean
+  sim::tests::audit_is_clean sim::tests::restore_rejects checkpoint::tests
+cargo test -q --release -p hypatia-transport --test tcp_end_to_end mid_run_tcp_images
 
 echo "== fluid solver under release arithmetic: differential fuzz, K1 gate + hybrid shard tests"
 # The link-id solver — reused paths, lazy residuals — must match the
