@@ -8,11 +8,12 @@
 //! share each satellite's single GSL device queue.
 
 use crate::experiments::tcp_single::CcKind;
+use crate::resilience::{Driver, SimRun};
+use crate::runner::RunError;
 use crate::scenario::Scenario;
 use hypatia_constellation::ground::GroundStation;
 use hypatia_constellation::relays::bent_pipe_ground_segment;
 use hypatia_constellation::NodeId;
-use hypatia_netsim::EngineReport;
 use hypatia_routing::forwarding::compute_forwarding_state;
 use hypatia_transport::{TcpConfig, TcpSender, TcpSink};
 use hypatia_util::time::TimeSteps;
@@ -59,12 +60,8 @@ pub struct BentPipeLeg {
     pub bytes_received: u64,
     /// Mean computed RTT, ms (over connected steps).
     pub mean_computed_rtt_ms: f64,
-    /// Events the simulator processed.
-    pub events: u64,
-    /// Wall-clock seconds the simulation took.
-    pub wall_s: f64,
-    /// How the engine executed: shard count, epochs, barriers, lookahead.
-    pub engine: EngineReport,
+    /// The driven TCP simulation: events, wall clock, engine report.
+    pub run: SimRun,
 }
 
 /// The two legs, ready for comparison.
@@ -76,13 +73,15 @@ pub struct BentPipeResult {
     pub bent_pipe: BentPipeLeg,
 }
 
+/// One leg; its TCP simulation's snapshot tag is the label in snake case.
 fn run_leg(
     scenario: &Scenario,
     label: &'static str,
     src: NodeId,
     dst: NodeId,
     duration: SimDuration,
-) -> BentPipeLeg {
+    driver: &Driver,
+) -> Result<BentPipeLeg, RunError> {
     // Computed RTT series (no traffic).
     let mut computed = Vec::new();
     let mut sum = 0.0;
@@ -110,13 +109,16 @@ fn run_leg(
         70,
         Box::new(TcpSender::new(dst, 80, cfg.clone(), CcKind::NewReno.build())),
     );
-    let wall_start = std::time::Instant::now();
-    sim.run_until(SimTime::ZERO + duration);
-    let wall_s = wall_start.elapsed().as_secs_f64();
+    let run = SimRun::drive(
+        &mut sim,
+        SimTime::ZERO + duration,
+        &label.to_lowercase().replace('-', "_"),
+        driver,
+    )?;
     let sender: &TcpSender = sim.app_as(sender_idx).expect("sender");
     let sink: &TcpSink = sim.app_as(sink_idx).expect("sink");
 
-    BentPipeLeg {
+    Ok(BentPipeLeg {
         label,
         computed_rtt_series: computed,
         tcp_rtt_series: sender
@@ -135,19 +137,18 @@ fn run_leg(
         path_t0,
         bytes_received: sink.bytes_received(),
         mean_computed_rtt_ms: if connected > 0 { sum / connected as f64 } else { f64::NAN },
-        events: sim.stats.events,
-        wall_s,
-        engine: sim.engine_report(),
-    }
+        run,
+    })
 }
 
 /// Run the full comparison between `src_city` and `dst_city` (defaults in
-/// the paper: Paris and Moscow) on Kuiper K1.
+/// the paper: Paris and Moscow) on Kuiper K1, both legs driven by `driver`.
 pub fn run(
     src_city: GroundStation,
     dst_city: GroundStation,
     cfg: &BentPipeConfig,
-) -> BentPipeResult {
+    driver: &Driver,
+) -> Result<BentPipeResult, RunError> {
     use crate::scenario::ConstellationChoice;
 
     // Leg 1: standard ISL constellation, endpoints only.
@@ -157,7 +158,8 @@ pub fn run(
         ),
         sim_config: hypatia_netsim::SimConfig::default(),
     };
-    let isl = run_leg(&isl_scenario, "ISL", isl_scenario.gs(0), isl_scenario.gs(1), cfg.duration);
+    let (src, dst) = (isl_scenario.gs(0), isl_scenario.gs(1));
+    let isl = run_leg(&isl_scenario, "ISL", src, dst, cfg.duration, driver)?;
 
     // Leg 2: no ISLs; add the relay grid.
     let ground =
@@ -166,10 +168,10 @@ pub fn run(
         constellation: Arc::new(ConstellationChoice::KuiperK1BentPipe.build(ground)),
         sim_config: hypatia_netsim::SimConfig::default(),
     };
-    let bent_pipe =
-        run_leg(&bp_scenario, "bent-pipe", bp_scenario.gs(0), bp_scenario.gs(1), cfg.duration);
+    let (src, dst) = (bp_scenario.gs(0), bp_scenario.gs(1));
+    let bent_pipe = run_leg(&bp_scenario, "bent-pipe", src, dst, cfg.duration, driver)?;
 
-    BentPipeResult { isl, bent_pipe }
+    Ok(BentPipeResult { isl, bent_pipe })
 }
 
 #[cfg(test)]
@@ -192,7 +194,9 @@ mod tests {
                 relay_spacing_deg: 4.0,
                 relay_margin_deg: 2.0,
             },
+            &Driver::default(),
         )
+        .expect("a plain run has no failure path")
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //! purpose — keeping the observed pair's first and last hop uncongested —
 //! and ours is time-invariant, hence reproducible independent of geometry.
 
-use crate::scenario::{Scenario, UnknownCityError};
+use crate::experiments::pair_slug;
+use crate::resilience::{Driver, SimRun};
+use crate::runner::RunError;
+use crate::scenario::Scenario;
 use hypatia_constellation::NodeId;
 use hypatia_netsim::Simulator;
 use hypatia_routing::forwarding::compute_forwarding_state;
@@ -54,9 +57,8 @@ pub struct CrossTrafficResult {
     pub total_goodput_mbps: f64,
     /// Number of cross-traffic flows installed.
     pub flows: usize,
-    /// Wall-clock seconds the simulation took (event count lives in
-    /// `sim.stats.events`).
-    pub wall_s: f64,
+    /// The driven simulation: events, wall clock, engine report.
+    pub run: SimRun,
 }
 
 impl CrossTrafficResult {
@@ -81,13 +83,16 @@ impl CrossTrafficResult {
 /// Run cross-traffic on `scenario`, observing `(src_name, dst_name)`.
 ///
 /// The scenario's sim config must have a utilization bucket configured
-/// (1 s reproduces the paper's measurement granularity).
+/// (1 s reproduces the paper's measurement granularity). The simulation
+/// is driven by `driver` under the snapshot tag
+/// `<frozen|dynamic>[_mp<stretch>]_<pair>`.
 pub fn run(
     scenario: &Scenario,
     src_name: &str,
     dst_name: &str,
     cfg: &CrossTrafficConfig,
-) -> Result<CrossTrafficResult, UnknownCityError> {
+    driver: &Driver,
+) -> Result<CrossTrafficResult, RunError> {
     let bucket = scenario
         .sim_config
         .utilization_bucket
@@ -129,10 +134,10 @@ pub fn run(
         );
     }
 
-    let end = SimTime::ZERO + cfg.duration;
-    let wall_start = std::time::Instant::now();
-    sim.run_until(end);
-    let wall_s = wall_start.elapsed().as_secs_f64();
+    let mp = cfg.multipath_stretch.map_or(String::new(), |s| format!("_mp{s}"));
+    let network = if cfg.frozen { "frozen" } else { "dynamic" };
+    let tag = format!("{network}{mp}_{}", pair_slug(src_name, dst_name));
+    let run = SimRun::drive(&mut sim, SimTime::ZERO + cfg.duration, &tag, driver)?;
 
     // Unused bandwidth per bucket for the observed pair: capacity minus the
     // bottleneck utilization of the path in force at each bucket start.
@@ -160,7 +165,7 @@ pub fn run(
         unused_bandwidth_series: series,
         total_goodput_mbps,
         flows: flows.len(),
-        wall_s,
+        run,
     })
 }
 
@@ -196,14 +201,15 @@ mod tests {
         let s = scenario(10);
         let mut cfg = quick_cfg();
         cfg.multipath_stretch = Some(1.2);
-        let r = run(&s, "Tokyo", "Sao Paulo", &cfg).expect("known cities");
+        let r = run(&s, "Tokyo", "Sao Paulo", &cfg, &Driver::default()).expect("known cities");
         assert!(r.total_goodput_mbps > 5.0, "multipath goodput {}", r.total_goodput_mbps);
     }
 
     #[test]
     fn observed_pair_series_has_one_point_per_second() {
         let s = scenario(10);
-        let r = run(&s, "Tokyo", "Sao Paulo", &quick_cfg()).expect("known cities");
+        let r =
+            run(&s, "Tokyo", "Sao Paulo", &quick_cfg(), &Driver::default()).expect("known cities");
         assert_eq!(r.unused_bandwidth_series.len(), 10);
         for &(_, u) in &r.unused_bandwidth_series {
             assert!(u.is_nan() || (-0.01..=10.01).contains(&u), "unused {u}");
@@ -214,7 +220,8 @@ mod tests {
     #[test]
     fn cross_traffic_consumes_bandwidth() {
         let s = scenario(10);
-        let r = run(&s, "Tokyo", "Sao Paulo", &quick_cfg()).expect("known cities");
+        let r =
+            run(&s, "Tokyo", "Sao Paulo", &quick_cfg(), &Driver::default()).expect("known cities");
         assert!(r.total_goodput_mbps > 5.0, "goodput {}", r.total_goodput_mbps);
         // Some second must see congestion (unused < capacity).
         let min_unused = r
@@ -231,7 +238,7 @@ mod tests {
         let s = scenario(8);
         let mut cfg = quick_cfg();
         cfg.frozen = true;
-        let r = run(&s, "Tokyo", "Sao Paulo", &cfg).expect("known cities");
+        let r = run(&s, "Tokyo", "Sao Paulo", &cfg, &Driver::default()).expect("known cities");
         assert_eq!(r.sim.stats.forwarding_updates, 0);
         assert_eq!(r.unused_bandwidth_series.len(), 10);
     }
@@ -239,7 +246,8 @@ mod tests {
     #[test]
     fn flows_avoid_observed_ground_stations() {
         let s = scenario(10);
-        let r = run(&s, "Tokyo", "Sao Paulo", &quick_cfg()).expect("known cities");
+        let r =
+            run(&s, "Tokyo", "Sao Paulo", &quick_cfg(), &Driver::default()).expect("known cities");
         // 10 cities → permutation of 10 minus any pair touching the 2
         // observed GSes, plus the observed flow itself: at most 9.
         assert!(r.flows <= 9, "flows {}", r.flows);
@@ -248,7 +256,8 @@ mod tests {
     #[test]
     fn fraction_metric_bounded() {
         let s = scenario(8);
-        let r = run(&s, "Tokyo", "Sao Paulo", &quick_cfg()).expect("known cities");
+        let r =
+            run(&s, "Tokyo", "Sao Paulo", &quick_cfg(), &Driver::default()).expect("known cities");
         let f = r.fraction_time_unused_above(1.0 / 3.0);
         assert!((0.0..=1.0).contains(&f));
     }

@@ -27,14 +27,15 @@
 //! byte-identical artifacts. Everything is deterministic in (spec, seed).
 
 use crate::experiments::scalability::FlowTable;
+use crate::resilience::{Driver, SimRun};
+use crate::runner::RunError;
 use crate::scenario::Scenario;
 use hypatia_constellation::ground::gravity_pairs;
 use hypatia_constellation::NodeId;
-use hypatia_netsim::{BulkUdpSink, BulkUdpSource, EngineReport, FlowId};
+use hypatia_netsim::{BulkUdpSink, BulkUdpSource, FlowId, Simulator};
 use hypatia_util::mem::peak_rss_bytes;
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// One measured point of the flow-count sweep.
 #[derive(Debug, Clone)]
@@ -43,10 +44,6 @@ pub struct FlowScalingPoint {
     pub flows: u64,
     /// Events processed.
     pub events: u64,
-    /// Wall-clock seconds the simulation took.
-    pub wall_s: f64,
-    /// Simulator throughput, events per wall-clock second.
-    pub events_per_sec: f64,
     /// Network-wide goodput achieved, Gbit/s.
     pub goodput_gbps: f64,
     /// Jain fairness index over per-flow delivered bytes.
@@ -58,8 +55,8 @@ pub struct FlowScalingPoint {
     /// (Linux `VmHWM`). Meaningful for one point per process; a sweep in
     /// one process reports its running maximum.
     pub peak_rss_bytes: Option<u64>,
-    /// How the engine executed: shard count, epochs, barriers, lookahead.
-    pub engine: EngineReport,
+    /// The driven simulation: wall clock, engine report, checkpoints.
+    pub run: SimRun,
 }
 
 /// Jain's fairness index `(Σx)² / (n · Σx²)`: 1.0 when every flow got the
@@ -75,22 +72,24 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     sum * sum / (xs.len() as f64 * sum_sq)
 }
 
-/// Per-node flow lists in global draw order: what each node sources and
-/// sinks, with the ports already assigned.
-struct NodePlan {
-    /// dst node → (sink ports, global flow ids), index-aligned.
-    sinks: BTreeMap<u32, (Vec<u16>, Vec<u32>)>,
-    /// src node → (global flow id, dst, src port, dst port) per flow.
-    sources: BTreeMap<u32, Vec<(u32, NodeId, u16, u16)>>,
-}
-
-/// Assign endpoints and ports for `pairs`. Ports only steer packets to
-/// the owning application — per-flow accounting keys on the dense
-/// [`FlowId`] inside each datagram — so source ports recycle the
-/// 20000-range and sink ports the 40000-range once a node owns more than
-/// 20k flows (arena tables deduplicate bound ports; the per-flow-apps
-/// layout needs unique ports and therefore caps at 20k flows per node).
-fn plan(scenario: &Scenario, pairs: &[(usize, usize)]) -> NodePlan {
+/// Install `pairs` as UDP flows paced at `rate` until `stop`, in the
+/// `flow_table` layout; returns the sink applications. Flow `i` is
+/// `FlowId(i)`. Ports only steer packets to the owning application —
+/// per-flow accounting keys on the dense [`FlowId`] inside each datagram —
+/// so source ports recycle the 20000-range and sink ports the 40000-range
+/// once a node owns more than 20k flows (arena tables deduplicate bound
+/// ports; the per-flow-apps layout needs unique ports and therefore caps
+/// at 20k flows per node).
+pub(crate) fn install_flows(
+    sim: &mut Simulator,
+    scenario: &Scenario,
+    pairs: &[(usize, usize)],
+    flow_table: FlowTable,
+    rate: DataRate,
+    stop: SimTime,
+) -> Vec<u32> {
+    // Per node, in global draw order: dst → (sink ports, flow ids), and
+    // src → (flow id, dst, src port, dst port) per flow.
     let mut sinks: BTreeMap<u32, (Vec<u16>, Vec<u32>)> = BTreeMap::new();
     let mut sources: BTreeMap<u32, Vec<(u32, NodeId, u16, u16)>> = BTreeMap::new();
     for (i, &(s, d)) in pairs.iter().enumerate() {
@@ -103,30 +102,6 @@ fn plan(scenario: &Scenario, pairs: &[(usize, usize)]) -> NodePlan {
         let src_port = 20_000 + (list.len() % 20_000) as u16;
         list.push((i as u32, dst, src_port, dst_port));
     }
-    NodePlan { sinks, sources }
-}
-
-/// Run one flow-scaling point: `flows` gravity-drawn UDP flows, each
-/// paced at `per_flow_rate`, for `virtual_duration` simulated seconds.
-/// Observables are byte-identical across [`FlowTable`] layouts; only
-/// memory layout and install cost differ.
-pub fn run_flow_point(
-    scenario: &Scenario,
-    flows: u64,
-    flow_table: FlowTable,
-    per_flow_rate: DataRate,
-    virtual_duration: SimDuration,
-    seed: u64,
-) -> FlowScalingPoint {
-    let cities = scenario.constellation.num_ground_stations();
-    let pairs = gravity_pairs(cities, flows as usize, seed);
-    let stop = SimTime::ZERO + virtual_duration;
-
-    let mut dests: Vec<_> = (0..cities).map(|i| scenario.gs(i)).collect();
-    dests.sort_unstable_by_key(|n| n.0);
-    let mut sim = scenario.simulator(dests);
-
-    let NodePlan { sinks, sources } = plan(scenario, &pairs);
     let mut sink_apps = Vec::new();
     match flow_table {
         FlowTable::Arena => {
@@ -140,7 +115,7 @@ pub fn run_flow_point(
                 ));
             }
             for (node, list) in sources {
-                let mut table = BulkUdpSource::new(per_flow_rate, 1440, stop);
+                let mut table = BulkUdpSource::new(rate, 1440, stop);
                 for &(flow, dst, src_port, dst_port) in &list {
                     table.push(FlowId(flow), dst, src_port, dst_port);
                 }
@@ -165,39 +140,79 @@ pub fn run_flow_point(
             }
             for (node, list) in sources {
                 for &(flow, dst, src_port, dst_port) in &list {
-                    let mut solo = BulkUdpSource::new(per_flow_rate, 1440, stop);
+                    let mut solo = BulkUdpSource::new(rate, 1440, stop);
                     solo.push(FlowId(flow), dst, src_port, dst_port);
                     sim.add_app(NodeId(node), src_port, Box::new(solo));
                 }
             }
         }
     }
+    sink_apps
+}
 
-    let wall_start = Instant::now();
-    sim.run_until(stop);
-    let wall_s = wall_start.elapsed().as_secs_f64();
-
+/// Bytes each of `flows` flows delivered to the `sink_apps`, by flow id.
+pub(crate) fn per_flow_bytes(sim: &Simulator, sink_apps: &[u32], flows: u64) -> Vec<f64> {
     let mut per_flow = vec![0.0f64; flows as usize];
-    for idx in sink_apps {
+    for &idx in sink_apps {
         let sink: &BulkUdpSink = sim.app_as(idx).expect("bulk UDP sink");
         for (flow, bytes) in sink.per_flow_bytes() {
             per_flow[flow.0 as usize] = bytes as f64;
         }
     }
+    per_flow
+}
 
+/// Run one flow-scaling point: `flows` gravity-drawn UDP flows, each
+/// paced at `per_flow_rate`, for `virtual_duration` simulated seconds.
+/// Observables are byte-identical across [`FlowTable`] layouts; only
+/// memory layout and install cost differ. No checkpoints, audits, or
+/// limits — see [`drive_flow_point`].
+pub fn run_flow_point(
+    scenario: &Scenario,
+    flows: u64,
+    flow_table: FlowTable,
+    per_flow_rate: DataRate,
+    virtual_duration: SimDuration,
+    seed: u64,
+) -> FlowScalingPoint {
+    let driver = Driver::default();
+    drive_flow_point(scenario, flows, flow_table, per_flow_rate, virtual_duration, seed, &driver)
+        .expect("a plain run has no failure path")
+}
+
+/// [`run_flow_point`] driven by `driver`, under the snapshot tag
+/// `flows_<flow table>_<flows>`.
+pub fn drive_flow_point(
+    scenario: &Scenario,
+    flows: u64,
+    flow_table: FlowTable,
+    per_flow_rate: DataRate,
+    virtual_duration: SimDuration,
+    seed: u64,
+    driver: &Driver,
+) -> Result<FlowScalingPoint, RunError> {
+    let cities = scenario.constellation.num_ground_stations();
+    let pairs = gravity_pairs(cities, flows as usize, seed);
+    let stop = SimTime::ZERO + virtual_duration;
+
+    let mut dests: Vec<_> = (0..cities).map(|i| scenario.gs(i)).collect();
+    dests.sort_unstable_by_key(|n| n.0);
+    let mut sim = scenario.simulator(dests);
+    let sink_apps = install_flows(&mut sim, scenario, &pairs, flow_table, per_flow_rate, stop);
+
+    let tag = format!("flows_{}_{flows}", flow_table.name());
+    let run = SimRun::drive(&mut sim, stop, &tag, driver)?;
     let goodput_gbps =
         sim.stats.payload_bytes_delivered as f64 * 8.0 / virtual_duration.secs_f64() / 1e9;
-    FlowScalingPoint {
+    Ok(FlowScalingPoint {
         flows,
-        events: sim.stats.events,
-        wall_s,
-        events_per_sec: if wall_s > 0.0 { sim.stats.events as f64 / wall_s } else { 0.0 },
+        events: run.events,
         goodput_gbps,
-        jain: jain_index(&per_flow),
+        jain: jain_index(&per_flow_bytes(&sim, &sink_apps, flows)),
         bytes_per_flow: sim.stats.bytes_per_flow().unwrap_or(0.0),
         peak_rss_bytes: peak_rss_bytes(),
-        engine: sim.engine_report(),
-    }
+        run,
+    })
 }
 
 #[cfg(test)]
@@ -233,7 +248,7 @@ mod tests {
         assert_eq!(a.goodput_gbps, b.goodput_gbps, "goodput must be bit-identical");
         assert!(a.goodput_gbps > 0.0);
         assert!(a.jain > 0.0 && a.jain <= 1.0, "jain {}", a.jain);
-        assert!(a.events_per_sec > 0.0);
+        assert!(a.run.events_per_sec() > 0.0);
     }
 
     #[test]

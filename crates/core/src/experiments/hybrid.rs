@@ -24,15 +24,15 @@
 //! fluid/hybrid mode. Everything is deterministic in (spec, seed) and
 //! bit-identical at any `sim_shards`.
 
-use crate::experiments::flow_scaling::jain_index;
+use crate::experiments::flow_scaling::{install_flows, jain_index, per_flow_bytes};
+use crate::experiments::scalability::FlowTable;
+use crate::resilience::{Driver, SimRun};
+use crate::runner::RunError;
 use crate::scenario::Scenario;
 use hypatia_constellation::ground::gravity_pairs;
-use hypatia_constellation::NodeId;
 use hypatia_netsim::apps::PingApp;
-use hypatia_netsim::{BulkUdpSink, BulkUdpSource, EngineReport, FlowId, SimMode};
+use hypatia_netsim::SimMode;
 use hypatia_util::{DataRate, SimDuration, SimTime};
-use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// One measured point of the mode comparison.
 #[derive(Debug, Clone)]
@@ -43,10 +43,6 @@ pub struct HybridPoint {
     pub mode: SimMode,
     /// Events processed (packet events plus fluid boundary events).
     pub events: u64,
-    /// Wall-clock seconds the simulation took.
-    pub wall_s: f64,
-    /// Simulator throughput, events per wall-clock second.
-    pub events_per_sec: f64,
     /// Network-wide goodput, Gbit/s: packet payload delivered plus fluid
     /// bytes delivered analytically.
     pub goodput_gbps: f64,
@@ -60,8 +56,8 @@ pub struct HybridPoint {
     pub fluid_resolves: u64,
     /// Ping RTT samples from the control overlay (present in every mode).
     pub ping_rtts: u64,
-    /// How the engine executed: shard count, epochs, barriers, lookahead.
-    pub engine: EngineReport,
+    /// The driven simulation: wall clock, engine report, checkpoints.
+    pub run: SimRun,
 }
 
 /// Run one point: `flows` gravity-drawn bulk UDP flows at
@@ -69,7 +65,7 @@ pub struct HybridPoint {
 /// `fluid_threshold` (flows with demand below the threshold stay
 /// packet-level; in [`SimMode::Packet`] everything does), plus a
 /// packet-level ping control overlay, for `virtual_duration` simulated
-/// seconds.
+/// seconds. No checkpoints, audits, or limits — see [`drive_hybrid_point`].
 pub fn run_hybrid_point(
     scenario: &Scenario,
     flows: u64,
@@ -79,6 +75,32 @@ pub fn run_hybrid_point(
     virtual_duration: SimDuration,
     seed: u64,
 ) -> HybridPoint {
+    drive_hybrid_point(
+        scenario,
+        flows,
+        mode,
+        per_flow_rate,
+        fluid_threshold,
+        virtual_duration,
+        seed,
+        &Driver::default(),
+    )
+    .expect("a plain run has no failure path")
+}
+
+/// [`run_hybrid_point`] driven by `driver`, under the snapshot tag
+/// `<mode>_<flows>`.
+#[allow(clippy::too_many_arguments)]
+pub fn drive_hybrid_point(
+    scenario: &Scenario,
+    flows: u64,
+    mode: SimMode,
+    per_flow_rate: DataRate,
+    fluid_threshold: DataRate,
+    virtual_duration: SimDuration,
+    seed: u64,
+    driver: &Driver,
+) -> Result<HybridPoint, RunError> {
     let mut scenario = scenario.clone();
     scenario.sim_config = scenario.sim_config.clone().with_sim_mode(mode);
 
@@ -100,60 +122,22 @@ pub fn run_hybrid_point(
     );
 
     // Classify: bulk flows go fluid when the mode allows it and their
-    // demand clears the threshold; everything else is simulated
-    // packet-by-packet through arena flow tables (same port-recycling
-    // scheme as `flow_scaling::plan`).
+    // demand clears the threshold; otherwise they are simulated
+    // packet-by-packet through arena flow tables.
     let to_fluid = mode != SimMode::Packet && per_flow_rate >= fluid_threshold;
-    let mut fluid_installed = 0u64;
-    let mut sinks: BTreeMap<u32, (Vec<u16>, Vec<u32>)> = BTreeMap::new();
-    let mut sources: BTreeMap<u32, Vec<(u32, NodeId, u16, u16)>> = BTreeMap::new();
-    for (i, &(s, d)) in pairs.iter().enumerate() {
-        let (src, dst) = (scenario.gs(s), scenario.gs(d));
-        if to_fluid {
+    let sink_apps = if to_fluid {
+        for (i, &(s, d)) in pairs.iter().enumerate() {
+            let (src, dst) = (scenario.gs(s), scenario.gs(d));
             sim.add_fluid_flow(i as u32, src, dst, per_flow_rate, 1440, stop);
-            fluid_installed += 1;
-            continue;
         }
-        let sink = sinks.entry(dst.0).or_default();
-        let dst_port = 40_000 + (sink.1.len() % 20_000) as u16;
-        sink.0.push(dst_port);
-        sink.1.push(i as u32);
-        let list = sources.entry(src.0).or_default();
-        let src_port = 20_000 + (list.len() % 20_000) as u16;
-        list.push((i as u32, dst, src_port, dst_port));
-    }
-    let mut sink_apps = Vec::new();
-    for (node, (mut ports, flow_list)) in sinks {
-        ports.sort_unstable();
-        ports.dedup();
-        sink_apps.push(sim.add_app_multi(
-            NodeId(node),
-            &ports,
-            Box::new(BulkUdpSink::new(flow_list)),
-        ));
-    }
-    for (node, list) in sources {
-        let mut table = BulkUdpSource::new(per_flow_rate, 1440, stop);
-        for &(flow, dst, src_port, dst_port) in &list {
-            table.push(FlowId(flow), dst, src_port, dst_port);
-        }
-        let mut ports = table.src_ports().to_vec();
-        ports.sort_unstable();
-        ports.dedup();
-        sim.add_app_multi(NodeId(node), &ports, Box::new(table));
-    }
+        Vec::new()
+    } else {
+        install_flows(&mut sim, &scenario, &pairs, FlowTable::Arena, per_flow_rate, stop)
+    };
 
-    let wall_start = Instant::now();
-    sim.run_until(stop);
-    let wall_s = wall_start.elapsed().as_secs_f64();
+    let run = SimRun::drive(&mut sim, stop, &format!("{}_{flows}", mode.name()), driver)?;
 
-    let mut per_flow = vec![0.0f64; flows as usize];
-    for idx in sink_apps {
-        let sink: &BulkUdpSink = sim.app_as(idx).expect("bulk UDP sink");
-        for (flow, bytes) in sink.per_flow_bytes() {
-            per_flow[flow.0 as usize] = bytes as f64;
-        }
-    }
+    let mut per_flow = per_flow_bytes(&sim, &sink_apps, flows);
     if let Some(fluid) = sim.fluid() {
         for (flow, bytes) in fluid.per_flow_payload_bytes() {
             per_flow[flow as usize] = bytes;
@@ -164,19 +148,17 @@ pub fn run_hybrid_point(
     let ping_rtts = ping.rtts().len() as u64;
     let delivered = sim.stats.payload_bytes_delivered + sim.stats.fluid_bytes_delivered;
     let goodput_gbps = delivered as f64 * 8.0 / virtual_duration.secs_f64() / 1e9;
-    HybridPoint {
+    Ok(HybridPoint {
         flows,
         mode,
-        events: sim.stats.events,
-        wall_s,
-        events_per_sec: if wall_s > 0.0 { sim.stats.events as f64 / wall_s } else { 0.0 },
+        events: run.events,
         goodput_gbps,
         jain: jain_index(&per_flow),
-        fluid_flows: fluid_installed,
+        fluid_flows: if to_fluid { pairs.len() as u64 } else { 0 },
         fluid_resolves: sim.stats.fluid_resolves,
         ping_rtts,
-        engine: sim.engine_report(),
-    }
+        run,
+    })
 }
 
 #[cfg(test)]

@@ -27,3 +27,26 @@ pub mod pair_sweep;
 pub mod rtt_fluctuations;
 pub mod scalability;
 pub mod tcp_single;
+
+/// The paper's three canonical Fig. 3/4 pairs, with their historic file
+/// slugs.
+pub(crate) const CANONICAL_PAIRS: [(&str, &str, &str); 3] = [
+    ("Rio de Janeiro", "Saint Petersburg", "rio_stpetersburg"),
+    ("Manila", "Dalian", "manila_dalian"),
+    ("Istanbul", "Nairobi", "istanbul_nairobi"),
+];
+
+/// File-name and snapshot-tag slug for a city pair: the historic names
+/// for the paper's canonical pairs, a mechanical lowercase join otherwise.
+pub(crate) fn pair_slug(src: &str, dst: &str) -> String {
+    for (s, d, slug) in CANONICAL_PAIRS {
+        if s == src && d == dst {
+            return slug.to_string();
+        }
+    }
+    format!("{}_{}", city_slug(src), city_slug(dst))
+}
+
+fn city_slug(name: &str) -> String {
+    name.to_lowercase().replace(' ', "")
+}

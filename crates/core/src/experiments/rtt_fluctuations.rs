@@ -7,9 +7,11 @@
 //! the paper's "detour" spikes), and St. Petersburg's Kuiper outage
 //! appears as a gap.
 
-use crate::scenario::{Scenario, UnknownCityError};
+use crate::experiments::pair_slug;
+use crate::resilience::{Driver, SimRun};
+use crate::runner::RunError;
+use crate::scenario::Scenario;
 use hypatia_netsim::apps::PingApp;
-use hypatia_netsim::EngineReport;
 use hypatia_routing::forwarding::compute_forwarding_state;
 use hypatia_routing::path::PairTracker;
 use hypatia_util::time::TimeSteps;
@@ -51,21 +53,19 @@ pub struct RttFluctuationResult {
     pub max_computed_ms: f64,
     /// Minimum of the computed RTT, ms.
     pub min_computed_ms: f64,
-    /// Events the simulator processed.
-    pub events: u64,
-    /// Wall-clock seconds the packet simulation took.
-    pub wall_s: f64,
-    /// How the engine executed: shard count, epochs, barriers, lookahead.
-    pub engine: EngineReport,
+    /// The driven packet simulation: events, wall clock, engine report.
+    pub run: SimRun,
 }
 
-/// Run the experiment for `(src_name, dst_name)` on `scenario`.
+/// Run the experiment for `(src_name, dst_name)` on `scenario`, the ping
+/// simulation driven by `driver` under the snapshot tag `rtt_<pair>`.
 pub fn run(
     scenario: &Scenario,
     src_name: &str,
     dst_name: &str,
     cfg: &RttFluctuationConfig,
-) -> Result<RttFluctuationResult, UnknownCityError> {
+    driver: &Driver,
+) -> Result<RttFluctuationResult, RunError> {
     let src = scenario.gs_by_name(src_name)?;
     let dst = scenario.gs_by_name(dst_name)?;
 
@@ -74,9 +74,8 @@ pub fn run(
     let stop = SimTime::ZERO + cfg.duration;
     let app = sim.add_app(src, 7, Box::new(PingApp::new(dst, cfg.ping_interval, stop)));
     // Drain stragglers for a second beyond the last probe.
-    let wall_start = std::time::Instant::now();
-    sim.run_until(stop + SimDuration::from_secs(1));
-    let wall_s = wall_start.elapsed().as_secs_f64();
+    let tag = format!("rtt_{}", pair_slug(src_name, dst_name));
+    let run = SimRun::drive(&mut sim, stop + SimDuration::from_secs(1), &tag, driver)?;
     let ping: &PingApp = sim.app_as(app).expect("ping app");
     let ping_series: Vec<(f64, f64)> =
         ping.rtts().iter().map(|&(t, rtt)| (t.secs_f64(), rtt.secs_f64() * 1e3)).collect();
@@ -107,9 +106,7 @@ pub fn run(
         disconnected_seconds: tracker.disconnected_steps as f64 * step.secs_f64(),
         max_computed_ms,
         min_computed_ms,
-        events: sim.stats.events,
-        wall_s,
-        engine: sim.engine_report(),
+        run,
     })
 }
 
@@ -138,7 +135,8 @@ mod tests {
     #[test]
     fn pings_and_computed_agree() {
         let s = scenario();
-        let r = run(&s, "Istanbul", "Nairobi", &short_cfg()).expect("known cities");
+        let r =
+            run(&s, "Istanbul", "Nairobi", &short_cfg(), &Driver::default()).expect("known cities");
         assert!(r.received > 80, "received {}", r.received);
         assert_eq!(r.disconnected_seconds, 0.0);
         // Every ping RTT within [min_computed − 1 ms, max_computed + 5 ms]
@@ -167,7 +165,8 @@ mod tests {
     #[test]
     fn computed_series_covers_duration() {
         let s = scenario();
-        let r = run(&s, "Istanbul", "Nairobi", &short_cfg()).expect("known cities");
+        let r =
+            run(&s, "Istanbul", "Nairobi", &short_cfg(), &Driver::default()).expect("known cities");
         // 10 s at the default 100 ms granularity = 100 samples.
         assert_eq!(r.computed_series.len(), 100);
         assert!(r.max_computed_ms >= r.min_computed_ms);
@@ -189,7 +188,8 @@ mod tests {
             duration: SimDuration::from_secs(1000),
             ping_interval: SimDuration::from_millis(200),
         };
-        let r = run(&s, "Rio de Janeiro", "Saint Petersburg", &cfg).expect("known cities");
+        let r = run(&s, "Rio de Janeiro", "Saint Petersburg", &cfg, &Driver::default())
+            .expect("known cities");
         assert!(
             r.disconnected_seconds > 0.0,
             "expected an outage over 1000 s; max RTT {}",

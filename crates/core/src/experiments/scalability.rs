@@ -8,16 +8,15 @@
 //! reproducible shape is slowdown growing ∝ goodput, with TCP costing
 //! roughly 2× UDP per delivered byte.
 
-use crate::resilience::{drive, DriveOptions, DriveOutcome};
-use crate::runner::{RunError, Watchdog};
+use crate::resilience::{Driver, SimRun};
+use crate::runner::RunError;
 use crate::scenario::Scenario;
 use hypatia_constellation::NodeId;
 use hypatia_netsim::apps::{UdpSink, UdpSource};
-use hypatia_netsim::{BulkUdpSink, BulkUdpSource, EngineReport, FlowId};
+use hypatia_netsim::{BulkUdpSink, BulkUdpSource, FlowId};
 use hypatia_transport::{BulkTcpSender, BulkTcpSink, NewReno, TcpConfig, TcpSender, TcpSink};
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Workload type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,15 +81,13 @@ pub struct ScalabilityPoint {
     pub slowdown: f64,
     /// Events processed.
     pub events: u64,
-    /// Wall-clock seconds the simulation took.
-    pub wall_s: f64,
-    /// How the engine executed: shard count, epochs, barriers, lookahead.
-    pub engine: EngineReport,
+    /// The driven simulation: wall clock, engine report, checkpoints.
+    pub run: SimRun,
 }
 
 /// Run one scalability point: permutation traffic at `line_rate` for
 /// `virtual_duration` simulated seconds, measuring wall time. No
-/// checkpoints, audits, or limits — see [`run_point_with`].
+/// checkpoints, audits, or limits — see [`drive_point`].
 pub fn run_point(
     scenario: &Scenario,
     workload: Workload,
@@ -99,45 +96,29 @@ pub fn run_point(
     virtual_duration: SimDuration,
     seed: u64,
 ) -> ScalabilityPoint {
-    match run_point_with(
+    drive_point(
         scenario,
         workload,
         flow_table,
         line_rate,
         virtual_duration,
         seed,
-        &DriveOptions::off(),
-        &Watchdog::unlimited(),
-    ) {
-        Ok((point, _)) => point,
-        // With resilience off and no watchdog the drive loop is a plain
-        // `run_until`; it has no failure path.
-        Err(e) => unreachable!("plain scalability run cannot fail: {e}"),
-    }
+        &Driver::default(),
+    )
+    .expect("a plain run has no failure path")
 }
 
-/// The snapshot tag for one scalability point — deterministic for the
-/// spec, so a resumed run finds the snapshot its predecessor wrote.
-pub fn point_tag(workload: Workload, flow_table: FlowTable, line_rate: DataRate) -> String {
-    format!("{}_{}_{}bps", workload.name().to_lowercase(), flow_table.name(), line_rate.bps())
-}
-
-/// [`run_point`] under the resilience drive loop: the simulation advances
-/// in checkpoint-interval segments (resuming from a prior snapshot when
-/// `opts.resume_from` holds one for this point's [`point_tag`]), runs
-/// conservation audits at segment boundaries, and honours the watchdog's
-/// deadline and memory budget.
-#[allow(clippy::too_many_arguments)]
-pub fn run_point_with(
+/// [`run_point`] driven by `driver`, under the snapshot tag
+/// `<workload>_<flow table>_<line rate>bps`.
+pub fn drive_point(
     scenario: &Scenario,
     workload: Workload,
     flow_table: FlowTable,
     line_rate: DataRate,
     virtual_duration: SimDuration,
     seed: u64,
-    opts: &DriveOptions,
-    watchdog: &Watchdog,
-) -> Result<(ScalabilityPoint, DriveOutcome), RunError> {
+    driver: &Driver,
+) -> Result<ScalabilityPoint, RunError> {
     let pairs = scenario.permutation_pairs(seed);
     let mut sim_config = scenario.sim_config.clone();
     sim_config.link_rate = line_rate;
@@ -229,69 +210,19 @@ pub fn run_point_with(
         }
     }
 
-    let tag = point_tag(workload, flow_table, line_rate);
-    let wall_start = Instant::now();
-    let outcome = drive(&mut sim, stop, &tag, opts, watchdog)?;
-    // Checkpoint writes are I/O, not simulation: keep them out of the
-    // slowdown measurement (the whole point of Fig. 2).
-    let wall = (wall_start.elapsed().as_secs_f64() - outcome.checkpoint_wall_s).max(0.0);
-
+    let tag =
+        format!("{}_{}_{}bps", workload.name().to_lowercase(), flow_table.name(), line_rate.bps());
+    let run = SimRun::drive(&mut sim, stop, &tag, driver)?;
     let goodput_gbps =
         sim.stats.payload_bytes_delivered as f64 * 8.0 / virtual_duration.secs_f64() / 1e9;
-    let point = ScalabilityPoint {
+    Ok(ScalabilityPoint {
         workload,
         line_rate,
         goodput_gbps,
-        slowdown: wall / virtual_duration.secs_f64(),
-        events: sim.stats.events,
-        wall_s: wall,
-        engine: sim.engine_report(),
-    };
-    Ok((point, outcome))
-}
-
-/// Sweep line rates for one workload (the full Fig. 2 series).
-pub fn sweep(
-    scenario: &Scenario,
-    workload: Workload,
-    flow_table: FlowTable,
-    line_rates: &[DataRate],
-    virtual_duration: SimDuration,
-    seed: u64,
-) -> Vec<ScalabilityPoint> {
-    line_rates
-        .iter()
-        .map(|&r| run_point(scenario, workload, flow_table, r, virtual_duration, seed))
-        .collect()
-}
-
-/// [`sweep`] under the resilience drive loop (see [`run_point_with`]).
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_with(
-    scenario: &Scenario,
-    workload: Workload,
-    flow_table: FlowTable,
-    line_rates: &[DataRate],
-    virtual_duration: SimDuration,
-    seed: u64,
-    opts: &DriveOptions,
-    watchdog: &Watchdog,
-) -> Result<Vec<(ScalabilityPoint, DriveOutcome)>, RunError> {
-    line_rates
-        .iter()
-        .map(|&r| {
-            run_point_with(
-                scenario,
-                workload,
-                flow_table,
-                r,
-                virtual_duration,
-                seed,
-                opts,
-                watchdog,
-            )
-        })
-        .collect()
+        slowdown: run.wall_s / virtual_duration.secs_f64(),
+        events: run.events,
+        run,
+    })
 }
 
 #[cfg(test)]
@@ -338,14 +269,10 @@ mod tests {
     #[test]
     fn goodput_scales_with_line_rate() {
         let s = scenario();
-        let points = sweep(
-            &s,
-            Workload::Udp,
-            FlowTable::Apps,
-            &[DataRate::from_kbps(256), DataRate::from_mbps(2)],
-            SimDuration::from_secs(2),
-            3,
-        );
+        let points: Vec<_> = [DataRate::from_kbps(256), DataRate::from_mbps(2)]
+            .into_iter()
+            .map(|r| run_point(&s, Workload::Udp, FlowTable::Apps, r, SimDuration::from_secs(2), 3))
+            .collect();
         assert!(
             points[1].goodput_gbps > 3.0 * points[0].goodput_gbps,
             "{} vs {}",

@@ -5,8 +5,10 @@
 //! (Fig. 4), the per-packet RTT, and the 100 ms-averaged throughput —
 //! enabling the NewReno-vs-Vegas comparison of Fig. 5.
 
-use crate::scenario::{Scenario, UnknownCityError};
-use hypatia_netsim::EngineReport;
+use crate::experiments::pair_slug;
+use crate::resilience::{Driver, SimRun};
+use crate::runner::RunError;
+use crate::scenario::Scenario;
 use hypatia_routing::forwarding::compute_forwarding_state;
 use hypatia_transport::{Bbr, Cubic, NewReno, TcpConfig, TcpSender, TcpSink, Vegas};
 use hypatia_util::time::TimeSteps;
@@ -78,12 +80,8 @@ pub struct TcpSingleResult {
     pub retransmits: u64,
     /// Out-of-order arrivals observed at the sink (reordering indicator).
     pub reordered_arrivals: u64,
-    /// Events the simulator processed.
-    pub events: u64,
-    /// Wall-clock seconds the simulation took.
-    pub wall_s: f64,
-    /// How the engine executed: shard count, epochs, barriers, lookahead.
-    pub engine: EngineReport,
+    /// The driven simulation: events, wall clock, engine report.
+    pub run: SimRun,
 }
 
 impl TcpSingleResult {
@@ -93,14 +91,16 @@ impl TcpSingleResult {
     }
 }
 
-/// Run one TCP flow from `src_name` to `dst_name` for `duration`.
+/// Run one TCP flow from `src_name` to `dst_name` for `duration`, driven
+/// by `driver` under the snapshot tag `tcp_<cc>_<pair>`.
 pub fn run(
     scenario: &Scenario,
     src_name: &str,
     dst_name: &str,
     cc: CcKind,
     duration: SimDuration,
-) -> Result<TcpSingleResult, UnknownCityError> {
+    driver: &Driver,
+) -> Result<TcpSingleResult, RunError> {
     let src = scenario.gs_by_name(src_name)?;
     let dst = scenario.gs_by_name(dst_name)?;
     let tcp_cfg = TcpConfig::default();
@@ -110,9 +110,8 @@ pub fn run(
     let sink_idx = sim.add_app(dst, 80, Box::new(TcpSink::new(tcp_cfg.clone())));
     let sender_idx =
         sim.add_app(src, 70, Box::new(TcpSender::new(dst, 80, tcp_cfg.clone(), cc.build())));
-    let wall_start = std::time::Instant::now();
-    sim.run_until(SimTime::ZERO + duration);
-    let wall_s = wall_start.elapsed().as_secs_f64();
+    let tag = format!("tcp_{}_{}", cc.name().to_lowercase(), pair_slug(src_name, dst_name));
+    let run = SimRun::drive(&mut sim, SimTime::ZERO + duration, &tag, driver)?;
 
     let sender: &TcpSender = sim.app_as(sender_idx).expect("sender");
     let sink: &TcpSink = sim.app_as(sink_idx).expect("sink");
@@ -154,9 +153,7 @@ pub fn run(
         timeouts: sender.log.timeouts,
         retransmits: sender.log.retransmits,
         reordered_arrivals: sink.ooo_arrivals,
-        events: sim.stats.events,
-        wall_s,
-        engine: sim.engine_report(),
+        run,
     })
 }
 
@@ -179,7 +176,8 @@ mod tests {
     fn newreno_run_produces_all_series() {
         let s = scenario();
         let d = SimDuration::from_secs(15);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::NewReno, d).expect("known cities");
+        let r = run(&s, "Istanbul", "Nairobi", CcKind::NewReno, d, &Driver::default())
+            .expect("known cities");
         assert!(!r.cwnd_series.is_empty());
         assert!(!r.rtt_series.is_empty());
         assert!(!r.throughput_series.is_empty());
@@ -194,8 +192,15 @@ mod tests {
     #[test]
     fn cwnd_oscillates_between_drops() {
         let s = scenario();
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::NewReno, SimDuration::from_secs(30))
-            .expect("known cities");
+        let r = run(
+            &s,
+            "Istanbul",
+            "Nairobi",
+            CcKind::NewReno,
+            SimDuration::from_secs(30),
+            &Driver::default(),
+        )
+        .expect("known cities");
         assert!(r.fast_retransmits > 0, "a 10 Mbps bottleneck must drop eventually");
         let max_cwnd = r.cwnd_series.iter().map(|&(_, w)| w).fold(0.0, f64::max);
         let min_after_peak = r
@@ -211,7 +216,8 @@ mod tests {
     fn vegas_runs_with_low_loss() {
         let s = scenario();
         let d = SimDuration::from_secs(15);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::Vegas, d).expect("known cities");
+        let r = run(&s, "Istanbul", "Nairobi", CcKind::Vegas, d, &Driver::default())
+            .expect("known cities");
         assert!(r.goodput_mbps(d) > 1.0, "Vegas goodput {}", r.goodput_mbps(d));
         assert!(
             r.retransmits <= 20,
@@ -224,7 +230,8 @@ mod tests {
     fn bbr_runs_and_fills_the_path() {
         let s = scenario();
         let d = SimDuration::from_secs(15);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::Bbr, d).expect("known cities");
+        let r = run(&s, "Istanbul", "Nairobi", CcKind::Bbr, d, &Driver::default())
+            .expect("known cities");
         assert!(r.goodput_mbps(d) > 3.0, "BBR goodput {}", r.goodput_mbps(d));
         assert_eq!(r.cc.name(), "BBR");
     }
@@ -233,7 +240,8 @@ mod tests {
     fn cubic_runs() {
         let s = scenario();
         let d = SimDuration::from_secs(10);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::Cubic, d).expect("known cities");
+        let r = run(&s, "Istanbul", "Nairobi", CcKind::Cubic, d, &Driver::default())
+            .expect("known cities");
         assert!(r.goodput_mbps(d) > 2.0);
         assert_eq!(r.cc.name(), "Cubic");
     }

@@ -48,6 +48,7 @@ impl Experiment for ExtBbrStudy {
         let duration = ctx.spec.duration;
         let (src, dst) = first_pair(&ctx.spec)?;
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
         println!("flow: {src} -> {dst}, {:.0} s\n", duration.secs_f64());
 
         println!(
@@ -57,9 +58,8 @@ impl Experiment for ExtBbrStudy {
         let half = duration.secs_f64() / 2.0;
         let mut late = Vec::new();
         for cc in [CcKind::NewReno, CcKind::Vegas, CcKind::Cubic, CcKind::Bbr] {
-            let r = run(&scenario, &src, &dst, cc, duration)?;
-            ctx.sink.record_sim(r.events, r.wall_s);
-            ctx.sink.record_engine(&r.engine);
+            let r = run(&scenario, &src, &dst, cc, duration, &driver)?;
+            r.run.record(&mut ctx.sink);
             let late_pts: Vec<f64> =
                 r.throughput_series.iter().filter(|&&(t, _)| t >= half).map(|&(_, m)| m).collect();
             let late_mean = late_pts.iter().sum::<f64>() / late_pts.len().max(1) as f64;

@@ -25,13 +25,13 @@
 //! the next Δt boundary. All of it is deterministic in (seed, spec).
 
 use super::first_pair;
+use crate::resilience::{Driver, SimRun};
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::{ConstellationChoice, Scenario};
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_constellation::NodeId;
 use hypatia_fault::{FaultKind, FaultSchedule, FaultState, FaultTarget, FlapProcess};
 use hypatia_netsim::apps::{PingApp, UdpSink, UdpSource};
-use hypatia_netsim::EngineReport;
 use hypatia_routing::churn::{churn_between, reachability_of};
 use hypatia_routing::forwarding::compute_forwarding_state_masked;
 use hypatia_util::{DataRate, SimDuration, SimTime};
@@ -47,6 +47,7 @@ struct DegradedRun {
     mean_rtt_ms: f64,
     ping_loss: f64,
     fault_drops: u64,
+    run: SimRun,
 }
 
 /// The failure-resilience sweep as a registered experiment.
@@ -90,13 +91,7 @@ impl Experiment for ExtFailureResilience {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        // `--set fail_fracs=0.1` parses as a single number, a comma list
-        // as a list; accept both.
-        let fracs: Vec<f64> = match (ctx.spec.list("fail_fracs"), ctx.spec.num("fail_fracs")) {
-            (Some(v), _) => v.to_vec(),
-            (None, Some(x)) => vec![x],
-            (None, None) => vec![0.02, 0.05, 0.1],
-        };
+        let fracs = ctx.spec.list("fail_fracs").unwrap_or(&[0.02, 0.05, 0.1]).to_vec();
         if let Some(bad) = fracs.iter().copied().find(|&f| f <= 0.0 || f >= 1.0) {
             return Err(RunError::BadSpec(format!("fail_fracs must lie in (0, 1), got {bad}")));
         }
@@ -108,14 +103,14 @@ impl Experiment for ExtFailureResilience {
         let src = scenario.gs_by_name(&src_name)?;
         let dst = scenario.gs_by_name(&dst_name)?;
         let duration = ctx.spec.duration;
+        let driver = ctx.driver();
 
         // Fault-free baseline (whatever faults the spec itself carries —
         // normally none — stay in, so explicit windows compose with the
         // swept flap process).
-        let (base, events, wall_s, engine) =
-            run_workload(&scenario, src, dst, duration, ping_interval);
-        ctx.sink.record_sim(events, wall_s);
-        ctx.sink.record_engine(&engine);
+        let base =
+            run_workload(&scenario, src, dst, duration, ping_interval, &driver, "fail_base")?;
+        base.run.record(&mut ctx.sink);
         println!(
             "{:<10} {:>14} {:>10} {:>8} {:>12} {:>12} {:>8} {:>12}",
             "fail_frac",
@@ -148,10 +143,9 @@ impl Experiment for ExtFailureResilience {
 
             let mut degraded = scenario.clone();
             degraded.sim_config.faults = Some(schedule.clone());
-            let (r, events, wall_s, engine) =
-                run_workload(&degraded, src, dst, duration, ping_interval);
-            ctx.sink.record_sim(events, wall_s);
-            ctx.sink.record_engine(&engine);
+            let tag = format!("fail_{frac}");
+            let r = run_workload(&degraded, src, dst, duration, ping_interval, &driver, &tag)?;
+            r.run.record(&mut ctx.sink);
 
             let reroute_ms = mean_reroute_latency_ms(&schedule, ctx.spec.step);
             let (unreach_frac, churn_frac) = routing_degradation(&degraded, &schedule, duration);
@@ -221,15 +215,17 @@ impl Experiment for ExtFailureResilience {
 }
 
 /// Run the ping + paced-UDP workload over `scenario`'s configuration
-/// (including any attached fault schedule). Returns the measurements plus
-/// `(events, wall_s)` for the sink's simulation record.
+/// (including any attached fault schedule), driven by `driver` under the
+/// snapshot tag `tag`.
 fn run_workload(
     scenario: &Scenario,
     src: NodeId,
     dst: NodeId,
     duration: SimDuration,
     ping_interval: SimDuration,
-) -> (DegradedRun, u64, f64, EngineReport) {
+    driver: &Driver,
+    tag: &str,
+) -> Result<DegradedRun, RunError> {
     let stop_at = SimTime::ZERO + duration;
     // UDP at half the line rate: enough headroom that queueing does not
     // mask fault-induced loss.
@@ -241,10 +237,8 @@ fn run_workload(
     sim.add_app(src, UDP_PORT, Box::new(UdpSource::new(dst, 1, udp_rate, 1000, stop_at)));
     let sink = sim.add_app(dst, UDP_PORT, Box::new(UdpSink::new()));
 
-    let t0 = std::time::Instant::now();
     // Run past the stop time so late detoured packets still arrive.
-    sim.run_until(stop_at + SimDuration::from_secs(1));
-    let wall_s = t0.elapsed().as_secs_f64();
+    let run = SimRun::drive(&mut sim, stop_at + SimDuration::from_secs(1), tag, driver)?;
 
     let ping: &PingApp = sim.app_as(ping).expect("ping app");
     let udp: &UdpSink = sim.app_as(sink).expect("udp sink");
@@ -254,17 +248,13 @@ fn run_workload(
     } else {
         rtts.iter().map(|(_, rtt)| rtt.secs_f64() * 1e3).sum::<f64>() / rtts.len() as f64
     };
-    (
-        DegradedRun {
-            goodput_mbps: udp.goodput_bps().unwrap_or(0.0) / 1e6,
-            mean_rtt_ms,
-            ping_loss: ping.loss_fraction(),
-            fault_drops: sim.stats.fault_drops,
-        },
-        sim.stats.events,
-        wall_s,
-        sim.engine_report(),
-    )
+    Ok(DegradedRun {
+        goodput_mbps: udp.goodput_bps().unwrap_or(0.0) / 1e6,
+        mean_rtt_ms,
+        ping_loss: ping.loss_fraction(),
+        fault_drops: sim.stats.fault_drops,
+        run,
+    })
 }
 
 /// Mean time from a failure to the next forwarding-state boundary, ms —

@@ -16,12 +16,13 @@
 //! warning flags the partial trace), and `--set flow_rate_kbps=R` paces
 //! each flow.
 
-use crate::experiments::flow_scaling::run_flow_point;
+use super::flow_sweep;
+use crate::experiments::flow_scaling::drive_flow_point;
 use crate::experiments::scalability::FlowTable;
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, ParamValue};
-use hypatia_util::{DataRate, SimDuration};
+use hypatia_util::SimDuration;
 
 /// The flow-count scaling sweep as a registered experiment.
 pub struct ExtFlowScaling;
@@ -75,26 +76,7 @@ impl Experiment for ExtFlowScaling {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        // `--set flows=N` pins a single sweep point; otherwise the
-        // `flow_counts` list drives the sweep (a bare number is accepted).
-        let counts: Vec<u64> = match ctx.spec.flows {
-            Some(n) => vec![n],
-            None => match (ctx.spec.list("flow_counts"), ctx.spec.num("flow_counts")) {
-                (Some(v), _) => v.iter().map(|&x| x.round() as u64).collect(),
-                (None, Some(x)) => vec![x.round() as u64],
-                (None, None) => vec![1_000, 4_000, 10_000],
-            },
-        };
-        if let Some(&bad) = counts.iter().find(|&&n| n == 0) {
-            return Err(RunError::BadSpec(format!("flow_counts must be positive, got {bad}")));
-        }
-        let rate_kbps = ctx.spec.num("flow_rate_kbps").unwrap_or(16.0);
-        if !rate_kbps.is_finite() || rate_kbps <= 0.0 {
-            return Err(RunError::BadSpec(format!(
-                "flow_rate_kbps must be positive, got {rate_kbps}"
-            )));
-        }
-        let per_flow_rate = DataRate::from_bps((rate_kbps * 1e3).round() as u64);
+        let (counts, per_flow_rate) = flow_sweep(&ctx.spec, &[1e3, 4e3, 1e4], 16.0)?;
         let flow_table = match ctx.spec.text("flow_table") {
             None => FlowTable::Arena,
             Some(s) => FlowTable::parse(s)
@@ -110,6 +92,7 @@ impl Experiment for ExtFlowScaling {
             ));
         }
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
 
         println!(
             "{:>10} {:>14} {:>16} {:>8} {:>14} {:>12}",
@@ -121,23 +104,30 @@ impl Experiment for ExtFlowScaling {
         let mut bytes_per_flow = Vec::new();
         let mut peak_rss = Vec::new();
         for &flows in &counts {
-            let p = run_flow_point(&scenario, flows, flow_table, per_flow_rate, duration, seed);
+            let p = drive_flow_point(
+                &scenario,
+                flows,
+                flow_table,
+                per_flow_rate,
+                duration,
+                seed,
+                &driver,
+            )?;
             println!(
                 "{:>10} {:>14.0} {:>16.6} {:>8.4} {:>14.1} {:>12}",
                 p.flows,
-                p.events_per_sec,
+                p.run.events_per_sec(),
                 p.goodput_gbps,
                 p.jain,
                 p.bytes_per_flow,
                 p.peak_rss_bytes.map_or_else(|| "-".to_string(), |b| format!("{} MB", b >> 20)),
             );
-            ctx.sink.record_sim(p.events, p.wall_s);
-            ctx.sink.record_engine(&p.engine);
+            p.run.record(&mut ctx.sink);
             if with_perf_series {
-                ctx.sink.record_queue(&p.engine.queue);
+                ctx.sink.record_queue(&p.run.engine.queue);
             }
             let x = p.flows as f64;
-            events_per_sec.push((x, p.events_per_sec));
+            events_per_sec.push((x, p.run.events_per_sec()));
             goodput.push((x, p.goodput_gbps));
             jain.push((x, p.jain));
             bytes_per_flow.push((x, p.bytes_per_flow));

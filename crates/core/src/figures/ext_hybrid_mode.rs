@@ -15,7 +15,8 @@
 //! count, `--set fluid_threshold_kbps=X` keeps flows with demand below X
 //! packet-level, and `--set flow_rate_kbps=R` paces each flow.
 
-use crate::experiments::hybrid::run_hybrid_point;
+use super::flow_sweep;
+use crate::experiments::hybrid::drive_hybrid_point;
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, ParamValue};
@@ -63,23 +64,7 @@ impl Experiment for ExtHybridMode {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let counts: Vec<u64> = match ctx.spec.flows {
-            Some(n) => vec![n],
-            None => match ctx.spec.list("flow_counts") {
-                Some(v) => v.iter().map(|&x| x.round() as u64).collect(),
-                None => vec![400, 1_000],
-            },
-        };
-        if let Some(&bad) = counts.iter().find(|&&n| n == 0) {
-            return Err(RunError::BadSpec(format!("flow_counts must be positive, got {bad}")));
-        }
-        let rate_kbps = ctx.spec.num("flow_rate_kbps").unwrap_or(256.0);
-        if !rate_kbps.is_finite() || rate_kbps <= 0.0 {
-            return Err(RunError::BadSpec(format!(
-                "flow_rate_kbps must be positive, got {rate_kbps}"
-            )));
-        }
-        let per_flow_rate = DataRate::from_bps((rate_kbps * 1e3).round() as u64);
+        let (counts, per_flow_rate) = flow_sweep(&ctx.spec, &[400.0, 1e3], 256.0)?;
         let threshold = DataRate::from_bps((ctx.spec.fluid_threshold_kbps * 1e3).round() as u64);
         // `--set sim_mode=...` pins one mode; the default spec (packet)
         // means "compare all three".
@@ -92,6 +77,7 @@ impl Experiment for ExtHybridMode {
         let duration = ctx.spec.duration;
         let seed = ctx.spec.seed;
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
 
         println!(
             "{:>10} {:>8} {:>12} {:>14} {:>16} {:>8} {:>10}",
@@ -102,7 +88,7 @@ impl Experiment for ExtHybridMode {
             let mut goodput = Vec::new();
             let mut jain = Vec::new();
             for &flows in &counts {
-                let p = run_hybrid_point(
+                let p = drive_hybrid_point(
                     &scenario,
                     flows,
                     *mode,
@@ -110,25 +96,25 @@ impl Experiment for ExtHybridMode {
                     threshold,
                     duration,
                     seed,
-                );
+                    &driver,
+                )?;
                 println!(
                     "{:>10} {:>8} {:>12} {:>14.0} {:>16.6} {:>8.4} {:>10}",
                     p.flows,
                     p.mode.name(),
                     p.events,
-                    p.events_per_sec,
+                    p.run.events_per_sec(),
                     p.goodput_gbps,
                     p.jain,
                     p.fluid_resolves,
                 );
-                ctx.sink.record_sim(p.events, p.wall_s);
-                ctx.sink.record_engine(&p.engine);
+                p.run.record(&mut ctx.sink);
                 if with_perf_series {
-                    ctx.sink.record_queue(&p.engine.queue);
-                    ctx.sink.record_fluid(&p.engine.fluid);
+                    ctx.sink.record_queue(&p.run.engine.queue);
+                    ctx.sink.record_fluid(&p.run.engine.fluid);
                 }
                 let x = p.flows as f64;
-                events_per_sec.push((x, p.events_per_sec));
+                events_per_sec.push((x, p.run.events_per_sec()));
                 goodput.push((x, p.goodput_gbps));
                 jain.push((x, p.jain));
             }

@@ -11,7 +11,7 @@ use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_util::{DataRate, SimDuration, SimTime};
-use hypatia_viz::util_viz::{isl_utilization_map, summarize, top_hotspots};
+use hypatia_viz::util_viz::{isl_utilization_map, summarize};
 
 /// The multipath traffic-engineering study as a registered experiment.
 pub struct ExtMultipathTe;
@@ -49,9 +49,10 @@ impl Experiment for ExtMultipathTe {
         let duration = ctx.spec.duration;
         let seed = ctx.spec.seed;
         let stretch = ctx.spec.num("multipath_stretch").unwrap_or(1.2);
-        let snapshot_sec = duration.secs_f64() as u64 - 10;
+        let snapshot_sec = (duration.secs_f64() as u64).saturating_sub(10);
         let observed = first_pair(&ctx.spec)?;
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
 
         println!(
             "{:<22} {:>10} {:>12} {:>12} {:>14}",
@@ -67,9 +68,9 @@ impl Experiment for ExtMultipathTe {
                 &observed.0,
                 &observed.1,
                 &CrossTrafficConfig { duration, seed, frozen: false, multipath_stretch: stretch },
+                &driver,
             )?;
-            ctx.sink.record_sim(r.sim.stats.events, r.wall_s);
-            ctx.sink.record_engine(&r.sim.engine_report());
+            r.run.record(&mut ctx.sink);
             let map = isl_utilization_map(
                 &r.sim,
                 snapshot_sec as usize,
@@ -81,7 +82,6 @@ impl Experiment for ExtMultipathTe {
                 "{:<22} {:>7.1}Mb {:>12.4} {:>12} {:>14}",
                 label, r.total_goodput_mbps, s.mean, hot, s.active_links
             );
-            let _ = top_hotspots(&map, 1);
             rows.push((label, r.total_goodput_mbps, hot, s.active_links));
         }
 

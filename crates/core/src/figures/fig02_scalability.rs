@@ -5,7 +5,7 @@
 //! one core. We report the same series; absolute slowdown depends on the
 //! host CPU, the shape (slowdown ∝ goodput; TCP ≈ 2× UDP) is the result.
 
-use crate::experiments::scalability::{sweep_with, FlowTable, Workload};
+use crate::experiments::scalability::{drive_point, FlowTable, Workload};
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
@@ -56,18 +56,10 @@ impl Experiment for Fig02 {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        // `--set line_rates_mbps=10` parses as a single number, a comma
-        // list as a list; accept both (a bare number is a one-point sweep).
-        let rates_mbps: Vec<f64> =
-            match (ctx.spec.list("line_rates_mbps"), ctx.spec.num("line_rates_mbps")) {
-                (Some(xs), _) => xs.to_vec(),
-                (None, Some(x)) => vec![x],
-                (None, None) => {
-                    return Err(RunError::BadSpec(
-                        "fig02_scalability needs a line_rates_mbps list".into(),
-                    ))
-                }
-            };
+        // A bare number is a one-point sweep.
+        let rates_mbps = ctx.spec.list("line_rates_mbps").ok_or_else(|| {
+            RunError::BadSpec("fig02_scalability needs a line_rates_mbps list".into())
+        })?;
         let rates: Vec<DataRate> =
             rates_mbps.iter().map(|&m| DataRate::from_bps((m * 1e6).round() as u64)).collect();
         let duration = ctx.spec.duration;
@@ -79,28 +71,17 @@ impl Experiment for Fig02 {
                 .ok_or_else(|| RunError::BadSpec(format!("unknown flow table {s:?}")))?,
         };
         let scenario = ctx.scenario();
-        let drive_opts = ctx.drive_options();
-        let watchdog = ctx.watchdog.clone();
+        let driver = ctx.driver();
 
         println!(
             "{:<9} {:>12} {:>16} {:>14} {:>14}",
             "workload", "line rate", "goodput (Gbps)", "slowdown (x)", "events"
         );
         for workload in [Workload::Udp, Workload::Tcp] {
-            let outcomes = sweep_with(
-                &scenario,
-                workload,
-                flow_table,
-                &rates,
-                duration,
-                seed,
-                &drive_opts,
-                &watchdog,
-            )?;
-            let points: Vec<_> = outcomes.iter().map(|(p, _)| p.clone()).collect();
-            let series: Vec<(f64, f64)> =
-                points.iter().map(|p| (p.goodput_gbps, p.slowdown)).collect();
-            for (p, outcome) in &outcomes {
+            let mut points = Vec::new();
+            for &rate in &rates {
+                let p =
+                    drive_point(&scenario, workload, flow_table, rate, duration, seed, &driver)?;
                 println!(
                     "{:<9} {:>12} {:>16.4} {:>14.1} {:>14}",
                     p.workload.name(),
@@ -109,18 +90,14 @@ impl Experiment for Fig02 {
                     p.slowdown,
                     p.events
                 );
-                ctx.sink.record_sim(p.events, p.wall_s);
-                ctx.sink.record_engine(&p.engine);
+                p.run.record(&mut ctx.sink);
                 if with_slowdown {
-                    ctx.sink.record_queue(&p.engine.queue);
+                    ctx.sink.record_queue(&p.run.engine.queue);
                 }
-                if let Some(last) = &outcome.last_checkpoint {
-                    ctx.sink.record_checkpoints(outcome.checkpoints, last);
-                }
-                if outcome.audit_checks > 0 {
-                    ctx.sink.record_audit(outcome.audit_checks, &outcome.violations);
-                }
+                points.push(p);
             }
+            let series: Vec<(f64, f64)> =
+                points.iter().map(|p| (p.goodput_gbps, p.slowdown)).collect();
             if with_slowdown {
                 ctx.sink.write_series(
                     &format!("fig02_slowdown_{}.dat", workload.name().to_lowercase()),

@@ -53,15 +53,15 @@ impl Experiment for Fig03 {
         };
         let pairs = named_pairs(&ctx.spec)?;
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
 
         println!(
             "{:<36} {:>10} {:>10} {:>8} {:>12} {:>12}",
             "pair", "min (ms)", "max (ms)", "ratio", "outage (s)", "pings rx/tx"
         );
         for (src, dst) in &pairs {
-            let r = run(&scenario, src, dst, &cfg)?;
-            ctx.sink.record_sim(r.events, r.wall_s);
-            ctx.sink.record_engine(&r.engine);
+            let r = run(&scenario, src, dst, &cfg, &driver)?;
+            r.run.record(&mut ctx.sink);
             println!(
                 "{:<36} {:>10.1} {:>10.1} {:>8.2} {:>12.1} {:>7}/{}",
                 format!("{src} -> {dst}"),

@@ -45,15 +45,15 @@ impl Experiment for Fig04 {
         let cc = ctx.spec.cc;
         let pairs = named_pairs(&ctx.spec)?;
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
 
         println!(
             "{:<36} {:>9} {:>10} {:>9} {:>9} {:>12}",
             "pair", "goodput", "fast rtx", "RTOs", "reorder", "cwnd range"
         );
         for (src, dst) in &pairs {
-            let r = run(&scenario, src, dst, cc, duration)?;
-            ctx.sink.record_sim(r.events, r.wall_s);
-            ctx.sink.record_engine(&r.engine);
+            let r = run(&scenario, src, dst, cc, duration, &driver)?;
+            r.run.record(&mut ctx.sink);
             let max_cwnd = r.cwnd_series.iter().map(|&(_, w)| w).fold(0.0, f64::max);
             let min_cwnd = r.cwnd_series.iter().map(|&(_, w)| w).fold(f64::INFINITY, f64::min);
             println!(

@@ -47,12 +47,12 @@ impl Experiment for Fig05 {
         let duration = ctx.spec.duration;
         let (src, dst) = first_pair(&ctx.spec)?;
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
 
         let mut results = Vec::new();
         for cc in [CcKind::NewReno, CcKind::Vegas] {
-            let r = run(&scenario, &src, &dst, cc, duration)?;
-            ctx.sink.record_sim(r.events, r.wall_s);
-            ctx.sink.record_engine(&r.engine);
+            let r = run(&scenario, &src, &dst, cc, duration, &driver)?;
+            r.run.record(&mut ctx.sink);
             let slug = cc.name().to_lowercase();
             ctx.sink.write_series(&format!("fig05_{slug}_rtt.dat"), "t_s rtt_ms", &r.rtt_series)?;
             ctx.sink.write_series(

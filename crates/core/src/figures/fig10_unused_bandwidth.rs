@@ -55,6 +55,7 @@ impl Experiment for Fig10 {
         let seed = ctx.spec.seed;
         let pair = first_pair(&ctx.spec)?;
         let scenario = ctx.scenario();
+        let driver = ctx.driver();
 
         println!("observed pair: {} -> {}", pair.0, pair.1);
         let mut rows = Vec::new();
@@ -66,9 +67,9 @@ impl Experiment for Fig10 {
                 &pair.0,
                 &pair.1,
                 &CrossTrafficConfig { duration, seed, frozen, multipath_stretch: None },
+                &driver,
             )?;
-            ctx.sink.record_sim(r.sim.stats.events, r.wall_s);
-            ctx.sink.record_engine(&r.sim.engine_report());
+            r.run.record(&mut ctx.sink);
             let frac = r.fraction_time_unused_above(1.0 / 3.0);
             println!(
                 "{label:<12}: flows={:<4} total goodput {:>7.1} Mbps, \

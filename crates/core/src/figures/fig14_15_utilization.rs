@@ -73,15 +73,15 @@ impl Experiment for Fig14_15 {
             &observed.0,
             &observed.1,
             &CrossTrafficConfig { duration, seed, frozen: false, multipath_stretch: None },
+            &ctx.driver(),
         )?;
-        ctx.sink.record_sim(r.sim.stats.events, r.wall_s);
-        ctx.sink.record_engine(&r.sim.engine_report());
+        r.run.record(&mut ctx.sink);
         println!("flows: {}, total goodput {:.1} Mbps", r.flows, r.total_goodput_mbps);
 
         // Fig. 14: the observed path's per-link utilization at two instants.
         let src = scenario.gs_by_name(&observed.0)?;
         let dst = scenario.gs_by_name(&observed.1)?;
-        for (label, sec) in [("early", snapshots.0), ("late", snapshots.1)] {
+        for sec in [snapshots.0, snapshots.1] {
             let t = SimTime::from_secs(sec);
             let state = compute_forwarding_state(&scenario.constellation, t, &[dst]);
             match state.path(src, dst) {
@@ -101,7 +101,6 @@ impl Experiment for Fig14_15 {
                         "hop_node utilization",
                         &utils,
                     )?;
-                    let _ = label;
                 }
                 None => println!("t={sec}s: pair disconnected"),
             }

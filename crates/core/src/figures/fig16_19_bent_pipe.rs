@@ -58,11 +58,10 @@ impl Experiment for Fig16_19 {
                 "fig16_19_bent_pipe needs exactly two ground stations (endpoints)".into(),
             ));
         };
-        let r = run(src_city.clone(), dst_city.clone(), &cfg);
+        let r = run(src_city.clone(), dst_city.clone(), &cfg, &ctx.driver())?;
 
         for leg in [&r.isl, &r.bent_pipe] {
-            ctx.sink.record_sim(leg.events, leg.wall_s);
-            ctx.sink.record_engine(&leg.engine);
+            leg.run.record(&mut ctx.sink);
             let slug = leg.label.replace('-', "_");
             println!();
             println!("[{}]", leg.label);
@@ -104,10 +103,9 @@ impl Experiment for Fig16_19 {
         // Figs. 16/17: path geometry at t = 0 for both configurations.
         // (Fig. 17's mid-run snapshots come from re-running with the chosen
         // instant; the t = 0 snapshot documents the structure.)
-        for (leg, slug) in [(&r.isl, "fig16a_isl"), (&r.bent_pipe, "fig16b_bent_pipe")] {
+        for leg in [&r.isl, &r.bent_pipe] {
             if let Some(path) = &leg.path_t0 {
                 println!("{}: {} nodes end-to-end at t=0", leg.label, path.len());
-                let _ = slug;
             }
         }
         // cwnd volatility comparison (Fig. 19's point): count window cuts.

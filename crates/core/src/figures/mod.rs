@@ -30,10 +30,13 @@ pub mod fig14_15_utilization;
 pub mod fig16_19_bent_pipe;
 pub mod table1;
 
+pub(crate) use crate::experiments::{pair_slug, CANONICAL_PAIRS};
+
 use crate::experiments::pair_sweep::{self, PairStats, PairSweepConfig};
 use crate::runner::{Experiment, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
+use hypatia_util::DataRate;
 
 /// Every built-in experiment, in the paper's order.
 pub fn builtin_experiments() -> Vec<Box<dyn Experiment>> {
@@ -62,29 +65,6 @@ pub fn builtin_experiments() -> Vec<Box<dyn Experiment>> {
     ]
 }
 
-/// The paper's three canonical Fig. 3/4 pairs, with their historic file
-/// slugs.
-pub(crate) const CANONICAL_PAIRS: [(&str, &str, &str); 3] = [
-    ("Rio de Janeiro", "Saint Petersburg", "rio_stpetersburg"),
-    ("Manila", "Dalian", "manila_dalian"),
-    ("Istanbul", "Nairobi", "istanbul_nairobi"),
-];
-
-/// File-name slug for a city pair: the historic names for the paper's
-/// canonical pairs, a mechanical lowercase join otherwise.
-pub(crate) fn pair_slug(src: &str, dst: &str) -> String {
-    for (s, d, slug) in CANONICAL_PAIRS {
-        if s == src && d == dst {
-            return slug.to_string();
-        }
-    }
-    format!("{}_{}", city_slug(src), city_slug(dst))
-}
-
-fn city_slug(name: &str) -> String {
-    name.to_lowercase().replace(' ', "")
-}
-
 /// The named pairs of a spec, or a BadSpec error naming the experiment.
 pub(crate) fn named_pairs(spec: &ExperimentSpec) -> Result<Vec<(String, String)>, RunError> {
     match spec.pairs.named() {
@@ -99,6 +79,31 @@ pub(crate) fn named_pairs(spec: &ExperimentSpec) -> Result<Vec<(String, String)>
 /// The first named pair of a spec.
 pub(crate) fn first_pair(spec: &ExperimentSpec) -> Result<(String, String), RunError> {
     Ok(named_pairs(spec)?.swap_remove(0))
+}
+
+/// The flow counts and per-flow rate of a traffic-matrix sweep: `--set
+/// flows=N` pins one point, otherwise the `flow_counts` list (default
+/// `counts`) drives it; `flow_rate_kbps` defaults to `rate_kbps`. Both
+/// must be positive.
+pub(crate) fn flow_sweep(
+    spec: &ExperimentSpec,
+    counts: &[f64],
+    rate_kbps: f64,
+) -> Result<(Vec<u64>, DataRate), RunError> {
+    let counts: Vec<u64> = match spec.flows {
+        Some(n) => vec![n],
+        None => {
+            spec.list("flow_counts").unwrap_or(counts).iter().map(|&x| x.round() as u64).collect()
+        }
+    };
+    if let Some(&bad) = counts.iter().find(|&&n| n == 0) {
+        return Err(RunError::BadSpec(format!("flow_counts must be positive, got {bad}")));
+    }
+    let rate_kbps = spec.num("flow_rate_kbps").unwrap_or(rate_kbps);
+    if !rate_kbps.is_finite() || rate_kbps <= 0.0 {
+        return Err(RunError::BadSpec(format!("flow_rate_kbps must be positive, got {rate_kbps}")));
+    }
+    Ok((counts, DataRate::from_bps((rate_kbps * 1e3).round() as u64)))
 }
 
 /// The three-constellation pair sweep shared by Figs. 6, 7 and 8, driven

@@ -2,7 +2,8 @@
 //!
 //! Long experiment runs die — OOM kills, wall-clock limits, power loss.
 //! This module is the one place a netsim-backed experiment advances its
-//! simulator: [`drive`] runs the simulation to its horizon in
+//! simulator: every experiment hands its simulator to [`SimRun::drive`],
+//! which times [`drive`]. That loop runs the simulation to its horizon in
 //! checkpoint-interval segments, writing a restartable snapshot at every
 //! boundary, optionally running conservation audits, and honouring the
 //! supervisor's [`Watchdog`] deadline and
@@ -17,8 +18,9 @@
 
 use crate::runner::{RunError, Watchdog};
 use hypatia_netsim::audit::AuditViolation;
-use hypatia_netsim::Simulator;
+use hypatia_netsim::{EngineReport, Simulator};
 use hypatia_util::{SimDuration, SimTime};
+use hypatia_viz::sink::ArtifactSink;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -127,6 +129,81 @@ pub fn drive(
         watchdog.check()?;
     }
     Ok(out)
+}
+
+/// How a run drives each of its simulations: the spec's resilience knobs
+/// and the attempt's watchdog (see `RunContext::driver`).
+#[derive(Debug, Clone)]
+pub struct Driver {
+    /// Checkpoint, resume and audit settings.
+    pub opts: DriveOptions,
+    /// Deadline and memory limits, checked at segment boundaries.
+    pub watchdog: Watchdog,
+}
+
+impl Default for Driver {
+    /// No checkpoints, resume, audits or limits: a plain `run_until`.
+    fn default() -> Self {
+        Driver { opts: DriveOptions::off(), watchdog: Watchdog::unlimited() }
+    }
+}
+
+/// One simulation driven to its stop time: what it cost and what the
+/// drive loop did. [`SimRun::record`] puts it in the run's manifest.
+#[derive(Debug, Clone)]
+pub struct SimRun {
+    /// Events the simulator has processed (a resumed run counts the
+    /// restored total).
+    pub events: u64,
+    /// Wall-clock seconds the simulation took, snapshot writes excluded:
+    /// they are I/O, not simulation.
+    pub wall_s: f64,
+    /// How the engine executed: shard count, epochs, barriers, queue.
+    pub engine: EngineReport,
+    /// Checkpoints, resume point and audits of the drive loop.
+    pub outcome: DriveOutcome,
+}
+
+impl SimRun {
+    /// Advance `sim` to `stop` through [`drive`] under `driver`, with
+    /// `tag` naming its snapshot; `tag` must be unique among the run's
+    /// simulations and deterministic for the spec, so a resume restores
+    /// each simulation from its own snapshot.
+    pub fn drive(
+        sim: &mut Simulator,
+        stop: SimTime,
+        tag: &str,
+        driver: &Driver,
+    ) -> Result<SimRun, RunError> {
+        let start = Instant::now();
+        let outcome = drive(sim, stop, tag, &driver.opts, &driver.watchdog)?;
+        let wall_s = (start.elapsed().as_secs_f64() - outcome.checkpoint_wall_s).max(0.0);
+        Ok(SimRun { events: sim.stats.events, wall_s, engine: sim.engine_report(), outcome })
+    }
+
+    /// Simulator throughput, events per wall-clock second (0 when the
+    /// run took no measurable time).
+    pub fn events_per_sec(&self) -> f64 {
+        if self.wall_s > 0.0 {
+            self.events as f64 / self.wall_s
+        } else {
+            0.0
+        }
+    }
+
+    /// Account this simulation in the manifest: events and wall clock,
+    /// the engine block and, when the drive loop wrote any, the
+    /// checkpoints and audit sections.
+    pub fn record(&self, sink: &mut ArtifactSink) {
+        sink.record_sim(self.events, self.wall_s);
+        sink.record_engine(&self.engine);
+        if let Some(last) = &self.outcome.last_checkpoint {
+            sink.record_checkpoints(self.outcome.checkpoints, last);
+        }
+        if self.outcome.audit_checks > 0 {
+            sink.record_audit(self.outcome.audit_checks, &self.outcome.violations);
+        }
+    }
 }
 
 #[cfg(test)]

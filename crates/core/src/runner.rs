@@ -9,7 +9,7 @@
 //! lifecycle: build the spec, assemble the constellation once, execute,
 //! then write the run's `manifest.json`.
 
-use crate::resilience::DriveOptions;
+use crate::resilience::{DriveOptions, Driver};
 use crate::scenario::{Scenario, UnknownCityError};
 use crate::spec::{ExperimentSpec, SpecError};
 use hypatia_viz::sink::ArtifactSink;
@@ -219,18 +219,39 @@ impl RunContext {
         }
     }
 
-    /// The spec's resilience knobs as [`DriveOptions`], with checkpoints
-    /// going under `<out_dir>/checkpoints`.
-    pub fn drive_options(&self) -> DriveOptions {
-        DriveOptions {
-            checkpoint_every: self.spec.checkpoint_every,
-            checkpoint_dir: self
-                .spec
-                .checkpoint_every
-                .map(|_| self.sink.out_dir().join("checkpoints")),
-            resume_from: self.spec.resume_from.as_ref().map(PathBuf::from),
-            audit: self.spec.audit,
+    /// How this run drives each simulation: the spec's resilience knobs
+    /// (checkpoints under `<out_dir>/checkpoints`) and the watchdog.
+    pub fn driver(&self) -> Driver {
+        Driver {
+            opts: DriveOptions {
+                checkpoint_every: self.spec.checkpoint_every,
+                checkpoint_dir: self
+                    .spec
+                    .checkpoint_every
+                    .map(|_| self.sink.out_dir().join("checkpoints")),
+                resume_from: self.spec.resume_from.as_ref().map(PathBuf::from),
+                audit: self.spec.audit,
+            },
+            watchdog: self.watchdog.clone(),
         }
+    }
+
+    /// Write the manifest, first warning about every resilience knob that
+    /// did nothing because the experiment drove no simulation (a
+    /// simulation always processes at least its t = 0 forwarding update).
+    fn finish(&mut self, experiment: &str) -> io::Result<PathBuf> {
+        let spec = &self.spec;
+        let knobs = [
+            ("checkpoint_every_s", spec.checkpoint_every.is_some()),
+            ("resume_from", spec.resume_from.is_some()),
+            ("audit", spec.audit),
+        ];
+        let idle: Vec<&str> = knobs.iter().filter(|k| k.1).map(|k| k.0).collect();
+        if self.sink.sim_events() == 0 && !idle.is_empty() {
+            let knobs = idle.join(", ");
+            self.sink.warn(format!("{knobs} ignored: {experiment} runs no packet simulation"));
+        }
+        self.sink.write_manifest(experiment)
     }
 }
 
@@ -300,11 +321,7 @@ impl ExperimentRunner {
     /// Execute `spec` with artifacts under `out_dir`; writes the run's
     /// `manifest.json` last. Returns the manifest path.
     pub fn run(&self, spec: ExperimentSpec, out_dir: PathBuf) -> Result<PathBuf, RunError> {
-        let exp = self.get(&spec.experiment)?;
-        let name = spec.experiment.clone();
-        let mut ctx = RunContext::new(spec, ArtifactSink::new(out_dir));
-        exp.run(&mut ctx)?;
-        Ok(ctx.sink.write_manifest(&name)?)
+        Ok(self.run_with_sink(spec, ArtifactSink::new(out_dir))?.0)
     }
 
     /// Like [`run`](Self::run), but with a caller-supplied sink (e.g. one
@@ -318,7 +335,7 @@ impl ExperimentRunner {
         let name = spec.experiment.clone();
         let mut ctx = RunContext::new(spec, sink);
         exp.run(&mut ctx)?;
-        let path = ctx.sink.write_manifest(&name)?;
+        let path = ctx.finish(&name)?;
         Ok((path, ctx.sink))
     }
 
@@ -390,7 +407,7 @@ impl ExperimentRunner {
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| exp.run(&mut ctx)));
         let result = match outcome {
             Ok(Ok(())) => match ctx.watchdog.check() {
-                Ok(()) => ctx.sink.write_manifest(&name).map_err(RunError::Io),
+                Ok(()) => ctx.finish(&name).map_err(RunError::Io),
                 Err(err) => Err(err),
             },
             Ok(Err(err)) => Err(err),

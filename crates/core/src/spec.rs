@@ -133,7 +133,9 @@ pub struct ExperimentSpec {
     pub utilization_bucket: Option<SimDuration>,
     /// Congestion controller for TCP workloads (`cc`).
     pub cc: CcKind,
-    /// Snapshot fan-out / forwarding prefetch workers, 0 = serial (`threads`).
+    /// Worker threads (`threads`): packet runs prefetch forwarding state on
+    /// them (0 = no prefetch, states computed inline), the routing sweeps of
+    /// Figs. 6–9 fan snapshots out over them (0 = one per core).
     pub threads: usize,
     /// Seed for randomized pieces: permutation matrix, loss processes (`seed`).
     pub seed: u64,
@@ -275,10 +277,13 @@ impl ExperimentSpec {
         }
     }
 
-    /// Numeric-list extra parameter.
+    /// Numeric-list extra parameter. `--set key=10` parses as a single
+    /// number, a comma list as a list; a bare number reads as a
+    /// one-element list.
     pub fn list(&self, key: &str) -> Option<&[f64]> {
         match self.params.get(key) {
             Some(ParamValue::List(v)) => Some(v),
+            Some(ParamValue::Num(x)) => Some(std::slice::from_ref(x)),
             _ => None,
         }
     }
@@ -630,8 +635,9 @@ const KNOBS: &[Knob] = knobs![
     utilization_bucket_s: defaulted Positive OptSecs(utilization_bucket, 1.0),
     /// Congestion controller of TCP workloads: newreno, vegas, cubic or bbr.
     cc: required Any Cc(cc),
-    /// Workers for snapshot fan-out and forwarding prefetch (0 = inline);
-    /// results are identical for any value.
+    /// Worker threads: forwarding prefetch in packet runs (0 = none) and
+    /// snapshot fan-out in routing sweeps (0 = one per core); results are
+    /// identical for any value.
     threads: required Any Count(threads),
     /// Seed of the randomized pieces (permutation matrix, loss processes).
     seed: required Any Int(seed),
@@ -1001,6 +1007,7 @@ mod tests {
         let mut spec = sample();
         spec.set("relay_spacing_deg", "4").unwrap();
         assert_eq!(spec.num("relay_spacing_deg"), Some(4.0));
+        assert_eq!(spec.list("relay_spacing_deg"), Some(&[4.0][..]), "a bare number is a list");
         spec.set("frozen", "true").unwrap();
         assert_eq!(spec.flag("frozen"), Some(true));
         spec.set("line_rates_mbps", "1,10,25").unwrap();

@@ -410,6 +410,202 @@ fn resumed_faulted_fig02_is_byte_identical_across_engines() {
     }
 }
 
+/// A faulted two-rate `ext_failure_resilience` spec: three simulations
+/// (the baseline and one per failure fraction), each with its own
+/// snapshot tag.
+fn faulted_failure_sweep_base() -> ExperimentSpec {
+    let mut spec =
+        ExperimentRunner::new().spec("ext_failure_resilience", false).expect("registered");
+    for (key, value) in [
+        ("cities", "10"),
+        ("duration_s", "2"),
+        ("pairs", "Tokyo:Cairo"),
+        ("fail_fracs", "0.1,0.2"),
+        ("mttr_s", "1"),
+        ("gsl_weather", "2:0.3:0.9"),
+    ] {
+        spec.set(key, value).unwrap_or_else(|e| panic!("{key}={value}: {e}"));
+    }
+    spec
+}
+
+/// Byte-identical resume of a multi-simulation experiment: the faulted
+/// failure sweep, checkpointed, then resumed from its snapshots, matches
+/// the uninterrupted run's artifacts and manifest across engine shard
+/// counts — each simulation restores from its own snapshot.
+#[test]
+fn resumed_faulted_failure_sweep_is_byte_identical_across_engines() {
+    let dir_ref = temp_dir("resume_fail_ref");
+    let (reference, _) = run_quiet(faulted_failure_sweep_base(), &dir_ref);
+    assert!(!reference.is_empty(), "expected artifacts, got none");
+
+    for shards in [1usize, 4] {
+        let tag = format!("resume_fail_{shards}");
+        let variant = || {
+            let mut spec = ExperimentSpec { sim_shards: shards, ..faulted_failure_sweep_base() };
+            spec.set("audit", "true").expect("audit knob");
+            spec.set("checkpoint_every_s", "0.5").expect("checkpoint knob");
+            spec
+        };
+
+        let dir1 = temp_dir(&format!("{tag}_leg1"));
+        let (arts1, manifest1) = run_quiet(variant(), &dir1);
+        let snaps = dir1.join("checkpoints");
+        for point in ["fail_base", "fail_0.1", "fail_0.2"] {
+            let snap = snaps.join(format!("{point}.snap"));
+            assert!(snap.exists(), "{tag}: expected {}", snap.display());
+        }
+
+        let dir2 = temp_dir(&format!("{tag}_leg2"));
+        let mut leg2 = variant();
+        leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
+        let (arts2, manifest2) = run_quiet(leg2, &dir2);
+
+        assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
+        assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
+        assert_eq!(
+            manifest_core(&manifest1),
+            manifest_core(&manifest2),
+            "{tag}: manifests diverge beyond the run-shape sections"
+        );
+        for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
+            assert_eq!(
+                audit_violations(manifest),
+                Some(0),
+                "{tag} {leg}: conservation audit violations: {manifest}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir1);
+        let _ = std::fs::remove_dir_all(dir2);
+    }
+    let _ = std::fs::remove_dir_all(dir_ref);
+}
+
+/// `--set` overrides that shrink an experiment's reduced spec.
+type Sets = &'static [(&'static str, &'static str)];
+
+/// Every netsim-backed experiment on a tiny spec (≤ 10 cities, ≤ 2 s),
+/// with the number of simulations it drives there.
+const NETSIM_EXPERIMENTS: [(&str, usize, Sets); 12] = [
+    (
+        "fig02_scalability",
+        2,
+        &[("cities", "10"), ("duration_s", "1"), ("line_rates_mbps", "10"), ("slowdown", "false")],
+    ),
+    (
+        "fig03_rtt_fluctuations",
+        1,
+        &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
+    ),
+    ("fig04_cwnd_bdp", 1, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
+    ("fig05_rates_rtt", 2, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
+    (
+        "fig10_unused_bandwidth",
+        2,
+        &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
+    ),
+    (
+        "fig14_15_utilization",
+        1,
+        &[
+            ("cities", "10"),
+            ("duration_s", "2"),
+            ("pairs", "Tokyo:Cairo"),
+            ("snapshot_early_s", "0"),
+            ("snapshot_late_s", "1"),
+        ],
+    ),
+    ("fig16_19_bent_pipe", 2, &[("duration_s", "2")]),
+    ("ext_bbr_study", 4, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
+    ("ext_multipath_te", 2, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
+    (
+        "ext_failure_resilience",
+        3,
+        &[
+            ("cities", "10"),
+            ("duration_s", "2"),
+            ("pairs", "Tokyo:Cairo"),
+            ("fail_fracs", "0.1,0.2"),
+            ("mttr_s", "1"),
+        ],
+    ),
+    ("ext_flow_scaling", 1, &[("cities", "10"), ("duration_s", "1"), ("flows", "100")]),
+    ("ext_hybrid_mode", 3, &[("cities", "10"), ("duration_s", "1"), ("flows", "100")]),
+];
+
+/// Every experiment that runs no packet simulation, on a tiny spec.
+const ROUTING_EXPERIMENTS: [(&str, Sets); 9] = [
+    ("table1_constellations", &[]),
+    ("fig06_rtt_stretch_ecdf", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")]),
+    ("fig07_rtt_cdfs", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")]),
+    ("fig08_path_hop_cdfs", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")]),
+    ("fig09_timestep", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "500")]),
+    ("fig11_constellation_czml", &[("duration_s", "20")]),
+    ("fig12_ground_view", &[("duration_s", "20")]),
+    ("fig13_path_viz", &[("duration_s", "2")]),
+    ("ext_multipath_diversity", &[("cities", "10"), ("duration_s", "2")]),
+];
+
+/// `name`'s reduced spec with `sets` and the resilience knobs applied.
+fn resilient_spec(name: &str, sets: &[(&str, &str)]) -> ExperimentSpec {
+    let mut spec = ExperimentRunner::new().spec(name, false).expect("registered");
+    for &(key, value) in sets.iter().chain(&[("checkpoint_every_s", "0.5"), ("audit", "true")]) {
+        spec.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
+    }
+    spec
+}
+
+/// The resilience knobs work for every experiment that drives a
+/// simulator: each simulation of the run leaves its own snapshot, and the
+/// manifest carries the checkpoints section and a clean audit.
+#[test]
+fn every_netsim_experiment_checkpoints_and_audits_each_simulation() {
+    let mut classified: Vec<&str> = NETSIM_EXPERIMENTS.iter().map(|e| e.0).collect();
+    classified.extend(ROUTING_EXPERIMENTS.iter().map(|e| e.0));
+    classified.sort_unstable();
+    let mut registered = ExperimentRunner::new().names();
+    registered.sort_unstable();
+    assert_eq!(classified, registered, "every experiment is netsim-backed or routing-only");
+
+    for (name, sims, sets) in NETSIM_EXPERIMENTS {
+        let dir = temp_dir(&format!("knobs_{name}"));
+        let (_, manifest) = run_quiet(resilient_spec(name, sets), &dir);
+        let doc = json::from_str(&manifest).expect("manifest parses");
+        assert!(doc.get("checkpoints").is_some(), "{name}: no checkpoints section: {manifest}");
+        assert_eq!(audit_violations(&manifest), Some(0), "{name}: audit: {manifest}");
+        assert!(!manifest.contains("ignored"), "{name}: knobs reported idle: {manifest}");
+        let snaps: Vec<_> = std::fs::read_dir(dir.join("checkpoints"))
+            .unwrap_or_else(|e| panic!("{name}: no checkpoint directory: {e}"))
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf8 name"))
+            .collect();
+        assert_eq!(snaps.len(), sims, "{name}: one snapshot per simulation, got {snaps:?}");
+        assert!(snaps.iter().all(|s| s.ends_with(".snap")), "{name}: {snaps:?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// An experiment that drives no simulator says so: setting a resilience
+/// knob on it adds one manifest warning naming the knobs, and nothing is
+/// checkpointed or audited.
+#[test]
+fn routing_only_experiments_warn_that_resilience_knobs_are_idle() {
+    for (name, sets) in ROUTING_EXPERIMENTS {
+        let dir = temp_dir(&format!("idle_{name}"));
+        let (_, manifest) = run_quiet(resilient_spec(name, sets), &dir);
+        let doc = json::from_str(&manifest).expect("manifest parses");
+        let warnings = doc.get("warnings").and_then(|w| w.as_array()).expect("warnings array");
+        let idle: Vec<_> = warnings
+            .iter()
+            .filter_map(|w| w.as_str())
+            .filter(|w| w.starts_with("checkpoint_every_s, audit ignored"))
+            .collect();
+        assert_eq!(idle.len(), 1, "{name}: want one idle-knob warning: {manifest}");
+        assert!(doc.get("checkpoints").is_none() && doc.get("audit").is_none(), "{name}");
+        assert!(!dir.join("checkpoints").exists(), "{name}: wrote a checkpoint directory");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
 /// Resume fails loudly, not silently: a snapshot with flipped bytes is a
 /// checksum error, and a snapshot from a future format version is a
 /// version error — both surface as `RunError::Checkpoint`, never as a

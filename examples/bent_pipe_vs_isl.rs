@@ -7,6 +7,7 @@
 //! Run with: `cargo run --release --example bent_pipe_vs_isl`
 
 use hypatia::experiments::bent_pipe::{run, BentPipeConfig};
+use hypatia::resilience::Driver;
 use hypatia::util::SimDuration;
 use hypatia_constellation::GroundStation;
 
@@ -22,7 +23,9 @@ fn main() {
         GroundStation::new("Paris", 48.8566, 2.3522),
         GroundStation::new("Moscow", 55.7558, 37.6173),
         &cfg,
-    );
+        &Driver::default(),
+    )
+    .expect("a plain run has no failure path");
 
     for leg in [&r.isl, &r.bent_pipe] {
         let mbps = leg.bytes_received as f64 * 8.0 / cfg.duration.secs_f64() / 1e6;

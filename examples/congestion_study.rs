@@ -4,6 +4,7 @@
 //! Run with: `cargo run --release --example congestion_study`
 
 use hypatia::experiments::tcp_single::{run, CcKind};
+use hypatia::resilience::Driver;
 use hypatia::scenario::{ConstellationChoice, ScenarioBuilder};
 use hypatia::util::SimDuration;
 
@@ -18,7 +19,7 @@ fn main() {
         "CC", "goodput", "mean RTT", "fast rtx", "RTOs", "reordered"
     );
     for cc in [CcKind::NewReno, CcKind::Vegas, CcKind::Cubic, CcKind::Bbr] {
-        let r = run(&scenario, src, dst, cc, duration).expect("known cities");
+        let r = run(&scenario, src, dst, cc, duration, &Driver::default()).expect("known cities");
         let mean_rtt = if r.rtt_series.is_empty() {
             f64::NAN
         } else {

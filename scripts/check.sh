@@ -244,6 +244,39 @@ diff <(strip_resilience "$smoke_dir/resilience_ref/manifest.json") \
      <(strip_resilience "$smoke_dir/resilience_resumed/manifest.json")
 grep -q '"violations": \[\]' "$smoke_dir/resilience_resumed/manifest.json"
 
+echo "== crash resilience, three simulations per run: kill -9 + resume"
+# ext_failure_resilience drives a baseline and one simulation per failure
+# fraction, each under its own snapshot tag: a resume restores each one
+# from its own snapshot (or starts it fresh when it had none yet).
+failure_args=(ext_failure_resilience --set cities=10 --set duration_s=20
+  --set pairs="Tokyo:Cairo" --set fail_fracs=0.1,0.2 --set mttr_s=2
+  --set audit=true --set checkpoint_every_s=0.5)
+target/release/run_experiment "${failure_args[@]}" \
+  --out "$smoke_dir/failure_ref" > /dev/null
+grep -q '"checkpoints"' "$smoke_dir/failure_ref/manifest.json"
+grep -q '"violations": \[\]' "$smoke_dir/failure_ref/manifest.json"
+for tag in fail_base fail_0.1 fail_0.2; do
+  test -f "$smoke_dir/failure_ref/checkpoints/$tag.snap"
+done
+target/release/run_experiment "${failure_args[@]}" \
+  --out "$smoke_dir/failure_kill" > /dev/null 2>&1 &
+victim=$!
+for _ in $(seq 1 600); do
+  if ls "$smoke_dir/failure_kill/checkpoints/"*.snap > /dev/null 2>&1; then
+    break
+  fi
+  sleep 0.1
+done
+kill -9 "$victim" 2> /dev/null || true
+wait "$victim" 2> /dev/null || true
+ls "$smoke_dir/failure_kill/checkpoints/"*.snap > /dev/null
+target/release/run_experiment "${failure_args[@]}" \
+  --out "$smoke_dir/failure_resumed" \
+  --resume "$smoke_dir/failure_kill/checkpoints" > /dev/null
+diff <(strip_resilience "$smoke_dir/failure_ref/manifest.json") \
+     <(strip_resilience "$smoke_dir/failure_resumed/manifest.json")
+grep -q '"violations": \[\]' "$smoke_dir/failure_resumed/manifest.json"
+
 echo "== supervised abort smoke (deadline -> exit 8, salvaged manifest)"
 set +e
 target/release/run_experiment fig02_scalability --out "$smoke_dir/deadline" \
