@@ -484,25 +484,41 @@ fn resumed_faulted_failure_sweep_is_byte_identical_across_engines() {
 /// `--set` overrides that shrink an experiment's reduced spec.
 type Sets = &'static [(&'static str, &'static str)];
 
+/// FNV-1a-64 checksums of the artifacts an experiment computes from
+/// time-stepped routing alone (no packet reaches them), on its tiny spec:
+/// they hold however the forwarding states are produced.
+type Pins = &'static [(&'static str, u64)];
+
 /// Every netsim-backed experiment on a tiny spec (≤ 10 cities, ≤ 2 s),
-/// with the number of simulations it drives there.
-const NETSIM_EXPERIMENTS: [(&str, usize, Sets); 12] = [
+/// with the number of simulations it drives there and its routing pins.
+const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 12] = [
     (
         "fig02_scalability",
         2,
         &[("cities", "10"), ("duration_s", "1"), ("line_rates_mbps", "10"), ("slowdown", "false")],
+        &[],
     ),
     (
         "fig03_rtt_fluctuations",
         1,
         &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
+        &[("fig03_tokyo_cairo_computed.dat", 0x9ee0_a53a_cd8a_b2d8)],
     ),
-    ("fig04_cwnd_bdp", 1, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
-    ("fig05_rates_rtt", 2, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
+    (
+        "fig04_cwnd_bdp",
+        1,
+        &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
+        &[("fig04_tokyo_cairo_bdpq.dat", 0x1849_c081_51cf_597c)],
+    ),
+    ("fig05_rates_rtt", 2, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")], &[]),
     (
         "fig10_unused_bandwidth",
         2,
         &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
+        &[
+            ("fig10_unused_dynamic.dat", 0xf935_82eb_fd17_f9fc),
+            ("fig10_unused_frozen.dat", 0x0ea2_29e3_3330_039f),
+        ],
     ),
     (
         "fig14_15_utilization",
@@ -514,10 +530,24 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets); 12] = [
             ("snapshot_early_s", "0"),
             ("snapshot_late_s", "1"),
         ],
+        &[],
     ),
-    ("fig16_19_bent_pipe", 2, &[("duration_s", "2")]),
-    ("ext_bbr_study", 4, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
-    ("ext_multipath_te", 2, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")]),
+    (
+        "fig16_19_bent_pipe",
+        2,
+        &[("duration_s", "2")],
+        &[
+            ("fig18_rtt_computed_ISL.dat", 0xbb60_7632_7df7_9225),
+            ("fig18_rtt_computed_bent_pipe.dat", 0x2226_4d6b_11f1_ad79),
+        ],
+    ),
+    ("ext_bbr_study", 4, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")], &[]),
+    (
+        "ext_multipath_te",
+        2,
+        &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
+        &[],
+    ),
     (
         "ext_failure_resilience",
         3,
@@ -528,23 +558,89 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets); 12] = [
             ("fail_fracs", "0.1,0.2"),
             ("mttr_s", "1"),
         ],
+        &[
+            ("ext_failure_unreachable.dat", 0x5035_e2a9_7da6_48cd),
+            ("ext_failure_churn.dat", 0x5e2d_b924_ef09_0edc),
+        ],
     ),
-    ("ext_flow_scaling", 1, &[("cities", "10"), ("duration_s", "1"), ("flows", "100")]),
-    ("ext_hybrid_mode", 3, &[("cities", "10"), ("duration_s", "1"), ("flows", "100")]),
+    ("ext_flow_scaling", 1, &[("cities", "10"), ("duration_s", "1"), ("flows", "100")], &[]),
+    ("ext_hybrid_mode", 3, &[("cities", "10"), ("duration_s", "1"), ("flows", "100")], &[]),
 ];
 
 /// Every experiment that runs no packet simulation, on a tiny spec.
-const ROUTING_EXPERIMENTS: [(&str, Sets); 9] = [
-    ("table1_constellations", &[]),
-    ("fig06_rtt_stretch_ecdf", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")]),
-    ("fig07_rtt_cdfs", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")]),
-    ("fig08_path_hop_cdfs", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")]),
-    ("fig09_timestep", &[("cities", "10"), ("duration_s", "2"), ("step_ms", "500")]),
-    ("fig11_constellation_czml", &[("duration_s", "20")]),
-    ("fig12_ground_view", &[("duration_s", "20")]),
-    ("fig13_path_viz", &[("duration_s", "2")]),
-    ("ext_multipath_diversity", &[("cities", "10"), ("duration_s", "2")]),
+const ROUTING_EXPERIMENTS: [(&str, Sets, Pins); 9] = [
+    ("table1_constellations", &[], &[]),
+    (
+        "fig06_rtt_stretch_ecdf",
+        &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")],
+        &[
+            ("fig06_stretch_ecdf_telesat_t1.dat", 0xb7d5_7f37_d3a9_481f),
+            ("fig06_stretch_ecdf_kuiper_k1.dat", 0xf22b_a7ff_3bc9_4fd6),
+            ("fig06_stretch_ecdf_starlink_s1.dat", 0x1ef3_c103_fb5e_da69),
+        ],
+    ),
+    (
+        "fig07_rtt_cdfs",
+        &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")],
+        &[
+            ("fig07a_max_rtt_telesat_t1.dat", 0x856d_66bb_e7ba_2924),
+            ("fig07b_rtt_delta_telesat_t1.dat", 0x5567_6125_558d_bf88),
+            ("fig07c_rtt_ratio_telesat_t1.dat", 0x29e7_2894_d69e_eac5),
+            ("fig07a_max_rtt_kuiper_k1.dat", 0x2005_1f51_705e_d3ad),
+            ("fig07b_rtt_delta_kuiper_k1.dat", 0xdbaa_1b18_cdb0_3fba),
+            ("fig07c_rtt_ratio_kuiper_k1.dat", 0xcc15_43c7_4473_7fff),
+            ("fig07a_max_rtt_starlink_s1.dat", 0x4e17_5cdd_e6b3_bf61),
+            ("fig07b_rtt_delta_starlink_s1.dat", 0xe6c8_22e7_58ef_7725),
+            ("fig07c_rtt_ratio_starlink_s1.dat", 0x3cd3_67ae_4c5c_8bce),
+        ],
+    ),
+    (
+        "fig08_path_hop_cdfs",
+        &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")],
+        &[
+            ("fig08a_path_changes_telesat_t1.dat", 0x621d_e801_5a3e_e619),
+            ("fig08b_hop_delta_telesat_t1.dat", 0x0cce_2946_3c24_af8b),
+            ("fig08c_hop_ratio_telesat_t1.dat", 0x428d_f795_1804_7f99),
+            ("fig08a_path_changes_kuiper_k1.dat", 0x6eb1_488e_220d_7d30),
+            ("fig08b_hop_delta_kuiper_k1.dat", 0x8f18_4e70_b2ff_48d8),
+            ("fig08c_hop_ratio_kuiper_k1.dat", 0x9880_51a2_1eb0_fb1d),
+            ("fig08a_path_changes_starlink_s1.dat", 0x143a_4f5a_8137_3953),
+            ("fig08b_hop_delta_starlink_s1.dat", 0x5372_9f4d_a27c_3c32),
+            ("fig08c_hop_ratio_starlink_s1.dat", 0x5169_5277_e79b_8db9),
+        ],
+    ),
+    (
+        "fig09_timestep",
+        &[("cities", "10"), ("duration_s", "2"), ("step_ms", "500")],
+        &[
+            ("fig09a_changes_per_step_500ms.dat", 0xb8f0_8b73_e6e4_10c0),
+            ("fig09b_missed_per_pair_500ms.dat", 0x0637_62c8_2716_d61f),
+            ("fig09a_changes_per_step_1000ms.dat", 0x9076_da35_f2e7_f858),
+            ("fig09b_missed_per_pair_1000ms.dat", 0x0637_62c8_2716_d61f),
+            ("fig09a_changes_per_step_10000ms.dat", 0x86d6_3e7b_3d65_1aba),
+            ("fig09b_missed_per_pair_10000ms.dat", 0x8ac3_ecef_b374_493e),
+        ],
+    ),
+    ("fig11_constellation_czml", &[("duration_s", "20")], &[]),
+    ("fig12_ground_view", &[("duration_s", "20")], &[]),
+    (
+        "fig13_path_viz",
+        &[("duration_s", "2")],
+        &[
+            ("fig13_paris_luanda_max_rtt.json", 0x7911_5988_c441_36d2),
+            ("fig13_paris_luanda_min_rtt.json", 0xab30_0ce3_5df3_397f),
+        ],
+    ),
+    ("ext_multipath_diversity", &[("cities", "10"), ("duration_s", "2")], &[]),
 ];
+
+/// Assert `name`'s pinned routing artifacts among the run's `records`.
+fn assert_pins(name: &str, records: &[(String, u64, u64)], pins: Pins) {
+    for &(artifact, fnv) in pins {
+        let got = records.iter().find(|r| r.0 == artifact).map(|r| r.2);
+        assert_eq!(got, Some(fnv), "{name}: {artifact} moved from its pinned checksum");
+    }
+}
 
 /// `name`'s reduced spec with `sets` and the resilience knobs applied.
 fn resilient_spec(name: &str, sets: &[(&str, &str)]) -> ExperimentSpec {
@@ -567,9 +663,10 @@ fn every_netsim_experiment_checkpoints_and_audits_each_simulation() {
     registered.sort_unstable();
     assert_eq!(classified, registered, "every experiment is netsim-backed or routing-only");
 
-    for (name, sims, sets) in NETSIM_EXPERIMENTS {
+    for (name, sims, sets, pins) in NETSIM_EXPERIMENTS {
         let dir = temp_dir(&format!("knobs_{name}"));
-        let (_, manifest) = run_quiet(resilient_spec(name, sets), &dir);
+        let (records, manifest) = run_quiet(resilient_spec(name, sets), &dir);
+        assert_pins(name, &records, pins);
         let doc = json::from_str(&manifest).expect("manifest parses");
         assert!(doc.get("checkpoints").is_some(), "{name}: no checkpoints section: {manifest}");
         assert_eq!(audit_violations(&manifest), Some(0), "{name}: audit: {manifest}");
@@ -589,9 +686,10 @@ fn every_netsim_experiment_checkpoints_and_audits_each_simulation() {
 /// checkpointed or audited.
 #[test]
 fn routing_only_experiments_warn_that_resilience_knobs_are_idle() {
-    for (name, sets) in ROUTING_EXPERIMENTS {
+    for (name, sets, pins) in ROUTING_EXPERIMENTS {
         let dir = temp_dir(&format!("idle_{name}"));
-        let (_, manifest) = run_quiet(resilient_spec(name, sets), &dir);
+        let (records, manifest) = run_quiet(resilient_spec(name, sets), &dir);
+        assert_pins(name, &records, pins);
         let doc = json::from_str(&manifest).expect("manifest parses");
         let warnings = doc.get("warnings").and_then(|w| w.as_array()).expect("warnings array");
         let idle: Vec<_> = warnings
