@@ -27,6 +27,8 @@
 use hypatia::runner::{ExperimentRunner, RunError, RunPolicy};
 use hypatia::spec::ExperimentSpec;
 use hypatia_bench::{apply_sets, banner};
+use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
 use std::process::exit;
 
@@ -83,11 +85,11 @@ fn parse_cli() -> Result<Cli, String> {
                 cli.sets.push((k.to_string(), v.to_string()));
             }
             "--help" | "-h" => {
-                println!("{USAGE}\n\nspec knobs (--set key=value):");
+                let mut text = format!("{USAGE}\n\nspec knobs (--set key=value):\n");
                 for (key, doc) in ExperimentSpec::knobs() {
-                    println!("  {key:<24} {doc}");
+                    let _ = writeln!(text, "  {key:<24} {doc}");
                 }
-                exit(0);
+                print_and_exit(&text);
             }
             other if !other.starts_with('-') && cli.name.is_none() => {
                 cli.name = Some(other.to_string());
@@ -125,6 +127,25 @@ fn resolve_spec(cli: &Cli, runner: &ExperimentRunner) -> Result<ExperimentSpec, 
     Ok(spec)
 }
 
+/// Write a print-only mode's whole output to stdout and exit. A reader
+/// that closes the pipe early (`run_experiment --list | head -1`) took
+/// all it wanted, so a broken pipe is a clean exit 0; any other write
+/// error is the I/O class.
+fn print_and_exit(text: &str) -> ! {
+    let written = {
+        let mut out = std::io::stdout().lock();
+        out.write_all(text.as_bytes()).and_then(|()| out.flush())
+    };
+    match written {
+        Ok(()) => exit(0),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => exit(0),
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            exit(6);
+        }
+    }
+}
+
 fn main() {
     let cli = match parse_cli() {
         Ok(cli) => cli,
@@ -136,12 +157,12 @@ fn main() {
 
     let runner = ExperimentRunner::new();
     if cli.list {
-        println!("registered experiments:");
+        let mut text = String::from("registered experiments:\n");
         for name in runner.names() {
             let title = runner.get(&name).map(|e| e.title()).unwrap_or("");
-            println!("  {name:<28} {title}");
+            let _ = writeln!(text, "  {name:<28} {title}");
         }
-        return;
+        print_and_exit(&text);
     }
 
     let spec = match resolve_spec(&cli, &runner) {
@@ -152,8 +173,7 @@ fn main() {
         }
     };
     if cli.print_spec {
-        println!("{}", spec.to_json_string());
-        return;
+        print_and_exit(&format!("{}\n", spec.to_json_string()));
     }
     if let (None, Ok(exp)) = (&cli.spec_file, runner.get(&spec.experiment)) {
         if let Some(label) = exp.label() {

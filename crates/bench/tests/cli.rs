@@ -1,7 +1,7 @@
 //! `run_experiment` against hostile input: one `error: …` line and the
 //! bad-spec exit code, never a crash.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// Run `run_experiment` with these arguments; a `--spec` file, if given,
 /// holds `spec` and is removed afterwards.
@@ -62,4 +62,31 @@ fn non_positive_flap_means_are_bad_specs_not_panics() {
     assert_ne!(bad, text);
     let stderr = assert_bad_spec(&run("mttr", Some(&bad), &[]));
     assert!(stderr.contains("mttr_s"), "stderr: {stderr}");
+}
+
+/// The print-only modes (`--list`, `--print-spec`, `--help`) with stdout
+/// closed by the reader before anything is written — what
+/// `run_experiment --list | head -1` does — exit 0 without a panic.
+#[test]
+fn print_only_modes_exit_cleanly_on_a_closed_pipe() {
+    for args in [
+        &["--list"][..],
+        &["fig03_rtt_fluctuations", "--print-spec"][..],
+        &["fig03_rtt_fluctuations", "--full", "--print-spec"][..],
+        &["--help"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_run_experiment"))
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("run_experiment starts");
+        // Drop the only read end: every write the child makes hits EPIPE.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("run_experiment exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+    }
 }

@@ -16,7 +16,6 @@ use hypatia_constellation::relays::bent_pipe_ground_segment;
 use hypatia_constellation::NodeId;
 use hypatia_routing::forwarding::compute_forwarding_state;
 use hypatia_transport::{TcpConfig, TcpSender, TcpSink};
-use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -86,17 +85,14 @@ fn run_leg(
     let mut computed = Vec::new();
     let mut sum = 0.0;
     let mut connected = 0usize;
-    for t in
-        TimeSteps::new(SimTime::ZERO, SimTime::ZERO + duration, scenario.sim_config.fstate_step)
-    {
-        let state = compute_forwarding_state(&scenario.constellation, t, &[dst]);
+    scenario.forwarding_series(dst, SimTime::ZERO + duration, |t, state| {
         let ms = state.distance(src, dst).map_or(f64::NAN, |d| 2.0 * d.secs_f64() * 1e3);
         if ms.is_finite() {
             sum += ms;
             connected += 1;
         }
         computed.push((t.secs_f64(), ms));
-    }
+    });
     let path_t0 =
         compute_forwarding_state(&scenario.constellation, SimTime::ZERO, &[dst]).path(src, dst);
 

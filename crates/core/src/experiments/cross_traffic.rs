@@ -18,7 +18,7 @@ use crate::runner::RunError;
 use crate::scenario::Scenario;
 use hypatia_constellation::NodeId;
 use hypatia_netsim::Simulator;
-use hypatia_routing::forwarding::compute_forwarding_state;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_transport::{NewReno, TcpConfig, TcpSender, TcpSink};
 use hypatia_util::{SimDuration, SimTime};
 
@@ -143,19 +143,19 @@ pub fn run(
     // bottleneck utilization of the path in force at each bucket start.
     let cap_mbps = sim.config().link_rate.mbps_f64();
     let buckets = cfg.duration / bucket;
-    let mut series = Vec::with_capacity(buckets as usize);
-    for k in 0..buckets {
-        let t = if cfg.frozen { SimTime::ZERO } else { SimTime::ZERO + bucket * k };
-        let state = compute_forwarding_state(&scenario.constellation, t, &[observed_dst]);
+    let times: Vec<SimTime> = (0..buckets)
+        .map(|k| if cfg.frozen { SimTime::ZERO } else { SimTime::ZERO + bucket * k })
+        .collect();
+    let mut series = Vec::with_capacity(times.len());
+    let worker = || SnapshotWorker::with_config(scenario.sim_config.routing);
+    let (c, dests) = (&scenario.constellation, [observed_dst]);
+    sweep_forwarding_states(worker, c, &times, &dests, None, 1, |k, (state, _)| {
         let point = match state.path(observed_src, observed_dst) {
-            Some(path) => {
-                let worst = sim.path_bottleneck_utilization(&path, k as usize);
-                cap_mbps * (1.0 - worst)
-            }
+            Some(path) => cap_mbps * (1.0 - sim.path_bottleneck_utilization(&path, k)),
             None => f64::NAN,
         };
-        series.push(((k * bucket.nanos()) as f64 / 1e9, point));
-    }
+        series.push(((k as u64 * bucket.nanos()) as f64 / 1e9, point));
+    });
 
     let total_goodput_mbps =
         sim.stats.payload_bytes_delivered as f64 * 8.0 / cfg.duration.secs_f64() / 1e6;

@@ -10,7 +10,7 @@
 
 use hypatia_constellation::Constellation;
 use hypatia_routing::incremental::RoutingConfig;
-use hypatia_routing::parallel::sweep_forwarding_states_with;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_routing::path::satellites_of;
 use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
@@ -138,22 +138,16 @@ pub fn run(constellation: &Constellation, cfg: &GranularityConfig) -> Granularit
     let mut hashes: Vec<Vec<u64>> = vec![Vec::new(); pair_list.len()];
     let times: Vec<SimTime> =
         TimeSteps::new(SimTime::ZERO, SimTime::ZERO + cfg.duration, cfg.fine_step).collect();
-    sweep_forwarding_states_with(
-        constellation,
-        &times,
-        &dests,
-        cfg.threads,
-        cfg.routing,
-        |_, state| {
-            for (p, &(src, dst)) in pair_list.iter().enumerate() {
-                let h = state
-                    .path(src, dst)
+    let worker = || SnapshotWorker::with_config(cfg.routing);
+    sweep_forwarding_states(worker, constellation, &times, &dests, None, cfg.threads, |_, st| {
+        for (p, &(src, dst)) in pair_list.iter().enumerate() {
+            let h =
+                st.0.path(src, dst)
                     .map(|path| hash_path(&satellites_of(constellation, &path)))
                     .unwrap_or(0);
-                hashes[p].push(h);
-            }
-        },
-    );
+            hashes[p].push(h);
+        }
+    });
 
     let mut stats = Vec::new();
     let (fine_steps, fine_pairs) = changes_per_step(&hashes, 1);

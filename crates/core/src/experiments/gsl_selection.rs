@@ -10,7 +10,7 @@
 
 use hypatia_constellation::gsl::GslSelection;
 use hypatia_constellation::Constellation;
-use hypatia_routing::forwarding::compute_forwarding_state;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_routing::path::PairTracker;
 use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
@@ -41,15 +41,16 @@ pub fn compare(
     duration: SimDuration,
     step: SimDuration,
 ) -> (SelectionStats, SelectionStats) {
+    let times: Vec<SimTime> =
+        TimeSteps::new(SimTime::ZERO, SimTime::ZERO + duration, step).collect();
     let run = |selection: GslSelection| {
         let mut c = constellation.clone();
         c.gsl.selection = selection;
         let (src, dst) = (c.gs_node(src_gs), c.gs_node(dst_gs));
         let mut tracker = PairTracker::new(src, dst, false);
-        for t in TimeSteps::new(SimTime::ZERO, SimTime::ZERO + duration, step) {
-            let st = compute_forwarding_state(&c, t, &[dst]);
-            tracker.observe(&c, &st);
-        }
+        sweep_forwarding_states(SnapshotWorker::new, &c, &times, &[dst], None, 1, |_, st| {
+            tracker.observe(&c, &st.0);
+        });
         SelectionStats {
             selection,
             min_rtt_ms: tracker.min_rtt.map_or(f64::NAN, |r| r.secs_f64() * 1e3),

@@ -11,7 +11,7 @@
 
 use hypatia_constellation::Constellation;
 use hypatia_routing::incremental::RoutingConfig;
-use hypatia_routing::parallel::sweep_forwarding_states_with;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_routing::path::PairTracker;
 use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
@@ -126,18 +126,12 @@ pub fn run(constellation: &Constellation, cfg: &PairSweepConfig) -> Vec<PairStat
     // result is identical to the serial loop for any thread count.
     let times: Vec<SimTime> =
         TimeSteps::new(SimTime::ZERO, SimTime::ZERO + cfg.duration, cfg.step).collect();
-    sweep_forwarding_states_with(
-        constellation,
-        &times,
-        &dests,
-        cfg.threads,
-        cfg.routing,
-        |_, state| {
-            for (_, _, tracker) in pairs.iter_mut() {
-                tracker.observe(constellation, &state);
-            }
-        },
-    );
+    let worker = || SnapshotWorker::with_config(cfg.routing);
+    sweep_forwarding_states(worker, constellation, &times, &dests, None, cfg.threads, |_, st| {
+        for (_, _, tracker) in pairs.iter_mut() {
+            tracker.observe(constellation, &st.0);
+        }
+    });
 
     pairs
         .into_iter()

@@ -12,9 +12,7 @@ use crate::resilience::{Driver, SimRun};
 use crate::runner::RunError;
 use crate::scenario::Scenario;
 use hypatia_netsim::apps::PingApp;
-use hypatia_routing::forwarding::compute_forwarding_state;
 use hypatia_routing::path::PairTracker;
-use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
 
 /// Parameters for a Fig. 3-style run.
@@ -85,13 +83,12 @@ pub fn run(
     let step = scenario.sim_config.fstate_step;
     let mut tracker = PairTracker::new(src, dst, true);
     let mut computed_series = Vec::new();
-    for t in TimeSteps::new(SimTime::ZERO, stop, step) {
-        let state = compute_forwarding_state(&scenario.constellation, t, &[dst]);
-        tracker.observe(&scenario.constellation, &state);
+    scenario.forwarding_series(dst, stop, |t, state| {
+        tracker.observe(&scenario.constellation, state);
         let rtt_ms =
             tracker.series().last().and_then(|o| o.rtt).map_or(f64::NAN, |r| r.secs_f64() * 1e3);
         computed_series.push((t.secs_f64(), rtt_ms));
-    }
+    });
 
     let finite: Vec<f64> =
         computed_series.iter().map(|&(_, r)| r).filter(|r| r.is_finite()).collect();

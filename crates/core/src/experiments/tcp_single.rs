@@ -9,9 +9,7 @@ use crate::experiments::pair_slug;
 use crate::resilience::{Driver, SimRun};
 use crate::runner::RunError;
 use crate::scenario::Scenario;
-use hypatia_routing::forwarding::compute_forwarding_state;
 use hypatia_transport::{Bbr, Cubic, NewReno, TcpConfig, TcpSender, TcpSink, Vegas};
-use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
 
 /// Which congestion controller to run.
@@ -129,18 +127,13 @@ pub fn run(
     let rate_bps = scenario.sim_config.link_rate.bps() as f64;
     let q = scenario.sim_config.queue_packets as f64;
     let mut bdp_plus_q_series = Vec::new();
-    for t in
-        TimeSteps::new(SimTime::ZERO, SimTime::ZERO + duration, scenario.sim_config.fstate_step)
-    {
-        let state = compute_forwarding_state(&scenario.constellation, t, &[dst]);
-        if let Some(d) = state.distance(src, dst) {
+    scenario.forwarding_series(dst, SimTime::ZERO + duration, |t, state| {
+        let bdp_packets = state.distance(src, dst).map_or(f64::NAN, |d| {
             let rtt_s = 2.0 * d.secs_f64();
-            let bdp_packets = rate_bps * rtt_s / 8.0 / mss_wire as f64;
-            bdp_plus_q_series.push((t.secs_f64(), bdp_packets + q));
-        } else {
-            bdp_plus_q_series.push((t.secs_f64(), f64::NAN));
-        }
-    }
+            rate_bps * rtt_s / 8.0 / mss_wire as f64 + q
+        });
+        bdp_plus_q_series.push((t.secs_f64(), bdp_packets));
+    });
 
     Ok(TcpSingleResult {
         cc,

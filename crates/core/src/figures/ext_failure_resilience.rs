@@ -30,10 +30,10 @@ use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::{ConstellationChoice, Scenario};
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_constellation::NodeId;
-use hypatia_fault::{FaultKind, FaultSchedule, FaultState, FaultTarget, FlapProcess};
+use hypatia_fault::{FaultKind, FaultSchedule, FaultTarget, FlapProcess};
 use hypatia_netsim::apps::{PingApp, UdpSink, UdpSource};
 use hypatia_routing::churn::{churn_between, reachability_of};
-use hypatia_routing::forwarding::compute_forwarding_state_masked;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use hypatia_viz::czml::outage_czml;
 use std::sync::Arc;
@@ -291,21 +291,20 @@ fn routing_degradation(
     let gs_nodes: Vec<NodeId> = (0..c.num_ground_stations()).map(|i| c.gs_node(i)).collect();
     let cadence = SimDuration::from_secs(1);
     let samples = (duration / cadence).max(1);
+    let times: Vec<SimTime> = (0..=samples).map(|k| SimTime::ZERO + cadence * k).collect();
 
     let mut prev = None;
     let mut unreach_sum = 0.0;
     let mut churn_sum = 0.0;
     let mut churn_n = 0u64;
-    for k in 0..=samples {
-        let t = SimTime::ZERO + cadence * k;
-        let mask = FaultState::at(schedule, t);
-        let state = compute_forwarding_state_masked(c, t, &gs_nodes, Some(&mask));
+    let worker = || SnapshotWorker::with_config(scenario.sim_config.routing);
+    sweep_forwarding_states(worker, c, &times, &gs_nodes, Some(schedule), 1, |_, (state, _)| {
         unreach_sum += reachability_of(&state, &gs_nodes).unreachable_fraction();
         if let Some(prev) = &prev {
             churn_sum += churn_between(prev, &state, &gs_nodes).churn_fraction();
             churn_n += 1;
         }
         prev = Some(state);
-    }
+    });
     (unreach_sum / (samples + 1) as f64, churn_sum / churn_n.max(1) as f64)
 }

@@ -10,6 +10,7 @@ use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
 use hypatia_routing::forwarding::compute_forwarding_state;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
 use hypatia_viz::path_viz::PathSnapshot;
@@ -54,10 +55,12 @@ impl Experiment for Fig13 {
 
         let mut best: Option<(SimTime, f64)> = None;
         let mut worst: Option<(SimTime, f64)> = None;
-        for t in TimeSteps::new(SimTime::ZERO, SimTime::ZERO + duration, step) {
-            let state = compute_forwarding_state(c, t, &[dst]);
-            if let Some(d) = state.distance(src, dst) {
-                let ms = 2.0 * d.secs_f64() * 1e3;
+        let times: Vec<SimTime> =
+            TimeSteps::new(SimTime::ZERO, SimTime::ZERO + duration, step).collect();
+        let worker = || SnapshotWorker::with_config(ctx.spec.routing_config());
+        sweep_forwarding_states(worker, c, &times, &[dst], None, ctx.spec.threads, |k, st| {
+            if let Some(d) = st.0.distance(src, dst) {
+                let (t, ms) = (times[k], 2.0 * d.secs_f64() * 1e3);
                 if best.is_none() || ms < best.unwrap().1 {
                     best = Some((t, ms));
                 }
@@ -65,7 +68,7 @@ impl Experiment for Fig13 {
                     worst = Some((t, ms));
                 }
             }
-        }
+        });
 
         for (label, inst) in [("max_rtt", worst), ("min_rtt", best)] {
             let (t, ms) = inst.ok_or_else(|| {

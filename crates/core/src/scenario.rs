@@ -7,7 +7,11 @@
 use hypatia_constellation::ground::top_cities;
 use hypatia_constellation::{Constellation, GroundStation, NodeId};
 use hypatia_netsim::{SimConfig, Simulator};
+use hypatia_routing::forwarding::ForwardingState;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_util::rng::DetRng;
+use hypatia_util::time::TimeSteps;
+use hypatia_util::SimTime;
 use std::fmt;
 use std::sync::Arc;
 
@@ -141,6 +145,25 @@ impl Scenario {
     /// Build a packet simulator routing towards `dests`.
     pub fn simulator(&self, dests: Vec<NodeId>) -> Simulator {
         Simulator::new(self.constellation.clone(), self.sim_config.clone(), dests)
+    }
+
+    /// The unmasked forwarding state towards `dst` at every forwarding
+    /// step in `[0, until)`, handed to `consume(t, state)` in time order —
+    /// the paper's snapshot-computed ("networkx") line. Runs the one
+    /// forwarding sweep on the calling thread.
+    pub fn forwarding_series(
+        &self,
+        dst: NodeId,
+        until: SimTime,
+        mut consume: impl FnMut(SimTime, &ForwardingState),
+    ) {
+        let times: Vec<SimTime> =
+            TimeSteps::new(SimTime::ZERO, until, self.sim_config.fstate_step).collect();
+        let routing = self.sim_config.routing;
+        let worker = || SnapshotWorker::with_config(routing);
+        sweep_forwarding_states(worker, &self.constellation, &times, &[dst], None, 1, |k, st| {
+            consume(times[k], &st.0)
+        });
     }
 
     /// The paper's standard traffic matrix: a fixed random permutation

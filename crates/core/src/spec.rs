@@ -212,11 +212,8 @@ impl ExperimentSpec {
         if let Some(bucket) = self.utilization_bucket {
             cfg = cfg.with_utilization_bucket(bucket);
         }
-        if self.threads > 0 {
-            let prefetch = cfg.fstate_prefetch;
-            cfg = cfg.with_fstate_prefetch(self.threads, prefetch);
-        }
-        cfg.with_repair_churn_threshold(self.repair_churn_threshold)
+        cfg.with_fstate_prefetch(self.threads)
+            .with_repair_churn_threshold(self.repair_churn_threshold)
             .with_sim_shards(self.sim_shards)
             .with_sim_mode(self.sim_mode)
             .with_trace_sampling(self.trace_sample_every)

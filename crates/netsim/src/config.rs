@@ -52,14 +52,12 @@ pub struct SimConfig {
     /// default). Addresses the paper's §5.4 routing/TE takeaway.
     pub multipath_stretch: Option<f64>,
     /// Background forwarding-state prefetch: number of worker threads that
-    /// compute upcoming time-steps while the event loop consumes the
-    /// current one (0 = compute inline, the default). States are consumed
-    /// strictly in step order, so the simulation is bit-identical for any
-    /// value — this is purely a wall-clock knob.
+    /// compute upcoming time-steps, at most four steps ahead, while the
+    /// event loop consumes the current one (0 = compute inline, the
+    /// default). States are consumed strictly in step order, so the
+    /// simulation is bit-identical for any value — this is purely a
+    /// wall-clock knob.
     pub fstate_threads: usize,
-    /// How many forwarding-state steps may be computed ahead when
-    /// `fstate_threads > 0` (bounds prefetch memory).
-    pub fstate_prefetch: usize,
     /// Fault-injection scenario: a compiled, time-sorted schedule of
     /// satellite/ISL/GSL failures and repairs (see `hypatia-fault`).
     /// Fault events are applied mid-flight as simulator events,
@@ -106,7 +104,6 @@ impl Default for SimConfig {
             trace_sample_every: 1,
             multipath_stretch: None,
             fstate_threads: 0,
-            fstate_prefetch: 4,
             faults: None,
             routing: RoutingConfig::default(),
             sim_shards: 1,
@@ -190,12 +187,10 @@ impl SimConfig {
     }
 
     /// Builder-style: compute forwarding states for upcoming steps on
-    /// `threads` background workers, at most `prefetch` steps ahead.
+    /// `threads` background workers (at most four steps ahead; 0 = inline).
     /// Results are identical to inline computation for any thread count.
-    pub fn with_fstate_prefetch(mut self, threads: usize, prefetch: usize) -> Self {
-        assert!(prefetch > 0 || threads == 0, "prefetch depth must be positive");
+    pub fn with_fstate_prefetch(mut self, threads: usize) -> Self {
         self.fstate_threads = threads;
-        self.fstate_prefetch = prefetch;
         self
     }
 

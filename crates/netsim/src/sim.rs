@@ -32,9 +32,8 @@ use crate::stats::SimStats;
 use crate::trace::{Trace, TraceKind};
 use hypatia_constellation::{Constellation, EphemerisStats, NodeId};
 use hypatia_fault::FaultState;
-use hypatia_routing::forwarding::{compute_multipath_state_on, ForwardingState, MultipathState};
-use hypatia_routing::graph::SnapshotBuffers;
-use hypatia_routing::incremental::{IncrementalRouter, RepairStats, RouterStats};
+use hypatia_routing::forwarding::{ForwardingState, MultipathState};
+use hypatia_routing::incremental::{RepairStats, RouterStats};
 use hypatia_routing::parallel::{Prefetcher, SnapshotWorker};
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use std::path::Path;
@@ -72,9 +71,8 @@ pub struct EngineReport {
     /// Where the event loop's wall time went, phase by phase.
     pub phases: PhaseTimes,
     /// How forwarding states were produced — full vs. repaired snapshots
-    /// and why, and what the repairs did — for every step the event loop
-    /// consumed: the inline router's counters plus, when a prefetch pool
-    /// runs, those of the worker computations it took (steps computed
+    /// and why, and what the repairs did — for every step the simulator
+    /// applied, inline or taken from a prefetch pool (steps computed
     /// ahead and never consumed are not counted). Each worker repairs from
     /// whatever snapshot it computed last, so with a pool the split
     /// depends on thread scheduling; the states never do.
@@ -98,9 +96,13 @@ pub struct PhaseTimes {
     pub exchange_ns: u64,
 }
 
-/// What a prefetch worker hands over per forwarding step: the states and
-/// what its router counted while computing them.
-type PrefetchedStep = (ForwardingState, Option<MultipathState>, (RouterStats, RepairStats));
+/// One forwarding step as [`Simulator::forwarding_step`] hands it over:
+/// the states and what the worker's router counted computing them.
+type Step = ((ForwardingState, Option<MultipathState>), (RouterStats, RepairStats));
+
+/// How many forwarding steps a prefetch pool may compute ahead of the
+/// event loop (bounds prefetch memory).
+const FSTATE_PREFETCH: usize = 4;
 
 /// The packet-level simulator.
 ///
@@ -122,17 +124,15 @@ pub struct Simulator {
     mp: Option<Arc<MultipathState>>,
     /// Background forwarding-state pipeline (present when
     /// `config.fstate_threads > 0`): computes steps `k+1..k+P` while the
-    /// event loop consumes step `k`. Deterministic — states are identical
-    /// to inline computation and consumed strictly in step order.
-    fstate_prefetch: Option<Prefetcher<PrefetchedStep>>,
-    /// Routing counters of the prefetched steps consumed so far.
-    prefetched_routing: (RouterStats, RepairStats),
-    /// Snapshot-graph staging buffers for the inline recomputation path.
-    snapshot_buffers: SnapshotBuffers,
-    /// Inline routing engine (full Dijkstra or incremental repair, per
-    /// `config.routing`). Prefetch workers own their own routers; either
-    /// way the states are byte-identical to a full recompute.
-    router: IncrementalRouter,
+    /// event loop consumes step `k`. Deterministic — its workers run the
+    /// same [`Simulator::forwarding_step`] as the inline path, and steps
+    /// are consumed strictly in order.
+    fstate_prefetch: Option<Prefetcher<Step>>,
+    /// The inline worker: the initial state, the restore recompute, and
+    /// every step when no prefetch pool runs.
+    worker: SnapshotWorker,
+    /// Routing counters of every step applied so far.
+    routing: (RouterStats, RepairStats),
     /// Next forwarding step to apply, at `next_fwd_step × fstate_step`.
     next_fwd_step: u64,
     /// Cursor into the fault schedule (entries at t = 0 are folded into
@@ -174,16 +174,9 @@ impl Simulator {
         assert!(!dests.is_empty(), "at least one destination is required");
 
         let partition = Arc::new(Partition::new(&constellation, config.sim_shards));
-        let mut snapshot_buffers = SnapshotBuffers::new();
-        let mut router = IncrementalRouter::new(config.routing);
-        let (fwd, mp) = Self::compute_states(
-            &constellation,
-            &config,
-            &dests,
-            SimTime::ZERO,
-            &mut snapshot_buffers,
-            &mut router,
-        );
+        let mut worker = Self::new_worker(&config);
+        let ((fwd, mp), routing) =
+            Self::forwarding_step(&mut worker, &constellation, &config, &dests, 0);
         let fwd = Arc::new(fwd);
         let mp = mp.map(Arc::new);
 
@@ -211,15 +204,11 @@ impl Simulator {
             s.events().iter().position(|e| e.t > SimTime::ZERO).unwrap_or(s.events().len())
         });
 
-        // Background prefetch of upcoming forwarding steps (off for frozen
-        // networks, which never update forwarding at all).
-        let fstate_prefetch = Self::spawn_prefetcher(&constellation, &config, &dests, 1);
-
         let trace = Trace::new(config.trace_limit);
         let fluid = (config.sim_mode != SimMode::Packet)
             .then(|| FluidNet::new(config.effective_isl_rate(), config.effective_gsl_rate()));
         let coord_trace = Trace::new(config.trace_limit);
-        Simulator {
+        let mut sim = Simulator {
             constellation,
             config,
             now: SimTime::ZERO,
@@ -229,10 +218,9 @@ impl Simulator {
             dests,
             fwd,
             mp,
-            fstate_prefetch,
-            prefetched_routing: Default::default(),
-            snapshot_buffers,
-            router,
+            fstate_prefetch: None,
+            worker,
+            routing,
             next_fwd_step: 1,
             next_fault_index,
             coord_stats: SimStats::default(),
@@ -246,7 +234,11 @@ impl Simulator {
             phases: PhaseTimes::default(),
             trace,
             stats: SimStats::default(),
-        }
+        };
+        // Background prefetch of upcoming forwarding steps (off for frozen
+        // networks, which never update forwarding at all).
+        sim.fstate_prefetch = sim.spawn_prefetcher(1);
+        sim
     }
 
     /// Current simulation time.
@@ -288,9 +280,6 @@ impl Simulator {
             queue.merge(&shard.queue_stats());
             ephemeris.merge(&shard.ephemeris.stats());
         }
-        let mut routing = (self.router.stats, self.router.repair_stats);
-        routing.0.merge(&self.prefetched_routing.0);
-        routing.1.merge(&self.prefetched_routing.1);
         EngineReport {
             sim_shards: self.shards.len(),
             epochs: self.epochs,
@@ -300,7 +289,7 @@ impl Simulator {
             fluid: self.fluid.as_ref().map(FluidNet::stats).unwrap_or_default(),
             ephemeris,
             phases: self.phases,
-            routing,
+            routing: self.routing,
         }
     }
 
@@ -504,13 +493,7 @@ impl Simulator {
         if !self.config.freeze_at_epoch
             && SimTime::ZERO + self.config.fstate_step * self.next_fwd_step == t
         {
-            let step = self.next_fwd_step;
-            let (fwd, mp) = self.take_forwarding_state(step, t);
-            self.fwd = fwd.clone();
-            self.mp = mp.clone();
-            for shard in &mut self.shards {
-                shard.set_forwarding(fwd.clone(), mp.clone());
-            }
+            self.apply_forwarding_step(self.next_fwd_step);
             self.coord_stats.forwarding_updates += 1;
             self.coord_stats.events += 1;
             self.next_fwd_step += 1;
@@ -577,89 +560,68 @@ impl Simulator {
         }
     }
 
-    /// The forwarding (and multipath) state for `step`, from the prefetch
-    /// pipeline when one is running, else computed inline.
-    fn take_forwarding_state(
-        &mut self,
-        step: u64,
-        t: SimTime,
-    ) -> (Arc<ForwardingState>, Option<Arc<MultipathState>>) {
-        let (fwd, mp) = if let Some(prefetch) = &mut self.fstate_prefetch {
-            let (fwd, mp, (router, repair)) = prefetch.take(step);
-            self.prefetched_routing.0.merge(&router);
-            self.prefetched_routing.1.merge(&repair);
-            (fwd, mp)
-        } else {
-            Self::compute_states(
+    /// Put the forwarding (and multipath) state of `step` in force on
+    /// every shard: taken from the prefetch pool when one runs, else
+    /// computed by the inline worker.
+    fn apply_forwarding_step(&mut self, step: u64) {
+        let ((fwd, mp), counted) = match &mut self.fstate_prefetch {
+            Some(prefetch) => prefetch.take(step),
+            None => Self::forwarding_step(
+                &mut self.worker,
                 &self.constellation,
                 &self.config,
                 &self.dests,
-                t,
-                &mut self.snapshot_buffers,
-                &mut self.router,
-            )
+                step,
+            ),
         };
-        (Arc::new(fwd), mp.map(Arc::new))
+        self.routing.0.merge(&counted.0);
+        self.routing.1.merge(&counted.1);
+        self.fwd = Arc::new(fwd);
+        self.mp = mp.map(Arc::new);
+        for shard in &mut self.shards {
+            shard.set_forwarding(self.fwd.clone(), self.mp.clone());
+        }
     }
 
-    /// Forwarding (and multipath) state at `t`. With faults configured,
-    /// both are computed on one snapshot graph with the schedule's state
-    /// at `t` masked out — derived purely from the immutable schedule, so
-    /// this is bit-identical however and whenever it is invoked. The
-    /// router repairs from whatever snapshot it computed last (or runs
-    /// full Dijkstra, per `config.routing`); both yield the same bytes.
-    fn compute_states(
+    /// A worker computing steps the way `config` asks: its routing
+    /// configuration and multipath stretch.
+    fn new_worker(config: &SimConfig) -> SnapshotWorker {
+        SnapshotWorker::with_config(config.routing).with_multipath(config.multipath_stretch)
+    }
+
+    /// Forwarding step `k`, at `k × fstate_step`, on `worker` — the one
+    /// step function of the inline path, the restore recompute and every
+    /// prefetch worker. The fault mask is a pure replay of the schedule at
+    /// that instant and repair is byte-identical to full Dijkstra, so the
+    /// states are the same however and whenever this runs; the router's
+    /// counters are handed over with them.
+    fn forwarding_step(
+        worker: &mut SnapshotWorker,
         constellation: &Constellation,
         config: &SimConfig,
         dests: &[NodeId],
-        t: SimTime,
-        buffers: &mut SnapshotBuffers,
-        router: &mut IncrementalRouter,
-    ) -> (ForwardingState, Option<MultipathState>) {
-        let mask = config.faults.as_ref().map(|s| FaultState::at(s, t));
-        let graph = buffers.snapshot_masked(constellation, t, mask.as_ref());
-        let mut fwd = ForwardingState::empty();
-        router.compute_into(graph, t, dests, &mut fwd);
-        let mp = config.multipath_stretch.map(|s| compute_multipath_state_on(graph, t, dests, s));
-        (fwd, mp)
+        k: u64,
+    ) -> Step {
+        let t = SimTime::ZERO + config.fstate_step * k;
+        let states = worker.step(constellation, t, dests, config.faults.as_deref());
+        let router = &mut worker.router;
+        (states, (std::mem::take(&mut router.stats), std::mem::take(&mut router.repair_stats)))
     }
 
     /// Start the background forwarding-state pipeline at `start_step`
     /// (`None` when prefetch is off or the network is frozen). `new` starts
     /// it at step 1; a restore respawns it at the snapshot's cursor.
-    fn spawn_prefetcher(
-        constellation: &Arc<Constellation>,
-        config: &SimConfig,
-        dests: &[NodeId],
-        start_step: u64,
-    ) -> Option<Prefetcher<PrefetchedStep>> {
-        (config.fstate_threads > 0 && !config.freeze_at_epoch).then(|| {
-            let constellation = constellation.clone();
-            let dests = dests.to_vec();
-            let step = config.fstate_step;
-            let stretch = config.multipath_stretch;
-            let faults = config.faults.clone();
-            let routing = config.routing;
+    fn spawn_prefetcher(&self, start_step: u64) -> Option<Prefetcher<Step>> {
+        (self.config.fstate_threads > 0 && !self.config.freeze_at_epoch).then(|| {
+            let (constellation, dests) = (self.constellation.clone(), self.dests.clone());
+            let (config, worker_config) = (self.config.clone(), self.config.clone());
             Prefetcher::spawn(
                 start_step,
                 config.fstate_threads,
-                config.fstate_prefetch,
-                move || SnapshotWorker::with_config(routing),
+                FSTATE_PREFETCH,
+                move || Self::new_worker(&worker_config),
                 move |worker: &mut SnapshotWorker, k| {
-                    let t = SimTime::ZERO + step * k;
-                    // Pure replay of the schedule at `t` — workers never
-                    // see (or race on) the simulator's live fault state.
-                    let mask = faults.as_ref().map(|s| FaultState::at(s, t));
-                    let fwd =
-                        worker.forwarding_state_masked(&constellation, t, &dests, mask.as_ref());
-                    let mp = stretch
-                        .map(|s| compute_multipath_state_on(worker.buffers.graph(), t, &dests, s));
-                    let router = &mut worker.router;
-                    let counted = (
-                        std::mem::take(&mut router.stats),
-                        std::mem::take(&mut router.repair_stats),
-                    );
-                    (fwd, mp, counted)
+                    Self::forwarding_step(worker, &constellation, &config, &dests, k)
                 },
             )
         })
@@ -852,40 +814,19 @@ impl Simulator {
             }
         }
 
-        // Recompute the forwarding state in force at the checkpoint: the
-        // last applied step is `next_fwd_step - 1`. Step 0 (and frozen
-        // networks) is what the fresh build already computed. Forwarding is
-        // a pure function of the schedule at `t`, so this is byte-identical
-        // to the state the checkpointed run was using.
-        if self.next_fwd_step > 1 && !self.config.freeze_at_epoch {
-            let t_fwd = SimTime::ZERO + self.config.fstate_step * (self.next_fwd_step - 1);
-            let (fwd, mp) = Self::compute_states(
-                &self.constellation,
-                &self.config,
-                &self.dests,
-                t_fwd,
-                &mut self.snapshot_buffers,
-                &mut self.router,
-            );
-            let fwd = Arc::new(fwd);
-            let mp = mp.map(Arc::new);
-            self.fwd = fwd.clone();
-            self.mp = mp.clone();
-            for shard in &mut self.shards {
-                shard.set_forwarding(fwd.clone(), mp.clone());
-            }
-        }
-
-        // The prefetch pipeline (if any) was computing steps from 1; drop
-        // it and respawn from the restored cursor so `take(step)` stays in
-        // lockstep with the event loop.
+        // The prefetch pipeline (if any) was computing steps from 1: drop
+        // it, recompute inline the forwarding state in force at the
+        // checkpoint — the last applied step is `next_fwd_step - 1`; step 0
+        // (and frozen networks) is what the fresh build already computed —
+        // and respawn from the restored cursor so `take(step)` stays in
+        // lockstep with the event loop. Forwarding is a pure function of
+        // the schedule at the step's instant, so this is byte-identical to
+        // the state the checkpointed run was using.
         self.fstate_prefetch = None;
-        self.fstate_prefetch = Self::spawn_prefetcher(
-            &self.constellation,
-            &self.config,
-            &self.dests,
-            self.next_fwd_step,
-        );
+        if self.next_fwd_step > 1 && !self.config.freeze_at_epoch {
+            self.apply_forwarding_step(self.next_fwd_step - 1);
+        }
+        self.fstate_prefetch = self.spawn_prefetcher(self.next_fwd_step);
 
         self.now = now;
         self.refresh_views();
@@ -1039,12 +980,11 @@ mod tests {
         };
         let inline = run(SimConfig::default());
         for threads in [1, 2, 4] {
-            let prefetched = run(SimConfig::default().with_fstate_prefetch(threads, 4));
+            let prefetched = run(SimConfig::default().with_fstate_prefetch(threads));
             assert_eq!(inline, prefetched, "threads={threads}");
         }
         let mp_inline = run(SimConfig::default().with_multipath(1.3));
-        let mp_prefetched =
-            run(SimConfig::default().with_multipath(1.3).with_fstate_prefetch(2, 4));
+        let mp_prefetched = run(SimConfig::default().with_multipath(1.3).with_fstate_prefetch(2));
         assert_eq!(mp_inline, mp_prefetched);
     }
 
@@ -1552,12 +1492,12 @@ mod tests {
             inline.1
         );
         for threads in [1, 4] {
-            let prefetched = run(base.clone().with_fstate_prefetch(threads, 4));
+            let prefetched = run(base.clone().with_fstate_prefetch(threads));
             assert_eq!(inline, prefetched, "threads={threads} diverged under faults");
         }
         // And sharded runs agree, with prefetch.
         for shards in [2, 4] {
-            let sharded = run(base.clone().with_sim_shards(shards).with_fstate_prefetch(2, 4));
+            let sharded = run(base.clone().with_sim_shards(shards).with_fstate_prefetch(2));
             assert_eq!(inline, sharded, "sim_shards={shards} diverged under faults");
         }
     }
@@ -1591,7 +1531,7 @@ mod tests {
             let full = run(SimConfig { routing: RoutingConfig::full(), ..base.clone() });
             let incremental = run(base.clone());
             assert_eq!(full, incremental, "inline routing modes diverged");
-            let prefetched = run(base.clone().with_fstate_prefetch(2, 4));
+            let prefetched = run(base.clone().with_fstate_prefetch(2));
             assert_eq!(full, prefetched, "prefetched incremental diverged");
         }
     }
@@ -1816,7 +1756,7 @@ mod tests {
     fn checkpoint_resume_respawns_the_prefetcher() {
         let c = constellation();
         let (base, build) = resilience_fixture(&c);
-        let cfg = base.with_fstate_prefetch(2, 4);
+        let cfg = base.with_fstate_prefetch(2);
         let (mut whole, app_w) = build(&cfg);
         whole.run_until(SimTime::from_secs(2));
         let want = observe(&whole, app_w);

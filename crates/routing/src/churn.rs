@@ -100,7 +100,8 @@ pub fn reachability_of(state: &ForwardingState, srcs: &[NodeId]) -> SnapshotChur
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forwarding::{compute_forwarding_state, compute_forwarding_state_masked};
+    use crate::forwarding::compute_forwarding_state;
+    use crate::parallel::SnapshotWorker;
     use hypatia_constellation::ground::GroundStation;
     use hypatia_constellation::gsl::GslConfig;
     use hypatia_constellation::isl::IslLayout;
@@ -143,7 +144,8 @@ mod tests {
         let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(60));
         let state = FaultState::at(&sched, SimTime::ZERO);
         let before = compute_forwarding_state(&c, SimTime::ZERO, &dests);
-        let after = compute_forwarding_state_masked(&c, SimTime::ZERO, &dests, Some(&state));
+        let after =
+            SnapshotWorker::new().forwarding_state_masked(&c, SimTime::ZERO, &dests, Some(&state));
         let churn = churn_between(&before, &after, &srcs);
         // Both directions of the a<->b pair are dark: gs 1 can neither
         // send nor receive.
@@ -190,7 +192,8 @@ mod tests {
         let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(60));
         let state = FaultState::at(&sched, SimTime::ZERO);
         let before = compute_forwarding_state(&c, SimTime::ZERO, &dests);
-        let after = compute_forwarding_state_masked(&c, SimTime::ZERO, &dests, Some(&state));
+        let after =
+            SnapshotWorker::new().forwarding_state_masked(&c, SimTime::ZERO, &dests, Some(&state));
         let churn = churn_between(&before, &after, &srcs);
         assert_eq!(churn.stable_denominator, 0, "dark pairs are not comparable");
         assert_eq!(churn.changed_pairs, 0);

@@ -1,16 +1,20 @@
-//! Forwarding state at a time-step, and lazy schedules over a run.
+//! Forwarding state at a time-step.
 //!
 //! The simulator consumes, per time-step, a map `(node, destination) →
 //! next hop` restricted to the destinations that actually terminate
 //! traffic. Any routing strategy expressible as static routes fits this
 //! shape (paper §3.1); the default is shortest-delay via per-destination
 //! Dijkstra trees.
+//!
+//! Over time the product steps a [`crate::parallel::SnapshotWorker`];
+//! [`compute_forwarding_state`] and [`compute_forwarding_state_into`]
+//! run full Dijkstra on one snapshot — the oracle repair is tested
+//! against, and the look-up for a single instant.
 
 use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree, UNREACHABLE};
-use crate::graph::{DelayGraph, SnapshotBuffers};
+use crate::graph::DelayGraph;
 use crate::multipath::{multipath_tree_with, MultipathTree};
 use hypatia_constellation::{Constellation, NodeId};
-use hypatia_fault::FaultState;
 use hypatia_util::{SimDuration, SimTime};
 use std::fmt;
 
@@ -40,14 +44,14 @@ impl std::error::Error for Unreachable {}
 /// Sentinel in the dense destination lookup: "not a destination".
 const NOT_A_DEST: u32 = u32::MAX;
 
-/// Build the dense `NodeId → destination index` table used on the
+/// Fill the dense `NodeId → destination index` table used on the
 /// per-packet hot path (replaces an `O(dests)` linear scan).
-fn build_dest_lookup(dests: &[NodeId], num_nodes: usize) -> Vec<u32> {
-    let mut lookup = vec![NOT_A_DEST; num_nodes];
+fn fill_dest_lookup(lookup: &mut Vec<u32>, dests: &[NodeId], num_nodes: usize) {
+    lookup.clear();
+    lookup.resize(num_nodes, NOT_A_DEST);
     for (i, d) in dests.iter().enumerate() {
         lookup[d.index()] = i as u32;
     }
-    lookup
 }
 
 /// The links of one path, walked lazily off a destination tree (see
@@ -188,39 +192,25 @@ impl ForwardingState {
             dst.dist_ns.clone_from(&src.dist_ns);
             dst.next_hop.clone_from(&src.next_hop);
         }
-        out.dest_lookup.clear();
-        out.dest_lookup.resize(num_nodes, NOT_A_DEST);
-        for (i, d) in dests.iter().enumerate() {
-            out.dest_lookup[d.index()] = i as u32;
-        }
+        fill_dest_lookup(&mut out.dest_lookup, dests, num_nodes);
     }
 }
 
-/// Compute the forwarding state of `constellation` at `t` towards `dests`.
+/// Compute the forwarding state of `constellation` at `t` towards `dests`
+/// by full Dijkstra on a fresh snapshot.
 pub fn compute_forwarding_state(
     constellation: &Constellation,
     t: SimTime,
     dests: &[NodeId],
 ) -> ForwardingState {
     let graph = DelayGraph::snapshot(constellation, t);
-    compute_forwarding_state_on(&graph, t, dests)
-}
-
-/// As [`compute_forwarding_state`] but reusing an existing snapshot graph.
-pub fn compute_forwarding_state_on(
-    graph: &DelayGraph,
-    t: SimTime,
-    dests: &[NodeId],
-) -> ForwardingState {
-    let mut scratch = DijkstraScratch::new();
     let mut out = ForwardingState::empty();
-    compute_forwarding_state_into(graph, t, dests, &mut scratch, &mut out);
+    compute_forwarding_state_into(&graph, t, dests, &mut DijkstraScratch::new(), &mut out);
     out
 }
 
-/// As [`compute_forwarding_state_on`] but writing into an existing state,
-/// reusing its tree buffers and the caller's Dijkstra scratch. Produces
-/// exactly the same state as the allocating path.
+/// Full Dijkstra towards `dests` on `graph`, written into an existing
+/// state, reusing its tree buffers and the caller's Dijkstra scratch.
 pub fn compute_forwarding_state_into(
     graph: &DelayGraph,
     t: SimTime,
@@ -235,55 +225,7 @@ pub fn compute_forwarding_state_into(
     for (tree, d) in out.trees.iter_mut().zip(dests) {
         shortest_path_tree_into(graph, d.0, scratch, tree);
     }
-    out.dest_lookup.clear();
-    out.dest_lookup.resize(graph.num_nodes(), NOT_A_DEST);
-    for (i, d) in dests.iter().enumerate() {
-        out.dest_lookup[d.index()] = i as u32;
-    }
-}
-
-/// Compute a forwarding state reusing per-worker snapshot and Dijkstra
-/// buffers (the building block of the parallel pipeline: only the returned
-/// state itself is freshly allocated, because it is handed away).
-pub fn compute_forwarding_state_with(
-    buffers: &mut SnapshotBuffers,
-    scratch: &mut DijkstraScratch,
-    constellation: &Constellation,
-    t: SimTime,
-    dests: &[NodeId],
-) -> ForwardingState {
-    compute_forwarding_state_with_mask(buffers, scratch, constellation, t, dests, None)
-}
-
-/// As [`compute_forwarding_state_with`], but routing around faulted
-/// components: the snapshot graph omits every node and link `faults`
-/// marks down (see
-/// [`SnapshotBuffers::snapshot_masked`](crate::graph::SnapshotBuffers::snapshot_masked)).
-/// With `faults == None` this is exactly the nominal computation.
-pub fn compute_forwarding_state_with_mask(
-    buffers: &mut SnapshotBuffers,
-    scratch: &mut DijkstraScratch,
-    constellation: &Constellation,
-    t: SimTime,
-    dests: &[NodeId],
-    faults: Option<&FaultState>,
-) -> ForwardingState {
-    let graph = buffers.snapshot_masked(constellation, t, faults);
-    let mut out = ForwardingState::empty();
-    compute_forwarding_state_into(graph, t, dests, scratch, &mut out);
-    out
-}
-
-/// Compute the forwarding state at `t` with faulted components masked
-/// out of the snapshot graph.
-pub fn compute_forwarding_state_masked(
-    constellation: &Constellation,
-    t: SimTime,
-    dests: &[NodeId],
-    faults: Option<&FaultState>,
-) -> ForwardingState {
-    let graph = DelayGraph::snapshot_masked(constellation, t, faults);
-    compute_forwarding_state_on(&graph, t, dests)
+    fill_dest_lookup(&mut out.dest_lookup, dests, graph.num_nodes());
 }
 
 /// Multipath forwarding state: downhill alternates towards each
@@ -319,19 +261,8 @@ impl MultipathState {
     }
 }
 
-/// Compute multipath forwarding state at `t` towards `dests` with the
+/// Multipath forwarding state on `graph` at `t` towards `dests` with the
 /// given stretch bound.
-pub fn compute_multipath_state(
-    constellation: &Constellation,
-    t: SimTime,
-    dests: &[NodeId],
-    stretch: f64,
-) -> MultipathState {
-    let graph = DelayGraph::snapshot(constellation, t);
-    compute_multipath_state_on(&graph, t, dests, stretch)
-}
-
-/// As [`compute_multipath_state`] but reusing an existing snapshot graph.
 pub fn compute_multipath_state_on(
     graph: &DelayGraph,
     t: SimTime,
@@ -341,51 +272,9 @@ pub fn compute_multipath_state_on(
     let mut scratch = DijkstraScratch::new();
     let trees =
         dests.iter().map(|d| multipath_tree_with(graph, d.0, stretch, &mut scratch)).collect();
-    let dest_lookup = build_dest_lookup(dests, graph.num_nodes());
+    let mut dest_lookup = Vec::new();
+    fill_dest_lookup(&mut dest_lookup, dests, graph.num_nodes());
     MultipathState { computed_at: t, dests: dests.to_vec(), trees, dest_lookup }
-}
-
-/// A lazily-evaluated schedule of forwarding states at a fixed granularity
-/// (paper default: 100 ms). States are computed on demand — storing every
-/// state of a constellation-scale run would cost gigabytes.
-pub struct ForwardingSchedule<'a> {
-    constellation: &'a Constellation,
-    dests: Vec<NodeId>,
-    /// Recomputation interval.
-    pub step: SimDuration,
-}
-
-impl<'a> ForwardingSchedule<'a> {
-    /// Create a schedule towards `dests` at granularity `step`.
-    pub fn new(constellation: &'a Constellation, dests: Vec<NodeId>, step: SimDuration) -> Self {
-        assert!(!step.is_zero(), "time-step must be positive");
-        ForwardingSchedule { constellation, dests, step }
-    }
-
-    /// The step index in force at time `t`.
-    pub fn step_index(&self, t: SimTime) -> u64 {
-        SimDuration::from_nanos(t.nanos()) / self.step
-    }
-
-    /// The instant at which step `k` takes effect.
-    pub fn step_time(&self, k: u64) -> SimTime {
-        SimTime::ZERO + self.step * k
-    }
-
-    /// Compute the state for step `k`.
-    pub fn state_for_step(&self, k: u64) -> ForwardingState {
-        compute_forwarding_state(self.constellation, self.step_time(k), &self.dests)
-    }
-
-    /// Compute the state in force at an arbitrary time `t`.
-    pub fn state_at(&self, t: SimTime) -> ForwardingState {
-        self.state_for_step(self.step_index(t))
-    }
-
-    /// The destinations this schedule routes towards.
-    pub fn dests(&self) -> &[NodeId] {
-        &self.dests
-    }
 }
 
 #[cfg(test)]
@@ -395,6 +284,20 @@ mod tests {
     use hypatia_constellation::gsl::GslConfig;
     use hypatia_constellation::isl::IslLayout;
     use hypatia_constellation::shell::ShellSpec;
+    use hypatia_fault::FaultState;
+
+    /// Full Dijkstra on the snapshot at `t` with `faults` masked out.
+    fn masked(
+        c: &Constellation,
+        t: SimTime,
+        dests: &[NodeId],
+        faults: &FaultState,
+    ) -> ForwardingState {
+        let graph = DelayGraph::snapshot_masked(c, t, Some(faults));
+        let mut out = ForwardingState::empty();
+        compute_forwarding_state_into(&graph, t, dests, &mut DijkstraScratch::new(), &mut out);
+        out
+    }
 
     fn constellation() -> Constellation {
         Constellation::build(
@@ -482,7 +385,7 @@ mod tests {
 
     #[test]
     fn weather_partition_is_a_typed_unreachable() {
-        use hypatia_fault::{FaultSchedule, FaultSpec, FaultState, OutageWindow};
+        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
         // Weather takes out every GSL of the destination's ground station.
@@ -492,18 +395,18 @@ mod tests {
         };
         let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(120));
         let dark = FaultState::at(&sched, SimTime::from_secs(10));
-        let st = compute_forwarding_state_masked(&c, SimTime::from_secs(10), &[dst], Some(&dark));
+        let st = masked(&c, SimTime::from_secs(10), &[dst], &dark);
         assert_eq!(st.try_next_hop(src, dst), Err(Unreachable { src, dst }));
         assert!(st.hops(src, dst).is_none(), "no walk towards a partitioned destination");
         // Once the sky clears, the same pair routes again.
         let clear = FaultState::at(&sched, SimTime::from_secs(90));
-        let st = compute_forwarding_state_masked(&c, SimTime::from_secs(90), &[dst], Some(&clear));
+        let st = masked(&c, SimTime::from_secs(90), &[dst], &clear);
         assert!(st.try_next_hop(src, dst).is_ok());
     }
 
     #[test]
     fn masked_forwarding_routes_around_a_failed_satellite() {
-        use hypatia_fault::{FaultSchedule, FaultSpec, FaultState, OutageWindow};
+        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
         let nominal = compute_forwarding_state(&c, SimTime::ZERO, &[dst]);
@@ -518,7 +421,7 @@ mod tests {
         };
         let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(60));
         let state = FaultState::at(&sched, SimTime::ZERO);
-        let masked = compute_forwarding_state_masked(&c, SimTime::ZERO, &[dst], Some(&state));
+        let masked = masked(&c, SimTime::ZERO, &[dst], &state);
         let rerouted = masked.try_path(src, dst).expect("a 10x10 grid survives one failure");
         assert!(
             rerouted.iter().all(|&n| n.0 != victim),
@@ -527,34 +430,6 @@ mod tests {
         let d_nominal = nominal.distance(src, dst).unwrap();
         let d_masked = masked.distance(src, dst).unwrap();
         assert!(d_masked >= d_nominal, "detour cannot be shorter than the shortest path");
-    }
-
-    #[test]
-    fn schedule_step_indexing() {
-        let c = constellation();
-        let sched = ForwardingSchedule::new(&c, vec![c.gs_node(0)], SimDuration::from_millis(100));
-        assert_eq!(sched.step_index(SimTime::ZERO), 0);
-        assert_eq!(sched.step_index(SimTime::from_millis(99)), 0);
-        assert_eq!(sched.step_index(SimTime::from_millis(100)), 1);
-        assert_eq!(sched.step_index(SimTime::from_millis(250)), 2);
-        assert_eq!(sched.step_time(2), SimTime::from_millis(200));
-    }
-
-    #[test]
-    fn schedule_state_at_matches_step_state() {
-        let c = constellation();
-        let dests = vec![c.gs_node(0), c.gs_node(1)];
-        let sched = ForwardingSchedule::new(&c, dests, SimDuration::from_millis(100));
-        let a = sched.state_at(SimTime::from_millis(150));
-        let b = sched.state_for_step(1);
-        assert_eq!(a.computed_at, b.computed_at);
-        // Compare a few entries.
-        for node in 0..c.num_nodes() as u32 {
-            assert_eq!(
-                a.next_hop(NodeId(node), c.gs_node(1)),
-                b.next_hop(NodeId(node), c.gs_node(1))
-            );
-        }
     }
 
     /// Regression: in an ISL constellation, ground stations are endpoints —

@@ -846,7 +846,7 @@ impl IncrementalRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forwarding::compute_forwarding_state_on;
+    use crate::forwarding::compute_forwarding_state_into;
     use crate::graph::SnapshotBuffers;
     use hypatia_constellation::ground::GroundStation;
     use hypatia_constellation::gsl::GslConfig;
@@ -857,6 +857,17 @@ mod tests {
     use hypatia_fault::{FaultSchedule, FaultSpec, FaultState, FlapProcess, LinkCut, OutageWindow};
     use hypatia_util::rng::DetRng;
     use hypatia_util::{SimDuration, SimTime};
+
+    /// The full-Dijkstra oracle on `graph`.
+    fn compute_forwarding_state_on(
+        graph: &DelayGraph,
+        t: SimTime,
+        dests: &[NodeId],
+    ) -> ForwardingState {
+        let mut out = ForwardingState::empty();
+        compute_forwarding_state_into(graph, t, dests, &mut DijkstraScratch::new(), &mut out);
+        out
+    }
 
     fn constellation() -> Constellation {
         Constellation::build(

@@ -12,7 +12,8 @@
 //!   default, exactly equivalent to the paper's Floyd–Warshall);
 //! * `floyd_warshall` — the paper's all-pairs algorithm, compiled for
 //!   tests only: the oracle [`dijkstra`] is validated against;
-//! * [`forwarding`] — forwarding state per time-step and lazy schedules;
+//! * [`forwarding`] — forwarding state per time-step, and full Dijkstra
+//!   on one snapshot (the oracle, and single-instant look-ups);
 //! * [`path`] — path extraction, RTT evaluation, change tracking;
 //! * [`incremental`] — dynamic SSSP repair between consecutive snapshots:
 //!   graph diffing, Ramalingam–Reps-style tree repair, and the
@@ -21,9 +22,12 @@
 //! * [`ksp`] — Yen's K shortest loopless paths (multipath/TE studies);
 //! * [`multipath`] — loop-free downhill-alternate forwarding (the §5.4
 //!   traffic-engineering direction, usable directly by the simulator);
-//! * [`parallel`] — the deterministic parallel snapshot pipeline: ordered
-//!   fan-out of independent time-steps across worker threads, plus the
-//!   bounded-prefetch schedule the packet simulator consumes;
+//! * [`parallel`] — [`SnapshotWorker::step`], the one way the product
+//!   turns an instant into forwarding state (fault mask, snapshot, trees
+//!   by incremental repair, multipath when a stretch is set), and the
+//!   deterministic pipelines that drive it: the ordered sweep over a step
+//!   range every time-stepped experiment series reads, and the
+//!   bounded-prefetch pool the packet simulator consumes;
 //! * [`churn`] — per-snapshot next-hop churn and unreachable-pair
 //!   metrics, the routing-level view of fault injection
 //!   (`hypatia-fault`): masked snapshots simply omit failed components,
@@ -45,9 +49,7 @@ pub mod path;
 
 pub use churn::{churn_between, SnapshotChurn};
 pub use dijkstra::DijkstraScratch;
-pub use forwarding::{
-    compute_forwarding_state, compute_forwarding_state_masked, ForwardingState, Hops, Unreachable,
-};
+pub use forwarding::{compute_forwarding_state, ForwardingState, Hops, Unreachable};
 pub use graph::{DelayGraph, SnapshotBuffers};
 pub use incremental::{
     GraphDiff, IncrementalRouter, RepairStats, RouterStats, RoutingConfig, RoutingMode,

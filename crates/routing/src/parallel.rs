@@ -1,9 +1,17 @@
-//! Deterministic parallel snapshot-routing pipeline.
+//! Deterministic parallel snapshot-routing pipeline, and the one step it
+//! runs.
+//!
+//! [`SnapshotWorker::step`] is the only way the product turns an instant
+//! into forwarding state: fault mask at `t`, snapshot, unicast trees by
+//! incremental repair, and multipath alternates when a stretch is set.
+//! The packet simulator steps one worker inline (and one per prefetch
+//! thread); every time-stepped experiment series reads
+//! [`sweep_forwarding_states`].
 //!
 //! Per-time-step routing snapshots are embarrassingly parallel: each step's
-//! `DelayGraph` + per-destination Dijkstra trees depend only on the
-//! constellation geometry at that instant. This module fans steps out
-//! across a scoped-thread worker pool and hands the results back
+//! `DelayGraph` + per-destination trees depend only on the constellation
+//! geometry and the fault schedule at that instant. This module fans steps
+//! out across a scoped-thread worker pool and hands the results back
 //! **in step order**, so every consumer observes exactly the sequence the
 //! serial loop would produce — bit-for-bit, for any worker-thread count.
 //!
@@ -13,18 +21,16 @@
 //!
 //! Two shapes are provided:
 //!
-//! * [`for_each_step_ordered`] / [`map_steps_ordered`] — bounded-memory
-//!   fan-out over a known step range, for sweep experiments
-//!   (`hypatia::experiments::{pair_sweep, granularity}`);
+//! * [`for_each_step_ordered`] — bounded-memory fan-out over a known step
+//!   range, under [`sweep_forwarding_states`];
 //! * [`Prefetcher`] — a background pool that computes steps `k+1..k+P`
 //!   while a consumer (the netsim event loop) is still busy with step `k`.
 
-use crate::dijkstra::DijkstraScratch;
-use crate::forwarding::ForwardingState;
+use crate::forwarding::{compute_multipath_state_on, ForwardingState, MultipathState};
 use crate::graph::SnapshotBuffers;
 use crate::incremental::{IncrementalRouter, RoutingConfig};
 use hypatia_constellation::{Constellation, NodeId};
-use hypatia_fault::FaultState;
+use hypatia_fault::{FaultSchedule, FaultState};
 use hypatia_util::SimTime;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -118,31 +124,13 @@ pub fn for_each_step_ordered<T, S, MS, F, C>(
     });
 }
 
-/// As [`for_each_step_ordered`], collecting the results into a `Vec`
-/// indexed by step.
-pub fn map_steps_ordered<T, S, MS, F>(
-    n_steps: u64,
-    threads: usize,
-    make_scratch: MS,
-    compute: F,
-) -> Vec<T>
-where
-    T: Send,
-    MS: Fn() -> S + Sync,
-    F: Fn(&mut S, u64) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n_steps as usize);
-    let prefetch = 2 * worker_threads(threads);
-    for_each_step_ordered(n_steps, threads, prefetch, make_scratch, compute, |_, r| out.push(r));
-    out
-}
-
-/// Per-worker reusable routing state: snapshot staging buffers plus the
+/// Per-worker reusable routing state: snapshot staging buffers, the
 /// incremental routing engine (previous-snapshot cache, Dijkstra/repair
-/// scratch). One of these lives on each worker thread for the lifetime of
-/// a sweep, so steady-state snapshot-routing does not allocate graphs,
-/// heaps, or position buffers — and, in incremental mode, repairs each
-/// worker's trees from whatever snapshot that worker computed last.
+/// scratch) and the multipath stretch. One of these lives on each worker
+/// thread for the lifetime of a sweep or a simulation, so steady-state
+/// snapshot-routing does not allocate graphs, heaps, or position buffers,
+/// and each worker repairs its trees from whatever snapshot it computed
+/// last.
 ///
 /// Which steps a worker happens to process depends on thread scheduling,
 /// so the per-worker caches see a nondeterministic step subsequence. That
@@ -153,15 +141,16 @@ where
 pub struct SnapshotWorker {
     /// Snapshot-graph construction buffers (CSR arrays, positions).
     pub buffers: SnapshotBuffers,
-    /// Dijkstra working memory for non-router uses (heap, settled set).
-    pub scratch: DijkstraScratch,
     /// The full-vs-incremental routing engine with its snapshot cache.
     pub router: IncrementalRouter,
+    /// When set, every [`Self::step`] also computes downhill alternates
+    /// within this delay stretch (see [`crate::multipath`]).
+    pub multipath_stretch: Option<f64>,
 }
 
 impl SnapshotWorker {
     /// Fresh worker buffers with the default routing configuration
-    /// (incremental repair).
+    /// (incremental repair) and no multipath.
     pub fn new() -> Self {
         Self::default()
     }
@@ -171,25 +160,40 @@ impl SnapshotWorker {
         SnapshotWorker { router: IncrementalRouter::new(config), ..Default::default() }
     }
 
-    /// Snapshot the constellation at `t` and compute forwarding state
-    /// towards `dests`, reusing this worker's buffers and (in incremental
-    /// mode) repairing from the previously computed snapshot.
-    pub fn forwarding_state(
+    /// Builder-style: also compute multipath alternates within `stretch`
+    /// at every step (`None` = unicast only).
+    pub fn with_multipath(mut self, stretch: Option<f64>) -> Self {
+        self.multipath_stretch = stretch;
+        self
+    }
+
+    /// One forwarding step: the fault mask `faults` schedules at `t`, the
+    /// snapshot of `constellation` at `t` with that mask applied, unicast
+    /// trees towards `dests` repaired from this worker's previous
+    /// snapshot, and — when a stretch is set — multipath alternates on the
+    /// same snapshot. The mask is a pure replay of the immutable schedule
+    /// and repair is byte-identical to full recompute, so the result
+    /// depends only on the arguments, never on which steps this worker ran
+    /// before.
+    pub fn step(
         &mut self,
         constellation: &Constellation,
         t: SimTime,
         dests: &[NodeId],
-    ) -> ForwardingState {
-        self.forwarding_state_masked(constellation, t, dests, None)
+        faults: Option<&FaultSchedule>,
+    ) -> (ForwardingState, Option<MultipathState>) {
+        let mask = faults.map(|s| FaultState::at(s, t));
+        let fwd = self.forwarding_state_masked(constellation, t, dests, mask.as_ref());
+        let mp = self
+            .multipath_stretch
+            .map(|s| compute_multipath_state_on(self.buffers.graph(), t, dests, s));
+        (fwd, mp)
     }
 
-    /// As [`Self::forwarding_state`], routing around faulted components.
+    /// The unicast half of [`Self::step`] under an explicit fault state.
     /// Fault transitions reach the router as edge deletions/insertions in
     /// the snapshot diff, so repair handles them like any other churn (and
-    /// falls back to full Dijkstra past the churn threshold). Because the
-    /// fault state is derived purely from an immutable schedule and repair
-    /// is byte-identical to full recompute, prefetch workers calling this
-    /// produce states bit-identical to the inline recomputation path.
+    /// falls back to full Dijkstra past the churn threshold).
     pub fn forwarding_state_masked(
         &mut self,
         constellation: &Constellation,
@@ -204,52 +208,33 @@ impl SnapshotWorker {
     }
 }
 
-/// Compute the forwarding state for every instant in `times` (towards
-/// `dests`) on `threads` workers and hand each state to
-/// `consume(step_index, state)` in time order. `threads == 0` uses every
-/// core; `threads == 1` is the serial reference the parallel path is
-/// bit-identical to.
-pub fn sweep_forwarding_states<C>(
+/// Step a [`SnapshotWorker`] made by `worker` through every instant in
+/// `times` (towards `dests`, masked by `faults` when given) on `threads`
+/// workers, and hand each step's states to `consume(step_index, states)`
+/// in time order. `threads == 0` uses every core; `threads == 1` runs on
+/// the calling thread and is the serial reference the parallel path is
+/// bit-identical to. The worker's routing configuration and thread count
+/// only change how fast the states are produced.
+pub fn sweep_forwarding_states<W, C>(
+    worker: W,
     constellation: &Constellation,
     times: &[SimTime],
     dests: &[NodeId],
+    faults: Option<&FaultSchedule>,
     threads: usize,
-    consume: C,
-) where
-    C: FnMut(usize, ForwardingState),
-{
-    sweep_forwarding_states_with(
-        constellation,
-        times,
-        dests,
-        threads,
-        RoutingConfig::default(),
-        consume,
-    );
-}
-
-/// As [`sweep_forwarding_states`], with an explicit routing configuration
-/// (full recompute vs. incremental repair, churn threshold). Output is
-/// byte-identical across configurations and thread counts; the
-/// configuration only changes how fast the states are produced.
-pub fn sweep_forwarding_states_with<C>(
-    constellation: &Constellation,
-    times: &[SimTime],
-    dests: &[NodeId],
-    threads: usize,
-    routing: RoutingConfig,
     mut consume: C,
 ) where
-    C: FnMut(usize, ForwardingState),
+    W: Fn() -> SnapshotWorker + Sync,
+    C: FnMut(usize, (ForwardingState, Option<MultipathState>)),
 {
     let threads = worker_threads(threads).min(times.len().max(1));
     for_each_step_ordered(
         times.len() as u64,
         threads,
         2 * threads,
-        || SnapshotWorker::with_config(routing),
-        |worker, k| worker.forwarding_state(constellation, times[k as usize], dests),
-        |k, state| consume(k as usize, state),
+        worker,
+        |worker, k| worker.step(constellation, times[k as usize], dests, faults),
+        |k, states| consume(k as usize, states),
     );
 }
 
@@ -362,31 +347,40 @@ mod tests {
     }
 
     #[test]
-    fn map_steps_ordered_matches_serial_for_any_thread_count() {
+    fn for_each_step_consumes_in_order() {
         // A compute function whose result depends on the step index in a
         // way that would expose any ordering bug.
-        let serial = map_steps_ordered(50, 1, || 0u64, |_, k| k * k + 7);
-        for threads in [2, 3, 8] {
-            let par = map_steps_ordered(50, threads, || 0u64, |_, k| k * k + 7);
-            assert_eq!(serial, par, "threads={threads}");
+        for threads in [1, 2, 3, 4, 8] {
+            let mut seen = Vec::new();
+            for_each_step_ordered(
+                50,
+                threads,
+                4,
+                || (),
+                |_, k| k * k + 7,
+                |k, r| {
+                    assert_eq!(k * k + 7, r, "threads={threads}");
+                    seen.push(k);
+                },
+            );
+            assert_eq!(seen, (0..50).collect::<Vec<_>>(), "threads={threads}");
         }
     }
 
-    #[test]
-    fn for_each_step_consumes_in_order() {
-        let mut seen = Vec::new();
-        for_each_step_ordered(
-            40,
-            4,
-            4,
-            || (),
-            |_, k| k,
-            |k, r| {
-                assert_eq!(k, r);
-                seen.push(k);
-            },
-        );
-        assert_eq!(seen, (0..40).collect::<Vec<_>>());
+    /// Every step of a sweep, rendered, at `threads` workers.
+    fn sweep(
+        c: &Constellation,
+        times: &[SimTime],
+        dests: &[NodeId],
+        threads: usize,
+        routing: RoutingConfig,
+    ) -> Vec<(usize, String)> {
+        let mut out = Vec::new();
+        let worker = || SnapshotWorker::with_config(routing);
+        sweep_forwarding_states(worker, c, times, dests, None, threads, |k, st| {
+            out.push((k, format!("{st:?}")));
+        });
+        out
     }
 
     #[test]
@@ -395,16 +389,9 @@ mod tests {
         let dests = vec![c.gs_node(0), c.gs_node(1)];
         let times: Vec<SimTime> =
             (0..12).map(|k| SimTime::ZERO + SimDuration::from_millis(500) * k).collect();
-        let collect = |threads: usize| {
-            let mut out = Vec::new();
-            sweep_forwarding_states(&c, &times, &dests, threads, |k, st| {
-                out.push((k, format!("{st:?}")));
-            });
-            out
-        };
-        let serial = collect(1);
+        let serial = sweep(&c, &times, &dests, 1, RoutingConfig::default());
         for threads in [2, 4, 8] {
-            assert_eq!(serial, collect(threads), "threads={threads}");
+            assert_eq!(serial, sweep(&c, &times, &dests, threads, RoutingConfig::default()));
         }
     }
 
@@ -414,18 +401,11 @@ mod tests {
         let dests = vec![c.gs_node(0), c.gs_node(1)];
         let times: Vec<SimTime> =
             (0..10).map(|k| SimTime::ZERO + SimDuration::from_millis(500) * k).collect();
-        let collect = |threads: usize, routing: RoutingConfig| {
-            let mut out = Vec::new();
-            sweep_forwarding_states_with(&c, &times, &dests, threads, routing, |k, st| {
-                out.push((k, format!("{st:?}")));
-            });
-            out
-        };
-        let reference = collect(1, RoutingConfig::full());
+        let reference = sweep(&c, &times, &dests, 1, RoutingConfig::full());
         for threads in [1, 2, 4, 8] {
             assert_eq!(
                 reference,
-                collect(threads, RoutingConfig::incremental()),
+                sweep(&c, &times, &dests, threads, RoutingConfig::incremental()),
                 "incremental sweep diverged at threads={threads}"
             );
         }
@@ -450,13 +430,14 @@ mod tests {
             let c = c.clone();
             let dests = dests.clone();
             Prefetcher::spawn(1, 2, 3, SnapshotWorker::new, move |w: &mut SnapshotWorker, k| {
-                w.forwarding_state(&c, SimTime::ZERO + step * k, &dests)
+                w.step(&c, SimTime::ZERO + step * k, &dests, None)
             })
         };
         for k in 1..8u64 {
             let want =
                 crate::forwarding::compute_forwarding_state(&c, SimTime::ZERO + step * k, &dests);
-            let got = pf.take(k);
+            let (got, mp) = pf.take(k);
+            assert!(mp.is_none(), "no stretch, no multipath");
             assert_eq!(format!("{want:?}"), format!("{got:?}"), "step {k}");
         }
     }

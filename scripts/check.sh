@@ -289,4 +289,22 @@ test "$deadline_code" -eq 8
 grep -q '"status": "aborted"' "$smoke_dir/deadline/manifest.json"
 grep -q '"last"' "$smoke_dir/deadline/manifest.json"
 
+echo "== print-only modes: a reader closing the pipe early is a clean exit"
+# `| head -1` closes stdout after one line; the producer must exit 0,
+# not panic on the broken pipe.
+pipe_closed_ok() {
+  set +e
+  target/release/run_experiment "$@" 2> /dev/null | head -1 > /dev/null
+  local code=${PIPESTATUS[0]}
+  set -e
+  if [ "$code" -ne 0 ]; then
+    echo "run_experiment $* | head -1: exit $code"
+    return 1
+  fi
+}
+pipe_closed_ok --list
+for name in $(target/release/run_experiment --list | tail -n +2 | awk '{print $1}'); do
+  pipe_closed_ok "$name" --print-spec
+done
+
 echo "All checks passed."

@@ -1,5 +1,5 @@
 //! Incremental-repair routing must be indistinguishable from full
-//! recomputation — the property the whole PR rests on.
+//! recomputation — the property every time-stepped result rests on.
 //!
 //! A seeded scenario applies the two churn sources the repair engine has
 //! to survive: continuous weight drift (satellite motion between
@@ -7,18 +7,23 @@
 //! outages and ISL cuts). Every forwarding state is compared byte-for-byte
 //! (via `Debug`, which covers per-destination distances and next hops
 //! exactly) between the incremental and full pipelines, across snapshot
-//! partitionings equivalent to 1/2/4/8 worker threads.
+//! partitionings equivalent to 1/2/4/8 worker threads — and, through the
+//! product's one sweep, against full Dijkstra on each masked snapshot with
+//! multipath alternates on.
 
 use hypatia_constellation::ground::GroundStation;
 use hypatia_constellation::gsl::GslConfig;
 use hypatia_constellation::isl::IslLayout;
 use hypatia_constellation::shell::ShellSpec;
 use hypatia_constellation::Constellation;
-use hypatia_fault::{FaultSchedule, FaultSpec, FaultState, LinkCut, OutageWindow};
-use hypatia_routing::forwarding::ForwardingState;
+use hypatia_fault::{FaultSchedule, FaultSpec, FaultState, FlapProcess, LinkCut, OutageWindow};
+use hypatia_routing::forwarding::{
+    compute_forwarding_state_into, compute_multipath_state_on, ForwardingState,
+};
 use hypatia_routing::graph::SnapshotBuffers;
 use hypatia_routing::incremental::{IncrementalRouter, RoutingConfig};
-use hypatia_routing::parallel::sweep_forwarding_states_with;
+use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
+use hypatia_routing::DijkstraScratch;
 use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
 
@@ -163,7 +168,8 @@ fn sweep_threads_match_full_reference_under_weight_drift() {
 
     let collect = |threads: usize, routing: RoutingConfig| {
         let mut out = vec![String::new(); times.len()];
-        sweep_forwarding_states_with(&c, &times, &dests, threads, routing, |k, state| {
+        let worker = || SnapshotWorker::with_config(routing);
+        sweep_forwarding_states(worker, &c, &times, &dests, None, threads, |k, state| {
             out[k] = format!("{state:?}");
         });
         out
@@ -200,5 +206,74 @@ fn aggressive_churn_threshold_still_byte_identical() {
             RoutingConfig { repair_churn_threshold: threshold, ..RoutingConfig::incremental() };
         let got = states_partitioned(&c, &times, &dests, Some(&schedule), 1, config);
         assert_eq!(reference, got, "threshold {threshold} diverged");
+    }
+}
+
+/// The product's one sweep under a flapping fault schedule (satellites and
+/// ISLs failing and recovering throughout) with multipath alternates on:
+/// at 1, 2 and 4 threads every step equals full Dijkstra — and the
+/// multipath computation — on the same masked snapshot, byte for byte.
+#[test]
+fn masked_multipath_sweep_matches_full_dijkstra_per_step() {
+    // Dense enough that every station sees satellites, so failures move
+    // routes rather than leaving every tree unreachable.
+    let c = Constellation::build(
+        "sweep",
+        vec![ShellSpec::new("A", 550.0, 10, 10, 53.0)],
+        IslLayout::PlusGrid,
+        vec![
+            GroundStation::new("a", 5.0, 5.0),
+            GroundStation::new("b", -10.0, 140.0),
+            GroundStation::new("c", 40.0, -70.0),
+        ],
+        GslConfig::new(10.0),
+    );
+    let dests: Vec<_> = (0..c.num_ground_stations()).map(|i| c.gs_node(i)).collect();
+    let horizon = SimDuration::from_secs(30);
+    let times: Vec<SimTime> =
+        TimeSteps::new(SimTime::ZERO, SimTime::ZERO + horizon, SimDuration::from_millis(250))
+            .collect();
+    let spec = FaultSpec {
+        seed: 11,
+        sat_flap: Some(FlapProcess { mttf_s: 40.0, mttr_s: 4.0 }),
+        isl_flap: Some(FlapProcess { mttf_s: 30.0, mttr_s: 3.0 }),
+        ..FaultSpec::default()
+    };
+    let schedule = FaultSchedule::compile(&spec, &c, horizon);
+    assert!(schedule.events().len() > 20, "too few flaps: {}", schedule.events().len());
+    let stretch = 1.3;
+
+    // The oracle: a fresh masked snapshot per step, full Dijkstra.
+    let mut buffers = SnapshotBuffers::new();
+    let mut scratch = DijkstraScratch::new();
+    let mut full = |t: SimTime, mask: Option<&FaultState>| {
+        let graph = buffers.snapshot_masked(&c, t, mask);
+        let mut fwd = ForwardingState::empty();
+        compute_forwarding_state_into(graph, t, &dests, &mut scratch, &mut fwd);
+        let mp = compute_multipath_state_on(graph, t, &dests, stretch);
+        (format!("{fwd:?}"), format!("{mp:?}"))
+    };
+    let mut rerouted = 0;
+    let oracle: Vec<(String, String)> = times
+        .iter()
+        .map(|&t| {
+            let masked = full(t, Some(&FaultState::at(&schedule, t)));
+            rerouted += usize::from(masked != full(t, None));
+            masked
+        })
+        .collect();
+    assert!(rerouted > times.len() / 10, "faults moved only {rerouted} steps' routes");
+
+    for threads in [1, 2, 4] {
+        let mut got = Vec::new();
+        let worker = || SnapshotWorker::new().with_multipath(Some(stretch));
+        sweep_forwarding_states(worker, &c, &times, &dests, Some(&schedule), threads, |k, st| {
+            let mp = st.1.expect("a stretch is set");
+            got.push((k, (format!("{:?}", st.0), format!("{mp:?}"))));
+        });
+        assert_eq!(got.len(), times.len(), "threads={threads}");
+        for (k, states) in got {
+            assert_eq!(states, oracle[k], "threads={threads}: step {k} diverged");
+        }
     }
 }
