@@ -346,10 +346,25 @@ mod tests {
         )
     }
 
+    /// Every result of `for_each_step_ordered`, in the order consumed.
+    fn collect_steps(threads: usize) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        for_each_step_ordered(50, threads, 4, || 0u64, |_, k| k * k + 7, |k, r| out.push((k, r)));
+        out
+    }
+
     #[test]
-    fn for_each_step_consumes_in_order() {
+    fn map_steps_ordered_matches_serial_for_any_thread_count() {
         // A compute function whose result depends on the step index in a
         // way that would expose any ordering bug.
+        let serial = collect_steps(1);
+        for threads in [2, 3, 8] {
+            assert_eq!(serial, collect_steps(threads), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn for_each_step_consumes_in_order() {
         for threads in [1, 2, 3, 4, 8] {
             let mut seen = Vec::new();
             for_each_step_ordered(
