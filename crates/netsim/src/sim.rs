@@ -79,11 +79,15 @@ pub struct EngineReport {
     pub routing: (RouterStats, RepairStats),
 }
 
-/// Wall-clock nanoseconds the event loop spent in each phase of its
-/// windows, from `Instant` pairs taken per window, never per event. Differs
-/// from run to run, like every wall-clock figure.
+/// Wall-clock nanoseconds the simulator spent being built, and the event
+/// loop in each phase of its windows, from `Instant` pairs taken per
+/// window, never per event. Differs from run to run, like every
+/// wall-clock figure.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
+    /// Building the simulator (`Simulator::new`): the initial forwarding
+    /// state and the shards.
+    pub build_ns: u64,
     /// Coordinator events: forwarding swaps, fault updates, fluid
     /// boundaries.
     pub globals_ns: u64,
@@ -172,6 +176,7 @@ impl Simulator {
     /// only for these).
     pub fn new(constellation: Arc<Constellation>, config: SimConfig, dests: Vec<NodeId>) -> Self {
         assert!(!dests.is_empty(), "at least one destination is required");
+        let t0 = Instant::now();
 
         let partition = Arc::new(Partition::new(&constellation, config.sim_shards));
         let mut worker = Self::new_worker(&config);
@@ -238,6 +243,7 @@ impl Simulator {
         // Background prefetch of upcoming forwarding steps (off for frozen
         // networks, which never update forwarding at all).
         sim.fstate_prefetch = sim.spawn_prefetcher(1);
+        sim.phases.build_ns = ns_since(t0);
         sim
     }
 
@@ -1221,6 +1227,15 @@ mod tests {
         let p = report.phases;
         assert!(p.globals_ns > 0 && p.window_ns > 0 && p.exchange_ns > 0, "{p:?}");
         assert!(p.busy_ns > 0 && p.busy_ns <= 2 * p.window_ns, "{p:?}");
+    }
+
+    #[test]
+    fn build_timer_accounts_simulator_new() {
+        let c = constellation();
+        let sim = Simulator::new(c.clone(), SimConfig::default(), vec![c.gs_node(0)]);
+        let p = sim.engine_report().phases;
+        assert!(p.build_ns > 0, "{p:?}");
+        assert_eq!((p.globals_ns, p.window_ns, p.busy_ns), (0, 0, 0), "nothing ran yet");
     }
 
     #[test]

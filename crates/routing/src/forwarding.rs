@@ -13,7 +13,7 @@
 
 use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree, UNREACHABLE};
 use crate::graph::DelayGraph;
-use crate::multipath::{multipath_tree_with, MultipathTree};
+use crate::multipath::MultipathTree;
 use hypatia_constellation::{Constellation, NodeId};
 use hypatia_util::{SimDuration, SimTime};
 use std::fmt;
@@ -242,6 +242,28 @@ pub struct MultipathState {
 }
 
 impl MultipathState {
+    /// Downhill alternates within `stretch` over the trees of `fwd`, the
+    /// forwarding state of `graph`: the trees are copied, not recomputed,
+    /// and every tree's alternates share one candidate buffer.
+    pub(crate) fn on_trees(
+        graph: &DelayGraph,
+        fwd: &ForwardingState,
+        stretch: f64,
+    ) -> MultipathState {
+        let mut cands = Vec::new();
+        let trees = fwd
+            .trees
+            .iter()
+            .map(|tree| MultipathTree::on_tree(graph, tree.clone(), stretch, &mut cands))
+            .collect();
+        MultipathState {
+            computed_at: fwd.computed_at,
+            dests: fwd.dests.clone(),
+            trees,
+            dest_lookup: fwd.dest_lookup.clone(),
+        }
+    }
+
     /// Flow-stable next hop of `node` towards `dst` (falls back to the
     /// shortest-path hop when no alternate qualifies).
     pub fn next_hop(&self, node: NodeId, dst: NodeId, flow_hash: u64) -> Option<NodeId> {
@@ -262,19 +284,16 @@ impl MultipathState {
 }
 
 /// Multipath forwarding state on `graph` at `t` towards `dests` with the
-/// given stretch bound.
+/// given stretch bound, on trees from full Dijkstra.
 pub fn compute_multipath_state_on(
     graph: &DelayGraph,
     t: SimTime,
     dests: &[NodeId],
     stretch: f64,
 ) -> MultipathState {
-    let mut scratch = DijkstraScratch::new();
-    let trees =
-        dests.iter().map(|d| multipath_tree_with(graph, d.0, stretch, &mut scratch)).collect();
-    let mut dest_lookup = Vec::new();
-    fill_dest_lookup(&mut dest_lookup, dests, graph.num_nodes());
-    MultipathState { computed_at: t, dests: dests.to_vec(), trees, dest_lookup }
+    let mut fwd = ForwardingState::empty();
+    compute_forwarding_state_into(graph, t, dests, &mut DijkstraScratch::new(), &mut fwd);
+    MultipathState::on_trees(graph, &fwd, stretch)
 }
 
 #[cfg(test)]

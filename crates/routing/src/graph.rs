@@ -49,6 +49,14 @@ pub struct DelayGraph {
     /// Satellites always may; ground stations only in bent-pipe
     /// constellations (`Constellation::gs_relay`). Endpoints are exempt.
     transit: Vec<bool>,
+    /// The vertices that may not transit, in id order: the *leaves* that
+    /// full Dijkstra and the SSSP repair label last.
+    leaves: Vec<u32>,
+    /// Smallest and largest edge weight, ns, recorded when the CSR is
+    /// filled (`(u32::MAX, 0)` when edgeless): what sizes
+    /// [`crate::dijkstra`]'s bucket queue and what
+    /// [`crate::incremental::GraphDiff`] reports without a pass of its own.
+    delay_range_ns: (u32, u32),
     /// Positions used to build the snapshot (satellites first), for reuse.
     pub positions: Vec<Vec3>,
 }
@@ -158,6 +166,7 @@ impl SnapshotBuffers {
         g.transit.extend(
             (0..n).map(|i| constellation.may_transit(hypatia_constellation::NodeId(i as u32))),
         );
+        g.list_leaves();
     }
 
     /// Counting-sort the staged `pairs` by source node into the graph's
@@ -166,9 +175,13 @@ impl SnapshotBuffers {
         let g = &mut self.graph;
         g.offsets.clear();
         g.offsets.resize(n + 1, 0);
-        for &(src, _) in &self.pairs {
+        let (mut lo, mut hi) = (u32::MAX, 0);
+        for &(src, e) in &self.pairs {
             g.offsets[src as usize + 1] += 1;
+            lo = lo.min(e.delay_ns);
+            hi = hi.max(e.delay_ns);
         }
+        g.delay_range_ns = (lo, hi);
         for v in 0..n {
             g.offsets[v + 1] += g.offsets[v];
         }
@@ -190,6 +203,8 @@ impl Default for DelayGraph {
             offsets: vec![0],
             edges: Vec::new(),
             transit: Vec::new(),
+            leaves: Vec::new(),
+            delay_range_ns: (u32::MAX, 0),
             positions: Vec::new(),
         }
     }
@@ -239,16 +254,18 @@ impl DelayGraph {
         }
         buffers.fill_csr(transit.len());
         buffers.graph.transit = transit;
+        buffers.graph.list_leaves();
         buffers.into_graph()
     }
 
-    /// Make this graph's adjacency (offsets and edges) a copy of
-    /// `other`'s, reusing buffers. Positions and transit flags are left
+    /// Make this graph's adjacency (offsets, edges, weight range) a copy of
+    /// `other`'s, reusing buffers. Positions, transit flags and leaves are left
     /// alone: this is what [`crate::incremental::GraphDiff`] reads of a
     /// previous snapshot, and all the incremental router keeps of one.
     pub(crate) fn copy_adjacency_from(&mut self, other: &DelayGraph) {
         self.offsets.clone_from(&other.offsets);
         self.edges.clone_from(&other.edges);
+        self.delay_range_ns = other.delay_range_ns;
     }
 
     /// Number of vertices.
@@ -259,6 +276,18 @@ impl DelayGraph {
     /// Number of directed edges.
     pub fn num_edges(&self) -> usize {
         self.edges.len()
+    }
+
+    /// The smallest edge weight, ns ([`u32::MAX`] when edgeless).
+    #[inline]
+    pub fn min_delay_ns(&self) -> u32 {
+        self.delay_range_ns.0
+    }
+
+    /// The largest edge weight, ns (0 when edgeless).
+    #[inline]
+    pub fn max_delay_ns(&self) -> u32 {
+        self.delay_range_ns.1
     }
 
     /// Outgoing edges of `node`.
@@ -277,6 +306,19 @@ impl DelayGraph {
     #[inline]
     pub(crate) fn transit(&self) -> &[bool] {
         &self.transit
+    }
+
+    /// The nodes that may not transit, in id order.
+    #[inline]
+    pub(crate) fn leaves(&self) -> &[u32] {
+        &self.leaves
+    }
+
+    /// Refill [`Self::leaves`] from the transit flags.
+    fn list_leaves(&mut self) {
+        self.leaves.clear();
+        let leaves = self.transit.iter().enumerate().filter(|&(_, &t)| !t);
+        self.leaves.extend(leaves.map(|(v, _)| v as u32));
     }
 
     /// The delay of the direct edge `a → b`, if one exists.

@@ -168,7 +168,9 @@ impl GraphDiff {
         self.weight_changed = 0;
         self.unchanged = 0;
         self.max_weight_change_ns = 0;
-        self.min_delay_ns = u64::MAX;
+        // `DelayGraph` records its smallest weight when it is built.
+        self.min_delay_ns =
+            if cur.num_edges() == 0 { u64::MAX } else { u64::from(cur.min_delay_ns()) };
         self.prev_edges = prev.num_edges();
         self.cur_edges = cur.num_edges();
         let mut kept = |was: u32, now: u32| {
@@ -180,9 +182,6 @@ impl GraphDiff {
         for u in 0..cur.num_nodes() {
             let pe = prev.edges(u);
             let ce = cur.edges(u);
-            for e in ce {
-                self.min_delay_ns = self.min_delay_ns.min(u64::from(e.delay_ns));
-            }
             // Snapshot adjacency order is construction-stable, so when the
             // neighbour sets match, the lists are positionally identical.
             if pe.len() == ce.len() && pe.iter().zip(ce).all(|(a, b)| a.to == b.to) {
@@ -262,16 +261,12 @@ struct Drift {
     touched: Vec<bool>,
     /// `B`: the largest `|Δw|` over the edges both snapshots have, ns.
     bound_ns: u64,
-    /// The vertices that may not transit, in id order.
-    leaves: Vec<u32>,
 }
 
 impl Drift {
     /// From `diff`, the [`GraphDiff`] that ends at `graph`.
     fn fill_from(&mut self, diff: &GraphDiff, graph: &DelayGraph) {
         let n = graph.num_nodes();
-        self.leaves.clear();
-        self.leaves.extend((0..n as u32).filter(|&v| !graph.may_transit(v as usize)));
         self.touched.clear();
         self.touched.resize(n, false);
         for &(a, b) in diff.inserted.iter().chain(&diff.deleted) {
@@ -492,7 +487,6 @@ fn repair_shortest_path_tree(
     let dst = tree.dst as usize;
     assert_eq!(tree.dist_ns.len(), n, "tree/snapshot node count mismatch");
     assert_eq!(drift.touched.len(), n, "drift/snapshot node count mismatch");
-    debug_assert!(drift.leaves.iter().all(|&v| !graph.may_transit(v as usize)));
     check_key_ids(n);
     let TreeMemo { slots, order, gaps } = memo;
     if slots.len() != n {
@@ -639,7 +633,7 @@ fn repair_shortest_path_tree(
     // written while another is still to be scanned. A certified leaf
     // keeps its parent and slot; its label follows the parent's.
     leaves.clear();
-    for &v in drift.leaves.iter() {
+    for &v in graph.leaves() {
         let v = v as usize;
         if v == dst {
             continue;

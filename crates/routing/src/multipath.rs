@@ -10,7 +10,7 @@
 //! decreases the remaining distance — so flows can be spread (e.g. by
 //! flow hash) without any inter-node coordination.
 
-use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree, UNREACHABLE};
+use crate::dijkstra::{shortest_path_tree, SpTree, UNREACHABLE};
 use crate::graph::DelayGraph;
 
 /// Per-destination alternate sets layered over a shortest-path tree.
@@ -18,11 +18,10 @@ use crate::graph::DelayGraph;
 pub struct MultipathTree {
     /// The underlying shortest-path tree.
     pub tree: SpTree,
-    /// `alternates[v]`: neighbours of `v` that are strictly closer to the
-    /// destination, with `w(v,n) + dist(n) ≤ stretch · dist(v)`. Sorted by
-    /// resulting path delay (the primary next hop first). Empty when
-    /// unreachable or `v` is the destination.
-    pub alternates: Vec<Vec<u32>>,
+    /// `ids[offsets[v]..offsets[v + 1]]` are the alternates of `v` (see
+    /// [`Self::alternates`]): one flat buffer per tree, not one per vertex.
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
     /// The stretch bound used.
     pub stretch: f64,
 }
@@ -30,56 +29,61 @@ pub struct MultipathTree {
 /// Compute downhill alternates towards `dst` with the given `stretch`
 /// (≥ 1.0; 1.0 admits only exact ties with the shortest path).
 pub fn multipath_tree(graph: &DelayGraph, dst: u32, stretch: f64) -> MultipathTree {
-    multipath_tree_with(graph, dst, stretch, &mut DijkstraScratch::new())
-}
-
-/// As [`multipath_tree`], reusing the caller's Dijkstra scratch — the
-/// per-destination loop of a multipath forwarding state shares one heap.
-pub fn multipath_tree_with(
-    graph: &DelayGraph,
-    dst: u32,
-    stretch: f64,
-    scratch: &mut DijkstraScratch,
-) -> MultipathTree {
-    assert!(stretch >= 1.0, "stretch must be ≥ 1.0: {stretch}");
-    let mut tree = SpTree::empty();
-    shortest_path_tree_into(graph, dst, scratch, &mut tree);
-    let n = graph.num_nodes();
-    let mut alternates: Vec<Vec<u32>> = vec![Vec::new(); n];
-
-    for (v, slot) in alternates.iter_mut().enumerate() {
-        let dv = tree.dist_ns[v];
-        if dv == UNREACHABLE || v as u32 == dst {
-            continue;
-        }
-        let budget = (dv as f64 * stretch).floor() as u64;
-        let mut cands: Vec<(u64, u32)> = Vec::new();
-        for e in graph.edges(v) {
-            let dn = tree.dist_ns[e.to as usize];
-            if dn == UNREACHABLE {
-                continue;
-            }
-            // Downhill: the neighbour must be strictly closer (loop
-            // freedom); the path through it must respect the stretch.
-            if dn < dv && u64::from(e.delay_ns) + dn <= budget {
-                // A non-transit neighbour (GS endpoint) can only be the
-                // destination itself, which the dn < dv check admits.
-                if e.to == dst || graph.may_transit(e.to as usize) {
-                    cands.push((u64::from(e.delay_ns) + dn, e.to));
-                }
-            }
-        }
-        cands.sort_unstable();
-        *slot = cands.into_iter().map(|(_, to)| to).collect();
-    }
-
-    MultipathTree { tree, alternates, stretch }
+    MultipathTree::on_tree(graph, shortest_path_tree(graph, dst), stretch, &mut Vec::new())
 }
 
 impl MultipathTree {
-    /// The alternates of `node` (primary next hop first).
+    /// Downhill alternates within `stretch` layered over `tree`, an exact
+    /// shortest-path tree of `graph` — the one a router just produced, so
+    /// no second Dijkstra runs. `cands` is a reusable candidate buffer
+    /// (its contents are ignored and left behind).
+    pub(crate) fn on_tree(
+        graph: &DelayGraph,
+        tree: SpTree,
+        stretch: f64,
+        cands: &mut Vec<(u64, u32)>,
+    ) -> MultipathTree {
+        assert!(stretch >= 1.0, "stretch must be ≥ 1.0: {stretch}");
+        let n = graph.num_nodes();
+        assert_eq!(tree.dist_ns.len(), n, "tree/snapshot node count mismatch");
+        let dst = tree.dst;
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut ids = Vec::new();
+        offsets.push(0);
+        for v in 0..n {
+            let dv = tree.dist_ns[v];
+            if dv != UNREACHABLE && v as u32 != dst {
+                let budget = (dv as f64 * stretch).floor() as u64;
+                cands.clear();
+                for e in graph.edges(v) {
+                    let dn = tree.dist_ns[e.to as usize];
+                    // Downhill: the neighbour must be strictly closer (loop
+                    // freedom); the path through it must respect the
+                    // stretch. A non-transit neighbour (GS endpoint) can
+                    // only be the destination itself, which `dn < dv`
+                    // admits.
+                    if dn < dv
+                        && u64::from(e.delay_ns) + dn <= budget
+                        && (e.to == dst || graph.may_transit(e.to as usize))
+                    {
+                        cands.push((u64::from(e.delay_ns) + dn, e.to));
+                    }
+                }
+                cands.sort_unstable();
+                ids.extend(cands.iter().map(|&(_, to)| to));
+            }
+            offsets.push(ids.len() as u32);
+        }
+        MultipathTree { tree, offsets, ids, stretch }
+    }
+
+    /// The alternates of `node`: neighbours strictly closer to the
+    /// destination, with `w(node, n) + dist(n) ≤ stretch · dist(node)`,
+    /// sorted by resulting path delay (the primary next hop first). Empty
+    /// when unreachable or `node` is the destination.
     pub fn alternates(&self, node: u32) -> &[u32] {
-        &self.alternates[node as usize]
+        let v = node as usize;
+        &self.ids[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Pick an alternate for a flow identified by `flow_hash` (stable
@@ -219,6 +223,45 @@ mod tests {
         assert!(a.is_some());
         // dst itself has no alternates and no next hop.
         assert_eq!(mp.pick(dst, 1), None);
+    }
+
+    /// The flat buffer holds what one `Vec` per vertex, each sorted from
+    /// its own candidate list, held — for every destination, several
+    /// stretches, and one shared candidate buffer.
+    #[test]
+    fn flat_alternates_equal_the_per_vertex_construction() {
+        let (_, g, _, _) = setup();
+        let mut cands = Vec::new();
+        for stretch in [1.0, 1.1, 1.3, 2.0] {
+            for dst in 0..g.num_nodes() as u32 {
+                let tree = shortest_path_tree(&g, dst);
+                let mp = MultipathTree::on_tree(&g, tree.clone(), stretch, &mut cands);
+                for v in 0..g.num_nodes() {
+                    let dv = tree.dist_ns[v];
+                    let mut expect: Vec<(u64, u32)> = Vec::new();
+                    if dv != UNREACHABLE && v as u32 != dst {
+                        let budget = (dv as f64 * stretch).floor() as u64;
+                        for e in g.edges(v) {
+                            let dn = tree.dist_ns[e.to as usize];
+                            let via = u64::from(e.delay_ns).saturating_add(dn);
+                            if dn < dv
+                                && via <= budget
+                                && (e.to == dst || g.may_transit(e.to as usize))
+                            {
+                                expect.push((via, e.to));
+                            }
+                        }
+                    }
+                    expect.sort_unstable();
+                    let expect: Vec<u32> = expect.into_iter().map(|(_, to)| to).collect();
+                    assert_eq!(
+                        mp.alternates(v as u32),
+                        expect,
+                        "stretch {stretch} dst {dst} v {v}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

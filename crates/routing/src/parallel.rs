@@ -26,7 +26,7 @@
 //! * [`Prefetcher`] — a background pool that computes steps `k+1..k+P`
 //!   while a consumer (the netsim event loop) is still busy with step `k`.
 
-use crate::forwarding::{compute_multipath_state_on, ForwardingState, MultipathState};
+use crate::forwarding::{ForwardingState, MultipathState};
 use crate::graph::SnapshotBuffers;
 use crate::incremental::{IncrementalRouter, RoutingConfig};
 use hypatia_constellation::{Constellation, NodeId};
@@ -170,11 +170,11 @@ impl SnapshotWorker {
     /// One forwarding step: the fault mask `faults` schedules at `t`, the
     /// snapshot of `constellation` at `t` with that mask applied, unicast
     /// trees towards `dests` repaired from this worker's previous
-    /// snapshot, and — when a stretch is set — multipath alternates on the
-    /// same snapshot. The mask is a pure replay of the immutable schedule
-    /// and repair is byte-identical to full recompute, so the result
-    /// depends only on the arguments, never on which steps this worker ran
-    /// before.
+    /// snapshot, and — when a stretch is set — multipath alternates layered
+    /// over those same trees (no second Dijkstra). The mask is a pure
+    /// replay of the immutable schedule and repair is byte-identical to
+    /// full recompute, so the result depends only on the arguments, never
+    /// on which steps this worker ran before.
     pub fn step(
         &mut self,
         constellation: &Constellation,
@@ -184,9 +184,8 @@ impl SnapshotWorker {
     ) -> (ForwardingState, Option<MultipathState>) {
         let mask = faults.map(|s| FaultState::at(s, t));
         let fwd = self.forwarding_state_masked(constellation, t, dests, mask.as_ref());
-        let mp = self
-            .multipath_stretch
-            .map(|s| compute_multipath_state_on(self.buffers.graph(), t, dests, s));
+        let mp =
+            self.multipath_stretch.map(|s| MultipathState::on_trees(self.buffers.graph(), &fwd, s));
         (fwd, mp)
     }
 

@@ -10,6 +10,14 @@
 //!   a flow takes. `std`'s `DefaultHasher` (SipHash) is both slower and
 //!   not guaranteed stable across Rust releases, so it is unsuitable for
 //!   bit-reproducible experiments.
+//!
+//! A third job, lookup tables keyed by a few integers, wants neither
+//! FNV's byte loop nor SipHash's rounds: [`MulHasher`] folds each integer
+//! into the state with one rotate, xor and multiply. It is for `HashMap`s
+//! that are only ever probed, never iterated, so no output depends on its
+//! values.
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// FNV-1a 64-bit offset basis.
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -69,6 +77,51 @@ impl Fnv1a64 {
 
     /// The accumulated hash.
     pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// The odd multiplier of [`MulHasher`] (`2^64 / φ`, rounded to odd).
+const MUL_FACTOR: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A multiplicative [`Hasher`] for in-memory lookup tables keyed by
+/// integers: each integer written becomes `state = (state.rotl(5) ^ x) ·
+/// K`. Fast and deterministic, but not collision-resistant and not a
+/// checksum — the tables it serves are probed, never iterated.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MulHasher(u64);
+
+/// [`MulHasher`] as a `HashMap`'s `BuildHasher`.
+pub type MulBuildHasher = BuildHasherDefault<MulHasher>;
+
+impl MulHasher {
+    #[inline]
+    fn absorb(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(MUL_FACTOR);
+    }
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.absorb(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.absorb(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.absorb(x);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -145,5 +198,30 @@ mod tests {
         rev.write_u32(2);
         rev.write_u32(1);
         assert_ne!(fwd.finish(), rev.finish());
+    }
+
+    #[test]
+    fn mul_hasher_separates_keys_that_differ_in_one_field() {
+        use std::hash::BuildHasher;
+        let hash = |key: (u32, u32, u64, u32, u64)| MulBuildHasher::default().hash_one(key);
+        let base = (3, 7, 1_000_000, 1440, 5_000_000_000);
+        let mut seen = vec![hash(base)];
+        for key in [
+            (7, 3, 1_000_000, 1440, 5_000_000_000),
+            (3, 7, 1_000_001, 1440, 5_000_000_000),
+            (3, 7, 1_000_000, 1441, 5_000_000_000),
+            (3, 7, 1_000_000, 1440, 5_000_000_001),
+        ] {
+            let h = hash(key);
+            assert!(!seen.contains(&h), "{key:?} collides");
+            seen.push(h);
+        }
+        // Deterministic: the same key, the same hash, in any hasher.
+        assert_eq!(hash(base), seen[0]);
+        // Byte writes agree with the word they spell.
+        let (mut a, mut b) = (MulHasher::default(), MulHasher::default());
+        a.write(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
+        b.write_u64(0x0123_4567_89ab_cdef);
+        assert_eq!(a.finish(), b.finish());
     }
 }

@@ -138,6 +138,7 @@ impl ArtifactSink {
             (a, b) => a.or(b),
         };
         e.ephemeris.merge(&report.ephemeris);
+        e.phases.build_ns += report.phases.build_ns;
         e.phases.globals_ns += report.phases.globals_ns;
         e.phases.window_ns += report.phases.window_ns;
         e.phases.busy_ns += report.phases.busy_ns;
@@ -342,6 +343,7 @@ impl ArtifactSink {
                         "exact_guard": e.ephemeris.exact_guard,
                     },
                     "phases": {
+                        "build_ns": e.phases.build_ns,
                         "globals_ns": e.phases.globals_ns,
                         "window_ns": e.phases.window_ns,
                         "busy_ns": e.phases.busy_ns,
@@ -540,7 +542,13 @@ mod tests {
             interpolated: 4000,
             exact_guard: 9,
         };
-        let phases = PhaseTimes { globals_ns: 10, window_ns: 300, busy_ns: 500, exchange_ns: 7 };
+        let phases = PhaseTimes {
+            build_ns: 40,
+            globals_ns: 10,
+            window_ns: 300,
+            busy_ns: 500,
+            exchange_ns: 7,
+        };
         let routing = (
             RouterStats { snapshots: 8, repaired: 7, fallback_first: 1, ..Default::default() },
             RepairStats { trees: 70, retensed: 12, rescanned: 50, slot_misses: 3, certified: 900 },
@@ -583,6 +591,7 @@ mod tests {
         assert_eq!(eph.get("exact_guard").and_then(Value::as_u64), Some(18));
         // As do the phase timers.
         let phases = engine.get("phases").expect("phases block");
+        assert_eq!(phases.get("build_ns").and_then(Value::as_u64), Some(80));
         assert_eq!(phases.get("globals_ns").and_then(Value::as_u64), Some(20));
         assert_eq!(phases.get("window_ns").and_then(Value::as_u64), Some(600));
         assert_eq!(phases.get("busy_ns").and_then(Value::as_u64), Some(1000));

@@ -60,6 +60,15 @@ echo "== SSSP repair vs full Dijkstra: K1 and S1 x 100 destinations x 200 snapsh
 # silently stops certifying shows up here rather than as a slow benchmark.
 cargo test -q --release -p hypatia-routing --lib incremental::tests -- --include-ignored
 
+echo "== full SSSP: bucket queue vs heap Dijkstra, T1+K1+S1 x 100 destinations x 50 snapshots, release arithmetic"
+# Every from-scratch tree (the simulator's first state, churn fallbacks,
+# single-instant look-ups) comes off the monotone bucket queue; it must
+# equal the binary-heap Dijkstra tree for tree on the benchmark's three
+# shells under its flap process, and no snapshot of them may take the
+# heap. The seeded small-graph differential (ties, leaves, bent pipe,
+# masks, Floyd-Warshall) is part of `cargo test` above.
+cargo test -q --release -p hypatia-routing --lib dijkstra::tests -- --include-ignored
+
 echo "== event queue with debug_asserts off: bucketed drain + late heap, 10^6-entry slot, pool storage bound"
 # The bucketed drain (bin count, scatter, per-bin sort) and the run/late
 # merge must equal the heap oracle with optimizations on too; the
