@@ -133,9 +133,9 @@ pub struct ExperimentSpec {
     pub utilization_bucket: Option<SimDuration>,
     /// Congestion controller for TCP workloads (`cc`).
     pub cc: CcKind,
-    /// Worker threads (`threads`): packet runs prefetch forwarding state on
-    /// them (0 = no prefetch, states computed inline), the routing sweeps of
-    /// Figs. 6–9 fan snapshots out over them (0 = one per core).
+    /// Routing-sweep worker threads (`threads`): the sweeps of Figs. 6–9
+    /// and 13 fan snapshots out over them (0 = one per core). Packet runs
+    /// do not read it.
     pub threads: usize,
     /// Seed for randomized pieces: permutation matrix, loss processes (`seed`).
     pub seed: u64,
@@ -212,8 +212,7 @@ impl ExperimentSpec {
         if let Some(bucket) = self.utilization_bucket {
             cfg = cfg.with_utilization_bucket(bucket);
         }
-        cfg.with_fstate_prefetch(self.threads)
-            .with_repair_churn_threshold(self.repair_churn_threshold)
+        cfg.with_repair_churn_threshold(self.repair_churn_threshold)
             .with_sim_shards(self.sim_shards)
             .with_sim_mode(self.sim_mode)
             .with_trace_sampling(self.trace_sample_every)
@@ -632,9 +631,8 @@ const KNOBS: &[Knob] = knobs![
     utilization_bucket_s: defaulted Positive OptSecs(utilization_bucket, 1.0),
     /// Congestion controller of TCP workloads: newreno, vegas, cubic or bbr.
     cc: required Any Cc(cc),
-    /// Worker threads: forwarding prefetch in packet runs (0 = none) and
-    /// snapshot fan-out in routing sweeps (0 = one per core); results are
-    /// identical for any value.
+    /// Worker threads of the routing sweeps' snapshot fan-out (0 = one per
+    /// core); packet runs do not read it. Results are identical for any value.
     threads: required Any Count(threads),
     /// Seed of the randomized pieces (permutation matrix, loss processes).
     seed: required Any Int(seed),
@@ -1038,7 +1036,9 @@ mod tests {
         assert_eq!(cfg.queue_packets, 50);
         assert_eq!(cfg.fstate_step, SimDuration::from_millis(50));
         assert_eq!(cfg.utilization_bucket, Some(SimDuration::from_secs(1)));
-        assert_eq!(cfg.fstate_threads, 4);
+        // `threads` sets routing-sweep workers only: the simulator is the same.
+        let unthreaded = ExperimentSpec { threads: 0, ..spec.clone() }.sim_config();
+        assert_eq!(format!("{cfg:?}"), format!("{unthreaded:?}"));
         assert_eq!(cfg.sim_shards, 4);
         assert_eq!(cfg.sim_mode, SimMode::Hybrid);
         assert_eq!(cfg.trace_sample_every, 64);
@@ -1495,6 +1495,5 @@ mod tests {
         assert_eq!(cfg.link_rate, d.link_rate);
         assert_eq!(cfg.queue_packets, d.queue_packets);
         assert_eq!(cfg.fstate_step, d.fstate_step);
-        assert_eq!(cfg.fstate_threads, 0);
     }
 }

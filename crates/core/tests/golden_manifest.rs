@@ -44,8 +44,8 @@ fn manifest_without(manifest: &str, paths: &[&str]) -> String {
 
 /// Drop what two equivalent runs need not agree on: the wall-clock
 /// `events_per_sec` and `perf.engine.phases`, and the `perf.engine.routing`
-/// object — which snapshots a router repaired depends on which ones its
-/// prefetch worker happened to compute. The event *count* stays: it is a
+/// object — which snapshots a sweep worker repaired depends on which ones
+/// it happened to compute. The event *count* stays: it is a
 /// pure simulation observable and must match across thread counts.
 fn strip_wall_clock(manifest: &str) -> String {
     manifest_without(
@@ -77,8 +77,8 @@ fn assert_identical(spec: ExperimentSpec, tag: &str) {
 }
 
 /// Netsim-backed: Fig. 3's ping experiment on a two-city Kuiper scenario.
-/// Exercises the full packet-level pipeline including threaded
-/// forwarding-state prefetch.
+/// Exercises the full packet-level pipeline, forwarding steps computed
+/// one ahead on the lookahead thread.
 #[test]
 fn netsim_run_is_thread_invariant() {
     let mut spec = ExperimentSpec {

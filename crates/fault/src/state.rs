@@ -17,8 +17,8 @@ use std::collections::HashMap;
 ///   as their time comes;
 /// * snapshot-routing workers call [`FaultState::at`] to rebuild the
 ///   state at an arbitrary instant from the immutable schedule — a
-///   pure function, so parallel prefetch and serial recompute agree
-///   bit-for-bit.
+///   pure function, so a step computed ahead on another thread and one
+///   computed inline agree bit-for-bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultState {
     /// Per-satellite failure depth.

@@ -51,13 +51,6 @@ pub struct SimConfig {
     /// detours up to 20% longer). `None` = single shortest path (paper
     /// default). Addresses the paper's §5.4 routing/TE takeaway.
     pub multipath_stretch: Option<f64>,
-    /// Background forwarding-state prefetch: number of worker threads that
-    /// compute upcoming time-steps, at most four steps ahead, while the
-    /// event loop consumes the current one (0 = compute inline, the
-    /// default). States are consumed strictly in step order, so the
-    /// simulation is bit-identical for any value — this is purely a
-    /// wall-clock knob.
-    pub fstate_threads: usize,
     /// Fault-injection scenario: a compiled, time-sorted schedule of
     /// satellite/ISL/GSL failures and repairs (see `hypatia-fault`).
     /// Fault events are applied mid-flight as simulator events,
@@ -103,7 +96,6 @@ impl Default for SimConfig {
             trace_limit: 0,
             trace_sample_every: 1,
             multipath_stretch: None,
-            fstate_threads: 0,
             faults: None,
             routing: RoutingConfig::default(),
             sim_shards: 1,
@@ -183,14 +175,6 @@ impl SimConfig {
     pub fn with_trace_sampling(mut self, every: u64) -> Self {
         assert!(every >= 1, "sampling interval must be at least 1");
         self.trace_sample_every = every;
-        self
-    }
-
-    /// Builder-style: compute forwarding states for upcoming steps on
-    /// `threads` background workers (at most four steps ahead; 0 = inline).
-    /// Results are identical to inline computation for any thread count.
-    pub fn with_fstate_prefetch(mut self, threads: usize) -> Self {
-        self.fstate_threads = threads;
         self
     }
 

@@ -164,6 +164,7 @@ use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use crate::packet::HEADER_BYTES;
 use hypatia_constellation::{Constellation, NodeId};
 use hypatia_fault::FaultState;
+use hypatia_routing::dijkstra::NO_HOP;
 use hypatia_routing::forwarding::ForwardingState;
 use hypatia_util::hash::MulBuildHasher;
 use hypatia_util::{DataRate, SimTime};
@@ -229,9 +230,6 @@ const MARGIN_PER_BUNDLE: f64 = 128.0 * f64::EPSILON;
 
 /// "Not frozen yet" in [`Scratch::frozen_at`].
 const UNFROZEN: u32 = u32::MAX;
-
-/// "No next hop" in a packed next-hop table.
-const NO_HOP: u32 = u32::MAX;
 
 /// [`PathCache::row`] marks: the bundle had no route at the last solve;
 /// nothing is known about it (it was stopped, masked, or not yet solved).
@@ -807,12 +805,9 @@ impl PathCache {
         self.same_tree.resize(nodes, false);
         for (d, packed) in self.dests.iter().zip(self.next_hop.chunks_exact_mut(nodes)) {
             let tree = fwd.tree(*d).expect("every destination of a forwarding state has a tree");
-            let same =
-                packed.iter().zip(&tree.next_hop).all(|(&p, hop)| p == hop.unwrap_or(NO_HOP));
+            let same = *packed == tree.next_hop[..];
             if !same {
-                for (p, hop) in packed.iter_mut().zip(&tree.next_hop) {
-                    *p = hop.unwrap_or(NO_HOP);
-                }
+                packed.copy_from_slice(&tree.next_hop);
             }
             self.same_tree[d.index()] = same_dests && same;
         }

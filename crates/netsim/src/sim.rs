@@ -34,7 +34,7 @@ use hypatia_constellation::{Constellation, EphemerisStats, NodeId};
 use hypatia_fault::FaultState;
 use hypatia_routing::forwarding::{ForwardingState, MultipathState};
 use hypatia_routing::incremental::{RepairStats, RouterStats};
-use hypatia_routing::parallel::{Prefetcher, SnapshotWorker};
+use hypatia_routing::parallel::{Lookahead, SnapshotWorker};
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use std::path::Path;
 use std::sync::Arc;
@@ -72,10 +72,9 @@ pub struct EngineReport {
     pub phases: PhaseTimes,
     /// How forwarding states were produced — full vs. repaired snapshots
     /// and why, and what the repairs did — for every step the simulator
-    /// applied, inline or taken from a prefetch pool (steps computed
-    /// ahead and never consumed are not counted). Each worker repairs from
-    /// whatever snapshot it computed last, so with a pool the split
-    /// depends on thread scheduling; the states never do.
+    /// applied. One worker computes every step in order, so these are the
+    /// same whichever thread ran it; `run_until` cuts and a restore
+    /// change which snapshot the router last saw, hence the split.
     pub routing: (RouterStats, RepairStats),
 }
 
@@ -98,15 +97,18 @@ pub struct PhaseTimes {
     pub busy_ns: u64,
     /// Moving cross-shard arrivals between windows.
     pub exchange_ns: u64,
+    /// Waiting for the lookahead thread to finish the forwarding step due
+    /// (part of `globals_ns`): the routing the overlap did not hide.
+    pub lookahead_wait_ns: u64,
 }
 
 /// One forwarding step as [`Simulator::forwarding_step`] hands it over:
 /// the states and what the worker's router counted computing them.
 type Step = ((ForwardingState, Option<MultipathState>), (RouterStats, RepairStats));
 
-/// How many forwarding steps a prefetch pool may compute ahead of the
-/// event loop (bounds prefetch memory).
-const FSTATE_PREFETCH: usize = 4;
+/// What the event loop asks its lookahead thread for: a step, and the
+/// retired state whose buffers it refills.
+type Request = (u64, ForwardingState);
 
 /// The packet-level simulator.
 ///
@@ -126,15 +128,15 @@ pub struct Simulator {
     fwd: Arc<ForwardingState>,
     /// Multipath alternates (present when `multipath_stretch` is set).
     mp: Option<Arc<MultipathState>>,
-    /// Background forwarding-state pipeline (present when
-    /// `config.fstate_threads > 0`): computes steps `k+1..k+P` while the
-    /// event loop consumes step `k`. Deterministic — its workers run the
-    /// same [`Simulator::forwarding_step`] as the inline path, and steps
-    /// are consumed strictly in order.
-    fstate_prefetch: Option<Prefetcher<Step>>,
-    /// The inline worker: the initial state, the restore recompute, and
-    /// every step when no prefetch pool runs.
+    /// The lookahead thread, spawned by the first `run_until` reaching a
+    /// step instant: it owns `worker` and computes step `next_fwd_step`,
+    /// never past the horizon, while the event loop runs up to it.
+    lookahead: Option<Lookahead<SnapshotWorker, Request, Step>>,
+    /// The one worker: the initial state and the restore recompute run it
+    /// here, every other step on the lookahead thread.
     worker: SnapshotWorker,
+    /// The retired forwarding state, for the next request to refill.
+    spare: Option<ForwardingState>,
     /// Routing counters of every step applied so far.
     routing: (RouterStats, RepairStats),
     /// Next forwarding step to apply, at `next_fwd_step × fstate_step`.
@@ -179,9 +181,11 @@ impl Simulator {
         let t0 = Instant::now();
 
         let partition = Arc::new(Partition::new(&constellation, config.sim_shards));
-        let mut worker = Self::new_worker(&config);
+        let mut worker =
+            SnapshotWorker::with_config(config.routing).with_multipath(config.multipath_stretch);
+        let first = (0, ForwardingState::empty());
         let ((fwd, mp), routing) =
-            Self::forwarding_step(&mut worker, &constellation, &config, &dests, 0);
+            Self::forwarding_step(&mut worker, &constellation, &config, &dests, first);
         let fwd = Arc::new(fwd);
         let mp = mp.map(Arc::new);
 
@@ -223,8 +227,9 @@ impl Simulator {
             dests,
             fwd,
             mp,
-            fstate_prefetch: None,
+            lookahead: None,
             worker,
+            spare: None,
             routing,
             next_fwd_step: 1,
             next_fault_index,
@@ -240,9 +245,6 @@ impl Simulator {
             trace,
             stats: SimStats::default(),
         };
-        // Background prefetch of upcoming forwarding steps (off for frozen
-        // networks, which never update forwarding at all).
-        sim.fstate_prefetch = sim.spawn_prefetcher(1);
         sim.phases.build_ns = ns_since(t0);
         sim
     }
@@ -372,6 +374,7 @@ impl Simulator {
     /// to the barrier (in parallel when more than one has work), exchange
     /// cross-shard arrivals, repeat.
     pub fn run_until(&mut self, t_end: SimTime) {
+        self.request_ahead(t_end);
         self.flush_fluid_installs();
         self.started = true;
         loop {
@@ -387,7 +390,7 @@ impl Simulator {
             }
             self.now = start;
             let t0 = Instant::now();
-            self.apply_globals_at(start);
+            self.apply_globals_at(start, t_end);
             self.phases.globals_ns += ns_since(t0);
 
             // The window is bounded by the next coordinator event (its
@@ -473,7 +476,7 @@ impl Simulator {
     fn next_global_time(&self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         if !self.config.freeze_at_epoch {
-            next = Some(SimTime::ZERO + self.config.fstate_step * self.next_fwd_step);
+            next = Some(self.step_time(self.next_fwd_step));
         }
         if let Some(schedule) = &self.config.faults {
             if let Some(e) = schedule.events().get(self.next_fault_index) {
@@ -490,19 +493,20 @@ impl Simulator {
     /// order: the forwarding swap (key 0) first, then fault-schedule
     /// entries in index order, then the fluid finish boundary. Each
     /// counts one event and re-solves the fluid allocation under its own
-    /// key, which is also what orders its trace record.
-    fn apply_globals_at(&mut self, t: SimTime) {
+    /// key, which is also what orders its trace record. A forwarding swap
+    /// first asks for the next step, due by `horizon`, so the re-solve and
+    /// the windows after it overlap its computation.
+    fn apply_globals_at(&mut self, t: SimTime, horizon: SimTime) {
         // Captured before any same-instant re-solve advances the cursor:
         // a boundary due at `t` is its own event even then.
         let due_boundary =
             self.fluid.as_ref().and_then(|f| f.next_boundary()).filter(|&(bt, _)| bt == t);
-        if !self.config.freeze_at_epoch
-            && SimTime::ZERO + self.config.fstate_step * self.next_fwd_step == t
-        {
+        if !self.config.freeze_at_epoch && self.step_time(self.next_fwd_step) == t {
             self.apply_forwarding_step(self.next_fwd_step);
             self.coord_stats.forwarding_updates += 1;
             self.coord_stats.events += 1;
             self.next_fwd_step += 1;
+            self.request_ahead(horizon);
             self.resolve_fluid(t, FORWARDING_KEY);
         }
         if let Some(schedule) = self.config.faults.clone() {
@@ -567,70 +571,77 @@ impl Simulator {
     }
 
     /// Put the forwarding (and multipath) state of `step` in force on
-    /// every shard: taken from the prefetch pool when one runs, else
-    /// computed by the inline worker.
+    /// every shard: taken from the lookahead thread when it was asked for
+    /// `step`, else computed here. The state it replaces becomes the spare.
     fn apply_forwarding_step(&mut self, step: u64) {
-        let ((fwd, mp), counted) = match &mut self.fstate_prefetch {
-            Some(prefetch) => prefetch.take(step),
-            None => Self::forwarding_step(
-                &mut self.worker,
-                &self.constellation,
-                &self.config,
-                &self.dests,
-                step,
-            ),
+        let ((fwd, mp), counted) = match self.lookahead.as_mut().filter(|l| l.is_pending()) {
+            Some(lookahead) => {
+                let t0 = Instant::now();
+                let ready = lookahead.take();
+                self.phases.lookahead_wait_ns += ns_since(t0);
+                ready
+            }
+            None => {
+                let spare = self.spare.take().unwrap_or_else(ForwardingState::empty);
+                let (c, config, dests) = (&self.constellation, &self.config, &self.dests);
+                Self::forwarding_step(&mut self.worker, c, config, dests, (step, spare))
+            }
         };
+        debug_assert_eq!(fwd.computed_at, self.step_time(step), "a step out of order");
         self.routing.0.merge(&counted.0);
         self.routing.1.merge(&counted.1);
-        self.fwd = Arc::new(fwd);
+        let retired = std::mem::replace(&mut self.fwd, Arc::new(fwd));
         self.mp = mp.map(Arc::new);
         for shard in &mut self.shards {
             shard.set_forwarding(self.fwd.clone(), self.mp.clone());
         }
+        self.spare = Arc::try_unwrap(retired).ok();
     }
 
-    /// A worker computing steps the way `config` asks: its routing
-    /// configuration and multipath stretch.
-    fn new_worker(config: &SimConfig) -> SnapshotWorker {
-        SnapshotWorker::with_config(config.routing).with_multipath(config.multipath_stretch)
+    /// Ask the lookahead thread for step `next_fwd_step` unless it is
+    /// past `horizon` or already asked for, spawning the thread (with the
+    /// worker) on first use. The first request refills a clone of the
+    /// state in force; later ones, the state each swap retired.
+    fn request_ahead(&mut self, horizon: SimTime) {
+        let k = self.next_fwd_step;
+        let due = !self.config.freeze_at_epoch && self.step_time(k) <= horizon;
+        if !due || self.lookahead.as_ref().is_some_and(Lookahead::is_pending) {
+            return;
+        }
+        let spare = self.spare.take().unwrap_or_else(|| ForwardingState::clone(&self.fwd));
+        let lookahead = self.lookahead.get_or_insert_with(|| {
+            let (c, config, dests) =
+                (self.constellation.clone(), self.config.clone(), self.dests.clone());
+            let worker = std::mem::take(&mut self.worker);
+            Lookahead::spawn(worker, move |worker, request| {
+                Self::forwarding_step(worker, &c, &config, &dests, request)
+            })
+        });
+        lookahead.request((k, spare));
     }
 
-    /// Forwarding step `k`, at `k × fstate_step`, on `worker` — the one
-    /// step function of the inline path, the restore recompute and every
-    /// prefetch worker. The fault mask is a pure replay of the schedule at
-    /// that instant and repair is byte-identical to full Dijkstra, so the
-    /// states are the same however and whenever this runs; the router's
-    /// counters are handed over with them.
+    /// The instant of forwarding step `k`.
+    fn step_time(&self, k: u64) -> SimTime {
+        SimTime::ZERO + self.config.fstate_step * k
+    }
+
+    /// Forwarding step `k`, at `k × fstate_step`, on `worker`, refilling
+    /// the request's spare state — the one step function of the initial build, the restore
+    /// recompute and the lookahead thread. The fault mask is a pure replay
+    /// of the schedule at that instant and repair is byte-identical to
+    /// full Dijkstra, so the states are the same however and whenever this
+    /// runs; the router's counters are handed over with them.
     fn forwarding_step(
         worker: &mut SnapshotWorker,
         constellation: &Constellation,
         config: &SimConfig,
         dests: &[NodeId],
-        k: u64,
+        (k, mut fwd): Request,
     ) -> Step {
         let t = SimTime::ZERO + config.fstate_step * k;
-        let states = worker.step(constellation, t, dests, config.faults.as_deref());
+        let mp = worker.step_into(constellation, t, dests, config.faults.as_deref(), &mut fwd);
         let router = &mut worker.router;
-        (states, (std::mem::take(&mut router.stats), std::mem::take(&mut router.repair_stats)))
-    }
-
-    /// Start the background forwarding-state pipeline at `start_step`
-    /// (`None` when prefetch is off or the network is frozen). `new` starts
-    /// it at step 1; a restore respawns it at the snapshot's cursor.
-    fn spawn_prefetcher(&self, start_step: u64) -> Option<Prefetcher<Step>> {
-        (self.config.fstate_threads > 0 && !self.config.freeze_at_epoch).then(|| {
-            let (constellation, dests) = (self.constellation.clone(), self.dests.clone());
-            let (config, worker_config) = (self.config.clone(), self.config.clone());
-            Prefetcher::spawn(
-                start_step,
-                config.fstate_threads,
-                FSTATE_PREFETCH,
-                move || Self::new_worker(&worker_config),
-                move |worker: &mut SnapshotWorker, k| {
-                    Self::forwarding_step(worker, &constellation, &config, &dests, k)
-                },
-            )
-        })
+        ((fwd, mp), (std::mem::take(&mut router.stats), std::mem::take(&mut router.repair_stats)))
     }
 
     /// Rebuild the merged `stats` / `trace` views from the coordinator and
@@ -820,19 +831,20 @@ impl Simulator {
             }
         }
 
-        // The prefetch pipeline (if any) was computing steps from 1: drop
-        // it, recompute inline the forwarding state in force at the
-        // checkpoint — the last applied step is `next_fwd_step - 1`; step 0
-        // (and frozen networks) is what the fresh build already computed —
-        // and respawn from the restored cursor so `take(step)` stays in
-        // lockstep with the event loop. Forwarding is a pure function of
-        // the schedule at the step's instant, so this is byte-identical to
-        // the state the checkpointed run was using.
-        self.fstate_prefetch = None;
+        // Take the worker back from the lookahead thread (a step it was
+        // asked for belongs to the old cursor and is dropped) and
+        // recompute here the forwarding state in force at the checkpoint:
+        // the last applied step is `next_fwd_step - 1`; step 0 (and frozen
+        // networks) is what the fresh build already computed. Forwarding
+        // is a pure function of the schedule at the step's instant, so
+        // this is byte-identical to the state the checkpointed run was
+        // using. The next `run_until` respawns the thread at the cursor.
+        if let Some(lookahead) = self.lookahead.take() {
+            self.worker = lookahead.join();
+        }
         if self.next_fwd_step > 1 && !self.config.freeze_at_epoch {
             self.apply_forwarding_step(self.next_fwd_step - 1);
         }
-        self.fstate_prefetch = self.spawn_prefetcher(self.next_fwd_step);
 
         self.now = now;
         self.refresh_views();
@@ -958,40 +970,105 @@ mod tests {
         assert_eq!(a_events, b_events);
     }
 
-    /// The background forwarding-state pipeline is a pure wall-clock knob:
-    /// every observable of a run must be bit-identical to inline
-    /// computation, for any worker-thread count, with and without
-    /// multipath.
+    /// Computing a forwarding step ahead is a pure wall-clock matter:
+    /// a run whose lookahead overlaps every step with the windows before
+    /// it is bit-identical to one cut just short of every step instant,
+    /// where each step is asked for only once it is due — with and without
+    /// multipath, routing counters included (one worker computes the same
+    /// steps in the same order either way).
     #[test]
     fn prefetched_forwarding_is_bit_identical_to_inline() {
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        let run = |cfg: SimConfig| {
+        let run = |cfg: SimConfig, cut_at_steps: bool| {
             let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
             let app = sim.add_app(
                 src,
                 100,
                 Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
             );
+            if cut_at_steps {
+                run_stepwise(&mut sim, SimTime::from_secs(2));
+            }
             sim.run_until(SimTime::from_secs(2));
             let ping: &PingApp = sim.app_as(app).unwrap();
-            // Routing telemetry counts the steps consumed — step 0 plus
-            // every update — wherever they were computed; how many of them
-            // were repairs depends on the workers' caches and is not compared.
             let (router, repair) = sim.engine_report().routing;
             assert_eq!(router.snapshots, sim.stats.forwarding_updates + 1);
             assert_eq!(router.repaired + router.fallback_first, router.snapshots);
             assert_eq!(repair.trees, 2 * router.repaired);
-            (ping.rtts().to_vec(), sim.stats.events, sim.stats.forwarding_updates)
+            (ping.rtts().to_vec(), sim.stats.events, sim.stats.forwarding_updates, router, repair)
         };
-        let inline = run(SimConfig::default());
-        for threads in [1, 2, 4] {
-            let prefetched = run(SimConfig::default().with_fstate_prefetch(threads));
-            assert_eq!(inline, prefetched, "threads={threads}");
+        for cfg in [SimConfig::default(), SimConfig::default().with_multipath(1.3)] {
+            let ahead = run(cfg.clone(), false);
+            assert_eq!(ahead, run(cfg.clone(), true), "multipath={:?}", cfg.multipath_stretch);
         }
-        let mp_inline = run(SimConfig::default().with_multipath(1.3));
-        let mp_prefetched = run(SimConfig::default().with_multipath(1.3).with_fstate_prefetch(2));
-        assert_eq!(mp_inline, mp_prefetched);
+    }
+
+    /// Run `sim` to `t_end` in cuts just short of and at every step
+    /// instant, so each forwarding step is asked for only once it is due:
+    /// the inline schedule a run computing steps ahead must match.
+    fn run_stepwise(sim: &mut Simulator, t_end: SimTime) {
+        let step = sim.config().fstate_step;
+        let mut t = SimTime::ZERO + step;
+        while t <= t_end {
+            sim.run_until(t - SimDuration::from_nanos(1));
+            sim.run_until(t);
+            t += step;
+        }
+        sim.run_until(t_end);
+    }
+
+    /// The lookahead thread computes no step past the `run_until`
+    /// horizon: a run that reaches no step instant never starts it, and
+    /// after any run every step computed has been applied, the retired
+    /// state kept for the next request to refill.
+    #[test]
+    fn lookahead_never_computes_past_the_horizon() {
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let mut sim = Simulator::new(c.clone(), SimConfig::default(), vec![src, dst]);
+        sim.add_app(
+            src,
+            100,
+            Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
+        );
+        sim.run_until(SimTime::from_millis(99));
+        assert!(sim.lookahead.is_none(), "a run short of the first step started the thread");
+        assert_eq!(sim.engine_report().routing.0.snapshots, 1, "step 0 only");
+        for (t_ms, applied) in [(250, 3), (299, 3), (300, 4), (300, 4), (1_000, 11)] {
+            sim.run_until(SimTime::from_millis(t_ms));
+            let lookahead = sim.lookahead.as_ref().expect("a step instant was reached");
+            assert!(!lookahead.is_pending(), "t = {t_ms} ms: a step was computed ahead");
+            assert_eq!(sim.engine_report().routing.0.snapshots, applied, "t = {t_ms} ms");
+            assert_eq!(sim.stats.forwarding_updates + 1, applied, "t = {t_ms} ms");
+            assert!(sim.spare.is_some(), "t = {t_ms} ms: the retired state was not recovered");
+        }
+        let frozen = SimConfig::default().frozen();
+        let mut sim = Simulator::new(c.clone(), frozen, vec![src, dst]);
+        sim.run_until(SimTime::from_secs(1));
+        assert!(sim.lookahead.is_none(), "a frozen network started the thread");
+    }
+
+    /// A step that panics on the lookahead thread panics the event loop
+    /// that takes it, with the step's own message — it does not hang.
+    #[test]
+    fn a_panicking_step_surfaces_on_the_caller() {
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut sim = Simulator::new(c, SimConfig::default(), vec![src, dst]);
+            let failing = Lookahead::spawn(SnapshotWorker::new(), |_, (k, _): Request| -> Step {
+                panic!("step {k} failed")
+            });
+            sim.lookahead = Some(failing);
+            let run = std::panic::AssertUnwindSafe(|| sim.run_until(SimTime::from_secs(1)));
+            let outcome = std::panic::catch_unwind(run)
+                .map_err(|panic| panic.downcast_ref::<String>().cloned().unwrap_or_default());
+            tx.send(outcome).unwrap();
+        });
+        let outcome = rx.recv_timeout(std::time::Duration::from_secs(60)).expect("run hung");
+        assert_eq!(outcome, Err("step 1 failed".to_string()));
     }
 
     /// The shard count is a pure wall-clock knob. Stats, traces, and
@@ -1227,6 +1304,7 @@ mod tests {
         let p = report.phases;
         assert!(p.globals_ns > 0 && p.window_ns > 0 && p.exchange_ns > 0, "{p:?}");
         assert!(p.busy_ns > 0 && p.busy_ns <= 2 * p.window_ns, "{p:?}");
+        assert!(p.lookahead_wait_ns <= p.globals_ns, "{p:?}");
     }
 
     #[test]
@@ -1485,19 +1563,22 @@ mod tests {
             ..FaultSpec::default()
         };
         let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(3)));
-        let run = |cfg: SimConfig| {
+        let run = |cfg: SimConfig, stepwise: bool| {
             let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
             let app = sim.add_app(
                 src,
                 100,
                 Box::new(PingApp::new(dst, SimDuration::from_millis(5), SimTime::from_secs(2))),
             );
+            if stepwise {
+                run_stepwise(&mut sim, SimTime::from_secs(3));
+            }
             sim.run_until(SimTime::from_secs(3));
             let ping: &PingApp = sim.app_as(app).unwrap();
             (ping.rtts().to_vec(), sim.stats.clone())
         };
         let base = SimConfig::default().with_faults(schedule);
-        let inline = run(base.clone());
+        let inline = run(base.clone(), false);
         // Packets the stale state kept sending into the dead satellite.
         assert!(inline.1.fault_drops > 0, "no packets caught by the outage: {:?}", inline.1);
         assert_eq!(
@@ -1506,20 +1587,17 @@ mod tests {
             "conservation: {:?}",
             inline.1
         );
-        for threads in [1, 4] {
-            let prefetched = run(base.clone().with_fstate_prefetch(threads));
-            assert_eq!(inline, prefetched, "threads={threads} diverged under faults");
-        }
-        // And sharded runs agree, with prefetch.
+        // Steps asked for only once due, and sharded runs, agree.
+        assert_eq!(inline, run(base.clone(), true), "stepwise run diverged under faults");
         for shards in [2, 4] {
-            let sharded = run(base.clone().with_sim_shards(shards).with_fstate_prefetch(2));
+            let sharded = run(base.clone().with_sim_shards(shards), false);
             assert_eq!(inline, sharded, "sim_shards={shards} diverged under faults");
         }
     }
 
     /// Full recompute every snapshot — the router's test oracle — and
     /// incremental repair must produce bit-identical simulations, with and
-    /// without faults, inline and prefetched.
+    /// without faults.
     #[test]
     fn routing_modes_are_bit_identical() {
         use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
@@ -1545,9 +1623,7 @@ mod tests {
         for base in [SimConfig::default(), SimConfig::default().with_faults(schedule)] {
             let full = run(SimConfig { routing: RoutingConfig::full(), ..base.clone() });
             let incremental = run(base.clone());
-            assert_eq!(full, incremental, "inline routing modes diverged");
-            let prefetched = run(base.clone().with_fstate_prefetch(2));
-            assert_eq!(full, prefetched, "prefetched incremental diverged");
+            assert_eq!(full, incremental, "routing modes diverged");
         }
     }
 
@@ -1765,25 +1841,41 @@ mod tests {
         }
     }
 
-    /// A restore must also re-seat the background forwarding pipeline at
-    /// the snapshot's step cursor, not step 1.
+    /// One run cut into many `run_until` segments — on and off step
+    /// instants, twice at one instant, through fault events — and restored
+    /// from a checkpoint taken with the next step not yet applied is
+    /// bit-identical to one uninterrupted run. The image is restored into
+    /// a fresh simulator and into one whose lookahead thread has run on
+    /// past the checkpoint: restore takes the worker back from it.
     #[test]
-    fn checkpoint_resume_respawns_the_prefetcher() {
+    fn run_until_cuts_and_a_restore_match_one_run() {
         let c = constellation();
         let (base, build) = resilience_fixture(&c);
-        let cfg = base.with_fstate_prefetch(2);
-        let (mut whole, app_w) = build(&cfg);
-        whole.run_until(SimTime::from_secs(2));
-        let want = observe(&whole, app_w);
+        let cuts_ms = [30, 100, 100, 250, 399, 400, 500, 555, 950];
+        let later_ms = [1_000, 1_234, 1_500, 1_999, 2_000];
+        for mode in [SimMode::Packet, SimMode::Hybrid] {
+            let cfg = base.clone().with_sim_mode(mode);
+            let (mut whole, app_w) = build(&cfg);
+            whole.run_until(SimTime::from_secs(2));
+            let want = observe(&whole, app_w);
 
-        let (mut first, _) = build(&cfg);
-        first.run_until(SimTime::from_millis(900));
-        let image = first.checkpoint().expect("checkpoint");
-
-        let (mut resumed, app_r) = build(&cfg);
-        resumed.restore(image).expect("restore");
-        resumed.run_until(SimTime::from_secs(2));
-        assert_eq!(want, observe(&resumed, app_r));
+            let (mut first, app_f) = build(&cfg);
+            for t in cuts_ms {
+                first.run_until(SimTime::from_millis(t));
+            }
+            let image = first.checkpoint().expect("checkpoint");
+            let (mut ran_on, app_o) = build(&cfg);
+            ran_on.run_until(SimTime::from_millis(1_700));
+            assert!(ran_on.lookahead.is_some());
+            let (mut fresh, app_n) = build(&cfg);
+            for (sim, app) in [(&mut first, app_f), (&mut ran_on, app_o), (&mut fresh, app_n)] {
+                sim.restore(image.clone()).expect("restore");
+                for t in later_ms {
+                    sim.run_until(SimTime::from_millis(t));
+                }
+                assert_eq!(want, observe(sim, app), "mode={}", mode.name());
+            }
+        }
     }
 
     /// Round trip through a file, including the atomic write path.

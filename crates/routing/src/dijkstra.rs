@@ -59,6 +59,9 @@ use std::collections::BinaryHeap;
 /// Distance sentinel for unreachable nodes.
 pub const UNREACHABLE: u64 = u64::MAX;
 
+/// Next-hop sentinel: the vertex is unreachable or is the destination.
+pub const NO_HOP: u32 = u32::MAX;
+
 /// The most buckets the queue's circular array may have: beyond it
 /// (`w_max / Δ` that large) the binary heap runs instead.
 const MAX_BUCKETS: usize = 1 << 16;
@@ -96,8 +99,9 @@ pub struct SpTree {
     /// [`UNREACHABLE`].
     pub dist_ns: Vec<u64>,
     /// `next_hop[v]` = the neighbour `v` forwards to on its shortest path
-    /// to `dst`; `None` if unreachable or `v == dst`.
-    pub next_hop: Vec<Option<u32>>,
+    /// to `dst`; [`NO_HOP`] if unreachable or `v == dst` (see
+    /// [`Self::hop`]).
+    pub next_hop: Vec<u32>,
 }
 
 /// Reusable working memory for [`shortest_path_tree_into`]: the bucket
@@ -139,7 +143,7 @@ impl SpTree {
         self.dist_ns.clear();
         self.dist_ns.resize(n, UNREACHABLE);
         self.next_hop.clear();
-        self.next_hop.resize(n, None);
+        self.next_hop.resize(n, NO_HOP);
     }
 }
 
@@ -236,17 +240,17 @@ fn bucket_tree_into(
                 if nd < old {
                     dist[v] = nd;
                     // v's next hop towards dst is the node we relaxed from.
-                    next_hop[v] = Some(u);
+                    next_hop[v] = u;
                     // Already queued in that bucket: its entry reads the
                     // new label when the bucket is expanded.
                     if nd >> shift != old >> shift {
                         buckets[(nd >> shift) as usize & mask].push(e.to);
                         queued += 1;
                     }
-                } else if nd == old && next_hop[v].is_some_and(|p| u < p) {
+                } else if nd == old && u < next_hop[v] {
                     // Equal-cost tie, resolved towards the smaller parent
-                    // id for determinism.
-                    next_hop[v] = Some(u);
+                    // id for determinism (a finite label always has a hop).
+                    next_hop[v] = u;
                 }
             }
         }
@@ -270,7 +274,7 @@ fn bucket_tree_into(
     for &(v, label, parent) in leaves.iter() {
         if label != UNREACHABLE {
             dist[v as usize] = label;
-            next_hop[v as usize] = Some(parent);
+            next_hop[v as usize] = parent;
         }
     }
 }
@@ -316,16 +320,24 @@ fn heap_tree_into(graph: &DelayGraph, dst: u32, scratch: &mut DijkstraScratch, o
             if nd < dist[v] {
                 dist[v] = nd;
                 // v's next hop towards dst is the node we relaxed from.
-                next_hop[v] = Some(u);
+                next_hop[v] = u;
                 heap.push(Reverse(heap_key(nd, v as u32)));
-            } else if nd == dist[v] && next_hop[v].is_some_and(|old| u < old) {
-                next_hop[v] = Some(u);
+            } else if nd == dist[v] && u < next_hop[v] {
+                next_hop[v] = u;
             }
         }
     }
 }
 
 impl SpTree {
+    /// The neighbour `v` forwards to, or `None` when `v` is unreachable or
+    /// the destination.
+    #[inline]
+    pub fn hop(&self, v: u32) -> Option<u32> {
+        let hop = self.next_hop[v as usize];
+        (hop != NO_HOP).then_some(hop)
+    }
+
     /// Shortest one-way delay from `src` to the tree's destination, ns.
     pub fn distance_ns(&self, src: u32) -> Option<u64> {
         let d = self.dist_ns[src as usize];
@@ -341,7 +353,7 @@ impl SpTree {
         let mut path = vec![src];
         let mut cur = src;
         while cur != self.dst {
-            cur = self.next_hop[cur as usize]?;
+            cur = self.hop(cur)?;
             path.push(cur);
             assert!(path.len() <= self.dist_ns.len(), "next-hop cycle detected");
         }
@@ -536,7 +548,7 @@ mod tests {
                 let tree = shortest_path_tree(&g, dst);
                 for v in 0..n as u32 {
                     assert_eq!(tree.distance_ns(v), ap.distance_ns(v, dst), "{ctx}: {v}->{dst}");
-                    if let Some(p) = tree.next_hop[v as usize] {
+                    if let Some(p) = tree.hop(v) {
                         // The lightest of the parallel links to the parent.
                         let w = g.edges(v as usize).iter().filter(|e| e.to == p);
                         let w = w.map(|e| u64::from(e.delay_ns)).min().expect("hop is no edge");

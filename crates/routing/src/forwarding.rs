@@ -11,7 +11,7 @@
 //! run full Dijkstra on one snapshot — the oracle repair is tested
 //! against, and the look-up for a single instant.
 
-use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree, UNREACHABLE};
+use crate::dijkstra::{shortest_path_tree_into, DijkstraScratch, SpTree, NO_HOP, UNREACHABLE};
 use crate::graph::DelayGraph;
 use crate::multipath::MultipathTree;
 use hypatia_constellation::{Constellation, NodeId};
@@ -59,7 +59,7 @@ fn fill_dest_lookup(lookup: &mut Vec<u32>, dests: &[NodeId], num_nodes: usize) {
 /// nothing.
 #[derive(Debug, Clone)]
 pub struct Hops<'a> {
-    next_hop: &'a [Option<u32>],
+    next_hop: &'a [u32],
     cur: u32,
     dst: u32,
     /// Hops left before the walk can only be a cycle.
@@ -76,7 +76,8 @@ impl Iterator for Hops<'_> {
         }
         let from = self.cur;
         // A node at finite distance always has a parent in its tree.
-        let to = self.next_hop[from as usize].expect("reachable node without a next hop");
+        let to = self.next_hop[from as usize];
+        assert!(to != NO_HOP, "reachable node without a next hop");
         assert!(self.budget > 0, "next-hop cycle detected");
         self.budget -= 1;
         self.cur = to;
@@ -113,7 +114,7 @@ impl ForwardingState {
     /// unreachable (or `node == dst`).
     pub fn next_hop(&self, node: NodeId, dst: NodeId) -> Option<NodeId> {
         let idx = self.dest_index(dst)?;
-        self.trees[idx].next_hop[node.index()].map(NodeId)
+        self.trees[idx].hop(node.0).map(NodeId)
     }
 
     /// Shortest one-way delay from `node` to `dst` at computation time.

@@ -72,7 +72,7 @@
 //! snapshots (never produced by real geometry) fall back to full Dijkstra.
 
 use crate::dijkstra::{
-    check_key_ids, heap_key, key_parts, shortest_path_tree_into, DijkstraScratch, SpTree,
+    check_key_ids, heap_key, key_parts, shortest_path_tree_into, DijkstraScratch, SpTree, NO_HOP,
     UNREACHABLE,
 };
 use crate::forwarding::ForwardingState;
@@ -93,7 +93,7 @@ pub enum RoutingMode {
 }
 
 /// Routing-pipeline configuration shared by the parallel sweep, the
-/// simulator prefetcher, and the bench harness.
+/// simulator's worker, and the bench harness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Full recompute vs. incremental repair.
@@ -220,8 +220,8 @@ impl GraphDiff {
 
 /// What the repair kernel did, summed over every tree a router repaired.
 /// Telemetry: the counts depend on which snapshot a router's cache held,
-/// so under a prefetch pool they vary with thread scheduling; the repaired
-/// trees never do.
+/// so across a parallel sweep they vary with thread scheduling; the
+/// repaired trees never do.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Trees repaired (repaired snapshots × destinations).
@@ -414,12 +414,12 @@ fn set_parent(
     v: usize,
     scan: Scan,
     dist: &mut [u64],
-    next_hop: &mut [Option<u32>],
+    next_hop: &mut [u32],
     slots: &mut [u8],
     gaps: &mut [u32],
 ) {
     dist[v] = scan.label;
-    next_hop[v] = (scan.label != UNREACHABLE).then_some(scan.parent);
+    next_hop[v] = if scan.label != UNREACHABLE { scan.parent } else { NO_HOP };
     slots[v] = u8::try_from(scan.slot).unwrap_or(NO_SLOT);
     gaps[v] = scan.gap;
 }
@@ -535,11 +535,11 @@ fn repair_shortest_path_tree(
         let mut x = v as usize;
         dist[x] = loop {
             match next_hop[x] {
-                None => break UNREACHABLE,
-                Some(p) if dist[p as usize] != PENDING => {
+                NO_HOP => break UNREACHABLE,
+                p if dist[p as usize] != PENDING => {
                     break via_parent(graph.edges(x), slots[x], p, dist, &mut stats.slot_misses);
                 }
-                Some(p) => {
+                p => {
                     stack.push(x as u32);
                     x = p as usize;
                 }
@@ -639,11 +639,12 @@ fn repair_shortest_path_tree(
             continue;
         }
         if mark[v] == CLEAN && !drift.touched[v] {
-            let edge = next_hop[v].and_then(|p| {
-                Some((p, parent_edge(graph.edges(v), slots[v], p, &mut stats.slot_misses)?))
-            });
+            let p = next_hop[v];
+            let edge = (p != NO_HOP)
+                .then(|| parent_edge(graph.edges(v), slots[v], p, &mut stats.slot_misses))
+                .flatten();
             let (label, parent, slot) = match edge {
-                Some((p, (slot, w))) => (dist[p as usize].saturating_add(u64::from(w)), p, slot),
+                Some((slot, w)) => (dist[p as usize].saturating_add(u64::from(w)), p, slot),
                 None => (UNREACHABLE, u32::MAX, NO_SLOT),
             };
             if let Some(gap) = certified_gap(gaps[v], label, was[v], slack) {
@@ -1172,7 +1173,7 @@ mod tests {
             let after = links(5, far_edge.map(|(_, w)| w));
             let n = before.num_nodes();
             let mut tree = crate::dijkstra::shortest_path_tree(&before, 0);
-            assert_eq!(tree.next_hop[3], Some(2));
+            assert_eq!(tree.hop(3), Some(2));
             let (mut memo, mut scratch) = (TreeMemo::default(), RepairScratch::default());
             let mut stats = RepairStats::default();
             // A fresh tree has no certificates: repairing it onto the same
@@ -1202,7 +1203,7 @@ mod tests {
                 &mut scratch,
                 &mut stats,
             );
-            assert_eq!(tree.next_hop[3], Some(1), "{far_edge:?}: the tie goes to the lower id");
+            assert_eq!(tree.hop(3), Some(1), "{far_edge:?}: the tie goes to the lower id");
             let full = crate::dijkstra::shortest_path_tree(&after, 0);
             assert_trees_identical(&tree, &full, &format!("{far_edge:?}"));
             assert_eq!(stats.certified, n as u64 - 2, "{far_edge:?}: all but 3 certified");

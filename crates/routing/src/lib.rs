@@ -27,7 +27,7 @@
 //!   by incremental repair, multipath when a stretch is set), and the
 //!   deterministic pipelines that drive it: the ordered sweep over a step
 //!   range every time-stepped experiment series reads, and the
-//!   bounded-prefetch pool the packet simulator consumes;
+//!   one-step lookahead thread the packet simulator steps it on;
 //! * [`churn`] — per-snapshot next-hop churn and unreachable-pair
 //!   metrics, the routing-level view of fault injection
 //!   (`hypatia-fault`): masked snapshots simply omit failed components,
@@ -54,5 +54,5 @@ pub use graph::{DelayGraph, SnapshotBuffers};
 pub use incremental::{
     GraphDiff, IncrementalRouter, RepairStats, RouterStats, RoutingConfig, RoutingMode,
 };
-pub use parallel::{Prefetcher, SnapshotWorker};
+pub use parallel::{Lookahead, SnapshotWorker};
 pub use path::{extract_path, path_rtt_at, PairTracker};

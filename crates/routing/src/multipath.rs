@@ -92,7 +92,7 @@ impl MultipathTree {
     pub fn pick(&self, node: u32, flow_hash: u64) -> Option<u32> {
         let alts = self.alternates(node);
         if alts.is_empty() {
-            return self.tree.next_hop[node as usize];
+            return self.tree.hop(node);
         }
         Some(alts[(flow_hash % alts.len() as u64) as usize])
     }
@@ -126,7 +126,7 @@ mod tests {
         let (_, g, _, dst) = setup();
         let mp = multipath_tree(&g, dst, 1.3);
         for v in 0..g.num_nodes() as u32 {
-            if let Some(primary) = mp.tree.next_hop[v as usize] {
+            if let Some(primary) = mp.tree.hop(v) {
                 if v == dst {
                     continue;
                 }

@@ -4,9 +4,9 @@
 //! [`SnapshotWorker::step`] is the only way the product turns an instant
 //! into forwarding state: fault mask at `t`, snapshot, unicast trees by
 //! incremental repair, and multipath alternates when a stretch is set.
-//! The packet simulator steps one worker inline (and one per prefetch
-//! thread); every time-stepped experiment series reads
-//! [`sweep_forwarding_states`].
+//! The packet simulator steps one worker, on a [`Lookahead`] thread one
+//! step ahead of its event loop; every time-stepped experiment series
+//! reads [`sweep_forwarding_states`].
 //!
 //! Per-time-step routing snapshots are embarrassingly parallel: each step's
 //! `DelayGraph` + per-destination trees depend only on the constellation
@@ -23,8 +23,8 @@
 //!
 //! * [`for_each_step_ordered`] — bounded-memory fan-out over a known step
 //!   range, under [`sweep_forwarding_states`];
-//! * [`Prefetcher`] — a background pool that computes steps `k+1..k+P`
-//!   while a consumer (the netsim event loop) is still busy with step `k`.
+//! * [`Lookahead`] — one helper thread that computes step `k+1` while its
+//!   owner (the netsim event loop) is still busy with step `k`.
 
 use crate::forwarding::{ForwardingState, MultipathState};
 use crate::graph::SnapshotBuffers;
@@ -33,9 +33,9 @@ use hypatia_constellation::{Constellation, NodeId};
 use hypatia_fault::{FaultSchedule, FaultState};
 use hypatia_util::SimTime;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
+use std::thread::JoinHandle;
 
 /// Resolve a requested worker count: `0` means "all available cores".
 pub fn worker_threads(requested: usize) -> usize {
@@ -182,11 +182,25 @@ impl SnapshotWorker {
         dests: &[NodeId],
         faults: Option<&FaultSchedule>,
     ) -> (ForwardingState, Option<MultipathState>) {
-        let mask = faults.map(|s| FaultState::at(s, t));
-        let fwd = self.forwarding_state_masked(constellation, t, dests, mask.as_ref());
-        let mp =
-            self.multipath_stretch.map(|s| MultipathState::on_trees(self.buffers.graph(), &fwd, s));
+        let mut fwd = ForwardingState::empty();
+        let mp = self.step_into(constellation, t, dests, faults, &mut fwd);
         (fwd, mp)
+    }
+
+    /// As [`Self::step`], refilling `fwd`'s buffers (a retired state of
+    /// the same destinations: then the unicast half allocates nothing).
+    pub fn step_into(
+        &mut self,
+        constellation: &Constellation,
+        t: SimTime,
+        dests: &[NodeId],
+        faults: Option<&FaultSchedule>,
+        fwd: &mut ForwardingState,
+    ) -> Option<MultipathState> {
+        let mask = faults.map(|s| FaultState::at(s, t));
+        let graph = self.buffers.snapshot_masked(constellation, t, mask.as_ref());
+        self.router.compute_into(graph, t, dests, fwd);
+        self.multipath_stretch.map(|s| MultipathState::on_trees(self.buffers.graph(), fwd, s))
     }
 
     /// The unicast half of [`Self::step`] under an explicit fault state.
@@ -237,91 +251,79 @@ pub fn sweep_forwarding_states<W, C>(
     );
 }
 
-/// A bounded-prefetch background pipeline over an open-ended step
-/// sequence: workers compute `f(step)` for `start, start+1, ...` while the
-/// consumer is still busy with earlier steps, keeping at most
-/// `prefetch + threads` results in flight.
-///
-/// Consumption is strictly in order ([`Prefetcher::take`]), so the
-/// observable sequence is identical to calling `f` inline — the netsim
-/// event loop stays deterministic while its forwarding recomputation
-/// overlaps with packet processing. Dropping the `Prefetcher` stops the
-/// workers.
-pub struct Prefetcher<T: Send + 'static> {
-    rx: Option<Receiver<(u64, T)>>,
-    pending: BTreeMap<u64, T>,
-    next: u64,
-    stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// One helper thread running `job` one request ahead of its owner, which
+/// [`Self::request`]s, goes on with its own work, and [`Self::take`]s the
+/// result when it needs it. One request at a time: the owner decides which
+/// jobs run and in what order, so the results are those of calling `job`
+/// inline. The thread owns `state` until [`Self::join`] hands it back; a
+/// panic in `job` resurfaces on the owner at `take`, `join` or drop.
+pub struct Lookahead<S, Q, T> {
+    requests: Option<Sender<Q>>,
+    results: Receiver<T>,
+    thread: Option<JoinHandle<S>>,
+    pending: bool,
 }
 
-impl<T: Send + 'static> Prefetcher<T> {
-    /// Start `threads` background workers computing `f(scratch, k)` for
-    /// `k = start, start+1, ...` with at most `prefetch` finished results
-    /// buffered. Each worker owns one `make_scratch()` value.
-    pub fn spawn<S, MS, F>(
-        start: u64,
-        threads: usize,
-        prefetch: usize,
-        make_scratch: MS,
-        f: F,
-    ) -> Self
-    where
-        MS: Fn() -> S + Send + Sync + 'static,
-        F: Fn(&mut S, u64) -> T + Send + Sync + 'static,
-    {
-        let threads = worker_threads(threads);
-        let (tx, rx) = sync_channel::<(u64, T)>(prefetch.max(1));
-        let stop = Arc::new(AtomicBool::new(false));
-        let counter = Arc::new(AtomicU64::new(0));
-        let shared = Arc::new((make_scratch, f));
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let stop = stop.clone();
-            let counter = counter.clone();
-            let shared = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                let (make_scratch, f) = &*shared;
-                let mut scratch = make_scratch();
-                while !stop.load(Ordering::Relaxed) {
-                    let k = start + counter.fetch_add(1, Ordering::Relaxed);
-                    let r = f(&mut scratch, k);
-                    if tx.send((k, r)).is_err() {
-                        break;
-                    }
+impl<S: Send + 'static, Q: Send + 'static, T: Send + 'static> Lookahead<S, Q, T> {
+    /// Start the helper thread, moving `state` onto it.
+    pub fn spawn(mut state: S, mut job: impl FnMut(&mut S, Q) -> T + Send + 'static) -> Self {
+        let (requests, inbox) = channel::<Q>();
+        let (outbox, results) = sync_channel::<T>(1);
+        let thread = std::thread::spawn(move || {
+            for q in inbox {
+                if outbox.send(job(&mut state, q)).is_err() {
+                    break;
                 }
-            }));
-        }
-        Prefetcher { rx: Some(rx), pending: BTreeMap::new(), next: start, stop, handles }
+            }
+            state
+        });
+        Lookahead { requests: Some(requests), results, thread: Some(thread), pending: false }
     }
 
-    /// Take the result for step `k`. Steps must be consumed in order,
-    /// starting at the `start` passed to [`Prefetcher::spawn`]; blocks
-    /// until the workers have produced step `k`.
-    pub fn take(&mut self, k: u64) -> T {
-        assert_eq!(k, self.next, "prefetched steps must be consumed in order");
-        let rx = self.rx.as_ref().expect("prefetcher already shut down");
-        loop {
-            if let Some(r) = self.pending.remove(&k) {
-                self.next = k + 1;
-                return r;
-            }
-            let (i, r) = rx.recv().expect("prefetch worker died");
-            self.pending.insert(i, r);
-        }
+    /// Is a request in flight (made and not yet taken)?
+    pub fn is_pending(&self) -> bool {
+        self.pending
+    }
+
+    /// Hand the helper its next job. Panics if one is still in flight.
+    pub fn request(&mut self, q: Q) {
+        assert!(!std::mem::replace(&mut self.pending, true), "one request at a time");
+        // A helper that died is reported by the next `take`.
+        let _ = self.requests.as_ref().map(|r| r.send(q));
+    }
+
+    /// The result of the request in flight, blocking until it is done.
+    pub fn take(&mut self) -> T {
+        assert!(std::mem::replace(&mut self.pending, false), "no request in flight");
+        self.results.recv().unwrap_or_else(|_| match self.stop() {
+            Some(Err(panic)) => std::panic::resume_unwind(panic),
+            _ => panic!("lookahead thread exited with a request in flight"),
+        })
+    }
+
+    /// Stop the helper and take its state back (a result in flight is
+    /// dropped).
+    pub fn join(mut self) -> S {
+        let joined = self.stop().expect("the thread is joined only once");
+        joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
-impl<T: Send + 'static> Drop for Prefetcher<T> {
+impl<S, Q, T> Lookahead<S, Q, T> {
+    /// Close the request channel (the helper finishes its job, if any, and
+    /// exits) and join the thread.
+    fn stop(&mut self) -> Option<std::thread::Result<S>> {
+        self.requests = None;
+        self.thread.take().map(JoinHandle::join)
+    }
+}
+
+impl<S, Q, T> Drop for Lookahead<S, Q, T> {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        // Dropping the receiver makes every blocked `send` fail, so the
-        // workers unblock and exit.
-        self.rx = None;
-        self.pending.clear();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        if let Some(Err(panic)) = self.stop() {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(panic);
+            }
         }
     }
 }
@@ -334,6 +336,7 @@ mod tests {
     use hypatia_constellation::isl::IslLayout;
     use hypatia_constellation::shell::ShellSpec;
     use hypatia_util::SimDuration;
+    use std::sync::Arc;
 
     fn constellation() -> Constellation {
         Constellation::build(
@@ -426,33 +429,64 @@ mod tests {
     }
 
     #[test]
-    fn prefetcher_yields_steps_in_order() {
-        let mut pf = Prefetcher::spawn(3, 4, 4, || (), |_, k| k * 10);
+    fn lookahead_yields_requests_in_order() {
+        let mut ahead = Lookahead::spawn(0u64, |jobs: &mut u64, k: u64| {
+            *jobs += 1;
+            k * 10
+        });
         for k in 3..30 {
-            assert_eq!(pf.take(k), k * 10);
+            ahead.request(k);
+            assert!(ahead.is_pending());
+            assert_eq!(ahead.take(), k * 10);
         }
-        // Dropping mid-stream stops the workers without hanging.
-        drop(pf);
+        assert!(!ahead.is_pending());
+        assert_eq!(ahead.join(), 27, "the state comes back with every job counted");
+        // Dropping with a request in flight joins without hanging.
+        let mut ahead = Lookahead::spawn((), |_, k: u64| k);
+        ahead.request(1);
+        drop(ahead);
     }
 
     #[test]
-    fn prefetcher_matches_inline_forwarding_state() {
+    fn lookahead_matches_inline_forwarding_state() {
         let c = Arc::new(constellation());
         let dests = vec![c.gs_node(0), c.gs_node(1)];
         let step = SimDuration::from_millis(100);
-        let mut pf = {
-            let c = c.clone();
-            let dests = dests.clone();
-            Prefetcher::spawn(1, 2, 3, SnapshotWorker::new, move |w: &mut SnapshotWorker, k| {
-                w.step(&c, SimTime::ZERO + step * k, &dests, None)
+        let mut ahead = {
+            let (c, dests) = (c.clone(), dests.clone());
+            Lookahead::spawn(SnapshotWorker::new(), move |w, (k, mut spare): (u64, _)| {
+                let mp = w.step_into(&c, SimTime::ZERO + step * k, &dests, None, &mut spare);
+                (spare, mp)
             })
         };
+        let mut spare = ForwardingState::empty();
         for k in 1..8u64 {
+            ahead.request((k, spare));
             let want =
                 crate::forwarding::compute_forwarding_state(&c, SimTime::ZERO + step * k, &dests);
-            let (got, mp) = pf.take(k);
+            let (got, mp) = ahead.take();
             assert!(mp.is_none(), "no stretch, no multipath");
             assert_eq!(format!("{want:?}"), format!("{got:?}"), "step {k}");
+            spare = got;
         }
+    }
+
+    #[test]
+    fn a_panicking_job_resurfaces_on_the_owner() {
+        let failing = || Lookahead::spawn((), |_, k: u64| -> u64 { panic!("job {k} failed") });
+        let message = |run: &dyn Fn()| {
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_err();
+            panic.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        assert_eq!(
+            message(&|| {
+                let mut ahead = failing();
+                ahead.request(1);
+                ahead.take();
+            }),
+            "job 1 failed",
+            "at take"
+        );
+        assert_eq!(message(&|| failing().request(2)), "job 2 failed", "at drop");
     }
 }

@@ -125,9 +125,8 @@ impl ArtifactSink {
     /// counts (`report.routing`: snapshots full vs. repaired and why, and
     /// what the repairs did) as `perf.engine.routing`. The routing counts
     /// depend on which snapshot each router last saw, hence on the routing
-    /// mode and, under a prefetch pool, on thread scheduling: like
-    /// `events_per_sec` and the phase timers they are not part of what two
-    /// runs must agree on.
+    /// mode and on where a resume restarted it: like `events_per_sec` and
+    /// the phase timers they are not part of what two runs must agree on.
     pub fn record_engine(&mut self, report: &EngineReport) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
         e.sim_shards = report.sim_shards;
@@ -143,6 +142,7 @@ impl ArtifactSink {
         e.phases.window_ns += report.phases.window_ns;
         e.phases.busy_ns += report.phases.busy_ns;
         e.phases.exchange_ns += report.phases.exchange_ns;
+        e.phases.lookahead_wait_ns += report.phases.lookahead_wait_ns;
         e.routing.0.merge(&report.routing.0);
         e.routing.1.merge(&report.routing.1);
     }
@@ -348,6 +348,7 @@ impl ArtifactSink {
                         "window_ns": e.phases.window_ns,
                         "busy_ns": e.phases.busy_ns,
                         "exchange_ns": e.phases.exchange_ns,
+                        "lookahead_wait_ns": e.phases.lookahead_wait_ns,
                     },
                     "routing": routing_json(&e.routing),
                 });
@@ -548,6 +549,7 @@ mod tests {
             window_ns: 300,
             busy_ns: 500,
             exchange_ns: 7,
+            lookahead_wait_ns: 3,
         };
         let routing = (
             RouterStats { snapshots: 8, repaired: 7, fallback_first: 1, ..Default::default() },
@@ -596,6 +598,7 @@ mod tests {
         assert_eq!(phases.get("window_ns").and_then(Value::as_u64), Some(600));
         assert_eq!(phases.get("busy_ns").and_then(Value::as_u64), Some(1000));
         assert_eq!(phases.get("exchange_ns").and_then(Value::as_u64), Some(14));
+        assert_eq!(phases.get("lookahead_wait_ns").and_then(Value::as_u64), Some(6));
         // So do the routing counts, the repair kernel's nested under them.
         let routing = engine.get("routing").expect("routing block");
         assert_eq!(routing.get("snapshots").and_then(Value::as_u64), Some(16));

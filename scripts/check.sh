@@ -205,6 +205,24 @@ for metric, tol, relative in (("goodput", 0.05, True), ("jain", 0.05, False)):
 print("hybrid-vs-packet tolerance gate passed")
 PY
 
+echo "== forwarding lookahead on one core vs unpinned (ext_hybrid_mode)"
+# Each simulator computes its next forwarding step on a lookahead thread
+# beside the event loop; pinned to one core the two share it. Neither
+# schedule may change a byte outside the wall-clock perf block.
+if command -v taskset > /dev/null; then
+  cargo build --release -q -p hypatia-bench --bin run_experiment
+  lookahead_args=(ext_hybrid_mode --set flows=400 --set cities=10
+    --set flow_rate_kbps=64 --set perf_series=false)
+  taskset -c 0 target/release/run_experiment "${lookahead_args[@]}" \
+    --out "$smoke_dir/lookahead_one_core" > /dev/null
+  target/release/run_experiment "${lookahead_args[@]}" \
+    --out "$smoke_dir/lookahead_unpinned" > /dev/null
+  diff <(strip_engine "$smoke_dir/lookahead_one_core/manifest.json") \
+       <(strip_engine "$smoke_dir/lookahead_unpinned/manifest.json")
+else
+  echo "taskset not found: skipping the one-core lookahead leg"
+fi
+
 echo "== crash resilience: audit smoke + kill -9 mid-flight + resume"
 cargo build --release -q -p hypatia-bench --bin run_experiment
 resilience_args=(fig02_scalability --set cities=10 --set duration_s=4
