@@ -1,8 +1,8 @@
 //! Canned, parameterized runners for every experiment in the paper.
 //!
 //! Each module maps to a figure/table of the evaluation (the full index
-//! lives in `DESIGN.md`); the `hypatia-bench` crate wraps these in binaries
-//! that print the same rows/series the paper plots.
+//! lives in `DESIGN.md`); the registered experiments of
+//! [`crate::figures`] run them and write the rows/series the paper plots.
 //!
 //! | Module | Paper artefacts |
 //! |---|---|

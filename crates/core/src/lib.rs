@@ -23,11 +23,11 @@
 //!   seed, free-form params);
 //! * [`runner`] — the [`Experiment`](runner::Experiment) trait and the
 //!   [`ExperimentRunner`](runner::ExperimentRunner) registry that owns the
-//!   shared lifecycle (build the scenario once, execute, write the run's
+//!   one run lifecycle (build the scenario once, execute under a
+//!   deadline and memory budget with panics caught, write the run's
 //!   `manifest.json` through an
-//!   [`ArtifactSink`](hypatia_viz::sink::ArtifactSink)), plus the
-//!   supervised execution layer (panic capture, deadlines, memory
-//!   budgets, retries);
+//!   [`ArtifactSink`](hypatia_viz::sink::ArtifactSink), or salvage an
+//!   aborted one);
 //! * [`resilience`] — the segmented drive loop: periodic checkpoints,
 //!   byte-identical resume, and conservation audits for long runs;
 //! * [`figures`] — every table and figure of the paper (plus the extension

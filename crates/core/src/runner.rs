@@ -5,9 +5,10 @@
 //! [`ExperimentSpec`] at reduced or full scale, and runs against a
 //! [`RunContext`] that hands it the scenario and the
 //! [`hypatia_viz::sink::ArtifactSink`] all outputs flow
-//! through. The [`ExperimentRunner`] owns the registry and the shared
-//! lifecycle: build the spec, assemble the constellation once, execute,
-//! then write the run's `manifest.json`.
+//! through. The [`ExperimentRunner`] owns the registry and the one run
+//! lifecycle, [`ExperimentRunner::run`]: arm the [`Watchdog`], execute with
+//! panics caught, then write the run's `manifest.json` — or, on any
+//! failure, salvage it as `status: aborted`.
 
 use crate::resilience::{DriveOptions, Driver};
 use crate::scenario::{Scenario, UnknownCityError};
@@ -35,7 +36,7 @@ pub enum RunError {
     BadSpec(String),
     /// Writing an artifact failed.
     Io(io::Error),
-    /// The experiment panicked; the supervisor caught it.
+    /// The experiment panicked; the runner caught it.
     Panicked {
         /// Which experiment was running.
         experiment: String,
@@ -111,14 +112,6 @@ impl RunError {
             RunError::Checkpoint(_) => 10,
         }
     }
-
-    /// Whether retrying the same spec can plausibly succeed. Panics and
-    /// I/O failures may be transient (poisoned state, full disk being
-    /// cleaned); spec errors and blown deadlines or budgets are
-    /// deterministic and retrying would only repeat them.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, RunError::Panicked { .. } | RunError::Io(_))
-    }
 }
 
 impl std::error::Error for RunError {}
@@ -143,7 +136,7 @@ impl From<io::Error> for RunError {
 
 /// Wall-clock and memory limits, checked at epoch boundaries.
 ///
-/// A watchdog is armed when the supervisor starts an attempt and consulted
+/// A watchdog is armed when [`ExperimentRunner::run`] starts and consulted
 /// by the [drive loop](crate::resilience::drive) between simulation
 /// segments: overruns surface as typed [`RunError`]s at a point where the
 /// freshest checkpoint is already on disk, instead of as an opaque kill.
@@ -193,18 +186,12 @@ pub struct RunContext {
     pub spec: ExperimentSpec,
     /// Where all artifacts go.
     pub sink: ArtifactSink,
-    /// Deadline and memory limits for this attempt (unlimited unless the
-    /// run goes through [`ExperimentRunner::run_supervised`]).
-    pub watchdog: Watchdog,
+    /// The spec's `deadline_s` and `max_rss_mb` limits.
+    watchdog: Watchdog,
     scenario: Option<Scenario>,
 }
 
 impl RunContext {
-    /// A context executing `spec` into `sink`, with no watchdog limits.
-    pub fn new(spec: ExperimentSpec, sink: ArtifactSink) -> Self {
-        RunContext { spec, sink, watchdog: Watchdog::unlimited(), scenario: None }
-    }
-
     /// The spec's scenario, built once and cached. Returns a cheap clone
     /// (the constellation is shared behind an `Arc`), so the context stays
     /// borrowable for the sink while the scenario is in use.
@@ -290,17 +277,6 @@ impl ExperimentRunner {
         ExperimentRunner { experiments: crate::figures::builtin_experiments() }
     }
 
-    /// A runner with no experiments (register your own).
-    pub fn empty() -> Self {
-        ExperimentRunner { experiments: Vec::new() }
-    }
-
-    /// Add an experiment (replaces any registered one of the same name).
-    pub fn register(&mut self, exp: Box<dyn Experiment>) {
-        self.experiments.retain(|e| e.name() != exp.name());
-        self.experiments.push(exp);
-    }
-
     /// Registered names, in registration order.
     pub fn names(&self) -> Vec<String> {
         self.experiments.iter().map(|e| e.name().to_string()).collect()
@@ -318,134 +294,68 @@ impl ExperimentRunner {
         Ok(self.get(name)?.spec(full))
     }
 
-    /// Execute `spec` with artifacts under `out_dir`; writes the run's
-    /// `manifest.json` last. Returns the manifest path.
-    pub fn run(&self, spec: ExperimentSpec, out_dir: PathBuf) -> Result<PathBuf, RunError> {
-        Ok(self.run_with_sink(spec, ArtifactSink::new(out_dir))?.0)
-    }
-
-    /// Like [`run`](Self::run), but with a caller-supplied sink (e.g. one
-    /// with `verbose` disabled) — still finishes with the manifest.
-    pub fn run_with_sink(
+    /// Execute `spec` into `sink`, the one way to run an experiment: the
+    /// spec's `deadline_s` / `max_rss_mb` arm the context's [`Watchdog`],
+    /// a panic becomes [`RunError::Panicked`], and the run ends with its
+    /// `manifest.json` (returned with the sink). A failed run still
+    /// salvages what the sink holds into a manifest marked
+    /// `status: aborted`, with the freshest checkpoint when one is on disk.
+    pub fn run(
         &self,
         spec: ExperimentSpec,
         sink: ArtifactSink,
     ) -> Result<(PathBuf, ArtifactSink), RunError> {
-        let exp = self.get(&spec.experiment)?;
-        let name = spec.experiment.clone();
-        let mut ctx = RunContext::new(spec, sink);
-        exp.run(&mut ctx)?;
-        let path = ctx.finish(&name)?;
-        Ok((path, ctx.sink))
+        supervise(self.get(&spec.experiment)?, spec, sink)
     }
+}
 
-    /// Execute `spec` under supervision: panics are caught and turned into
-    /// [`RunError::Panicked`], wall-clock and memory limits are enforced
-    /// through the context's [`Watchdog`], retryable failures are retried
-    /// with bounded exponential backoff, and a final failure still salvages
-    /// whatever the sink holds into a manifest marked `status: aborted`
-    /// (with the freshest checkpoint path, when one exists on disk).
-    pub fn run_supervised(
-        &self,
-        spec: ExperimentSpec,
-        out_dir: PathBuf,
-        policy: &RunPolicy,
-    ) -> Result<PathBuf, RunError> {
-        let name = spec.experiment.clone();
-        let mut attempt = 0u32;
-        loop {
-            let mut sink = ArtifactSink::new(out_dir.clone());
-            sink.verbose = policy.verbose;
-            match self.attempt(spec.clone(), sink) {
-                (Ok(path), _) => return Ok(path),
-                (Err(err), salvage) => {
-                    if attempt < policy.retries && err.is_retryable() {
-                        attempt += 1;
-                        let backoff = policy.backoff * 2u32.saturating_pow(attempt - 1).min(16);
-                        eprintln!(
-                            "attempt {attempt}/{} failed ({err}); retrying in {:.1} s",
-                            policy.retries + 1,
-                            backoff.as_secs_f64(),
-                        );
-                        std::thread::sleep(backoff);
-                        continue;
-                    }
-                    if let Some(mut sink) = salvage {
-                        sink.set_aborted(&err.to_string());
-                        if let Some(snap) = latest_snapshot(&out_dir.join("checkpoints")) {
-                            sink.set_last_checkpoint(&snap);
-                        }
-                        if let Err(werr) = sink.write_manifest(&name) {
-                            eprintln!("could not salvage aborted manifest: {werr}");
-                        }
-                    }
-                    return Err(err);
-                }
+/// [`ExperimentRunner::run`] once the experiment is found.
+fn supervise(
+    exp: &dyn Experiment,
+    spec: ExperimentSpec,
+    sink: ArtifactSink,
+) -> Result<(PathBuf, ArtifactSink), RunError> {
+    // A deadline beyond `Duration`'s range never fires.
+    let deadline = limit(&spec, "deadline_s")?
+        .map(|s| Duration::try_from_secs_f64(s).unwrap_or(Duration::MAX));
+    let max_rss = limit(&spec, "max_rss_mb")?.map(|mb| (mb * 1024.0 * 1024.0) as u64);
+    let name = spec.experiment.clone();
+    let watchdog = Watchdog::armed(deadline, max_rss);
+    let mut ctx = RunContext { spec, sink, watchdog, scenario: None };
+    // The context lives outside the unwind boundary so the sink (and
+    // every artifact recorded before the panic) survives for salvage.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| exp.run(&mut ctx)));
+    let result = match outcome {
+        Ok(Ok(())) => ctx.watchdog.check().and_then(|()| Ok(ctx.finish(&name)?)),
+        Ok(Err(err)) => Err(err),
+        Err(payload) => Err(RunError::Panicked {
+            experiment: name.clone(),
+            message: panic_message(payload.as_ref()),
+        }),
+    };
+    match result {
+        Ok(path) => Ok((path, ctx.sink)),
+        Err(err) => {
+            let sink = &mut ctx.sink;
+            sink.set_aborted(&err.to_string());
+            if let Some(snap) = latest_snapshot(&sink.out_dir().join("checkpoints")) {
+                sink.set_last_checkpoint(&snap);
             }
+            if let Err(werr) = sink.write_manifest(&name) {
+                eprintln!("could not salvage aborted manifest: {werr}");
+            }
+            Err(err)
         }
     }
-
-    /// One supervised attempt. Returns the sink alongside the error so the
-    /// caller can salvage partial artifacts; the sink is `None` only when
-    /// the experiment name itself was unknown (nothing ever ran).
-    fn attempt(
-        &self,
-        spec: ExperimentSpec,
-        sink: ArtifactSink,
-    ) -> (Result<PathBuf, RunError>, Option<ArtifactSink>) {
-        let name = spec.experiment.clone();
-        let exp = match self.get(&name) {
-            Ok(exp) => exp,
-            Err(err) => return (Err(err), None),
-        };
-        let deadline = spec.num("deadline_s").map(Duration::from_secs_f64);
-        let max_rss = spec.num("max_rss_mb").map(|mb| (mb * 1024.0 * 1024.0) as u64);
-        let mut ctx = RunContext::new(spec, sink);
-        ctx.watchdog = Watchdog::armed(deadline, max_rss);
-        // The context lives outside the unwind boundary so the sink (and
-        // every artifact recorded before the panic) survives for salvage.
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| exp.run(&mut ctx)));
-        let result = match outcome {
-            Ok(Ok(())) => match ctx.watchdog.check() {
-                Ok(()) => ctx.finish(&name).map_err(RunError::Io),
-                Err(err) => Err(err),
-            },
-            Ok(Err(err)) => Err(err),
-            Err(payload) => {
-                Err(RunError::Panicked { experiment: name, message: panic_message(&payload) })
-            }
-        };
-        (result, Some(ctx.sink))
-    }
 }
 
-/// How [`ExperimentRunner::run_supervised`] polices an execution.
-#[derive(Debug, Clone)]
-pub struct RunPolicy {
-    /// Extra attempts after the first, for retryable failures only.
-    pub retries: u32,
-    /// First retry delay; doubles per attempt (capped at 16×).
-    pub backoff: Duration,
-    /// Forwarded to each attempt's fresh sink.
-    pub verbose: bool,
-}
-
-impl Default for RunPolicy {
-    fn default() -> Self {
-        RunPolicy { retries: 0, backoff: Duration::from_millis(200), verbose: true }
-    }
-}
-
-impl RunPolicy {
-    /// Policy from the spec's free-form params: `retries` counts extra
-    /// attempts (the watchdog limits `deadline_s` / `max_rss_mb` are read
-    /// per attempt by the supervisor itself).
-    pub fn from_spec(spec: &ExperimentSpec) -> Self {
-        let mut policy = RunPolicy::default();
-        if let Some(n) = spec.num("retries") {
-            policy.retries = n.max(0.0) as u32;
-        }
-        policy
+/// A watchdog limit from the spec's params: absent, or a finite number
+/// above zero.
+fn limit(spec: &ExperimentSpec, key: &str) -> Result<Option<f64>, RunError> {
+    match (spec.params.contains_key(key), spec.num(key)) {
+        (false, _) => Ok(None),
+        (true, Some(x)) if x.is_finite() && x > 0.0 => Ok(Some(x)),
+        (true, _) => Err(RunError::BadSpec(format!("{key} must be a finite number above 0"))),
     }
 }
 
@@ -480,6 +390,28 @@ fn latest_snapshot(dir: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{GroundSegment, PairSelection};
+    use hypatia_util::json::{self, Value};
+    use hypatia_util::SimDuration;
+
+    /// A fresh, empty directory for one test's run.
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("hypatia_runner_{}_{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The run's `manifest.json`, parsed.
+    fn manifest(dir: &Path) -> Value {
+        let text = std::fs::read_to_string(dir.join("manifest.json")).expect("manifest written");
+        json::from_str(&text).expect("manifest parses")
+    }
+
+    fn quiet_sink(dir: &Path) -> ArtifactSink {
+        let mut sink = ArtifactSink::new(dir);
+        sink.verbose = false;
+        sink
+    }
 
     #[test]
     fn registry_has_all_figures() {
@@ -556,26 +488,106 @@ mod tests {
     }
 
     #[test]
-    fn register_replaces_by_name() {
-        struct Dummy;
-        impl Experiment for Dummy {
+    fn blown_deadline_salvages_an_aborted_manifest_with_the_last_checkpoint() {
+        let mut spec = ExperimentSpec {
+            experiment: "fig02_scalability".into(),
+            ground: GroundSegment::TopCities(10),
+            pairs: PairSelection::Permutation,
+            duration: SimDuration::from_secs(1),
+            ..ExperimentSpec::default()
+        };
+        for (key, value) in [
+            ("line_rates_mbps", "10"),
+            ("slowdown", "false"),
+            ("checkpoint_every_s", "0.2"),
+            ("deadline_s", "1e-9"),
+        ] {
+            spec.set(key, value).expect(key);
+        }
+        let dir = temp_dir("deadline");
+        match ExperimentRunner::new().run(spec, quiet_sink(&dir)) {
+            Err(RunError::DeadlineExceeded { .. }) => {}
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+        let doc = manifest(&dir);
+        assert_eq!(doc.get("status").and_then(Value::as_str), Some("aborted"));
+        let last = doc.get("checkpoints").and_then(|c| c.get("last")).and_then(Value::as_str);
+        assert!(last.is_some_and(|p| p.ends_with(".snap")), "checkpoints.last: {last:?}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn panic_salvages_the_artifacts_written_before_it() {
+        struct Panics;
+        impl Experiment for Panics {
             fn name(&self) -> &'static str {
-                "fig03_rtt_fluctuations"
+                "panics"
             }
             fn title(&self) -> &'static str {
-                "dummy"
+                "writes one artifact, then panics"
             }
             fn spec(&self, _full: bool) -> ExperimentSpec {
-                ExperimentSpec::default()
+                ExperimentSpec { experiment: self.name().into(), ..ExperimentSpec::default() }
+            }
+            fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
+                ctx.sink.write_text("before.txt", "written before the panic\n")?;
+                panic!("deliberate test panic");
+            }
+        }
+        let dir = temp_dir("panic");
+        match supervise(&Panics, Panics.spec(false), quiet_sink(&dir)) {
+            Err(RunError::Panicked { experiment, message }) => {
+                assert_eq!(experiment, "panics");
+                assert_eq!(message, "deliberate test panic");
+            }
+            other => panic!("expected Panicked, got {other:?}"),
+        }
+        let doc = manifest(&dir);
+        assert_eq!(doc.get("status").and_then(Value::as_str), Some("aborted"));
+        let names: Vec<&str> = doc
+            .get("artifacts")
+            .and_then(Value::as_array)
+            .expect("artifact list")
+            .iter()
+            .filter_map(|a| a.get("name").and_then(Value::as_str))
+            .collect();
+        assert_eq!(names, ["before.txt"]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn watchdog_limits_are_checked_before_the_run_starts() {
+        struct Noop;
+        impl Experiment for Noop {
+            fn name(&self) -> &'static str {
+                "noop"
+            }
+            fn title(&self) -> &'static str {
+                "does nothing"
+            }
+            fn spec(&self, _full: bool) -> ExperimentSpec {
+                ExperimentSpec { experiment: self.name().into(), ..ExperimentSpec::default() }
             }
             fn run(&self, _ctx: &mut RunContext) -> Result<(), RunError> {
                 Ok(())
             }
         }
-        let mut runner = ExperimentRunner::new();
-        let before = runner.names().len();
-        runner.register(Box::new(Dummy));
-        assert_eq!(runner.names().len(), before);
-        assert_eq!(runner.get("fig03_rtt_fluctuations").unwrap().title(), "dummy");
+        let run = |key: &str, value: &str| {
+            let mut spec = Noop.spec(false);
+            spec.set(key, value).expect(key);
+            let dir = temp_dir("limits");
+            let result = supervise(&Noop, spec, quiet_sink(&dir)).map(|_| ());
+            let wrote_manifest = dir.join("manifest.json").exists();
+            let _ = std::fs::remove_dir_all(dir);
+            (result, wrote_manifest)
+        };
+        for (key, value) in [("deadline_s", "0"), ("deadline_s", "inf"), ("max_rss_mb", "-5")] {
+            match run(key, value) {
+                (Err(RunError::BadSpec(msg)), false) => assert!(msg.contains(key), "{msg}"),
+                other => panic!("{key}={value}: expected BadSpec and no manifest, got {other:?}"),
+            }
+        }
+        // Beyond `Duration`'s range: a deadline that never fires, not a panic.
+        assert!(matches!(run("deadline_s", "1e300"), (Ok(()), true)));
     }
 }

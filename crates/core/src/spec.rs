@@ -363,11 +363,8 @@ impl ExperimentSpec {
             "experiment" => {
                 return err("the experiment name is fixed; pick a different registry entry")
             }
-            "routing_mode" => {
-                return err("routing_mode was removed: snapshots are always repaired \
-                     incrementally, with full Dijkstra as the router's own fallback")
-            }
             _ => {
+                removed(key)?;
                 self.params.insert(key.to_string(), infer_param(value));
             }
         }
@@ -787,7 +784,20 @@ fn infer_param(value: &str) -> ParamValue {
     ParamValue::Text(value.to_string())
 }
 
+/// Err for a param that once steered the run and was removed: naming it
+/// is an error, not a silently unread param.
+fn removed(key: &str) -> Result<(), SpecError> {
+    match key {
+        "routing_mode" => err("routing_mode was removed: snapshots are always repaired \
+             incrementally, with full Dijkstra as the router's own fallback"),
+        "retries" => err("retries was removed: a run is deterministic, so retrying \
+             after a failure would only repeat it"),
+        _ => Ok(()),
+    }
+}
+
 fn value_to_param(key: &str, v: &Value) -> Result<ParamValue, SpecError> {
+    removed(key)?;
     let bad = |why: &str| SpecError(format!("param {key:?} {why}"));
     match v {
         Value::Bool(b) => Ok(ParamValue::Flag(*b)),
@@ -1253,6 +1263,23 @@ mod tests {
             assert!(e.0.contains("routing_mode was removed"), "{e}");
         }
         assert!(!spec.params.contains_key("routing_mode"));
+    }
+
+    #[test]
+    fn removed_params_are_errors_in_set_and_in_spec_files() {
+        let mut spec = sample();
+        let e = spec.set("retries", "1").unwrap_err();
+        assert!(e.0.contains("retries was removed"), "{e}");
+        assert!(!spec.params.contains_key("retries"));
+        for key in ["retries", "routing_mode"] {
+            let text = sample().to_json_string().replacen(
+                "\"params\": {",
+                &format!("\"params\": {{ \"{key}\": 1,"),
+                1,
+            );
+            let e = ExperimentSpec::from_json(&text).unwrap_err();
+            assert!(e.0.contains(&format!("{key} was removed")), "{e}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn run_quiet(spec: ExperimentSpec, dir: &Path) -> (Vec<(String, u64, u64)>, Stri
     let runner = ExperimentRunner::new();
     let mut sink = ArtifactSink::new(dir.to_path_buf());
     sink.verbose = false;
-    let (manifest_path, sink) = runner.run_with_sink(spec, sink).expect("experiment run succeeds");
+    let (manifest_path, sink) = runner.run(spec, sink).expect("experiment run succeeds");
     let records = sink.records().iter().map(|r| (r.name.clone(), r.bytes, r.fnv64)).collect();
     let manifest = std::fs::read_to_string(manifest_path).expect("manifest readable");
     (records, manifest)
@@ -725,7 +725,7 @@ fn resume_rejects_corrupt_and_future_version_snapshots() {
         let runner = ExperimentRunner::new();
         let mut sink = ArtifactSink::new(dir.clone());
         sink.verbose = false;
-        let err = match runner.run_with_sink(spec, sink) {
+        let err = match runner.run(spec, sink) {
             Err(e) => e,
             Ok(_) => panic!("{tag}: resume from a bad snapshot must fail"),
         };

@@ -1,10 +1,8 @@
 //! Artifact sinks: every experiment output goes through one recorder.
 //!
-//! The benchmark binaries used to each reimplement "write a series file,
-//! print the path". An [`ArtifactSink`] centralizes that: it owns the
-//! output directory, writes gnuplot series / JSON documents / CZML /
-//! plain text through the shared [`crate::csv`] and
-//! [`crate::czml`] formatters, and records every produced file —
+//! An [`ArtifactSink`] owns the output directory, writes gnuplot series /
+//! JSON documents / CZML / plain text through the shared [`crate::csv`]
+//! and [`crate::czml`] formatters, and records every produced file —
 //! name, size, and checksum — so a run can finish by emitting a
 //! `manifest.json` that states exactly what it produced. Byte checksums
 //! make regression tests one-line: two runs match iff their manifests do.
@@ -75,8 +73,8 @@ pub struct ArtifactSink {
     audit_checks: u64,
     /// Violations those audits found, pre-serialized.
     audit_violations: Vec<Value>,
-    /// Echo `wrote <path>` lines to stdout (the bench binaries' historic
-    /// behaviour); disable for tests.
+    /// Echo `wrote <path>` lines to stdout, as `run_experiment` does;
+    /// disable for tests.
     pub verbose: bool,
 }
 

@@ -6,6 +6,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== cargo build --release --bin run_experiment (every CLI leg below runs this binary)"
+cargo build --release -q --bin run_experiment
+
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -98,28 +101,28 @@ cargo test -q --release -p hypatia --lib experiments::hybrid
 echo "== ext_failure_resilience smoke run (spec round-trip + faulted sim)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_failure_resilience --print-spec \
   --set duration_s=5 --set cities=10 --set pairs="Tokyo:Cairo" \
   --set fail_fracs=0.1 --set mttr_s=5 --set repair_churn_threshold=0.2 \
   > "$smoke_dir/spec.json"
 # A printed spec reads back and prints the same bytes.
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   --spec "$smoke_dir/spec.json" --print-spec > "$smoke_dir/spec_again.json"
 cmp "$smoke_dir/spec.json" "$smoke_dir/spec_again.json"
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   --spec "$smoke_dir/spec.json" --out "$smoke_dir/out" > /dev/null
 test -f "$smoke_dir/out/manifest.json"
 test -f "$smoke_dir/out/ext_failure_goodput.dat"
 
 echo "== 4-shard smoke run (faulted) + shard-count determinism"
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_failure_resilience --out "$smoke_dir/sharded" \
   --set duration_s=4 --set cities=10 --set pairs="Tokyo:Cairo" \
   --set fail_fracs=0.1 --set mttr_s=2 --set sim_shards=4 > /dev/null
 test -f "$smoke_dir/sharded/manifest.json"
 grep -q '"sim_shards": 4' "$smoke_dir/sharded/manifest.json"
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_failure_resilience --out "$smoke_dir/serial" \
   --set duration_s=4 --set cities=10 --set pairs="Tokyo:Cairo" \
   --set fail_fracs=0.1 --set mttr_s=2 --set sim_shards=1 > /dev/null
@@ -137,7 +140,7 @@ diff <(strip_engine "$smoke_dir/sharded/manifest.json") \
      <(strip_engine "$smoke_dir/serial/manifest.json")
 
 echo "== ext_flow_scaling smoke run (10k gravity flows, trace sampling on)"
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_flow_scaling --out "$smoke_dir/flows10k" \
   --set flows=10000 --set trace_sample_every=8 \
   --set cities=20 --set duration_s=1 > /dev/null
@@ -146,11 +149,11 @@ test -f "$smoke_dir/flows10k/ext_flow_scaling_events_per_sec.dat"
 grep -q 'trace sampling active' "$smoke_dir/flows10k/manifest.json"
 
 echo "== flow-table determinism gate (1k flows, sampling off: arena vs apps)"
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_flow_scaling --out "$smoke_dir/flows_arena" \
   --set flows=1000 --set flow_table=arena --set perf_series=false \
   --set cities=20 --set duration_s=1 > /dev/null
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_flow_scaling --out "$smoke_dir/flows_apps" \
   --set flows=1000 --set flow_table=apps --set perf_series=false \
   --set cities=20 --set duration_s=1 > /dev/null
@@ -160,7 +163,7 @@ diff <(strip_engine "$smoke_dir/flows_arena/manifest.json") \
      <(strip_engine "$smoke_dir/flows_apps/manifest.json")
 
 echo "== sim_mode spec round-trip (hybrid knobs survive --print-spec)"
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_hybrid_mode --print-spec \
   --set sim_mode=hybrid --set fluid_threshold_kbps=64 \
   > "$smoke_dir/hybrid_spec.json"
@@ -168,7 +171,7 @@ grep -q '"sim_mode": "hybrid"' "$smoke_dir/hybrid_spec.json"
 grep -q '"fluid_threshold_kbps": 64' "$smoke_dir/hybrid_spec.json"
 
 echo "== ext_hybrid_mode smoke run (400 gravity flows, all three modes)"
-cargo run --release -q -p hypatia-bench --bin run_experiment -- \
+target/release/run_experiment \
   ext_hybrid_mode --out "$smoke_dir/hybrid" \
   --set flows=400 --set cities=10 --set flow_rate_kbps=64 > /dev/null
 test -f "$smoke_dir/hybrid/manifest.json"
@@ -210,7 +213,6 @@ echo "== forwarding lookahead on one core vs unpinned (ext_hybrid_mode)"
 # beside the event loop; pinned to one core the two share it. Neither
 # schedule may change a byte outside the wall-clock perf block.
 if command -v taskset > /dev/null; then
-  cargo build --release -q -p hypatia-bench --bin run_experiment
   lookahead_args=(ext_hybrid_mode --set flows=400 --set cities=10
     --set flow_rate_kbps=64 --set perf_series=false)
   taskset -c 0 target/release/run_experiment "${lookahead_args[@]}" \
@@ -224,7 +226,6 @@ else
 fi
 
 echo "== crash resilience: audit smoke + kill -9 mid-flight + resume"
-cargo build --release -q -p hypatia-bench --bin run_experiment
 resilience_args=(fig02_scalability --set cities=10 --set duration_s=4
   --set line_rates_mbps=10 --set slowdown=false --set audit=true
   --set checkpoint_every_s=0.5)

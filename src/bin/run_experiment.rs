@@ -16,17 +16,19 @@
 //! (shorthand for `--set resume_from=<dir>`). A run by name starts with
 //! the figure's banner.
 //!
-//! Runs execute under supervision: panics, wall-clock deadlines
-//! (`--set deadline_s=F`), and memory budgets (`--set max_rss_mb=F`)
-//! become typed errors with a salvaged `status: aborted` manifest, and
-//! each error class exits with its own code (see
-//! `RunError::exit_code`): 2 usage, 3 unknown experiment, 4 unknown
-//! city, 5 bad spec, 6 I/O, 7 panic, 8 deadline, 9 memory budget,
-//! 10 checkpoint.
+//! Every run goes through `ExperimentRunner::run`: panics, wall-clock
+//! deadlines (`--set deadline_s=F`), and memory budgets
+//! (`--set max_rss_mb=F`) become typed errors with a salvaged
+//! `status: aborted` manifest, and each error class exits with its own
+//! code (see `RunError::exit_code`): 2 usage, 3 unknown experiment,
+//! 4 unknown city, 5 bad spec, 6 I/O, 7 panic, 8 deadline, 9 memory
+//! budget, 10 checkpoint.
 
-use hypatia::runner::{ExperimentRunner, RunError, RunPolicy};
+#![forbid(unsafe_code)]
+
+use hypatia::runner::{ExperimentRunner, RunError};
 use hypatia::spec::ExperimentSpec;
-use hypatia_bench::{apply_sets, banner};
+use hypatia_viz::sink::ArtifactSink;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Write as _};
 use std::path::PathBuf;
@@ -120,7 +122,9 @@ fn resolve_spec(cli: &Cli, runner: &ExperimentRunner) -> Result<ExperimentSpec, 
             exit(2);
         }
     };
-    apply_sets(&mut spec, &cli.sets)?;
+    for (key, value) in &cli.sets {
+        spec.set(key, value)?;
+    }
     if let Some(dir) = &cli.resume {
         spec.resume_from = Some(dir.clone());
     }
@@ -177,13 +181,18 @@ fn main() {
     }
     if let (None, Ok(exp)) = (&cli.spec_file, runner.get(&spec.experiment)) {
         if let Some(label) = exp.label() {
-            banner(label, exp.title(), cli.full);
+            let rule = "==============================================================";
+            let scale = if cli.full {
+                "FULL (paper parameters)"
+            } else {
+                "reduced (pass --full for paper parameters)"
+            };
+            println!("{rule}\n{label}: {}\nscale: {scale}\n{rule}", exp.title());
         }
     }
 
-    let policy = RunPolicy::from_spec(&spec);
-    match runner.run_supervised(spec, cli.out_dir, &policy) {
-        Ok(manifest) => println!("done: {}", manifest.display()),
+    match runner.run(spec, ArtifactSink::new(cli.out_dir)) {
+        Ok((manifest, _)) => println!("done: {}", manifest.display()),
         Err(e) => {
             // One diagnostic line per failure, one exit code per class
             // (RunError::Display already lists the registry for unknown

@@ -1,5 +1,5 @@
 //! `run_experiment` against hostile input: one `error: …` line and the
-//! bad-spec exit code, never a crash.
+//! bad-spec exit code, never a crash; `--set`s apply in order.
 
 use std::process::{Command, Output, Stdio};
 
@@ -34,7 +34,14 @@ fn deeply_nested_spec_is_a_bad_spec_not_a_stack_overflow() {
 
 #[test]
 fn out_of_range_knobs_are_bad_specs_not_panics() {
-    for set in ["duration_s=-1", "step_ms=0"] {
+    for set in [
+        "duration_s=-1",
+        "step_ms=0",
+        "deadline_s=-1",
+        "deadline_s=nan",
+        "max_rss_mb=-5",
+        "retries=1",
+    ] {
         let stderr = assert_bad_spec(&run("set", None, &["fig09_timestep", "--set", set]));
         let key = set.split('=').next().unwrap();
         assert!(stderr.contains(key), "--set {set}: {stderr}");
@@ -47,6 +54,29 @@ fn out_of_range_knobs_are_bad_specs_not_panics() {
     assert_ne!(bad, text);
     let stderr = assert_bad_spec(&run("churn", Some(&bad), &[]));
     assert!(stderr.contains("repair_churn_threshold"), "stderr: {stderr}");
+}
+
+#[test]
+fn sets_apply_in_order() {
+    let args = [
+        "fig03_rtt_fluctuations",
+        "--set",
+        "duration_s=10",
+        "--set",
+        "duration_s=20",
+        "--print-spec",
+    ];
+    let out = run("order", None, &args);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert!(text.contains("\n  \"duration_s\": 20,\n"), "{text}");
+}
+
+#[test]
+fn bad_set_is_a_spec_error() {
+    let out = run("tahoe", None, &["fig03_rtt_fluctuations", "--set", "cc=tahoe"]);
+    let stderr = assert_bad_spec(&out);
+    assert!(stderr.contains("tahoe"), "stderr: {stderr}");
 }
 
 #[test]

@@ -96,7 +96,7 @@ fn fig02_manifest(sets: &[(&str, &str)], tag: &str) -> String {
     std::fs::remove_dir_all(&dir).ok();
     let mut sink = ArtifactSink::new(&dir);
     sink.verbose = false;
-    let (path, _sink) = runner.run_with_sink(spec, sink).expect("run succeeds");
+    let (path, _sink) = runner.run(spec, sink).expect("run succeeds");
     let text = std::fs::read_to_string(&path).expect("manifest readable");
     std::fs::remove_dir_all(&dir).ok();
     // Everything else stays, including the shard-invariant simulated
