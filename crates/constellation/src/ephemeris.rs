@@ -9,8 +9,8 @@
 //! window of simulated time, and return **the same `SimDuration`, bit for
 //! bit**, for every `(a, b, t)`, whatever either of them holds. That
 //! invariance is the design: the caches are invisible to results, so they
-//! are not checkpointed, not exchanged between shards, and nothing selects
-//! between them and the exact path.
+//! are not checkpointed, and nothing selects between them and the exact
+//! path.
 //!
 //! # Mechanism
 //!
@@ -98,7 +98,7 @@ const NO_WINDOW: u64 = u64::MAX;
 
 /// How an [`Ephemeris`] served its queries — run telemetry for the
 /// manifest's `perf.engine.ephemeris` block, never a simulation
-/// observable: the counts depend on how nodes are sharded and restart at a
+/// observable: the counts depend on what the caches held and restart at a
 /// resume. Delays asked inside a rejected link fit are served exactly and
 /// counted by neither `interpolated` nor `exact_guard`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,8 +118,8 @@ pub struct EphemerisStats {
 }
 
 impl EphemerisStats {
-    /// Fold in another ephemeris' counts (shards, or successive
-    /// simulations of one run): everything adds up.
+    /// Fold in another ephemeris' counts (successive simulations of one
+    /// run): everything adds up.
     pub fn merge(&mut self, other: &EphemerisStats) {
         self.fits += other.fits;
         self.link_fits += other.link_fits;
@@ -544,7 +544,7 @@ mod tests {
         assert!(hits >= 10, "only {hits} constructed guard cases");
     }
 
-    /// The property resume and sharding rely on: a cold memo, a warm one,
+    /// The property resume relies on: a cold memo, a warm one,
     /// one holding another peer's link and one fitted for another window
     /// (earlier or later) all return the same delay.
     #[test]

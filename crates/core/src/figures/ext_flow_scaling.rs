@@ -68,9 +68,9 @@ impl Experiment for ExtFlowScaling {
             ParamValue::Text(FlowTable::Arena.name().to_string()),
         );
         // `--set perf_series=false` drops the wall-clock artifacts
-        // (events/sec, peak RSS) and the manifest's `perf.engine.queue`
-        // block, leaving only outputs that are identical under every
-        // engine — the determinism gate in scripts/check.sh relies on this.
+        // (events/sec, peak RSS), leaving only outputs that are identical
+        // under every flow table — the determinism gate in
+        // scripts/check.sh relies on this.
         spec.params.insert("perf_series".to_string(), ParamValue::Flag(true));
         spec
     }
@@ -123,9 +123,6 @@ impl Experiment for ExtFlowScaling {
                 p.peak_rss_bytes.map_or_else(|| "-".to_string(), |b| format!("{} MB", b >> 20)),
             );
             p.run.record(&mut ctx.sink);
-            if with_perf_series {
-                ctx.sink.record_queue(&p.run.engine.queue);
-            }
             let x = p.flows as f64;
             events_per_sec.push((x, p.run.events_per_sec()));
             goodput.push((x, p.goodput_gbps));

@@ -43,10 +43,9 @@ impl Experiment for Fig02 {
             vec![1.0, 10.0, 25.0]
         };
         spec.params.insert("line_rates_mbps".to_string(), ParamValue::List(rates));
-        // `--set slowdown=false` drops the wall-clock slowdown artifacts
-        // and the manifest's shard-count-dependent `perf.engine.queue`
-        // block, leaving only outputs that are identical at every shard
-        // and thread count (for golden-manifest tests).
+        // `--set slowdown=false` drops the wall-clock slowdown artifacts,
+        // leaving only outputs that are identical at every thread count
+        // (for golden-manifest tests).
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(true));
         // `--set flow_table=arena` switches per-flow apps to arena tables;
         // artifacts are byte-identical either way.
@@ -91,9 +90,6 @@ impl Experiment for Fig02 {
                     p.events
                 );
                 p.run.record(&mut ctx.sink);
-                if with_slowdown {
-                    ctx.sink.record_queue(&p.run.engine.queue);
-                }
                 points.push(p);
             }
             let series: Vec<(f64, f64)> =

@@ -158,7 +158,7 @@ pub struct SimRun {
     /// Wall-clock seconds the simulation took, snapshot writes excluded:
     /// they are I/O, not simulation.
     pub wall_s: f64,
-    /// How the engine executed: shard count, epochs, barriers, queue.
+    /// How the engine executed: windows, queue, fluid solver, phases.
     pub engine: EngineReport,
     /// Checkpoints, resume point and audits of the drive loop.
     pub outcome: DriveOutcome,

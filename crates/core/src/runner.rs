@@ -225,9 +225,13 @@ impl RunContext {
 
     /// Write the manifest, first warning about every resilience knob that
     /// did nothing because the experiment drove no simulation (a
-    /// simulation always processes at least its t = 0 forwarding update).
+    /// simulation always processes at least its t = 0 forwarding update),
+    /// and about a retired `sim_shards` above 1 (ROADMAP item 1c).
     fn finish(&mut self, experiment: &str) -> io::Result<PathBuf> {
         let spec = &self.spec;
+        if spec.sim_shards > 1 {
+            self.sink.warn("sim_shards ignored: the event engine runs one shard");
+        }
         let knobs = [
             ("checkpoint_every_s", spec.checkpoint_every.is_some()),
             ("resume_from", spec.resume_from.is_some()),

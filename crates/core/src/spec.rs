@@ -141,7 +141,10 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Churn share above which SSSP repair recomputes in full (`repair_churn_threshold`).
     pub repair_churn_threshold: f64,
-    /// Event-engine shard count; results are identical for any value (`sim_shards`).
+    /// Retired event-engine shard count (`sim_shards`): parsed, validated
+    /// ≥ 1 and printed off its default, but nothing reads it — the engine
+    /// runs one shard, and a run given more warns. Kept while the
+    /// benchmark harness still writes it (ROADMAP item 1c).
     pub sim_shards: usize,
     /// Packet-level, fluid, or hybrid simulation of bulk flows (`sim_mode`).
     pub sim_mode: SimMode,
@@ -180,7 +183,7 @@ impl Default for ExperimentSpec {
             threads: 0,
             seed: 1,
             repair_churn_threshold: sim.routing.repair_churn_threshold,
-            sim_shards: sim.sim_shards,
+            sim_shards: 1,
             sim_mode: sim.sim_mode,
             fluid_threshold_kbps: 0.0,
             flows: None,
@@ -213,7 +216,6 @@ impl ExperimentSpec {
             cfg = cfg.with_utilization_bucket(bucket);
         }
         cfg.with_repair_churn_threshold(self.repair_churn_threshold)
-            .with_sim_shards(self.sim_shards)
             .with_sim_mode(self.sim_mode)
             .with_trace_sampling(self.trace_sample_every)
     }
@@ -633,8 +635,7 @@ const KNOBS: &[Knob] = knobs![
     threads: required Any Count(threads),
     /// Seed of the randomized pieces (permutation matrix, loss processes).
     seed: required Any Int(seed),
-    /// Shards of the event engine (1 = one shard on the calling thread);
-    /// results are identical for any value.
+    /// Retired: accepted, ignored, warns above 1 (the event engine runs one shard).
     sim_shards: defaulted Positive Count(sim_shards),
     /// packet, fluid, or hybrid (bulk flows fluid, the rest packet-level).
     sim_mode: defaulted Any Mode(sim_mode),
@@ -1038,7 +1039,6 @@ mod tests {
         spec.step = SimDuration::from_millis(50);
         spec.utilization_bucket = Some(SimDuration::from_secs(1));
         spec.threads = 4;
-        spec.sim_shards = 4;
         spec.sim_mode = SimMode::Hybrid;
         spec.trace_sample_every = 64;
         let cfg = spec.sim_config();
@@ -1049,7 +1049,6 @@ mod tests {
         // `threads` sets routing-sweep workers only: the simulator is the same.
         let unthreaded = ExperimentSpec { threads: 0, ..spec.clone() }.sim_config();
         assert_eq!(format!("{cfg:?}"), format!("{unthreaded:?}"));
-        assert_eq!(cfg.sim_shards, 4);
         assert_eq!(cfg.sim_mode, SimMode::Hybrid);
         assert_eq!(cfg.trace_sample_every, 64);
     }
@@ -1155,8 +1154,9 @@ mod tests {
 
     #[test]
     fn sim_shards_round_trips_and_defaults_to_omitted() {
-        // Byte compatibility: specs at the default (serial) engine serialize
-        // exactly as before the sharded engine existed.
+        // Byte compatibility: specs at the default serialize exactly as
+        // before the sharded engine existed, and a retired value still
+        // reads back and prints the same bytes.
         let spec = sample();
         let text = spec.to_json_string();
         assert!(!text.contains("sim_shards"));
@@ -1171,7 +1171,8 @@ mod tests {
         let back = ExperimentSpec::from_json(&text).expect("parse own output");
         assert_eq!(spec, back);
         assert_eq!(text, back.to_json_string());
-        assert_eq!(spec.sim_config().sim_shards, 4);
+        let serial = ExperimentSpec { sim_shards: 1, ..spec.clone() };
+        assert_eq!(format!("{:?}", spec.sim_config()), format!("{:?}", serial.sim_config()));
 
         assert!(spec.set("sim_shards", "0").is_err());
         assert!(spec.set("sim_shards", "many").is_err());

@@ -211,11 +211,8 @@ fn faulted_fig02_manifest_is_thread_invariant() {
 }
 
 /// The arena flow table is a pure memory-layout knob: the faulted Fig. 2
-/// workload must produce byte-identical artifacts with bulk per-node flow
-/// tables as with one app per flow, across engine shard counts. Manifests
-/// are compared between runs with the same shard count (the `perf.engine`
-/// block reports shard telemetry); artifact bytes must match across every
-/// combination.
+/// workload must produce byte-identical artifacts and manifests with bulk
+/// per-node flow tables as with one app per flow.
 #[test]
 fn arena_flow_table_reproduces_apps_artifacts_across_engines() {
     let base = {
@@ -238,34 +235,59 @@ fn arena_flow_table_reproduces_apps_artifacts_across_engines() {
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(false));
         spec
     };
-    let variant = |flow_table: &str, shards: usize| {
-        let mut spec = ExperimentSpec { sim_shards: shards, ..base.clone() };
+    let variant = |flow_table: &str| {
+        let mut spec = base.clone();
         spec.params.insert("flow_table".to_string(), ParamValue::Text(flow_table.to_string()));
         spec
     };
 
-    let dir_serial = temp_dir("arena_ref_serial");
-    let dir_sharded = temp_dir("arena_ref_sharded");
-    let (apps, serial_manifest) = run_quiet(variant("apps", 1), &dir_serial);
-    let (apps_sharded, sharded_manifest) = run_quiet(variant("apps", 4), &dir_sharded);
+    let dir_apps = temp_dir("arena_ref_apps");
+    let dir_arena = temp_dir("arena_arena");
+    let (apps, apps_manifest) = run_quiet(variant("apps"), &dir_apps);
     assert!(!apps.is_empty(), "arena golden: expected artifacts, got none");
-    assert_eq!(apps, apps_sharded, "apps layout must itself be shard-invariant");
+    let (arena, arena_manifest) = run_quiet(variant("arena"), &dir_arena);
+    assert_eq!(apps, arena, "arena artifacts diverge from apps");
+    assert_eq!(
+        strip_wall_clock(&apps_manifest),
+        strip_wall_clock(&arena_manifest),
+        "arena manifest diverges from apps"
+    );
 
-    for shards in [1, 4] {
-        let dir = temp_dir(&format!("arena_{shards}"));
-        let (arena, arena_manifest) = run_quiet(variant("arena", shards), &dir);
-        assert_eq!(apps, arena, "arena artifacts diverge from apps at sim_shards={shards}");
-        let reference = if shards == 1 { &serial_manifest } else { &sharded_manifest };
-        assert_eq!(
-            strip_wall_clock(reference),
-            strip_wall_clock(&arena_manifest),
-            "arena manifest diverges from apps at sim_shards={shards}"
-        );
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let _ = std::fs::remove_dir_all(dir_apps);
+    let _ = std::fs::remove_dir_all(dir_arena);
+}
 
-    let _ = std::fs::remove_dir_all(dir_serial);
-    let _ = std::fs::remove_dir_all(dir_sharded);
+/// `sim_shards` is retired: the faulted Fig. 2 workload at `sim_shards=4`
+/// runs the one-shard engine, so it writes the `sim_shards=1` artifacts
+/// and manifest, plus one warning naming the ignored knob.
+#[test]
+fn retired_sim_shards_reproduces_the_one_shard_run() {
+    let dir_one = temp_dir("shards_one");
+    let dir_four = temp_dir("shards_four");
+    let (one, one_manifest) = run_quiet(faulted_fig02_base(), &dir_one);
+    let four_spec = ExperimentSpec { sim_shards: 4, ..faulted_fig02_base() };
+    let (four, four_manifest) = run_quiet(four_spec, &dir_four);
+    assert!(!one.is_empty(), "expected artifacts, got none");
+    assert_eq!(one, four, "sim_shards=4 changed the artifacts");
+
+    let warnings = |manifest: &str| -> Vec<String> {
+        let doc = json::from_str(manifest).expect("manifest parses");
+        let list = doc.get("warnings").and_then(|w| w.as_array().cloned()).expect("warnings");
+        list.iter().map(|w| w.as_str().expect("warning text").to_string()).collect()
+    };
+    let (mut want, got) = (warnings(&one_manifest), warnings(&four_manifest));
+    let named: Vec<&String> = got.iter().filter(|w| w.contains("sim_shards")).collect();
+    assert_eq!(named.len(), 1, "one warning names sim_shards: {got:?}");
+    want.push(named[0].clone());
+    assert_eq!(want, got, "the sim_shards warning is the only new line");
+    let core = |manifest: &str| {
+        let skip = ["perf.events_per_sec", "perf.engine.phases", "perf.engine.routing", "warnings"];
+        manifest_without(manifest, &skip)
+    };
+    assert_eq!(core(&one_manifest), core(&four_manifest), "manifests diverge beyond warnings");
+
+    let _ = std::fs::remove_dir_all(dir_one);
+    let _ = std::fs::remove_dir_all(dir_four);
 }
 
 /// A trivial (fault-free) FaultSpec compiles to an empty schedule and must
@@ -345,67 +367,63 @@ fn audit_violations(manifest: &str) -> Option<usize> {
 
 /// Byte-identical resume: the faulted Fig. 2 workload driven with periodic
 /// checkpoints, then resumed from the snapshots it left on disk, must
-/// reproduce the uninterrupted run's artifacts byte for byte — across
-/// engine shard counts and packet/hybrid simulation modes — with
-/// conservation audits green everywhere.
+/// reproduce the uninterrupted run's artifacts byte for byte — in packet
+/// and hybrid simulation modes — with conservation audits green
+/// everywhere.
 #[test]
 fn resumed_faulted_fig02_is_byte_identical_across_engines() {
     for mode in ["packet", "hybrid"] {
-        // Per-mode plain reference (no resilience knobs at all). Artifact
-        // bytes are shard-invariant (proven above), so one
-        // uninterrupted run anchors every engine variant of this mode.
+        // Per-mode plain reference (no resilience knobs at all).
         let dir_ref = temp_dir(&format!("resume_ref_{mode}"));
         let mut plain = faulted_fig02_base();
         plain.set("sim_mode", mode).expect("sim_mode knob");
         let (reference, _) = run_quiet(plain, &dir_ref);
         assert!(!reference.is_empty(), "{mode}: expected artifacts, got none");
 
-        for shards in [1usize, 4] {
-            let tag = format!("resume_{mode}_{shards}");
-            let variant = || {
-                let mut spec = ExperimentSpec { sim_shards: shards, ..faulted_fig02_base() };
-                spec.set("sim_mode", mode).expect("sim_mode knob");
-                spec.set("audit", "true").expect("audit knob");
-                spec.set("checkpoint_every_s", "0.3").expect("checkpoint knob");
-                spec
-            };
+        let tag = format!("resume_{mode}");
+        let variant = || {
+            let mut spec = faulted_fig02_base();
+            spec.set("sim_mode", mode).expect("sim_mode knob");
+            spec.set("audit", "true").expect("audit knob");
+            spec.set("checkpoint_every_s", "0.3").expect("checkpoint knob");
+            spec
+        };
 
-            // Leg 1: uninterrupted, snapshotting at 0.3/0.6/0.9 s.
-            let dir1 = temp_dir(&format!("{tag}_leg1"));
-            let (arts1, manifest1) = run_quiet(variant(), &dir1);
-            let snaps = dir1.join("checkpoints");
-            assert!(
-                snaps.join("udp_apps_10000000bps.snap").exists()
-                    && snaps.join("tcp_apps_10000000bps.snap").exists(),
-                "{tag}: expected per-point snapshots in {}",
-                snaps.display()
-            );
+        // Leg 1: uninterrupted, snapshotting at 0.3/0.6/0.9 s.
+        let dir1 = temp_dir(&format!("{tag}_leg1"));
+        let (arts1, manifest1) = run_quiet(variant(), &dir1);
+        let snaps = dir1.join("checkpoints");
+        assert!(
+            snaps.join("udp_apps_10000000bps.snap").exists()
+                && snaps.join("tcp_apps_10000000bps.snap").exists(),
+            "{tag}: expected per-point snapshots in {}",
+            snaps.display()
+        );
 
-            // Leg 2: resume from leg 1's snapshots — each point
-            // restores at t = 0.9 s and replays only the tail.
-            let dir2 = temp_dir(&format!("{tag}_leg2"));
-            let mut leg2 = variant();
-            leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
-            let (arts2, manifest2) = run_quiet(leg2, &dir2);
+        // Leg 2: resume from leg 1's snapshots — each point
+        // restores at t = 0.9 s and replays only the tail.
+        let dir2 = temp_dir(&format!("{tag}_leg2"));
+        let mut leg2 = variant();
+        leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
+        let (arts2, manifest2) = run_quiet(leg2, &dir2);
 
-            assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
-            assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
+        assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
+        assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
+        assert_eq!(
+            manifest_core(&manifest1),
+            manifest_core(&manifest2),
+            "{tag}: manifests diverge beyond the run-shape sections"
+        );
+        for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
             assert_eq!(
-                manifest_core(&manifest1),
-                manifest_core(&manifest2),
-                "{tag}: manifests diverge beyond the run-shape sections"
+                audit_violations(manifest),
+                Some(0),
+                "{tag} {leg}: conservation audit violations: {manifest}"
             );
-            for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
-                assert_eq!(
-                    audit_violations(manifest),
-                    Some(0),
-                    "{tag} {leg}: conservation audit violations: {manifest}"
-                );
-            }
-
-            let _ = std::fs::remove_dir_all(dir1);
-            let _ = std::fs::remove_dir_all(dir2);
         }
+
+        let _ = std::fs::remove_dir_all(dir1);
+        let _ = std::fs::remove_dir_all(dir2);
         let _ = std::fs::remove_dir_all(dir_ref);
     }
 }
@@ -431,53 +449,51 @@ fn faulted_failure_sweep_base() -> ExperimentSpec {
 
 /// Byte-identical resume of a multi-simulation experiment: the faulted
 /// failure sweep, checkpointed, then resumed from its snapshots, matches
-/// the uninterrupted run's artifacts and manifest across engine shard
-/// counts — each simulation restores from its own snapshot.
+/// the uninterrupted run's artifacts and manifest — each simulation
+/// restores from its own snapshot.
 #[test]
 fn resumed_faulted_failure_sweep_is_byte_identical_across_engines() {
     let dir_ref = temp_dir("resume_fail_ref");
     let (reference, _) = run_quiet(faulted_failure_sweep_base(), &dir_ref);
     assert!(!reference.is_empty(), "expected artifacts, got none");
 
-    for shards in [1usize, 4] {
-        let tag = format!("resume_fail_{shards}");
-        let variant = || {
-            let mut spec = ExperimentSpec { sim_shards: shards, ..faulted_failure_sweep_base() };
-            spec.set("audit", "true").expect("audit knob");
-            spec.set("checkpoint_every_s", "0.5").expect("checkpoint knob");
-            spec
-        };
+    let tag = "resume_fail";
+    let variant = || {
+        let mut spec = faulted_failure_sweep_base();
+        spec.set("audit", "true").expect("audit knob");
+        spec.set("checkpoint_every_s", "0.5").expect("checkpoint knob");
+        spec
+    };
 
-        let dir1 = temp_dir(&format!("{tag}_leg1"));
-        let (arts1, manifest1) = run_quiet(variant(), &dir1);
-        let snaps = dir1.join("checkpoints");
-        for point in ["fail_base", "fail_0.1", "fail_0.2"] {
-            let snap = snaps.join(format!("{point}.snap"));
-            assert!(snap.exists(), "{tag}: expected {}", snap.display());
-        }
-
-        let dir2 = temp_dir(&format!("{tag}_leg2"));
-        let mut leg2 = variant();
-        leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
-        let (arts2, manifest2) = run_quiet(leg2, &dir2);
-
-        assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
-        assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
-        assert_eq!(
-            manifest_core(&manifest1),
-            manifest_core(&manifest2),
-            "{tag}: manifests diverge beyond the run-shape sections"
-        );
-        for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
-            assert_eq!(
-                audit_violations(manifest),
-                Some(0),
-                "{tag} {leg}: conservation audit violations: {manifest}"
-            );
-        }
-        let _ = std::fs::remove_dir_all(dir1);
-        let _ = std::fs::remove_dir_all(dir2);
+    let dir1 = temp_dir(&format!("{tag}_leg1"));
+    let (arts1, manifest1) = run_quiet(variant(), &dir1);
+    let snaps = dir1.join("checkpoints");
+    for point in ["fail_base", "fail_0.1", "fail_0.2"] {
+        let snap = snaps.join(format!("{point}.snap"));
+        assert!(snap.exists(), "{tag}: expected {}", snap.display());
     }
+
+    let dir2 = temp_dir(&format!("{tag}_leg2"));
+    let mut leg2 = variant();
+    leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
+    let (arts2, manifest2) = run_quiet(leg2, &dir2);
+
+    assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
+    assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
+    assert_eq!(
+        manifest_core(&manifest1),
+        manifest_core(&manifest2),
+        "{tag}: manifests diverge beyond the run-shape sections"
+    );
+    for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
+        assert_eq!(
+            audit_violations(manifest),
+            Some(0),
+            "{tag} {leg}: conservation audit violations: {manifest}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir1);
+    let _ = std::fs::remove_dir_all(dir2);
     let _ = std::fs::remove_dir_all(dir_ref);
 }
 

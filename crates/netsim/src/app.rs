@@ -116,9 +116,9 @@ impl AppCtx {
 /// The `as_any` pair enables retrieving a concrete application (and its
 /// recorded results) back from the simulator after a run.
 ///
-/// `Send` is required because the sharded engine executes each shard's
-/// applications on a worker thread; an application only ever runs on the
-/// shard owning its node, so `Sync` is not needed.
+/// `Send` keeps a `Simulator` movable between threads (it may be built on
+/// one and run on another); an application only ever runs on the thread
+/// driving the event loop, so `Sync` is not needed.
 pub trait Application: Send + 'static {
     /// Called once when the application is installed (typically sets the
     /// first timer or sends the first packet).

@@ -14,8 +14,8 @@
 //!   transmitted + dropped + still queued + in service;
 //! * **queue occupancy** — no device queue exceeds its configured
 //!   capacity;
-//! * **slab conservation** — per shard, the packets alive in its slab are
-//!   exactly those its devices hold plus those its pending arrivals carry:
+//! * **slab conservation** — the packets alive in the slab are exactly
+//!   those the devices hold plus those the pending arrivals carry:
 //!   a leaked or twice-freed slot shows here even when the counters agree;
 //! * **fluid capacity** — in hybrid mode, the max–min solver's aggregate
 //!   bundle rate on every link stays within that link's capacity.
@@ -70,14 +70,12 @@ pub enum AuditViolation {
         /// Configured queue capacity.
         capacity: u64,
     },
-    /// A shard's packet slab disagrees with its holders: a slot was leaked
+    /// The packet slab disagrees with its holders: a slot was leaked
     /// (alive, held by nothing) or freed while still held.
     SlabConservation {
         /// Simulation time of the audit.
         t_ns: u64,
-        /// The shard.
-        shard: u32,
-        /// Packets alive in the shard's slab.
+        /// Packets alive in the slab.
         alive: u64,
         /// Packets its devices hold plus its pending arrival events.
         held: u64,
@@ -152,10 +150,10 @@ impl fmt::Display for AuditViolation {
                      {queue_len} queued > capacity {capacity}"
                 )
             }
-            AuditViolation::SlabConservation { t_ns, shard, alive, held } => {
+            AuditViolation::SlabConservation { t_ns, alive, held } => {
                 write!(
                     f,
-                    "slab conservation violated at t={t_ns}ns on shard {shard}: \
+                    "slab conservation violated at t={t_ns}ns: \
                      {alive} packets alive != {held} held by devices and arrivals"
                 )
             }
@@ -202,9 +200,9 @@ mod tests {
             capacity: 100,
         };
         assert_eq!(q.kind(), "queue_over_capacity");
-        let sl = AuditViolation::SlabConservation { t_ns: 10, shard: 1, alive: 4, held: 3 };
+        let sl = AuditViolation::SlabConservation { t_ns: 10, alive: 4, held: 3 };
         assert_eq!((sl.kind(), sl.t_ns()), ("slab_conservation", 10));
-        assert!(sl.to_string().contains("shard 1: 4 packets alive != 3 held"), "{sl}");
+        assert!(sl.to_string().contains("10ns: 4 packets alive != 3 held"), "{sl}");
         let fl = AuditViolation::FluidOverCapacity {
             t_ns: 11,
             link: (3, u32::MAX),

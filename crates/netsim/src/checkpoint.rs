@@ -6,7 +6,7 @@
 //! raw IEEE-754 bits, no platform-dependent hashing or pointer order —
 //! preserves the total event order, so a restored run replays the same
 //! event sequence and produces byte-identical artifacts (the property the
-//! engine's determinism tests already pin across shard counts).
+//! engine's resume tests pin).
 //!
 //! The container is deliberately boring:
 //!
@@ -18,7 +18,7 @@
 //! * the **version** rejects snapshots written by an incompatible layout
 //!   (bumped whenever the body encoding changes);
 //! * the **config fingerprint** rejects resuming into a simulator built
-//!   from a different spec (shard count, mode, rates, ...) —
+//!   from a different spec (mode, rates, node count, ...) —
 //!   a restore only overwrites *mutable* state, so the immutable skeleton
 //!   must match;
 //! * the **checksum** covers everything before it and rejects torn or
@@ -78,7 +78,7 @@ pub enum CheckpointError {
     /// torn write or bit rot.
     ChecksumMismatch,
     /// The snapshot was taken from a simulator built with a different
-    /// configuration (shards, mode, rates, node count, ...).
+    /// configuration (mode, rates, node count, ...).
     ConfigMismatch {
         /// Fingerprint found in the file header.
         found: u64,

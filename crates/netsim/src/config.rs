@@ -65,14 +65,6 @@ pub struct SimConfig {
     /// recomputes every snapshot — the test oracle; output is
     /// byte-identical either way.
     pub routing: RoutingConfig,
-    /// Number of spatial shards the event engine partitions the node set
-    /// into. With `1` (the default) one shard owns every node and the
-    /// event loop runs on the calling thread; `N > 1` executes shards in
-    /// parallel up to a conservative lookahead horizon derived from the
-    /// minimum cross-shard propagation delay. Every
-    /// simulation observable is bit-identical for any value — this is
-    /// purely a wall-clock knob. Clamped to the satellite count.
-    pub sim_shards: usize,
     /// How bulk flows are simulated: packet-level for everything (the
     /// default), analytically via the max-min fluid solver, or hybrid —
     /// fluid bulk flows whose aggregate per-link load is subtracted from
@@ -98,7 +90,6 @@ impl Default for SimConfig {
             multipath_stretch: None,
             faults: None,
             routing: RoutingConfig::default(),
-            sim_shards: 1,
             sim_mode: SimMode::default(),
         }
     }
@@ -193,15 +184,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: partition the event engine into `shards` spatial
-    /// shards executed in parallel (1 = one shard, no worker threads).
-    /// Results are bit-identical for every value.
-    pub fn with_sim_shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard is required");
-        self.sim_shards = shards;
-        self
-    }
-
     /// Builder-style: pick how bulk flows are simulated (packet, fluid,
     /// or hybrid). Packet-level behaviour is unchanged unless fluid
     /// flows are actually installed.
@@ -239,7 +221,6 @@ mod tests {
         assert_eq!(c.effective_gsl_rate(), c.link_rate);
         assert!(c.faults.is_none(), "fault injection is off by default");
         assert_eq!(c.routing.mode, RoutingMode::Incremental, "incremental repair is the default");
-        assert_eq!(c.sim_shards, 1, "one shard is the default");
         assert_eq!(c.trace_sample_every, 1, "every flow is traced by default");
         assert_eq!(c.sim_mode, SimMode::Packet, "packet-level simulation is the default");
     }
@@ -254,18 +235,6 @@ mod tests {
     #[should_panic]
     fn zero_trace_sampling_rejected() {
         SimConfig::default().with_trace_sampling(0);
-    }
-
-    #[test]
-    fn shard_builder() {
-        let c = SimConfig::default().with_sim_shards(4);
-        assert_eq!(c.sim_shards, 4);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_shards_rejected() {
-        SimConfig::default().with_sim_shards(0);
     }
 
     #[test]

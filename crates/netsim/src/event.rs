@@ -4,11 +4,9 @@
 //! insertion sequence ([`EventQueue::schedule`] — two events at the same
 //! instant execute in the order they were scheduled) or an explicit
 //! canonical key supplied by the caller ([`EventQueue::schedule_keyed`]).
-//! The simulator uses canonical keys derived from the *originating* node,
-//! which makes the total order independent of how the node set is sharded:
-//! every node sees its events in the same order at any shard count. Either
-//! way, integer timestamps plus a total event order make runs
-//! bit-reproducible.
+//! The simulator uses canonical keys derived from the *originating* node
+//! (see `crate::shard`). Either way, integer timestamps plus a total event
+//! order make runs bit-reproducible.
 //!
 //! A queue holds node events only. Global events — forwarding swaps, fault
 //! updates, fluid boundaries — live in the coordinator's cursors (see
@@ -18,12 +16,11 @@
 //!
 //! An entry in the ordered structures is 32 bytes: `(at, key)`, a tag and
 //! two payload words. An 88-byte [`Packet`] never travels in one: it lives
-//! in a `PacketSlab` (a `Vec<Packet>` plus a free list), one per shard,
+//! in a `PacketSlab` (a `Vec<Packet>` plus a free list) the shard owns,
 //! and whatever holds it — an `Arrival` entry, a device queue —
-//! holds its `u32` slot. A packet is parked once, when it is injected (or
-//! lands from another shard at a barrier), and whoever ends its life on the
-//! shard frees the slot: delivery, a drop, the hand-off to another shard.
-//! In between nothing copies it; shards drive the queue through
+//! holds its `u32` slot. A packet is parked once, when it is injected,
+//! and whoever ends its life frees the slot: delivery or a drop.
+//! In between nothing copies it; the shard drives the queue through
 //! `EventQueue::schedule_slot` / `EventQueue::pop_slot`, which
 //! move 32-byte entries only. The by-value [`Event`] API
 //! ([`EventQueue::schedule`], [`EventQueue::pop`], ...) wraps those for
@@ -37,7 +34,7 @@
 //! * [`QueueKind::Heap`] — one `BinaryHeap`, O(log n) per operation. Never
 //!   built by the simulator: it is the differential-testing oracle (and the
 //!   baseline the benchmark's queue probes time the calendar against).
-//! * [`QueueKind::Calendar`] (what [`EventQueue::new`] builds and every
+//! * [`QueueKind::Calendar`] (what [`EventQueue::new`] builds and the
 //!   shard runs on) — a two-level timing wheel over
 //!   integer-ns time, where bucket indexing is a shift and a mask.
 //!   Parking an event is O(1) however far ahead it is due:
@@ -170,7 +167,7 @@ impl Ord for Scheduled {
     }
 }
 
-/// The packets alive on one shard (module doc). Freed slots are reused
+/// The packets alive in the shard (module doc). Freed slots are reused
 /// last-freed-first, so a steady-state run touches the same few cache lines.
 /// Slot numbers are never serialized and never observable.
 #[derive(Debug, Default)]
@@ -250,7 +247,7 @@ pub enum QueueKind {
 
 /// Where an [`EventQueue`]'s inserts landed, for the manifest's `perf`
 /// block. The split depends on the scheduler (a heap queue counts every
-/// insert as `far_inserts`) and on how nodes are sharded, so it is run
+/// insert as `far_inserts`) and restarts at a resume, so it is run
 /// telemetry, never a simulation observable.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
@@ -284,7 +281,7 @@ pub struct QueueStats {
 
 impl QueueStats {
     /// Fold in another queue's counts: inserts and refills add up, a peak
-    /// is the larger of the two (queues of different shards peak
+    /// is the larger of the two (queues of different simulations peak
     /// independently).
     pub fn merge(&mut self, other: &QueueStats) {
         self.level1_inserts += other.level1_inserts;
@@ -846,8 +843,9 @@ impl EventQueue {
     }
 
     /// [`Self::pop_entry_before`] at slot level: the entry as stored, an
-    /// arrival's packet left where it is in `packets`. Shards tag trace
-    /// records with its key, so their traces merge in `(time, key)` order.
+    /// arrival's packet left where it is in `packets`. The shard tags trace
+    /// records with its key, so its trace merges with the coordinator's in
+    /// `(time, key)` order.
     pub(crate) fn pop_slot(&mut self, t_end: SimTime, packets: &PacketSlab) -> Option<Scheduled> {
         debug_assert_eq!(self.own.occupied(), 0, "queue is driven by value");
         let s = self.imp.pop_before(t_end, packets)?;

@@ -149,7 +149,7 @@
 //!
 //! # Determinism
 //!
-//! Solver state lives in the simulation coordinator, never in a shard.
+//! Solver state lives in the simulation coordinator, never in the shard.
 //! Re-solves happen at canonical global-event instants — the
 //! `(time, key)` points the event loop applies coordinator work at —
 //! and the allocation is a pure function of (forwarding state,
@@ -158,7 +158,7 @@
 //! evaluated in a deterministic order (install-order bundles, link ids,
 //! ascending member bundles per link; reports and checkpoints list links
 //! in ascending `(node, peer)` order). Observables are therefore
-//! bit-identical at any `sim_shards`.
+//! bit-identical from run to run and across a resume.
 
 use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use crate::packet::HEADER_BYTES;

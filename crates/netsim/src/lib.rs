@@ -22,11 +22,9 @@
 //! Determinism: integer-nanosecond timestamps and a canonical total event
 //! order `(time, key)` — where a key encodes the originating node and its
 //! scheduling sequence — make every run bit-reproducible. One loop in the
-//! [`sim`] module runs it: nodes are partitioned into spatial [`shard`]s
-//! ([`SimConfig::with_sim_shards`]; one by default, which is the classic
-//! sequential simulator) executed concurrently up to the minimum
-//! cross-shard propagation delay. Parallelism is a pure wall-clock knob:
-//! observables are bit-identical at any shard count.
+//! [`sim`] module runs it on the calling thread, driving one [`shard`] that
+//! holds every node — the classic sequential simulator; only the next
+//! forwarding step is computed beside it, on a lookahead thread.
 //!
 //! Applications (ping, UDP CBR, bursty on/off here; TCP in
 //! `hypatia-transport`) attach to nodes via the [`app::Application`] trait

@@ -103,9 +103,8 @@ pub struct Packet {
 ///
 /// Ids are per-origin-node (source node in the high bits, a per-node
 /// sequence in the low bits) rather than a single global counter, so that
-/// id assignment is independent of the interleaving of events across nodes
-/// — the property that lets the sharded engine allocate ids without any
-/// cross-shard coordination while staying bit-identical to a serial run.
+/// id assignment is independent of the interleaving of events across nodes:
+/// an id is a function of the origin node's own history only.
 pub fn packet_id(src: NodeId, seq: u32) -> u64 {
     ((src.0 as u64) << 32) | seq as u64
 }

@@ -2,23 +2,18 @@
 //!
 //! Node-level event handling lives in [`crate::shard`]; this module owns
 //! what is global to a run — forwarding recomputation, the fault-schedule
-//! cursor, the fluid solver — and the one loop driving the shards.
+//! cursor, the fluid solver — and the one loop driving the shard.
 //!
 //! Global events (forwarding swaps, fault updates, fluid finish
 //! boundaries) never enter a queue: they live in coordinator cursors and
 //! [`Simulator::run_until`]'s epoch loop applies them at window starts,
-//! then runs every shard's window up to the next global instant or the
-//! conservative lookahead (minimum cross-shard propagation delay),
-//! whichever comes first, and exchanges cross-shard arrivals through
-//! per-shard outboxes at the barrier. With one shard (the default) there
-//! are no cross-shard links, so windows end only at global instants, the
-//! window runs inline on the calling thread, and the loop *is* the classic
-//! sequential simulator.
+//! then runs the shard's window up to the next global instant or the
+//! horizon, on the calling thread.
 //!
 //! Events are processed in canonical `(time, key)` order (see
-//! `crate::shard` for the key construction) however nodes are grouped, so
-//! every observable of a run — stats, traces, application state, RTT
-//! samples — is bit-identical at any shard count.
+//! `crate::shard` for the key construction), so every observable of a
+//! run — stats, traces, application state, RTT samples — is a pure
+//! function of its spec.
 
 use crate::app::Application;
 use crate::audit::AuditViolation;
@@ -27,7 +22,7 @@ use crate::config::SimConfig;
 use crate::event::QueueStats;
 use crate::fluid::{FluidNet, FluidStats, SimMode};
 use crate::node::Node;
-use crate::shard::{fault_key, fluid_key, Partition, Shard, FORWARDING_KEY};
+use crate::shard::{fault_key, fluid_key, Shard, FORWARDING_KEY};
 use crate::stats::SimStats;
 use crate::trace::{Trace, TraceKind};
 use hypatia_constellation::{Constellation, EphemerisStats, NodeId};
@@ -41,32 +36,28 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// How the engine executed a run — recorded into experiment manifests so
-/// sharded runs are auditable (and comparable) after the fact. Telemetry,
-/// not state: where `run_until` cuts fall moves the window counts, so none
-/// of it is part of a checkpoint — after a resume it counts from the
-/// restore point.
+/// runs are auditable (and comparable) after the fact. Telemetry, not
+/// state: where `run_until` cuts fall moves the window counts, so none of
+/// it is part of a checkpoint — after a resume it counts from the restore
+/// point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineReport {
-    /// Number of shards the node set was partitioned into.
-    pub sim_shards: usize,
-    /// Windows executed. With one shard a window ends only at the next
-    /// coordinator instant or the `run_until` horizon.
+    /// Windows executed. A window ends only at the next coordinator
+    /// instant or the `run_until` horizon.
     pub epochs: u64,
-    /// Barriers at which at least one cross-shard packet was exchanged.
+    /// Always 0: the engine runs one shard, so no packet crosses a
+    /// barrier. Kept for readers of the retired multi-shard report until
+    /// they stop (ROADMAP item 1c).
     pub barriers: u64,
-    /// Smallest conservative lookahead window used, nanoseconds. `None`
-    /// when no window was ever bounded by cross-shard geometry (always,
-    /// with one shard).
+    /// Always `None`: one shard has no cross-shard geometry to bound a
+    /// window. Kept for readers of the retired multi-shard report until
+    /// they stop (ROADMAP item 1c).
     pub min_lookahead_ns: Option<u64>,
-    /// Event-queue telemetry over all shards' queues: inserts per tier and
-    /// cascades summed, peak pending of the busiest queue.
+    /// Event-queue telemetry: inserts per tier and cascades, peak pending.
     pub queue: QueueStats,
-    /// Fluid-solver telemetry (all zero in packet mode). Coordinator-owned,
-    /// so identical at any shard count.
+    /// Fluid-solver telemetry (all zero in packet mode).
     pub fluid: FluidStats,
-    /// How the shards' ephemeris caches served propagation delays, summed
-    /// over shards (each samples its own tracks, so `fits` grows with the
-    /// shard count).
+    /// How the ephemeris cache served propagation delays.
     pub ephemeris: EphemerisStats,
     /// Where the event loop's wall time went, phase by phase.
     pub phases: PhaseTimes,
@@ -85,18 +76,13 @@ pub struct EngineReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Building the simulator (`Simulator::new`): the initial forwarding
-    /// state and the shards.
+    /// state and the shard.
     pub build_ns: u64,
     /// Coordinator events: forwarding swaps, fault updates, fluid
     /// boundaries.
     pub globals_ns: u64,
-    /// The window steps: every shard's run, thread spawn and join included.
+    /// The windows: the shard popping and handling node events.
     pub window_ns: u64,
-    /// The shards' runs summed: above `window_ns` only when shards ran in
-    /// parallel.
-    pub busy_ns: u64,
-    /// Moving cross-shard arrivals between windows.
-    pub exchange_ns: u64,
     /// Waiting for the lookahead thread to finish the forwarding step due
     /// (part of `globals_ns`): the routing the overlap did not hide.
     pub lookahead_wait_ns: u64,
@@ -112,19 +98,16 @@ type Request = (u64, ForwardingState);
 
 /// The packet-level simulator.
 ///
-/// Owns the shard set, the coordinator state (forwarding, fault and fluid
+/// Owns the shard, the coordinator state (forwarding, fault and fluid
 /// cursors), and merged result views; recomputes forwarding at the
 /// configured granularity while the event loop runs.
 pub struct Simulator {
     constellation: Arc<Constellation>,
     config: SimConfig,
     now: SimTime,
-    partition: Arc<Partition>,
-    shards: Vec<Shard>,
-    /// Owning shard of each installed application, by app index.
-    app_shard: Vec<u32>,
+    shard: Shard,
     dests: Vec<NodeId>,
-    /// Forwarding state currently in force (shared with every shard).
+    /// Forwarding state currently in force (shared with the shard).
     fwd: Arc<ForwardingState>,
     /// Multipath alternates (present when `multipath_stretch` is set).
     mp: Option<Arc<MultipathState>>,
@@ -144,12 +127,12 @@ pub struct Simulator {
     /// Cursor into the fault schedule (entries at t = 0 are folded into
     /// the initial state and skipped).
     next_fault_index: usize,
-    /// Events the coordinator applied outside any shard (forwarding swaps,
+    /// Events the coordinator applied outside the shard (forwarding swaps,
     /// fault updates, fluid boundaries) and the counters it owns.
     coord_stats: SimStats,
     /// The fluid-flow network (fluid/hybrid modes; `None` under packet
     /// mode). Coordinator-owned: rates re-solve only at canonical global
-    /// instants, which is what keeps sharded runs bit-identical.
+    /// instants.
     fluid: Option<FluidNet>,
     /// Fluid flows installed since the last boundary rebuild.
     fluid_dirty: bool,
@@ -157,18 +140,15 @@ pub struct Simulator {
     /// that: the boundary schedule is built once, at run start.
     started: bool,
     /// Trace records made by the coordinator itself (fluid re-solves);
-    /// merged ahead of the shard traces in `refresh_views`.
+    /// merged ahead of the shard's trace in `refresh_views`.
     coord_trace: Trace,
     epochs: u64,
-    barriers: u64,
-    min_lookahead_ns: Option<u64>,
     phases: PhaseTimes,
-    /// Bounded per-packet trace: the merged view over all shards,
-    /// refreshed after every `run_until` / `add_app` (off unless
-    /// configured).
+    /// Bounded per-packet trace: the merged view of the coordinator and
+    /// the shard, refreshed after every `run_until` / `add_app` (off
+    /// unless configured).
     pub trace: Trace,
-    /// Global counters: coordinator + all shards, refreshed with the
-    /// trace.
+    /// Global counters: coordinator + shard, refreshed with the trace.
     pub stats: SimStats,
 }
 
@@ -180,7 +160,6 @@ impl Simulator {
         assert!(!dests.is_empty(), "at least one destination is required");
         let t0 = Instant::now();
 
-        let partition = Arc::new(Partition::new(&constellation, config.sim_shards));
         let mut worker =
             SnapshotWorker::with_config(config.routing).with_multipath(config.multipath_stretch);
         let first = (0, ForwardingState::empty());
@@ -189,22 +168,7 @@ impl Simulator {
         let fwd = Arc::new(fwd);
         let mp = mp.map(Arc::new);
 
-        let nshards = partition.shards();
-        let mut shards: Vec<Shard> = (0..nshards)
-            .map(|id| {
-                Shard::new(
-                    id,
-                    constellation.clone(),
-                    &config,
-                    partition.clone(),
-                    fwd.clone(),
-                    mp.clone(),
-                )
-            })
-            .collect();
-        for shard in &mut shards {
-            shard.init_outbox(nshards);
-        }
+        let shard = Shard::new(constellation.clone(), &config, fwd.clone(), mp.clone());
 
         // Fault injection: events at t = 0 are already folded into the
         // initial live state (and the initial forwarding computation); the
@@ -221,9 +185,7 @@ impl Simulator {
             constellation,
             config,
             now: SimTime::ZERO,
-            partition,
-            shards,
-            app_shard: Vec::new(),
+            shard,
             dests,
             fwd,
             mp,
@@ -239,8 +201,6 @@ impl Simulator {
             started: false,
             coord_trace,
             epochs: 0,
-            barriers: 0,
-            min_lookahead_ns: None,
             phases: PhaseTimes::default(),
             trace,
             stats: SimStats::default(),
@@ -271,31 +231,24 @@ impl Simulator {
 
     /// The node owned-state for `id` (devices, port bindings).
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.shards[self.partition.owner(id)].nodes[id.index()]
+        &self.shard.nodes[id.index()]
     }
 
     /// The simulated nodes in id order (for stats inspection).
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        (0..self.constellation.num_nodes()).map(|i| self.node(NodeId(i as u32)))
+        self.shard.nodes.iter()
     }
 
-    /// How the engine has executed so far (shard count, epochs, barriers,
-    /// smallest lookahead window).
+    /// How the engine has executed so far: windows, queue, fluid solver,
+    /// ephemeris, phase timers, routing.
     pub fn engine_report(&self) -> EngineReport {
-        let mut queue = QueueStats::default();
-        let mut ephemeris = EphemerisStats::default();
-        for shard in &self.shards {
-            queue.merge(&shard.queue_stats());
-            ephemeris.merge(&shard.ephemeris.stats());
-        }
         EngineReport {
-            sim_shards: self.shards.len(),
             epochs: self.epochs,
-            barriers: self.barriers,
-            min_lookahead_ns: self.min_lookahead_ns,
-            queue,
+            barriers: 0,
+            min_lookahead_ns: None,
+            queue: self.shard.queue_stats(),
             fluid: self.fluid.as_ref().map(FluidNet::stats).unwrap_or_default(),
-            ephemeris,
+            ephemeris: self.shard.ephemeris.stats(),
             phases: self.phases,
             routing: self.routing,
         }
@@ -304,32 +257,21 @@ impl Simulator {
     /// Install an application at `(node, port)`. Calls its `on_start`
     /// immediately (at the current simulation time) and returns its index.
     pub fn add_app(&mut self, node: NodeId, port: u16, app: Box<dyn Application>) -> u32 {
-        let idx = self.app_shard.len() as u32;
-        let shard = self.partition.owner(node);
-        self.app_shard.push(shard as u32);
-        let now = self.now;
-        self.shards[shard].install_app(idx, node, port, app, now);
-        self.refresh_views();
-        idx
+        self.add_app_multi(node, &[port], app)
     }
 
     /// Install a bulk application bound to every port in `ports` at `node`
     /// (arena flow tables: one [`Application`] owning many flow endpoints).
     /// Calls its `on_start` immediately and returns its index.
     pub fn add_app_multi(&mut self, node: NodeId, ports: &[u16], app: Box<dyn Application>) -> u32 {
-        let idx = self.app_shard.len() as u32;
-        let shard = self.partition.owner(node);
-        self.app_shard.push(shard as u32);
-        let now = self.now;
-        self.shards[shard].install_app_multi(idx, node, ports, app, now);
+        let idx = self.shard.install_app(node, ports, app, self.now);
         self.refresh_views();
         idx
     }
 
     /// Borrow an installed application, downcast to its concrete type.
     pub fn app_as<T: Application>(&self, idx: u32) -> Option<&T> {
-        let shard = *self.app_shard.get(idx as usize)? as usize;
-        self.shards[shard].app_as(idx)
+        self.shard.app_as(idx)
     }
 
     /// Install one fluid flow (fluid/hybrid modes; see [`crate::fluid`]):
@@ -370,15 +312,14 @@ impl Simulator {
     }
 
     /// Run the event loop until simulated time `t_end` (inclusive): apply
-    /// the coordinator events due at the window start, run every shard up
-    /// to the barrier (in parallel when more than one has work), exchange
-    /// cross-shard arrivals, repeat.
+    /// the coordinator events due at the window start, run the shard up to
+    /// the next coordinator instant, repeat.
     pub fn run_until(&mut self, t_end: SimTime) {
         self.request_ahead(t_end);
         self.flush_fluid_installs();
         self.started = true;
         loop {
-            let next_node = self.shards.iter_mut().filter_map(Shard::next_event_time).min();
+            let next_node = self.shard.next_event_time();
             let start = match (self.next_global_time(), next_node) {
                 (Some(g), Some(n)) => g.min(n),
                 (Some(g), None) => g,
@@ -394,81 +335,21 @@ impl Simulator {
             self.phases.globals_ns += ns_since(t0);
 
             // The window is bounded by the next coordinator event (its
-            // swap must happen before any later node event), by the
-            // conservative lookahead, and by the run horizon.
+            // swap must happen before any later node event) and by the
+            // run horizon.
             let mut end_incl = t_end;
             if let Some(g) = self.next_global_time() {
                 debug_assert!(g > start, "coordinator event not consumed");
                 end_incl = end_incl.min(g - SimDuration::from_nanos(1));
             }
-            let geom_t = if self.config.freeze_at_epoch { SimTime::ZERO } else { start };
-            if let Some(w) = self.partition.lookahead_at(&self.constellation, geom_t) {
-                end_incl = end_incl.min(start + w - SimDuration::from_nanos(1));
-                self.min_lookahead_ns =
-                    Some(self.min_lookahead_ns.map_or(w.nanos(), |m| m.min(w.nanos())));
-            }
-            debug_assert!(end_incl >= start);
-
-            let active = self
-                .shards
-                .iter_mut()
-                .filter_map(Shard::next_event_time)
-                .filter(|&t| t <= end_incl)
-                .count();
             let t0 = Instant::now();
-            self.phases.busy_ns += if active <= 1 {
-                // Nothing to overlap: run inline (a shard with nothing due
-                // returns at once). One shard always lands here.
-                self.shards.iter_mut().map(|shard| run_timed(shard, end_incl)).sum::<u64>()
-            } else {
-                std::thread::scope(|scope| {
-                    let mut running = Vec::new();
-                    for shard in self.shards.iter_mut() {
-                        if shard.next_event_time().is_some_and(|t| t <= end_incl) {
-                            running.push(scope.spawn(move || run_timed(shard, end_incl)));
-                        }
-                    }
-                    let join = |h: std::thread::ScopedJoinHandle<u64>| {
-                        h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                    };
-                    running.into_iter().map(join).sum::<u64>()
-                })
-            };
+            self.shard.run_window(end_incl);
             self.phases.window_ns += ns_since(t0);
             self.epochs += 1;
-            let t0 = Instant::now();
-            if self.exchange_outboxes() > 0 {
-                self.barriers += 1;
-            }
-            self.phases.exchange_ns += ns_since(t0);
         }
         self.now = t_end;
-        for shard in &mut self.shards {
-            shard.now = t_end;
-        }
+        self.shard.now = t_end;
         self.refresh_views();
-    }
-
-    /// Move every cross-shard arrival produced in the last windows into
-    /// its destination shard's slab and queue; each emptied outbox keeps
-    /// its buffer. Returns the number of packets moved.
-    fn exchange_outboxes(&mut self) -> u64 {
-        let n = self.shards.len();
-        if n == 1 {
-            return 0;
-        }
-        let mut moved = 0;
-        for src in 0..n {
-            for dst in 0..n {
-                let mut outbox = std::mem::take(&mut self.shards[src].outbox[dst]);
-                moved += outbox.len() as u64;
-                for o in outbox.drain(..) {
-                    self.shards[dst].accept(o);
-                }
-                self.shards[src].outbox[dst] = outbox;
-            }
-        }
-        moved
     }
 
     /// The next instant at which the coordinator must act (forwarding
@@ -514,9 +395,7 @@ impl Simulator {
                 if event.t != t {
                     break;
                 }
-                for shard in &mut self.shards {
-                    shard.apply_fault(event);
-                }
+                self.shard.apply_fault(event);
                 self.coord_stats.events += 1;
                 let index = self.next_fault_index as u64;
                 self.next_fault_index += 1;
@@ -554,7 +433,7 @@ impl Simulator {
     fn resolve_fluid(&mut self, t: SimTime, key: u64) {
         let Some(fluid) = self.fluid.as_mut() else { return };
         fluid.advance_to(t);
-        fluid.resolve(t, &self.fwd, self.shards[0].fault_state.as_ref(), &self.constellation);
+        fluid.resolve(t, &self.fwd, self.shard.fault_state.as_ref(), &self.constellation);
         self.coord_stats.fluid_resolves += 1;
         self.coord_trace.set_key(key);
         // Not a packet event: node 0 is a placeholder; the "packet id"
@@ -562,16 +441,11 @@ impl Simulator {
         self.coord_trace.record(t, NodeId(0), fluid.resolves(), TraceKind::FluidResolve);
         if self.config.sim_mode == SimMode::Hybrid {
             let changes = fluid.residual_changes();
-            if !changes.is_empty() {
-                for shard in &mut self.shards {
-                    shard.apply_link_rates(changes);
-                }
-            }
+            self.shard.apply_link_rates(changes);
         }
     }
 
-    /// Put the forwarding (and multipath) state of `step` in force on
-    /// every shard: taken from the lookahead thread when it was asked for
+    /// Put the forwarding (and multipath) state of `step` in force: taken from the lookahead thread when it was asked for
     /// `step`, else computed here. The state it replaces becomes the spare.
     fn apply_forwarding_step(&mut self, step: u64) {
         let ((fwd, mp), counted) = match self.lookahead.as_mut().filter(|l| l.is_pending()) {
@@ -592,9 +466,7 @@ impl Simulator {
         self.routing.1.merge(&counted.1);
         let retired = std::mem::replace(&mut self.fwd, Arc::new(fwd));
         self.mp = mp.map(Arc::new);
-        for shard in &mut self.shards {
-            shard.set_forwarding(self.fwd.clone(), self.mp.clone());
-        }
+        self.shard.set_forwarding(self.fwd.clone(), self.mp.clone());
         self.spare = Arc::try_unwrap(retired).ok();
     }
 
@@ -645,7 +517,7 @@ impl Simulator {
     }
 
     /// Rebuild the merged `stats` / `trace` views from the coordinator and
-    /// every shard. Cheap when tracing is off; with tracing on, the merge
+    /// the shard. Cheap when tracing is off; with tracing on, the merge
     /// re-sorts into canonical `(time, key)` order.
     fn refresh_views(&mut self) {
         if let Some(f) = self.fluid.as_mut() {
@@ -653,15 +525,16 @@ impl Simulator {
             self.coord_stats.fluid_flows = f.flow_count();
             self.coord_stats.fluid_bytes_delivered = f.delivered_payload_bytes();
         }
-        let mut stats = self.coord_stats.clone();
-        for shard in &self.shards {
-            stats.merge(&shard.stats);
-        }
-        self.stats = stats;
-        let parts: Vec<&Trace> = std::iter::once(&self.coord_trace)
-            .chain(self.shards.iter().map(|s| &s.trace))
-            .collect();
+        self.stats = self.merged_stats();
+        let parts = [&self.coord_trace, &self.shard.trace];
         self.trace = Trace::merged(&parts, self.config.trace_limit);
+    }
+
+    /// The coordinator's counters plus the shard's.
+    fn merged_stats(&self) -> SimStats {
+        let mut stats = self.coord_stats.clone();
+        stats.merge(&self.shard.stats);
+        stats
     }
 
     /// Utilization of the most loaded directed link along `path` in bucket
@@ -684,8 +557,8 @@ impl Simulator {
     // ---- Crash resilience: checkpoint, restore, conservation audits ----
 
     /// FNV-1a-64 over everything the snapshot layout depends on: topology
-    /// size, destination set, shard count, mode, timing, rates,
-    /// loss model, trace bounds, fault-schedule length, and app count. A
+    /// size, destination set, mode, timing, rates, loss model, trace
+    /// bounds, fault-schedule length, and app count. A
     /// snapshot restores only into a simulator with the same fingerprint,
     /// so a resumed run cannot silently diverge because a knob changed.
     pub fn config_fingerprint(&self) -> u64 {
@@ -702,7 +575,8 @@ impl Simulator {
         for d in &self.dests {
             mix(&mut h, d.0 as u64);
         }
-        mix(&mut h, self.partition.shards() as u64);
+        // The shard count of the multi-shard engine's images: always 1.
+        mix(&mut h, 1);
         for b in c.sim_mode.name().bytes() {
             mix(&mut h, b as u64);
         }
@@ -717,14 +591,14 @@ impl Simulator {
         mix(&mut h, c.trace_sample_every);
         mix(&mut h, c.multipath_stretch.map_or(u64::MAX, f64::to_bits));
         mix(&mut h, c.faults.as_ref().map_or(0, |s| s.events().len() as u64));
-        mix(&mut h, self.app_shard.len() as u64);
+        mix(&mut h, self.shard.app_count() as u64);
         h
     }
 
     /// Serialize the full mutable state of the run into an in-memory
     /// snapshot image (see [`crate::checkpoint`] for the container). Must
-    /// be taken at a barrier — between `run_until` calls — so there are no
-    /// undelivered cross-shard packets and no half-dispatched application.
+    /// be taken between `run_until` calls, so no application is
+    /// half-dispatched.
     pub fn checkpoint(&self) -> Result<Vec<u8>, CheckpointError> {
         let mut w = SnapWriter::new(self.config_fingerprint());
         self.save_into(&mut w)?;
@@ -756,10 +630,7 @@ impl Simulator {
         if let Some(f) = &self.fluid {
             f.save(w);
         }
-        for shard in &self.shards {
-            shard.save(w)?;
-        }
-        Ok(())
+        self.shard.save(w)
     }
 
     /// Restore a snapshot image taken by [`Simulator::checkpoint`].
@@ -769,9 +640,9 @@ impl Simulator {
     /// `add_app` / `add_fluid_flow` sequence — then restores. The snapshot
     /// overwrites every piece of mutable state (queues, device contents,
     /// application state, RNG streams, counters, cursors, fluid rates), and
-    /// the continuation is bit-identical to the uninterrupted run at any
-    /// shard count and mode. Structural mismatches are
-    /// reported as typed errors, never panics.
+    /// the continuation is bit-identical to the uninterrupted run in any
+    /// mode. Structural mismatches are reported as typed errors, never
+    /// panics.
     pub fn restore(&mut self, bytes: Vec<u8>) -> Result<(), CheckpointError> {
         let mut r = SnapReader::from_bytes(bytes, self.config_fingerprint())?;
         self.restore_body(&mut r)
@@ -803,9 +674,7 @@ impl Simulator {
             f.restore(r, &self.constellation)?;
         }
         self.fluid_dirty = false;
-        for shard in &mut self.shards {
-            shard.restore(r)?;
-        }
+        self.shard.restore(r)?;
         r.expect_end()?;
 
         // Rebuild the live fault state by replaying the schedule up to the
@@ -826,9 +695,7 @@ impl Simulator {
             for ev in &events[first_future..self.next_fault_index] {
                 state.apply(ev);
             }
-            for shard in &mut self.shards {
-                shard.fault_state = Some(state.clone());
-            }
+            self.shard.fault_state = Some(state);
         }
 
         // Take the worker back from the lookahead thread (a step it was
@@ -853,23 +720,15 @@ impl Simulator {
 
     /// Re-derive the engine's bookkeeping from first principles and report
     /// every violated invariant (empty = all conserved). See
-    /// [`crate::audit`] for the invariants. Read-only; safe to call at any
-    /// barrier (between `run_until` calls).
+    /// [`crate::audit`] for the invariants. Read-only; safe to call
+    /// between `run_until` calls.
     pub fn audit(&self) -> Vec<AuditViolation> {
         let mut out = Vec::new();
         let t_ns = self.now.nanos();
-        let mut stats = self.coord_stats.clone();
-        for shard in &self.shards {
-            stats.merge(&shard.stats);
-        }
-        // In flight = what each shard holds (scheduled arrivals, i.e.
-        // propagating, + packets queued or in serialization at a device)
-        // + cross-shard packets awaiting a barrier exchange.
-        let mut in_flight: u64 = 0;
-        for shard in &self.shards {
-            in_flight += shard.audit(&mut out);
-            in_flight += shard.outbox.iter().map(|b| b.len() as u64).sum::<u64>();
-        }
+        let stats = self.merged_stats();
+        // In flight = scheduled arrivals (propagating) + packets queued or
+        // in serialization at a device.
+        let in_flight = self.shard.audit(&mut out);
         let dropped = stats.total_drops();
         if stats.injected != stats.delivered + dropped + in_flight {
             out.push(AuditViolation::PacketConservation {
@@ -892,13 +751,6 @@ impl Simulator {
 /// Nanoseconds of wall time since `t0`.
 fn ns_since(t0: Instant) -> u64 {
     t0.elapsed().as_nanos() as u64
-}
-
-/// Run `shard` up to `end_incl`; its wall time in nanoseconds.
-fn run_timed(shard: &mut Shard, end_incl: SimTime) -> u64 {
-    let t0 = Instant::now();
-    shard.run_window(end_incl);
-    ns_since(t0)
 }
 
 #[cfg(test)]
@@ -1071,46 +923,10 @@ mod tests {
         assert_eq!(outcome, Err("step 1 failed".to_string()));
     }
 
-    /// The shard count is a pure wall-clock knob. Stats, traces, and
-    /// application observables must be bit-identical to the one-shard run
-    /// at any shard count — plain, and under faults + GSL loss.
-    #[test]
-    fn sharded_engine_is_bit_identical_to_serial() {
-        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
-        let c = constellation();
-        let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        let spec = FaultSpec {
-            sat_outages: vec![OutageWindow { target: 12, from_s: 0.5, until_s: 1.5 }],
-            ..FaultSpec::default()
-        };
-        let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(2)));
-        let run = |cfg: SimConfig| {
-            let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
-            let app = sim.add_app(
-                src,
-                100,
-                Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
-            );
-            sim.run_until(SimTime::from_secs(2));
-            let ping: &PingApp = sim.app_as(app).unwrap();
-            (ping.rtts().to_vec(), sim.stats.clone(), sim.trace.entries().to_vec())
-        };
-        let plain = SimConfig::default().with_trace_limit(100_000);
-        let faulted = plain.clone().with_faults(schedule).with_gsl_loss(0.1);
-        for base in [plain, faulted] {
-            let serial = run(base.clone());
-            assert!(serial.1.delivered > 0, "workload delivered nothing");
-            for shards in [2, 4, 8] {
-                let sharded = run(base.clone().with_sim_shards(shards));
-                assert_eq!(serial, sharded, "sim_shards={shards} diverged");
-            }
-        }
-    }
-
     /// The serial engine's last word. The second loop — coordinator events
     /// in the queue, handlers chaining their successors — produced this
     /// hash at the last commit that had it (`cc24080`); the one loop that
-    /// is left must reproduce it at every shard count. The scenario
+    /// is left must reproduce it. The scenario
     /// crosses every coordinator path: hybrid mode, fluid flows with three
     /// finite stops (one on a forwarding instant), a fault exactly on a
     /// forwarding instant and one between instants, multipath, GSL loss, a
@@ -1142,106 +958,103 @@ mod tests {
             .with_faults(schedule)
             .with_gsl_loss(0.05)
             .with_trace_limit(200_000);
-        for shards in [1, 2, 4] {
-            let mut sim =
-                Simulator::new(c.clone(), base.clone().with_sim_shards(shards), vec![src, dst]);
-            sim.add_app(
-                src,
-                100,
-                Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
+        let mut sim = Simulator::new(c.clone(), base, vec![src, dst]);
+        sim.add_app(
+            src,
+            100,
+            Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
+        );
+        sim.add_app(dst, 50, Box::new(UdpSink::new()));
+        sim.add_app(
+            src,
+            50,
+            Box::new(UdpSource::new(
+                dst,
+                1,
+                DataRate::from_mbps(4),
+                1200,
+                SimTime::from_millis(900),
+            )),
+        );
+        for (flow, (a, b, stop_ms)) in
+            [(src, dst, 450), (src, dst, 600), (dst, src, 600), (src, dst, 1000)]
+                .into_iter()
+                .enumerate()
+        {
+            sim.add_fluid_flow(
+                flow as u32,
+                a,
+                b,
+                DataRate::from_mbps(3),
+                1440,
+                SimTime::from_millis(stop_ms),
             );
-            sim.add_app(dst, 50, Box::new(UdpSink::new()));
-            sim.add_app(
-                src,
-                50,
-                Box::new(UdpSource::new(
-                    dst,
-                    1,
-                    DataRate::from_mbps(4),
-                    1200,
-                    SimTime::from_millis(900),
-                )),
-            );
-            for (flow, (a, b, stop_ms)) in
-                [(src, dst, 450), (src, dst, 600), (dst, src, 600), (src, dst, 1000)]
-                    .into_iter()
-                    .enumerate()
-            {
-                sim.add_fluid_flow(
-                    flow as u32,
-                    a,
-                    b,
-                    DataRate::from_mbps(3),
-                    1440,
-                    SimTime::from_millis(stop_ms),
-                );
-            }
-            // A forwarding instant, a fluid boundary, mid-window, the end.
-            for cut_ns in [200_000_000, 450_000_000, 777_777_777, 1_200_000_000] {
-                sim.run_until(SimTime::from_nanos(cut_ns));
-                sim.run_until(SimTime::from_nanos(cut_ns));
-            }
-
-            let mut h = Fnv1a64::new();
-            assert_eq!(sim.trace.truncated(), 0, "the hash must cover the whole run");
-            for (e, &key) in sim.trace.entries().iter().zip(sim.trace.keys()) {
-                h.write_u64(e.t.nanos());
-                h.write_u64(key);
-                h.write_u32(e.node.0);
-                h.write_u64(e.packet_id);
-                h.write(&[e.kind as u8]);
-            }
-            let SimStats {
-                injected,
-                delivered,
-                payload_bytes_delivered,
-                hop_deliveries,
-                routing_drops,
-                queue_drops,
-                channel_drops,
-                fault_drops,
-                unclaimed,
-                pings_echoed,
-                forwarding_updates,
-                events,
-                flow_count,
-                flow_state_bytes,
-                fluid_flows,
-                fluid_resolves,
-                fluid_bytes_delivered,
-            } = sim.stats.clone();
-            for field in [
-                injected,
-                delivered,
-                payload_bytes_delivered,
-                hop_deliveries,
-                routing_drops,
-                queue_drops,
-                channel_drops,
-                fault_drops,
-                unclaimed,
-                pings_echoed,
-                forwarding_updates,
-                events,
-                flow_count,
-                flow_state_bytes,
-                fluid_flows,
-                fluid_resolves,
-                fluid_bytes_delivered,
-            ] {
-                h.write_u64(field);
-            }
-            for (flow, bytes) in sim.fluid().expect("hybrid mode").per_flow_payload_bytes() {
-                h.write_u32(flow);
-                h.write_u64(bytes.to_bits());
-            }
-            // Every coordinator path and drop kind actually ran.
-            assert_eq!(forwarding_updates, 12);
-            assert!(fluid_resolves > 12 + 2 + 3, "{fluid_resolves} re-solves");
-            assert!(fault_drops > 0 && channel_drops > 0 && queue_drops > 0, "{:?}", sim.stats);
-            assert!(delivered > 0 && pings_echoed > 0);
-            assert_eq!(h.finish(), FROZEN, "sim_shards={shards}: {:?}", sim.stats);
         }
+        // A forwarding instant, a fluid boundary, mid-window, the end.
+        for cut_ns in [200_000_000, 450_000_000, 777_777_777, 1_200_000_000] {
+            sim.run_until(SimTime::from_nanos(cut_ns));
+            sim.run_until(SimTime::from_nanos(cut_ns));
+        }
+
+        let mut h = Fnv1a64::new();
+        assert_eq!(sim.trace.truncated(), 0, "the hash must cover the whole run");
+        for (e, &key) in sim.trace.entries().iter().zip(sim.trace.keys()) {
+            h.write_u64(e.t.nanos());
+            h.write_u64(key);
+            h.write_u32(e.node.0);
+            h.write_u64(e.packet_id);
+            h.write(&[e.kind as u8]);
+        }
+        let SimStats {
+            injected,
+            delivered,
+            payload_bytes_delivered,
+            hop_deliveries,
+            routing_drops,
+            queue_drops,
+            channel_drops,
+            fault_drops,
+            unclaimed,
+            pings_echoed,
+            forwarding_updates,
+            events,
+            flow_count,
+            flow_state_bytes,
+            fluid_flows,
+            fluid_resolves,
+            fluid_bytes_delivered,
+        } = sim.stats.clone();
+        for field in [
+            injected,
+            delivered,
+            payload_bytes_delivered,
+            hop_deliveries,
+            routing_drops,
+            queue_drops,
+            channel_drops,
+            fault_drops,
+            unclaimed,
+            pings_echoed,
+            forwarding_updates,
+            events,
+            flow_count,
+            flow_state_bytes,
+            fluid_flows,
+            fluid_resolves,
+            fluid_bytes_delivered,
+        ] {
+            h.write_u64(field);
+        }
+        for (flow, bytes) in sim.fluid().expect("hybrid mode").per_flow_payload_bytes() {
+            h.write_u32(flow);
+            h.write_u64(bytes.to_bits());
+        }
+        // Every coordinator path and drop kind actually ran.
+        assert_eq!(forwarding_updates, 12);
+        assert!(fluid_resolves > 12 + 2 + 3, "{fluid_resolves} re-solves");
+        assert!(fault_drops > 0 && channel_drops > 0 && queue_drops > 0, "{:?}", sim.stats);
+        assert!(delivered > 0 && pings_echoed > 0);
+        assert_eq!(h.finish(), FROZEN, "{:?}", sim.stats);
     }
 
     /// The engine report reflects how the loop ran.
@@ -1264,7 +1077,6 @@ mod tests {
             sim.engine_report()
         };
         let serial = run(SimConfig::default());
-        assert_eq!(serial.sim_shards, 1);
         // The window from t = 0 plus one per forwarding instant, 0.1..=1.0 s.
         assert_eq!(serial.epochs, 11);
         assert_eq!(serial.barriers, 0, "one shard exchanges nothing");
@@ -1276,34 +1088,20 @@ mod tests {
         assert_eq!(q.far_inserts, 0, "nothing is due more than 69 s ahead");
         assert!(q.peak_pending > 0);
         assert!(q.refills > 0 && q.peak_run > 0 && q.peak_run <= q.peak_pending);
-
-        let sharded = run(SimConfig::default().with_sim_shards(4));
-        assert_eq!(sharded.sim_shards, 4);
-        assert!(sharded.epochs > 0, "no windows executed");
-        assert!(sharded.barriers > 0, "GS traffic must cross shards");
-        assert!(sharded.barriers <= sharded.epochs);
-        let w = sharded.min_lookahead_ns.expect("cross-shard geometry bounds the window");
-        // GSL bound 520 km ≈ 1.73 ms; window must be positive and below it.
-        assert!(w > 0 && w < 2_000_000, "implausible lookahead {w} ns");
     }
 
-    /// The phase timers account the window loop: two shards' summed runs
-    /// fit twice into the window steps that hold them, and a run with
-    /// cross-shard traffic spends time in every phase.
+    /// The phase timers account the window loop: a run spends time in
+    /// both phases, and the lookahead wait is part of the globals.
     #[test]
     fn phase_timers_account_the_window_loop() {
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        let cfg = SimConfig::default().with_sim_shards(2);
-        let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
+        let mut sim = Simulator::new(c.clone(), SimConfig::default(), vec![src, dst]);
         let ping = PingApp::new(dst, SimDuration::from_millis(20), SimTime::from_millis(500));
         sim.add_app(src, 100, Box::new(ping));
         sim.run_until(SimTime::from_secs(1));
-        let report = sim.engine_report();
-        assert!(report.barriers > 0, "GS traffic must cross shards");
-        let p = report.phases;
-        assert!(p.globals_ns > 0 && p.window_ns > 0 && p.exchange_ns > 0, "{p:?}");
-        assert!(p.busy_ns > 0 && p.busy_ns <= 2 * p.window_ns, "{p:?}");
+        let p = sim.engine_report().phases;
+        assert!(p.globals_ns > 0 && p.window_ns > 0, "{p:?}");
         assert!(p.lookahead_wait_ns <= p.globals_ns, "{p:?}");
     }
 
@@ -1313,32 +1111,26 @@ mod tests {
         let sim = Simulator::new(c.clone(), SimConfig::default(), vec![c.gs_node(0)]);
         let p = sim.engine_report().phases;
         assert!(p.build_ns > 0, "{p:?}");
-        assert_eq!((p.globals_ns, p.window_ns, p.busy_ns), (0, 0, 0), "nothing ran yet");
+        assert_eq!((p.globals_ns, p.window_ns), (0, 0), "nothing ran yet");
     }
 
     #[test]
     fn forwarding_updates_fire_at_granularity() {
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        for shards in [1, 4] {
-            let cfg = SimConfig::default().with_sim_shards(shards);
-            let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
-            sim.run_until(SimTime::from_secs(1));
-            // 100 ms granularity → updates at 0.1..1.0 inclusive = 10.
-            assert_eq!(sim.stats.forwarding_updates, 10, "sim_shards={shards}");
-        }
+        let mut sim = Simulator::new(c.clone(), SimConfig::default(), vec![src, dst]);
+        sim.run_until(SimTime::from_secs(1));
+        // 100 ms granularity → updates at 0.1..1.0 inclusive = 10.
+        assert_eq!(sim.stats.forwarding_updates, 10);
     }
 
     #[test]
     fn frozen_network_never_updates_forwarding() {
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        for shards in [1, 4] {
-            let cfg = SimConfig::default().frozen().with_sim_shards(shards);
-            let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
-            sim.run_until(SimTime::from_secs(2));
-            assert_eq!(sim.stats.forwarding_updates, 0, "sim_shards={shards}");
-        }
+        let mut sim = Simulator::new(c.clone(), SimConfig::default().frozen(), vec![src, dst]);
+        sim.run_until(SimTime::from_secs(2));
+        assert_eq!(sim.stats.forwarding_updates, 0);
     }
 
     #[test]
@@ -1587,12 +1379,8 @@ mod tests {
             "conservation: {:?}",
             inline.1
         );
-        // Steps asked for only once due, and sharded runs, agree.
-        assert_eq!(inline, run(base.clone(), true), "stepwise run diverged under faults");
-        for shards in [2, 4] {
-            let sharded = run(base.clone().with_sim_shards(shards), false);
-            assert_eq!(inline, sharded, "sim_shards={shards} diverged under faults");
-        }
+        // Steps asked for only once due agree.
+        assert_eq!(inline, run(base, true), "stepwise run diverged under faults");
     }
 
     /// Full recompute every snapshot — the router's test oracle — and
@@ -1628,8 +1416,8 @@ mod tests {
     }
 
     /// Fluid flows deliver `rate × time` bytes analytically, cost no
-    /// packet events, and every observable is bit-identical across shard
-    /// counts, because the solver re-runs only at canonical coordinator
+    /// packet events, and every observable is bit-identical from run to
+    /// run, because the solver re-runs only at canonical coordinator
     /// instants.
     #[test]
     fn fluid_flows_deliver_analytically_and_bit_identically() {
@@ -1666,10 +1454,7 @@ mod tests {
         assert!((153_590..=153_610).contains(&bytes), "fluid bytes {bytes}");
         assert!(serial.1.delivered > 0, "packet-level pings still flow in hybrid mode");
         assert!(serial.2.iter().any(|e| e.kind == TraceKind::FluidResolve), "re-solves are traced");
-        for shards in [2, 4] {
-            let got = run(base.clone().with_sim_shards(shards));
-            assert_eq!(serial, got, "shards={shards} diverged");
-        }
+        assert_eq!(serial, run(base), "a second run diverged");
     }
 
     /// Hybrid coupling: saturating fluid load pushes packet devices down
@@ -1707,27 +1492,24 @@ mod tests {
     }
 
     /// Residual pushes address devices by `(node, index)`: the fluid link
-    /// table must number every node's devices exactly as the shards
-    /// attach them, at any shard count.
+    /// table must number every node's devices exactly as the shard
+    /// attaches them.
     #[test]
     fn fluid_link_ids_address_the_shards_devices() {
         use crate::device::DeviceKind;
         use crate::fluid::{LinkTable, GSL_PEER};
         let c = constellation();
         let table = LinkTable::build(&c);
-        for shards in [1, 3] {
-            let cfg = SimConfig::default().with_sim_shards(shards);
-            let sim = Simulator::new(c.clone(), cfg, vec![c.gs_node(0)]);
-            let devices: usize = sim.nodes().map(|n| n.devices.len()).sum();
-            assert_eq!(table.len(), devices);
-            for link in 0..table.len() as u32 {
-                let (node, device) = table.device(link);
-                let peer = match sim.node(NodeId(node)).devices[device as usize].kind {
-                    DeviceKind::Isl { peer } => peer.0,
-                    DeviceKind::Gsl => GSL_PEER,
-                };
-                assert_eq!(table.key(link), (node, peer), "{shards} shards");
-            }
+        let sim = Simulator::new(c.clone(), SimConfig::default(), vec![c.gs_node(0)]);
+        let devices: usize = sim.nodes().map(|n| n.devices.len()).sum();
+        assert_eq!(table.len(), devices);
+        for link in 0..table.len() as u32 {
+            let (node, device) = table.device(link);
+            let peer = match sim.node(NodeId(node)).devices[device as usize].kind {
+                DeviceKind::Isl { peer } => peer.0,
+                DeviceKind::Gsl => GSL_PEER,
+            };
+            assert_eq!(table.key(link), (node, peer), "link {link}");
         }
     }
 
@@ -1812,32 +1594,30 @@ mod tests {
 
     /// The checkpoint/restore contract: restore into a freshly rebuilt
     /// simulator and the continuation is bit-identical to never having
-    /// stopped — at every shard count × mode, through fault events and
-    /// forwarding swaps on both sides of the snapshot.
+    /// stopped — in every mode, through fault events and forwarding swaps
+    /// on both sides of the snapshot.
     #[test]
     fn checkpoint_resume_is_bit_identical() {
         let c = constellation();
         let (base, build) = resilience_fixture(&c);
         for mode in [SimMode::Packet, SimMode::Hybrid] {
-            for shards in [1, 4] {
-                let cfg = base.clone().with_sim_mode(mode).with_sim_shards(shards);
-                let (mut whole, app_w) = build(&cfg);
-                whole.run_until(SimTime::from_secs(2));
-                let want = observe(&whole, app_w);
-                assert!(want.1.delivered > 0, "workload delivered nothing");
+            let cfg = base.clone().with_sim_mode(mode);
+            let (mut whole, app_w) = build(&cfg);
+            whole.run_until(SimTime::from_secs(2));
+            let want = observe(&whole, app_w);
+            assert!(want.1.delivered > 0, "workload delivered nothing");
 
-                let (mut first, _) = build(&cfg);
-                first.run_until(SimTime::from_millis(900));
-                let image = first.checkpoint().expect("checkpoint");
-                drop(first);
+            let (mut first, _) = build(&cfg);
+            first.run_until(SimTime::from_millis(900));
+            let image = first.checkpoint().expect("checkpoint");
+            drop(first);
 
-                let (mut resumed, app_r) = build(&cfg);
-                resumed.restore(image).expect("restore");
-                assert_eq!(resumed.now(), SimTime::from_millis(900));
-                resumed.run_until(SimTime::from_secs(2));
-                let got = observe(&resumed, app_r);
-                assert_eq!(want, got, "resume diverged: mode={} shards={shards}", mode.name());
-            }
+            let (mut resumed, app_r) = build(&cfg);
+            resumed.restore(image).expect("restore");
+            assert_eq!(resumed.now(), SimTime::from_millis(900));
+            resumed.run_until(SimTime::from_secs(2));
+            let got = observe(&resumed, app_r);
+            assert_eq!(want, got, "resume diverged: mode={}", mode.name());
         }
     }
 
@@ -1911,7 +1691,7 @@ mod tests {
         let (mut first, _) = build(&base);
         first.run_until(SimTime::from_millis(500));
         let image = first.checkpoint().unwrap();
-        let (mut other, _) = build(&base.clone().with_sim_shards(4));
+        let (mut other, _) = build(&base.clone().with_queue_packets(50));
         match other.restore(image) {
             Err(CheckpointError::ConfigMismatch { .. }) => {}
             other => panic!("expected ConfigMismatch, got {other:?}"),
@@ -1974,25 +1754,23 @@ mod tests {
     /// is malformed: a typed error at restore, not a panic at the pop.
     #[test]
     fn restore_rejects_queue_entries_it_cannot_dispatch() {
-        let (mut sim, ..) = every_exit_fixture(2);
+        let (mut sim, ..) = every_exit_fixture();
         sim.run_until(SimTime::from_millis(200));
         let image = sim.checkpoint().expect("checkpoint");
         let entries = first_queue_entries(&image);
         let first = |tag: u8| entries.iter().find(|e| e.1 == tag).expect("entry of tag").0;
         let (tx, timer) = (first(0), first(3));
-        // Satellite 99 belongs to shard 1; the first queue is shard 0's.
-        let cases: [(usize, u64, usize, &str); 5] = [
+        let cases: [(usize, u64, usize, &str); 4] = [
             (entries[0].0, 0, 8, "before the shard clock"),
-            (tx + 17, 10_000, 4, "node 10000, not owned by shard 0"),
-            (tx + 17, 99, 4, "node 99, not owned by shard 0"),
+            (tx + 17, 10_000, 4, "node 10000 of 102"),
             (tx + 21, 99, 4, "device 99 of node"),
-            (timer + 17, 1_000, 4, "app slot 1000, empty on shard 0"),
+            (timer + 17, 1_000, 4, "app slot 1000 of 3"),
         ];
         for (at, value, width, want) in cases {
             let mut bytes = image.clone();
             bytes[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
             crate::checkpoint::reseal(&mut bytes);
-            let (mut other, ..) = every_exit_fixture(2);
+            let (mut other, ..) = every_exit_fixture();
             match other.restore(bytes) {
                 Err(CheckpointError::Malformed(what)) => assert!(what.contains(want), "{what}"),
                 other => panic!("{want}: expected Malformed, got {other:?}"),
@@ -2042,10 +1820,9 @@ mod tests {
     /// is not a routing destination. Every way a packet's life can end
     /// occurs: delivery, queue drop, routing drop, fault drop (at the
     /// forwarding decision, at `tx_complete`, at the arrival), channel drop
-    /// — and with more than one shard, the cross-shard hand-off. Returns
-    /// the simulator, the probe's app index, the failed satellite and the
-    /// flow's hop count.
-    fn every_exit_fixture(shards: usize) -> (Simulator, u32, NodeId, u16) {
+    /// Returns the simulator, the probe's app index, the failed satellite
+    /// and the flow's hop count.
+    fn every_exit_fixture() -> (Simulator, u32, NodeId, u16) {
         use crate::apps::udp::UdpSource;
         use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
         let c = constellation();
@@ -2065,8 +1842,7 @@ mod tests {
             .frozen()
             .with_faults(schedule)
             .with_gsl_loss(0.05)
-            .with_trace_limit(400_000)
-            .with_sim_shards(shards);
+            .with_trace_limit(400_000);
         let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
         let probe = sim.add_app(dst, 50, Box::<HopProbe>::default());
         let stop = SimTime::from_secs(1);
@@ -2083,66 +1859,58 @@ mod tests {
     /// taken and the network has drained, no shard's slab holds a slot.
     #[test]
     fn every_exit_frees_its_slot_and_a_drained_run_leaks_none() {
-        for shards in [1, 4] {
-            let (mut sim, probe, victim, hops) = every_exit_fixture(shards);
-            for cut_ms in [200, 334, 900] {
-                sim.run_until(SimTime::from_millis(cut_ms));
-                assert_eq!(sim.audit(), [], "shards={shards} t={cut_ms}ms");
-                let on_wire: u64 = sim.shards.iter().map(Shard::in_flight_arrivals).sum();
-                let at_devices: u64 =
-                    sim.nodes().flat_map(|n| &n.devices).map(|d| d.occupancy()).sum();
-                let held: u64 = sim.shards.iter().map(|s| s.audit(&mut Vec::new())).sum();
-                assert!(on_wire > 0 && at_devices > 0, "t={cut_ms}ms: idle network");
-                assert_eq!(on_wire + at_devices, held, "shards={shards} t={cut_ms}ms");
-            }
-            sim.run_until(SimTime::from_secs(5));
-            assert_eq!(sim.audit(), [], "shards={shards}, drained");
-            for shard in &sim.shards {
-                assert_eq!(shard.audit(&mut Vec::new()), 0, "shard {} leaked a slot", shard.id);
-            }
-            let s = &sim.stats;
-            assert_eq!(s.injected, s.delivered + s.total_drops());
-            for (exit, n) in [
-                ("deliver", s.delivered),
-                ("queue drop", s.queue_drops),
-                ("routing drop", s.routing_drops),
-                ("fault drop", s.fault_drops),
-                ("channel drop", s.channel_drops),
-            ] {
-                assert!(n > 0, "shards={shards}: no {exit}");
-            }
-            if shards > 1 {
-                assert!(sim.engine_report().barriers > 0, "nothing crossed a shard boundary");
-            }
-            // Fault drops by site: at the failed satellite itself (the
-            // arrival), and upstream of it either at once (the forwarding
-            // decision) or some time after the packet got there (it was
-            // queued or in service: `tx_complete`).
-            assert_eq!(sim.trace.truncated(), 0);
-            let drops = sim.trace.entries().iter().filter(|e| e.kind == TraceKind::FaultDrop);
-            let (mut at_arrival, mut at_forward, mut at_tx_complete) = (0, 0, 0);
-            for drop in drops {
-                let journey = sim.trace.journey(drop.packet_id);
-                let got_there = journey.iter().rev().find(|e| e.kind == TraceKind::Arrive);
-                match got_there {
-                    _ if drop.node == victim => at_arrival += 1,
-                    Some(arrive) if arrive.node == drop.node && arrive.t < drop.t => {
-                        at_tx_complete += 1
-                    }
-                    _ => at_forward += 1,
-                }
-            }
-            assert!(
-                at_arrival > 0 && at_forward > 0 && at_tx_complete > 0,
-                "shards={shards}: {at_arrival} / {at_forward} / {at_tx_complete}"
-            );
-            // `hops` is bumped in place, once per transmission.
-            let probe: &HopProbe = sim.app_as(probe).unwrap();
-            assert_eq!(probe.hops.len() as u64 + s.pings_echoed, s.delivered);
-            assert!(probe.hops.iter().all(|&h| h == hops), "want {hops} hops: {:?}", probe.hops);
-            let report = sim.engine_report();
-            assert!(report.queue.slab_peak > 0 && report.queue.slab_peak <= s.injected);
+        let (mut sim, probe, victim, hops) = every_exit_fixture();
+        for cut_ms in [200, 334, 900] {
+            sim.run_until(SimTime::from_millis(cut_ms));
+            assert_eq!(sim.audit(), [], "t={cut_ms}ms");
+            let on_wire = sim.shard.in_flight_arrivals();
+            let at_devices: u64 = sim.nodes().flat_map(|n| &n.devices).map(|d| d.occupancy()).sum();
+            let held = sim.shard.audit(&mut Vec::new());
+            assert!(on_wire > 0 && at_devices > 0, "t={cut_ms}ms: idle network");
+            assert_eq!(on_wire + at_devices, held, "t={cut_ms}ms");
         }
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(sim.audit(), [], "drained");
+        assert_eq!(sim.shard.audit(&mut Vec::new()), 0, "the drained slab leaked a slot");
+        let s = &sim.stats;
+        assert_eq!(s.injected, s.delivered + s.total_drops());
+        for (exit, n) in [
+            ("deliver", s.delivered),
+            ("queue drop", s.queue_drops),
+            ("routing drop", s.routing_drops),
+            ("fault drop", s.fault_drops),
+            ("channel drop", s.channel_drops),
+        ] {
+            assert!(n > 0, "no {exit}");
+        }
+        // Fault drops by site: at the failed satellite itself (the
+        // arrival), and upstream of it either at once (the forwarding
+        // decision) or some time after the packet got there (it was
+        // queued or in service: `tx_complete`).
+        assert_eq!(sim.trace.truncated(), 0);
+        let drops = sim.trace.entries().iter().filter(|e| e.kind == TraceKind::FaultDrop);
+        let (mut at_arrival, mut at_forward, mut at_tx_complete) = (0, 0, 0);
+        for drop in drops {
+            let journey = sim.trace.journey(drop.packet_id);
+            let got_there = journey.iter().rev().find(|e| e.kind == TraceKind::Arrive);
+            match got_there {
+                _ if drop.node == victim => at_arrival += 1,
+                Some(arrive) if arrive.node == drop.node && arrive.t < drop.t => {
+                    at_tx_complete += 1
+                }
+                _ => at_forward += 1,
+            }
+        }
+        assert!(
+            at_arrival > 0 && at_forward > 0 && at_tx_complete > 0,
+            "{at_arrival} / {at_forward} / {at_tx_complete}"
+        );
+        // `hops` is bumped in place, once per transmission.
+        let probe: &HopProbe = sim.app_as(probe).unwrap();
+        assert_eq!(probe.hops.len() as u64 + s.pings_echoed, s.delivered);
+        assert!(probe.hops.iter().all(|&h| h == hops), "want {hops} hops: {:?}", probe.hops);
+        let report = sim.engine_report();
+        assert!(report.queue.slab_peak > 0 && report.queue.slab_peak <= s.injected);
     }
 
     /// A mid-run image — queues non-empty, a packet in service, packets on
@@ -2153,25 +1921,24 @@ mod tests {
     #[test]
     fn mid_run_image_matches_the_by_value_layout_and_round_trips() {
         use hypatia_util::hash::Fnv1a64;
-        for (shards, by_value) in [(1, 0x2fcd_22ca_da82_7830u64), (2, 0x0888_27bd_efd0_6dc3)] {
-            let (mut sim, ..) = every_exit_fixture(shards);
-            sim.run_until(SimTime::from_millis(200));
-            assert!(sim.nodes().flat_map(|n| &n.devices).any(|d| d.queue_len() > 0));
-            let image = sim.checkpoint().expect("checkpoint");
-            let mut h = Fnv1a64::new();
-            h.write(&image);
-            assert_eq!(h.finish(), by_value, "shards={shards}: {} bytes", image.len());
-            let (mut resumed, ..) = every_exit_fixture(shards);
-            resumed.restore(image.clone()).expect("restore");
-            assert_eq!(resumed.audit(), [], "shards={shards}: restored slab out of balance");
-            assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image, "shards={shards}");
-        }
+        let by_value = 0x2fcd_22ca_da82_7830u64;
+        let (mut sim, ..) = every_exit_fixture();
+        sim.run_until(SimTime::from_millis(200));
+        assert!(sim.nodes().flat_map(|n| &n.devices).any(|d| d.queue_len() > 0));
+        let image = sim.checkpoint().expect("checkpoint");
+        let mut h = Fnv1a64::new();
+        h.write(&image);
+        assert_eq!(h.finish(), by_value, "{} bytes", image.len());
+        let (mut resumed, ..) = every_exit_fixture();
+        resumed.restore(image.clone()).expect("restore");
+        assert_eq!(resumed.audit(), [], "restored slab out of balance");
+        assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image);
     }
 
     /// Simulators for the image pins below: case 0 an on/off source, case 1
     /// bulk UDP tables, case 2 a hybrid run whose fluid bundles share the
     /// path with pings under faults and GSL loss.
-    fn image_fixture(case: usize, shards: usize) -> Simulator {
+    fn image_fixture(case: usize) -> Simulator {
         use crate::apps::{onoff::OnOffSource, udp::UdpSink};
         use crate::flow::{BulkUdpSink, BulkUdpSource, FlowId};
         let c = constellation();
@@ -2179,7 +1946,7 @@ mod tests {
         let stop = SimTime::from_secs(2);
         match case {
             0 | 1 => {
-                let cfg = SimConfig::default().with_gsl_loss(0.02).with_sim_shards(shards);
+                let cfg = SimConfig::default().with_gsl_loss(0.02);
                 let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
                 if case == 0 {
                     let (on, off) = (SimDuration::from_millis(40), SimDuration::from_millis(60));
@@ -2204,8 +1971,7 @@ mod tests {
             }
             _ => {
                 let (base, build) = resilience_fixture(&c);
-                let (mut sim, _) =
-                    build(&base.with_sim_mode(SimMode::Hybrid).with_sim_shards(shards));
+                let (mut sim, _) = build(&base.with_sim_mode(SimMode::Hybrid));
                 sim.add_fluid_flow(1, dst, src, DataRate::from_mbps(8), 1440, stop);
                 sim
             }
@@ -2218,52 +1984,41 @@ mod tests {
     #[test]
     fn mid_run_image_of_onoff_bulk_udp_and_hybrid_is_pinned() {
         use hypatia_util::hash::Fnv1a64;
-        let pinned = [
-            (0, 1, 0xaccf_5fff_2b5c_b13cu64),
-            (1, 1, 0x8d23_9083_b0c2_ea0c),
-            (2, 1, 0x2bae_843c_6df7_21f7),
-            (2, 2, 0x73a7_d5bb_4677_348d),
-        ];
-        for (case, shards, want) in pinned {
-            let mut sim = image_fixture(case, shards);
+        let pinned = [0xaccf_5fff_2b5c_b13cu64, 0x8d23_9083_b0c2_ea0c, 0x2bae_843c_6df7_21f7];
+        for (case, want) in pinned.into_iter().enumerate() {
+            let mut sim = image_fixture(case);
             sim.run_until(SimTime::from_millis(900));
             let image = sim.checkpoint().expect("checkpoint");
             let mut h = Fnv1a64::new();
             h.write(&image);
-            assert_eq!(h.finish(), want, "case {case} shards={shards}: {} bytes", image.len());
-            let mut resumed = image_fixture(case, shards);
+            assert_eq!(h.finish(), want, "case {case}: {} bytes", image.len());
+            let mut resumed = image_fixture(case);
             resumed.restore(image.clone()).expect("restore");
             assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image, "case {case}");
         }
     }
 
     /// Audit mode re-derives conservation from first principles: a healthy
-    /// run (live or resumed, any engine/mode) reports zero violations at
-    /// every barrier, including mid-flight ones with packets in queues.
+    /// run (live or resumed, any mode) reports zero violations at every
+    /// cut, including mid-flight ones with packets in queues.
     #[test]
     fn audit_is_clean_on_live_and_resumed_runs() {
         let c = constellation();
         let (base, build) = resilience_fixture(&c);
         for mode in [SimMode::Packet, SimMode::Hybrid] {
-            for shards in [1, 4] {
-                let cfg = base.clone().with_sim_mode(mode).with_sim_shards(shards);
-                let (mut sim, _) = build(&cfg);
-                for ms in [300, 900, 2000] {
-                    sim.run_until(SimTime::from_millis(ms));
-                    let violations = sim.audit();
-                    assert!(
-                        violations.is_empty(),
-                        "mode={} shards={shards} t={ms}ms: {violations:?}",
-                        mode.name()
-                    );
-                }
-                // The audit pass itself is non-destructive: the run
-                // continues bit-identically after it.
-                let audited = observe(&sim, 0);
-                let (mut clean, _) = build(&cfg);
-                clean.run_until(SimTime::from_secs(2));
-                assert_eq!(audited, observe(&clean, 0));
+            let cfg = base.clone().with_sim_mode(mode);
+            let (mut sim, _) = build(&cfg);
+            for ms in [300, 900, 2000] {
+                sim.run_until(SimTime::from_millis(ms));
+                let violations = sim.audit();
+                assert!(violations.is_empty(), "mode={} t={ms}ms: {violations:?}", mode.name());
             }
+            // The audit pass itself is non-destructive: the run
+            // continues bit-identically after it.
+            let audited = observe(&sim, 0);
+            let (mut clean, _) = build(&cfg);
+            clean.run_until(SimTime::from_secs(2));
+            assert_eq!(audited, observe(&clean, 0));
         }
     }
 }

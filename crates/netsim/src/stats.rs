@@ -57,9 +57,8 @@ impl SimStats {
         self.routing_drops + self.queue_drops + self.channel_drops + self.fault_drops
     }
 
-    /// Fold another counter set into this one. Every field is a sum, so
-    /// merging per-shard stats in any order yields the same totals a
-    /// serial run reports.
+    /// Fold another counter set into this one (the coordinator's and the
+    /// shard's). Every field is a sum, so the order does not matter.
     pub fn merge(&mut self, other: &SimStats) {
         self.injected += other.injected;
         self.delivered += other.delivered;

@@ -67,9 +67,8 @@ pub struct TraceEntry {
 ///
 /// Alongside each entry the trace keeps the canonical event key that was
 /// current when it was recorded (see [`Trace::set_key`]). Keys never leave
-/// the crate: they exist so per-shard traces from the sharded engine can be
-/// [merged](Trace::merged) into the exact `(time, key)` order the serial
-/// engine produces.
+/// the crate: they exist so the coordinator's trace and the shard's can be
+/// [merged](Trace::merged) into the canonical `(time, key)` order.
 #[derive(Debug, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
@@ -115,15 +114,16 @@ impl Trace {
         self.current_key = key;
     }
 
-    /// Merge per-shard traces into the canonical global order.
+    /// Merge traces (the coordinator's and the shard's) into the canonical
+    /// global order.
     ///
     /// Each input trace's entries are already sorted by `(time, key)` —
-    /// a shard pops its queue in that order — so a stable sort of the
-    /// concatenation by `(time, key)` reproduces the order a serial run
-    /// records (equal `(time, key)` pairs only arise within one event,
-    /// which executes on a single shard, so stability preserves their
-    /// relative order). The result is truncated to `limit` and counts
-    /// every record any shard made beyond the kept set.
+    /// the shard pops its queue in that order, the coordinator applies its
+    /// events in it — so a stable sort of the concatenation by
+    /// `(time, key)` gives the global order (equal `(time, key)` pairs only
+    /// arise within one event, which records into one trace, so stability
+    /// preserves their relative order). The result is truncated to `limit`
+    /// and counts every record any part made beyond the kept set.
     pub fn merged(parts: &[&Trace], limit: usize) -> Trace {
         let mut tagged: Vec<(SimTime, u64, TraceEntry)> = Vec::new();
         let mut total: u64 = 0;
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn merge_reproduces_canonical_order_and_truncation() {
-        // Two "shards", each recording in its own (t, key) order.
+        // Two parts, each recording in its own (t, key) order.
         let mut a = Trace::new(10);
         a.set_key(5);
         a.record(SimTime::from_nanos(1), NodeId(0), 1, TraceKind::Inject);

@@ -54,7 +54,7 @@ hypatia_netsim::snap_fields!(CcState { cwnd, ssthresh, mss });
 /// A pluggable congestion-control algorithm.
 ///
 /// `Send` so TCP endpoints (which box one of these) satisfy the
-/// `Application: Send` bound of the sharded engine. Its [`Snap`] image is
+/// `Application: Send` bound. Its [`Snap`] image is
 /// the algorithm-private state only (accumulators, model windows): the
 /// window itself lives in [`CcState`] and is saved by the sender, and a
 /// restore lands in a freshly-constructed instance of the same algorithm.

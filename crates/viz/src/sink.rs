@@ -35,13 +35,10 @@ pub struct ArtifactRecord {
 /// Aggregated engine telemetry across a run's simulations.
 #[derive(Debug, Clone, Copy, Default)]
 struct EngineAggregate {
-    sim_shards: usize,
     epochs: u64,
-    barriers: u64,
-    min_lookahead_ns: Option<u64>,
-    /// Present once [`ArtifactSink::record_queue`] was called.
-    queue: Option<QueueStats>,
-    /// Present once [`ArtifactSink::record_fluid`] was called.
+    /// Merged over every recorded report.
+    queue: QueueStats,
+    /// Present once a recorded report's fluid solver re-solved.
     fluid: Option<FluidStats>,
     /// Summed over every recorded report.
     ephemeris: EphemerisStats,
@@ -110,62 +107,39 @@ impl ArtifactSink {
         self.sim_events
     }
 
-    /// Account how the simulator engine executed a run: shard count,
-    /// epoch/barrier counts, and the smallest conservative lookahead
-    /// window. Counts sum across calls (a run may simulate several
-    /// workloads); the shard count is the last recorded and the lookahead
-    /// the smallest seen. Reported in the manifest's `perf.engine` block,
-    /// with the summed ephemeris counts (`report.ephemeris`: satellite
-    /// windows sampled, link fits and rejected ones, interpolated and
-    /// guard-band delays) as `perf.engine.ephemeris` (no opt-in, unlike the
-    /// queue block), the summed wall-clock phase timers (`report.phases`)
-    /// as `perf.engine.phases`, and the summed forwarding-step
+    /// Account how the simulator engine executed a run, summed across
+    /// calls (a run may simulate several workloads) into the manifest's
+    /// `perf.engine` block: the window count; the ephemeris counts
+    /// (`report.ephemeris`: satellite windows sampled, link fits and
+    /// rejected ones, interpolated and guard-band delays) as
+    /// `perf.engine.ephemeris`; the wall-clock phase timers
+    /// (`report.phases`) as `perf.engine.phases`; the forwarding-step
     /// counts (`report.routing`: snapshots full vs. repaired and why, and
-    /// what the repairs did) as `perf.engine.routing`. The routing counts
-    /// depend on which snapshot each router last saw, hence on the routing
-    /// mode and on where a resume restarted it: like `events_per_sec` and
-    /// the phase timers they are not part of what two runs must agree on.
+    /// what the repairs did) as `perf.engine.routing`; the event-queue
+    /// telemetry (`report.queue`: inserts per tier, cascades and refills
+    /// sum, the pending, pool, run and slab peaks are the largest seen) as
+    /// `perf.engine.queue`; and, once any simulation re-solved fluid
+    /// rates, the fluid-solver telemetry (`report.fluid`: re-solve and
+    /// work counts sum, the last-solve block is the most recent
+    /// simulation's that solved at all) as `perf.engine.fluid`. Every
+    /// count restarts at a resume, and the routing counts also depend on
+    /// which snapshot each router last saw: like `events_per_sec` and the
+    /// phase timers, none of the block is part of what a resumed run must
+    /// agree on.
     pub fn record_engine(&mut self, report: &EngineReport) {
         let e = self.engine.get_or_insert_with(EngineAggregate::default);
-        e.sim_shards = report.sim_shards;
         e.epochs += report.epochs;
-        e.barriers += report.barriers;
-        e.min_lookahead_ns = match (e.min_lookahead_ns, report.min_lookahead_ns) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        e.queue.merge(&report.queue);
+        if report.fluid.resolves > 0 {
+            e.fluid.get_or_insert_with(FluidStats::default).merge(&report.fluid);
+        }
         e.ephemeris.merge(&report.ephemeris);
         e.phases.build_ns += report.phases.build_ns;
         e.phases.globals_ns += report.phases.globals_ns;
         e.phases.window_ns += report.phases.window_ns;
-        e.phases.busy_ns += report.phases.busy_ns;
-        e.phases.exchange_ns += report.phases.exchange_ns;
         e.phases.lookahead_wait_ns += report.phases.lookahead_wait_ns;
         e.routing.0.merge(&report.routing.0);
         e.routing.1.merge(&report.routing.1);
-    }
-
-    /// Account a simulation's event-queue telemetry (`report.queue`):
-    /// inserts per tier, cascades and refills sum across calls, the peak
-    /// pending count, the pool, run and slab peaks are the largest seen.
-    /// Reported as `perf.engine.queue`. The
-    /// counts depend on the shard count, so an experiment whose manifest
-    /// must be identical across shard counts calls this only under the
-    /// flag that also gates its wall-clock series.
-    pub fn record_queue(&mut self, stats: &QueueStats) {
-        let e = self.engine.get_or_insert_with(EngineAggregate::default);
-        e.queue.get_or_insert_with(QueueStats::default).merge(stats);
-    }
-
-    /// Account a simulation's fluid-solver telemetry (`report.fluid`):
-    /// re-solve and work counts sum across calls, the last-solve block is
-    /// the most recent simulation's that solved at all. Reported as
-    /// `perf.engine.fluid`; like the queue block it restarts at a resume,
-    /// so experiments record it under the flag that gates their
-    /// wall-clock series.
-    pub fn record_fluid(&mut self, stats: &FluidStats) {
-        let e = self.engine.get_or_insert_with(EngineAggregate::default);
-        e.fluid.get_or_insert_with(FluidStats::default).merge(stats);
     }
 
     /// Mark the run aborted with a one-line reason; the manifest gains
@@ -329,10 +303,9 @@ impl ArtifactSink {
                 "events_per_sec": rate,
             });
             if let Some(e) = &self.engine {
+                let q = &e.queue;
                 let mut engine = json!({
-                    "sim_shards": e.sim_shards as u64,
                     "epochs": e.epochs,
-                    "barriers": e.barriers,
                     "ephemeris": {
                         "fits": e.ephemeris.fits,
                         "link_fits": e.ephemeris.link_fits,
@@ -344,17 +317,10 @@ impl ArtifactSink {
                         "build_ns": e.phases.build_ns,
                         "globals_ns": e.phases.globals_ns,
                         "window_ns": e.phases.window_ns,
-                        "busy_ns": e.phases.busy_ns,
-                        "exchange_ns": e.phases.exchange_ns,
                         "lookahead_wait_ns": e.phases.lookahead_wait_ns,
                     },
                     "routing": routing_json(&e.routing),
-                });
-                if let (Some(ns), Some(obj)) = (e.min_lookahead_ns, engine.as_object_mut()) {
-                    obj.insert("min_lookahead_ns".to_string(), Value::from(ns));
-                }
-                if let (Some(q), Some(obj)) = (&e.queue, engine.as_object_mut()) {
-                    let queue = json!({
+                    "queue": {
                         "level1_inserts": q.level1_inserts,
                         "level2_inserts": q.level2_inserts,
                         "far_inserts": q.far_inserts,
@@ -365,9 +331,8 @@ impl ArtifactSink {
                         "peak_run": q.peak_run,
                         "late_inserts": q.late_inserts,
                         "slab_peak": q.slab_peak,
-                    });
-                    obj.insert("queue".to_string(), queue);
-                }
+                    },
+                });
                 if let (Some(f), Some(obj)) = (&e.fluid, engine.as_object_mut()) {
                     let mut fluid = fluid_solve_json(&f.total);
                     insert(&mut fluid, "resolves", Value::from(f.resolves));
@@ -527,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_block_reports_sharded_runs() {
+    fn engine_block_sums_reports() {
         let mut sink = temp_sink("engine");
         sink.record_sim(1000, 0.5);
         assert!(
@@ -541,47 +506,45 @@ mod tests {
             interpolated: 4000,
             exact_guard: 9,
         };
-        let phases = PhaseTimes {
-            build_ns: 40,
-            globals_ns: 10,
-            window_ns: 300,
-            busy_ns: 500,
-            exchange_ns: 7,
-            lookahead_wait_ns: 3,
-        };
+        let phases =
+            PhaseTimes { build_ns: 40, globals_ns: 10, window_ns: 300, lookahead_wait_ns: 3 };
         let routing = (
             RouterStats { snapshots: 8, repaired: 7, fallback_first: 1, ..Default::default() },
             RepairStats { trees: 70, retensed: 12, rescanned: 50, slot_misses: 3, certified: 900 },
         );
-        sink.record_engine(&EngineReport {
-            sim_shards: 4,
+        let queue = QueueStats {
+            level1_inserts: 100,
+            level2_inserts: 10,
+            far_inserts: 1,
+            cascaded: 8,
+            peak_pending: 40,
+            refills: 30,
+            peak_run: 12,
+            late_inserts: 5,
+            slab_peak: 9,
+            pool_peak: 48,
+        };
+        let report = EngineReport {
             epochs: 10,
-            barriers: 7,
-            min_lookahead_ns: Some(1_500_000),
-            queue: QueueStats::default(),
+            barriers: 0,
+            min_lookahead_ns: None,
+            queue,
             fluid: FluidStats::default(),
             ephemeris,
             phases,
             routing,
-        });
-        sink.record_engine(&EngineReport {
-            sim_shards: 4,
-            epochs: 5,
-            barriers: 2,
-            min_lookahead_ns: Some(1_200_000),
-            queue: QueueStats::default(),
-            fluid: FluidStats::default(),
-            ephemeris,
-            phases,
-            routing,
-        });
+        };
+        sink.record_engine(&report);
+        let queue =
+            QueueStats { peak_pending: 25, peak_run: 17, slab_peak: 7, pool_peak: 64, ..queue };
+        sink.record_engine(&EngineReport { epochs: 5, queue, ..report });
         let doc = sink.manifest("e");
         let engine = doc.get("perf").unwrap().get("engine").expect("engine block");
-        assert_eq!(engine.get("sim_shards").and_then(Value::as_u64), Some(4));
         assert_eq!(engine.get("epochs").and_then(Value::as_u64), Some(15));
-        assert_eq!(engine.get("barriers").and_then(Value::as_u64), Some(9));
-        assert_eq!(engine.get("min_lookahead_ns").and_then(Value::as_u64), Some(1_200_000));
-        assert!(engine.get("queue").is_none(), "no queue block without record_queue");
+        for retired in ["sim_shards", "barriers", "min_lookahead_ns"] {
+            assert!(engine.get(retired).is_none(), "{retired} is not reported");
+        }
+        assert!(engine.get("fluid").is_none(), "no fluid block before a re-solve");
         // Ephemeris counts ride along with every report and sum.
         let eph = engine.get("ephemeris").expect("ephemeris block");
         assert_eq!(eph.get("fits").and_then(Value::as_u64), Some(180));
@@ -594,9 +557,10 @@ mod tests {
         assert_eq!(phases.get("build_ns").and_then(Value::as_u64), Some(80));
         assert_eq!(phases.get("globals_ns").and_then(Value::as_u64), Some(20));
         assert_eq!(phases.get("window_ns").and_then(Value::as_u64), Some(600));
-        assert_eq!(phases.get("busy_ns").and_then(Value::as_u64), Some(1000));
-        assert_eq!(phases.get("exchange_ns").and_then(Value::as_u64), Some(14));
         assert_eq!(phases.get("lookahead_wait_ns").and_then(Value::as_u64), Some(6));
+        for retired in ["busy_ns", "exchange_ns"] {
+            assert!(phases.get(retired).is_none(), "{retired} is not reported");
+        }
         // So do the routing counts, the repair kernel's nested under them.
         let routing = engine.get("routing").expect("routing block");
         assert_eq!(routing.get("snapshots").and_then(Value::as_u64), Some(16));
@@ -608,26 +572,8 @@ mod tests {
         assert_eq!(repair.get("rescanned").and_then(Value::as_u64), Some(100));
         assert_eq!(repair.get("slot_misses").and_then(Value::as_u64), Some(6));
         assert_eq!(repair.get("certified").and_then(Value::as_u64), Some(1800));
-
-        // Queue telemetry is opt-in: counts sum, the peaks are maxima.
-        let stats = QueueStats {
-            level1_inserts: 100,
-            level2_inserts: 10,
-            far_inserts: 1,
-            cascaded: 8,
-            peak_pending: 40,
-            refills: 30,
-            peak_run: 12,
-            late_inserts: 5,
-            slab_peak: 9,
-            pool_peak: 48,
-        };
-        sink.record_queue(&stats);
-        let later =
-            QueueStats { peak_pending: 25, peak_run: 17, slab_peak: 7, pool_peak: 64, ..stats };
-        sink.record_queue(&later);
-        let doc = sink.manifest("e");
-        let queue = doc.get("perf").unwrap().get("engine").unwrap().get("queue").expect("queue");
+        // Queue counts sum, the peaks are maxima.
+        let queue = engine.get("queue").expect("queue block");
         assert_eq!(queue.get("level1_inserts").and_then(Value::as_u64), Some(200));
         assert_eq!(queue.get("level2_inserts").and_then(Value::as_u64), Some(20));
         assert_eq!(queue.get("far_inserts").and_then(Value::as_u64), Some(2));
@@ -639,9 +585,8 @@ mod tests {
         assert_eq!(queue.get("late_inserts").and_then(Value::as_u64), Some(10));
         assert_eq!(queue.get("slab_peak").and_then(Value::as_u64), Some(9));
 
-        // So is fluid-solver telemetry: totals sum, `last` is the most
-        // recent simulation's that solved at all.
-        assert!(doc.get("perf").unwrap().get("engine").unwrap().get("fluid").is_none());
+        // Fluid-solver telemetry appears once a report re-solved: totals
+        // sum, `last` is the most recent simulation's that solved at all.
         let solve = FluidSolve {
             rounds: 3,
             active_bundles: 20,
@@ -651,11 +596,14 @@ mod tests {
             residual_updates: 40,
             residual_pushes: 4,
         };
-        let first = FluidStats { resolves: 2, total: solve, last: solve };
         let later = FluidSolve { rounds: 1, ..solve };
-        sink.record_fluid(&first);
-        sink.record_fluid(&FluidStats { resolves: 1, total: later, last: later });
-        sink.record_fluid(&FluidStats::default());
+        for fluid in [
+            FluidStats { resolves: 2, total: solve, last: solve },
+            FluidStats { resolves: 1, total: later, last: later },
+            FluidStats::default(),
+        ] {
+            sink.record_engine(&EngineReport { fluid, ..report });
+        }
         let doc = sink.manifest("e");
         let fluid = doc.get("perf").unwrap().get("engine").unwrap().get("fluid").expect("fluid");
         assert_eq!(fluid.get("resolves").and_then(Value::as_u64), Some(3));
@@ -668,27 +616,7 @@ mod tests {
         assert_eq!(last.get("rounds").and_then(Value::as_u64), Some(1));
         assert_eq!(last.get("links_loaded").and_then(Value::as_u64), Some(9));
         assert_eq!(last.get("paths_reused").and_then(Value::as_u64), Some(5));
-
-        // Serial reports carry no lookahead; the key is omitted.
-        let mut serial = temp_sink("engine-serial");
-        serial.record_sim(10, 0.1);
-        serial.record_engine(&EngineReport {
-            sim_shards: 1,
-            epochs: 0,
-            barriers: 0,
-            min_lookahead_ns: None,
-            queue: QueueStats::default(),
-            fluid: FluidStats::default(),
-            ephemeris: EphemerisStats::default(),
-            phases: PhaseTimes::default(),
-            routing: Default::default(),
-        });
-        let doc = serial.manifest("e");
-        let engine = doc.get("perf").unwrap().get("engine").expect("engine block");
-        assert_eq!(engine.get("sim_shards").and_then(Value::as_u64), Some(1));
-        assert!(engine.get("min_lookahead_ns").is_none());
         std::fs::remove_dir_all(sink.out_dir()).ok();
-        std::fs::remove_dir_all(serial.out_dir()).ok();
     }
 
     #[test]

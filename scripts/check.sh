@@ -21,8 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "== cargo test -q --locked"
 cargo test -q --locked
 
-echo "== one event loop, one thread primitive (deleted paths stay deleted)"
-if grep -rnE 'run_serial|ForwardingUpdate|FaultUpdate \{|FluidUpdate|crossbeam' crates/*/src; then
+echo "== one event loop, one shard, one thread primitive (deleted paths stay deleted)"
+if grep -rnE 'run_serial|ForwardingUpdate|FaultUpdate \{|FluidUpdate|crossbeam|lookahead_at|Partition' \
+  crates/*/src; then
   echo "a deleted engine path or dependency is back" >&2 && exit 1
 fi
 
@@ -89,7 +90,7 @@ cargo test -q --release -p hypatia-netsim --lib -- --include-ignored \
   sim::tests::audit_is_clean sim::tests::restore_rejects checkpoint::tests
 cargo test -q --release -p hypatia-transport --test tcp_end_to_end mid_run_tcp_images
 
-echo "== fluid solver under release arithmetic: differential fuzz, K1 gate + hybrid shard tests"
+echo "== fluid solver under release arithmetic: differential fuzz, K1 gate + hybrid experiment tests"
 # The link-id solver — reused paths, lazy residuals — must match the
 # map-based oracle bit for bit with optimizations on too (the debug run is
 # part of `cargo test` above); the ignored gate adds the benchmark's scale:
@@ -115,29 +116,31 @@ target/release/run_experiment \
 test -f "$smoke_dir/out/manifest.json"
 test -f "$smoke_dir/out/ext_failure_goodput.dat"
 
-echo "== 4-shard smoke run (faulted) + shard-count determinism"
+echo "== retired sim_shards knob (faulted): accepted, ignored, warns"
 target/release/run_experiment \
   ext_failure_resilience --out "$smoke_dir/sharded" \
   --set duration_s=4 --set cities=10 --set pairs="Tokyo:Cairo" \
   --set fail_fracs=0.1 --set mttr_s=2 --set sim_shards=4 > /dev/null
 test -f "$smoke_dir/sharded/manifest.json"
-grep -q '"sim_shards": 4' "$smoke_dir/sharded/manifest.json"
+grep -q 'sim_shards ignored: the event engine runs one shard' "$smoke_dir/sharded/manifest.json"
 target/release/run_experiment \
   ext_failure_resilience --out "$smoke_dir/serial" \
   --set duration_s=4 --set cities=10 --set pairs="Tokyo:Cairo" \
   --set fail_fracs=0.1 --set mttr_s=2 --set sim_shards=1 > /dev/null
-# Byte-identity gate: artifact checksums must not depend on the shard
-# count; only the wall-clock rate and engine-telemetry lines may differ.
+# Byte-identity gate: the ignored knob changes no artifact; only the
+# wall-clock perf block and (here) the warning line may differ.
+# Usage: strip_engine manifest.json [extra top-level key ...]
 strip_engine() {
-  python3 - "$1" <<'PY'
+  python3 - "$@" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-doc.pop("perf", None)
+for key in ["perf", *sys.argv[2:]]:
+    doc.pop(key, None)
 print(json.dumps(doc, indent=2, sort_keys=True))
 PY
 }
-diff <(strip_engine "$smoke_dir/sharded/manifest.json") \
-     <(strip_engine "$smoke_dir/serial/manifest.json")
+diff <(strip_engine "$smoke_dir/sharded/manifest.json" warnings) \
+     <(strip_engine "$smoke_dir/serial/manifest.json" warnings)
 
 echo "== ext_flow_scaling smoke run (10k gravity flows, trace sampling on)"
 target/release/run_experiment \

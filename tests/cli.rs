@@ -79,6 +79,24 @@ fn bad_set_is_a_spec_error() {
     assert!(stderr.contains("tahoe"), "stderr: {stderr}");
 }
 
+/// The retired `sim_shards` knob is still a spec knob: printed off its
+/// default, read back byte for byte, and validated ≥ 1.
+#[test]
+fn retired_sim_shards_still_prints_reads_back_and_validates() {
+    let printed =
+        run("shards", None, &["fig02_scalability", "--set", "sim_shards=4", "--print-spec"]);
+    assert!(printed.status.success());
+    let text = String::from_utf8(printed.stdout).unwrap();
+    assert!(text.contains("\n  \"sim_shards\": 4,\n"), "{text}");
+    let again = run("shards_again", Some(&text), &["--print-spec"]);
+    assert!(again.status.success());
+    assert_eq!(String::from_utf8(again.stdout).unwrap(), text);
+
+    let stderr =
+        assert_bad_spec(&run("shards0", None, &["fig02_scalability", "--set", "sim_shards=0"]));
+    assert!(stderr.contains("sim_shards"), "stderr: {stderr}");
+}
+
 #[test]
 fn non_positive_flap_means_are_bad_specs_not_panics() {
     let stderr = assert_bad_spec(&run("mttf", None, &["fig09_timestep", "--set", "sat_mttf_s=0"]));
