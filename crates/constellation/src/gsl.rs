@@ -4,6 +4,25 @@
 //! or only its nearest; connectivity requires the satellite to be above the
 //! operator's minimum elevation angle. Visibility search prunes by the
 //! closed-form maximum slant range before computing elevations.
+//!
+//! # Pruning by orbital plane
+//!
+//! The satellites of one orbital plane share its right ascension and
+//! inclination, and the J2 model moves both at one rate per shell, so at
+//! any instant they lie in one plane through the geocenter (the Earth's
+//! rotation turns that plane but keeps it through the geocenter). A
+//! station at distance `d` from that plane is at least `d` from each of
+//! its satellites. When `d` exceeds the shell's conservative range bound
+//! plus a margin (`PLANE_MARGIN_KM`, 1 km), no satellite of the plane can
+//! pass the range test, so the whole plane is skipped before any
+//! per-satellite arithmetic. The normal comes from two of the plane's
+//! satellites about a quarter of the orbit apart, in the snapshot's own
+//! positions, so a satellite lies off it by no more than rounding
+//! (nanometres against the kilometre margin). Planes with fewer than
+//! three satellites, or whose two samples are too close to collinear for
+//! a well-conditioned normal, are scanned in full. The surviving planes
+//! run the same tests in the same satellite order as a full scan, so
+//! every visible list is the full scan's, bit for bit.
 
 use crate::constellation::Constellation;
 use hypatia_orbit::visibility::{conservative_max_gsl_range_km, elevation_deg, is_visible};
@@ -69,8 +88,15 @@ pub fn visible_satellites(
     out
 }
 
+/// How much farther than the shell's range bound a station must be from an
+/// orbital plane before the plane is skipped (module doc), km. Rounding
+/// moves a satellite off its plane's computed normal by nanometres; the
+/// margin covers that a million times over.
+const PLANE_MARGIN_KM: f64 = 1.0;
+
 /// As [`visible_satellites`], into `out` (cleared first), so that a
-/// snapshot's hundred ground stations share one buffer.
+/// snapshot's hundred ground stations share one buffer. Orbital planes
+/// out of the station's reach are skipped whole (module doc).
 pub fn visible_satellites_into(
     constellation: &Constellation,
     gs_pos: Vec3,
@@ -80,10 +106,12 @@ pub fn visible_satellites_into(
 ) {
     let min_el = constellation.gsl.min_elevation_deg;
     out.clear();
-    // Satellites are shell-major, so each shell's are one run of positions.
+    // Satellites are shell-major, then plane-major, so each plane's are
+    // one run of positions.
     let mut first = 0;
     for shell in &constellation.shells {
-        let count = (shell.num_orbits * shell.sats_per_orbit) as usize;
+        let per_plane = shell.sats_per_orbit as usize;
+        let count = shell.num_orbits as usize * per_plane;
         // The range bound must hold for ground stations anywhere on the
         // ellipsoid (it grows as the station sits closer to the
         // geocenter), hence the conservative (polar-radius) form — the
@@ -93,23 +121,52 @@ pub fn visible_satellites_into(
         // the range test might keep; the range test itself is unchanged.
         let bound = conservative_max_gsl_range_km(shell.altitude_km, min_el) + 1e-9;
         let prune_sq = (bound * (1.0 + 1e-6)).powi(2);
-        for (idx, &pos) in sat_positions.iter().enumerate().skip(first).take(count) {
-            let range_sq = (gs_pos - pos).norm_sq();
-            if range_sq > prune_sq {
+        let reach_sq = (bound + PLANE_MARGIN_KM).powi(2);
+        let shell_positions = &sat_positions[first..first + count];
+        for (plane_idx, plane) in shell_positions.chunks_exact(per_plane).enumerate() {
+            if plane_out_of_reach(plane, gs_pos, reach_sq) {
                 continue;
             }
-            let range = range_sq.sqrt();
-            if range > bound {
-                continue;
-            }
-            let el = elevation_deg(gs_pos, pos);
-            if el >= min_el {
-                out.push(VisibleSat { sat_idx: idx, range_km: range, elevation_deg: el });
+            let plane_first = first + plane_idx * per_plane;
+            for (idx, &pos) in (plane_first..).zip(plane) {
+                let range_sq = (gs_pos - pos).norm_sq();
+                if range_sq > prune_sq {
+                    continue;
+                }
+                let range = range_sq.sqrt();
+                if range > bound {
+                    continue;
+                }
+                let el = elevation_deg(gs_pos, pos);
+                if el >= min_el {
+                    out.push(VisibleSat { sat_idx: idx, range_km: range, elevation_deg: el });
+                }
             }
         }
         first += count;
     }
     out.sort_by(|a, b| a.range_km.total_cmp(&b.range_km));
+}
+
+/// Is `gs_pos` farther than `√reach_sq` km from the plane through the
+/// geocenter that holds `plane`'s satellites? `false` whenever the plane
+/// cannot be told from two of its satellites: fewer than three of them,
+/// or two samples less than ≈ 6° from collinear.
+fn plane_out_of_reach(plane: &[Vec3], gs_pos: Vec3, reach_sq: f64) -> bool {
+    if plane.len() < 3 {
+        return false;
+    }
+    // About a quarter of the orbit apart: 90° for a circular plane.
+    let (a, b) = (plane[0], plane[(plane.len() + 2) / 4]);
+    let normal = a.cross(b);
+    let normal_sq = normal.norm_sq();
+    // |a × b|² = |a|²|b|² sin²θ: require sin θ ≥ 0.1.
+    if normal_sq < 0.01 * a.norm_sq() * b.norm_sq() {
+        return false;
+    }
+    // Distance² to the plane is (n·g)² / |n|², compared without dividing.
+    let along = normal.dot(gs_pos);
+    along * along > reach_sq * normal_sq
 }
 
 /// The satellites a GS may *use* under the configured selection policy,
@@ -252,8 +309,9 @@ mod tests {
         assert!(counts[0] > counts[2], "visibility should strictly grow by l: {counts:?}");
     }
 
-    /// `visible_satellites` before the squared-distance pre-prune: the
-    /// oracle the pruned version must reproduce bit for bit.
+    /// `visible_satellites` as a per-satellite scan, before the
+    /// squared-distance pre-prune and the plane pruning: the oracle the
+    /// pruned version must reproduce bit for bit.
     fn visible_satellites_oracle(
         constellation: &Constellation,
         gs_pos: Vec3,
@@ -316,6 +374,84 @@ mod tests {
                 }
             }
             assert!(links > 200 * 100, "{}: only {links} GSLs", c.name);
+        }
+    }
+
+    /// Plane pruning changes no visible list: T1, K1, S1 and the K1
+    /// bent-pipe preset with 100 cities, an eccentric two-shell
+    /// constellation, and one whose shells have one and two satellites per
+    /// plane (scanned whole), each at 240 instants over its first shell's
+    /// orbital period. Release-only (`scripts/check.sh`); it also fails if
+    /// too few (station, plane) pairs of the benchmark's three shells are
+    /// pruned (T1 prunes 64 %, K1 and S1 79–80 %), so a pruning that
+    /// silently stops pruning shows here rather than as a slow snapshot.
+    #[test]
+    #[ignore = "release-only gate: run with --release -- --include-ignored"]
+    fn plane_pruned_visibility_equals_the_full_scan() {
+        let cities = crate::ground::top_cities(100);
+        let mut eccentric = presets::kuiper_full(cities.clone());
+        eccentric.set_shell_eccentricity(0, 0.03, 0.7);
+        eccentric.set_shell_eccentricity(2, 0.015, 3.9);
+        let sparse = Constellation::build(
+            "sparse planes",
+            vec![
+                ShellSpec::new("pairs", 550.0, 40, 2, 53.0),
+                ShellSpec::new("singles", 1100.0, 30, 1, 70.0),
+                ShellSpec::new("triples", 800.0, 12, 3, 87.0),
+            ],
+            IslLayout::None,
+            cities.clone(),
+            GslConfig::new(20.0),
+        );
+        let cases = [
+            (presets::telesat_t1(cities.clone()), Some(0.5)),
+            (presets::kuiper_k1(cities.clone()), Some(0.7)),
+            (presets::starlink_s1(cities.clone()), Some(0.7)),
+            (presets::kuiper_k1_bent_pipe(cities.clone()), None),
+            (eccentric, None),
+            (sparse, None),
+        ];
+        let bits = |v: &[VisibleSat]| -> Vec<(usize, u64, u64)> {
+            v.iter().map(|s| (s.sat_idx, s.range_km.to_bits(), s.elevation_deg.to_bits())).collect()
+        };
+        let mut rng = hypatia_util::rng::DetRng::new(0x706c_616e);
+        for (c, min_pruned) in cases {
+            let n_sats = c.num_satellites();
+            let period_ns = (c.shells[0].period_s() * 1e9) as u64;
+            let mut positions = Vec::new();
+            let mut fast = Vec::new();
+            let (mut links, mut planes, mut pruned) = (0, 0u64, 0u64);
+            for k in 0..240u64 {
+                // Evenly over one period, each instant jittered within its slot.
+                let t = SimTime::from_nanos(k * period_ns / 240 + rng.next_below(period_ns / 240));
+                c.positions_at_into(t, &mut positions);
+                for gs in 0..c.num_ground_stations() {
+                    let gs_pos = positions[n_sats + gs];
+                    visible_satellites_into(&c, gs_pos, &positions[..n_sats], t, &mut fast);
+                    let slow = visible_satellites_oracle(&c, gs_pos, &positions[..n_sats]);
+                    assert_eq!(bits(&fast), bits(&slow), "{} gs {gs} at {t:?}", c.name);
+                    links += fast.len();
+                    let shell = &c.shells[0];
+                    let bound =
+                        conservative_max_gsl_range_km(shell.altitude_km, c.gsl.min_elevation_deg)
+                            + 1e-9;
+                    let reach_sq = (bound + PLANE_MARGIN_KM).powi(2);
+                    let per_plane = shell.sats_per_orbit as usize;
+                    let shell_len = shell.num_orbits as usize * per_plane;
+                    for plane in positions[..shell_len].chunks_exact(per_plane) {
+                        planes += 1;
+                        pruned += u64::from(plane_out_of_reach(plane, gs_pos, reach_sq));
+                    }
+                }
+            }
+            assert!(links > 240 * 50, "{}: only {links} GSLs", c.name);
+            let share = pruned as f64 / planes as f64;
+            if let Some(min) = min_pruned {
+                assert!(share >= min, "{}: only {share:.3} of the planes pruned", c.name);
+            }
+            if c.shells[0].sats_per_orbit < 3 {
+                assert_eq!(pruned, 0, "{}: a plane of fewer than 3 satellites was pruned", c.name);
+            }
         }
     }
 

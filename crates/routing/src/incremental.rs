@@ -29,6 +29,20 @@
 //! Full Dijkstra ([`shortest_path_tree_into`]) remains the fallback and
 //! the only oracle.
 //!
+//! # Full recomputes on two threads
+//!
+//! A full recompute — the first snapshot (a simulator's initial state, a
+//! restore without a valid cache, a sweep's first step), a churn or
+//! zero-delay fallback, and every snapshot in [`RoutingMode::Full`] —
+//! builds the trees of the later half of the destinations on one scoped
+//! helper thread while the caller builds the first half, each with its
+//! own [`DijkstraScratch`]. The trees are independent of each other, so
+//! the bytes are the serial loop's. The helper lives only for that call:
+//! there is no knob and never more than one helper per router, so a
+//! router briefly occupies two threads. Repairs stay on the caller's
+//! thread, and [`crate::forwarding::compute_forwarding_state_into`], the
+//! oracle, stays serial.
+//!
 //! # Why skipping a scan is exact
 //!
 //! Let `ℓ` be the previous exact labels, `ℓ'` the labels along the old
@@ -331,7 +345,8 @@ struct RepairScratch {
     mark: Vec<u8>,
     /// Leaf results, written back only after every leaf was scanned.
     leaves: Vec<(u32, Scan)>,
-    /// `ℓ`: the tree's labels as the repair found them.
+    /// `ℓ`: the tree's labels as the repair found them (swapped in from
+    /// the tree; between repairs, a spare buffer of stale labels).
     was: Vec<u64>,
 }
 
@@ -499,8 +514,11 @@ fn repair_shortest_path_tree(
     scratch.mark.resize(n, CLEAN);
     stats.trees += 1;
     let RepairScratch { stack, sequence, heap, dropped, mark, leaves, was } = scratch;
-    was.resize(n, 0);
-    let was = &mut was[..n];
+    // The previous labels become `was` by a buffer swap, not a copy; the
+    // tree takes the scratch buffer, whose stale entries step 1 overwrites.
+    std::mem::swap(&mut tree.dist_ns, was);
+    tree.dist_ns.resize(n, 0);
+    let was = &was[..n];
     let dist = &mut tree.dist_ns[..n];
     let next_hop = &mut tree.next_hop[..n];
     let slots = &mut slots[..n];
@@ -516,8 +534,7 @@ fn repair_shortest_path_tree(
     // transit vertices (leaves hold UNREACHABLE), finite on both sides.
     let transit = graph.transit();
     let mut todo = 0;
-    for ((d, w), &t) in dist.iter_mut().zip(was.iter_mut()).zip(transit) {
-        *w = *d;
+    for (d, &t) in dist.iter_mut().zip(transit) {
         *d = if t { PENDING } else { UNREACHABLE };
         todo += usize::from(t);
     }
@@ -667,6 +684,42 @@ fn repair_shortest_path_tree(
     }
 }
 
+/// Full shortest-path trees of `graph` towards `dests`, one per entry of
+/// `trees`. With a `helper` scratch and at least two destinations, the
+/// later half of the trees is built on one scoped helper thread (its own
+/// scratch) while the caller builds the first half: the trees are
+/// independent, so the bytes are those of the serial loop. A panic on the
+/// helper resurfaces on the caller.
+fn full_trees_into(
+    graph: &DelayGraph,
+    dests: &[NodeId],
+    trees: &mut [SpTree],
+    scratch: &mut DijkstraScratch,
+    helper: Option<&mut DijkstraScratch>,
+) {
+    debug_assert_eq!(trees.len(), dests.len());
+    let build = |trees: &mut [SpTree], dests: &[NodeId], scratch: &mut DijkstraScratch| {
+        for (tree, d) in trees.iter_mut().zip(dests) {
+            shortest_path_tree_into(graph, d.0, scratch, tree);
+        }
+    };
+    let Some(helper) = helper.filter(|_| dests.len() >= 2) else {
+        return build(trees, dests, scratch);
+    };
+    // The caller starts at once and the helper only once spawned, so the
+    // caller takes the odd tree.
+    let mid = dests.len().div_ceil(2);
+    let (own_trees, helper_trees) = trees.split_at_mut(mid);
+    let (own_dests, helper_dests) = dests.split_at(mid);
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| build(helper_trees, helper_dests, helper));
+        build(own_trees, own_dests, scratch);
+        if let Err(panic) = handle.join() {
+            std::panic::resume_unwind(panic);
+        }
+    });
+}
+
 /// Why a snapshot was (or was not) repaired — tallied in [`RouterStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterStats {
@@ -719,6 +772,10 @@ pub struct IncrementalRouter {
     /// `memos[i]`: what `trees[i]`'s last repair left for its next one.
     memos: Vec<TreeMemo>,
     scratch: DijkstraScratch,
+    /// The scratch of a full recompute's helper thread (see
+    /// [`full_trees_into`]); `None` only in the tests that hold the split
+    /// equal to one thread.
+    helper_scratch: Option<DijkstraScratch>,
     repair: RepairScratch,
     diff: GraphDiff,
     drift: Drift,
@@ -745,6 +802,7 @@ impl IncrementalRouter {
             trees: Vec::new(),
             memos: Vec::new(),
             scratch: DijkstraScratch::new(),
+            helper_scratch: Some(DijkstraScratch::new()),
             repair: RepairScratch::default(),
             diff: GraphDiff::default(),
             drift: Drift::default(),
@@ -819,9 +877,8 @@ impl IncrementalRouter {
             self.dests.clear();
             self.dests.extend_from_slice(dests);
             self.trees.resize_with(dests.len(), SpTree::empty);
-            for (tree, d) in self.trees.iter_mut().zip(dests) {
-                shortest_path_tree_into(graph, d.0, &mut self.scratch, tree);
-            }
+            let helper = self.helper_scratch.as_mut();
+            full_trees_into(graph, dests, &mut self.trees, &mut self.scratch, helper);
             // Fresh trees: nothing remembered, no certificates.
             self.memos.resize_with(dests.len(), TreeMemo::default);
             self.memos.iter_mut().for_each(TreeMemo::forget);
@@ -1270,6 +1327,65 @@ mod tests {
         }
         assert!(router.stats.repaired >= 6, "drift steps should repair: {:?}", router.stats);
         assert_eq!(router.stats.fallback_first, 1, "{:?}", router.stats);
+    }
+
+    /// A full recompute split between the caller and the helper thread
+    /// equals the full-Dijkstra oracle tree for tree, and a router that
+    /// splits counts exactly what one that never splits counts: 1, 2, 3, 7
+    /// and 100 destinations, over unmasked and masked snapshots whose
+    /// outages force churn fallbacks onto and off the mask.
+    #[test]
+    fn split_full_recompute_equals_the_oracle_and_one_thread() {
+        let c = Constellation::build(
+            "split",
+            vec![ShellSpec::new("B", 550.0, 10, 10, 53.0)],
+            IslLayout::PlusGrid,
+            hypatia_constellation::ground::top_cities(40),
+            GslConfig::new(25.0),
+        );
+        let spec = FaultSpec {
+            sat_outages: (0..40)
+                .map(|s| OutageWindow { target: s * 2, from_s: 10.0, until_s: 40.0 })
+                .collect(),
+            gsl_weather: vec![OutageWindow { target: 3, from_s: 10.0, until_s: 40.0 }],
+            ..FaultSpec::default()
+        };
+        let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(60));
+        // (seconds, masked?): first, drift, onto the mask, on it, off it.
+        let steps = [(0u64, false), (5, false), (15, true), (20, true), (45, false), (50, false)];
+        let mut rng = DetRng::new(0x7370_6c69);
+        for n_dests in [1usize, 2, 3, 7, 100] {
+            let mut nodes: Vec<u32> = (0..c.num_nodes() as u32).collect();
+            rng.shuffle(&mut nodes);
+            let dests: Vec<NodeId> = nodes[..n_dests].iter().map(|&v| NodeId(v)).collect();
+            let mut split = IncrementalRouter::new(RoutingConfig::incremental());
+            let mut serial = IncrementalRouter::new(RoutingConfig::incremental());
+            serial.helper_scratch = None;
+            let (mut a, mut b) = (ForwardingState::empty(), ForwardingState::empty());
+            for (secs, masked) in steps {
+                let t = SimTime::from_secs(secs);
+                let mask = masked.then(|| FaultState::at(&sched, t));
+                let g = DelayGraph::snapshot_masked(&c, t, mask.as_ref());
+                split.compute_into(&g, t, &dests, &mut a);
+                serial.compute_into(&g, t, &dests, &mut b);
+                let reference = compute_forwarding_state_on(&g, t, &dests);
+                for (out, who) in [(&a, "split"), (&b, "serial")] {
+                    assert_eq!(out.dests, reference.dests);
+                    assert_eq!(out.dest_lookup, reference.dest_lookup);
+                    for (x, y) in out.trees.iter().zip(&reference.trees) {
+                        let ctx = format!("{who}, {n_dests} dests, t={secs}s");
+                        assert_trees_identical(x, y, &ctx);
+                    }
+                }
+                assert_eq!(split.stats, serial.stats, "{n_dests} dests, t={secs}s");
+                assert_eq!(split.repair_stats, serial.repair_stats, "{n_dests} dests");
+            }
+            // The split ran on the first snapshot and on both churn
+            // fallbacks (one onto a masked snapshot), and repair ran too.
+            let stats = split.stats;
+            assert_eq!((stats.fallback_first, stats.fallback_churn), (1, 2), "{stats:?}");
+            assert_eq!(stats.repaired, 3, "{stats:?}");
+        }
     }
 
     #[test]

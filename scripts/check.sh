@@ -73,6 +73,15 @@ echo "== full SSSP: bucket queue vs heap Dijkstra, T1+K1+S1 x 100 destinations x
 # masks, Floyd-Warshall) is part of `cargo test` above.
 cargo test -q --release -p hypatia-routing --lib dijkstra::tests -- --include-ignored
 
+echo "== GSL visibility pruned by orbital plane vs the full scan: T1+K1+S1+bent pipe x 100 cities x 240 instants, release arithmetic"
+# Every snapshot's GSLs come from visible_satellites_into, which skips
+# whole orbital planes out of a station's reach. Its lists must equal the
+# per-satellite scan's bit for bit on the benchmark's shells, the K1
+# bent-pipe preset, an eccentric multi-shell constellation and shells of
+# one to three satellites per plane, over one orbital period; the gate
+# also fails if K1 and S1 stop pruning most (station, plane) pairs.
+cargo test -q --release -p hypatia-constellation --lib gsl::tests -- --include-ignored
+
 echo "== event queue with debug_asserts off: bucketed drain + late heap, 10^6-entry slot, pool storage bound"
 # The bucketed drain (bin count, scatter, per-bin sort) and the run/late
 # merge must equal the heap oracle with optimizations on too; the
