@@ -57,7 +57,11 @@ pub const MAGIC: [u8; 8] = *b"HYPSNAP\0";
 /// queue images could hold coordinator events (tags 2, 4 and 5) and the
 /// header carried the engine's window counts; since version 2 a queue
 /// holds node events only and engine telemetry stays out of the image.
-pub const VERSION: u32 = 2;
+/// Version 2 images still had two parts, a coordinator's counters and
+/// trace beside a shard's (with a shard id and a presence flag per app);
+/// a version 3 image is one simulator's, with one clock, one trace and
+/// one set of counters.
+pub const VERSION: u32 = 3;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -790,13 +794,13 @@ mod tests {
         assert_eq!(SnapReader::from_bytes(bytes, FP).unwrap_err(), CheckpointError::BadMagic);
     }
 
-    /// Both neighbours of the current layout are refused by number: the
-    /// future one, and version 1, whose queue images held coordinator
-    /// events this build has no variants for.
+    /// Every layout but the current one is refused by number: the future
+    /// one; version 2, whose images had two parts; and version 1, whose
+    /// queue images held coordinator events this build has no variants for.
     #[test]
     fn rejects_unsupported_version() {
-        assert_eq!(VERSION, 2);
-        for found in [VERSION + 1, 1] {
+        assert_eq!(VERSION, 3);
+        for found in [VERSION + 1, 2, 1] {
             let mut bytes = SnapWriter::new(FP).finish();
             bytes[8..12].copy_from_slice(&found.to_le_bytes());
             reseal(&mut bytes);

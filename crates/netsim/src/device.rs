@@ -7,7 +7,7 @@
 //! chosen when it was enqueued, so forwarding-state changes never reroute
 //! queued packets (lossless handoff semantics).
 //!
-//! A device never holds or reads a packet: it stays in the shard's
+//! A device never holds or reads a packet: it stays in the simulator's
 //! `PacketSlab` and the queue holds a 12-byte [`Queued`] — the slot plus
 //! the two things the device path needs from it. Only `save`/`restore`
 //! look the packet up, to write the bytes a by-value queue wrote.
@@ -35,7 +35,7 @@ pub enum DeviceKind {
 /// path needs to know about it without going there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Queued {
-    /// The packet's slot in the shard's slab.
+    /// The packet's slot in the simulator's slab.
     pub slot: u32,
     /// The next hop assigned at enqueue time (the fault check and the
     /// propagation delay hang off it).

@@ -5,22 +5,22 @@
 //! instant execute in the order they were scheduled) or an explicit
 //! canonical key supplied by the caller ([`EventQueue::schedule_keyed`]).
 //! The simulator uses canonical keys derived from the *originating* node
-//! (see `crate::shard`). Either way, integer timestamps plus a total event
+//! (see `crate::sim`). Either way, integer timestamps plus a total event
 //! order make runs bit-reproducible.
 //!
 //! A queue holds node events only. Global events — forwarding swaps, fault
-//! updates, fluid boundaries — live in the coordinator's cursors (see
+//! updates, fluid boundaries — live in the simulator's cursors (see
 //! `crate::sim`) and never enter one.
 //!
 //! # Where a packet lives, and who frees it
 //!
 //! An entry in the ordered structures is 32 bytes: `(at, key)`, a tag and
 //! two payload words. An 88-byte [`Packet`] never travels in one: it lives
-//! in a `PacketSlab` (a `Vec<Packet>` plus a free list) the shard owns,
+//! in a `PacketSlab` (a `Vec<Packet>` plus a free list) the simulator owns,
 //! and whatever holds it — an `Arrival` entry, a device queue —
 //! holds its `u32` slot. A packet is parked once, when it is injected,
 //! and whoever ends its life frees the slot: delivery or a drop.
-//! In between nothing copies it; the shard drives the queue through
+//! In between nothing copies it; the simulator drives the queue through
 //! `EventQueue::schedule_slot` / `EventQueue::pop_slot`, which
 //! move 32-byte entries only. The by-value [`Event`] API
 //! ([`EventQueue::schedule`], [`EventQueue::pop`], ...) wraps those for
@@ -35,7 +35,7 @@
 //!   built by the simulator: it is the differential-testing oracle (and the
 //!   baseline the benchmark's queue probes time the calendar against).
 //! * [`QueueKind::Calendar`] (what [`EventQueue::new`] builds and the
-//!   shard runs on) — a two-level timing wheel over
+//!   simulator runs on) — a two-level timing wheel over
 //!   integer-ns time, where bucket indexing is a shift and a mask.
 //!   Parking an event is O(1) however far ahead it is due:
 //!   1. **Level 1**: [`NUM_SLOTS`] unsorted buckets, each [`SLOT_NS`] wide
@@ -167,7 +167,7 @@ impl Ord for Scheduled {
     }
 }
 
-/// The packets alive in the shard (module doc). Freed slots are reused
+/// The packets alive in the simulator (module doc). Freed slots are reused
 /// last-freed-first, so a steady-state run touches the same few cache lines.
 /// Slot numbers are never serialized and never observable.
 #[derive(Debug, Default)]
@@ -272,7 +272,7 @@ pub struct QueueStats {
     /// the only ones that pay a heap push.
     pub late_inserts: u64,
     /// Most packets alive at once in the slab the arrivals index: the
-    /// shard's (on a wire or at a device), the queue's own when driven by value.
+    /// simulator's (on a wire or at a device), the queue's own when driven by value.
     pub slab_peak: u64,
     /// Most entries the wheel's block pool had room for, to read against
     /// `peak_pending` (zero under [`QueueKind::Heap`]).
@@ -843,9 +843,9 @@ impl EventQueue {
     }
 
     /// [`Self::pop_entry_before`] at slot level: the entry as stored, an
-    /// arrival's packet left where it is in `packets`. The shard tags trace
-    /// records with its key, so its trace merges with the coordinator's in
-    /// `(time, key)` order.
+    /// arrival's packet left where it is in `packets`. The simulator tags
+    /// trace records with its key, which places them in `(time, key)`
+    /// order.
     pub(crate) fn pop_slot(&mut self, t_end: SimTime, packets: &PacketSlab) -> Option<Scheduled> {
         debug_assert_eq!(self.own.occupied(), 0, "queue is driven by value");
         let s = self.imp.pop_before(t_end, packets)?;
@@ -1003,7 +1003,7 @@ mod tests {
         }
     }
 
-    /// What `Shard::save` / `Shard::restore` do with a queue: list the
+    /// What `Simulator::checkpoint` / `Simulator::restore` do with a queue: list the
     /// pending entries in order without disturbing it, write them through
     /// the snapshot container, re-schedule them into a fresh queue of the
     /// same kind. Returns the listing and the restored queue.
@@ -1777,7 +1777,7 @@ mod tests {
         assert!(touched[1] + 2 - touched[0] <= LINE, "per-hop fields span {touched:?}");
     }
 
-    /// The shard's way in: entries go in and come out by slot, the packets
+    /// The simulator's way in: entries go in and come out by slot, the packets
     /// stay in a slab of the caller's (which the warm pass reads), and the
     /// queue's own slab is never touched.
     #[test]
@@ -1806,7 +1806,11 @@ mod tests {
                 }
             }
             assert_eq!((q.len(), q.pending_arrivals(), slab.occupied()), (0, 0, 0));
-            assert_eq!((slab.peak(), q.stats().slab_peak), (100, 0), "the shard reports its slab");
+            assert_eq!(
+                (slab.peak(), q.stats().slab_peak),
+                (100, 0),
+                "the simulator reports its slab"
+            );
         }
     }
 

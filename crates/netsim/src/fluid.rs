@@ -149,9 +149,9 @@
 //!
 //! # Determinism
 //!
-//! Solver state lives in the simulation coordinator, never in the shard.
+//! Solver state lives in the simulator beside the nodes, never in them.
 //! Re-solves happen at canonical global-event instants — the
-//! `(time, key)` points the event loop applies coordinator work at —
+//! `(time, key)` points the event loop applies global events at —
 //! and the allocation is a pure function of (forwarding state,
 //! fault state, flow table) — the path cache and the fill's candidate
 //! order change which floats are computed, never their values —
@@ -239,7 +239,7 @@ const ROW_UNKNOWN: u32 = u32::MAX - 1;
 /// Dense ids for every directed link device of one constellation.
 ///
 /// Node `n` owns the ids `first[n]..first[n + 1]`: one per ISL peer in
-/// `Constellation::isls` order, then its shared GSL device. `Shard::new`
+/// `Constellation::isls` order, then its shared GSL device. `Simulator::new`
 /// attaches devices in exactly that order, so `id − first[n]` is the
 /// device's index on its node — and `Node::device_for` scans its ISL
 /// devices in the same order `of_hop` scans a node's links here.
@@ -836,7 +836,7 @@ impl PathCache {
 /// payload bytes, stop ns)`.
 type BundleKey = (u32, u32, u64, u32, u64);
 
-/// The coordinator-owned fluid network: flow table, link loads, and the
+/// The simulator's fluid network: flow table, link loads, and the
 /// max-min solver. See the module docs for the invariants.
 #[derive(Debug)]
 pub struct FluidNet {
@@ -1258,7 +1258,7 @@ impl Snap for Bundle {
 }
 
 /// Is the directed hop `a → b` usable under the live fault state?
-/// Mirrors `Shard::link_up` exactly, so fluid flows are masked on the
+/// Mirrors `Simulator::link_up` exactly, so fluid flows are masked on the
 /// same hops whose packets would be fault-dropped.
 fn hop_up(f: &FaultState, constellation: &Constellation, a: NodeId, b: NodeId) -> bool {
     if f.all_up() {

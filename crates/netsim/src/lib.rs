@@ -21,9 +21,9 @@
 //!
 //! Determinism: integer-nanosecond timestamps and a canonical total event
 //! order `(time, key)` — where a key encodes the originating node and its
-//! scheduling sequence — make every run bit-reproducible. One loop in the
-//! [`sim`] module runs it on the calling thread, driving one [`shard`] that
-//! holds every node — the classic sequential simulator; only the next
+//! scheduling sequence — make every run bit-reproducible. One
+//! [`Simulator`] holds every node and runs that order in one loop on the
+//! calling thread — the classic sequential simulator; only the next
 //! forwarding step is computed beside it, on a lookahead thread.
 //!
 //! Applications (ping, UDP CBR, bursty on/off here; TCP in
@@ -55,7 +55,6 @@ pub mod flow;
 pub mod fluid;
 pub mod node;
 pub mod packet;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod trace;

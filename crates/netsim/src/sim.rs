@@ -1,35 +1,44 @@
-//! The simulator facade: the event loop, coordinator state, merged views.
-//!
-//! Node-level event handling lives in [`crate::shard`]; this module owns
-//! what is global to a run — forwarding recomputation, the fault-schedule
-//! cursor, the fluid solver — and the one loop driving the shard.
+//! The simulator: one event loop over every node, and the state global to
+//! a run — forwarding recomputation, the fault-schedule cursor, the fluid
+//! solver.
 //!
 //! Global events (forwarding swaps, fault updates, fluid finish
-//! boundaries) never enter a queue: they live in coordinator cursors and
-//! [`Simulator::run_until`]'s epoch loop applies them at window starts,
-//! then runs the shard's window up to the next global instant or the
-//! horizon, on the calling thread.
+//! boundaries) never enter the event queue: they live in cursors, and
+//! [`Simulator::run_until`]'s window loop applies those due at a window
+//! start, then pops node events up to the next global instant or the
+//! horizon, on the calling thread. The node event handlers are a second
+//! `impl Simulator` block, in the `handlers` child module.
 //!
-//! Events are processed in canonical `(time, key)` order (see
-//! `crate::shard` for the key construction), so every observable of a
-//! run — stats, traces, application state, RTT samples — is a pure
+//! # Determinism
+//!
+//! Every node event carries a canonical key of the form
+//! `((origin + 1) << 32) | per-origin counter`, where `origin` is the node
+//! whose handler scheduled it. Global events are applied before the node
+//! events of their instant and tag their trace records with keys below
+//! `1 << 32`. The queue orders by `(time, key)`, so the per-origin
+//! counters, packet ids and loss-RNG draws, and with them every observable
+//! of a run — stats, traces, application state, RTT samples — are a pure
 //! function of its spec.
 
-use crate::app::Application;
+mod handlers;
+
+use crate::app::{AppAction, Application};
 use crate::audit::AuditViolation;
 use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use crate::config::SimConfig;
-use crate::event::QueueStats;
+use crate::device::{Device, DeviceKind};
+use crate::event::{pack, unpack, Event, EventQueue, PacketSlab, QueueStats};
 use crate::fluid::{FluidNet, FluidStats, SimMode};
 use crate::node::Node;
-use crate::shard::{fault_key, fluid_key, Shard, FORWARDING_KEY};
 use crate::stats::SimStats;
 use crate::trace::{Trace, TraceKind};
-use hypatia_constellation::{Constellation, EphemerisStats, NodeId};
+use hypatia_constellation::{Constellation, Ephemeris, EphemerisStats, NodeId};
 use hypatia_fault::FaultState;
 use hypatia_routing::forwarding::{ForwardingState, MultipathState};
 use hypatia_routing::incremental::{RepairStats, RouterStats};
 use hypatia_routing::parallel::{Lookahead, SnapshotWorker};
+use hypatia_util::hash::Fnv1a64;
+use hypatia_util::rng::DetRng;
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use std::path::Path;
 use std::sync::Arc;
@@ -42,15 +51,15 @@ use std::time::Instant;
 /// point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineReport {
-    /// Windows executed. A window ends only at the next coordinator
-    /// instant or the `run_until` horizon.
+    /// Windows executed. A window ends only at the next global instant or
+    /// the `run_until` horizon.
     pub epochs: u64,
-    /// Always 0: the engine runs one shard, so no packet crosses a
+    /// Always 0: one event loop holds every node, so no packet crosses a
     /// barrier. Kept for readers of the retired multi-shard report until
     /// they stop (ROADMAP item 1c).
     pub barriers: u64,
-    /// Always `None`: one shard has no cross-shard geometry to bound a
-    /// window. Kept for readers of the retired multi-shard report until
+    /// Always `None`: one event loop has no cross-shard geometry to bound
+    /// a window. Kept for readers of the retired multi-shard report until
     /// they stop (ROADMAP item 1c).
     pub min_lookahead_ns: Option<u64>,
     /// Event-queue telemetry: inserts per tier and cascades, peak pending.
@@ -76,12 +85,11 @@ pub struct EngineReport {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Building the simulator (`Simulator::new`): the initial forwarding
-    /// state and the shard.
+    /// state and the nodes.
     pub build_ns: u64,
-    /// Coordinator events: forwarding swaps, fault updates, fluid
-    /// boundaries.
+    /// Global events: forwarding swaps, fault updates, fluid boundaries.
     pub globals_ns: u64,
-    /// The windows: the shard popping and handling node events.
+    /// The windows: popping and handling node events.
     pub window_ns: u64,
     /// Waiting for the lookahead thread to finish the forwarding step due
     /// (part of `globals_ns`): the routing the overlap did not hide.
@@ -96,21 +104,72 @@ type Step = ((ForwardingState, Option<MultipathState>), (RouterStats, RepairStat
 /// retired state whose buffers it refills.
 type Request = (u64, ForwardingState);
 
+/// Canonical key of a forwarding-state swap: sorts before every other
+/// same-instant event.
+const FORWARDING_KEY: u64 = 0;
+
+/// Canonical key of fault-schedule entry `index`: after the forwarding
+/// swap, before any node event, in schedule order.
+fn fault_key(index: u64) -> u64 {
+    1 + index
+}
+
+/// Canonical key of fluid-boundary `index`: after every same-instant
+/// forwarding/fault key, before any node event (node keys start at
+/// `1 << 32`). Boundary schedules stay far below `2^31` entries.
+fn fluid_key(index: u64) -> u64 {
+    debug_assert!(index < 1 << 31, "fluid boundary index overflows its key range");
+    (1 << 31) + index
+}
+
+/// An installed application; `app` is `None` only while its own callback
+/// runs.
+struct AppEntry {
+    app: Option<Box<dyn Application>>,
+    node: NodeId,
+    port: u16,
+}
+
 /// The packet-level simulator.
 ///
-/// Owns the shard, the coordinator state (forwarding, fault and fluid
-/// cursors), and merged result views; recomputes forwarding at the
-/// configured granularity while the event loop runs.
+/// Owns every node — devices, applications, the event queue and the
+/// packets alive — and the state global to the run (forwarding, fault and
+/// fluid cursors); recomputes forwarding at the configured granularity
+/// while the event loop runs.
 pub struct Simulator {
     constellation: Arc<Constellation>,
     config: SimConfig,
     now: SimTime,
-    shard: Shard,
     dests: Vec<NodeId>,
-    /// Forwarding state currently in force (shared with the shard).
-    fwd: Arc<ForwardingState>,
+    /// Forwarding state currently in force.
+    fwd: ForwardingState,
     /// Multipath alternates (present when `multipath_stretch` is set).
-    mp: Option<Arc<MultipathState>>,
+    mp: Option<MultipathState>,
+    /// The live fault state; `apply_globals_at` applies each schedule
+    /// entry at its instant.
+    fault_state: Option<FaultState>,
+    queue: EventQueue,
+    /// Every packet alive, from `inject` to delivery or drop; arrivals
+    /// and device queues hold slots.
+    packets: PacketSlab,
+    /// Every node, by node index.
+    nodes: Vec<Node>,
+    /// Installed applications, by app index.
+    apps: Vec<AppEntry>,
+    /// Per-origin-node event-key counters (canonical key low bits).
+    node_key_seq: Vec<u32>,
+    /// Per-origin-node packet-id counters.
+    node_packet_seq: Vec<u32>,
+    /// Per-node GSL loss processes, seeded from `(loss_seed, node)` so
+    /// draws are independent of cross-node event interleaving.
+    loss_rngs: Vec<DetRng>,
+    /// The action buffer lent to each application callback's context, so
+    /// a callback costs no allocation.
+    action_buf: Vec<AppAction>,
+    /// Satellite samples behind every device's link memo. Invisible to
+    /// results (delays are exact whatever either holds), so it is not
+    /// checkpointed.
+    ephemeris: Ephemeris,
     /// The lookahead thread, spawned by the first `run_until` reaching a
     /// step instant: it owns `worker` and computes step `next_fwd_step`,
     /// never past the horizon, while the event loop runs up to it.
@@ -127,28 +186,22 @@ pub struct Simulator {
     /// Cursor into the fault schedule (entries at t = 0 are folded into
     /// the initial state and skipped).
     next_fault_index: usize,
-    /// Events the coordinator applied outside the shard (forwarding swaps,
-    /// fault updates, fluid boundaries) and the counters it owns.
-    coord_stats: SimStats,
     /// The fluid-flow network (fluid/hybrid modes; `None` under packet
-    /// mode). Coordinator-owned: rates re-solve only at canonical global
-    /// instants.
+    /// mode). Rates re-solve only at canonical global instants.
     fluid: Option<FluidNet>,
     /// Fluid flows installed since the last boundary rebuild.
     fluid_dirty: bool,
     /// Has `run_until` been called? Fluid installs are rejected after
     /// that: the boundary schedule is built once, at run start.
     started: bool,
-    /// Trace records made by the coordinator itself (fluid re-solves);
-    /// merged ahead of the shard's trace in `refresh_views`.
-    coord_trace: Trace,
     epochs: u64,
     phases: PhaseTimes,
-    /// Bounded per-packet trace: the merged view of the coordinator and
-    /// the shard, refreshed after every `run_until` / `add_app` (off
+    /// Bounded per-packet trace in canonical `(time, key)` order (off
     /// unless configured).
     pub trace: Trace,
-    /// Global counters: coordinator + shard, refreshed with the trace.
+    /// Global counters. The fluid ones (`fluid_flows`,
+    /// `fluid_bytes_delivered`) are brought up to date by every
+    /// `run_until`, `add_app` and `restore`.
     pub stats: SimStats,
 }
 
@@ -165,44 +218,67 @@ impl Simulator {
         let first = (0, ForwardingState::empty());
         let ((fwd, mp), routing) =
             Self::forwarding_step(&mut worker, &constellation, &config, &dests, first);
-        let fwd = Arc::new(fwd);
-        let mp = mp.map(Arc::new);
 
-        let shard = Shard::new(constellation.clone(), &config, fwd.clone(), mp.clone());
+        let num_nodes = constellation.num_nodes();
+        let mut nodes: Vec<Node> = (0..num_nodes).map(|i| Node::new(NodeId(i as u32))).collect();
+        let device =
+            |kind, rate| Device::new(kind, rate, config.queue_packets, config.utilization_bucket);
+        for &(a, b) in &constellation.isls {
+            let rate = config.effective_isl_rate();
+            nodes[a as usize].add_device(device(DeviceKind::Isl { peer: NodeId(b) }, rate));
+            nodes[b as usize].add_device(device(DeviceKind::Isl { peer: NodeId(a) }, rate));
+        }
+        for node in &mut nodes {
+            node.add_device(device(DeviceKind::Gsl, config.effective_gsl_rate()));
+        }
+        let loss_rngs = (0..num_nodes)
+            .map(|i| {
+                let mut h = Fnv1a64::new();
+                h.write_u64(config.loss_seed);
+                h.write_u32(i as u32);
+                DetRng::new(h.finish())
+            })
+            .collect();
 
         // Fault injection: events at t = 0 are already folded into the
         // initial live state (and the initial forwarding computation); the
         // cursor starts at the first strictly-future event.
+        let fault_state = config.faults.as_ref().map(|s| FaultState::at(s, SimTime::ZERO));
         let next_fault_index = config.faults.as_ref().map_or(0, |s| {
             s.events().iter().position(|e| e.t > SimTime::ZERO).unwrap_or(s.events().len())
         });
 
-        let trace = Trace::new(config.trace_limit);
         let fluid = (config.sim_mode != SimMode::Packet)
             .then(|| FluidNet::new(config.effective_isl_rate(), config.effective_gsl_rate()));
-        let coord_trace = Trace::new(config.trace_limit);
         let mut sim = Simulator {
+            ephemeris: Ephemeris::new(&constellation),
+            trace: Trace::with_sampling(config.trace_limit, config.trace_sample_every),
             constellation,
             config,
             now: SimTime::ZERO,
-            shard,
             dests,
             fwd,
             mp,
+            fault_state,
+            queue: EventQueue::new(),
+            packets: PacketSlab::default(),
+            nodes,
+            apps: Vec::new(),
+            node_key_seq: vec![0; num_nodes],
+            node_packet_seq: vec![0; num_nodes],
+            loss_rngs,
+            action_buf: Vec::new(),
             lookahead: None,
             worker,
             spare: None,
             routing,
             next_fwd_step: 1,
             next_fault_index,
-            coord_stats: SimStats::default(),
             fluid,
             fluid_dirty: false,
             started: false,
-            coord_trace,
             epochs: 0,
             phases: PhaseTimes::default(),
-            trace,
             stats: SimStats::default(),
         };
         sim.phases.build_ns = ns_since(t0);
@@ -231,12 +307,12 @@ impl Simulator {
 
     /// The node owned-state for `id` (devices, port bindings).
     pub fn node(&self, id: NodeId) -> &Node {
-        &self.shard.nodes[id.index()]
+        &self.nodes[id.index()]
     }
 
     /// The simulated nodes in id order (for stats inspection).
     pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.shard.nodes.iter()
+        self.nodes.iter()
     }
 
     /// How the engine has executed so far: windows, queue, fluid solver,
@@ -246,9 +322,9 @@ impl Simulator {
             epochs: self.epochs,
             barriers: 0,
             min_lookahead_ns: None,
-            queue: self.shard.queue_stats(),
+            queue: QueueStats { slab_peak: self.packets.peak() as u64, ..self.queue.stats() },
             fluid: self.fluid.as_ref().map(FluidNet::stats).unwrap_or_default(),
-            ephemeris: self.shard.ephemeris.stats(),
+            ephemeris: self.ephemeris.stats(),
             phases: self.phases,
             routing: self.routing,
         }
@@ -261,17 +337,31 @@ impl Simulator {
     }
 
     /// Install a bulk application bound to every port in `ports` at `node`
-    /// (arena flow tables: one [`Application`] owning many flow endpoints).
-    /// Calls its `on_start` immediately and returns its index.
+    /// (arena flow tables: one [`Application`] owning many flow endpoints;
+    /// its context port is `ports[0]`). Calls its `on_start` immediately
+    /// and returns its index.
     pub fn add_app_multi(&mut self, node: NodeId, ports: &[u16], app: Box<dyn Application>) -> u32 {
-        let idx = self.shard.install_app(node, ports, app, self.now);
-        self.refresh_views();
+        assert!(!ports.is_empty(), "an application needs at least one port");
+        let idx = self.apps.len() as u32;
+        for &port in ports {
+            self.nodes[node.index()].bind_port(port, idx);
+        }
+        if let Some((flows, bytes)) = app.flow_footprint() {
+            self.stats.flow_count += flows;
+            self.stats.flow_state_bytes += bytes;
+        }
+        self.apps.push(AppEntry { app: Some(app), node, port: ports[0] });
+        // Setup records sort under a fresh key of the app's node.
+        let key = self.alloc_key(node.0);
+        self.trace.set_key(key);
+        self.with_app(idx, |app, ctx| app.on_start(ctx));
+        self.sync_fluid();
         idx
     }
 
     /// Borrow an installed application, downcast to its concrete type.
     pub fn app_as<T: Application>(&self, idx: u32) -> Option<&T> {
-        self.shard.app_as(idx)
+        self.apps.get(idx as usize)?.app.as_ref()?.as_any().downcast_ref::<T>()
     }
 
     /// Install one fluid flow (fluid/hybrid modes; see [`crate::fluid`]):
@@ -312,14 +402,14 @@ impl Simulator {
     }
 
     /// Run the event loop until simulated time `t_end` (inclusive): apply
-    /// the coordinator events due at the window start, run the shard up to
-    /// the next coordinator instant, repeat.
+    /// the global events due at the window start, pop node events up to
+    /// the next global instant, repeat.
     pub fn run_until(&mut self, t_end: SimTime) {
         self.request_ahead(t_end);
         self.flush_fluid_installs();
         self.started = true;
         loop {
-            let next_node = self.shard.next_event_time();
+            let next_node = self.queue.next_time(&self.packets);
             let start = match (self.next_global_time(), next_node) {
                 (Some(g), Some(n)) => g.min(n),
                 (Some(g), None) => g,
@@ -334,26 +424,25 @@ impl Simulator {
             self.apply_globals_at(start, t_end);
             self.phases.globals_ns += ns_since(t0);
 
-            // The window is bounded by the next coordinator event (its
-            // swap must happen before any later node event) and by the
-            // run horizon.
+            // The window is bounded by the next global event (its swap
+            // must happen before any later node event) and by the run
+            // horizon.
             let mut end_incl = t_end;
             if let Some(g) = self.next_global_time() {
-                debug_assert!(g > start, "coordinator event not consumed");
+                debug_assert!(g > start, "global event not consumed");
                 end_incl = end_incl.min(g - SimDuration::from_nanos(1));
             }
             let t0 = Instant::now();
-            self.shard.run_window(end_incl);
+            self.run_window(end_incl);
             self.phases.window_ns += ns_since(t0);
             self.epochs += 1;
         }
         self.now = t_end;
-        self.shard.now = t_end;
-        self.refresh_views();
+        self.sync_fluid();
     }
 
-    /// The next instant at which the coordinator must act (forwarding
-    /// swap, fault update, or fluid finish boundary), if any.
+    /// The next instant at which a global event is due (forwarding swap,
+    /// fault update, or fluid finish boundary), if any.
     fn next_global_time(&self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         if !self.config.freeze_at_epoch {
@@ -370,7 +459,7 @@ impl Simulator {
         next
     }
 
-    /// Apply every coordinator event due exactly at `t`, in canonical key
+    /// Apply every global event due exactly at `t`, in canonical key
     /// order: the forwarding swap (key 0) first, then fault-schedule
     /// entries in index order, then the fluid finish boundary. Each
     /// counts one event and re-solves the fluid allocation under its own
@@ -384,8 +473,8 @@ impl Simulator {
             self.fluid.as_ref().and_then(|f| f.next_boundary()).filter(|&(bt, _)| bt == t);
         if !self.config.freeze_at_epoch && self.step_time(self.next_fwd_step) == t {
             self.apply_forwarding_step(self.next_fwd_step);
-            self.coord_stats.forwarding_updates += 1;
-            self.coord_stats.events += 1;
+            self.stats.forwarding_updates += 1;
+            self.stats.events += 1;
             self.next_fwd_step += 1;
             self.request_ahead(horizon);
             self.resolve_fluid(t, FORWARDING_KEY);
@@ -395,15 +484,15 @@ impl Simulator {
                 if event.t != t {
                     break;
                 }
-                self.shard.apply_fault(event);
-                self.coord_stats.events += 1;
+                self.fault_state.as_mut().expect("fault event without live state").apply(event);
+                self.stats.events += 1;
                 let index = self.next_fault_index as u64;
                 self.next_fault_index += 1;
                 self.resolve_fluid(t, fault_key(index));
             }
         }
         if let Some((_, index)) = due_boundary {
-            self.coord_stats.events += 1;
+            self.stats.events += 1;
             self.resolve_fluid(t, fluid_key(index));
         }
     }
@@ -426,27 +515,44 @@ impl Simulator {
 
     /// Recompute the fluid rate allocation at `t` (after integrating
     /// delivered bytes up to `t` under the outgoing rates) and, in hybrid
-    /// mode, push changed residual rates to the packet devices. `key` is
-    /// the canonical key of the triggering coordinator event — stamped on
-    /// the trace record so it merges into `(time, key)` order. No-op in
-    /// packet mode.
+    /// mode, set the residual rates of the packet devices. `key` is the
+    /// canonical key of the triggering global event; it places the trace
+    /// record in `(time, key)` order — the run-start re-solve's before the
+    /// `on_start` records of its instant, which were written first. No-op
+    /// in packet mode.
     fn resolve_fluid(&mut self, t: SimTime, key: u64) {
         let Some(fluid) = self.fluid.as_mut() else { return };
         fluid.advance_to(t);
-        fluid.resolve(t, &self.fwd, self.shard.fault_state.as_ref(), &self.constellation);
-        self.coord_stats.fluid_resolves += 1;
-        self.coord_trace.set_key(key);
+        fluid.resolve(t, &self.fwd, self.fault_state.as_ref(), &self.constellation);
+        self.stats.fluid_resolves += 1;
+        self.trace.set_key(key);
         // Not a packet event: node 0 is a placeholder; the "packet id"
         // carries the running re-solve count.
-        self.coord_trace.record(t, NodeId(0), fluid.resolves(), TraceKind::FluidResolve);
+        self.trace.record(t, NodeId(0), fluid.resolves(), TraceKind::FluidResolve);
         if self.config.sim_mode == SimMode::Hybrid {
-            let changes = fluid.residual_changes();
-            self.shard.apply_link_rates(changes);
+            // Each change names a device by `(node, index)`: the fluid
+            // link table numbers devices in the order `new` attaches them.
+            // A transmission in flight keeps the rate it started with.
+            for change in fluid.residual_changes() {
+                self.nodes[change.node as usize].devices[change.device as usize].rate = change.rate;
+            }
         }
     }
 
-    /// Put the forwarding (and multipath) state of `step` in force: taken from the lookahead thread when it was asked for
-    /// `step`, else computed here. The state it replaces becomes the spare.
+    /// Integrate the fluid flows up to `now` and copy their counters into
+    /// `stats`. Runs after every `run_until`, `add_app` and `restore`, and
+    /// nowhere else: where the integration stops is in the delivered bytes.
+    fn sync_fluid(&mut self) {
+        if let Some(f) = self.fluid.as_mut() {
+            f.advance_to(self.now);
+            self.stats.fluid_flows = f.flow_count();
+            self.stats.fluid_bytes_delivered = f.delivered_payload_bytes();
+        }
+    }
+
+    /// Put the forwarding (and multipath) state of `step` in force: taken
+    /// from the lookahead thread when it was asked for `step`, else
+    /// computed here. The state it replaces becomes the spare.
     fn apply_forwarding_step(&mut self, step: u64) {
         let ((fwd, mp), counted) = match self.lookahead.as_mut().filter(|l| l.is_pending()) {
             Some(lookahead) => {
@@ -464,10 +570,8 @@ impl Simulator {
         debug_assert_eq!(fwd.computed_at, self.step_time(step), "a step out of order");
         self.routing.0.merge(&counted.0);
         self.routing.1.merge(&counted.1);
-        let retired = std::mem::replace(&mut self.fwd, Arc::new(fwd));
-        self.mp = mp.map(Arc::new);
-        self.shard.set_forwarding(self.fwd.clone(), self.mp.clone());
-        self.spare = Arc::try_unwrap(retired).ok();
+        self.spare = Some(std::mem::replace(&mut self.fwd, fwd));
+        self.mp = mp;
     }
 
     /// Ask the lookahead thread for step `next_fwd_step` unless it is
@@ -480,7 +584,7 @@ impl Simulator {
         if !due || self.lookahead.as_ref().is_some_and(Lookahead::is_pending) {
             return;
         }
-        let spare = self.spare.take().unwrap_or_else(|| ForwardingState::clone(&self.fwd));
+        let spare = self.spare.take().unwrap_or_else(|| self.fwd.clone());
         let lookahead = self.lookahead.get_or_insert_with(|| {
             let (c, config, dests) =
                 (self.constellation.clone(), self.config.clone(), self.dests.clone());
@@ -498,11 +602,12 @@ impl Simulator {
     }
 
     /// Forwarding step `k`, at `k × fstate_step`, on `worker`, refilling
-    /// the request's spare state — the one step function of the initial build, the restore
-    /// recompute and the lookahead thread. The fault mask is a pure replay
-    /// of the schedule at that instant and repair is byte-identical to
-    /// full Dijkstra, so the states are the same however and whenever this
-    /// runs; the router's counters are handed over with them.
+    /// the request's spare state — the one step function of the initial
+    /// build, the restore recompute and the lookahead thread. The fault
+    /// mask is a pure replay of the schedule at that instant and repair is
+    /// byte-identical to full Dijkstra, so the states are the same however
+    /// and whenever this runs; the router's counters are handed over with
+    /// them.
     fn forwarding_step(
         worker: &mut SnapshotWorker,
         constellation: &Constellation,
@@ -514,27 +619,6 @@ impl Simulator {
         let mp = worker.step_into(constellation, t, dests, config.faults.as_deref(), &mut fwd);
         let router = &mut worker.router;
         ((fwd, mp), (std::mem::take(&mut router.stats), std::mem::take(&mut router.repair_stats)))
-    }
-
-    /// Rebuild the merged `stats` / `trace` views from the coordinator and
-    /// the shard. Cheap when tracing is off; with tracing on, the merge
-    /// re-sorts into canonical `(time, key)` order.
-    fn refresh_views(&mut self) {
-        if let Some(f) = self.fluid.as_mut() {
-            f.advance_to(self.now);
-            self.coord_stats.fluid_flows = f.flow_count();
-            self.coord_stats.fluid_bytes_delivered = f.delivered_payload_bytes();
-        }
-        self.stats = self.merged_stats();
-        let parts = [&self.coord_trace, &self.shard.trace];
-        self.trace = Trace::merged(&parts, self.config.trace_limit);
-    }
-
-    /// The coordinator's counters plus the shard's.
-    fn merged_stats(&self) -> SimStats {
-        let mut stats = self.coord_stats.clone();
-        stats.merge(&self.shard.stats);
-        stats
     }
 
     /// Utilization of the most loaded directed link along `path` in bucket
@@ -575,8 +659,6 @@ impl Simulator {
         for d in &self.dests {
             mix(&mut h, d.0 as u64);
         }
-        // The shard count of the multi-shard engine's images: always 1.
-        mix(&mut h, 1);
         for b in c.sim_mode.name().bytes() {
             mix(&mut h, b as u64);
         }
@@ -591,7 +673,7 @@ impl Simulator {
         mix(&mut h, c.trace_sample_every);
         mix(&mut h, c.multipath_stretch.map_or(u64::MAX, f64::to_bits));
         mix(&mut h, c.faults.as_ref().map_or(0, |s| s.events().len() as u64));
-        mix(&mut h, self.shard.app_count() as u64);
+        mix(&mut h, self.apps.len() as u64);
         h
     }
 
@@ -614,6 +696,9 @@ impl Simulator {
         w.write_file(path)
     }
 
+    /// The image body: clock and cursors, the fluid network, then the
+    /// nodes' pending events, devices, applications, counters, loss RNGs,
+    /// trace and stats.
     fn save_into(&self, w: &mut SnapWriter) -> Result<(), CheckpointError> {
         if self.fluid_dirty {
             return Err(CheckpointError::Unsupported(
@@ -622,15 +707,44 @@ impl Simulator {
         }
         w.put_tag(b"SIMU");
         (self.now, self.started, self.next_fwd_step, self.next_fault_index).put(w);
-        w.put_tag(b"CSTA");
-        self.coord_stats.put(w);
-        w.put_tag(b"CTRC");
-        self.coord_trace.put(w);
         self.fluid.is_some().put(w);
         if let Some(f) = &self.fluid {
             f.save(w);
         }
-        self.shard.save(w)
+
+        w.put_tag(b"EVTQ");
+        let entries = self.queue.pending_slots();
+        entries.len().put(w);
+        for s in &entries {
+            (s.at, s.key, unpack(s, |slot| self.packets[slot])).put(w);
+        }
+
+        w.put_tag(b"NODS");
+        self.nodes.len().put(w);
+        for node in &self.nodes {
+            node.devices.len().put(w);
+            node.devices.iter().for_each(|device| device.save(w, &self.packets));
+        }
+
+        w.put_tag(b"APPS");
+        self.apps.len().put(w);
+        for entry in &self.apps {
+            let app = entry.app.as_ref().ok_or_else(|| {
+                CheckpointError::Malformed("checkpoint during app dispatch".into())
+            })?;
+            app.save_state(w)?;
+        }
+
+        w.put_tag(b"CTRS");
+        self.node_key_seq.put(w);
+        self.node_packet_seq.iter().for_each(|seq| seq.put(w));
+        w.put_tag(b"RNGS");
+        self.loss_rngs[..].put(w);
+        w.put_tag(b"TRAC");
+        self.trace.put(w);
+        w.put_tag(b"STAT");
+        self.stats.put(w);
+        Ok(())
     }
 
     /// Restore a snapshot image taken by [`Simulator::checkpoint`].
@@ -654,14 +768,12 @@ impl Simulator {
         self.restore_body(&mut r)
     }
 
+    /// Read back what [`Simulator::save_into`] wrote. Forwarding state and
+    /// the fault state are not in the image: they are derived from the
+    /// spec and the restored cursors, and recomputed here.
     fn restore_body(&mut self, r: &mut SnapReader) -> Result<(), CheckpointError> {
         r.expect_tag(b"SIMU")?;
-        let now: SimTime;
-        (now, self.started, self.next_fwd_step, self.next_fault_index) = r.get()?;
-        r.expect_tag(b"CSTA")?;
-        self.coord_stats.restore(r)?;
-        r.expect_tag(b"CTRC")?;
-        self.coord_trace.restore(r)?;
+        (self.now, self.started, self.next_fwd_step, self.next_fault_index) = r.get()?;
         let has_fluid: bool = r.get()?;
         if has_fluid != self.fluid.is_some() {
             return Err(CheckpointError::Malformed(format!(
@@ -674,7 +786,50 @@ impl Simulator {
             f.restore(r, &self.constellation)?;
         }
         self.fluid_dirty = false;
-        self.shard.restore(r)?;
+
+        r.expect_tag(b"EVTQ")?;
+        // Discard the rebuild's bootstrap events (app on_start timers and
+        // sends) and packets: the snapshot's queue and devices are the
+        // complete pending set, re-parked in image order.
+        self.queue = EventQueue::new();
+        self.packets = PacketSlab::default();
+        for _ in 0..r.get::<usize>()? {
+            let (at, key): (SimTime, u64) = r.get()?;
+            let mut event = Event::AppTimer { app: 0, timer_id: 0 };
+            event.restore(r)?;
+            self.check_pending(at, &event)?;
+            let (tag, a, b) = pack(event, |packet| self.packets.park(packet));
+            self.queue.schedule_slot(at, key, tag, a, b);
+        }
+
+        r.expect_tag(b"NODS")?;
+        r.expect_len(self.nodes.len(), "nodes")?;
+        for node in &mut self.nodes {
+            r.expect_len(node.devices.len(), format_args!("devices on node {}", node.id.0))?;
+            for device in &mut node.devices {
+                device.restore(r, &mut self.packets)?;
+            }
+        }
+
+        r.expect_tag(b"APPS")?;
+        r.expect_len(self.apps.len(), "apps")?;
+        for entry in &mut self.apps {
+            let app = entry
+                .app
+                .as_mut()
+                .ok_or_else(|| CheckpointError::Malformed("restore during app dispatch".into()))?;
+            app.restore_state(r)?;
+        }
+
+        r.expect_tag(b"CTRS")?;
+        self.node_key_seq[..].restore(r)?;
+        self.node_packet_seq.iter_mut().try_for_each(|seq| seq.restore(r))?;
+        r.expect_tag(b"RNGS")?;
+        self.loss_rngs[..].restore(r)?;
+        r.expect_tag(b"TRAC")?;
+        self.trace.restore(r)?;
+        r.expect_tag(b"STAT")?;
+        self.stats.restore(r)?;
         r.expect_end()?;
 
         // Rebuild the live fault state by replaying the schedule up to the
@@ -695,7 +850,7 @@ impl Simulator {
             for ev in &events[first_future..self.next_fault_index] {
                 state.apply(ev);
             }
-            self.shard.fault_state = Some(state);
+            self.fault_state = Some(state);
         }
 
         // Take the worker back from the lookahead thread (a step it was
@@ -712,10 +867,33 @@ impl Simulator {
         if self.next_fwd_step > 1 && !self.config.freeze_at_epoch {
             self.apply_forwarding_step(self.next_fwd_step - 1);
         }
-
-        self.now = now;
-        self.refresh_views();
+        self.sync_fluid();
         Ok(())
+    }
+
+    /// Reject a restored queue entry that would panic when popped: one due
+    /// before the clock, at a node that does not exist, on a device its
+    /// node lacks, or for an application not installed.
+    fn check_pending(&self, at: SimTime, event: &Event) -> Result<(), CheckpointError> {
+        let nodes = self.nodes.len();
+        let problem = match *event {
+            _ if at < self.now => format!("is due before the clock {} ns", self.now.nanos()),
+            Event::TxComplete { node, .. } | Event::Arrival { node, .. }
+                if node as usize >= nodes =>
+            {
+                format!("names node {node} of {nodes}")
+            }
+            Event::TxComplete { node, device }
+                if device as usize >= self.nodes[node as usize].devices.len() =>
+            {
+                format!("names device {device} of node {node}")
+            }
+            Event::AppTimer { app, .. } if app as usize >= self.apps.len() => {
+                format!("names app slot {app} of {}", self.apps.len())
+            }
+            _ => return Ok(()),
+        };
+        Err(CheckpointError::Malformed(format!("queue entry at {} ns {problem}", at.nanos())))
     }
 
     /// Re-derive the engine's bookkeeping from first principles and report
@@ -725,10 +903,10 @@ impl Simulator {
     pub fn audit(&self) -> Vec<AuditViolation> {
         let mut out = Vec::new();
         let t_ns = self.now.nanos();
-        let stats = self.merged_stats();
         // In flight = scheduled arrivals (propagating) + packets queued or
         // in serialization at a device.
-        let in_flight = self.shard.audit(&mut out);
+        let in_flight = self.audit_devices(&mut out);
+        let stats = &self.stats;
         let dropped = stats.total_drops();
         if stats.injected != stats.delivered + dropped + in_flight {
             out.push(AuditViolation::PacketConservation {
@@ -745,6 +923,49 @@ impl Simulator {
             }
         }
         out
+    }
+
+    /// Check the devices' conservation invariants: every packet a device
+    /// was offered is transmitted, dropped, queued, or in flight, no queue
+    /// exceeds its configured capacity, and the slab holds exactly the
+    /// packets the devices and the pending arrivals (the queue's entries,
+    /// not the slab's occupancy) hold. Returns that count: the packets in
+    /// flight.
+    fn audit_devices(&self, out: &mut Vec<AuditViolation>) -> u64 {
+        let t_ns = self.now.nanos();
+        let mut held = self.queue.pending_arrivals() as u64;
+        for node in &self.nodes {
+            for (d, device) in node.devices.iter().enumerate() {
+                held += device.occupancy();
+                let s = &device.stats;
+                let accounted = s.packets_tx + s.drops + device.occupancy();
+                if s.packets_in != accounted {
+                    out.push(AuditViolation::DeviceConservation {
+                        t_ns,
+                        node: node.id.0,
+                        device: d as u32,
+                        offered: s.packets_in,
+                        accounted,
+                    });
+                }
+                let (queue_len, capacity) =
+                    (device.queue_len() as u64, device.queue_capacity as u64);
+                if queue_len > capacity {
+                    out.push(AuditViolation::QueueOverCapacity {
+                        t_ns,
+                        node: node.id.0,
+                        device: d as u32,
+                        queue_len,
+                        capacity,
+                    });
+                }
+            }
+        }
+        let alive = self.packets.occupied() as u64;
+        if alive != held {
+            out.push(AuditViolation::SlabConservation { t_ns, alive, held });
+        }
+        held
     }
 }
 
@@ -935,67 +1156,9 @@ mod tests {
     /// twice (a global coinciding with `t_end` must apply exactly once).
     #[test]
     fn frozen_serial_reference_reproduces_at_every_shard_count() {
-        use crate::apps::udp::{UdpSink, UdpSource};
-        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
         use hypatia_util::hash::Fnv1a64;
         const FROZEN: u64 = 0x7fcc_c85c_5044_6f01;
-        let c = constellation();
-        let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        let probe = Simulator::new(c.clone(), SimConfig::default(), vec![src, dst]);
-        let path = probe.forwarding().path(src, dst).expect("nominal path exists");
-        let victim = path[path.len() / 2];
-        assert!(c.is_satellite(victim));
-        let spec = FaultSpec {
-            sat_outages: vec![OutageWindow { target: victim.0, from_s: 0.3, until_s: 0.75 }],
-            ..FaultSpec::default()
-        };
-        let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(2)));
-        let fault_times: Vec<SimTime> = schedule.events().iter().map(|e| e.t).collect();
-        assert_eq!(fault_times, [SimTime::from_millis(300), SimTime::from_millis(750)]);
-        let base = SimConfig::default()
-            .with_sim_mode(SimMode::Hybrid)
-            .with_multipath(1.3)
-            .with_faults(schedule)
-            .with_gsl_loss(0.05)
-            .with_trace_limit(200_000);
-        let mut sim = Simulator::new(c.clone(), base, vec![src, dst]);
-        sim.add_app(
-            src,
-            100,
-            Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
-        );
-        sim.add_app(dst, 50, Box::new(UdpSink::new()));
-        sim.add_app(
-            src,
-            50,
-            Box::new(UdpSource::new(
-                dst,
-                1,
-                DataRate::from_mbps(4),
-                1200,
-                SimTime::from_millis(900),
-            )),
-        );
-        for (flow, (a, b, stop_ms)) in
-            [(src, dst, 450), (src, dst, 600), (dst, src, 600), (src, dst, 1000)]
-                .into_iter()
-                .enumerate()
-        {
-            sim.add_fluid_flow(
-                flow as u32,
-                a,
-                b,
-                DataRate::from_mbps(3),
-                1440,
-                SimTime::from_millis(stop_ms),
-            );
-        }
-        // A forwarding instant, a fluid boundary, mid-window, the end.
-        for cut_ns in [200_000_000, 450_000_000, 777_777_777, 1_200_000_000] {
-            sim.run_until(SimTime::from_nanos(cut_ns));
-            sim.run_until(SimTime::from_nanos(cut_ns));
-        }
-
+        let sim = frozen_reference_run(200_000);
         let mut h = Fnv1a64::new();
         assert_eq!(sim.trace.truncated(), 0, "the hash must cover the whole run");
         for (e, &key) in sim.trace.entries().iter().zip(sim.trace.keys()) {
@@ -1055,6 +1218,90 @@ mod tests {
         assert!(fault_drops > 0 && channel_drops > 0 && queue_drops > 0, "{:?}", sim.stats);
         assert!(delivered > 0 && pings_echoed > 0);
         assert_eq!(h.finish(), FROZEN, "{:?}", sim.stats);
+    }
+
+    /// The frozen reference scenario (see the test above), traced up to
+    /// `trace_limit` records, run through its cuts.
+    fn frozen_reference_run(trace_limit: usize) -> Simulator {
+        use crate::apps::udp::{UdpSink, UdpSource};
+        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let probe = Simulator::new(c.clone(), SimConfig::default(), vec![src, dst]);
+        let path = probe.forwarding().path(src, dst).expect("nominal path exists");
+        let victim = path[path.len() / 2];
+        assert!(c.is_satellite(victim));
+        let spec = FaultSpec {
+            sat_outages: vec![OutageWindow { target: victim.0, from_s: 0.3, until_s: 0.75 }],
+            ..FaultSpec::default()
+        };
+        let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(2)));
+        let fault_times: Vec<SimTime> = schedule.events().iter().map(|e| e.t).collect();
+        assert_eq!(fault_times, [SimTime::from_millis(300), SimTime::from_millis(750)]);
+        let base = SimConfig::default()
+            .with_sim_mode(SimMode::Hybrid)
+            .with_multipath(1.3)
+            .with_faults(schedule)
+            .with_gsl_loss(0.05)
+            .with_trace_limit(trace_limit);
+        let mut sim = Simulator::new(c.clone(), base, vec![src, dst]);
+        sim.add_app(
+            src,
+            100,
+            Box::new(PingApp::new(dst, SimDuration::from_millis(10), SimTime::from_secs(1))),
+        );
+        sim.add_app(dst, 50, Box::new(UdpSink::new()));
+        sim.add_app(
+            src,
+            50,
+            Box::new(UdpSource::new(
+                dst,
+                1,
+                DataRate::from_mbps(4),
+                1200,
+                SimTime::from_millis(900),
+            )),
+        );
+        for (flow, (a, b, stop_ms)) in
+            [(src, dst, 450), (src, dst, 600), (dst, src, 600), (src, dst, 1000)]
+                .into_iter()
+                .enumerate()
+        {
+            sim.add_fluid_flow(
+                flow as u32,
+                a,
+                b,
+                DataRate::from_mbps(3),
+                1440,
+                SimTime::from_millis(stop_ms),
+            );
+        }
+        // A forwarding instant, a fluid boundary, mid-window, the end.
+        for cut_ns in [200_000_000, 450_000_000, 777_777_777, 1_200_000_000] {
+            sim.run_until(SimTime::from_nanos(cut_ns));
+            sim.run_until(SimTime::from_nanos(cut_ns));
+        }
+
+        sim
+    }
+
+    /// A bounded trace holds the first `limit` records of the unbounded
+    /// one, keys included, and counts every other record as truncated —
+    /// across pings sent at t = 0, the run-start re-solve that sorts
+    /// before them, forwarding swaps, faults and fluid boundaries.
+    #[test]
+    fn a_truncated_trace_is_the_prefix_of_the_full_one() {
+        let full = frozen_reference_run(200_000);
+        let (entries, keys) = (full.trace.entries(), full.trace.keys());
+        assert_eq!(full.trace.truncated(), 0);
+        assert_eq!((entries[0].t, entries[0].kind), (SimTime::ZERO, TraceKind::FluidResolve));
+        assert_eq!((entries[1].t, entries[1].kind), (SimTime::ZERO, TraceKind::Inject));
+        for limit in [1, 2, 3, 50, 1000] {
+            let cut = frozen_reference_run(limit);
+            assert_eq!(cut.trace.entries(), &entries[..limit], "limit {limit}");
+            assert_eq!(cut.trace.keys(), &keys[..limit], "limit {limit}");
+            assert_eq!(cut.trace.truncated(), (entries.len() - limit) as u64, "limit {limit}");
+        }
     }
 
     /// The engine report reflects how the loop ran.
@@ -1492,7 +1739,7 @@ mod tests {
     }
 
     /// Residual pushes address devices by `(node, index)`: the fluid link
-    /// table must number every node's devices exactly as the shard
+    /// table must number every node's devices exactly as `Simulator::new`
     /// attaches them.
     #[test]
     fn fluid_link_ids_address_the_shards_devices() {
@@ -1728,6 +1975,24 @@ mod tests {
         }
     }
 
+    /// A version 2 image — a coordinator's part beside a shard's — is
+    /// refused by number before its fingerprint is compared, so it never
+    /// reads as a config mismatch: the one it carries is patched here to
+    /// differ, as the old fingerprint mixed in a shard count.
+    #[test]
+    fn restore_rejects_a_version_2_image_by_number() {
+        let (mut sim, ..) = every_exit_fixture();
+        sim.run_until(SimTime::from_millis(200));
+        let mut image = sim.checkpoint().expect("checkpoint");
+        image[8..12].copy_from_slice(&2u32.to_le_bytes());
+        image[12] ^= 0xff;
+        crate::checkpoint::reseal(&mut image);
+        let (mut other, ..) = every_exit_fixture();
+        let err = other.restore(image).unwrap_err();
+        assert_eq!(err, CheckpointError::UnsupportedVersion { found: 2, expected: 3 });
+        assert!(err.to_string().contains("version 2"), "{err}");
+    }
+
     /// Offset and event tag of each entry in an image's first queue
     /// section: `time | key | tag | fields`, where an arrival's packet is
     /// 24 header bytes, a tagged payload and 18 trailing bytes.
@@ -1750,7 +2015,7 @@ mod tests {
     }
 
     /// A checksummed image whose queue names a node, device or app the
-    /// rebuilt shard cannot dispatch to — or an instant before its clock —
+    /// rebuilt simulator cannot dispatch to — or an instant before its clock —
     /// is malformed: a typed error at restore, not a panic at the pop.
     #[test]
     fn restore_rejects_queue_entries_it_cannot_dispatch() {
@@ -1761,7 +2026,7 @@ mod tests {
         let first = |tag: u8| entries.iter().find(|e| e.1 == tag).expect("entry of tag").0;
         let (tx, timer) = (first(0), first(3));
         let cases: [(usize, u64, usize, &str); 4] = [
-            (entries[0].0, 0, 8, "before the shard clock"),
+            (entries[0].0, 0, 8, "before the clock"),
             (tx + 17, 10_000, 4, "node 10000 of 102"),
             (tx + 21, 99, 4, "device 99 of node"),
             (timer + 17, 1_000, 4, "app slot 1000 of 3"),
@@ -1856,22 +2121,22 @@ mod tests {
     /// Mid-run the audit's slab conservation holds with packets queued, in
     /// service and on the wire (and the wire count is the queue's arrival
     /// entries, not the slab's occupancy); after every exit path has been
-    /// taken and the network has drained, no shard's slab holds a slot.
+    /// taken and the network has drained, the slab holds no slot.
     #[test]
     fn every_exit_frees_its_slot_and_a_drained_run_leaks_none() {
         let (mut sim, probe, victim, hops) = every_exit_fixture();
         for cut_ms in [200, 334, 900] {
             sim.run_until(SimTime::from_millis(cut_ms));
             assert_eq!(sim.audit(), [], "t={cut_ms}ms");
-            let on_wire = sim.shard.in_flight_arrivals();
+            let on_wire = sim.queue.pending_arrivals() as u64;
             let at_devices: u64 = sim.nodes().flat_map(|n| &n.devices).map(|d| d.occupancy()).sum();
-            let held = sim.shard.audit(&mut Vec::new());
+            let held = sim.audit_devices(&mut Vec::new());
             assert!(on_wire > 0 && at_devices > 0, "t={cut_ms}ms: idle network");
             assert_eq!(on_wire + at_devices, held, "t={cut_ms}ms");
         }
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.audit(), [], "drained");
-        assert_eq!(sim.shard.audit(&mut Vec::new()), 0, "the drained slab leaked a slot");
+        assert_eq!(sim.audit_devices(&mut Vec::new()), 0, "the drained slab leaked a slot");
         let s = &sim.stats;
         assert_eq!(s.injected, s.delivered + s.total_drops());
         for (exit, n) in [

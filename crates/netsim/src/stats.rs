@@ -36,7 +36,7 @@ pub struct SimStats {
     /// Steady-state bytes of per-flow application state behind
     /// `flow_count` (both endpoints; excludes in-flight packets).
     pub flow_state_bytes: u64,
-    /// Fluid flows installed (fluid/hybrid modes; coordinator-owned).
+    /// Fluid flows installed (fluid/hybrid modes).
     pub fluid_flows: u64,
     /// Max-min rate re-solves performed by the fluid solver.
     pub fluid_resolves: u64,
@@ -55,28 +55,6 @@ impl SimStats {
     /// Total drops of any kind.
     pub fn total_drops(&self) -> u64 {
         self.routing_drops + self.queue_drops + self.channel_drops + self.fault_drops
-    }
-
-    /// Fold another counter set into this one (the coordinator's and the
-    /// shard's). Every field is a sum, so the order does not matter.
-    pub fn merge(&mut self, other: &SimStats) {
-        self.injected += other.injected;
-        self.delivered += other.delivered;
-        self.payload_bytes_delivered += other.payload_bytes_delivered;
-        self.hop_deliveries += other.hop_deliveries;
-        self.routing_drops += other.routing_drops;
-        self.queue_drops += other.queue_drops;
-        self.channel_drops += other.channel_drops;
-        self.fault_drops += other.fault_drops;
-        self.unclaimed += other.unclaimed;
-        self.pings_echoed += other.pings_echoed;
-        self.forwarding_updates += other.forwarding_updates;
-        self.events += other.events;
-        self.flow_count += other.flow_count;
-        self.flow_state_bytes += other.flow_state_bytes;
-        self.fluid_flows += other.fluid_flows;
-        self.fluid_resolves += other.fluid_resolves;
-        self.fluid_bytes_delivered += other.fluid_bytes_delivered;
     }
 
     /// Steady-state application bytes per flow (`None` when no installed
@@ -124,55 +102,6 @@ mod tests {
         let stats =
             SimStats { routing_drops: 3, queue_drops: 4, fault_drops: 2, ..Default::default() };
         assert_eq!(stats.total_drops(), 9);
-    }
-
-    #[test]
-    fn merge_sums_every_field() {
-        let a = SimStats {
-            injected: 1,
-            delivered: 2,
-            payload_bytes_delivered: 3,
-            hop_deliveries: 4,
-            routing_drops: 5,
-            queue_drops: 6,
-            channel_drops: 7,
-            fault_drops: 8,
-            unclaimed: 9,
-            pings_echoed: 10,
-            forwarding_updates: 11,
-            events: 12,
-            flow_count: 13,
-            flow_state_bytes: 14,
-            fluid_flows: 15,
-            fluid_resolves: 16,
-            fluid_bytes_delivered: 17,
-        };
-        let mut b = a.clone();
-        b.merge(&a);
-        let doubled = SimStats {
-            injected: 2,
-            delivered: 4,
-            payload_bytes_delivered: 6,
-            hop_deliveries: 8,
-            routing_drops: 10,
-            queue_drops: 12,
-            channel_drops: 14,
-            fault_drops: 16,
-            unclaimed: 18,
-            pings_echoed: 20,
-            forwarding_updates: 22,
-            events: 24,
-            flow_count: 26,
-            flow_state_bytes: 28,
-            fluid_flows: 30,
-            fluid_resolves: 32,
-            fluid_bytes_delivered: 34,
-        };
-        assert_eq!(b, doubled);
-        // Merging a default is the identity.
-        let mut c = a.clone();
-        c.merge(&SimStats::default());
-        assert_eq!(c, a);
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub enum TraceKind {
     /// Dropped by fault injection: the packet was in flight on (or
     /// forwarded into) a link or node that a scheduled fault took down.
     FaultDrop = 6,
-    /// The coordinator's fluid solver recomputed the max-min rate
-    /// allocation (fluid/hybrid modes). Not a packet event: `node` is
-    /// always 0 and `packet_id` carries the running re-solve count.
+    /// The fluid solver recomputed the max-min rate allocation
+    /// (fluid/hybrid modes). Not a packet event: `node` is always 0 and
+    /// `packet_id` carries the running re-solve count.
     FluidResolve = 7,
 }
 
@@ -63,12 +63,12 @@ pub struct TraceEntry {
     pub kind: TraceKind,
 }
 
-/// A bounded trace buffer.
+/// A bounded trace buffer: the first `limit` records of a run in canonical
+/// `(time, key)` order.
 ///
 /// Alongside each entry the trace keeps the canonical event key that was
 /// current when it was recorded (see [`Trace::set_key`]). Keys never leave
-/// the crate: they exist so the coordinator's trace and the shard's can be
-/// [merged](Trace::merged) into the canonical `(time, key)` order.
+/// the crate: they place a record that arrives out of that order.
 #[derive(Debug, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
@@ -112,35 +112,6 @@ impl Trace {
     /// outside an event context keep the last key (or 0).
     pub fn set_key(&mut self, key: u64) {
         self.current_key = key;
-    }
-
-    /// Merge traces (the coordinator's and the shard's) into the canonical
-    /// global order.
-    ///
-    /// Each input trace's entries are already sorted by `(time, key)` —
-    /// the shard pops its queue in that order, the coordinator applies its
-    /// events in it — so a stable sort of the concatenation by
-    /// `(time, key)` gives the global order (equal `(time, key)` pairs only
-    /// arise within one event, which records into one trace, so stability
-    /// preserves their relative order). The result is truncated to `limit`
-    /// and counts every record any part made beyond the kept set.
-    pub fn merged(parts: &[&Trace], limit: usize) -> Trace {
-        let mut tagged: Vec<(SimTime, u64, TraceEntry)> = Vec::new();
-        let mut total: u64 = 0;
-        let mut sampled_out: u64 = 0;
-        let mut sample_every: u64 = 1;
-        for part in parts {
-            total += part.entries.len() as u64 + part.truncated;
-            sampled_out += part.sampled_out;
-            sample_every = sample_every.max(part.sample_every);
-            tagged.extend(part.entries.iter().zip(part.keys.iter()).map(|(e, &k)| (e.t, k, *e)));
-        }
-        tagged.sort_by_key(|&(t, k, _)| (t, k));
-        tagged.truncate(limit);
-        let truncated = total - tagged.len() as u64;
-        let keys = tagged.iter().map(|&(_, k, _)| k).collect();
-        let entries = tagged.into_iter().map(|(_, _, e)| e).collect();
-        Trace { entries, keys, current_key: 0, limit, truncated, sample_every, sampled_out }
     }
 
     /// Is tracing active at all?
@@ -188,17 +159,37 @@ impl Trace {
         self.record_slow(t, node, packet_id, kind);
     }
 
+    /// Keep the record if it is among the first `limit` of the run in
+    /// `(time, key)` order, after every kept record of its `(time, key)`.
+    /// Records arrive in that order (the queue pops in it) but for a few
+    /// written outside the event loop, such as the run-start fluid
+    /// re-solve, whose key sorts before the `on_start` records of its
+    /// instant: one of those goes in at its position, and when the buffer
+    /// is full the entry it pushes off the end counts as truncated.
     #[cold]
     fn record_slow(&mut self, t: SimTime, node: NodeId, packet_id: u64, kind: TraceKind) {
-        if self.entries.len() < self.limit {
-            self.entries.push(TraceEntry { t, node, packet_id, kind });
-            self.keys.push(self.current_key);
-        } else {
+        let at = (t, self.current_key);
+        let pos = match (self.entries.last(), self.keys.last()) {
+            (Some(last), Some(&key)) if (last.t, key) > at => {
+                let mut kept = self.entries.iter().zip(&self.keys);
+                kept.rposition(|(e, &k)| (e.t, k) <= at).map_or(0, |i| i + 1)
+            }
+            _ => self.entries.len(),
+        };
+        if pos == self.limit {
+            self.truncated += 1;
+            return;
+        }
+        if self.entries.len() == self.limit {
+            self.entries.pop();
+            self.keys.pop();
             self.truncated += 1;
         }
+        self.entries.insert(pos, TraceEntry { t, node, packet_id, kind });
+        self.keys.insert(pos, self.current_key);
     }
 
-    /// All recorded entries, in event order.
+    /// All recorded entries, in canonical `(time, key)` order.
     pub fn entries(&self) -> &[TraceEntry] {
         &self.entries
     }
@@ -294,56 +285,43 @@ mod tests {
         assert_eq!(tr.truncated(), 2);
     }
 
+    /// A record keyed before the tail of its instant goes in at its
+    /// position; once the buffer is full it pushes the last entry out, and
+    /// a record sorting after the last entry is truncated itself.
     #[test]
-    fn merge_reproduces_canonical_order_and_truncation() {
-        // Two parts, each recording in its own (t, key) order.
-        let mut a = Trace::new(10);
-        a.set_key(5);
-        a.record(SimTime::from_nanos(1), NodeId(0), 1, TraceKind::Inject);
-        a.set_key(9);
-        a.record(SimTime::from_nanos(4), NodeId(0), 1, TraceKind::Arrive);
-        let mut b = Trace::new(10);
-        b.set_key(2);
-        b.record(SimTime::from_nanos(1), NodeId(1), 2, TraceKind::Inject);
-        b.set_key(7);
-        b.record(SimTime::from_nanos(4), NodeId(1), 2, TraceKind::Arrive);
-
-        let merged = Trace::merged(&[&a, &b], 10);
-        let kinds: Vec<(u64, TraceKind)> =
-            merged.entries().iter().map(|e| (e.packet_id, e.kind)).collect();
-        // t=1: key 2 before key 5; t=4: key 7 before key 9.
-        assert_eq!(
-            kinds,
-            vec![
-                (2, TraceKind::Inject),
-                (1, TraceKind::Inject),
-                (2, TraceKind::Arrive),
-                (1, TraceKind::Arrive),
-            ]
-        );
-        assert_eq!(merged.truncated(), 0);
-
-        // Truncation: keep 3 of 4, plus a pre-existing truncation on `a`.
-        let mut a2 = Trace::new(1);
-        a2.record(SimTime::from_nanos(1), NodeId(0), 1, TraceKind::Inject);
-        a2.record(SimTime::from_nanos(2), NodeId(0), 1, TraceKind::Arrive);
-        assert_eq!(a2.truncated(), 1);
-        let merged = Trace::merged(&[&a2, &b], 2);
-        assert_eq!(merged.entries().len(), 2);
-        assert_eq!(merged.truncated(), 2, "1 dropped in merge + 1 pre-truncated");
+    fn records_land_in_canonical_order_and_truncate_the_tail() {
+        let record = |tr: &mut Trace, t: u64, key: u64, id: u64| {
+            tr.set_key(key);
+            tr.record(SimTime::from_nanos(t), NodeId(0), id, TraceKind::Inject);
+        };
+        let mut tr = Trace::new(3);
+        record(&mut tr, 1, 5, 1);
+        record(&mut tr, 1, 9, 2);
+        record(&mut tr, 1, 2, 3); // before both: goes first
+        let order = |tr: &Trace| tr.entries().iter().map(|e| e.packet_id).collect::<Vec<_>>();
+        assert_eq!((order(&tr), tr.keys()), (vec![3, 1, 2], &[2, 5, 9][..]));
+        assert_eq!(tr.truncated(), 0);
+        record(&mut tr, 1, 7, 4); // full: pushes key 9 out
+        assert_eq!((order(&tr), tr.keys()), (vec![3, 1, 4], &[2, 5, 7][..]));
+        record(&mut tr, 2, 0, 5); // sorts after the last entry
+        record(&mut tr, 0, 99, 6); // an earlier instant, any key
+        assert_eq!((order(&tr), tr.keys()), (vec![6, 3, 1], &[99, 2, 5][..]));
+        assert_eq!(tr.truncated(), 3);
     }
 
+    /// Records under one `(time, key)` — e.g. Deliver then echo Inject —
+    /// keep the order they were made in, also when a record of that key
+    /// goes in ahead of later-keyed ones.
     #[test]
-    fn same_event_records_stay_in_order_across_merge() {
-        // Two records under one (t, key) — e.g. Deliver then echo Inject —
-        // must keep their relative order through the merge.
-        let mut a = Trace::new(10);
-        a.set_key(42);
-        a.record(SimTime::from_nanos(9), NodeId(3), 1, TraceKind::Deliver);
-        a.record(SimTime::from_nanos(9), NodeId(3), 2, TraceKind::Inject);
-        let merged = Trace::merged(&[&a], 10);
-        assert_eq!(merged.entries()[0].kind, TraceKind::Deliver);
-        assert_eq!(merged.entries()[1].kind, TraceKind::Inject);
+    fn same_event_records_keep_their_order() {
+        let mut tr = Trace::new(10);
+        tr.set_key(50);
+        tr.record(SimTime::from_nanos(9), NodeId(3), 1, TraceKind::Arrive);
+        tr.set_key(42);
+        tr.record(SimTime::from_nanos(9), NodeId(3), 2, TraceKind::Deliver);
+        tr.record(SimTime::from_nanos(9), NodeId(3), 3, TraceKind::Inject);
+        let kinds: Vec<TraceKind> = tr.entries().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [TraceKind::Deliver, TraceKind::Inject, TraceKind::Arrive]);
     }
 
     #[test]
@@ -389,18 +367,6 @@ mod tests {
         tr.record_flow(SimTime::ZERO, NodeId(0), 1, 12345, TraceKind::Inject);
         assert_eq!(tr.entries().len(), 1);
         assert_eq!(tr.sampled_out(), 0);
-    }
-
-    #[test]
-    fn merge_sums_sampled_out() {
-        let mut a = Trace::with_sampling(10, 2);
-        a.record_flow(SimTime::from_nanos(1), NodeId(0), 1, 3, TraceKind::Inject); // out
-        a.record_flow(SimTime::from_nanos(2), NodeId(0), 2, 4, TraceKind::Inject); // kept
-        let mut b = Trace::with_sampling(10, 2);
-        b.record_flow(SimTime::from_nanos(3), NodeId(1), 3, 5, TraceKind::Inject); // out
-        let merged = Trace::merged(&[&a, &b], 10);
-        assert_eq!(merged.entries().len(), 1);
-        assert_eq!(merged.sampled_out(), 2);
     }
 
     #[test]

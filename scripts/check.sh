@@ -21,10 +21,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "== cargo test -q --locked"
 cargo test -q --locked
 
-echo "== one event loop, one shard, one thread primitive (deleted paths stay deleted)"
+echo "== one event loop, one simulator, one thread primitive (deleted paths stay deleted)"
 if grep -rnE 'run_serial|ForwardingUpdate|FaultUpdate \{|FluidUpdate|crossbeam|lookahead_at|Partition' \
   crates/*/src; then
   echo "a deleted engine path or dependency is back" >&2 && exit 1
+fi
+if grep -rnE 'struct Shard|coord_stats|coord_trace|refresh_views|Trace::merged' crates/netsim/src; then
+  echo "the shard/coordinator split (a second set of stats and trace merged into views) is back" >&2 && exit 1
 fi
 
 echo "== packets stay put (by-value device queues and the hashed port map stay deleted)"
