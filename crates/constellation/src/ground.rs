@@ -192,24 +192,11 @@ pub fn world_cities_100() -> Vec<GroundStation> {
 /// triple reproduces the same matrix bit-for-bit on every platform.
 pub fn gravity_pairs(cities: usize, flows: usize, seed: u64) -> Vec<(usize, usize)> {
     assert!((2..=CITIES.len()).contains(&cities), "need 2..=100 cities, got {cities}");
-    let pops: Vec<f64> = CITIES[..cities].iter().map(|c| c.3 as f64).collect();
-    // Cumulative weights over the cities·(cities−1) ordered pairs, in row
-    // (src-major) order with the diagonal skipped.
-    let mut cumulative = Vec::with_capacity(cities * (cities - 1));
-    let mut total = 0.0f64;
-    for (i, &pi) in pops.iter().enumerate() {
-        for (j, &pj) in pops.iter().enumerate() {
-            if i != j {
-                total += pi * pj;
-                cumulative.push(total);
-            }
-        }
-    }
+    let table = GravityTable::new(cities);
     let mut rng = DetRng::new(seed);
     (0..flows)
         .map(|_| {
-            let u = rng.next_f64() * total;
-            let k = cumulative.partition_point(|&c| c <= u).min(cumulative.len() - 1);
+            let k = table.index_of(rng.next_f64() * table.total);
             // Invert the flat index: row i holds cities−1 entries whose
             // column skips the diagonal.
             let src = k / (cities - 1);
@@ -218,6 +205,66 @@ pub fn gravity_pairs(cities: usize, flows: usize, seed: u64) -> Vec<(usize, usiz
             (src, dst)
         })
         .collect()
+}
+
+/// The cumulative gravity weights of [`gravity_pairs`] with a guide table
+/// over them, so a draw searches one bucket's few entries instead of all
+/// `cities·(cities−1)`.
+struct GravityTable {
+    /// Cumulative weights over the ordered pairs, in row (src-major)
+    /// order with the diagonal skipped.
+    cumulative: Vec<f64>,
+    /// The last cumulative weight.
+    total: f64,
+    /// `guide[b]`: how many cumulative weights are `<=` bucket `b`'s lower
+    /// edge, `total · b / buckets`; one bucket per weight, plus the upper
+    /// edge.
+    guide: Vec<u32>,
+}
+
+impl GravityTable {
+    fn new(cities: usize) -> GravityTable {
+        let pops: Vec<f64> = CITIES[..cities].iter().map(|c| c.3 as f64).collect();
+        let mut cumulative = Vec::with_capacity(cities * (cities - 1));
+        let mut total = 0.0f64;
+        for (i, &pi) in pops.iter().enumerate() {
+            for (j, &pj) in pops.iter().enumerate() {
+                if i != j {
+                    total += pi * pj;
+                    cumulative.push(total);
+                }
+            }
+        }
+        let buckets = cumulative.len();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut below = 0;
+        for b in 0..=buckets {
+            let edge = total * b as f64 / buckets as f64;
+            while below < cumulative.len() && cumulative[below] <= edge {
+                below += 1;
+            }
+            guide.push(below as u32);
+        }
+        GravityTable { cumulative, total, guide }
+    }
+
+    /// The pair `u ∈ [0, total)` falls on: the first cumulative weight
+    /// above `u` (the last pair for a `u` at or past the total), exactly
+    /// `cumulative.partition_point(|&c| c <= u)` clamped to the table.
+    /// Rounding may put `u` in a bucket whose range does not hold the
+    /// answer; the brackets are checked, and the full search runs then.
+    fn index_of(&self, u: f64) -> usize {
+        let c = &self.cumulative;
+        let buckets = self.guide.len() - 1;
+        let b = ((u / self.total * buckets as f64) as usize).min(buckets - 1);
+        let (lo, hi) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        let k = if (lo == 0 || c[lo - 1] <= u) && (hi == c.len() || c[hi] > u) {
+            lo + c[lo..hi].partition_point(|&w| w <= u)
+        } else {
+            c.partition_point(|&w| w <= u)
+        };
+        k.min(c.len() - 1)
+    }
 }
 
 #[cfg(test)]
@@ -292,6 +339,46 @@ mod tests {
         for &(s, d) in &a {
             assert!(s < 100 && d < 100);
             assert_ne!(s, d, "self-pairs excluded");
+        }
+    }
+
+    /// The guide table's pick is the plain binary search's, bit for bit:
+    /// on random draws, on every bucket edge and the floats beside it, and
+    /// on every cumulative weight and the floats beside it.
+    #[test]
+    fn gravity_guide_table_picks_what_the_full_search_picks() {
+        let beside = |u: f64| {
+            [f64::from_bits(u.to_bits().saturating_sub(1)), u, f64::from_bits(u.to_bits() + 1)]
+        };
+        for cities in [2usize, 3, 30, 100] {
+            let table = GravityTable::new(cities);
+            let c = &table.cumulative;
+            assert_eq!(c.len(), cities * (cities - 1));
+            let plain = |u: f64| c.partition_point(|&w| w <= u).min(c.len() - 1);
+            for seed in 0..4u64 {
+                let mut rng = DetRng::new(0x6772_6176 + seed);
+                for _ in 0..100_000 {
+                    let u = rng.next_f64() * table.total;
+                    assert_eq!(table.index_of(u), plain(u), "{cities} cities, seed {seed}, u {u}");
+                }
+            }
+            let buckets = table.guide.len() - 1;
+            let edges = (0..=buckets).map(|b| table.total * b as f64 / buckets as f64);
+            for u in edges.chain(c.iter().copied()).flat_map(beside) {
+                assert_eq!(table.index_of(u), plain(u), "{cities} cities, u {u}");
+            }
+            // Rounding that sent a draw one bucket off: the brackets fail
+            // and the full search answers.
+            for shift in [-1i64, 1] {
+                let at = |b: usize| (b as i64 + shift).clamp(0, buckets as i64) as usize;
+                let guide = (0..=buckets).map(|b| table.guide[at(b)]).collect();
+                let off = GravityTable { cumulative: c.clone(), total: table.total, guide };
+                let mut rng = DetRng::new(0x6f66_6673);
+                for _ in 0..10_000 {
+                    let u = rng.next_f64() * table.total;
+                    assert_eq!(off.index_of(u), plain(u), "{cities} cities, shift {shift}");
+                }
+            }
         }
     }
 

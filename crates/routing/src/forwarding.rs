@@ -173,27 +173,22 @@ impl ForwardingState {
         (idx != NOT_A_DEST).then_some(idx as usize)
     }
 
-    /// Fill `out` from already-computed trees, reusing its buffers. Used
-    /// by the incremental router, which keeps the authoritative trees in
-    /// its own cache; the copy is byte-identical to what
-    /// [`compute_forwarding_state_into`] builds from the same snapshot.
-    pub(crate) fn fill_from_trees(
-        out: &mut ForwardingState,
+    /// Set the instant, the destinations and the destination lookup for
+    /// `dests` on a graph of `num_nodes` nodes, and hand back one tree
+    /// slot per destination, in order, for the caller to fill. The slots
+    /// keep their buffers; what they hold until filled is stale.
+    pub(crate) fn reset(
+        &mut self,
         t: SimTime,
         dests: &[NodeId],
-        trees: &[SpTree],
         num_nodes: usize,
-    ) {
-        out.computed_at = t;
-        out.dests.clear();
-        out.dests.extend_from_slice(dests);
-        out.trees.resize_with(trees.len(), SpTree::empty);
-        for (dst, src) in out.trees.iter_mut().zip(trees) {
-            dst.dst = src.dst;
-            dst.dist_ns.clone_from(&src.dist_ns);
-            dst.next_hop.clone_from(&src.next_hop);
-        }
-        fill_dest_lookup(&mut out.dest_lookup, dests, num_nodes);
+    ) -> &mut [SpTree] {
+        self.computed_at = t;
+        self.dests.clear();
+        self.dests.extend_from_slice(dests);
+        fill_dest_lookup(&mut self.dest_lookup, dests, num_nodes);
+        self.trees.resize_with(dests.len(), SpTree::empty);
+        &mut self.trees
     }
 }
 
@@ -219,14 +214,9 @@ pub fn compute_forwarding_state_into(
     scratch: &mut DijkstraScratch,
     out: &mut ForwardingState,
 ) {
-    out.computed_at = t;
-    out.dests.clear();
-    out.dests.extend_from_slice(dests);
-    out.trees.resize_with(dests.len(), SpTree::empty);
-    for (tree, d) in out.trees.iter_mut().zip(dests) {
+    for (tree, d) in out.reset(t, dests, graph.num_nodes()).iter_mut().zip(dests) {
         shortest_path_tree_into(graph, d.0, scratch, tree);
     }
-    fill_dest_lookup(&mut out.dest_lookup, dests, graph.num_nodes());
 }
 
 /// Multipath forwarding state: downhill alternates towards each

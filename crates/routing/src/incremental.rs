@@ -29,19 +29,23 @@
 //! Full Dijkstra ([`shortest_path_tree_into`]) remains the fallback and
 //! the only oracle.
 //!
-//! # Full recomputes on two threads
+//! # Every recompute on two threads
 //!
-//! A full recompute — the first snapshot (a simulator's initial state, a
-//! restore without a valid cache, a sweep's first step), a churn or
-//! zero-delay fallback, and every snapshot in [`RoutingMode::Full`] —
-//! builds the trees of the later half of the destinations on one scoped
-//! helper thread while the caller builds the first half, each with its
-//! own [`DijkstraScratch`]. The trees are independent of each other, so
-//! the bytes are the serial loop's. The helper lives only for that call:
-//! there is no knob and never more than one helper per router, so a
-//! router briefly occupies two threads. Repairs stay on the caller's
-//! thread, and [`crate::forwarding::compute_forwarding_state_into`], the
-//! oracle, stays serial.
+//! Every recompute — a repair, or a full one: the first snapshot (a
+//! simulator's initial state, a restore without a valid cache, a sweep's
+//! first step), a churn or zero-delay fallback, and every snapshot in
+//! [`RoutingMode::Full`] — brings the trees of the later half of the
+//! destinations to the new snapshot on one scoped helper thread while the
+//! caller does the first half, each with its own [`DijkstraScratch`] and
+//! repair scratch; the one snapshot drift is shared read-only, and the
+//! helper's [`RepairStats`] are merged after the join. Each side copies
+//! its trees into the [`ForwardingState`] as it finishes them, while they
+//! are still in cache. The trees are independent of each other, so the
+//! bytes and the counts are the serial loop's. The helper lives only for
+//! that call: there is no knob and never more than one helper per router,
+//! so a router briefly occupies two threads.
+//! [`crate::forwarding::compute_forwarding_state_into`], the oracle, stays
+//! serial.
 //!
 //! # Why skipping a scan is exact
 //!
@@ -684,40 +688,108 @@ fn repair_shortest_path_tree(
     }
 }
 
-/// Full shortest-path trees of `graph` towards `dests`, one per entry of
-/// `trees`. With a `helper` scratch and at least two destinations, the
-/// later half of the trees is built on one scoped helper thread (its own
-/// scratch) while the caller builds the first half: the trees are
-/// independent, so the bytes are those of the serial loop. A panic on the
-/// helper resurfaces on the caller.
-fn full_trees_into(
-    graph: &DelayGraph,
-    dests: &[NodeId],
-    trees: &mut [SpTree],
-    scratch: &mut DijkstraScratch,
-    helper: Option<&mut DijkstraScratch>,
-) {
-    debug_assert_eq!(trees.len(), dests.len());
-    let build = |trees: &mut [SpTree], dests: &[NodeId], scratch: &mut DijkstraScratch| {
-        for (tree, d) in trees.iter_mut().zip(dests) {
-            shortest_path_tree_into(graph, d.0, scratch, tree);
+/// How [`Half::recompute`] brings a tree to the new snapshot.
+#[derive(Clone, Copy)]
+enum Recompute<'a> {
+    /// Full Dijkstra; the tree's memo is forgotten.
+    Full,
+    /// Repair from the previous snapshot, with the drift that ends at the
+    /// new one.
+    Repair(&'a Drift),
+}
+
+/// The scratch of the router's one helper thread.
+#[derive(Debug, Default)]
+struct HelperScratch {
+    dijkstra: DijkstraScratch,
+    repair: RepairScratch,
+}
+
+/// One thread's share of a recompute: a run of destinations, their cached
+/// trees and memos, and the forwarding-state slots the trees are copied
+/// to.
+struct Half<'a> {
+    dests: &'a [NodeId],
+    trees: &'a mut [SpTree],
+    memos: &'a mut [TreeMemo],
+    out: &'a mut [SpTree],
+}
+
+impl<'a> Half<'a> {
+    /// The first half of the destinations, and the rest. The caller of a
+    /// split starts at once and the helper only once spawned, so the first
+    /// half takes the odd tree.
+    fn halves(self) -> (Half<'a>, Half<'a>) {
+        let mid = self.dests.len().div_ceil(2);
+        let (dests, later_dests) = self.dests.split_at(mid);
+        let (trees, later_trees) = self.trees.split_at_mut(mid);
+        let (memos, later_memos) = self.memos.split_at_mut(mid);
+        let (out, later_out) = self.out.split_at_mut(mid);
+        (
+            Half { dests, trees, memos, out },
+            Half { dests: later_dests, trees: later_trees, memos: later_memos, out: later_out },
+        )
+    }
+
+    /// Bring every tree to `graph` and copy it out while it is still in
+    /// cache.
+    fn recompute(
+        self,
+        graph: &DelayGraph,
+        how: Recompute<'_>,
+        dijkstra: &mut DijkstraScratch,
+        repair: &mut RepairScratch,
+        stats: &mut RepairStats,
+    ) {
+        let Half { dests, trees, memos, out } = self;
+        for (((tree, memo), copy), d) in trees.iter_mut().zip(memos).zip(out).zip(dests) {
+            match how {
+                Recompute::Full => {
+                    shortest_path_tree_into(graph, d.0, dijkstra, tree);
+                    memo.forget();
+                }
+                Recompute::Repair(drift) => {
+                    repair_shortest_path_tree(graph, drift, tree, memo, repair, stats);
+                }
+            }
+            copy.dst = tree.dst;
+            copy.dist_ns.clone_from(&tree.dist_ns);
+            copy.next_hop.clone_from(&tree.next_hop);
         }
+    }
+}
+
+/// Recompute every tree of `all` on `graph`. With a `helper` scratch and
+/// at least two destinations, the later half runs on one scoped helper
+/// thread (its own scratch and [`RepairStats`], merged into `stats` after
+/// the join) while the caller runs the first half: the trees are
+/// independent, so the bytes and the counts are those of the serial loop.
+/// A panic on the helper resurfaces on the caller.
+fn recompute_trees(
+    graph: &DelayGraph,
+    how: Recompute<'_>,
+    all: Half<'_>,
+    dijkstra: &mut DijkstraScratch,
+    repair: &mut RepairScratch,
+    stats: &mut RepairStats,
+    helper: Option<&mut HelperScratch>,
+) {
+    let Some(helper) = helper.filter(|_| all.dests.len() >= 2) else {
+        return all.recompute(graph, how, dijkstra, repair, stats);
     };
-    let Some(helper) = helper.filter(|_| dests.len() >= 2) else {
-        return build(trees, dests, scratch);
-    };
-    // The caller starts at once and the helper only once spawned, so the
-    // caller takes the odd tree.
-    let mid = dests.len().div_ceil(2);
-    let (own_trees, helper_trees) = trees.split_at_mut(mid);
-    let (own_dests, helper_dests) = dests.split_at(mid);
+    let (own, later) = all.halves();
+    let mut helper_stats = RepairStats::default();
     std::thread::scope(|scope| {
-        let handle = scope.spawn(|| build(helper_trees, helper_dests, helper));
-        build(own_trees, own_dests, scratch);
+        let handle = scope.spawn(|| {
+            let HelperScratch { dijkstra, repair } = helper;
+            later.recompute(graph, how, dijkstra, repair, &mut helper_stats);
+        });
+        own.recompute(graph, how, dijkstra, repair, stats);
         if let Err(panic) = handle.join() {
             std::panic::resume_unwind(panic);
         }
     });
+    stats.merge(&helper_stats);
 }
 
 /// Why a snapshot was (or was not) repaired — tallied in [`RouterStats`].
@@ -772,11 +844,11 @@ pub struct IncrementalRouter {
     /// `memos[i]`: what `trees[i]`'s last repair left for its next one.
     memos: Vec<TreeMemo>,
     scratch: DijkstraScratch,
-    /// The scratch of a full recompute's helper thread (see
-    /// [`full_trees_into`]); `None` only in the tests that hold the split
-    /// equal to one thread.
-    helper_scratch: Option<DijkstraScratch>,
     repair: RepairScratch,
+    /// The scratch of the helper thread every recompute splits its trees
+    /// with (see [`recompute_trees`]); `None` only in the tests that hold
+    /// the split equal to one thread.
+    helper: Option<HelperScratch>,
     diff: GraphDiff,
     drift: Drift,
     /// Decision counters (exposed for benches and tests).
@@ -802,8 +874,8 @@ impl IncrementalRouter {
             trees: Vec::new(),
             memos: Vec::new(),
             scratch: DijkstraScratch::new(),
-            helper_scratch: Some(DijkstraScratch::new()),
             repair: RepairScratch::default(),
+            helper: Some(HelperScratch::default()),
             diff: GraphDiff::default(),
             drift: Drift::default(),
             stats: RouterStats::default(),
@@ -860,29 +932,32 @@ impl IncrementalRouter {
             }
         };
 
-        if repairable {
+        let how = if repairable {
             self.stats.repaired += 1;
             self.drift.fill_from(&self.diff, graph);
-            for (tree, memo) in self.trees.iter_mut().zip(&mut self.memos) {
-                repair_shortest_path_tree(
-                    graph,
-                    &self.drift,
-                    tree,
-                    memo,
-                    &mut self.repair,
-                    &mut self.repair_stats,
-                );
-            }
+            Recompute::Repair(&self.drift)
         } else {
             self.dests.clear();
             self.dests.extend_from_slice(dests);
             self.trees.resize_with(dests.len(), SpTree::empty);
-            let helper = self.helper_scratch.as_mut();
-            full_trees_into(graph, dests, &mut self.trees, &mut self.scratch, helper);
-            // Fresh trees: nothing remembered, no certificates.
             self.memos.resize_with(dests.len(), TreeMemo::default);
-            self.memos.iter_mut().for_each(TreeMemo::forget);
-        }
+            Recompute::Full
+        };
+        let all = Half {
+            dests,
+            trees: &mut self.trees,
+            memos: &mut self.memos,
+            out: out.reset(t, dests, graph.num_nodes()),
+        };
+        recompute_trees(
+            graph,
+            how,
+            all,
+            &mut self.scratch,
+            &mut self.repair,
+            &mut self.repair_stats,
+            self.helper.as_mut(),
+        );
 
         // Cache the snapshot the trees now describe (except in full mode,
         // where the cache is dead weight).
@@ -890,8 +965,6 @@ impl IncrementalRouter {
             self.prev_graph.copy_adjacency_from(graph);
             self.valid = true;
         }
-
-        ForwardingState::fill_from_trees(out, t, dests, &self.trees, graph.num_nodes());
     }
 }
 
@@ -1269,7 +1342,8 @@ mod tests {
     }
 
     /// The release-mode gate of `scripts/check.sh`: the benchmark's shells
-    /// and flap process at full size, the oracle every tenth step.
+    /// and flap process at full size, the oracle every tenth step, and a
+    /// router that never splits in lock-step with one that does.
     #[test]
     #[ignore = "long: K1 and S1 x 100 destinations x 200 snapshots; run by scripts/check.sh in release"]
     fn repair_equals_full_dijkstra_on_full_shells_under_flapping() {
@@ -1283,14 +1357,20 @@ mod tests {
             let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(20));
             let dests: Vec<NodeId> = (0..c.num_ground_stations()).map(|i| c.gs_node(i)).collect();
             let mut router = IncrementalRouter::new(RoutingConfig::incremental());
+            // One thread in lock-step: the split must count what it counts.
+            let mut serial = IncrementalRouter::new(RoutingConfig::incremental());
+            serial.helper = None;
             let mut buffers = SnapshotBuffers::new();
-            let mut out = ForwardingState::empty();
+            let (mut out, mut serial_out) = (ForwardingState::empty(), ForwardingState::empty());
             for step in 0..200u64 {
                 let t = SimTime::from_millis(100 * step);
                 let mask = FaultState::at(&sched, t);
                 let graph = buffers.snapshot_masked(&c, t, Some(&mask));
                 router.compute_into(graph, t, &dests, &mut out);
+                serial.compute_into(graph, t, &dests, &mut serial_out);
+                assert_eq!(router.repair_stats, serial.repair_stats, "{} step {step}", c.name);
                 if step % 10 == 9 {
+                    assert_states_identical(&out, &serial_out, &format!("{} step {step}", c.name));
                     let reference = compute_forwarding_state_on(graph, t, &dests);
                     for (a, b) in out.trees.iter().zip(&reference.trees) {
                         assert_trees_identical(a, b, &format!("{} step {step}", c.name));
@@ -1360,7 +1440,7 @@ mod tests {
             let dests: Vec<NodeId> = nodes[..n_dests].iter().map(|&v| NodeId(v)).collect();
             let mut split = IncrementalRouter::new(RoutingConfig::incremental());
             let mut serial = IncrementalRouter::new(RoutingConfig::incremental());
-            serial.helper_scratch = None;
+            serial.helper = None;
             let (mut a, mut b) = (ForwardingState::empty(), ForwardingState::empty());
             for (secs, masked) in steps {
                 let t = SimTime::from_secs(secs);
@@ -1385,6 +1465,78 @@ mod tests {
             let stats = split.stats;
             assert_eq!((stats.fallback_first, stats.fallback_churn), (1, 2), "{stats:?}");
             assert_eq!(stats.repaired, 3, "{stats:?}");
+        }
+    }
+
+    /// Both states name the same instant, destinations, trees and
+    /// destination lookup.
+    fn assert_states_identical(a: &ForwardingState, b: &ForwardingState, ctx: &str) {
+        assert_eq!(a.computed_at, b.computed_at, "{ctx}: instant");
+        assert_eq!(a.dests, b.dests, "{ctx}: destinations");
+        assert_eq!(a.trees.len(), b.trees.len(), "{ctx}: tree count");
+        for (x, y) in a.trees.iter().zip(&b.trees) {
+            assert_trees_identical(x, y, ctx);
+        }
+        assert_eq!(a.dest_lookup, b.dest_lookup, "{ctx}: lookup");
+    }
+
+    /// A repair split between the caller and the helper thread equals the
+    /// full-Dijkstra oracle tree for tree, and a router that splits holds
+    /// and counts exactly what one that never splits does: 1, 2, 3, 7 and
+    /// 100 destinations over a flapping, masked chain of snapshots with one
+    /// churn fallback in the middle (a mass outage that outlasts the chain).
+    #[test]
+    fn split_repair_equals_the_oracle_and_one_thread() {
+        let c = Constellation::build(
+            "split",
+            vec![ShellSpec::new("B", 550.0, 10, 10, 53.0)],
+            IslLayout::PlusGrid,
+            hypatia_constellation::ground::top_cities(40),
+            GslConfig::new(25.0),
+        );
+        let spec = FaultSpec {
+            seed: 0x5eed,
+            sat_flap: Some(FlapProcess { mttf_s: 60.0, mttr_s: 5.0 }),
+            sat_outages: (0..40)
+                .map(|s| OutageWindow { target: s * 2 + 1, from_s: 6.0, until_s: 60.0 })
+                .collect(),
+            gsl_weather: vec![OutageWindow { target: 5, from_s: 2.0, until_s: 9.0 }],
+            ..FaultSpec::default()
+        };
+        let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(20));
+        let mut rng = DetRng::new(0x7265_7061);
+        let mut scratch = DijkstraScratch::new();
+        let mut reference = ForwardingState::empty();
+        for n_dests in [1usize, 2, 3, 7, 100] {
+            let mut nodes: Vec<u32> = (0..c.num_nodes() as u32).collect();
+            rng.shuffle(&mut nodes);
+            let dests: Vec<NodeId> = nodes[..n_dests].iter().map(|&v| NodeId(v)).collect();
+            let mut split = IncrementalRouter::new(RoutingConfig::incremental());
+            let mut serial = IncrementalRouter::new(RoutingConfig::incremental());
+            serial.helper = None;
+            let (mut a, mut b) = (ForwardingState::empty(), ForwardingState::empty());
+            let mut buffers = SnapshotBuffers::new();
+            for step in 0..48u64 {
+                let t = SimTime::from_millis(250 * step);
+                let mask = FaultState::at(&sched, t);
+                let g = buffers.snapshot_masked(&c, t, Some(&mask));
+                split.compute_into(g, t, &dests, &mut a);
+                serial.compute_into(g, t, &dests, &mut b);
+                compute_forwarding_state_into(g, t, &dests, &mut scratch, &mut reference);
+                let ctx = format!("{n_dests} dests, step {step}");
+                assert_states_identical(&a, &reference, &format!("split, {ctx}"));
+                assert_states_identical(&b, &reference, &format!("serial, {ctx}"));
+                for (x, y) in split.trees.iter().zip(&serial.trees) {
+                    assert_trees_identical(x, y, &format!("cache, {ctx}"));
+                }
+                assert_eq!(split.stats, serial.stats, "{ctx}");
+                assert_eq!(split.repair_stats, serial.repair_stats, "{ctx}");
+            }
+            let (stats, repair) = (split.stats, split.repair_stats);
+            assert_eq!((stats.fallback_first, stats.fallback_churn), (1, 1), "{stats:?}");
+            assert_eq!(stats.repaired, 46, "{stats:?}");
+            assert_eq!(repair.trees, 46 * n_dests as u64, "{repair:?}");
+            assert!(repair.retensed > 0 && repair.certified > 0, "{n_dests} dests: {repair:?}");
         }
     }
 

@@ -18,9 +18,10 @@
 //! Parallelism here is only ever *across* independent snapshots (or
 //! scenario instances), built on `std::thread` and `std::sync::mpsc` alone
 //! (DESIGN §5 dependency policy): determinism stays a feature. Within one
-//! snapshot, only a full recompute splits its independent per-destination
-//! trees with one scoped helper thread ([`crate::incremental`]), so a
-//! worker or the [`Lookahead`] thread may briefly run two.
+//! snapshot, every recompute, repair or full, splits its independent
+//! per-destination trees with one scoped helper thread
+//! ([`crate::incremental`]), so a worker or the [`Lookahead`] thread
+//! briefly runs two at every step.
 //!
 //! Two shapes are provided:
 //!
@@ -60,9 +61,9 @@ pub fn worker_threads(requested: usize) -> usize {
 /// With `threads == 1` the loop runs inline on the caller's thread; the
 /// parallel path produces the same `consume` call sequence by
 /// construction, which is what makes thread count a pure performance knob.
-/// `threads` counts step workers, not OS threads: a `compute` that runs a
-/// full routing recompute may borrow one short-lived helper thread for it
-/// (see [`crate::incremental`]).
+/// `threads` counts step workers, not OS threads: a `compute` that routes
+/// a step borrows one short-lived helper thread for it (see
+/// [`crate::incremental`]).
 pub fn for_each_step_ordered<T, S, MS, F, C>(
     n_steps: u64,
     threads: usize,
@@ -232,9 +233,8 @@ impl SnapshotWorker {
 /// workers, and hand each step's states to `consume(step_index, states)`
 /// in time order. `threads == 0` uses every core; `threads == 1` runs the
 /// steps on the calling thread and is the serial reference the parallel
-/// path is bit-identical to. `threads` counts step workers: a step that
-/// recomputes its trees in full (a worker's first, a churn fallback)
-/// splits them with one helper thread for that step (see
+/// path is bit-identical to. `threads` counts step workers: every step
+/// splits its trees with one helper thread for that step (see
 /// [`crate::incremental`]). The worker's routing configuration and thread
 /// count only change how fast the states are produced.
 pub fn sweep_forwarding_states<W, C>(

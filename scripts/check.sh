@@ -58,10 +58,13 @@ echo "== link-delay cubics vs exact propagation delay: 10^7 seeded samples, rele
 # above.
 cargo test -q --release -p hypatia-constellation --lib ephemeris::tests -- --include-ignored
 
-echo "== SSSP repair vs full Dijkstra: K1 and S1 x 100 destinations x 200 snapshots, release arithmetic"
+echo "== SSSP repair, split across two threads, vs one thread and full Dijkstra: K1 and S1 x 100 destinations x 200 snapshots, release arithmetic"
 # Every repaired tree must equal a from-scratch one whatever the router's
 # cache holds; the 240-chain debug-mode fuzz is part of `cargo test` above,
 # this adds the benchmark's shells under its flap process at full size.
+# Every step splits its trees between the caller and one helper thread:
+# the gate steps a router that never splits in lock-step and holds the
+# repair counts and forwarding states of the two equal.
 # The full-size gate also fails if the runner-up-gap certificates skip
 # fewer than 80 % of the vertex scans on K1 or S1, so a certificate that
 # silently stops certifying shows up here rather than as a slow benchmark.
