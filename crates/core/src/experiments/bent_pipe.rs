@@ -14,7 +14,6 @@ use crate::scenario::Scenario;
 use hypatia_constellation::ground::GroundStation;
 use hypatia_constellation::relays::bent_pipe_ground_segment;
 use hypatia_constellation::NodeId;
-use hypatia_routing::forwarding::compute_forwarding_state;
 use hypatia_transport::{TcpConfig, TcpSender, TcpSink};
 use hypatia_util::{SimDuration, SimTime};
 use std::sync::Arc;
@@ -81,11 +80,15 @@ fn run_leg(
     duration: SimDuration,
     driver: &Driver,
 ) -> Result<BentPipeLeg, RunError> {
-    // Computed RTT series (no traffic).
+    // Computed RTT series (no traffic); the path at its first step, t = 0.
     let mut computed = Vec::new();
+    let mut path_t0 = None;
     let mut sum = 0.0;
     let mut connected = 0usize;
     scenario.forwarding_series(dst, SimTime::ZERO + duration, |t, state| {
+        if t == SimTime::ZERO {
+            path_t0 = state.path(src, dst);
+        }
         let ms = state.distance(src, dst).map_or(f64::NAN, |d| 2.0 * d.secs_f64() * 1e3);
         if ms.is_finite() {
             sum += ms;
@@ -93,8 +96,6 @@ fn run_leg(
         }
         computed.push((t.secs_f64(), ms));
     });
-    let path_t0 =
-        compute_forwarding_state(&scenario.constellation, SimTime::ZERO, &[dst]).path(src, dst);
 
     // TCP leg.
     let mut sim = scenario.simulator(vec![src, dst]);
@@ -113,22 +114,17 @@ fn run_leg(
     )?;
     let sender: &TcpSender = sim.app_as(sender_idx).expect("sender");
     let sink: &TcpSink = sim.app_as(sink_idx).expect("sink");
+    let tcp_rtt_series =
+        sender.log.rtt_samples.iter().map(|&(t, r)| (t.secs_f64(), r.secs_f64() * 1e3)).collect();
+    let mss = cfg.mss as f64;
+    let cwnd_series =
+        sender.log.cwnd.iter().map(|&(t, w)| (t.secs_f64(), w as f64 / mss)).collect();
 
     Ok(BentPipeLeg {
         label,
         computed_rtt_series: computed,
-        tcp_rtt_series: sender
-            .log
-            .rtt_samples
-            .iter()
-            .map(|&(t, r)| (t.secs_f64(), r.secs_f64() * 1e3))
-            .collect(),
-        cwnd_series: sender
-            .log
-            .cwnd
-            .iter()
-            .map(|&(t, w)| (t.secs_f64(), w as f64 / cfg.mss as f64))
-            .collect(),
+        tcp_rtt_series,
+        cwnd_series,
         throughput_series: sink.throughput_series_mbps(),
         path_t0,
         bytes_received: sink.bytes_received(),

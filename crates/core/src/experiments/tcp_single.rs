@@ -1,14 +1,15 @@
 //! Figs. 4 & 5 — TCP over a changing path, absent competition.
 //!
 //! One long-running TCP flow on an otherwise empty network. Outputs the
-//! congestion-window evolution with the instantaneous BDP+Q overlay
-//! (Fig. 4), the per-packet RTT, and the 100 ms-averaged throughput —
-//! enabling the NewReno-vs-Vegas comparison of Fig. 5.
+//! congestion-window evolution (Fig. 4, whose BDP+Q overlay is
+//! [`bdp_plus_q_series`]), the per-packet RTT, and the 100 ms-averaged
+//! throughput — enabling the NewReno-vs-Vegas comparison of Fig. 5.
 
 use crate::experiments::pair_slug;
 use crate::resilience::{Driver, SimRun};
 use crate::runner::RunError;
 use crate::scenario::Scenario;
+use hypatia_netsim::packet::HEADER_BYTES;
 use hypatia_transport::{Bbr, Cubic, NewReno, TcpConfig, TcpSender, TcpSink, Vegas};
 use hypatia_util::{SimDuration, SimTime};
 
@@ -66,8 +67,6 @@ pub struct TcpSingleResult {
     pub rtt_series: Vec<(f64, f64)>,
     /// `(time s, throughput Mbit/s)` averaged over 100 ms bins.
     pub throughput_series: Vec<(f64, f64)>,
-    /// `(time s, BDP+Q in packets)` from snapshot RTTs (Fig. 4 overlay).
-    pub bdp_plus_q_series: Vec<(f64, f64)>,
     /// Bytes delivered in order to the application.
     pub bytes_received: u64,
     /// Fast retransmits / RTO expirations / total retransmissions.
@@ -102,7 +101,6 @@ pub fn run(
     let src = scenario.gs_by_name(src_name)?;
     let dst = scenario.gs_by_name(dst_name)?;
     let tcp_cfg = TcpConfig::default();
-    let mss_wire = tcp_cfg.mss as u64 + hypatia_netsim::packet::HEADER_BYTES as u64;
 
     let mut sim = scenario.simulator(vec![src, dst]);
     let sink_idx = sim.add_app(dst, 80, Box::new(TcpSink::new(tcp_cfg.clone())));
@@ -114,33 +112,17 @@ pub fn run(
     let sender: &TcpSender = sim.app_as(sender_idx).expect("sender");
     let sink: &TcpSink = sim.app_as(sink_idx).expect("sink");
 
-    let cwnd_series = sender
-        .log
-        .cwnd
-        .iter()
-        .map(|&(t, w)| (t.secs_f64(), w as f64 / tcp_cfg.mss as f64))
-        .collect();
+    let mss = tcp_cfg.mss as f64;
+    let cwnd_series =
+        sender.log.cwnd.iter().map(|&(t, w)| (t.secs_f64(), w as f64 / mss)).collect();
     let rtt_series =
         sender.log.rtt_samples.iter().map(|&(t, r)| (t.secs_f64(), r.secs_f64() * 1e3)).collect();
-
-    // BDP+Q from snapshot RTTs: rate × RTT / wire-segment-size + queue.
-    let rate_bps = scenario.sim_config.link_rate.bps() as f64;
-    let q = scenario.sim_config.queue_packets as f64;
-    let mut bdp_plus_q_series = Vec::new();
-    scenario.forwarding_series(dst, SimTime::ZERO + duration, |t, state| {
-        let bdp_packets = state.distance(src, dst).map_or(f64::NAN, |d| {
-            let rtt_s = 2.0 * d.secs_f64();
-            rate_bps * rtt_s / 8.0 / mss_wire as f64 + q
-        });
-        bdp_plus_q_series.push((t.secs_f64(), bdp_packets));
-    });
 
     Ok(TcpSingleResult {
         cc,
         cwnd_series,
         rtt_series,
         throughput_series: sink.throughput_series_mbps(),
-        bdp_plus_q_series,
         bytes_received: sink.bytes_received(),
         fast_retransmits: sender.log.fast_retransmits,
         timeouts: sender.log.timeouts,
@@ -148,6 +130,27 @@ pub fn run(
         reordered_arrivals: sink.ooo_arrivals,
         run,
     })
+}
+
+/// Fig. 4's overlay: `(time s, BDP+Q in packets)` at every forwarding step
+/// until `duration` (NaN while disconnected): line rate × the snapshot RTT
+/// of `src_name` → `dst_name` / wire-segment size + queue.
+pub fn bdp_plus_q_series(
+    scenario: &Scenario,
+    src_name: &str,
+    dst_name: &str,
+    duration: SimDuration,
+) -> Result<Vec<(f64, f64)>, RunError> {
+    let (src, dst) = (scenario.gs_by_name(src_name)?, scenario.gs_by_name(dst_name)?);
+    let mss_wire = (TcpConfig::default().mss as u64 + HEADER_BYTES as u64) as f64;
+    let rate_bps = scenario.sim_config.link_rate.bps() as f64;
+    let q = scenario.sim_config.queue_packets as f64;
+    let bdp_plus_q = |d: SimDuration| rate_bps * (2.0 * d.secs_f64()) / 8.0 / mss_wire + q;
+    let mut series = Vec::new();
+    scenario.forwarding_series(dst, SimTime::ZERO + duration, |t, state| {
+        series.push((t.secs_f64(), state.distance(src, dst).map_or(f64::NAN, bdp_plus_q)));
+    });
+    Ok(series)
 }
 
 #[cfg(test)]
@@ -174,11 +177,18 @@ mod tests {
         assert!(!r.cwnd_series.is_empty());
         assert!(!r.rtt_series.is_empty());
         assert!(!r.throughput_series.is_empty());
-        assert_eq!(r.bdp_plus_q_series.len(), 150, "100 ms steps over 15 s");
         assert!(r.goodput_mbps(d) > 3.0, "goodput {}", r.goodput_mbps(d));
+    }
+
+    #[test]
+    fn bdp_plus_q_overlay_has_one_point_per_step() {
+        let series =
+            bdp_plus_q_series(&scenario(), "Istanbul", "Nairobi", SimDuration::from_secs(15))
+                .expect("known cities");
+        assert_eq!(series.len(), 150, "100 ms steps over 15 s");
         // BDP+Q for a ~55 ms RTT at 10 Mbps with 1440 B wire segments is
         // roughly 100 + 48 packets; sanity-check the overlay magnitude.
-        let (_, b) = r.bdp_plus_q_series[0];
+        let (_, b) = series[0];
         assert!((100.0..200.0).contains(&b), "BDP+Q {b}");
     }
 

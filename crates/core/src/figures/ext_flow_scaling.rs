@@ -11,10 +11,7 @@
 //! maximum.
 //!
 //! Spec knobs: `--set flows=N` pins a single point (replacing the
-//! `flow_counts` list), `--set trace_sample_every=K` keeps packet
-//! tracing affordable by recording only every K-th flow (a manifest
-//! warning flags the partial trace), and `--set flow_rate_kbps=R` paces
-//! each flow.
+//! `flow_counts` list), and `--set flow_rate_kbps=R` paces each flow.
 
 use super::flow_sweep;
 use crate::experiments::flow_scaling::drive_flow_point;
@@ -85,12 +82,6 @@ impl Experiment for ExtFlowScaling {
         let with_perf_series = ctx.spec.flag("perf_series").unwrap_or(true);
         let duration = ctx.spec.duration;
         let seed = ctx.spec.seed;
-        if ctx.spec.trace_sample_every > 1 {
-            ctx.sink.warn(format!(
-                "trace sampling active (1 in {} flows): packet traces are partial",
-                ctx.spec.trace_sample_every
-            ));
-        }
         let scenario = ctx.scenario();
         let driver = ctx.driver();
 

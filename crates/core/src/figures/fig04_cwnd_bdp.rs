@@ -5,7 +5,7 @@
 //! path shortenings cuts it without loss.
 
 use super::{named_pairs, pair_slug, CANONICAL_PAIRS};
-use crate::experiments::tcp_single::run;
+use crate::experiments::tcp_single::{bdp_plus_q_series, run};
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
@@ -75,7 +75,7 @@ impl Experiment for Fig04 {
             ctx.sink.write_series(
                 &format!("fig04_{slug}_bdpq.dat"),
                 "t_s bdp_plus_q_pkts",
-                &r.bdp_plus_q_series,
+                &bdp_plus_q_series(&scenario, src, dst, duration)?,
             )?;
         }
         println!();

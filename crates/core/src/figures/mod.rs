@@ -18,9 +18,7 @@ pub mod fig02_scalability;
 pub mod fig03_rtt_fluctuations;
 pub mod fig04_cwnd_bdp;
 pub mod fig05_rates_rtt;
-pub mod fig06_rtt_stretch_ecdf;
-pub mod fig07_rtt_cdfs;
-pub mod fig08_path_hop_cdfs;
+pub mod fig06_08_rtt_path_ecdfs;
 pub mod fig09_timestep;
 pub mod fig10_unused_bandwidth;
 pub mod fig11_constellation_czml;
@@ -32,10 +30,8 @@ pub mod table1;
 
 pub(crate) use crate::experiments::{pair_slug, CANONICAL_PAIRS};
 
-use crate::experiments::pair_sweep::{self, PairStats, PairSweepConfig};
 use crate::runner::{Experiment, RunError};
-use crate::scenario::ConstellationChoice;
-use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
+use crate::spec::ExperimentSpec;
 use hypatia_util::DataRate;
 
 /// Every built-in experiment, in the paper's order.
@@ -46,9 +42,7 @@ pub fn builtin_experiments() -> Vec<Box<dyn Experiment>> {
         Box::new(fig03_rtt_fluctuations::Fig03),
         Box::new(fig04_cwnd_bdp::Fig04),
         Box::new(fig05_rates_rtt::Fig05),
-        Box::new(fig06_rtt_stretch_ecdf::Fig06),
-        Box::new(fig07_rtt_cdfs::Fig07),
-        Box::new(fig08_path_hop_cdfs::Fig08),
+        Box::new(fig06_08_rtt_path_ecdfs::Fig06_08),
         Box::new(fig09_timestep::Fig09),
         Box::new(fig10_unused_bandwidth::Fig10),
         Box::new(fig11_constellation_czml::Fig11),
@@ -106,56 +100,10 @@ pub(crate) fn flow_sweep(
     Ok((counts, DataRate::from_bps((rate_kbps * 1e3).round() as u64)))
 }
 
-/// The three-constellation pair sweep shared by Figs. 6, 7 and 8, driven
-/// by one spec: ground segment, duration, step, minimum pair distance and
-/// thread count all come from it. Returns `(constellation name, per-pair
-/// statistics)` for Telesat T1, Kuiper K1 and Starlink S1 — the paper's
-/// comparison set.
-pub fn three_constellation_sweep(spec: &ExperimentSpec) -> Vec<(&'static str, Vec<PairStats>)> {
-    let gses = spec.ground.stations();
-    let cities = gses.len();
-    let cfg = PairSweepConfig {
-        duration: spec.duration,
-        step: spec.step,
-        min_pair_distance_km: match spec.pairs {
-            PairSelection::MinDistance { km } => km,
-            _ => 500.0,
-        },
-        threads: spec.threads,
-        routing: spec.routing_config(),
-    };
-
-    let choices = [
-        ("Telesat T1", ConstellationChoice::TelesatT1),
-        ("Kuiper K1", ConstellationChoice::KuiperK1),
-        ("Starlink S1", ConstellationChoice::StarlinkS1),
-    ];
-    choices
-        .into_iter()
-        .map(|(name, choice)| {
-            eprintln!("  sweeping {name} ({cities} cities)...");
-            let c = choice.build(gses.clone());
-            (name, pair_sweep::run(&c, &cfg))
-        })
-        .collect()
-}
-
-/// The shared spec skeleton of the three-constellation sweep figures.
-pub(crate) fn sweep_spec(experiment: &str, full: bool) -> ExperimentSpec {
-    ExperimentSpec {
-        experiment: experiment.to_string(),
-        constellation: ConstellationChoice::KuiperK1,
-        ground: GroundSegment::TopCities(if full { 100 } else { 40 }),
-        pairs: PairSelection::MinDistance { km: 500.0 },
-        duration: hypatia_util::SimDuration::from_secs(200),
-        step: hypatia_util::SimDuration::from_millis(if full { 100 } else { 500 }),
-        ..ExperimentSpec::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::PairSelection;
 
     #[test]
     fn canonical_slugs_are_stable() {

@@ -427,9 +427,7 @@ mod tests {
             "fig03_rtt_fluctuations",
             "fig04_cwnd_bdp",
             "fig05_rates_rtt",
-            "fig06_rtt_stretch_ecdf",
-            "fig07_rtt_cdfs",
-            "fig08_path_hop_cdfs",
+            "fig06_08_rtt_path_ecdfs",
             "fig09_timestep",
             "fig10_unused_bandwidth",
             "fig11_constellation_czml",
@@ -446,7 +444,57 @@ mod tests {
         ] {
             assert!(names.iter().any(|n| n == expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 21);
+        assert_eq!(names.len(), 19);
+    }
+
+    /// Every experiment the docs name is registered: each backticked name
+    /// in EXPERIMENTS.md's section headings, and the name in each
+    /// `run_experiment <name>` or `$RE <name>` command of README.md,
+    /// EXPERIMENTS.md and DESIGN.md. EXPERIMENTS.md's regeneration loop
+    /// names every registered experiment, in registry order.
+    #[test]
+    fn docs_name_only_registered_experiments() {
+        let names = ExperimentRunner::new().names();
+        let experiments_md = include_str!("../../../EXPERIMENTS.md");
+        let mut named: Vec<&str> = experiments_md
+            .lines()
+            .filter(|l| l.starts_with("## "))
+            .flat_map(|l| l.split('`').skip(1).step_by(2))
+            .collect();
+        assert!(named.len() >= 10, "EXPERIMENTS.md headings name too few: {named:?}");
+        let docs = [
+            include_str!("../../../README.md"),
+            experiments_md,
+            include_str!("../../../DESIGN.md"),
+        ];
+        for doc in docs {
+            let commands = doc.split("run_experiment ").skip(1).chain(doc.split("$RE ").skip(1));
+            for command in commands {
+                let mut words = command.split_whitespace();
+                let word = match words.next() {
+                    Some("--") => words.next(),
+                    word => word,
+                };
+                if let Some(word) = word.filter(|w| w.starts_with(|c: char| c.is_ascii_lowercase()))
+                {
+                    named.extend(
+                        word.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')).next(),
+                    );
+                }
+            }
+        }
+        let unknown: Vec<&str> =
+            named.into_iter().filter(|n| !names.contains(&n.to_string())).collect();
+        assert!(unknown.is_empty(), "the docs name unregistered experiments: {unknown:?}");
+
+        let regenerated =
+            experiments_md.split("for e in ").nth(1).and_then(|s| s.split("; do").next());
+        let regenerated: Vec<&str> = regenerated
+            .expect("a regeneration loop")
+            .split_whitespace()
+            .filter(|w| *w != "\\")
+            .collect();
+        assert_eq!(regenerated, names, "EXPERIMENTS.md's regeneration loop");
     }
 
     #[test]

@@ -152,8 +152,6 @@ pub struct ExperimentSpec {
     pub fluid_threshold_kbps: f64,
     /// Offered flows of traffic-matrix experiments (`flows`).
     pub flows: Option<u64>,
-    /// Trace only flows whose flow hash this divides (`trace_sample_every`).
-    pub trace_sample_every: u64,
     /// Optional fault-injection scenario; `None` keeps every component up.
     pub faults: Option<FaultSpec>,
     /// Checkpoint interval in simulated time (`checkpoint_every_s`).
@@ -187,7 +185,6 @@ impl Default for ExperimentSpec {
             sim_mode: sim.sim_mode,
             fluid_threshold_kbps: 0.0,
             flows: None,
-            trace_sample_every: sim.trace_sample_every,
             faults: None,
             checkpoint_every: None,
             resume_from: None,
@@ -215,9 +212,7 @@ impl ExperimentSpec {
         if let Some(bucket) = self.utilization_bucket {
             cfg = cfg.with_utilization_bucket(bucket);
         }
-        cfg.with_repair_churn_threshold(self.repair_churn_threshold)
-            .with_sim_mode(self.sim_mode)
-            .with_trace_sampling(self.trace_sample_every)
+        cfg.with_repair_churn_threshold(self.repair_churn_threshold).with_sim_mode(self.sim_mode)
     }
 
     /// The routing configuration this spec describes.
@@ -644,8 +639,6 @@ const KNOBS: &[Knob] = knobs![
     fluid_threshold_kbps: defaulted NonNegative Num(fluid_threshold_kbps),
     /// Offered flows of traffic-matrix experiments; unset, the experiment's default.
     flows: defaulted Positive OptInt(flows),
-    /// Trace only flows whose flow hash this divides (1 = every flow).
-    trace_sample_every: defaulted Positive Int(trace_sample_every),
     /// Share of flipped edges above which SSSP repair falls back to full Dijkstra.
     repair_churn_threshold: defaulted NonNegative Num(repair_churn_threshold),
     /// Checkpoint interval, simulated seconds; unset, no checkpoints.
@@ -793,6 +786,8 @@ fn removed(key: &str) -> Result<(), SpecError> {
              incrementally, with full Dijkstra as the router's own fallback"),
         "retries" => err("retries was removed: a run is deterministic, so retrying \
              after a failure would only repeat it"),
+        "trace_sample_every" => err("trace_sample_every was removed: no experiment \
+             records a packet trace, so sampling one changed nothing"),
         _ => Ok(()),
     }
 }
@@ -1040,7 +1035,6 @@ mod tests {
         spec.utilization_bucket = Some(SimDuration::from_secs(1));
         spec.threads = 4;
         spec.sim_mode = SimMode::Hybrid;
-        spec.trace_sample_every = 64;
         let cfg = spec.sim_config();
         assert_eq!(cfg.link_rate, DataRate::from_mbps(25));
         assert_eq!(cfg.queue_packets, 50);
@@ -1050,7 +1044,6 @@ mod tests {
         let unthreaded = ExperimentSpec { threads: 0, ..spec.clone() }.sim_config();
         assert_eq!(format!("{cfg:?}"), format!("{unthreaded:?}"));
         assert_eq!(cfg.sim_mode, SimMode::Hybrid);
-        assert_eq!(cfg.trace_sample_every, 64);
     }
 
     #[test]
@@ -1224,30 +1217,30 @@ mod tests {
         let spec = sample();
         let text = spec.to_json_string();
         assert!(!text.contains("\"flows\""));
-        assert!(!text.contains("trace_sample_every"));
         let back = ExperimentSpec::from_json(&text).unwrap();
         assert_eq!(back.flows, None);
-        assert_eq!(back.trace_sample_every, 1);
 
         let mut spec = sample();
         spec.set("flows", "1000000").unwrap();
-        spec.set("trace_sample_every", "64").unwrap();
         assert_eq!(spec.flows, Some(1_000_000));
-        assert_eq!(spec.trace_sample_every, 64);
         let text = spec.to_json_string();
         assert!(text.contains("\"flows\": 1000000"));
-        assert!(text.contains("\"trace_sample_every\": 64"));
         let back = ExperimentSpec::from_json(&text).expect("parse own output");
         assert_eq!(spec, back);
         assert_eq!(text, back.to_json_string());
-        assert_eq!(spec.sim_config().trace_sample_every, 64);
 
         assert!(spec.set("flows", "0").is_err());
         assert!(spec.set("flows", "many").is_err());
-        assert!(spec.set("trace_sample_every", "0").is_err());
         assert!(ExperimentSpec::from_json("{\"experiment\": \"e\", \"flows\": 0}").is_err());
-        assert!(ExperimentSpec::from_json("{\"experiment\": \"e\", \"trace_sample_every\": 0}")
-            .is_err());
+
+        // Trace sampling was a knob no experiment read: naming it is an
+        // error that says why, not a silently unread param.
+        let e = spec.set("trace_sample_every", "64").unwrap_err();
+        assert!(e.0.contains("trace_sample_every was removed"), "{e}");
+        assert!(!spec.params.contains_key("trace_sample_every"));
+        let e = ExperimentSpec::from_json("{\"experiment\": \"e\", \"trace_sample_every\": 64}")
+            .unwrap_err();
+        assert!(e.0.contains("\"trace_sample_every\""), "{e}");
     }
 
     #[test]
@@ -1309,7 +1302,6 @@ mod tests {
         ("sim_mode", "hybrid", &["analytic", "1"]),
         ("fluid_threshold_kbps", "64.5", &["-1", "-inf", "nan", "slow"]),
         ("flows", "1000000", &["0", "-1", "many"]),
-        ("trace_sample_every", "64", &["0", "-1", "many"]),
         ("repair_churn_threshold", "0.25", &["-0.1", "-1", "nan", "inf", "lots"]),
         ("checkpoint_every_s", "0.5", &["0", "-1", "nan", "inf"]),
         ("resume_from", "out/ckpt", &[]),
@@ -1433,7 +1425,6 @@ mod tests {
             sim_mode: SimMode::Hybrid,
             fluid_threshold_kbps: 64.5,
             flows: Some(1_000_000),
-            trace_sample_every: 64,
             checkpoint_every: Some(SimDuration::from_millis(500)),
             resume_from: Some("out/\"ckpt\"".into()),
             audit: true,
@@ -1465,7 +1456,6 @@ mod tests {
   "sim_mode": "hybrid",
   "fluid_threshold_kbps": 64.5,
   "flows": 1000000,
-  "trace_sample_every": 64,
   "repair_churn_threshold": 0.25,
   "checkpoint_every_s": 0.5,
   "resume_from": "out/\"ckpt\"",
@@ -1487,9 +1477,7 @@ mod tests {
             ("fig03_rtt_fluctuations", 0x9b355743e670e613, 0x0650980d1400ff86),
             ("fig04_cwnd_bdp", 0x671e742a4ac33184, 0x3e04edf2dc9e55a8),
             ("fig05_rates_rtt", 0x7dac81a27e2d9137, 0xc61d1b7017c1285b),
-            ("fig06_rtt_stretch_ecdf", 0x2a1ad420e31252b1, 0xc4b00d3edded2ab2),
-            ("fig07_rtt_cdfs", 0x1bf547d20acf50de, 0x84b35042068d1f53),
-            ("fig08_path_hop_cdfs", 0x1ca510738b53a602, 0xd65f6104a8ad6c2f),
+            ("fig06_08_rtt_path_ecdfs", 0x5d7aae5241192327, 0x845622f6f00246e4),
             ("fig09_timestep", 0xf1d29e2ba3c36b4b, 0x4a3e9fb32536ebe8),
             ("fig10_unused_bandwidth", 0xd6b0084b40c84dc8, 0x335141a13bf174bd),
             ("fig11_constellation_czml", 0xedd56c0f9d5ab812, 0x8c803f4ff27674ba),

@@ -584,21 +584,15 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 12] = [
 ];
 
 /// Every experiment that runs no packet simulation, on a tiny spec.
-const ROUTING_EXPERIMENTS: [(&str, Sets, Pins); 9] = [
+const ROUTING_EXPERIMENTS: [(&str, Sets, Pins); 7] = [
     ("table1_constellations", &[], &[]),
     (
-        "fig06_rtt_stretch_ecdf",
+        "fig06_08_rtt_path_ecdfs",
         &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")],
         &[
             ("fig06_stretch_ecdf_telesat_t1.dat", 0xb7d5_7f37_d3a9_481f),
             ("fig06_stretch_ecdf_kuiper_k1.dat", 0xf22b_a7ff_3bc9_4fd6),
             ("fig06_stretch_ecdf_starlink_s1.dat", 0x1ef3_c103_fb5e_da69),
-        ],
-    ),
-    (
-        "fig07_rtt_cdfs",
-        &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")],
-        &[
             ("fig07a_max_rtt_telesat_t1.dat", 0x856d_66bb_e7ba_2924),
             ("fig07b_rtt_delta_telesat_t1.dat", 0x5567_6125_558d_bf88),
             ("fig07c_rtt_ratio_telesat_t1.dat", 0x29e7_2894_d69e_eac5),
@@ -608,12 +602,6 @@ const ROUTING_EXPERIMENTS: [(&str, Sets, Pins); 9] = [
             ("fig07a_max_rtt_starlink_s1.dat", 0x4e17_5cdd_e6b3_bf61),
             ("fig07b_rtt_delta_starlink_s1.dat", 0xe6c8_22e7_58ef_7725),
             ("fig07c_rtt_ratio_starlink_s1.dat", 0x3cd3_67ae_4c5c_8bce),
-        ],
-    ),
-    (
-        "fig08_path_hop_cdfs",
-        &[("cities", "10"), ("duration_s", "2"), ("step_ms", "1000")],
-        &[
             ("fig08a_path_changes_telesat_t1.dat", 0x621d_e801_5a3e_e619),
             ("fig08b_hop_delta_telesat_t1.dat", 0x0cce_2946_3c24_af8b),
             ("fig08c_hop_ratio_telesat_t1.dat", 0x428d_f795_1804_7f99),

@@ -157,16 +157,31 @@ PY
 diff <(strip_engine "$smoke_dir/sharded/manifest.json" warnings) \
      <(strip_engine "$smoke_dir/serial/manifest.json" warnings)
 
-echo "== ext_flow_scaling smoke run (10k gravity flows, trace sampling on)"
+echo "== ext_flow_scaling smoke run (10k gravity flows; the removed trace_sample_every is refused)"
 target/release/run_experiment \
   ext_flow_scaling --out "$smoke_dir/flows10k" \
-  --set flows=10000 --set trace_sample_every=8 \
-  --set cities=20 --set duration_s=1 > /dev/null
+  --set flows=10000 --set cities=20 --set duration_s=1 > /dev/null
 test -f "$smoke_dir/flows10k/manifest.json"
 test -f "$smoke_dir/flows10k/ext_flow_scaling_events_per_sec.dat"
-grep -q 'trace sampling active' "$smoke_dir/flows10k/manifest.json"
+set +e
+target/release/run_experiment ext_flow_scaling --out "$smoke_dir/flows_sampled" \
+  --set trace_sample_every=8 > /dev/null 2> "$smoke_dir/sampled.err"
+sampled_code=$?
+set -e
+test "$sampled_code" -eq 5
+grep -q 'trace_sample_every was removed' "$smoke_dir/sampled.err"
 
-echo "== flow-table determinism gate (1k flows, sampling off: arena vs apps)"
+echo "== Figs. 6-8: one sweep per constellation writes all 21 ECDFs"
+target/release/run_experiment fig06_08_rtt_path_ecdfs --out "$smoke_dir/fig06_08" \
+  --set cities=10 --set duration_s=2 --set step_ms=1000 \
+  > /dev/null 2> "$smoke_dir/fig06_08.err"
+test "$(grep -c 'sweeping' "$smoke_dir/fig06_08.err")" -eq 3
+for c in "Telesat T1" "Kuiper K1" "Starlink S1"; do
+  test "$(grep -c "sweeping $c " "$smoke_dir/fig06_08.err")" -eq 1
+done
+test "$(find "$smoke_dir/fig06_08" -maxdepth 1 -name '*.dat' | wc -l)" -eq 21
+
+echo "== flow-table determinism gate (1k flows: arena vs apps)"
 target/release/run_experiment \
   ext_flow_scaling --out "$smoke_dir/flows_arena" \
   --set flows=1000 --set flow_table=arena --set perf_series=false \

@@ -138,3 +138,13 @@ fn print_only_modes_exit_cleanly_on_a_closed_pipe() {
         assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
     }
 }
+
+/// The three old Fig. 6–8 names fail like any unknown name: exit 3, with
+/// the registry (and so the merged experiment) listed.
+#[test]
+fn a_merged_away_name_is_an_unknown_experiment() {
+    let out = run("fig07", None, &["fig07_rtt_cdfs"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
+    assert!(stderr.contains("fig06_08_rtt_path_ecdfs"), "stderr: {stderr}");
+}
