@@ -7,59 +7,30 @@
 //! ~5 ms); TCP over bent-pipe behaves differently because data and ACKs
 //! share each satellite's single GSL device queue.
 
-use crate::experiments::tcp_single::CcKind;
-use crate::resilience::{Driver, SimRun};
+use crate::experiments::tcp_single::{self, CcKind, TcpSingleResult};
+use crate::resilience::Driver;
 use crate::runner::RunError;
-use crate::scenario::Scenario;
-use hypatia_constellation::ground::GroundStation;
+use crate::scenario::{ConstellationChoice, Scenario};
+use crate::spec::ExperimentSpec;
 use hypatia_constellation::relays::bent_pipe_ground_segment;
 use hypatia_constellation::NodeId;
-use hypatia_transport::{TcpConfig, TcpSender, TcpSink};
 use hypatia_util::{SimDuration, SimTime};
 use std::sync::Arc;
-
-/// Parameters for the bent-pipe comparison.
-#[derive(Debug, Clone)]
-pub struct BentPipeConfig {
-    /// Horizon (paper: 200 s).
-    pub duration: SimDuration,
-    /// Relay grid spacing, degrees (paper shows a few-degree grid).
-    pub relay_spacing_deg: f64,
-    /// Grid margin beyond the endpoints' bounding box, degrees.
-    pub relay_margin_deg: f64,
-}
-
-impl Default for BentPipeConfig {
-    fn default() -> Self {
-        BentPipeConfig {
-            duration: SimDuration::from_secs(200),
-            relay_spacing_deg: 3.0,
-            relay_margin_deg: 3.0,
-        }
-    }
-}
 
 /// Result for one configuration (ISL or bent-pipe).
 #[derive(Debug, Clone)]
 pub struct BentPipeLeg {
     /// Configuration label.
     pub label: &'static str,
-    /// `(t s, computed RTT ms; NaN when disconnected)` at 100 ms steps.
+    /// `(t s, computed RTT ms; NaN when disconnected)` at every forwarding
+    /// step.
     pub computed_rtt_series: Vec<(f64, f64)>,
-    /// `(t s, TCP-estimated RTT ms)` per ACK.
-    pub tcp_rtt_series: Vec<(f64, f64)>,
-    /// `(t s, cwnd segments)`.
-    pub cwnd_series: Vec<(f64, f64)>,
-    /// `(t s, throughput Mbit/s)` in 100 ms bins.
-    pub throughput_series: Vec<(f64, f64)>,
     /// Path (node ids) at t = 0.
     pub path_t0: Option<Vec<NodeId>>,
-    /// Bytes delivered.
-    pub bytes_received: u64,
     /// Mean computed RTT, ms (over connected steps).
     pub mean_computed_rtt_ms: f64,
-    /// The driven TCP simulation: events, wall clock, engine report.
-    pub run: SimRun,
+    /// The NewReno flow from the first ground station to the second.
+    pub tcp: TcpSingleResult,
 }
 
 /// The two legs, ready for comparison.
@@ -71,15 +42,15 @@ pub struct BentPipeResult {
     pub bent_pipe: BentPipeLeg,
 }
 
-/// One leg; its TCP simulation's snapshot tag is the label in snake case.
+/// One leg between ground stations 0 and 1 of `scenario`; its TCP
+/// simulation's snapshot tag is the label in snake case.
 fn run_leg(
     scenario: &Scenario,
     label: &'static str,
-    src: NodeId,
-    dst: NodeId,
     duration: SimDuration,
     driver: &Driver,
 ) -> Result<BentPipeLeg, RunError> {
+    let (src, dst) = (scenario.gs(0), scenario.gs(1));
     // Computed RTT series (no traffic); the path at its first step, t = 0.
     let mut computed = Vec::new();
     let mut path_t0 = None;
@@ -97,98 +68,60 @@ fn run_leg(
         computed.push((t.secs_f64(), ms));
     });
 
-    // TCP leg.
-    let mut sim = scenario.simulator(vec![src, dst]);
-    let cfg = TcpConfig::default();
-    let sink_idx = sim.add_app(dst, 80, Box::new(TcpSink::new(cfg.clone())));
-    let sender_idx = sim.add_app(
-        src,
-        70,
-        Box::new(TcpSender::new(dst, 80, cfg.clone(), CcKind::NewReno.build())),
-    );
-    let run = SimRun::drive(
-        &mut sim,
-        SimTime::ZERO + duration,
-        &label.to_lowercase().replace('-', "_"),
-        driver,
-    )?;
-    let sender: &TcpSender = sim.app_as(sender_idx).expect("sender");
-    let sink: &TcpSink = sim.app_as(sink_idx).expect("sink");
-    let tcp_rtt_series =
-        sender.log.rtt_samples.iter().map(|&(t, r)| (t.secs_f64(), r.secs_f64() * 1e3)).collect();
-    let mss = cfg.mss as f64;
-    let cwnd_series =
-        sender.log.cwnd.iter().map(|&(t, w)| (t.secs_f64(), w as f64 / mss)).collect();
-
+    let tag = label.to_lowercase().replace('-', "_");
+    let tcp = tcp_single::run(scenario, src, dst, CcKind::NewReno, duration, &tag, driver)?;
     Ok(BentPipeLeg {
         label,
         computed_rtt_series: computed,
-        tcp_rtt_series,
-        cwnd_series,
-        throughput_series: sink.throughput_series_mbps(),
         path_t0,
-        bytes_received: sink.bytes_received(),
         mean_computed_rtt_ms: if connected > 0 { sum / connected as f64 } else { f64::NAN },
-        run,
+        tcp,
     })
 }
 
-/// Run the full comparison between `src_city` and `dst_city` (defaults in
-/// the paper: Paris and Moscow) on Kuiper K1, both legs driven by `driver`.
-pub fn run(
-    src_city: GroundStation,
-    dst_city: GroundStation,
-    cfg: &BentPipeConfig,
-    driver: &Driver,
-) -> Result<BentPipeResult, RunError> {
-    use crate::scenario::ConstellationChoice;
+/// Run the comparison between the spec's two ground stations (the paper:
+/// Paris and Moscow) on Kuiper K1 for the spec's duration, both legs
+/// driven by `driver`. Each leg runs on the spec's simulator
+/// configuration, with the spec's fault scenario compiled against the
+/// leg's own constellation. The relay grid is the `relay_spacing_deg` /
+/// `relay_margin_deg` params (3° each when unset).
+pub fn run(spec: &ExperimentSpec, driver: &Driver) -> Result<BentPipeResult, RunError> {
+    let stations = spec.ground.stations();
+    let [src_city, dst_city] = stations.as_slice() else {
+        return Err(RunError::BadSpec(format!(
+            "{} needs exactly two ground stations (endpoints)",
+            spec.experiment
+        )));
+    };
+    let spacing = spec.num("relay_spacing_deg").unwrap_or(3.0);
+    let margin = spec.num("relay_margin_deg").unwrap_or(3.0);
+    let ground = bent_pipe_ground_segment(src_city.clone(), dst_city.clone(), spacing, margin);
 
     // Leg 1: standard ISL constellation, endpoints only.
-    let isl_scenario = crate::scenario::Scenario {
-        constellation: Arc::new(
-            ConstellationChoice::KuiperK1.build(vec![src_city.clone(), dst_city.clone()]),
-        ),
-        sim_config: hypatia_netsim::SimConfig::default(),
-    };
-    let (src, dst) = (isl_scenario.gs(0), isl_scenario.gs(1));
-    let isl = run_leg(&isl_scenario, "ISL", src, dst, cfg.duration, driver)?;
-
+    let isl = spec.scenario_over(Arc::new(ConstellationChoice::KuiperK1.build(stations.clone())));
+    let isl = run_leg(&isl, "ISL", spec.duration, driver)?;
     // Leg 2: no ISLs; add the relay grid.
-    let ground =
-        bent_pipe_ground_segment(src_city, dst_city, cfg.relay_spacing_deg, cfg.relay_margin_deg);
-    let bp_scenario = crate::scenario::Scenario {
-        constellation: Arc::new(ConstellationChoice::KuiperK1BentPipe.build(ground)),
-        sim_config: hypatia_netsim::SimConfig::default(),
-    };
-    let (src, dst) = (bp_scenario.gs(0), bp_scenario.gs(1));
-    let bent_pipe = run_leg(&bp_scenario, "bent-pipe", src, dst, cfg.duration, driver)?;
-
+    let bp = spec.scenario_over(Arc::new(ConstellationChoice::KuiperK1BentPipe.build(ground)));
+    let bent_pipe = run_leg(&bp, "bent-pipe", spec.duration, driver)?;
     Ok(BentPipeResult { isl, bent_pipe })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::Experiment;
 
-    fn paris() -> GroundStation {
-        GroundStation::new("Paris", 48.8566, 2.3522)
-    }
-    fn moscow() -> GroundStation {
-        GroundStation::new("Moscow", 55.7558, 37.6173)
+    /// The figure's reduced spec, shortened to `secs` and `sets` applied.
+    fn spec(secs: &str, sets: &[(&str, &str)]) -> ExperimentSpec {
+        let mut spec = crate::figures::fig16_19_bent_pipe::Fig16_19.spec(false);
+        for &(key, value) in [("duration_s", secs)].iter().chain(sets) {
+            spec.set(key, value).expect("a valid knob");
+        }
+        spec
     }
 
     fn quick() -> BentPipeResult {
-        run(
-            paris(),
-            moscow(),
-            &BentPipeConfig {
-                duration: SimDuration::from_secs(10),
-                relay_spacing_deg: 4.0,
-                relay_margin_deg: 2.0,
-            },
-            &Driver::default(),
-        )
-        .expect("a plain run has no failure path")
+        run(&spec("10", &[]), &Driver::default()).expect("a plain run has no failure path")
     }
 
     #[test]
@@ -232,13 +165,21 @@ mod tests {
     #[test]
     fn both_legs_deliver_data() {
         let r = quick();
-        assert!(r.isl.bytes_received > 500_000, "ISL bytes {}", r.isl.bytes_received);
-        assert!(
-            r.bent_pipe.bytes_received > 200_000,
-            "bent-pipe bytes {}",
-            r.bent_pipe.bytes_received
-        );
+        let (isl, bent_pipe) = (r.isl.tcp.bytes_received, r.bent_pipe.tcp.bytes_received);
+        assert!(isl > 500_000, "ISL bytes {isl}");
+        assert!(bent_pipe > 200_000, "bent-pipe bytes {bent_pipe}");
         // Bent-pipe achieves a modestly lower rate (paper Fig. 19c).
-        assert!(r.bent_pipe.bytes_received <= r.isl.bytes_received);
+        assert!(bent_pipe <= isl);
+    }
+
+    /// The spec's fault scenario reaches both legs: with the source's GSL
+    /// down for the whole run (ground station 0 in either ground segment),
+    /// neither flow delivers a byte.
+    #[test]
+    fn a_fault_scenario_reaches_both_legs() {
+        let r = run(&spec("2", &[("gsl_weather", "0:0:2")]), &Driver::default())
+            .expect("a faulted run");
+        assert_eq!(r.isl.tcp.bytes_received, 0);
+        assert_eq!(r.bent_pipe.tcp.bytes_received, 0);
     }
 }

@@ -1,14 +1,16 @@
-//! Figs. 4 & 5 — TCP over a changing path, absent competition.
+//! Figs. 4, 5 and 19 — TCP over a changing path, absent competition.
 //!
 //! One long-running TCP flow on an otherwise empty network. Outputs the
 //! congestion-window evolution (Fig. 4, whose BDP+Q overlay is
 //! [`bdp_plus_q_series`]), the per-packet RTT, and the 100 ms-averaged
-//! throughput — enabling the NewReno-vs-Vegas comparison of Fig. 5.
+//! throughput — enabling the controller comparison of Fig. 5 and the
+//! ISL-vs-bent-pipe comparison of Figs. 18–19.
 
 use crate::experiments::pair_slug;
 use crate::resilience::{Driver, SimRun};
 use crate::runner::RunError;
 use crate::scenario::Scenario;
+use hypatia_constellation::NodeId;
 use hypatia_netsim::packet::HEADER_BYTES;
 use hypatia_transport::{Bbr, Cubic, NewReno, TcpConfig, TcpSender, TcpSink, Vegas};
 use hypatia_util::{SimDuration, SimTime};
@@ -88,26 +90,29 @@ impl TcpSingleResult {
     }
 }
 
-/// Run one TCP flow from `src_name` to `dst_name` for `duration`, driven
-/// by `driver` under the snapshot tag `tcp_<cc>_<pair>`.
+/// The snapshot tag of a flow between two named cities: `tcp_<cc>_<pair>`.
+pub fn flow_tag(cc: CcKind, src_name: &str, dst_name: &str) -> String {
+    format!("tcp_{}_{}", cc.name().to_lowercase(), pair_slug(src_name, dst_name))
+}
+
+/// Run one TCP flow from `src` to `dst` for `duration`, driven by
+/// `driver` under the snapshot tag `tag`.
 pub fn run(
     scenario: &Scenario,
-    src_name: &str,
-    dst_name: &str,
+    src: NodeId,
+    dst: NodeId,
     cc: CcKind,
     duration: SimDuration,
+    tag: &str,
     driver: &Driver,
 ) -> Result<TcpSingleResult, RunError> {
-    let src = scenario.gs_by_name(src_name)?;
-    let dst = scenario.gs_by_name(dst_name)?;
     let tcp_cfg = TcpConfig::default();
 
     let mut sim = scenario.simulator(vec![src, dst]);
     let sink_idx = sim.add_app(dst, 80, Box::new(TcpSink::new(tcp_cfg.clone())));
     let sender_idx =
         sim.add_app(src, 70, Box::new(TcpSender::new(dst, 80, tcp_cfg.clone(), cc.build())));
-    let tag = format!("tcp_{}_{}", cc.name().to_lowercase(), pair_slug(src_name, dst_name));
-    let run = SimRun::drive(&mut sim, SimTime::ZERO + duration, &tag, driver)?;
+    let run = SimRun::drive(&mut sim, SimTime::ZERO + duration, tag, driver)?;
 
     let sender: &TcpSender = sim.app_as(sender_idx).expect("sender");
     let sink: &TcpSink = sim.app_as(sink_idx).expect("sink");
@@ -168,12 +173,16 @@ mod tests {
             .build()
     }
 
+    /// One Istanbul -> Nairobi flow of `secs` seconds.
+    fn flow(cc: CcKind, secs: u64) -> TcpSingleResult {
+        let s = scenario();
+        let d = SimDuration::from_secs(secs);
+        run(&s, s.gs(0), s.gs(1), cc, d, "tcp", &Driver::default()).expect("a plain run")
+    }
+
     #[test]
     fn newreno_run_produces_all_series() {
-        let s = scenario();
-        let d = SimDuration::from_secs(15);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::NewReno, d, &Driver::default())
-            .expect("known cities");
+        let (r, d) = (flow(CcKind::NewReno, 15), SimDuration::from_secs(15));
         assert!(!r.cwnd_series.is_empty());
         assert!(!r.rtt_series.is_empty());
         assert!(!r.throughput_series.is_empty());
@@ -194,16 +203,7 @@ mod tests {
 
     #[test]
     fn cwnd_oscillates_between_drops() {
-        let s = scenario();
-        let r = run(
-            &s,
-            "Istanbul",
-            "Nairobi",
-            CcKind::NewReno,
-            SimDuration::from_secs(30),
-            &Driver::default(),
-        )
-        .expect("known cities");
+        let r = flow(CcKind::NewReno, 30);
         assert!(r.fast_retransmits > 0, "a 10 Mbps bottleneck must drop eventually");
         let max_cwnd = r.cwnd_series.iter().map(|&(_, w)| w).fold(0.0, f64::max);
         let min_after_peak = r
@@ -217,10 +217,7 @@ mod tests {
 
     #[test]
     fn vegas_runs_with_low_loss() {
-        let s = scenario();
-        let d = SimDuration::from_secs(15);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::Vegas, d, &Driver::default())
-            .expect("known cities");
+        let (r, d) = (flow(CcKind::Vegas, 15), SimDuration::from_secs(15));
         assert!(r.goodput_mbps(d) > 1.0, "Vegas goodput {}", r.goodput_mbps(d));
         assert!(
             r.retransmits <= 20,
@@ -231,20 +228,14 @@ mod tests {
 
     #[test]
     fn bbr_runs_and_fills_the_path() {
-        let s = scenario();
-        let d = SimDuration::from_secs(15);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::Bbr, d, &Driver::default())
-            .expect("known cities");
+        let (r, d) = (flow(CcKind::Bbr, 15), SimDuration::from_secs(15));
         assert!(r.goodput_mbps(d) > 3.0, "BBR goodput {}", r.goodput_mbps(d));
         assert_eq!(r.cc.name(), "BBR");
     }
 
     #[test]
     fn cubic_runs() {
-        let s = scenario();
-        let d = SimDuration::from_secs(10);
-        let r = run(&s, "Istanbul", "Nairobi", CcKind::Cubic, d, &Driver::default())
-            .expect("known cities");
+        let (r, d) = (flow(CcKind::Cubic, 10), SimDuration::from_secs(10));
         assert!(r.goodput_mbps(d) > 2.0);
         assert_eq!(r.cc.name(), "Cubic");
     }

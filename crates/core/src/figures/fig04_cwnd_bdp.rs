@@ -5,7 +5,7 @@
 //! path shortenings cuts it without loss.
 
 use super::{named_pairs, pair_slug, CANONICAL_PAIRS};
-use crate::experiments::tcp_single::{bdp_plus_q_series, run};
+use crate::experiments::tcp_single::{bdp_plus_q_series, flow_tag, run};
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
@@ -52,7 +52,8 @@ impl Experiment for Fig04 {
             "pair", "goodput", "fast rtx", "RTOs", "reorder", "cwnd range"
         );
         for (src, dst) in &pairs {
-            let r = run(&scenario, src, dst, cc, duration, &driver)?;
+            let (s, d) = (scenario.gs_by_name(src)?, scenario.gs_by_name(dst)?);
+            let r = run(&scenario, s, d, cc, duration, &flow_tag(cc, src, dst), &driver)?;
             r.run.record(&mut ctx.sink);
             let max_cwnd = r.cwnd_series.iter().map(|&(_, w)| w).fold(0.0, f64::max);
             let min_cwnd = r.cwnd_series.iter().map(|&(_, w)| w).fold(f64::INFINITY, f64::min);

@@ -6,7 +6,7 @@
 //! congestion window (ACKs queue behind data at the shared satellite GSL
 //! device) and modestly lower throughput (Fig. 19).
 
-use crate::experiments::bent_pipe::{run, BentPipeConfig};
+use crate::experiments::bent_pipe::run;
 use crate::runner::{Experiment, RunContext, RunError};
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_constellation::GroundStation;
@@ -47,30 +47,20 @@ impl Experiment for Fig16_19 {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let cfg = BentPipeConfig {
-            duration: ctx.spec.duration,
-            relay_spacing_deg: ctx.spec.num("relay_spacing_deg").unwrap_or(3.0),
-            relay_margin_deg: ctx.spec.num("relay_margin_deg").unwrap_or(3.0),
-        };
-        let stations = ctx.spec.ground.stations();
-        let [src_city, dst_city] = stations.as_slice() else {
-            return Err(RunError::BadSpec(
-                "fig16_19_bent_pipe needs exactly two ground stations (endpoints)".into(),
-            ));
-        };
-        let r = run(src_city.clone(), dst_city.clone(), &cfg, &ctx.driver())?;
+        let duration = ctx.spec.duration;
+        let r = run(&ctx.spec, &ctx.driver())?;
 
         for leg in [&r.isl, &r.bent_pipe] {
-            leg.run.record(&mut ctx.sink);
+            leg.tcp.run.record(&mut ctx.sink);
             let slug = leg.label.replace('-', "_");
             println!();
             println!("[{}]", leg.label);
             println!("  mean computed RTT: {:.1} ms", leg.mean_computed_rtt_ms);
             println!(
                 "  bytes delivered: {} ({:.2} Mbps over {:.0} s)",
-                leg.bytes_received,
-                leg.bytes_received as f64 * 8.0 / cfg.duration.secs_f64() / 1e6,
-                cfg.duration.secs_f64()
+                leg.tcp.bytes_received,
+                leg.tcp.goodput_mbps(duration),
+                duration.secs_f64()
             );
             ctx.sink.write_series(
                 &format!("fig18_rtt_computed_{slug}.dat"),
@@ -80,17 +70,17 @@ impl Experiment for Fig16_19 {
             ctx.sink.write_series(
                 &format!("fig18_rtt_tcp_{slug}.dat"),
                 "t_s rtt_ms",
-                &leg.tcp_rtt_series,
+                &leg.tcp.rtt_series,
             )?;
             ctx.sink.write_series(
                 &format!("fig19_cwnd_{slug}.dat"),
                 "t_s cwnd_pkts",
-                &leg.cwnd_series,
+                &leg.tcp.cwnd_series,
             )?;
             ctx.sink.write_series(
                 &format!("fig19_throughput_{slug}.dat"),
                 "t_s mbps",
-                &leg.throughput_series,
+                &leg.tcp.throughput_series,
             )?;
         }
 
@@ -113,8 +103,8 @@ impl Experiment for Fig16_19 {
             |series: &[(f64, f64)]| series.windows(2).filter(|w| w[1].1 < w[0].1 * 0.75).count();
         println!(
             "cwnd cuts — ISL: {}, bent-pipe: {} (bent-pipe expected noisier)",
-            cuts(&r.isl.cwnd_series),
-            cuts(&r.bent_pipe.cwnd_series)
+            cuts(&r.isl.tcp.cwnd_series),
+            cuts(&r.bent_pipe.tcp.cwnd_series)
         );
         Ok(())
     }

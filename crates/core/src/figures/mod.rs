@@ -8,7 +8,6 @@
 //! `run_experiment <name>` runs any of them; a spec file plus
 //! `run_experiment --spec` reproduces a run.
 
-pub mod ext_bbr_study;
 pub mod ext_failure_resilience;
 pub mod ext_flow_scaling;
 pub mod ext_hybrid_mode;
@@ -17,7 +16,7 @@ pub mod ext_multipath_te;
 pub mod fig02_scalability;
 pub mod fig03_rtt_fluctuations;
 pub mod fig04_cwnd_bdp;
-pub mod fig05_rates_rtt;
+pub mod fig05_cc_rates_rtt;
 pub mod fig06_08_rtt_path_ecdfs;
 pub mod fig09_timestep;
 pub mod fig10_unused_bandwidth;
@@ -41,7 +40,7 @@ pub fn builtin_experiments() -> Vec<Box<dyn Experiment>> {
         Box::new(fig02_scalability::Fig02),
         Box::new(fig03_rtt_fluctuations::Fig03),
         Box::new(fig04_cwnd_bdp::Fig04),
-        Box::new(fig05_rates_rtt::Fig05),
+        Box::new(fig05_cc_rates_rtt::Fig05Cc),
         Box::new(fig06_08_rtt_path_ecdfs::Fig06_08),
         Box::new(fig09_timestep::Fig09),
         Box::new(fig10_unused_bandwidth::Fig10),
@@ -50,7 +49,6 @@ pub fn builtin_experiments() -> Vec<Box<dyn Experiment>> {
         Box::new(fig13_path_viz::Fig13),
         Box::new(fig14_15_utilization::Fig14_15),
         Box::new(fig16_19_bent_pipe::Fig16_19),
-        Box::new(ext_bbr_study::ExtBbrStudy),
         Box::new(ext_multipath_diversity::ExtMultipathDiversity),
         Box::new(ext_multipath_te::ExtMultipathTe),
         Box::new(ext_failure_resilience::ExtFailureResilience),

@@ -426,7 +426,7 @@ mod tests {
             "fig02_scalability",
             "fig03_rtt_fluctuations",
             "fig04_cwnd_bdp",
-            "fig05_rates_rtt",
+            "fig05_cc_rates_rtt",
             "fig06_08_rtt_path_ecdfs",
             "fig09_timestep",
             "fig10_unused_bandwidth",
@@ -435,7 +435,6 @@ mod tests {
             "fig13_path_viz",
             "fig14_15_utilization",
             "fig16_19_bent_pipe",
-            "ext_bbr_study",
             "ext_multipath_diversity",
             "ext_multipath_te",
             "ext_failure_resilience",
@@ -444,7 +443,7 @@ mod tests {
         ] {
             assert!(names.iter().any(|n| n == expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 19);
+        assert_eq!(names.len(), 18);
     }
 
     /// Every experiment the docs name is registered: each backticked name

@@ -22,7 +22,7 @@
 use crate::experiments::tcp_single::CcKind;
 use crate::scenario::{ConstellationChoice, Scenario, ScenarioBuilder};
 use hypatia_constellation::ground::top_cities;
-use hypatia_constellation::GroundStation;
+use hypatia_constellation::{Constellation, GroundStation};
 use hypatia_fault::{FaultSchedule, FaultSpec, FlapProcess, LinkCut, OutageWindow};
 use hypatia_netsim::{SimConfig, SimMode};
 use hypatia_routing::incremental::RoutingConfig;
@@ -31,6 +31,7 @@ use hypatia_util::{DataRate, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Which ground stations the scenario uses.
 #[derive(Debug, Clone, PartialEq)]
@@ -223,21 +224,25 @@ impl ExperimentSpec {
         }
     }
 
-    /// Assemble the scenario (constellation + ground segment + sim config).
-    ///
-    /// When the spec carries a fault scenario it is compiled against the
-    /// built constellation (horizon = the spec's `duration`) and attached
-    /// to the simulator configuration.
+    /// Assemble the scenario: the spec's constellation and ground segment,
+    /// configured by [`Self::scenario_over`].
     pub fn build_scenario(&self) -> Scenario {
-        let mut scenario = ScenarioBuilder::new(self.constellation)
+        let built = ScenarioBuilder::new(self.constellation)
             .ground_stations(self.ground.stations())
-            .sim_config(self.sim_config())
             .build();
+        self.scenario_over(built.constellation)
+    }
+
+    /// The scenario of `constellation` under this spec: the spec's
+    /// simulator configuration, and its fault scenario (if any) compiled
+    /// against `constellation` (horizon = the spec's `duration`).
+    pub fn scenario_over(&self, constellation: Arc<Constellation>) -> Scenario {
+        let mut sim_config = self.sim_config();
         if let Some(faults) = &self.faults {
-            let schedule = FaultSchedule::compile(faults, &scenario.constellation, self.duration);
-            scenario.sim_config.faults = Some(std::sync::Arc::new(schedule));
+            let schedule = FaultSchedule::compile(faults, &constellation, self.duration);
+            sim_config.faults = Some(Arc::new(schedule));
         }
-        scenario
+        Scenario { constellation, sim_config }
     }
 
     /// The fault scenario, created fault-free on first access (used by the
@@ -480,6 +485,7 @@ impl ExperimentSpec {
     pub fn from_value(v: &Value) -> Result<ExperimentSpec, SpecError> {
         for (key, _) in v.as_object().into_iter().flat_map(|m| m.iter()) {
             if !STRUCTURED.contains(&key.as_str()) && knob(key).is_none() {
+                removed(key).map_err(|why| SpecError(format!("unknown key {key:?}: {why}")))?;
                 return err(format!("unknown key {key:?}"));
             }
         }
@@ -1274,6 +1280,14 @@ mod tests {
             let e = ExperimentSpec::from_json(&text).unwrap_err();
             assert!(e.0.contains(&format!("{key} was removed")), "{e}");
         }
+        // A removed knob at the top level of a spec file says why, too.
+        for key in ["retries", "routing_mode", "trace_sample_every"] {
+            let text =
+                sample().to_json_string().replacen("{\n", &format!("{{\n  \"{key}\": 1,\n"), 1);
+            let e = ExperimentSpec::from_json(&text).unwrap_err();
+            assert!(e.0.contains(&format!("unknown key {key:?}")), "{e}");
+            assert!(e.0.contains("was removed"), "{e}");
+        }
     }
 
     #[test]
@@ -1476,7 +1490,7 @@ mod tests {
             ("fig02_scalability", 0x86328e13ce5636ac, 0x878ec4441c3a9fde),
             ("fig03_rtt_fluctuations", 0x9b355743e670e613, 0x0650980d1400ff86),
             ("fig04_cwnd_bdp", 0x671e742a4ac33184, 0x3e04edf2dc9e55a8),
-            ("fig05_rates_rtt", 0x7dac81a27e2d9137, 0xc61d1b7017c1285b),
+            ("fig05_cc_rates_rtt", 0xefe6fc223966ef04, 0xbaa66bee1cb654c2),
             ("fig06_08_rtt_path_ecdfs", 0x5d7aae5241192327, 0x845622f6f00246e4),
             ("fig09_timestep", 0xf1d29e2ba3c36b4b, 0x4a3e9fb32536ebe8),
             ("fig10_unused_bandwidth", 0xd6b0084b40c84dc8, 0x335141a13bf174bd),
@@ -1485,7 +1499,6 @@ mod tests {
             ("fig13_path_viz", 0x59f009989b2fb64f, 0x3e4168efe0cb26a0),
             ("fig14_15_utilization", 0x861f723b3b263011, 0x171d98a957d6f9b9),
             ("fig16_19_bent_pipe", 0x458865b7569e928c, 0xd1d79b8dbcf4339e),
-            ("ext_bbr_study", 0x5502f1133deac487, 0xb979c8b714ec9ceb),
             ("ext_multipath_diversity", 0xbf64a0f85ab1e3bd, 0x6ea1e9384dfd40ca),
             ("ext_multipath_te", 0x857dcdc9160290db, 0xdef42ba94bd4008d),
             ("ext_failure_resilience", 0xc790f13c2954e870, 0x93a91fe89ea45059),

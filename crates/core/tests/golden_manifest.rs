@@ -507,7 +507,7 @@ type Pins = &'static [(&'static str, u64)];
 
 /// Every netsim-backed experiment on a tiny spec (≤ 10 cities, ≤ 2 s),
 /// with the number of simulations it drives there and its routing pins.
-const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 12] = [
+const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 11] = [
     (
         "fig02_scalability",
         2,
@@ -526,7 +526,12 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 12] = [
         &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
         &[("fig04_tokyo_cairo_bdpq.dat", 0x1849_c081_51cf_597c)],
     ),
-    ("fig05_rates_rtt", 2, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")], &[]),
+    (
+        "fig05_cc_rates_rtt",
+        4,
+        &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
+        &[],
+    ),
     (
         "fig10_unused_bandwidth",
         2,
@@ -557,7 +562,6 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 12] = [
             ("fig18_rtt_computed_bent_pipe.dat", 0x2226_4d6b_11f1_ad79),
         ],
     ),
-    ("ext_bbr_study", 4, &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")], &[]),
     (
         "ext_multipath_te",
         2,
@@ -683,6 +687,25 @@ fn every_netsim_experiment_checkpoints_and_audits_each_simulation() {
         assert!(snaps.iter().all(|s| s.ends_with(".snap")), "{name}: {snaps:?}");
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// Figs. 16–19 run both legs on the spec's simulator configuration: at
+/// `step_ms=1000`, 2 s give 2 computed-RTT points per leg, not 20.
+#[test]
+fn bent_pipe_legs_step_at_the_spec_step() {
+    let mut spec = ExperimentRunner::new().spec("fig16_19_bent_pipe", false).expect("registered");
+    for (key, value) in [("duration_s", "2"), ("step_ms", "1000")] {
+        spec.set(key, value).expect("a valid knob");
+    }
+    let dir = temp_dir("bent_pipe_step");
+    run_quiet(spec, &dir);
+    for leg in ["ISL", "bent_pipe"] {
+        let path = dir.join(format!("fig18_rtt_computed_{leg}.dat"));
+        let text = std::fs::read_to_string(path).expect("computed series written");
+        let points = text.lines().filter(|l| !l.starts_with('#')).count();
+        assert_eq!(points, 2, "{leg}: {text}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// An experiment that drives no simulator says so: setting a resilience

@@ -6,29 +6,20 @@
 //!
 //! Run with: `cargo run --release --example bent_pipe_vs_isl`
 
-use hypatia::experiments::bent_pipe::{run, BentPipeConfig};
+use hypatia::experiments::bent_pipe::run;
 use hypatia::resilience::Driver;
-use hypatia::util::SimDuration;
-use hypatia_constellation::GroundStation;
+use hypatia::runner::ExperimentRunner;
 
 fn main() {
-    let cfg = BentPipeConfig {
-        duration: SimDuration::from_secs(30),
-        relay_spacing_deg: 4.0,
-        relay_margin_deg: 2.0,
-    };
-    println!("Paris -> Moscow over Kuiper K1, {} simulated\n", cfg.duration);
+    // The figure's reduced spec (a 4° relay grid with a 2° margin), 30 s.
+    let mut spec = ExperimentRunner::new().spec("fig16_19_bent_pipe", false).expect("registered");
+    spec.set("duration_s", "30").expect("a valid duration");
+    println!("Paris -> Moscow over Kuiper K1, {} simulated\n", spec.duration);
 
-    let r = run(
-        GroundStation::new("Paris", 48.8566, 2.3522),
-        GroundStation::new("Moscow", 55.7558, 37.6173),
-        &cfg,
-        &Driver::default(),
-    )
-    .expect("a plain run has no failure path");
+    let r = run(&spec, &Driver::default()).expect("a plain run has no failure path");
 
     for leg in [&r.isl, &r.bent_pipe] {
-        let mbps = leg.bytes_received as f64 * 8.0 / cfg.duration.secs_f64() / 1e6;
+        let mbps = leg.tcp.goodput_mbps(spec.duration);
         println!("[{}]", leg.label);
         println!("  mean computed RTT : {:>7.1} ms", leg.mean_computed_rtt_ms);
         println!("  TCP goodput       : {mbps:>7.2} Mbit/s");

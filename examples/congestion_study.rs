@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example congestion_study`
 
-use hypatia::experiments::tcp_single::{run, CcKind};
+use hypatia::experiments::tcp_single::{flow_tag, run, CcKind};
 use hypatia::resilience::Driver;
 use hypatia::scenario::{ConstellationChoice, ScenarioBuilder};
 use hypatia::util::SimDuration;
@@ -11,15 +11,19 @@ use hypatia::util::SimDuration;
 fn main() {
     let scenario = ScenarioBuilder::new(ConstellationChoice::KuiperK1).top_cities(100).build();
     let duration = SimDuration::from_secs(30);
-    let (src, dst) = ("Manila", "Dalian");
-    println!("flow: {src} -> {dst} over Kuiper K1, {duration} of simulated time\n");
+    let (src_name, dst_name) = ("Manila", "Dalian");
+    let src = scenario.gs_by_name(src_name).expect("a top-100 city");
+    let dst = scenario.gs_by_name(dst_name).expect("a top-100 city");
+    println!("flow: {src_name} -> {dst_name} over Kuiper K1, {duration} of simulated time\n");
 
     println!(
         "{:<9} {:>10} {:>10} {:>9} {:>9} {:>10}",
         "CC", "goodput", "mean RTT", "fast rtx", "RTOs", "reordered"
     );
     for cc in [CcKind::NewReno, CcKind::Vegas, CcKind::Cubic, CcKind::Bbr] {
-        let r = run(&scenario, src, dst, cc, duration, &Driver::default()).expect("known cities");
+        let tag = flow_tag(cc, src_name, dst_name);
+        let r =
+            run(&scenario, src, dst, cc, duration, &tag, &Driver::default()).expect("a plain run");
         let mean_rtt = if r.rtt_series.is_empty() {
             f64::NAN
         } else {

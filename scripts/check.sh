@@ -181,6 +181,26 @@ for c in "Telesat T1" "Kuiper K1" "Starlink S1"; do
 done
 test "$(find "$smoke_dir/fig06_08" -maxdepth 1 -name '*.dat' | wc -l)" -eq 21
 
+echo "== Fig. 5 + controller study: four flows, each simulated once, write all 10 series"
+target/release/run_experiment fig05_cc_rates_rtt --out "$smoke_dir/fig05" \
+  --set cities=10 --set duration_s=2 --set pairs="Tokyo:Cairo" \
+  --set checkpoint_every_s=0.5 > /dev/null
+test "$(find "$smoke_dir/fig05/checkpoints" -name '*.snap' | wc -l)" -eq 4
+# Each 2 s flow checkpoints 3 times; a flow simulated twice rewrites its
+# snapshot file but still adds to this count.
+python3 - "$smoke_dir/fig05/manifest.json" <<'PY'
+import json, sys
+count = json.load(open(sys.argv[1]))["checkpoints"]["count"]
+sys.exit(0 if count == 4 * 3 else f"{count} checkpoints: want 4 simulations x 3")
+PY
+for cc in newreno vegas; do
+  for series in rtt cwnd throughput; do test -f "$smoke_dir/fig05/fig05_${cc}_$series.dat"; done
+done
+for cc in newreno vegas cubic bbr; do
+  test -f "$smoke_dir/fig05/ext_bbr_study_${cc}_throughput.dat"
+done
+test "$(find "$smoke_dir/fig05" -maxdepth 1 -name '*.dat' | wc -l)" -eq 10
+
 echo "== flow-table determinism gate (1k flows: arena vs apps)"
 target/release/run_experiment \
   ext_flow_scaling --out "$smoke_dir/flows_arena" \

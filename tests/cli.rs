@@ -139,12 +139,18 @@ fn print_only_modes_exit_cleanly_on_a_closed_pipe() {
     }
 }
 
-/// The three old Fig. 6–8 names fail like any unknown name: exit 3, with
-/// the registry (and so the merged experiment) listed.
+/// Every name merged away fails like any unknown name: exit 3, with the
+/// registry (and so the experiment it joined) listed.
 #[test]
 fn a_merged_away_name_is_an_unknown_experiment() {
-    let out = run("fig07", None, &["fig07_rtt_cdfs"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
-    assert!(stderr.contains("fig06_08_rtt_path_ecdfs"), "stderr: {stderr}");
+    for (old, merged) in [
+        ("fig07_rtt_cdfs", "fig06_08_rtt_path_ecdfs"),
+        ("fig05_rates_rtt", "fig05_cc_rates_rtt"),
+        ("ext_bbr_study", "fig05_cc_rates_rtt"),
+    ] {
+        let out = run(old, None, &[old]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(3), "{old}: stderr: {stderr}");
+        assert!(stderr.contains(merged), "{old}: stderr: {stderr}");
+    }
 }
