@@ -85,14 +85,26 @@ fn run_leg(
 /// configuration, with the spec's fault scenario compiled against the
 /// leg's own constellation. The relay grid is the `relay_spacing_deg` /
 /// `relay_margin_deg` params (3° each when unset).
+///
+/// The constellation must be `kuiper_k1` and the pairs the one pair from
+/// the first station to the second: the legs fix both, so a spec naming
+/// anything else is `RunError::BadSpec`, not silently ignored.
 pub fn run(spec: &ExperimentSpec, driver: &Driver) -> Result<BentPipeResult, RunError> {
     let stations = spec.ground.stations();
+    let bad = |why: String| Err(RunError::BadSpec(format!("{} {why}", spec.experiment)));
     let [src_city, dst_city] = stations.as_slice() else {
-        return Err(RunError::BadSpec(format!(
-            "{} needs exactly two ground stations (endpoints)",
-            spec.experiment
-        )));
+        return bad("needs exactly two ground stations (endpoints)".into());
     };
+    if spec.constellation != ConstellationChoice::KuiperK1 {
+        return bad(format!("runs on kuiper_k1 only, got {}", spec.constellation.slug()));
+    }
+    let endpoints = [(src_city.name.clone(), dst_city.name.clone())];
+    if spec.pairs.named() != Some(&endpoints[..]) {
+        return bad(format!(
+            "observes its ground stations' pair {endpoints:?}, got {:?}",
+            spec.pairs
+        ));
+    }
     let spacing = spec.num("relay_spacing_deg").unwrap_or(3.0);
     let margin = spec.num("relay_margin_deg").unwrap_or(3.0);
     let ground = bent_pipe_ground_segment(src_city.clone(), dst_city.clone(), spacing, margin);
@@ -170,6 +182,22 @@ mod tests {
         assert!(bent_pipe > 200_000, "bent-pipe bytes {bent_pipe}");
         // Bent-pipe achieves a modestly lower rate (paper Fig. 19c).
         assert!(bent_pipe <= isl);
+    }
+
+    /// A constellation or pair the legs cannot honour is refused, not
+    /// silently replaced by Kuiper K1 and the ground stations' pair.
+    #[test]
+    fn another_constellation_is_a_bad_spec() {
+        let r = run(&spec("1", &[("constellation", "telesat_t1")]), &Driver::default());
+        assert!(matches!(r, Err(RunError::BadSpec(ref e)) if e.contains("telesat_t1")));
+    }
+
+    #[test]
+    fn pairs_other_than_the_ground_stations_are_a_bad_spec() {
+        for pairs in ["Tokyo:Cairo", "Moscow:Paris", "Paris:Moscow;Paris:Moscow"] {
+            let r = run(&spec("1", &[("pairs", pairs)]), &Driver::default());
+            assert!(matches!(r, Err(RunError::BadSpec(ref e)) if e.contains("pair")), "{pairs}");
+        }
     }
 
     /// The spec's fault scenario reaches both legs: with the source's GSL

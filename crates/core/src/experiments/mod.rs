@@ -11,7 +11,7 @@
 //! | [`tcp_single`] | Figs. 4, 5 |
 //! | [`pair_sweep`] | Figs. 6, 7, 8 |
 //! | [`granularity`] | Fig. 9 |
-//! | [`cross_traffic`] | Figs. 10, 14, 15 |
+//! | [`cross_traffic`] | Figs. 10, 14, 15 and the multipath TE study: one matrix whose permutation pairs avoid every observed pair's ground stations |
 //! | [`bent_pipe`] | Figs. 16–19 (Appendix A) |
 //! | [`gsl_selection`] | ablation: gateway vs user-terminal GSL policy (§3.1) |
 //! | [`flow_scaling`] | extension: gravity traffic matrix, 1k→1M flows |

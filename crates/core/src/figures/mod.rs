@@ -12,18 +12,16 @@ pub mod ext_failure_resilience;
 pub mod ext_flow_scaling;
 pub mod ext_hybrid_mode;
 pub mod ext_multipath_diversity;
-pub mod ext_multipath_te;
 pub mod fig02_scalability;
 pub mod fig03_rtt_fluctuations;
 pub mod fig04_cwnd_bdp;
 pub mod fig05_cc_rates_rtt;
 pub mod fig06_08_rtt_path_ecdfs;
 pub mod fig09_timestep;
-pub mod fig10_unused_bandwidth;
+pub mod fig10_14_15_cross_traffic;
 pub mod fig11_constellation_czml;
 pub mod fig12_ground_view;
 pub mod fig13_path_viz;
-pub mod fig14_15_utilization;
 pub mod fig16_19_bent_pipe;
 pub mod table1;
 
@@ -43,14 +41,12 @@ pub fn builtin_experiments() -> Vec<Box<dyn Experiment>> {
         Box::new(fig05_cc_rates_rtt::Fig05Cc),
         Box::new(fig06_08_rtt_path_ecdfs::Fig06_08),
         Box::new(fig09_timestep::Fig09),
-        Box::new(fig10_unused_bandwidth::Fig10),
+        Box::new(fig10_14_15_cross_traffic::Fig10_14_15),
         Box::new(fig11_constellation_czml::Fig11),
         Box::new(fig12_ground_view::Fig12),
         Box::new(fig13_path_viz::Fig13),
-        Box::new(fig14_15_utilization::Fig14_15),
         Box::new(fig16_19_bent_pipe::Fig16_19),
         Box::new(ext_multipath_diversity::ExtMultipathDiversity),
-        Box::new(ext_multipath_te::ExtMultipathTe),
         Box::new(ext_failure_resilience::ExtFailureResilience),
         Box::new(ext_flow_scaling::ExtFlowScaling),
         Box::new(ext_hybrid_mode::ExtHybridMode),

@@ -429,21 +429,19 @@ mod tests {
             "fig05_cc_rates_rtt",
             "fig06_08_rtt_path_ecdfs",
             "fig09_timestep",
-            "fig10_unused_bandwidth",
+            "fig10_14_15_cross_traffic",
             "fig11_constellation_czml",
             "fig12_ground_view",
             "fig13_path_viz",
-            "fig14_15_utilization",
             "fig16_19_bent_pipe",
             "ext_multipath_diversity",
-            "ext_multipath_te",
             "ext_failure_resilience",
             "ext_flow_scaling",
             "ext_hybrid_mode",
         ] {
             assert!(names.iter().any(|n| n == expected), "missing {expected}");
         }
-        assert_eq!(names.len(), 18);
+        assert_eq!(names.len(), 16);
     }
 
     /// Every experiment the docs name is registered: each backticked name

@@ -21,7 +21,7 @@
 
 use crate::experiments::tcp_single::CcKind;
 use crate::scenario::{ConstellationChoice, Scenario, ScenarioBuilder};
-use hypatia_constellation::ground::top_cities;
+use hypatia_constellation::ground::{top_cities, CITIES};
 use hypatia_constellation::{Constellation, GroundStation};
 use hypatia_fault::{FaultSchedule, FaultSpec, FlapProcess, LinkCut, OutageWindow};
 use hypatia_netsim::{SimConfig, SimMode};
@@ -324,7 +324,7 @@ impl ExperimentSpec {
                     bad("expects starlink_s1, kuiper_k1, telesat_t1 or kuiper_k1_bent_pipe")
                 })?;
             }
-            "cities" => self.ground = GroundSegment::TopCities(whole(value)? as usize),
+            "cities" => self.ground = top_cities_segment(whole(value)?).map_err(|why| bad(&why))?,
             "pairs" => {
                 let named = value.split(';').filter(|p| !p.is_empty()).map(|pair| {
                     let (s, d) =
@@ -496,7 +496,8 @@ impl ExperimentSpec {
 
         let ground = v.get("ground").ok_or_else(|| SpecError("missing \"ground\"".into()))?;
         spec.ground = if let Some(n) = ground.get("top_cities").and_then(Value::as_u64) {
-            GroundSegment::TopCities(n as usize)
+            top_cities_segment(n)
+                .map_err(|why| SpecError(format!("\"top_cities\" {why}, got {n}")))?
         } else if let Some(cities) = ground.get("cities").and_then(Value::as_array) {
             let mut out = Vec::with_capacity(cities.len());
             for c in cities {
@@ -784,6 +785,14 @@ fn infer_param(value: &str) -> ParamValue {
     ParamValue::Text(value.to_string())
 }
 
+/// The `n` most populous built-in cities, if there are that many.
+fn top_cities_segment(n: u64) -> Result<GroundSegment, String> {
+    match usize::try_from(n) {
+        Ok(n) if (1..=CITIES.len()).contains(&n) => Ok(GroundSegment::TopCities(n)),
+        _ => Err(format!("must lie in 1..={} (the built-in cities)", CITIES.len())),
+    }
+}
+
 /// Err for a param that once steered the run and was removed: naming it
 /// is an error, not a silently unread param.
 fn removed(key: &str) -> Result<(), SpecError> {
@@ -980,6 +989,27 @@ mod tests {
         assert!(e.to_string().contains("experiment"), "{e}");
         let e = ExperimentSpec::from_json("not json").unwrap_err();
         assert!(e.to_string().contains("JSON"), "{e}");
+    }
+
+    /// `cities` and `{ "top_cities": N }` both take 1 to 100, the built-in
+    /// city table: 0 or 101 is a spec error, not a panic at build time.
+    #[test]
+    fn top_cities_lie_in_the_built_in_table() {
+        let mut spec = sample();
+        for n in ["0", "101"] {
+            let e = spec.set("cities", n).unwrap_err();
+            assert!(e.to_string().contains("1..=100"), "{e}");
+        }
+        spec.set("cities", "1").unwrap();
+        let text = spec.to_json_string();
+        assert!(text.contains("\"top_cities\": 1 }"), "{text}");
+        for n in [0, 101] {
+            let bad = text.replace("\"top_cities\": 1 }", &format!("\"top_cities\": {n} }}"));
+            let e = ExperimentSpec::from_json(&bad).unwrap_err();
+            assert!(e.to_string().contains("top_cities"), "{e}");
+        }
+        spec.set("cities", "100").unwrap();
+        assert_eq!(spec.ground, GroundSegment::TopCities(100));
     }
 
     #[test]
@@ -1493,14 +1523,12 @@ mod tests {
             ("fig05_cc_rates_rtt", 0xefe6fc223966ef04, 0xbaa66bee1cb654c2),
             ("fig06_08_rtt_path_ecdfs", 0x5d7aae5241192327, 0x845622f6f00246e4),
             ("fig09_timestep", 0xf1d29e2ba3c36b4b, 0x4a3e9fb32536ebe8),
-            ("fig10_unused_bandwidth", 0xd6b0084b40c84dc8, 0x335141a13bf174bd),
+            ("fig10_14_15_cross_traffic", 0x2764c8499a1b67da, 0xd7861209e4690f02),
             ("fig11_constellation_czml", 0xedd56c0f9d5ab812, 0x8c803f4ff27674ba),
             ("fig12_ground_view", 0xf3c6b2babb7fcc58, 0x7547916de58b03dd),
             ("fig13_path_viz", 0x59f009989b2fb64f, 0x3e4168efe0cb26a0),
-            ("fig14_15_utilization", 0x861f723b3b263011, 0x171d98a957d6f9b9),
             ("fig16_19_bent_pipe", 0x458865b7569e928c, 0xd1d79b8dbcf4339e),
             ("ext_multipath_diversity", 0xbf64a0f85ab1e3bd, 0x6ea1e9384dfd40ca),
-            ("ext_multipath_te", 0x857dcdc9160290db, 0xdef42ba94bd4008d),
             ("ext_failure_resilience", 0xc790f13c2954e870, 0x93a91fe89ea45059),
             ("ext_flow_scaling", 0xcbd58539777c721f, 0x5e19b9b422970305),
             ("ext_hybrid_mode", 0x171b700e9c9a839e, 0x0014958b37b46b05),

@@ -500,14 +500,15 @@ fn resumed_faulted_failure_sweep_is_byte_identical_across_engines() {
 /// `--set` overrides that shrink an experiment's reduced spec.
 type Sets = &'static [(&'static str, &'static str)];
 
-/// FNV-1a-64 checksums of the artifacts an experiment computes from
-/// time-stepped routing alone (no packet reaches them), on its tiny spec:
-/// they hold however the forwarding states are produced.
+/// FNV-1a-64 checksums of artifacts an experiment writes on its tiny
+/// spec: the ones computed from time-stepped routing alone hold however
+/// the forwarding states are produced, and the cross-traffic ones hold
+/// Figs. 10, 14 and 15 to the bytes their separate experiments wrote.
 type Pins = &'static [(&'static str, u64)];
 
 /// Every netsim-backed experiment on a tiny spec (≤ 10 cities, ≤ 2 s),
-/// with the number of simulations it drives there and its routing pins.
-const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 11] = [
+/// with the number of simulations it drives there and its pins.
+const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 9] = [
     (
         "fig02_scalability",
         2,
@@ -533,17 +534,8 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 11] = [
         &[],
     ),
     (
-        "fig10_unused_bandwidth",
-        2,
-        &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
-        &[
-            ("fig10_unused_dynamic.dat", 0xf935_82eb_fd17_f9fc),
-            ("fig10_unused_frozen.dat", 0x0ea2_29e3_3330_039f),
-        ],
-    ),
-    (
-        "fig14_15_utilization",
-        1,
+        "fig10_14_15_cross_traffic",
+        3,
         &[
             ("cities", "10"),
             ("duration_s", "2"),
@@ -551,7 +543,13 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 11] = [
             ("snapshot_early_s", "0"),
             ("snapshot_late_s", "1"),
         ],
-        &[],
+        &[
+            ("fig10_unused_dynamic.dat", 0xf935_82eb_fd17_f9fc),
+            ("fig10_unused_frozen.dat", 0x0ea2_29e3_3330_039f),
+            ("fig14_path_util_t0.dat", 0xf011_0c64_a53c_f58e),
+            ("fig14_path_util_t1.dat", 0x9589_8699_945d_8fd4),
+            ("fig15_utilization_map.json", 0x7645_4eaa_669f_90ae),
+        ],
     ),
     (
         "fig16_19_bent_pipe",
@@ -561,12 +559,6 @@ const NETSIM_EXPERIMENTS: [(&str, usize, Sets, Pins); 11] = [
             ("fig18_rtt_computed_ISL.dat", 0xbb60_7632_7df7_9225),
             ("fig18_rtt_computed_bent_pipe.dat", 0x2226_4d6b_11f1_ad79),
         ],
-    ),
-    (
-        "ext_multipath_te",
-        2,
-        &[("cities", "10"), ("duration_s", "2"), ("pairs", "Tokyo:Cairo")],
-        &[],
     ),
     (
         "ext_failure_resilience",
@@ -705,6 +697,31 @@ fn bent_pipe_legs_step_at_the_spec_step() {
         let points = text.lines().filter(|l| !l.starts_with('#')).count();
         assert_eq!(points, 2, "{leg}: {text}");
     }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Figs. 14/15 read the utilization bucket holding each snapshot instant:
+/// with 2 s buckets, t = 3 s is bucket 1, not bucket 3 (past a 4 s horizon,
+/// where every link reads idle).
+#[test]
+fn cross_traffic_snapshots_read_the_bucket_holding_the_instant() {
+    let name = "fig10_14_15_cross_traffic";
+    let mut spec = ExperimentRunner::new().spec(name, false).expect("registered");
+    for (key, value) in [
+        ("cities", "10"),
+        ("duration_s", "4"),
+        ("pairs", "Tokyo:Cairo"),
+        ("snapshot_early_s", "0"),
+        ("snapshot_late_s", "3"),
+        ("utilization_bucket_s", "2"),
+    ] {
+        spec.set(key, value).expect("a valid knob");
+    }
+    let dir = temp_dir("cross_bucket");
+    run_quiet(spec, &dir);
+    let text = std::fs::read_to_string(dir.join("fig15_utilization_map.json")).expect("map");
+    let map = json::from_str(&text).expect("map parses");
+    assert!(!map.as_array().expect("a link list").is_empty(), "no active link at 3 s: {text}");
     let _ = std::fs::remove_dir_all(dir);
 }
 

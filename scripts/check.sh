@@ -201,6 +201,30 @@ for cc in newreno vegas cubic bbr; do
 done
 test "$(find "$smoke_dir/fig05" -maxdepth 1 -name '*.dat' | wc -l)" -eq 10
 
+echo "== Figs. 10, 14/15 + TE study: one matrix, three simulations, all 5 artifacts"
+target/release/run_experiment fig10_14_15_cross_traffic --out "$smoke_dir/cross" \
+  --set cities=10 --set duration_s=2 --set pairs="Tokyo:Cairo" \
+  --set snapshot_early_s=0 --set snapshot_late_s=1 \
+  --set checkpoint_every_s=0.5 > /dev/null
+test "$(find "$smoke_dir/cross/checkpoints" -name '*.snap' | wc -l)" -eq 3
+python3 - "$smoke_dir/cross/manifest.json" <<'PY'
+import json, sys
+count = json.load(open(sys.argv[1]))["checkpoints"]["count"]
+sys.exit(0 if count == 3 * 3 else f"{count} checkpoints: want 3 simulations x 3")
+PY
+for f in fig10_unused_dynamic.dat fig10_unused_frozen.dat fig14_path_util_t0.dat \
+  fig14_path_util_t1.dat fig15_utilization_map.json; do
+  test -f "$smoke_dir/cross/$f"
+done
+# Observed pairs that share a ground station are a bad spec (exit 5).
+set +e
+target/release/run_experiment fig10_14_15_cross_traffic --out "$smoke_dir/cross_shared" \
+  --set cities=10 --set duration_s=2 --set pairs="Tokyo:Cairo;Osaka:Cairo" \
+  > /dev/null 2>&1
+shared_code=$?
+set -e
+test "$shared_code" -eq 5
+
 echo "== flow-table determinism gate (1k flows: arena vs apps)"
 target/release/run_experiment \
   ext_flow_scaling --out "$smoke_dir/flows_arena" \

@@ -56,6 +56,49 @@ fn out_of_range_knobs_are_bad_specs_not_panics() {
     assert!(stderr.contains("repair_churn_threshold"), "stderr: {stderr}");
 }
 
+/// `cities` takes 1 to 100 (the built-in city table), from `--set` and
+/// from a spec file alike: anything else is a spec error, not a panic.
+#[test]
+fn cities_out_of_range_are_bad_specs_not_panics() {
+    for n in ["0", "101"] {
+        let set = format!("cities={n}");
+        let stderr = assert_bad_spec(&run("cities", None, &["fig09_timestep", "--set", &set]));
+        assert!(stderr.contains("cities"), "--set {set}: {stderr}");
+    }
+    let printed = run("print_cities", None, &["fig09_timestep", "--print-spec"]);
+    assert!(printed.status.success());
+    let text = String::from_utf8(printed.stdout).unwrap();
+    for n in ["0", "101"] {
+        let bad = text.replacen("\"top_cities\": 20", &format!("\"top_cities\": {n}"), 1);
+        assert_ne!(bad, text);
+        let stderr = assert_bad_spec(&run("top_cities", Some(&bad), &[]));
+        assert!(stderr.contains("top_cities"), "top_cities {n}: {stderr}");
+    }
+}
+
+/// The cross-traffic experiment refuses what it cannot honour before it
+/// simulates anything: a snapshot instant past the horizon (whose
+/// utilization would read as zero), more than two observed pairs, and
+/// pairs that share a ground station.
+#[test]
+fn cross_traffic_refuses_instants_past_the_horizon_and_bad_pair_lists() {
+    let base = ["fig10_14_15_cross_traffic", "--set", "cities=10", "--set", "duration_s=20"];
+    for (sets, key) in [
+        (&["pairs=Tokyo:Cairo"][..], "snapshot_late_s"),
+        (&["pairs=Tokyo:Cairo", "snapshot_early_s=-1"][..], "snapshot_early_s"),
+        (&["pairs=Tokyo:Cairo", "snapshot_late_s=20"][..], "snapshot_late_s"),
+        (&["pairs=Tokyo:Cairo;Delhi:Shanghai;Osaka:Dhaka", "snapshot_late_s=10"][..], "two pairs"),
+        (&["pairs=Tokyo:Cairo;Osaka:Cairo", "snapshot_late_s=10"][..], "share no ground station"),
+    ] {
+        let mut args = base.to_vec();
+        for set in sets {
+            args.extend(["--set", set]);
+        }
+        let stderr = assert_bad_spec(&run("cross_traffic", None, &args));
+        assert!(stderr.contains(key), "{sets:?}: {stderr}");
+    }
+}
+
 #[test]
 fn sets_apply_in_order() {
     let args = [
@@ -147,6 +190,9 @@ fn a_merged_away_name_is_an_unknown_experiment() {
         ("fig07_rtt_cdfs", "fig06_08_rtt_path_ecdfs"),
         ("fig05_rates_rtt", "fig05_cc_rates_rtt"),
         ("ext_bbr_study", "fig05_cc_rates_rtt"),
+        ("fig10_unused_bandwidth", "fig10_14_15_cross_traffic"),
+        ("fig14_15_utilization", "fig10_14_15_cross_traffic"),
+        ("ext_multipath_te", "fig10_14_15_cross_traffic"),
     ] {
         let out = run(old, None, &[old]);
         let stderr = String::from_utf8_lossy(&out.stderr);
