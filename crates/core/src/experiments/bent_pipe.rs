@@ -84,7 +84,7 @@ fn run_leg(
 /// driven by `driver`. Each leg runs on the spec's simulator
 /// configuration, with the spec's fault scenario compiled against the
 /// leg's own constellation. The relay grid is the `relay_spacing_deg` /
-/// `relay_margin_deg` params (3° each when unset).
+/// `relay_margin_deg` params.
 ///
 /// The constellation must be `kuiper_k1` and the pairs the one pair from
 /// the first station to the second: the legs fix both, so a spec naming
@@ -105,8 +105,7 @@ pub fn run(spec: &ExperimentSpec, driver: &Driver) -> Result<BentPipeResult, Run
             spec.pairs
         ));
     }
-    let spacing = spec.num("relay_spacing_deg").unwrap_or(3.0);
-    let margin = spec.num("relay_margin_deg").unwrap_or(3.0);
+    let (spacing, margin) = (spec.num("relay_spacing_deg")?, spec.num("relay_margin_deg")?);
     let ground = bent_pipe_ground_segment(src_city.clone(), dst_city.clone(), spacing, margin);
 
     // Leg 1: standard ISL constellation, endpoints only.

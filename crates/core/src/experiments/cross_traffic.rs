@@ -25,19 +25,6 @@ use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_transport::{NewReno, TcpConfig, TcpSender, TcpSink};
 use hypatia_util::{SimDuration, SimTime};
 
-/// Parameters for the cross-traffic experiment.
-#[derive(Debug, Clone)]
-pub struct CrossTrafficConfig {
-    /// Horizon (paper: 200 s).
-    pub duration: SimDuration,
-    /// Permutation seed.
-    pub seed: u64,
-    /// Freeze the network at t = 0 (the paper's static baseline).
-    pub frozen: bool,
-    /// Loop-free multipath stretch (None = single shortest path).
-    pub multipath_stretch: Option<f64>,
-}
-
 /// Outcome: the simulator, for per-pair bandwidth series and
 /// utilization-map post-processing à la Figs. 14/15.
 pub struct CrossTrafficResult {
@@ -96,10 +83,13 @@ pub fn fraction_time_unused_above(series: &[(f64, f64)], cap_mbps: f64, frac: f6
     connected.iter().filter(|&&u| u > cap_mbps * frac).count() as f64 / connected.len() as f64
 }
 
-/// Run cross-traffic on `scenario`, observing the named `observed` pairs.
+/// Run cross-traffic on `scenario` for `duration`, observing the named
+/// `observed` pairs: frozen at t = 0 (the paper's static baseline) if
+/// `frozen`, on loop-free multipath at `multipath_stretch` if given.
 ///
 /// The flows are the observed pairs first, in list order, then every
-/// permutation pair that touches none of their ground stations. The
+/// permutation pair (seeded by `seed`) that touches none of their ground
+/// stations. The
 /// observed pairs must be non-empty and share no ground station
 /// (`RunError::BadSpec` otherwise). The simulation is driven by `driver`
 /// under the snapshot tag `<frozen|dynamic>[_mp<stretch>]_<first pair>`;
@@ -109,7 +99,10 @@ pub fn fraction_time_unused_above(series: &[(f64, f64)], cap_mbps: f64, frac: f6
 pub fn run(
     scenario: &Scenario,
     observed: &[(String, String)],
-    cfg: &CrossTrafficConfig,
+    duration: SimDuration,
+    seed: u64,
+    frozen: bool,
+    multipath_stretch: Option<f64>,
     driver: &Driver,
 ) -> Result<CrossTrafficResult, RunError> {
     let mut names: Vec<&str> =
@@ -126,7 +119,7 @@ pub fn run(
         flows.push((scenario.gs_by_name(src)?, scenario.gs_by_name(dst)?));
     }
     let ends: Vec<NodeId> = flows.iter().flat_map(|&(s, d)| [s, d]).collect();
-    for (i, j) in scenario.permutation_pairs(cfg.seed) {
+    for (i, j) in scenario.permutation_pairs(seed) {
         let (s, d) = (scenario.gs(i), scenario.gs(j));
         if !ends.contains(&s) && !ends.contains(&d) {
             flows.push((s, d));
@@ -139,10 +132,8 @@ pub fn run(
     dests.dedup();
 
     let mut sim_config = scenario.sim_config.clone();
-    if cfg.frozen {
-        sim_config.freeze_at_epoch = true;
-    }
-    sim_config.multipath_stretch = cfg.multipath_stretch;
+    sim_config.freeze_at_epoch |= frozen;
+    sim_config.multipath_stretch = multipath_stretch;
     let mut sim = Simulator::new(scenario.constellation.clone(), sim_config, dests);
 
     let tcp_cfg = TcpConfig::default();
@@ -157,20 +148,14 @@ pub fn run(
         );
     }
 
-    let mp = cfg.multipath_stretch.map_or(String::new(), |s| format!("_mp{s}"));
-    let network = if cfg.frozen { "frozen" } else { "dynamic" };
+    let mp = multipath_stretch.map_or(String::new(), |s| format!("_mp{s}"));
+    let network = if frozen { "frozen" } else { "dynamic" };
     let tag = format!("{network}{mp}_{}", pair_slug(&observed[0].0, &observed[0].1));
-    let run = SimRun::drive(&mut sim, SimTime::ZERO + cfg.duration, &tag, driver)?;
+    let run = SimRun::drive(&mut sim, SimTime::ZERO + duration, &tag, driver)?;
 
     let total_goodput_mbps =
-        sim.stats.payload_bytes_delivered as f64 * 8.0 / cfg.duration.secs_f64() / 1e6;
-    Ok(CrossTrafficResult {
-        sim,
-        duration: cfg.duration,
-        total_goodput_mbps,
-        flows: flows.len(),
-        run,
-    })
+        sim.stats.payload_bytes_delivered as f64 * 8.0 / duration.secs_f64() / 1e6;
+    Ok(CrossTrafficResult { sim, duration, total_goodput_mbps, flows: flows.len(), run })
 }
 
 #[cfg(test)]
@@ -191,21 +176,27 @@ mod tests {
             .build()
     }
 
-    fn quick_cfg() -> CrossTrafficConfig {
-        CrossTrafficConfig {
-            duration: SimDuration::from_secs(10),
-            seed: 7,
-            frozen: false,
-            multipath_stretch: None,
-        }
-    }
+    const SEED: u64 = 7;
 
     fn pairs(names: &[(&str, &str)]) -> Vec<(String, String)> {
         names.iter().map(|&(s, d)| (s.to_string(), d.to_string())).collect()
     }
 
-    fn quick(s: &Scenario, cfg: &CrossTrafficConfig) -> CrossTrafficResult {
-        run(s, &pairs(&[("Tokyo", "Sao Paulo")]), cfg, &Driver::default()).expect("known cities")
+    /// `observed` for `secs` on the dynamic single-path network.
+    fn dynamic(
+        s: &Scenario,
+        observed: &[(String, String)],
+        secs: u64,
+    ) -> Result<CrossTrafficResult, RunError> {
+        run(s, observed, SimDuration::from_secs(secs), SEED, false, None, &Driver::default())
+    }
+
+    /// Tokyo → Sao Paulo for 10 s, frozen or on multipath as given.
+    fn quick(s: &Scenario, frozen: bool, multipath_stretch: Option<f64>) -> CrossTrafficResult {
+        let observed = pairs(&[("Tokyo", "Sao Paulo")]);
+        let secs = SimDuration::from_secs(10);
+        run(s, &observed, secs, SEED, frozen, multipath_stretch, &Driver::default())
+            .expect("known cities")
     }
 
     fn tokyo_sao_paulo(s: &Scenario, r: &CrossTrafficResult) -> Vec<(f64, f64)> {
@@ -216,16 +207,14 @@ mod tests {
     #[test]
     fn multipath_runs_and_delivers() {
         let s = scenario(10);
-        let mut cfg = quick_cfg();
-        cfg.multipath_stretch = Some(1.2);
-        let r = quick(&s, &cfg);
+        let r = quick(&s, false, Some(1.2));
         assert!(r.total_goodput_mbps > 5.0, "multipath goodput {}", r.total_goodput_mbps);
     }
 
     #[test]
     fn observed_pair_series_has_one_point_per_second() {
         let s = scenario(10);
-        let r = quick(&s, &quick_cfg());
+        let r = quick(&s, false, None);
         let series = tokyo_sao_paulo(&s, &r);
         assert_eq!(series.len(), 10);
         for &(_, u) in &series {
@@ -237,7 +226,7 @@ mod tests {
     #[test]
     fn cross_traffic_consumes_bandwidth() {
         let s = scenario(10);
-        let r = quick(&s, &quick_cfg());
+        let r = quick(&s, false, None);
         assert!(r.total_goodput_mbps > 5.0, "goodput {}", r.total_goodput_mbps);
         // Some second must see congestion (unused < capacity).
         let min_unused = tokyo_sao_paulo(&s, &r)
@@ -251,9 +240,7 @@ mod tests {
     #[test]
     fn frozen_baseline_runs() {
         let s = scenario(8);
-        let mut cfg = quick_cfg();
-        cfg.frozen = true;
-        let r = quick(&s, &cfg);
+        let r = quick(&s, true, None);
         assert_eq!(r.sim.stats.forwarding_updates, 0);
         assert_eq!(tokyo_sao_paulo(&s, &r).len(), 10);
     }
@@ -261,7 +248,7 @@ mod tests {
     #[test]
     fn flows_avoid_observed_ground_stations() {
         let s = scenario(10);
-        let r = quick(&s, &quick_cfg());
+        let r = quick(&s, false, None);
         // 10 cities → permutation of 10 minus any pair touching the 2
         // observed GSes, plus the observed flow itself: at most 9.
         assert!(r.flows <= 9, "flows {}", r.flows);
@@ -272,29 +259,27 @@ mod tests {
     #[test]
     fn flows_avoid_every_observed_pair() {
         let s = scenario(10);
-        let cfg = CrossTrafficConfig { duration: SimDuration::from_secs(1), ..quick_cfg() };
         let observed = pairs(&[("Tokyo", "Sao Paulo"), ("Cairo", "Delhi")]);
         let ends: Vec<NodeId> =
             ["Tokyo", "Sao Paulo", "Cairo", "Delhi"].map(|n| s.gs_by_name(n).unwrap()).to_vec();
         let untouched = s
-            .permutation_pairs(cfg.seed)
+            .permutation_pairs(SEED)
             .into_iter()
             .filter(|&(i, j)| !ends.contains(&s.gs(i)) && !ends.contains(&s.gs(j)))
             .count();
-        let two = run(&s, &observed, &cfg, &Driver::default()).expect("disjoint pairs");
+        let two = dynamic(&s, &observed, 1).expect("disjoint pairs");
         assert_eq!(two.flows, 2 + untouched);
     }
 
     #[test]
     fn observed_pairs_sharing_a_ground_station_are_refused() {
         let s = scenario(10);
-        let cfg = CrossTrafficConfig { duration: SimDuration::from_secs(1), ..quick_cfg() };
         for observed in [
             pairs(&[("Tokyo", "Cairo"), ("Osaka", "Cairo")]),
             pairs(&[("Tokyo", "Cairo"), ("Cairo", "Delhi")]),
             pairs(&[]),
         ] {
-            let r = run(&s, &observed, &cfg, &Driver::default());
+            let r = dynamic(&s, &observed, 1);
             assert!(matches!(r, Err(RunError::BadSpec(_))), "{observed:?}");
         }
     }
@@ -302,7 +287,7 @@ mod tests {
     #[test]
     fn fraction_metric_bounded() {
         let s = scenario(8);
-        let r = quick(&s, &quick_cfg());
+        let r = quick(&s, false, None);
         let f = fraction_time_unused_above(&tokyo_sao_paulo(&s, &r), 10.0, 1.0 / 3.0);
         assert!((0.0..=1.0).contains(&f));
         // Connected points strictly above the threshold, over connected points.

@@ -8,47 +8,15 @@
 //! * per-time-step network-wide path-change counts (Fig. 9a);
 //! * per-pair changes *missed* relative to the fine baseline (Fig. 9b).
 
+use crate::runner::RunError;
+use crate::spec::ExperimentSpec;
 use hypatia_constellation::Constellation;
-use hypatia_routing::incremental::RoutingConfig;
 use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_routing::path::satellites_of;
 use hypatia_util::time::TimeSteps;
 use hypatia_util::{SimDuration, SimTime};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-
-/// Experiment parameters.
-#[derive(Debug, Clone)]
-pub struct GranularityConfig {
-    /// Horizon (paper: 200 s).
-    pub duration: SimDuration,
-    /// Fine sampling step (paper: 50 ms).
-    pub fine_step: SimDuration,
-    /// Coarse granularities, as multiples of `fine_step` (paper: ×2 =
-    /// 100 ms and ×20 = 1000 ms).
-    pub coarse_multiples: Vec<u64>,
-    /// Pair distance filter, km.
-    pub min_pair_distance_km: f64,
-    /// Worker threads for the snapshot-routing pipeline (0 = all cores,
-    /// 1 = serial). Results are bit-identical for any value.
-    pub threads: usize,
-    /// Forwarding-state recomputation strategy (full Dijkstra vs.
-    /// incremental repair). Results are byte-identical for every choice.
-    pub routing: RoutingConfig,
-}
-
-impl Default for GranularityConfig {
-    fn default() -> Self {
-        GranularityConfig {
-            duration: SimDuration::from_secs(200),
-            fine_step: SimDuration::from_millis(50),
-            coarse_multiples: vec![2, 20],
-            min_pair_distance_km: 500.0,
-            threads: 0,
-            routing: RoutingConfig::default(),
-        }
-    }
-}
 
 /// Statistics for one granularity.
 #[derive(Debug, Clone)]
@@ -116,18 +84,20 @@ fn changes_per_step(hashes: &[Vec<u64>], stride: usize) -> (Vec<usize>, Vec<usiz
     (per_step, per_pair)
 }
 
-/// Run the granularity experiment on `constellation`.
-pub fn run(constellation: &Constellation, cfg: &GranularityConfig) -> GranularityResult {
-    let n = constellation.num_ground_stations();
-    let dests: Vec<_> = (0..n).map(|i| constellation.gs_node(i)).collect();
+/// Run the granularity experiment on `c` as `spec` says: horizon, fine
+/// step, its `coarse_multiples` (paper: 200 s at 50 ms, ×2 and ×20),
+/// minimum pair distance, routing threads and configuration.
+pub fn run(c: &Constellation, spec: &ExperimentSpec) -> Result<GranularityResult, RunError> {
+    let coarse_multiples = spec.wholes("coarse_multiples", 1)?;
+    let min_pair_distance_km = spec.min_pair_distance_km()?;
+    let n = c.num_ground_stations();
+    let dests: Vec<_> = (0..n).map(|i| c.gs_node(i)).collect();
 
     let mut pair_list = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            if constellation.ground_stations[i].distance_km(&constellation.ground_stations[j])
-                >= cfg.min_pair_distance_km
-            {
-                pair_list.push((constellation.gs_node(i), constellation.gs_node(j)));
+            if c.ground_stations[i].distance_km(&c.ground_stations[j]) >= min_pair_distance_km {
+                pair_list.push((c.gs_node(i), c.gs_node(j)));
             }
         }
     }
@@ -137,14 +107,12 @@ pub fn run(constellation: &Constellation, cfg: &GranularityConfig) -> Granularit
     // identical to the serial loop's.
     let mut hashes: Vec<Vec<u64>> = vec![Vec::new(); pair_list.len()];
     let times: Vec<SimTime> =
-        TimeSteps::new(SimTime::ZERO, SimTime::ZERO + cfg.duration, cfg.fine_step).collect();
-    let worker = || SnapshotWorker::with_config(cfg.routing);
-    sweep_forwarding_states(worker, constellation, &times, &dests, None, cfg.threads, |_, st| {
+        TimeSteps::new(SimTime::ZERO, SimTime::ZERO + spec.duration, spec.step).collect();
+    let worker = || SnapshotWorker::with_config(spec.routing_config());
+    sweep_forwarding_states(worker, c, &times, &dests, None, spec.threads, |_, st| {
         for (p, &(src, dst)) in pair_list.iter().enumerate() {
             let h =
-                st.0.path(src, dst)
-                    .map(|path| hash_path(&satellites_of(constellation, &path)))
-                    .unwrap_or(0);
+                st.0.path(src, dst).map(|path| hash_path(&satellites_of(c, &path))).unwrap_or(0);
             hashes[p].push(h);
         }
     });
@@ -152,12 +120,11 @@ pub fn run(constellation: &Constellation, cfg: &GranularityConfig) -> Granularit
     let mut stats = Vec::new();
     let (fine_steps, fine_pairs) = changes_per_step(&hashes, 1);
     stats.push(GranularityStats {
-        step: cfg.fine_step,
+        step: spec.step,
         changes_per_step: fine_steps,
         missed_per_pair: vec![0; pair_list.len()],
     });
-    for &m in &cfg.coarse_multiples {
-        assert!(m >= 1, "multiple must be ≥ 1");
+    for m in coarse_multiples {
         let (per_step, per_pair) = changes_per_step(&hashes, m as usize);
         let missed: Vec<usize> = fine_pairs
             .iter()
@@ -165,32 +132,38 @@ pub fn run(constellation: &Constellation, cfg: &GranularityConfig) -> Granularit
             .map(|(&fine, &coarse)| fine.saturating_sub(coarse))
             .collect();
         stats.push(GranularityStats {
-            step: cfg.fine_step * m,
+            step: spec.step * u64::from(m),
             changes_per_step: per_step,
             missed_per_pair: missed,
         });
     }
 
-    GranularityResult { stats, pairs: pair_list.len() }
+    Ok(GranularityResult { stats, pairs: pair_list.len() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{PairSelection, ParamValue};
     use hypatia_constellation::ground::top_cities;
     use hypatia_constellation::presets;
 
+    /// `secs` at a `step_ms` baseline and its `multiples`, on `threads`.
+    fn spec(secs: u64, multiples: &[f64], threads: usize) -> ExperimentSpec {
+        let mut spec = ExperimentSpec {
+            pairs: PairSelection::MinDistance { km: 500.0 },
+            duration: SimDuration::from_secs(secs),
+            step: SimDuration::from_millis(500),
+            threads,
+            ..ExperimentSpec::default()
+        };
+        spec.params.insert("coarse_multiples".into(), ParamValue::List(multiples.to_vec()));
+        spec
+    }
+
     fn quick() -> GranularityResult {
         let c = presets::kuiper_k1(top_cities(6));
-        run(
-            &c,
-            &GranularityConfig {
-                duration: SimDuration::from_secs(60),
-                fine_step: SimDuration::from_millis(500),
-                coarse_multiples: vec![2, 8],
-                ..GranularityConfig::default()
-            },
-        )
+        run(&c, &spec(60, &[2.0, 8.0], 0)).expect("a valid spec")
     }
 
     /// Thread count must not change the result (steps are independent and
@@ -199,16 +172,7 @@ mod tests {
     fn parallel_granularity_bit_identical_to_serial() {
         let c = presets::kuiper_k1(top_cities(4));
         let run_with = |threads: usize| {
-            let r = run(
-                &c,
-                &GranularityConfig {
-                    duration: SimDuration::from_secs(20),
-                    fine_step: SimDuration::from_millis(500),
-                    coarse_multiples: vec![2, 4],
-                    threads,
-                    ..GranularityConfig::default()
-                },
-            );
+            let r = run(&c, &spec(20, &[2.0, 4.0], threads)).expect("a valid spec");
             format!("{r:?}")
         };
         let serial = run_with(1);

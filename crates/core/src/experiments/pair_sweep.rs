@@ -34,18 +34,6 @@ pub struct PairSweepConfig {
     pub routing: RoutingConfig,
 }
 
-impl Default for PairSweepConfig {
-    fn default() -> Self {
-        PairSweepConfig {
-            duration: SimDuration::from_secs(200),
-            step: SimDuration::from_millis(100),
-            min_pair_distance_km: 500.0,
-            threads: 0,
-            routing: RoutingConfig::default(),
-        }
-    }
-}
-
 /// Per-pair sweep outcome.
 #[derive(Debug, Clone)]
 pub struct PairStats {
@@ -162,16 +150,21 @@ mod tests {
     use hypatia_constellation::ground::top_cities;
     use hypatia_constellation::presets;
 
+    /// The paper's sweep (pairs ≥ 500 km apart) over `secs` at `step_s`,
+    /// on `threads`.
+    fn cfg(secs: u64, step_s: u64, threads: usize) -> PairSweepConfig {
+        PairSweepConfig {
+            duration: SimDuration::from_secs(secs),
+            step: SimDuration::from_secs(step_s),
+            min_pair_distance_km: 500.0,
+            threads,
+            routing: RoutingConfig::default(),
+        }
+    }
+
     fn small_sweep(n_cities: usize, secs: u64, step_s: u64) -> Vec<PairStats> {
         let c = presets::kuiper_k1(top_cities(n_cities));
-        run(
-            &c,
-            &PairSweepConfig {
-                duration: SimDuration::from_secs(secs),
-                step: SimDuration::from_secs(step_s),
-                ..PairSweepConfig::default()
-            },
-        )
+        run(&c, &cfg(secs, step_s, 0))
     }
 
     #[test]
@@ -231,15 +224,7 @@ mod tests {
     fn parallel_sweep_bit_identical_to_serial() {
         let c = presets::kuiper_k1(top_cities(8));
         let sweep = |threads: usize| {
-            let stats = run(
-                &c,
-                &PairSweepConfig {
-                    duration: SimDuration::from_secs(10),
-                    step: SimDuration::from_secs(2),
-                    threads,
-                    ..PairSweepConfig::default()
-                },
-            );
+            let stats = run(&c, &cfg(10, 2, threads));
             // Debug formatting captures every field bit-for-bit (NaN
             // included, which `==` on f64 would miss).
             format!("{stats:?}")
@@ -255,12 +240,7 @@ mod tests {
         // Guangzhou–Shenzhen–Dongguan–Foshan cluster is within 500 km; with
         // the top 100 cities the pair count must be well below C(100,2).
         let c = presets::kuiper_k1(top_cities(100));
-        let cfg = PairSweepConfig {
-            duration: SimDuration::from_secs(2),
-            step: SimDuration::from_secs(2),
-            ..PairSweepConfig::default()
-        };
-        let stats = run(&c, &cfg);
+        let stats = run(&c, &cfg(2, 2, 0));
         assert!(stats.len() < 4950, "got {}", stats.len());
         assert!(stats.len() > 4700, "got {}", stats.len());
     }

@@ -15,25 +15,6 @@ use hypatia_netsim::apps::PingApp;
 use hypatia_routing::path::PairTracker;
 use hypatia_util::{SimDuration, SimTime};
 
-/// Parameters for a Fig. 3-style run.
-#[derive(Debug, Clone)]
-pub struct RttFluctuationConfig {
-    /// Simulated duration (paper: 200 s).
-    pub duration: SimDuration,
-    /// Ping spacing (paper: 1 ms; the default here is 10 ms, which leaves
-    /// the measured envelope identical at 1% of the event cost).
-    pub ping_interval: SimDuration,
-}
-
-impl Default for RttFluctuationConfig {
-    fn default() -> Self {
-        RttFluctuationConfig {
-            duration: SimDuration::from_secs(200),
-            ping_interval: SimDuration::from_millis(10),
-        }
-    }
-}
-
 /// Result of a Fig. 3 run for one pair.
 #[derive(Debug, Clone)]
 pub struct RttFluctuationResult {
@@ -55,13 +36,15 @@ pub struct RttFluctuationResult {
     pub run: SimRun,
 }
 
-/// Run the experiment for `(src_name, dst_name)` on `scenario`, the ping
-/// simulation driven by `driver` under the snapshot tag `rtt_<pair>`.
+/// Run the experiment for `(src_name, dst_name)` on `scenario` for
+/// `duration`, one ping every `ping_interval`, the ping simulation driven
+/// by `driver` under the snapshot tag `rtt_<pair>`.
 pub fn run(
     scenario: &Scenario,
     src_name: &str,
     dst_name: &str,
-    cfg: &RttFluctuationConfig,
+    duration: SimDuration,
+    ping_interval: SimDuration,
     driver: &Driver,
 ) -> Result<RttFluctuationResult, RunError> {
     let src = scenario.gs_by_name(src_name)?;
@@ -69,8 +52,8 @@ pub fn run(
 
     // (a) Packet-level pings.
     let mut sim = scenario.simulator(vec![src, dst]);
-    let stop = SimTime::ZERO + cfg.duration;
-    let app = sim.add_app(src, 7, Box::new(PingApp::new(dst, cfg.ping_interval, stop)));
+    let stop = SimTime::ZERO + duration;
+    let app = sim.add_app(src, 7, Box::new(PingApp::new(dst, ping_interval, stop)));
     // Drain stragglers for a second beyond the last probe.
     let tag = format!("rtt_{}", pair_slug(src_name, dst_name));
     let run = SimRun::drive(&mut sim, stop + SimDuration::from_secs(1), &tag, driver)?;
@@ -122,18 +105,16 @@ mod tests {
             .build()
     }
 
-    fn short_cfg() -> RttFluctuationConfig {
-        RttFluctuationConfig {
-            duration: SimDuration::from_secs(10),
-            ping_interval: SimDuration::from_millis(100),
-        }
+    /// 10 s with a ping every 100 ms.
+    fn short_run(s: &Scenario) -> RttFluctuationResult {
+        let (secs, ping) = (SimDuration::from_secs(10), SimDuration::from_millis(100));
+        run(s, "Istanbul", "Nairobi", secs, ping, &Driver::default()).expect("known cities")
     }
 
     #[test]
     fn pings_and_computed_agree() {
         let s = scenario();
-        let r =
-            run(&s, "Istanbul", "Nairobi", &short_cfg(), &Driver::default()).expect("known cities");
+        let r = short_run(&s);
         assert!(r.received > 80, "received {}", r.received);
         assert_eq!(r.disconnected_seconds, 0.0);
         // Every ping RTT within [min_computed − 1 ms, max_computed + 5 ms]
@@ -162,8 +143,7 @@ mod tests {
     #[test]
     fn computed_series_covers_duration() {
         let s = scenario();
-        let r =
-            run(&s, "Istanbul", "Nairobi", &short_cfg(), &Driver::default()).expect("known cities");
+        let r = short_run(&s);
         // 10 s at the default 100 ms granularity = 100 samples.
         assert_eq!(r.computed_series.len(), 100);
         assert!(r.max_computed_ms >= r.min_computed_ms);
@@ -181,11 +161,8 @@ mod tests {
                 GroundStation::new("Saint Petersburg", 59.9311, 30.3609),
             ])
             .build();
-        let cfg = RttFluctuationConfig {
-            duration: SimDuration::from_secs(1000),
-            ping_interval: SimDuration::from_millis(200),
-        };
-        let r = run(&s, "Rio de Janeiro", "Saint Petersburg", &cfg, &Driver::default())
+        let (secs, ping) = (SimDuration::from_secs(1000), SimDuration::from_millis(200));
+        let r = run(&s, "Rio de Janeiro", "Saint Petersburg", secs, ping, &Driver::default())
             .expect("known cities");
         assert!(
             r.disconnected_seconds > 0.0,

@@ -26,7 +26,7 @@
 
 use super::first_pair;
 use crate::resilience::{Driver, SimRun};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::{ConstellationChoice, Scenario};
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_constellation::NodeId;
@@ -54,21 +54,18 @@ struct DegradedRun {
 pub struct ExtFailureResilience;
 
 impl Experiment for ExtFailureResilience {
-    fn name(&self) -> &'static str {
-        "ext_failure_resilience"
+    fn about(&self) -> About {
+        About {
+            name: "ext_failure_resilience",
+            label: Some("Extension"),
+            title: "Failure resilience: degradation vs satellite failure rate (Kuiper K1)",
+            knobs: "duration_s step_ms line_rate_mbps",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Extension")
-    }
-
-    fn title(&self) -> &'static str {
-        "Failure resilience: degradation vs satellite failure rate (Kuiper K1)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(if full { 100 } else { 20 }),
             // A long ISL route whose endpoints sit inside even the reduced
@@ -91,13 +88,12 @@ impl Experiment for ExtFailureResilience {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let fracs = ctx.spec.list("fail_fracs").unwrap_or(&[0.02, 0.05, 0.1]).to_vec();
+        let fracs = ctx.spec.list("fail_fracs")?.to_vec();
         if let Some(bad) = fracs.iter().copied().find(|&f| f <= 0.0 || f >= 1.0) {
             return Err(RunError::BadSpec(format!("fail_fracs must lie in (0, 1), got {bad}")));
         }
-        let mttr_s = ctx.spec.num("mttr_s").unwrap_or(10.0);
-        let ping_interval =
-            SimDuration::from_secs_f64(ctx.spec.num("ping_interval_ms").unwrap_or(20.0) / 1e3);
+        let mttr_s = ctx.spec.num("mttr_s")?;
+        let ping_interval = SimDuration::from_secs_f64(ctx.spec.num("ping_interval_ms")? / 1e3);
         let (src_name, dst_name) = first_pair(&ctx.spec)?;
         let scenario = ctx.scenario();
         let src = scenario.gs_by_name(&src_name)?;

@@ -13,10 +13,10 @@
 //! Spec knobs: `--set flows=N` pins a single point (replacing the
 //! `flow_counts` list), and `--set flow_rate_kbps=R` paces each flow.
 
-use super::flow_sweep;
+use super::{flow_sweep, flow_table};
 use crate::experiments::flow_scaling::drive_flow_point;
 use crate::experiments::scalability::FlowTable;
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, ParamValue};
 use hypatia_util::SimDuration;
@@ -25,21 +25,18 @@ use hypatia_util::SimDuration;
 pub struct ExtFlowScaling;
 
 impl Experiment for ExtFlowScaling {
-    fn name(&self) -> &'static str {
-        "ext_flow_scaling"
+    fn about(&self) -> About {
+        About {
+            name: "ext_flow_scaling",
+            label: Some("Extension"),
+            title: "Traffic scaling: gravity matrix, 1k to 1M flows (Kuiper K1)",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets seed flows",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Extension")
-    }
-
-    fn title(&self) -> &'static str {
-        "Traffic scaling: gravity matrix, 1k to 1M flows (Kuiper K1)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(if full { 100 } else { 20 }),
             duration: SimDuration::from_secs(if full { 2 } else { 1 }),
@@ -73,13 +70,9 @@ impl Experiment for ExtFlowScaling {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let (counts, per_flow_rate) = flow_sweep(&ctx.spec, &[1e3, 4e3, 1e4], 16.0)?;
-        let flow_table = match ctx.spec.text("flow_table") {
-            None => FlowTable::Arena,
-            Some(s) => FlowTable::parse(s)
-                .ok_or_else(|| RunError::BadSpec(format!("unknown flow table {s:?}")))?,
-        };
-        let with_perf_series = ctx.spec.flag("perf_series").unwrap_or(true);
+        let (counts, per_flow_rate) = flow_sweep(&ctx.spec)?;
+        let flow_table = flow_table(&ctx.spec)?;
+        let with_perf_series = ctx.spec.flag("perf_series")?;
         let duration = ctx.spec.duration;
         let seed = ctx.spec.seed;
         let scenario = ctx.scenario();

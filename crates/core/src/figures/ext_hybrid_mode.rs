@@ -21,7 +21,7 @@
 
 use super::flow_sweep;
 use crate::experiments::hybrid::drive_hybrid_point;
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, ParamValue};
 use hypatia_netsim::SimMode;
@@ -70,21 +70,18 @@ impl Agreement {
 pub struct ExtHybridMode;
 
 impl Experiment for ExtHybridMode {
-    fn name(&self) -> &'static str {
-        "ext_hybrid_mode"
+    fn about(&self) -> About {
+        About {
+            name: "ext_hybrid_mode",
+            label: Some("Extension"),
+            title: "Hybrid fluid/packet simulation: speedup at matched goodput (Kuiper K1)",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets seed sim_mode fluid_threshold_kbps flows",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Extension")
-    }
-
-    fn title(&self) -> &'static str {
-        "Hybrid fluid/packet simulation: speedup at matched goodput (Kuiper K1)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(if full { 100 } else { 10 }),
             duration: SimDuration::from_secs(2),
@@ -107,7 +104,7 @@ impl Experiment for ExtHybridMode {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let (counts, per_flow_rate) = flow_sweep(&ctx.spec, &[400.0, 1e3], 256.0)?;
+        let (counts, per_flow_rate) = flow_sweep(&ctx.spec)?;
         let threshold = DataRate::from_bps((ctx.spec.fluid_threshold_kbps * 1e3).round() as u64);
         // `--set sim_mode=...` pins one mode; the default spec (packet)
         // means "compare all three".
@@ -116,7 +113,7 @@ impl Experiment for ExtHybridMode {
         } else {
             vec![ctx.spec.sim_mode]
         };
-        let with_perf_series = ctx.spec.flag("perf_series").unwrap_or(true);
+        let with_perf_series = ctx.spec.flag("perf_series")?;
         let duration = ctx.spec.duration;
         let seed = ctx.spec.seed;
         let scenario = ctx.scenario();

@@ -6,7 +6,7 @@
 //! This study quantifies the raw material for that: how close are the
 //! K shortest alternates to the shortest path, and how disjoint are they?
 
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_routing::graph::DelayGraph;
@@ -18,22 +18,19 @@ use hypatia_viz::csv::ecdf;
 pub struct ExtMultipathDiversity;
 
 impl Experiment for ExtMultipathDiversity {
-    fn name(&self) -> &'static str {
-        "ext_multipath_diversity"
+    fn about(&self) -> About {
+        About {
+            name: "ext_multipath_diversity",
+            label: Some("Extension"),
+            title: "K-shortest-path diversity on Kuiper K1",
+            knobs: "",
+            faults: false,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Extension")
-    }
-
-    fn title(&self) -> &'static str {
-        "K-shortest-path diversity on Kuiper K1"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let (cities, k, instants) = if full { (40, 8.0, 5.0) } else { (15, 4.0, 2.0) };
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(cities),
             pairs: PairSelection::MinDistance { km: 2000.0 },
@@ -45,12 +42,9 @@ impl Experiment for ExtMultipathDiversity {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let k = ctx.spec.num("k").unwrap_or(4.0) as usize;
-        let instants = ctx.spec.num("instants").unwrap_or(2.0) as u64;
-        let min_km = match ctx.spec.pairs {
-            PairSelection::MinDistance { km } => km,
-            _ => 2000.0,
-        };
+        let k = ctx.spec.whole("k", 2)? as usize;
+        let instants = ctx.spec.whole("instants", 1)?;
+        let min_km = ctx.spec.min_pair_distance_km()?;
         let scenario = ctx.scenario();
         let c = &*scenario.constellation;
         let cities = c.num_ground_stations();
@@ -60,7 +54,7 @@ impl Experiment for ExtMultipathDiversity {
         let mut disjointness = Vec::new(); // fraction of 2nd path's satellites not on 1st
 
         for inst in 0..instants {
-            let t = SimTime::from_secs(inst * 40);
+            let t = SimTime::from_secs(u64::from(inst) * 40);
             let graph = DelayGraph::snapshot(c, t);
             for i in 0..cities {
                 for j in (i + 1)..cities {
@@ -93,6 +87,11 @@ impl Experiment for ExtMultipathDiversity {
             "ext_multipath_stretch2_ecdf.dat",
             "stretch ecdf",
             &ecdf(&stretch_2nd),
+        )?;
+        ctx.sink.write_series(
+            "ext_multipath_stretchk_ecdf.dat",
+            "stretch ecdf",
+            &ecdf(&stretch_kth),
         )?;
         ctx.sink.write_series(
             "ext_multipath_disjoint_ecdf.dat",

@@ -5,8 +5,9 @@
 //! one core. We report the same series; absolute slowdown depends on the
 //! host CPU, the shape (slowdown ∝ goodput; TCP ≈ 2× UDP) is the result.
 
+use super::flow_table;
 use crate::experiments::scalability::{drive_point, FlowTable, Workload};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_util::{DataRate, SimDuration};
@@ -15,21 +16,18 @@ use hypatia_util::{DataRate, SimDuration};
 pub struct Fig02;
 
 impl Experiment for Fig02 {
-    fn name(&self) -> &'static str {
-        "fig02_scalability"
+    fn about(&self) -> About {
+        About {
+            name: "fig02_scalability",
+            label: Some("Fig. 2"),
+            title: "Scalability: slowdown vs goodput (TCP and UDP)",
+            knobs: "duration_s step_ms queue_packets seed",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 2")
-    }
-
-    fn title(&self) -> &'static str {
-        "Scalability: slowdown vs goodput (TCP and UDP)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(if full { 100 } else { 30 }),
             pairs: PairSelection::Permutation,
@@ -56,19 +54,13 @@ impl Experiment for Fig02 {
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
         // A bare number is a one-point sweep.
-        let rates_mbps = ctx.spec.list("line_rates_mbps").ok_or_else(|| {
-            RunError::BadSpec("fig02_scalability needs a line_rates_mbps list".into())
-        })?;
+        let rates_mbps = ctx.spec.list("line_rates_mbps")?;
         let rates: Vec<DataRate> =
             rates_mbps.iter().map(|&m| DataRate::from_bps((m * 1e6).round() as u64)).collect();
         let duration = ctx.spec.duration;
         let seed = ctx.spec.seed;
-        let with_slowdown = ctx.spec.flag("slowdown").unwrap_or(true);
-        let flow_table = match ctx.spec.text("flow_table") {
-            None => FlowTable::Apps,
-            Some(s) => FlowTable::parse(s)
-                .ok_or_else(|| RunError::BadSpec(format!("unknown flow table {s:?}")))?,
-        };
+        let with_slowdown = ctx.spec.flag("slowdown")?;
+        let flow_table = flow_table(&ctx.spec)?;
         let scenario = ctx.scenario();
         let driver = ctx.driver();
 

@@ -6,8 +6,8 @@
 //! both series per pair.
 
 use super::{named_pairs, pair_slug, CANONICAL_PAIRS};
-use crate::experiments::rtt_fluctuations::{run, RttFluctuationConfig};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::experiments::rtt_fluctuations::run;
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_util::SimDuration;
@@ -16,21 +16,18 @@ use hypatia_util::SimDuration;
 pub struct Fig03;
 
 impl Experiment for Fig03 {
-    fn name(&self) -> &'static str {
-        "fig03_rtt_fluctuations"
+    fn about(&self) -> About {
+        About {
+            name: "fig03_rtt_fluctuations",
+            label: Some("Fig. 3"),
+            title: "RTT fluctuations: pings vs computed (Kuiper K1)",
+            knobs: "duration_s step_ms line_rate_mbps",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 3")
-    }
-
-    fn title(&self) -> &'static str {
-        "RTT fluctuations: pings vs computed (Kuiper K1)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(100),
             pairs: PairSelection::Named(
@@ -45,12 +42,8 @@ impl Experiment for Fig03 {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let cfg = RttFluctuationConfig {
-            duration: ctx.spec.duration,
-            ping_interval: SimDuration::from_secs_f64(
-                ctx.spec.num("ping_interval_ms").unwrap_or(10.0) / 1e3,
-            ),
-        };
+        let duration = ctx.spec.duration;
+        let ping_interval = SimDuration::from_secs_f64(ctx.spec.num("ping_interval_ms")? / 1e3);
         let pairs = named_pairs(&ctx.spec)?;
         let scenario = ctx.scenario();
         let driver = ctx.driver();
@@ -60,7 +53,7 @@ impl Experiment for Fig03 {
             "pair", "min (ms)", "max (ms)", "ratio", "outage (s)", "pings rx/tx"
         );
         for (src, dst) in &pairs {
-            let r = run(&scenario, src, dst, &cfg, &driver)?;
+            let r = run(&scenario, src, dst, duration, ping_interval, &driver)?;
             r.run.record(&mut ctx.sink);
             println!(
                 "{:<36} {:>10.1} {:>10.1} {:>8.2} {:>12.1} {:>7}/{}",

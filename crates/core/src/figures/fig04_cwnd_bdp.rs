@@ -6,7 +6,7 @@
 
 use super::{named_pairs, pair_slug, CANONICAL_PAIRS};
 use crate::experiments::tcp_single::{bdp_plus_q_series, flow_tag, run};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
 use hypatia_util::SimDuration;
@@ -15,21 +15,18 @@ use hypatia_util::SimDuration;
 pub struct Fig04;
 
 impl Experiment for Fig04 {
-    fn name(&self) -> &'static str {
-        "fig04_cwnd_bdp"
+    fn about(&self) -> About {
+        About {
+            name: "fig04_cwnd_bdp",
+            label: Some("Fig. 4"),
+            title: "TCP (NewReno) cwnd evolution vs BDP+Q (Kuiper K1)",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets cc",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 4")
-    }
-
-    fn title(&self) -> &'static str {
-        "TCP (NewReno) cwnd evolution vs BDP+Q (Kuiper K1)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(100),
             pairs: PairSelection::Named(

@@ -16,7 +16,7 @@
 
 use super::first_pair;
 use crate::experiments::tcp_single::{flow_tag, run, CcKind, TcpSingleResult};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
 use hypatia_util::SimDuration;
@@ -25,21 +25,18 @@ use hypatia_util::SimDuration;
 pub struct Fig05Cc;
 
 impl Experiment for Fig05Cc {
-    fn name(&self) -> &'static str {
-        "fig05_cc_rates_rtt"
+    fn about(&self) -> About {
+        About {
+            name: "fig05_cc_rates_rtt",
+            label: Some("Fig. 5"),
+            title: "NewReno vs Vegas (and CUBIC, BBR) on Rio de Janeiro -> St. Petersburg",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 5")
-    }
-
-    fn title(&self) -> &'static str {
-        "NewReno vs Vegas (and CUBIC, BBR) on Rio de Janeiro -> St. Petersburg"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(100),
             pairs: PairSelection::Named(vec![(

@@ -17,7 +17,7 @@
 
 use crate::analysis::{fraction_where, percentile};
 use crate::experiments::pair_sweep::{self, PairStats, PairSweepConfig};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
 use hypatia_util::SimDuration;
@@ -31,21 +31,18 @@ type Sweep = (&'static str, Vec<PairStats>);
 pub struct Fig06_08;
 
 impl Experiment for Fig06_08 {
-    fn name(&self) -> &'static str {
-        "fig06_08_rtt_path_ecdfs"
+    fn about(&self) -> About {
+        About {
+            name: "fig06_08_rtt_path_ecdfs",
+            label: Some("Figs. 6-8"),
+            title: "RTTs, their variation and path changes (ECDFs across pairs)",
+            knobs: "duration_s step_ms",
+            faults: false,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Figs. 6-8")
-    }
-
-    fn title(&self) -> &'static str {
-        "RTTs, their variation and path changes (ECDFs across pairs)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(if full { 100 } else { 40 }),
             pairs: PairSelection::MinDistance { km: 500.0 },
@@ -56,7 +53,7 @@ impl Experiment for Fig06_08 {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let sweeps = three_constellation_sweep(&ctx.spec);
+        let sweeps = three_constellation_sweep(&ctx.spec)?;
         fig06(ctx, &sweeps)?;
         println!();
         fig07(ctx, &sweeps)?;
@@ -68,16 +65,13 @@ impl Experiment for Fig06_08 {
 /// The pair sweep over Telesat T1, Kuiper K1 and Starlink S1 — the paper's
 /// comparison set — driven by one spec: ground segment, duration, step,
 /// minimum pair distance and thread count all come from it.
-fn three_constellation_sweep(spec: &ExperimentSpec) -> Vec<Sweep> {
+fn three_constellation_sweep(spec: &ExperimentSpec) -> Result<Vec<Sweep>, RunError> {
     let gses = spec.ground.stations();
     let cities = gses.len();
     let cfg = PairSweepConfig {
         duration: spec.duration,
         step: spec.step,
-        min_pair_distance_km: match spec.pairs {
-            PairSelection::MinDistance { km } => km,
-            _ => 500.0,
-        },
+        min_pair_distance_km: spec.min_pair_distance_km()?,
         threads: spec.threads,
         routing: spec.routing_config(),
     };
@@ -87,14 +81,14 @@ fn three_constellation_sweep(spec: &ExperimentSpec) -> Vec<Sweep> {
         ("Kuiper K1", ConstellationChoice::KuiperK1),
         ("Starlink S1", ConstellationChoice::StarlinkS1),
     ];
-    choices
+    Ok(choices
         .into_iter()
         .map(|(name, choice)| {
             eprintln!("  sweeping {name} ({cities} cities)...");
             let c = choice.build(gses.clone());
             (name, pair_sweep::run(&c, &cfg))
         })
-        .collect()
+        .collect())
 }
 
 /// `f` of every pair, non-finite values dropped.

@@ -5,8 +5,8 @@
 //! (~0.4%); 1000 ms misses one or more changes for a substantial share
 //! (~6%).
 
-use crate::experiments::granularity::{run, GranularityConfig};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::experiments::granularity::run;
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_util::SimDuration;
@@ -16,21 +16,18 @@ use hypatia_viz::csv::ecdf;
 pub struct Fig09;
 
 impl Experiment for Fig09 {
-    fn name(&self) -> &'static str {
-        "fig09_timestep"
+    fn about(&self) -> About {
+        About {
+            name: "fig09_timestep",
+            label: Some("Fig. 9"),
+            title: "Time-step granularity for forwarding updates (Kuiper K1)",
+            knobs: "duration_s step_ms",
+            faults: false,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 9")
-    }
-
-    fn title(&self) -> &'static str {
-        "Time-step granularity for forwarding updates (Kuiper K1)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(if full { 100 } else { 20 }),
             pairs: PairSelection::MinDistance { km: 500.0 },
@@ -43,25 +40,8 @@ impl Experiment for Fig09 {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let cfg = GranularityConfig {
-            duration: ctx.spec.duration,
-            fine_step: ctx.spec.step,
-            coarse_multiples: ctx
-                .spec
-                .list("coarse_multiples")
-                .unwrap_or(&[2.0, 20.0])
-                .iter()
-                .map(|&m| m as u64)
-                .collect(),
-            min_pair_distance_km: match ctx.spec.pairs {
-                PairSelection::MinDistance { km } => km,
-                _ => 500.0,
-            },
-            threads: ctx.spec.threads,
-            routing: ctx.spec.routing_config(),
-        };
         let scenario = ctx.scenario();
-        let r = run(&scenario.constellation, &cfg);
+        let r = run(&scenario.constellation, &ctx.spec)?;
 
         println!("pairs analysed: {}", r.pairs);
         println!(

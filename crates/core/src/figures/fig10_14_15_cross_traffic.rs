@@ -21,10 +21,8 @@
 //! loop-free alternates relieve those hotspots, and at what goodput?
 
 use super::named_pairs;
-use crate::experiments::cross_traffic::{
-    fraction_time_unused_above, run, CrossTrafficConfig, CrossTrafficResult,
-};
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::experiments::cross_traffic::{fraction_time_unused_above, run, CrossTrafficResult};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_routing::forwarding::compute_forwarding_state;
@@ -33,6 +31,7 @@ use hypatia_viz::util_viz::{
     isl_utilization_map, mean_utilization_in_lon_band, summarize, to_json, top_hotspots,
     IslUtilization,
 };
+use std::fmt::Write as _;
 
 /// Figs. 10, 14, 15 and the TE study as one registered experiment.
 #[allow(non_camel_case_types)]
@@ -49,12 +48,28 @@ fn fig10_check(dynamic: f64, frozen: f64) -> String {
     )
 }
 
-/// One TE table row: goodput, mean utilization, >90%-utilized and active
-/// links of `map`.
-fn te_row(label: &str, r: &CrossTrafficResult, map: &[IslUtilization]) -> (f64, usize, usize) {
+/// The TE study's check: multipath leaves strictly fewer >90%-utilized
+/// links than the single shortest path.
+fn te_check(single: usize, multipath: usize) -> String {
+    format!(
+        "Paper's §5.4/§6 takeaway, >90%-utilized links: multipath ({multipath}) < single path \
+         ({single}) — {}",
+        if multipath < single { "HOLDS" } else { "DIFFERS (check scale/params)" }
+    )
+}
+
+/// Append one TE table row to `table`: goodput, mean utilization,
+/// >90%-utilized and active links of `map`.
+fn te_row(
+    table: &mut String,
+    label: &str,
+    r: &CrossTrafficResult,
+    map: &[IslUtilization],
+) -> (f64, usize, usize) {
     let s = summarize(map);
     let hot = map.iter().filter(|l| l.utilization > 0.9).count();
-    println!(
+    let _ = writeln!(
+        table,
         "{label:<22} {:>7.1}Mb {:>12.4} {:>12} {:>14}",
         r.total_goodput_mbps, s.mean, hot, s.active_links
     );
@@ -62,19 +77,17 @@ fn te_row(label: &str, r: &CrossTrafficResult, map: &[IslUtilization]) -> (f64, 
 }
 
 impl Experiment for Fig10_14_15 {
-    fn name(&self) -> &'static str {
-        "fig10_14_15_cross_traffic"
+    fn about(&self) -> About {
+        About {
+            name: "fig10_14_15_cross_traffic",
+            label: Some("Figs. 10/14/15"),
+            title: "Cross-traffic on Kuiper K1: unused bandwidth, utilization, multipath TE",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets utilization_bucket_s seed",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Figs. 10/14/15")
-    }
-
-    fn title(&self) -> &'static str {
-        "Cross-traffic on Kuiper K1: unused bandwidth, utilization, multipath TE"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         // The paper's pairs need the full city set. The reduced run takes
         // two disjoint pairs from the top 30: Rio–Moscow is a long, churning
         // route that stays connected (unlike St. Petersburg), so Fig. 10's
@@ -85,7 +98,6 @@ impl Experiment for Fig10_14_15 {
             (30, 100, 50.0, [("Rio de Janeiro", "Moscow"), ("New York", "Paris")])
         };
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::TopCities(cities),
             pairs: PairSelection::Named(
@@ -115,25 +127,23 @@ impl Experiment for Fig10_14_15 {
             )));
         }
         let secs = duration.secs_f64();
-        let instant = |key: &str, default: f64| match ctx.spec.num(key).unwrap_or(default) {
+        let instant = |key: &str| match ctx.spec.num(key)? {
             s if (0.0..secs).contains(&s) => Ok(s as u64),
             s => Err(RunError::BadSpec(format!("{key} must lie in [0, {secs}) s, got {s}"))),
         };
-        let snapshots =
-            [instant("snapshot_early_s", 10.0)?, instant("snapshot_late_s", secs - 10.0)?];
+        let snapshots = [instant("snapshot_early_s")?, instant("snapshot_late_s")?];
         // The utilization bucket holding each snapshot instant.
         let bucket = ctx.spec.utilization_bucket.ok_or_else(|| {
             RunError::BadSpec(format!("{} needs utilization_bucket_s", self.name()))
         })?;
         let bucket_of = |sec: u64| (SimDuration::from_secs(sec) / bucket) as usize;
-        let stretch = ctx.spec.num("multipath_stretch").unwrap_or(1.2);
+        let stretch = ctx.spec.num("multipath_stretch")?;
         let (fig10, fig14) = (&pairs[0], &pairs[pairs.len() - 1]);
         let scenario = ctx.scenario();
         let driver = ctx.driver();
         let cap_mbps = ctx.spec.line_rate.mbps_f64();
         let simulate = |frozen, multipath_stretch| {
-            let cfg = CrossTrafficConfig { duration, seed, frozen, multipath_stretch };
-            run(&scenario, &pairs, &cfg, &driver)
+            run(&scenario, &pairs, duration, seed, frozen, multipath_stretch, &driver)
         };
 
         // Fig. 10: the first pair's unused bandwidth, frozen then dynamic.
@@ -214,17 +224,19 @@ impl Experiment for Fig10_14_15 {
         // The TE study: the dynamic run against multipath, mapped at t = late.
         println!();
         println!("== Multipath TE: single shortest path vs downhill alternates at t={late}s");
-        println!(
-            "{:<22} {:>10} {:>12} {:>12} {:>14}",
+        let mut table = format!(
+            "{:<22} {:>10} {:>12} {:>12} {:>14}\n",
             "forwarding", "goodput", "mean util", "links >90%", "active links"
         );
-        let sp = te_row("single shortest path", &r, &map);
+        let sp = te_row(&mut table, "single shortest path", &r, &map);
         drop((r, map));
         let mp_label = format!("multipath ({stretch}x)");
         let mp = simulate(false, Some(stretch))?;
         mp.run.record(&mut ctx.sink);
         let mp_map = isl_utilization_map(&mp.sim, bucket_of(late), SimTime::from_secs(late));
-        let mp = te_row(&mp_label, &mp, &mp_map);
+        let mp = te_row(&mut table, &mp_label, &mp, &mp_map);
+        print!("{table}");
+        ctx.sink.write_text("ext_multipath_te.txt", &table)?;
         println!(
             "multipath spreads load over {} vs {} links and changes >90%-utilized links {} -> {}",
             mp.2, sp.2, sp.1, mp.1
@@ -235,8 +247,7 @@ impl Experiment for Fig10_14_15 {
             mp.0,
             if mp.0 >= sp.0 * 0.95 { "no tax" } else { "note: stretch costs some goodput" }
         );
-        println!("Takeaway: downhill alternates add loop-free capacity exactly where");
-        println!("the paper's Fig. 15 shows shortest-path concentration.");
+        println!("{}", te_check(sp.1, mp.1));
         Ok(())
     }
 }
@@ -253,5 +264,16 @@ mod tests {
             fig10_check(0.31, 0.11),
             "Paper's qualitative check: dynamic (31.0%) > frozen (11.0%) — HOLDS"
         );
+    }
+
+    #[test]
+    fn te_check_holds_only_on_fewer_hot_links() {
+        assert_eq!(
+            te_check(74, 75),
+            "Paper's §5.4/§6 takeaway, >90%-utilized links: multipath (75) < single path (74) \
+             — DIFFERS (check scale/params)"
+        );
+        assert!(te_check(74, 74).ends_with("DIFFERS (check scale/params)"));
+        assert!(te_check(128, 93).ends_with("— HOLDS"));
     }
 }

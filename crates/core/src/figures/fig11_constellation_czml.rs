@@ -6,7 +6,7 @@
 //! inclination covers the poles, the others concentrate density at the
 //! latitudes where people live.
 
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_orbit::frames::ecef_to_geodetic;
@@ -17,23 +17,20 @@ use hypatia_viz::czml::{constellation_czml, CzmlOptions};
 pub struct Fig11;
 
 impl Experiment for Fig11 {
-    fn name(&self) -> &'static str {
-        "fig11_constellation_czml"
+    fn about(&self) -> About {
+        About {
+            name: "fig11_constellation_czml",
+            label: Some("Fig. 11"),
+            title: "Constellation trajectories (CZML export)",
+            knobs: "duration_s step_ms",
+            faults: false,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 11")
-    }
-
-    fn title(&self) -> &'static str {
-        "Constellation trajectories (CZML export)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         // `duration` is the CZML document horizon and `step` its sample
         // interval; no ground segment or packet simulation is involved.
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::Cities(Vec::new()),
             pairs: PairSelection::Named(Vec::new()),
@@ -49,7 +46,7 @@ impl Experiment for Fig11 {
         let opts = CzmlOptions {
             sample_interval: ctx.spec.step,
             duration: ctx.spec.duration,
-            pixel_size: ctx.spec.num("pixel_size").unwrap_or(3.0) as u32,
+            pixel_size: ctx.spec.whole("pixel_size", 1)?,
         };
 
         for choice in [

@@ -5,7 +5,7 @@
 //! minimum elevation), and reports the connectivity windows behind the
 //! Fig. 3(a) outage.
 
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_constellation::GroundStation;
@@ -16,21 +16,18 @@ use hypatia_viz::ground_view::{connectivity_windows, GroundView};
 pub struct Fig12;
 
 impl Experiment for Fig12 {
-    fn name(&self) -> &'static str {
-        "fig12_ground_view"
+    fn about(&self) -> About {
+        About {
+            name: "fig12_ground_view",
+            label: Some("Fig. 12"),
+            title: "Ground observer view: St. Petersburg over Kuiper K1",
+            knobs: "duration_s",
+            faults: false,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 12")
-    }
-
-    fn title(&self) -> &'static str {
-        "Ground observer view: St. Petersburg over Kuiper K1"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::KuiperK1,
             ground: GroundSegment::Cities(vec![GroundStation::new(
                 "Saint Petersburg",
@@ -53,7 +50,7 @@ impl Experiment for Fig12 {
         let c = ctx.spec.constellation.build(vec![gs.clone()]);
 
         let horizon = ctx.spec.duration;
-        let scan_step = SimDuration::from_secs_f64(ctx.spec.num("scan_step_s").unwrap_or(5.0));
+        let scan_step = SimDuration::from_secs_f64(ctx.spec.num("scan_step_s")?);
         let windows = connectivity_windows(&c, &gs, horizon, scan_step);
 
         println!("connectivity windows over {:.0} s:", horizon.secs_f64());

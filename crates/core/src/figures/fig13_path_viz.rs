@@ -6,7 +6,7 @@
 //! where the long path needs 9 zig-zag hops to exit the orbit vs 6).
 
 use super::first_pair;
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
 use hypatia_routing::forwarding::compute_forwarding_state;
@@ -19,22 +19,19 @@ use hypatia_viz::path_viz::PathSnapshot;
 pub struct Fig13;
 
 impl Experiment for Fig13 {
-    fn name(&self) -> &'static str {
-        "fig13_path_viz"
+    fn about(&self) -> About {
+        About {
+            name: "fig13_path_viz",
+            label: Some("Fig. 13"),
+            title: "Shortest-path changes over time: Paris -> Luanda (Starlink S1)",
+            knobs: "duration_s step_ms",
+            faults: false,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Fig. 13")
-    }
-
-    fn title(&self) -> &'static str {
-        "Shortest-path changes over time: Paris -> Luanda (Starlink S1)"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let (secs, step_ms) = if full { (200, 100) } else { (120, 1000) };
         ExperimentSpec {
-            experiment: self.name().to_string(),
             constellation: ConstellationChoice::StarlinkS1,
             ground: GroundSegment::TopCities(100),
             pairs: PairSelection::Named(vec![("Paris".to_string(), "Luanda".to_string())]),

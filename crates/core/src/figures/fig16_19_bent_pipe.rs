@@ -7,7 +7,7 @@
 //! device) and modestly lower throughput (Fig. 19).
 
 use crate::experiments::bent_pipe::run;
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_constellation::GroundStation;
 use hypatia_util::SimDuration;
@@ -17,22 +17,19 @@ use hypatia_util::SimDuration;
 pub struct Fig16_19;
 
 impl Experiment for Fig16_19 {
-    fn name(&self) -> &'static str {
-        "fig16_19_bent_pipe"
+    fn about(&self) -> About {
+        About {
+            name: "fig16_19_bent_pipe",
+            label: Some("Figs. 16-19"),
+            title: "Paris -> Moscow: ISLs vs bent-pipe ground relays",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets",
+            faults: true,
+        }
     }
 
-    fn label(&self) -> Option<&'static str> {
-        Some("Figs. 16-19")
-    }
-
-    fn title(&self) -> &'static str {
-        "Paris -> Moscow: ISLs vs bent-pipe ground relays"
-    }
-
-    fn spec(&self, full: bool) -> ExperimentSpec {
+    fn defaults(&self, full: bool) -> ExperimentSpec {
         let (secs, spacing, margin) = if full { (200, 3.0, 3.0) } else { (60, 4.0, 2.0) };
         let mut spec = ExperimentSpec {
-            experiment: self.name().to_string(),
             ground: GroundSegment::Cities(vec![
                 GroundStation::new("Paris", 48.8566, 2.3522),
                 GroundStation::new("Moscow", 55.7558, 37.6173),

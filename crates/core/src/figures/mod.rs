@@ -27,6 +27,7 @@ pub mod table1;
 
 pub(crate) use crate::experiments::{pair_slug, CANONICAL_PAIRS};
 
+use crate::experiments::scalability::FlowTable;
 use crate::runner::{Experiment, RunError};
 use crate::spec::ExperimentSpec;
 use hypatia_util::DataRate;
@@ -69,26 +70,24 @@ pub(crate) fn first_pair(spec: &ExperimentSpec) -> Result<(String, String), RunE
     Ok(named_pairs(spec)?.swap_remove(0))
 }
 
+/// The `flow_table` param: `apps` or `arena`.
+pub(crate) fn flow_table(spec: &ExperimentSpec) -> Result<FlowTable, RunError> {
+    let name = spec.text("flow_table")?;
+    FlowTable::parse(name).ok_or_else(|| {
+        RunError::BadSpec(format!("param \"flow_table\" expects apps or arena, got {name:?}"))
+    })
+}
+
 /// The flow counts and per-flow rate of a traffic-matrix sweep: `--set
-/// flows=N` pins one point, otherwise the `flow_counts` list (default
-/// `counts`) drives it; `flow_rate_kbps` defaults to `rate_kbps`. Both
-/// must be positive.
-pub(crate) fn flow_sweep(
-    spec: &ExperimentSpec,
-    counts: &[f64],
-    rate_kbps: f64,
-) -> Result<(Vec<u64>, DataRate), RunError> {
+/// flows=N` pins one point, otherwise the `flow_counts` list drives it;
+/// `flow_rate_kbps` must be positive.
+pub(crate) fn flow_sweep(spec: &ExperimentSpec) -> Result<(Vec<u64>, DataRate), RunError> {
     let counts: Vec<u64> = match spec.flows {
         Some(n) => vec![n],
-        None => {
-            spec.list("flow_counts").unwrap_or(counts).iter().map(|&x| x.round() as u64).collect()
-        }
+        None => spec.wholes("flow_counts", 1)?.into_iter().map(u64::from).collect(),
     };
-    if let Some(&bad) = counts.iter().find(|&&n| n == 0) {
-        return Err(RunError::BadSpec(format!("flow_counts must be positive, got {bad}")));
-    }
-    let rate_kbps = spec.num("flow_rate_kbps").unwrap_or(rate_kbps);
-    if !rate_kbps.is_finite() || rate_kbps <= 0.0 {
+    let rate_kbps = spec.num("flow_rate_kbps")?;
+    if rate_kbps <= 0.0 {
         return Err(RunError::BadSpec(format!("flow_rate_kbps must be positive, got {rate_kbps}")));
     }
     Ok((counts, DataRate::from_bps((rate_kbps * 1e3).round() as u64)))

@@ -3,7 +3,7 @@
 //! Regenerates the paper's table from the encoded FCC/ITU filing values
 //! and verifies the per-constellation satellite totals.
 
-use crate::runner::{Experiment, RunContext, RunError};
+use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
 use hypatia_constellation::presets;
 
@@ -11,17 +11,18 @@ use hypatia_constellation::presets;
 pub struct Table1;
 
 impl Experiment for Table1 {
-    fn name(&self) -> &'static str {
-        "table1_constellations"
+    fn about(&self) -> About {
+        About {
+            name: "table1_constellations",
+            label: None,
+            title: "Shell configurations (from FCC/ITU filings)",
+            knobs: "",
+            faults: false,
+        }
     }
 
-    fn title(&self) -> &'static str {
-        "Shell configurations (from FCC/ITU filings)"
-    }
-
-    fn spec(&self, _full: bool) -> ExperimentSpec {
+    fn defaults(&self, _full: bool) -> ExperimentSpec {
         ExperimentSpec {
-            experiment: self.name().to_string(),
             ground: GroundSegment::Cities(Vec::new()),
             pairs: PairSelection::Named(Vec::new()),
             ..ExperimentSpec::default()

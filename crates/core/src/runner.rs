@@ -246,20 +246,48 @@ impl RunContext {
     }
 }
 
-/// One registered experiment.
-pub trait Experiment {
+/// Knobs every experiment accepts, space-separated: by design they move
+/// no artifact (`sim_shards` is retired and warns above 1).
+pub(crate) const LIFECYCLE_KNOBS: &str =
+    "threads repair_churn_threshold sim_shards checkpoint_every_s resume_from audit";
+
+/// Params every experiment accepts: the watchdog's limits.
+pub(crate) const LIFECYCLE_PARAMS: [&str; 2] = ["deadline_s", "max_rss_mb"];
+
+/// What an experiment is, and what of its spec it reads beyond the
+/// lifecycle inputs and the params of its default specs:
+/// [`ExperimentRunner::run`] refuses any other knob set off its default,
+/// and a fault scenario unless `faults`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct About {
     /// Registry name, e.g. `fig03_rtt_fluctuations`.
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// The paper's figure label, e.g. `Fig. 3` (None for label-less runs
     /// like Table 1 — the driver prints a banner only when this is Some).
-    fn label(&self) -> Option<&'static str> {
-        None
-    }
+    pub label: Option<&'static str>,
     /// Human-readable title (the figure caption's subject).
-    fn title(&self) -> &'static str;
-    /// The default spec at reduced (`full = false`) or paper (`full = true`)
-    /// scale.
-    fn spec(&self, full: bool) -> ExperimentSpec;
+    pub title: &'static str,
+    /// The `KNOBS` keys it reads, space-separated.
+    pub knobs: &'static str,
+    /// Whether it applies the spec's fault scenario.
+    pub faults: bool,
+}
+
+/// One registered experiment.
+pub trait Experiment {
+    /// Its name, label and title, and what it reads.
+    fn about(&self) -> About;
+    /// Registry name, e.g. `fig03_rtt_fluctuations`.
+    fn name(&self) -> &'static str {
+        self.about().name
+    }
+    /// Its default spec at reduced (`full = false`) or paper (`full = true`)
+    /// scale, unnamed: the one definition of each param it reads.
+    fn defaults(&self, full: bool) -> ExperimentSpec;
+    /// [`Self::defaults`], named after the experiment.
+    fn spec(&self, full: bool) -> ExperimentSpec {
+        ExperimentSpec { experiment: self.name().into(), ..self.defaults(full) }
+    }
     /// Execute against the context, writing artifacts through `ctx.sink`.
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError>;
 }
@@ -298,7 +326,9 @@ impl ExperimentRunner {
         Ok(self.get(name)?.spec(full))
     }
 
-    /// Execute `spec` into `sink`, the one way to run an experiment: the
+    /// Execute `spec` into `sink`, the one way to run an experiment. An
+    /// input the experiment does not read is [`RunError::BadSpec`] before
+    /// anything runs (see [`About`]). The
     /// spec's `deadline_s` / `max_rss_mb` arm the context's [`Watchdog`],
     /// a panic becomes [`RunError::Panicked`], and the run ends with its
     /// `manifest.json` (returned with the sink). A failed run still
@@ -313,12 +343,49 @@ impl ExperimentRunner {
     }
 }
 
+/// Err naming the first input of `spec` that `exp` does not read: a knob
+/// off its default that is neither declared nor lifecycle, a param of
+/// neither default spec nor lifecycle, or a fault scenario it does not
+/// apply.
+fn check_reads(exp: &dyn Experiment, spec: &ExperimentSpec) -> Result<(), RunError> {
+    let about = exp.about();
+    let bad = |what: String| Err(RunError::BadSpec(format!("{} {what}", about.name)));
+    let knobs: Vec<&str> = about.knobs.split_whitespace().collect();
+    let lifecycle: Vec<&str> = LIFECYCLE_KNOBS.split_whitespace().collect();
+    let unread = |k: &&str| !lifecycle.contains(k) && !knobs.contains(k);
+    if let Some(key) = spec.knobs_off_default().into_iter().find(unread) {
+        return bad(format!("does not read {key} (it reads {knobs:?})"));
+    }
+    let params = default_params(exp);
+    let unknown = |k: &&String| !LIFECYCLE_PARAMS.contains(&k.as_str()) && !params.contains(k);
+    if let Some(key) = spec.params.keys().find(unknown) {
+        return bad(format!("has no param {key} (its params: {params:?})"));
+    }
+    if spec.faults.is_some() && !about.faults {
+        return bad("applies no fault scenario: drop its fault keys (sat_outage, isl_cut, \
+             gsl_weather, fault_seed, {sat,isl}_{mttf,mttr}_s)"
+            .into());
+    }
+    Ok(())
+}
+
+/// The params of `exp`'s reduced and full default specs, sorted: the
+/// params it reads.
+pub fn default_params(exp: &dyn Experiment) -> Vec<String> {
+    let mut keys: Vec<String> =
+        [false, true].into_iter().flat_map(|full| exp.spec(full).params.into_keys()).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
 /// [`ExperimentRunner::run`] once the experiment is found.
 fn supervise(
     exp: &dyn Experiment,
     spec: ExperimentSpec,
     sink: ArtifactSink,
 ) -> Result<(PathBuf, ArtifactSink), RunError> {
+    check_reads(exp, &spec)?;
     // A deadline beyond `Duration`'s range never fires.
     let deadline = limit(&spec, "deadline_s")?
         .map(|s| Duration::try_from_secs_f64(s).unwrap_or(Duration::MAX));
@@ -358,7 +425,7 @@ fn supervise(
 fn limit(spec: &ExperimentSpec, key: &str) -> Result<Option<f64>, RunError> {
     match (spec.params.contains_key(key), spec.num(key)) {
         (false, _) => Ok(None),
-        (true, Some(x)) if x.is_finite() && x > 0.0 => Ok(Some(x)),
+        (true, Ok(x)) if x > 0.0 => Ok(Some(x)),
         (true, _) => Err(RunError::BadSpec(format!("{key} must be a finite number above 0"))),
     }
 }
@@ -536,6 +603,97 @@ mod tests {
         }
     }
 
+    /// Every experiment's default specs, at both scales, pass its own
+    /// check of what it reads.
+    #[test]
+    fn every_default_spec_passes_its_own_check() {
+        let runner = ExperimentRunner::new();
+        for name in runner.names() {
+            let exp = runner.get(&name).unwrap();
+            for full in [false, true] {
+                check_reads(exp, &exp.spec(full)).unwrap_or_else(|e| panic!("{name} {full}: {e}"));
+            }
+            for key in exp.about().knobs.split_whitespace() {
+                assert!(ExperimentSpec::knobs().any(|k| k.0 == key), "{name}: {key} is no knob");
+                let lifecycle = LIFECYCLE_KNOBS.split_whitespace().any(|k| k == key);
+                assert!(!lifecycle, "{name}: {key} is a lifecycle knob");
+            }
+        }
+    }
+
+    /// An input the experiment does not read is a bad spec naming it; the
+    /// lifecycle inputs are accepted everywhere.
+    #[test]
+    fn unread_inputs_are_refused_and_lifecycle_ones_accepted() {
+        let runner = ExperimentRunner::new();
+        let fig09 = runner.get("fig09_timestep").unwrap();
+        let check = |sets: &[(&str, &str)]| {
+            let mut spec = fig09.spec(false);
+            for (key, value) in sets {
+                spec.set(key, value).unwrap();
+            }
+            check_reads(fig09, &spec)
+        };
+        for (key, value, want) in [
+            ("line_rate_mbps", "1", "does not read line_rate_mbps (it reads [\"duration_s\", \""),
+            ("foo_bar", "3", "has no param foo_bar (its params: [\"coarse_multiples\"])"),
+            (
+                "sat_outage",
+                "100:0:20",
+                "applies no fault scenario: drop its fault keys (sat_outage,",
+            ),
+        ] {
+            match check(&[(key, value)]) {
+                Err(RunError::BadSpec(msg)) => {
+                    assert!(msg.starts_with(&format!("fig09_timestep {want}")), "{msg}")
+                }
+                other => panic!("{key}={value}: {other:?}"),
+            }
+        }
+        // Back at its default, a knob is not an input.
+        check(&[("line_rate_mbps", "1"), ("line_rate_mbps", "10")]).unwrap();
+        let lifecycle = [
+            ("threads", "3"),
+            ("repair_churn_threshold", "0.2"),
+            ("sim_shards", "2"),
+            ("checkpoint_every_s", "1"),
+            ("resume_from", "ckpt"),
+            ("audit", "true"),
+            ("deadline_s", "100"),
+            ("max_rss_mb", "1000"),
+        ];
+        let knobs = LIFECYCLE_KNOBS.split_whitespace().count();
+        assert_eq!(knobs + LIFECYCLE_PARAMS.len(), lifecycle.len());
+        check(&lifecycle).unwrap();
+    }
+
+    /// EXPERIMENTS.md's read-list table says what each experiment reads,
+    /// in registry order.
+    #[test]
+    fn experiments_md_lists_what_each_experiment_reads() {
+        let doc = include_str!("../../../EXPERIMENTS.md");
+        let section = doc.split("\n### What each experiment reads\n").nth(1).expect("the section");
+        let section = section.split("\n#").next().unwrap();
+        let rows: Vec<&str> = section.lines().filter(|l| l.starts_with("| `")).collect();
+        let runner = ExperimentRunner::new();
+        let ticks = |items: Vec<String>| match items.is_empty() {
+            true => "—".to_string(),
+            false => items.iter().map(|i| format!("`{i}`")).collect::<Vec<_>>().join(", "),
+        };
+        let want: Vec<String> = runner
+            .names()
+            .iter()
+            .map(|name| {
+                let exp = runner.get(name).unwrap();
+                let about = exp.about();
+                let knobs = ticks(about.knobs.split_whitespace().map(String::from).collect());
+                let faults = if about.faults { "yes" } else { "no" };
+                format!("| `{name}` | {knobs} | {} | {faults} |", ticks(default_params(exp)))
+            })
+            .collect();
+        assert_eq!(rows, want, "EXPERIMENTS.md's read-list table must read:\n{}", want.join("\n"));
+    }
+
     #[test]
     fn blown_deadline_salvages_an_aborted_manifest_with_the_last_checkpoint() {
         let mut spec = ExperimentSpec {
@@ -548,6 +706,7 @@ mod tests {
         for (key, value) in [
             ("line_rates_mbps", "10"),
             ("slowdown", "false"),
+            ("flow_table", "apps"),
             ("checkpoint_every_s", "0.2"),
             ("deadline_s", "1e-9"),
         ] {
@@ -569,14 +728,12 @@ mod tests {
     fn panic_salvages_the_artifacts_written_before_it() {
         struct Panics;
         impl Experiment for Panics {
-            fn name(&self) -> &'static str {
-                "panics"
+            fn about(&self) -> About {
+                let title = "writes one artifact, then panics";
+                About { name: "panics", label: None, title, knobs: "", faults: false }
             }
-            fn title(&self) -> &'static str {
-                "writes one artifact, then panics"
-            }
-            fn spec(&self, _full: bool) -> ExperimentSpec {
-                ExperimentSpec { experiment: self.name().into(), ..ExperimentSpec::default() }
+            fn defaults(&self, _full: bool) -> ExperimentSpec {
+                ExperimentSpec::default()
             }
             fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
                 ctx.sink.write_text("before.txt", "written before the panic\n")?;
@@ -608,14 +765,11 @@ mod tests {
     fn watchdog_limits_are_checked_before_the_run_starts() {
         struct Noop;
         impl Experiment for Noop {
-            fn name(&self) -> &'static str {
-                "noop"
+            fn about(&self) -> About {
+                About { name: "noop", label: None, title: "does nothing", knobs: "", faults: false }
             }
-            fn title(&self) -> &'static str {
-                "does nothing"
-            }
-            fn spec(&self, _full: bool) -> ExperimentSpec {
-                ExperimentSpec { experiment: self.name().into(), ..ExperimentSpec::default() }
+            fn defaults(&self, _full: bool) -> ExperimentSpec {
+                ExperimentSpec::default()
             }
             fn run(&self, _ctx: &mut RunContext) -> Result<(), RunError> {
                 Ok(())

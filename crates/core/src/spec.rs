@@ -251,39 +251,84 @@ impl ExperimentSpec {
         self.faults.get_or_insert_with(FaultSpec::default)
     }
 
-    /// Numeric extra parameter.
-    pub fn num(&self, key: &str) -> Option<f64> {
-        match self.params.get(key) {
-            Some(ParamValue::Num(x)) => Some(*x),
-            _ => None,
+    /// The minimum distance of a `min_distance_km` pair selection.
+    pub(crate) fn min_pair_distance_km(&self) -> Result<f64, SpecError> {
+        match self.pairs {
+            PairSelection::MinDistance { km } => Ok(km),
+            _ => err(format!("{} needs pairs {{ \"min_distance_km\": X }}", self.experiment)),
         }
+    }
+
+    /// Extra parameter `key` as `read` takes it (`None`: not what `want`
+    /// says); missing or mistyped, the error names the key, `want` and
+    /// the value given.
+    fn param<'a, T>(
+        &'a self,
+        key: &str,
+        want: &str,
+        read: impl FnOnce(&'a ParamValue) -> Option<T>,
+    ) -> Result<T, SpecError> {
+        let Some(v) = self.params.get(key) else {
+            return err(format!("param {key:?} is missing: expects {want}"));
+        };
+        // A non-finite number prints as itself here, not as JSON's stand-in.
+        let given = if let ParamValue::Num(x) = v { x.to_string() } else { param_json(v) };
+        read(v).ok_or_else(|| SpecError(format!("param {key:?} expects {want}, got {given}")))
+    }
+
+    /// Numeric extra parameter (finite).
+    pub fn num(&self, key: &str) -> Result<f64, SpecError> {
+        self.param(key, "a finite number", |v| match v {
+            ParamValue::Num(x) if x.is_finite() => Some(*x),
+            _ => None,
+        })
     }
 
     /// Boolean extra parameter.
-    pub fn flag(&self, key: &str) -> Option<bool> {
-        match self.params.get(key) {
-            Some(ParamValue::Flag(b)) => Some(*b),
+    pub fn flag(&self, key: &str) -> Result<bool, SpecError> {
+        self.param(key, "true or false", |v| match v {
+            ParamValue::Flag(b) => Some(*b),
             _ => None,
-        }
+        })
     }
 
     /// Text extra parameter.
-    pub fn text(&self, key: &str) -> Option<&str> {
-        match self.params.get(key) {
-            Some(ParamValue::Text(s)) => Some(s),
+    pub fn text(&self, key: &str) -> Result<&str, SpecError> {
+        self.param(key, "text", |v| match v {
+            ParamValue::Text(s) => Some(s.as_str()),
             _ => None,
-        }
+        })
     }
 
-    /// Numeric-list extra parameter. `--set key=10` parses as a single
-    /// number, a comma list as a list; a bare number reads as a
-    /// one-element list.
-    pub fn list(&self, key: &str) -> Option<&[f64]> {
-        match self.params.get(key) {
-            Some(ParamValue::List(v)) => Some(v),
-            Some(ParamValue::Num(x)) => Some(std::slice::from_ref(x)),
+    /// Numeric-list extra parameter (finite numbers). `--set key=10`
+    /// parses as a single number, a comma list as a list; a bare number
+    /// reads as a one-element list.
+    pub fn list(&self, key: &str) -> Result<&[f64], SpecError> {
+        self.param(key, "a list of finite numbers", |v| match v {
+            ParamValue::List(xs) if xs.iter().all(|x| x.is_finite()) => Some(xs.as_slice()),
+            ParamValue::Num(x) if x.is_finite() => Some(std::slice::from_ref(x)),
             _ => None,
-        }
+        })
+    }
+
+    /// Whole-number parameter in `min..=u32::MAX`.
+    pub(crate) fn whole(&self, key: &str, min: u32) -> Result<u32, SpecError> {
+        let want = format!("a whole number in {min}..={}", u32::MAX);
+        self.param(key, &want, |v| match v {
+            ParamValue::Num(x) => whole(*x, min),
+            _ => None,
+        })
+    }
+
+    /// Whole-number list parameter, every entry in `min..=u32::MAX`; a
+    /// bare number reads as a one-element list.
+    pub(crate) fn wholes(&self, key: &str, min: u32) -> Result<Vec<u32>, SpecError> {
+        let want = format!("whole numbers in {min}..={}", u32::MAX);
+        self.param(key, &want, |v| match v {
+            ParamValue::List(xs) => xs.iter().map(|&x| whole(x, min)).collect(),
+            ParamValue::Num(x) => Some(vec![whole(*x, min)?]),
+            _ => None,
+        })
     }
 
     /// Every scalar knob's key and doc line, in printing order.
@@ -412,14 +457,9 @@ impl ExperimentSpec {
                 s.push_str("  \"pairs\": \"permutation\",\n");
             }
         }
-        // The table hands out `&mut` fields, so the printer reads a copy.
-        let (mut spec, mut default) = (self.clone(), ExperimentSpec::default());
-        for knob in KNOBS {
-            let text = (knob.field)(&mut spec).json();
-            if knob.required || text != (knob.field)(&mut default).json() {
-                if let Some(text) = text {
-                    let _ = writeln!(s, "  {}: {text},", json_str(knob.key));
-                }
+        for (knob, text, off) in self.knob_values() {
+            if let (true, Some(text)) = (knob.required || off, text) {
+                let _ = writeln!(s, "  {}: {text},", json_str(knob.key));
             }
         }
         if let Some(f) = &self.faults {
@@ -457,19 +497,30 @@ impl ExperimentSpec {
         let params: Vec<String> = self
             .params
             .iter()
-            .map(|(k, v)| {
-                let v = match v {
-                    ParamValue::Num(x) => json_num(*x),
-                    ParamValue::Flag(b) => b.to_string(),
-                    ParamValue::Text(t) => json_str(t),
-                    ParamValue::List(xs) => json_list(xs, |x| json_num(*x)),
-                };
-                format!("\n    {}: {v}", json_str(k))
-            })
+            .map(|(k, v)| format!("\n    {}: {}", json_str(k), param_json(v)))
             .collect();
         let close = if params.is_empty() { "" } else { "\n  " };
         let _ = write!(s, "  \"params\": {{{}{close}}}\n}}", params.join(","));
         s
+    }
+
+    /// Every knob with its printed value (`None` for an unset optional)
+    /// and whether that differs from [`ExperimentSpec::default`]'s.
+    fn knob_values(&self) -> impl Iterator<Item = (&'static Knob, Option<String>, bool)> {
+        // The table hands out `&mut` fields, so this reads copies.
+        let (mut spec, mut default) = (self.clone(), ExperimentSpec::default());
+        KNOBS.iter().map(move |knob| {
+            let text = (knob.field)(&mut spec).json();
+            let off = text != (knob.field)(&mut default).json();
+            (knob, text, off)
+        })
+    }
+
+    /// The keys of the knobs set off their [`ExperimentSpec::default`]
+    /// value, in table order: what [`Self::to_json_string`] prints beyond
+    /// the required knobs.
+    pub(crate) fn knobs_off_default(&self) -> Vec<&'static str> {
+        self.knob_values().filter(|k| k.2).map(|k| k.0.key).collect()
     }
 
     /// Parse a spec from the JSON produced by [`Self::to_json_string`]
@@ -785,6 +836,21 @@ fn infer_param(value: &str) -> ParamValue {
     ParamValue::Text(value.to_string())
 }
 
+/// `x` as a whole number in `min..=u32::MAX`.
+fn whole(x: f64, min: u32) -> Option<u32> {
+    (x.fract() == 0.0 && x >= f64::from(min) && x <= f64::from(u32::MAX)).then_some(x as u32)
+}
+
+/// A param value as its spec file prints it.
+fn param_json(v: &ParamValue) -> String {
+    match v {
+        ParamValue::Num(x) => json_num(*x),
+        ParamValue::Flag(b) => b.to_string(),
+        ParamValue::Text(t) => json_str(t),
+        ParamValue::List(xs) => json_list(xs, |x| json_num(*x)),
+    }
+}
+
 /// The `n` most populous built-in cities, if there are that many.
 fn top_cities_segment(n: u64) -> Result<GroundSegment, String> {
     match usize::try_from(n) {
@@ -1043,14 +1109,43 @@ mod tests {
     fn set_routes_unknown_keys_to_params() {
         let mut spec = sample();
         spec.set("relay_spacing_deg", "4").unwrap();
-        assert_eq!(spec.num("relay_spacing_deg"), Some(4.0));
-        assert_eq!(spec.list("relay_spacing_deg"), Some(&[4.0][..]), "a bare number is a list");
+        assert_eq!(spec.num("relay_spacing_deg"), Ok(4.0));
+        assert_eq!(spec.list("relay_spacing_deg"), Ok(&[4.0][..]), "a bare number is a list");
         spec.set("frozen", "true").unwrap();
-        assert_eq!(spec.flag("frozen"), Some(true));
+        assert_eq!(spec.flag("frozen"), Ok(true));
         spec.set("line_rates_mbps", "1,10,25").unwrap();
-        assert_eq!(spec.list("line_rates_mbps"), Some(&[1.0, 10.0, 25.0][..]));
+        assert_eq!(spec.list("line_rates_mbps"), Ok(&[1.0, 10.0, 25.0][..]));
         spec.set("note", "hello world").unwrap();
-        assert_eq!(spec.text("note"), Some("hello world"));
+        assert_eq!(spec.text("note"), Ok("hello world"));
+    }
+
+    /// A param read is strict: missing, of another type, not finite or
+    /// not a whole number in range, the error names the key, what was
+    /// expected and the value given.
+    #[test]
+    fn param_reads_name_the_key_the_type_and_the_value() {
+        let mut spec = sample();
+        for (key, value) in [("scan_step_s", "fast"), ("k", "2.7"), ("counts", "1,0"), ("x", "nan")]
+        {
+            spec.set(key, value).unwrap();
+        }
+        let e = spec.num("ping_interval_ms_typo").unwrap_err();
+        assert_eq!(e.0, "param \"ping_interval_ms_typo\" is missing: expects a finite number");
+        let e = spec.num("scan_step_s").unwrap_err();
+        assert_eq!(e.0, "param \"scan_step_s\" expects a finite number, got \"fast\"");
+        assert!(spec.num("x").unwrap_err().0.ends_with("got NaN"));
+        assert!(spec.list("x").is_err());
+        assert!(spec.flag("ping_interval_ms").unwrap_err().0.contains("true or false, got 20"));
+        assert!(spec.text("frozen").unwrap_err().0.contains("expects text, got false"));
+        let e = spec.whole("k", 2).unwrap_err();
+        assert_eq!(e.0, "param \"k\" expects a whole number in 2..=4294967295, got 2.7");
+        assert_eq!(spec.whole("ping_interval_ms", 2), Ok(20));
+        assert!(spec.whole("ping_interval_ms", 21).is_err());
+        assert!(spec.whole("coarse_multiples", 1).is_err(), "a list is not a number");
+        assert_eq!(spec.wholes("coarse_multiples", 1), Ok(vec![2, 20]));
+        assert_eq!(spec.wholes("ping_interval_ms", 1), Ok(vec![20]));
+        assert!(spec.wholes("counts", 1).unwrap_err().0.contains("got [1, 0]"));
+        assert_eq!(spec.wholes("counts", 0), Ok(vec![1, 0]));
     }
 
     #[test]

@@ -135,6 +135,7 @@ fn fig02_manifest_is_thread_invariant() {
         };
         spec.params.insert("line_rates_mbps".to_string(), ParamValue::List(vec![1.0, 10.0]));
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(false));
+        spec.params.insert("flow_table".to_string(), ParamValue::Text("apps".to_string()));
         spec
     };
     let with_threads = |threads: usize| ExperimentSpec { threads, ..base.clone() };
@@ -188,6 +189,7 @@ fn faulted_fig02_manifest_is_thread_invariant() {
         };
         spec.params.insert("line_rates_mbps".to_string(), ParamValue::List(vec![10.0]));
         spec.params.insert("slowdown".to_string(), ParamValue::Flag(false));
+        spec.params.insert("flow_table".to_string(), ParamValue::Text("apps".to_string()));
         spec
     };
     let with_threads = |threads: usize| ExperimentSpec { threads, ..base.clone() };
@@ -347,6 +349,7 @@ fn faulted_fig02_base() -> ExperimentSpec {
     };
     spec.params.insert("line_rates_mbps".to_string(), ParamValue::List(vec![10.0]));
     spec.params.insert("slowdown".to_string(), ParamValue::Flag(false));
+    spec.params.insert("flow_table".to_string(), ParamValue::Text("apps".to_string()));
     spec
 }
 
@@ -365,67 +368,88 @@ fn audit_violations(manifest: &str) -> Option<usize> {
     Some(doc.get("audit")?.get("violations")?.as_array().expect("violations array").len())
 }
 
-/// Byte-identical resume: the faulted Fig. 2 workload driven with periodic
-/// checkpoints, then resumed from the snapshots it left on disk, must
-/// reproduce the uninterrupted run's artifacts byte for byte — in packet
-/// and hybrid simulation modes — with conservation audits green
-/// everywhere.
+/// Byte-identical resume of `base` under `tag`: driven with periodic
+/// checkpoints (`checkpoint_every_s`), then resumed from the snapshots it
+/// left on disk (`want_snaps` among them), it must reproduce the plain
+/// run's artifacts byte for byte, with conservation audits green in both
+/// legs.
+fn assert_resumes_byte_identical(
+    tag: &str,
+    base: ExperimentSpec,
+    checkpoint_every_s: &str,
+    want_snaps: &[&str],
+) {
+    let dir_ref = temp_dir(&format!("{tag}_ref"));
+    let (reference, _) = run_quiet(base.clone(), &dir_ref);
+    assert!(!reference.is_empty(), "{tag}: expected artifacts, got none");
+
+    let variant = || {
+        let mut spec = base.clone();
+        spec.set("audit", "true").expect("audit knob");
+        spec.set("checkpoint_every_s", checkpoint_every_s).expect("checkpoint knob");
+        spec
+    };
+
+    // Leg 1: uninterrupted, snapshotting as it goes.
+    let dir1 = temp_dir(&format!("{tag}_leg1"));
+    let (arts1, manifest1) = run_quiet(variant(), &dir1);
+    let snaps = dir1.join("checkpoints");
+    for snap in want_snaps {
+        let snap = snaps.join(format!("{snap}.snap"));
+        assert!(snap.exists(), "{tag}: expected {}", snap.display());
+    }
+
+    // Leg 2: resume from leg 1's snapshots — each simulation restores at
+    // its last snapshot and replays only the tail.
+    let dir2 = temp_dir(&format!("{tag}_leg2"));
+    let mut leg2 = variant();
+    leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
+    let (arts2, manifest2) = run_quiet(leg2, &dir2);
+
+    assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
+    assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
+    assert_eq!(
+        manifest_core(&manifest1),
+        manifest_core(&manifest2),
+        "{tag}: manifests diverge beyond the run-shape sections"
+    );
+    for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
+        assert_eq!(
+            audit_violations(manifest),
+            Some(0),
+            "{tag} {leg}: conservation audit violations: {manifest}"
+        );
+    }
+    for dir in [dir1, dir2, dir_ref] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Byte-identical resume: the faulted Fig. 2 workload, snapshotting at
+/// 0.3/0.6/0.9 s, resumed from those snapshots.
 #[test]
 fn resumed_faulted_fig02_is_byte_identical_across_engines() {
-    for mode in ["packet", "hybrid"] {
-        // Per-mode plain reference (no resilience knobs at all).
-        let dir_ref = temp_dir(&format!("resume_ref_{mode}"));
-        let mut plain = faulted_fig02_base();
-        plain.set("sim_mode", mode).expect("sim_mode knob");
-        let (reference, _) = run_quiet(plain, &dir_ref);
-        assert!(!reference.is_empty(), "{mode}: expected artifacts, got none");
+    let snaps = ["udp_apps_10000000bps", "tcp_apps_10000000bps"];
+    assert_resumes_byte_identical("resume_fig02", faulted_fig02_base(), "0.3", &snaps);
+}
 
-        let tag = format!("resume_{mode}");
-        let variant = || {
-            let mut spec = faulted_fig02_base();
-            spec.set("sim_mode", mode).expect("sim_mode knob");
-            spec.set("audit", "true").expect("audit knob");
-            spec.set("checkpoint_every_s", "0.3").expect("checkpoint knob");
-            spec
-        };
-
-        // Leg 1: uninterrupted, snapshotting at 0.3/0.6/0.9 s.
-        let dir1 = temp_dir(&format!("{tag}_leg1"));
-        let (arts1, manifest1) = run_quiet(variant(), &dir1);
-        let snaps = dir1.join("checkpoints");
-        assert!(
-            snaps.join("udp_apps_10000000bps.snap").exists()
-                && snaps.join("tcp_apps_10000000bps.snap").exists(),
-            "{tag}: expected per-point snapshots in {}",
-            snaps.display()
-        );
-
-        // Leg 2: resume from leg 1's snapshots — each point
-        // restores at t = 0.9 s and replays only the tail.
-        let dir2 = temp_dir(&format!("{tag}_leg2"));
-        let mut leg2 = variant();
-        leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
-        let (arts2, manifest2) = run_quiet(leg2, &dir2);
-
-        assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
-        assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
-        assert_eq!(
-            manifest_core(&manifest1),
-            manifest_core(&manifest2),
-            "{tag}: manifests diverge beyond the run-shape sections"
-        );
-        for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
-            assert_eq!(
-                audit_violations(manifest),
-                Some(0),
-                "{tag} {leg}: conservation audit violations: {manifest}"
-            );
-        }
-
-        let _ = std::fs::remove_dir_all(dir1);
-        let _ = std::fs::remove_dir_all(dir2);
-        let _ = std::fs::remove_dir_all(dir_ref);
+/// Byte-identical resume of the hybrid engine with fluid flows to restore:
+/// `ext_hybrid_mode` in hybrid mode, 100 fluid bulk flows beside its
+/// packet-level pings, under a weather window.
+#[test]
+fn resumed_faulted_hybrid_mode_is_byte_identical() {
+    let mut spec = ExperimentRunner::new().spec("ext_hybrid_mode", false).expect("registered");
+    for (key, value) in [
+        ("cities", "10"),
+        ("duration_s", "1"),
+        ("flows", "100"),
+        ("sim_mode", "hybrid"),
+        ("perf_series", "false"),
+        ("gsl_weather", "2:0.3:0.9"),
+    ] {
+        spec.set(key, value).unwrap_or_else(|e| panic!("{key}={value}: {e}"));
     }
+    assert_resumes_byte_identical("resume_hybrid", spec, "0.3", &["hybrid_100"]);
 }
 
 /// A faulted two-rate `ext_failure_resilience` spec: three simulations
@@ -453,48 +477,8 @@ fn faulted_failure_sweep_base() -> ExperimentSpec {
 /// restores from its own snapshot.
 #[test]
 fn resumed_faulted_failure_sweep_is_byte_identical_across_engines() {
-    let dir_ref = temp_dir("resume_fail_ref");
-    let (reference, _) = run_quiet(faulted_failure_sweep_base(), &dir_ref);
-    assert!(!reference.is_empty(), "expected artifacts, got none");
-
-    let tag = "resume_fail";
-    let variant = || {
-        let mut spec = faulted_failure_sweep_base();
-        spec.set("audit", "true").expect("audit knob");
-        spec.set("checkpoint_every_s", "0.5").expect("checkpoint knob");
-        spec
-    };
-
-    let dir1 = temp_dir(&format!("{tag}_leg1"));
-    let (arts1, manifest1) = run_quiet(variant(), &dir1);
-    let snaps = dir1.join("checkpoints");
-    for point in ["fail_base", "fail_0.1", "fail_0.2"] {
-        let snap = snaps.join(format!("{point}.snap"));
-        assert!(snap.exists(), "{tag}: expected {}", snap.display());
-    }
-
-    let dir2 = temp_dir(&format!("{tag}_leg2"));
-    let mut leg2 = variant();
-    leg2.set("resume_from", snaps.to_str().expect("utf8 path")).expect("resume knob");
-    let (arts2, manifest2) = run_quiet(leg2, &dir2);
-
-    assert_eq!(reference, arts1, "{tag}: checkpointing changed the artifacts");
-    assert_eq!(reference, arts2, "{tag}: resumed artifacts diverge");
-    assert_eq!(
-        manifest_core(&manifest1),
-        manifest_core(&manifest2),
-        "{tag}: manifests diverge beyond the run-shape sections"
-    );
-    for (leg, manifest) in [("leg1", &manifest1), ("leg2", &manifest2)] {
-        assert_eq!(
-            audit_violations(manifest),
-            Some(0),
-            "{tag} {leg}: conservation audit violations: {manifest}"
-        );
-    }
-    let _ = std::fs::remove_dir_all(dir1);
-    let _ = std::fs::remove_dir_all(dir2);
-    let _ = std::fs::remove_dir_all(dir_ref);
+    let snaps = ["fail_base", "fail_0.1", "fail_0.2"];
+    assert_resumes_byte_identical("resume_fail", faulted_failure_sweep_base(), "0.5", &snaps);
 }
 
 /// `--set` overrides that shrink an experiment's reduced spec.
@@ -631,8 +615,133 @@ const ROUTING_EXPERIMENTS: [(&str, Sets, Pins); 7] = [
             ("fig13_paris_luanda_min_rtt.json", 0xab30_0ce3_5df3_397f),
         ],
     ),
-    ("ext_multipath_diversity", &[("cities", "10"), ("duration_s", "2")], &[]),
+    ("ext_multipath_diversity", &[("cities", "10")], &[]),
 ];
+
+/// Per declared knob, a value off every tiny spec's.
+const KNOB_OFF: [(&str, &str); 10] = [
+    ("duration_s", "3"),
+    ("step_ms", "5000"),
+    ("line_rate_mbps", "0.5"),
+    ("queue_packets", "2"),
+    ("utilization_bucket_s", "0.5"),
+    ("cc", "vegas"),
+    ("seed", "7"),
+    ("sim_mode", "hybrid"),
+    ("fluid_threshold_kbps", "100000"),
+    ("flows", "50"),
+];
+
+/// Per default-spec param, a value off every tiny spec's.
+const PARAM_OFF: [(&str, &str); 18] = [
+    ("line_rates_mbps", "5"),
+    ("slowdown", "true"),
+    ("ping_interval_ms", "50"),
+    ("coarse_multiples", "3"),
+    ("snapshot_early_s", "1"),
+    ("snapshot_late_s", "0"),
+    ("multipath_stretch", "1.5"),
+    ("pixel_size", "5"),
+    ("scan_step_s", "7"),
+    ("relay_spacing_deg", "5"),
+    ("relay_margin_deg", "4"),
+    ("k", "3"),
+    ("instants", "1"),
+    ("fail_fracs", "0.3"),
+    ("mttr_s", "2"),
+    ("flow_counts", "60"),
+    ("flow_rate_kbps", "64"),
+    ("perf_series", "true"),
+];
+
+/// The fault scenario the gate attaches where one is applied: the first
+/// ground station's GSLs down for the first second.
+const FAULT_OFF: (&str, &str) = ("gsl_weather", "0:0:1");
+
+/// Inputs an existing test already proves byte-identical: `flow_table`
+/// (`arena_flow_table_reproduces_apps_artifacts_across_engines`).
+const PROVEN_IDENTICAL: [&str; 1] = ["flow_table"];
+
+/// The gate's own sets on top of a tiny spec: only deterministic
+/// artifacts, a `flow_counts` sweep that `flows` would pin away, flows
+/// fast enough to congest the busiest ground links (uncongested, every
+/// flow delivers alike whatever the matrix and its paths) and, for the
+/// flow-scaling sweep, a horizon long enough for a path to change.
+const GATE_SETS: [(&str, Sets); 2] = [
+    (
+        "ext_flow_scaling",
+        &[
+            ("flows", "none"),
+            ("flow_counts", "100"),
+            ("flow_rate_kbps", "2000"),
+            ("perf_series", "false"),
+            ("duration_s", "4"),
+        ],
+    ),
+    (
+        "ext_hybrid_mode",
+        &[
+            ("flows", "none"),
+            ("flow_counts", "100"),
+            ("flow_rate_kbps", "2000"),
+            ("perf_series", "false"),
+        ],
+    ),
+];
+
+/// Every input an experiment declares moves an artifact: on its tiny spec,
+/// one off value per declared knob, per param of its default specs and,
+/// where it applies one, a fault scenario must change some artifact's
+/// name or checksum. The failure names every input that moved nothing.
+#[test]
+#[ignore = "release-only: about 120 runs of the tiny specs"]
+fn every_declared_input_moves_an_artifact() {
+    let runner = ExperimentRunner::new();
+    let tiny = NETSIM_EXPERIMENTS.iter().map(|e| (e.0, e.2));
+    let tiny = tiny.chain(ROUTING_EXPERIMENTS.iter().map(|e| (e.0, e.1)));
+    let mut idle = Vec::new();
+    for (name, sets) in tiny {
+        let exp = runner.get(name).expect("registered");
+        let gate = GATE_SETS.iter().filter(|g| g.0 == name).flat_map(|g| g.1.iter());
+        let mut base = exp.spec(false);
+        for &(key, value) in sets.iter().chain(gate) {
+            base.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
+        }
+        let dir = temp_dir(&format!("moves_{name}"));
+        let artifacts = |spec: ExperimentSpec| -> Vec<(String, u64)> {
+            run_quiet(spec, &dir).0.into_iter().map(|(name, _, fnv)| (name, fnv)).collect()
+        };
+        let reference = artifacts(base.clone());
+        assert_eq!(
+            reference,
+            artifacts(base.clone()),
+            "{name}: the tiny spec is not deterministic"
+        );
+
+        let params = hypatia::runner::default_params(exp);
+        let params = params.iter().filter(|p| !PROVEN_IDENTICAL.contains(&p.as_str()));
+        let about = exp.about();
+        let knobs = about.knobs.split_whitespace().map(|k| lookup(&KNOB_OFF, k));
+        let mut inputs: Vec<(&str, &str)> = knobs.collect();
+        inputs.extend(params.map(|p| lookup(&PARAM_OFF, p)));
+        inputs.extend(about.faults.then_some(FAULT_OFF));
+        for (key, value) in inputs {
+            let mut spec = base.clone();
+            spec.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
+            assert_ne!(spec, base, "{name}: {key}={value} is the tiny spec's value");
+            if artifacts(spec) == reference {
+                idle.push(format!("{name}: {key}={value}"));
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(idle.is_empty(), "declared inputs that move no artifact: {idle:#?}");
+}
+
+/// The gate's off value for `key`.
+fn lookup(table: &[(&'static str, &'static str)], key: &str) -> (&'static str, &'static str) {
+    *table.iter().find(|e| e.0 == key).unwrap_or_else(|| panic!("no off value for {key}"))
+}
 
 /// Assert `name`'s pinned routing artifacts among the run's `records`.
 fn assert_pins(name: &str, records: &[(String, u64, u64)], pins: Pins) {

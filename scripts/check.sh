@@ -114,6 +114,15 @@ echo "== fluid solver under release arithmetic: differential fuzz, K1 gate + hyb
 cargo test -q --release -p hypatia-netsim --lib fluid::tests -- --include-ignored
 cargo test -q --release -p hypatia --lib experiments::hybrid
 
+echo "== every declared input moves an artifact (one off value each, every experiment's tiny spec)"
+# Each experiment declares the knobs it reads and whether it applies a
+# fault scenario; its params are those of its default specs. One off
+# value per declared knob, per param and a fault window must each change
+# some artifact's checksum; the failure names every input that moved
+# nothing (flow_table is exempt: proven byte-identical by a golden test).
+cargo test -q --release -p hypatia --test golden_manifest every_declared_input_moves_an_artifact \
+  -- --include-ignored
+
 echo "== ext_failure_resilience smoke run (spec round-trip + faulted sim)"
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -170,6 +179,15 @@ sampled_code=$?
 set -e
 test "$sampled_code" -eq 5
 grep -q 'trace_sample_every was removed' "$smoke_dir/sampled.err"
+
+echo "== an input the experiment does not read is refused (exit 5, naming it)"
+set +e
+target/release/run_experiment fig09_timestep --out "$smoke_dir/unread" \
+  --set line_rate_mbps=1 > /dev/null 2> "$smoke_dir/unread.err"
+unread_code=$?
+set -e
+test "$unread_code" -eq 5
+grep -q 'does not read line_rate_mbps' "$smoke_dir/unread.err"
 
 echo "== Figs. 6-8: one sweep per constellation writes all 21 ECDFs"
 target/release/run_experiment fig06_08_rtt_path_ecdfs --out "$smoke_dir/fig06_08" \

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `--list` prints every registered experiment, `--help` the usage and
-//! every spec knob `--set` takes. `--print-spec` prints the resolved spec
+//! every spec knob `--set` takes (and that undeclared inputs are refused). `--print-spec` prints the resolved spec
 //! as JSON (after `--full` and `--set`) without running it — the output is
 //! loadable again via `--spec`. `--resume <dir>` restores per-simulation
 //! snapshots a previous `--set checkpoint_every_s=F` run left behind
@@ -91,6 +91,12 @@ fn parse_cli() -> Result<Cli, String> {
                 for (key, doc) in ExperimentSpec::knobs() {
                     let _ = writeln!(text, "  {key:<24} {doc}");
                 }
+                text.push_str(
+                    "\nAn experiment refuses (exit 5) a knob set off its default that it does \
+                     not read,\na param outside its default specs and a fault scenario it does \
+                     not apply;\nthe lifecycle inputs work everywhere. EXPERIMENTS.md lists what \
+                     each reads.\n",
+                );
                 print_and_exit(&text);
             }
             other if !other.starts_with('-') && cli.name.is_none() => {
@@ -163,7 +169,7 @@ fn main() {
     if cli.list {
         let mut text = String::from("registered experiments:\n");
         for name in runner.names() {
-            let title = runner.get(&name).map(|e| e.title()).unwrap_or("");
+            let title = runner.get(&name).map(|e| e.about().title).unwrap_or("");
             let _ = writeln!(text, "  {name:<28} {title}");
         }
         print_and_exit(&text);
@@ -180,14 +186,14 @@ fn main() {
         print_and_exit(&format!("{}\n", spec.to_json_string()));
     }
     if let (None, Ok(exp)) = (&cli.spec_file, runner.get(&spec.experiment)) {
-        if let Some(label) = exp.label() {
+        if let Some(label) = exp.about().label {
             let rule = "==============================================================";
             let scale = if cli.full {
                 "FULL (paper parameters)"
             } else {
                 "reduced (pass --full for paper parameters)"
             };
-            println!("{rule}\n{label}: {}\nscale: {scale}\n{rule}", exp.title());
+            println!("{rule}\n{label}: {}\nscale: {scale}\n{rule}", exp.about().title);
         }
     }
 

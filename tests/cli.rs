@@ -99,6 +99,59 @@ fn cross_traffic_refuses_instants_past_the_horizon_and_bad_pair_lists() {
     }
 }
 
+/// An input the experiment does not read is refused before it runs, and
+/// a param it reads must be present and of its type: exit 5, naming the
+/// key.
+#[test]
+fn unread_and_mistyped_inputs_are_bad_specs() {
+    for (experiment, set, key) in [
+        ("fig09_timestep", "line_rate_mbps=1", "does not read line_rate_mbps"),
+        ("fig09_timestep", "sim_mode=fluid", "does not read sim_mode"),
+        ("fig09_timestep", "foo_bar=3", "has no param foo_bar"),
+        ("fig12_ground_view", "scan_step_s=fast", "\"scan_step_s\" expects a finite number"),
+        ("ext_multipath_diversity", "k=0", "\"k\" expects a whole number in 2..="),
+        ("ext_multipath_diversity", "k=2.7", "got 2.7"),
+        ("fig11_constellation_czml", "pixel_size=-1", "\"pixel_size\" expects a whole number"),
+        (
+            "fig13_path_viz",
+            "sat_outage=100:0:20",
+            "applies no fault scenario: drop its fault keys (sat_outage,",
+        ),
+    ] {
+        let stderr = assert_bad_spec(&run("unread", None, &[experiment, "--set", set]));
+        assert!(stderr.contains(key), "{experiment} --set {set}: {stderr}");
+    }
+
+    // A spec file without a param the experiment reads: no default hides it.
+    let printed = run("print_fig03", None, &["fig03_rtt_fluctuations", "--print-spec"]);
+    assert!(printed.status.success());
+    let text = String::from_utf8(printed.stdout).unwrap();
+    let bad = text.replacen("\n    \"ping_interval_ms\": 20\n", "\n", 1);
+    assert_ne!(bad, text);
+    let stderr = assert_bad_spec(&run("no_ping", Some(&bad), &[]));
+    assert!(stderr.contains("\"ping_interval_ms\" is missing"), "stderr: {stderr}");
+}
+
+/// The lifecycle inputs `threads`, `audit` and `deadline_s` are accepted
+/// by every experiment: an invalid `max_rss_mb`, checked after what an
+/// experiment reads, is the first error.
+#[test]
+fn every_experiment_accepts_the_lifecycle_inputs() {
+    let list = run("list", None, &["--list"]);
+    let text = String::from_utf8(list.stdout).unwrap();
+    let names: Vec<&str> =
+        text.lines().skip(1).filter_map(|l| l.split_whitespace().next()).collect();
+    assert_eq!(names.len(), 16, "{text}");
+    for name in names {
+        let mut args = vec![name];
+        for set in ["threads=3", "audit=true", "deadline_s=100", "max_rss_mb=-1"] {
+            args.extend(["--set", set]);
+        }
+        let stderr = assert_bad_spec(&run("lifecycle", None, &args));
+        assert!(stderr.contains("max_rss_mb must be"), "{name}: {stderr}");
+    }
+}
+
 #[test]
 fn sets_apply_in_order() {
     let args = [
