@@ -15,6 +15,7 @@ use crate::spec::ExperimentSpec;
 use hypatia_constellation::relays::bent_pipe_ground_segment;
 use hypatia_constellation::NodeId;
 use hypatia_util::{SimDuration, SimTime};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 /// Result for one configuration (ISL or bent-pipe).
@@ -105,7 +106,8 @@ pub fn run(spec: &ExperimentSpec, driver: &Driver) -> Result<BentPipeResult, Run
             spec.pairs
         ));
     }
-    let (spacing, margin) = (spec.num("relay_spacing_deg")?, spec.num("relay_margin_deg")?);
+    let spacing = spec.num_in("relay_spacing_deg", (Excluded(0.0), Unbounded))?;
+    let margin = spec.num_in("relay_margin_deg", 0.0..)?;
     let ground = bent_pipe_ground_segment(src_city.clone(), dst_city.clone(), spacing, margin);
 
     // Leg 1: standard ISL constellation, endpoints only.

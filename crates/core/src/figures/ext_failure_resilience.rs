@@ -36,6 +36,7 @@ use hypatia_routing::churn::{churn_between, reachability_of};
 use hypatia_routing::parallel::{sweep_forwarding_states, SnapshotWorker};
 use hypatia_util::{DataRate, SimDuration, SimTime};
 use hypatia_viz::czml::outage_czml;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::sync::Arc;
 
 const PING_PORT: u16 = 7;
@@ -88,12 +89,11 @@ impl Experiment for ExtFailureResilience {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        let fracs = ctx.spec.list("fail_fracs")?.to_vec();
-        if let Some(bad) = fracs.iter().copied().find(|&f| f <= 0.0 || f >= 1.0) {
-            return Err(RunError::BadSpec(format!("fail_fracs must lie in (0, 1), got {bad}")));
-        }
-        let mttr_s = ctx.spec.num("mttr_s")?;
-        let ping_interval = SimDuration::from_secs_f64(ctx.spec.num("ping_interval_ms")? / 1e3);
+        let fracs = ctx.spec.list_in("fail_fracs", (Excluded(0.0), Excluded(1.0)))?.to_vec();
+        let mttr_s = ctx.spec.num_in("mttr_s", (Excluded(0.0), Unbounded))?;
+        // At least a nanosecond: a shorter interval rounds to zero.
+        let ping_interval =
+            SimDuration::from_secs_f64(ctx.spec.num_in("ping_interval_ms", 1e-6..)? / 1e3);
         let (src_name, dst_name) = first_pair(&ctx.spec)?;
         let scenario = ctx.scenario();
         let src = scenario.gs_by_name(&src_name)?;

@@ -53,8 +53,9 @@ impl Experiment for Fig02 {
     }
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
-        // A bare number is a one-point sweep.
-        let rates_mbps = ctx.spec.list("line_rates_mbps")?;
+        // A bare number is a one-point sweep; a rate below one bit per
+        // second rounds to zero.
+        let rates_mbps = ctx.spec.list_in("line_rates_mbps", 1e-6..)?;
         let rates: Vec<DataRate> =
             rates_mbps.iter().map(|&m| DataRate::from_bps((m * 1e6).round() as u64)).collect();
         let duration = ctx.spec.duration;

@@ -43,7 +43,9 @@ impl Experiment for Fig03 {
 
     fn run(&self, ctx: &mut RunContext) -> Result<(), RunError> {
         let duration = ctx.spec.duration;
-        let ping_interval = SimDuration::from_secs_f64(ctx.spec.num("ping_interval_ms")? / 1e3);
+        // At least a nanosecond: a shorter interval rounds to zero.
+        let ping_interval =
+            SimDuration::from_secs_f64(ctx.spec.num_in("ping_interval_ms", 1e-6..)? / 1e3);
         let pairs = named_pairs(&ctx.spec)?;
         let scenario = ctx.scenario();
         let driver = ctx.driver();

@@ -127,17 +127,14 @@ impl Experiment for Fig10_14_15 {
             )));
         }
         let secs = duration.secs_f64();
-        let instant = |key: &str| match ctx.spec.num(key)? {
-            s if (0.0..secs).contains(&s) => Ok(s as u64),
-            s => Err(RunError::BadSpec(format!("{key} must lie in [0, {secs}) s, got {s}"))),
-        };
+        let instant = |key: &str| ctx.spec.num_in(key, 0.0..secs).map(|s| s as u64);
         let snapshots = [instant("snapshot_early_s")?, instant("snapshot_late_s")?];
         // The utilization bucket holding each snapshot instant.
         let bucket = ctx.spec.utilization_bucket.ok_or_else(|| {
             RunError::BadSpec(format!("{} needs utilization_bucket_s", self.name()))
         })?;
         let bucket_of = |sec: u64| (SimDuration::from_secs(sec) / bucket) as usize;
-        let stretch = ctx.spec.num("multipath_stretch")?;
+        let stretch = ctx.spec.num_in("multipath_stretch", 1.0..)?;
         let (fig10, fig14) = (&pairs[0], &pairs[pairs.len() - 1]);
         let scenario = ctx.scenario();
         let driver = ctx.driver();

@@ -50,7 +50,8 @@ impl Experiment for Fig12 {
         let c = ctx.spec.constellation.build(vec![gs.clone()]);
 
         let horizon = ctx.spec.duration;
-        let scan_step = SimDuration::from_secs_f64(ctx.spec.num("scan_step_s")?);
+        // At least a nanosecond: a shorter step rounds to zero.
+        let scan_step = SimDuration::from_secs_f64(ctx.spec.num_in("scan_step_s", 1e-9..)?);
         let windows = connectivity_windows(&c, &gs, horizon, scan_step);
 
         println!("connectivity windows over {:.0} s:", horizon.secs_f64());

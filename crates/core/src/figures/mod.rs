@@ -80,16 +80,14 @@ pub(crate) fn flow_table(spec: &ExperimentSpec) -> Result<FlowTable, RunError> {
 
 /// The flow counts and per-flow rate of a traffic-matrix sweep: `--set
 /// flows=N` pins one point, otherwise the `flow_counts` list drives it;
-/// `flow_rate_kbps` must be positive.
+/// `flow_rate_kbps` must be at least one bit per second.
 pub(crate) fn flow_sweep(spec: &ExperimentSpec) -> Result<(Vec<u64>, DataRate), RunError> {
     let counts: Vec<u64> = match spec.flows {
         Some(n) => vec![n],
         None => spec.wholes("flow_counts", 1)?.into_iter().map(u64::from).collect(),
     };
-    let rate_kbps = spec.num("flow_rate_kbps")?;
-    if rate_kbps <= 0.0 {
-        return Err(RunError::BadSpec(format!("flow_rate_kbps must be positive, got {rate_kbps}")));
-    }
+    // At least one bit per second: a slower rate rounds to zero.
+    let rate_kbps = spec.num_in("flow_rate_kbps", 1e-3..)?;
     Ok((counts, DataRate::from_bps((rate_kbps * 1e3).round() as u64)))
 }
 

@@ -31,6 +31,8 @@ use hypatia_util::{DataRate, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
+use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::RangeBounds;
 use std::sync::Arc;
 
 /// Which ground stations the scenario uses.
@@ -278,8 +280,17 @@ impl ExperimentSpec {
 
     /// Numeric extra parameter (finite).
     pub fn num(&self, key: &str) -> Result<f64, SpecError> {
-        self.param(key, "a finite number", |v| match v {
-            ParamValue::Num(x) if x.is_finite() => Some(*x),
+        self.num_in(key, ..)
+    }
+
+    /// Numeric parameter (finite) in `range`, checked where it is read so
+    /// that a value the model cannot take is a spec error, not a panic
+    /// deeper down: `1.0..` for at least one, `(Excluded(0.0), Unbounded)`
+    /// for positive.
+    pub(crate) fn num_in(&self, key: &str, range: impl RangeBounds<f64>) -> Result<f64, SpecError> {
+        let want = format!("a finite number{}", range_text(&range));
+        self.param(key, &want, |v| match v {
+            ParamValue::Num(x) if x.is_finite() && range.contains(x) => Some(*x),
             _ => None,
         })
     }
@@ -304,9 +315,21 @@ impl ExperimentSpec {
     /// parses as a single number, a comma list as a list; a bare number
     /// reads as a one-element list.
     pub fn list(&self, key: &str) -> Result<&[f64], SpecError> {
-        self.param(key, "a list of finite numbers", |v| match v {
-            ParamValue::List(xs) if xs.iter().all(|x| x.is_finite()) => Some(xs.as_slice()),
-            ParamValue::Num(x) if x.is_finite() => Some(std::slice::from_ref(x)),
+        self.list_in(key, ..)
+    }
+
+    /// Numeric-list parameter, every entry finite and in `range`
+    /// ([`Self::num_in`]); a bare number reads as a one-element list.
+    pub(crate) fn list_in(
+        &self,
+        key: &str,
+        range: impl RangeBounds<f64>,
+    ) -> Result<&[f64], SpecError> {
+        let want = format!("a list of finite numbers{}", range_text(&range));
+        let fits = |x: &f64| x.is_finite() && range.contains(x);
+        self.param(key, &want, |v| match v {
+            ParamValue::List(xs) if xs.iter().all(fits) => Some(xs.as_slice()),
+            ParamValue::Num(x) if fits(x) => Some(std::slice::from_ref(x)),
             _ => None,
         })
     }
@@ -841,6 +864,29 @@ fn whole(x: f64, min: u32) -> Option<u32> {
     (x.fract() == 0.0 && x >= f64::from(min) && x <= f64::from(u32::MAX)).then_some(x as u32)
 }
 
+/// How a range-checked read states its range: ` >= 1`, ` > 0`,
+/// ` in [0, 20)`; nothing for `..`.
+fn range_text(range: &impl RangeBounds<f64>) -> String {
+    match (range.start_bound(), range.end_bound()) {
+        (Unbounded, Unbounded) => String::new(),
+        (Included(lo), Unbounded) => format!(" >= {lo}"),
+        (Excluded(lo), Unbounded) => format!(" > {lo}"),
+        (lo, hi) => {
+            let lo = match lo {
+                Included(x) => format!("[{x}"),
+                Excluded(x) => format!("({x}"),
+                Unbounded => "(-inf".to_string(),
+            };
+            let hi = match hi {
+                Included(x) => format!("{x}]"),
+                Excluded(x) => format!("{x})"),
+                Unbounded => "inf)".to_string(),
+            };
+            format!(" in {lo}, {hi}")
+        }
+    }
+}
+
 /// A param value as its spec file prints it.
 fn param_json(v: &ParamValue) -> String {
     match v {
@@ -1146,6 +1192,16 @@ mod tests {
         assert_eq!(spec.wholes("ping_interval_ms", 1), Ok(vec![20]));
         assert!(spec.wholes("counts", 1).unwrap_err().0.contains("got [1, 0]"));
         assert_eq!(spec.wholes("counts", 0), Ok(vec![1, 0]));
+        // Range-checked reads state the range; the bounds are honoured.
+        assert_eq!(spec.num_in("ping_interval_ms", 20.0..), Ok(20.0));
+        let e = spec.num_in("ping_interval_ms", (Excluded(20.0), Unbounded)).unwrap_err();
+        assert_eq!(e.0, "param \"ping_interval_ms\" expects a finite number > 20, got 20");
+        let e = spec.num_in("ping_interval_ms", 0.0..20.0).unwrap_err();
+        assert!(e.0.ends_with("expects a finite number in [0, 20), got 20"), "{}", e.0);
+        assert_eq!(spec.list_in("counts", 0.0..=1.0), Ok(&[1.0, 0.0][..]));
+        let e = spec.list_in("counts", (Excluded(0.0), Included(1.0))).unwrap_err();
+        assert!(e.0.ends_with("a list of finite numbers in (0, 1], got [1, 0]"), "{}", e.0);
+        assert!(spec.num_in("x", ..).is_err(), "NaN is in no range");
     }
 
     #[test]

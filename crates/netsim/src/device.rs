@@ -118,24 +118,38 @@ impl Device {
         self.in_flight.is_some()
     }
 
-    /// Offer a packet. Returns:
-    /// * `Ok(Some(duration))` — transmitter was idle, transmission started;
-    ///   `TxComplete` must be scheduled after `duration`;
-    /// * `Ok(None)` — queued behind others;
-    /// * `Err(slot)` — dropped, queue full: the caller frees the slot.
+    /// True when the device would refuse a packet offered now: the
+    /// transmitter is busy and `queue_capacity` packets wait behind it.
     #[inline]
-    pub fn enqueue(&mut self, q: Queued, now: SimTime) -> Result<Option<SimDuration>, u32> {
+    pub fn is_full(&self) -> bool {
+        self.in_flight.is_some() && self.queue.len() >= self.queue_capacity
+    }
+
+    /// Book a packet of `size_bytes` that a full device refused: offered
+    /// and dropped, never held.
+    #[inline]
+    pub fn refuse(&mut self, size_bytes: u32) {
+        debug_assert!(self.is_full(), "refusal with room left");
+        self.stats.packets_in += 1;
+        self.stats.bytes_in += size_bytes as u64;
+        self.stats.drops += 1;
+    }
+
+    /// Offer a packet to a device that is not full ([`Device::is_full`]).
+    /// Returns `Some(duration)` when the transmitter was idle and started
+    /// on it (`TxComplete` must be scheduled after `duration`), `None` when
+    /// it queued behind others.
+    #[inline]
+    pub fn enqueue(&mut self, q: Queued, now: SimTime) -> Option<SimDuration> {
+        debug_assert!(!self.is_full(), "offered to a full device");
         self.stats.packets_in += 1;
         self.stats.bytes_in += q.size_bytes as u64;
         if self.in_flight.is_none() {
             debug_assert!(self.queue.is_empty(), "idle transmitter with queued packets");
-            Ok(Some(self.start_tx(q, now)))
-        } else if self.queue.len() < self.queue_capacity {
-            self.queue.push_back(q);
-            Ok(None)
+            Some(self.start_tx(q, now))
         } else {
-            self.stats.drops += 1;
-            Err(q.slot)
+            self.queue.push_back(q);
+            None
         }
     }
 
@@ -282,7 +296,7 @@ mod tests {
     #[test]
     fn idle_device_transmits_immediately() {
         let mut d = dev(4);
-        let dur = d.enqueue(q(1, 1500), SimTime::ZERO).unwrap();
+        let dur = d.enqueue(q(1, 1500), SimTime::ZERO);
         // 1500 B at 10 Mbps = 1.2 ms.
         assert_eq!(dur, Some(SimDuration::from_micros(1200)));
         assert!(d.is_busy());
@@ -293,8 +307,8 @@ mod tests {
     fn busy_device_queues_then_chains() {
         let mut d = dev(4);
         let t0 = SimTime::ZERO;
-        assert!(d.enqueue(q(1, 1500), t0).unwrap().is_some());
-        assert_eq!(d.enqueue(q(2, 750), t0).unwrap(), None);
+        assert!(d.enqueue(q(1, 1500), t0).is_some());
+        assert_eq!(d.enqueue(q(2, 750), t0), None);
         assert_eq!(d.queue_len(), 1);
 
         let t1 = SimTime::from_micros(1200);
@@ -307,21 +321,30 @@ mod tests {
     }
 
     #[test]
-    fn queue_overflow_drops_and_hands_the_slot_back() {
+    fn a_full_device_refuses_and_books_the_refusal() {
         let mut d = dev(2);
         let t = SimTime::ZERO;
-        assert!(d.enqueue(q(1, 100), t).is_ok()); // in flight
-        assert!(d.enqueue(q(2, 100), t).is_ok()); // queued
-        assert!(d.enqueue(q(3, 100), t).is_ok()); // queued
-        assert_eq!(d.enqueue(q(4, 100), t), Err(4), "the caller frees the dropped slot");
+        assert!(!d.is_full());
+        d.enqueue(q(1, 100), t); // in flight
+        d.enqueue(q(2, 100), t); // queued
+        assert!(!d.is_full(), "room for one more");
+        d.enqueue(q(3, 100), t); // queued
+        assert!(d.is_full());
+        d.refuse(100);
         assert_eq!(d.stats.drops, 1);
-        assert_eq!(d.occupancy(), 3, "a dropped packet is not held");
+        assert_eq!(d.occupancy(), 3, "a refused packet is not held");
+        d.tx_complete(SimTime::from_micros(80));
+        assert!(!d.is_full(), "a transmission frees a place");
+        let mut zero = dev(0);
+        assert!(!zero.is_full(), "an idle transmitter takes a packet whatever the capacity");
+        zero.enqueue(q(1, 100), t);
+        assert!(zero.is_full());
     }
 
     #[test]
     fn stats_count_transmissions() {
         let mut d = dev(4);
-        d.enqueue(q(1, 1000), SimTime::ZERO).unwrap();
+        d.enqueue(q(1, 1000), SimTime::ZERO);
         let (_, next) = d.tx_complete(SimTime::from_micros(800));
         assert!(next.is_none());
         assert_eq!(d.stats.packets_tx, 1);
@@ -333,8 +356,8 @@ mod tests {
     fn next_hop_and_slot_preserved_through_queue() {
         let mut d = dev(4);
         let (first, second) = (Queued { next_hop: NodeId(7), ..q(5, 100) }, q(3, 100));
-        d.enqueue(first, SimTime::ZERO).unwrap();
-        d.enqueue(second, SimTime::ZERO).unwrap();
+        d.enqueue(first, SimTime::ZERO);
+        d.enqueue(second, SimTime::ZERO);
         assert_eq!(d.tx_complete(SimTime::from_micros(80)).0, first);
         assert_eq!(d.tx_complete(SimTime::from_micros(160)).0, second);
     }
@@ -349,7 +372,7 @@ mod tests {
         );
         // 15 B at 8 kbps = 15 ms, starting at t = 5 ms: 5 ms in bucket 0,
         // 10 ms in bucket 1.
-        d.enqueue(q(1, 15), SimTime::from_millis(5)).unwrap();
+        d.enqueue(q(1, 15), SimTime::from_millis(5));
         assert!((d.utilization(0).unwrap() - 0.5).abs() < 1e-9);
         assert!((d.utilization(1).unwrap() - 1.0).abs() < 1e-9);
         assert_eq!(d.utilization(2).unwrap(), 0.0);
@@ -365,9 +388,9 @@ mod tests {
     fn counts_offered_packets_even_when_dropped() {
         let mut d = dev(1);
         let t = SimTime::ZERO;
-        assert!(d.enqueue(q(1, 100), t).is_ok()); // in flight
-        assert!(d.enqueue(q(2, 200), t).is_ok()); // queued
-        assert!(d.enqueue(q(3, 300), t).is_err()); // dropped
+        d.enqueue(q(1, 100), t); // in flight
+        d.enqueue(q(2, 200), t); // queued
+        d.refuse(300); // dropped
         assert_eq!(d.stats.packets_in, 3);
         assert_eq!(d.stats.bytes_in, 600);
         assert_eq!(d.occupancy(), 2);
@@ -382,7 +405,7 @@ mod tests {
         for &(packet, next_hop) in packets {
             let slot = slab.park(packet);
             let entry = Queued { slot, next_hop: NodeId(next_hop), size_bytes: packet.size_bytes };
-            d.enqueue(entry, SimTime::from_millis(5)).unwrap();
+            d.enqueue(entry, SimTime::from_millis(5));
         }
         spare.into_iter().for_each(|slot| slab.free(slot));
     }
@@ -417,7 +440,7 @@ mod tests {
         // Restore lands the packets in whatever slab it is given; what the
         // device held before is forgotten.
         let mut fresh = isl_dev();
-        fresh.enqueue(q(0, 60), SimTime::ZERO).unwrap();
+        fresh.enqueue(q(0, 60), SimTime::ZERO);
         let mut r = SnapReader::from_bytes(saved.clone(), 1).unwrap();
         let mut restored_slab = PacketSlab::default();
         fresh.restore(&mut r, &mut restored_slab).unwrap();

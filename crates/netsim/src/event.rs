@@ -18,9 +18,10 @@
 //! two payload words. An 88-byte [`Packet`] never travels in one: it lives
 //! in a `PacketSlab` (a `Vec<Packet>` plus a free list) the simulator owns,
 //! and whatever holds it — an `Arrival` entry, a device queue —
-//! holds its `u32` slot. A packet is parked once, when it is injected,
-//! and whoever ends its life frees the slot: delivery or a drop.
-//! In between nothing copies it; the simulator drives the queue through
+//! holds its `u32` slot. A packet is parked once, when a device or a
+//! local delivery takes it at its source (a send its source refuses is
+//! never parked), and whoever ends its life frees the slot: delivery or a
+//! drop. In between nothing copies it; the simulator drives the queue through
 //! `EventQueue::schedule_slot` / `EventQueue::pop_slot`, which
 //! move 32-byte entries only. The by-value [`Event`] API
 //! ([`EventQueue::schedule`], [`EventQueue::pop`], ...) wraps those for
@@ -581,20 +582,24 @@ impl CalendarQueue {
         debug_assert!(target > self.cur_slot);
         self.cur_slot = target;
 
-        // Gather the slot from all three tiers, noting the bins it fills.
+        // Gather the slot from all three tiers, noting the bins it fills,
+        // into a run sized once: the level-1 bucket and all of a cascading
+        // bucket are an upper bound on what is due, a far entry aside.
+        let chain = self.level1.take(target);
+        let cascading =
+            (level2_slot == Some(target)).then(|| self.level2.take(target >> WHEEL_BITS));
         let (run, mut bins) = (&mut self.run, 0u64);
+        run.reserve_exact(chain.len as usize + cascading.map_or(0, |c| c.len as usize));
         let mut gather = |entries: &[Scheduled]| {
             run.extend_from_slice(entries);
             bins = entries.iter().fold(bins, |bins, s| bins | 1 << bin(s));
         };
-        let chain = self.level1.take(target);
         self.pool.blocks(chain).for_each(&mut gather);
         if chain.len > 0 {
             self.pool.release(chain.head, chain.tail);
         }
-        if level2_slot == Some(target) {
+        if let Some(chain) = cascading {
             // The rest cascades to level 1, into each block as it frees it.
-            let chain = self.level2.take(target >> WHEEL_BITS);
             let (mut block, mut left) = (chain.head as usize, chain.len as usize);
             while left > 0 {
                 let n = left.min(BLOCK);
@@ -1606,6 +1611,8 @@ mod tests {
         assert_eq!(popped, N + 2 * late);
         let stats = queues[1].stats();
         assert_eq!((stats.peak_run, stats.refills), (N, 1), "the slot was not one run");
+        let QueueImpl::Calendar(cal) = &queues[1].imp else { unreachable!("a calendar queue") };
+        assert_eq!(cal.run.capacity() as u64, N, "the run was not allocated once, to the slot");
         assert_eq!(stats.late_inserts, 2 * late);
         assert!(late > 900, "late inserts barely exercised: {late}");
         for q in &queues {

@@ -149,8 +149,9 @@ pub struct Simulator {
     /// entry at its instant.
     fault_state: Option<FaultState>,
     queue: EventQueue,
-    /// Every packet alive, from `inject` to delivery or drop; arrivals
-    /// and device queues hold slots.
+    /// Every packet alive, from when a device or a local delivery takes
+    /// it at its source to delivery or drop; arrivals and device queues
+    /// hold slots.
     packets: PacketSlab,
     /// Every node, by node index.
     nodes: Vec<Node>,
@@ -2117,7 +2118,7 @@ mod tests {
         (sim, probe, victim, path.len() as u16 - 1)
     }
 
-    /// The tentpole's invariant: a packet is parked once and freed once.
+    /// The slab's invariant: a packet is parked once and freed once.
     /// Mid-run the audit's slab conservation holds with packets queued, in
     /// service and on the wire (and the wire count is the queue's arrival
     /// entries, not the slab's occupancy); after every exit path has been
@@ -2176,6 +2177,106 @@ mod tests {
         assert!(probe.hops.iter().all(|&h| h == hops), "want {hops} hops: {:?}", probe.hops);
         let report = sim.engine_report();
         assert!(report.queue.slab_peak > 0 && report.queue.slab_peak <= s.injected);
+    }
+
+    /// A frozen network whose sends are refused at their source in each
+    /// way there is: four UDP flows at twice the line rate between them
+    /// fill the source's GSL device, a ping goes to a node that is not a
+    /// routing destination, and weather takes the source's GSLs down from
+    /// 300 to 500 ms. Case 0 traces nothing, case 1 every flow, case 2
+    /// every other flow (by hash), case 3 every flow on multipath.
+    fn source_refusal_fixture(case: usize) -> Simulator {
+        use crate::apps::udp::UdpSource;
+        use hypatia_fault::{FaultSchedule, FaultSpec, OutageWindow};
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let spec = FaultSpec {
+            gsl_weather: vec![OutageWindow { target: 0, from_s: 0.3, until_s: 0.5 }],
+            ..FaultSpec::default()
+        };
+        let schedule = Arc::new(FaultSchedule::compile(&spec, &c, SimDuration::from_secs(2)));
+        let cfg = SimConfig::default().frozen().with_faults(schedule);
+        let cfg = match case {
+            0 => cfg,
+            1 => cfg.with_trace_limit(400_000),
+            2 => cfg.with_trace_limit(400_000).with_trace_sampling(2),
+            _ => cfg.with_trace_limit(400_000).with_multipath(1.5),
+        };
+        let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
+        let stop = SimTime::from_secs(1);
+        for port in 50..54 {
+            sim.add_app(dst, port, Box::<HopProbe>::default());
+            let flow = UdpSource::new(dst, port as u32, DataRate::from_mbps(5), 1140, stop);
+            sim.add_app(src, port, Box::new(flow));
+        }
+        let lost = c.sat_node(0);
+        sim.add_app(src, 100, Box::new(PingApp::new(lost, SimDuration::from_millis(50), stop)));
+        sim
+    }
+
+    /// Sends refused at their source — a full device, no route, a link
+    /// down — are counted and traced as they were when every send was
+    /// parked first and forwarded from its slot: the stats, the trace
+    /// records and their keys and a mid-run image hash to what that path
+    /// gave (pinned at `34f4f16`, the last commit that took it), untraced,
+    /// traced, sampled and on multipath, and the audit holds at every cut.
+    /// And no refused send is parked: a burst into one idle device peaks
+    /// the slab at what the device holds.
+    #[test]
+    fn every_exit_at_the_source_is_booked_without_a_slot() {
+        use hypatia_util::hash::Fnv1a64;
+        let pinned = [
+            0x123c_f88e_94b1_7382u64,
+            0x71e5_a0d7_6d62_8b26,
+            0x7216_bdbd_ee32_a523,
+            0x386d_40b3_156e_191f,
+        ];
+        for (case, want) in pinned.into_iter().enumerate() {
+            let mut sim = source_refusal_fixture(case);
+            let mut h = Fnv1a64::new();
+            for cut_ms in [400, 2000] {
+                sim.run_until(SimTime::from_millis(cut_ms));
+                assert_eq!(sim.audit(), [], "case {case}, t={cut_ms}ms");
+                h.write(&sim.checkpoint().expect("checkpoint"));
+            }
+            let (s, trace) = (&sim.stats, &sim.trace);
+            h.write(format!("{s:?} {} {}", trace.truncated(), trace.sampled_out()).as_bytes());
+            for (entry, key) in trace.entries().iter().zip(trace.keys()) {
+                h.write(format!("{entry:?} {key}").as_bytes());
+            }
+            let src = sim.constellation().gs_node(0);
+            let at_src =
+                |kind| trace.entries().iter().filter(move |e| e.node == src && e.kind == kind);
+            match case {
+                0 => assert!(trace.entries().is_empty()),
+                2 => assert!(trace.sampled_out() > 0 && !trace.entries().is_empty()),
+                _ => {
+                    for kind in [TraceKind::QueueDrop, TraceKind::RoutingDrop, TraceKind::FaultDrop]
+                    {
+                        assert!(at_src(kind).next().is_some(), "case {case}: no {kind:?}");
+                    }
+                }
+            }
+            assert!(s.queue_drops > 0 && s.routing_drops > 0 && s.fault_drops > 0, "{s:?}");
+            assert_eq!(h.finish(), want, "case {case}");
+        }
+
+        // One send into service, four into the queue, seven refused.
+        use crate::flow::{BulkUdpSource, FlowId};
+        let c = constellation();
+        let (src, dst) = (c.gs_node(0), c.gs_node(1));
+        let cfg = SimConfig::default().frozen().with_queue_packets(4);
+        let mut sim = Simulator::new(c, cfg, vec![src, dst]);
+        let mut burst = BulkUdpSource::new(DataRate::from_mbps(1), 1000, SimTime::from_nanos(1));
+        for f in 0..12u16 {
+            burst.push(FlowId(f as u32), dst, 200 + f, 300 + f);
+        }
+        let ports = burst.src_ports().to_vec();
+        sim.add_app_multi(src, &ports, Box::new(burst));
+        sim.run_until(SimTime::from_secs(1));
+        let s = &sim.stats;
+        assert_eq!((s.injected, s.queue_drops, s.delivered), (12, 7, 5), "{s:?}");
+        assert_eq!(sim.engine_report().queue.slab_peak, 5, "a refused send was parked");
     }
 
     /// A mid-run image — queues non-empty, a packet in service, packets on

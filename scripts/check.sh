@@ -189,6 +189,19 @@ set -e
 test "$unread_code" -eq 5
 grep -q 'does not read line_rate_mbps' "$smoke_dir/unread.err"
 
+echo "== a param value out of range is refused where it is read (exit 5, naming it)"
+for case in "fig12_ground_view scan_step_s=0" \
+            "fig10_14_15_cross_traffic multipath_stretch=0.5"; do
+  experiment=${case%% *} setting=${case#* }
+  set +e
+  target/release/run_experiment "$experiment" --out "$smoke_dir/range" \
+    --set "$setting" > /dev/null 2> "$smoke_dir/range.err"
+  range_code=$?
+  set -e
+  test "$range_code" -eq 5
+  grep -q "param \"${setting%%=*}\" expects" "$smoke_dir/range.err"
+done
+
 echo "== Figs. 6-8: one sweep per constellation writes all 21 ECDFs"
 target/release/run_experiment fig06_08_rtt_path_ecdfs --out "$smoke_dir/fig06_08" \
   --set cities=10 --set duration_s=2 --set step_ms=1000 \

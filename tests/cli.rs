@@ -56,6 +56,27 @@ fn out_of_range_knobs_are_bad_specs_not_panics() {
     assert!(stderr.contains("repair_churn_threshold"), "stderr: {stderr}");
 }
 
+/// A param value the model cannot take is refused where it is read:
+/// exit 5 naming the key, not a panic (exit 7) deeper down.
+#[test]
+fn out_of_range_params_are_bad_specs_not_panics() {
+    for (experiment, set) in [
+        ("fig12_ground_view", "scan_step_s=0"),
+        ("fig03_rtt_fluctuations", "ping_interval_ms=0"),
+        ("fig02_scalability", "line_rates_mbps=0"),
+        ("fig16_19_bent_pipe", "relay_spacing_deg=0"),
+        ("fig16_19_bent_pipe", "relay_margin_deg=-1"),
+        ("ext_failure_resilience", "mttr_s=0"),
+        ("ext_failure_resilience", "fail_fracs=0.1,1"),
+        ("fig10_14_15_cross_traffic", "multipath_stretch=0.5"),
+        ("ext_flow_scaling", "flow_rate_kbps=0"),
+    ] {
+        let stderr = assert_bad_spec(&run("range", None, &[experiment, "--set", set]));
+        let key = set.split('=').next().unwrap();
+        assert!(stderr.contains(&format!("\"{key}\"")), "{experiment} --set {set}: {stderr}");
+    }
+}
+
 /// `cities` takes 1 to 100 (the built-in city table), from `--set` and
 /// from a spec file alike: anything else is a spec error, not a panic.
 #[test]
