@@ -25,7 +25,7 @@
 //! every visible list is the full scan's, bit for bit.
 
 use crate::constellation::Constellation;
-use hypatia_orbit::visibility::{conservative_max_gsl_range_km, elevation_deg, is_visible};
+use hypatia_orbit::visibility::{conservative_max_gsl_range_km, elevation_deg};
 use hypatia_util::{SimTime, Vec3};
 
 /// How many satellites a ground station may use simultaneously.
@@ -182,12 +182,6 @@ pub fn usable_satellites(
     if constellation.gsl.selection == GslSelection::NearestOnly {
         out.truncate(1);
     }
-}
-
-/// Check visibility of one specific satellite from one GS (for handoff and
-/// forwarding-validity checks in the packet simulator).
-pub fn gs_sees_sat(constellation: &Constellation, gs_pos: Vec3, sat_pos: Vec3) -> bool {
-    is_visible(gs_pos, sat_pos, constellation.gsl.min_elevation_deg)
 }
 
 #[cfg(test)]

@@ -98,17 +98,6 @@ pub fn kuiper_full(ground_stations: Vec<GroundStation>) -> Constellation {
     )
 }
 
-/// Full Telesat (both shells).
-pub fn telesat_full(ground_stations: Vec<GroundStation>) -> Constellation {
-    Constellation::build(
-        "Telesat",
-        telesat_shells(),
-        IslLayout::PlusGrid,
-        ground_stations,
-        GslConfig::new(TELESAT_MIN_ELEVATION_DEG),
-    )
-}
-
 /// Kuiper K1 without ISLs, for Appendix A's bent-pipe experiments.
 pub fn kuiper_k1_bent_pipe(ground_stations: Vec<GroundStation>) -> Constellation {
     Constellation::build(

@@ -87,18 +87,16 @@ fn run_leg(
 /// leg's own constellation. The relay grid is the `relay_spacing_deg` /
 /// `relay_margin_deg` params.
 ///
-/// The constellation must be `kuiper_k1` and the pairs the one pair from
-/// the first station to the second: the legs fix both, so a spec naming
-/// anything else is `RunError::BadSpec`, not silently ignored.
+/// The pairs must be the one pair from the first station to the second:
+/// the legs fix it, so a spec naming another is `RunError::BadSpec`, not
+/// silently ignored. The legs fix the constellation too; the runner
+/// refuses another, since the experiment does not declare it.
 pub fn run(spec: &ExperimentSpec, driver: &Driver) -> Result<BentPipeResult, RunError> {
     let stations = spec.ground.stations();
     let bad = |why: String| Err(RunError::BadSpec(format!("{} {why}", spec.experiment)));
     let [src_city, dst_city] = stations.as_slice() else {
         return bad("needs exactly two ground stations (endpoints)".into());
     };
-    if spec.constellation != ConstellationChoice::KuiperK1 {
-        return bad(format!("runs on kuiper_k1 only, got {}", spec.constellation.slug()));
-    }
     let endpoints = [(src_city.name.clone(), dst_city.name.clone())];
     if spec.pairs.named() != Some(&endpoints[..]) {
         return bad(format!(
@@ -186,11 +184,17 @@ mod tests {
     }
 
     /// A constellation or pair the legs cannot honour is refused, not
-    /// silently replaced by Kuiper K1 and the ground stations' pair.
+    /// silently replaced by Kuiper K1 and the ground stations' pair: the
+    /// constellation by the runner, which knows the experiment does not
+    /// read it.
     #[test]
     fn another_constellation_is_a_bad_spec() {
-        let r = run(&spec("1", &[("constellation", "telesat_t1")]), &Driver::default());
-        assert!(matches!(r, Err(RunError::BadSpec(ref e)) if e.contains("telesat_t1")));
+        let spec = spec("1", &[("constellation", "telesat_t1")]);
+        let r = crate::runner::check_reads(&crate::figures::fig16_19_bent_pipe::Fig16_19, &spec);
+        assert!(
+            matches!(r, Err(RunError::BadSpec(ref e)) if e.contains("does not read constellation")),
+            "{r:?}"
+        );
     }
 
     #[test]

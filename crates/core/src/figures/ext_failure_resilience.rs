@@ -60,7 +60,7 @@ impl Experiment for ExtFailureResilience {
             name: "ext_failure_resilience",
             label: Some("Extension"),
             title: "Failure resilience: degradation vs satellite failure rate (Kuiper K1)",
-            knobs: "duration_s step_ms line_rate_mbps",
+            knobs: "duration_s step_ms line_rate_mbps constellation ground pairs",
             faults: true,
         }
     }

@@ -30,7 +30,8 @@ impl Experiment for ExtFlowScaling {
             name: "ext_flow_scaling",
             label: Some("Extension"),
             title: "Traffic scaling: gravity matrix, 1k to 1M flows (Kuiper K1)",
-            knobs: "duration_s step_ms line_rate_mbps queue_packets seed flows",
+            knobs:
+                "duration_s step_ms line_rate_mbps queue_packets seed flows constellation ground",
             faults: true,
         }
     }

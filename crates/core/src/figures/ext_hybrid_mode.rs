@@ -75,7 +75,7 @@ impl Experiment for ExtHybridMode {
             name: "ext_hybrid_mode",
             label: Some("Extension"),
             title: "Hybrid fluid/packet simulation: speedup at matched goodput (Kuiper K1)",
-            knobs: "duration_s step_ms line_rate_mbps queue_packets seed sim_mode fluid_threshold_kbps flows",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets seed sim_mode fluid_threshold_kbps flows constellation ground",
             faults: true,
         }
     }

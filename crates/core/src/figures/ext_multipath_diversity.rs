@@ -23,7 +23,7 @@ impl Experiment for ExtMultipathDiversity {
             name: "ext_multipath_diversity",
             label: Some("Extension"),
             title: "K-shortest-path diversity on Kuiper K1",
-            knobs: "",
+            knobs: "constellation ground pairs",
             faults: false,
         }
     }

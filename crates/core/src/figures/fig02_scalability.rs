@@ -21,7 +21,7 @@ impl Experiment for Fig02 {
             name: "fig02_scalability",
             label: Some("Fig. 2"),
             title: "Scalability: slowdown vs goodput (TCP and UDP)",
-            knobs: "duration_s step_ms queue_packets seed",
+            knobs: "duration_s step_ms queue_packets seed constellation ground",
             faults: true,
         }
     }

@@ -21,7 +21,7 @@ impl Experiment for Fig03 {
             name: "fig03_rtt_fluctuations",
             label: Some("Fig. 3"),
             title: "RTT fluctuations: pings vs computed (Kuiper K1)",
-            knobs: "duration_s step_ms line_rate_mbps",
+            knobs: "duration_s step_ms line_rate_mbps constellation ground pairs",
             faults: true,
         }
     }

@@ -20,7 +20,7 @@ impl Experiment for Fig04 {
             name: "fig04_cwnd_bdp",
             label: Some("Fig. 4"),
             title: "TCP (NewReno) cwnd evolution vs BDP+Q (Kuiper K1)",
-            knobs: "duration_s step_ms line_rate_mbps queue_packets cc",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets cc constellation ground pairs",
             faults: true,
         }
     }

@@ -30,7 +30,7 @@ impl Experiment for Fig05Cc {
             name: "fig05_cc_rates_rtt",
             label: Some("Fig. 5"),
             title: "NewReno vs Vegas (and CUBIC, BBR) on Rio de Janeiro -> St. Petersburg",
-            knobs: "duration_s step_ms line_rate_mbps queue_packets",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets constellation ground pairs",
             faults: true,
         }
     }

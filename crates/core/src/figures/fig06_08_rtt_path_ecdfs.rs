@@ -36,7 +36,7 @@ impl Experiment for Fig06_08 {
             name: "fig06_08_rtt_path_ecdfs",
             label: Some("Figs. 6-8"),
             title: "RTTs, their variation and path changes (ECDFs across pairs)",
-            knobs: "duration_s step_ms",
+            knobs: "duration_s step_ms ground pairs",
             faults: false,
         }
     }

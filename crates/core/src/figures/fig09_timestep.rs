@@ -21,7 +21,7 @@ impl Experiment for Fig09 {
             name: "fig09_timestep",
             label: Some("Fig. 9"),
             title: "Time-step granularity for forwarding updates (Kuiper K1)",
-            knobs: "duration_s step_ms",
+            knobs: "duration_s step_ms constellation ground pairs",
             faults: false,
         }
     }

@@ -82,7 +82,7 @@ impl Experiment for Fig10_14_15 {
             name: "fig10_14_15_cross_traffic",
             label: Some("Figs. 10/14/15"),
             title: "Cross-traffic on Kuiper K1: unused bandwidth, utilization, multipath TE",
-            knobs: "duration_s step_ms line_rate_mbps queue_packets utilization_bucket_s seed",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets utilization_bucket_s seed constellation ground pairs",
             faults: true,
         }
     }
@@ -181,9 +181,7 @@ impl Experiment for Fig10_14_15 {
             print!("t={sec:>4}s path utilization per hop:");
             let mut utils = Vec::new();
             for w in path.windows(2) {
-                let node = r.sim.node(w[0]);
-                let dev = node.device_for(w[1]).expect("device");
-                let u = node.devices[dev].utilization(bucket_of(sec)).unwrap_or(0.0);
+                let u = r.sim.hop_device(w[0], w[1]).utilization(bucket_of(sec)).unwrap_or(0.0);
                 utils.push((w[0].0 as f64, u));
                 print!(" {u:.2}");
             }

@@ -21,7 +21,7 @@ impl Experiment for Fig12 {
             name: "fig12_ground_view",
             label: Some("Fig. 12"),
             title: "Ground observer view: St. Petersburg over Kuiper K1",
-            knobs: "duration_s",
+            knobs: "duration_s constellation ground",
             faults: false,
         }
     }

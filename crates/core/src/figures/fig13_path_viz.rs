@@ -24,7 +24,7 @@ impl Experiment for Fig13 {
             name: "fig13_path_viz",
             label: Some("Fig. 13"),
             title: "Shortest-path changes over time: Paris -> Luanda (Starlink S1)",
-            knobs: "duration_s step_ms",
+            knobs: "duration_s step_ms constellation ground pairs",
             faults: false,
         }
     }

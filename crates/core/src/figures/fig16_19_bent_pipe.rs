@@ -22,7 +22,7 @@ impl Experiment for Fig16_19 {
             name: "fig16_19_bent_pipe",
             label: Some("Figs. 16-19"),
             title: "Paris -> Moscow: ISLs vs bent-pipe ground relays",
-            knobs: "duration_s step_ms line_rate_mbps queue_packets",
+            knobs: "duration_s step_ms line_rate_mbps queue_packets ground pairs",
             faults: true,
         }
     }

@@ -257,7 +257,8 @@ pub(crate) const LIFECYCLE_PARAMS: [&str; 2] = ["deadline_s", "max_rss_mb"];
 /// What an experiment is, and what of its spec it reads beyond the
 /// lifecycle inputs and the params of its default specs:
 /// [`ExperimentRunner::run`] refuses any other knob set off its default,
-/// and a fault scenario unless `faults`.
+/// a `constellation`, `ground` or `pairs` it does not declare unless it
+/// equals that of a default spec, and a fault scenario unless `faults`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct About {
     /// Registry name, e.g. `fig03_rtt_fluctuations`.
@@ -267,7 +268,8 @@ pub struct About {
     pub label: Option<&'static str>,
     /// Human-readable title (the figure caption's subject).
     pub title: &'static str,
-    /// The `KNOBS` keys it reads, space-separated.
+    /// The `KNOBS` keys and the structured fields (`constellation`,
+    /// `ground`, `pairs`) it reads, space-separated.
     pub knobs: &'static str,
     /// Whether it applies the spec's fault scenario.
     pub faults: bool,
@@ -343,11 +345,23 @@ impl ExperimentRunner {
     }
 }
 
+/// Whether two specs agree on one structured field.
+type SameField = fn(&ExperimentSpec, &ExperimentSpec) -> bool;
+
+/// The structured spec fields an [`About`] may declare, each with how two
+/// specs compare on it.
+pub(crate) const STRUCTURED_INPUTS: [(&str, SameField); 3] = [
+    ("constellation", |a, b| a.constellation == b.constellation),
+    ("ground", |a, b| a.ground == b.ground),
+    ("pairs", |a, b| a.pairs == b.pairs),
+];
+
 /// Err naming the first input of `spec` that `exp` does not read: a knob
-/// off its default that is neither declared nor lifecycle, a param of
+/// off its default that is neither declared nor lifecycle, an undeclared
+/// structured field that equals neither default spec's, a param of
 /// neither default spec nor lifecycle, or a fault scenario it does not
 /// apply.
-fn check_reads(exp: &dyn Experiment, spec: &ExperimentSpec) -> Result<(), RunError> {
+pub(crate) fn check_reads(exp: &dyn Experiment, spec: &ExperimentSpec) -> Result<(), RunError> {
     let about = exp.about();
     let bad = |what: String| Err(RunError::BadSpec(format!("{} {what}", about.name)));
     let knobs: Vec<&str> = about.knobs.split_whitespace().collect();
@@ -355,6 +369,12 @@ fn check_reads(exp: &dyn Experiment, spec: &ExperimentSpec) -> Result<(), RunErr
     let unread = |k: &&str| !lifecycle.contains(k) && !knobs.contains(k);
     if let Some(key) = spec.knobs_off_default().into_iter().find(unread) {
         return bad(format!("does not read {key} (it reads {knobs:?})"));
+    }
+    let defaults = [exp.spec(false), exp.spec(true)];
+    for (key, same) in STRUCTURED_INPUTS {
+        if unread(&key) && !defaults.iter().any(|d| same(spec, d)) {
+            return bad(format!("does not read {key} (it reads {knobs:?})"));
+        }
     }
     let params = default_params(exp);
     let unknown = |k: &&String| !LIFECYCLE_PARAMS.contains(&k.as_str()) && !params.contains(k);
@@ -614,7 +634,9 @@ mod tests {
                 check_reads(exp, &exp.spec(full)).unwrap_or_else(|e| panic!("{name} {full}: {e}"));
             }
             for key in exp.about().knobs.split_whitespace() {
-                assert!(ExperimentSpec::knobs().any(|k| k.0 == key), "{name}: {key} is no knob");
+                let known = ExperimentSpec::knobs().any(|k| k.0 == key)
+                    || STRUCTURED_INPUTS.iter().any(|s| s.0 == key);
+                assert!(known, "{name}: {key} is no knob or structured field");
                 let lifecycle = LIFECYCLE_KNOBS.split_whitespace().any(|k| k == key);
                 assert!(!lifecycle, "{name}: {key} is a lifecycle knob");
             }

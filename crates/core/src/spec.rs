@@ -11,7 +11,7 @@
 //! The JSON path is [`ExperimentSpec::to_json_string`] /
 //! [`ExperimentSpec::from_json`]: a hand-rolled, schema-stable mapping
 //! with precise error messages, over [`hypatia_util::json`]. Each scalar
-//! knob is one row of the `KNOBS` table (key, doc line, check, field), which
+//! knob is one row of the `KNOBS` table (key, doc line, range, field), which
 //! `--set`, the printer and the parser each loop over; only `ground`,
 //! `pairs`, `faults` and `params` are written by hand.
 
@@ -31,7 +31,7 @@ use hypatia_util::{DataRate, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::ops::Bound::{Excluded, Included, Unbounded};
+use std::ops::Bound::{self, Excluded, Included, Unbounded};
 use std::ops::RangeBounds;
 use std::sync::Arc;
 
@@ -376,11 +376,11 @@ impl ExperimentSpec {
         if let Some(knob) = knob(key) {
             let field = (knob.field)(self);
             let v = field.parse_text(value);
-            return field.put(knob.check, &v).map_err(bad);
+            return field.put(knob.range, &v).map_err(|why| bad(&why));
         }
         // The hand-written keys read their numbers as the knobs do.
-        let whole = |text: &str| int(&literal(text), Check::Any).map_err(bad);
-        let real = |text: &str| num(&literal(text), Check::Any).map_err(bad);
+        let whole = |text: &str| int(&literal(text), ANY).map_err(|why| bad(&why));
+        let real = |text: &str| num(&literal(text), ANY).map_err(|why| bad(&why));
         // Split `TARGET:FROM_S:UNTIL_S`, leaving the target untyped.
         let window = || match value.split(':').collect::<Vec<_>>()[..] {
             [target, from, until] => Ok((target, real(from)?, real(until)?)),
@@ -404,7 +404,7 @@ impl ExperimentSpec {
             "min_distance_km" => self.pairs = PairSelection::MinDistance { km: real(value)? },
             "fault_seed" => self.faults_mut().seed = whole(value)?,
             "sat_mttf_s" | "sat_mttr_s" | "isl_mttf_s" | "isl_mttr_s" => {
-                let x = num(&literal(value), Check::Positive).map_err(bad)?;
+                let x = num(&literal(value), POSITIVE).map_err(|why| bad(&why))?;
                 let f = self.faults_mut();
                 let flap = if key.starts_with("sat") { &mut f.sat_flap } else { &mut f.isl_flap };
                 let flap = flap.get_or_insert(DEFAULT_FLAP);
@@ -601,7 +601,7 @@ impl ExperimentSpec {
 
         for knob in KNOBS {
             match v.get(knob.key) {
-                Some(x) => (knob.field)(&mut spec).put(knob.check, x).map_err(|why| {
+                Some(x) => (knob.field)(&mut spec).put(knob.range, x).map_err(|why| {
                     SpecError(format!("{:?} {why}, got {}", knob.key, json::to_string(x)))
                 })?,
                 None if knob.required => return err(format!("missing {:?}", knob.key)),
@@ -630,23 +630,35 @@ struct Knob {
     doc: &'static str,
     /// Printed even at its default, and a spec file must carry it.
     required: bool,
-    /// What a value must satisfy beyond its type.
-    check: Check,
+    /// The values a number may take, in the key's unit.
+    range: Span,
     /// The spec field the knob reads and writes.
     field: for<'a> fn(&'a mut ExperimentSpec) -> Field<'a>,
 }
 
-/// What a knob's value must satisfy beyond its type (numbers must always
-/// be finite).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Check {
-    /// Nothing more.
-    Any,
-    /// `>= 0`.
-    NonNegative,
-    /// `> 0`, and still nonzero once rounded to the field's unit.
-    Positive,
-}
+/// The values a number may take beyond being finite. A range without 0
+/// also refuses a value that rounds to zero in the field's unit.
+type Span = (Bound<f64>, Bound<f64>);
+
+/// Any finite number (any value of a non-numeric field).
+const ANY: Span = (Unbounded, Unbounded);
+const NON_NEGATIVE: Span = (Included(0.0), Unbounded);
+const POSITIVE: Span = (Excluded(0.0), Unbounded);
+const AT_LEAST_ONE: Span = (Included(1.0), Unbounded);
+
+/// The longest duration a knob takes, seconds (about 32 years): the sum
+/// of a few such durations, the latest instant a run derives from them,
+/// stays far below `SimTime`'s 584 years of nanoseconds.
+const MAX_SECS: f64 = 1e9;
+/// The fastest line rate a knob takes, Mbit/s (1 Pbit/s): its bit/s fit a
+/// `DataRate`, and one bit still takes a representable time.
+const MAX_MBPS: f64 = 1e9;
+
+const HORIZON_S: Span = (Included(0.0), Included(MAX_SECS));
+const INTERVAL_S: Span = (Excluded(0.0), Included(MAX_SECS));
+const INTERVAL_MS: Span = (Excluded(0.0), Included(MAX_SECS * 1e3));
+const RATE_MBPS: Span = (Excluded(0.0), Included(MAX_MBPS));
+const RATE_KBPS: Span = (Included(0.0), Included(MAX_MBPS * 1e3));
 
 /// A knob's spec field, tagged with how its value is written.
 enum Field<'a> {
@@ -674,19 +686,20 @@ enum Field<'a> {
     OptText(&'a mut Option<String>),
 }
 
-/// Builds the [`KNOBS`] rows: doc comment, `key: presence check
+/// Builds the [`KNOBS`] rows: doc comment, `key: presence RANGE
 /// Kind(field[, scale])`, where presence is `required` (always printed, and
-/// a spec file must carry it) or `defaulted` (printed only off its default).
+/// a spec file must carry it) or `defaulted` (printed only off its default)
+/// and `RANGE` names a [`Span`].
 macro_rules! knobs {
     (@required required) => { true };
     (@required defaulted) => { false };
-    ($($(#[doc = $doc:literal])+ $key:ident: $presence:ident $check:ident
+    ($($(#[doc = $doc:literal])+ $key:ident: $presence:ident $range:ident
         $kind:ident($field:ident $(, $scale:expr)?),)*) => {
         &[$(Knob {
             key: stringify!($key),
             doc: concat!($($doc),+),
             required: knobs!(@required $presence),
-            check: Check::$check,
+            range: $range,
             field: |s| Field::$kind(&mut s.$field $(, $scale)?),
         }),*]
     };
@@ -695,39 +708,39 @@ macro_rules! knobs {
 /// Every scalar knob, in printing order.
 const KNOBS: &[Knob] = knobs![
     /// Simulated horizon, seconds.
-    duration_s: required NonNegative Secs(duration, 1.0),
+    duration_s: required HORIZON_S Secs(duration, 1.0),
     /// Forwarding-state granularity (the paper's Δt), milliseconds.
-    step_ms: required Positive Secs(step, 1e3),
+    step_ms: required INTERVAL_MS Secs(step, 1e3),
     /// Line rate of every ISL and GSL, Mbit/s.
-    line_rate_mbps: required Positive Mbps(line_rate),
+    line_rate_mbps: required RATE_MBPS Mbps(line_rate),
     /// Drop-tail queue capacity per device, packets.
-    queue_packets: required Positive Count(queue_packets),
+    queue_packets: required AT_LEAST_ONE Count(queue_packets),
     /// Per-device utilization-tracking bucket, seconds; unset, nothing is tracked.
-    utilization_bucket_s: defaulted Positive OptSecs(utilization_bucket, 1.0),
+    utilization_bucket_s: defaulted INTERVAL_S OptSecs(utilization_bucket, 1.0),
     /// Congestion controller of TCP workloads: newreno, vegas, cubic or bbr.
-    cc: required Any Cc(cc),
+    cc: required ANY Cc(cc),
     /// Worker threads of the routing sweeps' snapshot fan-out (0 = one per
     /// core); packet runs do not read it. Results are identical for any value.
-    threads: required Any Count(threads),
+    threads: required ANY Count(threads),
     /// Seed of the randomized pieces (permutation matrix, loss processes).
-    seed: required Any Int(seed),
+    seed: required ANY Int(seed),
     /// Retired: accepted, ignored, warns above 1 (the event engine runs one shard).
-    sim_shards: defaulted Positive Count(sim_shards),
+    sim_shards: defaulted AT_LEAST_ONE Count(sim_shards),
     /// packet, fluid, or hybrid (bulk flows fluid, the rest packet-level).
-    sim_mode: defaulted Any Mode(sim_mode),
+    sim_mode: defaulted ANY Mode(sim_mode),
     /// Demand below which a flow stays packet-level in fluid or hybrid
     /// mode, kbit/s (0 = the experiment's default).
-    fluid_threshold_kbps: defaulted NonNegative Num(fluid_threshold_kbps),
+    fluid_threshold_kbps: defaulted RATE_KBPS Num(fluid_threshold_kbps),
     /// Offered flows of traffic-matrix experiments; unset, the experiment's default.
-    flows: defaulted Positive OptInt(flows),
+    flows: defaulted AT_LEAST_ONE OptInt(flows),
     /// Share of flipped edges above which SSSP repair falls back to full Dijkstra.
-    repair_churn_threshold: defaulted NonNegative Num(repair_churn_threshold),
+    repair_churn_threshold: defaulted NON_NEGATIVE Num(repair_churn_threshold),
     /// Checkpoint interval, simulated seconds; unset, no checkpoints.
-    checkpoint_every_s: defaulted Positive OptSecs(checkpoint_every, 1.0),
+    checkpoint_every_s: defaulted INTERVAL_S OptSecs(checkpoint_every, 1.0),
     /// Checkpoint directory of an earlier run to resume from; unset, start at t = 0.
-    resume_from: defaulted Any OptText(resume_from),
+    resume_from: defaulted ANY OptText(resume_from),
     /// Run conservation audits at every epoch boundary.
-    audit: defaulted Any Flag(audit),
+    audit: defaulted ANY Flag(audit),
 ];
 
 /// The knob with this key.
@@ -751,19 +764,19 @@ impl Field<'_> {
 
     /// Check a JSON value and store it (`null` unsets an optional field);
     /// the error says what was expected.
-    fn put(self, check: Check, v: &Value) -> Result<(), &'static str> {
+    fn put(self, range: Span, v: &Value) -> Result<(), String> {
         match self {
             Field::OptInt(f) if *v == Value::Null => *f = None,
             Field::OptSecs(f, _) if *v == Value::Null => *f = None,
             Field::OptText(f) if *v == Value::Null => *f = None,
-            Field::Int(f) => *f = int(v, check)?,
-            Field::Count(f) => *f = int(v, check)? as usize,
-            Field::Num(f) => *f = num(v, check)?,
-            Field::Secs(f, scale) => *f = secs(v, check, scale)?,
+            Field::Int(f) => *f = int(v, range)?,
+            Field::Count(f) => *f = int(v, range)? as usize,
+            Field::Num(f) => *f = num(v, range)?,
+            Field::Secs(f, scale) => *f = secs(v, range, scale)?,
             Field::Mbps(f) => {
-                let bps = (num(v, check)? * 1e6).round() as u64;
-                if bps == 0 && check == Check::Positive {
-                    return Err("must be at least 1 bit/s");
+                let bps = (num(v, range)? * 1e6).round() as u64;
+                if bps == 0 && !range.contains(&0.0) {
+                    return Err("must be at least 1 bit/s".into());
                 }
                 *f = DataRate::from_bps(bps);
             }
@@ -774,9 +787,9 @@ impl Field<'_> {
                 *f = name(v, SimMode::parse).ok_or("expects packet, fluid or hybrid")?
             }
             Field::Flag(f) => *f = v.as_bool().ok_or("expects true or false")?,
-            Field::OptInt(f) => *f = Some(int(v, check)?),
-            Field::OptSecs(f, scale) => *f = Some(secs(v, check, scale)?),
-            Field::OptText(f) => *f = Some(text(v, check)?),
+            Field::OptInt(f) => *f = Some(int(v, range)?),
+            Field::OptSecs(f, scale) => *f = Some(secs(v, range, scale)?),
+            Field::OptText(f) => *f = Some(text(v, range)?),
         }
         Ok(())
     }
@@ -799,32 +812,34 @@ impl Field<'_> {
     }
 }
 
-fn int(v: &Value, check: Check) -> Result<u64, &'static str> {
+fn int(v: &Value, range: Span) -> Result<u64, String> {
     match v.as_u64() {
-        None => Err("expects a non-negative integer"),
-        Some(0) if check == Check::Positive => Err("must be at least 1"),
+        None => Err("expects a non-negative integer".into()),
+        Some(n) if !range.contains(&(n as f64)) => {
+            Err(format!("expects an integer{}", range_text(&range)))
+        }
         Some(n) => Ok(n),
     }
 }
 
-fn num(v: &Value, check: Check) -> Result<f64, &'static str> {
+fn num(v: &Value, range: Span) -> Result<f64, String> {
     match v.as_f64() {
-        None => Err("expects a number"),
-        Some(x) if !x.is_finite() => Err("expects a finite number"),
-        Some(x) if x <= 0.0 && check == Check::Positive => Err("must be positive"),
-        Some(x) if x < 0.0 && check == Check::NonNegative => Err("must be non-negative"),
+        None => Err("expects a number".into()),
+        Some(x) if !x.is_finite() || !range.contains(&x) => {
+            Err(format!("expects a finite number{}", range_text(&range)))
+        }
         Some(x) => Ok(x),
     }
 }
 
-fn text(v: &Value, _: Check) -> Result<String, &'static str> {
-    v.as_str().map(str::to_string).ok_or("expects text")
+fn text(v: &Value, _: Span) -> Result<String, String> {
+    v.as_str().map(str::to_string).ok_or_else(|| "expects text".into())
 }
 
-fn secs(v: &Value, check: Check, scale: f64) -> Result<SimDuration, &'static str> {
-    let d = SimDuration::from_secs_f64(num(v, check)? / scale);
-    if d.is_zero() && check == Check::Positive {
-        return Err("must be at least 1 ns");
+fn secs(v: &Value, range: Span, scale: f64) -> Result<SimDuration, String> {
+    let d = SimDuration::from_secs_f64(num(v, range)? / scale);
+    if d.is_zero() && !range.contains(&0.0) {
+        return Err("must be at least 1 ns".into());
     }
     Ok(d)
 }
@@ -950,12 +965,12 @@ fn json_list<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
 }
 
 /// A knob-value reader: [`int`], [`num`] or [`text`].
-type Read<T> = fn(&Value, Check) -> Result<T, &'static str>;
+type Read<T> = fn(&Value, Span) -> Result<T, String>;
 
 /// Field `key` of the object `v`, read as the knobs read their values.
 fn field<T>(v: &Value, ctx: &str, key: &str, read: Read<T>) -> Result<T, SpecError> {
     let x = v.get(key).unwrap_or(&Value::Null);
-    read(x, Check::Any).map_err(|why| SpecError(format!("{ctx}: {key:?} {why}")))
+    read(x, ANY).map_err(|why| SpecError(format!("{ctx}: {key:?} {why}")))
 }
 
 fn parse_faults(v: &Value) -> Result<FaultSpec, SpecError> {
@@ -984,7 +999,7 @@ fn parse_faults(v: &Value) -> Result<FaultSpec, SpecError> {
     fn flap(v: &Value, key: &str) -> Result<Option<FlapProcess>, SpecError> {
         let Some(p) = v.get(key) else { return Ok(None) };
         let ctx = format!("faults.{key}");
-        let mean: Read<f64> = |x, _| num(x, Check::Positive);
+        let mean: Read<f64> = |x, _| num(x, POSITIVE);
         Ok(Some(FlapProcess {
             mttf_s: field(p, &ctx, "mttf_s", mean)?,
             mttr_s: field(p, &ctx, "mttr_s", mean)?,
@@ -1485,20 +1500,20 @@ mod tests {
     /// `--set` and a spec file must reject (read as a JSON literal where
     /// one parses, else as a string).
     const CASES: &[(&str, &str, &[&str])] = &[
-        ("duration_s", "12.5", &["-1", "nan", "inf", "-inf", "soon", "true"]),
-        ("step_ms", "0.25", &["0", "-1", "nan", "inf", "0.0000001"]),
-        ("line_rate_mbps", "2.5", &["0", "-1", "nan", "-inf", "0.0000001"]),
+        ("duration_s", "12.5", &["-1", "nan", "inf", "-inf", "soon", "true", "2e10"]),
+        ("step_ms", "0.25", &["0", "-1", "nan", "inf", "0.0000001", "1e15"]),
+        ("line_rate_mbps", "2.5", &["0", "-1", "nan", "-inf", "0.0000001", "1e20"]),
         ("queue_packets", "7", &["0", "-1", "1.5", "many"]),
-        ("utilization_bucket_s", "1.5", &["0", "-1", "nan", "inf"]),
+        ("utilization_bucket_s", "1.5", &["0", "-1", "nan", "inf", "1e10"]),
         ("cc", "bbr", &["tahoe", "7"]),
         ("threads", "3", &["-1", "1.5", "many"]),
         ("seed", "18446744073709551615", &["-1", "18446744073709551616", "1.5"]),
         ("sim_shards", "4", &["0", "-1", "many"]),
         ("sim_mode", "hybrid", &["analytic", "1"]),
-        ("fluid_threshold_kbps", "64.5", &["-1", "-inf", "nan", "slow"]),
+        ("fluid_threshold_kbps", "64.5", &["-1", "-inf", "nan", "slow", "1e300"]),
         ("flows", "1000000", &["0", "-1", "many"]),
         ("repair_churn_threshold", "0.25", &["-0.1", "-1", "nan", "inf", "lots"]),
-        ("checkpoint_every_s", "0.5", &["0", "-1", "nan", "inf"]),
+        ("checkpoint_every_s", "0.5", &["0", "-1", "nan", "inf", "1e10"]),
         ("resume_from", "out/ckpt", &[]),
         ("audit", "true", &["yes", "1"]),
     ];
@@ -1588,11 +1603,7 @@ mod tests {
                     Field::Flag(_) => "bool",
                     Field::OptText(_) => "text",
                 };
-                let bound = match k.check {
-                    Check::Any => "",
-                    Check::NonNegative => " ≥ 0",
-                    Check::Positive => " > 0",
-                };
+                let bound = range_text(&k.range);
                 let default = match field.json() {
                     _ if k.required => "required".to_string(),
                     Some(text) => format!("`{text}`"),

@@ -654,6 +654,33 @@ const PARAM_OFF: [(&str, &str); 18] = [
     ("perf_series", "true"),
 ];
 
+/// Per declared structured field, the sets that move it off the tiny
+/// spec: an entry for the experiment, else the one for every experiment
+/// (`""`). Bent pipe's pair must be its two ground stations, so its
+/// ground and pairs move together.
+const STRUCTURED_OFF: [(&str, &str, Sets); 10] = [
+    ("", "constellation", &[("constellation", "telesat_t1")]),
+    ("", "ground", &[("cities", "20")]),
+    ("", "pairs", &[("pairs", "Delhi:Shanghai")]),
+    ("fig06_08_rtt_path_ecdfs", "pairs", &[("min_distance_km", "3000")]),
+    ("fig09_timestep", "pairs", &[("min_distance_km", "3000")]),
+    ("ext_multipath_diversity", "pairs", &[("min_distance_km", "3000")]),
+    ("fig12_ground_view", "ground", &[("cities", "1")]),
+    ("fig13_path_viz", "ground", &[("cities", "50")]),
+    ("fig16_19_bent_pipe", "ground", &[("cities", "2"), ("pairs", "Tokyo:Delhi")]),
+    ("fig16_19_bent_pipe", "pairs", &[("cities", "2"), ("pairs", "Tokyo:Delhi")]),
+];
+
+/// Experiments whose ground segment only resolves the named pair, so an
+/// added station moves nothing: their ground is read if dropping a pair
+/// city from it fails the run naming that city.
+const GROUND_RESOLVES_PAIR: [(&str, Sets, &str); 4] = [
+    ("fig03_rtt_fluctuations", &[("cities", "5")], "Cairo"),
+    ("fig04_cwnd_bdp", &[("cities", "5")], "Cairo"),
+    ("fig05_cc_rates_rtt", &[("cities", "5")], "Cairo"),
+    ("fig13_path_viz", &[("cities", "27")], "Paris"),
+];
+
 /// The fault scenario the gate attaches where one is applied: the first
 /// ground station's GSLs down for the first second.
 const FAULT_OFF: (&str, &str) = ("gsl_weather", "0:0:1");
@@ -690,9 +717,11 @@ const GATE_SETS: [(&str, Sets); 2] = [
 ];
 
 /// Every input an experiment declares moves an artifact: on its tiny spec,
-/// one off value per declared knob, per param of its default specs and,
-/// where it applies one, a fault scenario must change some artifact's
-/// name or checksum. The failure names every input that moved nothing.
+/// one off value per declared knob and structured field, per param of its
+/// default specs and, where it applies one, a fault scenario must change
+/// some artifact's name or checksum (a ground that only resolves the
+/// named pair must fail the run without a pair city instead). The failure
+/// names every input that moved nothing.
 #[test]
 #[ignore = "release-only: about 120 runs of the tiny specs"]
 fn every_declared_input_moves_an_artifact() {
@@ -721,16 +750,38 @@ fn every_declared_input_moves_an_artifact() {
         let params = hypatia::runner::default_params(exp);
         let params = params.iter().filter(|p| !PROVEN_IDENTICAL.contains(&p.as_str()));
         let about = exp.about();
-        let knobs = about.knobs.split_whitespace().map(|k| lookup(&KNOB_OFF, k));
-        let mut inputs: Vec<(&str, &str)> = knobs.collect();
-        inputs.extend(params.map(|p| lookup(&PARAM_OFF, p)));
-        inputs.extend(about.faults.then_some(FAULT_OFF));
-        for (key, value) in inputs {
+        if let Some(&(_, sets, city)) = GROUND_RESOLVES_PAIR.iter().find(|e| e.0 == name) {
             let mut spec = base.clone();
-            spec.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
-            assert_ne!(spec, base, "{name}: {key}={value} is the tiny spec's value");
+            for &(key, value) in sets {
+                spec.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
+            }
+            let mut sink = ArtifactSink::new(dir.clone());
+            sink.verbose = false;
+            match runner.run(spec, sink) {
+                Err(e) if e.to_string().contains(city) => {}
+                other => idle.push(format!("{name}: {sets:?} ran: {:?}", other.map(|r| r.0))),
+            }
+        }
+        let resolves_pair =
+            |key| key == "ground" && GROUND_RESOLVES_PAIR.iter().any(|e| e.0 == name);
+        let structured = |key| {
+            let own = STRUCTURED_OFF.iter().find(|e| e.0 == name && e.1 == key);
+            let any = || STRUCTURED_OFF.iter().find(|e| e.0.is_empty() && e.1 == key);
+            own.or_else(any).map(|e| e.2.to_vec())
+        };
+        let declared = |key| structured(key).unwrap_or_else(|| vec![lookup(&KNOB_OFF, key)]);
+        let knobs = about.knobs.split_whitespace().filter(|&k| !resolves_pair(k));
+        let mut inputs: Vec<Vec<(&str, &str)>> = knobs.map(declared).collect();
+        inputs.extend(params.map(|p| vec![lookup(&PARAM_OFF, p)]));
+        inputs.extend(about.faults.then(|| vec![FAULT_OFF]));
+        for sets in inputs {
+            let mut spec = base.clone();
+            for &(key, value) in &sets {
+                spec.set(key, value).unwrap_or_else(|e| panic!("{name}: {key}={value}: {e}"));
+            }
+            assert_ne!(spec, base, "{name}: {sets:?} is the tiny spec's value");
             if artifacts(spec) == reference {
-                idle.push(format!("{name}: {key}={value}"));
+                idle.push(format!("{name}: {sets:?}"));
             }
         }
         let _ = std::fs::remove_dir_all(dir);

@@ -1,7 +1,8 @@
 //! Network devices: a drop-tail queue in front of a fixed-rate transmitter.
 //!
-//! Two kinds mirror the paper's model: an **ISL device** is hard-wired to
-//! one peer satellite; a **GSL device** serves *all* of a node's
+//! A device is one directed link of the [`crate::links::LinkTable`], which
+//! says what it is attached to: an **ISL device** is hard-wired to one
+//! peer satellite; a **GSL device** serves *all* of a node's
 //! ground↔satellite traffic through one queue (the paper's default of one
 //! GSL network device per node). Every queued packet records the next hop
 //! chosen when it was enqueued, so forwarding-state changes never reroute
@@ -18,18 +19,6 @@ use crate::packet::Packet;
 use hypatia_constellation::{LinkFit, NodeId};
 use hypatia_util::{DataRate, DataSize, SimDuration, SimTime};
 use std::collections::VecDeque;
-
-/// What the device is attached to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceKind {
-    /// Inter-satellite link with a fixed peer.
-    Isl {
-        /// The peer satellite node.
-        peer: NodeId,
-    },
-    /// Ground–satellite device (peer chosen per packet).
-    Gsl,
-}
 
 /// A packet sitting in a device queue: where it is, and what the device
 /// path needs to know about it without going there.
@@ -70,8 +59,6 @@ pub struct DeviceStats {
 /// A transmit device.
 #[derive(Debug)]
 pub struct Device {
-    /// ISL or GSL.
-    pub kind: DeviceKind,
     /// Line rate.
     pub rate: DataRate,
     /// Max queued packets (excluding the one in transmission).
@@ -90,14 +77,8 @@ pub struct Device {
 
 impl Device {
     /// New idle device.
-    pub fn new(
-        kind: DeviceKind,
-        rate: DataRate,
-        queue_capacity: usize,
-        bucket: Option<SimDuration>,
-    ) -> Self {
+    pub fn new(rate: DataRate, queue_capacity: usize, bucket: Option<SimDuration>) -> Self {
         Device {
-            kind,
             rate,
             queue_capacity,
             queue: VecDeque::new(),
@@ -211,11 +192,10 @@ impl Device {
     /// Serialize the device's mutable state: the (possibly fluid-adjusted)
     /// rate, the queue, the in-service packet (both by value, looked up in
     /// `packets`: slots are not part of an image), and the counters. The
-    /// immutable skeleton (kind, capacity, bucket width) is rebuilt from
-    /// config at restore time and is not stored.
+    /// immutable skeleton (capacity, bucket width) is rebuilt from config
+    /// at restore time and is not stored.
     pub(crate) fn save(&self, w: &mut SnapWriter, packets: &PacketSlab) {
-        let Device { rate, queue, in_flight, stats, kind: _, queue_capacity: _, bucket: _, fit: _ } =
-            self;
+        let Device { rate, queue, in_flight, stats, queue_capacity: _, bucket: _, fit: _ } = self;
         let image = |q: &Queued| (packets[q.slot], q.next_hop);
         rate.put(w);
         queue.len().put(w);
@@ -290,7 +270,7 @@ mod tests {
     }
 
     fn dev(cap: usize) -> Device {
-        Device::new(DeviceKind::Gsl, DataRate::from_mbps(10), cap, None)
+        Device::new(DataRate::from_mbps(10), cap, None)
     }
 
     #[test]
@@ -365,7 +345,6 @@ mod tests {
     #[test]
     fn utilization_buckets_split_across_boundaries() {
         let mut d = Device::new(
-            DeviceKind::Gsl,
             DataRate::from_kbps(8), // 1 B/ms: sizes map to ms directly
             10,
             Some(SimDuration::from_millis(10)),
@@ -416,22 +395,21 @@ mod tests {
         w.finish()
     }
 
-    fn isl_dev() -> Device {
-        let kind = DeviceKind::Isl { peer: NodeId(5) };
-        Device::new(kind, DataRate::from_mbps(10), 4, Some(SimDuration::from_millis(10)))
+    fn tracked_dev() -> Device {
+        Device::new(DataRate::from_mbps(10), 4, Some(SimDuration::from_millis(10)))
     }
 
     #[test]
     fn save_restore_round_trips_mutable_state() {
         let held = [(pkt(1, 1500), 9), (pkt(2, 750), 8)];
-        let (mut d, mut slab) = (isl_dev(), PacketSlab::default());
+        let (mut d, mut slab) = (tracked_dev(), PacketSlab::default());
         offer(&mut d, &mut slab, 0, &held);
         d.rate = DataRate::from_mbps(7); // a fluid residual adjustment
         let saved = image(&d, &slab);
 
         // Slot numbers are not part of the image: the same packets at other
         // slots write the same bytes.
-        let (mut skewed, mut skewed_slab) = (isl_dev(), PacketSlab::default());
+        let (mut skewed, mut skewed_slab) = (tracked_dev(), PacketSlab::default());
         offer(&mut skewed, &mut skewed_slab, 3, &held);
         skewed.rate = d.rate;
         assert_ne!(skewed.in_flight.map(|q| q.slot), d.in_flight.map(|q| q.slot));
@@ -439,7 +417,7 @@ mod tests {
 
         // Restore lands the packets in whatever slab it is given; what the
         // device held before is forgotten.
-        let mut fresh = isl_dev();
+        let mut fresh = tracked_dev();
         fresh.enqueue(q(0, 60), SimTime::ZERO);
         let mut r = SnapReader::from_bytes(saved.clone(), 1).unwrap();
         let mut restored_slab = PacketSlab::default();

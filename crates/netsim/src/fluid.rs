@@ -23,17 +23,17 @@
 //!
 //! A re-solve runs once per forwarding step, so its constant factor is the
 //! hybrid engine's per-step cost. Every directed link device has a dense
-//! id from a link table built once from the constellation: per node,
-//! its ISL peers in `Constellation::isls` order, then its shared GSL
-//! device — the order the packet engine attaches devices in, so a link id
-//! is also `(node, device index)`. A re-solve then
+//! id from the [`LinkTable`] built once from the constellation — in a
+//! simulator, the very table its packet devices are indexed by, so a
+//! residual push names the device it sets. A re-solve then
 //!
 //! 1. lays each live bundle's path out as link ids in one CSR buffer
 //!    (`links`, `hop_start`): copied from the previous solve where the
 //!    destination tree kept its next hops (*Path reuse* below), else
 //!    walked hop by hop straight off the tree
-//!    ([`ForwardingState::hops`]) — fault check and link-id lookup (a
-//!    scan of the node's ≤ 5 slots) in the same walk;
+//!    ([`ForwardingState::hops`]) — fault check and link-id lookup
+//!    ([`LinkTable::of_hop`], the packet engine's device choice) in the
+//!    same walk;
 //! 2. inverts the hop lists into a second CSR buffer of per-link member
 //!    bundles (`members`, `member_start`), indexed by link id;
 //! 3. water-fills, bringing a link's residual up to date only in the
@@ -161,6 +161,7 @@
 //! bit-identical from run to run and across a resume.
 
 use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
+use crate::links::{LinkKey, LinkTable};
 use crate::packet::HEADER_BYTES;
 use hypatia_constellation::{Constellation, NodeId};
 use hypatia_fault::FaultState;
@@ -172,6 +173,7 @@ use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 /// How the simulator treats bulk flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -208,16 +210,6 @@ impl SimMode {
     }
 }
 
-/// Sentinel peer code identifying a node's shared GSL device in a
-/// [`LinkKey`] (ISL links carry the actual peer node index).
-pub(crate) const GSL_PEER: u32 = u32::MAX;
-
-/// A directed link device: `(node, peer)` for an ISL, `(node, GSL_PEER)`
-/// for the node's single shared GSL device — mirroring the packet model,
-/// where all of a node's ground↔satellite traffic serializes through one
-/// queue.
-pub(crate) type LinkKey = (u32, u32);
-
 /// Relative tolerance for freeze decisions in the water-filling loop.
 const EPS: f64 = 1e-12;
 
@@ -236,101 +228,10 @@ const UNFROZEN: u32 = u32::MAX;
 const ROW_UNROUTABLE: u32 = u32::MAX;
 const ROW_UNKNOWN: u32 = u32::MAX - 1;
 
-/// Dense ids for every directed link device of one constellation.
-///
-/// Node `n` owns the ids `first[n]..first[n + 1]`: one per ISL peer in
-/// `Constellation::isls` order, then its shared GSL device. `Simulator::new`
-/// attaches devices in exactly that order, so `id − first[n]` is the
-/// device's index on its node — and `Node::device_for` scans its ISL
-/// devices in the same order `of_hop` scans a node's links here.
-#[derive(Debug, Default)]
-pub(crate) struct LinkTable {
-    /// Prefix offsets over nodes, `num_nodes + 1` long.
-    first: Vec<u32>,
-    /// Owning node of each link.
-    node: Vec<u32>,
-    /// The ISL peer of each link, or [`GSL_PEER`].
-    peer: Vec<u32>,
-    /// Every link id, in ascending [`LinkKey`] order.
-    by_key: Vec<u32>,
-    num_satellites: u32,
-}
-
-impl LinkTable {
-    pub(crate) fn build(constellation: &Constellation) -> LinkTable {
-        let n = constellation.num_nodes();
-        let mut first = vec![0u32; n + 1];
-        for &(a, b) in &constellation.isls {
-            first[a as usize + 1] += 1;
-            first[b as usize + 1] += 1;
-        }
-        for i in 0..n {
-            first[i + 1] += first[i] + 1;
-        }
-        let total = first[n] as usize;
-        let mut peer = vec![GSL_PEER; total];
-        let mut next = first.clone();
-        for &(a, b) in &constellation.isls {
-            for (from, to) in [(a, b), (b, a)] {
-                peer[next[from as usize] as usize] = to;
-                next[from as usize] += 1;
-            }
-        }
-        let mut node = vec![0u32; total];
-        for i in 0..n {
-            node[first[i] as usize..first[i + 1] as usize].fill(i as u32);
-        }
-        let mut by_key: Vec<u32> = (0..total as u32).collect();
-        by_key.sort_unstable_by_key(|&l| (node[l as usize], peer[l as usize]));
-        LinkTable {
-            first,
-            node,
-            peer,
-            by_key,
-            num_satellites: constellation.num_satellites() as u32,
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.peer.len()
-    }
-
-    pub(crate) fn key(&self, link: u32) -> LinkKey {
-        (self.node[link as usize], self.peer[link as usize])
-    }
-
-    /// `(node, device index on that node)` of a link.
-    pub(crate) fn device(&self, link: u32) -> (u32, u32) {
-        let node = self.node[link as usize];
-        (node, link - self.first[node as usize])
-    }
-
-    /// The link a hop `a → b` serializes through: `a`'s ISL device
-    /// towards `b` when both are satellites, else `a`'s GSL device.
-    #[inline]
-    fn of_hop(&self, a: NodeId, b: NodeId) -> u32 {
-        let gsl = self.first[a.index() + 1] - 1;
-        if a.0 >= self.num_satellites || b.0 >= self.num_satellites {
-            return gsl;
-        }
-        (self.first[a.index()]..gsl)
-            .find(|&l| self.peer[l as usize] == b.0)
-            .expect("satellite-to-satellite hop over no ISL")
-    }
-
-    /// The link named by a checkpointed key, if this constellation has it.
-    fn of_key(&self, (node, peer): LinkKey) -> Option<u32> {
-        let end = *self.first.get(node as usize + 1)?;
-        (self.first[node as usize]..end).find(|&l| self.peer[l as usize] == peer)
-    }
-}
-
 /// A residual device rate for the packet engine to apply (hybrid mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LinkRate {
-    pub(crate) node: u32,
-    /// Index into the node's device list.
-    pub(crate) device: u32,
+    pub(crate) link: u32,
     pub(crate) rate: DataRate,
 }
 
@@ -850,9 +751,10 @@ pub struct FluidNet {
     /// events re-solve with the finished demand removed.
     boundaries: Vec<SimTime>,
     next_boundary: usize,
-    /// Link ids of the constellation being solved over; empty until the
-    /// first solve (or restore) names it.
-    links: LinkTable,
+    /// Link ids of the constellation being solved over: the simulator's
+    /// own table, or (standalone) empty until the first solve or restore
+    /// names the constellation.
+    links: Arc<LinkTable>,
     /// Capacity by link id, bits/s.
     link_cap: Vec<f64>,
     /// Aggregate fluid load by link id, bits/s (last solve); a link is
@@ -879,7 +781,7 @@ impl FluidNet {
             index: HashMap::default(),
             boundaries: Vec::new(),
             next_boundary: 0,
-            links: LinkTable::default(),
+            links: Arc::default(),
             link_cap: Vec::new(),
             link_load: Vec::new(),
             pushed: Vec::new(),
@@ -959,20 +861,31 @@ impl FluidNet {
         self.last_advanced = t;
     }
 
+    /// A fluid network over the links of `links`, shared with the packet
+    /// devices they number.
+    pub(crate) fn over(links: Arc<LinkTable>, isl_rate: DataRate, gsl_rate: DataRate) -> Self {
+        let mut net = FluidNet::new(isl_rate, gsl_rate);
+        net.use_links(links);
+        net
+    }
+
     /// Build the link table for `constellation` unless it is already the
     /// one in use.
     fn ensure_links(&mut self, constellation: &Constellation) {
-        if self.links.first.len() == constellation.num_nodes() + 1 {
-            return;
+        if self.links.num_nodes() != constellation.num_nodes() {
+            self.use_links(Arc::new(LinkTable::build(constellation)));
         }
-        self.links = LinkTable::build(constellation);
-        let n = self.links.len();
+    }
+
+    /// Solve over `links` from now on, every link at full capacity.
+    fn use_links(&mut self, links: Arc<LinkTable>) {
+        let n = links.len();
         let (isl, gsl) = (self.isl_cap_bps, self.gsl_cap_bps);
-        self.link_cap =
-            self.links.peer.iter().map(|&p| if p == GSL_PEER { gsl } else { isl }).collect();
+        self.link_cap = (0..n as u32).map(|l| if links.is_gsl(l) { gsl } else { isl }).collect();
         self.link_load = vec![0.0; n];
         self.pushed = vec![0; n];
         self.paths.valid = false;
+        self.links = links;
     }
 
     /// Recompute the max-min fair rate vector over the current forwarding
@@ -1091,9 +1004,8 @@ impl FluidNet {
                 if load > 0.0 { (((cap - load).max(cap * 0.01)).round() as u64).max(1) } else { 0 };
             if want != *pushed {
                 *pushed = want;
-                let (node, device) = self.links.device(link as u32);
                 let bps = if want == 0 { cap.round() as u64 } else { want };
-                changes.push(LinkRate { node, device, rate: DataRate::from_bps(bps) });
+                changes.push(LinkRate { link: link as u32, rate: DataRate::from_bps(bps) });
             }
         }
         self.stats.last.residual_pushes = changes.len() as u64;
@@ -1276,6 +1188,7 @@ fn hop_up(f: &FaultState, constellation: &Constellation, a: NodeId, b: NodeId) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::links::GSL_PEER;
     use hypatia_constellation::ground::GroundStation;
     use hypatia_constellation::gsl::GslConfig;
     use hypatia_constellation::isl::IslLayout;
@@ -1286,7 +1199,6 @@ mod tests {
     use hypatia_util::rng::DetRng;
     use hypatia_util::SimDuration;
     use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::Arc;
 
     fn constellation() -> Arc<Constellation> {
         Arc::new(Constellation::build(
@@ -1699,6 +1611,9 @@ mod tests {
         assert!(net.residual_changes().is_empty());
     }
 
+    /// The keys the checkpoint names links by: one per link, ascending in
+    /// `by_key`, and each a node's ISL peers in `isls` order, then its GSL
+    /// device.
     #[test]
     fn link_table_numbers_devices_in_attach_order() {
         let c = constellation();
@@ -1708,19 +1623,17 @@ mod tests {
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "by_key is not strictly ascending");
         for link in 0..table.len() as u32 {
             assert_eq!(table.of_key(table.key(link)), Some(link));
-            let (node, device) = table.device(link);
-            assert_eq!(table.first[node as usize] + device, link);
+            assert!(table.of_node(table.node(link)).contains(&(link as usize)));
         }
-        // Per node: ISL peers in `isls` order, the GSL device last.
         let sat = 11u32;
-        let peers: Vec<u32> = c
+        let peers: Vec<Option<NodeId>> = c
             .isls
             .iter()
             .filter_map(|&(a, b)| if a == sat { Some(b) } else { (b == sat).then_some(a) })
+            .map(|p| Some(NodeId(p)))
             .collect();
-        let slots = table.first[sat as usize]..table.first[sat as usize + 1];
-        let listed: Vec<u32> = slots.map(|l| table.peer[l as usize]).collect();
-        assert_eq!(listed, [&peers[..], &[GSL_PEER]].concat());
+        let listed: Vec<_> = table.of_node(NodeId(sat)).map(|l| table.peer(l as u32)).collect();
+        assert_eq!(listed, [&peers[..], &[None]].concat());
         // Hops land on the sender's device: ISL between satellites,
         // the shared GSL device as soon as a ground station is involved.
         let (a, b) = c.isls[7];
@@ -2149,11 +2062,7 @@ mod tests {
     /// Returns the product's.
     fn assert_same_pushes(net: &mut FluidNet, oracle: &mut Oracle, what: &str) -> Vec<LinkRate> {
         let got: Vec<LinkRate> = net.residual_changes().to_vec();
-        let key_of = |ch: &LinkRate| {
-            let link = net.links.first[ch.node as usize] + ch.device;
-            assert_eq!(net.links.device(link), (ch.node, ch.device));
-            (net.links.key(link), ch.rate.bps())
-        };
+        let key_of = |ch: &LinkRate| (net.links.key(ch.link), ch.rate.bps());
         let got_set: BTreeSet<(LinkKey, u64)> = got.iter().map(key_of).collect();
         assert_eq!(got_set.len(), got.len(), "{what}: a link pushed twice");
         let want: BTreeSet<(LinkKey, u64)> =

@@ -53,6 +53,7 @@ pub mod device;
 pub mod event;
 pub mod flow;
 pub mod fluid;
+pub mod links;
 pub mod node;
 pub mod packet;
 pub mod sim;

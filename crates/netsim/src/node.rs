@@ -1,10 +1,9 @@
-//! Nodes: device sets and the port demux.
+//! Nodes: the port demux.
 //!
-//! A satellite owns one device per ISL (hard-wired peer) plus one GSL
-//! device; a ground station owns just the GSL device. Forwarding picks the
-//! ISL device when the next hop is an ISL peer, the GSL device otherwise.
+//! A node's devices are links of the simulator's
+//! [`LinkTable`](crate::links::LinkTable); what a node keeps itself is
+//! which application each of its ports delivers to.
 
-use crate::device::{Device, DeviceKind};
 use hypatia_constellation::NodeId;
 
 /// "No application" in [`Node`]'s port table.
@@ -17,14 +16,6 @@ const PAGE: usize = 256;
 pub struct Node {
     /// This node's id.
     pub id: NodeId,
-    /// All devices owned by the node.
-    pub devices: Vec<Device>,
-    /// `(peer, device index)` per ISL device, in attach order — the order
-    /// the fluid engine's `LinkTable` numbers a node's links in. A
-    /// satellite has a handful (4 in a +Grid), so a linear scan beats
-    /// hashing the peer on every hop.
-    isl_device_of: Vec<(NodeId, usize)>,
-    gsl_device: Option<usize>,
     /// Application index by port ([`UNBOUND`] where none), in pages of
     /// [`PAGE`] ports allocated when their first port is bound: no
     /// applications, no allocation; a demux is two indexed loads, no hashing.
@@ -32,45 +23,9 @@ pub struct Node {
 }
 
 impl Node {
-    /// A node with no devices yet.
+    /// A node with no port bound.
     pub fn new(id: NodeId) -> Self {
-        Node {
-            id,
-            devices: Vec::new(),
-            isl_device_of: Vec::new(),
-            gsl_device: None,
-            port_apps: Vec::new(),
-        }
-    }
-
-    /// Attach a device; registers it in the peer/GSL lookup.
-    pub fn add_device(&mut self, device: Device) -> usize {
-        let idx = self.devices.len();
-        match device.kind {
-            DeviceKind::Isl { peer } => {
-                let dup = self.isl_device_of.iter().any(|&(p, _)| p == peer);
-                assert!(!dup, "duplicate ISL device towards {peer}");
-                self.isl_device_of.push((peer, idx));
-            }
-            DeviceKind::Gsl => {
-                assert!(self.gsl_device.is_none(), "node already has a GSL device");
-                self.gsl_device = Some(idx);
-            }
-        }
-        self.devices.push(device);
-        idx
-    }
-
-    /// The device used to reach `next_hop`: the matching ISL device when one
-    /// exists, else the GSL device.
-    pub fn device_for(&self, next_hop: NodeId) -> Option<usize> {
-        let isl = self.isl_device_of.iter().find(|&&(peer, _)| peer == next_hop);
-        isl.map(|&(_, idx)| idx).or(self.gsl_device)
-    }
-
-    /// The GSL device index, if the node has one.
-    pub fn gsl_device(&self) -> Option<usize> {
-        self.gsl_device
+        Node { id, port_apps: Vec::new() }
     }
 
     /// Bind application `app` to `port`. Panics on double-bind.
@@ -95,34 +50,6 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hypatia_util::DataRate;
-
-    fn isl(peer: u32) -> Device {
-        Device::new(DeviceKind::Isl { peer: NodeId(peer) }, DataRate::from_mbps(10), 100, None)
-    }
-    fn gsl() -> Device {
-        Device::new(DeviceKind::Gsl, DataRate::from_mbps(10), 100, None)
-    }
-
-    #[test]
-    fn device_selection_prefers_isl() {
-        let mut n = Node::new(NodeId(0));
-        let i1 = n.add_device(isl(1));
-        let i2 = n.add_device(isl(2));
-        let g = n.add_device(gsl());
-        assert_eq!(n.device_for(NodeId(1)), Some(i1));
-        assert_eq!(n.device_for(NodeId(2)), Some(i2));
-        // Non-peer → GSL fallback.
-        assert_eq!(n.device_for(NodeId(99)), Some(g));
-        assert_eq!(n.gsl_device(), Some(g));
-    }
-
-    #[test]
-    fn no_gsl_no_fallback() {
-        let mut n = Node::new(NodeId(0));
-        n.add_device(isl(1));
-        assert_eq!(n.device_for(NodeId(5)), None);
-    }
 
     #[test]
     fn port_binding() {
@@ -147,21 +74,5 @@ mod tests {
         let mut n = Node::new(NodeId(3));
         n.bind_port(80, 1);
         n.bind_port(80, 2);
-    }
-
-    #[test]
-    #[should_panic]
-    fn second_gsl_panics() {
-        let mut n = Node::new(NodeId(0));
-        n.add_device(gsl());
-        n.add_device(gsl());
-    }
-
-    #[test]
-    #[should_panic]
-    fn duplicate_isl_peer_panics() {
-        let mut n = Node::new(NodeId(0));
-        n.add_device(isl(4));
-        n.add_device(isl(4));
     }
 }

@@ -26,9 +26,10 @@ use crate::app::{AppAction, Application};
 use crate::audit::AuditViolation;
 use crate::checkpoint::{CheckpointError, Snap, SnapReader, SnapWriter};
 use crate::config::SimConfig;
-use crate::device::{Device, DeviceKind};
+use crate::device::Device;
 use crate::event::{pack, unpack, Event, EventQueue, PacketSlab, QueueStats};
 use crate::fluid::{FluidNet, FluidStats, SimMode};
+use crate::links::LinkTable;
 use crate::node::Node;
 use crate::stats::SimStats;
 use crate::trace::{Trace, TraceKind};
@@ -132,8 +133,8 @@ struct AppEntry {
 
 /// The packet-level simulator.
 ///
-/// Owns every node — devices, applications, the event queue and the
-/// packets alive — and the state global to the run (forwarding, fault and
+/// Owns every node and device, the applications, the event queue and the
+/// packets alive, and the state global to the run (forwarding, fault and
 /// fluid cursors); recomputes forwarding at the configured granularity
 /// while the event loop runs.
 pub struct Simulator {
@@ -153,7 +154,11 @@ pub struct Simulator {
     /// it at its source to delivery or drop; arrivals and device queues
     /// hold slots.
     packets: PacketSlab,
-    /// Every node, by node index.
+    /// The one numbering of the devices, shared with the fluid solver.
+    links: Arc<LinkTable>,
+    /// Every device, by link id.
+    devices: Vec<Device>,
+    /// Every node's port table, by node index.
     nodes: Vec<Node>,
     /// Installed applications, by app index.
     apps: Vec<AppEntry>,
@@ -221,17 +226,13 @@ impl Simulator {
             Self::forwarding_step(&mut worker, &constellation, &config, &dests, first);
 
         let num_nodes = constellation.num_nodes();
-        let mut nodes: Vec<Node> = (0..num_nodes).map(|i| Node::new(NodeId(i as u32))).collect();
-        let device =
-            |kind, rate| Device::new(kind, rate, config.queue_packets, config.utilization_bucket);
-        for &(a, b) in &constellation.isls {
-            let rate = config.effective_isl_rate();
-            nodes[a as usize].add_device(device(DeviceKind::Isl { peer: NodeId(b) }, rate));
-            nodes[b as usize].add_device(device(DeviceKind::Isl { peer: NodeId(a) }, rate));
-        }
-        for node in &mut nodes {
-            node.add_device(device(DeviceKind::Gsl, config.effective_gsl_rate()));
-        }
+        let nodes = (0..num_nodes).map(|i| Node::new(NodeId(i as u32))).collect();
+        let links = Arc::new(LinkTable::build(&constellation));
+        let (isl_rate, gsl_rate) = (config.effective_isl_rate(), config.effective_gsl_rate());
+        let devices = (0..links.len() as u32)
+            .map(|l| if links.is_gsl(l) { gsl_rate } else { isl_rate })
+            .map(|rate| Device::new(rate, config.queue_packets, config.utilization_bucket))
+            .collect();
         let loss_rngs = (0..num_nodes)
             .map(|i| {
                 let mut h = Fnv1a64::new();
@@ -250,7 +251,7 @@ impl Simulator {
         });
 
         let fluid = (config.sim_mode != SimMode::Packet)
-            .then(|| FluidNet::new(config.effective_isl_rate(), config.effective_gsl_rate()));
+            .then(|| FluidNet::over(links.clone(), isl_rate, gsl_rate));
         let mut sim = Simulator {
             ephemeris: Ephemeris::new(&constellation),
             trace: Trace::with_sampling(config.trace_limit, config.trace_sample_every),
@@ -263,6 +264,8 @@ impl Simulator {
             fault_state,
             queue: EventQueue::new(),
             packets: PacketSlab::default(),
+            links,
+            devices,
             nodes,
             apps: Vec::new(),
             node_key_seq: vec![0; num_nodes],
@@ -306,14 +309,20 @@ impl Simulator {
         &self.fwd
     }
 
-    /// The node owned-state for `id` (devices, port bindings).
-    pub fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.index()]
+    /// The numbering of the devices: which node owns each, and its peer.
+    pub fn links(&self) -> &LinkTable {
+        &self.links
     }
 
-    /// The simulated nodes in id order (for stats inspection).
-    pub fn nodes(&self) -> impl Iterator<Item = &Node> {
-        self.nodes.iter()
+    /// Every device, by link id (for stats inspection).
+    pub fn devices(&self) -> &[Device] {
+        &self.devices
+    }
+
+    /// The device a hop `a → b` serializes through
+    /// ([`LinkTable::of_hop`]).
+    pub fn hop_device(&self, a: NodeId, b: NodeId) -> &Device {
+        &self.devices[self.links.of_hop(a, b) as usize]
     }
 
     /// How the engine has executed so far: windows, queue, fluid solver,
@@ -531,11 +540,9 @@ impl Simulator {
         // carries the running re-solve count.
         self.trace.record(t, NodeId(0), fluid.resolves(), TraceKind::FluidResolve);
         if self.config.sim_mode == SimMode::Hybrid {
-            // Each change names a device by `(node, index)`: the fluid
-            // link table numbers devices in the order `new` attaches them.
             // A transmission in flight keeps the rate it started with.
             for change in fluid.residual_changes() {
-                self.nodes[change.node as usize].devices[change.device as usize].rate = change.rate;
+                self.devices[change.link as usize].rate = change.rate;
             }
         }
     }
@@ -623,18 +630,14 @@ impl Simulator {
     }
 
     /// Utilization of the most loaded directed link along `path` in bucket
-    /// `bucket_idx` (requires utilization tracking). For each hop `a → b`
-    /// the device is `a`'s ISL device towards `b`, or `a`'s GSL device.
+    /// `bucket_idx` (requires utilization tracking), each hop's device
+    /// found by [`Simulator::hop_device`].
     pub fn path_bottleneck_utilization(&self, path: &[NodeId], bucket_idx: usize) -> f64 {
         assert!(path.len() >= 2, "path needs at least one hop");
         let mut worst: f64 = 0.0;
         for w in path.windows(2) {
-            let node = self.node(w[0]);
-            let dev_idx = node.device_for(w[1]).expect("path hop has no device");
-            let u = node.devices[dev_idx]
-                .utilization(bucket_idx)
-                .expect("utilization tracking disabled");
-            worst = worst.max(u);
+            let u = self.hop_device(w[0], w[1]).utilization(bucket_idx);
+            worst = worst.max(u.expect("utilization tracking disabled"));
         }
         worst
     }
@@ -720,11 +723,14 @@ impl Simulator {
             (s.at, s.key, unpack(s, |slot| self.packets[slot])).put(w);
         }
 
+        // Devices framed per node, in device order, as when each node
+        // held its own.
         w.put_tag(b"NODS");
         self.nodes.len().put(w);
         for node in &self.nodes {
-            node.devices.len().put(w);
-            node.devices.iter().for_each(|device| device.save(w, &self.packets));
+            let devices = &self.devices[self.links.of_node(node.id)];
+            devices.len().put(w);
+            devices.iter().for_each(|device| device.save(w, &self.packets));
         }
 
         w.put_tag(b"APPS");
@@ -805,9 +811,10 @@ impl Simulator {
 
         r.expect_tag(b"NODS")?;
         r.expect_len(self.nodes.len(), "nodes")?;
-        for node in &mut self.nodes {
-            r.expect_len(node.devices.len(), format_args!("devices on node {}", node.id.0))?;
-            for device in &mut node.devices {
+        for node in &self.nodes {
+            let devices = &mut self.devices[self.links.of_node(node.id)];
+            r.expect_len(devices.len(), format_args!("devices on node {}", node.id.0))?;
+            for device in devices {
                 device.restore(r, &mut self.packets)?;
             }
         }
@@ -885,7 +892,7 @@ impl Simulator {
                 format!("names node {node} of {nodes}")
             }
             Event::TxComplete { node, device }
-                if device as usize >= self.nodes[node as usize].devices.len() =>
+                if device as usize >= self.links.of_node(NodeId(node)).len() =>
             {
                 format!("names device {device} of node {node}")
             }
@@ -936,7 +943,7 @@ impl Simulator {
         let t_ns = self.now.nanos();
         let mut held = self.queue.pending_arrivals() as u64;
         for node in &self.nodes {
-            for (d, device) in node.devices.iter().enumerate() {
+            for (d, device) in self.devices[self.links.of_node(node.id)].iter().enumerate() {
                 held += device.occupancy();
                 let s = &device.stats;
                 let accounted = s.packets_tx + s.drops + device.occupancy();
@@ -1507,19 +1514,17 @@ mod tests {
 
     #[test]
     fn heterogeneous_rates_apply_per_device_kind() {
-        use crate::device::DeviceKind;
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
         let cfg = SimConfig::default()
             .with_isl_rate(DataRate::from_gbps(1))
             .with_gsl_rate(DataRate::from_mbps(50));
         let sim = Simulator::new(c, cfg, vec![src, dst]);
-        for node in sim.nodes() {
-            for dev in &node.devices {
-                match dev.kind {
-                    DeviceKind::Isl { .. } => assert_eq!(dev.rate, DataRate::from_gbps(1)),
-                    DeviceKind::Gsl => assert_eq!(dev.rate, DataRate::from_mbps(50)),
-                }
+        assert_eq!(sim.devices().len(), sim.links().len());
+        for (link, dev) in sim.devices().iter().enumerate() {
+            match sim.links().peer(link as u32) {
+                Some(_) => assert_eq!(dev.rate, DataRate::from_gbps(1)),
+                None => assert_eq!(dev.rate, DataRate::from_mbps(50)),
             }
         }
     }
@@ -1718,12 +1723,11 @@ mod tests {
             sim.add_fluid_flow(i, src, dst, DataRate::from_mbps(10), 1440, SimTime::from_secs(1));
         }
         sim.run_until(SimTime::from_millis(50));
-        let gsl = sim.node(src).gsl_device().expect("src has a GSL device");
-        let rate = sim.node(src).devices[gsl].rate;
-        assert_eq!(rate, DataRate::from_kbps(100), "saturated uplink sits at the 1% floor");
+        let uplink = |sim: &Simulator| sim.hop_device(src, NodeId(0)).rate;
+        assert_eq!(uplink(&sim), DataRate::from_kbps(100), "saturated uplink sits at the 1% floor");
         // Past the stop boundary the load vanishes and capacity returns.
         sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.node(src).devices[gsl].rate, DataRate::from_mbps(10));
+        assert_eq!(uplink(&sim), DataRate::from_mbps(10));
 
         let cfg = SimConfig::default().with_sim_mode(SimMode::Fluid);
         let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
@@ -1731,34 +1735,11 @@ mod tests {
             sim.add_fluid_flow(i, src, dst, DataRate::from_mbps(10), 1440, SimTime::from_secs(1));
         }
         sim.run_until(SimTime::from_millis(50));
-        let gsl = sim.node(src).gsl_device().expect("src has a GSL device");
         assert_eq!(
-            sim.node(src).devices[gsl].rate,
+            uplink(&sim),
             DataRate::from_mbps(10),
             "pure fluid mode must not throttle packet devices"
         );
-    }
-
-    /// Residual pushes address devices by `(node, index)`: the fluid link
-    /// table must number every node's devices exactly as `Simulator::new`
-    /// attaches them.
-    #[test]
-    fn fluid_link_ids_address_the_shards_devices() {
-        use crate::device::DeviceKind;
-        use crate::fluid::{LinkTable, GSL_PEER};
-        let c = constellation();
-        let table = LinkTable::build(&c);
-        let sim = Simulator::new(c.clone(), SimConfig::default(), vec![c.gs_node(0)]);
-        let devices: usize = sim.nodes().map(|n| n.devices.len()).sum();
-        assert_eq!(table.len(), devices);
-        for link in 0..table.len() as u32 {
-            let (node, device) = table.device(link);
-            let peer = match sim.node(NodeId(node)).devices[device as usize].kind {
-                DeviceKind::Isl { peer } => peer.0,
-                DeviceKind::Gsl => GSL_PEER,
-            };
-            assert_eq!(table.key(link), (node, peer), "link {link}");
-        }
     }
 
     #[test]
@@ -2130,7 +2111,7 @@ mod tests {
             sim.run_until(SimTime::from_millis(cut_ms));
             assert_eq!(sim.audit(), [], "t={cut_ms}ms");
             let on_wire = sim.queue.pending_arrivals() as u64;
-            let at_devices: u64 = sim.nodes().flat_map(|n| &n.devices).map(|d| d.occupancy()).sum();
+            let at_devices: u64 = sim.devices().iter().map(|d| d.occupancy()).sum();
             let held = sim.audit_devices(&mut Vec::new());
             assert!(on_wire > 0 && at_devices > 0, "t={cut_ms}ms: idle network");
             assert_eq!(on_wire + at_devices, held, "t={cut_ms}ms");
@@ -2292,7 +2273,7 @@ mod tests {
         let by_value = 0x1d9c_14f8_5f86_13feu64;
         let (mut sim, ..) = every_exit_fixture();
         sim.run_until(SimTime::from_millis(200));
-        assert!(sim.nodes().flat_map(|n| &n.devices).any(|d| d.queue_len() > 0));
+        assert!(sim.devices().iter().any(|d| d.queue_len() > 0));
         let image = sim.checkpoint().expect("checkpoint");
         let mut h = Fnv1a64::new();
         h.write(&image);

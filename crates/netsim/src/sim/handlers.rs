@@ -4,7 +4,7 @@
 
 use super::Simulator;
 use crate::app::{AppAction, AppCtx, Application};
-use crate::device::{DeviceKind, Queued};
+use crate::device::Queued;
 use crate::event::Tag;
 use crate::packet::{flow_hash, packet_id, Packet, Payload};
 use crate::trace::TraceKind;
@@ -130,15 +130,13 @@ impl Simulator {
         let (dst, size_bytes) = (p.dst, p.size_bytes);
         let flow_hash = if self.mp.is_some() { p.flow_hash } else { 0 };
         match self.decide(node, dst, flow_hash, size_bytes) {
-            Ok((next_hop, device)) => {
-                self.commit(node, device, Queued { slot, next_hop, size_bytes })
-            }
+            Ok((next_hop, link)) => self.commit(node, link, Queued { slot, next_hop, size_bytes }),
             Err(kind) => self.drop_packet(node, slot, kind),
         }
     }
 
     /// Where `node` sends a packet of `size_bytes` towards `dst`: the next
-    /// hop and the index of the device that takes the packet, or how the
+    /// hop and the link whose device takes the packet, or how the
     /// packet is lost here, already counted (a full device books its
     /// refusal). `flow_hash` is read under multipath only, and nothing
     /// else of the packet is, so a fresh send is decided before it is
@@ -150,7 +148,7 @@ impl Simulator {
         dst: NodeId,
         flow_hash: u64,
         size_bytes: u32,
-    ) -> Result<(NodeId, usize), TraceKind> {
+    ) -> Result<(NodeId, u32), TraceKind> {
         let chosen = match &self.mp {
             Some(mp) => mp.next_hop(NodeId(node), dst, flow_hash),
             None => self.fwd.next_hop(NodeId(node), dst),
@@ -167,35 +165,33 @@ impl Simulator {
             self.stats.fault_drops += 1;
             return Err(TraceKind::FaultDrop);
         }
-        let Some(device) = self.nodes[node as usize].device_for(next_hop) else {
-            self.stats.routing_drops += 1;
-            return Err(TraceKind::RoutingDrop);
-        };
-        let dev = &mut self.nodes[node as usize].devices[device];
+        let link = self.links.of_hop(NodeId(node), next_hop);
+        let dev = &mut self.devices[link as usize];
         if dev.is_full() {
             dev.refuse(size_bytes);
             self.stats.queue_drops += 1;
             return Err(TraceKind::QueueDrop);
         }
-        Ok((next_hop, device))
+        Ok((next_hop, link))
     }
 
-    /// Hand `queued` to the device of `node` that [`Self::decide`] chose,
-    /// starting its transmission when the transmitter was idle. Inlined
-    /// into both callers: an accepted packet then costs what it did when
-    /// `forward` enqueued in place (outlined, `udp_perm` read ≈ 2 % slower).
+    /// Hand `queued` to the device of `node`'s `link` that
+    /// [`Self::decide`] chose, starting its transmission when the
+    /// transmitter was idle; its `TxComplete` names the device by its
+    /// index on `node`. Inlined into both callers: an accepted packet then
+    /// costs what it did when `forward` enqueued in place (outlined,
+    /// `udp_perm` read ≈ 2 % slower).
     #[inline(always)]
-    fn commit(&mut self, node: u32, device: usize, queued: Queued) {
-        if let Some(ser) = self.nodes[node as usize].devices[device].enqueue(queued, self.now) {
-            let key = self.alloc_key(node);
+    fn commit(&mut self, node: u32, link: u32, queued: Queued) {
+        if let Some(ser) = self.devices[link as usize].enqueue(queued, self.now) {
+            let (key, device) = (self.alloc_key(node), link - self.links.first(node));
             self.queue.schedule_slot(self.now + ser, key, Tag::TxComplete, node, device as u64);
         }
     }
 
     fn tx_complete(&mut self, node: u32, device: u32) {
-        let dev = &mut self.nodes[node as usize].devices[device as usize];
-        let is_gsl = matches!(dev.kind, DeviceKind::Gsl);
-        let (done, next) = dev.tx_complete(self.now);
+        let link = self.links.first(node) + device;
+        let (done, next) = self.devices[link as usize].tx_complete(self.now);
         if let Some(ser) = next {
             let key = self.alloc_key(node);
             self.queue.schedule_slot(self.now + ser, key, Tag::TxComplete, node, device as u64);
@@ -209,8 +205,8 @@ impl Simulator {
         }
         // Channel impairment: GSL transmissions may be lost (weather model
         // stand-in; disabled by default).
-        if is_gsl
-            && self.config.gsl_loss_rate > 0.0
+        if self.config.gsl_loss_rate > 0.0
+            && self.links.is_gsl(link)
             && self.loss_rngs[node as usize].next_f64() < self.config.gsl_loss_rate
         {
             self.stats.channel_drops += 1;
@@ -218,7 +214,7 @@ impl Simulator {
         }
         // Propagation from live geometry — frozen runs pin geometry to t=0.
         let geom_t = if self.config.freeze_at_epoch { SimTime::ZERO } else { self.now };
-        let fit = &mut self.nodes[node as usize].devices[device as usize].fit;
+        let fit = &mut self.devices[link as usize].fit;
         let prop =
             self.ephemeris.delay(fit, &self.constellation, NodeId(node), done.next_hop, geom_t);
         self.packets[done.slot].hops += 1;
@@ -257,8 +253,8 @@ impl Simulator {
             stamp(&mut self.packets[slot]);
         }
         match hop {
-            Some((next_hop, device)) => {
-                self.commit(src.0, device, Queued { slot, next_hop, size_bytes })
+            Some((next_hop, link)) => {
+                self.commit(src.0, link, Queued { slot, next_hop, size_bytes })
             }
             None => self.deliver(src.0, slot),
         }

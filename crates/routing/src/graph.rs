@@ -230,19 +230,6 @@ impl DelayGraph {
         buffers.into_graph()
     }
 
-    /// Build from an already-computed position snapshot (satellites first,
-    /// then ground stations, as produced by `Constellation::positions_at`).
-    pub fn from_positions(
-        constellation: &Constellation,
-        t: SimTime,
-        positions: Vec<Vec3>,
-    ) -> DelayGraph {
-        let mut buffers = SnapshotBuffers::new();
-        buffers.graph.positions = positions;
-        buffers.rebuild(constellation, t, None);
-        buffers.into_graph()
-    }
-
     /// A graph over `transit.len()` vertices from an explicit list of
     /// undirected `(a, b, delay_ns)` links; adjacency order is list order.
     #[cfg(test)]

@@ -888,11 +888,6 @@ impl IncrementalRouter {
         self.config
     }
 
-    /// Drop the cached snapshot; the next compute runs full Dijkstra.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-    }
-
     /// Compute the forwarding state of `graph` at `t` towards `dests`
     /// into `out`, repairing from the cached previous snapshot when the
     /// policy allows. Byte-identical to

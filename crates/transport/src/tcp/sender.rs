@@ -116,11 +116,6 @@ impl TcpSender {
         self.snd_una
     }
 
-    /// The congestion controller's name.
-    pub fn cc_name(&self) -> &'static str {
-        self.cc.name()
-    }
-
     /// Smoothed RTT estimate.
     pub fn srtt(&self) -> Option<SimDuration> {
         self.rtt.srtt()

@@ -6,7 +6,6 @@
 //! and thick). Includes helpers to rank hotspots — e.g. confirming the
 //! trans-Atlantic congestion of Fig. 15.
 
-use hypatia_netsim::device::DeviceKind;
 use hypatia_netsim::Simulator;
 use hypatia_orbit::frames::ecef_to_geodetic;
 use hypatia_util::json::{json, Value};
@@ -35,27 +34,24 @@ pub fn isl_utilization_map(
     bucket_idx: usize,
     geometry_t: SimTime,
 ) -> Vec<IslUtilization> {
-    let c = sim.constellation();
+    let (c, links) = (sim.constellation(), sim.links());
     let mut out = Vec::new();
-    for node in sim.nodes() {
-        if !c.is_satellite(node.id) {
+    for (link, dev) in sim.devices().iter().enumerate() {
+        let (node, Some(peer)) = (links.node(link as u32), links.peer(link as u32)) else {
             continue;
-        }
-        for dev in &node.devices {
-            let DeviceKind::Isl { peer } = dev.kind else { continue };
-            let u = dev
-                .utilization(bucket_idx)
-                .expect("utilization tracking must be enabled for utilization maps");
-            let from = ecef_to_geodetic(c.node_position_ecef(node.id, geometry_t));
-            let to = ecef_to_geodetic(c.node_position_ecef(peer, geometry_t));
-            out.push(IslUtilization {
-                from_sat: node.id.index(),
-                to_sat: peer.index(),
-                utilization: u,
-                from_lat_lon: (from.latitude_deg, from.longitude_deg),
-                to_lat_lon: (to.latitude_deg, to.longitude_deg),
-            });
-        }
+        };
+        let u = dev
+            .utilization(bucket_idx)
+            .expect("utilization tracking must be enabled for utilization maps");
+        let from = ecef_to_geodetic(c.node_position_ecef(node, geometry_t));
+        let to = ecef_to_geodetic(c.node_position_ecef(peer, geometry_t));
+        out.push(IslUtilization {
+            from_sat: node.index(),
+            to_sat: peer.index(),
+            utilization: u,
+            from_lat_lon: (from.latitude_deg, from.longitude_deg),
+            to_lat_lon: (to.latitude_deg, to.longitude_deg),
+        });
     }
     out
 }

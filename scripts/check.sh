@@ -101,7 +101,7 @@ cargo test -q --release -p hypatia-netsim --lib event::tests -- --include-ignore
 # controller; malformed queue entries rejected), without debug's overflow
 # checks.
 cargo test -q --release -p hypatia-netsim --lib -- --include-ignored \
-  device::tests audit::tests node::tests sim::tests::every_exit sim::tests::mid_run_image \
+  device::tests audit::tests links::tests node::tests sim::tests::every_exit sim::tests::mid_run_image \
   sim::tests::audit_is_clean sim::tests::restore_rejects checkpoint::tests
 cargo test -q --release -p hypatia-transport --test tcp_end_to_end mid_run_tcp_images
 
@@ -115,11 +115,13 @@ cargo test -q --release -p hypatia-netsim --lib fluid::tests -- --include-ignore
 cargo test -q --release -p hypatia --lib experiments::hybrid
 
 echo "== every declared input moves an artifact (one off value each, every experiment's tiny spec)"
-# Each experiment declares the knobs it reads and whether it applies a
-# fault scenario; its params are those of its default specs. One off
-# value per declared knob, per param and a fault window must each change
-# some artifact's checksum; the failure names every input that moved
-# nothing (flow_table is exempt: proven byte-identical by a golden test).
+# Each experiment declares the knobs and structured fields it reads and
+# whether it applies a fault scenario; its params are those of its default
+# specs. One off value per declared knob and structured field, per param
+# and a fault window must each change some artifact's checksum (a ground
+# segment that only resolves the named pair must instead fail the run
+# without a pair city); the failure names every input that moved nothing
+# (flow_table is exempt: proven byte-identical by a golden test).
 cargo test -q --release -p hypatia --test golden_manifest every_declared_input_moves_an_artifact \
   -- --include-ignored
 
@@ -200,6 +202,21 @@ for case in "fig12_ground_view scan_step_s=0" \
   set -e
   test "$range_code" -eq 5
   grep -q "param \"${setting%%=*}\" expects" "$smoke_dir/range.err"
+done
+
+echo "== a structured field the experiment does not read, a knob out of its row's range (exit 5, naming it)"
+# Fig. 11 always draws all three shells, so another constellation is
+# refused; a 2e10 s horizon overflows every simulated instant.
+for case in "fig11_constellation_czml constellation=telesat_t1" \
+            "fig03_rtt_fluctuations duration_s=2e10"; do
+  experiment=${case%% *} setting=${case#* }
+  set +e
+  target/release/run_experiment "$experiment" --out "$smoke_dir/declared" \
+    --set "$setting" > /dev/null 2> "$smoke_dir/declared.err"
+  declared_code=$?
+  set -e
+  test "$declared_code" -eq 5
+  grep -q "${setting%%=*}" "$smoke_dir/declared.err"
 done
 
 echo "== Figs. 6-8: one sweep per constellation writes all 21 ECDFs"

@@ -75,6 +75,20 @@ fn out_of_range_params_are_bad_specs_not_panics() {
         let key = set.split('=').next().unwrap();
         assert!(stderr.contains(&format!("\"{key}\"")), "{experiment} --set {set}: {stderr}");
     }
+
+    // A knob's row carries its range: a horizon or step no instant fits in,
+    // a rate no `DataRate` holds, is refused at `--set` with the range.
+    for (experiment, set) in [
+        ("fig03_rtt_fluctuations", "duration_s=2e10"),
+        ("fig09_timestep", "step_ms=1e15"),
+        ("fig03_rtt_fluctuations", "line_rate_mbps=1e20"),
+        ("ext_hybrid_mode", "fluid_threshold_kbps=1e300"),
+    ] {
+        let stderr = assert_bad_spec(&run("knob_range", None, &[experiment, "--set", set]));
+        let key = set.split('=').next().unwrap();
+        let want = format!("{key} expects a finite number in ");
+        assert!(stderr.contains(&want), "{experiment} --set {set}: {stderr}");
+    }
 }
 
 /// `cities` takes 1 to 100 (the built-in city table), from `--set` and
@@ -138,6 +152,15 @@ fn unread_and_mistyped_inputs_are_bad_specs() {
             "sat_outage=100:0:20",
             "applies no fault scenario: drop its fault keys (sat_outage,",
         ),
+        ("fig11_constellation_czml", "constellation=telesat_t1", "does not read constellation"),
+        ("fig11_constellation_czml", "cities=5", "does not read ground"),
+        ("fig11_constellation_czml", "pairs=Tokyo:Cairo", "does not read pairs"),
+        ("fig12_ground_view", "pairs=Tokyo:Cairo", "does not read pairs"),
+        ("fig06_08_rtt_path_ecdfs", "constellation=starlink_s1", "does not read constellation"),
+        ("fig02_scalability", "pairs=Tokyo:Cairo", "does not read pairs"),
+        ("ext_flow_scaling", "pairs=Tokyo:Cairo", "does not read pairs"),
+        ("ext_hybrid_mode", "pairs=Tokyo:Cairo", "does not read pairs"),
+        ("fig16_19_bent_pipe", "constellation=telesat_t1", "does not read constellation"),
     ] {
         let stderr = assert_bad_spec(&run("unread", None, &[experiment, "--set", set]));
         assert!(stderr.contains(key), "{experiment} --set {set}: {stderr}");
