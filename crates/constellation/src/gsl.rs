@@ -1,8 +1,7 @@
 //! Ground–satellite link (GSL) configuration and visibility queries.
 //!
-//! Paper §3.1: each GS can be configured to connect to multiple satellites
-//! or only its nearest; connectivity requires the satellite to be above the
-//! operator's minimum elevation angle. Visibility search prunes by the
+//! Paper §3.1: a GS connects to every satellite above the operator's
+//! minimum elevation angle (the paper's gateway-class default). Visibility search prunes by the
 //! closed-form maximum slant range before computing elevations.
 //!
 //! # Pruning by orbital plane
@@ -28,38 +27,19 @@ use crate::constellation::Constellation;
 use hypatia_orbit::visibility::{conservative_max_gsl_range_km, elevation_deg};
 use hypatia_util::{SimTime, Vec3};
 
-/// How many satellites a ground station may use simultaneously.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GslSelection {
-    /// The GS may connect to every visible satellite (gateway-class GS with
-    /// multiple parabolic antennas — the paper's default).
-    #[default]
-    AllVisible,
-    /// The GS connects only to its nearest visible satellite (user-terminal
-    /// style restriction).
-    NearestOnly,
-}
-
 /// GSL parameters for a constellation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GslConfig {
     /// Minimum angle of elevation `l`, degrees (Table: Starlink 25°,
     /// Kuiper 30°, Telesat 10°).
     pub min_elevation_deg: f64,
-    /// Satellite-selection policy.
-    pub selection: GslSelection,
 }
 
 impl GslConfig {
-    /// Config with the default (all-visible) selection.
+    /// Config with minimum elevation `min_elevation_deg`.
     pub fn new(min_elevation_deg: f64) -> Self {
         assert!((0.0..=90.0).contains(&min_elevation_deg), "bad min elevation {min_elevation_deg}");
-        GslConfig { min_elevation_deg, selection: GslSelection::default() }
-    }
-
-    /// Nearest-only variant.
-    pub fn nearest_only(min_elevation_deg: f64) -> Self {
-        GslConfig { selection: GslSelection::NearestOnly, ..GslConfig::new(min_elevation_deg) }
+        GslConfig { min_elevation_deg }
     }
 }
 
@@ -169,21 +149,6 @@ fn plane_out_of_reach(plane: &[Vec3], gs_pos: Vec3, reach_sq: f64) -> bool {
     along * along > reach_sq * normal_sq
 }
 
-/// The satellites a GS may *use* under the configured selection policy,
-/// into `out` (cleared first).
-pub fn usable_satellites(
-    constellation: &Constellation,
-    gs_pos: Vec3,
-    sat_positions: &[Vec3],
-    t: SimTime,
-    out: &mut Vec<VisibleSat>,
-) {
-    visible_satellites_into(constellation, gs_pos, sat_positions, t, out);
-    if constellation.gsl.selection == GslSelection::NearestOnly {
-        out.truncate(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,28 +219,6 @@ mod tests {
         let sats = c.positions_at(t);
         let vis = visible_satellites(&c, gs.position_ecef(), &sats[..c.num_satellites()], t);
         assert!(!vis.is_empty(), "pole should see Telesat T1");
-    }
-
-    #[test]
-    fn nearest_only_truncates() {
-        let gs = GroundStation::new("Quito", -0.18, -78.47);
-        let shell = ShellSpec::new("S", 630.0, 34, 34, 51.9);
-        let c = Constellation::build(
-            "NearTest",
-            vec![shell],
-            IslLayout::PlusGrid,
-            vec![gs.clone()],
-            GslConfig::nearest_only(30.0),
-        );
-        let t = SimTime::ZERO;
-        let sats = c.positions_at(t);
-        let mut usable = Vec::new();
-        usable_satellites(&c, gs.position_ecef(), &sats[..c.num_satellites()], t, &mut usable);
-        assert!(usable.len() <= 1);
-        let all = visible_satellites(&c, gs.position_ecef(), &sats[..c.num_satellites()], t);
-        if let Some(first) = usable.first() {
-            assert_eq!(first.sat_idx, all[0].sat_idx, "nearest-only must pick the nearest");
-        }
     }
 
     #[test]

@@ -76,17 +76,6 @@ pub fn telesat_t1(ground_stations: Vec<GroundStation>) -> Constellation {
     )
 }
 
-/// Full Starlink phase 1 (all five shells).
-pub fn starlink_phase1(ground_stations: Vec<GroundStation>) -> Constellation {
-    Constellation::build(
-        "Starlink",
-        starlink_shells(),
-        IslLayout::PlusGrid,
-        ground_stations,
-        GslConfig::new(STARLINK_MIN_ELEVATION_DEG),
-    )
-}
-
 /// Full Kuiper (all three shells).
 pub fn kuiper_full(ground_stations: Vec<GroundStation>) -> Constellation {
     Constellation::build(
@@ -180,7 +169,13 @@ mod tests {
     #[ignore = "builds all 4409 Starlink satellites; run with --ignored"]
     fn full_starlink_builds() {
         let gs = vec![GroundStation::new("X", 0.0, 0.0)];
-        let c = starlink_phase1(gs);
+        let c = Constellation::build(
+            "Starlink",
+            starlink_shells(),
+            IslLayout::PlusGrid,
+            gs,
+            GslConfig::new(STARLINK_MIN_ELEVATION_DEG),
+        );
         assert_eq!(c.num_satellites(), 4_409);
         assert_eq!(c.isls.len(), 2 * 4_409);
     }

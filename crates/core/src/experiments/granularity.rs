@@ -88,7 +88,19 @@ fn changes_per_step(hashes: &[Vec<u64>], stride: usize) -> (Vec<usize>, Vec<usiz
 /// step, its `coarse_multiples` (paper: 200 s at 50 ms, ×2 and ×20),
 /// minimum pair distance, routing threads and configuration.
 pub fn run(c: &Constellation, spec: &ExperimentSpec) -> Result<GranularityResult, RunError> {
-    let coarse_multiples = spec.wholes("coarse_multiples", 1)?;
+    // Each coarse step is a whole multiple of the fine one; a product no
+    // duration holds is a spec error, found before any snapshot is routed.
+    let coarse_steps = spec
+        .wholes("coarse_multiples", 1)?
+        .into_iter()
+        .map(|m| match spec.step.nanos().checked_mul(u64::from(m)) {
+            Some(ns) => Ok((m as usize, SimDuration::from_nanos(ns))),
+            None => Err(RunError::BadSpec(format!(
+                "param \"coarse_multiples\": {m} steps of {} s overflow the simulated clock",
+                spec.step.secs_f64()
+            ))),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let min_pair_distance_km = spec.min_pair_distance_km()?;
     let n = c.num_ground_stations();
     let dests: Vec<_> = (0..n).map(|i| c.gs_node(i)).collect();
@@ -124,18 +136,14 @@ pub fn run(c: &Constellation, spec: &ExperimentSpec) -> Result<GranularityResult
         changes_per_step: fine_steps,
         missed_per_pair: vec![0; pair_list.len()],
     });
-    for m in coarse_multiples {
-        let (per_step, per_pair) = changes_per_step(&hashes, m as usize);
+    for (m, step) in coarse_steps {
+        let (per_step, per_pair) = changes_per_step(&hashes, m);
         let missed: Vec<usize> = fine_pairs
             .iter()
             .zip(per_pair.iter())
             .map(|(&fine, &coarse)| fine.saturating_sub(coarse))
             .collect();
-        stats.push(GranularityStats {
-            step: spec.step * u64::from(m),
-            changes_per_step: per_step,
-            missed_per_pair: missed,
-        });
+        stats.push(GranularityStats { step, changes_per_step: per_step, missed_per_pair: missed });
     }
 
     Ok(GranularityResult { stats, pairs: pair_list.len() })

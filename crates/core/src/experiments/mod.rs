@@ -13,7 +13,6 @@
 //! | [`granularity`] | Fig. 9 |
 //! | [`cross_traffic`] | Figs. 10, 14, 15 and the multipath TE study: one matrix whose permutation pairs avoid every observed pair's ground stations |
 //! | [`bent_pipe`] | Figs. 16–19 (Appendix A) |
-//! | [`gsl_selection`] | ablation: gateway vs user-terminal GSL policy (§3.1) |
 //! | [`flow_scaling`] | extension: gravity traffic matrix, 1k→1M flows |
 //! | [`hybrid`] | extension: hybrid fluid/packet simulation of bulk traffic |
 
@@ -21,7 +20,6 @@ pub mod bent_pipe;
 pub mod cross_traffic;
 pub mod flow_scaling;
 pub mod granularity;
-pub mod gsl_selection;
 pub mod hybrid;
 pub mod pair_sweep;
 pub mod rtt_fluctuations;

@@ -12,7 +12,7 @@ use crate::spec::{ExperimentSpec, GroundSegment, PairSelection, ParamValue};
 use hypatia_routing::graph::DelayGraph;
 use hypatia_routing::ksp::k_shortest_paths;
 use hypatia_util::SimTime;
-use hypatia_viz::csv::ecdf;
+use hypatia_viz::csv::{ecdf, percentile};
 
 /// The K-shortest-path diversity study as a registered experiment.
 pub struct ExtMultipathDiversity;
@@ -78,7 +78,7 @@ impl Experiment for ExtMultipathDiversity {
             }
         }
 
-        let med = |v: &[f64]| crate::analysis::percentile(v, 50.0).unwrap_or(f64::NAN);
+        let med = |v: &[f64]| percentile(v, 50.0).unwrap_or(f64::NAN);
         println!("pairs × instants analysed: {}", stretch_2nd.len());
         println!("median delay stretch of 2nd-best path : {:.4}", med(&stretch_2nd));
         println!("median delay stretch of {k}th-best path: {:.4}", med(&stretch_kth));

@@ -15,13 +15,12 @@
 //!   (median 2 vs 4 changes over 200 s in the paper); Starlink shows the
 //!   largest hop-count spreads (>1/3 of pairs with ≥2 extra hops).
 
-use crate::analysis::{fraction_where, percentile};
 use crate::experiments::pair_sweep::{self, PairStats, PairSweepConfig};
 use crate::runner::{About, Experiment, RunContext, RunError};
 use crate::scenario::ConstellationChoice;
 use crate::spec::{ExperimentSpec, GroundSegment, PairSelection};
 use hypatia_util::SimDuration;
-use hypatia_viz::csv::ecdf;
+use hypatia_viz::csv::{ecdf, fraction_where, percentile};
 
 /// One constellation's name and per-pair statistics.
 type Sweep = (&'static str, Vec<PairStats>);

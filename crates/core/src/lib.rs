@@ -15,8 +15,6 @@
 //!   behaviour, constellation-wide sweeps, forwarding-granularity
 //!   ablation, cross-traffic bandwidth, bent-pipe comparisons, simulator
 //!   scalability);
-//! * [`analysis`] — distribution helpers (ECDFs, percentiles) shared by
-//!   the figure-regeneration harness;
 //! * [`spec`] — [`ExperimentSpec`](spec::ExperimentSpec), the declarative,
 //!   JSON-round-trippable description of a run (constellation, ground
 //!   segment, pairs, duration, Δt, rates, congestion control, threads,
@@ -55,7 +53,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod experiments;
 pub mod figures;
 pub mod resilience;

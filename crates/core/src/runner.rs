@@ -446,7 +446,9 @@ fn limit(spec: &ExperimentSpec, key: &str) -> Result<Option<f64>, RunError> {
     match (spec.params.contains_key(key), spec.num(key)) {
         (false, _) => Ok(None),
         (true, Ok(x)) if x > 0.0 => Ok(Some(x)),
-        (true, _) => Err(RunError::BadSpec(format!("{key} must be a finite number above 0"))),
+        (true, _) => {
+            Err(RunError::BadSpec(format!("param {key:?} must be a finite number above 0")))
+        }
     }
 }
 

@@ -372,7 +372,7 @@ impl ExperimentSpec {
     /// processes. Any other key lands in `params`, with the value parsed as
     /// bool, number, comma-separated number list, or text — in that order.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), SpecError> {
-        let bad = |why: &str| SpecError(format!("{key} {why}, got {value:?}"));
+        let bad = |why: &str| SpecError(format!("{key:?} {why}, got {value:?}"));
         if let Some(knob) = knob(key) {
             let field = (knob.field)(self);
             let v = field.parse_text(value);
@@ -653,12 +653,17 @@ const MAX_SECS: f64 = 1e9;
 /// The fastest line rate a knob takes, Mbit/s (1 Pbit/s): its bit/s fit a
 /// `DataRate`, and one bit still takes a representable time.
 const MAX_MBPS: f64 = 1e9;
+/// The most routing-sweep workers a spec may ask for: a fixed bound, not
+/// the host's core count, so that a spec valid on one machine is valid on
+/// every machine, and no typo asks the OS for billions of threads.
+const MAX_THREADS: f64 = 1024.0;
 
 const HORIZON_S: Span = (Included(0.0), Included(MAX_SECS));
 const INTERVAL_S: Span = (Excluded(0.0), Included(MAX_SECS));
 const INTERVAL_MS: Span = (Excluded(0.0), Included(MAX_SECS * 1e3));
 const RATE_MBPS: Span = (Excluded(0.0), Included(MAX_MBPS));
 const RATE_KBPS: Span = (Included(0.0), Included(MAX_MBPS * 1e3));
+const THREADS: Span = (Included(0.0), Included(MAX_THREADS));
 
 /// A knob's spec field, tagged with how its value is written.
 enum Field<'a> {
@@ -721,7 +726,7 @@ const KNOBS: &[Knob] = knobs![
     cc: required ANY Cc(cc),
     /// Worker threads of the routing sweeps' snapshot fan-out (0 = one per
     /// core); packet runs do not read it. Results are identical for any value.
-    threads: required ANY Count(threads),
+    threads: required THREADS Count(threads),
     /// Seed of the randomized pieces (permutation matrix, loss processes).
     seed: required ANY Int(seed),
     /// Retired: accepted, ignored, warns above 1 (the event engine runs one shard).
@@ -1506,7 +1511,7 @@ mod tests {
         ("queue_packets", "7", &["0", "-1", "1.5", "many"]),
         ("utilization_bucket_s", "1.5", &["0", "-1", "nan", "inf", "1e10"]),
         ("cc", "bbr", &["tahoe", "7"]),
-        ("threads", "3", &["-1", "1.5", "many"]),
+        ("threads", "3", &["-1", "1.5", "many", "1025", "100000000000"]),
         ("seed", "18446744073709551615", &["-1", "18446744073709551616", "1.5"]),
         ("sim_shards", "4", &["0", "-1", "many"]),
         ("sim_mode", "hybrid", &["analytic", "1"]),
@@ -1558,12 +1563,13 @@ mod tests {
 
             // Bad values fail on both paths, naming the knob; no knob takes
             // an array.
+            let quoted = format!("\"{key}\"");
             for &b in bad {
                 let e = base.clone().set(key, b).expect_err(&format!("--set {key}={b}"));
-                assert!(e.0.starts_with(key), "{e}");
+                assert!(e.0.starts_with(&quoted), "{e}");
                 let v = json::from_str(b).unwrap_or_else(|_| Value::String(b.into()));
                 let e = with(key, v).expect_err(&format!("JSON {key}: {b}"));
-                assert!(e.0.contains(key), "{e}");
+                assert!(e.0.contains(&quoted), "{e}");
             }
             let e = with(key, Value::Array(Vec::new())).expect_err(key);
             assert!(e.0.contains(key), "{e}");

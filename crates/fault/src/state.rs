@@ -121,11 +121,6 @@ impl FaultState {
     pub fn all_up(&self) -> bool {
         self.down_count == 0
     }
-
-    /// Number of satellites currently down.
-    pub fn satellites_down(&self) -> usize {
-        self.sat_down.iter().filter(|&&d| d > 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -227,7 +222,9 @@ mod tests {
         };
         let sched = FaultSchedule::compile(&spec, &c, SimDuration::from_secs(20));
         let state = FaultState::at(&sched, SimTime::from_secs(5));
-        assert_eq!(state.satellites_down(), 2);
+        let down: Vec<usize> =
+            (0..c.num_satellites()).filter(|&sat| state.satellite_down(sat)).collect();
+        assert_eq!(down, [0, 1]);
         assert!(!state.all_up());
     }
 }

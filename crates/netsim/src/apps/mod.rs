@@ -1,12 +1,10 @@
-//! Built-in applications: ping, constant-rate UDP, and bursty on/off UDP.
+//! Built-in applications: ping and constant-rate UDP.
 //!
 //! TCP endpoints live in the `hypatia-transport` crate, built on the same
 //! [`crate::app::Application`] interface.
 
-pub mod onoff;
 pub mod ping;
 pub mod udp;
 
-pub use onoff::OnOffSource;
 pub use ping::PingApp;
 pub use udp::{UdpSink, UdpSource};

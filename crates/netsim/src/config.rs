@@ -24,12 +24,6 @@ pub struct SimConfig {
     /// and link delays are evaluated at t = 0 forever. This is the paper's
     /// "static network" baseline (gray line of Fig. 10).
     pub freeze_at_epoch: bool,
-    /// Override for ISL devices only (paper §7 flags capacity heterogeneity
-    /// as an easy extension: laser ISLs and radio GSLs need not match).
-    /// `None` = use `link_rate`.
-    pub isl_rate: Option<DataRate>,
-    /// Override for GSL devices only. `None` = use `link_rate`.
-    pub gsl_rate: Option<DataRate>,
     /// Per-transmission loss probability on GSL links in `[0, 1)` — a
     /// weather/channel impairment stand-in (paper §7: "incorporating a
     /// weather model would enable work on reliability"). Deterministic:
@@ -81,8 +75,6 @@ impl Default for SimConfig {
             fstate_step: SimDuration::from_millis(100),
             utilization_bucket: None,
             freeze_at_epoch: false,
-            isl_rate: None,
-            gsl_rate: None,
             gsl_loss_rate: 0.0,
             loss_seed: 7,
             trace_limit: 0,
@@ -126,18 +118,6 @@ impl SimConfig {
     /// Builder-style: freeze the network at its t = 0 state.
     pub fn frozen(mut self) -> Self {
         self.freeze_at_epoch = true;
-        self
-    }
-
-    /// Builder-style: give ISLs a different rate than GSLs.
-    pub fn with_isl_rate(mut self, rate: DataRate) -> Self {
-        self.isl_rate = Some(rate);
-        self
-    }
-
-    /// Builder-style: give GSLs a different rate than ISLs.
-    pub fn with_gsl_rate(mut self, rate: DataRate) -> Self {
-        self.gsl_rate = Some(rate);
         self
     }
 
@@ -191,16 +171,6 @@ impl SimConfig {
         self.sim_mode = mode;
         self
     }
-
-    /// Effective rate for an ISL device.
-    pub fn effective_isl_rate(&self) -> DataRate {
-        self.isl_rate.unwrap_or(self.link_rate)
-    }
-
-    /// Effective rate for a GSL device.
-    pub fn effective_gsl_rate(&self) -> DataRate {
-        self.gsl_rate.unwrap_or(self.link_rate)
-    }
 }
 
 #[cfg(test)]
@@ -217,8 +187,6 @@ mod tests {
         assert!(c.utilization_bucket.is_none());
         assert!(!c.freeze_at_epoch);
         assert_eq!(c.gsl_loss_rate, 0.0);
-        assert_eq!(c.effective_isl_rate(), c.link_rate);
-        assert_eq!(c.effective_gsl_rate(), c.link_rate);
         assert!(c.faults.is_none(), "fault injection is off by default");
         assert_eq!(c.routing.mode, RoutingMode::Incremental, "incremental repair is the default");
         assert_eq!(c.trace_sample_every, 1, "every flow is traced by default");
@@ -254,16 +222,6 @@ mod tests {
     fn sim_mode_builder() {
         let c = SimConfig::default().with_sim_mode(SimMode::Hybrid);
         assert_eq!(c.sim_mode, SimMode::Hybrid);
-    }
-
-    #[test]
-    fn heterogeneous_rates() {
-        let c = SimConfig::default()
-            .with_isl_rate(DataRate::from_gbps(1))
-            .with_gsl_rate(DataRate::from_mbps(100));
-        assert_eq!(c.effective_isl_rate(), DataRate::from_gbps(1));
-        assert_eq!(c.effective_gsl_rate(), DataRate::from_mbps(100));
-        assert_eq!(c.link_rate, DataRate::from_mbps(10), "base rate untouched");
     }
 
     #[test]

@@ -862,9 +862,9 @@ impl FluidNet {
     }
 
     /// A fluid network over the links of `links`, shared with the packet
-    /// devices they number.
-    pub(crate) fn over(links: Arc<LinkTable>, isl_rate: DataRate, gsl_rate: DataRate) -> Self {
-        let mut net = FluidNet::new(isl_rate, gsl_rate);
+    /// devices they number, every link at `rate`.
+    pub(crate) fn over(links: Arc<LinkTable>, rate: DataRate) -> Self {
+        let mut net = FluidNet::new(rate, rate);
         net.use_links(links);
         net
     }

@@ -26,15 +26,14 @@
 //! calling thread — the classic sequential simulator; only the next
 //! forwarding step is computed beside it, on a lookahead thread.
 //!
-//! Applications (ping, UDP CBR, bursty on/off here; TCP in
-//! `hypatia-transport`) attach to nodes via the [`app::Application`] trait
-//! and a port demux.
+//! Applications (ping and UDP CBR here; TCP in `hypatia-transport`)
+//! attach to nodes via the [`app::Application`] trait and a port demux.
 //!
 //! Extensions beyond the paper's model (all off by default): hybrid
 //! fluid/packet simulation ([`SimConfig::with_sim_mode`] — bulk flows
 //! modelled analytically by the max-min fair [`fluid`] solver while
-//! short flows and control traffic stay packet-level), per-kind
-//! ISL/GSL rates, a deterministic GSL loss process (weather stand-in),
+//! short flows and control traffic stay packet-level), a deterministic
+//! GSL loss process (weather stand-in),
 //! loop-free multipath forwarding ([`SimConfig::with_multipath`]), a
 //! bounded per-packet [`trace`], and deterministic fault injection
 //! ([`SimConfig::with_faults`]): a compiled `hypatia-fault` schedule of

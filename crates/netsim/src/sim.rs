@@ -228,10 +228,8 @@ impl Simulator {
         let num_nodes = constellation.num_nodes();
         let nodes = (0..num_nodes).map(|i| Node::new(NodeId(i as u32))).collect();
         let links = Arc::new(LinkTable::build(&constellation));
-        let (isl_rate, gsl_rate) = (config.effective_isl_rate(), config.effective_gsl_rate());
-        let devices = (0..links.len() as u32)
-            .map(|l| if links.is_gsl(l) { gsl_rate } else { isl_rate })
-            .map(|rate| Device::new(rate, config.queue_packets, config.utilization_bucket))
+        let devices = (0..links.len())
+            .map(|_| Device::new(config.link_rate, config.queue_packets, config.utilization_bucket))
             .collect();
         let loss_rngs = (0..num_nodes)
             .map(|i| {
@@ -251,7 +249,7 @@ impl Simulator {
         });
 
         let fluid = (config.sim_mode != SimMode::Packet)
-            .then(|| FluidNet::over(links.clone(), isl_rate, gsl_rate));
+            .then(|| FluidNet::over(links.clone(), config.link_rate));
         let mut sim = Simulator {
             ephemeris: Ephemeris::new(&constellation),
             trace: Trace::with_sampling(config.trace_limit, config.trace_sample_every),
@@ -668,8 +666,10 @@ impl Simulator {
         }
         mix(&mut h, c.fstate_step.nanos());
         mix(&mut h, c.freeze_at_epoch as u64);
-        mix(&mut h, c.effective_isl_rate().bps());
-        mix(&mut h, c.effective_gsl_rate().bps());
+        // The rates ISL and GSL devices are built with, in that order: both
+        // `link_rate`, mixed twice so that fingerprints keep their bytes.
+        mix(&mut h, c.link_rate.bps());
+        mix(&mut h, c.link_rate.bps());
         mix(&mut h, c.queue_packets as u64);
         mix(&mut h, c.loss_seed);
         mix(&mut h, c.gsl_loss_rate.to_bits());
@@ -1513,20 +1513,13 @@ mod tests {
     }
 
     #[test]
-    fn heterogeneous_rates_apply_per_device_kind() {
+    fn every_device_is_built_at_link_rate() {
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        let cfg = SimConfig::default()
-            .with_isl_rate(DataRate::from_gbps(1))
-            .with_gsl_rate(DataRate::from_mbps(50));
+        let cfg = SimConfig::default().with_link_rate(DataRate::from_mbps(50));
         let sim = Simulator::new(c, cfg, vec![src, dst]);
         assert_eq!(sim.devices().len(), sim.links().len());
-        for (link, dev) in sim.devices().iter().enumerate() {
-            match sim.links().peer(link as u32) {
-                Some(_) => assert_eq!(dev.rate, DataRate::from_gbps(1)),
-                None => assert_eq!(dev.rate, DataRate::from_mbps(50)),
-            }
-        }
+        assert!(sim.devices().iter().all(|d| d.rate == DataRate::from_mbps(50)));
     }
 
     #[test]
@@ -2284,67 +2277,49 @@ mod tests {
         assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image);
     }
 
-    /// Simulators for the image pins below: case 0 an on/off source, case 1
-    /// bulk UDP tables, case 2 a hybrid run whose fluid bundles share the
-    /// path with pings under faults and GSL loss.
-    fn image_fixture(case: usize) -> Simulator {
-        use crate::apps::{onoff::OnOffSource, udp::UdpSink};
+    /// Simulators for the image pins below: bulk UDP tables, or a hybrid
+    /// run whose fluid bundles share the path with pings under faults and
+    /// GSL loss.
+    fn image_fixture(hybrid: bool) -> Simulator {
         use crate::flow::{BulkUdpSink, BulkUdpSource, FlowId};
         let c = constellation();
         let (src, dst) = (c.gs_node(0), c.gs_node(1));
         let stop = SimTime::from_secs(2);
-        match case {
-            0 | 1 => {
-                let cfg = SimConfig::default().with_gsl_loss(0.02);
-                let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
-                if case == 0 {
-                    let (on, off) = (SimDuration::from_millis(40), SimDuration::from_millis(60));
-                    let rate = DataRate::from_mbps(20);
-                    sim.add_app(dst, 90, Box::new(UdpSink::new()));
-                    let source = OnOffSource::new(dst, 7, rate, 1200, on, off, stop, 11);
-                    sim.add_app(src, 90, Box::new(source));
-                } else {
-                    let mut source = BulkUdpSource::new(DataRate::from_mbps(4), 1000, stop);
-                    for f in 0..3u16 {
-                        source.push(FlowId(f as u32), dst, 200 + f, 300 + f);
-                    }
-                    sim.add_app_multi(
-                        dst,
-                        &[300, 301, 302],
-                        Box::new(BulkUdpSink::new(vec![0, 1, 2])),
-                    );
-                    let ports = source.src_ports().to_vec();
-                    sim.add_app_multi(src, &ports, Box::new(source));
-                }
-                sim
-            }
-            _ => {
-                let (base, build) = resilience_fixture(&c);
-                let (mut sim, _) = build(&base.with_sim_mode(SimMode::Hybrid));
-                sim.add_fluid_flow(1, dst, src, DataRate::from_mbps(8), 1440, stop);
-                sim
-            }
+        if hybrid {
+            let (base, build) = resilience_fixture(&c);
+            let (mut sim, _) = build(&base.with_sim_mode(SimMode::Hybrid));
+            sim.add_fluid_flow(1, dst, src, DataRate::from_mbps(8), 1440, stop);
+            return sim;
         }
+        let cfg = SimConfig::default().with_gsl_loss(0.02);
+        let mut sim = Simulator::new(c.clone(), cfg, vec![src, dst]);
+        let mut source = BulkUdpSource::new(DataRate::from_mbps(4), 1000, stop);
+        for f in 0..3u16 {
+            source.push(FlowId(f as u32), dst, 200 + f, 300 + f);
+        }
+        sim.add_app_multi(dst, &[300, 301, 302], Box::new(BulkUdpSink::new(vec![0, 1, 2])));
+        let ports = source.src_ports().to_vec();
+        sim.add_app_multi(src, &ports, Box::new(source));
+        sim
     }
 
-    /// Mid-run images of the on/off source, the bulk UDP tables and a
-    /// hybrid run are byte for byte what the hand-written per-field codec
-    /// wrote (hashes taken from it, re-pinned at version 3 without the
-    /// two-part sections), and restore → save reproduces them.
+    /// Mid-run images of the bulk UDP tables and a hybrid run are byte for
+    /// byte what the hand-written per-field codec wrote (hashes taken from
+    /// it, re-pinned at version 3 without the two-part sections), and
+    /// restore → save reproduces them.
     #[test]
-    fn mid_run_image_of_onoff_bulk_udp_and_hybrid_is_pinned() {
+    fn mid_run_image_of_bulk_udp_and_hybrid_is_pinned() {
         use hypatia_util::hash::Fnv1a64;
-        let pinned = [0xe36d_a19f_defb_b8aau64, 0x3bf9_ad33_da95_1f13, 0x2be6_7439_996d_2cb0];
-        for (case, want) in pinned.into_iter().enumerate() {
-            let mut sim = image_fixture(case);
+        for (hybrid, want) in [(false, 0x3bf9_ad33_da95_1f13u64), (true, 0x2be6_7439_996d_2cb0)] {
+            let mut sim = image_fixture(hybrid);
             sim.run_until(SimTime::from_millis(900));
             let image = sim.checkpoint().expect("checkpoint");
             let mut h = Fnv1a64::new();
             h.write(&image);
-            assert_eq!(h.finish(), want, "case {case}: {} bytes", image.len());
-            let mut resumed = image_fixture(case);
+            assert_eq!(h.finish(), want, "hybrid={hybrid}: {} bytes", image.len());
+            let mut resumed = image_fixture(hybrid);
             resumed.restore(image.clone()).expect("restore");
-            assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image, "case {case}");
+            assert_eq!(resumed.checkpoint().expect("re-checkpoint"), image, "hybrid={hybrid}");
         }
     }
 

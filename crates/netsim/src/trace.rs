@@ -201,16 +201,14 @@ impl Trace {
         &self.keys
     }
 
-    /// Events not recorded because the buffer was full. Artifact sinks
-    /// consult this to warn that an emitted trace is partial rather than
-    /// silently presenting a truncated journey as complete.
+    /// Events not recorded because the buffer was full: nonzero means the
+    /// trace is partial, and a journey in it may be truncated.
     pub fn truncated(&self) -> u64 {
         self.truncated
     }
 
-    /// Records skipped because per-flow sampling excluded their flow.
-    /// Artifact sinks consult this (like [`Trace::truncated`]) to warn
-    /// that an emitted trace covers a sampled subset of flows.
+    /// Records skipped because per-flow sampling excluded their flow:
+    /// nonzero means the trace covers a sampled subset of flows.
     pub fn sampled_out(&self) -> u64 {
         self.sampled_out
     }

@@ -69,11 +69,6 @@ impl EarthRotation {
     }
 }
 
-/// Rotate an ECEF position into the ECI frame at time `t`.
-pub fn ecef_to_eci(pos_ecef: Vec3, t: SimTime) -> Vec3 {
-    pos_ecef.rotate_z(gmst_rad(t))
-}
-
 /// Geodetic → ECEF on the spherical Earth (default model).
 pub fn geodetic_to_ecef(pos: GeodeticPos) -> Vec3 {
     let lat = deg_to_rad(pos.latitude_deg);
@@ -125,7 +120,7 @@ mod tests {
     fn eci_ecef_round_trip() {
         let p = Vec3::new(6500.0, 1000.0, -2000.0);
         let t = SimTime::from_secs(12345);
-        let back = ecef_to_eci(eci_to_ecef(p, t), t);
+        let back = eci_to_ecef(p, t).rotate_z(gmst_rad(t));
         assert!(p.distance(back) < 1e-9);
     }
 

@@ -5,7 +5,7 @@
 //! at the speed of light in vacuum — the minimum achievable RTT.
 
 use crate::frames::{geodetic_to_ecef, GeodeticPos};
-use hypatia_util::constants::{C_FIBER_KM_PER_S, C_VACUUM_KM_PER_S, EARTH_RADIUS_KM};
+use hypatia_util::constants::{C_VACUUM_KM_PER_S, EARTH_RADIUS_KM};
 use hypatia_util::SimDuration;
 
 /// Great-circle (surface) distance between two geodetic points, km.
@@ -24,13 +24,6 @@ pub fn great_circle_distance_km(a: GeodeticPos, b: GeodeticPos) -> f64 {
 pub fn geodesic_rtt(a: GeodeticPos, b: GeodeticPos) -> SimDuration {
     let d = great_circle_distance_km(a, b);
     SimDuration::from_secs_f64(2.0 * d / C_VACUUM_KM_PER_S)
-}
-
-/// RTT of an idealized straight terrestrial fiber path (`2 · d / (2c/3)`),
-/// the paper's baseline for "today's Internet" latency comparisons.
-pub fn fiber_rtt(a: GeodeticPos, b: GeodeticPos) -> SimDuration {
-    let d = great_circle_distance_km(a, b);
-    SimDuration::from_secs_f64(2.0 * d / C_FIBER_KM_PER_S)
 }
 
 /// One-way propagation delay over a straight line of `distance_km` at `c`.
@@ -79,15 +72,6 @@ mod tests {
         let rtt = geodesic_rtt(city(40.7128, -74.0060), city(51.5074, -0.1278));
         let ms = rtt.secs_f64() * 1e3;
         assert!((35.0..40.0).contains(&ms), "geodesic RTT {ms} ms");
-    }
-
-    #[test]
-    fn fiber_rtt_is_1_5x_geodesic() {
-        let a = city(40.7, -74.0);
-        let b = city(51.5, -0.13);
-        let ratio = fiber_rtt(a, b).secs_f64() / geodesic_rtt(a, b).secs_f64();
-        // Nanosecond rounding of SimDuration leaves a tiny residual.
-        assert!((ratio - 1.5).abs() < 1e-6, "ratio {ratio}");
     }
 
     #[test]

@@ -132,11 +132,6 @@ impl Tle {
         }
     }
 
-    /// Format as the canonical three lines (name + line 1 + line 2).
-    pub fn format_3le(&self) -> String {
-        format!("{}\n{}\n{}", self.name, self.format_line1(), self.format_line2())
-    }
-
     /// Format TLE line 1 (69 columns including checksum).
     pub fn format_line1(&self) -> String {
         // Columns (1-based):  1 | 3-7 catalog | 8 class | 10-17 intl desig |
@@ -358,14 +353,6 @@ mod tests {
         // ISS altitude ≈ 350 km in 2008.
         let alt = tle.to_elements().perigee_altitude_km();
         assert!((330.0..370.0).contains(&alt), "ISS altitude {alt}");
-    }
-
-    #[test]
-    fn three_line_format_contains_name() {
-        let tle = Tle::from_elements("KUIPER-0042", 42, &sample_elements(), 24, 1.0);
-        let s = tle.format_3le();
-        assert!(s.starts_with("KUIPER-0042\n1 "));
-        assert_eq!(s.lines().count(), 3);
     }
 
     /// Any circular-shell element set survives the TLE round trip.

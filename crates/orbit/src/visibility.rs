@@ -39,16 +39,6 @@ pub fn azimuth_deg(gs: Vec3, sat: Vec3) -> f64 {
     hypatia_util::angle::wrap_360(rad_to_deg(e.atan2(n)))
 }
 
-/// Straight-line (slant) range from GS to satellite, km.
-pub fn slant_range_km(gs: Vec3, sat: Vec3) -> f64 {
-    gs.distance(sat)
-}
-
-/// True if the satellite is visible above `min_elevation_deg`.
-pub fn is_visible(gs: Vec3, sat: Vec3, min_elevation_deg: f64) -> bool {
-    elevation_deg(gs, sat) >= min_elevation_deg
-}
-
 /// Maximum slant range at which a satellite at altitude `h_km` can be seen
 /// at elevation ≥ `min_elevation_deg` from the surface:
 ///
@@ -158,8 +148,8 @@ mod tests {
         for tenth_deg in 1..200 {
             let lon = tenth_deg as f64 * 0.1;
             let sat = sat_above(0.0, lon, h);
-            let by_angle = is_visible(gs, sat, l);
-            let by_range = slant_range_km(gs, sat) <= max_gsl_range_km(h, l);
+            let by_angle = elevation_deg(gs, sat) >= l;
+            let by_range = gs.distance(sat) <= max_gsl_range_km(h, l);
             assert_eq!(by_angle, by_range, "disagree at lon {lon}");
             if !last_visible {
                 assert!(!by_angle, "visibility not monotone in ground distance");

@@ -157,11 +157,6 @@ impl ForwardingState {
         self.next_hop(node, dst).ok_or(Unreachable { src: node, dst })
     }
 
-    /// As [`Self::distance`], but with a typed error.
-    pub fn try_distance(&self, node: NodeId, dst: NodeId) -> Result<SimDuration, Unreachable> {
-        self.distance(node, dst).ok_or(Unreachable { src: node, dst })
-    }
-
     /// As [`Self::path`], but with a typed error.
     pub fn try_path(&self, node: NodeId, dst: NodeId) -> Result<Vec<NodeId>, Unreachable> {
         self.path(node, dst).ok_or(Unreachable { src: node, dst })
@@ -384,7 +379,6 @@ mod tests {
         // reports the pair instead of panicking.
         let err = st.try_next_hop(src, dst).unwrap_err();
         assert_eq!(err, Unreachable { src, dst });
-        assert_eq!(st.try_distance(src, dst).unwrap_err(), Unreachable { src, dst });
         assert_eq!(st.try_path(src, dst).unwrap_err(), Unreachable { src, dst });
         assert!(err.to_string().contains(&format!("{}", src.0)));
         // A reachable pair goes through the Ok arm.

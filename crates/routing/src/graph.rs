@@ -13,7 +13,7 @@
 //! cache. The narrowing happens once, checked, where a snapshot is built;
 //! distances stay `u64`.
 
-use hypatia_constellation::gsl::{usable_satellites, VisibleSat};
+use hypatia_constellation::gsl::{visible_satellites_into, VisibleSat};
 use hypatia_constellation::{Constellation, NodeId};
 use hypatia_fault::FaultState;
 use hypatia_orbit::geodesy::propagation_delay_km;
@@ -147,7 +147,13 @@ impl SnapshotBuffers {
             }
             let gs_node = constellation.gs_node(gs_idx).0;
             let gs_pos = positions[n_sats + gs_idx];
-            usable_satellites(constellation, gs_pos, &positions[..n_sats], t, &mut self.visible);
+            visible_satellites_into(
+                constellation,
+                gs_pos,
+                &positions[..n_sats],
+                t,
+                &mut self.visible,
+            );
             for vis in &self.visible {
                 if let Some(f) = faults {
                     if f.satellite_down(vis.sat_idx) {

@@ -169,17 +169,6 @@ impl PairTracker {
             _ => None,
         }
     }
-
-    /// `max hops - min hops`, if observed.
-    pub fn hop_count_delta(&self) -> Option<usize> {
-        Some(self.max_hops? - self.min_hops?)
-    }
-
-    /// `max hops / min hops`, if observed.
-    pub fn hop_count_ratio(&self) -> Option<f64> {
-        let (max, min) = (self.max_hops?, self.min_hops?);
-        (min > 0).then(|| max as f64 / min as f64)
-    }
 }
 
 #[cfg(test)]
@@ -321,11 +310,7 @@ mod tests {
         let mut tr = PairTracker::new(c.gs_node(0), c.gs_node(1), false);
         tr.min_rtt = Some(SimDuration::from_millis(40));
         tr.max_rtt = Some(SimDuration::from_millis(60));
-        tr.min_hops = Some(4);
-        tr.max_hops = Some(6);
         assert!((tr.rtt_ratio().unwrap() - 1.5).abs() < 1e-12);
-        assert_eq!(tr.hop_count_delta(), Some(2));
-        assert!((tr.hop_count_ratio().unwrap() - 1.5).abs() < 1e-12);
     }
 
     #[test]

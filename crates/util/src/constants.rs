@@ -46,11 +46,6 @@ pub fn circular_orbit_velocity_km_per_s(h_km: f64) -> f64 {
     (EARTH_MU_KM3_PER_S2 / (EARTH_RADIUS_KM + h_km)).sqrt()
 }
 
-/// Mean motion (revolutions per day) of a circular orbit at altitude `h_km`.
-pub fn circular_orbit_mean_motion_rev_per_day(h_km: f64) -> f64 {
-    86_400.0 / circular_orbit_period_s(h_km)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,7 +80,7 @@ mod tests {
     #[test]
     fn mean_motion_for_kuiper_k1() {
         // Kuiper K1 at 630 km: ~14.8 revs/day (standard value for this shell).
-        let n = circular_orbit_mean_motion_rev_per_day(630.0);
+        let n = 86_400.0 / circular_orbit_period_s(630.0);
         assert!((14.5..15.1).contains(&n), "mean motion {n}");
     }
 

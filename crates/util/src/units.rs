@@ -82,11 +82,6 @@ impl DataRate {
         let ns = (size.bits() as u128 * 1_000_000_000u128) / self.0 as u128;
         SimDuration::from_nanos(ns as u64)
     }
-
-    /// The bandwidth-delay product in bytes for a given round-trip time.
-    pub fn bdp_bytes(self, rtt: SimDuration) -> u64 {
-        ((self.0 as u128 * rtt.nanos() as u128) / (8 * 1_000_000_000u128)) as u64
-    }
 }
 
 impl fmt::Display for DataRate {
@@ -121,9 +116,11 @@ mod tests {
 
     #[test]
     fn bdp_computation() {
-        // 10 Mbps * 100 ms = 1e6 bits = 125000 bytes ≈ 83 packets of 1500 B.
-        let bdp = DataRate::from_mbps(10).bdp_bytes(SimDuration::from_millis(100));
-        assert_eq!(bdp, 125_000);
+        // 10 Mbps * 100 ms = 1e6 bits = 125000 bytes ≈ 83 packets of 1500 B:
+        // a window of that size takes exactly one 100 ms RTT to send.
+        let bdp = DataSize::from_bytes(125_000);
+        let d = DataRate::from_mbps(10).serialization_delay(bdp);
+        assert_eq!(d, SimDuration::from_millis(100));
     }
 
     #[test]

@@ -82,71 +82,6 @@ pub fn constellation_czml(constellation: &Constellation, opts: &CzmlOptions) -> 
     packets
 }
 
-/// Ground stations as static CZML point packets (green dots, per the
-/// paper's Fig. 16 colour scheme).
-pub fn ground_stations_czml(constellation: &Constellation) -> Vec<Value> {
-    constellation
-        .ground_stations
-        .iter()
-        .enumerate()
-        .map(|(i, gs)| {
-            json!({
-                "id": format!("gs-{i}"),
-                "name": gs.name,
-                "position": {
-                    "cartographicDegrees": [gs.longitude_deg, gs.latitude_deg, 0.0],
-                },
-                "point": {
-                    "pixelSize": 6,
-                    "color": {"rgba": [0, 200, 0, 255]},
-                },
-            })
-        })
-        .collect()
-}
-
-/// CZML packets animating an end-end path over time (the paper's "changes
-/// in end-end paths over time" view): one polyline packet per observed
-/// path, shown during `[t_i, t_{i+1})` (the last until `end`).
-///
-/// `paths` holds `(valid-from instant, node sequence)` samples, e.g. one
-/// entry per forwarding change from a `PairTracker` series.
-pub fn path_czml(
-    constellation: &Constellation,
-    paths: &[(SimTime, Vec<hypatia_constellation::NodeId>)],
-    end: SimTime,
-) -> Vec<Value> {
-    let mut packets = vec![json!({
-        "id": "document",
-        "name": format!("{} end-end path", constellation.name),
-        "version": "1.0",
-    })];
-    for (i, (from, path)) in paths.iter().enumerate() {
-        assert!(path.len() >= 2, "path needs at least two nodes");
-        let until = paths.get(i + 1).map_or(end, |&(t, _)| t);
-        // Positions evaluated at the interval start: a piecewise-frozen
-        // polyline (Cesium interpolates colors/availability, not geometry).
-        let mut coords = Vec::with_capacity(path.len() * 3);
-        for &node in path {
-            let geo = ecef_to_geodetic(constellation.node_position_ecef(node, *from));
-            coords.push(json!(geo.longitude_deg));
-            coords.push(json!(geo.latitude_deg));
-            coords.push(json!(geo.altitude_km.max(0.0) * 1000.0));
-        }
-        packets.push(json!({
-            "id": format!("path-{i}"),
-            "availability": format!("{}/{}", iso(from.secs_f64()), iso(until.secs_f64())),
-            "polyline": {
-                "positions": {"cartographicDegrees": coords},
-                "width": 2,
-                "material": {"solidColor": {"color": {"rgba": [230, 60, 30, 255]}}},
-                "arcType": "NONE",
-            },
-        }));
-    }
-    packets
-}
-
 /// CZML packets visualizing component outages: each window becomes a red
 /// point shown only while its component is down (availability interval).
 /// Satellites are sampled along their trajectory inside the window; ground
@@ -271,45 +206,6 @@ mod tests {
                 assert!(lat.abs() <= 53.1, "latitude {lat} beyond inclination");
             }
         }
-    }
-
-    #[test]
-    fn ground_station_packets() {
-        let gs = ground_stations_czml(&tiny());
-        assert_eq!(gs.len(), 1);
-        assert_eq!(gs[0]["name"], "Paris");
-        let pos = gs[0]["position"]["cartographicDegrees"].as_array().unwrap();
-        assert!((pos[0].as_f64().unwrap() - 2.3522).abs() < 1e-9);
-    }
-
-    #[test]
-    fn path_czml_produces_interval_polylines() {
-        use hypatia_routing::forwarding::compute_forwarding_state;
-        let c = tiny_connected();
-        let (src, dst) = (c.gs_node(0), c.gs_node(1));
-        let mut samples = Vec::new();
-        for secs in [0u64, 30] {
-            let t = SimTime::from_secs(secs);
-            if let Some(p) = compute_forwarding_state(&c, t, &[dst]).path(src, dst) {
-                samples.push((t, p));
-            }
-        }
-        assert!(!samples.is_empty(), "test constellation must connect the pair");
-        let czml = path_czml(&c, &samples, SimTime::from_secs(60));
-        assert_eq!(czml.len(), samples.len() + 1);
-        let poly = &czml[1]["polyline"]["positions"]["cartographicDegrees"];
-        assert_eq!(poly.as_array().unwrap().len(), samples[0].1.len() * 3);
-        assert!(czml[1]["availability"].as_str().unwrap().contains('/'));
-    }
-
-    fn tiny_connected() -> Constellation {
-        Constellation::build(
-            "czml-path-test",
-            vec![ShellSpec::new("A", 550.0, 10, 10, 53.0)],
-            IslLayout::PlusGrid,
-            vec![GroundStation::new("a", 5.0, 5.0), GroundStation::new("b", -15.0, 100.0)],
-            GslConfig::new(10.0),
-        )
     }
 
     #[test]

@@ -14,7 +14,6 @@
 use crate::csv;
 use hypatia_constellation::EphemerisStats;
 use hypatia_netsim::audit::AuditViolation;
-use hypatia_netsim::trace::Trace;
 use hypatia_netsim::{EngineReport, FluidSolve, FluidStats, PhaseTimes, QueueStats};
 use hypatia_routing::incremental::{RepairStats, RouterStats};
 use hypatia_util::json::{self, json, Value};
@@ -220,34 +219,6 @@ impl ArtifactSink {
     /// Write a CZML document (a packet array).
     pub fn write_czml(&mut self, name: &str, packets: Vec<Value>) -> io::Result<()> {
         self.write_json(name, &Value::Array(packets))
-    }
-
-    /// Write a packet trace as text, one `t_s node packet_id kind` line per
-    /// event; warns when the trace buffer overflowed (partial journey).
-    pub fn write_trace(&mut self, name: &str, trace: &Trace) -> io::Result<()> {
-        if trace.truncated() > 0 {
-            self.warn(format!(
-                "trace {name} is partial: {} events not recorded (buffer full)",
-                trace.truncated()
-            ));
-        }
-        if trace.sampled_out() > 0 {
-            self.warn(format!(
-                "trace {name} is sampled: {} events from unsampled flows dropped",
-                trace.sampled_out()
-            ));
-        }
-        let mut text = String::from("# t_s node packet_id kind\n");
-        for e in trace.entries() {
-            text.push_str(&format!(
-                "{} {} {} {:?}\n",
-                e.t.secs_f64(),
-                e.node.0,
-                e.packet_id,
-                e.kind
-            ));
-        }
-        self.write_bytes(name, text.as_bytes())
     }
 
     /// Write raw bytes under `name`, recording size and checksum.
@@ -616,37 +587,6 @@ mod tests {
         assert_eq!(last.get("rounds").and_then(Value::as_u64), Some(1));
         assert_eq!(last.get("links_loaded").and_then(Value::as_u64), Some(9));
         assert_eq!(last.get("paths_reused").and_then(Value::as_u64), Some(5));
-        std::fs::remove_dir_all(sink.out_dir()).ok();
-    }
-
-    #[test]
-    fn truncated_trace_warns() {
-        use hypatia_constellation::NodeId;
-        use hypatia_netsim::trace::TraceKind;
-        use hypatia_util::SimTime;
-        let mut tr = Trace::new(1);
-        tr.record(SimTime::ZERO, NodeId(0), 1, TraceKind::Inject);
-        tr.record(SimTime::ZERO, NodeId(1), 1, TraceKind::Arrive);
-        let mut sink = temp_sink("trace");
-        sink.write_trace("trace.txt", &tr).unwrap();
-        assert_eq!(sink.warnings().len(), 1);
-        assert!(sink.warnings()[0].contains("partial"), "{}", sink.warnings()[0]);
-        std::fs::remove_dir_all(sink.out_dir()).ok();
-    }
-
-    #[test]
-    fn sampled_trace_warns() {
-        use hypatia_constellation::NodeId;
-        use hypatia_netsim::trace::TraceKind;
-        use hypatia_util::SimTime;
-        let mut tr = Trace::with_sampling(8, 2);
-        // flow hash 2 is kept (divisible by 2), hash 3 is sampled out.
-        tr.record_flow(SimTime::ZERO, NodeId(0), 1, 2, TraceKind::Inject);
-        tr.record_flow(SimTime::ZERO, NodeId(0), 2, 3, TraceKind::Inject);
-        let mut sink = temp_sink("sampled-trace");
-        sink.write_trace("trace.txt", &tr).unwrap();
-        assert_eq!(sink.warnings().len(), 1);
-        assert!(sink.warnings()[0].contains("sampled"), "{}", sink.warnings()[0]);
         std::fs::remove_dir_all(sink.out_dir()).ok();
     }
 

@@ -29,6 +29,13 @@ fi
 if grep -rnE 'struct Shard|coord_stats|coord_trace|refresh_views|Trace::merged' crates/netsim/src; then
   echo "the shard/coordinator split (a second set of stats and trace merged into views) is back" >&2 && exit 1
 fi
+# Model features that only their own tests reached: the on/off source, the
+# nearest-only GSL policy and its ablation, per-class link rates, and the
+# facade's analysis module.
+if grep -rnE 'OnOffSource|GslSelection|usable_satellites|with_isl_rate|with_gsl_rate|effective_isl_rate|gsl_selection|hypatia::analysis|crate::analysis' \
+  crates/*/src; then
+  echo "a model feature no experiment reaches is back" >&2 && exit 1
+fi
 
 echo "== packets stay put (by-value device queues and the hashed port map stay deleted)"
 if grep -rnE 'VecDeque<QueuedPacket>|HashMap<u16' crates/netsim/src; then
@@ -97,7 +104,7 @@ echo "== event queue with debug_asserts off: bucketed drain + late heap, 10^6-en
 cargo test -q --release -p hypatia-netsim --lib event::tests -- --include-ignored
 # Slot-carrying device queues, the slab-conservation audit on every exit
 # path, and the image's byte-compatibility (the pinned mid-run images of
-# UDP, ping, on/off, bulk UDP, hybrid fluid and TCP under every congestion
+# UDP, ping, bulk UDP, hybrid fluid and TCP under every congestion
 # controller; malformed queue entries rejected), without debug's overflow
 # checks.
 cargo test -q --release -p hypatia-netsim --lib -- --include-ignored \

@@ -60,6 +60,9 @@ fn out_of_range_knobs_are_bad_specs_not_panics() {
 /// exit 5 naming the key, not a panic (exit 7) deeper down.
 #[test]
 fn out_of_range_params_are_bad_specs_not_panics() {
+    // A param is checked where it is read; a knob's row carries its range
+    // (a horizon or step no instant fits in, a rate no `DataRate` holds).
+    // Either way the error quotes the key.
     for (experiment, set) in [
         ("fig12_ground_view", "scan_step_s=0"),
         ("fig03_rtt_fluctuations", "ping_interval_ms=0"),
@@ -70,25 +73,24 @@ fn out_of_range_params_are_bad_specs_not_panics() {
         ("ext_failure_resilience", "fail_fracs=0.1,1"),
         ("fig10_14_15_cross_traffic", "multipath_stretch=0.5"),
         ("ext_flow_scaling", "flow_rate_kbps=0"),
+        ("fig03_rtt_fluctuations", "duration_s=2e10"),
+        ("fig09_timestep", "step_ms=1e15"),
+        ("fig03_rtt_fluctuations", "line_rate_mbps=1e20"),
+        ("ext_hybrid_mode", "fluid_threshold_kbps=1e300"),
     ] {
         let stderr = assert_bad_spec(&run("range", None, &[experiment, "--set", set]));
         let key = set.split('=').next().unwrap();
         assert!(stderr.contains(&format!("\"{key}\"")), "{experiment} --set {set}: {stderr}");
     }
 
-    // A knob's row carries its range: a horizon or step no instant fits in,
-    // a rate no `DataRate` holds, is refused at `--set` with the range.
-    for (experiment, set) in [
-        ("fig03_rtt_fluctuations", "duration_s=2e10"),
-        ("fig09_timestep", "step_ms=1e15"),
-        ("fig03_rtt_fluctuations", "line_rate_mbps=1e20"),
-        ("ext_hybrid_mode", "fluid_threshold_kbps=1e300"),
-    ] {
-        let stderr = assert_bad_spec(&run("knob_range", None, &[experiment, "--set", set]));
-        let key = set.split('=').next().unwrap();
-        let want = format!("{key} expects a finite number in ");
-        assert!(stderr.contains(&want), "{experiment} --set {set}: {stderr}");
+    // Each value in range, but a coarse step of 100 fine ones no duration
+    // holds: refused before any snapshot is routed.
+    let mut args = vec!["fig09_timestep"];
+    for set in ["step_ms=1e12", "coarse_multiples=100", "cities=5"] {
+        args.extend(["--set", set]);
     }
+    let stderr = assert_bad_spec(&run("coarse", None, &args));
+    assert!(stderr.contains("\"coarse_multiples\""), "{stderr}");
 }
 
 /// `cities` takes 1 to 100 (the built-in city table), from `--set` and
@@ -192,7 +194,7 @@ fn every_experiment_accepts_the_lifecycle_inputs() {
             args.extend(["--set", set]);
         }
         let stderr = assert_bad_spec(&run("lifecycle", None, &args));
-        assert!(stderr.contains("max_rss_mb must be"), "{name}: {stderr}");
+        assert!(stderr.contains("\"max_rss_mb\" must be"), "{name}: {stderr}");
     }
 }
 
